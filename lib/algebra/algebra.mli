@@ -67,11 +67,12 @@ val mem : t -> side -> Ref_key.t -> bool
 val ic : t -> side -> Ref_key.t -> int option
 
 val cardinal : t -> int * int
-(** [(|source|, |target|)]. *)
+(** [(|source|, |target|)], in O(1). *)
 
 val equal : t -> t -> bool
 (** Keys {e and} ICs on both sides. Used for the paper's
-    no-new-information termination rule (step 15). *)
+    no-new-information termination rule (step 15); algebras of
+    different cardinals are told apart in O(1). *)
 
 (** {1 Matching} *)
 
@@ -84,25 +85,41 @@ type matching_result =
 
 val matching : t -> matching_result
 
+type verdict =
+  | Conflict  (** [matching] reports [Ic_abort] *)
+  | Counts of { unresolved : int; frontier : int }
+      (** [matching] reports [Match] with lists of these lengths *)
+
+val verdict : t -> verdict
+(** What {!matching} would conclude, in O(1): the algebra keeps its
+    unresolved, frontier and conflict counts current as entries are
+    added.  Honours the same [skip_ic_guards] mutant guard. *)
+
 val cycle_found : t -> bool
 (** [matching t = Match {unresolved = []; frontier = []}]. *)
 
 (** {1 Wire format and printing} *)
 
-val to_sval : t -> Adgc_serial.Sval.t
+val emit : t Adgc_serial.Net_codec.shape
 (** Plain representation: the two sets written out separately. *)
+
+val to_sval : t -> Adgc_serial.Sval.t
+(** The tree {!emit} describes. *)
 
 val of_sval : Adgc_serial.Sval.t -> t option
 (** Accepts both the plain and the compact representation. *)
 
-val to_sval_compact : t -> Adgc_serial.Sval.t
+val emit_compact : t Adgc_serial.Net_codec.shape
 (** The paper's optimized representation (§4): one entry per distinct
     reference with two presence bits (source/target), so a reference
     in both sets is written once.  On a concluding CDM (every entry in
     both sets) this halves the entry count.  An entry appearing on
     both sides with {e different} ICs cannot be shared and is written
     twice.  [of_sval] reads it back; [of_sval (to_sval_compact t)]
-    equals [t]. *)
+    equals [t].  Sizing it allocates nothing per entry. *)
+
+val to_sval_compact : t -> Adgc_serial.Sval.t
+(** The tree {!emit_compact} describes. *)
 
 val pp : Format.formatter -> t -> unit
 (** Paper style: [{{P1->#0@P2:3} -> {P2->#1@P4:0}}] where the integer

@@ -1,4 +1,5 @@
 module Sval = Adgc_serial.Sval
+module N = Adgc_serial.Net_codec
 
 type t = { id : Detection_id.t; algebra : Algebra.t; frontier : Ref_key.t; hops : int; budget : int }
 
@@ -6,20 +7,37 @@ let make ~id ~algebra ~frontier ~hops ~budget = { id; algebra; frontier; hops; b
 
 let dest t = Ref_key.owner t.frontier
 
-let to_sval t =
-  Sval.Record
-    ( "cdm",
-      [
-        ("initiator", Sval.Int (Proc_id.to_int t.id.Detection_id.initiator));
-        ("seq", Sval.Int t.id.Detection_id.seq);
-        (* The paper's optimized two-presence-bit representation. *)
-        ("algebra", Algebra.to_sval_compact t.algebra);
-        ("f_src", Sval.Int (Proc_id.to_int t.frontier.Ref_key.src));
-        ("f_owner", Sval.Int (Proc_id.to_int (Oid.owner t.frontier.Ref_key.target)));
-        ("f_serial", Sval.Int t.frontier.Ref_key.target.Oid.serial);
-        ("hops", Sval.Int t.hops);
-        ("budget", Sval.Int t.budget);
-      ] )
+let n_cdm = N.Name.v "cdm"
+let n_initiator = N.Name.v "initiator"
+let n_seq = N.Name.v "seq"
+let n_algebra = N.Name.v "algebra"
+let n_f_src = N.Name.v "f_src"
+let n_f_owner = N.Name.v "f_owner"
+let n_f_serial = N.Name.v "f_serial"
+let n_hops = N.Name.v "hops"
+let n_budget = N.Name.v "budget"
+
+let emit s t =
+  N.record s n_cdm 8;
+  N.field s n_initiator;
+  N.int s (Proc_id.to_int t.id.Detection_id.initiator);
+  N.field s n_seq;
+  N.int s t.id.Detection_id.seq;
+  (* The paper's optimized two-presence-bit representation. *)
+  N.field s n_algebra;
+  Algebra.emit_compact s t.algebra;
+  N.field s n_f_src;
+  N.int s (Proc_id.to_int t.frontier.Ref_key.src);
+  N.field s n_f_owner;
+  N.int s (Proc_id.to_int (Oid.owner t.frontier.Ref_key.target));
+  N.field s n_f_serial;
+  N.int s t.frontier.Ref_key.target.Oid.serial;
+  N.field s n_hops;
+  N.int s t.hops;
+  N.field s n_budget;
+  N.int s t.budget
+
+let to_sval t = N.to_sval emit t
 
 let of_sval = function
   | Sval.Record

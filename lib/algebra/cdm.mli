@@ -27,9 +27,12 @@ val make :
 val dest : t -> Proc_id.t
 (** The owner of the frontier's target object. *)
 
+val emit : t Adgc_serial.Net_codec.shape
+(** Wire representation; its encoded size is what the message-size
+    statistics report. *)
+
 val to_sval : t -> Adgc_serial.Sval.t
-(** Wire representation; its encoded size (through either codec) is
-    what the message-size statistics report. *)
+(** The tree {!emit} describes. *)
 
 val of_sval : Adgc_serial.Sval.t -> t option
 

@@ -18,6 +18,20 @@ let pp ppf t = Format.fprintf ppf "#%d@@%a" t.serial Proc_id.pp t.owner
 
 let to_string t = Format.asprintf "%a" pp t
 
+module N = Adgc_serial.Net_codec
+
+let emit s t =
+  N.list s 2;
+  N.int s (Proc_id.to_int t.owner);
+  N.int s t.serial
+
+let read r =
+  if N.Read.list r <> 2 then N.Read.fail r "bad oid";
+  let owner = N.Read.int r in
+  let serial = N.Read.int r in
+  if owner < 0 || serial < 0 then N.Read.fail r "negative id";
+  make ~owner:(Proc_id.of_int owner) ~serial
+
 module Ord = struct
   type nonrec t = t
 

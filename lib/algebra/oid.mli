@@ -24,6 +24,13 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val emit : t Adgc_serial.Net_codec.shape
+(** Wire shape: the list [[owner; serial]]. *)
+
+val read : Adgc_serial.Net_codec.Read.t -> t
+(** Reads {!emit}'s bytes back; a negative owner or serial is
+    malformed. *)
+
 module Set : Set.S with type elt = t
 
 module Map : Map.S with type key = t

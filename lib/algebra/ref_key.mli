@@ -28,6 +28,12 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val emit : t Adgc_serial.Net_codec.shape
+(** Wire shape: the list [[src; target]], the target as {!Oid.emit}. *)
+
+val read : Adgc_serial.Net_codec.Read.t -> t
+(** Reads {!emit}'s bytes back; a negative id is malformed. *)
+
 module Set : Set.S with type elt = t
 
 module Map : Map.S with type key = t

@@ -65,7 +65,6 @@ type t = {
   faults : Adgc_rt.Faults.plan;
   policy : Adgc_dcda.Policy.t;
   detector : detector_kind;
-  codec : Adgc_serial.Codec.t;
   summarize : Adgc_snapshot.Summarize.algo;
   incremental_snapshots : bool;
   bt_timeout : int;
@@ -90,7 +89,6 @@ let default ?(seed = 42) ?(n_procs = 4) () =
     faults = Adgc_rt.Faults.none;
     policy = Adgc_dcda.Policy.default;
     detector = Dcda;
-    codec = (module Adgc_serial.Net_codec : Adgc_serial.Codec.S);
     summarize = Adgc_snapshot.Summarize.Condensed;
     incremental_snapshots = false;
     bt_timeout = 50_000;

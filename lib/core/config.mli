@@ -74,7 +74,6 @@ type t = {
           {!Adgc_rt.Faults.none}) *)
   policy : Adgc_dcda.Policy.t;
   detector : detector_kind;
-  codec : Adgc_serial.Codec.t;  (** snapshot serialization codec *)
   summarize : Adgc_snapshot.Summarize.algo;
   incremental_snapshots : bool;
       (** use the dirty-region incremental summarizer instead of full
@@ -95,8 +94,8 @@ type t = {
 }
 
 val default : ?seed:int -> ?n_procs:int -> unit -> t
-(** DCDA with the default policy, compact codec, condensed
-    summarizer, 4 processes, seed 42. *)
+(** DCDA with the default policy, condensed summarizer, 4 processes,
+    seed 42. *)
 
 val quick : ?seed:int -> ?n_procs:int -> unit -> t
 (** Aggressive periods everywhere — detections conclude within a few

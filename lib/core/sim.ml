@@ -30,7 +30,7 @@ let create ?config () =
   in
   let rt = Cluster.rt cluster in
   let store =
-    Snapshot_store.create ~codec:config.Config.codec ~algo:config.Config.summarize
+    Snapshot_store.create ~algo:config.Config.summarize
       ~incremental:config.Config.incremental_snapshots rt
   in
   let detectors =

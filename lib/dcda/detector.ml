@@ -212,9 +212,9 @@ let proceed_from t ~id ~delivered ~(si : Summary.scion_info) ~hops ~budget =
                      means the next hop would only abort it anyway. *)
                   t.policy.Policy.early_ic_check
                   &&
-                  match Algebra.matching alg with
-                  | Algebra.Ic_abort _ -> true
-                  | Algebra.Match _ -> false
+                  match Algebra.verdict alg with
+                  | Algebra.Conflict -> true
+                  | Algebra.Counts _ -> false
                 then begin
                   Stats.incr t.rt.Runtime.stats "dcda.abort.ic_mismatch_early";
                   Stats.incr t.rt.Runtime.stats "dcda.cdm_saved";
@@ -253,16 +253,19 @@ let proceed_from t ~id ~delivered ~(si : Summary.scion_info) ~hops ~budget =
           else begin
             let child_budget = share + (if slot < extra then 1 else 0) in
             Stats.incr t.rt.Runtime.stats "dcda.cdm_sent";
-            Lineage.record t.rt.Runtime.lineage id
-              (Lineage.Sent
-                 {
-                   at = proc_id t;
-                   dst = Ref_key.owner stub_key;
-                   time = Runtime.now t.rt;
-                   sources = List.length (Algebra.source alg);
-                   targets = List.length (Algebra.target alg);
-                   hops = hops + 1;
-                 });
+            if Lineage.enabled t.rt.Runtime.lineage then begin
+              let sources, targets = Algebra.cardinal alg in
+              Lineage.record t.rt.Runtime.lineage id
+                (Lineage.Sent
+                   {
+                     at = proc_id t;
+                     dst = Ref_key.owner stub_key;
+                     time = Runtime.now t.rt;
+                     sources;
+                     targets;
+                     hops = hops + 1;
+                   })
+            end;
             Runtime.send_dgc t.rt ~src:(proc_id t)
               ~dst:(Ref_key.owner stub_key)
               (Msg.Cdm
@@ -277,15 +280,11 @@ let proceed_from t ~id ~delivered ~(si : Summary.scion_info) ~hops ~budget =
 let handle_cdm t (cdm : Cdm.t) =
   Stats.incr t.rt.Runtime.stats "dcda.cdm_received";
   let id = cdm.Cdm.id in
-  Lineage.record t.rt.Runtime.lineage id
-    (Lineage.Received
-       {
-         at = proc_id t;
-         time = Runtime.now t.rt;
-         sources = List.length (Algebra.source cdm.Cdm.algebra);
-         targets = List.length (Algebra.target cdm.Cdm.algebra);
-         hops = cdm.Cdm.hops;
-       });
+  if Lineage.enabled t.rt.Runtime.lineage then begin
+    let sources, targets = Algebra.cardinal cdm.Cdm.algebra in
+    Lineage.record t.rt.Runtime.lineage id
+      (Lineage.Received { at = proc_id t; time = Runtime.now t.rt; sources; targets; hops = cdm.Cdm.hops })
+  end;
   match t.summary with
   | None -> abort t id "no_summary"
   | Some summary -> (
@@ -332,18 +331,18 @@ let handle_cdm t (cdm : Cdm.t) =
                 with
                 | Algebra.Ic_conflict _ -> abort t id "ic_conflict"
                 | Algebra.Added alg -> (
-                    match Algebra.matching alg with
-                    | Algebra.Ic_abort _ -> abort t id "ic_mismatch_matching"
-                    | Algebra.Match { unresolved = []; frontier = [] } ->
+                    match Algebra.verdict alg with
+                    | Algebra.Conflict -> abort t id "ic_mismatch_matching"
+                    | Algebra.Counts { unresolved = 0; frontier = 0 } ->
                         conclude t ~id ~algebra:alg ~arrival ~hops:cdm.Cdm.hops
-                    | Algebra.Match { unresolved = _ :: _; frontier = [] }
+                    | Algebra.Counts { unresolved = _; frontier = 0 }
                       when Adgc_util.Mc_mutate.enabled "conclude_ignores_unresolved" ->
                         (* Gauntlet mutant: declare victory while scion
                            dependencies are still untraversed — an
                            external holder of the "cycle" (paper Fig. 1)
                            is exactly such a dependency. *)
                         conclude t ~id ~algebra:alg ~arrival ~hops:cdm.Cdm.hops
-                    | Algebra.Match _ -> (
+                    | Algebra.Counts _ -> (
                         match t.policy.Policy.ttl with
                         | Some ttl when cdm.Cdm.hops >= ttl -> abort t id "ttl"
                         | Some _ | None ->

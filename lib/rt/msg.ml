@@ -1,5 +1,6 @@
 open Adgc_algebra
 module Sval = Adgc_serial.Sval
+module N = Adgc_serial.Net_codec
 
 type payload =
   | Rmi_request of { req_id : int; target : Oid.t; args : Oid.t list; stub_ic : int }
@@ -20,20 +21,39 @@ type t = { src : Proc_id.t; dst : Proc_id.t; seq : int; sent_at : int; payload :
 
 let make ?(seq = -1) ~src ~dst ~sent_at payload = { src; dst; seq; sent_at; payload }
 
-let kind = function
-  | Rmi_request _ -> "rmi_request"
-  | Rmi_reply _ -> "rmi_reply"
-  | Export_notice _ -> "export_notice"
-  | Export_ack _ -> "export_ack"
-  | New_set_stubs _ -> "new_set_stubs"
-  | Scion_probe -> "scion_probe"
-  | Cdm _ -> "cdm"
-  | Cdm_delete _ -> "cdm_delete"
-  | Bt _ -> "bt"
-  | Hughes _ -> "hughes"
-  | Batch _ -> "batch"
-  | Group_fwd _ -> "group_fwd"
-  | Group_relay _ -> "group_relay"
+let kinds =
+  [|
+    "rmi_request";
+    "rmi_reply";
+    "export_notice";
+    "export_ack";
+    "new_set_stubs";
+    "scion_probe";
+    "cdm";
+    "cdm_delete";
+    "bt";
+    "hughes";
+    "batch";
+    "group_fwd";
+    "group_relay";
+  |]
+
+let kind_index = function
+  | Rmi_request _ -> 0
+  | Rmi_reply _ -> 1
+  | Export_notice _ -> 2
+  | Export_ack _ -> 3
+  | New_set_stubs _ -> 4
+  | Scion_probe -> 5
+  | Cdm _ -> 6
+  | Cdm_delete _ -> 7
+  | Bt _ -> 8
+  | Hughes _ -> 9
+  | Batch _ -> 10
+  | Group_fwd _ -> 11
+  | Group_relay _ -> 12
+
+let kind p = kinds.(kind_index p)
 
 let rec payload_refs = function
   | Rmi_request { target; args; _ } -> target :: args
@@ -61,72 +81,138 @@ let rec live_refs = function
   | Group_relay { entries } -> List.concat_map (fun (_, _, p) -> live_refs p) entries
   | p -> payload_refs p
 
-let oid_sval (o : Oid.t) = Sval.List [ Sval.Int (Proc_id.to_int (Oid.owner o)); Sval.Int o.Oid.serial ]
+let n_rmi_request = N.Name.v "rmi_request"
+let n_rmi_reply = N.Name.v "rmi_reply"
+let n_export_notice = N.Name.v "export_notice"
+let n_export_ack = N.Name.v "export_ack"
+let n_new_set_stubs = N.Name.v "new_set_stubs"
+let n_scion_probe = N.Name.v "scion_probe"
+let n_cdm_delete = N.Name.v "cdm_delete"
+let n_batch = N.Name.v "batch"
+let n_group_fwd = N.Name.v "group_fwd"
+let n_group_relay = N.Name.v "group_relay"
+let n_msg = N.Name.v "msg"
+let n_req_id = N.Name.v "req_id"
+let n_target = N.Name.v "target"
+let n_args = N.Name.v "args"
+let n_stub_ic = N.Name.v "stub_ic"
+let n_results = N.Name.v "results"
+let n_notice_id = N.Name.v "notice_id"
+let n_new_holder = N.Name.v "new_holder"
+let n_seqno = N.Name.v "seqno"
+let n_targets = N.Name.v "targets"
+let n_initiator = N.Name.v "initiator"
+let n_seq = N.Name.v "seq"
+let n_scions = N.Name.v "scions"
+let n_msgs = N.Name.v "msgs"
+let n_orig_src = N.Name.v "orig_src"
+let n_inner = N.Name.v "inner"
+let n_entries = N.Name.v "entries"
+let n_src = N.Name.v "src"
+let n_dst = N.Name.v "dst"
+let n_sent_at = N.Name.v "sent_at"
+let n_payload = N.Name.v "payload"
 
-let ref_sval (k : Ref_key.t) =
-  Sval.List [ Sval.Int (Proc_id.to_int k.Ref_key.src); oid_sval k.Ref_key.target ]
+let emit_oids s l =
+  N.list s (List.length l);
+  List.iter (Oid.emit s) l
 
-let rec payload_sval = function
+let emit_export s name notice_id target new_holder =
+  N.record s name 3;
+  N.field s n_notice_id;
+  N.int s notice_id;
+  N.field s n_target;
+  Oid.emit s target;
+  N.field s n_new_holder;
+  N.int s (Proc_id.to_int new_holder)
+
+let rec emit_payload s = function
   | Rmi_request { req_id; target; args; stub_ic } ->
-      Sval.Record
-        ( "rmi_request",
-          [
-            ("req_id", Sval.Int req_id);
-            ("target", oid_sval target);
-            ("args", Sval.List (List.map oid_sval args));
-            ("stub_ic", Sval.Int stub_ic);
-          ] )
+      N.record s n_rmi_request 4;
+      N.field s n_req_id;
+      N.int s req_id;
+      N.field s n_target;
+      Oid.emit s target;
+      N.field s n_args;
+      emit_oids s args;
+      N.field s n_stub_ic;
+      N.int s stub_ic
   | Rmi_reply { req_id; target; results } ->
-      Sval.Record
-        ( "rmi_reply",
-          [ ("req_id", Sval.Int req_id); ("target", oid_sval target); ("results", Sval.List (List.map oid_sval results)) ] )
+      N.record s n_rmi_reply 3;
+      N.field s n_req_id;
+      N.int s req_id;
+      N.field s n_target;
+      Oid.emit s target;
+      N.field s n_results;
+      emit_oids s results
   | Export_notice { notice_id; target; new_holder } ->
-      Sval.Record
-        ( "export_notice",
-          [ ("notice_id", Sval.Int notice_id); ("target", oid_sval target); ("new_holder", Sval.Int (Proc_id.to_int new_holder)) ] )
+      emit_export s n_export_notice notice_id target new_holder
   | Export_ack { notice_id; target; new_holder } ->
-      Sval.Record
-        ( "export_ack",
-          [ ("notice_id", Sval.Int notice_id); ("target", oid_sval target); ("new_holder", Sval.Int (Proc_id.to_int new_holder)) ] )
+      emit_export s n_export_ack notice_id target new_holder
   | New_set_stubs { seqno; targets } ->
-      let entry (o, ic) = Sval.List [ oid_sval o; Sval.Int ic ] in
-      Sval.Record
-        ( "new_set_stubs",
-          [ ("seqno", Sval.Int seqno); ("targets", Sval.List (List.map entry (Oid.Map.bindings targets))) ] )
-  | Scion_probe -> Sval.Record ("scion_probe", [])
-  | Cdm cdm -> Cdm.to_sval cdm
+      N.record s n_new_set_stubs 2;
+      N.field s n_seqno;
+      N.int s seqno;
+      N.field s n_targets;
+      N.list s (Oid.Map.cardinal targets);
+      Oid.Map.iter
+        (fun o ic ->
+          N.list s 2;
+          Oid.emit s o;
+          N.int s ic)
+        targets
+  | Scion_probe -> N.record s n_scion_probe 0
+  | Cdm cdm -> Cdm.emit s cdm
   | Cdm_delete { id; scions } ->
-      Sval.Record
-        ( "cdm_delete",
-          [
-            ("initiator", Sval.Int (Proc_id.to_int id.Detection_id.initiator));
-            ("seq", Sval.Int id.Detection_id.seq);
-            ("scions", Sval.List (List.map ref_sval scions));
-          ] )
-  | Bt bt -> Btmsg.to_sval bt
-  | Hughes h -> Hmsg.to_sval h
-  | Batch payloads -> Sval.Record ("batch", [ ("msgs", Sval.List (List.map payload_sval payloads)) ])
+      N.record s n_cdm_delete 3;
+      N.field s n_initiator;
+      N.int s (Proc_id.to_int id.Detection_id.initiator);
+      N.field s n_seq;
+      N.int s id.Detection_id.seq;
+      N.field s n_scions;
+      N.list s (List.length scions);
+      List.iter (Ref_key.emit s) scions
+  | Bt bt -> N.sval s (Btmsg.to_sval bt)
+  | Hughes h -> N.sval s (Hmsg.to_sval h)
+  | Batch payloads ->
+      N.record s n_batch 1;
+      N.field s n_msgs;
+      N.list s (List.length payloads);
+      List.iter (emit_payload s) payloads
   | Group_fwd { orig_src; inner } ->
-      Sval.Record
-        ( "group_fwd",
-          [ ("orig_src", Sval.Int (Proc_id.to_int orig_src)); ("inner", payload_sval inner) ] )
+      N.record s n_group_fwd 2;
+      N.field s n_orig_src;
+      N.int s (Proc_id.to_int orig_src);
+      N.field s n_inner;
+      emit_payload s inner
   | Group_relay { entries } ->
-      let entry (orig_src, final_dst, p) =
-        Sval.List
-          [ Sval.Int (Proc_id.to_int orig_src); Sval.Int (Proc_id.to_int final_dst); payload_sval p ]
-      in
-      Sval.Record ("group_relay", [ ("entries", Sval.List (List.map entry entries)) ])
+      N.record s n_group_relay 1;
+      N.field s n_entries;
+      N.list s (List.length entries);
+      List.iter
+        (fun (orig_src, final_dst, p) ->
+          N.list s 3;
+          N.int s (Proc_id.to_int orig_src);
+          N.int s (Proc_id.to_int final_dst);
+          emit_payload s p)
+        entries
 
-let to_sval t =
-  Sval.Record
-    ( "msg",
-      [
-        ("src", Sval.Int (Proc_id.to_int t.src));
-        ("dst", Sval.Int (Proc_id.to_int t.dst));
-        ("seq", Sval.Int t.seq);
-        ("sent_at", Sval.Int t.sent_at);
-        ("payload", payload_sval t.payload);
-      ] )
+let emit s t =
+  N.record s n_msg 5;
+  N.field s n_src;
+  N.int s (Proc_id.to_int t.src);
+  N.field s n_dst;
+  N.int s (Proc_id.to_int t.dst);
+  N.field s n_seq;
+  N.int s t.seq;
+  N.field s n_sent_at;
+  N.int s t.sent_at;
+  N.field s n_payload;
+  emit_payload s t.payload
+
+let payload_sval p = N.to_sval emit_payload p
+
+let to_sval t = N.to_sval emit t
 
 (* Decoders.  Like {!Cdm.of_sval}, field order is part of the wire
    format: a reordered record is malformed, not merely unusual. *)

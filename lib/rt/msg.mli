@@ -95,6 +95,11 @@ val make : ?seq:int -> src:Proc_id.t -> dst:Proc_id.t -> sent_at:int -> payload 
 val kind : payload -> string
 (** Short tag for statistics counters ("rmi_request", "cdm", ...). *)
 
+val kinds : string array
+(** Every {!kind}, indexed by {!kind_index}. *)
+
+val kind_index : payload -> int
+
 val payload_refs : payload -> Oid.t list
 (** Every object reference syntactically present in the payload
     (wire-accounting view). *)
@@ -108,8 +113,15 @@ val live_refs : payload -> Oid.t list
     ground-truth tracer seed set shared by {!Cluster.globally_live},
     the safety oracle and the model checker. *)
 
+val emit : t Adgc_serial.Net_codec.shape
+(** Wire representation; {!Network} charges each envelope its
+    [Net_codec.size]. *)
+
+val emit_payload : payload Adgc_serial.Net_codec.shape
+
 val to_sval : t -> Adgc_serial.Sval.t
-(** Wire representation used for byte accounting. *)
+(** The tree {!emit} describes (sockets, the model checker's state
+    text and the decoders read this). *)
 
 val payload_sval : payload -> Adgc_serial.Sval.t
 

@@ -96,15 +96,24 @@ let set_deliver t f = t.deliver <- Some f
 
 let set_transport t f = t.transport <- Some f
 
-(* One encode per accounted message: the byte count feeds both the
-   aggregate and the per-kind counter.  Callers invoke this only for
-   messages that actually travel — a message killed by a cut link or
-   the loss model is never encoded at all. *)
+(* Per-kind stat keys, built once rather than per envelope. *)
+let kind_keys prefix = Array.map (fun k -> prefix ^ k) Msg.kinds
+
+let sent_keys = kind_keys "net.msg.sent."
+let delivered_keys = kind_keys "net.msg.delivered."
+let dropped_keys = kind_keys "net.msg.dropped."
+let bytes_keys = kind_keys "net.bytes."
+
+(* One size count per accounted message: the byte count feeds both the
+   aggregate and the per-kind counter.  The count is the length of the
+   message's compact encoding, computed without writing it.  Callers
+   invoke this only for messages that actually travel — a message
+   killed by a cut link or the loss model is never sized at all. *)
 let account t (msg : Msg.t) =
   if t.config.account_bytes then begin
-    let bytes = String.length (Adgc_serial.Net_codec.encode (Msg.to_sval msg)) in
+    let bytes = Adgc_serial.Net_codec.size Msg.emit msg in
     Stats.add t.stats "net.bytes" bytes;
-    Stats.add t.stats ("net.bytes." ^ Msg.kind msg.payload) bytes;
+    Stats.add t.stats bytes_keys.(Msg.kind_index msg.payload) bytes;
     if t.config.per_link_bytes then
       Stats.add_l t.stats "net.bytes.link"
         ~labels:
@@ -211,7 +220,7 @@ let inject t deliver (msg : Msg.t) ~latency =
       Hashtbl.remove t.in_flight id;
       unregister t msg;
       Stats.incr t.stats "net.msg.delivered";
-      Stats.incr t.stats ("net.msg.delivered." ^ Msg.kind msg.payload);
+      Stats.incr t.stats delivered_keys.(Msg.kind_index msg.payload);
       deliver msg)
 
 let send t (msg : Msg.t) =
@@ -221,7 +230,7 @@ let send t (msg : Msg.t) =
     | None -> invalid_arg "Network.send: no dispatch function installed"
   in
   Stats.incr t.stats "net.msg.sent";
-  Stats.incr t.stats ("net.msg.sent." ^ Msg.kind msg.payload);
+  Stats.incr t.stats sent_keys.(Msg.kind_index msg.payload);
   let consumed =
     match t.transport with
     | Some f ->
@@ -239,10 +248,10 @@ let send t (msg : Msg.t) =
   let key = link_key msg.src msg.dst in
   let drop reason =
     Stats.incr t.stats "net.msg.dropped";
-    Stats.incr t.stats ("net.msg.dropped." ^ Msg.kind msg.payload);
-    match reason with Some r -> Stats.incr t.stats ("net.msg.dropped." ^ r) | None -> ()
+    Stats.incr t.stats dropped_keys.(Msg.kind_index msg.payload);
+    match reason with Some r -> Stats.incr t.stats r | None -> ()
   in
-  if Hashtbl.mem t.cut key then drop (Some "partition")
+  if Hashtbl.mem t.cut key then drop (Some "net.msg.dropped.partition")
   else
     match t.config.delivery with
     | Manual ->
@@ -302,10 +311,10 @@ let deliver_one t id =
     | None -> invalid_arg "Network.deliver_one: no dispatch function installed"
   in
   Stats.incr t.stats "net.msg.delivered";
-  Stats.incr t.stats ("net.msg.delivered." ^ Msg.kind msg.Msg.payload);
+  Stats.incr t.stats delivered_keys.(Msg.kind_index msg.Msg.payload);
   deliver msg
 
 let drop_one t id =
   let msg = take_pending t id in
   Stats.incr t.stats "net.msg.dropped";
-  Stats.incr t.stats ("net.msg.dropped." ^ Msg.kind msg.Msg.payload)
+  Stats.incr t.stats dropped_keys.(Msg.kind_index msg.Msg.payload)

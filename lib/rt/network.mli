@@ -32,9 +32,8 @@ type config = {
   mutable latency_max : int;  (** inclusive; must be [>= latency_min] *)
   mutable drop_prob : float;
   mutable account_bytes : bool;
-      (** when set, every sent message is actually encoded with the
-          compact codec and its size recorded (slower; benches that
-          report bytes enable it) *)
+      (** when set, every sent message's compact-codec size is counted
+          and recorded (slower; benches that report bytes enable it) *)
   mutable per_link_bytes : bool;
       (** additionally record bytes per (src, dst) link under the
           labelled counter [net.bytes.link{dst,src}]; implied by

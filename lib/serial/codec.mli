@@ -11,7 +11,7 @@
       measures at 250-350 ms (~100x faster).
 
     Both are exact inverses on every {!Sval.t} (property-tested), so
-    the snapshot subsystem can switch codecs freely. *)
+    the E2 benchmark can feed them the same documents. *)
 
 module type S = sig
   val name : string

@@ -9,52 +9,237 @@ let tag_str = 5
 let tag_list = 6
 let tag_record = 7
 
+module Name = struct
+  type t = { id : int; text : string }
+
+  (* Ids are dense, so a writer's interning state is an array indexed
+     by id.  The registry is only consulted when a name is made — at
+     module initialisation for the wire types, per name when a tree is
+     replayed — never on a shape's hot path. *)
+  let registry : (string, t) Hashtbl.t = Hashtbl.create 256
+
+  let lock = Mutex.create ()
+
+  let v text =
+    Mutex.protect lock (fun () ->
+        match Hashtbl.find_opt registry text with
+        | Some n -> n
+        | None ->
+            let n = { id = Hashtbl.length registry; text } in
+            Hashtbl.add registry text n;
+            n)
+end
+
+(* ------------------------------------------------------------------ *)
+(* The streaming writer *)
+
+(* Build mode: an open list or record and how many items it still
+   awaits; items are collected in reverse. *)
+type frame =
+  | In_list of { mutable left : int; mutable items : Sval.t list }
+  | In_record of {
+      rname : string;
+      mutable left : int;
+      mutable key : string;
+      mutable fields : (string * Sval.t) list;
+    }
+
+type mode = Count | Write | Build
+
+type sink = {
+  mode : mode;
+  buf : Wire.Writer.t;  (** [Write] *)
+  mutable bytes : int;  (** [Count] *)
+  mutable stack : frame list;  (** [Build]: the open lists and records *)
+  mutable result : Sval.t;  (** [Build] *)
+  (* Interning: a name's index is [slot.(id)] when [stamp.(id)] is the
+     current epoch.  A new message bumps the epoch instead of clearing
+     the arrays; a connection-scoped writer never does. *)
+  mutable stamp : int array;
+  mutable slot : int array;
+  mutable epoch : int;
+  mutable next : int;
+}
+
+type 'a shape = sink -> 'a -> unit
+
+let make mode =
+  let names = if mode = Build then 0 else 64 in
+  {
+    mode;
+    buf = Wire.Writer.create ~initial:(if mode = Write then 1024 else 1) ();
+    bytes = 0;
+    stack = [];
+    result = Sval.Unit;
+    stamp = Array.make names 0;
+    slot = Array.make names 0;
+    epoch = 1;
+    next = 0;
+  }
+
+(* A fresh value: new interning epoch, empty output. *)
+let start s =
+  s.epoch <- s.epoch + 1;
+  s.next <- 0;
+  s.bytes <- 0;
+  Wire.Writer.clear s.buf
+
+let raw_byte s b =
+  match s.mode with Count -> s.bytes <- s.bytes + 1 | Write -> Wire.Writer.byte s.buf b | Build -> ()
+
+let raw_varint s v =
+  match s.mode with
+  | Count -> s.bytes <- s.bytes + Wire.varint_size v
+  | Write -> Wire.Writer.varint s.buf v
+  | Build -> ()
+
 (* Interned names: the first occurrence is written as [size-of-table]
    followed by the string; later occurrences as their index. *)
-type intern_w = { tbl : (string, int) Hashtbl.t; mutable next : int }
+let write_name s (n : Name.t) =
+  let id = n.Name.id in
+  if id >= Array.length s.stamp then begin
+    let len = Int.max (id + 1) (2 * Array.length s.stamp) in
+    let grow a = Array.append a (Array.make (len - Array.length a) 0) in
+    s.stamp <- grow s.stamp;
+    s.slot <- grow s.slot
+  end;
+  if s.stamp.(id) = s.epoch then raw_varint s s.slot.(id)
+  else begin
+    s.stamp.(id) <- s.epoch;
+    s.slot.(id) <- s.next;
+    raw_varint s s.next;
+    s.next <- s.next + 1;
+    match s.mode with
+    | Count ->
+        let len = String.length n.Name.text in
+        s.bytes <- s.bytes + Wire.varint_size len + len
+    | Write -> Wire.Writer.string s.buf n.Name.text
+    | Build -> ()
+  end
 
-let write_name w intern s =
-  match Hashtbl.find_opt intern.tbl s with
-  | Some idx -> Wire.Writer.varint w idx
-  | None ->
-      Wire.Writer.varint w intern.next;
-      Wire.Writer.string w s;
-      Hashtbl.add intern.tbl s intern.next;
-      intern.next <- intern.next + 1
+(* Build mode: hand a finished value to the innermost open frame,
+   closing every frame it completes. *)
+let rec put s v =
+  match s.stack with
+  | [] -> s.result <- v
+  | In_list f :: rest ->
+      f.items <- v :: f.items;
+      f.left <- f.left - 1;
+      if f.left = 0 then begin
+        s.stack <- rest;
+        put s (Sval.List (List.rev f.items))
+      end
+  | In_record f :: rest ->
+      f.fields <- (f.key, v) :: f.fields;
+      f.left <- f.left - 1;
+      if f.left = 0 then begin
+        s.stack <- rest;
+        put s (Sval.Record (f.rname, List.rev f.fields))
+      end
 
-let rec write w intern (v : Sval.t) =
-  match v with
-  | Unit -> Wire.Writer.byte w tag_unit
-  | Bool false -> Wire.Writer.byte w tag_bool_false
-  | Bool true -> Wire.Writer.byte w tag_bool_true
-  | Int i ->
-      Wire.Writer.byte w tag_int;
-      Wire.Writer.varint w i
-  | Float f ->
-      Wire.Writer.byte w tag_float;
-      Wire.Writer.float w f
-  | Str s ->
-      Wire.Writer.byte w tag_str;
-      Wire.Writer.string w s
-  | List items ->
-      Wire.Writer.byte w tag_list;
-      Wire.Writer.varint w (List.length items);
-      List.iter (write w intern) items
-  | Record (rname, fields) ->
-      Wire.Writer.byte w tag_record;
-      write_name w intern rname;
-      Wire.Writer.varint w (List.length fields);
+let record s n k =
+  match s.mode with
+  | Build ->
+      if k = 0 then put s (Sval.Record (n.Name.text, []))
+      else s.stack <- In_record { rname = n.Name.text; left = k; key = ""; fields = [] } :: s.stack
+  | Count | Write ->
+      raw_byte s tag_record;
+      write_name s n;
+      raw_varint s k
+
+let field s n =
+  match s.mode with
+  | Build -> (
+      match s.stack with
+      | In_record f :: _ -> f.key <- n.Name.text
+      | _ -> invalid_arg "Net_codec.field: not inside a record")
+  | Count | Write -> write_name s n
+
+let list s k =
+  match s.mode with
+  | Build -> if k = 0 then put s (Sval.List []) else s.stack <- In_list { left = k; items = [] } :: s.stack
+  | Count | Write ->
+      raw_byte s tag_list;
+      raw_varint s k
+
+let int s v =
+  match s.mode with
+  | Count -> s.bytes <- s.bytes + 1 + Wire.varint_size v
+  | Write ->
+      Wire.Writer.byte s.buf tag_int;
+      Wire.Writer.varint s.buf v
+  | Build -> put s (Sval.Int v)
+
+let bool s b =
+  match s.mode with
+  | Build -> put s (Sval.Bool b)
+  | Count | Write -> raw_byte s (if b then tag_bool_true else tag_bool_false)
+
+let unit s = match s.mode with Build -> put s Sval.Unit | Count | Write -> raw_byte s tag_unit
+
+let float s f =
+  match s.mode with
+  | Count -> s.bytes <- s.bytes + 9
+  | Write ->
+      Wire.Writer.byte s.buf tag_float;
+      Wire.Writer.float s.buf f
+  | Build -> put s (Sval.Float f)
+
+let str s v =
+  match s.mode with
+  | Count ->
+      let len = String.length v in
+      s.bytes <- s.bytes + 1 + Wire.varint_size len + len
+  | Write ->
+      Wire.Writer.byte s.buf tag_str;
+      Wire.Writer.string s.buf v
+  | Build -> put s (Sval.Str v)
+
+let rec sval s (v : Sval.t) =
+  match (s.mode, v) with
+  | Build, v -> put s v
+  | _, Unit -> unit s
+  | _, Bool b -> bool s b
+  | _, Int i -> int s i
+  | _, Float f -> float s f
+  | _, Str v -> str s v
+  | _, List items ->
+      list s (List.length items);
+      List.iter (sval s) items
+  | _, Record (rname, fields) ->
+      record s (Name.v rname) (List.length fields);
       List.iter
         (fun (k, fv) ->
-          write_name w intern k;
-          write w intern fv)
+          field s (Name.v k);
+          sval s fv)
         fields
 
-let encode v =
-  let w = Wire.Writer.create ~initial:1024 () in
-  let intern = { tbl = Hashtbl.create 64; next = 0 } in
-  write w intern v;
-  Wire.Writer.contents w
+(* One reused writer and one counter per domain; each use starts a
+   fresh value, so a shape must not itself encode or size. *)
+let scratch = Domain.DLS.new_key (fun () -> (make Write, make Count))
+
+let encode_shape shape v =
+  let s = fst (Domain.DLS.get scratch) in
+  start s;
+  shape s v;
+  Wire.Writer.contents s.buf
+
+let size shape v =
+  let s = snd (Domain.DLS.get scratch) in
+  start s;
+  shape s v;
+  s.bytes
+
+let to_sval shape v =
+  let s = make Build in
+  shape s v;
+  if s.stack <> [] then invalid_arg "Net_codec.to_sval: unfinished value";
+  s.result
+
+let encode v = encode_shape sval v
+
+(* ------------------------------------------------------------------ *)
+(* Decoding *)
 
 type intern_r = { mutable names : string array; mutable count : int }
 
@@ -117,22 +302,70 @@ let decode s =
     raise (Wire.Malformed { offset = Wire.Reader.pos r; what = "trailing bytes" });
   v
 
-(* Per-connection interning: the same write/read core, but the intern
-   tables outlive individual values, so a long-lived ordered stream
-   (one TCP/Unix connection) sends each record/field name once for the
-   whole connection instead of once per frame.  Sound only over a
-   lossless, ordered transport — a skipped or reordered frame would
-   desynchronize the two tables, which is why the datagram-style
+module Read = struct
+  (* [ids.(i)] is the name id interned at index [i].  Only names that
+     matched what the shape expected are ever interned, so comparing
+     ids is comparing texts. *)
+  type t = { r : Wire.Reader.t; mutable ids : int array; mutable count : int }
+
+  let of_string s = { r = Wire.Reader.of_string s; ids = Array.make 16 0; count = 0 }
+
+  let fail t what = raise (Wire.Malformed { offset = Wire.Reader.pos t.r; what })
+
+  let tag t expected = if Wire.Reader.byte t.r <> expected then fail t "unexpected tag"
+
+  let name t (n : Name.t) =
+    let idx = Wire.Reader.varint t.r in
+    if idx >= 0 && idx < t.count then begin
+      if t.ids.(idx) <> n.Name.id then fail t "unexpected name"
+    end
+    else if idx = t.count then begin
+      if not (String.equal (Wire.Reader.string t.r) n.Name.text) then fail t "unexpected name";
+      if t.count = Array.length t.ids then
+        t.ids <- Array.append t.ids (Array.make t.count 0);
+      t.ids.(t.count) <- n.Name.id;
+      t.count <- t.count + 1
+    end
+    else fail t "bad intern index"
+
+  let record t n k =
+    tag t tag_record;
+    name t n;
+    if Wire.Reader.varint t.r <> k then fail t "unexpected field count"
+
+  let field = name
+
+  let int t =
+    tag t tag_int;
+    Wire.Reader.varint t.r
+
+  let bool t =
+    let b = Wire.Reader.byte t.r in
+    if b = tag_bool_true then true else if b = tag_bool_false then false else fail t "unexpected tag"
+
+  let list t =
+    tag t tag_list;
+    checked_length t.r
+
+  let finish t = if not (Wire.Reader.at_end t.r) then fail t "trailing bytes"
+end
+
+(* Per-connection interning: the same writer and reader, but the
+   intern tables outlive individual values, so a long-lived ordered
+   stream (one TCP/Unix connection) sends each record/field name once
+   for the whole connection instead of once per frame.  Sound only
+   over a lossless, ordered transport — a skipped or reordered frame
+   would desynchronize the two tables, which is why the datagram-style
    [encode]/[decode] above keep their per-message tables. *)
 module Stream = struct
-  type writer = intern_w
+  type writer = sink
 
-  let writer () = { tbl = Hashtbl.create 64; next = 0 }
+  let writer () = make Write
 
-  let encode intern v =
-    let w = Wire.Writer.create ~initial:1024 () in
-    write w intern v;
-    Wire.Writer.contents w
+  let encode s v =
+    Wire.Writer.clear s.buf;
+    sval s v;
+    Wire.Writer.contents s.buf
 
   type reader = intern_r
 

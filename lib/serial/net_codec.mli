@@ -6,9 +6,100 @@
     remoting formatter.  Round-trips every {!Sval.t} exactly; in the
     E2 benchmark it reproduces the roughly two-orders-of-magnitude
     speedup the paper reports for production .NET serialization over
-    Rotor's. *)
+    Rotor's.
+
+    The byte format is written in one place, the streaming {!sink}
+    below.  A wire type describes its shape once, as a {!shape}: a
+    sequence of [record]/[field]/[int]/[bool]/[list] events.  The same
+    shape then runs into a byte writer ({!encode_shape}), a pure byte
+    counter ({!size}) or a tree builder ({!to_sval}), so the bytes a
+    hot message is charged for, the bytes a snapshot stores and the
+    tree the decoders read can never drift apart.  {!encode} is the
+    replay of an existing tree into the same writer. *)
 
 include Codec.S
+
+(** {1 Record and field names} *)
+
+module Name : sig
+  type t
+
+  val v : string -> t
+  (** The name for this text.  Equal texts give the same name; wire
+      types make theirs once, at module initialisation, so the writer
+      interns them through a small slot array keyed by the name's id
+      instead of hashing strings. *)
+end
+
+(** {1 Streaming writer} *)
+
+type sink
+(** Where a shape's events go: bytes, a byte count or a tree.  Events
+    are prefix-ordered: [record s n k] is followed by [k] pairs of
+    [field] and one value; [list s k] by [k] values. *)
+
+type 'a shape = sink -> 'a -> unit
+
+val record : sink -> Name.t -> int -> unit
+(** [record s name k]: a record of [k] fields. *)
+
+val field : sink -> Name.t -> unit
+
+val int : sink -> int -> unit
+
+val bool : sink -> bool -> unit
+
+val list : sink -> int -> unit
+(** [list s k]: a list of [k] items. *)
+
+val sval : sink -> Sval.t -> unit
+(** Replay a tree as events (the cold wire types have no shape of
+    their own). *)
+
+val encode_shape : 'a shape -> 'a -> string
+(** The value's bytes, written into this domain's reused buffer with
+    per-message interning; [encode_shape sval v = encode v].  A shape
+    must not itself call [encode_shape] or {!size}. *)
+
+val size : 'a shape -> 'a -> int
+(** [String.length (encode_shape shape v)], counted without writing a
+    byte, building a tree or allocating in proportion to [v]. *)
+
+val to_sval : 'a shape -> 'a -> Sval.t
+(** The tree the shape describes; [encode (to_sval shape v)] equals
+    [encode_shape shape v]. *)
+
+(** {1 Direct reader}
+
+    The inverse of a shape, read straight off the bytes with the same
+    strictness as [decode] followed by a matching on the tree: every
+    tag, record name, field name, field count and the absence of
+    trailing bytes is checked, and any deviation raises
+    {!Wire.Malformed}. *)
+
+module Read : sig
+  type t
+
+  val of_string : string -> t
+
+  val record : t -> Name.t -> int -> unit
+  (** A record with exactly this name and field count. *)
+
+  val field : t -> Name.t -> unit
+
+  val int : t -> int
+
+  val bool : t -> bool
+
+  val list : t -> int
+  (** A list; returns its length. *)
+
+  val finish : t -> unit
+  (** No trailing bytes. *)
+
+  val fail : t -> string -> 'a
+  (** Raise {!Wire.Malformed} at the current offset. *)
+end
 
 (** {1 Per-connection interning}
 

@@ -2,6 +2,13 @@ exception Malformed of { offset : int; what : string }
 
 let malformed offset what = raise (Malformed { offset; what })
 
+(* Zigzag so that small negative values encode in one byte. *)
+let zigzag v = (v lsl 1) lxor (v asr (Sys.int_size - 1))
+
+let varint_size v =
+  let rec go z n = if z lsr 7 = 0 then n else go (z lsr 7) (n + 1) in
+  go (zigzag v) 1
+
 module Writer = struct
   type t = Buffer.t
 
@@ -11,10 +18,9 @@ module Writer = struct
 
   let contents = Buffer.contents
 
-  let byte t v = Buffer.add_char t (Char.chr (v land 0xFF))
+  let clear = Buffer.clear
 
-  (* Zigzag so that small negative values encode in one byte. *)
-  let zigzag v = (v lsl 1) lxor (v asr (Sys.int_size - 1))
+  let byte t v = Buffer.add_char t (Char.chr (v land 0xFF))
 
   let varint t v =
     let v = ref (zigzag v) in

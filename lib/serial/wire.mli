@@ -7,6 +7,9 @@
 
 exception Malformed of { offset : int; what : string }
 
+val varint_size : int -> int
+(** Bytes {!Writer.varint} spends on the value. *)
+
 module Writer : sig
   type t
 
@@ -15,6 +18,9 @@ module Writer : sig
   val length : t -> int
 
   val contents : t -> string
+
+  val clear : t -> unit
+  (** Forget the contents, keeping the storage for the next value. *)
 
   val byte : t -> int -> unit
   (** Low 8 bits. *)

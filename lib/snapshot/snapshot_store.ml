@@ -4,20 +4,17 @@ module Stats = Adgc_util.Stats
 
 type t = {
   rt : Runtime.t;
-  codec : Adgc_serial.Codec.t;
+  read_back : string -> string;
   algo : Summarize.algo;
   inc_states : (int, Summarize.Incremental.state) Hashtbl.t option;
   store : (int, Summary.t * string) Hashtbl.t; (* proc -> summary, encoded bytes *)
   mutable subscribers : (Summary.t -> unit) list;
 }
 
-let create ?codec ?(algo = Summarize.Condensed) ?(incremental = false) rt =
-  let codec =
-    match codec with Some c -> c | None -> (module Adgc_serial.Net_codec : Adgc_serial.Codec.S)
-  in
+let create ?(read_back = Fun.id) ?(algo = Summarize.Condensed) ?(incremental = false) rt =
   {
     rt;
-    codec;
+    read_back;
     algo;
     inc_states = (if incremental then Some (Hashtbl.create 16) else None);
     store = Hashtbl.create 16;
@@ -54,10 +51,10 @@ type prepared = {
 let prepare t (p : Process.t) =
   let now = Runtime.now t.rt in
   let summary = summarize t ~now p in
-  let encoded = Adgc_serial.Codec.encode t.codec (Summary.to_sval summary) in
+  let encoded = Summary.encode summary in
   (* Publish what survives the round-trip, not the in-memory value. *)
   let published, p_decode_failed =
-    match Summary.of_sval (Adgc_serial.Codec.decode t.codec encoded) with
+    match Summary.decode (t.read_back encoded) with
     | Some s -> (s, false)
     | None -> (summary, true)
   in

@@ -3,9 +3,11 @@
     The paper's processes periodically store a snapshot "on disk" and
     the DCDA works on the summarized form.  This store performs the
     honest equivalent: it summarizes the process, encodes the summary
-    through the configured codec, keeps the bytes (our "disk"), and
-    publishes the {e decoded} summary — so the detector always reads
-    what survived a serialization round-trip, never the live tables.
+    in the compact wire format ({!Summary.encode}), keeps the bytes
+    (our "disk"), and publishes the {e decoded} summary — so the
+    detector always reads what survived a serialization round-trip,
+    never the live tables.  A summary whose bytes do not decode is
+    published as taken and counted in [snapshot.decode_failures].
 
     Sizes and durations are recorded in the cluster statistics. *)
 
@@ -14,12 +16,14 @@ open Adgc_algebra
 type t
 
 val create :
-  ?codec:Adgc_serial.Codec.t ->
+  ?read_back:(string -> string) ->
   ?algo:Summarize.algo ->
   ?incremental:bool ->
   Adgc_rt.Runtime.t ->
   t
-(** Default codec: the compact one; default algorithm: [Condensed].
+(** [read_back] is what the disk returns for the bytes written — the
+    identity by default; a fault hook for modelling a corrupted store.
+    Default algorithm: [Condensed].
     With [~incremental:true] each process gets a persistent
     {!Summarize.Incremental} state and [algo] is ignored. *)
 

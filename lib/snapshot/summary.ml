@@ -1,5 +1,6 @@
 open Adgc_algebra
-module Sval = Adgc_serial.Sval
+module N = Adgc_serial.Net_codec
+module R = Adgc_serial.Net_codec.Read
 
 type scion_info = {
   key : Ref_key.t;
@@ -60,112 +61,115 @@ let equal a b =
 (* ------------------------------------------------------------------ *)
 (* Wire format *)
 
-let oid_sval (o : Oid.t) = Sval.List [ Sval.Int (Proc_id.to_int (Oid.owner o)); Sval.Int o.Oid.serial ]
+let n_summary = N.Name.v "summary"
+let n_proc = N.Name.v "proc"
+let n_taken_at = N.Name.v "taken_at"
+let n_scions = N.Name.v "scions"
+let n_stubs = N.Name.v "stubs"
+let n_scion = N.Name.v "scion"
+let n_key = N.Name.v "key"
+let n_ic = N.Name.v "ic"
+let n_stubs_from = N.Name.v "stubs_from"
+let n_root = N.Name.v "root"
+let n_last_invoked = N.Name.v "last_invoked"
+let n_stub = N.Name.v "stub"
+let n_target = N.Name.v "target"
+let n_scions_to = N.Name.v "scions_to"
+let n_local_reach = N.Name.v "local_reach"
 
-let oid_of_sval = function
-  | Sval.List [ Sval.Int owner; Sval.Int serial ] when owner >= 0 && serial >= 0 ->
-      Some (Oid.make ~owner:(Proc_id.of_int owner) ~serial)
-  | _ -> None
+let emit_scion s si =
+  N.record s n_scion 5;
+  N.field s n_key;
+  Ref_key.emit s si.key;
+  N.field s n_ic;
+  N.int s si.scion_ic;
+  N.field s n_stubs_from;
+  N.list s (Oid.Set.cardinal si.stubs_from);
+  Oid.Set.iter (Oid.emit s) si.stubs_from;
+  N.field s n_root;
+  N.bool s si.target_locally_reachable;
+  N.field s n_last_invoked;
+  N.int s si.last_invoked
 
-let key_sval (k : Ref_key.t) =
-  Sval.List [ Sval.Int (Proc_id.to_int k.Ref_key.src); oid_sval k.Ref_key.target ]
+let emit_stub s st =
+  N.record s n_stub 4;
+  N.field s n_target;
+  Oid.emit s st.target;
+  N.field s n_ic;
+  N.int s st.stub_ic;
+  N.field s n_scions_to;
+  N.list s (Ref_key.Set.cardinal st.scions_to);
+  Ref_key.Set.iter (Ref_key.emit s) st.scions_to;
+  N.field s n_local_reach;
+  N.bool s st.local_reach
 
-let key_of_sval = function
-  | Sval.List [ Sval.Int src; target ] when src >= 0 ->
-      Option.map (fun target -> Ref_key.make ~src:(Proc_id.of_int src) ~target) (oid_of_sval target)
-  | _ -> None
+let emit s t =
+  N.record s n_summary 4;
+  N.field s n_proc;
+  N.int s (Proc_id.to_int t.proc);
+  N.field s n_taken_at;
+  N.int s t.taken_at;
+  N.field s n_scions;
+  N.list s (Ref_key.Map.cardinal t.scions);
+  Ref_key.Map.iter (fun _ si -> emit_scion s si) t.scions;
+  N.field s n_stubs;
+  N.list s (Oid.Map.cardinal t.stubs);
+  Oid.Map.iter (fun _ st -> emit_stub s st) t.stubs
 
-let scion_sval s =
-  Sval.Record
-    ( "scion",
-      [
-        ("key", key_sval s.key);
-        ("ic", Sval.Int s.scion_ic);
-        ("stubs_from", Sval.List (List.map oid_sval (Oid.Set.elements s.stubs_from)));
-        ("root", Sval.Bool s.target_locally_reachable);
-        ("last_invoked", Sval.Int s.last_invoked);
-      ] )
+let to_sval t = N.to_sval emit t
 
-let stub_sval s =
-  Sval.Record
-    ( "stub",
-      [
-        ("target", oid_sval s.target);
-        ("ic", Sval.Int s.stub_ic);
-        ("scions_to", Sval.List (List.map key_sval (Ref_key.Set.elements s.scions_to)));
-        ("local_reach", Sval.Bool s.local_reach);
-      ] )
+let encode t = N.encode_shape emit t
 
-let to_sval t =
-  Sval.Record
-    ( "summary",
-      [
-        ("proc", Sval.Int (Proc_id.to_int t.proc));
-        ("taken_at", Sval.Int t.taken_at);
-        ("scions", Sval.List (List.map scion_sval (scion_list t)));
-        ("stubs", Sval.List (List.map stub_sval (stub_list t)));
-      ] )
+(* The direct reader: [emit] read back, with the guards the tree
+   decoder had (no negative process ids or serials). *)
+let read_many r f =
+  let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f r :: acc) in
+  go (R.list r) []
 
-let all_some l =
-  List.fold_left
-    (fun acc v -> match (acc, v) with Some acc, Some v -> Some (v :: acc) | _, _ -> None)
-    (Some []) l
-  |> Option.map List.rev
+let read_scion r =
+  R.record r n_scion 5;
+  R.field r n_key;
+  let key = Ref_key.read r in
+  R.field r n_ic;
+  let scion_ic = R.int r in
+  R.field r n_stubs_from;
+  let stubs_from = Oid.Set.of_list (read_many r Oid.read) in
+  R.field r n_root;
+  let target_locally_reachable = R.bool r in
+  R.field r n_last_invoked;
+  let last_invoked = R.int r in
+  { key; scion_ic; stubs_from; target_locally_reachable; last_invoked }
 
-let scion_of_sval = function
-  | Sval.Record
-      ( "scion",
-        [
-          ("key", key);
-          ("ic", Sval.Int scion_ic);
-          ("stubs_from", Sval.List stubs_from);
-          ("root", Sval.Bool target_locally_reachable);
-          ("last_invoked", Sval.Int last_invoked);
-        ] ) ->
-      Option.bind (key_of_sval key) (fun key ->
-          Option.map
-            (fun stubs ->
-              {
-                key;
-                scion_ic;
-                stubs_from = Oid.Set.of_list stubs;
-                target_locally_reachable;
-                last_invoked;
-              })
-            (all_some (List.map oid_of_sval stubs_from)))
-  | _ -> None
+let read_stub r =
+  R.record r n_stub 4;
+  R.field r n_target;
+  let target = Oid.read r in
+  R.field r n_ic;
+  let stub_ic = R.int r in
+  R.field r n_scions_to;
+  let scions_to = Ref_key.Set.of_list (read_many r Ref_key.read) in
+  R.field r n_local_reach;
+  let local_reach = R.bool r in
+  { target; stub_ic; scions_to; local_reach }
 
-let stub_of_sval = function
-  | Sval.Record
-      ( "stub",
-        [
-          ("target", target);
-          ("ic", Sval.Int stub_ic);
-          ("scions_to", Sval.List scions_to);
-          ("local_reach", Sval.Bool local_reach);
-        ] ) ->
-      Option.bind (oid_of_sval target) (fun target ->
-          Option.map
-            (fun keys ->
-              { target; stub_ic; scions_to = Ref_key.Set.of_list keys; local_reach })
-            (all_some (List.map key_of_sval scions_to)))
-  | _ -> None
-
-let of_sval = function
-  | Sval.Record
-      ( "summary",
-        [
-          ("proc", Sval.Int proc);
-          ("taken_at", Sval.Int taken_at);
-          ("scions", Sval.List scions);
-          ("stubs", Sval.List stubs);
-        ] )
-    when proc >= 0 ->
-      Option.bind (all_some (List.map scion_of_sval scions)) (fun scions ->
-          Option.map
-            (fun stubs -> make ~proc:(Proc_id.of_int proc) ~taken_at ~scions ~stubs)
-            (all_some (List.map stub_of_sval stubs)))
-  | _ -> None
+let decode bytes =
+  let r = R.of_string bytes in
+  match
+    R.record r n_summary 4;
+    R.field r n_proc;
+    let proc = R.int r in
+    if proc < 0 then R.fail r "negative id";
+    R.field r n_taken_at;
+    let taken_at = R.int r in
+    R.field r n_scions;
+    let scions = read_many r read_scion in
+    R.field r n_stubs;
+    let stubs = read_many r read_stub in
+    R.finish r;
+    make ~proc:(Proc_id.of_int proc) ~taken_at ~scions ~stubs
+  with
+  | t -> Some t
+  | exception Adgc_serial.Wire.Malformed _ -> None
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>summary of %a at %d@," Proc_id.pp t.proc t.taken_at;

@@ -62,8 +62,19 @@ val equal : t -> t -> bool
 (** Structural, ignoring [taken_at] — used to check that the two
     summarizer implementations agree. *)
 
-val to_sval : t -> Adgc_serial.Sval.t
+(** {1 Wire format} *)
 
-val of_sval : Adgc_serial.Sval.t -> t option
+val emit : t Adgc_serial.Net_codec.shape
+
+val encode : t -> string
+(** The compact ({!Adgc_serial.Net_codec}) bytes of {!emit}. *)
+
+val decode : string -> t option
+(** Read {!encode}'s bytes straight back, with no intermediate tree;
+    [None] on any deviation from the format — a truncation, a wrong
+    tag, name or field count, a negative id or trailing bytes. *)
+
+val to_sval : t -> Adgc_serial.Sval.t
+(** The tree {!emit} describes (the model checker's state text). *)
 
 val pp : Format.formatter -> t -> unit

@@ -568,6 +568,57 @@ let prop_matching_aborts_on_bumped_pair =
                  | Algebra.Ic_abort _ -> true
                  | Algebra.Match _ -> false))))
 
+(* The O(1) verdict is [matching] read off counts kept by [add] and
+   recomputed by [union]: over random add/union sequences the two must
+   agree after every step, with the skip_ic_guards mutant off and on,
+   and the kept cardinals must be the real ones. *)
+type op = Add of Algebra.side * Ref_key.t * int | Union of Algebra.t
+
+let gen_ops =
+  let open QCheck2.Gen in
+  let side = map (fun b -> if b then Algebra.Source else Algebra.Target) bool in
+  list_size (int_bound 24)
+    (frequency
+       [
+         (6, map3 (fun side key ic -> Add (side, key, ic)) side gen_ref (int_range 0 3));
+         (1, map (fun alg -> Union alg) gen_alg);
+       ])
+
+let verdict_agrees alg =
+  let agrees () =
+    match (Algebra.verdict alg, Algebra.matching alg) with
+    | Algebra.Conflict, Algebra.Ic_abort _ -> true
+    | Algebra.Counts { unresolved; frontier }, Algebra.Match m ->
+        unresolved = List.length m.unresolved && frontier = List.length m.frontier
+    | Algebra.Conflict, Algebra.Match _ | Algebra.Counts _, Algebra.Ic_abort _ -> false
+  in
+  agrees ()
+  && Adgc_util.Mc_mutate.with_mutant "skip_ic_guards" agrees
+  && Algebra.cardinal alg
+     = (List.length (Algebra.source alg), List.length (Algebra.target alg))
+  && Algebra.cycle_found alg
+     = (match Algebra.matching alg with
+       | Algebra.Match { unresolved = []; frontier = [] } -> true
+       | Algebra.Match _ | Algebra.Ic_abort _ -> false)
+
+let prop_verdict_agrees_with_matching =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"verdict agrees with matching over add/union sequences" ~count:500
+       gen_ops (fun ops ->
+         let step (alg, ok) op =
+           let alg =
+             match op with
+             | Add (side, key, ic) -> (
+                 match Algebra.add alg side key ~ic with
+                 | Algebra.Added alg -> alg
+                 | Algebra.Ic_conflict _ -> alg)
+             | Union other -> (
+                 match Algebra.union alg other with Ok alg -> alg | Error _ -> alg)
+           in
+           (alg, ok && verdict_agrees alg)
+         in
+         snd (List.fold_left step (Algebra.empty, verdict_agrees Algebra.empty) ops)))
+
 let gen_detection_id =
   QCheck2.Gen.map
     (fun (p, seq) -> Detection_id.make ~initiator:(Proc_id.of_int p) ~seq)
@@ -627,5 +678,6 @@ let suite =
       prop_union_absorbs_add;
       prop_matching_monotone_single_side;
       prop_matching_aborts_on_bumped_pair;
+      prop_verdict_agrees_with_matching;
       prop_detection_id_order_and_hash;
     ] )

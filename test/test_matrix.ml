@@ -1,12 +1,17 @@
 (* Configuration-matrix tests: the fig3 lifecycle must work under
-   every combination of codec, summarizer and deletion mode — the
-   pieces are designed to be swappable, so prove it.  Plus decoder
-   fuzzing: no input may crash a codec (only Wire.Malformed). *)
+   every combination of byte accounting, summarizer and deletion mode —
+   the pieces are designed to be swappable, so prove it.  Snapshots
+   always travel in the compact ("net") format; the "sized" column also
+   counts every message's compact size on the send path, which must
+   leave the protocol untouched.  Plus decoder fuzzing: no input may
+   crash a codec (only Wire.Malformed). *)
 
 open Adgc_workload
 module Sim = Adgc.Sim
 module Config = Adgc.Config
 module Cluster = Adgc_rt.Cluster
+module Network = Adgc_rt.Network
+module Stats = Adgc_util.Stats
 module Policy = Adgc_dcda.Policy
 module Summarize = Adgc_snapshot.Summarize
 
@@ -16,11 +21,17 @@ let rotor = (module Adgc_serial.Rotor_codec : Adgc_serial.Codec.S)
 
 let net = (module Adgc_serial.Net_codec : Adgc_serial.Codec.S)
 
-let fig3_lifecycle ~codec ~summarize ~incremental ~deletion_mode () =
+let fig3_lifecycle ~account_bytes ~summarize ~incremental ~deletion_mode () =
   let policy = { Policy.aggressive with Policy.deletion_mode } in
   let config = Config.quick ~n_procs:4 () in
   let config =
-    { config with Config.codec; summarize; incremental_snapshots = incremental; policy }
+    {
+      config with
+      Config.summarize;
+      incremental_snapshots = incremental;
+      policy;
+      net = { config.Config.net with Network.account_bytes };
+    }
   in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
@@ -32,28 +43,44 @@ let fig3_lifecycle ~codec ~summarize ~incremental ~deletion_mode () =
   let clean = Sim.run_until_clean ~max_time:300_000 sim in
   Metrics.assert_safe checker;
   check Alcotest.bool "clean" true clean;
-  check Alcotest.int "empty" 0 (Cluster.total_objects cluster)
+  check Alcotest.int "empty" 0 (Cluster.total_objects cluster);
+  let stats = (Cluster.rt cluster).Adgc_rt.Runtime.stats in
+  let per_kind prefix = Array.map (fun k -> Stats.get stats (prefix ^ k)) Adgc_rt.Msg.kinds in
+  let bytes = per_kind "net.bytes." and sent = per_kind "net.msg.sent." in
+  if account_bytes then begin
+    (* Every kind that was sent was sized, and the aggregate is the
+       sum of the per-kind counts. *)
+    Array.iteri
+      (fun i k ->
+        check Alcotest.bool (k ^ " sized iff sent") (sent.(i) > 0) (bytes.(i) > 0);
+        check Alcotest.bool (k ^ " at least one byte per message") true (bytes.(i) >= sent.(i)))
+      Adgc_rt.Msg.kinds;
+    check Alcotest.bool "some bytes" true (Stats.get stats "net.bytes" > 0);
+    check Alcotest.int "aggregate = per-kind sum" (Stats.get stats "net.bytes")
+      (Array.fold_left ( + ) 0 bytes)
+  end
+  else check Alcotest.int "nothing sized" 0 (Stats.get stats "net.bytes")
 
 let matrix_cases =
   List.concat_map
-    (fun (codec_name, codec) ->
+    (fun (col_name, account_bytes) ->
       List.concat_map
         (fun (sum_name, summarize, incremental) ->
           List.map
             (fun mode ->
               let name =
-                Printf.sprintf "fig3 via %s/%s/%s" codec_name sum_name
+                Printf.sprintf "fig3 via %s/%s/%s" col_name sum_name
                   (Policy.deletion_mode_name mode)
               in
               Alcotest.test_case name `Quick
-                (fig3_lifecycle ~codec ~summarize ~incremental ~deletion_mode:mode))
+                (fig3_lifecycle ~account_bytes ~summarize ~incremental ~deletion_mode:mode))
             [ Policy.Arrival_only; Policy.All_local; Policy.Broadcast ])
         [
           ("naive", Summarize.Naive, false);
           ("condensed", Summarize.Condensed, false);
           ("incremental", Summarize.Condensed, true);
         ])
-    [ ("net", net); ("rotor", rotor) ]
+    [ ("net", false); ("sized", true) ]
 
 (* ------------------------------------------------------------------ *)
 (* Decoder fuzzing *)

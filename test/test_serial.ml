@@ -419,6 +419,130 @@ let test_payload_decoder_rejects () =
   | Some p -> check Alcotest.bool "batch roundtrip" true (payload_equal batch p)
   | None -> Alcotest.fail "valid batch rejected"
 
+(* ------------------------------------------------------------------ *)
+(* Wire identity: the shapes in lib/ against the reference builders in
+   [Wire_reference] — the same tree, the same bytes, the same byte
+   counts, and a snapshot reader exactly as strict as the tree path. *)
+
+module Net_codec = Adgc_serial.Net_codec
+module Summary = Adgc_snapshot.Summary
+module Ref = Wire_reference
+
+let qcheck_msg_wire_identity =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"msg shape = reference tree, bytes and size" ~count:500 gen_msg
+       (fun m ->
+         let reference = Ref.msg_sval m in
+         let bytes = Net_codec.encode reference in
+         Sval.equal (Msg.to_sval m) reference
+         && Sval.equal (Msg.payload_sval m.Msg.payload) (Ref.payload_sval m.Msg.payload)
+         && String.equal (Net_codec.encode_shape Msg.emit m) bytes
+         && Net_codec.size Msg.emit m = String.length bytes))
+
+let qcheck_cdm_wire_identity =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"cdm and algebra shapes = reference trees" ~count:500 gen_cdm
+       (fun cdm ->
+         let alg = cdm.Cdm.algebra in
+         Sval.equal (Cdm.to_sval cdm) (Ref.cdm_sval cdm)
+         && Sval.equal (Algebra.to_sval alg) (Ref.algebra_sval alg)
+         && Sval.equal (Algebra.to_sval_compact alg) (Ref.algebra_compact_sval alg)
+         && Net_codec.size Cdm.emit cdm = String.length (Net_codec.encode (Ref.cdm_sval cdm))))
+
+(* Sizing a CDM allocates the same few words whatever its algebra's
+   size: no tree, no buffer, no per-entry interning. *)
+let test_cdm_size_allocation_is_flat () =
+  let cdm entries =
+    let algebra =
+      List.fold_left
+        (fun alg i ->
+          let key =
+            Ref_key.make ~src:(Proc_id.of_int (i mod 7))
+              ~target:(Oid.make ~owner:(Proc_id.of_int ((i + 1) mod 7)) ~serial:i)
+          in
+          Algebra.add_exn (Algebra.add_exn alg Algebra.Source key ~ic:i) Algebra.Target key
+            ~ic:(i + (i mod 2)))
+        Algebra.empty (List.init entries Fun.id)
+    in
+    Cdm.make
+      ~id:(Detection_id.make ~initiator:(Proc_id.of_int 1) ~seq:3)
+      ~algebra
+      ~frontier:(Ref_key.make ~src:(Proc_id.of_int 2) ~target:(Oid.make ~owner:(Proc_id.of_int 3) ~serial:4))
+      ~hops:5 ~budget:6
+  in
+  let words c =
+    ignore (Net_codec.size Cdm.emit c : int);
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Net_codec.size Cdm.emit c) : int);
+    Gc.minor_words () -. before
+  in
+  let small = cdm 2 and large = cdm 300 in
+  check (Alcotest.float 0.0) "same allocation for 2 and 300 entries" (words small) (words large)
+
+let gen_summary =
+  let open QCheck2.Gen in
+  let gen_scion =
+    map2
+      (fun (key, scion_ic, stubs) (target_locally_reachable, last_invoked) ->
+        { Summary.key; scion_ic; stubs_from = Oid.Set.of_list stubs; target_locally_reachable; last_invoked })
+      (triple gen_ref (int_range (-3) 300) (list_size (int_bound 5) gen_oid))
+      (pair bool (int_range (-1) 100_000))
+  in
+  let gen_stub =
+    map2
+      (fun (target, stub_ic) (keys, local_reach) ->
+        { Summary.target; stub_ic; scions_to = Ref_key.Set.of_list keys; local_reach })
+      (pair gen_oid (int_range 0 300))
+      (pair (list_size (int_bound 4) gen_ref) bool)
+  in
+  map2
+    (fun (proc, taken_at) (scions, stubs) -> Summary.make ~proc ~taken_at ~scions ~stubs)
+    (pair gen_proc (int_bound 1_000_000))
+    (pair (list_size (int_bound 8) gen_scion) (list_size (int_bound 8) gen_stub))
+
+let same_summary a b = Summary.equal a b && a.Summary.taken_at = b.Summary.taken_at
+
+let same_decode a b =
+  match (a, b) with
+  | Some a, Some b -> same_summary a b
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+
+let qcheck_summary_wire_identity =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"summary bytes = reference bytes, and decode inverts encode"
+       ~count:300 gen_summary (fun s ->
+         let reference = Ref.summary_sval s in
+         let bytes = Summary.encode s in
+         Sval.equal (Summary.to_sval s) reference
+         && String.equal bytes (Net_codec.encode reference)
+         && Net_codec.size Summary.emit s = String.length bytes
+         && same_decode (Summary.decode bytes) (Some s)))
+
+(* Every strict prefix of a snapshot is rejected (the reader raises
+   nothing), and a single corrupted byte is read exactly as the tree
+   path reads it — rejected, or accepted as the same summary. *)
+let qcheck_summary_truncation =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"summary decode rejects every truncation" ~count:100 gen_summary
+       (fun s ->
+         let bytes = Summary.encode s in
+         List.for_all
+           (fun cut -> Summary.decode (String.sub bytes 0 cut) = None)
+           (List.init (String.length bytes) Fun.id)))
+
+let qcheck_summary_corruption =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"summary decode of a corrupted byte = the tree path's" ~count:300
+       QCheck2.Gen.(triple gen_summary (int_bound 10_000) (int_range 1 255))
+       (fun (s, pos, delta) ->
+         let bytes = Summary.encode s in
+         let pos = pos mod String.length bytes in
+         let corrupted = Bytes.of_string bytes in
+         Bytes.set corrupted pos (Char.chr ((Char.code bytes.[pos] + delta) land 0xff));
+         let corrupted = Bytes.to_string corrupted in
+         same_decode (Summary.decode corrupted) (Ref.summary_decode corrupted)))
+
 (* Per-connection interning (Net_codec.Stream): record and field names
    cross a connection once, so the second frame of the same shape must
    be strictly smaller than the first — and exactly as small as the
@@ -503,4 +627,11 @@ let suite =
       qcheck_truncation rotor "qcheck truncated payload only Malformed (rotor)";
       qcheck_corruption net "qcheck corrupted payload only Malformed (net)";
       qcheck_corruption rotor "qcheck corrupted payload only Malformed (rotor)";
+      qcheck_msg_wire_identity;
+      qcheck_cdm_wire_identity;
+      Alcotest.test_case "cdm sizing allocation is flat in the algebra" `Quick
+        test_cdm_size_allocation_is_flat;
+      qcheck_summary_wire_identity;
+      qcheck_summary_truncation;
+      qcheck_summary_corruption;
     ] )

@@ -223,17 +223,19 @@ let test_summary_is_immutable_snapshot () =
   | Some _ -> ()
   | None -> Alcotest.fail "summary changed retroactively"
 
-let test_summary_sval_roundtrip () =
+let test_summary_bytes_roundtrip () =
   let cluster, _, _, _ = build_p2_like () in
   let summary = Summarize.run ~now:7 (Cluster.proc cluster 1) in
-  match Summary.of_sval (Summary.to_sval summary) with
+  match Summary.decode (Summary.encode summary) with
   | Some s ->
       check Alcotest.bool "roundtrip" true (Summary.equal summary s);
       check Alcotest.int "taken_at preserved" 7 s.Summary.taken_at
   | None -> Alcotest.fail "decode failed"
 
-let test_summary_sval_rejects_junk () =
-  check Alcotest.bool "junk" true (Summary.of_sval (Adgc_serial.Sval.Int 1) = None)
+let test_summary_decode_rejects_junk () =
+  List.iter
+    (fun junk -> check Alcotest.bool "junk" true (Summary.decode junk = None))
+    [ ""; "\x03\x02"; Adgc_serial.Net_codec.encode (Adgc_serial.Sval.Int 1) ]
 
 (* ------------------------------------------------------------------ *)
 (* Incremental summarization *)
@@ -339,15 +341,22 @@ let test_store_take_all () =
       (Snapshot_store.latest store (Proc_id.of_int i) <> None)
   done
 
-let test_store_with_rotor_codec () =
+(* Bytes that do not read back (here: the disk drops the last byte)
+   are counted, and the summary as taken is published instead. *)
+let test_store_counts_decode_failures () =
   let cluster, _, _, _ = build_p2_like () in
+  let rt = Cluster.rt cluster in
   let store =
-    Snapshot_store.create
-      ~codec:(module Adgc_serial.Rotor_codec : Adgc_serial.Codec.S)
-      (Cluster.rt cluster)
+    Snapshot_store.create ~read_back:(fun b -> String.sub b 0 (String.length b - 1)) rt
   in
+  let failures () = Adgc_util.Stats.get rt.Adgc_rt.Runtime.stats "snapshot.decode_failures" in
+  check Alcotest.int "none yet" 0 (failures ());
   let s = Snapshot_store.take store (Cluster.proc cluster 1) in
-  check Alcotest.int "decodes fine" 1 (fst (Summary.counts s))
+  check Alcotest.int "counted" 1 (failures ());
+  check Alcotest.bool "taken summary published" true
+    (Summary.equal s (Summarize.run ~now:0 (Cluster.proc cluster 1)));
+  ignore (Snapshot_store.take store (Cluster.proc cluster 2) : Summary.t);
+  check Alcotest.int "counted again" 2 (failures ())
 
 (* ------------------------------------------------------------------ *)
 (* Graph image (E2) *)
@@ -382,8 +391,8 @@ let suite =
         test_all_summarizers_agree_under_churn;
       Alcotest.test_case "summary captures ICs" `Quick test_summary_captures_ics;
       Alcotest.test_case "summary is immutable" `Quick test_summary_is_immutable_snapshot;
-      Alcotest.test_case "summary sval roundtrip" `Quick test_summary_sval_roundtrip;
-      Alcotest.test_case "summary sval rejects junk" `Quick test_summary_sval_rejects_junk;
+      Alcotest.test_case "summary bytes roundtrip" `Quick test_summary_bytes_roundtrip;
+      Alcotest.test_case "summary decode rejects junk" `Quick test_summary_decode_rejects_junk;
       Alcotest.test_case "incremental = full (known graph)" `Quick test_incremental_matches_full;
       Alcotest.test_case "incremental reuses clean regions" `Quick
         test_incremental_reuses_clean_regions;
@@ -392,7 +401,7 @@ let suite =
         test_incremental_random_equivalence;
       Alcotest.test_case "store: codec roundtrip publish" `Quick test_store_roundtrips_through_codec;
       Alcotest.test_case "store: take_all" `Quick test_store_take_all;
-      Alcotest.test_case "store: rotor codec" `Quick test_store_with_rotor_codec;
+      Alcotest.test_case "store: counts decode failures" `Quick test_store_counts_decode_failures;
       Alcotest.test_case "graph image: object count" `Quick test_graph_image_counts;
       Alcotest.test_case "graph image: stub surcharge" `Quick test_graph_image_stub_surcharge;
     ] )
