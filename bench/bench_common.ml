@@ -36,8 +36,6 @@ let times ~reps f =
   (* warm: faults caches and scratch state in *)
   List.init reps (fun _ -> snd (wall_ms f))
 
-let time_reps ~reps f = median (times ~reps f)
-
 let rev () =
   match Sys.getenv_opt "ADGC_BENCH_REV" with
   | Some r when r <> "" -> r
@@ -50,14 +48,9 @@ let rev () =
           | Unix.WEXITED 0 when line <> "" -> line
           | _ -> "dev"))
 
-let host () =
-  let cores = Domain.recommended_domain_count () in
-  let worker_domains =
-    match Option.bind (Sys.getenv_opt "ADGC_POOL_DOMAINS") int_of_string_opt with
-    | Some n when n > 0 -> n
-    | Some _ | None -> Int.max 1 (cores - 1)
-  in
-  { Results.cores; worker_domains }
+(* The simulator runs on one domain and spawns no workers; the field
+   stays in the document so older results files still parse. *)
+let host () = { Results.cores = Domain.recommended_domain_count (); worker_domains = 0 }
 
 (* Sample-recording shorthands: a timing series from raw repetition
    measurements, and a deterministic scalar (ticks, messages, bytes —

@@ -78,11 +78,9 @@ let run_scenario s =
    cycle around a ring — sparse, insert-only churn, the incremental
    maintainer's best case) and E18 (a dense garbage clique — every
    wire lands in an already-labelled region, the audit's stress
-   case).  Each runs under both candidate sources; the deterministic
-   columns gate the maintainer's work profile (events handled, eager
-   BFS edges, deferred rebuilds, audit agreement) and the timing pair
-   tracks the wall cost of incremental vs full-scan candidates on the
-   identical seed. *)
+   case).  The deterministic columns gate the maintainer's work
+   profile (events handled, eager BFS edges, deferred rebuilds, audit
+   agreement); the wall column is timing-class. *)
 
 let clique ~procs ~per_proc cluster =
   let module Mutator = Adgc_rt.Mutator in
@@ -132,14 +130,8 @@ let inc_scenarios () =
   let e18 = { ilabel = "e18_k4"; iprocs = 2; ibuild = clique ~procs:2 ~per_proc:2 } in
   if smoke () then [ e6 ] else [ e6; e18 ]
 
-let run_inc_mode s ~candidates =
-  let config =
-    {
-      (Config.quick ~seed:42 ~n_procs:s.iprocs ()) with
-      Config.telemetry = true;
-      candidates;
-    }
-  in
+let run_inc s =
+  let config = { (Config.quick ~seed:42 ~n_procs:s.iprocs ()) with Config.telemetry = true } in
   let sim = Sim.create ~config () in
   s.ibuild (Sim.cluster sim);
   Sim.start sim;
@@ -159,15 +151,12 @@ let run_inc_mode s ~candidates =
   (clean, ticks, counters, wall)
 
 let run_incremental recorder =
-  section "detection.incremental: candidate-label maintenance vs the full scan";
+  section "detection.incremental: candidate-label maintenance";
   let rows =
     List.map
       (fun s ->
-        let _scan_clean, scan_ticks, _scan_counters, scan_wall =
-          run_inc_mode s ~candidates:Config.Scan_candidates
-        in
         let clean, ticks, (events, flips, grow_edges, rebuilds, audits, mismatches), wall =
-          run_inc_mode s ~candidates:Config.Incremental_candidates
+          run_inc s
         in
         let config = [ "detection.incremental"; s.ilabel; string_of_int s.iprocs; "42" ] in
         let d name v =
@@ -178,12 +167,6 @@ let run_incremental recorder =
         det recorder ~section:"detection"
           ~name:(Printf.sprintf "detection.incremental.%s.time_to_clean_ticks" s.ilabel)
           ~unit_:"ticks" ~config (float_of_int ticks);
-        (* Byte-identity means the tick clock must agree with the
-           full-scan run; gate the delta at exactly zero. *)
-        det recorder ~section:"detection"
-          ~name:(Printf.sprintf "detection.incremental.%s.ticks_vs_scan_delta" s.ilabel)
-          ~unit_:"ticks" ~slo:0.0 ~config
-          (Float.abs (float_of_int (ticks - scan_ticks)));
         d "events" events;
         d "label_flips" flips;
         d "grow_edges" grow_edges;
@@ -195,9 +178,6 @@ let run_incremental recorder =
         timing recorder ~section:"detection"
           ~name:(Printf.sprintf "detection.incremental.%s.wall_ms" s.ilabel)
           ~unit_:"ms" ~config [ wall ];
-        timing recorder ~section:"detection"
-          ~name:(Printf.sprintf "detection.incremental.%s.scan_wall_ms" s.ilabel)
-          ~unit_:"ms" ~config [ scan_wall ];
         [
           s.ilabel;
           (if clean then Printf.sprintf "%d ticks" ticks else "NOT RECLAIMED");
@@ -206,7 +186,7 @@ let run_incremental recorder =
           string_of_int grow_edges;
           string_of_int rebuilds;
           Printf.sprintf "%d/%d" mismatches audits;
-          Printf.sprintf "%.1f vs %.1f ms" wall scan_wall;
+          Printf.sprintf "%.1f ms" wall;
         ])
       (inc_scenarios ())
   in
@@ -220,12 +200,12 @@ let run_incremental recorder =
         "BFS edges";
         "rebuilds";
         "mismatch/audits";
-        "inc vs scan wall";
+        "host wall";
       ]
     ~rows ();
-  print_endline "identical seeds under both candidate sources; the maintainer's work is";
-  print_endline "deterministic (events, eager BFS edges, deferred rebuilds) and the audit";
-  print_endline "duty must agree with the full scan every time it fires (mismatch gate 0)"
+  print_endline "the maintainer's work is deterministic (events, eager BFS edges, deferred";
+  print_endline "rebuilds) and the audit duty must agree with an independent full root trace";
+  print_endline "every time it fires (mismatch gate 0)"
 
 let run recorder =
   section "detection: end-to-end cycle-reclamation latency (obs histograms)";

@@ -2,7 +2,7 @@
    experiment index).  These regenerate the paper's tables and
    ablations for humans to read; they are print-only and feed no
    samples to the perf recorder — the gated series live in the
-   tracer/telemetry/engine/net/detection sections.
+   tracer/telemetry/net/detection/scale sections.
 
    Absolute numbers differ from the paper (its substrate was a 1.6 GHz
    laptop running Rotor; ours is a simulator), but every table prints

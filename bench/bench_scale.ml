@@ -14,10 +14,8 @@
    The reclamation outcome must be identical across all three (the
    overlay reroutes, it must not change results); the interesting
    series are the cross-group DGC envelope cut and the usual
-   ticks/messages/live-words columns.  A final pair of bulk rounds
-   measures the parallel engine's chunked-commit speedup on the same
-   population — deterministic series gate tightly, wall-clock ones are
-   timing-class. *)
+   ticks/messages/live-words columns.  Deterministic series gate
+   tightly; wall-clock ones are timing-class. *)
 
 module Sim = Adgc.Sim
 module Config = Adgc.Config
@@ -35,21 +33,16 @@ type leg = Flat | Flat_accounting | Grouped
 
 let leg_name = function Flat -> "flat" | Flat_accounting -> "flat+acct" | Grouped -> "grouped"
 
-let config_of ~seed ~procs ~groups ~engine = function
-  | Flat ->
-      let c = Config.quick ~seed ~n_procs:procs () in
-      { c with Config.engine }
+let config_of ~seed ~procs ~groups = function
+  | Flat -> Config.quick ~seed ~n_procs:procs ()
   | Flat_accounting ->
       let c = Config.quick ~seed ~n_procs:procs () in
-      let c = { c with Config.engine } in
       {
         c with
         Config.runtime =
           { c.Config.runtime with Runtime.group_size = groups; group_relay = false };
       }
-  | Grouped ->
-      let c = Config.quick ~seed ~n_procs:procs () in
-      Config.with_groups { c with Config.engine } groups
+  | Grouped -> Config.with_groups (Config.quick ~seed ~n_procs:procs ()) groups
 
 type outcome = {
   clean : bool;
@@ -61,8 +54,8 @@ type outcome = {
   wall_ms : float;
 }
 
-let run_leg ~seed ~procs ~objects ~groups ~engine leg =
-  let config = config_of ~seed ~procs ~groups ~engine leg in
+let run_leg ~seed ~procs ~objects ~groups leg =
+  let config = config_of ~seed ~procs ~groups leg in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let _built =
@@ -101,28 +94,6 @@ let run_leg ~seed ~procs ~objects ~groups ~engine leg =
     wall_ms;
   }
 
-(* Bulk-phase parallel speedup: the same population snapshot-and-scans
-   one full round under each engine.  This is the surface
-   [Pool.run_chunked] pipelines, so it is where the chunked commits
-   must show up; on a 1–2 core CI runner the ratio hovers near 1 and
-   the series is timing-class with a generous gate. *)
-let bulk_round_ms ~seed ~procs ~objects ~engine ~reps =
-  let config = { (Config.quick ~seed ~n_procs:procs ()) with Config.engine } in
-  let sim = Sim.create ~config () in
-  let cluster = Sim.cluster sim in
-  let _built =
-    Topology.random cluster
-      ~rng:(Rng.create (seed + 1))
-      ~objects ~edges:(2 * objects) ~remote_prob:0.35 ~root_prob:0.15
-  in
-  let ms =
-    time_reps ~reps (fun () ->
-        Sim.snapshot_all sim;
-        ignore (Sim.scan_all sim : int))
-  in
-  Sim.teardown sim;
-  ms
-
 let run recorder =
   section "E26: scale curves and hierarchical process groups";
   let seed = 11 in
@@ -134,17 +105,15 @@ let run recorder =
     | Some v when v > 0 -> v
     | Some _ | None -> default
   in
-  let procs, objects, groups, reps =
-    if smoke () then (16, 2_000, 4, 2)
+  let procs, objects, groups =
+    if smoke () then (16, 2_000, 4)
     else
       ( env_int "ADGC_SCALE_PROCS" 64,
         env_int "ADGC_SCALE_OBJECTS" 50_000,
-        env_int "ADGC_SCALE_GROUPS" 8,
-        3 )
+        env_int "ADGC_SCALE_GROUPS" 8 )
   in
-  let engine = Config.Seq in
   let legs = [ Flat; Flat_accounting; Grouped ] in
-  let outcomes = List.map (fun l -> (l, run_leg ~seed ~procs ~objects ~groups ~engine l)) legs in
+  let outcomes = List.map (fun l -> (l, run_leg ~seed ~procs ~objects ~groups l)) legs in
   let flat = List.assoc Flat outcomes in
   let acct = List.assoc Flat_accounting outcomes in
   let grouped = List.assoc Grouped outcomes in
@@ -177,11 +146,6 @@ let run recorder =
     ~config:config_digest
     (if flat.survivors = grouped.survivors && acct.survivors = grouped.survivors then 1.0
      else 0.0);
-  let seq_ms = bulk_round_ms ~seed ~procs ~objects ~engine:Config.Seq ~reps in
-  let par_ms = bulk_round_ms ~seed ~procs ~objects ~engine:Config.Par ~reps in
-  let speedup = seq_ms /. Float.max 1e-6 par_ms in
-  timing recorder ~section:"scale" ~name:"scale.par.bulk_speedup" ~unit_:"x"
-    ~direction:Sample.Higher_better ~config:config_digest [ speedup ];
   Table.print
     ~header:[ "leg"; "clean"; "ticks"; "msgs/proc"; "dense words"; "xgroup dgc"; "wall" ]
     ~rows:
@@ -198,6 +162,4 @@ let run recorder =
            ])
          outcomes)
     ();
-  Printf.printf "cross-group DGC cut (flat+acct vs grouped): %.2fx\n" cut;
-  Printf.printf "bulk-phase par speedup on %d cores: %.2fx (seq %.1f ms, par %.1f ms)\n"
-    (Domain.recommended_domain_count ()) speedup seq_ms par_ms
+  Printf.printf "cross-group DGC cut (flat+acct vs grouped): %.2fx\n" cut

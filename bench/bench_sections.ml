@@ -8,7 +8,6 @@ let perf : (string * (Adgc_perf.Recorder.t -> unit)) list =
   [
     ("tracer", Bench_tracer.run);
     ("telemetry", Bench_telemetry.run);
-    ("engine", Bench_engine.run);
     ("net", Bench_net.run);
     ("detection", Bench_detection.run);
     ("scale", Bench_scale.run);

@@ -66,24 +66,6 @@ let detector_conv =
   in
   Cmdliner.Arg.conv (parse, print)
 
-let engine_conv =
-  let parse s =
-    match Config.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg (Printf.sprintf "unknown engine %S (seq or par)" s))
-  in
-  let print ppf e = Format.pp_print_string ppf (Config.engine_to_string e) in
-  Cmdliner.Arg.conv (parse, print)
-
-let candidates_conv =
-  let parse s =
-    match Config.candidates_of_string s with
-    | Some c -> Ok c
-    | None -> Error (`Msg (Printf.sprintf "unknown candidate mode %S (scan or incremental)" s))
-  in
-  let print ppf c = Format.pp_print_string ppf (Config.candidates_to_string c) in
-  Cmdliner.Arg.conv (parse, print)
-
 let groups_conv =
   let parse s =
     match Config.groups_of_string s with
@@ -146,8 +128,7 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let run_cmd topology procs seed loss detector candidates groups engine time churn_steps objects
-    edges trace_topics crash_list faults_profile metrics_file spans_file inspect quiet =
+let run_cmd topology procs seed loss detector groups time churn_steps objects edges trace_topics crash_list faults_profile metrics_file spans_file inspect quiet =
   let n_procs = Int.max procs (min_procs topology) in
   let config = Config.quick ~seed ~n_procs () in
   let config = Config.with_groups config groups in
@@ -160,7 +141,7 @@ let run_cmd topology procs seed loss detector candidates groups engine time chur
     | Some p -> Faults.plan_of_profile ~start:(time / 5) ~stop:(time * 3 / 5) ~n_procs p
   in
   let telemetry = metrics_file <> None || spans_file <> None in
-  let config = { config with Config.detector; candidates; engine; faults; telemetry } in
+  let config = { config with Config.detector; faults; telemetry } in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let checker = Metrics.install_safety_checker cluster in
@@ -221,7 +202,6 @@ let run_cmd topology procs seed loss detector candidates groups engine time chur
               | Config.Backtrack -> "backtrack"
               | Config.Hughes_gc -> "hughes"
               | Config.No_detector -> "none") );
-          ("candidates", Adgc_util.Json.Str (Config.candidates_to_string candidates));
           ("groups", Adgc_util.Json.Str (Config.groups_to_string groups));
         ]
       in
@@ -478,10 +458,10 @@ let trace_cmd topology seed format out =
 module Net_scenario = Adgc_net.Scenario
 module Coordinator = Adgc_net.Coordinator
 
-let serve_cmd dir rank topology procs seed detector candidates groups objects edges tick_us
+let serve_cmd dir rank topology procs seed detector groups objects edges tick_us
     max_ticks =
   let scenario =
-    Net_scenario.make ~topology ~procs ~seed ~detector ~candidates ~groups ~objects ~edges ()
+    Net_scenario.make ~topology ~procs ~seed ~detector ~groups ~objects ~edges ()
   in
   match Adgc_net.Node.main { Adgc_net.Node.rank; scenario; dir; tick_us; max_ticks } with
   | () -> 0
@@ -489,10 +469,10 @@ let serve_cmd dir rank topology procs seed detector candidates groups objects ed
       Printf.eprintf "serve: %s\n" msg;
       1
 
-let drive_cmd topology procs seed detector candidates groups objects edges tick_us deadline dir
+let drive_cmd topology procs seed detector groups objects edges tick_us deadline dir
     keep_dir kill drop metrics_file spans_file quiet =
   let scenario =
-    Net_scenario.make ~topology ~procs ~seed ~detector ~candidates ~groups ~objects ~edges ()
+    Net_scenario.make ~topology ~procs ~seed ~detector ~groups ~objects ~edges ()
   in
   let faults =
     (match kill with
@@ -521,8 +501,7 @@ let drive_cmd topology procs seed detector candidates groups objects edges tick_
               ("procs", Adgc_util.Json.Int (Net_scenario.n_procs scenario));
               ("seed", Adgc_util.Json.Int seed);
               ("detector", Adgc_util.Json.Str (Net_scenario.detector_to_string detector));
-              ("candidates", Adgc_util.Json.Str (Config.candidates_to_string candidates));
-              ("groups", Adgc_util.Json.Str (Config.groups_to_string groups));
+                  ("groups", Adgc_util.Json.Str (Config.groups_to_string groups));
               ("tick_us", Adgc_util.Json.Int tick_us);
               ("wall_s", Adgc_util.Json.Float result.Coordinator.wall_s);
               ("ok", Adgc_util.Json.Bool (Coordinator.ok result));
@@ -681,29 +660,6 @@ let loss_arg = Arg.(value & opt float 0.0 & info [ "loss" ] ~doc:"Message drop p
 let detector_arg =
   Arg.(value & opt detector_conv Config.Dcda & info [ "detector"; "d" ] ~doc:"dcda, backtrack, hughes or none.")
 
-let candidates_arg =
-  Arg.(
-    value
-    & opt candidates_conv (Config.candidates_of_env ())
-    & info [ "candidates" ]
-        ~doc:
-          "DCDA cycle-candidate source: scan (recompute from each published summary, the \
-           oracle) or incremental (labels maintained from stub/scion edge mutations; the \
-           periodic audit duty cross-checks against the scan-derived set). Defaults to the \
-           ADGC_CANDIDATES environment variable, then scan."
-        ~docv:"MODE")
-
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv (Config.engine_of_env ())
-    & info [ "engine" ]
-        ~doc:
-          "Execution engine for the bulk phases: seq (interleaved, the reference) or par \
-           (domain-parallel prepares, byte-identical output; worker count from \
-           ADGC_POOL_DOMAINS). Defaults to the ADGC_ENGINE environment variable, then seq."
-        ~docv:"ENGINE")
-
 let time_arg = Arg.(value & opt int 100_000 & info [ "time" ] ~doc:"Simulated ticks to run.")
 
 let churn_arg = Arg.(value & opt int 0 & info [ "churn" ] ~doc:"Random mutator actions to schedule.")
@@ -784,7 +740,7 @@ let faults_arg =
 let run_term =
   Term.(
     const run_cmd $ topology_arg $ procs_arg $ seed_arg $ loss_arg $ detector_arg
-    $ candidates_arg $ groups_arg $ engine_arg $ time_arg $ churn_arg $ objects_arg $ edges_arg
+    $ groups_arg $ time_arg $ churn_arg $ objects_arg $ edges_arg
     $ trace_arg $ crash_arg $ faults_arg $ metrics_arg $ spans_arg $ inspect_arg $ quiet_arg)
 
 let run_cmd_info = Cmd.info "run" ~doc:"Run a scenario end to end and report."
@@ -913,7 +869,7 @@ let max_ticks_arg =
 let serve_term =
   Term.(
     const serve_cmd $ serve_dir_arg $ serve_rank_arg $ net_topology_arg $ procs_arg $ seed_arg
-    $ net_detector_arg $ candidates_arg $ groups_arg $ objects_arg $ edges_arg $ tick_us_arg
+    $ net_detector_arg $ groups_arg $ objects_arg $ edges_arg $ tick_us_arg
     $ max_ticks_arg)
 
 let serve_cmd_info =
@@ -959,7 +915,7 @@ let drop_arg =
 let drive_term =
   Term.(
     const drive_cmd $ net_topology_arg $ procs_arg $ seed_arg $ net_detector_arg
-    $ candidates_arg $ groups_arg $ objects_arg $ edges_arg $ tick_us_arg $ deadline_arg
+    $ groups_arg $ objects_arg $ edges_arg $ tick_us_arg $ deadline_arg
     $ drive_dir_arg $ keep_dir_arg $ kill_arg $ drop_arg $ metrics_arg $ spans_arg $ quiet_arg)
 
 let drive_cmd_info =

@@ -1,43 +1,5 @@
 type detector_kind = Dcda | Backtrack | Hughes_gc | No_detector
 
-type engine_kind = Seq | Par
-
-let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "seq" | "sequential" -> Some Seq
-  | "par" | "parallel" -> Some Par
-  | _ -> None
-
-let engine_to_string = function Seq -> "seq" | Par -> "par"
-
-(* The CI engine matrix steers whole test binaries through the
-   environment; anything not recognised falls back to sequential so a
-   typo degrades to the reference engine rather than crashing. *)
-let engine_of_env () =
-  match Sys.getenv_opt "ADGC_ENGINE" with
-  | Some s -> ( match engine_of_string s with Some e -> e | None -> Seq)
-  | None -> Seq
-
-type candidates_kind = Scan_candidates | Incremental_candidates
-
-let candidates_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "scan" | "full" | "full_scan" -> Some Scan_candidates
-  | "incremental" | "inc" -> Some Incremental_candidates
-  | _ -> None
-
-let candidates_to_string = function
-  | Scan_candidates -> "scan"
-  | Incremental_candidates -> "incremental"
-
-(* Mirror of the engine matrix: ADGC_CANDIDATES steers whole test
-   binaries through the environment, and an unrecognised value falls
-   back to the full-scan oracle path. *)
-let candidates_of_env () =
-  match Sys.getenv_opt "ADGC_CANDIDATES" with
-  | Some s -> ( match candidates_of_string s with Some c -> c | None -> Scan_candidates)
-  | None -> Scan_candidates
-
 (* Group size 0 means the flat clique; 1 would be a clique of
    singleton groups — operationally identical — so it normalises to 0
    and [> 1] is the single "grouping is on" test everywhere. *)
@@ -70,8 +32,6 @@ type t = {
   bt_timeout : int;
   bt_idle_threshold : int;
   telemetry : bool;
-  engine : engine_kind;
-  candidates : candidates_kind;
 }
 
 let default ?(seed = 42) ?(n_procs = 4) () =
@@ -94,8 +54,6 @@ let default ?(seed = 42) ?(n_procs = 4) () =
     bt_timeout = 50_000;
     bt_idle_threshold = 2_000;
     telemetry = false;
-    engine = engine_of_env ();
-    candidates = candidates_of_env ();
   }
 
 let quick ?(seed = 42) ?(n_procs = 4) () =

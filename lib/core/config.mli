@@ -6,49 +6,6 @@ type detector_kind =
   | Hughes_gc  (** the timestamp-propagation baseline (starts with {!Sim.start}) *)
   | No_detector  (** acyclic DGC only (distributed cycles leak) *)
 
-type engine_kind =
-  | Seq  (** the reference engine: plain sequential execution *)
-  | Par
-      (** domain-parallel engine: process-local phases of bulk
-          operations (heap tracing, snapshot summarization, scan
-          evaluation) run on a small domain pool, effects are applied
-          at a barrier in canonical process order — observationally
-          identical to [Seq] (same metrics document, same span
-          digest), just faster on multicore hosts *)
-
-val engine_of_string : string -> engine_kind option
-(** Accepts ["seq"]/["sequential"] and ["par"]/["parallel"], case- and
-    whitespace-insensitively. *)
-
-val engine_to_string : engine_kind -> string
-
-val engine_of_env : unit -> engine_kind
-(** Engine selected by the [ADGC_ENGINE] environment variable ([Seq]
-    when unset or unrecognised).  {!default} uses this, so the CI
-    engine matrix can steer whole test binaries without touching
-    code. *)
-
-type candidates_kind =
-  | Scan_candidates
-      (** DCDA scans seed from every scion of the published summary
-          (the full-scan oracle path) *)
-  | Incremental_candidates
-      (** DCDA scans seed from the incrementally maintained candidate
-          labels ({!Adgc_dcda.Candidates}), byte-identical to the
-          full scan and pinned so by the audit duty *)
-
-val candidates_of_string : string -> candidates_kind option
-(** Accepts ["scan"]/["full"]/["full_scan"] and
-    ["incremental"]/["inc"], case- and whitespace-insensitively. *)
-
-val candidates_to_string : candidates_kind -> string
-
-val candidates_of_env : unit -> candidates_kind
-(** Mode selected by the [ADGC_CANDIDATES] environment variable
-    ([Scan_candidates] when unset or unrecognised).  {!default} uses
-    this, so the CI candidates matrix can steer whole test binaries
-    without touching code — the mirror of {!engine_of_env}. *)
-
 val groups_of_string : string -> int option
 (** Group size for the hierarchical overlay: ["off"]/["flat"]/["none"]
     (and the empty string) mean 0 = flat clique, ["on"] means 8, a
@@ -61,8 +18,8 @@ val groups_of_env : unit -> int
 (** Group size selected by the [ADGC_GROUPS] environment variable (0 =
     flat when unset or unrecognised).  {!default} folds this into
     [runtime.group_size] (with [group_relay] on for sizes [> 1]), so
-    the CI groups matrix steers whole test binaries like the engine
-    and candidates matrices do. *)
+    the CI groups job steers whole test binaries without touching
+    code. *)
 
 type t = {
   seed : int;
@@ -83,14 +40,6 @@ type t = {
   telemetry : bool;
       (** enable structured spans and detection lineage (see
           {!Adgc_obs}); default off — every hook is then one branch *)
-  engine : engine_kind;
-      (** execution engine for the bulk per-process operations driven
-          by {!Sim} (default: {!engine_of_env}, i.e. [Seq] unless
-          [ADGC_ENGINE] says otherwise) *)
-  candidates : candidates_kind;
-      (** candidate source for DCDA scans (default:
-          {!candidates_of_env}, i.e. [Scan_candidates] unless
-          [ADGC_CANDIDATES] says otherwise) *)
 }
 
 val default : ?seed:int -> ?n_procs:int -> unit -> t

@@ -7,12 +7,22 @@
     complete per-process protocol kernel: everything else is
     scheduling.
 
-    Both drivers execute duties through this single definition: the
-    timed simulator's periodic timers ({!Sim.start},
-    {!Adgc_rt.Cluster.start_gc}) fire them on a clock, and the bounded
-    model checker ({!Adgc_mc.System}) fires them as explored actions —
-    so the two explore the {e same} transition system by
-    construction, with no second copy of any duty to drift. *)
+    The timed drivers fire duties on a clock and the bounded model
+    checker ({!Adgc_mc.System}) fires them as explored actions.  The
+    two do not run exactly the same steps:
+
+    - [Adgc_net.Node.install_duties] runs all five duties through
+      {!run_duty}.  {!Sim.start} runs [Snapshot], [Scan] and
+      [Maintain_candidates] through it, while
+      {!Adgc_rt.Cluster.start_gc} calls {!Adgc_rt.Lgc.run} and
+      {!Adgc_rt.Reflist.send_new_sets} directly; those are the bodies
+      of [Lgc] and [Send_sets].
+    - The timed stub-set lane ({!Adgc_rt.Cluster.start_gc},
+      [Adgc_net.Node.install_duties]) follows [send_new_sets] with
+      {!Adgc_rt.Reflist.probe_idle_scions} and
+      {!Adgc_rt.Reflist.reap_dead_holders}.  The checker's [Send_sets]
+      runs neither, so scion probes and dead-holder reaping are not
+      part of the explored transition system. *)
 
 type ctx = {
   rt : Adgc_rt.Runtime.t;
@@ -22,7 +32,7 @@ type ctx = {
           detections started (supplied by the simulator, which owns
           the detector instances) *)
   maintain_proc : int -> unit;
-      (** run the low-frequency full-scan audit of process [i]'s
+      (** run the low-frequency full-trace audit of process [i]'s
           incremental candidate labels
           ({!Adgc_dcda.Detector.audit_candidates}); a no-op for
           detectors without a maintainer *)

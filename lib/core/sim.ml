@@ -11,7 +11,6 @@ type detectors =
 
 type t = {
   config : Config.t;
-  engine : (module Engine.S);
   cluster : Cluster.t;
   store : Snapshot_store.t;
   detectors : detectors;
@@ -22,7 +21,6 @@ type t = {
 
 let create ?config () =
   let config = match config with Some c -> c | None -> Config.default () in
-  let engine = Engine.of_kind config.Config.engine in
   let cluster =
     Cluster.create ~seed:config.Config.seed ~config:config.Config.runtime
       ~net_config:config.Config.net ~faults:config.Config.faults
@@ -36,15 +34,8 @@ let create ?config () =
   let detectors =
     match config.Config.detector with
     | Config.Dcda ->
-        let candidates_mode =
-          match config.Config.candidates with
-          | Config.Scan_candidates -> Detector.Full_scan
-          | Config.Incremental_candidates -> Detector.Incremental
-        in
         let arr =
-          Array.map
-            (fun p -> Detector.attach ~candidates_mode rt p ~policy:config.Config.policy)
-            rt.Runtime.procs
+          Array.map (fun p -> Detector.attach rt p ~policy:config.Config.policy) rt.Runtime.procs
         in
         Snapshot_store.subscribe store (fun summary ->
             let i = Proc_id.to_int summary.Adgc_snapshot.Summary.proc in
@@ -60,13 +51,9 @@ let create ?config () =
         Bt_instances arr
     | Config.Hughes_gc | Config.No_detector -> Nothing
   in
-  { config; engine; cluster; store; detectors; hughes = None; handles = []; lanes = [] }
+  { config; cluster; store; detectors; hughes = None; handles = []; lanes = [] }
 
 let config t = t.config
-
-let engine_name t =
-  let module E = (val t.engine) in
-  E.name
 
 let cluster t = t.cluster
 
@@ -94,17 +81,7 @@ let now t = Cluster.now t.cluster
 
 let run_for t delay = Cluster.run_for t.cluster delay
 
-(* The bulk operations below are engine rounds: a pure per-process
-   prepare (parallel under Engine.Par) and effects committed in
-   ascending process order.  Under Engine.Seq each round is exactly
-   the pre-engine sequential loop. *)
-
-let snapshot_all t =
-  let module E = (val t.engine) in
-  let procs = (Cluster.rt t.cluster).Runtime.procs in
-  E.round ~n:(Array.length procs)
-    ~prepare:(fun i -> Snapshot_store.prepare t.store procs.(i))
-    ~commit:(fun _i pr -> ignore (Snapshot_store.commit t.store pr : Adgc_snapshot.Summary.t))
+let snapshot_all t = Snapshot_store.take_all t.store
 
 let scan_one t i =
   match t.detectors with
@@ -112,10 +89,9 @@ let scan_one t i =
   | Bt_instances arr -> Backtrack.scan arr.(i) ~idle_threshold:t.config.Config.bt_idle_threshold
   | Nothing -> 0
 
-(* The audit duty body: full-scan re-derivation of process [i]'s
-   candidate labels.  Runs under every mode (the stats it writes must
-   not depend on the mode) but only for the DCDA — the baselines have
-   no candidate pipeline to audit. *)
+(* The audit duty body: full-trace re-derivation of process [i]'s
+   candidate labels.  Only the DCDA has a candidate pipeline to
+   audit. *)
 let maintain_one t i =
   match t.detectors with
   | Dcda_instances arr -> ignore (Detector.audit_candidates arr.(i) : bool)
@@ -130,18 +106,9 @@ let kernel_ctx t =
   }
 
 let scan_all t =
-  match t.detectors with
-  | Dcda_instances arr ->
-      let module E = (val t.engine) in
-      let total = ref 0 in
-      E.round ~n:(Array.length arr)
-        ~prepare:(fun i -> Detector.scan_prepare arr.(i))
-        ~commit:(fun i picked -> total := !total + Detector.scan_commit arr.(i) picked);
-      !total
-  | Bt_instances _ | Nothing ->
-      let n = Cluster.n_procs t.cluster in
-      let rec go i acc = if i >= n then acc else go (i + 1) (acc + scan_one t i) in
-      go 0 0
+  let n = Cluster.n_procs t.cluster in
+  let rec go i acc = if i >= n then acc else go (i + 1) (acc + scan_one t i) in
+  go 0 0
 
 let start t =
   if t.lanes = [] && t.handles = [] then begin
@@ -196,11 +163,7 @@ let lineage t = Cluster.lineage t.cluster
 let run_gc_cycle t =
   snapshot_all t;
   let rt = rt t in
-  let module E = (val t.engine) in
-  E.round
-    ~n:(Array.length rt.Runtime.procs)
-    ~prepare:(fun i -> Lgc.plan rt rt.Runtime.procs.(i))
-    ~commit:(fun _i plan -> ignore (Lgc.apply rt plan : Lgc.report));
+  ignore (Lgc.collect_all rt : Lgc.report list);
   Array.iter (fun p -> Reflist.send_new_sets rt p) rt.Runtime.procs
 
 let reports t =

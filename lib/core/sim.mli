@@ -13,10 +13,6 @@ val create : ?config:Config.t -> unit -> t
 
 val config : t -> Config.t
 
-val engine_name : t -> string
-(** ["seq"] or ["par"] — the engine the bulk operations run on (see
-    {!Engine}). *)
-
 val cluster : t -> Adgc_rt.Cluster.t
 
 val rt : t -> Adgc_rt.Runtime.t
@@ -62,20 +58,17 @@ val now : t -> int
 val run_for : t -> int -> unit
 
 val snapshot_all : t -> unit
-(** Take a snapshot of every process right now (also happens
-    periodically once started).  An {!Engine} round: summarization
-    runs per-process (parallel under [Par]), publication commits in
-    process order. *)
+(** Take a snapshot of every process right now, in process order
+    (also happens periodically once started). *)
 
 val scan_all : t -> int
-(** Run one candidate scan on every detector; returns detections
-    started.  An {!Engine} round when running the DCDA. *)
+(** Run one candidate scan on every detector, in process order;
+    returns detections started. *)
 
 val run_gc_cycle : t -> unit
 (** One manual synchronous round: snapshot everywhere, LGC everywhere,
     stub sets everywhere — useful in deterministic tests that do not
-    want the periodic timers.  The snapshot and LGC phases are
-    {!Engine} rounds. *)
+    want the periodic timers.  Each phase runs in process order. *)
 
 (** {1 Results} *)
 

@@ -27,9 +27,9 @@
     ({!Adgc_rt.Scion_table.on_change}) and crash-recovery
     ({!Adgc_rt.Process.on_revive}) hooks.  The detector snapshots the
     candidate set at every summary publish ({!note_publish}) so the
-    incremental scan source is exactly as stale as the published
-    summary — which is what makes it byte-identical to the full-scan
-    path.  {!audit} is the self-check duty: an independent full root
+    scan source is exactly as stale as the published summary: it
+    equals the summary's not-locally-reachable scions.  {!audit} is
+    the self-check duty: an independent full root
     trace recomputes the candidate set from the live tables and
     compares; a disagreement is a maintenance bug (or an injected
     mutant), never an expected state. *)
@@ -60,16 +60,15 @@ val live : t -> Ref_key.Set.t
 val note_publish : t -> unit
 (** The detector published a fresh summary: {!refresh}, then freeze
     the current candidate set as the scan source ({!published}).
-    Called under the summary-store commit, in canonical process
-    order, so engines agree on the frozen set. *)
+    Called from the summary-store publish. *)
 
 val published : t -> Ref_key.t list
 (** The candidate keys frozen by the last {!note_publish}, in
-    ascending key order — the incremental scan iterates these instead
+    ascending key order — the detector's scan iterates these instead
     of every scion in the summary. *)
 
 val audit : t -> (Ref_key.Set.t * Ref_key.Set.t) option
-(** Full-scan self-check: {!refresh}, recompute the candidate set
+(** Full-trace self-check: {!refresh}, recompute the candidate set
     from scratch (independent root trace over the live heap and scion
     table) and compare with the incrementally maintained one.  [None]
     on agreement; [Some (only_incremental, only_scan)] — and a bumped

@@ -5,13 +5,10 @@ module Stats = Adgc_util.Stats
 module Span = Adgc_obs.Span
 module Lineage = Adgc_obs.Lineage
 
-type candidates_mode = Full_scan | Incremental
-
 type t = {
   rt : Runtime.t;
   proc : Process.t;
   policy : Policy.t;
-  mode : candidates_mode;
   candidates : Candidates.t;
   mutable summary : Summary.t option;
   mutable next_seq : int;
@@ -43,8 +40,6 @@ let set_summary t summary =
 let summary t = t.summary
 
 let candidates t = t.candidates
-
-let mode t = t.mode
 
 let reports t = List.rev t.reports
 
@@ -426,28 +421,16 @@ let arrange t candidates =
       Adgc_util.Rng.shuffle t.proc.Process.rng arr;
       Array.to_list arr
 
-(* Pure phase of a scan: evaluate the published summary against the
-   policy and pick this round's candidates.  Touches only this
-   detector's own state (tables, cursor, the per-process rng for
-   [Random_order]) — never the network, stats or another process —
-   so many detectors' scan_prepare may run concurrently under the
-   parallel engine.
-
-   The candidate source depends on the mode: [Full_scan] walks every
-   scion of the published summary (the oracle path); [Incremental]
-   walks only the keys the candidate maintainer froze when that same
-   summary was published.  Both lists are in ascending key order and
-   the frozen set equals exactly the summary's not-locally-reachable
-   scions (the audit duty asserts it), so the downstream filters,
-   arrangement, pick and cursor update are byte-identical. *)
-let scan_source t summary =
-  match t.mode with
-  | Full_scan -> Summary.scion_list summary
-  | Incremental -> List.filter_map (Summary.find_scion summary) (Candidates.published t.candidates)
-
-let scan_prepare t =
+(* Pick this round's candidates and start a detection per pick.  The
+   source is the key set the candidate maintainer froze when the
+   current summary was published: exactly the summary's
+   not-locally-reachable scions, in ascending key order (the audit
+   duty asserts it against an independent full root trace).  The
+   policy filters, arrangement, pick and cursor update then run over
+   that list. *)
+let scan t =
   match t.summary with
-  | None -> []
+  | None -> 0
   | Some summary ->
       let now = Runtime.now t.rt in
       let effective_cooldown key =
@@ -467,29 +450,21 @@ let scan_prepare t =
             match Ref_key.Tbl.find_opt t.last_initiated si.Summary.key with
             | Some last -> now - last >= effective_cooldown si.Summary.key
             | None -> true)
-          (scan_source t summary)
+          (List.filter_map (Summary.find_scion summary) (Candidates.published t.candidates))
       in
       let candidates = arrange t candidates in
       let picked = List.filteri (fun i _ -> i < t.policy.Policy.max_per_scan) candidates in
       (match List.rev picked with
       | last :: _ -> t.scan_cursor <- Some last.Summary.key
       | [] -> ());
-      picked
+      List.fold_left
+        (fun acc (si : Summary.scion_info) -> if initiate t si.Summary.key then acc + 1 else acc)
+        0 picked
 
-(* Effect phase: start a detection per picked candidate (CDM sends,
-   stats, lineage).  Canonical process order. *)
-let scan_commit t picked =
-  List.fold_left
-    (fun acc (si : Summary.scion_info) -> if initiate t si.Summary.key then acc + 1 else acc)
-    0 picked
-
-let scan t = scan_commit t (scan_prepare t)
-
-(* The full-scan audit duty: recompute the candidate set from scratch
-   and compare with the maintained one.  Runs in every mode — it is
-   cheap at its low frequency, and keeping it mode-independent keeps
-   the stats table (and with it the metrics document) byte-identical
-   between modes. *)
+(* The audit duty: recompute the candidate set from an independent
+   full root trace and compare with the maintained one.  Cheap at its
+   low frequency; a mismatch is counted under
+   [dcda.candidates.audit_mismatch]. *)
 let audit_candidates t =
   match Candidates.audit t.candidates with
   | None -> true
@@ -500,13 +475,12 @@ let audit_candidates t =
         (Ref_key.Set.cardinal only_scan);
       false
 
-let attach ?(candidates_mode = Full_scan) rt proc ~policy =
+let attach rt proc ~policy =
   let t =
     {
       rt;
       proc;
       policy;
-      mode = candidates_mode;
       candidates = Candidates.attach ~stats:rt.Runtime.stats proc;
       summary = None;
       next_seq = 0;

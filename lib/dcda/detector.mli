@@ -23,39 +23,20 @@ open Adgc_algebra
 
 type t
 
-type candidates_mode =
-  | Full_scan
-      (** seed scans from every scion of the published summary — the
-          oracle path *)
-  | Incremental
-      (** seed scans from the incrementally maintained candidate set
-          ({!Candidates}), frozen at each summary publish; pinned
-          byte-identical to [Full_scan] by the audit duty and the
-          parity tests *)
-
-val attach :
-  ?candidates_mode:candidates_mode ->
-  Adgc_rt.Runtime.t ->
-  Adgc_rt.Process.t ->
-  policy:Policy.t ->
-  t
-(** Create the instance and install its message hooks on the process.
-    A {!Candidates} maintainer is attached in every mode (so stats —
-    and the metrics document built from them — do not depend on the
-    mode); [candidates_mode] (default [Full_scan]) only selects the
-    scan source. *)
+val attach : Adgc_rt.Runtime.t -> Adgc_rt.Process.t -> policy:Policy.t -> t
+(** Create the instance, attach its {!Candidates} maintainer and
+    install its message hooks on the process.  Scans seed from the
+    maintainer's candidate set, frozen at each summary publish. *)
 
 val proc_id : t -> Proc_id.t
 
 val policy : t -> Policy.t
 
-val mode : t -> candidates_mode
-
 val candidates : t -> Candidates.t
 (** The attached incremental candidate maintainer. *)
 
 val audit_candidates : t -> bool
-(** Run the full-scan audit ({!Candidates.audit}); [false] — plus a
+(** Run the full-trace audit ({!Candidates.audit}); [false] — plus a
     log line and the ["dcda.candidates.audit_mismatch"] counter — on
     divergence.  Scheduled as the low-frequency
     [Kernel.Maintain_candidates] duty. *)
@@ -68,20 +49,10 @@ val summary : t -> Adgc_snapshot.Summary.t option
 (** {1 Driving} *)
 
 val scan : t -> int
-(** Look for candidate scions per the policy heuristic and initiate
-    detections; returns how many were started.  Equivalent to
-    {!scan_commit} of {!scan_prepare}. *)
-
-val scan_prepare : t -> Adgc_snapshot.Summary.scion_info list
-(** Pure phase of a scan: filter, arrange and pick this round's
-    candidates from the published summary (advancing the rotating
-    cursor).  Touches only this detector's own state, so prepares for
-    many processes may run concurrently ({!Adgc.Engine.Par}). *)
-
-val scan_commit : t -> Adgc_snapshot.Summary.scion_info list -> int
-(** Effect phase: initiate a detection per picked candidate (CDM
-    sends, stats, lineage); returns how many started.  Must run in
-    canonical process order. *)
+(** Filter, arrange and pick this round's candidates from the
+    maintainer's set frozen at the last publish (advancing the
+    rotating cursor), and initiate a detection per pick; returns how
+    many were started. *)
 
 val initiate : t -> Ref_key.t -> bool
 (** Force a detection from one scion (tests and the CLI use this);

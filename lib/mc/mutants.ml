@@ -125,7 +125,7 @@ let all =
     {
       mutant = "drop_label_updates";
       descr = "incremental candidate maintainer goes deaf to heap edge/root events";
-      scenario = "two_proc_cycle_incremental";
+      scenario = "two_proc_cycle";
       strategy = Safety;
       caps = None;
       (* With every heap event dropped, P0's root region never grows

@@ -10,7 +10,6 @@ let two_proc_cycle : Scenario.t =
     Scenario.name = "two_proc_cycle";
     descr = "root->A at P0, remote cycle A<->B with B at P1; unlink the root";
     n_procs = 2;
-    candidates = None;
     groups = None;
     (* The acceptance scope: one snapshot, scan and collection per
        process plus one possible message loss.  No listing rounds —
@@ -36,29 +35,12 @@ let two_proc_cycle : Scenario.t =
         });
   }
 
-(* The same shape and scope as [two_proc_cycle], but with the
-   detector's candidate source pinned to the incremental maintainer.
-   Every [System.apply] step cross-checks the maintained candidate
-   set against an independent full root trace (the audit invariant),
-   so exhaustive exploration of this scenario proves the labels stay
-   exact under {e every} interleaving the scope admits — and the
-   [drop_label_updates] mutant is killed the moment the labels can
-   first diverge. *)
-let two_proc_cycle_incremental : Scenario.t =
-  {
-    two_proc_cycle with
-    Scenario.name = "two_proc_cycle_incremental";
-    descr = two_proc_cycle.Scenario.descr ^ "; incremental candidate labels + audit invariant";
-    candidates = Some Adgc.Config.Incremental_candidates;
-  }
-
 let ic_race : Scenario.t =
   {
     Scenario.name = "ic_race";
     descr =
       "root->D at P0, remote cycle D<->F; invoke F through the stub, then unlink the root";
     n_procs = 2;
-    candidates = None;
     groups = None;
     caps = { Scenario.snapshots = 1; scans = 1; lgcs = 1; sends = 0; drops = 0 };
     setup =
@@ -86,7 +68,6 @@ let external_holder : Scenario.t =
     Scenario.name = "external_holder";
     descr = "cycle A<->B between P1 and P2, rooted external reference to A from P0";
     n_procs = 3;
-    candidates = None;
     groups = None;
     caps = { Scenario.snapshots = 1; scans = 1; lgcs = 1; sends = 0; drops = 0 };
     setup =
@@ -108,7 +89,6 @@ let export_handshake : Scenario.t =
     descr =
       "P1 exports X (owned by P0) to P2 as an RMI argument, then drops its own reference";
     n_procs = 3;
-    candidates = None;
     groups = None;
     (* Two listing rounds: the first primes [set_recipients] for the
        owner of X, so the post-drop round reaches it with an empty set. *)
@@ -153,7 +133,6 @@ let grouped_cycle : Scenario.t =
     Scenario.name = "grouped_cycle";
     descr = "remote cycle A<->B spanning the group boundary of a 2x2 grouped clique";
     n_procs = 4;
-    candidates = None;
     groups = Some 2;
     caps = { Scenario.snapshots = 1; scans = 1; lgcs = 1; sends = 0; drops = 0 };
     setup =
@@ -176,7 +155,6 @@ let grouped_cycle : Scenario.t =
 let all =
   [
     two_proc_cycle;
-    two_proc_cycle_incremental;
     ic_race;
     external_holder;
     export_handshake;

@@ -35,11 +35,6 @@ let create ?mutant ?caps (scenario : Scenario.t) =
   let caps = match caps with Some c -> c | None -> scenario.Scenario.caps in
   let config = Config.mc ~n_procs:scenario.Scenario.n_procs () in
   let config =
-    match scenario.Scenario.candidates with
-    | None -> config (* inherit ADGC_CANDIDATES via Config.default *)
-    | Some candidates -> { config with Config.candidates }
-  in
-  let config =
     match scenario.Scenario.groups with
     | None -> config (* inherit ADGC_GROUPS via Config.default *)
     | Some g -> Config.with_groups config g

@@ -121,7 +121,6 @@ let spawn_exec opts ~dir argv rank =
         "--procs"; string_of_int (Scenario.n_procs sc);
         "--seed"; string_of_int sc.Scenario.seed;
         "--detector"; Scenario.detector_to_string sc.Scenario.detector;
-        "--candidates"; Adgc.Config.candidates_to_string sc.Scenario.candidates;
         "--groups"; string_of_int sc.Scenario.groups;
         "--objects"; string_of_int sc.Scenario.objects;
         "--edges"; string_of_int sc.Scenario.edges;
@@ -304,8 +303,6 @@ let run opts =
     else Scenario.garbage_excluding scenario ~dead:expected_dead
   in
   let listener = Transport.listen (Transport.Unix_sock (Node.coord_path ~dir)) in
-  (* Fork safety: no live worker domains may cross the fork. *)
-  Adgc_util.Pool.shutdown_shared ();
   let nodes =
     phase "net.spawn" (fun () ->
         Array.init n (fun rank ->

@@ -361,7 +361,7 @@ let main cfg =
   if cfg.scenario.Scenario.detector = Config.Hughes_gc then
     invalid_arg "socket driver does not support the hughes baseline";
   let log = open_out (log_path ~dir:cfg.dir cfg.rank) in
-  let sim, _built = Scenario.build ~engine:Config.Seq cfg.scenario in
+  let sim, _built = Scenario.build cfg.scenario in
   let rt = Sim.rt sim in
   let cluster = Sim.cluster sim in
   install_duties sim cfg.rank;

@@ -3,21 +3,7 @@ module Stats = Adgc_util.Stats
 
 type report = { live : int; swept : int; stubs_live : int; stubs_dropped : int }
 
-type plan = {
-  plan_proc : Process.t;
-  doomed : Oid.t list;
-  stubs_dropped : int;
-}
-
-(* Pure-ish per-process phase: trace from roots + protected scions,
-   refresh stub liveness, and decide what to sweep.  Mutates only
-   [p]'s own state (its stub table, its paged store's clocks), never a
-   shared sink or another process — safe to run for many processes
-   concurrently under {!Adgc.Engine.Par}.  The heap itself is not
-   touched: sweeping happens in {!apply}, after the pre-sweep hook
-   (the whole-system oracle reads every heap there, so the sweep must
-   stay in commit order). *)
-let plan _rt (p : Process.t) =
+let run rt (p : Process.t) =
   let heap = p.Process.heap in
   let from =
     (* Gauntlet mutant: forgetting that scions are GC roots reclaims
@@ -34,19 +20,15 @@ let plan _rt (p : Process.t) =
   (* Stub liveness. *)
   Stub_table.mark_all_dead p.Process.stubs;
   Oid.Set.iter (Stub_table.mark_live p.Process.stubs) remote;
-  let dropped = Stub_table.sweep p.Process.stubs in
+  let stubs_dropped = List.length (Stub_table.sweep p.Process.stubs) in
   let doomed =
     Heap.fold heap ~init:[] ~f:(fun acc obj ->
         if Oid.Set.mem obj.Heap.oid live_set then acc else obj.Heap.oid :: acc)
   in
-  { plan_proc = p; doomed; stubs_dropped = List.length dropped }
-
-(* Effect phase: the pre-sweep hook, the sweep itself, stats, spans
-   and the reclamation hooks.  Canonical process order. *)
-let apply rt { plan_proc = p; doomed; stubs_dropped } =
   Stats.incr rt.Runtime.stats "lgc.runs";
   Stats.add rt.Runtime.stats "dgc.stubs.dropped" stubs_dropped;
-  let heap = p.Process.heap in
+  (* The pre-sweep hook sees the doomed list before any object goes:
+     the whole-system oracle reads every heap there. *)
   (match rt.Runtime.on_pre_sweep with
   | Some f when doomed <> [] -> f p.Process.id doomed
   | Some _ | None -> ());
@@ -78,7 +60,5 @@ let apply rt { plan_proc = p; doomed; stubs_dropped } =
          (Printf.sprintf "lgc %s" (Proc_id.to_string p.Process.id))
         : int);
   report
-
-let run rt p = apply rt (plan rt p)
 
 let collect_all rt = Array.to_list (Array.map (run rt) rt.Runtime.procs)

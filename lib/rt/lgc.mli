@@ -20,24 +20,8 @@ type report = {
 
 val run : Runtime.t -> Process.t -> report
 (** Runs synchronously inside the current event.  Each swept object is
-    reported through [rt.on_reclaim] (the test safety hook).
-    Equivalent to {!apply} of {!plan}. *)
+    reported through [rt.on_reclaim] (the test safety hook), after
+    [rt.on_pre_sweep] has seen the whole doomed list. *)
 
 val collect_all : Runtime.t -> report list
 (** Run the LGC once on every process, in process order. *)
-
-(** {2 Engine-facing split}
-
-    {!plan} is the per-process phase (root + scion trace, stub
-    liveness refresh, sweep decision): it mutates only the process's
-    own stub table and paged-store clocks — never the heap, a shared
-    sink or another process — so plans for many processes may run
-    concurrently.  {!apply} performs the sweep and every shared-sink
-    effect (pre-sweep hook, stats, spans, reclamation hooks) and must
-    run in canonical process order. *)
-
-type plan
-
-val plan : Runtime.t -> Process.t -> plan
-
-val apply : Runtime.t -> plan -> report

@@ -34,8 +34,7 @@ and t = {
      and every table it consults when handling a delivery is its own.
      Nothing here is shared with any other process — a delivery or a
      duty is a transition on one process's state plus outbound
-     messages, which is what lets an engine run the compute phases of
-     different processes on different domains. *)
+     messages. *)
   mutable next_req_id : int;
   mutable next_notice_id : int;
   behaviors : (int, behavior) Hashtbl.t;

@@ -11,7 +11,7 @@
     no-global-synchronization process model.  The protocol logic
     itself lives in {!Reflist}, {!Rmi} and {!Lgc}, driven through the
     shared {!Runtime} context (scheduler, network, stats — the
-    engine shell, not protocol state). *)
+    simulator's shell, not protocol state). *)
 
 open Adgc_algebra
 

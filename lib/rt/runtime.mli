@@ -1,7 +1,6 @@
-(** Shared engine-shell context threading the simulator's pieces
-    together.
+(** Shared context threading the simulator's pieces together.
 
-    After the kernel/engine split, this record owns only the
+    This record owns only the
     {e shared, process-agnostic} machinery: the scheduler, the
     network, stats/trace/telemetry sinks and the immutable run
     configuration.  All {e protocol} state (request/notice counters,

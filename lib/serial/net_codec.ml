@@ -214,21 +214,21 @@ let rec sval s (v : Sval.t) =
           sval s fv)
         fields
 
-(* One reused writer and one counter per domain; each use starts a
-   fresh value, so a shape must not itself encode or size. *)
-let scratch = Domain.DLS.new_key (fun () -> (make Write, make Count))
+(* One reused writer and one counter; each use starts a fresh value,
+   so a shape must not itself encode or size. *)
+let writer = make Write
+
+let counter = make Count
 
 let encode_shape shape v =
-  let s = fst (Domain.DLS.get scratch) in
-  start s;
-  shape s v;
-  Wire.Writer.contents s.buf
+  start writer;
+  shape writer v;
+  Wire.Writer.contents writer.buf
 
 let size shape v =
-  let s = snd (Domain.DLS.get scratch) in
-  start s;
-  shape s v;
-  s.bytes
+  start counter;
+  shape counter v;
+  counter.bytes
 
 let to_sval shape v =
   let s = make Build in

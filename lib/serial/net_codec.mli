@@ -57,7 +57,7 @@ val sval : sink -> Sval.t -> unit
     their own). *)
 
 val encode_shape : 'a shape -> 'a -> string
-(** The value's bytes, written into this domain's reused buffer with
+(** The value's bytes, written into one reused module-level buffer with
     per-message interning; [encode_shape sval v = encode v].  A shape
     must not itself call [encode_shape] or {!size}. *)
 

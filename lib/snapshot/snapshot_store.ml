@@ -36,41 +36,23 @@ let summarize t ~now (p : Process.t) =
       in
       Summarize.Incremental.run state ~now p
 
-type prepared = {
-  p_proc : Process.t;
-  p_time : int;
-  p_encoded : string;
-  p_published : Summary.t;
-  p_decode_failed : bool;
-}
-
-(* The pure per-process phase: summarize, encode and round-trip
-   decode.  Reads only [p]'s heap and tables (plus this store's
-   per-process incremental state), touches no shared sink — safe to
-   run for many processes concurrently under {!Adgc.Engine.Par}. *)
-let prepare t (p : Process.t) =
+let take t (p : Process.t) =
   let now = Runtime.now t.rt in
   let summary = summarize t ~now p in
   let encoded = Summary.encode summary in
   (* Publish what survives the round-trip, not the in-memory value. *)
-  let published, p_decode_failed =
+  let published, decode_failed =
     match Summary.decode (t.read_back encoded) with
     | Some s -> (s, false)
     | None -> (summary, true)
   in
-  { p_proc = p; p_time = now; p_encoded = encoded; p_published = published; p_decode_failed }
-
-(* The effect phase: stats, spans, the published store, the log and
-   the subscribers (detectors).  Runs in canonical process order. *)
-let commit t pr =
-  let p = pr.p_proc and encoded = pr.p_encoded and published = pr.p_published in
   Stats.incr t.rt.Runtime.stats "snapshot.taken";
   Stats.add t.rt.Runtime.stats "snapshot.bytes" (String.length encoded);
-  if pr.p_decode_failed then Stats.incr t.rt.Runtime.stats "snapshot.decode_failures";
+  if decode_failed then Stats.incr t.rt.Runtime.stats "snapshot.decode_failures";
   if Adgc_obs.Span.enabled t.rt.Runtime.obs then begin
     Stats.observe t.rt.Runtime.stats "snapshot.size_bytes" (float_of_int (String.length encoded));
     ignore
-      (Adgc_obs.Span.event t.rt.Runtime.obs ~time:pr.p_time ~parent:t.rt.Runtime.run_span
+      (Adgc_obs.Span.event t.rt.Runtime.obs ~time:now ~parent:t.rt.Runtime.run_span
          ~proc:(Proc_id.to_int p.Process.id)
          ~args:[ ("bytes", string_of_int (String.length encoded)) ]
          ~kind:Adgc_obs.Span.Snapshot
@@ -85,8 +67,6 @@ let commit t pr =
     (String.length encoded);
   List.iter (fun f -> f published) t.subscribers;
   published
-
-let take t (p : Process.t) = commit t (prepare t p)
 
 let take_all t = Array.iter (fun p -> ignore (take t p : Summary.t)) t.rt.Runtime.procs
 

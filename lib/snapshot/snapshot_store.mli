@@ -28,24 +28,9 @@ val create :
     {!Summarize.Incremental} state and [algo] is ignored. *)
 
 val take : t -> Adgc_rt.Process.t -> Summary.t
-(** Snapshot one process now; returns (and publishes) the summary.
-    Equivalent to {!commit} of {!prepare}. *)
+(** Snapshot one process now; returns (and publishes) the summary. *)
 
 val take_all : t -> unit
-
-(** {2 Engine-facing split}
-
-    {!prepare} is the pure per-process phase (summarize + encode +
-    round-trip decode): it reads only the process's own state and may
-    run for many processes concurrently.  {!commit} applies the
-    effects — stats, spans, the published store, subscribers — and
-    must run in canonical process order. *)
-
-type prepared
-
-val prepare : t -> Adgc_rt.Process.t -> prepared
-
-val commit : t -> prepared -> Summary.t
 
 val latest : t -> Proc_id.t -> Summary.t option
 

@@ -74,12 +74,10 @@ let run_naive ~now (p : Process.t) =
 (* Condensed variant: iterative Tarjan SCC + DAG dynamic program over
    the heap's dense index.  The local graph is laid out in CSR form
    (one flat successor array + offsets), every per-node attribute is a
-   plain int array indexed by dense id, and the whole scratch is a
-   domain-local pool reused across runs (the arrays are fully
+   plain int array indexed by dense id, and the whole scratch is one
+   module-level pool reused across runs (the arrays are fully
    re-initialized for [0, n) each run), so steady-state summarization
-   allocates only at the Summary boundary.  Domain-local, not
-   module-level: the parallel engine summarizes several processes
-   concurrently, and each domain must own its scratch. *)
+   allocates only at the Summary boundary. *)
 
 type scratch = {
   mutable index : int array; (* Tarjan discovery index, -1 = unvisited *)
@@ -96,22 +94,21 @@ type scratch = {
   mutable member_flat : int array; (* members bucketed by scc id *)
 }
 
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        index = [||];
-        lowlink = [||];
-        on_stack = Bytes.empty;
-        scc = [||];
-        off = [||];
-        succ_flat = [||];
-        remote = [||];
-        stack = [||];
-        work_id = [||];
-        work_child = [||];
-        scc_off = [||];
-        member_flat = [||];
-      })
+let scratch =
+  {
+    index = [||];
+    lowlink = [||];
+    on_stack = Bytes.empty;
+    scc = [||];
+    off = [||];
+    succ_flat = [||];
+    remote = [||];
+    stack = [||];
+    work_id = [||];
+    work_child = [||];
+    scc_off = [||];
+    member_flat = [||];
+  }
 
 let ensure_int_array get set n =
   if Array.length (get ()) < n then set (Array.make (Int.max 64 n) 0)
@@ -120,7 +117,7 @@ let run_condensed ~now (p : Process.t) =
   let heap = p.Process.heap in
   let me = p.Process.id in
   let n = Heap.dense_sync heap in
-  let s = Domain.DLS.get scratch_key in
+  let s = scratch in
   ensure_int_array (fun () -> s.index) (fun a -> s.index <- a) n;
   ensure_int_array (fun () -> s.lowlink) (fun a -> s.lowlink <- a) n;
   ensure_int_array (fun () -> s.scc) (fun a -> s.scc <- a) n;

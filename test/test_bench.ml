@@ -58,7 +58,7 @@ let test_sections_cover_the_contract () =
   let sections = List.map fst doc.Results.sections in
   List.iter
     (fun s -> check Alcotest.bool (s ^ " section present") true (List.mem s sections))
-    [ "tracer"; "telemetry"; "engine"; "net"; "detection" ];
+    [ "tracer"; "telemetry"; "net"; "detection"; "scale" ];
   check Alcotest.bool "document is marked smoke" true doc.Results.smoke;
   (* The acceptance series: p99 end-to-end detection latency, gated
      by an SLO ceiling, deterministic in simulated ticks. *)

@@ -47,11 +47,11 @@ let live_ring_intact cluster (built : Topology.built) =
       Heap.mem p.Adgc_rt.Process.heap obj.Heap.oid)
     built.Topology.objects
 
-let run_cell ~profile ~detector ?(candidates = Config.Scan_candidates) ~seed () =
+let run_cell ~profile ~detector ~groups ~seed () =
   let n_procs = 4 in
   let faults = Faults.plan_of_profile ~start:fault_start ~stop:fault_stop ~n_procs profile in
   let config = Config.quick ~seed ~n_procs () in
-  let config = { config with Config.detector; candidates; faults } in
+  let config = Config.with_groups { config with Config.detector; faults } groups in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let oracle = Oracle.install ~window:500 cluster in
@@ -84,10 +84,14 @@ let run_cell ~profile ~detector ?(candidates = Config.Scan_candidates) ~seed () 
         (detector_name detector) seed Oracle.pp_liveness l);
   Oracle.stop oracle;
   Oracle.assert_safe oracle;
-  (* The candidate maintainer runs (and is audited) in every DCDA
-     mode; a mismatch under faults is a label-maintenance bug.  Under
-     crash/restart with incremental candidates the revive hook must
-     have rebuilt the labels from the surviving tables — the
+  if groups > 1 then
+    Alcotest.(check bool) "control traffic went through the relays" true
+      (Stats.get (Sim.stats sim) "group.relays" > 0);
+  (* The DCDA's scans seed from the candidate maintainer, which the
+     audit duty checks against a full root trace; a mismatch under
+     faults is a label-maintenance bug.  Under crash/restart the
+     revive hook must have rebuilt the labels from the surviving
+     tables — the
      stale-label resurrection regression: a restarted process that
      kept pre-crash labels would resurrect candidates for objects the
      crash already wiped. *)
@@ -191,27 +195,26 @@ let test_group_proxy_crash () =
   check Alcotest.bool "live ring intact" true (live_ring_intact cluster live)
 
 let suite =
-  (* Three detector columns: the DCDA under both candidate sources
-     (the incremental maintainer must stay exact through every fault
-     regime) and the backtracking baseline. *)
+  (* Three columns: the DCDA flat and over the group relay overlay
+     (groups of 2: proxies 0 and 2, so crash/restart and partitions
+     hit proxies and the aggregated CDMs/NewSetStubs must survive
+     every fault regime), and the backtracking baseline. *)
   let columns =
     [
-      ("dcda", Config.Dcda, Config.Scan_candidates);
-      ("dcda+inc", Config.Dcda, Config.Incremental_candidates);
-      ("backtrack", Config.Backtrack, Config.Scan_candidates);
+      ("dcda", Config.Dcda, 0); ("dcda+groups", Config.Dcda, 2); ("backtrack", Config.Backtrack, 0);
     ]
   in
   let cells =
     List.concat_map
       (fun (pname, profile) ->
         List.concat_map
-          (fun (cname, detector, candidates) ->
+          (fun (cname, detector, groups) ->
             List.map
               (fun seed ->
                 Alcotest.test_case
                   (Printf.sprintf "%s via %s, seed %d" pname cname seed)
                   `Slow
-                  (run_cell ~profile ~detector ~candidates ~seed))
+                  (run_cell ~profile ~detector ~groups ~seed))
               seeds)
           columns)
       Faults.profiles

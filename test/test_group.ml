@@ -52,8 +52,7 @@ let test_group_proxy_failover () =
    and batches DGC control traffic but must not change what gets
    reclaimed: the same workload run flat and grouped ends with
    byte-identical surviving object sets (timing differs — identity is
-   on the final sets after both runs converge, exactly like the
-   engine's seq-vs-par bar). *)
+   on the final sets after both runs converge). *)
 
 let surviving cluster =
   let rt = Cluster.rt cluster in
@@ -65,10 +64,10 @@ let surviving cluster =
     rt.Adgc_rt.Runtime.procs;
   !acc
 
-let run_leg ~seed ~detector ~engine ~groups =
+let run_leg ~seed ~detector ~groups =
   let n_procs = 8 in
   let config = Config.quick ~seed ~n_procs () in
-  let config = { config with Config.detector; engine } in
+  let config = { config with Config.detector } in
   let config = Config.with_groups config groups in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
@@ -83,30 +82,32 @@ let run_leg ~seed ~detector ~engine ~groups =
   Sim.teardown sim;
   (clean, s)
 
-let identity_cell ~seed ~detector ~engine () =
-  (* Group size 3 over 8 ranks: two full groups and a ragged tail. *)
-  let flat_clean, flat = run_leg ~seed ~detector ~engine ~groups:0 in
-  let grouped_clean, grouped = run_leg ~seed ~detector ~engine ~groups:3 in
+let identity_cell ~seed ~detector ~groups () =
+  let flat_clean, flat = run_leg ~seed ~detector ~groups:0 in
+  let grouped_clean, grouped = run_leg ~seed ~detector ~groups in
   check Alcotest.bool "flat run converged" true flat_clean;
   check Alcotest.bool "grouped run converged" true grouped_clean;
   check Alcotest.int "same number of survivors" (Oid.Set.cardinal flat)
     (Oid.Set.cardinal grouped);
   check Alcotest.bool "identical surviving sets" true (Oid.Set.equal flat grouped)
 
+(* Two group sizes over 8 ranks: 3 gives two full groups and a
+   ragged tail of two; 4 gives two full groups and no tail, so every
+   proxy relays for a full group. *)
 let identity_cases =
   List.concat_map
-    (fun seed ->
+    (fun (gname, groups) ->
       List.concat_map
-        (fun (dname, detector) ->
+        (fun seed ->
           List.map
-            (fun (ename, engine) ->
+            (fun (dname, detector) ->
               Alcotest.test_case
-                (Printf.sprintf "flat == grouped: %s/%s seed %d" dname ename seed)
+                (Printf.sprintf "flat == grouped%s: %s seed %d" gname dname seed)
                 `Slow
-                (identity_cell ~seed ~detector ~engine))
-            [ ("seq", Config.Seq); ("par", Config.Par) ])
-        [ ("dcda", Config.Dcda); ("backtrack", Config.Backtrack) ])
-    [ 5; 19; 33 ]
+                (identity_cell ~seed ~detector ~groups))
+            [ ("dcda", Config.Dcda); ("backtrack", Config.Backtrack) ])
+        [ 5; 19; 33 ])
+    [ ("", 3); (" by 4", 4) ]
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation accounting.  [group_size] alone turns on the boundary

@@ -26,12 +26,6 @@ let assert_clean ?caps (s : Scenario.t) =
 
 let test_exhaustive_two_proc_cycle () = assert_clean Scenarios.two_proc_cycle
 
-(* The incremental-candidates scope: completeness of the whole scope
-   PLUS the per-step audit invariant (incremental labels == full
-   trace) in every reachable state — the property test wall's
-   exhaustive corner. *)
-let test_exhaustive_incremental () = assert_clean Scenarios.two_proc_cycle_incremental
-
 let test_exhaustive_ic_race () = assert_clean Scenarios.ic_race
 
 let test_exhaustive_external_holder () = assert_clean Scenarios.external_holder
@@ -58,24 +52,6 @@ let test_reclaim_verdict () =
   let sys, viols = run_exn Scenarios.two_proc_cycle Scenarios.reclaim_trail in
   check Alcotest.int "no violations" 0 (List.length viols);
   check Alcotest.bool "cycle reclaimed" true (System.goal_reached sys)
-
-let test_incremental_reclaim_verdict () =
-  let sys, viols = run_exn Scenarios.two_proc_cycle_incremental Scenarios.reclaim_trail in
-  check Alcotest.int "no violations" 0 (List.length viols);
-  check Alcotest.bool "cycle reclaimed under incremental candidates" true
-    (System.goal_reached sys)
-
-(* Byte-identity at the mc level: the same trail drives the scan-mode
-   and incremental-mode systems to the same canonical state digest
-   (heaps, tables, summaries, in-flight messages). *)
-let test_incremental_fingerprint_parity () =
-  let fp scenario =
-    let sys, _ = run_exn scenario Scenarios.reclaim_trail in
-    System.fingerprint sys
-  in
-  check Alcotest.string "scan and incremental runs converge to the same state"
-    (fp Scenarios.two_proc_cycle)
-    (fp Scenarios.two_proc_cycle_incremental)
 
 let test_grouped_reclaim_verdict () =
   let sys, viols = run_exn Scenarios.grouped_cycle Scenarios.grouped_reclaim_trail in
@@ -121,6 +97,13 @@ let test_replay_deterministic () =
   check Alcotest.string "same trail, same state" (fp Scenarios.reclaim_trail)
     (fp Scenarios.reclaim_trail)
 
+let test_grouped_replay_deterministic () =
+  let fp () =
+    let sys, _ = run_exn Scenarios.grouped_cycle Scenarios.grouped_reclaim_trail in
+    System.fingerprint sys
+  in
+  check Alcotest.string "same grouped trail, same state" (fp ()) (fp ())
+
 let test_fingerprint_sensitive () =
   let fp trail =
     let sys, _ = run_exn Scenarios.two_proc_cycle trail in
@@ -128,6 +111,48 @@ let test_fingerprint_sensitive () =
   in
   check Alcotest.bool "prefix differs from full trail" true
     (fp [ Action.Mutate 0 ] <> fp Scenarios.reclaim_trail)
+
+(* ------------------------------------------------------------------ *)
+(* The candidate audit as the wall.  The incremental maintainer is the
+   DCDA's only scan source, so the per-step audit invariant (labels ==
+   full root trace) is what stands between a label-maintenance bug and
+   a wrong reclamation.  A deaf maintainer must trip it under
+   exhaustive search of the default scope and at the first snapshot,
+   and the clean build must pass the audit on every process at every
+   step of the scripted reclaim trail. *)
+
+let audit_violation viols =
+  List.exists (fun v -> Astring_contains.contains v "candidate_audit") viols
+
+let test_exhaustive_deaf_maintainer_caught () =
+  let o = Explore.explore ~mutant:"drop_label_updates" Scenarios.two_proc_cycle in
+  match o.Explore.violation with
+  | None -> Alcotest.fail "two_proc_cycle explored clean under drop_label_updates"
+  | Some (_, viols) ->
+      check Alcotest.bool "the candidate audit is what fails" true (audit_violation viols)
+
+let test_deaf_maintainer_reclaim_trail () =
+  let _, viols =
+    run_exn ~mutant:"drop_label_updates" Scenarios.two_proc_cycle [ Action.Snapshot 0 ]
+  in
+  check Alcotest.bool "deaf maintainer fails the audit at the first snapshot" true
+    (audit_violation viols);
+  let sys, viols = run_exn Scenarios.two_proc_cycle [] in
+  check Alcotest.int "clean build starts clean" 0 (List.length viols);
+  List.iteri
+    (fun step a ->
+      (match System.apply sys a with
+      | Ok [] -> ()
+      | Ok vs -> Alcotest.failf "step %d: %s" step (String.concat "; " vs)
+      | Error reason -> Alcotest.failf "step %d inapplicable: %s" step reason);
+      let sim = System.sim sys in
+      for i = 0 to Adgc_rt.Cluster.n_procs (Adgc.Sim.cluster sim) - 1 do
+        match Adgc_dcda.Candidates.audit (Adgc_dcda.Detector.candidates (Adgc.Sim.detector sim i)) with
+        | None -> ()
+        | Some _ -> Alcotest.failf "step %d: P%d labels diverge from the full trace" step i
+      done)
+    Scenarios.reclaim_trail;
+  check Alcotest.bool "cycle reclaimed" true (System.goal_reached sys)
 
 (* ------------------------------------------------------------------ *)
 (* The mutation gauntlet. *)
@@ -202,8 +227,6 @@ let suite =
   ( "mc",
     [
       Alcotest.test_case "exhaustive: two_proc_cycle clean" `Slow test_exhaustive_two_proc_cycle;
-      Alcotest.test_case "exhaustive: two_proc_cycle_incremental clean" `Slow
-        test_exhaustive_incremental;
       Alcotest.test_case "exhaustive: ic_race clean" `Slow test_exhaustive_ic_race;
       Alcotest.test_case "exhaustive: external_holder clean" `Slow
         test_exhaustive_external_holder;
@@ -212,10 +235,6 @@ let suite =
       Alcotest.test_case "exhaustive: grouped_cycle clean" `Slow test_exhaustive_grouped_cycle;
       Alcotest.test_case "verdict: cycle reclaimed" `Quick test_reclaim_verdict;
       Alcotest.test_case "verdict: grouped cycle reclaimed" `Quick test_grouped_reclaim_verdict;
-      Alcotest.test_case "verdict: incremental candidates reclaim" `Quick
-        test_incremental_reclaim_verdict;
-      Alcotest.test_case "fingerprint parity: scan vs incremental" `Quick
-        test_incremental_fingerprint_parity;
       Alcotest.test_case "verdict: lost CDM retried" `Quick test_lost_cdm_verdict;
       Alcotest.test_case "verdict: stale snapshot superseded" `Quick
         test_stale_witness_unmutated_verdict;
@@ -224,7 +243,13 @@ let suite =
       Alcotest.test_case "verdict: in-flight IC race aborts" `Quick
         test_ic_race_in_flight_aborts;
       Alcotest.test_case "replay is deterministic" `Quick test_replay_deterministic;
+      Alcotest.test_case "replay is deterministic: grouped_cycle" `Quick
+        test_grouped_replay_deterministic;
       Alcotest.test_case "fingerprint distinguishes states" `Quick test_fingerprint_sensitive;
+      Alcotest.test_case "exhaustive: deaf maintainer caught in two_proc_cycle" `Slow
+        test_exhaustive_deaf_maintainer_caught;
+      Alcotest.test_case "verdict: audit holds along the reclaim trail" `Quick
+        test_deaf_maintainer_reclaim_trail;
       Alcotest.test_case "mutation gauntlet" `Slow test_gauntlet;
       Alcotest.test_case "trace json roundtrip" `Quick test_trace_json_roundtrip;
       Alcotest.test_case "trace file roundtrip" `Quick test_trace_file_roundtrip;

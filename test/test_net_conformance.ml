@@ -33,9 +33,7 @@ let oid_set =
 let violations = Alcotest.list (Alcotest.testable Adgc_check.Invariant.pp ( = ))
 
 (* Node processes are spawned by exec'ing the real [adgc_sim serve]
-   binary, never [Fork]: OCaml forbids [Unix.fork] for the rest of the
-   process once any domain has ever been spawned, and earlier suites
-   (the Par engine tests) do spawn pool domains. *)
+   binary, the way [adgc_sim drive] spawns them. *)
 let spawn () =
   let exe =
     match Sys.getenv_opt "ADGC_SIM_EXE" with
@@ -76,8 +74,8 @@ let run_in_memory scenario =
   Sim.teardown sim;
   (clean, states)
 
-let conformance_case ?(candidates = Config.Scan_candidates) topology seed detector () =
-  let scenario = Scenario.make ~topology ~procs:4 ~seed ~detector ~candidates () in
+let conformance_case ?groups topology seed detector () =
+  let scenario = Scenario.make ~topology ~procs:4 ~seed ~detector ?groups () in
   let expected = Scenario.expected scenario in
   (* In-memory driver. *)
   let mem_clean, mem_states = run_in_memory scenario in
@@ -96,6 +94,9 @@ let conformance_case ?(candidates = Config.Scan_candidates) topology seed detect
   check violations "socket oracle clean" [] r.Coordinator.verdict.Gather.violations;
   check oid_set "identical reclamation sets across drivers" mem_verdict.Gather.reclaimed
     r.Coordinator.verdict.Gather.reclaimed;
+  if Option.value groups ~default:0 > 1 then
+    check Alcotest.bool "control traffic went through the relays" true
+      (Adgc_util.Stats.get r.Coordinator.stats "group.relays" > 0);
   check Alcotest.bool "socket run ok" true (Coordinator.ok r)
 
 let matrix topology =
@@ -121,14 +122,15 @@ let suite =
            (the ring is garbage wall-to-wall). *)
         Alcotest.test_case "pairs seed=11 dcda" `Slow
           (conformance_case Scenario.Pairs 11 Config.Dcda);
-        (* Incremental candidates over sockets: the coordinator ships
-           --candidates incremental to every node; the socket run must
-           reclaim exactly what the in-memory incremental run does
-           (which itself must match the scan-derived expectation). *)
-        Alcotest.test_case "ring seed=11 dcda incremental" `Slow
-          (conformance_case ~candidates:Config.Incremental_candidates Scenario.Ring 11
-             Config.Dcda);
-        Alcotest.test_case "pairs seed=11 dcda incremental" `Slow
-          (conformance_case ~candidates:Config.Incremental_candidates Scenario.Pairs 11
-             Config.Dcda);
+        (* The relay overlay over sockets: the coordinator ships
+           --groups to every node, so the group proxies aggregate the
+           cross-group CDMs and NewSetStubs; the socket run must
+           reclaim exactly what the in-memory grouped run does (which
+           itself must match the flat ground truth).  Groups of 3 on
+           the pairs workload put the (2,3) cycle across the {0,1,2} |
+           {3} boundary and keep (0,1) inside one group. *)
+        Alcotest.test_case "ring seed=11 dcda grouped" `Slow
+          (conformance_case ~groups:2 Scenario.Ring 11 Config.Dcda);
+        Alcotest.test_case "pairs seed=11 dcda grouped" `Slow
+          (conformance_case ~groups:3 Scenario.Pairs 11 Config.Dcda);
       ] )

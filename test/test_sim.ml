@@ -6,6 +6,16 @@ open Adgc_workload
 module Sim = Adgc.Sim
 module Config = Adgc.Config
 module Cluster = Adgc_rt.Cluster
+module Heap = Adgc_rt.Heap
+module Msg = Adgc_rt.Msg
+module Mutator = Adgc_rt.Mutator
+module Network = Adgc_rt.Network
+module Runtime = Adgc_rt.Runtime
+module Faults = Adgc_rt.Faults
+module Snapshot_store = Adgc_snapshot.Snapshot_store
+module Export = Adgc_obs.Export
+module Json = Adgc_util.Json
+module Stats = Adgc_util.Stats
 
 let check = Alcotest.check
 
@@ -146,6 +156,163 @@ let test_teardown_detaches_observers () =
   | [ r ] -> check Alcotest.bool "run span closed" true (r.Adgc_obs.Span.end_time <> None)
   | runs -> Alcotest.failf "expected one run span, got %d" (List.length runs)
 
+(* ---------------------------------------------------------------- *)
+(* The in-flight-reply race (satellite of the shared-tracer move): an
+   RMI reply's [target] is routing metadata — it is never imported on
+   delivery — so the one ground-truth tracer must not count it live,
+   while the reply's [results] genuinely travel and must stay
+   pinned. *)
+
+let test_inflight_reply_target_not_pinned () =
+  let config = Config.quick ~n_procs:2 () in
+  config.Config.net.Network.delivery <- Network.Manual;
+  let sim = Sim.create ~config () in
+  let cluster = Sim.cluster sim in
+  let target = Mutator.alloc cluster ~proc:1 () in
+  let result = Mutator.alloc cluster ~proc:1 () in
+  let payload =
+    Msg.Rmi_reply { req_id = 0; target = target.Heap.oid; results = [ result.Heap.oid ] }
+  in
+  Runtime.send (Sim.rt sim) ~src:(Proc_id.of_int 1) ~dst:(Proc_id.of_int 0) payload;
+  check Alcotest.int "reply parked in flight" 1 (Network.in_flight_count (Sim.net sim));
+  let live = Cluster.globally_live cluster in
+  check Alcotest.bool "in-flight results are live" true (Oid.Set.mem result.Heap.oid live);
+  check Alcotest.bool "in-flight reply target is not" false
+    (Oid.Set.mem target.Heap.oid live);
+  (* The refinement is real: the raw payload walk does list the
+     target, so an unrefined tracer would wrongly pin it. *)
+  check Alcotest.bool "naive walk would pin it" true
+    (List.mem target.Heap.oid (Msg.payload_refs payload));
+  Sim.teardown sim
+
+(* ---------------------------------------------------------------- *)
+(* Staleness guard on the clean poll *)
+
+let test_clean_poll_skips_when_quiet () =
+  (* No timers, one garbage object, nothing ever moves: the first
+     poll computes, every later poll is a signature hit. *)
+  let sim = Sim.create ~config:(Config.quick ~n_procs:2 ()) () in
+  let cluster = Sim.cluster sim in
+  let _garbage = Mutator.alloc cluster ~proc:0 () in
+  check Alcotest.bool "never becomes clean" false
+    (Sim.run_until_clean ~step:100 ~max_time:1_000 sim);
+  check Alcotest.int "one real trace" 1 (Stats.get (Sim.stats sim) "sim.clean_checks");
+  check Alcotest.bool "quiet polls skipped" true
+    (Stats.get (Sim.stats sim) "sim.clean_checks.skipped" >= 5);
+  Sim.teardown sim
+
+let test_clean_poll_stays_correct () =
+  (* With live timers the guard must not change the verdict: the ring
+     is collected and the poll reports clean. *)
+  let sim = Sim.create ~config:(Config.quick ~n_procs:4 ()) () in
+  let _ = Topology.ring (Sim.cluster sim) ~procs:[ 0; 1; 2; 3 ] in
+  Sim.start sim;
+  check Alcotest.bool "converges to clean" true
+    (Sim.run_until_clean ~step:1_000 ~max_time:300_000 sim);
+  check Alcotest.int "clean means clean" 0 (Sim.garbage_count sim);
+  check Alcotest.bool "guard engaged" true
+    (Stats.get (Sim.stats sim) "sim.clean_checks" >= 1);
+  Sim.teardown sim
+
+(* ---------------------------------------------------------------- *)
+(* The bulk rounds: [snapshot_all], [scan_all] and [run_gc_cycle] are
+   plain loops in process order, so interleaving them with the
+   periodic timers must stay a pure function of the seed. *)
+
+let bulk_round_life config =
+  let sim = Sim.create ~config () in
+  let cluster = Sim.cluster sim in
+  let _garbage = Topology.ring cluster ~procs:[ 0; 1; 2 ] in
+  let _live = Topology.rooted_ring cluster ~procs:[ 2; 3; 4; 5 ] in
+  let _deep = Topology.chain_into_ring cluster ~procs:[ 1; 3; 5 ] in
+  Sim.start sim;
+  for _ = 1 to 4 do
+    Sim.run_for sim 1_500;
+    Sim.snapshot_all sim;
+    ignore (Sim.scan_all sim : int);
+    Sim.run_gc_cycle sim
+  done;
+  Sim.teardown sim;
+  let metrics = Json.to_string (Export.metrics_document (Sim.stats sim)) in
+  (metrics, Export.span_digest (Sim.obs sim))
+
+let test_bulk_rounds_replay () =
+  List.iter
+    (fun (det_name, detector) ->
+      List.iter
+        (fun (fault_name, faulty) ->
+          List.iter
+            (fun seed ->
+              let config () =
+                let c = Config.quick ~seed ~n_procs:6 () in
+                let faults =
+                  if faulty then
+                    Faults.plan_of_profile ~start:1_000 ~stop:4_000 ~n_procs:6 Faults.Loss_burst
+                  else Faults.none
+                in
+                { c with Config.detector; faults }
+              in
+              let case = Printf.sprintf "%s/%s/seed%d" det_name fault_name seed in
+              let m1, d1 = bulk_round_life (config ()) in
+              let m2, d2 = bulk_round_life (config ()) in
+              check Alcotest.string (case ^ ": metrics document") m1 m2;
+              check Alcotest.string (case ^ ": span digest") d1 d2)
+            [ 7; 21 ])
+        [ ("clean", false); ("loss-burst", true) ])
+    [ ("dcda", Config.Dcda); ("backtrack", Config.Backtrack) ]
+
+let test_snapshot_all_publishes_each () =
+  let n_procs = 4 in
+  let sim = Sim.create ~config:(Config.quick ~n_procs ()) () in
+  let _ = Topology.ring (Sim.cluster sim) ~procs:[ 0; 1; 2 ] in
+  Sim.run_for sim 500;
+  let store = Sim.store sim in
+  check Alcotest.int "nothing published yet" 0 (Stats.get (Sim.stats sim) "snapshot.taken");
+  ignore (Snapshot_store.take store (Cluster.proc (Sim.cluster sim) 0) : Adgc_snapshot.Summary.t);
+  check Alcotest.int "take publishes exactly once" 1
+    (Stats.get (Sim.stats sim) "snapshot.taken");
+  check Alcotest.bool "P1 not yet published" true
+    (Snapshot_store.latest store (Proc_id.of_int 1) = None);
+  Sim.snapshot_all sim;
+  check Alcotest.int "one more per process" (1 + n_procs)
+    (Stats.get (Sim.stats sim) "snapshot.taken");
+  for i = 0 to n_procs - 1 do
+    check Alcotest.bool
+      (Printf.sprintf "P%d published" i)
+      true
+      (Snapshot_store.latest store (Proc_id.of_int i) <> None)
+  done;
+  Sim.teardown sim
+
+let test_manual_gc_cycles_reclaim () =
+  (* No periodic timers: only the bulk rounds drive collection, with
+     [run_for] delivering the messages they send. *)
+  let sim = Sim.create ~config:(Config.quick ~n_procs:4 ()) () in
+  let cluster = Sim.cluster sim in
+  let garbage = Topology.ring cluster ~procs:[ 0; 1; 2; 3 ] in
+  let live = Topology.rooted_ring cluster ~procs:[ 1; 3 ] in
+  let present (b : Topology.built) =
+    List.filter
+      (fun (_, (o : Heap.obj)) ->
+        let p = Cluster.proc cluster (Proc_id.to_int (Oid.owner o.Heap.oid)) in
+        Heap.mem p.Adgc_rt.Process.heap o.Heap.oid)
+      b.Topology.objects
+    |> List.length
+  in
+  let rounds = ref 0 in
+  while present garbage > 0 && !rounds < 50 do
+    incr rounds;
+    Sim.snapshot_all sim;
+    ignore (Sim.scan_all sim : int);
+    Sim.run_for sim 2_000;
+    Sim.run_gc_cycle sim;
+    Sim.run_for sim 2_000
+  done;
+  check Alcotest.int "garbage ring reclaimed" 0 (present garbage);
+  check Alcotest.int "rooted ring intact" (List.length live.Topology.objects) (present live);
+  check Alcotest.int "no garbage left" 0 (Sim.garbage_count sim);
+  Sim.teardown sim
+
 let suite =
   ( "sim",
     [
@@ -160,4 +327,12 @@ let suite =
       Alcotest.test_case "inspect summary line" `Quick test_inspect_summary_line;
       Alcotest.test_case "teardown detaches oracle and sampler" `Quick
         test_teardown_detaches_observers;
+      Alcotest.test_case "in-flight reply target is not pinned" `Quick
+        test_inflight_reply_target_not_pinned;
+      Alcotest.test_case "clean poll skips when quiet" `Quick test_clean_poll_skips_when_quiet;
+      Alcotest.test_case "clean poll stays correct" `Quick test_clean_poll_stays_correct;
+      Alcotest.test_case "bulk rounds replay byte-identically" `Quick test_bulk_rounds_replay;
+      Alcotest.test_case "snapshot_all publishes every process" `Quick
+        test_snapshot_all_publishes_each;
+      Alcotest.test_case "manual gc cycles reclaim a ring" `Quick test_manual_gc_cycles_reclaim;
     ] )
