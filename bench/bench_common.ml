@@ -48,9 +48,7 @@ let rev () =
           | Unix.WEXITED 0 when line <> "" -> line
           | _ -> "dev"))
 
-(* The simulator runs on one domain and spawns no workers; the field
-   stays in the document so older results files still parse. *)
-let host () = { Results.cores = Domain.recommended_domain_count (); worker_domains = 0 }
+let host () = { Results.cores = Domain.recommended_domain_count () }
 
 (* Sample-recording shorthands: a timing series from raw repetition
    measurements, and a deterministic scalar (ticks, messages, bytes —

@@ -422,54 +422,6 @@ let bench_heuristics () =
   print_endline "abort downstream; patient ones trade reclamation latency for quiet wires"
 
 (* ------------------------------------------------------------------ *)
-(* E14: incremental vs full summarization under sparse mutation.       *)
-
-let bench_incremental () =
-  section "E14: incremental summarization under sparse mutation";
-  let objects = 5_000 in
-  let rows =
-    List.map
-      (fun mutations ->
-        let cluster = Cluster.create ~n:2 () in
-        let rng = Adgc_util.Rng.create 23 in
-        let _built =
-          Topology.random cluster ~rng ~objects ~edges:(2 * objects) ~remote_prob:0.05
-            ~root_prob:0.05
-        in
-        let p = Cluster.proc cluster 0 in
-        let state = Summarize.Incremental.create () in
-        ignore (Summarize.Incremental.run state ~now:0 p : Adgc_snapshot.Summary.t);
-        (* Sparse mutation: relink a few objects. *)
-        let heap = p.Adgc_rt.Process.heap in
-        let objs = Heap.fold heap ~init:[] ~f:(fun acc o -> o :: acc) |> Array.of_list in
-        for i = 1 to mutations do
-          let a = objs.(i * 97 mod Array.length objs) in
-          let b = objs.(i * 31 mod Array.length objs) in
-          ignore (Heap.add_ref heap a b.Heap.oid : int)
-        done;
-        let _, inc_ms =
-          wall_ms (fun () -> ignore (Summarize.Incremental.run state ~now:1 p : Adgc_snapshot.Summary.t))
-        in
-        let _, full_ms =
-          wall_ms (fun () ->
-              ignore (Summarize.run ~algo:Summarize.Naive ~now:1 p : Adgc_snapshot.Summary.t))
-        in
-        [
-          string_of_int mutations;
-          Printf.sprintf "%.2f ms" full_ms;
-          Printf.sprintf "%.2f ms" inc_ms;
-          string_of_int (Summarize.Incremental.last_recomputed state);
-          string_of_int (Summarize.Incremental.last_reused state);
-        ])
-      [ 0; 5; 50; 500 ]
-  in
-  Table.print
-    ~header:[ "mutations"; "full resummarize"; "incremental"; "regions re-traced"; "reused" ]
-    ~rows ();
-  print_endline "the paper performs summarization \"lazily and incrementally\"; with few";
-  print_endline "mutations the incremental form re-traces only the touched regions"
-
-(* ------------------------------------------------------------------ *)
 (* E15: the cost of retained garbage (the paper's introduction).       *)
 
 let bench_garbage_cost () =
@@ -704,9 +656,9 @@ let make_summarize_target objects =
   Cluster.proc cluster 0
 
 (* The condensed summarizer's favourable case: many scions whose
-   targets all reach one large shared region (the naive per-scion BFS
-   re-traces the region for every scion; the condensation computes it
-   once). *)
+   targets all reach one large shared region (a per-scion BFS would
+   re-trace the region for every scion; the condensation computes it
+   once).  The snapshot tests check the summarizer on this heap too. *)
 let make_shared_region_target ~scions ~region =
   let cluster = Cluster.create ~n:2 () in
   let p0 = Cluster.proc cluster 0 in
@@ -749,29 +701,17 @@ let micro_tests () =
   let shared_tests =
     let p = make_shared_region_target ~scions:100 ~region:2_000 in
     [
-      Test.make ~name:"summarize/naive-shared-region"
-        (Staged.stage (fun () ->
-             ignore (Summarize.run ~algo:Summarize.Naive ~now:0 p : Adgc_snapshot.Summary.t)));
       Test.make ~name:"summarize/condensed-shared-region"
-        (Staged.stage (fun () ->
-             ignore (Summarize.run ~algo:Summarize.Condensed ~now:0 p : Adgc_snapshot.Summary.t)));
+        (Staged.stage (fun () -> ignore (Summarize.run ~now:0 p : Adgc_snapshot.Summary.t)));
     ]
   in
   let summarize_tests =
-    List.concat_map
+    List.map
       (fun objects ->
         let p = make_summarize_target objects in
-        [
-          Test.make
-            ~name:(Printf.sprintf "summarize/naive-%d" objects)
-            (Staged.stage (fun () ->
-                 ignore (Summarize.run ~algo:Summarize.Naive ~now:0 p : Adgc_snapshot.Summary.t)));
-          Test.make
-            ~name:(Printf.sprintf "summarize/condensed-%d" objects)
-            (Staged.stage (fun () ->
-                 ignore
-                   (Summarize.run ~algo:Summarize.Condensed ~now:0 p : Adgc_snapshot.Summary.t)));
-        ])
+        Test.make
+          ~name:(Printf.sprintf "summarize/condensed-%d" objects)
+          (Staged.stage (fun () -> ignore (Summarize.run ~now:0 p : Adgc_snapshot.Summary.t))))
       [ 500; 4000 ]
   in
   Test.make_grouped ~name:"micro" ([ algebra_tests ] @ codec_tests @ summarize_tests @ shared_tests)
@@ -799,8 +739,8 @@ let bench_micro () =
            [ name; pretty ])
   in
   Table.print ~header:[ "micro-benchmark"; "time/run" ] ~rows ();
-  print_endline "paper: \"CDM matching is inexpensive\"; condensed summarization shares";
-  print_endline "work across scions where the naive one re-traces"
+  print_endline "paper: \"CDM matching is inexpensive\"; condensed summarization traces a";
+  print_endline "region shared by many scions once"
 
 let sections =
   [
@@ -812,7 +752,6 @@ let sections =
     ("deletion_modes", bench_deletion_modes);
     ("hughes_compare", bench_hughes_compare);
     ("heuristics", bench_heuristics);
-    ("incremental", bench_incremental);
     ("garbage_cost", bench_garbage_cost);
     ("leases", bench_leases);
     ("pstore", bench_pstore);

@@ -1,6 +1,5 @@
-(* Tracer section: dense-id heap tracing vs the set-based paths, the
-   condensed-snapshot fast path, DGC message batching and the
-   clean-poll staleness guard (PR 1 / PR 5 speed claims). *)
+(* Tracer section: dense-id heap tracing, the condensed snapshot, DGC
+   message batching and the clean-poll staleness guard. *)
 
 module Sim = Adgc.Sim
 module Config = Adgc.Config
@@ -29,21 +28,13 @@ let tracer_case ~objects ~reps =
   let p = build_tracer_heap ~objects in
   let heap = p.Adgc_rt.Process.heap in
   let roots = Heap.roots heap in
-  let sets =
-    times ~reps (fun () -> ignore (Heap.trace_sets heap ~from:roots : Heap.trace_result))
-  in
   let dense =
     times ~reps (fun () -> ignore (Heap.trace heap ~from:roots : Heap.trace_result))
   in
-  let snap_sets =
-    times ~reps (fun () ->
-        ignore (Summarize.run ~algo:Summarize.Condensed_sets ~now:0 p : Adgc_snapshot.Summary.t))
-  in
   let snap_dense =
-    times ~reps (fun () ->
-        ignore (Summarize.run ~algo:Summarize.Condensed ~now:0 p : Adgc_snapshot.Summary.t))
+    times ~reps (fun () -> ignore (Summarize.run ~now:0 p : Adgc_snapshot.Summary.t))
   in
-  (sets, dense, snap_sets, snap_dense)
+  (dense, snap_dense)
 
 (* One advertisement round on a fully-wired clique: every process holds
    a reference into every other, so each (src, dst) pair carries one
@@ -87,7 +78,7 @@ let batching_round ~batching =
     Stats.get stats "net.msg.batch_flushes" )
 
 let run recorder =
-  section "tracer: dense-id tracing, snapshot fast path, DGC batching";
+  section "tracer: dense-id tracing, condensed snapshot, DGC batching";
   let sizes = if smoke () then [ 2_000 ] else [ 10_000; 100_000 ] in
   let reps objects = if smoke () then 3 else if objects >= 100_000 then 5 else 9 in
   let cases =
@@ -95,26 +86,17 @@ let run recorder =
   in
   let rows =
     List.map
-      (fun (objects, (sets, dense, snap_sets, snap_dense)) ->
-        let m = median in
+      (fun (objects, (dense, snap_dense)) ->
         [
           string_of_int objects;
-          Printf.sprintf "%.2f ms" (m sets);
-          Printf.sprintf "%.2f ms" (m dense);
-          Printf.sprintf "%.2fx" (m sets /. m dense);
-          Printf.sprintf "%.2f ms" (m snap_sets);
-          Printf.sprintf "%.2f ms" (m snap_dense);
-          Printf.sprintf "%.2fx" (m snap_sets /. m snap_dense);
+          Printf.sprintf "%.2f ms" (median dense);
+          Printf.sprintf "%.2f ms" (median snap_dense);
         ])
       cases
   in
-  Table.print
-    ~header:
-      [ "objects"; "trace (sets)"; "trace (dense)"; "speedup"; "snapshot (sets)";
-        "snapshot (dense)"; "speedup" ]
-    ~rows ();
+  Table.print ~header:[ "objects"; "trace"; "snapshot" ] ~rows ();
   List.iter
-    (fun (objects, (sets, dense, snap_sets, snap_dense)) ->
+    (fun (objects, (dense, snap_dense)) ->
       let config =
         [ "tracer"; string_of_int objects; string_of_int (reps objects);
           string_of_bool (smoke ()) ]
@@ -124,18 +106,8 @@ let run recorder =
           ~name:(Printf.sprintf "tracer.%s.%d" name objects)
           ~unit_:"ms" ~config values
       in
-      t "trace.sets_ms" sets;
       t "trace.dense_ms" dense;
-      t "snapshot.sets_ms" snap_sets;
-      t "snapshot.dense_ms" snap_dense;
-      timing recorder ~section:"tracer"
-        ~name:(Printf.sprintf "tracer.trace.speedup.%d" objects)
-        ~unit_:"x" ~direction:Sample.Higher_better ~config
-        [ median sets /. median dense ];
-      timing recorder ~section:"tracer"
-        ~name:(Printf.sprintf "tracer.snapshot.speedup.%d" objects)
-        ~unit_:"x" ~direction:Sample.Higher_better ~config
-        [ median snap_sets /. median snap_dense ])
+      t "snapshot.dense_ms" snap_dense)
     cases;
   let plain_msgs, plain_bytes, _, _ = batching_round ~batching:false in
   let batched_msgs, batched_bytes, payloads, flushes = batching_round ~batching:true in

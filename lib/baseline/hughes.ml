@@ -53,7 +53,7 @@ let round t (inst : instance) =
       (Ref_key.Tbl.copy inst.stamps);
     (* Reachability structure: reuse the summarizer (stubs reachable
        from roots / from each scion). *)
-    let summary = Summarize.run ~algo:Summarize.Naive ~now p in
+    let summary = Summarize.run ~now p in
     let outgoing = ref Proc_id.Map.empty in
     List.iter
       (fun (st : Summary.stub_info) ->

@@ -27,8 +27,6 @@ type t = {
   faults : Adgc_rt.Faults.plan;
   policy : Adgc_dcda.Policy.t;
   detector : detector_kind;
-  summarize : Adgc_snapshot.Summarize.algo;
-  incremental_snapshots : bool;
   bt_timeout : int;
   bt_idle_threshold : int;
   telemetry : bool;
@@ -49,8 +47,6 @@ let default ?(seed = 42) ?(n_procs = 4) () =
     faults = Adgc_rt.Faults.none;
     policy = Adgc_dcda.Policy.default;
     detector = Dcda;
-    summarize = Adgc_snapshot.Summarize.Condensed;
-    incremental_snapshots = false;
     bt_timeout = 50_000;
     bt_idle_threshold = 2_000;
     telemetry = false;
@@ -100,7 +96,7 @@ let mc ?(seed = 0) ?(n_procs = 2) () =
       early_ic_check = false;
     }
   in
-  { t with runtime; policy; summarize = Adgc_snapshot.Summarize.Naive }
+  { t with runtime; policy }
 
 let groups t = t.runtime.Adgc_rt.Runtime.group_size
 

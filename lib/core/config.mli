@@ -31,10 +31,6 @@ type t = {
           {!Adgc_rt.Faults.none}) *)
   policy : Adgc_dcda.Policy.t;
   detector : detector_kind;
-  summarize : Adgc_snapshot.Summarize.algo;
-  incremental_snapshots : bool;
-      (** use the dirty-region incremental summarizer instead of full
-          re-summarization at every snapshot *)
   bt_timeout : int;  (** back-tracing initiator/state timeout *)
   bt_idle_threshold : int;
   telemetry : bool;
@@ -43,8 +39,7 @@ type t = {
 }
 
 val default : ?seed:int -> ?n_procs:int -> unit -> t
-(** DCDA with the default policy, condensed summarizer, 4 processes,
-    seed 42. *)
+(** DCDA with the default policy, 4 processes, seed 42. *)
 
 val quick : ?seed:int -> ?n_procs:int -> unit -> t
 (** Aggressive periods everywhere — detections conclude within a few
@@ -54,10 +49,10 @@ val mc : ?seed:int -> ?n_procs:int -> unit -> t
 (** Time-frozen configuration for the bounded model checker
     ({!Adgc_mc}): manual (explored) network delivery, no idle
     thresholds, cooldowns, backoff or early-IC pruning, sorted scan
-    order, broadcast deletion, naive summarizer, synchronous group
-    relay flushes ([group_window = 0]).  With this config the whole
-    system state is a pure function of the choice sequence — the
-    scheduler clock never advances and the RNG is never drawn from. *)
+    order, broadcast deletion, synchronous group relay flushes
+    ([group_window = 0]).  With this config the whole system state is
+    a pure function of the choice sequence — the scheduler clock never
+    advances and the RNG is never drawn from. *)
 
 val groups : t -> int
 (** The configured group size ([runtime.group_size]; 0 = flat). *)

@@ -27,10 +27,7 @@ let create ?config () =
       ~telemetry:config.Config.telemetry ~n:config.Config.n_procs ()
   in
   let rt = Cluster.rt cluster in
-  let store =
-    Snapshot_store.create ~algo:config.Config.summarize
-      ~incremental:config.Config.incremental_snapshots rt
-  in
+  let store = Snapshot_store.create rt in
   let detectors =
     match config.Config.detector with
     | Config.Dcda ->

@@ -50,8 +50,6 @@ type t = {
   objs : obj Oid.Tbl.t;
   root_set : unit Oid.Tbl.t;
   mutable next_serial : int;
-  dirty : unit Oid.Tbl.t;
-  mutable roots_dirty : bool;
   mutable generation : int; (* bumped whenever the object population changes *)
   mutable mutations : int; (* bumped on every reachability-relevant change *)
   mutable reclaim_mutations : int; (* bumped only by classes after which garbage can shrink *)
@@ -69,8 +67,6 @@ let create ~owner =
     objs = Oid.Tbl.create 64;
     root_set = Oid.Tbl.create 8;
     next_serial = 0;
-    dirty = Oid.Tbl.create 16;
-    roots_dirty = false;
     generation = 0;
     mutations = 0;
     reclaim_mutations = 0;
@@ -140,17 +136,6 @@ let adj_clear t oid =
   let tr = t.tracer in
   match Interner.find tr.ids oid with None -> () | Some id -> Csr.clear_row tr.adj id
 
-let mark_dirty t oid = Oid.Tbl.replace t.dirty oid ()
-
-let take_dirty t =
-  let dirty = Oid.Tbl.fold (fun oid () acc -> Oid.Set.add oid acc) t.dirty Oid.Set.empty in
-  let roots_dirty = t.roots_dirty in
-  Oid.Tbl.reset t.dirty;
-  t.roots_dirty <- false;
-  (dirty, roots_dirty)
-
-let dirty_pending t = Oid.Tbl.length t.dirty
-
 let owner t = t.owner
 
 let size t = Oid.Tbl.length t.objs
@@ -192,7 +177,6 @@ let set_field t obj i v =
   obj.fields.(i) <- v;
   t.mutations <- t.mutations + 1;
   if v <> None then t.reclaim_mutations <- t.reclaim_mutations + 1;
-  mark_dirty t obj.oid;
   (match old with Some o -> adj_remove t obj.oid o | None -> ());
   (match v with Some o -> adj_add t obj.oid o | None -> ());
   (match old with Some o -> fire t (Edge_removed (obj.oid, o)) | None -> ());
@@ -201,7 +185,6 @@ let set_field t obj i v =
 let add_ref t obj oid =
   t.mutations <- t.mutations + 1;
   t.reclaim_mutations <- t.reclaim_mutations + 1;
-  mark_dirty t obj.oid;
   let n = Array.length obj.fields in
   let rec find_empty i = if i >= n then None else if obj.fields.(i) = None then Some i else find_empty (i + 1) in
   let slot =
@@ -222,7 +205,6 @@ let add_ref t obj oid =
 
 let remove_ref t obj oid =
   t.mutations <- t.mutations + 1;
-  mark_dirty t obj.oid;
   let n = Array.length obj.fields in
   let rec go i =
     if i >= n then false
@@ -257,13 +239,11 @@ let add_root t oid =
   Oid.Tbl.replace t.root_set oid ();
   t.mutations <- t.mutations + 1;
   t.reclaim_mutations <- t.reclaim_mutations + 1;
-  t.roots_dirty <- true;
   fire t (Root_added oid)
 
 let remove_root t oid =
   Oid.Tbl.remove t.root_set oid;
   t.mutations <- t.mutations + 1;
-  t.roots_dirty <- true;
   fire t (Root_removed oid)
 
 let is_root t oid = Oid.Tbl.mem t.root_set oid
@@ -414,29 +394,3 @@ let trace t ~from =
   { local = !local; remote = !remote }
 
 let trace_all_remote t ~from = (trace t ~from).remote
-
-(* Reference implementation of [trace] over functional sets, the
-   pre-dense code path.  Kept for the tracer benchmark (old vs new)
-   and the equivalence property test; not used by the runtime. *)
-let trace_sets t ~from =
-  let local = ref Oid.Set.empty in
-  let remote = ref Oid.Set.empty in
-  let queue = Queue.create () in
-  let visit oid =
-    if Proc_id.equal (Oid.owner oid) t.owner then begin
-      if (not (Oid.Set.mem oid !local)) && Oid.Tbl.mem t.objs oid then begin
-        local := Oid.Set.add oid !local;
-        Queue.add oid queue
-      end
-    end
-    else remote := Oid.Set.add oid !remote
-  in
-  List.iter visit from;
-  while not (Queue.is_empty queue) do
-    let oid = Queue.pop queue in
-    match Oid.Tbl.find_opt t.objs oid with
-    | None -> ()
-    | Some obj ->
-        Array.iter (function None -> () | Some target -> visit target) obj.fields
-  done;
-  { local = !local; remote = !remote }

@@ -5,40 +5,16 @@ module Stats = Adgc_util.Stats
 type t = {
   rt : Runtime.t;
   read_back : string -> string;
-  algo : Summarize.algo;
-  inc_states : (int, Summarize.Incremental.state) Hashtbl.t option;
   store : (int, Summary.t * string) Hashtbl.t; (* proc -> summary, encoded bytes *)
   mutable subscribers : (Summary.t -> unit) list;
 }
 
-let create ?(read_back = Fun.id) ?(algo = Summarize.Condensed) ?(incremental = false) rt =
-  {
-    rt;
-    read_back;
-    algo;
-    inc_states = (if incremental then Some (Hashtbl.create 16) else None);
-    store = Hashtbl.create 16;
-    subscribers = [];
-  }
-
-let summarize t ~now (p : Process.t) =
-  match t.inc_states with
-  | None -> Summarize.run ~algo:t.algo ~now p
-  | Some states ->
-      let i = Proc_id.to_int p.Process.id in
-      let state =
-        match Hashtbl.find_opt states i with
-        | Some s -> s
-        | None ->
-            let s = Summarize.Incremental.create () in
-            Hashtbl.add states i s;
-            s
-      in
-      Summarize.Incremental.run state ~now p
+let create ?(read_back = Fun.id) rt =
+  { rt; read_back; store = Hashtbl.create 16; subscribers = [] }
 
 let take t (p : Process.t) =
   let now = Runtime.now t.rt in
-  let summary = summarize t ~now p in
+  let summary = Summarize.run ~now p in
   let encoded = Summary.encode summary in
   (* Publish what survives the round-trip, not the in-memory value. *)
   let published, decode_failed =

@@ -15,17 +15,9 @@ open Adgc_algebra
 
 type t
 
-val create :
-  ?read_back:(string -> string) ->
-  ?algo:Summarize.algo ->
-  ?incremental:bool ->
-  Adgc_rt.Runtime.t ->
-  t
+val create : ?read_back:(string -> string) -> Adgc_rt.Runtime.t -> t
 (** [read_back] is what the disk returns for the bytes written — the
-    identity by default; a fault hook for modelling a corrupted store.
-    Default algorithm: [Condensed].
-    With [~incremental:true] each process gets a persistent
-    {!Summarize.Incremental} state and [algo] is ignored. *)
+    identity by default; a fault hook for modelling a corrupted store. *)
 
 val take : t -> Adgc_rt.Process.t -> Summary.t
 (** Snapshot one process now; returns (and publishes) the summary. *)

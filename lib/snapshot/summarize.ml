@@ -1,10 +1,8 @@
 open Adgc_algebra
 open Adgc_rt
 
-type algo = Naive | Condensed | Condensed_sets
-
-(* Shared post-processing: given [stubs_from] per scion target and the
-   root-trace result, assemble the summary. *)
+(* Given [stubs_from] per scion target and the root-trace result,
+   assemble the summary. *)
 let assemble ~now (p : Process.t) ~root_local ~root_remote ~stubs_from_of_target =
   let stub_entries = Stub_table.entries p.Process.stubs in
   let stub_targets =
@@ -54,30 +52,14 @@ let assemble ~now (p : Process.t) ~root_local ~root_remote ~stubs_from_of_target
   in
   Summary.make ~proc:p.Process.id ~taken_at:now ~scions ~stubs
 
-let run_naive ~now (p : Process.t) =
-  let heap = p.Process.heap in
-  let { Heap.local = root_local; remote = root_remote } =
-    Heap.trace heap ~from:(Heap.roots heap)
-  in
-  let cache : Oid.Set.t Oid.Tbl.t = Oid.Tbl.create 16 in
-  let stubs_from_of_target target =
-    match Oid.Tbl.find_opt cache target with
-    | Some set -> set
-    | None ->
-        let { Heap.remote; _ } = Heap.trace heap ~from:[ target ] in
-        Oid.Tbl.add cache target remote;
-        remote
-  in
-  assemble ~now p ~root_local ~root_remote ~stubs_from_of_target
-
 (* ------------------------------------------------------------------ *)
-(* Condensed variant: iterative Tarjan SCC + DAG dynamic program over
-   the heap's dense index.  The local graph is laid out in CSR form
-   (one flat successor array + offsets), every per-node attribute is a
-   plain int array indexed by dense id, and the whole scratch is one
-   module-level pool reused across runs (the arrays are fully
-   re-initialized for [0, n) each run), so steady-state summarization
-   allocates only at the Summary boundary. *)
+(* Iterative Tarjan SCC + DAG dynamic program over the heap's dense
+   index.  The local graph is laid out in CSR form (one flat successor
+   array + offsets), every per-node attribute is a plain int array
+   indexed by dense id, and the whole scratch is one module-level pool
+   reused across runs (the arrays are fully re-initialized for [0, n)
+   each run), so steady-state summarization allocates only at the
+   Summary boundary. *)
 
 type scratch = {
   mutable index : int array; (* Tarjan discovery index, -1 = unvisited *)
@@ -113,7 +95,7 @@ let scratch =
 let ensure_int_array get set n =
   if Array.length (get ()) < n then set (Array.make (Int.max 64 n) 0)
 
-let run_condensed ~now (p : Process.t) =
+let run ~now (p : Process.t) =
   let heap = p.Process.heap in
   let me = p.Process.id in
   let n = Heap.dense_sync heap in
@@ -266,209 +248,3 @@ let run_condensed ~now (p : Process.t) =
     | None -> Oid.Set.empty
   in
   assemble ~now p ~root_local ~root_remote ~stubs_from_of_target
-
-(* ------------------------------------------------------------------ *)
-(* Pre-dense condensed variant: same Tarjan + DP, but every per-node
-   attribute lives in a freshly allocated Oid.Tbl.  Kept behind
-   [Condensed_sets] as the reference the tracer benchmark and the
-   equivalence property measure the dense rewrite against. *)
-
-type tarjan_node = {
-  mutable index : int; (* -1 = unvisited *)
-  mutable lowlink : int;
-  mutable on_stack : bool;
-  mutable scc : int; (* -1 = unassigned *)
-  fields : Oid.t array; (* local successors *)
-  remote : Oid.t list; (* remote references held directly *)
-}
-
-let run_condensed_sets ~now (p : Process.t) =
-  let heap = p.Process.heap in
-  let nodes : tarjan_node Oid.Tbl.t = Oid.Tbl.create (Heap.size heap * 2) in
-  Heap.iter heap (fun obj ->
-      let local_fields = ref [] and remote = ref [] in
-      Array.iter
-        (function
-          | None -> ()
-          | Some target ->
-              if Proc_id.equal (Oid.owner target) p.Process.id then begin
-                if Heap.mem heap target then local_fields := target :: !local_fields
-              end
-              else remote := target :: !remote)
-        obj.Heap.fields;
-      Oid.Tbl.replace nodes obj.Heap.oid
-        {
-          index = -1;
-          lowlink = 0;
-          on_stack = false;
-          scc = -1;
-          fields = Array.of_list !local_fields;
-          remote = !remote;
-        });
-  let counter = ref 0 in
-  let scc_count = ref 0 in
-  let stack : Oid.t Stack.t = Stack.create () in
-  let sccs_members : Oid.t list array ref = ref (Array.make 16 []) in
-  let push_scc members =
-    let id = !scc_count in
-    incr scc_count;
-    if id >= Array.length !sccs_members then begin
-      let bigger = Array.make (2 * Array.length !sccs_members) [] in
-      Array.blit !sccs_members 0 bigger 0 (Array.length !sccs_members);
-      sccs_members := bigger
-    end;
-    !sccs_members.(id) <- members;
-    id
-  in
-  let visit start =
-    let work = Stack.create () in
-    let start_node = Oid.Tbl.find nodes start in
-    if start_node.index = -1 then begin
-      Stack.push (start, 0) work;
-      start_node.index <- !counter;
-      start_node.lowlink <- !counter;
-      incr counter;
-      start_node.on_stack <- true;
-      Stack.push start stack;
-      while not (Stack.is_empty work) do
-        let oid, child = Stack.pop work in
-        let node = Oid.Tbl.find nodes oid in
-        if child < Array.length node.fields then begin
-          Stack.push (oid, child + 1) work;
-          let succ = node.fields.(child) in
-          let succ_node = Oid.Tbl.find nodes succ in
-          if succ_node.index = -1 then begin
-            succ_node.index <- !counter;
-            succ_node.lowlink <- !counter;
-            incr counter;
-            succ_node.on_stack <- true;
-            Stack.push succ stack;
-            Stack.push (succ, 0) work
-          end
-          else if succ_node.on_stack then
-            node.lowlink <- Int.min node.lowlink succ_node.index
-        end
-        else begin
-          (if not (Stack.is_empty work) then
-             let parent_oid, _ = Stack.top work in
-             let parent = Oid.Tbl.find nodes parent_oid in
-             parent.lowlink <- Int.min parent.lowlink node.lowlink);
-          if node.lowlink = node.index then begin
-            let members = ref [] in
-            let continue = ref true in
-            while !continue do
-              let member = Stack.pop stack in
-              let m = Oid.Tbl.find nodes member in
-              m.on_stack <- false;
-              members := member :: !members;
-              if Oid.equal member oid then continue := false
-            done;
-            let id = push_scc !members in
-            List.iter (fun member -> (Oid.Tbl.find nodes member).scc <- id) !members
-          end
-        end
-      done
-    end
-  in
-  Heap.iter heap (fun obj -> visit obj.Heap.oid);
-  let n = !scc_count in
-  let reach = Array.make (Int.max n 1) Oid.Set.empty in
-  for id = 0 to n - 1 do
-    let direct =
-      List.fold_left
-        (fun acc member ->
-          let node = Oid.Tbl.find nodes member in
-          let acc = List.fold_left (fun acc r -> Oid.Set.add r acc) acc node.remote in
-          Array.fold_left
-            (fun acc succ ->
-              let succ_scc = (Oid.Tbl.find nodes succ).scc in
-              if succ_scc = id then acc else Oid.Set.union acc reach.(succ_scc))
-            acc node.fields)
-        Oid.Set.empty !sccs_members.(id)
-    in
-    reach.(id) <- direct
-  done;
-  let { Heap.local = root_local; remote = root_remote } =
-    Heap.trace_sets heap ~from:(Heap.roots heap)
-  in
-  let stubs_from_of_target target =
-    match Oid.Tbl.find_opt nodes target with
-    | Some node -> reach.(node.scc)
-    | None -> Oid.Set.empty
-  in
-  assemble ~now p ~root_local ~root_remote ~stubs_from_of_target
-
-let run ?(algo = Condensed) ~now p =
-  match algo with
-  | Naive -> run_naive ~now p
-  | Condensed -> run_condensed ~now p
-  | Condensed_sets -> run_condensed_sets ~now p
-
-module Incremental = struct
-  type region = { r_local : Oid.Set.t; r_remote : Oid.Set.t }
-
-  type state = {
-    (* Cached per scion target: the local region its trace covered and
-       the remote references found (= StubsFrom). *)
-    regions : region Oid.Tbl.t;
-    mutable root_region : region option;
-    mutable recomputed : int;
-    mutable reused : int;
-  }
-
-  let create () = { regions = Oid.Tbl.create 32; root_region = None; recomputed = 0; reused = 0 }
-
-  let last_recomputed t = t.recomputed
-
-  let last_reused t = t.reused
-
-  let intersects set dirty = not (Oid.Set.is_empty (Oid.Set.inter set dirty))
-
-  let run t ~now (p : Process.t) =
-    let heap = p.Process.heap in
-    let dirty, roots_dirty = Heap.take_dirty heap in
-    t.recomputed <- 0;
-    t.reused <- 0;
-    (* Root region. *)
-    let root =
-      match t.root_region with
-      | Some r when (not roots_dirty) && not (intersects r.r_local dirty) ->
-          t.reused <- t.reused + 1;
-          r
-      | Some _ | None ->
-          t.recomputed <- t.recomputed + 1;
-          let { Heap.local; remote } = Heap.trace heap ~from:(Heap.roots heap) in
-          let r = { r_local = local; r_remote = remote } in
-          t.root_region <- Some r;
-          r
-    in
-    (* Per-scion-target regions: refresh stale ones, drop vanished
-       targets, trace new ones. *)
-    let wanted =
-      List.fold_left
-        (fun acc (e : Scion_table.entry) -> Oid.Set.add e.Scion_table.key.Ref_key.target acc)
-        Oid.Set.empty
-        (Scion_table.entries p.Process.scions)
-    in
-    let vanished =
-      Oid.Tbl.fold
-        (fun target _ acc -> if Oid.Set.mem target wanted then acc else target :: acc)
-        t.regions []
-    in
-    List.iter (Oid.Tbl.remove t.regions) vanished;
-    Oid.Set.iter
-      (fun target ->
-        match Oid.Tbl.find_opt t.regions target with
-        | Some r when not (intersects r.r_local dirty) -> t.reused <- t.reused + 1
-        | Some _ | None ->
-            t.recomputed <- t.recomputed + 1;
-            let { Heap.local; remote } = Heap.trace heap ~from:[ target ] in
-            Oid.Tbl.replace t.regions target { r_local = local; r_remote = remote })
-      wanted;
-    let stubs_from_of_target target =
-      match Oid.Tbl.find_opt t.regions target with
-      | Some r -> r.r_remote
-      | None -> Oid.Set.empty
-    in
-    assemble ~now p ~root_local:root.r_local ~root_remote:root.r_remote ~stubs_from_of_target
-end

@@ -1,59 +1,29 @@
 (** Building a {!Summary} from a live process.
 
-    Two interchangeable implementations:
+    One Tarjan strongly-connected-components condensation of the local
+    graph, followed by a dynamic program over the resulting DAG: every
+    scion that reaches the same region shares its work (the paper's
+    "breadth-first, to minimize re-tracing" concern, taken further),
+    and [StubsFrom] for a scion target is the set of remote references
+    reachable from its component.  A separate root trace supplies
+    [local_reach] and [target_locally_reachable].  Runs on the heap's
+    persistent dense index: CSR adjacency, int-array Tarjan state and a
+    reused module-level scratch pool, so steady-state summarization
+    allocates only at the {!Summary} boundary.
 
-    - [Naive] — one breadth-first trace per distinct scion target
-      (plus one from the roots), the direct transcription of the
-      paper's description;
-    - [Condensed] — a single Tarjan strongly-connected-components
-      condensation of the local graph followed by a dynamic program
-      over the resulting DAG, sharing work between scions that reach
-      the same region (the paper's "breadth-first, to minimize
-      re-tracing" concern, taken further).  Runs on the heap's
-      persistent dense index: CSR adjacency, int-array Tarjan state
-      and a reused module-level scratch pool, so steady-state
-      summarization allocates only at the {!Summary} boundary.
-    - [Condensed_sets] — the pre-dense implementation of [Condensed]
-      (per-node [Oid.Tbl] state, functional sets).  Kept as the
-      reference path: the equivalence property pins the dense rewrite
-      to it and the [tracer] benchmark measures the speedup.
+    The result equals one breadth-first trace per distinct scion target
+    plus one from the roots — the direct transcription of the paper's
+    description, which the test suite keeps as an independent
+    reference and checks against this on random and shared-region
+    heaps.
 
-    All variants produce identical summaries (a property test) and the
-    E10 / tracer benchmarks compare their cost profiles.
+    The paper's "lazily and incrementally" (§4) lives in the heap: the
+    packed adjacency is maintained by every mutation and the dense
+    index is resynchronized only when the object population changed.
 
     The summarizer reads the process {e synchronously} inside one
     simulator event, which models the paper's serialize-then-summarize
     pipeline: the snapshot reflects one instant of the process, while
     the rest of the system keeps running. *)
 
-type algo = Naive | Condensed | Condensed_sets
-
-val run : ?algo:algo -> now:int -> Adgc_rt.Process.t -> Summary.t
-(** Default algorithm: [Condensed]. *)
-
-(** Incremental summarization — the paper's "performed, lazily and
-    incrementally, in each process" (§4), implemented with dirty-region
-    tracking: the heap logs which objects' fields changed
-    ({!Adgc_rt.Heap.take_dirty}); a scion's [StubsFrom] is re-traced
-    only when its cached region intersects the dirty set (any edge
-    change that alters reachability from a scion necessarily dirties
-    an object inside the old region).  Invocation counters and table
-    membership are always refreshed from the live tables — they are
-    cheap.  Produces summaries identical to a full run (a qcheck
-    property). *)
-module Incremental : sig
-  type state
-  (** Per-process cache; create one per process and keep it across
-      runs.  It consumes the heap's dirty log, so give each heap at
-      most one incremental summarizer. *)
-
-  val create : unit -> state
-
-  val run : state -> now:int -> Adgc_rt.Process.t -> Summary.t
-
-  val last_recomputed : state -> int
-  (** Regions re-traced by the most recent run (diagnostics and the
-      E14 benchmark). *)
-
-  val last_reused : state -> int
-end
+val run : now:int -> Adgc_rt.Process.t -> Summary.t

@@ -59,8 +59,8 @@ val counts : t -> int * int
 (** [(scions, stubs)]. *)
 
 val equal : t -> t -> bool
-(** Structural, ignoring [taken_at] — used to check that the two
-    summarizer implementations agree. *)
+(** Structural, ignoring [taken_at] — used to check the summarizer
+    against an independent reference. *)
 
 (** {1 Wire format} *)
 

@@ -209,22 +209,6 @@ let test_web_workload_site_decommission () =
         (Adgc_algebra.Oid.Set.mem (Topology.oid built (Printf.sprintf "s%d_p0" s)) live))
     [ 0; 2; 4 ]
 
-let test_incremental_snapshot_pipeline () =
-  (* The whole system running on incremental summaries. *)
-  let config = Config.quick ~n_procs:4 () in
-  let config = { config with Config.incremental_snapshots = true } in
-  let sim = Sim.create ~config () in
-  let checker = Metrics.install_safety_checker (Sim.cluster sim) in
-  let _g = Topology.ring (Sim.cluster sim) ~procs:[ 0; 1; 2; 3 ] in
-  let _live = Topology.rooted_ring (Sim.cluster sim) ~procs:[ 0; 2 ] in
-  let churn = Churn.create ~cluster:(Sim.cluster sim) ~rng:(Adgc_util.Rng.create 8) () in
-  Churn.run churn ~steps:400 ~every:23;
-  Sim.start sim;
-  Sim.run_for sim 40_000;
-  Metrics.assert_safe checker;
-  check Alcotest.bool "cleans up" true (Sim.run_until_clean ~max_time:1_000_000 sim);
-  Metrics.assert_safe checker
-
 let test_random_scenarios () =
   (* A swarm of deterministic random runs; each is an independent
      safety+completeness check. *)
@@ -235,8 +219,8 @@ let test_random_scenarios_slow () =
 
 let test_stress_large_system () =
   (* One big run: 12 processes, a dense random graph, heavy churn,
-     moderate loss, two crashes, incremental snapshots — everything at
-     once, still safe, still complete among the survivors. *)
+     moderate loss, two crashes — everything at once, still safe,
+     still complete among the survivors. *)
   let config = Config.quick ~seed:99 ~n_procs:12 () in
   config.Config.net.Network.drop_prob <- 0.05;
   let runtime =
@@ -246,7 +230,7 @@ let test_stress_large_system () =
       holder_silence_limit = 15_000;
     }
   in
-  let config = { config with Config.runtime; Config.incremental_snapshots = true } in
+  let config = { config with Config.runtime } in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let checker = Metrics.install_safety_checker cluster in
@@ -288,7 +272,6 @@ let suite =
       Alcotest.test_case "extreme jitter and reordering" `Quick test_extreme_jitter_reordering;
       Alcotest.test_case "web workload: site decommission" `Quick
         test_web_workload_site_decommission;
-      Alcotest.test_case "incremental snapshot pipeline" `Quick test_incremental_snapshot_pipeline;
       Alcotest.test_case "random scenarios (safety+completeness)" `Quick test_random_scenarios;
       Alcotest.test_case "random scenarios, second batch" `Slow test_random_scenarios_slow;
       Alcotest.test_case "stress: everything at once" `Slow test_stress_large_system;

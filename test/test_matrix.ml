@@ -1,5 +1,5 @@
 (* Configuration-matrix tests: the fig3 lifecycle must work under
-   every combination of byte accounting, summarizer and deletion mode —
+   every combination of byte accounting and deletion mode —
    the pieces are designed to be swappable, so prove it.  Snapshots
    always travel in the compact ("net") format; the "sized" column also
    counts every message's compact size on the send path, which must
@@ -13,7 +13,6 @@ module Cluster = Adgc_rt.Cluster
 module Network = Adgc_rt.Network
 module Stats = Adgc_util.Stats
 module Policy = Adgc_dcda.Policy
-module Summarize = Adgc_snapshot.Summarize
 
 let check = Alcotest.check
 
@@ -21,17 +20,11 @@ let rotor = (module Adgc_serial.Rotor_codec : Adgc_serial.Codec.S)
 
 let net = (module Adgc_serial.Net_codec : Adgc_serial.Codec.S)
 
-let fig3_lifecycle ~account_bytes ~summarize ~incremental ~deletion_mode () =
+let fig3_lifecycle ~account_bytes ~deletion_mode () =
   let policy = { Policy.aggressive with Policy.deletion_mode } in
   let config = Config.quick ~n_procs:4 () in
   let config =
-    {
-      config with
-      Config.summarize;
-      incremental_snapshots = incremental;
-      policy;
-      net = { config.Config.net with Network.account_bytes };
-    }
+    { config with Config.policy; net = { config.Config.net with Network.account_bytes } }
   in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
@@ -64,22 +57,11 @@ let fig3_lifecycle ~account_bytes ~summarize ~incremental ~deletion_mode () =
 let matrix_cases =
   List.concat_map
     (fun (col_name, account_bytes) ->
-      List.concat_map
-        (fun (sum_name, summarize, incremental) ->
-          List.map
-            (fun mode ->
-              let name =
-                Printf.sprintf "fig3 via %s/%s/%s" col_name sum_name
-                  (Policy.deletion_mode_name mode)
-              in
-              Alcotest.test_case name `Quick
-                (fig3_lifecycle ~account_bytes ~summarize ~incremental ~deletion_mode:mode))
-            [ Policy.Arrival_only; Policy.All_local; Policy.Broadcast ])
-        [
-          ("naive", Summarize.Naive, false);
-          ("condensed", Summarize.Condensed, false);
-          ("incremental", Summarize.Condensed, true);
-        ])
+      List.map
+        (fun mode ->
+          let name = Printf.sprintf "fig3 via %s/%s" col_name (Policy.deletion_mode_name mode) in
+          Alcotest.test_case name `Quick (fig3_lifecycle ~account_bytes ~deletion_mode:mode))
+        [ Policy.Arrival_only; Policy.All_local; Policy.Broadcast ])
     [ ("net", false); ("sized", true) ]
 
 (* ------------------------------------------------------------------ *)

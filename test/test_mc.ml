@@ -11,12 +11,15 @@ let check = Alcotest.check
 (* Exhaustive unmutated scopes: every interleaving within the caps is
    violation-free.  This is the acceptance bar for the harness — a
    violation here is a real protocol bug (or a phantom in the ground
-   truth, which is worse). *)
+   truth, which is worse).  Each scope also pins its explored state
+   count at the caps it runs with, so a summarizer or transition change
+   that alters the explored space fails here rather than going
+   unnoticed. *)
 
-let assert_clean ?caps (s : Scenario.t) =
+let assert_clean ?caps ~states (s : Scenario.t) =
   let o = Explore.explore ?caps s in
   check Alcotest.bool (s.Scenario.name ^ " explored to completion") true o.Explore.complete;
-  check Alcotest.bool (s.Scenario.name ^ " visited states") true (o.Explore.states > 0);
+  check Alcotest.int (s.Scenario.name ^ " explored states") states o.Explore.states;
   match o.Explore.violation with
   | None -> ()
   | Some (trail, viols) ->
@@ -24,21 +27,21 @@ let assert_clean ?caps (s : Scenario.t) =
         (String.concat ", "
            (List.map (fun a -> Format.asprintf "%a" Action.pp a) trail))
 
-let test_exhaustive_two_proc_cycle () = assert_clean Scenarios.two_proc_cycle
+let test_exhaustive_two_proc_cycle () = assert_clean ~states:541 Scenarios.two_proc_cycle
 
-let test_exhaustive_ic_race () = assert_clean Scenarios.ic_race
+let test_exhaustive_ic_race () = assert_clean ~states:1708 Scenarios.ic_race
 
-let test_exhaustive_external_holder () = assert_clean Scenarios.external_holder
+let test_exhaustive_external_holder () = assert_clean ~states:1920 Scenarios.external_holder
 
 let test_exhaustive_export_handshake () =
   (* One listing round exhaustively; the two-round scope (needed by the
      ack_before_delivery witness) is covered by the gauntlet replay and
      the full CI sweep. *)
-  assert_clean
+  assert_clean ~states:3172
     ~caps:{ Scenario.snapshots = 0; scans = 0; lgcs = 1; sends = 1; drops = 0 }
     Scenarios.export_handshake
 
-let test_exhaustive_grouped_cycle () = assert_clean Scenarios.grouped_cycle
+let test_exhaustive_grouped_cycle () = assert_clean ~states:24704 Scenarios.grouped_cycle
 
 (* ------------------------------------------------------------------ *)
 (* Conformance trails: exact verdicts for the paper's worked cases. *)

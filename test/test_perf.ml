@@ -32,7 +32,7 @@ let doc ?(rev = "test") ?(smoke = true) samples =
   {
     Results.rev;
     smoke;
-    host = { Results.cores = 1; worker_domains = 1 };
+    host = { Results.cores = 1 };
     sections = [ ("t", samples) ];
   }
 

@@ -106,6 +106,33 @@ let test_heap_trace_from_absent () =
   let { Heap.local; _ } = Heap.trace h ~from:[ oid 0 99 ] in
   check Alcotest.int "nothing" 0 (Oid.Set.cardinal local)
 
+(* Steady alloc/sweep churn must not grow the heap's own metadata: a
+   heap that allocates, links and sweeps 1,000 objects per round holds
+   no more words after 50 rounds than after 5.  A per-write log that
+   sweeps never trim fails this by an order of magnitude. *)
+let test_heap_metadata_bounded () =
+  let h = Heap.create ~owner:p0 in
+  let round () =
+    let objs = Array.init 1_000 (fun _ -> Heap.alloc h) in
+    for i = 0 to Array.length objs - 2 do
+      ignore (Heap.add_ref h objs.(i) objs.(i + 1).Heap.oid : int)
+    done;
+    Array.iter (fun (o : Heap.obj) -> Heap.remove h o.Heap.oid) objs;
+    ignore (Heap.dense_sync h : int)
+  in
+  let words_after rounds =
+    for _ = 1 to rounds do
+      round ()
+    done;
+    Obj.reachable_words (Obj.repr h)
+  in
+  let at5 = words_after 5 in
+  let at50 = words_after 45 in
+  check Alcotest.bool
+    (Printf.sprintf "round 50 holds %d words, round 5 held %d" at50 at5)
+    true
+    (at50 <= at5 + 2_048)
+
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)
 
@@ -497,6 +524,7 @@ let suite =
       Alcotest.test_case "heap: remote frontier" `Quick test_heap_trace_remote_frontier;
       Alcotest.test_case "heap: dangling ignored" `Quick test_heap_trace_dangling_local;
       Alcotest.test_case "heap: trace from absent" `Quick test_heap_trace_from_absent;
+      Alcotest.test_case "heap: metadata bounded under churn" `Quick test_heap_metadata_bounded;
       Alcotest.test_case "sched: ordering" `Quick test_sched_ordering;
       Alcotest.test_case "sched: same-time FIFO" `Quick test_sched_same_time_fifo;
       Alcotest.test_case "sched: run_until" `Quick test_sched_run_until;

@@ -1,6 +1,6 @@
 (* Tests for graph summarization (StubsFrom / ScionsTo / Local.Reach),
-   the naive-vs-condensed equivalence property, snapshot serialization
-   and the heap imaging used by experiment E2. *)
+   its parity with an independent per-scion reference, snapshot
+   serialization and the heap imaging used by experiment E2. *)
 
 open Adgc_algebra
 open Adgc_rt
@@ -14,6 +14,50 @@ let check = Alcotest.check
 let mk ?(n = 4) () = Cluster.create ~n ()
 
 let key src target = Ref_key.make ~src:(Proc_id.of_int src) ~target
+
+(* The paper's description transcribed directly, as an independent
+   reference for the condensed summarizer: one breadth-first trace from
+   the roots and one per scion, assembled straight into [Summary.make].
+   StubsFrom keeps only remote references that have a stub; ScionsTo is
+   read back off the scions. *)
+let reference_summary ~now (p : Process.t) =
+  let heap = p.Process.heap in
+  let from_roots = Heap.trace heap ~from:(Heap.roots heap) in
+  let stub_entries = Stub_table.entries p.Process.stubs in
+  let stubbed =
+    Oid.Set.of_list (List.map (fun (e : Stub_table.entry) -> e.Stub_table.target) stub_entries)
+  in
+  let scions =
+    List.map
+      (fun (e : Scion_table.entry) ->
+        let target = e.Scion_table.key.Ref_key.target in
+        {
+          Summary.key = e.Scion_table.key;
+          scion_ic = e.Scion_table.ic;
+          stubs_from = Oid.Set.inter stubbed (Heap.trace heap ~from:[ target ]).Heap.remote;
+          target_locally_reachable = Oid.Set.mem target from_roots.Heap.local;
+          last_invoked = e.Scion_table.last_invoked;
+        })
+      (Scion_table.entries p.Process.scions)
+  in
+  let stubs =
+    List.map
+      (fun (e : Stub_table.entry) ->
+        let target = e.Stub_table.target in
+        {
+          Summary.target;
+          stub_ic = e.Stub_table.ic;
+          scions_to =
+            List.fold_left
+              (fun acc (si : Summary.scion_info) ->
+                if Oid.Set.mem target si.Summary.stubs_from then Ref_key.Set.add si.Summary.key acc
+                else acc)
+              Ref_key.Set.empty scions;
+          local_reach = Oid.Set.mem target from_roots.Heap.remote;
+        })
+      stub_entries
+  in
+  Summary.make ~proc:p.Process.id ~taken_at:now ~scions ~stubs
 
 (* Build the paper's Fig. 3 situation restricted to P2: scion for F
    (from P1), local F -> G -> H -> J, F -> H, and J holds the remote
@@ -37,7 +81,7 @@ let build_p2_like () =
 
 let test_stubs_from () =
   let cluster, f, _, q = build_p2_like () in
-  let summary = Summarize.run ~algo:Summarize.Naive ~now:0 (Cluster.proc cluster 1) in
+  let summary = Summarize.run ~now:0 (Cluster.proc cluster 1) in
   match Summary.find_scion summary (key 0 f.Heap.oid) with
   | Some si ->
       check Alcotest.int "one stub" 1 (Oid.Set.cardinal si.Summary.stubs_from);
@@ -47,7 +91,7 @@ let test_stubs_from () =
 
 let test_scions_to () =
   let cluster, f, _, q = build_p2_like () in
-  let summary = Summarize.run ~algo:Summarize.Naive ~now:0 (Cluster.proc cluster 1) in
+  let summary = Summarize.run ~now:0 (Cluster.proc cluster 1) in
   match Summary.find_stub summary q.Heap.oid with
   | Some st ->
       check Alcotest.int "one scion leads here" 1 (Ref_key.Set.cardinal st.Summary.scions_to);
@@ -111,7 +155,7 @@ let test_shared_stub_multiple_scions () =
 
 let test_diamond_and_cycle_local_structure () =
   (* Local diamond with an internal cycle, remote ref at the bottom:
-     both summarizers must agree the scion reaches the stub. *)
+     the scion reaches the stub, as the reference agrees. *)
   let cluster = mk () in
   let top = Mutator.alloc cluster ~proc:0 () in
   let l = Mutator.alloc cluster ~proc:0 () in
@@ -126,47 +170,42 @@ let test_diamond_and_cycle_local_structure () =
   Mutator.link cluster ~from_:bottom ~to_:top;
   Mutator.wire_remote cluster ~holder:bottom ~target:remote_obj;
   Mutator.wire_remote cluster ~holder ~target:top;
-  let naive = Summarize.run ~algo:Summarize.Naive ~now:0 (Cluster.proc cluster 0) in
-  let cond = Summarize.run ~algo:Summarize.Condensed ~now:0 (Cluster.proc cluster 0) in
-  check Alcotest.bool "summarizers agree" true (Summary.equal naive cond);
-  match Summary.find_scion naive (key 2 top.Heap.oid) with
+  let summary = Summarize.run ~now:0 (Cluster.proc cluster 0) in
+  check Alcotest.bool "matches the reference" true
+    (Summary.equal summary (reference_summary ~now:0 (Cluster.proc cluster 0)));
+  match Summary.find_scion summary (key 2 top.Heap.oid) with
   | Some si -> check Alcotest.bool "reaches stub through diamond" true (Oid.Set.mem remote_obj.Heap.oid si.Summary.stubs_from)
   | None -> Alcotest.fail "scion missing"
 
-let test_naive_equals_condensed_random () =
-  (* Property: on random graphs both algorithms produce identical
-     summaries. *)
-  let rng = Adgc_util.Rng.create 2024 in
-  for _case = 1 to 25 do
+(* Property: the condensed summarizer equals the per-scion reference on
+   random graphs, on random graphs under churn (allocation, linking,
+   unlinking, RMIs), and on many scions sharing one large region — the
+   case the condensation exists for. *)
+let test_matches_reference () =
+  let agree ~label ~now p =
+    let summary = Summarize.run ~now p in
+    if not (Summary.equal summary (reference_summary ~now p)) then
+      Alcotest.failf "%s proc %a: summary differs from the reference" label Proc_id.pp
+        p.Process.id
+  in
+  let random_cluster rng =
     let cluster = Cluster.create ~n:3 () in
     let _built =
       Adgc_workload.Topology.random cluster ~rng ~objects:40 ~edges:80 ~remote_prob:0.3
         ~root_prob:0.2
     in
+    cluster
+  in
+  let rng = Adgc_util.Rng.create 2024 in
+  for case = 1 to 25 do
+    let cluster = random_cluster rng in
     for proc = 0 to 2 do
-      let p = Cluster.proc cluster proc in
-      let naive = Summarize.run ~algo:Summarize.Naive ~now:0 p in
-      let cond = Summarize.run ~algo:Summarize.Condensed ~now:0 p in
-      if not (Summary.equal naive cond) then
-        Alcotest.failf "summaries disagree on proc %d" proc
+      agree ~label:(Printf.sprintf "random case %d" case) ~now:0 (Cluster.proc cluster proc)
     done
-  done
-
-let test_all_summarizers_agree_under_churn () =
-  (* Property: Naive, the dense Condensed, the set-based reference
-     Condensed_sets and the Incremental summarizer all produce equal
-     summaries on randomized graphs subjected to churn (allocation,
-     linking, unlinking, RMIs) — the parity that lets Condensed stay
-     the default. *)
+  done;
   List.iter
     (fun seed ->
-      let rng = Adgc_util.Rng.create seed in
-      let cluster = Cluster.create ~n:3 () in
-      let _built =
-        Adgc_workload.Topology.random cluster ~rng ~objects:40 ~edges:80 ~remote_prob:0.3
-          ~root_prob:0.2
-      in
-      let states = Array.init 3 (fun _ -> Summarize.Incremental.create ()) in
+      let cluster = random_cluster (Adgc_util.Rng.create seed) in
       let churn =
         Adgc_workload.Churn.create ~cluster ~rng:(Adgc_util.Rng.create (seed * 13 + 1)) ()
       in
@@ -176,20 +215,21 @@ let test_all_summarizers_agree_under_churn () =
         done;
         ignore (Cluster.drain cluster : int);
         for proc = 0 to 2 do
-          let p = Cluster.proc cluster proc in
-          let naive = Summarize.run ~algo:Summarize.Naive ~now:round p in
-          let dense = Summarize.run ~algo:Summarize.Condensed ~now:round p in
-          let sets = Summarize.run ~algo:Summarize.Condensed_sets ~now:round p in
-          let inc = Summarize.Incremental.run states.(proc) ~now:round p in
-          if not (Summary.equal naive dense) then
-            Alcotest.failf "seed %d round %d proc %d: naive <> condensed" seed round proc;
-          if not (Summary.equal naive sets) then
-            Alcotest.failf "seed %d round %d proc %d: naive <> condensed_sets" seed round proc;
-          if not (Summary.equal naive inc) then
-            Alcotest.failf "seed %d round %d proc %d: naive <> incremental" seed round proc
+          agree
+            ~label:(Printf.sprintf "churn seed %d round %d" seed round)
+            ~now:round (Cluster.proc cluster proc)
         done
       done)
-    [ 101; 202; 303 ]
+    [ 101; 202; 303 ];
+  let shared = Adgc_bench.Bench_paper.make_shared_region_target ~scions:100 ~region:2_000 in
+  agree ~label:"shared region" ~now:0 shared;
+  let summary = Summarize.run ~now:0 shared in
+  check Alcotest.int "shared region: every scion summarized" 100 (fst (Summary.counts summary));
+  List.iter
+    (fun (si : Summary.scion_info) ->
+      check Alcotest.int "shared region: each scion reaches the one stub" 1
+        (Oid.Set.cardinal si.Summary.stubs_from))
+    (Summary.scion_list summary)
 
 let test_summary_captures_ics () =
   let cluster = mk ~n:2 () in
@@ -236,81 +276,6 @@ let test_summary_decode_rejects_junk () =
   List.iter
     (fun junk -> check Alcotest.bool "junk" true (Summary.decode junk = None))
     [ ""; "\x03\x02"; Adgc_serial.Net_codec.encode (Adgc_serial.Sval.Int 1) ]
-
-(* ------------------------------------------------------------------ *)
-(* Incremental summarization *)
-
-let test_incremental_matches_full () =
-  let cluster, f, j, q = build_p2_like () in
-  ignore (f, q);
-  let p1 = Cluster.proc cluster 1 in
-  let state = Summarize.Incremental.create () in
-  let check_same label =
-    let inc = Summarize.Incremental.run state ~now:0 p1 in
-    let full = Summarize.run ~algo:Summarize.Naive ~now:0 p1 in
-    if not (Summary.equal inc full) then Alcotest.failf "%s: incremental diverged" label
-  in
-  check_same "initial";
-  check_same "no mutation";
-  (* Mutate inside the scion's region. *)
-  let extra = Mutator.alloc cluster ~proc:1 () in
-  Mutator.link cluster ~from_:j ~to_:extra;
-  check_same "after link";
-  ignore (Heap.remove_ref p1.Process.heap j extra.Heap.oid : bool);
-  check_same "after unlink"
-
-let test_incremental_reuses_clean_regions () =
-  let cluster, _, _, _ = build_p2_like () in
-  let p1 = Cluster.proc cluster 1 in
-  let state = Summarize.Incremental.create () in
-  ignore (Summarize.Incremental.run state ~now:0 p1 : Summary.t);
-  check Alcotest.bool "first run traces" true (Summarize.Incremental.last_recomputed state >= 1);
-  ignore (Summarize.Incremental.run state ~now:1 p1 : Summary.t);
-  check Alcotest.int "second run re-traces nothing" 0
-    (Summarize.Incremental.last_recomputed state);
-  check Alcotest.bool "regions reused" true (Summarize.Incremental.last_reused state >= 2)
-
-let test_incremental_detects_root_change () =
-  let cluster, f, _, _ = build_p2_like () in
-  let p1 = Cluster.proc cluster 1 in
-  let state = Summarize.Incremental.create () in
-  ignore (Summarize.Incremental.run state ~now:0 p1 : Summary.t);
-  Heap.add_root p1.Process.heap f.Heap.oid;
-  let inc = Summarize.Incremental.run state ~now:1 p1 in
-  let full = Summarize.run ~algo:Summarize.Naive ~now:1 p1 in
-  check Alcotest.bool "sees the new root" true (Summary.equal inc full);
-  match Summary.find_scion inc (key 0 f.Heap.oid) with
-  | Some si -> check Alcotest.bool "now locally reachable" true si.Summary.target_locally_reachable
-  | None -> Alcotest.fail "scion missing"
-
-let test_incremental_random_equivalence () =
-  (* Interleave random mutations with incremental runs; every run must
-     equal a from-scratch summary. *)
-  let rng = Adgc_util.Rng.create 314 in
-  for _case = 1 to 10 do
-    let cluster = Cluster.create ~n:3 () in
-    let _built =
-      Adgc_workload.Topology.random cluster ~rng ~objects:30 ~edges:60 ~remote_prob:0.3
-        ~root_prob:0.2
-    in
-    let states = Array.init 3 (fun _ -> Summarize.Incremental.create ()) in
-    let churn =
-      Adgc_workload.Churn.create ~cluster ~rng:(Adgc_util.Rng.create (_case * 7)) ()
-    in
-    for round = 1 to 6 do
-      for _ = 1 to 10 do
-        Adgc_workload.Churn.step churn
-      done;
-      ignore (Cluster.drain cluster : int);
-      for proc = 0 to 2 do
-        let p = Cluster.proc cluster proc in
-        let inc = Summarize.Incremental.run states.(proc) ~now:round p in
-        let full = Summarize.run ~algo:Summarize.Naive ~now:round p in
-        if not (Summary.equal inc full) then
-          Alcotest.failf "case %d round %d proc %d: incremental diverged" _case round proc
-      done
-    done
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot store *)
@@ -385,20 +350,11 @@ let suite =
       Alcotest.test_case "internal refs compiled away" `Quick test_internal_refs_compiled_away;
       Alcotest.test_case "shared stub, multiple scions" `Quick test_shared_stub_multiple_scions;
       Alcotest.test_case "diamond + local cycle" `Quick test_diamond_and_cycle_local_structure;
-      Alcotest.test_case "naive = condensed on random graphs" `Quick
-        test_naive_equals_condensed_random;
-      Alcotest.test_case "all summarizers agree under churn" `Quick
-        test_all_summarizers_agree_under_churn;
+      Alcotest.test_case "summarizer = per-scion reference" `Quick test_matches_reference;
       Alcotest.test_case "summary captures ICs" `Quick test_summary_captures_ics;
       Alcotest.test_case "summary is immutable" `Quick test_summary_is_immutable_snapshot;
       Alcotest.test_case "summary bytes roundtrip" `Quick test_summary_bytes_roundtrip;
       Alcotest.test_case "summary decode rejects junk" `Quick test_summary_decode_rejects_junk;
-      Alcotest.test_case "incremental = full (known graph)" `Quick test_incremental_matches_full;
-      Alcotest.test_case "incremental reuses clean regions" `Quick
-        test_incremental_reuses_clean_regions;
-      Alcotest.test_case "incremental sees root changes" `Quick test_incremental_detects_root_change;
-      Alcotest.test_case "incremental = full (random churn)" `Quick
-        test_incremental_random_equivalence;
       Alcotest.test_case "store: codec roundtrip publish" `Quick test_store_roundtrips_through_codec;
       Alcotest.test_case "store: take_all" `Quick test_store_take_all;
       Alcotest.test_case "store: counts decode failures" `Quick test_store_counts_decode_failures;
