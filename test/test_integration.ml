@@ -86,6 +86,32 @@ let test_sim_partition_heals () =
   check Alcotest.bool "cleans after heal" true (Sim.run_until_clean ~max_time:600_000 sim);
   Metrics.assert_safe checker
 
+(* The whole snapshot pipeline in a running system: every summary the
+   store publishes (after its trip through the bytes on "disk") equals
+   the independent per-scion reference computed from the process at
+   that same instant, while churn keeps the heaps changing. *)
+let test_snapshot_pipeline_matches_reference () =
+  let sim, checker = mk_sim () in
+  let cluster = Sim.cluster sim in
+  let _g = Topology.ring cluster ~procs:[ 0; 1; 2; 3 ] in
+  let _live = Topology.rooted_ring cluster ~procs:[ 0; 2 ] in
+  let published = ref 0 in
+  Adgc_snapshot.Snapshot_store.subscribe (Sim.store sim) (fun s ->
+      incr published;
+      let p = Cluster.proc cluster (Adgc_algebra.Proc_id.to_int s.Adgc_snapshot.Summary.proc) in
+      if not (Adgc_snapshot.Summary.equal s (Summary_reference.summary ~now:(Sim.now sim) p)) then
+        Alcotest.failf "published summary of proc %d at %d differs from the reference"
+          (Adgc_algebra.Proc_id.to_int s.Adgc_snapshot.Summary.proc)
+          (Sim.now sim));
+  let churn = Churn.create ~cluster ~rng:(Adgc_util.Rng.create 8) () in
+  Churn.run churn ~steps:400 ~every:23;
+  Sim.start sim;
+  Sim.run_for sim 40_000;
+  Metrics.assert_safe checker;
+  check Alcotest.bool "cleans up" true (Sim.run_until_clean ~max_time:1_000_000 sim);
+  Metrics.assert_safe checker;
+  check Alcotest.bool "snapshots were published" true (!published > 0)
+
 let test_sim_live_churn_is_never_hurt () =
   let sim, checker = mk_sim ~n:5 ~drop:0.05 ~seed:23 () in
   let cluster = Sim.cluster sim in
@@ -266,6 +292,8 @@ let suite =
       Alcotest.test_case "15% loss resilience" `Quick test_sim_loss_resilience;
       Alcotest.test_case "partition then heal" `Quick test_sim_partition_heals;
       Alcotest.test_case "live churn never hurt" `Quick test_sim_live_churn_is_never_hurt;
+      Alcotest.test_case "snapshot pipeline matches the reference" `Quick
+        test_snapshot_pipeline_matches_reference;
       Alcotest.test_case "detector stats flow" `Quick test_sim_detector_stats_flow;
       Alcotest.test_case "manual gc cycle" `Quick test_sim_run_gc_cycle_manual;
       Alcotest.test_case "stop stops the timers" `Quick test_sim_stop_stops;

@@ -1,10 +1,12 @@
 (* Configuration-matrix tests: the fig3 lifecycle must work under
-   every combination of byte accounting and deletion mode —
-   the pieces are designed to be swappable, so prove it.  Snapshots
-   always travel in the compact ("net") format; the "sized" column also
-   counts every message's compact size on the send path, which must
-   leave the protocol untouched.  Plus decoder fuzzing: no input may
-   crash a codec (only Wire.Malformed). *)
+   every combination of byte accounting, group overlay and deletion
+   mode — the pieces are designed to be swappable, so prove it.
+   Snapshots always travel in the compact ("net") format; the "sized"
+   column also counts every message's compact size on the send path,
+   which must leave the protocol untouched; the "grouped" column routes
+   the DGC traffic through the process-group relays (groups of 2).
+   Plus decoder fuzzing: no input may crash a codec (only
+   Wire.Malformed). *)
 
 open Adgc_workload
 module Sim = Adgc.Sim
@@ -20,11 +22,13 @@ let rotor = (module Adgc_serial.Rotor_codec : Adgc_serial.Codec.S)
 
 let net = (module Adgc_serial.Net_codec : Adgc_serial.Codec.S)
 
-let fig3_lifecycle ~account_bytes ~deletion_mode () =
+let fig3_lifecycle ~account_bytes ~groups ~deletion_mode () =
   let policy = { Policy.aggressive with Policy.deletion_mode } in
   let config = Config.quick ~n_procs:4 () in
   let config =
-    { config with Config.policy; net = { config.Config.net with Network.account_bytes } }
+    Config.with_groups
+      { config with Config.policy; net = { config.Config.net with Network.account_bytes } }
+      groups
   in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
@@ -52,17 +56,19 @@ let fig3_lifecycle ~account_bytes ~deletion_mode () =
     check Alcotest.int "aggregate = per-kind sum" (Stats.get stats "net.bytes")
       (Array.fold_left ( + ) 0 bytes)
   end
-  else check Alcotest.int "nothing sized" 0 (Stats.get stats "net.bytes")
+  else check Alcotest.int "nothing sized" 0 (Stats.get stats "net.bytes");
+  if groups > 1 then
+    check Alcotest.bool "DGC traffic went through the relays" true (Stats.get stats "group.relays" > 0)
 
 let matrix_cases =
   List.concat_map
-    (fun (col_name, account_bytes) ->
+    (fun (col_name, account_bytes, groups) ->
       List.map
         (fun mode ->
           let name = Printf.sprintf "fig3 via %s/%s" col_name (Policy.deletion_mode_name mode) in
-          Alcotest.test_case name `Quick (fig3_lifecycle ~account_bytes ~deletion_mode:mode))
+          Alcotest.test_case name `Quick (fig3_lifecycle ~account_bytes ~groups ~deletion_mode:mode))
         [ Policy.Arrival_only; Policy.All_local; Policy.Broadcast ])
-    [ ("net", false); ("sized", true) ]
+    [ ("net", false, 0); ("sized", true, 0); ("grouped", false, 2) ]
 
 (* ------------------------------------------------------------------ *)
 (* Decoder fuzzing *)

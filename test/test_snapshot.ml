@@ -15,49 +15,9 @@ let mk ?(n = 4) () = Cluster.create ~n ()
 
 let key src target = Ref_key.make ~src:(Proc_id.of_int src) ~target
 
-(* The paper's description transcribed directly, as an independent
-   reference for the condensed summarizer: one breadth-first trace from
-   the roots and one per scion, assembled straight into [Summary.make].
-   StubsFrom keeps only remote references that have a stub; ScionsTo is
-   read back off the scions. *)
-let reference_summary ~now (p : Process.t) =
-  let heap = p.Process.heap in
-  let from_roots = Heap.trace heap ~from:(Heap.roots heap) in
-  let stub_entries = Stub_table.entries p.Process.stubs in
-  let stubbed =
-    Oid.Set.of_list (List.map (fun (e : Stub_table.entry) -> e.Stub_table.target) stub_entries)
-  in
-  let scions =
-    List.map
-      (fun (e : Scion_table.entry) ->
-        let target = e.Scion_table.key.Ref_key.target in
-        {
-          Summary.key = e.Scion_table.key;
-          scion_ic = e.Scion_table.ic;
-          stubs_from = Oid.Set.inter stubbed (Heap.trace heap ~from:[ target ]).Heap.remote;
-          target_locally_reachable = Oid.Set.mem target from_roots.Heap.local;
-          last_invoked = e.Scion_table.last_invoked;
-        })
-      (Scion_table.entries p.Process.scions)
-  in
-  let stubs =
-    List.map
-      (fun (e : Stub_table.entry) ->
-        let target = e.Stub_table.target in
-        {
-          Summary.target;
-          stub_ic = e.Stub_table.ic;
-          scions_to =
-            List.fold_left
-              (fun acc (si : Summary.scion_info) ->
-                if Oid.Set.mem target si.Summary.stubs_from then Ref_key.Set.add si.Summary.key acc
-                else acc)
-              Ref_key.Set.empty scions;
-          local_reach = Oid.Set.mem target from_roots.Heap.remote;
-        })
-      stub_entries
-  in
-  Summary.make ~proc:p.Process.id ~taken_at:now ~scions ~stubs
+(* The independent per-scion reference lives in summary_reference.ml
+   (the integration suite checks published snapshots against it too). *)
+let reference_summary = Summary_reference.summary
 
 (* Build the paper's Fig. 3 situation restricted to P2: scion for F
    (from P1), local F -> G -> H -> J, F -> H, and J holds the remote
@@ -181,13 +141,15 @@ let test_diamond_and_cycle_local_structure () =
    random graphs, on random graphs under churn (allocation, linking,
    unlinking, RMIs), and on many scions sharing one large region — the
    case the condensation exists for. *)
+let agree ~label ~now p =
+  let summary = Summarize.run ~now p in
+  if not (Summary.equal summary (reference_summary ~now p)) then
+    Alcotest.failf "%s proc %a: summary differs from the reference" label Proc_id.pp
+      p.Process.id;
+  summary
+
 let test_matches_reference () =
-  let agree ~label ~now p =
-    let summary = Summarize.run ~now p in
-    if not (Summary.equal summary (reference_summary ~now p)) then
-      Alcotest.failf "%s proc %a: summary differs from the reference" label Proc_id.pp
-        p.Process.id
-  in
+  let agree ~label ~now p = ignore (agree ~label ~now p : Summary.t) in
   let random_cluster rng =
     let cluster = Cluster.create ~n:3 () in
     let _built =
@@ -230,6 +192,127 @@ let test_matches_reference () =
       check Alcotest.int "shared region: each scion reaches the one stub" 1
         (Oid.Set.cardinal si.Summary.stubs_from))
     (Summary.scion_list summary)
+
+(* Parity on the structured shapes the random graphs rarely produce:
+   the paper's figures and the workload families, every process. *)
+let test_reference_parity_topology ~n build () =
+  let cluster = Cluster.create ~n () in
+  let _built : Adgc_workload.Topology.built = build cluster in
+  for proc = 0 to n - 1 do
+    ignore (agree ~label:"topology" ~now:0 (Cluster.proc cluster proc) : Summary.t)
+  done
+
+let topology_cases =
+  let module T = Adgc_workload.Topology in
+  List.map
+    (fun (name, n, build) ->
+      Alcotest.test_case ("reference parity: " ^ name) `Quick
+        (test_reference_parity_topology ~n build))
+    [
+      ("fig3", 4, T.fig3);
+      ("fig4", 6, T.fig4);
+      ("fig5", 5, T.fig5);
+      ("ring", 4, T.ring ~objs_per_proc:3 ~procs:[ 0; 1; 2; 3 ]);
+      ("rooted ring", 4, T.rooted_ring ~objs_per_proc:3 ~procs:[ 0; 2; 3; 1 ]);
+      ("hybrid", 3, T.hybrid);
+      ("star cycles", 5, T.star_cycles ?arms:None);
+      ("pairs", 5, T.pairs);
+      ("lattice", 4, T.lattice ~rows:3 ~cols:4);
+      ("chain into ring", 3, T.chain_into_ring ?chain:None ~procs:[ 0; 1; 2 ]);
+      ( "web",
+        4,
+        fun cluster ->
+          T.web ?pages_per_site:None ?cross_links:None ?back_prob:None cluster
+            ~rng:(Adgc_util.Rng.create 7) );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Re-summarizing a mutated process: every snapshot is computed afresh
+   over the heap's incrementally maintained adjacency, so each one must
+   see exactly the mutations made since the last. *)
+
+let stubs_from_of summary k =
+  match Summary.find_scion summary k with
+  | Some si -> si.Summary.stubs_from
+  | None -> Alcotest.fail "scion missing"
+
+let test_resummarize_link_unlink () =
+  let cluster, f, j, q = build_p2_like () in
+  let p1 = Cluster.proc cluster 1 in
+  let fk = key 0 f.Heap.oid in
+  let s0 = agree ~label:"initial" ~now:0 p1 in
+  check Alcotest.int "F reaches Q only" 1 (Oid.Set.cardinal (stubs_from_of s0 fk));
+  (* Grow the scion's region: J -> extra -> R@P3. *)
+  let extra = Mutator.alloc cluster ~proc:1 () in
+  let r = Mutator.alloc cluster ~proc:2 () in
+  Mutator.link cluster ~from_:j ~to_:extra;
+  Mutator.wire_remote cluster ~holder:extra ~target:r;
+  let s1 = agree ~label:"after link" ~now:1 p1 in
+  check Alcotest.bool "F now reaches R" true (Oid.Set.mem r.Heap.oid (stubs_from_of s1 fk));
+  check Alcotest.bool "and still Q" true (Oid.Set.mem q.Heap.oid (stubs_from_of s1 fk));
+  (* Cut it again: the stub to R stays, but F no longer leads there. *)
+  ignore (Heap.remove_ref p1.Process.heap j extra.Heap.oid : bool);
+  let s2 = agree ~label:"after unlink" ~now:2 p1 in
+  check Alcotest.bool "R dropped from F" false (Oid.Set.mem r.Heap.oid (stubs_from_of s2 fk));
+  (match Summary.find_stub s2 r.Heap.oid with
+  | Some st -> check Alcotest.int "R's stub has no scion" 0 (Ref_key.Set.cardinal st.Summary.scions_to)
+  | None -> Alcotest.fail "R's stub missing");
+  check Alcotest.bool "F's stubs are back to Q alone" true
+    (Oid.Set.equal (stubs_from_of s0 fk) (stubs_from_of s2 fk))
+
+let test_resummarize_root_changes () =
+  let cluster, f, _, q = build_p2_like () in
+  let p1 = Cluster.proc cluster 1 in
+  let flags summary =
+    let si =
+      match Summary.find_scion summary (key 0 f.Heap.oid) with
+      | Some si -> si
+      | None -> Alcotest.fail "scion missing"
+    in
+    match Summary.find_stub summary q.Heap.oid with
+    | Some st -> (si.Summary.target_locally_reachable, st.Summary.local_reach)
+    | None -> Alcotest.fail "stub missing"
+  in
+  let pair = Alcotest.(pair bool bool) in
+  check pair "unrooted" (false, false) (flags (agree ~label:"unrooted" ~now:0 p1));
+  Mutator.add_root cluster f;
+  check pair "rooted at F" (true, true) (flags (agree ~label:"rooted" ~now:1 p1));
+  Mutator.remove_root cluster f;
+  check pair "unrooted again" (false, false) (flags (agree ~label:"unrooted again" ~now:2 p1))
+
+(* Sweeping part of a scion's region leaves dead dense slots and
+   dangling fields behind; neither may be traversed. *)
+let test_resummarize_after_sweep () =
+  let cluster, f, _, q = build_p2_like () in
+  let p1 = Cluster.proc cluster 1 in
+  let heap = p1.Process.heap in
+  ignore (agree ~label:"before sweep" ~now:0 p1 : Summary.t);
+  (* F -> {G, H}, G -> H -> J -> Q: sweeping G and H cuts every path
+     from F to Q and leaves F's two fields dangling. *)
+  let children = Array.to_list (Heap.get_exn heap f.Heap.oid).Heap.fields |> List.filter_map Fun.id in
+  check Alcotest.int "F has two children" 2 (List.length children);
+  List.iter (Heap.remove heap) children;
+  let s = agree ~label:"after sweep" ~now:1 p1 in
+  check Alcotest.int "F reaches nothing" 0 (Oid.Set.cardinal (stubs_from_of s (key 0 f.Heap.oid)));
+  match Summary.find_stub s q.Heap.oid with
+  | Some st -> check Alcotest.int "Q's stub has no scion" 0 (Ref_key.Set.cardinal st.Summary.scions_to)
+  | None -> Alcotest.fail "stub missing"
+
+(* Heavy sweeping makes the heap rebuild its dense interner, which
+   reassigns every dense id; the summary must not notice. *)
+let test_resummarize_across_dense_rebuild () =
+  let cluster, f, _, _ = build_p2_like () in
+  let p1 = Cluster.proc cluster 1 in
+  let heap = p1.Process.heap in
+  let before = agree ~label:"before rebuild" ~now:0 p1 in
+  let gen = Heap.dense_generation heap in
+  let doomed = List.init 500 (fun _ -> Mutator.alloc cluster ~proc:1 ()) in
+  List.iter (fun (o : Heap.obj) -> Mutator.link cluster ~from_:o ~to_:f) doomed;
+  ignore (Heap.dense_sync heap : int);
+  List.iter (fun (o : Heap.obj) -> Heap.remove heap o.Heap.oid) doomed;
+  let after = agree ~label:"after rebuild" ~now:1 p1 in
+  check Alcotest.bool "dense ids were reassigned" true (Heap.dense_generation heap > gen);
+  check Alcotest.bool "same summary" true (Summary.equal before after)
 
 let test_summary_captures_ics () =
   let cluster = mk ~n:2 () in
@@ -351,6 +434,11 @@ let suite =
       Alcotest.test_case "shared stub, multiple scions" `Quick test_shared_stub_multiple_scions;
       Alcotest.test_case "diamond + local cycle" `Quick test_diamond_and_cycle_local_structure;
       Alcotest.test_case "summarizer = per-scion reference" `Quick test_matches_reference;
+      Alcotest.test_case "re-summarize after link and unlink" `Quick test_resummarize_link_unlink;
+      Alcotest.test_case "re-summarize sees root changes" `Quick test_resummarize_root_changes;
+      Alcotest.test_case "re-summarize after a sweep" `Quick test_resummarize_after_sweep;
+      Alcotest.test_case "re-summarize across a dense rebuild" `Quick
+        test_resummarize_across_dense_rebuild;
       Alcotest.test_case "summary captures ICs" `Quick test_summary_captures_ics;
       Alcotest.test_case "summary is immutable" `Quick test_summary_is_immutable_snapshot;
       Alcotest.test_case "summary bytes roundtrip" `Quick test_summary_bytes_roundtrip;
@@ -360,4 +448,5 @@ let suite =
       Alcotest.test_case "store: counts decode failures" `Quick test_store_counts_decode_failures;
       Alcotest.test_case "graph image: object count" `Quick test_graph_image_counts;
       Alcotest.test_case "graph image: stub surcharge" `Quick test_graph_image_stub_surcharge;
-    ] )
+    ]
+    @ topology_cases )
