@@ -322,7 +322,7 @@ let hughes_scenario ~crash_one =
     }
   in
   let cluster = Cluster.create ~config ~n:4 () in
-  Cluster.start_gc cluster;
+  Adgc.Kernel.start cluster (Adgc.Kernel.gc_rows (Cluster.rt cluster));
   let hughes = Adgc_baseline.Hughes.install ~round_period:200 cluster in
   let _built = Topology.ring cluster ~procs:[ 0; 1; 2 ] in
   if crash_one then Cluster.crash cluster 3;
@@ -492,7 +492,7 @@ let bench_leases () =
     let target = Mutator.alloc cluster ~proc:1 () in
     Mutator.add_root cluster holder;
     Mutator.wire_remote cluster ~holder ~target;
-    Cluster.start_gc cluster;
+    Adgc.Kernel.start cluster (Adgc.Kernel.gc_rows (Cluster.rt cluster));
     Cluster.run_for cluster 2_000;
     Network.block_link (Cluster.net cluster) (Proc_id.of_int 0) (Proc_id.of_int 1);
     Network.block_link (Cluster.net cluster) (Proc_id.of_int 1) (Proc_id.of_int 0);

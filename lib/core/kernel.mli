@@ -9,20 +9,15 @@
 
     The timed drivers fire duties on a clock and the bounded model
     checker ({!Adgc_mc.System}) fires them as explored actions.  The
-    two do not run exactly the same steps:
-
-    - [Adgc_net.Node.install_duties] runs all five duties through
-      {!run_duty}.  {!Sim.start} runs [Snapshot], [Scan] and
-      [Maintain_candidates] through it, while
-      {!Adgc_rt.Cluster.start_gc} calls {!Adgc_rt.Lgc.run} and
-      {!Adgc_rt.Reflist.send_new_sets} directly; those are the bodies
-      of [Lgc] and [Send_sets].
-    - The timed stub-set lane ({!Adgc_rt.Cluster.start_gc},
-      [Adgc_net.Node.install_duties]) follows [send_new_sets] with
-      {!Adgc_rt.Reflist.probe_idle_scions} and
-      {!Adgc_rt.Reflist.reap_dead_holders}.  The checker's [Send_sets]
-      runs neither, so scion probes and dead-holder reaping are not
-      part of the explored transition system. *)
+    timed drivers share one duty table, {!schedule}: {!Sim.start}
+    installs it over every rank, [Adgc_net.Node.install_duties] over
+    its own rank, and a cluster without a detector runs its first two
+    rows ({!gc_rows}).  The timed [sets] row follows
+    {!Adgc_rt.Reflist.send_new_sets} with
+    {!Adgc_rt.Reflist.probe_idle_scions} and
+    {!Adgc_rt.Reflist.reap_dead_holders}.  The checker's [Send_sets]
+    runs neither, so scion probes and dead-holder reaping are not part
+    of the explored transition system. *)
 
 type ctx = {
   rt : Adgc_rt.Runtime.t;
@@ -52,3 +47,37 @@ val run_duty : ctx -> duty -> unit
     normal network path).  No aliveness guard: callers decide whether
     a dead process's timer simply skips (the simulator) or the duty is
     not offered at all (the checker). *)
+
+(** {1 The duty table} *)
+
+type row = {
+  name : string;  (** ["lgc"], ["sets"], ["snapshot"], ["scan"] or ["audit"] *)
+  period : int;
+  run : int -> unit;  (** perform the duty on process [i] *)
+}
+(** One timed duty.  Process [i] of [n] first fires at
+    {!phase}[ ~n row i] and every [period] ticks after. *)
+
+val gc_rows : Adgc_rt.Runtime.t -> row list
+(** The acyclic collector's rows, [lgc] then [sets], with periods from
+    the runtime config. *)
+
+val detector_rows : ctx -> policy:Adgc_dcda.Policy.t -> row list
+(** [snapshot], [scan] and [audit] ([Maintain_candidates]), with
+    periods from the policy. *)
+
+val schedule : ctx -> policy:Adgc_dcda.Policy.t -> row list
+(** The duty table: {!gc_rows} followed by {!detector_rows}.  Rows
+    are installed in this order, which fixes how same-tick firings
+    interleave. *)
+
+val phase : n:int -> row -> int -> int
+(** [1 + i * period / max 1 n]: the per-process stagger that keeps
+    processes from collecting in lockstep. *)
+
+val start : ?rank:int -> Adgc_rt.Cluster.t -> row list -> unit
+(** Install each row as one scheduler lane over every rank, or over
+    [rank] alone (a socket node).  A firing on a dead process is
+    skipped.  The lanes are registered with the cluster, so
+    {!Adgc_rt.Cluster.stop_gc} and {!Adgc_rt.Cluster.teardown} cancel
+    them. *)

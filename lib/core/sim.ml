@@ -15,8 +15,6 @@ type t = {
   store : Snapshot_store.t;
   detectors : detectors;
   mutable hughes : Adgc_baseline.Hughes.t option;
-  mutable handles : Scheduler.recurring list;
-  mutable lanes : Scheduler.lane list;
 }
 
 let create ?config () =
@@ -48,7 +46,7 @@ let create ?config () =
         Bt_instances arr
     | Config.Hughes_gc | Config.No_detector -> Nothing
   in
-  { config; cluster; store; detectors; hughes = None; handles = []; lanes = [] }
+  { config; cluster; store; detectors; hughes = None }
 
 let config t = t.config
 
@@ -107,41 +105,20 @@ let scan_all t =
   let rec go i acc = if i >= n then acc else go (i + 1) (acc + scan_one t i) in
   go 0 0
 
+(* The duty table over every rank.  Hughes installs between the
+   collector's rows and the detector's: same-tick firings run in
+   installation order, so its place is part of the schedule. *)
 let start t =
-  if t.lanes = [] && t.handles = [] then begin
-    Cluster.start_gc t.cluster;
+  if not (Cluster.gc_running t.cluster) then begin
+    let ctx = kernel_ctx t in
+    Kernel.start t.cluster (Kernel.gc_rows ctx.Kernel.rt);
     (match (t.config.Config.detector, t.hughes) with
     | Config.Hughes_gc, None -> t.hughes <- Some (Adgc_baseline.Hughes.install t.cluster)
     | (Config.Hughes_gc | Config.Dcda | Config.Backtrack | Config.No_detector), _ -> ());
-    let sched = Cluster.sched t.cluster in
-    let n = Cluster.n_procs t.cluster in
-    let policy = t.config.Config.policy in
-    let ctx = kernel_ctx t in
-    (* One scheduler lane per duty kind: member fire instants are the
-       same [1 + i*period/n] staggering as before, but the global
-       event queue carries three entries instead of [3n] — at 1k+
-       processes that is most of the scheduler's heap pressure. *)
-    let duty period mk =
-      Scheduler.lane sched ~n
-        ~phase_of:(fun i -> 1 + (i * period / n))
-        ~period
-        (fun i ->
-          if (Cluster.proc t.cluster i).Process.alive then Kernel.run_duty ctx (mk i))
-    in
-    t.lanes <-
-      [
-        duty policy.Adgc_dcda.Policy.snapshot_period (fun i -> Kernel.Snapshot i);
-        duty policy.Adgc_dcda.Policy.scan_period (fun i -> Kernel.Scan i);
-        duty policy.Adgc_dcda.Policy.candidate_audit_period (fun i ->
-            Kernel.Maintain_candidates i);
-      ]
+    Kernel.start t.cluster (Kernel.detector_rows ctx ~policy:t.config.Config.policy)
   end
 
 let stop t =
-  List.iter Scheduler.cancel t.handles;
-  t.handles <- [];
-  List.iter Scheduler.cancel_lane t.lanes;
-  t.lanes <- [];
   (match t.hughes with
   | Some h ->
       Adgc_baseline.Hughes.stop h;

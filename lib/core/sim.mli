@@ -45,6 +45,8 @@ val lineage : t -> Adgc_obs.Lineage.t
 (** {1 Driving} *)
 
 val start : t -> unit
+(** Install the duty table ({!Kernel.schedule}) over every process
+    (and the Hughes rounds when that baseline is selected). *)
 
 val stop : t -> unit
 

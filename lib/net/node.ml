@@ -3,11 +3,8 @@ module Sim = Adgc.Sim
 module Kernel = Adgc.Kernel
 module Cluster = Adgc_rt.Cluster
 module Runtime = Adgc_rt.Runtime
-module Process = Adgc_rt.Process
 module Dispatch = Adgc_rt.Dispatch
 module Network = Adgc_rt.Network
-module Scheduler = Adgc_rt.Scheduler
-module Reflist = Adgc_rt.Reflist
 module Msg = Adgc_rt.Msg
 module Stats = Adgc_util.Stats
 open Adgc_algebra
@@ -63,43 +60,12 @@ let logf t fmt =
     fmt
 
 (* ------------------------------------------------------------------ *)
-(* Duties: the same four kernel transitions the simulator fires, with
-   the same phase stagger (Sim.start / Cluster.start_gc), installed
-   for this node's own rank only. *)
+(* Duties: the simulator's duty table, installed for this node's own
+   rank only. *)
 
 let install_duties sim rank =
-  let cluster = Sim.cluster sim in
-  let rt = Sim.rt sim in
-  let sched = Cluster.sched cluster in
-  let n = Cluster.n_procs cluster in
-  let i = rank in
-  let p = Cluster.proc cluster i in
-  let rcfg = rt.Runtime.config in
-  let ctx = Sim.kernel_ctx sim in
-  let policy = (Sim.config sim).Config.policy in
-  let snap = policy.Adgc_dcda.Policy.snapshot_period in
-  let scan = policy.Adgc_dcda.Policy.scan_period in
-  let every ~phase ~period f = ignore (Scheduler.every sched ~phase ~period f : Scheduler.recurring) in
-  every ~phase:(1 + (i * snap / n)) ~period:snap (fun () ->
-      if p.Process.alive then Kernel.run_duty ctx (Kernel.Snapshot i));
-  every ~phase:(1 + (i * scan / n)) ~period:scan (fun () ->
-      if p.Process.alive then Kernel.run_duty ctx (Kernel.Scan i));
-  every
-    ~phase:(1 + (i * rcfg.Runtime.lgc_period / n))
-    ~period:rcfg.Runtime.lgc_period
-    (fun () -> if p.Process.alive then Kernel.run_duty ctx (Kernel.Lgc i));
-  every
-    ~phase:(1 + (i * rcfg.Runtime.new_set_period / n))
-    ~period:rcfg.Runtime.new_set_period
-    (fun () ->
-      if p.Process.alive then begin
-        Kernel.run_duty ctx (Kernel.Send_sets i);
-        Reflist.probe_idle_scions rt p ~threshold:(3 * rcfg.Runtime.new_set_period);
-        Reflist.reap_dead_holders rt p
-      end);
-  let audit = policy.Adgc_dcda.Policy.candidate_audit_period in
-  every ~phase:(1 + (i * audit / n)) ~period:audit (fun () ->
-      if p.Process.alive then Kernel.run_duty ctx (Kernel.Maintain_candidates i))
+  Kernel.start ~rank (Sim.cluster sim)
+    (Kernel.schedule (Sim.kernel_ctx sim) ~policy:(Sim.config sim).Config.policy)
 
 (* ------------------------------------------------------------------ *)
 (* Peer links. *)

@@ -8,7 +8,6 @@ module Lineage = Adgc_obs.Lineage
 
 type t = {
   rt : Runtime.t;
-  mutable gc_handles : Scheduler.recurring list;
   mutable gc_lanes : Scheduler.lane list;
   mutable teardown_hooks : (unit -> unit) list;
   mutable torn_down : bool;
@@ -83,7 +82,6 @@ let create ?(seed = 42) ?config ?net_config ?(faults = Faults.none) ?trace_capac
     faults.Faults.events;
   {
     rt;
-    gc_handles = [];
     gc_lanes = [];
     teardown_hooks = [];
     torn_down = false;
@@ -120,48 +118,13 @@ let run_until t ~time = Scheduler.run_until (sched t) ~time
 
 let drain ?limit t = Scheduler.drain ?limit (sched t)
 
-let start_gc t =
-  if t.gc_lanes = [] then begin
-    let cfg = t.rt.Runtime.config in
-    let n = n_procs t in
-    let procs = t.rt.Runtime.procs in
-    (* Phase-stagger the duties so processes do not collect in
-       lockstep — closer to independent real processes.  Each duty
-       kind is one scheduler {e lane}: a single global-queue event per
-       kind with the members' fire times in a lane-local heap, so the
-       global queue holds O(duty kinds) entries instead of
-       O(processes x duty kinds) — the per-member fire instants are
-       unchanged. *)
-    let lgc =
-      Scheduler.lane (sched t) ~n
-        ~phase_of:(fun i -> 1 + (i * cfg.Runtime.lgc_period / Int.max 1 n))
-        ~period:cfg.Runtime.lgc_period
-        (fun i ->
-          let p = procs.(i) in
-          if p.Process.alive then ignore (Lgc.run t.rt p : Lgc.report))
-    in
-    let sets =
-      Scheduler.lane (sched t) ~n
-        ~phase_of:(fun i -> 1 + (i * cfg.Runtime.new_set_period / Int.max 1 n))
-        ~period:cfg.Runtime.new_set_period
-        (fun i ->
-          let p = procs.(i) in
-          if p.Process.alive then begin
-            Reflist.send_new_sets t.rt p;
-            Reflist.probe_idle_scions t.rt p ~threshold:(3 * cfg.Runtime.new_set_period);
-            Reflist.reap_dead_holders t.rt p
-          end)
-    in
-    t.gc_lanes <- [ lgc; sets ]
-  end
+let add_lanes t lanes = t.gc_lanes <- t.gc_lanes @ lanes
 
 let stop_gc t =
-  List.iter Scheduler.cancel t.gc_handles;
-  t.gc_handles <- [];
   List.iter Scheduler.cancel_lane t.gc_lanes;
   t.gc_lanes <- []
 
-let gc_running t = t.gc_lanes <> [] || t.gc_handles <> []
+let gc_running t = t.gc_lanes <> []
 
 let at_teardown t hook = t.teardown_hooks <- hook :: t.teardown_hooks
 

@@ -1,9 +1,8 @@
 (** A complete simulated distributed system.
 
-    Builds the processes, the network and the shared runtime, installs
-    the message dispatch, and optionally drives the periodic garbage
-    collection duties (LGC and [NewSetStubs] rounds, staggered across
-    processes so they never run in lockstep). *)
+    Builds the processes, the network and the shared runtime, and
+    installs the message dispatch.  The periodic duties come from
+    [Adgc.Kernel]'s duty table; the cluster only owns their lanes. *)
 
 open Adgc_algebra
 
@@ -58,11 +57,12 @@ val drain : ?limit:int -> t -> int
 
 (** {1 Periodic GC duties} *)
 
-val start_gc : t -> unit
-(** Install recurring LGC and stub-set rounds on every process, with
-    periods from the runtime config and per-process phase offsets. *)
+val add_lanes : t -> Scheduler.lane list -> unit
+(** Register periodic duty lanes (built by [Adgc.Kernel.start] from
+    the duty table) so {!stop_gc} and {!teardown} cancel them. *)
 
 val stop_gc : t -> unit
+(** Cancel every registered duty lane. *)
 
 val gc_running : t -> bool
 

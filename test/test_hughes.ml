@@ -21,7 +21,7 @@ let mk ?(n = 4) () =
     }
   in
   let cluster = Cluster.create ~config ~n () in
-  Cluster.start_gc cluster;
+  Adgc.Kernel.start cluster (Adgc.Kernel.gc_rows (Cluster.rt cluster));
   let hughes = Hughes.install ~round_period:200 cluster in
   (cluster, hughes)
 

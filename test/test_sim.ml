@@ -313,6 +313,87 @@ let test_manual_gc_cycles_reclaim () =
   check Alcotest.int "no garbage left" 0 (Sim.garbage_count sim);
   Sim.teardown sim
 
+(* ------------------------------------------------------------------ *)
+(* One duty table drives both timed drivers.  Over five periods of the
+   slowest row on 4 ranks, [Sim.start] (lanes over every rank) and the
+   socket node's per-rank installer fire each duty equally often on
+   every rank, and as often as the table's phase and period say. *)
+
+module Kernel = Adgc.Kernel
+
+let horizon = 10_000
+
+let expected_firings ~n (row : Kernel.row) i =
+  let phase = Kernel.phase ~n row i in
+  if phase > horizon then 0 else 1 + ((horizon - phase) / row.Kernel.period)
+
+(* The real entry points, one rank at a time: every other rank is
+   crashed, so the per-firing counters are that rank's alone. *)
+let isolated_counters ~rank install =
+  let sim = Sim.create ~config:(Config.quick ()) () in
+  for i = 0 to 3 do
+    if i <> rank then Cluster.crash (Sim.cluster sim) i
+  done;
+  install sim;
+  Sim.run_for sim horizon;
+  let stats = Sim.stats sim in
+  List.map (fun k -> (k, Stats.get stats k)) [ "lgc.runs"; "snapshot.taken"; "dcda.candidates.audits" ]
+
+(* The shared installer, with every row counting its own firings. *)
+let row_counts install =
+  let config = Config.quick () in
+  let sim = Sim.create ~config () in
+  let counts = Hashtbl.create 32 in
+  let rows =
+    List.map
+      (fun (row : Kernel.row) ->
+        {
+          row with
+          Kernel.run =
+            (fun i ->
+              let key = (row.Kernel.name, i) in
+              Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key));
+              row.Kernel.run i);
+        })
+      (Kernel.schedule (Sim.kernel_ctx sim) ~policy:config.Config.policy)
+  in
+  install sim rows;
+  Sim.run_for sim horizon;
+  List.concat_map
+    (fun (row : Kernel.row) ->
+      List.init 4 (fun i ->
+          let key = (row.Kernel.name, i) in
+          (key, Option.value ~default:0 (Hashtbl.find_opt counts key))))
+    rows
+
+let test_one_duty_table () =
+  let counts = Alcotest.(list (pair (pair string int) int)) in
+  let lanes = row_counts (fun sim rows -> Kernel.start (Sim.cluster sim) rows) in
+  let per_rank =
+    row_counts (fun sim rows ->
+        for rank = 0 to 3 do
+          Kernel.start ~rank (Sim.cluster sim) rows
+        done)
+  in
+  check counts "per-rank installer fires like the lanes" lanes per_rank;
+  let config = Config.quick () in
+  let rows = Kernel.schedule (Sim.kernel_ctx (Sim.create ~config ())) ~policy:config.Config.policy in
+  check counts "lanes fire as the table says"
+    (List.concat_map
+       (fun (row : Kernel.row) ->
+         List.init 4 (fun i -> ((row.Kernel.name, i), expected_firings ~n:4 row i)))
+       rows)
+    lanes;
+  for rank = 0 to 3 do
+    let sim_start = isolated_counters ~rank Sim.start in
+    let node = isolated_counters ~rank (fun sim -> Adgc_net.Node.install_duties sim rank) in
+    check Alcotest.(list (pair string int)) (Printf.sprintf "rank %d: Sim.start = node" rank)
+      sim_start node;
+    let lgc = List.find (fun (r : Kernel.row) -> r.Kernel.name = "lgc") rows in
+    check Alcotest.int (Printf.sprintf "rank %d: lgc runs" rank) (expected_firings ~n:4 lgc rank)
+      (List.assoc "lgc.runs" sim_start)
+  done
+
 let suite =
   ( "sim",
     [
@@ -335,4 +416,5 @@ let suite =
       Alcotest.test_case "snapshot_all publishes every process" `Quick
         test_snapshot_all_publishes_each;
       Alcotest.test_case "manual gc cycles reclaim a ring" `Quick test_manual_gc_cycles_reclaim;
+      Alcotest.test_case "one duty table: Sim.start = node installer" `Quick test_one_duty_table;
     ] )
