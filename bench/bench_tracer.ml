@@ -39,16 +39,15 @@ let tracer_case ~objects ~reps =
 (* One advertisement round on a fully-wired clique: every process holds
    a reference into every other, so each (src, dst) pair carries one
    stub set plus one scion probe per round — exactly the traffic the
-   batcher coalesces. *)
-let batching_round ~batching =
+   batcher coalesces.  Returns the DGC payloads queued, the envelopes
+   that carried them and their bytes. *)
+let batching_round () =
   let n = 16 in
   let net_config = Network.default_config () in
   net_config.Network.account_bytes <- true;
   net_config.Network.latency_min <- 1;
   net_config.Network.latency_max <- 1;
-  let config =
-    { (Runtime.default_config ()) with Runtime.dgc_batching = batching; dgc_batch_window = 5 }
-  in
+  let config = { (Runtime.default_config ()) with Runtime.dgc_window = 5 } in
   let cluster = Cluster.create ~config ~net_config ~n () in
   for p = 0 to n - 1 do
     for q = 0 to n - 1 do
@@ -64,18 +63,21 @@ let batching_round ~batching =
   Cluster.run_for cluster 100;
   let rt = Cluster.rt cluster in
   let stats = Cluster.stats cluster in
-  let sent0 = Stats.get stats "net.msg.sent" in
-  let bytes0 = Stats.get stats "net.bytes" in
+  let get = Stats.get stats in
+  let sent0 = get "net.msg.sent" and bytes0 = get "net.bytes" in
+  let flushes0 = get "net.msg.batch_flushes" and batched0 = get "net.msg.batched" in
   Array.iter
     (fun p ->
       Reflist.send_new_sets rt p;
       Reflist.probe_idle_scions rt p ~threshold:1)
     rt.Runtime.procs;
   ignore (Cluster.drain cluster : int);
-  ( Stats.get stats "net.msg.sent" - sent0,
-    Stats.get stats "net.bytes" - bytes0,
-    Stats.get stats "net.msg.batched",
-    Stats.get stats "net.msg.batch_flushes" )
+  let envelopes = get "net.msg.sent" - sent0 in
+  let flushes = get "net.msg.batch_flushes" - flushes0 in
+  let batched = get "net.msg.batched" - batched0 in
+  (* A batch envelope stands for the payloads inside it; every other
+     envelope carried one. *)
+  (envelopes - flushes + batched, envelopes, get "net.bytes" - bytes0)
 
 let run recorder =
   section "tracer: dense-id tracing, condensed snapshot, DGC batching";
@@ -109,26 +111,18 @@ let run recorder =
       t "trace.dense_ms" dense;
       t "snapshot.dense_ms" snap_dense)
     cases;
-  let plain_msgs, plain_bytes, _, _ = batching_round ~batching:false in
-  let batched_msgs, batched_bytes, payloads, flushes = batching_round ~batching:true in
-  let reduction =
-    100.0 *. (1.0 -. (float_of_int batched_msgs /. float_of_int plain_msgs))
-  in
+  let payloads, msgs, bytes = batching_round () in
+  let reduction = 100.0 *. (1.0 -. (float_of_int msgs /. float_of_int payloads)) in
   Printf.printf
     "batching (16-proc clique, one stub-set + probe round):\n\
-    \  off: %d msgs, %d bytes    on: %d msgs, %d bytes (%d payloads in %d batches)\n\
-    \  message reduction: %.0f%%\n"
-    plain_msgs plain_bytes batched_msgs batched_bytes payloads flushes reduction;
+    \  %d payloads in %d msgs, %d bytes\n\
+    \  message reduction: %.1f%%\n"
+    payloads msgs bytes reduction;
   let bconfig = [ "tracer.batching"; "16"; "window=5" ] in
-  let d name ?direction v =
-    det recorder ~section:"tracer" ~name ?direction ~unit_:"msgs" ~config:bconfig v
-  in
-  d "tracer.batching.off_msgs" (float_of_int plain_msgs);
-  d "tracer.batching.on_msgs" (float_of_int batched_msgs);
-  det recorder ~section:"tracer" ~name:"tracer.batching.off_bytes" ~unit_:"bytes"
-    ~config:bconfig (float_of_int plain_bytes);
-  det recorder ~section:"tracer" ~name:"tracer.batching.on_bytes" ~unit_:"bytes"
-    ~config:bconfig (float_of_int batched_bytes);
+  let d name unit_ v = det recorder ~section:"tracer" ~name ~unit_ ~config:bconfig v in
+  d "tracer.batching.payloads" "msgs" (float_of_int payloads);
+  d "tracer.batching.msgs" "msgs" (float_of_int msgs);
+  d "tracer.batching.bytes" "bytes" (float_of_int bytes);
   det recorder ~section:"tracer" ~name:"tracer.batching.msg_reduction_pct" ~unit_:"%"
     ~direction:Sample.Higher_better ~config:bconfig reduction;
   (* Clean-poll staleness guard: run a full collection to quiescence

@@ -72,13 +72,13 @@ let quick ?(seed = 42) ?(n_procs = 4) () =
 let mc ?(seed = 0) ?(n_procs = 2) () =
   let t = default ~seed ~n_procs () in
   let runtime =
-    (* group_window 0: relay flushes happen synchronously inside
-       send_dgc, never through the (frozen) scheduler. *)
+    (* dgc_window 0: DGC control payloads reach the wire synchronously
+       inside send_dgc, never through the (frozen) scheduler. *)
     {
       t.runtime with
       Adgc_rt.Runtime.scion_grace = 0;
       failure_detection = false;
-      group_window = 0;
+      dgc_window = 0;
     }
   in
   let net = t.net in

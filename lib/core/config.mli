@@ -49,8 +49,9 @@ val mc : ?seed:int -> ?n_procs:int -> unit -> t
 (** Time-frozen configuration for the bounded model checker
     ({!Adgc_mc}): manual (explored) network delivery, no idle
     thresholds, cooldowns, backoff or early-IC pruning, sorted scan
-    order, broadcast deletion, synchronous group relay flushes
-    ([group_window = 0]).  With this config the whole system state is
+    order, broadcast deletion, DGC control payloads sent synchronously
+    ([dgc_window = 0]: no batch or relay queue outlives its
+    transition).  With this config the whole system state is
     a pure function of the choice sequence — the scheduler clock never
     advances and the RNG is never drawn from. *)
 

@@ -123,7 +123,7 @@ let export_handshake : Scenario.t =
    (group 1).  Every DGC control message of the detection now crosses
    the boundary, so with relaying pinned on it travels as a
    [Group_relay] through the group proxies (synchronously flushed —
-   the mc config forces [group_window = 0]).  Exhaustive exploration
+   the mc config forces [dgc_window = 0]).  Exhaustive exploration
    of this scope proves the relay overlay preserves both safety and
    the reclamation goal.  P1 and P3 are empty bystanders; their duties
    are no-ops but still multiply the interleaving space, so the scope

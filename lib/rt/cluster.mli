@@ -65,6 +65,7 @@ val stop_gc : t -> unit
 (** Cancel every registered duty lane. *)
 
 val gc_running : t -> bool
+(** Whether any duty lane is registered. *)
 
 (** {1 Teardown} *)
 

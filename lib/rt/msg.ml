@@ -299,10 +299,13 @@ let rec payload_of_sval sval =
   | Sval.Record ("batch", [ ("msgs", Sval.List payloads) ]) ->
       (* Batches are never nested, and a decoded batch must not smuggle
          one in.  The group wrappers are likewise flat: a relayed
-         payload is always a bare DGC control message. *)
+         payload is always a bare DGC control message.  Nor does a
+         batch carry references: only ref-free control traffic is
+         ever batched, so a constituent with references is forged. *)
       let constituent sv =
         match payload_of_sval sv with
         | Some (Batch _ | Group_fwd _ | Group_relay _) -> None
+        | Some p when payload_refs p <> [] -> None
         | (Some _ | None) as r -> r
       in
       Option.map (fun payloads -> Batch payloads) (all_of constituent payloads)

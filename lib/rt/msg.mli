@@ -58,7 +58,8 @@ type payload =
       (** Coalesced DGC control traffic: every payload queued for the
           same destination within one flush window travels as a single
           latency-charged envelope ({!Runtime.send_dgc}).  Delivery
-          unpacks in queueing order.  Never nested. *)
+          unpacks in queueing order.  Never nested, and never carries
+          object references. *)
   | Group_fwd of { orig_src : Proc_id.t; inner : payload }
       (** Last hop of group-relayed DGC traffic: the destination
           group's proxy hands the payload to its final recipient, who
@@ -127,7 +128,8 @@ val payload_sval : payload -> Adgc_serial.Sval.t
 
 val payload_of_sval : Adgc_serial.Sval.t -> payload option
 (** Inverse of {!payload_sval}; [None] on any malformed value,
-    including a [Batch] nested inside a [Batch]. *)
+    including a [Batch] nested inside a [Batch] and a [Batch]
+    constituent that carries references. *)
 
 val of_sval : Adgc_serial.Sval.t -> t option
 (** Inverse of {!to_sval}. *)

@@ -11,11 +11,9 @@ type config = {
   scion_grace : int;
   failure_detection : bool;
   holder_silence_limit : int;
-  dgc_batching : bool;
-  dgc_batch_window : int;
+  dgc_window : int;
   group_size : int;
   group_relay : bool;
-  group_window : int;
 }
 
 let default_config () =
@@ -30,11 +28,9 @@ let default_config () =
     scion_grace = 10_000;
     failure_detection = false;
     holder_silence_limit = 30_000;
-    dgc_batching = false;
-    dgc_batch_window = 10;
+    dgc_window = 10;
     group_size = 0;
     group_relay = false;
-    group_window = 10;
   }
 
 type t = {
@@ -123,10 +119,17 @@ let send t ~src ~dst payload =
 (* DGC traffic coalescing.  Control messages (stub sets, probes, CDMs,
    proven-cycle deletions) tolerate a small extra delay, so instead of
    hitting the wire one by one they sit in the sender's per-destination
-   queue for [dgc_batch_window] ticks and leave as one [Msg.Batch]
+   queue for [dgc_window] ticks and leave as one [Msg.Batch]
    envelope — one latency charge, one header, one network event.
    Liveness is unaffected: the window only postpones, never
    suppresses, and every protocol above already tolerates delay. *)
+
+(* Close a queue one window from now — or right here when the window
+   is 0, with no scheduler involvement, which the model checker's
+   frozen clock requires. *)
+let after_window t flush =
+  if t.config.dgc_window <= 0 then flush ()
+  else Scheduler.schedule_after t.sched ~delay:t.config.dgc_window flush
 
 let flush_batch t ~src ~dst =
   let sender = proc t src in
@@ -226,20 +229,15 @@ let relay_enqueue t ~src ~orig_src ~final_dst payload =
   | None ->
       Hashtbl.add sender.Process.pending_relays key
         { Process.rel_queued = [ (orig_src, final_dst, payload) ]; rel_opened_at = now t };
-      if t.config.group_window <= 0 then
-        (* Synchronous flush: no scheduler involvement, so the relay
-           path also works under the model checker's frozen clock. *)
-        flush_relay t ~src ~group:key
-      else
-        Scheduler.schedule_after t.sched ~delay:t.config.group_window (fun () ->
-            flush_relay t ~src ~group:key)
+      after_window t (fun () -> flush_relay t ~src ~group:key)
 
 let relayed t ~src ~dst =
   t.config.group_relay && t.config.group_size > 1 && not (same_group t src dst)
 
 let send_dgc t ~src ~dst payload =
+  if Msg.payload_refs payload <> [] then
+    invalid_arg ("Runtime.send_dgc: a " ^ Msg.kind payload ^ " payload carries references");
   if relayed t ~src ~dst then relay_enqueue t ~src ~orig_src:src ~final_dst:dst payload
-  else if not t.config.dgc_batching then send t ~src ~dst payload
   else begin
     let sender = proc t src in
     let key = Proc_id.to_int dst in
@@ -248,6 +246,5 @@ let send_dgc t ~src ~dst payload =
     | None ->
         Hashtbl.add sender.Process.pending_batches key
           { Process.queued = [ payload ]; opened_at = now t };
-        Scheduler.schedule_after t.sched ~delay:t.config.dgc_batch_window (fun () ->
-            flush_batch t ~src ~dst)
+        after_window t (fun () -> flush_batch t ~src ~dst)
   end

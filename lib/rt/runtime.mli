@@ -49,17 +49,16 @@ type config = {
           objects a live-but-unreachable holder still references; the
           tests demonstrate both directions of the trade-off. *)
   holder_silence_limit : int;
-  dgc_batching : bool;
-      (** coalesce DGC control traffic (stub sets, probes, CDMs,
-          proven-cycle deletions) per destination into {!Msg.Batch}
-          envelopes flushed every {!field:dgc_batch_window} ticks;
-          default off (every message hits the wire individually, the
-          seed behaviour) *)
-  dgc_batch_window : int;
-      (** how long {!send_dgc} may hold a queued payload before its
-          batch is flushed.  Bounds the extra latency added to CDM
-          propagation and stub-set timeliness — keep it well under
-          [new_set_period] and the detector's scan period. *)
+  dgc_window : int;
+      (** how long a DGC control payload ({!send_dgc}) may wait in its
+          sender's queue before the queue is flushed — per destination
+          as one {!Msg.Batch}, per destination group as one
+          {!Msg.Group_relay}.  Bounds the latency the coalescing adds
+          to CDM propagation and stub-set timeliness; keep it well
+          under [new_set_period] and the detector's scan period.  [0]
+          puts every payload on the wire synchronously inside
+          {!send_dgc}, with no scheduler involvement, which the model
+          checker's frozen clock requires. *)
   group_size : int;
       (** hierarchical-group overlay: ranks are partitioned into
           contiguous groups of this many processes ({!Group}).  [<= 1]
@@ -75,11 +74,6 @@ type config = {
           have any effect.  Protocol outcomes are unaffected (the
           handlers see the original sender); only message topology and
           latency change. *)
-  group_window : int;
-      (** how long a cross-group entry may sit in its per-group relay
-          queue before the {!Msg.Group_relay} flush.  [0] flushes
-          synchronously inside {!send_dgc} — no scheduler involvement,
-          which the model checker's frozen-clock mode requires. *)
 }
 (** Immutable: fix the knobs before building the cluster (functional
     record update on {!default_config}).  Sharing one config value
@@ -145,15 +139,19 @@ val log : t -> topic:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 val send : t -> src:Proc_id.t -> dst:Proc_id.t -> Msg.payload -> unit
 
 val send_dgc : t -> src:Proc_id.t -> dst:Proc_id.t -> Msg.payload -> unit
-(** Like {!send}, for delay-tolerant DGC control traffic.  With
-    [config.dgc_batching] off this is exactly [send]; with it on, the
-    payload joins the sender's per-destination queue and travels
-    inside one {!Msg.Batch} when the window closes
-    ([net.msg.batched] / [net.msg.batch_flushes] count the
-    coalescing).  Crash-stop filtering applies at flush time. *)
+(** Like {!send}, for delay-tolerant DGC control traffic (stub sets,
+    scion probes, CDMs, CDM deletions).  The payload joins the
+    sender's per-destination queue, and when the queue's
+    {!field:config.dgc_window} closes everything in it travels inside
+    one {!Msg.Batch} ([net.msg.batched] / [net.msg.batch_flushes]
+    count the coalescing); a queue holding a single payload sends it
+    as a plain message.  Cross-group traffic under
+    {!field:config.group_relay} takes the relay queue instead.
+    Crash-stop filtering applies at flush time.
 
-val flush_batch : t -> src:Proc_id.t -> dst:Proc_id.t -> unit
-(** Flush one pending batch immediately (idempotent). *)
+    @raise Invalid_argument if the payload carries object references
+    ({!Msg.payload_refs}): batches are reference-free by
+    construction. *)
 
 val flush_all_batches : t -> unit
 (** Flush every process's pending batches immediately (tests and
@@ -175,7 +173,7 @@ val group_proxy : t -> int -> int option
 val relay_enqueue : t -> src:Proc_id.t -> orig_src:Proc_id.t -> final_dst:Proc_id.t -> Msg.payload -> unit
 (** Queue one cross-group control payload at [src] for the group of
     [final_dst]; flushed as part of one {!Msg.Group_relay} after
-    [config.group_window] ticks (synchronously when the window is 0).
+    [config.dgc_window] ticks (synchronously when the window is 0).
     {!Dispatch} uses this to forward relay entries that are still
     short of their destination group. *)
 

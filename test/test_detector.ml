@@ -617,7 +617,8 @@ let test_duplicate_cdm_ignored () =
   Mutator.remove_root h.cluster (Topology.obj built "A");
   snapshot_all h;
   ignore (Detector.initiate h.detectors.(1) (Topology.scion_key built ~src:0 "F") : bool);
-  (* Snatch the first CDM off the wire before it lands. *)
+  (* Put the queued CDM on the wire, then snatch it before it lands. *)
+  Runtime.flush_all_batches (Cluster.rt h.cluster);
   let cdm_msg =
     match
       List.find_opt

@@ -34,7 +34,8 @@ let algebra =
       (Algebra.Source, key 2 (oid 0 5), 1);
     ]
 
-(* One of every payload constructor, Batch included. *)
+(* One of every payload constructor, Batch (of the reference-free
+   ones, as on the wire) included. *)
 let sample_payloads : Msg.payload list =
   let flat =
     [
@@ -76,7 +77,7 @@ let sample_payloads : Msg.payload list =
       Msg.Hughes (Hmsg.Threshold { value = 250 });
     ]
   in
-  flat @ [ Msg.Batch flat ]
+  flat @ [ Msg.Batch (List.filter (fun p -> Msg.payload_refs p = []) flat) ]
 
 let sample_envelopes : Envelope.t list =
   let net_msgs =

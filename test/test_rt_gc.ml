@@ -552,13 +552,12 @@ let test_replicate_under_loss () =
 
 module Stats = Adgc_util.Stats
 
-let batching_config ~window =
-  { (Runtime.default_config ()) with Runtime.dgc_batching = true; dgc_batch_window = window }
+let window_config window = { (Runtime.default_config ()) with Runtime.dgc_window = window }
 
 let empty_set seqno = Msg.New_set_stubs { seqno; targets = Oid.Map.empty }
 
 let test_batching_coalesces () =
-  let cluster = mk ~n:2 ~config:(batching_config ~window:5) () in
+  let cluster = mk ~n:2 ~config:(window_config 5) () in
   let rt = Cluster.rt cluster in
   let stats = Cluster.stats cluster in
   let src = Proc_id.of_int 0 and dst = Proc_id.of_int 1 in
@@ -569,10 +568,15 @@ let test_batching_coalesces () =
   check Alcotest.int "one envelope" 1 (Stats.get stats "net.msg.sent");
   check Alcotest.int "two payloads coalesced" 2 (Stats.get stats "net.msg.batched");
   check Alcotest.int "one flush" 1 (Stats.get stats "net.msg.batch_flushes");
-  check Alcotest.int "unpacked at delivery" 2 (Stats.get stats "net.msg.unbatched")
+  check Alcotest.int "unpacked at delivery" 2 (Stats.get stats "net.msg.unbatched");
+  (* Batches are reference-free by construction. *)
+  let target = Oid.make ~owner:dst ~serial:0 in
+  Alcotest.check_raises "a payload with references is refused"
+    (Invalid_argument "Runtime.send_dgc: a rmi_reply payload carries references") (fun () ->
+      Runtime.send_dgc rt ~src ~dst (Msg.Rmi_reply { req_id = 1; target; results = [] }))
 
 let test_batching_single_payload_travels_plain () =
-  let cluster = mk ~n:2 ~config:(batching_config ~window:5) () in
+  let cluster = mk ~n:2 ~config:(window_config 5) () in
   let rt = Cluster.rt cluster in
   let stats = Cluster.stats cluster in
   Runtime.send_dgc rt ~src:(Proc_id.of_int 0) ~dst:(Proc_id.of_int 1) (empty_set 1);
@@ -581,18 +585,28 @@ let test_batching_single_payload_travels_plain () =
   check Alcotest.int "no batch envelope" 0 (Stats.get stats "net.msg.sent.batch");
   check Alcotest.int "nothing counted as batched" 0 (Stats.get stats "net.msg.batched")
 
-let test_batching_off_is_immediate () =
-  let cluster = mk ~n:2 () in
+(* The model checker runs with a frozen clock and [dgc_window = 0]: a
+   queued payload must reach the wire inside [send_dgc] itself, with
+   nothing left for the scheduler to do. *)
+let test_window_zero_is_synchronous () =
+  let net_config = Network.default_config () in
+  net_config.Network.delivery <- Network.Manual;
+  let cluster = Cluster.create ~config:(window_config 0) ~net_config ~n:2 () in
   let rt = Cluster.rt cluster in
   let stats = Cluster.stats cluster in
-  Runtime.send_dgc rt ~src:(Proc_id.of_int 0) ~dst:(Proc_id.of_int 1) (empty_set 1);
-  (* Default config: send_dgc is exactly send — on the wire already. *)
-  check Alcotest.int "sent without waiting for a flush" 1 (Stats.get stats "net.msg.sent")
+  let src = Proc_id.of_int 0 and dst = Proc_id.of_int 1 in
+  Runtime.send_dgc rt ~src ~dst (empty_set 1);
+  Runtime.send_dgc rt ~src ~dst Msg.Scion_probe;
+  check Alcotest.int "both payloads on the wire" 2 (Network.in_flight_count (Cluster.net cluster));
+  check Alcotest.int "each as a plain message" 0 (Stats.get stats "net.msg.sent.batch");
+  check Alcotest.int "no queue left behind" 0
+    (Hashtbl.length (Cluster.proc cluster 0).Process.pending_batches);
+  check Alcotest.bool "nothing scheduled" true (Scheduler.is_idle (Cluster.sched cluster))
 
 let test_batching_chain_reclaimed () =
-  (* The acyclic end-to-end scenario still converges when every stub
-     set rides inside a batch. *)
-  let cluster = mk ~config:(batching_config ~window:5) () in
+  (* The acyclic end-to-end scenario converges when every stub set
+     rides inside a batch. *)
+  let cluster = mk () in
   let a = Mutator.alloc cluster ~proc:0 () in
   let b = Mutator.alloc cluster ~proc:1 () in
   let c = Mutator.alloc cluster ~proc:2 () in
@@ -605,14 +619,13 @@ let test_batching_chain_reclaimed () =
   gc_rounds cluster 4;
   check Alcotest.int "all reclaimed" 0 (Cluster.total_objects cluster)
 
-let clique_round ~batching =
+let test_batching_cuts_clique_traffic () =
   (* Every process holds a reference into every other; one stub-set +
-     probe round therefore carries two DGC payloads per (src, dst)
-     pair — the traffic the batcher folds in half. *)
+     probe round therefore queues a stub set and a probe per (src,
+     dst) pair, which share one envelope, and each probe is answered
+     by a stub set of its own a window later. *)
   let n = 6 in
-  let cluster =
-    mk ~n ~seed:7 ?config:(if batching then Some (batching_config ~window:5) else None) ()
-  in
+  let cluster = mk ~n ~seed:7 ~config:(window_config 5) () in
   for p = 0 to n - 1 do
     for q = 0 to n - 1 do
       if p <> q then begin
@@ -626,7 +639,9 @@ let clique_round ~batching =
   done;
   Cluster.run_for cluster 100;
   let stats = Cluster.stats cluster in
-  let before = Stats.get stats "net.msg.sent" in
+  let sent () = Stats.get stats "net.msg.sent" in
+  let payloads () = Stats.get stats "reflist.sets_sent" + Stats.get stats "reflist.probes_sent" in
+  let sent0 = sent () and payloads0 = payloads () in
   let rt = Cluster.rt cluster in
   Array.iter
     (fun p ->
@@ -634,22 +649,18 @@ let clique_round ~batching =
       Reflist.probe_idle_scions rt p ~threshold:1)
     rt.Runtime.procs;
   settle cluster;
-  Stats.get stats "net.msg.sent" - before
-
-let test_batching_cuts_clique_traffic () =
-  let plain = clique_round ~batching:false in
-  let batched = clique_round ~batching:true in
-  check Alcotest.bool
-    (Printf.sprintf "fewer envelopes (%d batched vs %d plain)" batched plain)
-    true (batched < plain)
+  let envelopes = sent () - sent0 and payloads = payloads () - payloads0 in
+  check Alcotest.int "three payloads per ordered pair" (3 * n * (n - 1)) payloads;
+  check Alcotest.int
+    (Printf.sprintf "two envelopes per ordered pair (%d envelopes for %d payloads)" envelopes
+       payloads)
+    (2 * n * (n - 1)) envelopes
 
 let test_batching_detection_converges () =
   (* A distributed cycle is still found and reclaimed when CDMs and
      stub sets travel batched. *)
   let config = Adgc.Config.quick ~n_procs:3 () in
-  let runtime =
-    { config.Adgc.Config.runtime with Runtime.dgc_batching = true; dgc_batch_window = 5 }
-  in
+  let runtime = { config.Adgc.Config.runtime with Runtime.dgc_window = 5 } in
   let config = { config with Adgc.Config.runtime = runtime } in
   let sim = Adgc.Sim.create ~config () in
   let _built = Adgc_workload.Topology.ring (Adgc.Sim.cluster sim) ~procs:[ 0; 1; 2 ] in
@@ -792,7 +803,8 @@ let suite =
       Alcotest.test_case "batching: coalesces a window" `Quick test_batching_coalesces;
       Alcotest.test_case "batching: single payload travels plain" `Quick
         test_batching_single_payload_travels_plain;
-      Alcotest.test_case "batching: off = immediate send" `Quick test_batching_off_is_immediate;
+      Alcotest.test_case "batching: dgc_window = 0 sends synchronously" `Quick
+        test_window_zero_is_synchronous;
       Alcotest.test_case "batching: acyclic chain still reclaimed" `Quick
         test_batching_chain_reclaimed;
       Alcotest.test_case "batching: clique round sends fewer msgs" `Quick

@@ -317,7 +317,11 @@ let gen_payload =
     frequency
       [
         (4, gen_flat_payload);
-        (1, map (fun l -> Msg.Batch l) (list_size (int_bound 4) gen_flat_payload));
+        (* Batches hold only reference-free payloads, as on the wire. *)
+        ( 1,
+          map
+            (fun l -> Msg.Batch (List.filter (fun p -> Msg.payload_refs p = []) l))
+            (list_size (int_bound 4) gen_flat_payload) );
       ])
 
 let gen_msg =
@@ -411,13 +415,29 @@ let test_payload_decoder_rejects () =
            ( "msgs",
              Sval.List [ Sval.Record ("batch", [ ("msgs", Sval.List []) ]) ] );
          ] ));
-  (* A valid batch of two payloads decodes. *)
+  (* A valid batch of two control payloads decodes. *)
   let batch =
-    Msg.Batch [ Msg.Scion_probe; Msg.Rmi_reply { req_id = 3; target = Oid.make ~owner:(Proc_id.of_int 1) ~serial:2; results = [] } ]
+    Msg.Batch
+      [
+        Msg.Scion_probe;
+        Msg.New_set_stubs
+          { seqno = 3; targets = Oid.Map.singleton (Oid.make ~owner:(Proc_id.of_int 1) ~serial:2) 0 };
+      ]
   in
   match Msg.payload_of_sval (Msg.payload_sval batch) with
   | Some p -> check Alcotest.bool "batch roundtrip" true (payload_equal batch p)
   | None -> Alcotest.fail "valid batch rejected"
+
+(* Only reference-free control traffic is ever batched, so a batch
+   whose constituent carries references is forged input. *)
+let test_batch_with_references_rejected () =
+  let reply =
+    Msg.Rmi_reply { req_id = 3; target = Oid.make ~owner:(Proc_id.of_int 1) ~serial:2; results = [] }
+  in
+  check Alcotest.bool "the reply alone decodes" true
+    (Option.is_some (Msg.payload_of_sval (Msg.payload_sval reply)));
+  check Alcotest.bool "a batch holding it is rejected" false
+    (Option.is_some (Msg.payload_of_sval (Msg.payload_sval (Msg.Batch [ Msg.Scion_probe; reply ]))))
 
 (* ------------------------------------------------------------------ *)
 (* Wire identity: the shapes in lib/ against the reference builders in
@@ -620,6 +640,8 @@ let suite =
       qcheck_roundtrip net "qcheck net roundtrip";
       Alcotest.test_case "msg: decoder rejects malformed payloads" `Quick
         test_payload_decoder_rejects;
+      Alcotest.test_case "msg: decoder rejects a batch carrying references" `Quick
+        test_batch_with_references_rejected;
       qcheck_payload_roundtrip net "qcheck msg payload roundtrip (net)";
       qcheck_payload_roundtrip rotor "qcheck msg payload roundtrip (rotor)";
       qcheck_envelope_roundtrip net "qcheck msg envelope roundtrip (net)";
