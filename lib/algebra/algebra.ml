@@ -1,5 +1,5 @@
-module Sval = Adgc_serial.Sval
 module N = Adgc_serial.Net_codec
+module R = Adgc_serial.Net_codec.Read
 
 (* Besides the two maps, an algebra carries the counts its matching
    verdict needs, kept current by [add] and recomputed by [union], so
@@ -173,52 +173,28 @@ let cycle_found t =
 (* ------------------------------------------------------------------ *)
 (* Wire format *)
 
-let n_entry = N.Name.v "entry"
 let n_ce = N.Name.v "ce"
 let n_src = N.Name.v "src"
 let n_owner = N.Name.v "owner"
 let n_serial = N.Name.v "serial"
 let n_ic = N.Name.v "ic"
 let n_bits = N.Name.v "bits"
-let n_algebra = N.Name.v "algebra"
 let n_algebra_c = N.Name.v "algebra_c"
-let n_source = N.Name.v "source"
-let n_target = N.Name.v "target"
 let n_entries = N.Name.v "entries"
 
-let emit_key s (key : Ref_key.t) =
-  N.field s n_src;
-  N.int s (Proc_id.to_int key.Ref_key.src);
-  N.field s n_owner;
-  N.int s (Proc_id.to_int (Oid.owner key.Ref_key.target));
-  N.field s n_serial;
-  N.int s key.Ref_key.target.Oid.serial
-
-let emit_entries s m =
-  N.list s (Ref_key.Map.cardinal m);
-  Ref_key.Map.iter
-    (fun key ic ->
-      N.record s n_entry 4;
-      emit_key s key;
-      N.field s n_ic;
-      N.int s ic)
-    m
-
-let emit s t =
-  N.record s n_algebra 2;
-  N.field s n_source;
-  emit_entries s t.source;
-  N.field s n_target;
-  emit_entries s t.target
-
-(* Compact form: one record per distinct (key, ic) with two presence
-   bits packed into one integer (1 = source, 2 = target, 3 = both).
-   Source entries come first in key order, then the target entries not
+(* One record per distinct (key, ic) with two presence bits packed
+   into one integer (1 = source, 2 = target, 3 = both).  Source
+   entries come first in key order, then the target entries not
    already written with bits = 3. *)
 let emit_compact s t =
-  let emit_ce key ic bits =
+  let emit_ce (key : Ref_key.t) ic bits =
     N.record s n_ce 5;
-    emit_key s key;
+    N.field s n_src;
+    N.int s (Proc_id.to_int key.Ref_key.src);
+    N.field s n_owner;
+    N.int s (Proc_id.to_int (Oid.owner key.Ref_key.target));
+    N.field s n_serial;
+    N.int s key.Ref_key.target.Oid.serial;
     N.field s n_ic;
     N.int s ic;
     N.field s n_bits;
@@ -241,74 +217,36 @@ let emit_compact s t =
       | _ | (exception Not_found) -> emit_ce key t_ic 2)
     t.target
 
-let to_sval t = N.to_sval emit t
-
-let to_sval_compact t = N.to_sval emit_compact t
-
-let entry_of_sval = function
-  | Sval.Record
-      ( "entry",
-        [ ("src", Sval.Int src); ("owner", Sval.Int owner); ("serial", Sval.Int serial); ("ic", Sval.Int ic) ]
-      )
-    when src >= 0 && owner >= 0 && serial >= 0 ->
-      let target = Oid.make ~owner:(Proc_id.of_int owner) ~serial in
-      Some (Ref_key.make ~src:(Proc_id.of_int src) ~target, ic)
-  | _ -> None
-
-let compact_entry_of_sval = function
-  | Sval.Record
-      ( "ce",
-        [
-          ("src", Sval.Int src);
-          ("owner", Sval.Int owner);
-          ("serial", Sval.Int serial);
-          ("ic", Sval.Int ic);
-          ("bits", Sval.Int bits);
-        ] )
-    when src >= 0 && owner >= 0 && serial >= 0 && bits >= 1 && bits <= 3 ->
-      let target = Oid.make ~owner:(Proc_id.of_int owner) ~serial in
-      Some (Ref_key.make ~src:(Proc_id.of_int src) ~target, ic, bits)
-  | _ -> None
-
-let of_sval_compact entries =
-  List.fold_left
-    (fun acc e ->
-      match (acc, compact_entry_of_sval e) with
-      | Some t, Some (key, ic, bits) ->
-          let add_side side t =
-            match add t side key ~ic with Added t -> Some t | Ic_conflict _ -> None
-          in
-          let t = if bits land 1 <> 0 then add_side Source t else Some t in
-          Option.bind t (fun t -> if bits land 2 <> 0 then add_side Target t else Some t)
-      | _, _ -> None)
-    (Some empty) entries
-
-let of_sval v =
-  let entries l =
-    List.fold_left
-      (fun acc e ->
-        match (acc, entry_of_sval e) with
-        | Some acc, Some entry -> Some (entry :: acc)
-        | _, _ -> None)
-      (Some []) l
-    |> Option.map List.rev
+(* Ids must not be negative, bits must name a side, and an entry must
+   not contradict one already read. *)
+let read_compact r =
+  let read_ce t =
+    R.record r n_ce 5;
+    R.field r n_src;
+    let src = R.int r in
+    R.field r n_owner;
+    let owner = R.int r in
+    R.field r n_serial;
+    let serial = R.int r in
+    R.field r n_ic;
+    let ic = R.int r in
+    R.field r n_bits;
+    let bits = R.int r in
+    if src < 0 || owner < 0 || serial < 0 then R.fail r "negative id";
+    if bits < 1 || bits > 3 then R.fail r "bad presence bits";
+    let key =
+      Ref_key.make ~src:(Proc_id.of_int src) ~target:(Oid.make ~owner:(Proc_id.of_int owner) ~serial)
+    in
+    let add_side side t =
+      match add t side key ~ic with Added t -> t | Ic_conflict _ -> R.fail r "ic conflict"
+    in
+    let t = if bits land 1 <> 0 then add_side Source t else t in
+    if bits land 2 <> 0 then add_side Target t else t
   in
-  match v with
-  | Sval.Record ("algebra_c", [ ("entries", Sval.List l) ]) -> of_sval_compact l
-  | Sval.Record ("algebra", [ ("source", Sval.List src); ("target", Sval.List tgt) ]) -> (
-      match (entries src, entries tgt) with
-      | Some src, Some tgt ->
-          let build side init l =
-            List.fold_left
-              (fun acc (key, ic) ->
-                match acc with
-                | None -> None
-                | Some t -> ( match add t side key ~ic with Added t -> Some t | Ic_conflict _ -> None))
-              (Some init) l
-          in
-          Option.bind (build Source empty src) (fun t -> build Target t tgt)
-      | _, _ -> None)
-  | _ -> None
+  R.record r n_algebra_c 1;
+  R.field r n_entries;
+  let rec go n t = if n = 0 then t else go (n - 1) (read_ce t) in
+  go (R.list r) empty
 
 let pp_entry ppf (key, ic) = Format.fprintf ppf "%a:%d" Ref_key.pp key ic
 

@@ -100,26 +100,18 @@ val cycle_found : t -> bool
 
 (** {1 Wire format and printing} *)
 
-val emit : t Adgc_serial.Net_codec.shape
-(** Plain representation: the two sets written out separately. *)
-
-val to_sval : t -> Adgc_serial.Sval.t
-(** The tree {!emit} describes. *)
-
-val of_sval : Adgc_serial.Sval.t -> t option
-(** Accepts both the plain and the compact representation. *)
-
 val emit_compact : t Adgc_serial.Net_codec.shape
 (** The paper's optimized representation (§4): one entry per distinct
     reference with two presence bits (source/target), so a reference
     in both sets is written once.  On a concluding CDM (every entry in
     both sets) this halves the entry count.  An entry appearing on
     both sides with {e different} ICs cannot be shared and is written
-    twice.  [of_sval] reads it back; [of_sval (to_sval_compact t)]
-    equals [t].  Sizing it allocates nothing per entry. *)
+    twice.  Sizing it allocates nothing per entry. *)
 
-val to_sval_compact : t -> Adgc_serial.Sval.t
-(** The tree {!emit_compact} describes. *)
+val read_compact : Adgc_serial.Net_codec.Read.t -> t
+(** Reads {!emit_compact}'s bytes back to an equal algebra; a negative
+    id, presence bits outside 1–3 or a second IC for an entry already
+    read is malformed. *)
 
 val pp : Format.formatter -> t -> unit
 (** Paper style: [{{P1->#0@P2:3} -> {P2->#1@P4:0}}] where the integer

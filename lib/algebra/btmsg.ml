@@ -1,4 +1,5 @@
-module Sval = Adgc_serial.Sval
+module N = Adgc_serial.Net_codec
+module R = Adgc_serial.Net_codec.Read
 
 type trace_id = { initiator : Proc_id.t; seq : int }
 
@@ -24,79 +25,67 @@ let pp ppf = function
       Format.fprintf ppf "BT-REPLY[%a subject=%a %s]" pp_trace_id r.trace Ref_key.pp r.subject
         (match r.verdict with Rooted -> "rooted" | Cycle_back -> "cycle-back")
 
-let ref_to_sval (k : Ref_key.t) =
-  Sval.List
-    [
-      Sval.Int (Proc_id.to_int k.src);
-      Sval.Int (Proc_id.to_int (Oid.owner k.target));
-      Sval.Int k.target.Oid.serial;
-    ]
+let n_bt_query = N.Name.v "bt_query"
+let n_bt_reply = N.Name.v "bt_reply"
+let n_initiator = N.Name.v "initiator"
+let n_seq = N.Name.v "seq"
+let n_subject = N.Name.v "subject"
+let n_visited = N.Name.v "visited"
+let n_verdict = N.Name.v "verdict"
 
-let to_sval = function
+(* A reference travels flat, as [src; owner; serial]. *)
+let emit_ref s (k : Ref_key.t) =
+  N.list s 3;
+  N.int s (Proc_id.to_int k.src);
+  N.int s (Proc_id.to_int (Oid.owner k.target));
+  N.int s k.target.Oid.serial
+
+let emit_head s name (trace : trace_id) subject =
+  N.record s name 4;
+  N.field s n_initiator;
+  N.int s (Proc_id.to_int trace.initiator);
+  N.field s n_seq;
+  N.int s trace.seq;
+  N.field s n_subject;
+  emit_ref s subject
+
+let emit s = function
   | Query q ->
-      Sval.Record
-        ( "bt_query",
-          [
-            ("initiator", Sval.Int (Proc_id.to_int q.trace.initiator));
-            ("seq", Sval.Int q.trace.seq);
-            ("subject", ref_to_sval q.subject);
-            ("visited", Sval.List (List.map ref_to_sval q.visited));
-          ] )
+      emit_head s n_bt_query q.trace q.subject;
+      N.field s n_visited;
+      N.list s (List.length q.visited);
+      List.iter (emit_ref s) q.visited
   | Reply r ->
-      Sval.Record
-        ( "bt_reply",
-          [
-            ("initiator", Sval.Int (Proc_id.to_int r.trace.initiator));
-            ("seq", Sval.Int r.trace.seq);
-            ("subject", ref_to_sval r.subject);
-            ("verdict", Sval.Bool (match r.verdict with Rooted -> true | Cycle_back -> false));
-          ] )
+      emit_head s n_bt_reply r.trace r.subject;
+      N.field s n_verdict;
+      N.bool s (match r.verdict with Rooted -> true | Cycle_back -> false)
 
-let ref_of_sval = function
-  | Sval.List [ Sval.Int src; Sval.Int owner; Sval.Int serial ]
-    when src >= 0 && owner >= 0 && serial >= 0 ->
-      Some
-        (Ref_key.make ~src:(Proc_id.of_int src)
-           ~target:(Oid.make ~owner:(Proc_id.of_int owner) ~serial))
-  | _ -> None
+let read_ref r =
+  if R.list r <> 3 then R.fail r "bad reference";
+  let src = R.int r in
+  let owner = R.int r in
+  let serial = R.int r in
+  if src < 0 || owner < 0 || serial < 0 then R.fail r "negative id";
+  Ref_key.make ~src:(Proc_id.of_int src) ~target:(Oid.make ~owner:(Proc_id.of_int owner) ~serial)
 
-let refs_of_sval svals =
-  List.fold_right
-    (fun sv acc ->
-      match (acc, ref_of_sval sv) with Some acc, Some k -> Some (k :: acc) | _ -> None)
-    svals (Some [])
+let cases = [| (n_bt_query, 4); (n_bt_reply, 4) |]
 
-let of_sval = function
-  | Sval.Record
-      ( "bt_query",
-        [
-          ("initiator", Sval.Int initiator);
-          ("seq", Sval.Int seq);
-          ("subject", subject);
-          ("visited", Sval.List visited);
-        ] )
-    when initiator >= 0 -> (
-      match (ref_of_sval subject, refs_of_sval visited) with
-      | Some subject, Some visited ->
-          Some (Query { trace = { initiator = Proc_id.of_int initiator; seq }; subject; visited })
-      | _ -> None)
-  | Sval.Record
-      ( "bt_reply",
-        [
-          ("initiator", Sval.Int initiator);
-          ("seq", Sval.Int seq);
-          ("subject", subject);
-          ("verdict", Sval.Bool verdict);
-        ] )
-    when initiator >= 0 -> (
-      match ref_of_sval subject with
-      | Some subject ->
-          Some
-            (Reply
-               {
-                 trace = { initiator = Proc_id.of_int initiator; seq };
-                 subject;
-                 verdict = (if verdict then Rooted else Cycle_back);
-               })
-      | None -> None)
-  | _ -> None
+let read_case r i =
+  R.field r n_initiator;
+  let initiator = R.int r in
+  R.field r n_seq;
+  let seq = R.int r in
+  R.field r n_subject;
+  let subject = read_ref r in
+  if initiator < 0 then R.fail r "negative id";
+  let trace = { initiator = Proc_id.of_int initiator; seq } in
+  if i = 0 then begin
+    R.field r n_visited;
+    let visited = List.init (R.list r) (fun _ -> read_ref r) in
+    Query { trace; subject; visited }
+  end
+  else begin
+    R.field r n_verdict;
+    let verdict = if R.bool r then Rooted else Cycle_back in
+    Reply { trace; subject; verdict }
+  end

@@ -1,5 +1,5 @@
-module Sval = Adgc_serial.Sval
 module N = Adgc_serial.Net_codec
+module R = Adgc_serial.Net_codec.Read
 
 type t = { id : Detection_id.t; algebra : Algebra.t; frontier : Ref_key.t; hops : int; budget : int }
 
@@ -37,31 +37,33 @@ let emit s t =
   N.field s n_budget;
   N.int s t.budget
 
-let to_sval t = N.to_sval emit t
+let cases = [| (n_cdm, 8) |]
 
-let of_sval = function
-  | Sval.Record
-      ( "cdm",
-        [
-          ("initiator", Sval.Int initiator);
-          ("seq", Sval.Int seq);
-          ("algebra", alg);
-          ("f_src", Sval.Int f_src);
-          ("f_owner", Sval.Int f_owner);
-          ("f_serial", Sval.Int f_serial);
-          ("hops", Sval.Int hops);
-          ("budget", Sval.Int budget);
-        ] )
-    when initiator >= 0 && f_src >= 0 && f_owner >= 0 && f_serial >= 0 && hops >= 0 && budget >= 0
-    -> (
-      match Algebra.of_sval alg with
-      | Some algebra ->
-          let id = Detection_id.make ~initiator:(Proc_id.of_int initiator) ~seq in
-          let target = Oid.make ~owner:(Proc_id.of_int f_owner) ~serial:f_serial in
-          let frontier = Ref_key.make ~src:(Proc_id.of_int f_src) ~target in
-          Some (make ~id ~algebra ~frontier ~hops ~budget)
-      | None -> None)
-  | _ -> None
+let read_case r _ =
+  R.field r n_initiator;
+  let initiator = R.int r in
+  R.field r n_seq;
+  let seq = R.int r in
+  R.field r n_algebra;
+  let algebra = Algebra.read_compact r in
+  R.field r n_f_src;
+  let f_src = R.int r in
+  R.field r n_f_owner;
+  let f_owner = R.int r in
+  R.field r n_f_serial;
+  let f_serial = R.int r in
+  R.field r n_hops;
+  let hops = R.int r in
+  R.field r n_budget;
+  let budget = R.int r in
+  if initiator < 0 || f_src < 0 || f_owner < 0 || f_serial < 0 || hops < 0 || budget < 0 then
+    R.fail r "negative field";
+  let id = Detection_id.make ~initiator:(Proc_id.of_int initiator) ~seq in
+  let target = Oid.make ~owner:(Proc_id.of_int f_owner) ~serial:f_serial in
+  let frontier = Ref_key.make ~src:(Proc_id.of_int f_src) ~target in
+  make ~id ~algebra ~frontier ~hops ~budget
+
+let read r = read_case r (R.variant r cases)
 
 let pp ppf t =
   Format.fprintf ppf "CDM[%a hops=%d budget=%d frontier=%a] %a" Detection_id.pp t.id t.hops

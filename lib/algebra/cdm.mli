@@ -31,9 +31,16 @@ val emit : t Adgc_serial.Net_codec.shape
 (** Wire representation; its encoded size is what the message-size
     statistics report. *)
 
-val to_sval : t -> Adgc_serial.Sval.t
-(** The tree {!emit} describes. *)
+val read : Adgc_serial.Net_codec.Read.t -> t
+(** Reads {!emit}'s bytes back; a negative id, hop count or budget is
+    malformed. *)
 
-val of_sval : Adgc_serial.Sval.t -> t option
+val cases : (Adgc_serial.Net_codec.Name.t * int) array
+(** The record headers {!emit} writes, for {!Adgc_serial.Net_codec.Read.variant}. *)
+
+val read_case : Adgc_serial.Net_codec.Read.t -> int -> t
+(** [read r = read_case r (Read.variant r cases)]: the rest of the
+    record once its header is read — how {!Adgc_rt.Msg} reads a
+    payload that may be this type. *)
 
 val pp : Format.formatter -> t -> unit

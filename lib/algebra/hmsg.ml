@@ -1,4 +1,5 @@
-module Sval = Adgc_serial.Sval
+module N = Adgc_serial.Net_codec
+module R = Adgc_serial.Net_codec.Read
 
 type t =
   | Stamp of (Oid.t * int) list
@@ -10,38 +11,52 @@ let pp ppf = function
   | Report { round_time } -> Format.fprintf ppf "H-REPORT[t=%d]" round_time
   | Threshold { value } -> Format.fprintf ppf "H-THRESHOLD[%d]" value
 
-let to_sval = function
-  | Stamp stamps ->
-      Sval.Record
-        ( "h_stamp",
-          [
-            ( "stamps",
-              Sval.List
-                (List.map
-                   (fun ((o : Oid.t), stamp) ->
-                     Sval.List
-                       [
-                         Sval.Int (Proc_id.to_int (Oid.owner o));
-                         Sval.Int o.Oid.serial;
-                         Sval.Int stamp;
-                       ])
-                   stamps) );
-          ] )
-  | Report { round_time } -> Sval.Record ("h_report", [ ("round_time", Sval.Int round_time) ])
-  | Threshold { value } -> Sval.Record ("h_threshold", [ ("value", Sval.Int value) ])
+let n_h_stamp = N.Name.v "h_stamp"
+let n_h_report = N.Name.v "h_report"
+let n_h_threshold = N.Name.v "h_threshold"
+let n_stamps = N.Name.v "stamps"
+let n_round_time = N.Name.v "round_time"
+let n_value = N.Name.v "value"
 
-let of_sval = function
-  | Sval.Record ("h_stamp", [ ("stamps", Sval.List entries) ]) ->
-      List.fold_right
-        (fun sv acc ->
-          match (acc, sv) with
-          | Some acc, Sval.List [ Sval.Int owner; Sval.Int serial; Sval.Int stamp ]
-            when owner >= 0 && serial >= 0 ->
-              Some ((Oid.make ~owner:(Proc_id.of_int owner) ~serial, stamp) :: acc)
-          | _ -> None)
-        entries (Some [])
-      |> Option.map (fun stamps -> Stamp stamps)
-  | Sval.Record ("h_report", [ ("round_time", Sval.Int round_time) ]) ->
-      Some (Report { round_time })
-  | Sval.Record ("h_threshold", [ ("value", Sval.Int value) ]) -> Some (Threshold { value })
-  | _ -> None
+(* A stamp travels flat, as [owner; serial; stamp]. *)
+let emit s = function
+  | Stamp stamps ->
+      N.record s n_h_stamp 1;
+      N.field s n_stamps;
+      N.list s (List.length stamps);
+      List.iter
+        (fun ((o : Oid.t), stamp) ->
+          N.list s 3;
+          N.int s (Proc_id.to_int (Oid.owner o));
+          N.int s o.Oid.serial;
+          N.int s stamp)
+        stamps
+  | Report { round_time } ->
+      N.record s n_h_report 1;
+      N.field s n_round_time;
+      N.int s round_time
+  | Threshold { value } ->
+      N.record s n_h_threshold 1;
+      N.field s n_value;
+      N.int s value
+
+let cases = [| (n_h_stamp, 1); (n_h_report, 1); (n_h_threshold, 1) |]
+
+let read_stamp r =
+  if R.list r <> 3 then R.fail r "bad stamp";
+  let owner = R.int r in
+  let serial = R.int r in
+  let stamp = R.int r in
+  if owner < 0 || serial < 0 then R.fail r "negative id";
+  (Oid.make ~owner:(Proc_id.of_int owner) ~serial, stamp)
+
+let read_case r = function
+  | 0 ->
+      R.field r n_stamps;
+      Stamp (List.init (R.list r) (fun _ -> read_stamp r))
+  | 1 ->
+      R.field r n_round_time;
+      Report { round_time = R.int r }
+  | _ ->
+      R.field r n_value;
+      Threshold { value = R.int r }

@@ -17,6 +17,13 @@ type t =
 
 val pp : Format.formatter -> t -> unit
 
-val to_sval : t -> Adgc_serial.Sval.t
+val emit : t Adgc_serial.Net_codec.shape
+(** Wire representation, inside {!Adgc_rt.Msg.emit}. *)
 
-val of_sval : Adgc_serial.Sval.t -> t option
+val cases : (Adgc_serial.Net_codec.Name.t * int) array
+(** The record headers {!emit} writes, for
+    {!Adgc_serial.Net_codec.Read.variant}. *)
+
+val read_case : Adgc_serial.Net_codec.Read.t -> int -> t
+(** The rest of the record whose header [Read.variant r cases] read,
+    as {!Cdm.read_case}; a negative id is malformed. *)

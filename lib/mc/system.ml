@@ -245,6 +245,14 @@ let oid_str o = Format.asprintf "%a" Oid.pp o
 
 let key_str k = Format.asprintf "%a" Ref_key.pp k
 
+(* Wire bytes as text: the canonical rendering of a summary or a
+   payload — injective, and it keeps every field ([Summary.pp] drops
+   [last_invoked], which would merge distinct states). *)
+let hex bytes =
+  let b = Buffer.create (2 * String.length bytes) in
+  String.iter (fun c -> Printf.bprintf b "%02x" (Char.code c)) bytes;
+  Buffer.contents b
+
 let fingerprint t =
   let rt = Sim.rt t.sim in
   let procs =
@@ -291,8 +299,7 @@ let fingerprint t =
              match Adgc_dcda.Detector.summary (Sim.detector t.sim (Proc_id.to_int p.Process.id)) with
              | None -> Json.Null
              | Some s ->
-                 Json.Str
-                   (Format.asprintf "%a" Adgc_serial.Sval.pp (Adgc_snapshot.Summary.to_sval s))
+                 Json.Str (hex (Adgc_snapshot.Summary.encode s))
            in
            Json.obj_sorted
              [
@@ -314,7 +321,7 @@ let fingerprint t =
            Printf.sprintf "%d>%d:%s"
              (Proc_id.to_int m.Msg.src)
              (Proc_id.to_int m.Msg.dst)
-             (Format.asprintf "%a" Adgc_serial.Sval.pp (Msg.payload_sval m.Msg.payload)))
+             (hex (Adgc_serial.Net_codec.encode_shape Msg.emit_payload m.Msg.payload)))
     |> List.sort compare
     |> List.map (fun s -> Json.Str s)
   in

@@ -1,4 +1,5 @@
-module Sval = Adgc_serial.Sval
+module N = Adgc_serial.Net_codec
+module R = Adgc_serial.Net_codec.Read
 module Msg = Adgc_rt.Msg
 open Adgc_algebra
 
@@ -25,93 +26,108 @@ type t =
   | Shutdown
   | Bye
 
-let kind = function
-  | Hello _ -> "hello"
-  | Start -> "start"
-  | Heartbeat _ -> "heartbeat"
-  | Net_msg _ -> "net_msg"
-  | Status_req -> "status_req"
-  | Status _ -> "status"
-  | State_req -> "state_req"
-  | State _ -> "state"
-  | Drop_peer _ -> "drop_peer"
-  | Shutdown -> "shutdown"
-  | Bye -> "bye"
+(* Constructor order, which [headers] and {!read} follow. *)
+let index = function
+  | Hello _ -> 0
+  | Start -> 1
+  | Heartbeat _ -> 2
+  | Net_msg _ -> 3
+  | Status_req -> 4
+  | Status _ -> 5
+  | State_req -> 6
+  | State _ -> 7
+  | Drop_peer _ -> 8
+  | Shutdown -> 9
+  | Bye -> 10
 
-let oid_sval (o : Oid.t) =
-  Sval.List [ Sval.Int (Proc_id.to_int (Oid.owner o)); Sval.Int o.Oid.serial ]
+(* Each constructor's kind, which also names its record, and its
+   field count. *)
+let headers =
+  [| ("hello", 3); ("start", 0); ("heartbeat", 1); ("net_msg", 1); ("status_req", 0); ("status", 7);
+     ("state_req", 0); ("state", 1); ("drop_peer", 1); ("shutdown", 0); ("bye", 0) |]
 
-let oid_of_sval = function
-  | Sval.List [ Sval.Int owner; Sval.Int serial ] when owner >= 0 ->
-      Some (Oid.make ~owner:(Proc_id.of_int owner) ~serial)
-  | _ -> None
+let kind t = fst headers.(index t)
 
-let all_of f l =
-  List.fold_right
-    (fun x acc -> match (f x, acc) with Some v, Some vs -> Some (v :: vs) | _ -> None)
-    l (Some [])
+let cases = Array.map (fun (kind, fields) -> (N.Name.v kind, fields)) headers
 
-let to_sval = function
+let n_rank = N.Name.v "rank"
+let n_procs = N.Name.v "procs"
+let n_seed = N.Name.v "seed"
+let n_tick = N.Name.v "tick"
+let n_msg = N.Name.v "msg"
+let n_ready = N.Name.v "ready"
+let n_reclaimed = N.Name.v "reclaimed"
+let n_wire_sent = N.Name.v "wire_sent"
+let n_wire_received = N.Name.v "wire_received"
+let n_dup_ignored = N.Name.v "dup_ignored"
+let n_node = N.Name.v "node"
+
+let emit_int s name v =
+  N.field s name;
+  N.int s v
+
+let emit s t =
+  let name, fields = cases.(index t) in
+  N.record s name fields;
+  match t with
   | Hello { rank; procs; seed } ->
-      Sval.Record
-        ("hello", [ ("rank", Sval.Int rank); ("procs", Sval.Int procs); ("seed", Sval.Int seed) ])
-  | Start -> Sval.Record ("start", [])
-  | Heartbeat { tick } -> Sval.Record ("heartbeat", [ ("tick", Sval.Int tick) ])
-  | Net_msg m -> Sval.Record ("net_msg", [ ("msg", Msg.to_sval m) ])
-  | Status_req -> Sval.Record ("status_req", [])
-  | Status s ->
-      Sval.Record
-        ( "status",
-          [
-            ("rank", Sval.Int s.st_rank);
-            ("tick", Sval.Int s.st_tick);
-            ("ready", Sval.Bool s.st_ready);
-            ("reclaimed", Sval.List (List.map oid_sval s.st_reclaimed));
-            ("wire_sent", Sval.Int s.st_wire_sent);
-            ("wire_received", Sval.Int s.st_wire_received);
-            ("dup_ignored", Sval.Int s.st_dup_ignored);
-          ] )
-  | State_req -> Sval.Record ("state_req", [])
-  | State ns -> Sval.Record ("state", [ ("node", Gather.to_sval ns) ])
-  | Drop_peer rank -> Sval.Record ("drop_peer", [ ("rank", Sval.Int rank) ])
-  | Shutdown -> Sval.Record ("shutdown", [])
-  | Bye -> Sval.Record ("bye", [])
+      emit_int s n_rank rank;
+      emit_int s n_procs procs;
+      emit_int s n_seed seed
+  | Heartbeat { tick } -> emit_int s n_tick tick
+  | Net_msg m ->
+      N.field s n_msg;
+      Msg.emit s m
+  | Status st ->
+      emit_int s n_rank st.st_rank;
+      emit_int s n_tick st.st_tick;
+      N.field s n_ready;
+      N.bool s st.st_ready;
+      N.field s n_reclaimed;
+      N.list s (List.length st.st_reclaimed);
+      List.iter (Oid.emit s) st.st_reclaimed;
+      emit_int s n_wire_sent st.st_wire_sent;
+      emit_int s n_wire_received st.st_wire_received;
+      emit_int s n_dup_ignored st.st_dup_ignored
+  | State ns ->
+      N.field s n_node;
+      Gather.emit s ns
+  | Drop_peer rank -> emit_int s n_rank rank
+  | Start | Status_req | State_req | Shutdown | Bye -> ()
 
-let of_sval = function
-  | Sval.Record ("hello", [ ("rank", Sval.Int rank); ("procs", Sval.Int procs); ("seed", Sval.Int seed) ])
-    ->
-      Some (Hello { rank; procs; seed })
-  | Sval.Record ("start", []) -> Some Start
-  | Sval.Record ("heartbeat", [ ("tick", Sval.Int tick) ]) -> Some (Heartbeat { tick })
-  | Sval.Record ("net_msg", [ ("msg", m) ]) -> Option.map (fun m -> Net_msg m) (Msg.of_sval m)
-  | Sval.Record ("status_req", []) -> Some Status_req
-  | Sval.Record
-      ( "status",
-        [
-          ("rank", Sval.Int st_rank);
-          ("tick", Sval.Int st_tick);
-          ("ready", Sval.Bool st_ready);
-          ("reclaimed", Sval.List reclaimed);
-          ("wire_sent", Sval.Int st_wire_sent);
-          ("wire_received", Sval.Int st_wire_received);
-          ("dup_ignored", Sval.Int st_dup_ignored);
-        ] ) ->
-      Option.map
-        (fun st_reclaimed ->
-          Status
-            {
-              st_rank;
-              st_tick;
-              st_ready;
-              st_reclaimed;
-              st_wire_sent;
-              st_wire_received;
-              st_dup_ignored;
-            })
-        (all_of oid_of_sval reclaimed)
-  | Sval.Record ("state_req", []) -> Some State_req
-  | Sval.Record ("state", [ ("node", ns) ]) -> Option.map (fun ns -> State ns) (Gather.of_sval ns)
-  | Sval.Record ("drop_peer", [ ("rank", Sval.Int rank) ]) -> Some (Drop_peer rank)
-  | Sval.Record ("shutdown", []) -> Some Shutdown
-  | Sval.Record ("bye", []) -> Some Bye
-  | _ -> None
+let read_int r name =
+  R.field r name;
+  R.int r
+
+let read r =
+  match R.variant r cases with
+  | 0 ->
+      let rank = read_int r n_rank in
+      let procs = read_int r n_procs in
+      let seed = read_int r n_seed in
+      Hello { rank; procs; seed }
+  | 1 -> Start
+  | 2 -> Heartbeat { tick = read_int r n_tick }
+  | 3 ->
+      R.field r n_msg;
+      Net_msg (Msg.read r)
+  | 4 -> Status_req
+  | 5 ->
+      let st_rank = read_int r n_rank in
+      let st_tick = read_int r n_tick in
+      R.field r n_ready;
+      let st_ready = R.bool r in
+      R.field r n_reclaimed;
+      let st_reclaimed = List.init (R.list r) (fun _ -> Oid.read r) in
+      let st_wire_sent = read_int r n_wire_sent in
+      let st_wire_received = read_int r n_wire_received in
+      let st_dup_ignored = read_int r n_dup_ignored in
+      Status
+        { st_rank; st_tick; st_ready; st_reclaimed; st_wire_sent; st_wire_received; st_dup_ignored }
+  | 6 -> State_req
+  | 7 ->
+      R.field r n_node;
+      State (Gather.read r)
+  | 8 -> Drop_peer (read_int r n_rank)
+  | 9 -> Shutdown
+  | _ -> Bye

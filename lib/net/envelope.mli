@@ -7,10 +7,12 @@
     control plane: connection handshake, liveness, run orchestration
     and state gathering.
 
-    Encoding is {!Adgc_serial.Net_codec} with {e per-connection}
-    interning ({!Adgc_serial.Net_codec.Stream}) — record and field
-    names cross each connection once, which is what the two-frame
-    shrink test in [test_serial.ml] pins down. *)
+    The wire form is one shape, {!emit}, and its direct reader,
+    {!read}, both over {!Adgc_serial.Net_codec}.  {!Transport} runs
+    them through {!Adgc_serial.Net_codec.Stream}, whose {e
+    per-connection} interning sends each record and field name once
+    per connection — which is what the two-frame shrink test in
+    [test_serial.ml] pins down. *)
 
 type status = {
   st_rank : int;
@@ -41,9 +43,12 @@ type t =
   | Shutdown  (** coordinator -> node: flush, reply [Bye], exit *)
   | Bye
 
-val to_sval : t -> Adgc_serial.Sval.t
+val emit : t Adgc_serial.Net_codec.shape
 
-val of_sval : Adgc_serial.Sval.t -> t option
+val read : Adgc_serial.Net_codec.Read.t -> t
+(** Reads {!emit}'s bytes back; every oid follows
+    {!Adgc_algebra.Oid.read} (no negative owner or serial), and a
+    [Net_msg] is as strict as {!Adgc_rt.Msg.read}. *)
 
 val kind : t -> string
 (** Stable tag for stats counters ("hello", "net_msg", ...). *)

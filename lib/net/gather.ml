@@ -1,5 +1,6 @@
 open Adgc_algebra
-module Sval = Adgc_serial.Sval
+module N = Adgc_serial.Net_codec
+module R = Adgc_serial.Net_codec.Read
 module Invariant = Adgc_check.Invariant
 
 type object_state = { oid : Oid.t; refs : Oid.t list; rooted : bool }
@@ -51,101 +52,105 @@ let capture ~rt ~rank ~tick ~reclaimed =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Wire representation.  Same id conventions as Msg's codec: an oid is
+(* Wire representation.  Same id conventions as Msg's: an oid is
    [owner; serial], a ref key is [src; oid]. *)
 
-let oid_sval (o : Oid.t) =
-  Sval.List [ Sval.Int (Proc_id.to_int (Oid.owner o)); Sval.Int o.Oid.serial ]
+let n_node_state = N.Name.v "node_state"
+let n_rank = N.Name.v "rank"
+let n_tick = N.Name.v "tick"
+let n_objects = N.Name.v "objects"
+let n_stubs = N.Name.v "stubs"
+let n_scions = N.Name.v "scions"
+let n_reclaimed = N.Name.v "reclaimed"
+let n_counters = N.Name.v "counters"
 
-let key_sval (k : Ref_key.t) =
-  Sval.List [ Sval.Int (Proc_id.to_int k.Ref_key.src); oid_sval k.Ref_key.target ]
+let emit_list s f l =
+  N.list s (List.length l);
+  List.iter (f s) l
 
-let to_sval t =
-  Sval.Record
-    ( "node_state",
-      [
-        ("rank", Sval.Int t.rank);
-        ("tick", Sval.Int t.tick);
-        ( "objects",
-          Sval.List
-            (List.map
-               (fun o ->
-                 Sval.List
-                   [ oid_sval o.oid; Sval.List (List.map oid_sval o.refs); Sval.Bool o.rooted ])
-               t.objects) );
-        ( "stubs",
-          Sval.List
-            (List.map (fun s -> Sval.List [ oid_sval s.target; Sval.Int s.stub_ic ]) t.stubs) );
-        ( "scions",
-          Sval.List
-            (List.map
-               (fun s -> Sval.List [ key_sval s.key; Sval.Int s.scion_ic; Sval.Bool s.confirmed ])
-               t.scions) );
-        ("reclaimed", Sval.List (List.map oid_sval t.reclaimed));
-        ( "counters",
-          Sval.List
-            (List.map (fun (k, v) -> Sval.List [ Sval.Str k; Sval.Int v ]) t.counters) );
-      ] )
+let emit s t =
+  N.record s n_node_state 7;
+  N.field s n_rank;
+  N.int s t.rank;
+  N.field s n_tick;
+  N.int s t.tick;
+  N.field s n_objects;
+  emit_list s
+    (fun s o ->
+      N.list s 3;
+      Oid.emit s o.oid;
+      emit_list s Oid.emit o.refs;
+      N.bool s o.rooted)
+    t.objects;
+  N.field s n_stubs;
+  emit_list s
+    (fun s st ->
+      N.list s 2;
+      Oid.emit s st.target;
+      N.int s st.stub_ic)
+    t.stubs;
+  N.field s n_scions;
+  emit_list s
+    (fun s sc ->
+      N.list s 3;
+      Ref_key.emit s sc.key;
+      N.int s sc.scion_ic;
+      N.bool s sc.confirmed)
+    t.scions;
+  N.field s n_reclaimed;
+  emit_list s Oid.emit t.reclaimed;
+  N.field s n_counters;
+  emit_list s
+    (fun s (k, v) ->
+      N.list s 2;
+      N.str s k;
+      N.int s v)
+    t.counters
 
-let oid_of_sval = function
-  | Sval.List [ Sval.Int owner; Sval.Int serial ] when owner >= 0 ->
-      Some (Oid.make ~owner:(Proc_id.of_int owner) ~serial)
-  | _ -> None
+let read_list r f = List.init (R.list r) (fun _ -> f r)
 
-let key_of_sval = function
-  | Sval.List [ Sval.Int src; oid ] when src >= 0 ->
-      Option.map (fun target -> Ref_key.make ~src:(Proc_id.of_int src) ~target) (oid_of_sval oid)
-  | _ -> None
+(* A fixed-length list: a tuple on the wire. *)
+let tuple r k = if R.list r <> k then R.fail r "bad tuple"
 
-let all_of f l =
-  List.fold_right
-    (fun x acc -> match (f x, acc) with Some v, Some vs -> Some (v :: vs) | _ -> None)
-    l (Some [])
-
-let object_of_sval = function
-  | Sval.List [ oid; Sval.List refs; Sval.Bool rooted ] -> (
-      match (oid_of_sval oid, all_of oid_of_sval refs) with
-      | Some oid, Some refs -> Some { oid; refs; rooted }
-      | _ -> None)
-  | _ -> None
-
-let stub_of_sval = function
-  | Sval.List [ target; Sval.Int stub_ic ] ->
-      Option.map (fun target -> { target; stub_ic }) (oid_of_sval target)
-  | _ -> None
-
-let scion_of_sval = function
-  | Sval.List [ key; Sval.Int scion_ic; Sval.Bool confirmed ] ->
-      Option.map (fun key -> { key; scion_ic; confirmed }) (key_of_sval key)
-  | _ -> None
-
-let counter_of_sval = function
-  | Sval.List [ Sval.Str k; Sval.Int v ] -> Some (k, v)
-  | _ -> None
-
-let of_sval = function
-  | Sval.Record
-      ( "node_state",
-        [
-          ("rank", Sval.Int rank);
-          ("tick", Sval.Int tick);
-          ("objects", Sval.List objects);
-          ("stubs", Sval.List stubs);
-          ("scions", Sval.List scions);
-          ("reclaimed", Sval.List reclaimed);
-          ("counters", Sval.List counters);
-        ] ) -> (
-      match
-        ( all_of object_of_sval objects,
-          all_of stub_of_sval stubs,
-          all_of scion_of_sval scions,
-          all_of oid_of_sval reclaimed,
-          all_of counter_of_sval counters )
-      with
-      | Some objects, Some stubs, Some scions, Some reclaimed, Some counters ->
-          Some { rank; tick; objects; stubs; scions; reclaimed; counters }
-      | _ -> None)
-  | _ -> None
+let read r =
+  R.record r n_node_state 7;
+  R.field r n_rank;
+  let rank = R.int r in
+  R.field r n_tick;
+  let tick = R.int r in
+  R.field r n_objects;
+  let objects =
+    read_list r (fun r ->
+        tuple r 3;
+        let oid = Oid.read r in
+        let refs = read_list r Oid.read in
+        { oid; refs; rooted = R.bool r })
+  in
+  R.field r n_stubs;
+  let stubs =
+    read_list r (fun r ->
+        tuple r 2;
+        let target = Oid.read r in
+        { target; stub_ic = R.int r })
+  in
+  R.field r n_scions;
+  let scions =
+    read_list r (fun r ->
+        tuple r 3;
+        let key = Ref_key.read r in
+        let scion_ic = R.int r in
+        { key; scion_ic; confirmed = R.bool r })
+  in
+  R.field r n_reclaimed;
+  let reclaimed = read_list r Oid.read in
+  R.field r n_counters;
+  let counters =
+    read_list r (fun r ->
+        tuple r 2;
+        let k = R.str r in
+        (k, R.int r))
+  in
+  { rank; tick; objects; stubs; scions; reclaimed; counters }
 
 (* ------------------------------------------------------------------ *)
 (* The oracle over gathered state. *)

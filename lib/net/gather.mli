@@ -41,9 +41,12 @@ val capture :
 (** Snapshot the state this node is authoritative for: process
     [rank]'s heap, tables and stats. *)
 
-val to_sval : node_state -> Adgc_serial.Sval.t
+val emit : node_state Adgc_serial.Net_codec.shape
+(** Wire representation, inside {!Envelope.emit}. *)
 
-val of_sval : Adgc_serial.Sval.t -> node_state option
+val read : Adgc_serial.Net_codec.Read.t -> node_state
+(** Reads {!emit}'s bytes back; a negative id in an oid or reference
+    key is malformed ({!Adgc_algebra.Oid.read}). *)
 
 (** {1 The gathered-state oracle} *)
 

@@ -102,7 +102,7 @@ let want_write t = t.alive && t.backlog_off < Buffer.length t.backlog
 
 let send t env =
   if t.alive then begin
-    let payload = Net_codec.Stream.encode t.enc (Envelope.to_sval env) in
+    let payload = Net_codec.Stream.encode t.enc Envelope.emit env in
     Buffer.add_string t.backlog (Frame.encode payload);
     t.sent_frames <- t.sent_frames + 1;
     flush t
@@ -127,13 +127,11 @@ let recv t =
        let rec drain () =
          match Frame.next t.frames with
          | None -> ()
-         | Some payload -> (
-             match Envelope.of_sval (Net_codec.Stream.decode t.dec payload) with
-             | Some env ->
-                 t.received_frames <- t.received_frames + 1;
-                 out := env :: !out;
-                 drain ()
-             | None -> kill t)
+         | Some payload ->
+             let env = Net_codec.Stream.read t.dec Envelope.read payload in
+             t.received_frames <- t.received_frames + 1;
+             out := env :: !out;
+             drain ()
        in
        drain ()
      with Wire.Malformed _ -> kill t);

@@ -1,6 +1,6 @@
 open Adgc_algebra
-module Sval = Adgc_serial.Sval
 module N = Adgc_serial.Net_codec
+module R = Adgc_serial.Net_codec.Read
 
 type payload =
   | Rmi_request of { req_id : int; target : Oid.t; args : Oid.t list; stub_ic : int }
@@ -172,8 +172,8 @@ let rec emit_payload s = function
       N.field s n_scions;
       N.list s (List.length scions);
       List.iter (Ref_key.emit s) scions
-  | Bt bt -> N.sval s (Btmsg.to_sval bt)
-  | Hughes h -> N.sval s (Hmsg.to_sval h)
+  | Bt bt -> Btmsg.emit s bt
+  | Hughes h -> Hmsg.emit s h
   | Batch payloads ->
       N.record s n_batch 1;
       N.field s n_msgs;
@@ -210,138 +210,139 @@ let emit s t =
   N.field s n_payload;
   emit_payload s t.payload
 
-let payload_sval p = N.to_sval emit_payload p
+(* The reader.  Field order is part of the wire format: a reordered
+   record is malformed, not merely unusual. *)
 
-let to_sval t = N.to_sval emit t
+let own_cases =
+  [|
+    (n_rmi_request, 4);
+    (n_rmi_reply, 3);
+    (n_export_notice, 3);
+    (n_export_ack, 3);
+    (n_new_set_stubs, 2);
+    (n_scion_probe, 0);
+    (n_cdm_delete, 3);
+    (n_batch, 1);
+    (n_group_fwd, 2);
+    (n_group_relay, 1);
+  |]
 
-(* Decoders.  Like {!Cdm.of_sval}, field order is part of the wire
-   format: a reordered record is malformed, not merely unusual. *)
+let payload_cases = Array.concat [ own_cases; Cdm.cases; Btmsg.cases; Hmsg.cases ]
 
-let oid_of_sval = function
-  | Sval.List [ Sval.Int owner; Sval.Int serial ] when owner >= 0 && serial >= 0 ->
-      Some (Oid.make ~owner:(Proc_id.of_int owner) ~serial)
-  | _ -> None
+let bt_at = Array.length own_cases + Array.length Cdm.cases
 
-let ref_of_sval = function
-  | Sval.List [ Sval.Int src; oid ] when src >= 0 ->
-      Option.map (fun target -> Ref_key.make ~src:(Proc_id.of_int src) ~target) (oid_of_sval oid)
-  | _ -> None
+let hughes_at = bt_at + Array.length Btmsg.cases
 
-let all_of f svals =
-  List.fold_right
-    (fun sv acc ->
-      match (acc, f sv) with Some acc, Some v -> Some (v :: acc) | _ -> None)
-    svals (Some [])
+let read_proc r =
+  let p = R.int r in
+  if p < 0 then R.fail r "negative id";
+  Proc_id.of_int p
 
-let rec payload_of_sval sval =
-  match sval with
-  | Sval.Record
-      ( "rmi_request",
-        [
-          ("req_id", Sval.Int req_id);
-          ("target", target);
-          ("args", Sval.List args);
-          ("stub_ic", Sval.Int stub_ic);
-        ] ) -> (
-      match (oid_of_sval target, all_of oid_of_sval args) with
-      | Some target, Some args -> Some (Rmi_request { req_id; target; args; stub_ic })
-      | _ -> None)
-  | Sval.Record
-      ("rmi_reply", [ ("req_id", Sval.Int req_id); ("target", target); ("results", Sval.List results) ])
-    -> (
-      match (oid_of_sval target, all_of oid_of_sval results) with
-      | Some target, Some results -> Some (Rmi_reply { req_id; target; results })
-      | _ -> None)
-  | Sval.Record
-      ( "export_notice",
-        [ ("notice_id", Sval.Int notice_id); ("target", target); ("new_holder", Sval.Int holder) ] )
-    when holder >= 0 ->
-      Option.map
-        (fun target ->
-          Export_notice { notice_id; target; new_holder = Proc_id.of_int holder })
-        (oid_of_sval target)
-  | Sval.Record
-      ( "export_ack",
-        [ ("notice_id", Sval.Int notice_id); ("target", target); ("new_holder", Sval.Int holder) ] )
-    when holder >= 0 ->
-      Option.map
-        (fun target -> Export_ack { notice_id; target; new_holder = Proc_id.of_int holder })
-        (oid_of_sval target)
-  | Sval.Record ("new_set_stubs", [ ("seqno", Sval.Int seqno); ("targets", Sval.List entries) ]) ->
-      let entry = function
-        | Sval.List [ oid; Sval.Int ic ] -> Option.map (fun o -> (o, ic)) (oid_of_sval oid)
-        | _ -> None
+let read_oids r = List.init (R.list r) (fun _ -> Oid.read r)
+
+let read_export r =
+  R.field r n_notice_id;
+  let notice_id = R.int r in
+  R.field r n_target;
+  let target = Oid.read r in
+  R.field r n_new_holder;
+  (notice_id, target, read_proc r)
+
+let rec read_payload r =
+  match R.variant r payload_cases with
+  | 0 ->
+      R.field r n_req_id;
+      let req_id = R.int r in
+      R.field r n_target;
+      let target = Oid.read r in
+      R.field r n_args;
+      let args = read_oids r in
+      R.field r n_stub_ic;
+      Rmi_request { req_id; target; args; stub_ic = R.int r }
+  | 1 ->
+      R.field r n_req_id;
+      let req_id = R.int r in
+      R.field r n_target;
+      let target = Oid.read r in
+      R.field r n_results;
+      Rmi_reply { req_id; target; results = read_oids r }
+  | 2 ->
+      let notice_id, target, new_holder = read_export r in
+      Export_notice { notice_id; target; new_holder }
+  | 3 ->
+      let notice_id, target, new_holder = read_export r in
+      Export_ack { notice_id; target; new_holder }
+  | 4 ->
+      R.field r n_seqno;
+      let seqno = R.int r in
+      R.field r n_targets;
+      let rec go n m =
+        if n = 0 then m
+        else begin
+          if R.list r <> 2 then R.fail r "bad stub set entry";
+          let o = Oid.read r in
+          go (n - 1) (Oid.Map.add o (R.int r) m)
+        end
       in
-      Option.map
-        (fun entries ->
-          New_set_stubs
-            {
-              seqno;
-              targets = List.fold_left (fun m (o, ic) -> Oid.Map.add o ic m) Oid.Map.empty entries;
-            })
-        (all_of entry entries)
-  | Sval.Record ("scion_probe", []) -> Some Scion_probe
-  | Sval.Record ("cdm", _) -> Option.map (fun cdm -> Cdm cdm) (Cdm.of_sval sval)
-  | Sval.Record
-      ( "cdm_delete",
-        [ ("initiator", Sval.Int initiator); ("seq", Sval.Int seq); ("scions", Sval.List scions) ]
-      )
-    when initiator >= 0 ->
-      Option.map
-        (fun scions ->
-          Cdm_delete
-            { id = Detection_id.make ~initiator:(Proc_id.of_int initiator) ~seq; scions })
-        (all_of ref_of_sval scions)
-  | Sval.Record (("bt_query" | "bt_reply"), _) ->
-      Option.map (fun bt -> Bt bt) (Btmsg.of_sval sval)
-  | Sval.Record (("h_stamp" | "h_report" | "h_threshold"), _) ->
-      Option.map (fun h -> Hughes h) (Hmsg.of_sval sval)
-  | Sval.Record ("batch", [ ("msgs", Sval.List payloads) ]) ->
+      New_set_stubs { seqno; targets = go (R.list r) Oid.Map.empty }
+  | 5 -> Scion_probe
+  | 6 ->
+      R.field r n_initiator;
+      let initiator = read_proc r in
+      R.field r n_seq;
+      let seq = R.int r in
+      R.field r n_scions;
+      let scions = List.init (R.list r) (fun _ -> Ref_key.read r) in
+      Cdm_delete { id = Detection_id.make ~initiator ~seq; scions }
+  | 7 ->
       (* Batches are never nested, and a decoded batch must not smuggle
-         one in.  The group wrappers are likewise flat: a relayed
-         payload is always a bare DGC control message.  Nor does a
-         batch carry references: only ref-free control traffic is
-         ever batched, so a constituent with references is forged. *)
-      let constituent sv =
-        match payload_of_sval sv with
-        | Some (Batch _ | Group_fwd _ | Group_relay _) -> None
-        | Some p when payload_refs p <> [] -> None
-        | (Some _ | None) as r -> r
+         one in.  Nor does a batch carry references: only ref-free
+         control traffic is ever batched, so a constituent with
+         references is forged. *)
+      R.field r n_msgs;
+      let constituent _ =
+        let p = read_flat r in
+        if payload_refs p <> [] then R.fail r "batched references";
+        p
       in
-      Option.map (fun payloads -> Batch payloads) (all_of constituent payloads)
-  | Sval.Record ("group_fwd", [ ("orig_src", Sval.Int orig_src); ("inner", inner) ])
-    when orig_src >= 0 -> (
-      match payload_of_sval inner with
-      | Some (Batch _ | Group_fwd _ | Group_relay _) | None -> None
-      | Some inner -> Some (Group_fwd { orig_src = Proc_id.of_int orig_src; inner }))
-  | Sval.Record ("group_relay", [ ("entries", Sval.List entries) ]) ->
-      let entry = function
-        | Sval.List [ Sval.Int orig_src; Sval.Int final_dst; p ] when orig_src >= 0 && final_dst >= 0
-          -> (
-            match payload_of_sval p with
-            | Some (Batch _ | Group_fwd _ | Group_relay _) | None -> None
-            | Some p -> Some (Proc_id.of_int orig_src, Proc_id.of_int final_dst, p))
-        | _ -> None
+      Batch (List.init (R.list r) constituent)
+  | 8 ->
+      R.field r n_orig_src;
+      let orig_src = read_proc r in
+      R.field r n_inner;
+      Group_fwd { orig_src; inner = read_flat r }
+  | 9 ->
+      R.field r n_entries;
+      let entry _ =
+        if R.list r <> 3 then R.fail r "bad relay entry";
+        let orig_src = read_proc r in
+        let final_dst = read_proc r in
+        (orig_src, final_dst, read_flat r)
       in
-      Option.map (fun entries -> Group_relay { entries }) (all_of entry entries)
-  | _ -> None
+      Group_relay { entries = List.init (R.list r) entry }
+  | i when i < bt_at -> Cdm (Cdm.read_case r (i - Array.length own_cases))
+  | i when i < hughes_at -> Bt (Btmsg.read_case r (i - bt_at))
+  | i -> Hughes (Hmsg.read_case r (i - hughes_at))
 
-let of_sval = function
-  | Sval.Record
-      ( "msg",
-        [
-          ("src", Sval.Int src);
-          ("dst", Sval.Int dst);
-          ("seq", Sval.Int seq);
-          ("sent_at", Sval.Int sent_at);
-          ("payload", payload);
-        ] )
-    when src >= 0 && dst >= 0 ->
-      Option.map
-        (fun payload ->
-          make ~seq ~src:(Proc_id.of_int src) ~dst:(Proc_id.of_int dst) ~sent_at payload)
-        (payload_of_sval payload)
-  | _ -> None
+(* The group wrappers are flat like batches: a relayed or batched
+   payload is always a bare DGC control message. *)
+and read_flat r =
+  match read_payload r with
+  | Batch _ | Group_fwd _ | Group_relay _ -> R.fail r "nested wrapper"
+  | p -> p
+
+let read r =
+  R.record r n_msg 5;
+  R.field r n_src;
+  let src = read_proc r in
+  R.field r n_dst;
+  let dst = read_proc r in
+  R.field r n_seq;
+  let seq = R.int r in
+  R.field r n_sent_at;
+  let sent_at = R.int r in
+  R.field r n_payload;
+  make ~seq ~src ~dst ~sent_at (read_payload r)
 
 let pp ppf t =
   Format.fprintf ppf "%a->%a@%d %s" Proc_id.pp t.src Proc_id.pp t.dst t.sent_at (kind t.payload)

@@ -116,22 +116,14 @@ val live_refs : payload -> Oid.t list
 
 val emit : t Adgc_serial.Net_codec.shape
 (** Wire representation; {!Network} charges each envelope its
-    [Net_codec.size]. *)
+    [Net_codec.size], and the socket driver sends these bytes. *)
 
 val emit_payload : payload Adgc_serial.Net_codec.shape
 
-val to_sval : t -> Adgc_serial.Sval.t
-(** The tree {!emit} describes (sockets, the model checker's state
-    text and the decoders read this). *)
-
-val payload_sval : payload -> Adgc_serial.Sval.t
-
-val payload_of_sval : Adgc_serial.Sval.t -> payload option
-(** Inverse of {!payload_sval}; [None] on any malformed value,
-    including a [Batch] nested inside a [Batch] and a [Batch]
-    constituent that carries references. *)
-
-val of_sval : Adgc_serial.Sval.t -> t option
-(** Inverse of {!to_sval}. *)
+val read : Adgc_serial.Net_codec.Read.t -> t
+(** Reads {!emit}'s bytes back.  Malformed: a negative process id or
+    oid, a reordered or extra field, a [Batch] or group wrapper nested
+    inside a [Batch] or group wrapper, and a [Batch] constituent that
+    carries references. *)
 
 val pp : Format.formatter -> t -> unit

@@ -4,13 +4,13 @@ module Stats = Adgc_util.Stats
 let noop_behavior _rt _p ~target:_ ~args:_ = []
 
 (* When [rmi_marshal] is on, do the real serialization work an RMI
-   implies at each end: encode the descriptor and decode it back
-   (marshal at the sender, unmarshal at the receiver). *)
+   implies at each end: encode the descriptor and read it back
+   (marshal at the sender, unmarshal at the receiver), as the socket
+   driver does. *)
 let marshal_work rt (msg : Msg.t) =
-  if rt.Runtime.config.rmi_marshal then begin
-    let encoded = Adgc_serial.Net_codec.encode (Msg.to_sval msg) in
-    ignore (Adgc_serial.Net_codec.decode encoded : Adgc_serial.Sval.t)
-  end
+  if rt.Runtime.config.rmi_marshal then
+    ignore
+      (Adgc_serial.Net_codec.(Read.run Msg.read (encode_shape Msg.emit msg)) : Msg.t)
 
 (* Caller-side transition: the pending-call table and the pins are the
    caller's own state. *)

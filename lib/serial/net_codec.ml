@@ -33,25 +33,12 @@ end
 (* ------------------------------------------------------------------ *)
 (* The streaming writer *)
 
-(* Build mode: an open list or record and how many items it still
-   awaits; items are collected in reverse. *)
-type frame =
-  | In_list of { mutable left : int; mutable items : Sval.t list }
-  | In_record of {
-      rname : string;
-      mutable left : int;
-      mutable key : string;
-      mutable fields : (string * Sval.t) list;
-    }
-
-type mode = Count | Write | Build
+type mode = Count | Write
 
 type sink = {
   mode : mode;
   buf : Wire.Writer.t;  (** [Write] *)
   mutable bytes : int;  (** [Count] *)
-  mutable stack : frame list;  (** [Build]: the open lists and records *)
-  mutable result : Sval.t;  (** [Build] *)
   (* Interning: a name's index is [slot.(id)] when [stamp.(id)] is the
      current epoch.  A new message bumps the epoch instead of clearing
      the arrays; a connection-scoped writer never does. *)
@@ -64,15 +51,12 @@ type sink = {
 type 'a shape = sink -> 'a -> unit
 
 let make mode =
-  let names = if mode = Build then 0 else 64 in
   {
     mode;
     buf = Wire.Writer.create ~initial:(if mode = Write then 1024 else 1) ();
     bytes = 0;
-    stack = [];
-    result = Sval.Unit;
-    stamp = Array.make names 0;
-    slot = Array.make names 0;
+    stamp = Array.make 64 0;
+    slot = Array.make 64 0;
     epoch = 1;
     next = 0;
   }
@@ -85,13 +69,12 @@ let start s =
   Wire.Writer.clear s.buf
 
 let raw_byte s b =
-  match s.mode with Count -> s.bytes <- s.bytes + 1 | Write -> Wire.Writer.byte s.buf b | Build -> ()
+  match s.mode with Count -> s.bytes <- s.bytes + 1 | Write -> Wire.Writer.byte s.buf b
 
 let raw_varint s v =
   match s.mode with
   | Count -> s.bytes <- s.bytes + Wire.varint_size v
   | Write -> Wire.Writer.varint s.buf v
-  | Build -> ()
 
 (* Interned names: the first occurrence is written as [size-of-table]
    followed by the string; later occurrences as their index. *)
@@ -114,53 +97,18 @@ let write_name s (n : Name.t) =
         let len = String.length n.Name.text in
         s.bytes <- s.bytes + Wire.varint_size len + len
     | Write -> Wire.Writer.string s.buf n.Name.text
-    | Build -> ()
   end
 
-(* Build mode: hand a finished value to the innermost open frame,
-   closing every frame it completes. *)
-let rec put s v =
-  match s.stack with
-  | [] -> s.result <- v
-  | In_list f :: rest ->
-      f.items <- v :: f.items;
-      f.left <- f.left - 1;
-      if f.left = 0 then begin
-        s.stack <- rest;
-        put s (Sval.List (List.rev f.items))
-      end
-  | In_record f :: rest ->
-      f.fields <- (f.key, v) :: f.fields;
-      f.left <- f.left - 1;
-      if f.left = 0 then begin
-        s.stack <- rest;
-        put s (Sval.Record (f.rname, List.rev f.fields))
-      end
-
 let record s n k =
-  match s.mode with
-  | Build ->
-      if k = 0 then put s (Sval.Record (n.Name.text, []))
-      else s.stack <- In_record { rname = n.Name.text; left = k; key = ""; fields = [] } :: s.stack
-  | Count | Write ->
-      raw_byte s tag_record;
-      write_name s n;
-      raw_varint s k
+  raw_byte s tag_record;
+  write_name s n;
+  raw_varint s k
 
-let field s n =
-  match s.mode with
-  | Build -> (
-      match s.stack with
-      | In_record f :: _ -> f.key <- n.Name.text
-      | _ -> invalid_arg "Net_codec.field: not inside a record")
-  | Count | Write -> write_name s n
+let field = write_name
 
 let list s k =
-  match s.mode with
-  | Build -> if k = 0 then put s (Sval.List []) else s.stack <- In_list { left = k; items = [] } :: s.stack
-  | Count | Write ->
-      raw_byte s tag_list;
-      raw_varint s k
+  raw_byte s tag_list;
+  raw_varint s k
 
 let int s v =
   match s.mode with
@@ -168,14 +116,10 @@ let int s v =
   | Write ->
       Wire.Writer.byte s.buf tag_int;
       Wire.Writer.varint s.buf v
-  | Build -> put s (Sval.Int v)
 
-let bool s b =
-  match s.mode with
-  | Build -> put s (Sval.Bool b)
-  | Count | Write -> raw_byte s (if b then tag_bool_true else tag_bool_false)
+let bool s b = raw_byte s (if b then tag_bool_true else tag_bool_false)
 
-let unit s = match s.mode with Build -> put s Sval.Unit | Count | Write -> raw_byte s tag_unit
+let unit s = raw_byte s tag_unit
 
 let float s f =
   match s.mode with
@@ -183,7 +127,6 @@ let float s f =
   | Write ->
       Wire.Writer.byte s.buf tag_float;
       Wire.Writer.float s.buf f
-  | Build -> put s (Sval.Float f)
 
 let str s v =
   match s.mode with
@@ -193,20 +136,20 @@ let str s v =
   | Write ->
       Wire.Writer.byte s.buf tag_str;
       Wire.Writer.string s.buf v
-  | Build -> put s (Sval.Str v)
 
+(* A tree replayed as events: how [encode] writes an arbitrary
+   document. *)
 let rec sval s (v : Sval.t) =
-  match (s.mode, v) with
-  | Build, v -> put s v
-  | _, Unit -> unit s
-  | _, Bool b -> bool s b
-  | _, Int i -> int s i
-  | _, Float f -> float s f
-  | _, Str v -> str s v
-  | _, List items ->
+  match v with
+  | Unit -> unit s
+  | Bool b -> bool s b
+  | Int i -> int s i
+  | Float f -> float s f
+  | Str v -> str s v
+  | List items ->
       list s (List.length items);
       List.iter (sval s) items
-  | _, Record (rname, fields) ->
+  | Record (rname, fields) ->
       record s (Name.v rname) (List.length fields);
       List.iter
         (fun (k, fv) ->
@@ -229,12 +172,6 @@ let size shape v =
   start counter;
   shape counter v;
   counter.bytes
-
-let to_sval shape v =
-  let s = make Build in
-  shape s v;
-  if s.stack <> [] then invalid_arg "Net_codec.to_sval: unfinished value";
-  s.result
 
 let encode v = encode_shape sval v
 
@@ -305,14 +242,41 @@ let decode s =
 module Read = struct
   (* [ids.(i)] is the name id interned at index [i].  Only names that
      matched what the shape expected are ever interned, so comparing
-     ids is comparing texts. *)
-  type t = { r : Wire.Reader.t; mutable ids : int array; mutable count : int }
+     ids is comparing texts.  A stream reader keeps [ids] across
+     frames and swaps [r] per frame. *)
+  type t = { mutable r : Wire.Reader.t; mutable ids : int array; mutable count : int }
 
   let of_string s = { r = Wire.Reader.of_string s; ids = Array.make 16 0; count = 0 }
 
   let fail t what = raise (Wire.Malformed { offset = Wire.Reader.pos t.r; what })
 
   let tag t expected = if Wire.Reader.byte t.r <> expected then fail t "unexpected tag"
+
+  let intern t (n : Name.t) =
+    if t.count = Array.length t.ids then t.ids <- Array.append t.ids (Array.make t.count 0);
+    t.ids.(t.count) <- n.Name.id;
+    t.count <- t.count + 1
+
+  (* The next name, which must be [name_of cases.(i)] for some [i]:
+     returns [i]. *)
+  let name_in t name_of cases =
+    let find p =
+      let rec go i =
+        if i = Array.length cases then fail t "unexpected name"
+        else if p (name_of cases.(i)) then i
+        else go (i + 1)
+      in
+      go 0
+    in
+    let idx = Wire.Reader.varint t.r in
+    if idx >= 0 && idx < t.count then find (fun (n : Name.t) -> n.Name.id = t.ids.(idx))
+    else if idx = t.count then begin
+      let text = Wire.Reader.string t.r in
+      let i = find (fun (n : Name.t) -> String.equal n.Name.text text) in
+      intern t (name_of cases.(i));
+      i
+    end
+    else fail t "bad intern index"
 
   let name t (n : Name.t) =
     let idx = Wire.Reader.varint t.r in
@@ -321,17 +285,22 @@ module Read = struct
     end
     else if idx = t.count then begin
       if not (String.equal (Wire.Reader.string t.r) n.Name.text) then fail t "unexpected name";
-      if t.count = Array.length t.ids then
-        t.ids <- Array.append t.ids (Array.make t.count 0);
-      t.ids.(t.count) <- n.Name.id;
-      t.count <- t.count + 1
+      intern t n
     end
     else fail t "bad intern index"
+
+  let count t k = if Wire.Reader.varint t.r <> k then fail t "unexpected field count"
 
   let record t n k =
     tag t tag_record;
     name t n;
-    if Wire.Reader.varint t.r <> k then fail t "unexpected field count"
+    count t k
+
+  let variant t cases =
+    tag t tag_record;
+    let i = name_in t fst cases in
+    count t (snd cases.(i));
+    i
 
   let field = name
 
@@ -343,11 +312,21 @@ module Read = struct
     let b = Wire.Reader.byte t.r in
     if b = tag_bool_true then true else if b = tag_bool_false then false else fail t "unexpected tag"
 
+  let str t =
+    tag t tag_str;
+    Wire.Reader.string t.r
+
   let list t =
     tag t tag_list;
     checked_length t.r
 
   let finish t = if not (Wire.Reader.at_end t.r) then fail t "trailing bytes"
+
+  let run read bytes =
+    let t = of_string bytes in
+    let v = read t in
+    finish t;
+    v
 end
 
 (* Per-connection interning: the same writer and reader, but the
@@ -355,26 +334,25 @@ end
    stream (one TCP/Unix connection) sends each record/field name once
    for the whole connection instead of once per frame.  Sound only
    over a lossless, ordered transport — a skipped or reordered frame
-   would desynchronize the two tables, which is why the datagram-style
-   [encode]/[decode] above keep their per-message tables. *)
+   would desynchronize the two tables, which is why [encode_shape] and
+   [Read.run] keep per-message tables. *)
 module Stream = struct
   type writer = sink
 
   let writer () = make Write
 
-  let encode s v =
+  let encode s shape v =
     Wire.Writer.clear s.buf;
-    sval s v;
+    shape s v;
     Wire.Writer.contents s.buf
 
-  type reader = intern_r
+  type reader = Read.t
 
-  let reader () = { names = [||]; count = 0 }
+  let reader () = Read.of_string ""
 
-  let decode intern s =
-    let r = Wire.Reader.of_string s in
-    let v = read r intern in
-    if not (Wire.Reader.at_end r) then
-      raise (Wire.Malformed { offset = Wire.Reader.pos r; what = "trailing bytes" });
+  let read (t : reader) read frame =
+    t.r <- Wire.Reader.of_string frame;
+    let v = read t in
+    Read.finish t;
     v
 end

@@ -10,12 +10,15 @@
 
     The byte format is written in one place, the streaming {!sink}
     below.  A wire type describes its shape once, as a {!shape}: a
-    sequence of [record]/[field]/[int]/[bool]/[list] events.  The same
-    shape then runs into a byte writer ({!encode_shape}), a pure byte
-    counter ({!size}) or a tree builder ({!to_sval}), so the bytes a
-    hot message is charged for, the bytes a snapshot stores and the
-    tree the decoders read can never drift apart.  {!encode} is the
-    replay of an existing tree into the same writer. *)
+    sequence of [record]/[field]/[int]/[bool]/[str]/[list] events.
+    The same shape runs into a byte writer ({!encode_shape}) or a pure
+    byte counter ({!size}), so the bytes a message is charged for and
+    the bytes it is sent as can never drift apart.  Next to each
+    shape the type keeps a direct reader over {!Read}, which checks
+    the bytes as strictly as a tree decode followed by a match would.
+    {!Stream} runs the same shapes and readers with connection-scoped
+    interning for sockets.  {!encode}/{!decode} are the {!Sval.t}
+    document codec E2 measures; no wire type goes through a tree. *)
 
 include Codec.S
 
@@ -34,7 +37,7 @@ end
 (** {1 Streaming writer} *)
 
 type sink
-(** Where a shape's events go: bytes, a byte count or a tree.  Events
+(** Where a shape's events go: bytes or a byte count.  Events
     are prefix-ordered: [record s n k] is followed by [k] pairs of
     [field] and one value; [list s k] by [k] values. *)
 
@@ -49,25 +52,19 @@ val int : sink -> int -> unit
 
 val bool : sink -> bool -> unit
 
+val str : sink -> string -> unit
+
 val list : sink -> int -> unit
 (** [list s k]: a list of [k] items. *)
 
-val sval : sink -> Sval.t -> unit
-(** Replay a tree as events (the cold wire types have no shape of
-    their own). *)
-
 val encode_shape : 'a shape -> 'a -> string
 (** The value's bytes, written into one reused module-level buffer with
-    per-message interning; [encode_shape sval v = encode v].  A shape
-    must not itself call [encode_shape] or {!size}. *)
+    per-message interning.  A shape must not itself call
+    [encode_shape] or {!size}. *)
 
 val size : 'a shape -> 'a -> int
 (** [String.length (encode_shape shape v)], counted without writing a
     byte, building a tree or allocating in proportion to [v]. *)
-
-val to_sval : 'a shape -> 'a -> Sval.t
-(** The tree the shape describes; [encode (to_sval shape v)] equals
-    [encode_shape shape v]. *)
 
 (** {1 Direct reader}
 
@@ -85,11 +82,17 @@ module Read : sig
   val record : t -> Name.t -> int -> unit
   (** A record with exactly this name and field count. *)
 
+  val variant : t -> (Name.t * int) array -> int
+  (** A record whose name and field count are one of [cases]; returns
+      its index there.  How a sum type reads its constructor. *)
+
   val field : t -> Name.t -> unit
 
   val int : t -> int
 
   val bool : t -> bool
+
+  val str : t -> string
 
   val list : t -> int
   (** A list; returns its length. *)
@@ -97,22 +100,26 @@ module Read : sig
   val finish : t -> unit
   (** No trailing bytes. *)
 
+  val run : (t -> 'a) -> string -> 'a
+  (** Read one value that is the whole input, with per-message
+      interning: the inverse of {!encode_shape}. *)
+
   val fail : t -> string -> 'a
   (** Raise {!Wire.Malformed} at the current offset. *)
 end
 
 (** {1 Per-connection interning}
 
-    [encode]/[decode] above are datagram-shaped: each message carries
-    its own interning table, so every frame re-sends every name.  A
-    long-lived ordered byte stream (one TCP/Unix-domain connection)
-    can do better: hoist the tables to connection scope and each
-    distinct record/field name crosses the wire once per {e
+    {!encode_shape} and {!Read.run} are datagram-shaped: each message
+    carries its own interning table, so every frame re-sends every
+    name.  A long-lived ordered byte stream (one TCP/Unix-domain
+    connection) can do better: hoist the tables to connection scope
+    and each distinct record/field name crosses the wire once per {e
     connection}.  The two ends must process frames in transmission
     order with none missing — the transport guarantees that; after a
-    reconnect both sides start fresh state.  A {!Wire.Malformed}
-    decode leaves the reader state unspecified: reset the connection
-    rather than attempting to resynchronize. *)
+    reconnect both sides start fresh state.  A {!Wire.Malformed} read
+    leaves the reader state unspecified: reset the connection rather
+    than attempting to resynchronize. *)
 
 module Stream : sig
   type writer
@@ -120,17 +127,17 @@ module Stream : sig
   val writer : unit -> writer
   (** Fresh per-connection encoder state. *)
 
-  val encode : writer -> Sval.t -> string
-  (** Encode one value, remembering every name written so far on this
-      connection. *)
+  val encode : writer -> 'a shape -> 'a -> string
+  (** One frame: the value's bytes, remembering every name written so
+      far on this connection. *)
 
   type reader
 
   val reader : unit -> reader
   (** Fresh per-connection decoder state. *)
 
-  val decode : reader -> string -> Sval.t
-  (** Decode one frame produced by the {e same-position} [writer] on
-      the other end.
+  val read : reader -> (Read.t -> 'a) -> string -> 'a
+  (** Read one frame produced by the {e same-position} [encode] on the
+      other end; the frame must hold exactly one value.
       @raise Wire.Malformed on corrupted input. *)
 end

@@ -116,8 +116,6 @@ let emit s t =
   N.list s (Oid.Map.cardinal t.stubs);
   Oid.Map.iter (fun _ st -> emit_stub s st) t.stubs
 
-let to_sval t = N.to_sval emit t
-
 let encode t = N.encode_shape emit t
 
 (* The direct reader: [emit] read back, with the guards the tree
@@ -152,24 +150,21 @@ let read_stub r =
   let local_reach = R.bool r in
   { target; stub_ic; scions_to; local_reach }
 
+let read r =
+  R.record r n_summary 4;
+  R.field r n_proc;
+  let proc = R.int r in
+  if proc < 0 then R.fail r "negative id";
+  R.field r n_taken_at;
+  let taken_at = R.int r in
+  R.field r n_scions;
+  let scions = read_many r read_scion in
+  R.field r n_stubs;
+  let stubs = read_many r read_stub in
+  make ~proc:(Proc_id.of_int proc) ~taken_at ~scions ~stubs
+
 let decode bytes =
-  let r = R.of_string bytes in
-  match
-    R.record r n_summary 4;
-    R.field r n_proc;
-    let proc = R.int r in
-    if proc < 0 then R.fail r "negative id";
-    R.field r n_taken_at;
-    let taken_at = R.int r in
-    R.field r n_scions;
-    let scions = read_many r read_scion in
-    R.field r n_stubs;
-    let stubs = read_many r read_stub in
-    R.finish r;
-    make ~proc:(Proc_id.of_int proc) ~taken_at ~scions ~stubs
-  with
-  | t -> Some t
-  | exception Adgc_serial.Wire.Malformed _ -> None
+  match R.run read bytes with t -> Some t | exception Adgc_serial.Wire.Malformed _ -> None
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>summary of %a at %d@," Proc_id.pp t.proc t.taken_at;

@@ -74,7 +74,4 @@ val decode : string -> t option
     [None] on any deviation from the format — a truncation, a wrong
     tag, name or field count, a negative id or trailing bytes. *)
 
-val to_sval : t -> Adgc_serial.Sval.t
-(** The tree {!emit} describes (the model checker's state text). *)
-
 val pp : Format.formatter -> t -> unit

@@ -299,61 +299,56 @@ let test_extra_dependency_blocks () =
 (* ------------------------------------------------------------------ *)
 (* Wire format *)
 
-let test_sval_roundtrip () =
-  let alg = alg_of [ (ref_f, 3); (ref_y, 1) ] [ (ref_q, 2) ] in
-  match Algebra.of_sval (Algebra.to_sval alg) with
-  | Some alg' -> check Alcotest.bool "roundtrip" true (Algebra.equal alg alg')
-  | None -> Alcotest.fail "decode failed"
+module Net_codec = Adgc_serial.Net_codec
 
-let test_compact_sval_roundtrip () =
+(* Through the bytes and back, by the direct reader. *)
+let wire_roundtrip emit read v = Net_codec.Read.run read (Net_codec.encode_shape emit v)
+
+let compact_roundtrip alg = wire_roundtrip Algebra.emit_compact Algebra.read_compact alg
+
+let test_compact_wire_roundtrip () =
   let alg = alg_of [ (ref_f, 3); (ref_y, 1); (ref_q, 2) ] [ (ref_q, 2); (ref_o, 0) ] in
-  match Algebra.of_sval (Algebra.to_sval_compact alg) with
-  | Some alg' -> check Alcotest.bool "roundtrip" true (Algebra.equal alg alg')
-  | None -> Alcotest.fail "decode failed"
+  check Alcotest.bool "roundtrip" true (Algebra.equal alg (compact_roundtrip alg))
 
 let test_compact_dedupes_shared_entries () =
   (* A fully-cancelled algebra (every key on both sides, equal ICs)
-     must be about half the size of the plain encoding — measured on
+     must be about half the size of the plain encoding (the two sets
+     written out separately, kept in [Wire_reference]) — measured on
      enough entries that per-message overheads do not dominate. *)
   let entries = List.init 16 (fun i -> (rkey (i mod 5) (oid ((i + 1) mod 5) i), 0)) in
   let alg = alg_of entries entries in
-  let measure sval = String.length (Adgc_serial.Net_codec.encode sval) in
-  let plain = measure (Algebra.to_sval alg) in
-  let compact = measure (Algebra.to_sval_compact alg) in
+  let plain = String.length (Net_codec.encode (Wire_reference.algebra_sval alg)) in
+  let compact = Net_codec.size Algebra.emit_compact alg in
   check Alcotest.bool "compact smaller" true (compact * 3 < plain * 2);
   (* Round-trips exactly. *)
-  match Algebra.of_sval (Algebra.to_sval_compact alg) with
-  | Some alg' -> check Alcotest.bool "equal" true (Algebra.equal alg alg')
-  | None -> Alcotest.fail "decode failed"
+  check Alcotest.bool "equal" true (Algebra.equal alg (compact_roundtrip alg))
 
 let test_compact_keeps_ic_conflicts_apart () =
   (* Same key on both sides with different ICs: must be written twice
      and decode back to the conflicting state (which matching then
      aborts on). *)
   let alg = alg_of [ (ref_f, 3) ] [ (ref_f, 4) ] in
-  match Algebra.of_sval (Algebra.to_sval_compact alg) with
-  | Some alg' -> (
-      check Alcotest.bool "equal" true (Algebra.equal alg alg');
-      match Algebra.matching alg' with
-      | Algebra.Ic_abort _ -> ()
-      | Algebra.Match _ -> Alcotest.fail "conflict lost in the encoding")
-  | None -> Alcotest.fail "decode failed"
+  let alg' = compact_roundtrip alg in
+  check Alcotest.bool "equal" true (Algebra.equal alg alg');
+  match Algebra.matching alg' with
+  | Algebra.Ic_abort _ -> ()
+  | Algebra.Match _ -> Alcotest.fail "conflict lost in the encoding"
 
-let test_sval_rejects_junk () =
-  check Alcotest.bool "junk rejected" true (Algebra.of_sval (Adgc_serial.Sval.Int 3) = None)
+let test_compact_rejects_junk () =
+  match Net_codec.Read.run Algebra.read_compact (Net_codec.encode (Adgc_serial.Sval.Int 3)) with
+  | _ -> Alcotest.fail "junk accepted"
+  | exception Adgc_serial.Wire.Malformed _ -> ()
 
-let test_cdm_sval_roundtrip () =
+let test_cdm_wire_roundtrip () =
   let alg = alg_of [ (ref_f, 3) ] [ (ref_q, 2) ] in
   let id = Detection_id.make ~initiator:(Proc_id.of_int 2) ~seq:9 in
   let cdm = Cdm.make ~id ~algebra:alg ~frontier:ref_q ~hops:4 ~budget:9 in
-  match Cdm.of_sval (Cdm.to_sval cdm) with
-  | Some cdm' ->
-      check Alcotest.bool "id" true (Detection_id.equal cdm.Cdm.id cdm'.Cdm.id);
-      check refkey "frontier" cdm.Cdm.frontier cdm'.Cdm.frontier;
-      check Alcotest.int "hops" 4 cdm'.Cdm.hops;
-      check Alcotest.int "budget" 9 cdm'.Cdm.budget;
-      check Alcotest.bool "algebra" true (Algebra.equal cdm.Cdm.algebra cdm'.Cdm.algebra)
-  | None -> Alcotest.fail "decode failed"
+  let cdm' = wire_roundtrip Cdm.emit Cdm.read cdm in
+  check Alcotest.bool "id" true (Detection_id.equal cdm.Cdm.id cdm'.Cdm.id);
+  check refkey "frontier" cdm.Cdm.frontier cdm'.Cdm.frontier;
+  check Alcotest.int "hops" 4 cdm'.Cdm.hops;
+  check Alcotest.int "budget" 9 cdm'.Cdm.budget;
+  check Alcotest.bool "algebra" true (Algebra.equal cdm.Cdm.algebra cdm'.Cdm.algebra)
 
 let test_cdm_dest () =
   let alg = alg_of [ (ref_f, 0) ] [ (ref_q, 0) ] in
@@ -417,7 +412,7 @@ let prop_matching_partitions =
 
 let prop_compact_roundtrip =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"compact algebra sval roundtrip" ~count:300
+    (QCheck2.Test.make ~name:"compact algebra wire roundtrip" ~count:300
        QCheck2.Gen.(pair gen_entries gen_entries)
        (fun (src, tgt) ->
          let dedup l =
@@ -426,24 +421,7 @@ let prop_compact_roundtrip =
              [] l
          in
          let alg = alg_of (dedup src) (dedup tgt) in
-         match Algebra.of_sval (Algebra.to_sval_compact alg) with
-         | Some alg' -> Algebra.equal alg alg'
-         | None -> false))
-
-let prop_sval_roundtrip =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"algebra sval roundtrip" ~count:300
-       QCheck2.Gen.(pair gen_entries gen_entries)
-       (fun (src, tgt) ->
-         let dedup l =
-           List.fold_left
-             (fun acc (k, ic) -> if List.mem_assoc k acc then acc else (k, ic) :: acc)
-             [] l
-         in
-         let alg = alg_of (dedup src) (dedup tgt) in
-         match Algebra.of_sval (Algebra.to_sval alg) with
-         | Some alg' -> Algebra.equal alg alg'
-         | None -> false))
+         Algebra.equal alg (compact_roundtrip alg)))
 
 (* ------------------------------------------------------------------ *)
 (* Algebra laws (pinned as properties, not examples) *)
@@ -661,16 +639,14 @@ let suite =
       Alcotest.test_case "paper fig4 mutual cycles" `Quick test_paper_fig4_steps;
       Alcotest.test_case "paper §3.2 IC race" `Quick test_paper_race_ic_mismatch;
       Alcotest.test_case "extra dependency blocks detection" `Quick test_extra_dependency_blocks;
-      Alcotest.test_case "algebra sval roundtrip" `Quick test_sval_roundtrip;
-      Alcotest.test_case "compact sval roundtrip" `Quick test_compact_sval_roundtrip;
+      Alcotest.test_case "compact wire roundtrip" `Quick test_compact_wire_roundtrip;
       Alcotest.test_case "compact encoding dedupes" `Quick test_compact_dedupes_shared_entries;
       Alcotest.test_case "compact keeps IC conflicts" `Quick test_compact_keeps_ic_conflicts_apart;
-      Alcotest.test_case "algebra sval rejects junk" `Quick test_sval_rejects_junk;
-      Alcotest.test_case "cdm sval roundtrip" `Quick test_cdm_sval_roundtrip;
+      Alcotest.test_case "compact reader rejects junk" `Quick test_compact_rejects_junk;
+      Alcotest.test_case "cdm wire roundtrip" `Quick test_cdm_wire_roundtrip;
       Alcotest.test_case "cdm dest" `Quick test_cdm_dest;
       prop_cycle_iff_equal_sets;
       prop_matching_partitions;
-      prop_sval_roundtrip;
       prop_compact_roundtrip;
       prop_union_commutative;
       prop_union_associative;

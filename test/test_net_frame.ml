@@ -5,6 +5,7 @@
    frames must reassemble identically however read() splits them. *)
 
 module Sval = Adgc_serial.Sval
+module Ref = Wire_reference
 module Wire = Adgc_serial.Wire
 module Net_codec = Adgc_serial.Net_codec
 module Frame = Adgc_net.Frame
@@ -128,24 +129,21 @@ let sample_envelopes : Envelope.t list =
    writer across all frames. *)
 let encoded_stream envelopes =
   let w = Net_codec.Stream.writer () in
-  List.map (fun e -> Frame.encode (Net_codec.Stream.encode w (Envelope.to_sval e))) envelopes
+  List.map (fun e -> Frame.encode (Net_codec.Stream.encode w Envelope.emit e)) envelopes
 
 let decode_all decoder reader =
   let rec go acc =
     match Frame.next decoder with
     | None -> List.rev acc
-    | Some payload -> (
-        let v = Net_codec.Stream.decode reader payload in
-        match Envelope.of_sval v with
-        | Some e -> go (e :: acc)
-        | None -> Alcotest.failf "undecodable envelope: %a" Sval.pp v)
+    | Some payload -> go (Net_codec.Stream.read reader Envelope.read payload :: acc)
   in
   go []
 
+(* Envelopes compare through their reference trees. *)
 let check_same_envelopes msg expected actual =
   check Alcotest.int (msg ^ ": count") (List.length expected) (List.length actual);
   List.iter2
-    (fun e a -> check sval msg (Envelope.to_sval e) (Envelope.to_sval a))
+    (fun e a -> check sval msg (Ref.envelope_sval e) (Ref.envelope_sval a))
     expected actual
 
 (* ------------------------------------------------------------------ *)
@@ -223,10 +221,56 @@ let test_corrupt_payload_only_malformed () =
     let mutated = Bytes.of_string payload in
     Bytes.set mutated pos (Char.chr (Char.code (Bytes.get mutated pos) lxor 0x55));
     let r = Net_codec.Stream.reader () in
-    match Net_codec.Stream.decode r (Bytes.to_string mutated) with
-    | v -> ignore (Envelope.of_sval v : Envelope.t option)
+    match Net_codec.Stream.read r Envelope.read (Bytes.to_string mutated) with
+    | (_ : Envelope.t) -> ()
     | exception Wire.Malformed _ -> ()
   done
+
+(* One oid rule everywhere: a negative serial is malformed in a status
+   report and in gathered state, as it is in a protocol message.  The
+   first frame on a connection is exactly a one-shot encoding, so the
+   forged frame is a hand-built tree. *)
+let test_negative_serial_rejected () =
+  let bad_oid = Sval.List [ Sval.Int 1; Sval.Int (-3) ] in
+  let status =
+    Sval.Record
+      ( "status",
+        [
+          ("rank", Sval.Int 1);
+          ("tick", Sval.Int 9);
+          ("ready", Sval.Bool true);
+          ("reclaimed", Sval.List [ bad_oid ]);
+          ("wire_sent", Sval.Int 0);
+          ("wire_received", Sval.Int 0);
+          ("dup_ignored", Sval.Int 0);
+        ] )
+  in
+  let state =
+    Sval.Record
+      ( "state",
+        [
+          ( "node",
+            Sval.Record
+              ( "node_state",
+                [
+                  ("rank", Sval.Int 1);
+                  ("tick", Sval.Int 9);
+                  ("objects", Sval.List []);
+                  ("stubs", Sval.List []);
+                  ("scions", Sval.List []);
+                  ("reclaimed", Sval.List [ bad_oid ]);
+                  ("counters", Sval.List []);
+                ] ) );
+        ] )
+  in
+  List.iter
+    (fun (what, frame) ->
+      expect_malformed what (fun () ->
+          Net_codec.Stream.read (Net_codec.Stream.reader ()) Envelope.read
+            (Net_codec.encode frame));
+      check Alcotest.bool (what ^ ": reference rejects too") true
+        (Ref.tree_decode Ref.envelope_of_sval (Net_codec.encode frame) = None))
+    [ ("status with a negative reclaimed serial", status); ("state with a negative reclaimed serial", state) ]
 
 let test_frame_encode_rejects_bad_sizes () =
   (match Frame.encode "" with
@@ -253,6 +297,7 @@ let suite =
       Alcotest.test_case "bad length prefix poisons" `Quick test_bad_length_poisons;
       Alcotest.test_case "corrupt payload raises only Malformed" `Quick
         test_corrupt_payload_only_malformed;
+      Alcotest.test_case "negative serial rejected" `Quick test_negative_serial_rejected;
       Alcotest.test_case "encode rejects bad sizes" `Quick test_frame_encode_rejects_bad_sizes;
       Alcotest.test_case "decoder buffered accounting" `Quick test_decoder_buffered_accounting;
     ] )

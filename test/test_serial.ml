@@ -205,14 +205,18 @@ let test_size_nodes () =
   check Alcotest.int "record" 2 (Sval.size_nodes (Sval.Record ("r", [ ("a", Sval.Unit) ])))
 
 (* ------------------------------------------------------------------ *)
-(* Message payloads: every wire payload must survive the full
-   encode -> bytes -> decode -> payload_of_sval pipeline through both
-   codecs, and damaged bytes must fail with [Wire.Malformed], never
-   with anything else.  Payloads are compared through their canonical
-   sval (maps re-sort on encode, so [=] on the OCaml values would be
-   too strict about tree shape). *)
+(* Message payloads as documents: the reference trees of every payload
+   (test/wire_reference.ml) must survive encode -> bytes -> decode ->
+   match through both codecs, and damaged bytes must fail with
+   [Wire.Malformed], never with anything else.  Payloads are compared
+   through their canonical tree (maps re-sort on encode, so [=] on the
+   OCaml values would be too strict about tree shape). *)
 
 module Msg = Adgc_rt.Msg
+module Net_codec = Adgc_serial.Net_codec
+module Envelope = Adgc_net.Envelope
+module Gather = Adgc_net.Gather
+module Ref = Wire_reference
 open Adgc_algebra
 
 let gen_proc = QCheck2.Gen.(map Proc_id.of_int (int_bound 7))
@@ -331,25 +335,27 @@ let gen_msg =
       (triple gen_proc gen_proc (int_range (-1) 1000))
       (pair (int_bound 100_000) gen_payload))
 
-let payload_equal a b = Sval.equal (Msg.payload_sval a) (Msg.payload_sval b)
+let payload_equal a b = Sval.equal (Ref.payload_sval a) (Ref.payload_sval b)
+
+let msg_equal a b = Sval.equal (Ref.msg_sval a) (Ref.msg_sval b)
 
 let qcheck_payload_roundtrip codec name =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count:300 gen_payload (fun p ->
-         let bytes = Codec.encode codec (Msg.payload_sval p) in
-         match Msg.payload_of_sval (Codec.decode codec bytes) with
+         let bytes = Codec.encode codec (Ref.payload_sval p) in
+         match Ref.payload_of_sval (Codec.decode codec bytes) with
          | Some p' -> payload_equal p p'
          | None -> false))
 
-let qcheck_envelope_roundtrip codec name =
+(* The real path: the shape's bytes, read back by the direct reader. *)
+let direct read bytes =
+  match Net_codec.Read.run read bytes with v -> Some v | exception Wire.Malformed _ -> None
+
+let qcheck_envelope_roundtrip =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count:200 gen_msg (fun m ->
-         let bytes = Codec.encode codec (Msg.to_sval m) in
-         match Msg.of_sval (Codec.decode codec bytes) with
-         | Some m' ->
-             m'.Msg.src = m.Msg.src && m'.Msg.dst = m.Msg.dst && m'.Msg.seq = m.Msg.seq
-             && m'.Msg.sent_at = m.Msg.sent_at
-             && payload_equal m.Msg.payload m'.Msg.payload
+    (QCheck2.Test.make ~name:"qcheck msg envelope roundtrip (net)" ~count:200 gen_msg (fun m ->
+         match direct Msg.read (Net_codec.encode_shape Msg.emit m) with
+         | Some m' -> msg_equal m m'
          | None -> false))
 
 (* Damaged bytes: decoding may fail (with Malformed) or still yield a
@@ -357,7 +363,7 @@ let qcheck_envelope_roundtrip codec name =
    rejects — but nothing in the pipeline may raise anything else. *)
 let survives_damage codec bytes =
   match Codec.decode codec bytes with
-  | sval -> ignore (Msg.payload_of_sval sval : Msg.payload option)
+  | sval -> ignore (Ref.payload_of_sval sval : Msg.payload option)
   | exception Wire.Malformed _ -> ()
 
 let qcheck_truncation codec name =
@@ -365,7 +371,7 @@ let qcheck_truncation codec name =
     (QCheck2.Test.make ~name ~count:100
        QCheck2.Gen.(pair gen_payload (int_bound 1000))
        (fun (p, cut) ->
-         let bytes = Codec.encode codec (Msg.payload_sval p) in
+         let bytes = Codec.encode codec (Ref.payload_sval p) in
          let cut = cut mod max 1 (String.length bytes) in
          survives_damage codec (String.sub bytes 0 cut);
          true))
@@ -375,99 +381,157 @@ let qcheck_corruption codec name =
     (QCheck2.Test.make ~name ~count:100
        QCheck2.Gen.(triple gen_payload (int_bound 10_000) (int_range 1 255))
        (fun (p, pos, delta) ->
-         let bytes = Codec.encode codec (Msg.payload_sval p) in
+         let bytes = Codec.encode codec (Ref.payload_sval p) in
          let pos = pos mod String.length bytes in
          let corrupted = Bytes.of_string bytes in
          Bytes.set corrupted pos (Char.chr ((Char.code bytes.[pos] + delta) land 0xff));
          survives_damage codec (Bytes.to_string corrupted);
          true))
 
+(* Strictness, on the real path: each payload tree is wrapped in a
+   message, encoded, and read by [Msg.read] — which must agree with
+   the reference tree matcher. *)
+let msg_with payload =
+  Sval.Record
+    ( "msg",
+      [
+        ("src", Sval.Int 0);
+        ("dst", Sval.Int 1);
+        ("seq", Sval.Int 2);
+        ("sent_at", Sval.Int 3);
+        ("payload", payload);
+      ] )
+
+let msg_verdicts msg_sval =
+  let bytes = Net_codec.encode msg_sval in
+  (direct Msg.read bytes, Ref.tree_decode Ref.msg_of_sval bytes)
+
+let rejected what msg_sval =
+  let d, r = msg_verdicts msg_sval in
+  check Alcotest.bool (what ^ ": Msg.read rejects") false (Option.is_some d);
+  check Alcotest.bool (what ^ ": reference rejects") false (Option.is_some r)
+
+let accepted what (m : Msg.t) =
+  match msg_verdicts (Ref.msg_sval m) with
+  | Some d, Some r ->
+      check Alcotest.bool (what ^ ": Msg.read reads it back") true (msg_equal m d);
+      check Alcotest.bool (what ^ ": reference reads it back") true (msg_equal m r)
+  | _ -> Alcotest.failf "%s: a valid message was rejected" what
+
+let p0 = Proc_id.of_int 0
+
+let p1 = Proc_id.of_int 1
+
+let msg payload = Msg.make ~seq:2 ~src:p0 ~dst:p1 ~sent_at:3 payload
+
 let test_payload_decoder_rejects () =
-  let none what sval =
-    check Alcotest.bool what false (Option.is_some (Msg.payload_of_sval sval))
-  in
+  let none what payload = rejected what (msg_with payload) in
+  let oid0 = Sval.List [ Sval.Int 0; Sval.Int 0 ] in
   (* Field order is part of the format. *)
-  none "reordered fields"
-    (Sval.Record ("scion_probe", [ ("extra", Sval.Unit) ]));
+  none "extra field" (Sval.Record ("scion_probe", [ ("extra", Sval.Unit) ]));
   none "reordered export_ack"
     (Sval.Record
-       ( "export_ack",
-         [
-           ("target", Sval.List [ Sval.Int 0; Sval.Int 0 ]);
-           ("notice_id", Sval.Int 1);
-           ("new_holder", Sval.Int 1);
-         ] ));
+       ("export_ack", [ ("target", oid0); ("notice_id", Sval.Int 1); ("new_holder", Sval.Int 1) ]));
   none "negative proc id"
+    (Sval.Record
+       ("export_ack", [ ("notice_id", Sval.Int 1); ("target", oid0); ("new_holder", Sval.Int (-1)) ]));
+  none "negative serial"
     (Sval.Record
        ( "export_ack",
          [
            ("notice_id", Sval.Int 1);
-           ("target", Sval.List [ Sval.Int 0; Sval.Int 0 ]);
-           ("new_holder", Sval.Int (-1));
+           ("target", Sval.List [ Sval.Int 0; Sval.Int (-1) ]);
+           ("new_holder", Sval.Int 1);
          ] ));
   none "unknown record" (Sval.Record ("mystery", []));
   none "not a record" (Sval.Int 3);
-  (* Batches never nest. *)
+  (* Batches never nest, and the group wrappers never ride inside one. *)
   none "nested batch"
+    (Sval.Record
+       ("batch", [ ("msgs", Sval.List [ Sval.Record ("batch", [ ("msgs", Sval.List []) ]) ]) ]));
+  none "group_fwd inside a batch"
     (Sval.Record
        ( "batch",
          [
            ( "msgs",
-             Sval.List [ Sval.Record ("batch", [ ("msgs", Sval.List []) ]) ] );
+             Sval.List
+               [
+                 Sval.Record
+                   ( "group_fwd",
+                     [ ("orig_src", Sval.Int 1); ("inner", Sval.Record ("scion_probe", [])) ] );
+               ] );
+         ] ));
+  none "group_relay inside a batch"
+    (Sval.Record
+       ( "batch",
+         [
+           ("msgs", Sval.List [ Sval.Record ("group_relay", [ ("entries", Sval.List []) ]) ]);
+         ] ));
+  none "batch inside group_fwd"
+    (Sval.Record
+       ( "group_fwd",
+         [ ("orig_src", Sval.Int 1); ("inner", Sval.Record ("batch", [ ("msgs", Sval.List []) ])) ]
+       ));
+  rejected "reordered envelope fields"
+    (Sval.Record
+       ( "msg",
+         [
+           ("dst", Sval.Int 1);
+           ("src", Sval.Int 0);
+           ("seq", Sval.Int 2);
+           ("sent_at", Sval.Int 3);
+           ("payload", Sval.Record ("scion_probe", []));
+         ] ));
+  rejected "negative envelope source"
+    (Sval.Record
+       ( "msg",
+         [
+           ("src", Sval.Int (-1));
+           ("dst", Sval.Int 1);
+           ("seq", Sval.Int 2);
+           ("sent_at", Sval.Int 3);
+           ("payload", Sval.Record ("scion_probe", []));
          ] ));
   (* A valid batch of two control payloads decodes. *)
-  let batch =
-    Msg.Batch
-      [
-        Msg.Scion_probe;
-        Msg.New_set_stubs
-          { seqno = 3; targets = Oid.Map.singleton (Oid.make ~owner:(Proc_id.of_int 1) ~serial:2) 0 };
-      ]
-  in
-  match Msg.payload_of_sval (Msg.payload_sval batch) with
-  | Some p -> check Alcotest.bool "batch roundtrip" true (payload_equal batch p)
-  | None -> Alcotest.fail "valid batch rejected"
+  accepted "batch"
+    (msg
+       (Msg.Batch
+          [
+            Msg.Scion_probe;
+            Msg.New_set_stubs
+              { seqno = 3; targets = Oid.Map.singleton (Oid.make ~owner:p1 ~serial:2) 0 };
+          ]))
 
 (* Only reference-free control traffic is ever batched, so a batch
    whose constituent carries references is forged input. *)
 let test_batch_with_references_rejected () =
-  let reply =
-    Msg.Rmi_reply { req_id = 3; target = Oid.make ~owner:(Proc_id.of_int 1) ~serial:2; results = [] }
-  in
-  check Alcotest.bool "the reply alone decodes" true
-    (Option.is_some (Msg.payload_of_sval (Msg.payload_sval reply)));
-  check Alcotest.bool "a batch holding it is rejected" false
-    (Option.is_some (Msg.payload_of_sval (Msg.payload_sval (Msg.Batch [ Msg.Scion_probe; reply ]))))
+  let reply = Msg.Rmi_reply { req_id = 3; target = Oid.make ~owner:p1 ~serial:2; results = [] } in
+  accepted "the reply alone" (msg reply);
+  rejected "a batch holding it" (Ref.msg_sval (msg (Msg.Batch [ Msg.Scion_probe; reply ])))
 
 (* ------------------------------------------------------------------ *)
 (* Wire identity: the shapes in lib/ against the reference builders in
-   [Wire_reference] — the same tree, the same bytes, the same byte
-   counts, and a snapshot reader exactly as strict as the tree path. *)
+   [Wire_reference] — the same bytes and the same byte counts — and
+   the direct readers exactly as strict as the tree path. *)
 
-module Net_codec = Adgc_serial.Net_codec
 module Summary = Adgc_snapshot.Summary
-module Ref = Wire_reference
+
+let same_bytes shape reference v =
+  let bytes = Net_codec.encode reference in
+  String.equal (Net_codec.encode_shape shape v) bytes && Net_codec.size shape v = String.length bytes
 
 let qcheck_msg_wire_identity =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"msg shape = reference tree, bytes and size" ~count:500 gen_msg
-       (fun m ->
-         let reference = Ref.msg_sval m in
-         let bytes = Net_codec.encode reference in
-         Sval.equal (Msg.to_sval m) reference
-         && Sval.equal (Msg.payload_sval m.Msg.payload) (Ref.payload_sval m.Msg.payload)
-         && String.equal (Net_codec.encode_shape Msg.emit m) bytes
-         && Net_codec.size Msg.emit m = String.length bytes))
+    (QCheck2.Test.make ~name:"msg shape = reference bytes and size" ~count:500 gen_msg (fun m ->
+         same_bytes Msg.emit (Ref.msg_sval m) m
+         && same_bytes Msg.emit_payload (Ref.payload_sval m.Msg.payload) m.Msg.payload))
 
 let qcheck_cdm_wire_identity =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"cdm and algebra shapes = reference trees" ~count:500 gen_cdm
+    (QCheck2.Test.make ~name:"cdm and algebra shapes = reference bytes" ~count:500 gen_cdm
        (fun cdm ->
-         let alg = cdm.Cdm.algebra in
-         Sval.equal (Cdm.to_sval cdm) (Ref.cdm_sval cdm)
-         && Sval.equal (Algebra.to_sval alg) (Ref.algebra_sval alg)
-         && Sval.equal (Algebra.to_sval_compact alg) (Ref.algebra_compact_sval alg)
-         && Net_codec.size Cdm.emit cdm = String.length (Net_codec.encode (Ref.cdm_sval cdm))))
+         same_bytes Cdm.emit (Ref.cdm_sval cdm) cdm
+         && same_bytes Algebra.emit_compact (Ref.algebra_compact_sval cdm.Cdm.algebra) cdm.Cdm.algebra))
 
 (* Sizing a CDM allocates the same few words whatever its algebra's
    size: no tree, no buffer, no per-entry interning. *)
@@ -532,12 +596,8 @@ let qcheck_summary_wire_identity =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"summary bytes = reference bytes, and decode inverts encode"
        ~count:300 gen_summary (fun s ->
-         let reference = Ref.summary_sval s in
-         let bytes = Summary.encode s in
-         Sval.equal (Summary.to_sval s) reference
-         && String.equal bytes (Net_codec.encode reference)
-         && Net_codec.size Summary.emit s = String.length bytes
-         && same_decode (Summary.decode bytes) (Some s)))
+         same_bytes Summary.emit (Ref.summary_sval s) s
+         && same_decode (Summary.decode (Summary.encode s)) (Some s)))
 
 (* Every strict prefix of a snapshot is rejected (the reader raises
    nothing), and a single corrupted byte is read exactly as the tree
@@ -563,25 +623,174 @@ let qcheck_summary_corruption =
          let corrupted = Bytes.to_string corrupted in
          same_decode (Summary.decode corrupted) (Ref.summary_decode corrupted)))
 
+(* ------------------------------------------------------------------ *)
+(* Messages and socket envelopes: the direct readers accept exactly
+   what the reference tree path accepts, with the same value, under
+   every truncation and random single-byte corruptions. *)
+
+let gen_status =
+  QCheck2.Gen.(
+    map2
+      (fun (st_rank, st_tick, st_ready) (st_reclaimed, st_wire_sent, st_dup_ignored) ->
+        {
+          Envelope.st_rank;
+          st_tick;
+          st_ready;
+          st_reclaimed;
+          st_wire_sent;
+          st_wire_received = st_wire_sent / 2;
+          st_dup_ignored;
+        })
+      (triple (int_bound 7) (int_bound 100_000) bool)
+      (triple gen_oids (int_bound 1000) (int_bound 50)))
+
+let gen_node_state =
+  QCheck2.Gen.(
+    map2
+      (fun (rank, tick, objects) (stubs, scions, (reclaimed, counters)) ->
+        { Gather.rank; tick; objects; stubs; scions; reclaimed; counters })
+      (triple (int_bound 7) (int_bound 100_000)
+         (list_size (int_bound 3)
+            (map2 (fun oid (refs, rooted) -> { Gather.oid; refs; rooted }) gen_oid (pair gen_oids bool))))
+      (triple
+         (list_size (int_bound 3) (map2 (fun target stub_ic -> { Gather.target; stub_ic }) gen_oid (int_bound 9)))
+         (list_size (int_bound 3)
+            (map2
+               (fun key (scion_ic, confirmed) -> { Gather.key; scion_ic; confirmed })
+               gen_ref (pair (int_bound 9) bool)))
+         (pair gen_oids
+            (list_size (int_bound 3) (pair (string_size ~gen:(char_range 'a' 'z') (int_range 1 12)) int)))))
+
+let gen_envelope =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun m -> Envelope.Net_msg m) gen_msg;
+        map3 (fun rank procs seed -> Envelope.Hello { rank; procs; seed }) (int_range (-1) 7) (int_bound 8) int;
+        map (fun tick -> Envelope.Heartbeat { tick }) (int_bound 100_000);
+        map (fun st -> Envelope.Status st) gen_status;
+        map (fun ns -> Envelope.State ns) gen_node_state;
+        map (fun rank -> Envelope.Drop_peer rank) (int_bound 7);
+        oneofl
+          [ Envelope.Start; Envelope.Status_req; Envelope.State_req; Envelope.Shutdown; Envelope.Bye ];
+      ])
+
+let envelope_equal a b = Sval.equal (Ref.envelope_sval a) (Ref.envelope_sval b)
+
+let qcheck_envelope_wire_identity =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"envelope shape = reference bytes, and read inverts emit" ~count:300
+       gen_envelope (fun e ->
+         same_bytes Envelope.emit (Ref.envelope_sval e) e
+         &&
+         match direct Envelope.read (Net_codec.encode_shape Envelope.emit e) with
+         | Some e' -> envelope_equal e e'
+         | None -> false))
+
+(* Over one connection, frame i is the i-th item of a one-shot
+   encoding of the whole conversation as a list: both intern each name
+   on its first occurrence and refer back to it afterwards. *)
+let qcheck_stream_wire_identity =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"stream frames = reference bytes over one connection" ~count:100
+       QCheck2.Gen.(list_size (int_range 1 8) gen_envelope)
+       (fun envelopes ->
+         let w = Net_codec.Stream.writer () in
+         let frames = List.map (Net_codec.Stream.encode w Envelope.emit) envelopes in
+         let whole = Net_codec.encode (Sval.List (List.map Ref.envelope_sval envelopes)) in
+         let header = 1 + Wire.varint_size (List.length envelopes) in
+         let r = Net_codec.Stream.reader () in
+         String.equal (String.concat "" frames)
+           (String.sub whole header (String.length whole - header))
+         && List.for_all2
+              (fun e f -> envelope_equal e (Net_codec.Stream.read r Envelope.read f))
+              envelopes frames))
+
+let same_verdict equal a b =
+  match (a, b) with
+  | Some a, Some b -> equal a b
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+
+let corrupt bytes pos delta =
+  let pos = pos mod String.length bytes in
+  let b = Bytes.of_string bytes in
+  Bytes.set b pos (Char.chr ((Char.code bytes.[pos] + delta) land 0xff));
+  Bytes.to_string b
+
+let parity ~name gen emit read of_sval equal =
+  let agree bytes = same_verdict equal (direct read bytes) (Ref.tree_decode of_sval bytes) in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:(name ^ " read of every truncation = the tree path's") ~count:100 gen
+         (fun v ->
+           let bytes = Net_codec.encode_shape emit v in
+           List.for_all
+             (fun cut -> agree (String.sub bytes 0 cut))
+             (List.init (String.length bytes) Fun.id)));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:(name ^ " read of a corrupted byte = the tree path's") ~count:500
+         QCheck2.Gen.(triple gen (int_bound 10_000) (int_range 1 255))
+         (fun (v, pos, delta) -> agree (corrupt (Net_codec.encode_shape emit v) pos delta)));
+  ]
+
+let msg_parity = parity ~name:"msg" gen_msg Msg.emit Msg.read Ref.msg_of_sval msg_equal
+
+let envelope_parity =
+  parity ~name:"envelope" gen_envelope Envelope.emit Envelope.read Ref.envelope_of_sval
+    envelope_equal
+
+(* ------------------------------------------------------------------ *)
 (* Per-connection interning (Net_codec.Stream): record and field names
    cross a connection once, so the second frame of the same shape must
-   be strictly smaller than the first — and exactly as small as the
-   tail of a single-buffer encoding of both values.  A one-shot encode
-   (fresh tables per message) must cost the full names every time. *)
+   be strictly smaller than the first.  A one-shot encode (fresh
+   tables per message) must cost the full names every time. *)
+
+let n_status = Net_codec.Name.v "status"
+let n_rank = Net_codec.Name.v "rank"
+let n_tick = Net_codec.Name.v "tick"
+let n_ready = Net_codec.Name.v "ready"
+let n_reclaimed = Net_codec.Name.v "reclaimed"
+let n_heartbeat = Net_codec.Name.v "heartbeat"
+
+let status_sval (rank, tick) =
+  Sval.Record
+    ( "status",
+      [
+        ("rank", Sval.Int rank);
+        ("tick", Sval.Int tick);
+        ("ready", Sval.Bool true);
+        ("reclaimed", Sval.List []);
+      ] )
+
+let emit_status s (rank, tick) =
+  Net_codec.record s n_status 4;
+  Net_codec.field s n_rank;
+  Net_codec.int s rank;
+  Net_codec.field s n_tick;
+  Net_codec.int s tick;
+  Net_codec.field s n_ready;
+  Net_codec.bool s true;
+  Net_codec.field s n_reclaimed;
+  Net_codec.list s 0
+
+let read_status r =
+  let module R = Net_codec.Read in
+  R.record r n_status 4;
+  R.field r n_rank;
+  let rank = R.int r in
+  R.field r n_tick;
+  let tick = R.int r in
+  R.field r n_ready;
+  if not (R.bool r) then R.fail r "not ready";
+  R.field r n_reclaimed;
+  if R.list r <> 0 then R.fail r "reclaimed";
+  (rank, tick)
+
 let test_net_stream_interning_shrinks () =
-  let status rank tick =
-    Sval.Record
-      ( "status",
-        [
-          ("rank", Sval.Int rank);
-          ("tick", Sval.Int tick);
-          ("ready", Sval.Bool true);
-          ("reclaimed", Sval.List []);
-        ] )
-  in
-  let w = Adgc_serial.Net_codec.Stream.writer () in
-  let f1 = Adgc_serial.Net_codec.Stream.encode w (status 1 100) in
-  let f2 = Adgc_serial.Net_codec.Stream.encode w (status 2 200) in
+  let w = Net_codec.Stream.writer () in
+  let f1 = Net_codec.Stream.encode w emit_status (1, 100) in
+  let f2 = Net_codec.Stream.encode w emit_status (2, 200) in
   check Alcotest.bool
     (Printf.sprintf "second frame smaller (%d < %d)" (String.length f2) (String.length f1))
     true
@@ -590,27 +799,35 @@ let test_net_stream_interning_shrinks () =
      must have shed at least that. *)
   check Alcotest.bool "shrinks by at least the name bytes" true
     (String.length f1 - String.length f2 >= 30);
-  let oneshot = Adgc_serial.Net_codec.encode (status 2 200) in
+  let oneshot = Net_codec.encode (status_sval (2, 200)) in
   check Alcotest.int "one-shot encode pays full names every message"
     (String.length f1) (String.length oneshot);
-  let r = Adgc_serial.Net_codec.Stream.reader () in
-  check sval "stream decode 1" (status 1 100) (Adgc_serial.Net_codec.Stream.decode r f1);
-  check sval "stream decode 2" (status 2 200) (Adgc_serial.Net_codec.Stream.decode r f2)
+  let r = Net_codec.Stream.reader () in
+  let pair = Alcotest.(pair int int) in
+  check pair "stream read 1" (1, 100) (Net_codec.Stream.read r read_status f1);
+  check pair "stream read 2" (2, 200) (Net_codec.Stream.read r read_status f2)
 
 (* Interned stream frames are only decodable in order — frame 2 read
    by a fresh reader must raise Malformed, never crash or misdecode:
    exactly why a reconnect gets fresh codec state. *)
 let test_net_stream_frames_are_order_dependent () =
-  let v n = Sval.Record ("heartbeat", [ ("tick", Sval.Int n) ]) in
-  let w = Adgc_serial.Net_codec.Stream.writer () in
-  let _f1 = Adgc_serial.Net_codec.Stream.encode w (v 1) in
-  let f2 = Adgc_serial.Net_codec.Stream.encode w (v 2) in
-  let fresh = Adgc_serial.Net_codec.Stream.reader () in
-  match Adgc_serial.Net_codec.Stream.decode fresh f2 with
+  let emit_heartbeat s n =
+    Net_codec.record s n_heartbeat 1;
+    Net_codec.field s n_tick;
+    Net_codec.int s n
+  in
+  let read_heartbeat r =
+    Net_codec.Read.record r n_heartbeat 1;
+    Net_codec.Read.field r n_tick;
+    Net_codec.Read.int r
+  in
+  let w = Net_codec.Stream.writer () in
+  let _f1 = Net_codec.Stream.encode w emit_heartbeat 1 in
+  let f2 = Net_codec.Stream.encode w emit_heartbeat 2 in
+  let fresh = Net_codec.Stream.reader () in
+  match Net_codec.Stream.read fresh read_heartbeat f2 with
   | exception Wire.Malformed _ -> ()
-  | decoded ->
-      check Alcotest.bool "fresh reader must not silently misdecode" false
-        (Sval.equal decoded (v 2))
+  | decoded -> check Alcotest.bool "fresh reader must not silently misdecode" false (decoded = 2)
 
 let suite =
   ( "serial",
@@ -644,7 +861,7 @@ let suite =
         test_batch_with_references_rejected;
       qcheck_payload_roundtrip net "qcheck msg payload roundtrip (net)";
       qcheck_payload_roundtrip rotor "qcheck msg payload roundtrip (rotor)";
-      qcheck_envelope_roundtrip net "qcheck msg envelope roundtrip (net)";
+      qcheck_envelope_roundtrip;
       qcheck_truncation net "qcheck truncated payload only Malformed (net)";
       qcheck_truncation rotor "qcheck truncated payload only Malformed (rotor)";
       qcheck_corruption net "qcheck corrupted payload only Malformed (net)";
@@ -656,4 +873,7 @@ let suite =
       qcheck_summary_wire_identity;
       qcheck_summary_truncation;
       qcheck_summary_corruption;
-    ] )
+      qcheck_envelope_wire_identity;
+      qcheck_stream_wire_identity;
+    ]
+    @ msg_parity @ envelope_parity )
