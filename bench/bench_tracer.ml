@@ -1,5 +1,6 @@
-(* Tracer section: dense-id heap tracing, the condensed snapshot, DGC
-   message batching and the clean-poll staleness guard. *)
+(* Tracer section: dense-id heap tracing, the condensed snapshot,
+   stub-set processing, DGC message batching and the clean-poll
+   staleness guard. *)
 
 module Sim = Adgc.Sim
 module Config = Adgc.Config
@@ -9,10 +10,12 @@ module Runtime = Adgc_rt.Runtime
 module Mutator = Adgc_rt.Mutator
 module Heap = Adgc_rt.Heap
 module Reflist = Adgc_rt.Reflist
+module Scion_table = Adgc_rt.Scion_table
 module Summarize = Adgc_snapshot.Summarize
 module Stats = Adgc_util.Stats
 module Table = Adgc_util.Table
 module Topology = Adgc_workload.Topology
+open Adgc_algebra
 open Bench_common
 
 let build_tracer_heap ~objects =
@@ -35,6 +38,39 @@ let tracer_case ~objects ~reps =
     times ~reps (fun () -> ignore (Summarize.run ~now:0 p : Adgc_snapshot.Summary.t))
   in
   (dense, snap_dense)
+
+(* One owner whose [holders] holders hold 30 confirmed scions each.
+   A sample is the mean cost, in microseconds, of one stub set from
+   one holder that lists its 30 targets again (confirming them all,
+   deleting none): the work should track that holder's scions, not
+   the owner's whole table. *)
+let stub_set_apply_us ~holders ~reps =
+  let per_holder = 30 and batch = 1_000 in
+  let owner = Proc_id.of_int 0 in
+  let scions = Scion_table.create ~owner in
+  let listing h =
+    List.init per_holder (fun k -> Oid.make ~owner ~serial:((h * per_holder) + k))
+    |> List.fold_left (fun m target -> Oid.Map.add target 0 m) Oid.Map.empty
+  in
+  for h = 1 to holders do
+    let src = Proc_id.of_int h in
+    let targets = listing h in
+    Oid.Map.iter
+      (fun target _ ->
+        ignore (Scion_table.ensure scions ~now:0 (Ref_key.make ~src ~target) : Scion_table.entry))
+      targets;
+    ignore (Scion_table.apply_new_set scions ~now:0 ~src ~seqno:0 ~targets : Scion_table.apply_result)
+  done;
+  let src = Proc_id.of_int 1 and targets = listing 1 in
+  let seqno = ref 0 in
+  times ~reps (fun () ->
+      for _ = 1 to batch do
+        incr seqno;
+        ignore
+          (Scion_table.apply_new_set scions ~now:0 ~src ~seqno:!seqno ~targets
+            : Scion_table.apply_result)
+      done)
+  |> List.map (fun ms -> ms *. 1000.0 /. float_of_int batch)
 
 (* One advertisement round on a fully-wired clique: every process holds
    a reference into every other, so each (src, dst) pair carries one
@@ -111,6 +147,25 @@ let run recorder =
       t "trace.dense_ms" dense;
       t "snapshot.dense_ms" snap_dense)
     cases;
+  let holder_counts = [ 32; 256 ] in
+  let stub_sets =
+    List.map (fun holders -> (holders, stub_set_apply_us ~holders ~reps:(if smoke () then 5 else 9)))
+      holder_counts
+  in
+  Table.print ~header:[ "holders x 30 scions"; "one stub set" ]
+    ~rows:
+      (List.map
+         (fun (holders, us) -> [ string_of_int holders; Printf.sprintf "%.2f us" (median us) ])
+         stub_sets)
+    ();
+  List.iter
+    (fun (holders, us) ->
+      timing recorder ~section:"tracer"
+        ~name:(Printf.sprintf "tracer.stub_set.apply_us.%d" holders)
+        ~unit_:"us"
+        ~config:[ "tracer.stub_set"; string_of_int holders; "30"; string_of_int (List.length us) ]
+        us)
+    stub_sets;
   let payloads, msgs, bytes = batching_round () in
   let reduction = 100.0 *. (1.0 -. (float_of_int msgs /. float_of_int payloads)) in
   Printf.printf

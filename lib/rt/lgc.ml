@@ -1,7 +1,14 @@
 open Adgc_algebra
 module Stats = Adgc_util.Stats
+module Mark = Adgc_util.Dense.Mark
 
 type report = { live : int; swept : int; stubs_live : int; stubs_dropped : int }
+
+(* The last trace's reached set, by dense id; reused across runs. *)
+let reached = Mark.create ()
+
+let is_reached heap (obj : Heap.obj) =
+  match Heap.dense_id heap obj.Heap.oid with Some id -> Mark.is_marked reached id | None -> false
 
 let run rt (p : Process.t) =
   let heap = p.Process.heap in
@@ -11,19 +18,28 @@ let run rt (p : Process.t) =
     if Adgc_util.Mc_mutate.enabled "lgc_ignores_scions" then Heap.roots heap
     else Heap.roots heap @ Scion_table.protected_targets p.Process.scions
   in
-  let { Heap.local = live_set; remote } = Heap.trace heap ~from in
-  (* Report the trace to the paged store, if any: a full collection
-     touches every live object (experiment E17). *)
-  (match p.Process.pstore with
-  | Some store -> Oid.Set.iter (Pstore.touch store) live_set
-  | None -> ());
-  (* Stub liveness. *)
+  (* Sweep from the trace's own marks: reached dense ids go into a
+     reused bitset, stubs are marked live as the walk meets them, and
+     the heap walk below dooms whatever is unmarked.  No per-object
+     set is built. *)
+  Mark.clear reached;
   Stub_table.mark_all_dead p.Process.stubs;
-  Oid.Set.iter (Stub_table.mark_live p.Process.stubs) remote;
+  Heap.trace_dense heap ~from
+    ~visit_local:(fun id -> ignore (Mark.mark reached id : bool))
+    ~visit_remote:(Stub_table.mark_live p.Process.stubs);
+  (* Report the trace to the paged store, if any: a full collection
+     touches every live object (experiment E17), in ascending order. *)
+  (match p.Process.pstore with
+  | Some store ->
+      Heap.fold heap ~init:[] ~f:(fun acc obj ->
+          if is_reached heap obj then obj.Heap.oid :: acc else acc)
+      |> List.sort Oid.compare
+      |> List.iter (Pstore.touch store)
+  | None -> ());
   let stubs_dropped = List.length (Stub_table.sweep p.Process.stubs) in
   let doomed =
     Heap.fold heap ~init:[] ~f:(fun acc obj ->
-        if Oid.Set.mem obj.Heap.oid live_set then acc else obj.Heap.oid :: acc)
+        if is_reached heap obj then acc else obj.Heap.oid :: acc)
   in
   Stats.incr rt.Runtime.stats "lgc.runs";
   Stats.add rt.Runtime.stats "dgc.stubs.dropped" stubs_dropped;

@@ -136,9 +136,7 @@ let reap_dead_holders rt (p : Process.t) =
 let handle_probe rt ~(at : Process.t) ~src =
   (* Answer with a fresh stub set for the prober, listing whatever we
      still reference there (possibly nothing). *)
-  let groups = stub_groups at in
-  let targets = Option.value ~default:Oid.Map.empty (Proc_id.Map.find_opt src groups) in
-  send_set_to rt at ~dst:src ~targets
+  send_set_to rt at ~dst:src ~targets:(Stub_table.advertised_to at.Process.stubs src)
 
 let handle_new_set rt ~(at : Process.t) ~src ~seqno ~targets =
   let result =

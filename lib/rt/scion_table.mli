@@ -8,7 +8,11 @@
     loss-tolerant: a scion created for an in-flight reference cannot
     be killed by a stub set that was computed before the reference
     arrived.  Per-holder sequence numbers discard reordered or
-    duplicated stub sets. *)
+    duplicated stub sets.
+
+    The table is grouped by holder, so the operations that concern one
+    holder ({!apply_new_set}, {!delete_from}) cost that holder's
+    scions, not the owner's whole table. *)
 
 open Adgc_algebra
 
@@ -75,7 +79,7 @@ val ic : t -> Ref_key.t -> int option
 (** {1 Stub-set processing} *)
 
 type apply_result = {
-  deleted : Ref_key.t list;  (** scions removed by this set *)
+  deleted : Ref_key.t list;  (** scions removed by this set, in ascending key order *)
   unknown : (Oid.t * int) list;
       (** targets (with stub-side ICs) listed by the holder for which
           no scion existed — the self-healing path for lost export
@@ -130,7 +134,7 @@ val entries_for_target : t -> Oid.t -> entry list
 
 val delete_from : t -> Proc_id.t -> Ref_key.t list
 (** Remove every scion held by that process (crash-stop reclamation);
-    returns the removed keys. *)
+    returns the removed keys, in ascending order. *)
 
 val drop_for_targets : t -> Oid.Set.t -> int
 (** Remove every scion whose target is in the set (used when the LGC

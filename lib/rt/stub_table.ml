@@ -78,12 +78,18 @@ let sweep t =
 
 let advertised t =
   Oid.Tbl.fold (fun target e acc -> if keeps e then (target, e.ic) :: acc else acc) t.entries []
-  |> List.sort (fun (a, _) (b, _) -> Oid.compare a b)
+  |> Adgc_util.Sorted.list (fun (a, _) (b, _) -> Oid.compare a b)
+
+let advertised_to t owner =
+  Oid.Tbl.fold
+    (fun target e acc ->
+      if keeps e && Proc_id.equal (Oid.owner target) owner then Oid.Map.add target e.ic acc else acc)
+    t.entries Oid.Map.empty
 
 let clear_fresh t = Oid.Tbl.iter (fun _ e -> e.fresh <- false) t.entries
 
 let entries t =
   Oid.Tbl.fold (fun _ e acc -> e :: acc) t.entries []
-  |> List.sort (fun a b -> Oid.compare a.target b.target)
+  |> Adgc_util.Sorted.list (fun a b -> Oid.compare a.target b.target)
 
 let size t = Oid.Tbl.length t.entries

@@ -70,6 +70,11 @@ val advertised : t -> (Oid.t * int) list
     sets piggyback the counters so owners can re-synchronize scions
     whose invocations were lost in transit). *)
 
+val advertised_to : t -> Proc_id.t -> int Oid.Map.t
+(** The {!advertised} targets owned by that process, with their
+    counters: one owner's share of the next round, without grouping
+    the others. *)
+
 val clear_fresh : t -> unit
 (** Call after a [NewSetStubs] round has been computed: every entry
     has now been advertised at least once. *)

@@ -67,14 +67,15 @@ module Reader = struct
 
   let unzigzag v = (v lsr 1) lxor (-(v land 1))
 
-  let varint t =
-    let rec go shift acc =
-      if shift > Sys.int_size then malformed t.pos "varint too long";
-      let b = byte t in
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    unzigzag (go 0 0)
+  (* [t] is passed down rather than captured, so reading a varint
+     allocates no closure. *)
+  let rec varint_from t shift acc =
+    if shift > Sys.int_size then malformed t.pos "varint too long";
+    let b = byte t in
+    let acc = acc lor ((b land 0x7F) lsl shift) in
+    if b land 0x80 = 0 then acc else varint_from t (shift + 7) acc
+
+  let varint t = unzigzag (varint_from t 0 0)
 
   let int64 t =
     let v = ref 0L in

@@ -1,54 +1,50 @@
 open Adgc_algebra
 open Adgc_rt
+module Mark = Adgc_util.Dense.Mark
 
-(* Given [stubs_from] per scion target and the root-trace result,
-   assemble the summary. *)
-let assemble ~now (p : Process.t) ~root_local ~root_remote ~stubs_from_of_target =
-  let stub_entries = Stub_table.entries p.Process.stubs in
-  let stub_targets =
-    List.fold_left (fun s (e : Stub_table.entry) -> Oid.Set.add e.Stub_table.target s)
-      Oid.Set.empty stub_entries
-  in
-  let scion_entries = Scion_table.entries p.Process.scions in
+(* Given [stubs_from] per scion target and the root trace, assemble
+   the summary.  StubsFrom keeps only remote references that have a
+   stub ([Oid.Set.filter] returns its argument when it drops nothing),
+   and each stub's ScionsTo is built once, from the scions that list
+   it. *)
+let assemble ~now (p : Process.t) ~root_reached ~root_remote ~stubs_from_of_target =
+  let stub_table = p.Process.stubs in
   let scions =
     List.map
       (fun (e : Scion_table.entry) ->
         let target = e.Scion_table.key.Ref_key.target in
-        let stubs_from = Oid.Set.inter (stubs_from_of_target target) stub_targets in
         {
           Summary.key = e.Scion_table.key;
           scion_ic = e.Scion_table.ic;
-          stubs_from;
-          target_locally_reachable = Oid.Set.mem target root_local;
+          stubs_from = Oid.Set.filter (Stub_table.mem stub_table) (stubs_from_of_target target);
+          target_locally_reachable = root_reached target;
           last_invoked = e.Scion_table.last_invoked;
         })
-      scion_entries
+      (Scion_table.entries p.Process.scions)
   in
-  let scions_to =
-    List.fold_left
-      (fun acc (s : Summary.scion_info) ->
-        Oid.Set.fold
-          (fun stub_target acc ->
-            let prev =
-              match Oid.Map.find_opt stub_target acc with
-              | Some set -> set
-              | None -> Ref_key.Set.empty
-            in
-            Oid.Map.add stub_target (Ref_key.Set.add s.Summary.key prev) acc)
-          s.Summary.stubs_from acc)
-      Oid.Map.empty scions
-  in
+  let scions_to = Oid.Tbl.create 16 in
+  List.iter
+    (fun (s : Summary.scion_info) ->
+      Oid.Set.iter
+        (fun stub_target ->
+          let prev = Option.value ~default:[] (Oid.Tbl.find_opt scions_to stub_target) in
+          Oid.Tbl.replace scions_to stub_target (s.Summary.key :: prev))
+        s.Summary.stubs_from)
+    scions;
   let stubs =
     List.map
       (fun (e : Stub_table.entry) ->
+        let target = e.Stub_table.target in
         {
-          Summary.target = e.Stub_table.target;
+          Summary.target;
           stub_ic = e.Stub_table.ic;
           scions_to =
-            Option.value ~default:Ref_key.Set.empty (Oid.Map.find_opt e.Stub_table.target scions_to);
-          local_reach = Oid.Set.mem e.Stub_table.target root_remote;
+            (match Oid.Tbl.find_opt scions_to target with
+            | Some keys -> Ref_key.Set.of_list keys
+            | None -> Ref_key.Set.empty);
+          local_reach = Oid.Set.mem target root_remote;
         })
-      stub_entries
+      (Stub_table.entries stub_table)
   in
   Summary.make ~proc:p.Process.id ~taken_at:now ~scions ~stubs
 
@@ -74,6 +70,7 @@ type scratch = {
   mutable work_child : int array; (* ...and its next-child cursor *)
   mutable scc_off : int array; (* scc -> start in member_flat *)
   mutable member_flat : int array; (* members bucketed by scc id *)
+  root_marks : Mark.t; (* objects reached from the roots *)
 }
 
 let scratch =
@@ -90,7 +87,10 @@ let scratch =
     work_child = [||];
     scc_off = [||];
     member_flat = [||];
+    root_marks = Mark.create ();
   }
+
+let rec add_all set = function [] -> set | r :: rest -> add_all (Oid.Set.add r set) rest
 
 let ensure_int_array get set n =
   if Array.length (get ()) < n then set (Array.make (Int.max 64 n) 0)
@@ -156,22 +156,25 @@ let run ~now (p : Process.t) =
   let scc_count = ref 0 in
   let sp = ref 0 in
   (* Tarjan stack pointer *)
+  let wp = ref 0 in
+  (* work stack pointer; the helpers are built once per run, not per
+     DFS root *)
+  let push_work id child =
+    s.work_id.(!wp) <- id;
+    s.work_child.(!wp) <- child;
+    incr wp
+  in
+  let discover id =
+    s.index.(id) <- !counter;
+    s.lowlink.(id) <- !counter;
+    incr counter;
+    Bytes.unsafe_set s.on_stack id '\001';
+    s.stack.(!sp) <- id;
+    incr sp
+  in
   let visit start =
     if s.index.(start) = -1 then begin
-      let wp = ref 0 in
-      let push_work id child =
-        s.work_id.(!wp) <- id;
-        s.work_child.(!wp) <- child;
-        incr wp
-      in
-      let discover id =
-        s.index.(id) <- !counter;
-        s.lowlink.(id) <- !counter;
-        incr counter;
-        Bytes.unsafe_set s.on_stack id '\001';
-        s.stack.(!sp) <- id;
-        incr sp
-      in
+      wp := 0;
       discover start;
       push_work start 0;
       while !wp > 0 do
@@ -231,7 +234,7 @@ let run ~now (p : Process.t) =
     let acc = ref Oid.Set.empty in
     for m = s.scc_off.(c) to s.scc_off.(c + 1) - 1 do
       let id = s.member_flat.(m) in
-      List.iter (fun r -> acc := Oid.Set.add r !acc) s.remote.(id);
+      acc := add_all !acc s.remote.(id);
       for e = s.off.(id) to s.off.(id + 1) - 1 do
         let succ_scc = s.scc.(s.succ_flat.(e)) in
         if succ_scc <> c then acc := Oid.Set.union !acc reach.(succ_scc)
@@ -239,12 +242,20 @@ let run ~now (p : Process.t) =
     done;
     reach.(c) <- !acc
   done;
-  let { Heap.local = root_local; remote = root_remote } =
-    Heap.trace heap ~from:(Heap.roots heap)
+  (* The root trace, kept as marks over dense ids. *)
+  Mark.clear s.root_marks;
+  let root_remote = ref Oid.Set.empty in
+  Heap.trace_dense heap ~from:(Heap.roots heap)
+    ~visit_local:(fun id -> ignore (Mark.mark s.root_marks id : bool))
+    ~visit_remote:(fun oid -> root_remote := Oid.Set.add oid !root_remote);
+  let root_reached target =
+    match Heap.dense_id heap target with
+    | Some id -> Mark.is_marked s.root_marks id
+    | None -> false
   in
   let stubs_from_of_target target =
     match Heap.dense_id heap target with
     | Some id -> reach.(s.scc.(id))
     | None -> Oid.Set.empty
   in
-  assemble ~now p ~root_local ~root_remote ~stubs_from_of_target
+  assemble ~now p ~root_reached ~root_remote:!root_remote ~stubs_from_of_target

@@ -1,6 +1,7 @@
 open Adgc_algebra
 module N = Adgc_serial.Net_codec
 module R = Adgc_serial.Net_codec.Read
+module Sorted = Adgc_util.Sorted
 
 type scion_info = {
   key : Ref_key.t;
@@ -20,27 +21,47 @@ type stub_info = {
 type t = {
   proc : Proc_id.t;
   taken_at : int;
-  scions : scion_info Ref_key.Map.t;
-  stubs : stub_info Oid.Map.t;
+  scions : scion_info array; (* strictly ascending key *)
+  stubs : stub_info array; (* strictly ascending target *)
 }
 
-let make ~proc ~taken_at ~scions ~stubs =
+(* Sorted, keeping the last of equal keys as [Map.add] did; input that
+   already ascends (the summarizer's and every encoder's output) is
+   taken as it is. *)
+let of_arrays ~proc ~taken_at ~scions ~stubs =
   {
     proc;
     taken_at;
-    scions = List.fold_left (fun m s -> Ref_key.Map.add s.key s m) Ref_key.Map.empty scions;
-    stubs = List.fold_left (fun m s -> Oid.Map.add s.target s m) Oid.Map.empty stubs;
+    scions = Sorted.last_of_each (fun a b -> Ref_key.compare a.key b.key) scions;
+    stubs = Sorted.last_of_each (fun a b -> Oid.compare a.target b.target) stubs;
   }
 
-let find_scion t key = Ref_key.Map.find_opt key t.scions
+let make ~proc ~taken_at ~scions ~stubs =
+  of_arrays ~proc ~taken_at ~scions:(Array.of_list scions) ~stubs:(Array.of_list stubs)
 
-let find_stub t target = Oid.Map.find_opt target t.stubs
+(* Every argument is passed down, so a lookup builds no closure. *)
+let rec bsearch compare key a k lo hi =
+  if lo >= hi then None
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = compare k (key a.(mid)) in
+    if c = 0 then Some a.(mid)
+    else if c < 0 then bsearch compare key a k lo mid
+    else bsearch compare key a k (mid + 1) hi
 
-let scion_list t = List.map snd (Ref_key.Map.bindings t.scions)
+let scion_key s = s.key
 
-let stub_list t = List.map snd (Oid.Map.bindings t.stubs)
+let stub_target s = s.target
 
-let counts t = (Ref_key.Map.cardinal t.scions, Oid.Map.cardinal t.stubs)
+let find_scion t key = bsearch Ref_key.compare scion_key t.scions key 0 (Array.length t.scions)
+
+let find_stub t target = bsearch Oid.compare stub_target t.stubs target 0 (Array.length t.stubs)
+
+let scion_list t = Array.to_list t.scions
+
+let stub_list t = Array.to_list t.stubs
+
+let counts t = (Array.length t.scions, Array.length t.stubs)
 
 let scion_equal a b =
   Ref_key.equal a.key b.key && a.scion_ic = b.scion_ic
@@ -53,10 +74,12 @@ let stub_equal a b =
   && Ref_key.Set.equal a.scions_to b.scions_to
   && a.local_reach = b.local_reach
 
+let array_equal eq a b = Array.length a = Array.length b && Array.for_all2 eq a b
+
 let equal a b =
   Proc_id.equal a.proc b.proc
-  && Ref_key.Map.equal scion_equal a.scions b.scions
-  && Oid.Map.equal stub_equal a.stubs b.stubs
+  && array_equal scion_equal a.scions b.scions
+  && array_equal stub_equal a.stubs b.stubs
 
 (* ------------------------------------------------------------------ *)
 (* Wire format *)
@@ -110,11 +133,11 @@ let emit s t =
   N.field s n_taken_at;
   N.int s t.taken_at;
   N.field s n_scions;
-  N.list s (Ref_key.Map.cardinal t.scions);
-  Ref_key.Map.iter (fun _ si -> emit_scion s si) t.scions;
+  N.list s (Array.length t.scions);
+  Array.iter (emit_scion s) t.scions;
   N.field s n_stubs;
-  N.list s (Oid.Map.cardinal t.stubs);
-  Oid.Map.iter (fun _ st -> emit_stub s st) t.stubs
+  N.list s (Array.length t.stubs);
+  Array.iter (emit_stub s) t.stubs
 
 let encode t = N.encode_shape emit t
 
@@ -123,6 +146,10 @@ let encode t = N.encode_shape emit t
 let read_many r f =
   let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f r :: acc) in
   go (R.list r) []
+
+(* [Array.init] applies [f] in index order, so items are read in wire
+   order; the count is bounded by the remaining input. *)
+let read_array r f = Array.init (R.list r) (fun _ -> f r)
 
 let read_scion r =
   R.record r n_scion 5;
@@ -158,10 +185,10 @@ let read r =
   R.field r n_taken_at;
   let taken_at = R.int r in
   R.field r n_scions;
-  let scions = read_many r read_scion in
+  let scions = read_array r read_scion in
   R.field r n_stubs;
-  let stubs = read_many r read_stub in
-  make ~proc:(Proc_id.of_int proc) ~taken_at ~scions ~stubs
+  let stubs = read_array r read_stub in
+  of_arrays ~proc:(Proc_id.of_int proc) ~taken_at ~scions ~stubs
 
 let decode bytes =
   match R.run read bytes with t -> Some t | exception Adgc_serial.Wire.Malformed _ -> None

@@ -32,11 +32,11 @@ type stub_info = {
   local_reach : bool;  (** the paper's [Local.Reach] bit *)
 }
 
-type t = {
+type t = private {
   proc : Proc_id.t;
   taken_at : int;
-  scions : scion_info Ref_key.Map.t;
-  stubs : stub_info Oid.Map.t;
+  scions : scion_info array;  (** strictly ascending key; read-only *)
+  stubs : stub_info array;  (** strictly ascending target; read-only *)
 }
 
 val make :
@@ -45,8 +45,12 @@ val make :
   scions:scion_info list ->
   stubs:stub_info list ->
   t
+(** Sorts the entries unless they already ascend.  Of several entries
+    with the same key (scions) or target (stubs) the last one given is
+    kept. *)
 
 val find_scion : t -> Ref_key.t -> scion_info option
+(** Binary search. *)
 
 val find_stub : t -> Oid.t -> stub_info option
 
@@ -54,9 +58,10 @@ val scion_list : t -> scion_info list
 (** Ascending key order. *)
 
 val stub_list : t -> stub_info list
+(** Ascending target order. *)
 
 val counts : t -> int * int
-(** [(scions, stubs)]. *)
+(** [(scions, stubs)], in constant time. *)
 
 val equal : t -> t -> bool
 (** Structural, ignoring [taken_at] — used to check the summarizer
@@ -70,7 +75,8 @@ val encode : t -> string
 (** The compact ({!Adgc_serial.Net_codec}) bytes of {!emit}. *)
 
 val decode : string -> t option
-(** Read {!encode}'s bytes straight back, with no intermediate tree;
+(** Read {!encode}'s bytes straight back, with no intermediate tree
+    (repeated keys keep the last entry, as in {!make});
     [None] on any deviation from the format — a truncation, a wrong
     tag, name or field count, a negative id or trailing bytes. *)
 

@@ -511,6 +511,189 @@ let test_scion_drop_for_targets () =
   check Alcotest.int "dropped both" 2 (Scion_table.drop_for_targets t (Oid.Set.singleton (oid 0 0)));
   check Alcotest.int "one left" 1 (Scion_table.size t)
 
+(* ------------------------------------------------------------------ *)
+(* Scion table against its owner-wide reference *)
+
+module Ref_table = Scion_table_reference
+
+(* One owner (P0), holders P0..P4 (P0 itself is refused by both),
+   targets #0..#5@P0.  Each op advances the clock by [dt]. *)
+type scion_op =
+  | Ensure of int * int
+  | Delete of bool * int * int
+  | Apply of int option * int * int * (int * int) list
+      (* grace, holder, seqno offset from the last accepted, listed (serial, ic) *)
+  | Observe of int * int * int
+  | Idle of int
+  | Touch
+  | Delete_from of int
+  | Drop of int list
+
+let pp_scion_op = function
+  | Ensure (h, t) -> Printf.sprintf "ensure P%d->#%d" h t
+  | Delete (tomb, h, t) -> Printf.sprintf "delete%s P%d->#%d" (if tomb then "~tomb" else "") h t
+  | Apply (grace, h, d, l) ->
+      Printf.sprintf "apply%s P%d seqno+%d [%s]"
+        (match grace with Some g -> Printf.sprintf "~grace:%d" g | None -> "")
+        h d
+        (String.concat ";" (List.map (fun (t, ic) -> Printf.sprintf "#%d:%d" t ic) l))
+  | Observe (h, t, ic) -> Printf.sprintf "observe P%d->#%d ic=%d" h t ic
+  | Idle th -> Printf.sprintf "idle %d" th
+  | Touch -> "touch"
+  | Delete_from h -> Printf.sprintf "delete_from P%d" h
+  | Drop l -> Printf.sprintf "drop [%s]" (String.concat ";" (List.map string_of_int l))
+
+let gen_scion_ops =
+  let open QCheck2.Gen in
+  let holder = int_range 0 4 and target = int_range 0 5 in
+  let op =
+    frequency
+      [
+        (4, map2 (fun h t -> Ensure (h, t)) holder target);
+        (2, map3 (fun tomb h t -> Delete (tomb, h, t)) bool holder target);
+        ( 5,
+          map4
+            (fun grace h d l -> Apply (grace, h, d, l))
+            (opt (int_range 0 20)) holder (int_range (-2) 3)
+            (list_size (int_bound 4) (pair target (int_range 0 5))) );
+        (2, map3 (fun h t ic -> Observe (h, t, ic)) holder target (int_range 0 5));
+        (1, map (fun th -> Idle th) (int_range 0 30));
+        (1, pure Touch);
+        (1, map (fun h -> Delete_from h) holder);
+        (1, map (fun l -> Drop l) (list_size (int_bound 3) target));
+      ]
+  in
+  list_size (int_range 1 40) (pair (int_range 0 10) op)
+
+let print_scion_ops ops =
+  String.concat "\n" (List.map (fun (dt, op) -> Printf.sprintf "+%d %s" dt (pp_scion_op op)) ops)
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument msg -> Error msg
+
+let same_scion_tables ops =
+  let real = Scion_table.create ~owner:p0 and model = Ref_table.create ~owner:p0 in
+  let real_events = ref [] and model_events = ref [] in
+  Scion_table.on_change real (function
+    | Scion_table.Added k -> real_events := (true, k) :: !real_events
+    | Scion_table.Deleted k -> real_events := (false, k) :: !real_events);
+  Ref_table.on_change model (function
+    | Ref_table.Added k -> model_events := (true, k) :: !model_events
+    | Ref_table.Deleted k -> model_events := (false, k) :: !model_events);
+  let view (e : Scion_table.entry) =
+    (e.Scion_table.key, e.Scion_table.ic, e.Scion_table.confirmed, e.Scion_table.created_at,
+     e.Scion_table.last_invoked)
+  in
+  let model_view (e : Ref_table.entry) =
+    (e.Ref_table.key, e.Ref_table.ic, e.Ref_table.confirmed, e.Ref_table.created_at,
+     e.Ref_table.last_invoked)
+  in
+  let k h t = key h (oid 0 t) in
+  let universe = List.concat_map (fun h -> List.init 6 (fun t -> k h t)) [ 0; 1; 2; 3; 4 ] in
+  let fail fmt = Printf.ksprintf (fun msg -> QCheck2.Test.fail_report msg) fmt in
+  let now = ref 0 in
+  List.iteri
+    (fun step (dt, op) ->
+      now := !now + dt;
+      let now = !now in
+      let agree what a b = if a <> b then fail "step %d (%s): %s differ" step (pp_scion_op op) what in
+      (match op with
+      | Ensure (h, t) ->
+          agree "ensure"
+            (outcome (fun () -> view (Scion_table.ensure real ~now (k h t))))
+            (outcome (fun () -> model_view (Ref_table.ensure model ~now (k h t))))
+      | Delete (tombstone, h, t) ->
+          agree "delete"
+            (Scion_table.delete ~tombstone real (k h t))
+            (Ref_table.delete ~tombstone model (k h t))
+      | Apply (grace, h, d, listed) ->
+          let src = Proc_id.of_int h in
+          let seqno = Ref_table.last_seqno model src + d in
+          let targets =
+            List.fold_left (fun m (t, ic) -> Oid.Map.add (oid 0 t) ic m) Oid.Map.empty listed
+          in
+          let r = Scion_table.apply_new_set ?grace real ~now ~src ~seqno ~targets in
+          let m = Ref_table.apply_new_set ?grace model ~now ~src ~seqno ~targets in
+          agree "stale" r.Scion_table.stale m.Ref_table.stale;
+          agree "unknown" r.Scion_table.unknown m.Ref_table.unknown;
+          (* The reference returns [deleted] in hash order; the table
+             promises ascending key order. *)
+          agree "deleted" r.Scion_table.deleted (List.sort Ref_key.compare m.Ref_table.deleted)
+      | Observe (h, t, stub_ic) ->
+          agree "observe"
+            (outcome (fun () -> Scion_table.observe_invocation real ~now (k h t) ~stub_ic))
+            (outcome (fun () -> Ref_table.observe_invocation model ~now (k h t) ~stub_ic))
+      | Idle threshold ->
+          agree "idle_sources"
+            (Scion_table.idle_sources real ~now ~threshold)
+            (Ref_table.idle_sources model ~now ~threshold)
+      | Touch ->
+          Scion_table.touch_all_sources real ~now;
+          Ref_table.touch_all_sources model ~now
+      | Delete_from h ->
+          agree "delete_from"
+            (Scion_table.delete_from real (Proc_id.of_int h))
+            (Ref_table.delete_from model (Proc_id.of_int h))
+      | Drop serials ->
+          let targets = Oid.Set.of_list (List.map (oid 0) serials) in
+          agree "drop_for_targets"
+            (Scion_table.drop_for_targets real targets)
+            (Ref_table.drop_for_targets model targets));
+      agree "entries"
+        (List.map view (Scion_table.entries real))
+        (List.map model_view (Ref_table.entries model));
+      agree "size" (Scion_table.size real) (Ref_table.size model);
+      agree "protected_targets" (Scion_table.protected_targets real)
+        (Ref_table.protected_targets model);
+      List.iter
+        (fun key ->
+          agree "tombstoned" (Scion_table.tombstoned real key) (Ref_table.tombstoned model key);
+          agree "ic" (Scion_table.ic real key) (Ref_table.ic model key))
+        universe;
+      List.iter
+        (fun h ->
+          let src = Proc_id.of_int h in
+          agree "last_seqno" (Scion_table.last_seqno real src) (Ref_table.last_seqno model src))
+        [ 0; 1; 2; 3; 4 ];
+      List.iter
+        (fun t ->
+          agree "entries_for_target"
+            (List.map view (Scion_table.entries_for_target real (oid 0 t)))
+            (List.map model_view (Ref_table.entries_for_target model (oid 0 t))))
+        [ 0; 1; 2; 3; 4; 5 ];
+      (* Hook events: the same multiset (the order of a multi-key
+         removal may differ). *)
+      agree "change events" (List.sort compare !real_events) (List.sort compare !model_events))
+    ops;
+  true
+
+let prop_scion_table_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"scion: per-holder table = owner-wide reference" ~count:500
+       ~print:print_scion_ops gen_scion_ops same_scion_tables)
+
+let test_scion_deleted_ascending () =
+  (* Several holders, scions created in descending order: a stub set
+     that drops them all reports them in ascending key order, and
+     crash reclamation likewise. *)
+  let t = Scion_table.create ~owner:p0 in
+  List.iter
+    (fun h ->
+      for s = 9 downto 0 do
+        let e = Scion_table.ensure t ~now:0 (key h (oid 0 s)) in
+        Scion_table.confirm e
+      done)
+    [ 3; 1; 2 ];
+  let r =
+    Scion_table.apply_new_set t ~now:1 ~src:(Proc_id.of_int 2) ~seqno:0 ~targets:Oid.Map.empty
+  in
+  let expected = List.init 10 (fun s -> key 2 (oid 0 s)) in
+  check Alcotest.bool "stub set: ascending" true (r.Scion_table.deleted = expected);
+  check Alcotest.bool "delete_from: ascending" true
+    (Scion_table.delete_from t (Proc_id.of_int 3) = List.init 10 (fun s -> key 3 (oid 0 s)));
+  check Alcotest.bool "entries: ascending" true
+    (List.map (fun e -> e.Scion_table.key) (Scion_table.entries t)
+    = List.init 10 (fun s -> key 1 (oid 0 s)))
+
 let suite =
   ( "rt-core",
     [
@@ -558,4 +741,6 @@ let suite =
       Alcotest.test_case "scion: idle sources" `Quick test_scion_idle_sources;
       Alcotest.test_case "scion: protected targets" `Quick test_scion_protected_targets;
       Alcotest.test_case "scion: drop_for_targets" `Quick test_scion_drop_for_targets;
+      Alcotest.test_case "scion: deleted in ascending key order" `Quick test_scion_deleted_ascending;
+      prop_scion_table_matches_reference;
     ] )

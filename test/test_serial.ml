@@ -624,6 +624,133 @@ let qcheck_summary_corruption =
          same_decode (Summary.decode corrupted) (Ref.summary_decode corrupted)))
 
 (* ------------------------------------------------------------------ *)
+(* Summary representation: the sorted arrays behave as the maps they
+   replaced.  The model folds [Map.add] over the same entries, so a
+   repeated key keeps its last entry in both. *)
+
+let gen_summary_parts =
+  let open QCheck2.Gen in
+  (* Narrow ranges, so repeated keys and targets are common. *)
+  let small_oid = map2 (fun o s -> Oid.make ~owner:(Proc_id.of_int o) ~serial:s) (int_bound 2) (int_bound 3) in
+  let small_ref = map2 (fun src target -> Ref_key.make ~src:(Proc_id.of_int src) ~target) (int_bound 2) small_oid in
+  let scion =
+    map3
+      (fun key (scion_ic, last_invoked) (stubs, root) ->
+        { Summary.key; scion_ic; stubs_from = Oid.Set.of_list stubs; target_locally_reachable = root; last_invoked })
+      small_ref (pair (int_bound 5) (int_bound 50)) (pair (list_size (int_bound 3) small_oid) bool)
+  in
+  let stub =
+    map3
+      (fun target stub_ic (keys, local_reach) ->
+        { Summary.target; stub_ic; scions_to = Ref_key.Set.of_list keys; local_reach })
+      small_oid (int_bound 5) (pair (list_size (int_bound 3) small_ref) bool)
+  in
+  pair (map Proc_id.of_int (int_bound 2)) (pair (list_size (int_bound 12) scion) (list_size (int_bound 12) stub))
+
+let print_summary_parts (proc, (scions, stubs)) =
+  Format.asprintf "%a" Summary.pp (Summary.make ~proc ~taken_at:0 ~scions ~stubs)
+
+module Scion_model = Ref_key.Map
+module Stub_model = Oid.Map
+
+let model (proc, (scions, stubs)) =
+  ( proc,
+    List.fold_left (fun m (s : Summary.scion_info) -> Scion_model.add s.Summary.key s m) Scion_model.empty scions,
+    List.fold_left (fun m (s : Summary.stub_info) -> Stub_model.add s.Summary.target s m) Stub_model.empty stubs )
+
+let model_equal (pa, sa, ta) (pb, sb, tb) =
+  let scion_eq (a : Summary.scion_info) (b : Summary.scion_info) =
+    Ref_key.equal a.Summary.key b.Summary.key
+    && a.Summary.scion_ic = b.Summary.scion_ic
+    && Oid.Set.equal a.Summary.stubs_from b.Summary.stubs_from
+    && a.Summary.target_locally_reachable = b.Summary.target_locally_reachable
+    && a.Summary.last_invoked = b.Summary.last_invoked
+  in
+  let stub_eq (a : Summary.stub_info) (b : Summary.stub_info) =
+    Oid.equal a.Summary.target b.Summary.target
+    && a.Summary.stub_ic = b.Summary.stub_ic
+    && Ref_key.Set.equal a.Summary.scions_to b.Summary.scions_to
+    && a.Summary.local_reach = b.Summary.local_reach
+  in
+  Proc_id.equal pa pb && Scion_model.equal scion_eq sa sb && Stub_model.equal stub_eq ta tb
+
+let summary_of (proc, (scions, stubs)) = Summary.make ~proc ~taken_at:0 ~scions ~stubs
+
+let same_option a b = match (a, b) with Some a, Some b -> a == b | None, None -> true | _ -> false
+
+let qcheck_summary_lookup_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"summary lookups = map model" ~count:500 ~print:print_summary_parts
+       gen_summary_parts (fun parts ->
+         let t = summary_of parts and _, scions, stubs = model parts in
+         let keys =
+           List.concat_map
+             (fun src ->
+               List.concat_map
+                 (fun o -> List.init 4 (fun s -> Ref_key.make ~src:(Proc_id.of_int src) ~target:(Oid.make ~owner:(Proc_id.of_int o) ~serial:s)))
+                 [ 0; 1; 2 ])
+             [ 0; 1; 2 ]
+         in
+         List.for_all (fun k -> same_option (Summary.find_scion t k) (Scion_model.find_opt k scions)) keys
+         && List.for_all
+              (fun k ->
+                let target = k.Ref_key.target in
+                same_option (Summary.find_stub t target) (Stub_model.find_opt target stubs))
+              keys
+         && List.equal ( == ) (Summary.scion_list t) (List.map snd (Scion_model.bindings scions))
+         && List.equal ( == ) (Summary.stub_list t) (List.map snd (Stub_model.bindings stubs))
+         && Summary.counts t = (Scion_model.cardinal scions, Stub_model.cardinal stubs)))
+
+let qcheck_summary_equal_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"summary equal = map model equality" ~count:500
+       QCheck2.Gen.(pair gen_summary_parts gen_summary_parts)
+       (fun (a, b) ->
+         Summary.equal (summary_of a) (summary_of b) = model_equal (model a) (model b)
+         (* A permutation of the same entries makes the same summary. *)
+         &&
+         let proc, scions, stubs = model a in
+         Summary.equal (summary_of a)
+           (Summary.make ~proc ~taken_at:1
+              ~scions:(List.rev_map snd (Scion_model.bindings scions))
+              ~stubs:(List.rev_map snd (Stub_model.bindings stubs)))))
+
+(* The wire can carry a repeated scion key or stub target (no encoder
+   in lib/ writes one, but the reader must say what it does with it):
+   the last entry wins, as [Map.add] folded over the entries did. *)
+let test_summary_decode_keeps_last () =
+  let key = Ref_key.make ~src:(Proc_id.of_int 1) ~target:(Oid.make ~owner:(Proc_id.of_int 2) ~serial:3) in
+  let other = Ref_key.make ~src:(Proc_id.of_int 0) ~target:(Oid.make ~owner:(Proc_id.of_int 2) ~serial:9) in
+  let target = Oid.make ~owner:(Proc_id.of_int 4) ~serial:5 in
+  let scion k ic =
+    { Summary.key = k; scion_ic = ic; stubs_from = Oid.Set.singleton target; target_locally_reachable = false; last_invoked = ic }
+  in
+  let stub ic = { Summary.target; stub_ic = ic; scions_to = Ref_key.Set.singleton key; local_reach = ic = 2 } in
+  let bytes =
+    Net_codec.encode
+      (Sval.Record
+         ( "summary",
+           [
+             ("proc", Sval.Int 2);
+             ("taken_at", Sval.Int 40);
+             ("scions", Sval.List [ Ref.scion_sval (scion key 1); Ref.scion_sval (scion other 7); Ref.scion_sval (scion key 2) ]);
+             ("stubs", Sval.List [ Ref.stub_sval (stub 1); Ref.stub_sval (stub 2) ]);
+           ] ))
+  in
+  match Summary.decode bytes with
+  | None -> Alcotest.fail "a repeated key is not malformed"
+  | Some t ->
+      check Alcotest.(pair int int) "one entry per key" (2, 1) (Summary.counts t);
+      check Alcotest.(option int) "last scion kept" (Some 2)
+        (Option.map (fun s -> s.Summary.scion_ic) (Summary.find_scion t key));
+      check Alcotest.(option int) "last stub kept" (Some 2)
+        (Option.map (fun s -> s.Summary.stub_ic) (Summary.find_stub t target));
+      check Alcotest.(list int) "scions ascend" [ 7; 2 ]
+        (List.map (fun s -> s.Summary.scion_ic) (Summary.scion_list t));
+      check Alcotest.bool "tree path agrees" true
+        (same_decode (Some t) (Ref.summary_decode bytes))
+
+(* ------------------------------------------------------------------ *)
 (* Messages and socket envelopes: the direct readers accept exactly
    what the reference tree path accepts, with the same value, under
    every truncation and random single-byte corruptions. *)
@@ -873,6 +1000,10 @@ let suite =
       qcheck_summary_wire_identity;
       qcheck_summary_truncation;
       qcheck_summary_corruption;
+      qcheck_summary_lookup_model;
+      qcheck_summary_equal_model;
+      Alcotest.test_case "summary: decode keeps the last of a repeated key" `Quick
+        test_summary_decode_keeps_last;
       qcheck_envelope_wire_identity;
       qcheck_stream_wire_identity;
     ]

@@ -530,6 +530,23 @@ let test_table_pads_rows () =
   let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
   check Alcotest.int "lines" 6 (List.length lines)
 
+let test_sorted_last_of_each () =
+  let module Sorted = Adgc_util.Sorted in
+  let by_key (a, _) (b, _) = Int.compare a b in
+  let ascending = [| (0, "a"); (1, "b"); (4, "c") |] in
+  check Alcotest.bool "ascending input returned as is" true
+    (Sorted.last_of_each by_key ascending == ascending);
+  let distinct = [| (4, "c"); (0, "a"); (1, "b") |] in
+  let sorted = Sorted.last_of_each by_key distinct in
+  check Alcotest.bool "distinct input sorted in place" true (sorted == distinct);
+  check Alcotest.(list (pair int string)) "sorted" (Array.to_list ascending) (Array.to_list sorted);
+  check Alcotest.(list (pair int string)) "last of equal keys kept"
+    [ (0, "b"); (1, "d"); (2, "e") ]
+    (Array.to_list
+       (Sorted.last_of_each by_key [| (1, "a"); (0, "b"); (1, "c"); (2, "e"); (1, "d") |]));
+  check Alcotest.(list int) "list" [ 1; 2; 3 ] (Sorted.list Int.compare [ 3; 1; 2 ]);
+  check Alcotest.(list int) "empty" [] (Sorted.list Int.compare [])
+
 let suite =
   ( "util",
     [
@@ -582,4 +599,5 @@ let suite =
       Alcotest.test_case "dense: interner key bounds" `Quick test_interner_key_unassigned;
       Alcotest.test_case "table: render alignment" `Quick test_table_render;
       Alcotest.test_case "table: row padding" `Quick test_table_pads_rows;
+      Alcotest.test_case "sorted: last of each" `Quick test_sorted_last_of_each;
     ] )
