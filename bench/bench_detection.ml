@@ -15,6 +15,13 @@ module Config = Adgc.Config
 module Stats = Adgc_util.Stats
 module Table = Adgc_util.Table
 module Topology = Adgc_workload.Topology
+module Cluster = Adgc_rt.Cluster
+module Network = Adgc_rt.Network
+module Runtime = Adgc_rt.Runtime
+module Detector = Adgc_dcda.Detector
+module Policy = Adgc_dcda.Policy
+module Report = Adgc_dcda.Report
+module Summarize = Adgc_snapshot.Summarize
 open Bench_common
 
 type scenario = {
@@ -70,6 +77,57 @@ let run_scenario s =
   let ticks = Sim.now sim in
   Sim.teardown sim;
   (clean, ticks, pcts, cycles, cdms, wall)
+
+(* ------------------------------------------------------------------ *)
+(* E6's one-ring detection: a single CDM detection around an unrooted
+   ring of [span] processes, initiated by hand on freshly summarized
+   processes and drained.  Returns the detection latency in ticks, the
+   CDMs sent, their bytes and the host wall. *)
+
+let detect_ring ~span =
+  let net_config = Network.default_config () in
+  net_config.Network.account_bytes <- true;
+  let cluster = Cluster.create ~net_config ~n:span () in
+  let rt = Cluster.rt cluster in
+  let detectors =
+    Array.map (fun p -> Detector.attach rt p ~policy:Policy.aggressive) rt.Runtime.procs
+  in
+  let built = Topology.ring cluster ~procs:(List.init span (fun i -> i)) in
+  let now = Cluster.now cluster in
+  Array.iteri
+    (fun i d -> Detector.set_summary d (Summarize.run ~now (Cluster.proc cluster i)))
+    detectors;
+  let start = Cluster.now cluster in
+  ignore (Detector.initiate detectors.(0) (Topology.scion_key built ~src:(span - 1) "n0_0") : bool);
+  let (), wall = wall_ms (fun () -> ignore (Cluster.drain cluster : int)) in
+  let stats = Cluster.stats cluster in
+  let reports = Array.to_list detectors |> List.concat_map Detector.reports in
+  let latency = match reports with r :: _ -> r.Report.concluded_time - start | [] -> -1 in
+  (latency, Stats.get stats "net.msg.sent.cdm", Stats.get stats "net.bytes.cdm", wall)
+
+(* The CDM bytes of E6's 8- and 32-process spans, as gated series: a
+   pure function of the wire format, so any change to a CDM's size
+   shows here. *)
+let run_e6 recorder =
+  section "detection.e6: CDM bytes of one ring detection";
+  let rows =
+    List.map
+      (fun span ->
+        let latency, msgs, bytes, _ = detect_ring ~span in
+        det recorder ~section:"detection"
+          ~name:(Printf.sprintf "detection.e6.cdm_bytes.span%d" span)
+          ~unit_:"bytes"
+          ~config:[ "detection.e6"; string_of_int span ]
+          (float_of_int bytes);
+        [
+          string_of_int span;
+          Printf.sprintf "%d ticks" latency;
+          string_of_int msgs;
+          Printf.sprintf "%d B" bytes;
+        ])
+      [ 8; 32 ]
+  in
+  Table.print ~header:[ "processes"; "detection latency"; "CDM msgs"; "CDM bytes" ] ~rows ()
 
 (* ------------------------------------------------------------------ *)
 (* Incremental candidate maintenance: the detection.incremental series.
@@ -254,4 +312,5 @@ let run recorder =
   print_endline "latencies are simulated ticks from the dcda.detection_latency histogram";
   print_endline "(initiation to conclusion per proven cycle), so the p50/p99 gates are";
   print_endline "machine-independent; only the host-wall column is timing-class";
+  run_e6 recorder;
   run_incremental recorder

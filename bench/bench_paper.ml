@@ -19,7 +19,6 @@ module Heap = Adgc_rt.Heap
 module Rmi = Adgc_rt.Rmi
 module Detector = Adgc_dcda.Detector
 module Policy = Adgc_dcda.Policy
-module Report = Adgc_dcda.Report
 module Backtrack = Adgc_baseline.Backtrack
 module Summarize = Adgc_snapshot.Summarize
 module Graph_image = Adgc_snapshot.Graph_image
@@ -166,33 +165,12 @@ let bench_serialization () =
 (* ------------------------------------------------------------------ *)
 (* E6: detection cost vs cycle span.                                   *)
 
-let detect_ring ~span =
-  let net_config = Network.default_config () in
-  net_config.Network.account_bytes <- true;
-  let cluster = Cluster.create ~net_config ~n:span () in
-  let rt = Cluster.rt cluster in
-  let detectors =
-    Array.map (fun p -> Detector.attach rt p ~policy:Policy.aggressive) rt.Runtime.procs
-  in
-  let built = Topology.ring cluster ~procs:(List.init span (fun i -> i)) in
-  let now = Cluster.now cluster in
-  Array.iteri
-    (fun i d -> Detector.set_summary d (Summarize.run ~now (Cluster.proc cluster i)))
-    detectors;
-  let start = Cluster.now cluster in
-  ignore (Detector.initiate detectors.(0) (Topology.scion_key built ~src:(span - 1) "n0_0") : bool);
-  let (), wall = wall_ms (fun () -> ignore (Cluster.drain cluster : int)) in
-  let stats = Cluster.stats cluster in
-  let reports = Array.to_list detectors |> List.concat_map Detector.reports in
-  let latency = match reports with r :: _ -> r.Report.concluded_time - start | [] -> -1 in
-  (latency, Stats.get stats "net.msg.sent.cdm", Stats.get stats "net.bytes.cdm", wall)
-
 let bench_detection_scaling () =
   section "E6: detection cost vs cycle span (one distributed cycle)";
   let rows =
     List.map
       (fun span ->
-        let latency, msgs, bytes, wall = detect_ring ~span in
+        let latency, msgs, bytes, wall = Bench_detection.detect_ring ~span in
         [
           string_of_int span;
           Printf.sprintf "%d ticks" latency;
@@ -232,7 +210,7 @@ let bench_baseline_compare () =
   let rows =
     List.map
       (fun span ->
-        let _, cdm_msgs, cdm_bytes, _ = detect_ring ~span in
+        let _, cdm_msgs, cdm_bytes, _ = Bench_detection.detect_ring ~span in
         let bt_msgs, bt_bytes, bt_state, _ = backtrack_ring ~span in
         [
           string_of_int span;

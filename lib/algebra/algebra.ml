@@ -1,29 +1,23 @@
 module N = Adgc_serial.Net_codec
 module R = Adgc_serial.Net_codec.Read
 
-(* Besides the two maps, an algebra carries the counts its matching
-   verdict needs, kept current by [add] and recomputed by [union], so
-   the detector's per-hop questions cost O(1). *)
+(* The paper's optimized form (§4) is the representation: one ordered
+   map from each reference to the IC it has in the source set, in the
+   target set, or in both.  Beside it, an algebra carries the counts its
+   matching verdict and cardinals need, kept current by [add] and
+   recomputed by [union], so the detector's per-hop questions cost
+   O(1). *)
+type entry = Src of int | Tgt of int | Both of { s_ic : int; t_ic : int }
+
 type t = {
-  source : int Ref_key.Map.t;
-  target : int Ref_key.Map.t;
-  n_source : int;
-  n_target : int;
-  unresolved : int;  (** keys only in [source] *)
-  frontier : int;  (** keys only in [target] *)
-  conflicts : int;  (** keys on both sides with different ICs *)
+  map : entry Ref_key.Map.t;
+  unresolved : int;  (** [Src] entries *)
+  frontier : int;  (** [Tgt] entries *)
+  both : int;  (** [Both] entries *)
+  conflicts : int;  (** [Both] entries with different ICs *)
 }
 
-let empty =
-  {
-    source = Ref_key.Map.empty;
-    target = Ref_key.Map.empty;
-    n_source = 0;
-    n_target = 0;
-    unresolved = 0;
-    frontier = 0;
-    conflicts = 0;
-  }
+let empty = { map = Ref_key.Map.empty; unresolved = 0; frontier = 0; both = 0; conflicts = 0 }
 
 type side = Source | Target
 
@@ -33,44 +27,43 @@ type add_result =
   | Added of t
   | Ic_conflict of { key : Ref_key.t; existing : int; incoming : int }
 
-let pick = function Source -> fun t -> t.source | Target -> fun t -> t.target
+(* The IC an entry has on [side]; [None] when it is absent there. *)
+let ic_on side e =
+  match (side, e) with
+  | Source, (Src ic | Both { s_ic = ic; _ }) | Target, (Tgt ic | Both { t_ic = ic; _ }) -> Some ic
+  | Source, Tgt _ | Target, Src _ -> None
 
 let add t side key ~ic =
-  let m = pick side t in
-  match Ref_key.Map.find key m with
-  | existing when existing = ic -> Added t
-  | existing -> Ic_conflict { key; existing; incoming = ic }
-  | exception Not_found ->
-      (* A key already on the other side stops being unmatched there;
-         it cancels (equal ICs) or becomes a conflict. *)
-      let other = match side with Source -> t.target | Target -> t.source in
-      let matched, conflict =
-        match Ref_key.Map.find key other with
-        | other_ic when other_ic = ic -> (1, 0)
-        | _ -> (1, 1)
-        | exception Not_found -> (0, 0)
-      in
-      let conflicts = t.conflicts + conflict in
+  match (side, Ref_key.Map.find key t.map) with
+  | exception Not_found -> (
+      match side with
+      | Source ->
+          Added { t with map = Ref_key.Map.add key (Src ic) t.map; unresolved = t.unresolved + 1 }
+      | Target ->
+          Added { t with map = Ref_key.Map.add key (Tgt ic) t.map; frontier = t.frontier + 1 })
+  | (Source, (Src existing | Both { s_ic = existing; _ }))
+  | (Target, (Tgt existing | Both { t_ic = existing; _ })) ->
+      if existing = ic then Added t else Ic_conflict { key; existing; incoming = ic }
+  (* A key unmatched on the other side now cancels (equal ICs) or
+     becomes a conflict. *)
+  | Source, Tgt t_ic ->
       Added
-        (match side with
-        | Source ->
-            {
-              t with
-              source = Ref_key.Map.add key ic m;
-              n_source = t.n_source + 1;
-              unresolved = t.unresolved + 1 - matched;
-              frontier = t.frontier - matched;
-              conflicts;
-            }
-        | Target ->
-            {
-              t with
-              target = Ref_key.Map.add key ic m;
-              n_target = t.n_target + 1;
-              frontier = t.frontier + 1 - matched;
-              unresolved = t.unresolved - matched;
-              conflicts;
-            })
+        {
+          t with
+          map = Ref_key.Map.add key (Both { s_ic = ic; t_ic }) t.map;
+          frontier = t.frontier - 1;
+          both = t.both + 1;
+          conflicts = (t.conflicts + if t_ic = ic then 0 else 1);
+        }
+  | Target, Src s_ic ->
+      Added
+        {
+          t with
+          map = Ref_key.Map.add key (Both { s_ic; t_ic = ic }) t.map;
+          unresolved = t.unresolved - 1;
+          both = t.both + 1;
+          conflicts = (t.conflicts + if s_ic = ic then 0 else 1);
+        }
 
 let add_exn t side key ~ic =
   match add t side key ~ic with
@@ -80,52 +73,62 @@ let add_exn t side key ~ic =
         (Format.asprintf "Algebra.add_exn: IC conflict on %a (%d vs %d)" Ref_key.pp key
            existing incoming)
 
+let of_map map =
+  Ref_key.Map.fold
+    (fun _ e t ->
+      match e with
+      | Src _ -> { t with unresolved = t.unresolved + 1 }
+      | Tgt _ -> { t with frontier = t.frontier + 1 }
+      | Both { s_ic; t_ic } ->
+          { t with both = t.both + 1; conflicts = (t.conflicts + if s_ic = t_ic then 0 else 1) })
+    map { empty with map }
+
 exception Union_conflict of side * Ref_key.t
 
-let of_maps source target =
-  let shared = ref 0 and conflicts = ref 0 in
-  Ref_key.Map.iter
-    (fun key s_ic ->
-      match Ref_key.Map.find key target with
-      | t_ic ->
-          incr shared;
-          if t_ic <> s_ic then incr conflicts
-      | exception Not_found -> ())
-    source;
-  let n_source = Ref_key.Map.cardinal source and n_target = Ref_key.Map.cardinal target in
-  {
-    source;
-    target;
-    n_source;
-    n_target;
-    unresolved = n_source - !shared;
-    frontier = n_target - !shared;
-    conflicts = !conflicts;
-  }
-
 let union a b =
-  let merge side m1 m2 =
-    Ref_key.Map.union
-      (fun key l r -> if l = r then Some l else raise (Union_conflict (side, key)))
-      m1 m2
+  (* Side by side, each side's ICs must agree where both have one. *)
+  let side_ic side key l r =
+    let ic e = Option.bind e (ic_on side) in
+    match (ic l, ic r) with
+    | Some l, Some r when l <> r -> raise (Union_conflict (side, key))
+    | (Some _ as ic), _ | None, ic -> ic
   in
-  try Ok (of_maps (merge Source a.source b.source) (merge Target a.target b.target))
+  let merge key l r =
+    match (side_ic Source key l r, side_ic Target key l r) with
+    | Some s_ic, Some t_ic -> Some (Both { s_ic; t_ic })
+    | Some ic, None -> Some (Src ic)
+    | None, Some ic -> Some (Tgt ic)
+    | None, None -> None
+  in
+  try Ok (of_map (Ref_key.Map.merge merge a.map b.map))
   with Union_conflict (side, key) -> Error (side, key)
 
-let source t = Ref_key.Map.bindings t.source
+let side_bindings side t =
+  Ref_key.Map.fold
+    (fun key e acc -> match ic_on side e with Some ic -> (key, ic) :: acc | None -> acc)
+    t.map []
+  |> List.rev
 
-let target t = Ref_key.Map.bindings t.target
+let source t = side_bindings Source t
 
-let mem t side key = Ref_key.Map.mem key (pick side t)
+let target t = side_bindings Target t
 
-let ic t side key = Ref_key.Map.find_opt key (pick side t)
+let ic t side key = Option.bind (Ref_key.Map.find_opt key t.map) (ic_on side)
 
-let cardinal t = (t.n_source, t.n_target)
+let mem t side key = Option.is_some (ic t side key)
+
+let cardinal t = (t.unresolved + t.both, t.frontier + t.both)
+
+let equal_entry a b =
+  match (a, b) with
+  | Src a, Src b | Tgt a, Tgt b -> a = b
+  | Both a, Both b -> a.s_ic = b.s_ic && a.t_ic = b.t_ic
+  | (Src _ | Tgt _ | Both _), _ -> false
 
 let equal a b =
-  a.n_source = b.n_source && a.n_target = b.n_target
-  && Ref_key.Map.equal Int.equal a.source b.source
-  && Ref_key.Map.equal Int.equal a.target b.target
+  (* Equal maps have equal counts: most unequal algebras differ there. *)
+  a.unresolved = b.unresolved && a.frontier = b.frontier && a.both = b.both
+  && Ref_key.Map.equal equal_entry a.map b.map
 
 type matching_result =
   | Match of { unresolved : (Ref_key.t * int) list; frontier : (Ref_key.t * int) list }
@@ -134,30 +137,23 @@ type matching_result =
 exception Abort of Ref_key.t * int * int
 
 let matching t =
-  (* One simultaneous walk over both ordered maps: entries present on
-     both sides cancel when their ICs agree and abort otherwise. *)
-  try
-    let unresolved = ref [] and frontier = ref [] in
-    let cancel key source_ic target_ic =
-      (* Gauntlet mutant: cancelling despite an IC disagreement is the
-         paper's canonical unsafe variant — a mutator invocation
-         between the two snapshots goes unnoticed. *)
-      if source_ic <> target_ic && not (Adgc_util.Mc_mutate.enabled "skip_ic_guards")
-      then raise (Abort (key, source_ic, target_ic))
-      else None
-    in
-    ignore
-      (Ref_key.Map.merge
-         (fun key s_ic t_ic ->
-           (match (s_ic, t_ic) with
-           | Some s, Some tg -> ignore (cancel key s tg)
-           | Some s, None -> unresolved := (key, s) :: !unresolved
-           | None, Some tg -> frontier := (key, tg) :: !frontier
-           | None, None -> ());
-           None)
-         t.source t.target);
-    Match { unresolved = List.rev !unresolved; frontier = List.rev !frontier }
-  with Abort (key, source_ic, target_ic) -> Ic_abort { key; source_ic; target_ic }
+  (* One in-order walk: entries present on both sides cancel when their
+     ICs agree and abort the walk otherwise. *)
+  let entry key e (unresolved, frontier) =
+    match e with
+    | Src ic -> ((key, ic) :: unresolved, frontier)
+    | Tgt ic -> (unresolved, (key, ic) :: frontier)
+    | Both { s_ic; t_ic } ->
+        (* Gauntlet mutant: cancelling despite an IC disagreement is the
+           paper's canonical unsafe variant — a mutator invocation
+           between the two snapshots goes unnoticed. *)
+        if s_ic <> t_ic && not (Adgc_util.Mc_mutate.enabled "skip_ic_guards") then
+          raise (Abort (key, s_ic, t_ic));
+        (unresolved, frontier)
+  in
+  match Ref_key.Map.fold entry t.map ([], []) with
+  | unresolved, frontier -> Match { unresolved = List.rev unresolved; frontier = List.rev frontier }
+  | exception Abort (key, source_ic, target_ic) -> Ic_abort { key; source_ic; target_ic }
 
 type verdict = Conflict | Counts of { unresolved : int; frontier : int }
 
@@ -173,65 +169,44 @@ let cycle_found t =
 (* ------------------------------------------------------------------ *)
 (* Wire format *)
 
-let n_ce = N.Name.v "ce"
-let n_src = N.Name.v "src"
-let n_owner = N.Name.v "owner"
-let n_serial = N.Name.v "serial"
-let n_ic = N.Name.v "ic"
-let n_bits = N.Name.v "bits"
-let n_algebra_c = N.Name.v "algebra_c"
-let n_entries = N.Name.v "entries"
+(* One packed run of [src; owner; serial; ic; bits] per entry, in key
+   order, with two presence bits (1 = source, 2 = target, 3 = both).  A
+   key on both sides with different ICs cannot share an entry: it is
+   written twice, bits 1 then 2. *)
+let entry_width = 5
 
-(* One record per distinct (key, ic) with two presence bits packed
-   into one integer (1 = source, 2 = target, 3 = both).  Source
-   entries come first in key order, then the target entries not
-   already written with bits = 3. *)
 let emit_compact s t =
   let emit_ce (key : Ref_key.t) ic bits =
-    N.record s n_ce 5;
-    N.field s n_src;
-    N.int s (Proc_id.to_int key.Ref_key.src);
-    N.field s n_owner;
-    N.int s (Proc_id.to_int (Oid.owner key.Ref_key.target));
-    N.field s n_serial;
-    N.int s key.Ref_key.target.Oid.serial;
-    N.field s n_ic;
-    N.int s ic;
-    N.field s n_bits;
-    N.int s bits
+    N.raw s (Proc_id.to_int key.Ref_key.src);
+    N.raw s (Proc_id.to_int (Oid.owner key.Ref_key.target));
+    N.raw s key.Ref_key.target.Oid.serial;
+    N.raw s ic;
+    N.raw s bits
   in
-  let shared_equal = t.n_source - t.unresolved - t.conflicts in
-  N.record s n_algebra_c 1;
-  N.field s n_entries;
-  N.list s (t.n_source + t.n_target - shared_equal);
+  (* A [Both] with different ICs takes two entries. *)
+  N.packed s (entry_width * (t.unresolved + t.frontier + t.both + t.conflicts));
   Ref_key.Map.iter
-    (fun key s_ic ->
-      match Ref_key.Map.find key t.target with
-      | t_ic when t_ic = s_ic -> emit_ce key s_ic 3
-      | _ | (exception Not_found) -> emit_ce key s_ic 1)
-    t.source;
-  Ref_key.Map.iter
-    (fun key t_ic ->
-      match Ref_key.Map.find key t.source with
-      | s_ic when s_ic = t_ic -> ()
-      | _ | (exception Not_found) -> emit_ce key t_ic 2)
-    t.target
+    (fun key -> function
+      | Src ic -> emit_ce key ic 1
+      | Tgt ic -> emit_ce key ic 2
+      | Both { s_ic; t_ic } when s_ic = t_ic -> emit_ce key s_ic 3
+      | Both { s_ic; t_ic } ->
+          emit_ce key s_ic 1;
+          emit_ce key t_ic 2)
+    t.map
 
-(* Ids must not be negative, bits must name a side, and an entry must
-   not contradict one already read. *)
+(* The run must hold whole entries; ids must not be negative, bits
+   must name a side, and an entry must not contradict one already
+   read. *)
 let read_compact r =
+  let n = R.packed r in
+  if n mod entry_width <> 0 then R.fail r "ragged algebra run";
   let read_ce t =
-    R.record r n_ce 5;
-    R.field r n_src;
-    let src = R.int r in
-    R.field r n_owner;
-    let owner = R.int r in
-    R.field r n_serial;
-    let serial = R.int r in
-    R.field r n_ic;
-    let ic = R.int r in
-    R.field r n_bits;
-    let bits = R.int r in
+    let src = R.raw r in
+    let owner = R.raw r in
+    let serial = R.raw r in
+    let ic = R.raw r in
+    let bits = R.raw r in
     if src < 0 || owner < 0 || serial < 0 then R.fail r "negative id";
     if bits < 1 || bits > 3 then R.fail r "bad presence bits";
     let key =
@@ -243,10 +218,8 @@ let read_compact r =
     let t = if bits land 1 <> 0 then add_side Source t else t in
     if bits land 2 <> 0 then add_side Target t else t
   in
-  R.record r n_algebra_c 1;
-  R.field r n_entries;
-  let rec go n t = if n = 0 then t else go (n - 1) (read_ce t) in
-  go (R.list r) empty
+  let rec go k t = if k = 0 then t else go (k - 1) (read_ce t) in
+  go (n / entry_width) empty
 
 let pp_entry ppf (key, ic) = Format.fprintf ppf "%a:%d" Ref_key.pp key ic
 

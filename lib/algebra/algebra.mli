@@ -21,7 +21,15 @@
     snapshots — the mutator touched the CDM-Graph — and matching
     reports an abort (paper §3.2, safety rule ii).  A distributed
     garbage cycle is proven when matching leaves both sets empty
-    (paper step 25-26: [{{} -> {}}]). *)
+    (paper step 25-26: [{{} -> {}}]).
+
+    {b Representation.}  The paper's optimized form (§4) is both the
+    wire form and the in-memory one: a single key-ordered map from each
+    reference to its source IC, its target IC, or both — the two
+    presence bits.  Beside it the algebra keeps how many entries are
+    source-only, target-only, on both sides and in conflict, so
+    {!verdict} and {!cardinal} cost O(1), and {!emit_compact} writes
+    the map in one in-order pass. *)
 
 type t
 
@@ -80,10 +88,12 @@ type matching_result =
   | Match of { unresolved : (Ref_key.t * int) list; frontier : (Ref_key.t * int) list }
       (** [unresolved]: source-only entries (dependencies not yet
           traversed); [frontier]: target-only entries (the wave front
-          of the detection).  The cycle is found when both are []. *)
+          of the detection), both in ascending key order.  The cycle
+          is found when both are []. *)
   | Ic_abort of { key : Ref_key.t; source_ic : int; target_ic : int }
 
 val matching : t -> matching_result
+(** One in-order walk; [Ic_abort] names the first conflicting key. *)
 
 type verdict =
   | Conflict  (** [matching] reports [Ic_abort] *)
@@ -101,17 +111,20 @@ val cycle_found : t -> bool
 (** {1 Wire format and printing} *)
 
 val emit_compact : t Adgc_serial.Net_codec.shape
-(** The paper's optimized representation (§4): one entry per distinct
-    reference with two presence bits (source/target), so a reference
-    in both sets is written once.  On a concluding CDM (every entry in
-    both sets) this halves the entry count.  An entry appearing on
-    both sides with {e different} ICs cannot be shared and is written
-    twice.  Sizing it allocates nothing per entry. *)
+(** The paper's optimized representation (§4) on the wire: one packed
+    run ({!Adgc_serial.Net_codec.packed}) of
+    [[src; owner; serial; ic; bits]] per entry, in key order, with two
+    presence bits (1 = source, 2 = target, 3 = both).  A reference in
+    both sets with equal ICs is written once, so a concluding CDM
+    (every entry in both sets) halves the entry count; one with
+    {e different} ICs cannot be shared and is written twice, bits 1
+    then 2.  Sizing it allocates nothing per entry. *)
 
 val read_compact : Adgc_serial.Net_codec.Read.t -> t
-(** Reads {!emit_compact}'s bytes back to an equal algebra; a negative
-    id, presence bits outside 1–3 or a second IC for an entry already
-    read is malformed. *)
+(** Reads {!emit_compact}'s bytes back to an equal algebra.  A run whose
+    length is not a whole number of entries, a negative id, presence
+    bits outside 1–3 or a second IC for an entry already read on the
+    same side is malformed. *)
 
 val pp : Format.formatter -> t -> unit
 (** Paper style: [{{P1->#0@P2:3} -> {P2->#1@P4:0}}] where the integer

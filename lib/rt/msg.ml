@@ -113,6 +113,8 @@ let n_dst = N.Name.v "dst"
 let n_sent_at = N.Name.v "sent_at"
 let n_payload = N.Name.v "payload"
 
+let stub_width = 3
+
 let emit_oids s l =
   N.list s (List.length l);
   List.iter (Oid.emit s) l
@@ -154,12 +156,13 @@ let rec emit_payload s = function
       N.field s n_seqno;
       N.int s seqno;
       N.field s n_targets;
-      N.list s (Oid.Map.cardinal targets);
+      (* One packed run of [owner; serial; ic] per stub. *)
+      N.packed s (stub_width * Oid.Map.cardinal targets);
       Oid.Map.iter
-        (fun o ic ->
-          N.list s 2;
-          Oid.emit s o;
-          N.int s ic)
+        (fun (o : Oid.t) ic ->
+          N.raw s (Proc_id.to_int (Oid.owner o));
+          N.raw s o.Oid.serial;
+          N.raw s ic)
         targets
   | Scion_probe -> N.record s n_scion_probe 0
   | Cdm cdm -> Cdm.emit s cdm
@@ -276,15 +279,19 @@ let rec read_payload r =
       R.field r n_seqno;
       let seqno = R.int r in
       R.field r n_targets;
-      let rec go n m =
-        if n = 0 then m
+      let n = R.packed r in
+      if n mod stub_width <> 0 then R.fail r "ragged stub set run";
+      let rec go k m =
+        if k = 0 then m
         else begin
-          if R.list r <> 2 then R.fail r "bad stub set entry";
-          let o = Oid.read r in
-          go (n - 1) (Oid.Map.add o (R.int r) m)
+          let owner = R.raw r in
+          let serial = R.raw r in
+          let ic = R.raw r in
+          if owner < 0 || serial < 0 then R.fail r "negative id";
+          go (k - 1) (Oid.Map.add (Oid.make ~owner:(Proc_id.of_int owner) ~serial) ic m)
         end
       in
-      New_set_stubs { seqno; targets = go (R.list r) Oid.Map.empty }
+      New_set_stubs { seqno; targets = go (n / stub_width) Oid.Map.empty }
   | 5 -> Scion_probe
   | 6 ->
       R.field r n_initiator;

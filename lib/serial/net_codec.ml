@@ -8,6 +8,7 @@ let tag_float = 4
 let tag_str = 5
 let tag_list = 6
 let tag_record = 7
+let tag_packed = 8
 
 module Name = struct
   type t = { id : int; text : string }
@@ -110,6 +111,13 @@ let list s k =
   raw_byte s tag_list;
   raw_varint s k
 
+(* A packed run: the tag and item count once, then bare varints. *)
+let packed s k =
+  raw_byte s tag_packed;
+  raw_varint s k
+
+let raw = raw_varint
+
 let int s v =
   match s.mode with
   | Count -> s.bytes <- s.bytes + 1 + Wire.varint_size v
@@ -149,6 +157,9 @@ let rec sval s (v : Sval.t) =
   | List items ->
       list s (List.length items);
       List.iter (sval s) items
+  | Packed ints ->
+      packed s (List.length ints);
+      List.iter (raw s) ints
   | Record (rname, fields) ->
       record s (Name.v rname) (List.length fields);
       List.iter
@@ -217,6 +228,10 @@ let rec read r intern : Sval.t =
   else if tag = tag_list then begin
     let n = checked_length r in
     List (List.init n (fun _ -> read r intern))
+  end
+  else if tag = tag_packed then begin
+    let n = checked_length r in
+    Packed (List.init n (fun _ -> Wire.Reader.varint r))
   end
   else if tag = tag_record then begin
     let rname = read_name r intern in
@@ -319,6 +334,12 @@ module Read = struct
   let list t =
     tag t tag_list;
     checked_length t.r
+
+  let packed t =
+    tag t tag_packed;
+    checked_length t.r
+
+  let raw t = Wire.Reader.varint t.r
 
   let finish t = if not (Wire.Reader.at_end t.r) then fail t "trailing bytes"
 

@@ -10,7 +10,8 @@
 
     The byte format is written in one place, the streaming {!sink}
     below.  A wire type describes its shape once, as a {!shape}: a
-    sequence of [record]/[field]/[int]/[bool]/[str]/[list] events.
+    sequence of [record]/[field]/[int]/[bool]/[str]/[list]/[packed]/[raw]
+    events.
     The same shape runs into a byte writer ({!encode_shape}) or a pure
     byte counter ({!size}), so the bytes a message is charged for and
     the bytes it is sent as can never drift apart.  Next to each
@@ -57,6 +58,14 @@ val str : sink -> string -> unit
 val list : sink -> int -> unit
 (** [list s k]: a list of [k] items. *)
 
+val packed : sink -> int -> unit
+(** [packed s k]: a run of [k] integers with no per-item tag — one tag
+    and the count, then [k] zigzag varints.  How a wire type sends a
+    table of small integers, several per entry ({!Sval.Packed}). *)
+
+val raw : sink -> int -> unit
+(** One untagged integer of a {!packed} run. *)
+
 val encode_shape : 'a shape -> 'a -> string
 (** The value's bytes, written into one reused module-level buffer with
     per-message interning.  A shape must not itself call
@@ -96,6 +105,13 @@ module Read : sig
 
   val list : t -> int
   (** A list; returns its length. *)
+
+  val packed : t -> int
+  (** A packed run; returns its item count, which is at most the bytes
+      left (every item takes one). *)
+
+  val raw : t -> int
+  (** One item of a packed run. *)
 
   val finish : t -> unit
   (** No trailing bytes. *)

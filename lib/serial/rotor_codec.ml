@@ -10,6 +10,7 @@ let type_name = function
   | Sval.Float _ -> "System.Double, mscorlib, Version=1.0.3300.0"
   | Sval.Str _ -> "System.String, mscorlib, Version=1.0.3300.0"
   | Sval.List _ -> "System.Collections.ArrayList, mscorlib, Version=1.0.3300.0"
+  | Sval.Packed _ -> "System.Int64[], mscorlib, Version=1.0.3300.0"
   | Sval.Record _ -> "System.Runtime.Serialization.ObjectRecord, mscorlib, Version=1.0.3300.0"
 
 let escape_char buf c =
@@ -68,6 +69,13 @@ let rec emit buf depth v =
   | Sval.List items ->
       Buffer.add_string buf (Printf.sprintf " n=\"%d\">" (List.length items));
       List.iter (fun item -> emit buf (depth + 1) item) items;
+      indent buf depth;
+      Buffer.add_string buf "</v>"
+  | Sval.Packed ints ->
+      (* An array of ints: each item a full Int node, as Rotor has no
+         packed form. *)
+      Buffer.add_string buf (Printf.sprintf " n=\"%d\">" (List.length ints));
+      List.iter (fun i -> emit buf (depth + 1) (Sval.Int i)) ints;
       indent buf depth;
       Buffer.add_string buf "</v>"
   | Sval.Record (rname, fields) ->
@@ -180,6 +188,7 @@ let classify_type tname =
     | "Void, " -> `Unit
     | "Boolea" -> `Bool
     | "Int64," -> `Int
+    | "Int64[" -> `Packed
     | "Double" -> `Float
     | "String" -> `Str
     | "Collec" -> `List
@@ -253,6 +262,15 @@ let rec parse_value p =
       skip_ws p;
       eat p "</v>";
       Sval.List items
+  | `Packed ->
+      let n = checked_count p (read_attr p "n") in
+      skip_ws p;
+      eat p ">";
+      let item _ = match parse_value p with Sval.Int i -> i | _ -> fail p "bad array item" in
+      let ints = List.init n item in
+      skip_ws p;
+      eat p "</v>";
+      Sval.Packed ints
   | `Record ->
       let rname = read_attr p "name" in
       let n = checked_count p (read_attr p "n") in

@@ -5,6 +5,7 @@ type t =
   | Float of float
   | Str of string
   | List of t list
+  | Packed of int list
   | Record of string * (string * t) list
 
 let rec compare a b =
@@ -27,6 +28,9 @@ let rec compare a b =
   | List x, List y -> List.compare compare x y
   | List _, _ -> -1
   | _, List _ -> 1
+  | Packed x, Packed y -> List.compare Int.compare x y
+  | Packed _, _ -> -1
+  | _, Packed _ -> 1
   | Record (nx, fx), Record (ny, fy) ->
       let c = String.compare nx ny in
       if c <> 0 then c
@@ -49,6 +53,10 @@ let rec pp ppf = function
       Format.fprintf ppf "[@[%a@]]"
         (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") pp)
         l
+  | Packed l ->
+      Format.fprintf ppf "[|@[%a@]|]"
+        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") Format.pp_print_int)
+        l
   | Record (name, fields) ->
       let pp_field ppf (k, v) = Format.fprintf ppf "%s=%a" k pp v in
       Format.fprintf ppf "%s{@[%a@]}" name
@@ -56,7 +64,7 @@ let rec pp ppf = function
         fields
 
 let rec size_nodes = function
-  | Unit | Bool _ | Int _ | Float _ | Str _ -> 1
+  | Unit | Bool _ | Int _ | Float _ | Str _ | Packed _ -> 1
   | List l -> List.fold_left (fun acc v -> acc + size_nodes v) 1 l
   | Record (_, fields) ->
       List.fold_left (fun acc (_, v) -> acc + size_nodes v) 1 fields

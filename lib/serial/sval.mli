@@ -14,6 +14,10 @@ type t =
   | Float of float
   | Str of string
   | List of t list
+  | Packed of int list
+      (** A run of plain integers with no per-item framing: how a wire
+          type sends a table of small ids, several per entry.  The
+          entry width is the reader's to check. *)
   | Record of string * (string * t) list
       (** [Record (type_name, fields)] — the type name is part of the
           document, as in .NET's self-describing serialization. *)

@@ -597,6 +597,133 @@ let prop_verdict_agrees_with_matching =
          in
          snd (List.fold_left step (Algebra.empty, verdict_agrees Algebra.empty) ops)))
 
+(* Parity with the two-map reference ([Algebra_reference]): random
+   [add] and [union] sequences, IC conflicts included, drive both, and
+   after every step everything observable must agree.  Where the
+   library leaves a choice open — which of several conflicting keys
+   [union] or [matching] names, and the order of [matching]'s lists —
+   each must name a genuine conflict and the lists the same entries. *)
+module Ref_alg = Algebra_reference
+
+type parity_op =
+  | P_add of Algebra.side * Ref_key.t * int
+  | P_union of (Algebra.side * Ref_key.t * int) list
+
+let gen_parity_ops =
+  let open QCheck2.Gen in
+  let side = map (fun b -> if b then Algebra.Source else Algebra.Target) bool in
+  let entry = triple side gen_ref (int_range 0 3) in
+  list_size (int_bound 30)
+    (frequency
+       [
+         (6, map (fun (s, k, ic) -> P_add (s, k, ic)) entry);
+         (1, map (fun l -> P_union l) (list_size (int_bound 8) entry));
+       ])
+
+(* The same entries into both implementations, dropping conflicting ones. *)
+let build_both entries =
+  List.fold_left
+    (fun (a, r) (side, key, ic) ->
+      match (Algebra.add a side key ~ic, Ref_alg.add r side key ~ic) with
+      | Algebra.Added a, Ref_alg.Added r -> (a, r)
+      | _, _ -> (a, r))
+    (Algebra.empty, Ref_alg.empty) entries
+
+let same_bindings = List.equal (fun (k, ic) (k', ic') -> Ref_key.equal k k' && ic = ic')
+
+let observables_agree a r keys =
+  let verdicts () =
+    (match (Algebra.verdict a, Ref_alg.verdict r) with
+    | Algebra.Conflict, Ref_alg.Conflict -> true
+    | Algebra.Counts c, Ref_alg.Counts c' -> c.unresolved = c'.unresolved && c.frontier = c'.frontier
+    | Algebra.Conflict, Ref_alg.Counts _ | Algebra.Counts _, Ref_alg.Conflict -> false)
+    && Algebra.cycle_found a = Ref_alg.cycle_found r
+  in
+  let matchings () =
+    match (Algebra.matching a, Ref_alg.matching r) with
+    | Algebra.Match m, Ref_alg.Match m' ->
+        (* The reference's walk order follows its maps' tree shapes;
+           the library lists entries in ascending key order. *)
+        let sorted = List.sort (fun (k, _) (k', _) -> Ref_key.compare k k') in
+        same_bindings m.unresolved (sorted m'.unresolved)
+        && same_bindings m.frontier (sorted m'.frontier)
+    | Algebra.Ic_abort x, Ref_alg.Ic_abort y ->
+        x.source_ic <> x.target_ic
+        && Ref_alg.ic r Algebra.Source x.key = Some x.source_ic
+        && Ref_alg.ic r Algebra.Target x.key = Some x.target_ic
+        && Algebra.ic a Algebra.Source y.key = Some y.source_ic
+        && Algebra.ic a Algebra.Target y.key = Some y.target_ic
+    | Algebra.Match _, Ref_alg.Ic_abort _ | Algebra.Ic_abort _, Ref_alg.Match _ -> false
+  in
+  same_bindings (Algebra.source a) (Ref_alg.source r)
+  && same_bindings (Algebra.target a) (Ref_alg.target r)
+  && Algebra.cardinal a = Ref_alg.cardinal r
+  && List.for_all
+       (fun key ->
+         List.for_all
+           (fun side ->
+             Algebra.mem a side key = Ref_alg.mem r side key
+             && Algebra.ic a side key = Ref_alg.ic r side key)
+           [ Algebra.Source; Algebra.Target ])
+       keys
+  && verdicts () && matchings ()
+  && Adgc_util.Mc_mutate.with_mutant "skip_ic_guards" (fun () -> verdicts () && matchings ())
+
+let print_parity_ops ops =
+  let entry (side, key, ic) =
+    Printf.sprintf "%s %s:%d" (Algebra.side_name side) (Ref_key.to_string key) ic
+  in
+  String.concat "; "
+    (List.map
+       (function
+         | P_add (side, key, ic) -> "add " ^ entry (side, key, ic)
+         | P_union l -> "union [" ^ String.concat ", " (List.map entry l) ^ "]")
+       ops)
+
+let prop_parity_with_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"algebra = two-map reference over add/union sequences" ~count:500
+       ~print:print_parity_ops gen_parity_ops (fun ops ->
+         let keys =
+           List.concat_map
+             (function P_add (_, k, _) -> [ k ] | P_union l -> List.map (fun (_, k, _) -> k) l)
+             ops
+         in
+         let step (a, r, ok) op =
+           let a', r', same_result =
+             match op with
+             | P_add (side, key, ic) -> (
+                 match (Algebra.add a side key ~ic, Ref_alg.add r side key ~ic) with
+                 | Algebra.Added a', Ref_alg.Added r' -> (a', r', true)
+                 | Algebra.Ic_conflict x, Ref_alg.Ic_conflict y ->
+                     ( a,
+                       r,
+                       Ref_key.equal x.key y.key && x.existing = y.existing
+                       && x.incoming = y.incoming )
+                 | Algebra.Added _, Ref_alg.Ic_conflict _ | Algebra.Ic_conflict _, Ref_alg.Added _ ->
+                     (a, r, false))
+             | P_union entries -> (
+                 let other, other_r = build_both entries in
+                 let genuine side key =
+                   match (Ref_alg.ic r side key, Ref_alg.ic other_r side key) with
+                   | Some x, Some y -> x <> y
+                   | _, _ -> false
+                 in
+                 match (Algebra.union a other, Ref_alg.union r other_r) with
+                 | Ok a', Ok r' -> (a', r', true)
+                 | Error (s, k), Error (s', k') -> (a, r, genuine s k && genuine s' k')
+                 | Ok _, Error _ | Error _, Ok _ -> (a, r, false))
+           in
+           ( a',
+             r',
+             ok && same_result
+             && Algebra.equal a' a = Ref_alg.equal r' r
+             && observables_agree a' r' keys )
+         in
+         let start = (Algebra.empty, Ref_alg.empty, observables_agree Algebra.empty Ref_alg.empty keys) in
+         let _, _, ok = List.fold_left step start ops in
+         ok))
+
 let gen_detection_id =
   QCheck2.Gen.map
     (fun (p, seq) -> Detection_id.make ~initiator:(Proc_id.of_int p) ~seq)
@@ -655,5 +782,6 @@ let suite =
       prop_matching_monotone_single_side;
       prop_matching_aborts_on_bumped_pair;
       prop_verdict_agrees_with_matching;
+      prop_parity_with_reference;
       prop_detection_id_order_and_hash;
     ] )

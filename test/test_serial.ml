@@ -95,6 +95,8 @@ let samples =
     Sval.Str "with <angle> & \"quotes\" and\nnewlines\x00\x7f";
     Sval.List [];
     Sval.List [ Sval.Int 1; Sval.Str "two"; Sval.Bool false ];
+    Sval.Packed [];
+    Sval.Packed [ 0; -1; 300; min_int; max_int ];
     Sval.Record ("empty", []);
     Sval.Record
       ( "node",
@@ -178,6 +180,7 @@ let gen_sval =
                 map (fun i -> Sval.Int i) int;
                 map (fun f -> Sval.Float f) float;
                 map (fun s -> Sval.Str s) string_printable;
+                map (fun l -> Sval.Packed l) (list_size (int_bound 6) int);
               ]
           in
           if n <= 0 then leaf
@@ -232,16 +235,21 @@ let gen_oids = QCheck2.Gen.(list_size (int_bound 4) gen_oid)
 let gen_detection_id =
   QCheck2.Gen.(map2 (fun initiator seq -> Detection_id.make ~initiator ~seq) gen_proc (int_bound 100))
 
+(* Entries draw their keys mostly from a small per-algebra pool, so a
+   key often lands on both sides: with equal ICs (one shared entry) or
+   different ones (a conflict, written as two entries). *)
 let gen_algebra =
   QCheck2.Gen.(
-    map
-      (List.fold_left
-         (fun alg (is_src, key, ic) ->
-           match Algebra.add alg (if is_src then Algebra.Source else Algebra.Target) key ~ic with
-           | Algebra.Added alg -> alg
-           | Algebra.Ic_conflict _ -> alg)
-         Algebra.empty)
-      (list_size (int_bound 6) (triple bool gen_ref (int_bound 5))))
+    bind (list_size (int_range 1 3) gen_ref) (fun pool ->
+        map
+          (List.fold_left
+             (fun alg (is_src, key, ic) ->
+               match Algebra.add alg (if is_src then Algebra.Source else Algebra.Target) key ~ic with
+               | Algebra.Added alg -> alg
+               | Algebra.Ic_conflict _ -> alg)
+             Algebra.empty)
+          (list_size (int_bound 6)
+             (triple bool (frequency [ (3, oneofl pool); (1, gen_ref) ]) (int_bound 2)))))
 
 let gen_cdm =
   QCheck2.Gen.(
@@ -335,6 +343,33 @@ let gen_msg =
       (triple gen_proc gen_proc (int_range (-1) 1000))
       (pair (int_bound 100_000) gen_payload))
 
+(* The damage properties below (truncation, corruption and the
+   readers' parity) reach the packed runs' corner cases only if the
+   payload generator makes them: CDMs with an entry on both sides,
+   conflicting and not, and stub sets with entries. *)
+let test_payload_generator_coverage () =
+  let rand = Random.State.make [| 21 |] in
+  let rec flat = function Msg.Batch l -> List.concat_map flat l | p -> [ p ] in
+  let payloads = List.concat_map flat (QCheck2.Gen.generate ~rand ~n:2000 gen_payload) in
+  let count p = List.length (List.filter p payloads) in
+  let both_sides alg = List.exists (fun (k, _) -> Algebra.mem alg Algebra.Target k) (Algebra.source alg) in
+  let conflict alg = Algebra.verdict alg = Algebra.Conflict in
+  let conflicting = count (function Msg.Cdm c -> conflict c.Cdm.algebra | _ -> false) in
+  let shared =
+    count (function
+      | Msg.Cdm c -> both_sides c.Cdm.algebra && not (conflict c.Cdm.algebra)
+      | _ -> false)
+  in
+  let stub_sets =
+    count (function Msg.New_set_stubs { targets; _ } -> not (Oid.Map.is_empty targets) | _ -> false)
+  in
+  let at_least what n =
+    check Alcotest.bool (Printf.sprintf "%s (%d of 2000)" what n) true (n >= 20)
+  in
+  at_least "CDMs with a conflicting entry" conflicting;
+  at_least "CDMs with a shared entry" shared;
+  at_least "non-empty stub sets" stub_sets
+
 let payload_equal a b = Sval.equal (Ref.payload_sval a) (Ref.payload_sval b)
 
 let msg_equal a b = Sval.equal (Ref.msg_sval a) (Ref.msg_sval b)
@@ -406,10 +441,28 @@ let msg_verdicts msg_sval =
   let bytes = Net_codec.encode msg_sval in
   (direct Msg.read bytes, Ref.tree_decode Ref.msg_of_sval bytes)
 
-let rejected what msg_sval =
-  let d, r = msg_verdicts msg_sval in
-  check Alcotest.bool (what ^ ": Msg.read rejects") false (Option.is_some d);
-  check Alcotest.bool (what ^ ": reference rejects") false (Option.is_some r)
+(* The socket path: the message inside a [net_msg] envelope, framed,
+   reassembled and read by a fresh connection's stream reader. *)
+let stream_read bytes =
+  let frames = Adgc_net.Frame.decoder () in
+  Adgc_net.Frame.feed frames (Adgc_net.Frame.encode bytes);
+  match Adgc_net.Frame.next frames with
+  | None -> None
+  | Some frame -> (
+      match Net_codec.Stream.read (Net_codec.Stream.reader ()) Envelope.read frame with
+      | e -> Some e
+      | exception Wire.Malformed _ -> None)
+
+(* [patch] damages the bytes of a tree that [Sval] cannot express
+   wrongly on its own: a miscounted or cut-off packed run. *)
+let rejected ?(patch = Fun.id) what msg_sval =
+  let bytes = patch (Net_codec.encode msg_sval) in
+  check Alcotest.bool (what ^ ": Msg.read rejects") false (Option.is_some (direct Msg.read bytes));
+  check Alcotest.bool (what ^ ": reference rejects") false
+    (Option.is_some (Ref.tree_decode Ref.msg_of_sval bytes));
+  let envelope = patch (Net_codec.encode (Sval.Record ("net_msg", [ ("msg", msg_sval) ]))) in
+  check Alcotest.bool (what ^ ": stream reader rejects") false
+    (Option.is_some (stream_read envelope))
 
 let accepted what (m : Msg.t) =
   match msg_verdicts (Ref.msg_sval m) with
@@ -423,6 +476,134 @@ let p0 = Proc_id.of_int 0
 let p1 = Proc_id.of_int 1
 
 let msg payload = Msg.make ~seq:2 ~src:p0 ~dst:p1 ~sent_at:3 payload
+
+(* Malformed packed runs: the CDM algebra's [src; owner; serial; ic;
+   bits] entries and the stub set's [owner; serial; ic] entries. *)
+let cdm_with algebra =
+  Sval.Record
+    ( "cdm",
+      [
+        ("initiator", Sval.Int 1);
+        ("seq", Sval.Int 2);
+        ("algebra", algebra);
+        ("f_src", Sval.Int 0);
+        ("f_owner", Sval.Int 1);
+        ("f_serial", Sval.Int 2);
+        ("hops", Sval.Int 3);
+        ("budget", Sval.Int 4);
+      ] )
+
+let stubs_with targets =
+  Sval.Record ("new_set_stubs", [ ("seqno", Sval.Int 5); ("targets", targets) ])
+
+(* The bytes of [Packed ints] (the tag, the count, the items) are its
+   encoding as a document of its own. *)
+let run_bytes ints = Net_codec.encode (Sval.Packed ints)
+
+let find_run bytes run =
+  let n = String.length run in
+  let rec go i =
+    if i + n > String.length bytes then Alcotest.fail "run not found in its own encoding"
+    else if String.sub bytes i n = run then i
+    else go (i + 1)
+  in
+  go 0
+
+(* Replace the run's one-byte count (a zigzag varint); end the input
+   one byte before the run does, inside its last item. *)
+let recount ints count bytes =
+  let at = find_run bytes (run_bytes ints) in
+  assert (List.length ints < 64 && count < 64);
+  String.sub bytes 0 (at + 1)
+  ^ String.make 1 (Char.chr (2 * count))
+  ^ String.sub bytes (at + 2) (String.length bytes - at - 2)
+
+let cut_inside ints bytes =
+  String.sub bytes 0 (find_run bytes (run_bytes ints) + String.length (run_bytes ints) - 1)
+
+let packed_runs_rejected () =
+  let cdm ?patch what ints =
+    rejected ?patch ("cdm: " ^ what) (msg_with (cdm_with (Sval.Packed ints)))
+  in
+  let stubs ?patch what ints =
+    rejected ?patch ("stub set: " ^ what) (msg_with (stubs_with (Sval.Packed ints)))
+  in
+  let entry = [ 1; 2; 3; 4; 3 ] in
+  (* Not whole entries. *)
+  cdm "run of 6" [ 1; 2; 3; 4; 3; 1 ];
+  cdm "run of 4" [ 1; 2; 3; 4 ];
+  stubs "run of 4" [ 1; 2; 3; 4 ];
+  stubs "run of 2" [ 1; 2 ];
+  (* The count claims more items than bytes remain. *)
+  cdm ~patch:(recount entry 60) "count beyond the input" entry;
+  stubs ~patch:(recount [ 5; 6; 7 ] 60) "count beyond the input" [ 5; 6; 7 ];
+  (* The count overstates the run, which then eats the next fields. *)
+  cdm ~patch:(recount entry 10) "count overruns into the next field" entry;
+  (* One item too many: whole entries would read, and the rest of the
+     message after them is intact. *)
+  cdm ~patch:(recount entry 6) "count one item past the run" entry;
+  rejected ~patch:(recount [ 5; 6; 7 ] 4) "stub set: count one item past the run"
+    (msg_with
+       (Sval.Record
+          ( "batch",
+            [
+              ( "msgs",
+                Sval.List [ stubs_with (Sval.Packed [ 5; 6; 7 ]); Sval.Record ("scion_probe", []) ] );
+            ] )));
+  (* The input ends inside the run's last item (two-byte items, so
+     the count still fits in what is left). *)
+  let wide = [ 1000; 1000; 1000 ] in
+  stubs ~patch:(cut_inside wide) "truncated run" wide;
+  cdm ~patch:(cut_inside (wide @ [ 1000; 1000 ])) "truncated run" (wide @ [ 1000; 1000 ]);
+  (* Negative ids. *)
+  cdm "negative src" [ -1; 2; 3; 4; 3 ];
+  cdm "negative owner" [ 1; -2; 3; 4; 3 ];
+  cdm "negative serial" [ 1; 2; -3; 4; 3 ];
+  stubs "negative owner" [ -1; 2; 3 ];
+  stubs "negative serial" [ 1; -2; 3 ];
+  (* Presence bits must name a side. *)
+  cdm "presence bits 0" [ 1; 2; 3; 4; 0 ];
+  cdm "presence bits 4" [ 1; 2; 3; 4; 4 ];
+  (* One key, two ICs on the same side. *)
+  cdm "two source ICs" [ 1; 2; 3; 4; 1; 1; 2; 3; 5; 1 ];
+  cdm "two target ICs" [ 1; 2; 3; 4; 2; 1; 2; 3; 5; 2 ];
+  cdm "a shared entry, then a second target IC" [ 1; 2; 3; 4; 3; 1; 2; 3; 5; 2 ];
+  (* The old framing: a record of entries, a list of pairs. *)
+  rejected "cdm: the old entry records"
+    (msg_with
+       (cdm_with
+          (Sval.Record
+             ( "algebra_c",
+               [
+                 ( "entries",
+                   Sval.List
+                     [
+                       Sval.Record
+                         ( "ce",
+                           [
+                             ("src", Sval.Int 1);
+                             ("owner", Sval.Int 2);
+                             ("serial", Sval.Int 3);
+                             ("ic", Sval.Int 4);
+                             ("bits", Sval.Int 3);
+                           ] );
+                     ] );
+               ] ))));
+  rejected "stub set: the old list of pairs"
+    (msg_with
+       (stubs_with (Sval.List [ Sval.List [ Sval.List [ Sval.Int 1; Sval.Int 2 ]; Sval.Int 3 ] ])));
+  (* Well-formed runs read back, a conflicting entry pair included. *)
+  let key = Ref_key.make ~src:p1 ~target:(Oid.make ~owner:p0 ~serial:3) in
+  let algebra =
+    Algebra.add_exn (Algebra.add_exn Algebra.empty Algebra.Source key ~ic:4) Algebra.Target key ~ic:5
+  in
+  let id = Detection_id.make ~initiator:p1 ~seq:2 in
+  accepted "a conflicting entry pair"
+    (msg (Msg.Cdm (Cdm.make ~id ~algebra ~frontier:key ~hops:3 ~budget:4)));
+  let targets =
+    Oid.Map.add (Oid.make ~owner:p0 ~serial:1) 2 (Oid.Map.singleton (Oid.make ~owner:p1 ~serial:3) 4)
+  in
+  accepted "a stub set" (msg (Msg.New_set_stubs { seqno = 5; targets }))
 
 let test_payload_decoder_rejects () =
   let none what payload = rejected what (msg_with payload) in
@@ -492,6 +673,7 @@ let test_payload_decoder_rejects () =
            ("sent_at", Sval.Int 3);
            ("payload", Sval.Record ("scion_probe", []));
          ] ));
+  packed_runs_rejected ();
   (* A valid batch of two control payloads decodes. *)
   accepted "batch"
     (msg
@@ -986,6 +1168,8 @@ let suite =
         test_payload_decoder_rejects;
       Alcotest.test_case "msg: decoder rejects a batch carrying references" `Quick
         test_batch_with_references_rejected;
+      Alcotest.test_case "payload generator makes conflicting CDMs and stub sets" `Quick
+        test_payload_generator_coverage;
       qcheck_payload_roundtrip net "qcheck msg payload roundtrip (net)";
       qcheck_payload_roundtrip rotor "qcheck msg payload roundtrip (rotor)";
       qcheck_envelope_roundtrip;

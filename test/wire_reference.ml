@@ -64,23 +64,33 @@ let algebra_sval t =
         ("target", Sval.List (List.map entry_sval (Algebra.target t)));
       ] )
 
+(* The paper's compact form as one packed run of
+   [src; owner; serial; ic; bits], in key order: a key on both sides
+   with equal ICs is one entry with bits 3; with different ICs it is
+   two, bits 1 then 2. *)
 let algebra_compact_sval t =
-  let ce (key, ic, bits) =
-    Sval.Record ("ce", key_fields key @ [ ("ic", Sval.Int ic); ("bits", Sval.Int bits) ])
+  let ce (key : Ref_key.t) ic bits =
+    [
+      Proc_id.to_int key.Ref_key.src;
+      Proc_id.to_int (Oid.owner key.Ref_key.target);
+      key.Ref_key.target.Oid.serial;
+      ic;
+      bits;
+    ]
   in
-  let source =
-    List.map
-      (fun (key, s_ic) ->
-        if Algebra.ic t Algebra.Target key = Some s_ic then (key, s_ic, 3) else (key, s_ic, 1))
-      (Algebra.source t)
+  let keys =
+    List.sort_uniq Ref_key.compare (List.map fst (Algebra.source t @ Algebra.target t))
   in
-  let target =
-    List.filter_map
-      (fun (key, t_ic) ->
-        if Algebra.ic t Algebra.Source key = Some t_ic then None else Some (key, t_ic, 2))
-      (Algebra.target t)
-  in
-  Sval.Record ("algebra_c", [ ("entries", Sval.List (List.map ce (source @ target))) ])
+  Sval.Packed
+    (List.concat_map
+       (fun key ->
+         match (Algebra.ic t Algebra.Source key, Algebra.ic t Algebra.Target key) with
+         | Some s, Some tg when s = tg -> ce key s 3
+         | Some s, Some tg -> ce key s 1 @ ce key tg 2
+         | Some s, None -> ce key s 1
+         | None, Some tg -> ce key tg 2
+         | None, None -> [])
+       keys)
 
 let cdm_sval (t : Cdm.t) =
   Sval.Record
@@ -99,35 +109,30 @@ let cdm_sval (t : Cdm.t) =
 (* The compact form only: the plain form has no writer in lib/ any
    more, so [Cdm.read] accepts only this. *)
 let algebra_compact_of_sval = function
-  | Sval.Record ("algebra_c", [ ("entries", Sval.List entries) ]) ->
-      let entry = function
-        | Sval.Record
-            ( "ce",
-              [
-                ("src", Sval.Int src);
-                ("owner", Sval.Int owner);
-                ("serial", Sval.Int serial);
-                ("ic", Sval.Int ic);
-                ("bits", Sval.Int bits);
-              ] )
-          when src >= 0 && owner >= 0 && serial >= 0 && bits >= 1 && bits <= 3 ->
-            let target = Oid.make ~owner:(Proc_id.of_int owner) ~serial in
-            Some (Ref_key.make ~src:(Proc_id.of_int src) ~target, ic, bits)
-        | _ -> None
+  | Sval.Packed ints when List.length ints mod 5 = 0 ->
+      let rec entries = function
+        | src :: owner :: serial :: ic :: bits :: rest ->
+            if src >= 0 && owner >= 0 && serial >= 0 && bits >= 1 && bits <= 3 then
+              let target = Oid.make ~owner:(Proc_id.of_int owner) ~serial in
+              Option.map
+                (fun rest -> (Ref_key.make ~src:(Proc_id.of_int src) ~target, ic, bits) :: rest)
+                (entries rest)
+            else None
+        | _ -> Some []
       in
-      List.fold_left
-        (fun acc e ->
-          match (acc, entry e) with
-          | Some t, Some (key, ic, bits) ->
-              let add_side side t =
-                match Algebra.add t side key ~ic with
-                | Algebra.Added t -> Some t
-                | Algebra.Ic_conflict _ -> None
-              in
-              let t = if bits land 1 <> 0 then add_side Algebra.Source t else Some t in
-              Option.bind t (fun t -> if bits land 2 <> 0 then add_side Algebra.Target t else Some t)
-          | _, _ -> None)
-        (Some Algebra.empty) entries
+      Option.bind (entries ints)
+        (List.fold_left
+           (fun acc (key, ic, bits) ->
+             let add_side side t =
+               match Algebra.add t side key ~ic with
+               | Algebra.Added t -> Some t
+               | Algebra.Ic_conflict _ -> None
+             in
+             Option.bind acc (fun t ->
+                 let t = if bits land 1 <> 0 then add_side Algebra.Source t else Some t in
+                 Option.bind t (fun t ->
+                     if bits land 2 <> 0 then add_side Algebra.Target t else Some t)))
+           (Some Algebra.empty))
   | _ -> None
 
 let cdm_of_sval = function
@@ -290,12 +295,13 @@ let rec payload_sval = function
             ("new_holder", Sval.Int (Proc_id.to_int new_holder));
           ] )
   | Msg.New_set_stubs { seqno; targets } ->
-      let entry (o, ic) = Sval.List [ oid_sval o; Sval.Int ic ] in
+      (* One packed run of [owner; serial; ic] per stub. *)
+      let entry ((o : Oid.t), ic) = [ Proc_id.to_int (Oid.owner o); o.Oid.serial; ic ] in
       Sval.Record
         ( "new_set_stubs",
           [
             ("seqno", Sval.Int seqno);
-            ("targets", Sval.List (List.map entry (Oid.Map.bindings targets)));
+            ("targets", Sval.Packed (List.concat_map entry (Oid.Map.bindings targets)));
           ] )
   | Msg.Scion_probe -> Sval.Record ("scion_probe", [])
   | Msg.Cdm cdm -> cdm_sval cdm
@@ -367,10 +373,13 @@ let rec payload_of_sval sval =
       Option.map
         (fun target -> Msg.Export_ack { notice_id; target; new_holder = Proc_id.of_int holder })
         (oid_of_sval target)
-  | Sval.Record ("new_set_stubs", [ ("seqno", Sval.Int seqno); ("targets", Sval.List entries) ]) ->
-      let entry = function
-        | Sval.List [ oid; Sval.Int ic ] -> Option.map (fun o -> (o, ic)) (oid_of_sval oid)
-        | _ -> None
+  | Sval.Record ("new_set_stubs", [ ("seqno", Sval.Int seqno); ("targets", Sval.Packed ints) ])
+    when List.length ints mod 3 = 0 ->
+      let rec entries = function
+        | owner :: serial :: ic :: rest ->
+            Option.bind (oid_of_sval (Sval.List [ Sval.Int owner; Sval.Int serial ])) (fun o ->
+                Option.map (fun rest -> (o, ic) :: rest) (entries rest))
+        | _ -> Some []
       in
       Option.map
         (fun entries ->
@@ -379,7 +388,7 @@ let rec payload_of_sval sval =
               seqno;
               targets = List.fold_left (fun m (o, ic) -> Oid.Map.add o ic m) Oid.Map.empty entries;
             })
-        (all_of entry entries)
+        (entries ints)
   | Sval.Record ("scion_probe", []) -> Some Msg.Scion_probe
   | Sval.Record ("cdm", _) -> Option.map (fun cdm -> Msg.Cdm cdm) (cdm_of_sval sval)
   | Sval.Record
