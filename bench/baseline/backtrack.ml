@@ -1,6 +1,7 @@
 open Adgc_algebra
 open Adgc_rt
 module Summary = Adgc_snapshot.Summary
+module Net_codec = Adgc_serial.Net_codec
 module Stats = Adgc_util.Stats
 module Lineage = Adgc_obs.Lineage
 
@@ -75,7 +76,7 @@ let memoize t ~trace ~dep v =
 
 let send_bt t ~dst payload =
   Stats.incr t.rt.Runtime.stats "bt.msg";
-  Runtime.send t.rt ~src:(proc_id t) ~dst (Msg.Bt payload)
+  Runtime.send t.rt ~src:(proc_id t) ~dst (Msg.Ext (Net_codec.encode_shape Btmsg.emit payload))
 
 let reply t ~dst ~trace ~subject verdict =
   send_bt t ~dst (Btmsg.Reply { trace; subject; verdict })
@@ -204,10 +205,11 @@ let handle_reply t (r : Btmsg.reply) =
                     finish_waiting t ~trace w Btmsg.Cycle_back))
         subjects
 
-let handle_bt t ~src payload =
-  match payload with
+let handle_ext t ~src body =
+  match Net_codec.Read.run Btmsg.read body with
   | Btmsg.Query q -> handle_query t ~src q
   | Btmsg.Reply r -> handle_reply t r
+  | exception Adgc_serial.Wire.Malformed _ -> Stats.incr t.rt.Runtime.stats "bt.malformed"
 
 let suspect t key =
   match t.summary with
@@ -267,5 +269,16 @@ let attach ?(timeout = 50_000) rt proc =
       verdicts_acc = [];
     }
   in
-  proc.Process.on_bt <- Some (fun ~src payload -> handle_bt t ~src payload);
+  proc.Process.on_ext <- Some (handle_ext t);
   t
+
+let install ?timeout ~idle_threshold sim =
+  Adgc.Sim.start sim;
+  let rt = Adgc.Sim.rt sim in
+  let bts = Array.map (attach ?timeout rt) rt.Runtime.procs in
+  Adgc_snapshot.Snapshot_store.subscribe (Adgc.Sim.store sim) (fun summary ->
+      set_summary bts.(Proc_id.to_int summary.Summary.proc) summary);
+  let period = (Adgc.Sim.config sim).Adgc.Config.policy.Adgc_dcda.Policy.scan_period in
+  let run i = ignore (scan bts.(i) ~idle_threshold : int) in
+  Adgc.Kernel.start (Adgc.Sim.cluster sim) [ { Adgc.Kernel.name = "scan"; period; run } ];
+  bts

@@ -14,15 +14,34 @@
     original achieves safety under mutation with transfer barriers we
     do not reproduce; run it on quiescent systems (as the E7 bench
     does).  This is a deliberate simplification in the baseline's
-    favour — it only strengthens the comparison when the DCDA wins. *)
+    favour — it only strengthens the comparison when the DCDA wins.
+
+    {b Unsafe under mutation.}  It has no invocation counters, so a
+    reference re-passed to a process that already holds a stub for it
+    goes unseen.  On the no-crash sweep instance of seed 2077 (the
+    random-crash property's workload, no crash) it sweeps the same
+    four live objects as the DCDA, first [#5@P2] at t=2851;
+    docs/ALGORITHM.md has the table.  It is a comparator, not part of
+    the system, and no safety fix covers it. *)
 
 open Adgc_algebra
 
 type t
 
 val attach : ?timeout:int -> Adgc_rt.Runtime.t -> Adgc_rt.Process.t -> t
-(** Installs the process's [on_bt] hook. Timeout (default 50 000
-    ticks) bounds how long initiator and intermediate state lives. *)
+(** Installs the process's [on_ext] hook; a body {!Btmsg.read}
+    rejects is dropped and counted under ["bt.malformed"].  Timeout
+    (default 50 000 ticks) bounds how long initiator and intermediate
+    state lives. *)
+
+val install : ?timeout:int -> idle_threshold:int -> Adgc.Sim.t -> t array
+(** Run back-tracing as a sim's cycle detector, in place of the
+    DCDA: {!Adgc.Sim.start} (a no-op if already started), {!attach}
+    to every process, feed each instance its process's published
+    summaries, and add one [scan] lane with the policy's
+    [scan_period] through {!Adgc.Kernel.start}, after the sim's own
+    lanes, so {!Adgc.Sim.stop} and teardown cancel it.  Meant for a
+    sim configured with [No_detector]. *)
 
 val set_summary : t -> Adgc_snapshot.Summary.t -> unit
 

@@ -1,3 +1,4 @@
+open Adgc_algebra
 module N = Adgc_serial.Net_codec
 module R = Adgc_serial.Net_codec.Read
 
@@ -7,8 +8,6 @@ let trace_id_compare a b =
   let c = Proc_id.compare a.initiator b.initiator in
   if c <> 0 then c else Int.compare a.seq b.seq
 
-let pp_trace_id ppf t = Format.fprintf ppf "T%d@@%a" t.seq Proc_id.pp t.initiator
-
 type query = { trace : trace_id; subject : Ref_key.t; visited : Ref_key.t list }
 
 type verdict = Rooted | Cycle_back
@@ -16,14 +15,6 @@ type verdict = Rooted | Cycle_back
 type reply = { trace : trace_id; subject : Ref_key.t; verdict : verdict }
 
 type t = Query of query | Reply of reply
-
-let pp ppf = function
-  | Query q ->
-      Format.fprintf ppf "BT-QUERY[%a subject=%a visited=%d]" pp_trace_id q.trace Ref_key.pp
-        q.subject (List.length q.visited)
-  | Reply r ->
-      Format.fprintf ppf "BT-REPLY[%a subject=%a %s]" pp_trace_id r.trace Ref_key.pp r.subject
-        (match r.verdict with Rooted -> "rooted" | Cycle_back -> "cycle-back")
 
 let n_bt_query = N.Name.v "bt_query"
 let n_bt_reply = N.Name.v "bt_reply"
@@ -70,7 +61,8 @@ let read_ref r =
 
 let cases = [| (n_bt_query, 4); (n_bt_reply, 4) |]
 
-let read_case r i =
+let read r =
+  let i = R.variant r cases in
   R.field r n_initiator;
   let initiator = R.int r in
   R.field r n_seq;

@@ -1,15 +1,14 @@
 (** Message payloads of the distributed back-tracing baseline
     (Maheshwari & Liskov, PODC'97 style).
 
-    They live here — next to the CDM payloads — so that the runtime's
-    closed message type can carry either detector's traffic without
-    depending on the detector implementations. *)
+    They travel as the bytes of an {!Adgc_rt.Msg.Ext} payload, written
+    with {!emit}; the runtime never looks inside. *)
+
+open Adgc_algebra
 
 type trace_id = { initiator : Proc_id.t; seq : int }
 
 val trace_id_compare : trace_id -> trace_id -> int
-
-val pp_trace_id : Format.formatter -> trace_id -> unit
 
 (** A query asks the process holding the stub [subject] (that is,
     [subject.src]) whether that stub is reachable from any local root,
@@ -28,15 +27,10 @@ type reply = { trace : trace_id; subject : Ref_key.t; verdict : verdict }
 
 type t = Query of query | Reply of reply
 
-val pp : Format.formatter -> t -> unit
-
 val emit : t Adgc_serial.Net_codec.shape
-(** Wire representation, inside {!Adgc_rt.Msg.emit}. *)
+(** Wire representation: the body of an {!Adgc_rt.Msg.Ext}. *)
 
-val cases : (Adgc_serial.Net_codec.Name.t * int) array
-(** The record headers {!emit} writes, for
-    {!Adgc_serial.Net_codec.Read.variant}. *)
-
-val read_case : Adgc_serial.Net_codec.Read.t -> int -> t
-(** The rest of the record whose header [Read.variant r cases] read,
-    as {!Cdm.read_case}; a negative id is malformed. *)
+val read : Adgc_serial.Net_codec.Read.t -> t
+(** Reads {!emit}'s bytes back.  Anything else — another
+    comparator's body, a negative id, a missing or extra field — is
+    malformed. *)

@@ -1,3 +1,4 @@
+open Adgc_algebra
 module N = Adgc_serial.Net_codec
 module R = Adgc_serial.Net_codec.Read
 
@@ -5,11 +6,6 @@ type t =
   | Stamp of (Oid.t * int) list
   | Report of { round_time : int }
   | Threshold of { value : int }
-
-let pp ppf = function
-  | Stamp stamps -> Format.fprintf ppf "H-STAMP[%d entries]" (List.length stamps)
-  | Report { round_time } -> Format.fprintf ppf "H-REPORT[t=%d]" round_time
-  | Threshold { value } -> Format.fprintf ppf "H-THRESHOLD[%d]" value
 
 let n_h_stamp = N.Name.v "h_stamp"
 let n_h_report = N.Name.v "h_report"
@@ -50,7 +46,8 @@ let read_stamp r =
   if owner < 0 || serial < 0 then R.fail r "negative id";
   (Oid.make ~owner:(Proc_id.of_int owner) ~serial, stamp)
 
-let read_case r = function
+let read r =
+  match R.variant r cases with
   | 0 ->
       R.field r n_stamps;
       Stamp (List.init (R.list r) (fun _ -> read_stamp r))

@@ -3,6 +3,7 @@ open Adgc_rt
 module Summarize = Adgc_snapshot.Summarize
 module Summary = Adgc_snapshot.Summary
 module Stats = Adgc_util.Stats
+module Net_codec = Adgc_serial.Net_codec
 
 type instance = {
   proc : Process.t;
@@ -30,6 +31,9 @@ let threshold t = t.threshold
 let stalls t = t.stalls
 
 let scion_stamp t ~proc key = Ref_key.Tbl.find_opt t.instances.(proc).stamps key
+
+let send t ~src ~dst payload =
+  Runtime.send t.rt ~src ~dst (Msg.Ext (Net_codec.encode_shape Hmsg.emit payload))
 
 (* One propagation round at [inst]: compute per-stub outgoing stamps
    from the current reachability structure, ship them to the owners,
@@ -73,10 +77,9 @@ let round t (inst : instance) =
     Proc_id.Map.iter
       (fun owner stamps ->
         Stats.incr t.rt.Runtime.stats "hughes.stamp_msgs";
-        Runtime.send t.rt ~src:p.Process.id ~dst:owner (Msg.Hughes (Hmsg.Stamp stamps)))
+        send t ~src:p.Process.id ~dst:owner (Hmsg.Stamp stamps))
       !outgoing;
-    Runtime.send t.rt ~src:p.Process.id ~dst:coordinator
-      (Msg.Hughes (Hmsg.Report { round_time = now }))
+    send t ~src:p.Process.id ~dst:coordinator (Hmsg.Report { round_time = now })
   end
 
 (* Coordinator: advance the global minimum only when every process has
@@ -92,8 +95,7 @@ let coordinator_round t =
       t.reported_since <- Proc_id.Set.empty;
       Stats.incr t.rt.Runtime.stats "hughes.threshold_advanced";
       for i = 0 to n - 1 do
-        Runtime.send t.rt ~src:coordinator ~dst:(Proc_id.of_int i)
-          (Msg.Hughes (Hmsg.Threshold { value }))
+        send t ~src:coordinator ~dst:(Proc_id.of_int i) (Hmsg.Threshold { value })
       done
     end
   end
@@ -102,8 +104,9 @@ let coordinator_round t =
     Stats.incr t.rt.Runtime.stats "hughes.threshold_stalled"
   end
 
-let handle t (inst : instance) ~src payload =
-  match payload with
+let handle t (inst : instance) ~src body =
+  match Net_codec.Read.run Hmsg.read body with
+  | exception Adgc_serial.Wire.Malformed _ -> Stats.incr t.rt.Runtime.stats "hughes.malformed"
   | Hmsg.Stamp stamps ->
       List.iter
         (fun (target, stamp) ->
@@ -133,6 +136,10 @@ let handle t (inst : instance) ~src payload =
           end)
         doomed
 
+let stop t =
+  List.iter Scheduler.cancel t.handles;
+  t.handles <- []
+
 let install ?(round_period = 500) ?depth_slack cluster =
   let rt = Cluster.rt cluster in
   let n = Cluster.n_procs cluster in
@@ -156,7 +163,7 @@ let install ?(round_period = 500) ?depth_slack cluster =
   in
   Array.iteri
     (fun i inst ->
-      inst.proc.Process.on_hughes <- Some (fun ~src payload -> handle t inst ~src payload);
+      inst.proc.Process.on_ext <- Some (handle t inst);
       let handle_r =
         Scheduler.every rt.Runtime.sched
           ~phase:(1 + (i * round_period / n))
@@ -170,8 +177,5 @@ let install ?(round_period = 500) ?depth_slack cluster =
         if (Cluster.proc cluster 0).Process.alive then coordinator_round t)
   in
   t.handles <- coord :: t.handles;
+  Cluster.at_teardown cluster (fun () -> stop t);
   t
-
-let stop t =
-  List.iter Scheduler.cancel t.handles;
-  t.handles <- []

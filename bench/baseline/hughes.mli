@@ -34,8 +34,12 @@ val install :
   ?depth_slack:int ->
   Adgc_rt.Cluster.t ->
   t
-(** Attach a Hughes instance to every process (message hooks) and
-    start the periodic rounds and the coordinator (process 0).
+(** Attach a Hughes instance to every process (its [on_ext] hook; a
+    body {!Hmsg.read} rejects is dropped and counted under
+    ["hughes.malformed"]) and start the periodic rounds and the
+    coordinator (process 0), until {!stop} or
+    {!Adgc_rt.Cluster.teardown}.  Runs beside the acyclic collector
+    of a bare cluster or of a sim configured with [No_detector].
     [round_period] defaults to 500 ticks; [depth_slack] — how many
     round-periods of timestamp lag a live scion may accumulate — to
     [4 * n_procs]. *)

@@ -130,6 +130,165 @@ let run_e6 recorder =
   Table.print ~header:[ "processes"; "detection latency"; "CDM msgs"; "CDM bytes" ] ~rows ()
 
 (* ------------------------------------------------------------------ *)
+(* E7: the same ring detection by distributed back-tracing, the
+   related-work comparator [11], attached by hand to a bare cluster.
+   Returns its messages, their bytes, the peak per-process state and
+   the host wall. *)
+
+let backtrack_ring ~span =
+  let module Backtrack = Adgc_baseline.Backtrack in
+  let net_config = Network.default_config () in
+  net_config.Network.account_bytes <- true;
+  let cluster = Cluster.create ~net_config ~n:span () in
+  let rt = Cluster.rt cluster in
+  let bts = Array.map (fun p -> Backtrack.attach rt p) rt.Runtime.procs in
+  let built = Topology.ring cluster ~procs:(List.init span (fun i -> i)) in
+  let now = Cluster.now cluster in
+  Array.iteri
+    (fun i bt -> Backtrack.set_summary bt (Summarize.run ~now (Cluster.proc cluster i)))
+    bts;
+  ignore (Backtrack.suspect bts.(0) (Topology.scion_key built ~src:(span - 1) "n0_0") : bool);
+  let (), wall = wall_ms (fun () -> ignore (Cluster.drain cluster : int)) in
+  let stats = Cluster.stats cluster in
+  (Stats.get stats "bt.msg", Stats.get stats "net.bytes.ext", Stats.get stats "bt.state_peak", wall)
+
+(* The E7 table; with a recorder, also its deterministic series. *)
+let e7 ?recorder () =
+  section "E7: DCDA vs distributed back-tracing (related work [11])";
+  let rows =
+    List.map
+      (fun span ->
+        let _, cdm_msgs, cdm_bytes, _ = detect_ring ~span in
+        let bt_msgs, bt_bytes, bt_state, _ = backtrack_ring ~span in
+        Option.iter
+          (fun r ->
+            let d name unit_ v =
+              det r ~section:"detection"
+                ~name:(Printf.sprintf "detection.e7.%s.span%d" name span)
+                ~unit_
+                ~config:[ "detection.e7"; string_of_int span ]
+                (float_of_int v)
+            in
+            d "dcda_msgs" "msgs" cdm_msgs;
+            d "bt_msgs" "msgs" bt_msgs;
+            d "bt_bytes" "bytes" bt_bytes;
+            d "bt_state" "entries" bt_state)
+          recorder;
+        [
+          string_of_int span;
+          string_of_int cdm_msgs;
+          Printf.sprintf "%d B" cdm_bytes;
+          "0";
+          string_of_int bt_msgs;
+          Printf.sprintf "%d B" bt_bytes;
+          string_of_int bt_state;
+        ])
+      [ 2; 4; 8; 16 ]
+  in
+  Table.print
+    ~header:
+      [ "processes"; "DCDA msgs"; "DCDA bytes"; "DCDA state"; "BT msgs"; "BT bytes"; "BT state" ]
+    ~rows ();
+  print_endline "the DCDA keeps no per-detection state in processes; back-tracing must hold";
+  print_endline "continuations (state column) and answer every query with a reply"
+
+(* ------------------------------------------------------------------ *)
+(* E12: Hughes' timestamp collector [7] against the DCDA on a garbage
+   3-ring, with the fourth process healthy or crashed.  Each returns
+   the reclaim tick ([None]: never clean by the deadline) and the
+   messages sent; Hughes also its coordinator's stalls. *)
+
+let e12_deadline = 150_000
+
+let hughes_scenario ~crash_one =
+  let module Hughes = Adgc_baseline.Hughes in
+  let config =
+    {
+      (Runtime.default_config ()) with
+      Runtime.lgc_period = 300;
+      new_set_period = 350;
+      scion_grace = 3_000;
+    }
+  in
+  let cluster = Cluster.create ~config ~n:4 () in
+  Adgc.Kernel.start cluster (Adgc.Kernel.gc_rows (Cluster.rt cluster));
+  let hughes = Hughes.install ~round_period:200 cluster in
+  let _built = Topology.ring cluster ~procs:[ 0; 1; 2 ] in
+  if crash_one then Cluster.crash cluster 3;
+  let rec go () =
+    if Cluster.total_objects cluster = 0 then Some (Cluster.now cluster)
+    else if Cluster.now cluster >= e12_deadline then None
+    else begin
+      Cluster.run_for cluster 1_000;
+      go ()
+    end
+  in
+  let cleaned = go () in
+  let stats = Cluster.stats cluster in
+  (cleaned, Stats.get stats "hughes.stamp_msgs", Hughes.stalls hughes)
+
+let dcda_scenario ~crash_one =
+  let config = Config.quick ~n_procs:4 () in
+  let sim = Sim.create ~config () in
+  let cluster = Sim.cluster sim in
+  let _built = Topology.ring cluster ~procs:[ 0; 1; 2 ] in
+  if crash_one then Cluster.crash cluster 3;
+  Sim.start sim;
+  let cleaned =
+    if Sim.run_until_clean ~step:1_000 ~max_time:e12_deadline sim then Some (Sim.now sim) else None
+  in
+  (cleaned, Stats.get (Sim.stats sim) "net.msg.sent.cdm")
+
+(* The E12 table; with a recorder, also its deterministic series.  A
+   collector that never gets clean records [cleaned] 0 and no reclaim
+   tick. *)
+let e12 ?recorder () =
+  section "E12: Hughes timestamp GC [7] vs the DCDA (3-ring + 1 bystander)";
+  let rows =
+    List.map
+      (fun crash_one ->
+        let label = if crash_one then "crashed" else "healthy" in
+        let h_clean, h_msgs, h_stalls = hughes_scenario ~crash_one in
+        let d_clean, d_msgs = dcda_scenario ~crash_one in
+        Option.iter
+          (fun r ->
+            let d ?direction name unit_ v =
+              det r ~section:"detection" ?direction
+                ~name:(Printf.sprintf "detection.e12.%s.%s" label name)
+                ~unit_
+                ~config:[ "detection.e12"; label ]
+                (float_of_int v)
+            in
+            let collector name cleaned msgs =
+              d ~direction:Sample.Higher_better (name ^ ".cleaned") "bool"
+                (Bool.to_int (Option.is_some cleaned));
+              Option.iter (d (name ^ ".reclaim_ticks") "ticks") cleaned;
+              d (name ^ ".msgs") "msgs" msgs
+            in
+            collector "hughes" h_clean h_msgs;
+            d "hughes.stalls" "rounds" h_stalls;
+            collector "dcda" d_clean d_msgs)
+          recorder;
+        let show = function Some t -> Printf.sprintf "%d ticks" t | None -> "NEVER" in
+        [
+          (if crash_one then "bystander crashed" else "healthy");
+          show h_clean;
+          string_of_int h_msgs;
+          string_of_int h_stalls;
+          show d_clean;
+          string_of_int d_msgs;
+        ])
+      [ false; true ]
+  in
+  Table.print
+    ~header:
+      [ "scenario"; "Hughes reclaim"; "Hughes msgs"; "Hughes stalls"; "DCDA reclaim"; "DCDA msgs" ]
+    ~rows ();
+  print_endline "Hughes' global minimum needs every process: one silent bystander freezes";
+  print_endline "collection everywhere, and stamp propagation is a permanent cost; the DCDA";
+  print_endline "only ever involves the cycle's own processes (paper section 5)"
+
+(* ------------------------------------------------------------------ *)
 (* Incremental candidate maintenance: the detection.incremental series.
 
    Two workload shapes from the paper experiments: E6 (one distributed
@@ -313,4 +472,6 @@ let run recorder =
   print_endline "(initiation to conclusion per proven cycle), so the p50/p99 gates are";
   print_endline "machine-independent; only the host-wall column is timing-class";
   run_e6 recorder;
+  e7 ~recorder ();
+  e12 ~recorder ();
   run_incremental recorder

@@ -1,8 +1,9 @@
 (* The paper-evaluation sections (see DESIGN.md section 4 for the
    experiment index).  These regenerate the paper's tables and
-   ablations for humans to read; they are print-only and feed no
-   samples to the perf recorder — the gated series live in the
-   tracer/telemetry/net/detection/scale sections.
+   ablations for humans to read; they feed no samples to the perf
+   recorder — the gated series live in the
+   tracer/telemetry/net/detection/scale sections, and E6, E7 and E12
+   print here from the functions that record theirs there.
 
    Absolute numbers differ from the paper (its substrate was a 1.6 GHz
    laptop running Rotor; ours is a simulator), but every table prints
@@ -19,7 +20,6 @@ module Heap = Adgc_rt.Heap
 module Rmi = Adgc_rt.Rmi
 module Detector = Adgc_dcda.Detector
 module Policy = Adgc_dcda.Policy
-module Backtrack = Adgc_baseline.Backtrack
 module Summarize = Adgc_snapshot.Summarize
 module Graph_image = Adgc_snapshot.Graph_image
 module Stats = Adgc_util.Stats
@@ -187,50 +187,6 @@ let bench_detection_scaling () =
   print_endline "bytes slightly super-linear (the algebra grows by one entry per hop)"
 
 (* ------------------------------------------------------------------ *)
-(* E7: DCDA vs distributed back-tracing.                               *)
-
-let backtrack_ring ~span =
-  let net_config = Network.default_config () in
-  net_config.Network.account_bytes <- true;
-  let cluster = Cluster.create ~net_config ~n:span () in
-  let rt = Cluster.rt cluster in
-  let bts = Array.map (fun p -> Backtrack.attach rt p) rt.Runtime.procs in
-  let built = Topology.ring cluster ~procs:(List.init span (fun i -> i)) in
-  let now = Cluster.now cluster in
-  Array.iteri
-    (fun i bt -> Backtrack.set_summary bt (Summarize.run ~now (Cluster.proc cluster i)))
-    bts;
-  ignore (Backtrack.suspect bts.(0) (Topology.scion_key built ~src:(span - 1) "n0_0") : bool);
-  let (), wall = wall_ms (fun () -> ignore (Cluster.drain cluster : int)) in
-  let stats = Cluster.stats cluster in
-  (Stats.get stats "bt.msg", Stats.get stats "net.bytes.bt", Stats.get stats "bt.state_peak", wall)
-
-let bench_baseline_compare () =
-  section "E7: DCDA vs distributed back-tracing (related work [11])";
-  let rows =
-    List.map
-      (fun span ->
-        let _, cdm_msgs, cdm_bytes, _ = Bench_detection.detect_ring ~span in
-        let bt_msgs, bt_bytes, bt_state, _ = backtrack_ring ~span in
-        [
-          string_of_int span;
-          string_of_int cdm_msgs;
-          Printf.sprintf "%d B" cdm_bytes;
-          "0";
-          string_of_int bt_msgs;
-          Printf.sprintf "%d B" bt_bytes;
-          string_of_int bt_state;
-        ])
-      [ 2; 4; 8; 16 ]
-  in
-  Table.print
-    ~header:
-      [ "processes"; "DCDA msgs"; "DCDA bytes"; "DCDA state"; "BT msgs"; "BT bytes"; "BT state" ]
-    ~rows ();
-  print_endline "the DCDA keeps no per-detection state in processes; back-tracing must hold";
-  print_endline "continuations (state column) and answer every query with a reply"
-
-(* ------------------------------------------------------------------ *)
 (* E8: tolerance to message loss.                                      *)
 
 let bench_loss () =
@@ -286,72 +242,6 @@ let bench_deletion_modes () =
   Table.print
     ~header:[ "mode"; "time to reclamation"; "detections"; "scions deleted"; "delete msgs" ]
     ~rows ()
-
-(* ------------------------------------------------------------------ *)
-(* E12: Hughes timestamp GC vs the DCDA.                               *)
-
-let hughes_scenario ~crash_one =
-  let config =
-    {
-      (Runtime.default_config ()) with
-      Runtime.lgc_period = 300;
-      new_set_period = 350;
-      scion_grace = 3_000;
-    }
-  in
-  let cluster = Cluster.create ~config ~n:4 () in
-  Adgc.Kernel.start cluster (Adgc.Kernel.gc_rows (Cluster.rt cluster));
-  let hughes = Adgc_baseline.Hughes.install ~round_period:200 cluster in
-  let _built = Topology.ring cluster ~procs:[ 0; 1; 2 ] in
-  if crash_one then Cluster.crash cluster 3;
-  let deadline = 150_000 in
-  let rec go () =
-    if Cluster.total_objects cluster = 0 then Some (Cluster.now cluster)
-    else if Cluster.now cluster >= deadline then None
-    else begin
-      Cluster.run_for cluster 1_000;
-      go ()
-    end
-  in
-  let cleaned = go () in
-  let stats = Cluster.stats cluster in
-  (cleaned, Stats.get stats "hughes.stamp_msgs", Adgc_baseline.Hughes.stalls hughes)
-
-let dcda_scenario ~crash_one =
-  let config = Config.quick ~n_procs:4 () in
-  let sim = Sim.create ~config () in
-  let cluster = Sim.cluster sim in
-  let _built = Topology.ring cluster ~procs:[ 0; 1; 2 ] in
-  if crash_one then Cluster.crash cluster 3;
-  Sim.start sim;
-  let cleaned = if Sim.run_until_clean ~step:1_000 ~max_time:150_000 sim then Some (Sim.now sim) else None in
-  (cleaned, Stats.get (Sim.stats sim) "net.msg.sent.cdm")
-
-let bench_hughes_compare () =
-  section "E12: Hughes timestamp GC [7] vs the DCDA (3-ring + 1 bystander)";
-  let rows =
-    List.map
-      (fun crash_one ->
-        let h_clean, h_msgs, h_stalls = hughes_scenario ~crash_one in
-        let d_clean, d_msgs = dcda_scenario ~crash_one in
-        let show = function Some t -> Printf.sprintf "%d ticks" t | None -> "NEVER" in
-        [
-          (if crash_one then "bystander crashed" else "healthy");
-          show h_clean;
-          string_of_int h_msgs;
-          string_of_int h_stalls;
-          show d_clean;
-          string_of_int d_msgs;
-        ])
-      [ false; true ]
-  in
-  Table.print
-    ~header:
-      [ "scenario"; "Hughes reclaim"; "Hughes msgs"; "Hughes stalls"; "DCDA reclaim"; "DCDA msgs" ]
-    ~rows ();
-  print_endline "Hughes' global minimum needs every process: one silent bystander freezes";
-  print_endline "collection everywhere, and stamp propagation is a permanent cost; the DCDA";
-  print_endline "only ever involves the cycle's own processes (paper section 5)"
 
 (* ------------------------------------------------------------------ *)
 (* E13: candidate-selection heuristics (ablation).                     *)
@@ -725,10 +615,10 @@ let sections =
     ("table1", bench_table1);
     ("serialization", bench_serialization);
     ("detection_scaling", bench_detection_scaling);
-    ("baseline_compare", bench_baseline_compare);
+    ("baseline_compare", fun () -> Bench_detection.e7 ());
     ("loss_tolerance", bench_loss);
     ("deletion_modes", bench_deletion_modes);
-    ("hughes_compare", bench_hughes_compare);
+    ("hughes_compare", fun () -> Bench_detection.e12 ());
     ("heuristics", bench_heuristics);
     ("garbage_cost", bench_garbage_cost);
     ("leases", bench_leases);

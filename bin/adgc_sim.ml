@@ -14,57 +14,24 @@ module Faults = Adgc_rt.Faults
 module Oracle = Adgc_check.Oracle
 module Stats = Adgc_util.Stats
 module Trace = Adgc_util.Trace
+module Net_scenario = Adgc_net.Scenario
 open Adgc_workload
 
-type topology = Fig3 | Fig4 | Fig5 | Ring | Hybrid | Random | Star | Lattice | Web | Chain
-
 let topology_conv =
-  let parse = function
-    | "fig3" -> Ok Fig3
-    | "fig4" -> Ok Fig4
-    | "fig5" -> Ok Fig5
-    | "ring" -> Ok Ring
-    | "hybrid" -> Ok Hybrid
-    | "random" -> Ok Random
-    | "star" -> Ok Star
-    | "lattice" -> Ok Lattice
-    | "web" -> Ok Web
-    | "chain" -> Ok Chain
-    | s -> Error (`Msg (Printf.sprintf "unknown topology %S" s))
+  let parse s =
+    match Net_scenario.topology_of_string s with
+    | Some t -> Ok t
+    | None -> Error (`Msg (Printf.sprintf "unknown topology %S" s))
   in
-  let print ppf t =
-    Format.pp_print_string ppf
-      (match t with
-      | Fig3 -> "fig3"
-      | Fig4 -> "fig4"
-      | Fig5 -> "fig5"
-      | Ring -> "ring"
-      | Hybrid -> "hybrid"
-      | Random -> "random"
-      | Star -> "star"
-      | Lattice -> "lattice"
-      | Web -> "web"
-      | Chain -> "chain")
-  in
-  Cmdliner.Arg.conv (parse, print)
+  Cmdliner.Arg.conv (parse, fun ppf t -> Format.pp_print_string ppf (Net_scenario.topology_to_string t))
 
 let detector_conv =
-  let parse = function
-    | "dcda" -> Ok Config.Dcda
-    | "backtrack" -> Ok Config.Backtrack
-    | "hughes" -> Ok Config.Hughes_gc
-    | "none" -> Ok Config.No_detector
-    | s -> Error (`Msg (Printf.sprintf "unknown detector %S" s))
+  let parse s =
+    match Net_scenario.detector_of_string s with
+    | Some d -> Ok d
+    | None -> Error (`Msg (Printf.sprintf "unknown detector %S" s))
   in
-  let print ppf d =
-    Format.pp_print_string ppf
-      (match d with
-      | Config.Dcda -> "dcda"
-      | Config.Backtrack -> "backtrack"
-      | Config.Hughes_gc -> "hughes"
-      | Config.No_detector -> "none")
-  in
-  Cmdliner.Arg.conv (parse, print)
+  Cmdliner.Arg.conv (parse, fun ppf d -> Format.pp_print_string ppf (Net_scenario.detector_to_string d))
 
 let groups_conv =
   let parse s =
@@ -84,52 +51,14 @@ let faults_conv =
   let print ppf p = Format.pp_print_string ppf (Faults.profile_name p) in
   Cmdliner.Arg.conv (parse, print)
 
-let min_procs = function
-  | Fig3 -> 4
-  | Fig4 -> 6
-  | Fig5 -> 5
-  | Ring -> 2
-  | Hybrid -> 3
-  | Random -> 2
-  | Star -> 4
-  | Lattice -> 3
-  | Web -> 2
-  | Chain -> 2
-
-let build_topology topology cluster ~seed ~objects ~edges =
-  match topology with
-  | Fig3 ->
-      let built = Topology.fig3 cluster in
-      (* The figure's cycle is garbage once A's root goes. *)
-      Adgc_rt.Mutator.remove_root cluster (Topology.obj built "A");
-      built
-  | Fig4 -> Topology.fig4 cluster
-  | Fig5 ->
-      let built = Topology.fig5 cluster in
-      Adgc_rt.Mutator.remove_root cluster (Topology.obj built "A");
-      built
-  | Ring ->
-      Topology.ring ~objs_per_proc:2 cluster
-        ~procs:(List.init (Cluster.n_procs cluster) (fun i -> i))
-  | Hybrid -> Topology.hybrid cluster
-  | Random ->
-      Topology.random cluster
-        ~rng:(Adgc_util.Rng.create (seed + 1))
-        ~objects ~edges ~remote_prob:0.35 ~root_prob:0.15
-  | Star -> Topology.star_cycles ~arms:(Cluster.n_procs cluster - 1) cluster
-  | Lattice -> Topology.lattice cluster ~rows:3 ~cols:(Cluster.n_procs cluster)
-  | Web -> Topology.web cluster ~rng:(Adgc_util.Rng.create (seed + 1))
-  | Chain ->
-      Topology.chain_into_ring cluster
-        ~procs:(List.init (Cluster.n_procs cluster) (fun i -> i))
-
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
   close_out oc
 
 let run_cmd topology procs seed loss detector groups time churn_steps objects edges trace_topics crash_list faults_profile metrics_file spans_file inspect quiet =
-  let n_procs = Int.max procs (min_procs topology) in
+  let scenario = Net_scenario.make ~topology ~procs ~seed ~objects ~edges () in
+  let n_procs = Net_scenario.n_procs scenario in
   let config = Config.quick ~seed ~n_procs () in
   let config = Config.with_groups config groups in
   config.Config.net.Network.drop_prob <- loss;
@@ -146,7 +75,7 @@ let run_cmd topology procs seed loss detector groups time churn_steps objects ed
   let cluster = Sim.cluster sim in
   let checker = Metrics.install_safety_checker cluster in
   let oracle = Oracle.install cluster in
-  let _built = build_topology topology cluster ~seed ~objects ~edges in
+  let _built = Net_scenario.build_topology scenario cluster in
   if churn_steps > 0 then begin
     let churn = Churn.create ~cluster ~rng:(Adgc_util.Rng.create (seed + 2)) () in
     Churn.run churn ~steps:churn_steps ~every:29
@@ -176,7 +105,7 @@ let run_cmd topology procs seed loss detector groups time churn_steps objects ed
         (List.filter (interesting prefix) (Stats.counters stats))
     in
     Format.printf "-- collector counters --@.";
-    List.iter print_group [ "lgc."; "dgc."; "reflist."; "dcda."; "bt."; "rmi."; "net.msg" ]
+    List.iter print_group [ "lgc."; "dgc."; "reflist."; "dcda."; "rmi."; "net.msg" ]
   end;
   List.iter
     (fun topic ->
@@ -196,12 +125,7 @@ let run_cmd topology procs seed loss detector groups time churn_steps objects ed
           ("procs", Adgc_util.Json.Int n_procs);
           ("time", Adgc_util.Json.Int time);
           ( "detector",
-            Adgc_util.Json.Str
-              (match detector with
-              | Config.Dcda -> "dcda"
-              | Config.Backtrack -> "backtrack"
-              | Config.Hughes_gc -> "hughes"
-              | Config.No_detector -> "none") );
+            Adgc_util.Json.Str (Net_scenario.detector_to_string detector) );
           ("groups", Adgc_util.Json.Str (Config.groups_to_string groups));
         ]
       in
@@ -407,7 +331,7 @@ let trace_format_conv =
   Cmdliner.Arg.conv (parse, print)
 
 let trace_cmd topology seed format out =
-  let n_procs = min_procs topology in
+  let n_procs = Net_scenario.min_procs topology in
   let config = Config.quick ~seed ~n_procs () in
   (* Structured exports need the span ring; the text dump keeps the
      seed behaviour (plain Trace buffer, telemetry off). *)
@@ -416,7 +340,9 @@ let trace_cmd topology seed format out =
   in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
-  let built = build_topology topology cluster ~seed ~objects:0 ~edges:0 in
+  let built =
+    Net_scenario.build_topology (Net_scenario.make ~topology ~seed ~objects:0 ~edges:0 ()) cluster
+  in
   (* Let the candidates age past the idle threshold. *)
   Sim.run_for sim 1_000;
   Sim.snapshot_all sim;
@@ -455,7 +381,6 @@ let trace_cmd topology seed format out =
    timers, and judges the gathered final state with the same oracle
    invariants the in-memory drivers use. *)
 
-module Net_scenario = Adgc_net.Scenario
 module Coordinator = Adgc_net.Coordinator
 
 let serve_cmd dir rank topology procs seed detector groups objects edges tick_us
@@ -637,7 +562,11 @@ let perf_report_cmd baseline current rel stddev_mult min_effect relax =
 open Cmdliner
 
 let topology_arg =
-  Arg.(value & opt topology_conv Ring & info [ "topology"; "t" ] ~doc:"Topology: fig3, fig4, fig5, ring, hybrid, random, star, lattice, web or chain.")
+  Arg.(
+    value
+    & opt topology_conv Net_scenario.Ring
+    & info [ "topology"; "t" ]
+        ~doc:"Topology: fig3, fig4, fig5, ring, hybrid, random, star, pairs, lattice, web or chain.")
 
 (* Scale knobs default from the environment so CI matrix legs and the
    scale smoke job can sweep process/object counts without rewriting
@@ -658,7 +587,7 @@ let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic see
 let loss_arg = Arg.(value & opt float 0.0 & info [ "loss" ] ~doc:"Message drop probability.")
 
 let detector_arg =
-  Arg.(value & opt detector_conv Config.Dcda & info [ "detector"; "d" ] ~doc:"dcda, backtrack, hughes or none.")
+  Arg.(value & opt detector_conv Config.Dcda & info [ "detector"; "d" ] ~doc:"dcda or none.")
 
 let time_arg = Arg.(value & opt int 100_000 & info [ "time" ] ~doc:"Simulated ticks to run.")
 
@@ -685,7 +614,7 @@ let groups_arg =
 let edges_arg = Arg.(value & opt int 200 & info [ "edges" ] ~doc:"Edges (random topology).")
 
 let trace_arg =
-  Arg.(value & opt_all string [] & info [ "trace" ] ~doc:"Print a trace topic (dcda, reflist, lgc, snapshot, bt). Repeatable.")
+  Arg.(value & opt_all string [] & info [ "trace" ] ~doc:"Print a trace topic (dcda, reflist, lgc, snapshot). Repeatable.")
 
 let quiet_arg = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Only report problems.")
 
@@ -816,35 +745,6 @@ let mc_cmd_info =
 
 (* serve / drive *)
 
-let net_topology_conv =
-  let parse s =
-    match Net_scenario.topology_of_string s with
-    | Some t -> Ok t
-    | None -> Error (`Msg (Printf.sprintf "unknown topology %S" s))
-  in
-  Arg.conv (parse, fun ppf t -> Format.pp_print_string ppf (Net_scenario.topology_to_string t))
-
-let net_detector_conv =
-  let parse s =
-    match Net_scenario.detector_of_string s with
-    | Some d -> Ok d
-    | None -> Error (`Msg (Printf.sprintf "unknown detector %S (hughes is not driveable over sockets)" s))
-  in
-  Arg.conv (parse, fun ppf d -> Format.pp_print_string ppf (Net_scenario.detector_to_string d))
-
-let net_topology_arg =
-  Arg.(
-    value
-    & opt net_topology_conv Net_scenario.Ring
-    & info [ "topology"; "t" ]
-        ~doc:"Topology: fig3, fig4, fig5, ring, hybrid, random, star, lattice, web or chain.")
-
-let net_detector_arg =
-  Arg.(
-    value
-    & opt net_detector_conv Config.Dcda
-    & info [ "detector"; "d" ] ~doc:"dcda, backtrack or none.")
-
 let tick_us_arg =
   Arg.(
     value
@@ -868,8 +768,8 @@ let max_ticks_arg =
 
 let serve_term =
   Term.(
-    const serve_cmd $ serve_dir_arg $ serve_rank_arg $ net_topology_arg $ procs_arg $ seed_arg
-    $ net_detector_arg $ groups_arg $ objects_arg $ edges_arg $ tick_us_arg
+    const serve_cmd $ serve_dir_arg $ serve_rank_arg $ topology_arg $ procs_arg $ seed_arg
+    $ detector_arg $ groups_arg $ objects_arg $ edges_arg $ tick_us_arg
     $ max_ticks_arg)
 
 let serve_cmd_info =
@@ -914,7 +814,7 @@ let drop_arg =
 
 let drive_term =
   Term.(
-    const drive_cmd $ net_topology_arg $ procs_arg $ seed_arg $ net_detector_arg
+    const drive_cmd $ topology_arg $ procs_arg $ seed_arg $ detector_arg
     $ groups_arg $ objects_arg $ edges_arg $ tick_us_arg $ deadline_arg
     $ drive_dir_arg $ keep_dir_arg $ kill_arg $ drop_arg $ metrics_arg $ spans_arg $ quiet_arg)
 

@@ -1,4 +1,4 @@
-type detector_kind = Dcda | Backtrack | Hughes_gc | No_detector
+type detector_kind = Dcda | No_detector
 
 (* Group size 0 means the flat clique; 1 would be a clique of
    singleton groups — operationally identical — so it normalises to 0
@@ -27,8 +27,6 @@ type t = {
   faults : Adgc_rt.Faults.plan;
   policy : Adgc_dcda.Policy.t;
   detector : detector_kind;
-  bt_timeout : int;
-  bt_idle_threshold : int;
   telemetry : bool;
 }
 
@@ -47,8 +45,6 @@ let default ?(seed = 42) ?(n_procs = 4) () =
     faults = Adgc_rt.Faults.none;
     policy = Adgc_dcda.Policy.default;
     detector = Dcda;
-    bt_timeout = 50_000;
-    bt_idle_threshold = 2_000;
     telemetry = false;
   }
 
@@ -62,7 +58,7 @@ let quick ?(seed = 42) ?(n_procs = 4) () =
       scion_grace = 3_000;
     }
   in
-  { t with runtime; policy = Adgc_dcda.Policy.aggressive; bt_idle_threshold = 200 }
+  { t with runtime; policy = Adgc_dcda.Policy.aggressive }
 
 (* The model checker runs the system time-frozen: nothing periodic
    ever fires (the checker calls the duties explicitly), the network

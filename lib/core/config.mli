@@ -2,9 +2,9 @@
 
 type detector_kind =
   | Dcda  (** the paper's cycle detector *)
-  | Backtrack  (** the back-tracing baseline *)
-  | Hughes_gc  (** the timestamp-propagation baseline (starts with {!Sim.start}) *)
-  | No_detector  (** acyclic DGC only (distributed cycles leak) *)
+  | No_detector
+      (** acyclic DGC only (distributed cycles leak); the comparison
+          collectors attach to such a sim from outside *)
 
 val groups_of_string : string -> int option
 (** Group size for the hierarchical overlay: ["off"]/["flat"]/["none"]
@@ -31,8 +31,6 @@ type t = {
           {!Adgc_rt.Faults.none}) *)
   policy : Adgc_dcda.Policy.t;
   detector : detector_kind;
-  bt_timeout : int;  (** back-tracing initiator/state timeout *)
-  bt_idle_threshold : int;
   telemetry : bool;
       (** enable structured spans and detection lineage (see
           {!Adgc_obs}); default off — every hook is then one branch *)

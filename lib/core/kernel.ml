@@ -1,23 +1,28 @@
 open Adgc_rt
 
+module Detector = Adgc_dcda.Detector
+
 type ctx = {
   rt : Runtime.t;
   store : Adgc_snapshot.Snapshot_store.t;
-  scan_proc : int -> int;
-  maintain_proc : int -> unit;
+  detectors : Detector.t array;
 }
 
 type duty = Snapshot of int | Scan of int | Lgc of int | Send_sets of int | Maintain_candidates of int
 
 let proc ctx i = ctx.rt.Runtime.procs.(i)
 
+(* Without a detector, the detector's duties do nothing. *)
+let with_detector ctx i f = if Array.length ctx.detectors > 0 then f ctx.detectors.(i)
+
 let run_duty ctx = function
   | Snapshot i ->
       ignore (Adgc_snapshot.Snapshot_store.take ctx.store (proc ctx i) : Adgc_snapshot.Summary.t)
-  | Scan i -> ignore (ctx.scan_proc i : int)
+  | Scan i -> with_detector ctx i (fun d -> ignore (Detector.scan d : int))
   | Lgc i -> ignore (Adgc_rt.Lgc.run ctx.rt (proc ctx i) : Adgc_rt.Lgc.report)
   | Send_sets i -> Reflist.send_new_sets ctx.rt (proc ctx i)
-  | Maintain_candidates i -> ctx.maintain_proc i
+  | Maintain_candidates i ->
+      with_detector ctx i (fun d -> ignore (Detector.audit_candidates d : bool))
 
 type row = { name : string; period : int; run : int -> unit }
 

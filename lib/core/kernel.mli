@@ -22,15 +22,10 @@
 type ctx = {
   rt : Adgc_rt.Runtime.t;
   store : Adgc_snapshot.Snapshot_store.t;
-  scan_proc : int -> int;
-      (** run one candidate scan on process [i]'s detector, returning
-          detections started (supplied by the simulator, which owns
-          the detector instances) *)
-  maintain_proc : int -> unit;
-      (** run the low-frequency full-trace audit of process [i]'s
-          incremental candidate labels
-          ({!Adgc_dcda.Detector.audit_candidates}); a no-op for
-          detectors without a maintainer *)
+  detectors : Adgc_dcda.Detector.t array;
+      (** the DCDA instance of each process, owned by the simulator;
+          empty when it runs no detector, and then [Scan] and
+          [Maintain_candidates] do nothing *)
 }
 (** Everything a duty needs; build one with {!Sim.kernel_ctx}. *)
 
@@ -62,14 +57,11 @@ val gc_rows : Adgc_rt.Runtime.t -> row list
 (** The acyclic collector's rows, [lgc] then [sets], with periods from
     the runtime config. *)
 
-val detector_rows : ctx -> policy:Adgc_dcda.Policy.t -> row list
-(** [snapshot], [scan] and [audit] ([Maintain_candidates]), with
-    periods from the policy. *)
-
 val schedule : ctx -> policy:Adgc_dcda.Policy.t -> row list
-(** The duty table: {!gc_rows} followed by {!detector_rows}.  Rows
-    are installed in this order, which fixes how same-tick firings
-    interleave. *)
+(** The duty table: {!gc_rows} followed by [snapshot], [scan] and
+    [audit] ([Maintain_candidates]) with periods from the policy.
+    Rows are installed in this order, which fixes how same-tick
+    firings interleave. *)
 
 val phase : n:int -> row -> int -> int
 (** [1 + i * period / max 1 n]: the per-process stagger that keeps

@@ -1,20 +1,13 @@
 open Adgc_algebra
 open Adgc_rt
 module Detector = Adgc_dcda.Detector
-module Backtrack = Adgc_baseline.Backtrack
 module Snapshot_store = Adgc_snapshot.Snapshot_store
-
-type detectors =
-  | Dcda_instances of Detector.t array
-  | Bt_instances of Backtrack.t array
-  | Nothing
 
 type t = {
   config : Config.t;
   cluster : Cluster.t;
   store : Snapshot_store.t;
-  detectors : detectors;
-  mutable hughes : Adgc_baseline.Hughes.t option;
+  detectors : Detector.t array;  (* one per process; empty under [No_detector] *)
 }
 
 let create ?config () =
@@ -35,18 +28,10 @@ let create ?config () =
         Snapshot_store.subscribe store (fun summary ->
             let i = Proc_id.to_int summary.Adgc_snapshot.Summary.proc in
             Detector.set_summary arr.(i) summary);
-        Dcda_instances arr
-    | Config.Backtrack ->
-        let arr =
-          Array.map (fun p -> Backtrack.attach ~timeout:config.Config.bt_timeout rt p) rt.Runtime.procs
-        in
-        Snapshot_store.subscribe store (fun summary ->
-            let i = Proc_id.to_int summary.Adgc_snapshot.Summary.proc in
-            Backtrack.set_summary arr.(i) summary);
-        Bt_instances arr
-    | Config.Hughes_gc | Config.No_detector -> Nothing
+        arr
+    | Config.No_detector -> [||]
   in
-  { config; cluster; store; detectors; hughes = None }
+  { config; cluster; store; detectors }
 
 let config t = t.config
 
@@ -59,14 +44,8 @@ let net t = Cluster.net t.cluster
 let store t = t.store
 
 let detector t i =
-  match t.detectors with
-  | Dcda_instances arr -> arr.(i)
-  | Bt_instances _ | Nothing -> invalid_arg "Sim.detector: not running the DCDA"
-
-let backtracker t i =
-  match t.detectors with
-  | Bt_instances arr -> arr.(i)
-  | Dcda_instances _ | Nothing -> invalid_arg "Sim.backtracker: not running the baseline"
+  if Array.length t.detectors = 0 then invalid_arg "Sim.detector: not running the DCDA"
+  else t.detectors.(i)
 
 let stats t = Cluster.stats t.cluster
 
@@ -78,53 +57,15 @@ let run_for t delay = Cluster.run_for t.cluster delay
 
 let snapshot_all t = Snapshot_store.take_all t.store
 
-let scan_one t i =
-  match t.detectors with
-  | Dcda_instances arr -> Detector.scan arr.(i)
-  | Bt_instances arr -> Backtrack.scan arr.(i) ~idle_threshold:t.config.Config.bt_idle_threshold
-  | Nothing -> 0
+let kernel_ctx t = { Kernel.rt = rt t; store = t.store; detectors = t.detectors }
 
-(* The audit duty body: full-trace re-derivation of process [i]'s
-   candidate labels.  Only the DCDA has a candidate pipeline to
-   audit. *)
-let maintain_one t i =
-  match t.detectors with
-  | Dcda_instances arr -> ignore (Detector.audit_candidates arr.(i) : bool)
-  | Bt_instances _ | Nothing -> ()
+let scan_all t = Array.fold_left (fun acc d -> acc + Detector.scan d) 0 t.detectors
 
-let kernel_ctx t =
-  {
-    Kernel.rt = rt t;
-    store = t.store;
-    scan_proc = (fun i -> scan_one t i);
-    maintain_proc = (fun i -> maintain_one t i);
-  }
-
-let scan_all t =
-  let n = Cluster.n_procs t.cluster in
-  let rec go i acc = if i >= n then acc else go (i + 1) (acc + scan_one t i) in
-  go 0 0
-
-(* The duty table over every rank.  Hughes installs between the
-   collector's rows and the detector's: same-tick firings run in
-   installation order, so its place is part of the schedule. *)
 let start t =
-  if not (Cluster.gc_running t.cluster) then begin
-    let ctx = kernel_ctx t in
-    Kernel.start t.cluster (Kernel.gc_rows ctx.Kernel.rt);
-    (match (t.config.Config.detector, t.hughes) with
-    | Config.Hughes_gc, None -> t.hughes <- Some (Adgc_baseline.Hughes.install t.cluster)
-    | (Config.Hughes_gc | Config.Dcda | Config.Backtrack | Config.No_detector), _ -> ());
-    Kernel.start t.cluster (Kernel.detector_rows ctx ~policy:t.config.Config.policy)
-  end
+  if not (Cluster.gc_running t.cluster) then
+    Kernel.start t.cluster (Kernel.schedule (kernel_ctx t) ~policy:t.config.Config.policy)
 
-let stop t =
-  (match t.hughes with
-  | Some h ->
-      Adgc_baseline.Hughes.stop h;
-      t.hughes <- None
-  | None -> ());
-  Cluster.stop_gc t.cluster
+let stop t = Cluster.stop_gc t.cluster
 
 let teardown t =
   stop t;
@@ -141,13 +82,10 @@ let run_gc_cycle t =
   Array.iter (fun p -> Reflist.send_new_sets rt p) rt.Runtime.procs
 
 let reports t =
-  match t.detectors with
-  | Dcda_instances arr ->
-      Array.to_list arr
-      |> List.concat_map Detector.reports
-      |> List.sort (fun a b ->
-             Int.compare a.Adgc_dcda.Report.concluded_time b.Adgc_dcda.Report.concluded_time)
-  | Bt_instances _ | Nothing -> []
+  Array.to_list t.detectors
+  |> List.concat_map Detector.reports
+  |> List.sort (fun a b ->
+         Int.compare a.Adgc_dcda.Report.concluded_time b.Adgc_dcda.Report.concluded_time)
 
 let garbage_count t = Cluster.garbage_count t.cluster
 

@@ -31,9 +31,6 @@ val kernel_ctx : t -> Kernel.ctx
 val detector : t -> int -> Adgc_dcda.Detector.t
 (** @raise Invalid_argument unless the config selected [Dcda]. *)
 
-val backtracker : t -> int -> Adgc_baseline.Backtrack.t
-(** @raise Invalid_argument unless the config selected [Backtrack]. *)
-
 val stats : t -> Adgc_util.Stats.t
 
 val trace : t -> Adgc_util.Trace.t
@@ -45,8 +42,8 @@ val lineage : t -> Adgc_obs.Lineage.t
 (** {1 Driving} *)
 
 val start : t -> unit
-(** Install the duty table ({!Kernel.schedule}) over every process
-    (and the Hughes rounds when that baseline is selected). *)
+(** Install the duty table ({!Kernel.schedule}) over every process.
+    A no-op while any duty lane is registered. *)
 
 val stop : t -> unit
 

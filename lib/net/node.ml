@@ -324,8 +324,6 @@ let main cfg =
   let n = Scenario.n_procs cfg.scenario in
   if cfg.rank < 0 || cfg.rank >= n then
     invalid_arg (Printf.sprintf "node rank %d out of range for %d processes" cfg.rank n);
-  if cfg.scenario.Scenario.detector = Config.Hughes_gc then
-    invalid_arg "socket driver does not support the hughes baseline";
   let log = open_out (log_path ~dir:cfg.dir cfg.rank) in
   let sim, _built = Scenario.build cfg.scenario in
   let rt = Sim.rt sim in
@@ -367,11 +365,7 @@ let main cfg =
   logf t "up: %s procs=%d seed=%d detector=%s"
     (Scenario.topology_to_string cfg.scenario.Scenario.topology)
     n cfg.scenario.Scenario.seed
-    (match cfg.scenario.Scenario.detector with
-    | Config.Dcda -> "dcda"
-    | Config.Backtrack -> "backtrack"
-    | Config.Hughes_gc -> "hughes"
-    | Config.No_detector -> "none");
+    (Scenario.detector_to_string cfg.scenario.Scenario.detector);
   Transport.send coord (hello t);
   (* Remote-bound envelopes leave through the socket; self-sends keep
      the simulated timed path. *)

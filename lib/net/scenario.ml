@@ -35,15 +35,10 @@ let topology_to_string = function
 
 let detector_of_string = function
   | "dcda" -> Some Config.Dcda
-  | "backtrack" -> Some Config.Backtrack
   | "none" -> Some Config.No_detector
   | _ -> None
 
-let detector_to_string = function
-  | Config.Dcda -> "dcda"
-  | Config.Backtrack -> "backtrack"
-  | Config.No_detector -> "none"
-  | Config.Hughes_gc -> "hughes"
+let detector_to_string = function Config.Dcda -> "dcda" | Config.No_detector -> "none"
 
 let min_procs = function
   | Fig3 -> 4

@@ -24,8 +24,7 @@ val topology_to_string : topology -> string
 val min_procs : topology -> int
 
 val detector_of_string : string -> Adgc.Config.detector_kind option
-(** ["dcda"], ["backtrack"], ["none"] — the hughes baseline has no
-    per-rank duty decomposition and is not driveable over sockets. *)
+(** ["dcda"] or ["none"]. *)
 
 val detector_to_string : Adgc.Config.detector_kind -> string
 
@@ -57,6 +56,10 @@ val make :
 
 val n_procs : t -> int
 (** [max procs (min_procs topology)] — what [build] actually creates. *)
+
+val build_topology : t -> Adgc_rt.Cluster.t -> Adgc_workload.Topology.built
+(** Build the topology on a cluster, applying each figure's
+    garbage-making root removal. *)
 
 val build : ?telemetry:bool -> t -> Adgc.Sim.t * Adgc_workload.Topology.built
 (** Build the simulator (quick periods, chosen detector) and the

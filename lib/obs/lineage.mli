@@ -1,7 +1,7 @@
 (** Per-detection provenance: the full hop chain of one cycle
     detection.
 
-    Every CDM (or backtrack query) already carries its
+    Every CDM (or a comparison collector's query) already carries its
     {!Adgc_algebra.Detection_id}; the lineage registry keys on it and
     accumulates hops — who initiated, each send/receive with the
     algebra's source/target set sizes, every guard that killed a

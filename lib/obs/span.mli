@@ -10,8 +10,8 @@
 
 type kind =
   | Run  (** whole simulation run *)
-  | Detection  (** one DCDA/backtrack detection, init to conclusion *)
-  | Cdm_hop  (** one CDM (or backtrack query) network hop *)
+  | Detection  (** one cycle detection, init to conclusion *)
+  | Cdm_hop  (** one CDM network hop *)
   | Snapshot  (** one process snapshot *)
   | Lgc_sweep  (** one local GC trace+sweep *)
   | Batch_flush  (** one DGC batch envelope flush *)

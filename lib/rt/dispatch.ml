@@ -49,14 +49,10 @@ let rec handle_payload rt (msg : Msg.t) (at : Process.t) payload =
       match at.Process.on_cdm_delete with
       | Some f -> f id scions
       | None -> Stats.incr rt.Runtime.stats "cdm_delete.unhandled")
-  | Msg.Bt bt -> (
-      match at.Process.on_bt with
-      | Some f -> f ~src:msg.Msg.src bt
-      | None -> Stats.incr rt.Runtime.stats "bt.unhandled")
-  | Msg.Hughes h -> (
-      match at.Process.on_hughes with
-      | Some f -> f ~src:msg.Msg.src h
-      | None -> Stats.incr rt.Runtime.stats "hughes.unhandled")
+  | Msg.Ext body -> (
+      match at.Process.on_ext with
+      | Some f -> f ~src:msg.Msg.src body
+      | None -> Stats.incr rt.Runtime.stats "ext.unhandled")
   | Msg.Group_fwd { orig_src; inner } ->
       (* Last hop of a relayed payload: handle exactly as if the
          original sender had sent it directly — every protocol handler

@@ -11,8 +11,7 @@ type payload =
   | Scion_probe
   | Cdm of Cdm.t
   | Cdm_delete of { id : Detection_id.t; scions : Ref_key.t list }
-  | Bt of Btmsg.t
-  | Hughes of Hmsg.t
+  | Ext of string
   | Batch of payload list
   | Group_fwd of { orig_src : Proc_id.t; inner : payload }
   | Group_relay of { entries : (Proc_id.t * Proc_id.t * payload) list }
@@ -31,8 +30,7 @@ let kinds =
     "scion_probe";
     "cdm";
     "cdm_delete";
-    "bt";
-    "hughes";
+    "ext";
     "batch";
     "group_fwd";
     "group_relay";
@@ -47,11 +45,10 @@ let kind_index = function
   | Scion_probe -> 5
   | Cdm _ -> 6
   | Cdm_delete _ -> 7
-  | Bt _ -> 8
-  | Hughes _ -> 9
-  | Batch _ -> 10
-  | Group_fwd _ -> 11
-  | Group_relay _ -> 12
+  | Ext _ -> 8
+  | Batch _ -> 9
+  | Group_fwd _ -> 10
+  | Group_relay _ -> 11
 
 let kind p = kinds.(kind_index p)
 
@@ -62,8 +59,7 @@ let rec payload_refs = function
   | New_set_stubs _ | Scion_probe -> []
   | Cdm _ -> []
   | Cdm_delete _ -> []
-  | Bt _ -> []
-  | Hughes _ -> []
+  | Ext _ -> []
   | Batch payloads -> List.concat_map payload_refs payloads
   | Group_fwd { inner; _ } -> payload_refs inner
   | Group_relay { entries } -> List.concat_map (fun (_, _, p) -> payload_refs p) entries
@@ -88,6 +84,7 @@ let n_export_ack = N.Name.v "export_ack"
 let n_new_set_stubs = N.Name.v "new_set_stubs"
 let n_scion_probe = N.Name.v "scion_probe"
 let n_cdm_delete = N.Name.v "cdm_delete"
+let n_ext = N.Name.v "ext"
 let n_batch = N.Name.v "batch"
 let n_group_fwd = N.Name.v "group_fwd"
 let n_group_relay = N.Name.v "group_relay"
@@ -108,6 +105,7 @@ let n_msgs = N.Name.v "msgs"
 let n_orig_src = N.Name.v "orig_src"
 let n_inner = N.Name.v "inner"
 let n_entries = N.Name.v "entries"
+let n_body = N.Name.v "body"
 let n_src = N.Name.v "src"
 let n_dst = N.Name.v "dst"
 let n_sent_at = N.Name.v "sent_at"
@@ -175,8 +173,10 @@ let rec emit_payload s = function
       N.field s n_scions;
       N.list s (List.length scions);
       List.iter (Ref_key.emit s) scions
-  | Bt bt -> Btmsg.emit s bt
-  | Hughes h -> Hmsg.emit s h
+  | Ext body ->
+      N.record s n_ext 1;
+      N.field s n_body;
+      N.str s body
   | Batch payloads ->
       N.record s n_batch 1;
       N.field s n_msgs;
@@ -225,16 +225,13 @@ let own_cases =
     (n_new_set_stubs, 2);
     (n_scion_probe, 0);
     (n_cdm_delete, 3);
+    (n_ext, 1);
     (n_batch, 1);
     (n_group_fwd, 2);
     (n_group_relay, 1);
   |]
 
-let payload_cases = Array.concat [ own_cases; Cdm.cases; Btmsg.cases; Hmsg.cases ]
-
-let bt_at = Array.length own_cases + Array.length Cdm.cases
-
-let hughes_at = bt_at + Array.length Btmsg.cases
+let payload_cases = Array.append own_cases Cdm.cases
 
 let read_proc r =
   let p = R.int r in
@@ -302,6 +299,9 @@ let rec read_payload r =
       let scions = List.init (R.list r) (fun _ -> Ref_key.read r) in
       Cdm_delete { id = Detection_id.make ~initiator ~seq; scions }
   | 7 ->
+      R.field r n_body;
+      Ext (R.str r)
+  | 8 ->
       (* Batches are never nested, and a decoded batch must not smuggle
          one in.  Nor does a batch carry references: only ref-free
          control traffic is ever batched, so a constituent with
@@ -313,12 +313,12 @@ let rec read_payload r =
         p
       in
       Batch (List.init (R.list r) constituent)
-  | 8 ->
+  | 9 ->
       R.field r n_orig_src;
       let orig_src = read_proc r in
       R.field r n_inner;
       Group_fwd { orig_src; inner = read_flat r }
-  | 9 ->
+  | 10 ->
       R.field r n_entries;
       let entry _ =
         if R.list r <> 3 then R.fail r "bad relay entry";
@@ -327,9 +327,7 @@ let rec read_payload r =
         (orig_src, final_dst, read_flat r)
       in
       Group_relay { entries = List.init (R.list r) entry }
-  | i when i < bt_at -> Cdm (Cdm.read_case r (i - Array.length own_cases))
-  | i when i < hughes_at -> Bt (Btmsg.read_case r (i - bt_at))
-  | i -> Hughes (Hmsg.read_case r (i - hughes_at))
+  | i -> Cdm (Cdm.read_case r (i - Array.length own_cases))
 
 (* The group wrappers are flat like batches: a relayed or batched
    payload is always a bare DGC control message. *)

@@ -52,8 +52,12 @@ type payload =
   | Cdm_delete of { id : Detection_id.t; scions : Ref_key.t list }
       (** Broadcast deletion mode: the concluding process tells other
           owners which of their scions were proven part of the cycle. *)
-  | Bt of Btmsg.t  (** back-tracing baseline traffic *)
-  | Hughes of Hmsg.t  (** timestamp-propagation baseline traffic *)
+  | Ext of string
+      (** Opaque bytes for a component outside the system, such as
+          a comparison collector; delivered to {!Process.on_ext}.  The
+          sender writes them with its own [Net_codec] shape, whose
+          record names say whose message it is, and its reader
+          rejects anything else.  Carries no object references. *)
   | Batch of payload list
       (** Coalesced DGC control traffic: every payload queued for the
           same destination within one flush window travels as a single

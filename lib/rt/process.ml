@@ -44,8 +44,7 @@ and t = {
   pending_relays : (int, relay_queue) Hashtbl.t;
   mutable on_cdm : (Cdm.t -> unit) option;
   mutable on_cdm_delete : (Detection_id.t -> Ref_key.t list -> unit) option;
-  mutable on_bt : (src:Proc_id.t -> Btmsg.t -> unit) option;
-  mutable on_hughes : (src:Proc_id.t -> Hmsg.t -> unit) option;
+  mutable on_ext : (src:Proc_id.t -> string -> unit) option;
   mutable on_revive : (unit -> unit) list;
   mutable pstore : Pstore.t option;
 }
@@ -73,8 +72,7 @@ let create ~id ~rng =
     pending_relays = Hashtbl.create 8;
     on_cdm = None;
     on_cdm_delete = None;
-    on_bt = None;
-    on_hughes = None;
+    on_ext = None;
     on_revive = [];
     pstore = None;
   }

@@ -1,8 +1,8 @@
 (** One participant of the distributed system.
 
     A process bundles its heap, its DGC tables, the handler hooks
-    through which pluggable components (the cycle detector, the
-    back-tracing baseline) receive their traffic — and {e all} of its
+    through which pluggable components (the cycle detector, or a
+    comparison collector through {!Msg.Ext}) receive their traffic — and {e all} of its
     protocol kernel state: the ids it mints, the RMI calls and export
     handshakes it has in flight, the DGC batches it is coalescing.
     Nothing protocol-related is shared between processes; handling a
@@ -87,8 +87,9 @@ and t = {
   (* Detector hooks *)
   mutable on_cdm : (Cdm.t -> unit) option;
   mutable on_cdm_delete : (Detection_id.t -> Ref_key.t list -> unit) option;
-  mutable on_bt : (src:Proc_id.t -> Btmsg.t -> unit) option;
-  mutable on_hughes : (src:Proc_id.t -> Hmsg.t -> unit) option;
+  mutable on_ext : (src:Proc_id.t -> string -> unit) option;
+      (** receives {!Msg.Ext} bodies: the hook a component outside the
+          system (a comparison collector) attaches through *)
   mutable on_revive : (unit -> unit) list;
       (** fired (registration order) by {!Cluster.restart} when this
           process comes back from a crash; components caching derived

@@ -3,6 +3,9 @@
 open Adgc_algebra
 open Adgc_rt
 module Backtrack = Adgc_baseline.Backtrack
+module Btmsg = Adgc_baseline.Btmsg
+module Hmsg = Adgc_baseline.Hmsg
+module Net_codec = Adgc_serial.Net_codec
 module Summarize = Adgc_snapshot.Summarize
 module Topology = Adgc_workload.Topology
 module Stats = Adgc_util.Stats
@@ -131,6 +134,35 @@ let test_bt_scan () =
   settle h;
   check Alcotest.bool "verdicts arrive" true (Backtrack.verdicts h.bts.(0) <> [])
 
+(* Both comparators share [Msg.Ext]; each reader takes only its own
+   bodies, and an instance drops (and counts) anything else. *)
+let test_bodies_are_not_interchangeable () =
+  let bt =
+    Btmsg.Reply
+      {
+        trace = { Btmsg.initiator = Proc_id.of_int 0; seq = 1 };
+        subject = Ref_key.make ~src:(Proc_id.of_int 1) ~target:(Oid.make ~owner:(Proc_id.of_int 0) ~serial:2);
+        verdict = Btmsg.Rooted;
+      }
+  in
+  let bt_body = Net_codec.encode_shape Btmsg.emit bt in
+  let h_body = Net_codec.encode_shape Hmsg.emit (Hmsg.Threshold { value = 9 }) in
+  let rejects read body =
+    match Net_codec.Read.run read body with
+    | _ -> false
+    | exception Adgc_serial.Wire.Malformed _ -> true
+  in
+  check Alcotest.bool "back-tracing reader rejects a hughes body" true (rejects Btmsg.read h_body);
+  check Alcotest.bool "hughes reader rejects a back-tracing body" true (rejects Hmsg.read bt_body);
+  check Alcotest.bool "back-tracing reader reads its own" false (rejects Btmsg.read bt_body);
+  let h = mk ~n:2 () in
+  let rt = Cluster.rt h.cluster in
+  Runtime.send rt ~src:(Proc_id.of_int 1) ~dst:(Proc_id.of_int 0) (Msg.Ext h_body);
+  settle h;
+  check Alcotest.int "foreign body dropped and counted" 1
+    (Stats.get (Cluster.stats h.cluster) "bt.malformed");
+  check Alcotest.int "no verdict from it" 0 (List.length (Backtrack.verdicts h.bts.(0)))
+
 let suite =
   ( "baseline",
     [
@@ -142,4 +174,6 @@ let suite =
       Alcotest.test_case "bt: messages and state" `Quick test_bt_uses_messages_and_state;
       Alcotest.test_case "bt: timeout under loss" `Quick test_bt_timeout_under_loss;
       Alcotest.test_case "bt: scan" `Quick test_bt_scan;
+      Alcotest.test_case "ext bodies are not interchangeable" `Quick
+        test_bodies_are_not_interchangeable;
     ] )

@@ -176,13 +176,13 @@ let test_property_parity =
 
 let run_matrix_cell ~seed ~detector =
   let procs = 4 in
-  let config = { (Config.quick ~seed ~n_procs:procs ()) with Config.detector } in
+  let config = Detector_column.config detector (Config.quick ~seed ~n_procs:procs ()) in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let maintainers =
     match detector with
-    | Config.Dcda -> List.init procs (fun i -> Detector.candidates (Sim.detector sim i))
-    | _ -> List.init procs (fun i -> Candidates.attach ~stats:(Sim.stats sim) (Cluster.proc cluster i))
+    | Detector_column.Dcda -> List.init procs (fun i -> Detector.candidates (Sim.detector sim i))
+    | Detector_column.Backtrack -> List.init procs (fun i -> Candidates.attach ~stats:(Sim.stats sim) (Cluster.proc cluster i))
   in
   let _built =
     Adgc_workload.Topology.random cluster
@@ -191,10 +191,8 @@ let run_matrix_cell ~seed ~detector =
   in
   let churn = Adgc_workload.Churn.create ~cluster ~rng:(Rng.create (seed + 2)) () in
   Adgc_workload.Churn.run churn ~steps:150 ~every:31;
-  Sim.start sim;
-  let label =
-    Printf.sprintf "seed=%d %s" seed (match detector with Config.Dcda -> "dcda" | _ -> "backtrack")
-  in
+  ignore (Detector_column.start detector sim);
+  let label = Printf.sprintf "seed=%d %s" seed (Detector_column.name detector) in
   for _checkpoint = 1 to 8 do
     Sim.run_for sim 2_500;
     audit_all ~label maintainers
@@ -208,7 +206,7 @@ let run_matrix_cell ~seed ~detector =
 let test_matrix () =
   List.iter
     (fun seed ->
-      List.iter (fun detector -> run_matrix_cell ~seed ~detector) [ Config.Dcda; Config.Backtrack ])
+      List.iter (fun detector -> run_matrix_cell ~seed ~detector) Detector_column.all)
     [ 5; 23; 71 ]
 
 (* ------------------------------------------------------------------ *)

@@ -34,12 +34,6 @@ let fault_start = 4_000
 
 let fault_stop = 18_000
 
-let detector_name = function
-  | Config.Dcda -> "dcda"
-  | Config.Backtrack -> "backtrack"
-  | Config.Hughes_gc -> "hughes"
-  | Config.No_detector -> "none"
-
 let live_ring_intact cluster (built : Topology.built) =
   List.for_all
     (fun (_, (obj : Heap.obj)) ->
@@ -50,8 +44,8 @@ let live_ring_intact cluster (built : Topology.built) =
 let run_cell ~profile ~detector ~groups ~seed () =
   let n_procs = 4 in
   let faults = Faults.plan_of_profile ~start:fault_start ~stop:fault_stop ~n_procs profile in
-  let config = Config.quick ~seed ~n_procs () in
-  let config = Config.with_groups { config with Config.detector; faults } groups in
+  let config = Detector_column.config detector (Config.quick ~seed ~n_procs ()) in
+  let config = Config.with_groups { config with Config.faults } groups in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let oracle = Oracle.install ~window:500 cluster in
@@ -67,7 +61,7 @@ let run_cell ~profile ~detector ~groups ~seed () =
   (* 150 actions, one every 47 ticks: the workload quiesces (~7k)
      well before the faults do, so the liveness baseline is stable. *)
   Churn.run churn ~steps:150 ~every:47;
-  Sim.start sim;
+  ignore (Detector_column.start detector sim);
   Sim.run_for sim (fault_stop + 2_000);
   Oracle.assert_safe oracle;
   (match profile with
@@ -81,7 +75,7 @@ let run_cell ~profile ~detector ~groups ~seed () =
   | Oracle.Converged _ -> ()
   | Oracle.Stuck _ as l ->
       Alcotest.failf "liveness after %s/%s/seed%d: %a" (Faults.profile_name profile)
-        (detector_name detector) seed Oracle.pp_liveness l);
+        (Detector_column.name detector) seed Oracle.pp_liveness l);
   Oracle.stop oracle;
   Oracle.assert_safe oracle;
   if groups > 1 then
@@ -95,7 +89,7 @@ let run_cell ~profile ~detector ~groups ~seed () =
      stale-label resurrection regression: a restarted process that
      kept pre-crash labels would resurrect candidates for objects the
      crash already wiped. *)
-  if detector = Config.Dcda then begin
+  if detector = Detector_column.Dcda then begin
     let stats = Sim.stats sim in
     Alcotest.(check bool) "candidate audits ran" true (Stats.get stats "dcda.candidates.audits" > 0);
     check Alcotest.int "no candidate audit mismatch" 0
@@ -201,7 +195,9 @@ let suite =
      every fault regime), and the backtracking baseline. *)
   let columns =
     [
-      ("dcda", Config.Dcda, 0); ("dcda+groups", Config.Dcda, 2); ("backtrack", Config.Backtrack, 0);
+      ("dcda", Detector_column.Dcda, 0);
+      ("dcda+groups", Detector_column.Dcda, 2);
+      ("backtrack", Detector_column.Backtrack, 0);
     ]
   in
   let cells =

@@ -66,8 +66,7 @@ let surviving cluster =
 
 let run_leg ~seed ~detector ~groups =
   let n_procs = 8 in
-  let config = Config.quick ~seed ~n_procs () in
-  let config = { config with Config.detector } in
+  let config = Detector_column.config detector (Config.quick ~seed ~n_procs ()) in
   let config = Config.with_groups config groups in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
@@ -76,7 +75,7 @@ let run_leg ~seed ~detector ~groups =
       ~rng:(Rng.create (seed + 1))
       ~objects:120 ~edges:240 ~remote_prob:0.35 ~root_prob:0.15
   in
-  Sim.start sim;
+  ignore (Detector_column.start detector sim);
   let clean = Sim.run_until_clean ~max_time:900_000 sim in
   let s = surviving cluster in
   Sim.teardown sim;
@@ -100,12 +99,13 @@ let identity_cases =
       List.concat_map
         (fun seed ->
           List.map
-            (fun (dname, detector) ->
+            (fun detector ->
               Alcotest.test_case
-                (Printf.sprintf "flat == grouped%s: %s seed %d" gname dname seed)
+                (Printf.sprintf "flat == grouped%s: %s seed %d" gname
+                   (Detector_column.name detector) seed)
                 `Slow
                 (identity_cell ~seed ~detector ~groups))
-            [ ("dcda", Config.Dcda); ("backtrack", Config.Backtrack) ])
+            Detector_column.all)
         [ 5; 19; 33 ])
     [ ("", 3); (" by 4", 4) ]
 

@@ -93,15 +93,21 @@ let test_hughes_stamps_advance_for_live () =
   | Some a, Some b -> check Alcotest.bool "stamps refresh for live scions" true (b > a)
   | _ -> Alcotest.fail "stamps missing"
 
-let test_hughes_via_sim () =
-  let config = Adgc.Config.quick ~n_procs:3 () in
-  let config = { config with Adgc.Config.detector = Adgc.Config.Hughes_gc } in
+(* Hughes attaches from outside to a sim without a detector of its
+   own, and the sim's teardown stops its rounds. *)
+let test_hughes_on_plain_sim () =
+  let config = { (Adgc.Config.quick ~n_procs:3 ()) with Adgc.Config.detector = Adgc.Config.No_detector } in
   let sim = Adgc.Sim.create ~config () in
   let _built = Topology.ring (Adgc.Sim.cluster sim) ~procs:[ 0; 1; 2 ] in
   Adgc.Sim.start sim;
-  check Alcotest.bool "sim-driven hughes cleans" true
+  let _hughes = Hughes.install (Adgc.Sim.cluster sim) in
+  check Alcotest.bool "hughes cleans beside the acyclic collector" true
     (Adgc.Sim.run_until_clean ~max_time:300_000 sim);
-  Adgc.Sim.stop sim;
+  Adgc.Sim.teardown sim;
+  let rounds = Stats.get (Adgc.Sim.stats sim) "hughes.rounds" in
+  Adgc.Sim.run_for sim 5_000;
+  check Alcotest.int "teardown stopped the rounds" rounds
+    (Stats.get (Adgc.Sim.stats sim) "hughes.rounds");
   check Alcotest.int "no DCDA reports" 0 (List.length (Adgc.Sim.reports sim))
 
 let suite =
@@ -115,5 +121,5 @@ let suite =
         test_hughes_stalls_on_silent_process;
       Alcotest.test_case "DCDA control: no stall" `Quick test_dcda_does_not_stall_on_silent_process;
       Alcotest.test_case "live stamps keep advancing" `Quick test_hughes_stamps_advance_for_live;
-      Alcotest.test_case "hughes through Sim" `Quick test_hughes_via_sim;
+      Alcotest.test_case "hughes on a plain sim" `Quick test_hughes_on_plain_sim;
     ] )

@@ -42,9 +42,9 @@ let test_sim_no_detector_leaks () =
   Metrics.assert_safe checker
 
 let test_sim_backtrack_detector_cleans () =
-  let sim, checker = mk_sim ~detector:Config.Backtrack () in
+  let sim, checker = mk_sim ~detector:Config.No_detector () in
   let _built = Topology.ring (Sim.cluster sim) ~procs:[ 0; 1; 2 ] in
-  Sim.start sim;
+  ignore (Detector_column.start Detector_column.Backtrack sim);
   check Alcotest.bool "cleaned by baseline" true (Sim.run_until_clean ~max_time:300_000 sim);
   Metrics.assert_safe checker
 

@@ -4,9 +4,8 @@
    the {e same} gathered-state oracle ({!Gather.check}) applied to
    both drivers' final state.
 
-   Set ADGC_NET_SMOKE to trim to one seed and one detector (the CI
-   smoke configuration); the full matrix is 3 seeds x {dcda,
-   backtrack}. *)
+   Set ADGC_NET_SMOKE to trim to one seed (the CI smoke
+   configuration); the full matrix is 3 seeds of the DCDA. *)
 
 open Adgc_algebra
 module Sim = Adgc.Sim
@@ -21,8 +20,6 @@ let check = Alcotest.check
 let smoke = Sys.getenv_opt "ADGC_NET_SMOKE" <> None
 
 let seeds = if smoke then [ 11 ] else [ 11; 23; 47 ]
-
-let detectors = if smoke then [ Config.Dcda ] else [ Config.Dcda; Config.Backtrack ]
 
 let oid_set =
   Alcotest.testable
@@ -100,18 +97,10 @@ let conformance_case ?groups topology seed detector () =
   check Alcotest.bool "socket run ok" true (Coordinator.ok r)
 
 let matrix topology =
-  List.concat_map
+  List.map
     (fun seed ->
-      List.map
-        (fun detector ->
-          let name =
-            Printf.sprintf "%s seed=%d %s"
-              (Scenario.topology_to_string topology)
-              seed
-              (Scenario.detector_to_string detector)
-          in
-          Alcotest.test_case name `Slow (conformance_case topology seed detector))
-        detectors)
+      let name = Printf.sprintf "%s seed=%d dcda" (Scenario.topology_to_string topology) seed in
+      Alcotest.test_case name `Slow (conformance_case topology seed Config.Dcda))
     seeds
 
 let suite =

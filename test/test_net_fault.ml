@@ -14,13 +14,11 @@ let check = Alcotest.check
 
 let violations = Alcotest.list (Alcotest.testable Adgc_check.Invariant.pp ( = ))
 
-let kill_scenario ~detector =
+let run_kill_node () =
   (* Pairs: each garbage cycle spans exactly one pair of ranks, so
      killing rank 2 floats only its own pair's cycle and the other
      pairs must still be reclaimed by the survivors. *)
-  Scenario.make ~topology:Scenario.Pairs ~procs:6 ~seed:7 ~detector ()
-
-let run_kill_node scenario () =
+  let scenario = Scenario.make ~topology:Scenario.Pairs ~procs:6 ~seed:7 () in
   let opts =
     Coordinator.options ~tick_us:400 ~deadline_s:30.
       ~spawn:(Test_net_conformance.spawn ())
@@ -63,12 +61,6 @@ let test_drop_link_reconnects () =
 let suite =
   ( "net_fault",
     [
-      Alcotest.test_case "kill -9 a node mid-run" `Slow
-        (run_kill_node (kill_scenario ~detector:Adgc.Config.Dcda));
-      (* Same kill under the backtracking baseline: its per-rank
-         traces must also absorb the dead peer and still reclaim the
-         survivors' pairs. *)
-      Alcotest.test_case "kill -9 a node mid-run, backtrack" `Slow
-        (run_kill_node (kill_scenario ~detector:Adgc.Config.Backtrack));
+      Alcotest.test_case "kill -9 a node mid-run" `Slow run_kill_node;
       Alcotest.test_case "dropped link reconnects and replays" `Slow test_drop_link_reconnects;
     ] )

@@ -59,23 +59,21 @@ let sample_payloads : Msg.payload list =
           id = Detection_id.make ~initiator:(Proc_id.of_int 2) ~seq:9;
           scions = [ key 0 (oid 1 1); key 1 (oid 2 3) ];
         };
-      Msg.Bt
-        (Btmsg.Query
-           {
-             trace = { Btmsg.initiator = Proc_id.of_int 0; seq = 3 };
-             subject = key 1 (oid 0 2);
-             visited = [ key 0 (oid 1 1) ];
-           });
-      Msg.Bt
-        (Btmsg.Reply
-           {
-             trace = { Btmsg.initiator = Proc_id.of_int 0; seq = 3 };
-             subject = key 1 (oid 0 2);
-             verdict = Btmsg.Rooted;
-           });
-      Msg.Hughes (Hmsg.Stamp [ (oid 0 1, 12); (oid 1 2, 9) ]);
-      Msg.Hughes (Hmsg.Report { round_time = 400 });
-      Msg.Hughes (Hmsg.Threshold { value = 250 });
+      (* Comparator bodies are opaque bytes to the wire, binary or
+         empty included. *)
+      Msg.Ext
+        (Net_codec.encode_shape Adgc_baseline.Btmsg.emit
+           (Adgc_baseline.Btmsg.Query
+              {
+                trace = { Adgc_baseline.Btmsg.initiator = Proc_id.of_int 0; seq = 3 };
+                subject = key 1 (oid 0 2);
+                visited = [ key 0 (oid 1 1) ];
+              }));
+      Msg.Ext
+        (Net_codec.encode_shape Adgc_baseline.Hmsg.emit
+           (Adgc_baseline.Hmsg.Stamp [ (oid 0 1, 12); (oid 1 2, 9) ]));
+      Msg.Ext "\000\255\n";
+      Msg.Ext "";
     ]
   in
   flat @ [ Msg.Batch (List.filter (fun p -> Msg.payload_refs p = []) flat) ]

@@ -19,24 +19,20 @@ let run_once ?(groups = 0) ~seed ~detector ~faulty () =
   let faults =
     if faulty then Faults.plan_of_profile ~n_procs Faults.Loss_burst else Faults.none
   in
-  let config = Config.with_groups { config with Config.detector; faults; telemetry = true } groups in
+  let config = Detector_column.config detector config in
+  let config = Config.with_groups { config with Config.faults; telemetry = true } groups in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let _garbage = Topology.ring cluster ~procs:[ 0; 1; 2 ] in
   let _live = Topology.rooted_ring cluster ~procs:[ 3; 4 ] in
   let churn = Churn.create ~cluster ~rng:(Adgc_util.Rng.create ((seed * 7) + 1)) () in
   Churn.run churn ~steps:200 ~every:23;
-  Sim.start sim;
+  ignore (Detector_column.start detector sim);
   Sim.run_for sim 20_000;
   Sim.teardown sim;
   let metrics = Json.to_string (Export.metrics_document (Sim.stats sim)) in
   let digest = Export.span_digest (Sim.obs sim) in
   (metrics, digest)
-
-let detector_name = function
-  | Config.Dcda -> "dcda"
-  | Config.Backtrack -> "backtrack"
-  | Config.Hughes_gc | Config.No_detector -> "other"
 
 let test_replay_identical () =
   List.iter
@@ -46,7 +42,7 @@ let test_replay_identical () =
           List.iter
             (fun seed ->
               let label =
-                Printf.sprintf "%s/%s/seed=%d" (detector_name detector)
+                Printf.sprintf "%s/%s/seed=%d" (Detector_column.name detector)
                   (if faulty then "bursty" else "no-faults")
                   seed
               in
@@ -56,13 +52,13 @@ let test_replay_identical () =
               check Alcotest.string (label ^ ": span digest") d1 d2)
             [ 3; 17; 42 ])
         [ false; true ])
-    [ Config.Dcda; Config.Backtrack ]
+    Detector_column.all
 
 let test_seeds_actually_differ () =
   (* Guard against a trivially-constant export: different seeds must
      produce different runs. *)
-  let m1, _ = run_once ~seed:3 ~detector:Config.Dcda ~faulty:false () in
-  let m2, _ = run_once ~seed:17 ~detector:Config.Dcda ~faulty:false () in
+  let m1, _ = run_once ~seed:3 ~detector:Detector_column.Dcda ~faulty:false () in
+  let m2, _ = run_once ~seed:17 ~detector:Detector_column.Dcda ~faulty:false () in
   check Alcotest.bool "seeds produce distinct metrics" false (String.equal m1 m2)
 
 (* The relay overlay (two groups of 3) reroutes and batches control
@@ -77,11 +73,11 @@ let test_grouped_replay_identical () =
           let label =
             Printf.sprintf "grouped/%s/seed=%d" (if faulty then "bursty" else "no-faults") seed
           in
-          let m1, d1 = run_once ~groups:3 ~seed ~detector:Config.Dcda ~faulty () in
-          let m2, d2 = run_once ~groups:3 ~seed ~detector:Config.Dcda ~faulty () in
+          let m1, d1 = run_once ~groups:3 ~seed ~detector:Detector_column.Dcda ~faulty () in
+          let m2, d2 = run_once ~groups:3 ~seed ~detector:Detector_column.Dcda ~faulty () in
           check Alcotest.string (label ^ ": metrics JSON") m1 m2;
           check Alcotest.string (label ^ ": span digest") d1 d2;
-          let flat, _ = run_once ~seed ~detector:Config.Dcda ~faulty () in
+          let flat, _ = run_once ~seed ~detector:Detector_column.Dcda ~faulty () in
           check Alcotest.bool (label ^ ": differs from the flat run") false (String.equal m1 flat))
         [ 3; 17; 42 ])
     [ false; true ]

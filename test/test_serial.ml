@@ -258,6 +258,9 @@ let gen_cdm =
       (triple gen_detection_id gen_algebra gen_ref)
       (pair (int_bound 20) (int_bound 64)))
 
+module Btmsg = Adgc_baseline.Btmsg
+module Hmsg = Adgc_baseline.Hmsg
+
 let gen_bt =
   QCheck2.Gen.(
     let trace = map2 (fun initiator seq -> { Btmsg.initiator; seq }) gen_proc (int_bound 50) in
@@ -282,6 +285,16 @@ let gen_hughes =
         map (fun stamps -> Hmsg.Stamp stamps) (list_size (int_bound 4) (pair gen_oid (int_bound 100)));
         map (fun round_time -> Hmsg.Report { round_time }) (int_bound 10_000);
         map (fun value -> Hmsg.Threshold { value }) (int_bound 10_000);
+      ])
+
+(* An [Ext] body: a comparator's message, or any bytes at all. *)
+let gen_ext_body =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (Net_codec.encode_shape Btmsg.emit) gen_bt;
+        map (Net_codec.encode_shape Hmsg.emit) gen_hughes;
+        string_size (int_bound 12);
       ])
 
 let gen_flat_payload =
@@ -320,8 +333,7 @@ let gen_flat_payload =
           (fun id scions -> Msg.Cdm_delete { id; scions })
           gen_detection_id
           (list_size (int_bound 4) gen_ref);
-        map (fun bt -> Msg.Bt bt) gen_bt;
-        map (fun h -> Msg.Hughes h) gen_hughes;
+        map (fun body -> Msg.Ext body) gen_ext_body;
       ])
 
 let gen_payload =
@@ -363,12 +375,14 @@ let test_payload_generator_coverage () =
   let stub_sets =
     count (function Msg.New_set_stubs { targets; _ } -> not (Oid.Map.is_empty targets) | _ -> false)
   in
+  let ext = count (function Msg.Ext _ -> true | _ -> false) in
   let at_least what n =
     check Alcotest.bool (Printf.sprintf "%s (%d of 2000)" what n) true (n >= 20)
   in
   at_least "CDMs with a conflicting entry" conflicting;
   at_least "CDMs with a shared entry" shared;
-  at_least "non-empty stub sets" stub_sets
+  at_least "non-empty stub sets" stub_sets;
+  at_least "ext payloads" ext
 
 let payload_equal a b = Sval.equal (Ref.payload_sval a) (Ref.payload_sval b)
 
@@ -605,6 +619,37 @@ let packed_runs_rejected () =
   in
   accepted "a stub set" (msg (Msg.New_set_stubs { seqno = 5; targets }))
 
+(* An [Ext] body is a string field: opaque, but still length-checked
+   against the input like any other. *)
+let ext_rejected () =
+  let body = "opaque body" in
+  let ext = Sval.Record ("ext", [ ("body", Sval.Str body) ]) in
+  let str_bytes = Net_codec.encode (Sval.Str body) in
+  let cut bytes = String.sub bytes 0 (find_run bytes str_bytes + String.length str_bytes - 1) in
+  (* The body's one-byte length (a zigzag varint) claims 60 bytes. *)
+  let overlong bytes =
+    let at = find_run bytes str_bytes in
+    String.sub bytes 0 (at + 1)
+    ^ String.make 1 (Char.chr (2 * 60))
+    ^ String.sub bytes (at + 2) (String.length bytes - at - 2)
+  in
+  rejected ~patch:cut "ext: truncated body" (msg_with ext);
+  rejected ~patch:overlong "ext: body length past the input" (msg_with ext);
+  rejected "ext: extra field"
+    (msg_with (Sval.Record ("ext", [ ("body", Sval.Str body); ("extra", Sval.Unit) ])));
+  rejected "ext: body not a string" (msg_with (Sval.Record ("ext", [ ("body", Sval.Int 3) ])));
+  accepted "ext" (msg (Msg.Ext body));
+  accepted "ext carrying a back-tracing reply"
+    (msg
+       (Msg.Ext
+          (Net_codec.encode_shape Btmsg.emit
+             (Btmsg.Reply
+                {
+                  trace = { Btmsg.initiator = p0; seq = 1 };
+                  subject = Ref_key.make ~src:p1 ~target:(Oid.make ~owner:p0 ~serial:3);
+                  verdict = Btmsg.Cycle_back;
+                }))))
+
 let test_payload_decoder_rejects () =
   let none what payload = rejected what (msg_with payload) in
   let oid0 = Sval.List [ Sval.Int 0; Sval.Int 0 ] in
@@ -674,6 +719,7 @@ let test_payload_decoder_rejects () =
            ("payload", Sval.Record ("scion_probe", []));
          ] ));
   packed_runs_rejected ();
+  ext_rejected ();
   (* A valid batch of two control payloads decodes. *)
   accepted "batch"
     (msg
@@ -707,6 +753,13 @@ let qcheck_msg_wire_identity =
     (QCheck2.Test.make ~name:"msg shape = reference bytes and size" ~count:500 gen_msg (fun m ->
          same_bytes Msg.emit (Ref.msg_sval m) m
          && same_bytes Msg.emit_payload (Ref.payload_sval m.Msg.payload) m.Msg.payload))
+
+let qcheck_comparator_wire_identity =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"comparator body shapes = reference bytes" ~count:500
+       QCheck2.Gen.(pair gen_bt gen_hughes)
+       (fun (bt, h) ->
+         same_bytes Btmsg.emit (Ref.btmsg_sval bt) bt && same_bytes Hmsg.emit (Ref.hmsg_sval h) h))
 
 let qcheck_cdm_wire_identity =
   QCheck_alcotest.to_alcotest
@@ -1045,6 +1098,14 @@ let parity ~name gen emit read of_sval equal =
 
 let msg_parity = parity ~name:"msg" gen_msg Msg.emit Msg.read Ref.msg_of_sval msg_equal
 
+(* Each comparator's body reader, on its own bytes: every truncation
+   and corrupted byte is read as the tree path reads it. *)
+let comparator_parity =
+  parity ~name:"back-tracing body" gen_bt Btmsg.emit Btmsg.read Ref.btmsg_of_sval (fun a b ->
+      Sval.equal (Ref.btmsg_sval a) (Ref.btmsg_sval b))
+  @ parity ~name:"hughes body" gen_hughes Hmsg.emit Hmsg.read Ref.hmsg_of_sval (fun a b ->
+        Sval.equal (Ref.hmsg_sval a) (Ref.hmsg_sval b))
+
 let envelope_parity =
   parity ~name:"envelope" gen_envelope Envelope.emit Envelope.read Ref.envelope_of_sval
     envelope_equal
@@ -1179,6 +1240,7 @@ let suite =
       qcheck_corruption rotor "qcheck corrupted payload only Malformed (rotor)";
       qcheck_msg_wire_identity;
       qcheck_cdm_wire_identity;
+      qcheck_comparator_wire_identity;
       Alcotest.test_case "cdm sizing allocation is flat in the algebra" `Quick
         test_cdm_size_allocation_is_flat;
       qcheck_summary_wire_identity;
@@ -1191,4 +1253,4 @@ let suite =
       qcheck_envelope_wire_identity;
       qcheck_stream_wire_identity;
     ]
-    @ msg_parity @ envelope_parity )
+    @ msg_parity @ comparator_parity @ envelope_parity )

@@ -22,13 +22,9 @@ let check = Alcotest.check
 let test_accessor_mismatch_raises () =
   let sim = Sim.create ~config:(Config.quick ()) () in
   ignore (Sim.detector sim 0 : Adgc_dcda.Detector.t);
-  Alcotest.check_raises "backtracker on dcda sim"
-    (Invalid_argument "Sim.backtracker: not running the baseline") (fun () ->
-      ignore (Sim.backtracker sim 0));
-  let config = { (Config.quick ()) with Config.detector = Config.Backtrack } in
+  let config = { (Config.quick ()) with Config.detector = Config.No_detector } in
   let sim = Sim.create ~config () in
-  ignore (Sim.backtracker sim 0 : Adgc_baseline.Backtrack.t);
-  Alcotest.check_raises "detector on backtrack sim"
+  Alcotest.check_raises "detector on a sim without one"
     (Invalid_argument "Sim.detector: not running the DCDA") (fun () ->
       ignore (Sim.detector sim 0))
 
@@ -98,9 +94,7 @@ let test_pp_coverage () =
   let cdm = Cdm.make ~id ~algebra:alg ~frontier:key ~hops:2 ~budget:8 in
   let s = Format.asprintf "%a" Cdm.pp cdm in
   check Alcotest.bool "cdm pp mentions id" true
-    (Astring_contains.contains s "D9@P1");
-  ignore (Format.asprintf "%a" Btmsg.pp (Btmsg.Query { trace = { Btmsg.initiator = Proc_id.of_int 0; seq = 1 }; subject = key; visited = [] }) : string);
-  ignore (Format.asprintf "%a" Hmsg.pp (Hmsg.Threshold { value = 5 }) : string)
+    (Astring_contains.contains s "D9@P1")
 
 let test_report_span () =
   let oid p s = Oid.make ~owner:(Proc_id.of_int p) ~serial:s in
@@ -219,17 +213,17 @@ let test_clean_poll_stays_correct () =
    plain loops in process order, so interleaving them with the
    periodic timers must stay a pure function of the seed. *)
 
-let bulk_round_life config =
-  let sim = Sim.create ~config () in
+let bulk_round_life detector config =
+  let sim = Sim.create ~config:(Detector_column.config detector config) () in
   let cluster = Sim.cluster sim in
   let _garbage = Topology.ring cluster ~procs:[ 0; 1; 2 ] in
   let _live = Topology.rooted_ring cluster ~procs:[ 2; 3; 4; 5 ] in
   let _deep = Topology.chain_into_ring cluster ~procs:[ 1; 3; 5 ] in
-  Sim.start sim;
+  let bts = Detector_column.start detector sim in
   for _ = 1 to 4 do
     Sim.run_for sim 1_500;
     Sim.snapshot_all sim;
-    ignore (Sim.scan_all sim : int);
+    ignore (Detector_column.scan_all sim bts : int);
     Sim.run_gc_cycle sim
   done;
   Sim.teardown sim;
@@ -238,7 +232,7 @@ let bulk_round_life config =
 
 let test_bulk_rounds_replay () =
   List.iter
-    (fun (det_name, detector) ->
+    (fun detector ->
       List.iter
         (fun (fault_name, faulty) ->
           List.iter
@@ -250,16 +244,18 @@ let test_bulk_rounds_replay () =
                     Faults.plan_of_profile ~start:1_000 ~stop:4_000 ~n_procs:6 Faults.Loss_burst
                   else Faults.none
                 in
-                { c with Config.detector; faults }
+                { c with Config.faults }
               in
-              let case = Printf.sprintf "%s/%s/seed%d" det_name fault_name seed in
-              let m1, d1 = bulk_round_life (config ()) in
-              let m2, d2 = bulk_round_life (config ()) in
+              let case =
+                Printf.sprintf "%s/%s/seed%d" (Detector_column.name detector) fault_name seed
+              in
+              let m1, d1 = bulk_round_life detector (config ()) in
+              let m2, d2 = bulk_round_life detector (config ()) in
               check Alcotest.string (case ^ ": metrics document") m1 m2;
               check Alcotest.string (case ^ ": span digest") d1 d2)
             [ 7; 21 ])
         [ ("clean", false); ("loss-burst", true) ])
-    [ ("dcda", Config.Dcda); ("backtrack", Config.Backtrack) ]
+    Detector_column.all
 
 let test_snapshot_all_publishes_each () =
   let n_procs = 4 in

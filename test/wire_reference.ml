@@ -160,7 +160,10 @@ let cdm_of_sval = function
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Baseline detectors' payloads *)
+(* The comparators' payloads: the bodies of a [Msg.Ext] *)
+
+module Btmsg = Adgc_baseline.Btmsg
+module Hmsg = Adgc_baseline.Hmsg
 
 let bt_ref_sval (k : Ref_key.t) =
   Sval.List
@@ -313,8 +316,7 @@ let rec payload_sval = function
             ("seq", Sval.Int id.Detection_id.seq);
             ("scions", Sval.List (List.map ref_sval scions));
           ] )
-  | Msg.Bt bt -> btmsg_sval bt
-  | Msg.Hughes h -> hmsg_sval h
+  | Msg.Ext body -> Sval.Record ("ext", [ ("body", Sval.Str body) ])
   | Msg.Batch payloads ->
       Sval.Record ("batch", [ ("msgs", Sval.List (List.map payload_sval payloads)) ])
   | Msg.Group_fwd { orig_src; inner } ->
@@ -401,10 +403,7 @@ let rec payload_of_sval sval =
           Msg.Cdm_delete
             { id = Detection_id.make ~initiator:(Proc_id.of_int initiator) ~seq; scions })
         (all_of key_of_sval scions)
-  | Sval.Record (("bt_query" | "bt_reply"), _) ->
-      Option.map (fun bt -> Msg.Bt bt) (btmsg_of_sval sval)
-  | Sval.Record (("h_stamp" | "h_report" | "h_threshold"), _) ->
-      Option.map (fun h -> Msg.Hughes h) (hmsg_of_sval sval)
+  | Sval.Record ("ext", [ ("body", Sval.Str body) ]) -> Some (Msg.Ext body)
   | Sval.Record ("batch", [ ("msgs", Sval.List payloads) ]) ->
       (* Batches are never nested and the group wrappers are flat; nor
          does a batch carry references. *)
