@@ -273,7 +273,6 @@ let attach ?(timeout = 50_000) rt proc =
   t
 
 let install ?timeout ~idle_threshold sim =
-  Adgc.Sim.start sim;
   let rt = Adgc.Sim.rt sim in
   let bts = Array.map (attach ?timeout rt) rt.Runtime.procs in
   Adgc_snapshot.Snapshot_store.subscribe (Adgc.Sim.store sim) (fun summary ->

@@ -36,11 +36,11 @@ val attach : ?timeout:int -> Adgc_rt.Runtime.t -> Adgc_rt.Process.t -> t
 
 val install : ?timeout:int -> idle_threshold:int -> Adgc.Sim.t -> t array
 (** Run back-tracing as a sim's cycle detector, in place of the
-    DCDA: {!Adgc.Sim.start} (a no-op if already started), {!attach}
-    to every process, feed each instance its process's published
-    summaries, and add one [scan] lane with the policy's
-    [scan_period] through {!Adgc.Kernel.start}, after the sim's own
-    lanes, so {!Adgc.Sim.stop} and teardown cancel it.  Meant for a
+    DCDA: {!attach} to every process, feed each instance its
+    process's published summaries, and add one [scan] lane with the
+    policy's [scan_period] through {!Adgc.Kernel.start}, so
+    {!Adgc.Sim.stop} and teardown cancel it.  {!Adgc.Sim.start}
+    installs the sim's own duties, before or after this.  Meant for a
     sim configured with [No_detector]. *)
 
 val set_summary : t -> Adgc_snapshot.Summary.t -> unit

@@ -16,14 +16,6 @@ type reply = { trace : trace_id; subject : Ref_key.t; verdict : verdict }
 
 type t = Query of query | Reply of reply
 
-let n_bt_query = N.Name.v "bt_query"
-let n_bt_reply = N.Name.v "bt_reply"
-let n_initiator = N.Name.v "initiator"
-let n_seq = N.Name.v "seq"
-let n_subject = N.Name.v "subject"
-let n_visited = N.Name.v "visited"
-let n_verdict = N.Name.v "verdict"
-
 (* A reference travels flat, as [src; owner; serial]. *)
 let emit_ref s (k : Ref_key.t) =
   N.list s 3;
@@ -31,24 +23,23 @@ let emit_ref s (k : Ref_key.t) =
   N.int s (Proc_id.to_int (Oid.owner k.target));
   N.int s k.target.Oid.serial
 
-let emit_head s name (trace : trace_id) subject =
-  N.record s name 4;
-  N.field s n_initiator;
+(* Both cases are four fields: the trace, the subject, then the
+   visited list or the verdict. *)
+let arities = [| 4; 4 |]
+
+let emit_head s i (trace : trace_id) subject =
+  N.variant s i arities.(i);
   N.int s (Proc_id.to_int trace.initiator);
-  N.field s n_seq;
   N.int s trace.seq;
-  N.field s n_subject;
   emit_ref s subject
 
 let emit s = function
   | Query q ->
-      emit_head s n_bt_query q.trace q.subject;
-      N.field s n_visited;
+      emit_head s 0 q.trace q.subject;
       N.list s (List.length q.visited);
       List.iter (emit_ref s) q.visited
   | Reply r ->
-      emit_head s n_bt_reply r.trace r.subject;
-      N.field s n_verdict;
+      emit_head s 1 r.trace r.subject;
       N.bool s (match r.verdict with Rooted -> true | Cycle_back -> false)
 
 let read_ref r =
@@ -59,25 +50,18 @@ let read_ref r =
   if src < 0 || owner < 0 || serial < 0 then R.fail r "negative id";
   Ref_key.make ~src:(Proc_id.of_int src) ~target:(Oid.make ~owner:(Proc_id.of_int owner) ~serial)
 
-let cases = [| (n_bt_query, 4); (n_bt_reply, 4) |]
-
 let read r =
-  let i = R.variant r cases in
-  R.field r n_initiator;
+  let i = R.variant r arities in
   let initiator = R.int r in
-  R.field r n_seq;
   let seq = R.int r in
-  R.field r n_subject;
   let subject = read_ref r in
   if initiator < 0 then R.fail r "negative id";
   let trace = { initiator = Proc_id.of_int initiator; seq } in
   if i = 0 then begin
-    R.field r n_visited;
     let visited = List.init (R.list r) (fun _ -> read_ref r) in
     Query { trace; subject; visited }
   end
   else begin
-    R.field r n_verdict;
     let verdict = if R.bool r then Rooted else Cycle_back in
     Reply { trace; subject; verdict }
   end

@@ -32,5 +32,5 @@ val emit : t Adgc_serial.Net_codec.shape
 
 val read : Adgc_serial.Net_codec.Read.t -> t
 (** Reads {!emit}'s bytes back.  Anything else — another
-    comparator's body, a negative id, a missing or extra field — is
-    malformed. *)
+    comparator's body (whose cases have another arity), a negative id,
+    a missing or extra field — is malformed. *)

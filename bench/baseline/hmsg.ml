@@ -7,18 +7,12 @@ type t =
   | Report of { round_time : int }
   | Threshold of { value : int }
 
-let n_h_stamp = N.Name.v "h_stamp"
-let n_h_report = N.Name.v "h_report"
-let n_h_threshold = N.Name.v "h_threshold"
-let n_stamps = N.Name.v "stamps"
-let n_round_time = N.Name.v "round_time"
-let n_value = N.Name.v "value"
+let arities = [| 1; 1; 1 |]
 
 (* A stamp travels flat, as [owner; serial; stamp]. *)
 let emit s = function
   | Stamp stamps ->
-      N.record s n_h_stamp 1;
-      N.field s n_stamps;
+      N.variant s 0 1;
       N.list s (List.length stamps);
       List.iter
         (fun ((o : Oid.t), stamp) ->
@@ -28,15 +22,11 @@ let emit s = function
           N.int s stamp)
         stamps
   | Report { round_time } ->
-      N.record s n_h_report 1;
-      N.field s n_round_time;
+      N.variant s 1 1;
       N.int s round_time
   | Threshold { value } ->
-      N.record s n_h_threshold 1;
-      N.field s n_value;
+      N.variant s 2 1;
       N.int s value
-
-let cases = [| (n_h_stamp, 1); (n_h_report, 1); (n_h_threshold, 1) |]
 
 let read_stamp r =
   if R.list r <> 3 then R.fail r "bad stamp";
@@ -47,13 +37,7 @@ let read_stamp r =
   (Oid.make ~owner:(Proc_id.of_int owner) ~serial, stamp)
 
 let read r =
-  match R.variant r cases with
-  | 0 ->
-      R.field r n_stamps;
-      Stamp (List.init (R.list r) (fun _ -> read_stamp r))
-  | 1 ->
-      R.field r n_round_time;
-      Report { round_time = R.int r }
-  | _ ->
-      R.field r n_value;
-      Threshold { value = R.int r }
+  match R.variant r arities with
+  | 0 -> Stamp (List.init (R.list r) (fun _ -> read_stamp r))
+  | 1 -> Report { round_time = R.int r }
+  | _ -> Threshold { value = R.int r }

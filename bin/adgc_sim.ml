@@ -73,6 +73,7 @@ let run_cmd topology procs seed loss detector groups time churn_steps objects ed
   let config = { config with Config.detector; faults; telemetry } in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
+  if trace_topics <> [] then Trace.set_enabled (Sim.trace sim) true;
   let checker = Metrics.install_safety_checker cluster in
   let oracle = Oracle.install cluster in
   let _built = Net_scenario.build_topology scenario cluster in
@@ -339,6 +340,7 @@ let trace_cmd topology seed format out =
     { config with Config.telemetry = (match format with Text -> false | Chrome | Jsonl -> true) }
   in
   let sim = Sim.create ~config () in
+  Trace.set_enabled (Sim.trace sim) true;
   let cluster = Sim.cluster sim in
   let built =
     Net_scenario.build_topology (Net_scenario.make ~topology ~seed ~objects:0 ~edges:0 ()) cluster

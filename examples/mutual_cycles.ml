@@ -21,6 +21,8 @@ open Adgc_workload
 let () =
   let config = Config.quick ~n_procs:6 () in
   let sim = Sim.create ~config () in
+  (* The event trace is off until someone reads it, as here. *)
+  Trace.set_enabled (Sim.trace sim) true;
   let cluster = Sim.cluster sim in
   let built = Topology.fig4 cluster in
 

@@ -27,20 +27,17 @@ val make :
 val dest : t -> Proc_id.t
 (** The owner of the frontier's target object. *)
 
+val arity : int
+(** The number of values {!emit} writes.  They are a record's fields:
+    the record or case header is the carrier's to write, so a message
+    payload spends one header on a CDM. *)
+
 val emit : t Adgc_serial.Net_codec.shape
-(** Wire representation; its encoded size is what the message-size
-    statistics report. *)
+(** Wire representation, without a header; its encoded size is what
+    the message-size statistics report. *)
 
 val read : Adgc_serial.Net_codec.Read.t -> t
 (** Reads {!emit}'s bytes back; a negative id, hop count or budget is
     malformed. *)
-
-val cases : (Adgc_serial.Net_codec.Name.t * int) array
-(** The record headers {!emit} writes, for {!Adgc_serial.Net_codec.Read.variant}. *)
-
-val read_case : Adgc_serial.Net_codec.Read.t -> int -> t
-(** [read r = read_case r (Read.variant r cases)]: the rest of the
-    record once its header is read — how {!Adgc_rt.Msg} reads a
-    payload that may be this type. *)
 
 val pp : Format.formatter -> t -> unit

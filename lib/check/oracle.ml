@@ -65,6 +65,7 @@ let stop t =
   end
 
 let install ?(window = 500) cluster =
+  Trace.set_enabled (Cluster.trace cluster) true;
   let t = { cluster; events = []; first_report = None; handle = None; stopped = false } in
   let rt = Cluster.rt cluster in
   let previous = rt.Runtime.on_pre_sweep in

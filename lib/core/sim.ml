@@ -8,6 +8,7 @@ type t = {
   cluster : Cluster.t;
   store : Snapshot_store.t;
   detectors : Detector.t array;  (* one per process; empty under [No_detector] *)
+  mutable duties : bool;  (* [start] installed the duty table and no [stop] followed *)
 }
 
 let create ?config () =
@@ -31,7 +32,7 @@ let create ?config () =
         arr
     | Config.No_detector -> [||]
   in
-  { config; cluster; store; detectors }
+  { config; cluster; store; detectors; duties = false }
 
 let config t = t.config
 
@@ -62,10 +63,14 @@ let kernel_ctx t = { Kernel.rt = rt t; store = t.store; detectors = t.detectors 
 let scan_all t = Array.fold_left (fun acc d -> acc + Detector.scan d) 0 t.detectors
 
 let start t =
-  if not (Cluster.gc_running t.cluster) then
+  if not t.duties then begin
+    t.duties <- true;
     Kernel.start t.cluster (Kernel.schedule (kernel_ctx t) ~policy:t.config.Config.policy)
+  end
 
-let stop t = Cluster.stop_gc t.cluster
+let stop t =
+  t.duties <- false;
+  Cluster.stop_gc t.cluster
 
 let teardown t =
   stop t;

@@ -43,9 +43,13 @@ val lineage : t -> Adgc_obs.Lineage.t
 
 val start : t -> unit
 (** Install the duty table ({!Kernel.schedule}) over every process.
-    A no-op while any duty lane is registered. *)
+    A no-op while this sim's duty table is installed (from [start] to
+    {!stop}); lanes another component registered, before or after,
+    neither suppress nor count as it. *)
 
 val stop : t -> unit
+(** Cancel every duty lane on the cluster, this sim's and any other
+    component's; a later {!start} installs the duty table again. *)
 
 val teardown : t -> unit
 (** [stop] plus {!Adgc_rt.Cluster.teardown}: detaches every

@@ -40,94 +40,62 @@ let index = function
   | Shutdown -> 9
   | Bye -> 10
 
-(* Each constructor's kind, which also names its record, and its
-   field count. *)
+(* Each constructor's kind and its field count, in constructor
+   order: the case header {!emit} writes. *)
 let headers =
   [| ("hello", 3); ("start", 0); ("heartbeat", 1); ("net_msg", 1); ("status_req", 0); ("status", 7);
      ("state_req", 0); ("state", 1); ("drop_peer", 1); ("shutdown", 0); ("bye", 0) |]
 
 let kind t = fst headers.(index t)
 
-let cases = Array.map (fun (kind, fields) -> (N.Name.v kind, fields)) headers
-
-let n_rank = N.Name.v "rank"
-let n_procs = N.Name.v "procs"
-let n_seed = N.Name.v "seed"
-let n_tick = N.Name.v "tick"
-let n_msg = N.Name.v "msg"
-let n_ready = N.Name.v "ready"
-let n_reclaimed = N.Name.v "reclaimed"
-let n_wire_sent = N.Name.v "wire_sent"
-let n_wire_received = N.Name.v "wire_received"
-let n_dup_ignored = N.Name.v "dup_ignored"
-let n_node = N.Name.v "node"
-
-let emit_int s name v =
-  N.field s name;
-  N.int s v
+let arities = Array.map snd headers
 
 let emit s t =
-  let name, fields = cases.(index t) in
-  N.record s name fields;
+  let i = index t in
+  N.variant s i arities.(i);
   match t with
   | Hello { rank; procs; seed } ->
-      emit_int s n_rank rank;
-      emit_int s n_procs procs;
-      emit_int s n_seed seed
-  | Heartbeat { tick } -> emit_int s n_tick tick
-  | Net_msg m ->
-      N.field s n_msg;
-      Msg.emit s m
+      N.int s rank;
+      N.int s procs;
+      N.int s seed
+  | Heartbeat { tick } -> N.int s tick
+  | Net_msg m -> Msg.emit s m
   | Status st ->
-      emit_int s n_rank st.st_rank;
-      emit_int s n_tick st.st_tick;
-      N.field s n_ready;
+      N.int s st.st_rank;
+      N.int s st.st_tick;
       N.bool s st.st_ready;
-      N.field s n_reclaimed;
       N.list s (List.length st.st_reclaimed);
       List.iter (Oid.emit s) st.st_reclaimed;
-      emit_int s n_wire_sent st.st_wire_sent;
-      emit_int s n_wire_received st.st_wire_received;
-      emit_int s n_dup_ignored st.st_dup_ignored
-  | State ns ->
-      N.field s n_node;
-      Gather.emit s ns
-  | Drop_peer rank -> emit_int s n_rank rank
+      N.int s st.st_wire_sent;
+      N.int s st.st_wire_received;
+      N.int s st.st_dup_ignored
+  | State ns -> Gather.emit s ns
+  | Drop_peer rank -> N.int s rank
   | Start | Status_req | State_req | Shutdown | Bye -> ()
 
-let read_int r name =
-  R.field r name;
-  R.int r
-
 let read r =
-  match R.variant r cases with
+  match R.variant r arities with
   | 0 ->
-      let rank = read_int r n_rank in
-      let procs = read_int r n_procs in
-      let seed = read_int r n_seed in
+      let rank = R.int r in
+      let procs = R.int r in
+      let seed = R.int r in
       Hello { rank; procs; seed }
   | 1 -> Start
-  | 2 -> Heartbeat { tick = read_int r n_tick }
-  | 3 ->
-      R.field r n_msg;
-      Net_msg (Msg.read r)
+  | 2 -> Heartbeat { tick = R.int r }
+  | 3 -> Net_msg (Msg.read r)
   | 4 -> Status_req
   | 5 ->
-      let st_rank = read_int r n_rank in
-      let st_tick = read_int r n_tick in
-      R.field r n_ready;
+      let st_rank = R.int r in
+      let st_tick = R.int r in
       let st_ready = R.bool r in
-      R.field r n_reclaimed;
       let st_reclaimed = List.init (R.list r) (fun _ -> Oid.read r) in
-      let st_wire_sent = read_int r n_wire_sent in
-      let st_wire_received = read_int r n_wire_received in
-      let st_dup_ignored = read_int r n_dup_ignored in
+      let st_wire_sent = R.int r in
+      let st_wire_received = R.int r in
+      let st_dup_ignored = R.int r in
       Status
         { st_rank; st_tick; st_ready; st_reclaimed; st_wire_sent; st_wire_received; st_dup_ignored }
   | 6 -> State_req
-  | 7 ->
-      R.field r n_node;
-      State (Gather.read r)
-  | 8 -> Drop_peer (read_int r n_rank)
+  | 7 -> State (Gather.read r)
+  | 8 -> Drop_peer (R.int r)
   | 9 -> Shutdown
   | _ -> Bye

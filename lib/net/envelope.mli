@@ -8,11 +8,10 @@
     and state gathering.
 
     The wire form is one shape, {!emit}, and its direct reader,
-    {!read}, both over {!Adgc_serial.Net_codec}.  {!Transport} runs
-    them through {!Adgc_serial.Net_codec.Stream}, whose {e
-    per-connection} interning sends each record and field name once
-    per connection — which is what the two-frame shrink test in
-    [test_serial.ml] pins down. *)
+    {!read}, both over {!Adgc_serial.Net_codec}: case {!kind}'s index
+    and arity, then its fields.  A [Net_msg] frame is that three-byte
+    header followed by exactly the {!Adgc_rt.Msg.emit} bytes the
+    simulator charges the message. *)
 
 type status = {
   st_rank : int;

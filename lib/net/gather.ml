@@ -55,26 +55,15 @@ let capture ~rt ~rank ~tick ~reclaimed =
 (* Wire representation.  Same id conventions as Msg's: an oid is
    [owner; serial], a ref key is [src; oid]. *)
 
-let n_node_state = N.Name.v "node_state"
-let n_rank = N.Name.v "rank"
-let n_tick = N.Name.v "tick"
-let n_objects = N.Name.v "objects"
-let n_stubs = N.Name.v "stubs"
-let n_scions = N.Name.v "scions"
-let n_reclaimed = N.Name.v "reclaimed"
-let n_counters = N.Name.v "counters"
 
 let emit_list s f l =
   N.list s (List.length l);
   List.iter (f s) l
 
 let emit s t =
-  N.record s n_node_state 7;
-  N.field s n_rank;
+  N.record s 7;
   N.int s t.rank;
-  N.field s n_tick;
   N.int s t.tick;
-  N.field s n_objects;
   emit_list s
     (fun s o ->
       N.list s 3;
@@ -82,14 +71,12 @@ let emit s t =
       emit_list s Oid.emit o.refs;
       N.bool s o.rooted)
     t.objects;
-  N.field s n_stubs;
   emit_list s
     (fun s st ->
       N.list s 2;
       Oid.emit s st.target;
       N.int s st.stub_ic)
     t.stubs;
-  N.field s n_scions;
   emit_list s
     (fun s sc ->
       N.list s 3;
@@ -97,9 +84,7 @@ let emit s t =
       N.int s sc.scion_ic;
       N.bool s sc.confirmed)
     t.scions;
-  N.field s n_reclaimed;
   emit_list s Oid.emit t.reclaimed;
-  N.field s n_counters;
   emit_list s
     (fun s (k, v) ->
       N.list s 2;
@@ -113,12 +98,9 @@ let read_list r f = List.init (R.list r) (fun _ -> f r)
 let tuple r k = if R.list r <> k then R.fail r "bad tuple"
 
 let read r =
-  R.record r n_node_state 7;
-  R.field r n_rank;
+  R.record r 7;
   let rank = R.int r in
-  R.field r n_tick;
   let tick = R.int r in
-  R.field r n_objects;
   let objects =
     read_list r (fun r ->
         tuple r 3;
@@ -126,14 +108,12 @@ let read r =
         let refs = read_list r Oid.read in
         { oid; refs; rooted = R.bool r })
   in
-  R.field r n_stubs;
   let stubs =
     read_list r (fun r ->
         tuple r 2;
         let target = Oid.read r in
         { target; stub_ic = R.int r })
   in
-  R.field r n_scions;
   let scions =
     read_list r (fun r ->
         tuple r 3;
@@ -141,9 +121,7 @@ let read r =
         let scion_ic = R.int r in
         { key; scion_ic; confirmed = R.bool r })
   in
-  R.field r n_reclaimed;
   let reclaimed = read_list r Oid.read in
-  R.field r n_counters;
   let counters =
     read_list r (fun r ->
         tuple r 2;

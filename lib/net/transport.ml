@@ -27,8 +27,6 @@ let sockaddr = function
 
 type conn = {
   sock : Unix.file_descr;
-  enc : Net_codec.Stream.writer;
-  dec : Net_codec.Stream.reader;
   frames : Frame.decoder;
   backlog : Buffer.t;  (* bytes accepted by [send] but not yet by the kernel *)
   mutable backlog_off : int;
@@ -43,8 +41,6 @@ let of_fd sock =
   (try Unix.setsockopt sock Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   {
     sock;
-    enc = Net_codec.Stream.writer ();
-    dec = Net_codec.Stream.reader ();
     frames = Frame.decoder ();
     backlog = Buffer.create 4096;
     backlog_off = 0;
@@ -102,7 +98,7 @@ let want_write t = t.alive && t.backlog_off < Buffer.length t.backlog
 
 let send t env =
   if t.alive then begin
-    let payload = Net_codec.Stream.encode t.enc Envelope.emit env in
+    let payload = Net_codec.encode_shape Envelope.emit env in
     Buffer.add_string t.backlog (Frame.encode payload);
     t.sent_frames <- t.sent_frames + 1;
     flush t
@@ -128,7 +124,7 @@ let recv t =
          match Frame.next t.frames with
          | None -> ()
          | Some payload ->
-             let env = Net_codec.Stream.read t.dec Envelope.read payload in
+             let env = Net_codec.Read.run Envelope.read payload in
              t.received_frames <- t.received_frames + 1;
              out := env :: !out;
              drain ()

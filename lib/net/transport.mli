@@ -1,15 +1,17 @@
 (** Socket plumbing for the multi-process driver.
 
-    One {!conn} per peer: a nonblocking socket with a per-connection
-    codec ({!Adgc_serial.Net_codec.Stream} interning in both
-    directions), an incremental {!Frame} decoder on the read side and
-    a byte backlog on the write side.  Everything here is
+    One {!conn} per peer: a nonblocking socket, an incremental
+    {!Frame} decoder on the read side and a byte backlog on the write
+    side.  A frame holds one {!Envelope.emit} value, encoded on its
+    own ({!Adgc_serial.Net_codec.encode_shape}) and read back with
+    {!Adgc_serial.Net_codec.Read.run}: no codec state outlives a
+    frame, so the bytes a protocol message costs on a socket are the
+    bytes the simulator charges it, plus the envelope's case header.  Everything here is
     single-threaded and [Unix.select]-driven — calls never block.
 
     Failure model: any read/write error, EOF, or malformed frame marks
     the connection {e dead}; it is never half-usable.  Reconnecting
-    means a fresh [conn] — interning tables are connection-scoped, so
-    codec state can never straddle a reconnect. *)
+    means a fresh [conn]. *)
 
 type addr = Unix_sock of string | Tcp of string * int
 
@@ -23,8 +25,7 @@ val pp_addr : Format.formatter -> addr -> unit
 type conn
 
 val of_fd : Unix.file_descr -> conn
-(** Adopt an accepted or connected socket: set it nonblocking and
-    attach fresh codec state. *)
+(** Adopt an accepted or connected socket and set it nonblocking. *)
 
 val fd : conn -> Unix.file_descr
 
@@ -48,8 +49,8 @@ val want_write : conn -> bool
 val recv : conn -> Envelope.t list
 (** Drain readable bytes and return every complete envelope, in order.
     Returns [[]] when nothing is pending.  EOF, a malformed frame or
-    an undecodable envelope kills the connection (frames after the
-    damage are unrecoverable — interning is stateful). *)
+    an undecodable envelope kills the connection: a peer that sent
+    one is not trusted with the next. *)
 
 val sent_frames : conn -> int
 

@@ -62,6 +62,7 @@ let create ?(seed = 42) ?config ?net_config ?(faults = Faults.none) ?trace_capac
   let sched = Scheduler.create () in
   let stats = Stats.create () in
   let trace = Trace.create ?capacity:trace_capacity () in
+  Trace.set_enabled trace false;
   let obs = Span.create ?capacity:span_capacity () in
   let lineage = Lineage.create () in
   Span.set_enabled obs telemetry;
@@ -123,8 +124,6 @@ let add_lanes t lanes = t.gc_lanes <- t.gc_lanes @ lanes
 let stop_gc t =
   List.iter Scheduler.cancel_lane t.gc_lanes;
   t.gc_lanes <- []
-
-let gc_running t = t.gc_lanes <> []
 
 let at_teardown t hook = t.teardown_hooks <- hook :: t.teardown_hooks
 

@@ -34,6 +34,10 @@ val net : t -> Network.t
 val stats : t -> Adgc_util.Stats.t
 
 val trace : t -> Adgc_util.Trace.t
+(** The event ring {!Runtime.log} writes to.  Disabled at creation, so
+    a log line costs one branch and nothing is kept; a component that
+    reads the trace enables it ({!Adgc_check.Oracle.install}, and the
+    CLI's [run --trace] and [trace]). *)
 
 val obs : t -> Adgc_obs.Span.t
 
@@ -63,9 +67,6 @@ val add_lanes : t -> Scheduler.lane list -> unit
 
 val stop_gc : t -> unit
 (** Cancel every registered duty lane. *)
-
-val gc_running : t -> bool
-(** Whether any duty lane is registered. *)
 
 (** {1 Teardown} *)
 

@@ -77,39 +77,10 @@ let rec live_refs = function
   | Group_relay { entries } -> List.concat_map (fun (_, _, p) -> live_refs p) entries
   | p -> payload_refs p
 
-let n_rmi_request = N.Name.v "rmi_request"
-let n_rmi_reply = N.Name.v "rmi_reply"
-let n_export_notice = N.Name.v "export_notice"
-let n_export_ack = N.Name.v "export_ack"
-let n_new_set_stubs = N.Name.v "new_set_stubs"
-let n_scion_probe = N.Name.v "scion_probe"
-let n_cdm_delete = N.Name.v "cdm_delete"
-let n_ext = N.Name.v "ext"
-let n_batch = N.Name.v "batch"
-let n_group_fwd = N.Name.v "group_fwd"
-let n_group_relay = N.Name.v "group_relay"
-let n_msg = N.Name.v "msg"
-let n_req_id = N.Name.v "req_id"
-let n_target = N.Name.v "target"
-let n_args = N.Name.v "args"
-let n_stub_ic = N.Name.v "stub_ic"
-let n_results = N.Name.v "results"
-let n_notice_id = N.Name.v "notice_id"
-let n_new_holder = N.Name.v "new_holder"
-let n_seqno = N.Name.v "seqno"
-let n_targets = N.Name.v "targets"
-let n_initiator = N.Name.v "initiator"
-let n_seq = N.Name.v "seq"
-let n_scions = N.Name.v "scions"
-let n_msgs = N.Name.v "msgs"
-let n_orig_src = N.Name.v "orig_src"
-let n_inner = N.Name.v "inner"
-let n_entries = N.Name.v "entries"
-let n_body = N.Name.v "body"
-let n_src = N.Name.v "src"
-let n_dst = N.Name.v "dst"
-let n_sent_at = N.Name.v "sent_at"
-let n_payload = N.Name.v "payload"
+(* The wire form is positional: a payload is case [kind_index] of a
+   sum type, then its fields in declaration order. *)
+
+let arities = [| 4; 3; 3; 3; 2; 0; Cdm.arity; 3; 1; 1; 2; 1 |]
 
 let stub_width = 3
 
@@ -117,43 +88,25 @@ let emit_oids s l =
   N.list s (List.length l);
   List.iter (Oid.emit s) l
 
-let emit_export s name notice_id target new_holder =
-  N.record s name 3;
-  N.field s n_notice_id;
-  N.int s notice_id;
-  N.field s n_target;
-  Oid.emit s target;
-  N.field s n_new_holder;
-  N.int s (Proc_id.to_int new_holder)
-
-let rec emit_payload s = function
+let rec emit_payload s p =
+  let i = kind_index p in
+  N.variant s i arities.(i);
+  match p with
   | Rmi_request { req_id; target; args; stub_ic } ->
-      N.record s n_rmi_request 4;
-      N.field s n_req_id;
       N.int s req_id;
-      N.field s n_target;
       Oid.emit s target;
-      N.field s n_args;
       emit_oids s args;
-      N.field s n_stub_ic;
       N.int s stub_ic
   | Rmi_reply { req_id; target; results } ->
-      N.record s n_rmi_reply 3;
-      N.field s n_req_id;
       N.int s req_id;
-      N.field s n_target;
       Oid.emit s target;
-      N.field s n_results;
       emit_oids s results
-  | Export_notice { notice_id; target; new_holder } ->
-      emit_export s n_export_notice notice_id target new_holder
-  | Export_ack { notice_id; target; new_holder } ->
-      emit_export s n_export_ack notice_id target new_holder
+  | Export_notice { notice_id; target; new_holder } | Export_ack { notice_id; target; new_holder } ->
+      N.int s notice_id;
+      Oid.emit s target;
+      N.int s (Proc_id.to_int new_holder)
   | New_set_stubs { seqno; targets } ->
-      N.record s n_new_set_stubs 2;
-      N.field s n_seqno;
       N.int s seqno;
-      N.field s n_targets;
       (* One packed run of [owner; serial; ic] per stub. *)
       N.packed s (stub_width * Oid.Map.cardinal targets);
       Oid.Map.iter
@@ -162,35 +115,21 @@ let rec emit_payload s = function
           N.raw s o.Oid.serial;
           N.raw s ic)
         targets
-  | Scion_probe -> N.record s n_scion_probe 0
+  | Scion_probe -> ()
   | Cdm cdm -> Cdm.emit s cdm
   | Cdm_delete { id; scions } ->
-      N.record s n_cdm_delete 3;
-      N.field s n_initiator;
       N.int s (Proc_id.to_int id.Detection_id.initiator);
-      N.field s n_seq;
       N.int s id.Detection_id.seq;
-      N.field s n_scions;
       N.list s (List.length scions);
       List.iter (Ref_key.emit s) scions
-  | Ext body ->
-      N.record s n_ext 1;
-      N.field s n_body;
-      N.str s body
+  | Ext body -> N.str s body
   | Batch payloads ->
-      N.record s n_batch 1;
-      N.field s n_msgs;
       N.list s (List.length payloads);
       List.iter (emit_payload s) payloads
   | Group_fwd { orig_src; inner } ->
-      N.record s n_group_fwd 2;
-      N.field s n_orig_src;
       N.int s (Proc_id.to_int orig_src);
-      N.field s n_inner;
       emit_payload s inner
   | Group_relay { entries } ->
-      N.record s n_group_relay 1;
-      N.field s n_entries;
       N.list s (List.length entries);
       List.iter
         (fun (orig_src, final_dst, p) ->
@@ -201,37 +140,14 @@ let rec emit_payload s = function
         entries
 
 let emit s t =
-  N.record s n_msg 5;
-  N.field s n_src;
+  N.record s 5;
   N.int s (Proc_id.to_int t.src);
-  N.field s n_dst;
   N.int s (Proc_id.to_int t.dst);
-  N.field s n_seq;
   N.int s t.seq;
-  N.field s n_sent_at;
   N.int s t.sent_at;
-  N.field s n_payload;
   emit_payload s t.payload
 
-(* The reader.  Field order is part of the wire format: a reordered
-   record is malformed, not merely unusual. *)
-
-let own_cases =
-  [|
-    (n_rmi_request, 4);
-    (n_rmi_reply, 3);
-    (n_export_notice, 3);
-    (n_export_ack, 3);
-    (n_new_set_stubs, 2);
-    (n_scion_probe, 0);
-    (n_cdm_delete, 3);
-    (n_ext, 1);
-    (n_batch, 1);
-    (n_group_fwd, 2);
-    (n_group_relay, 1);
-  |]
-
-let payload_cases = Array.append own_cases Cdm.cases
+(* The reader.  Field order is part of the wire format. *)
 
 let read_proc r =
   let p = R.int r in
@@ -241,30 +157,20 @@ let read_proc r =
 let read_oids r = List.init (R.list r) (fun _ -> Oid.read r)
 
 let read_export r =
-  R.field r n_notice_id;
   let notice_id = R.int r in
-  R.field r n_target;
   let target = Oid.read r in
-  R.field r n_new_holder;
   (notice_id, target, read_proc r)
 
 let rec read_payload r =
-  match R.variant r payload_cases with
+  match R.variant r arities with
   | 0 ->
-      R.field r n_req_id;
       let req_id = R.int r in
-      R.field r n_target;
       let target = Oid.read r in
-      R.field r n_args;
       let args = read_oids r in
-      R.field r n_stub_ic;
       Rmi_request { req_id; target; args; stub_ic = R.int r }
   | 1 ->
-      R.field r n_req_id;
       let req_id = R.int r in
-      R.field r n_target;
       let target = Oid.read r in
-      R.field r n_results;
       Rmi_reply { req_id; target; results = read_oids r }
   | 2 ->
       let notice_id, target, new_holder = read_export r in
@@ -273,9 +179,7 @@ let rec read_payload r =
       let notice_id, target, new_holder = read_export r in
       Export_ack { notice_id; target; new_holder }
   | 4 ->
-      R.field r n_seqno;
       let seqno = R.int r in
-      R.field r n_targets;
       let n = R.packed r in
       if n mod stub_width <> 0 then R.fail r "ragged stub set run";
       let rec go k m =
@@ -290,36 +194,28 @@ let rec read_payload r =
       in
       New_set_stubs { seqno; targets = go (n / stub_width) Oid.Map.empty }
   | 5 -> Scion_probe
-  | 6 ->
-      R.field r n_initiator;
+  | 6 -> Cdm (Cdm.read r)
+  | 7 ->
       let initiator = read_proc r in
-      R.field r n_seq;
       let seq = R.int r in
-      R.field r n_scions;
       let scions = List.init (R.list r) (fun _ -> Ref_key.read r) in
       Cdm_delete { id = Detection_id.make ~initiator ~seq; scions }
-  | 7 ->
-      R.field r n_body;
-      Ext (R.str r)
-  | 8 ->
+  | 8 -> Ext (R.str r)
+  | 9 ->
       (* Batches are never nested, and a decoded batch must not smuggle
          one in.  Nor does a batch carry references: only ref-free
          control traffic is ever batched, so a constituent with
          references is forged. *)
-      R.field r n_msgs;
       let constituent _ =
         let p = read_flat r in
         if payload_refs p <> [] then R.fail r "batched references";
         p
       in
       Batch (List.init (R.list r) constituent)
-  | 9 ->
-      R.field r n_orig_src;
-      let orig_src = read_proc r in
-      R.field r n_inner;
-      Group_fwd { orig_src; inner = read_flat r }
   | 10 ->
-      R.field r n_entries;
+      let orig_src = read_proc r in
+      Group_fwd { orig_src; inner = read_flat r }
+  | _ ->
       let entry _ =
         if R.list r <> 3 then R.fail r "bad relay entry";
         let orig_src = read_proc r in
@@ -327,7 +223,6 @@ let rec read_payload r =
         (orig_src, final_dst, read_flat r)
       in
       Group_relay { entries = List.init (R.list r) entry }
-  | i -> Cdm (Cdm.read_case r (i - Array.length own_cases))
 
 (* The group wrappers are flat like batches: a relayed or batched
    payload is always a bare DGC control message. *)
@@ -337,16 +232,11 @@ and read_flat r =
   | p -> p
 
 let read r =
-  R.record r n_msg 5;
-  R.field r n_src;
+  R.record r 5;
   let src = read_proc r in
-  R.field r n_dst;
   let dst = read_proc r in
-  R.field r n_seq;
   let seq = R.int r in
-  R.field r n_sent_at;
   let sent_at = R.int r in
-  R.field r n_payload;
   make ~seq ~src ~dst ~sent_at (read_payload r)
 
 let pp ppf t =

@@ -55,9 +55,9 @@ type payload =
   | Ext of string
       (** Opaque bytes for a component outside the system, such as
           a comparison collector; delivered to {!Process.on_ext}.  The
-          sender writes them with its own [Net_codec] shape, whose
-          record names say whose message it is, and its reader
-          rejects anything else.  Carries no object references. *)
+          sender writes them with its own [Net_codec] shape, and its
+          reader rejects anything else.  Carries no object
+          references. *)
   | Batch of payload list
       (** Coalesced DGC control traffic: every payload queued for the
           same destination within one flush window travels as a single
@@ -119,15 +119,18 @@ val live_refs : payload -> Oid.t list
     the safety oracle and the model checker. *)
 
 val emit : t Adgc_serial.Net_codec.shape
-(** Wire representation; {!Network} charges each envelope its
-    [Net_codec.size], and the socket driver sends these bytes. *)
+(** Wire representation: a record of [src], [dst], [seq], [sent_at]
+    and the payload, which is case {!kind_index} of a sum type followed
+    by its fields in declaration order.  {!Network} charges each
+    envelope its [Net_codec.size], and the socket driver sends these
+    bytes. *)
 
 val emit_payload : payload Adgc_serial.Net_codec.shape
 
 val read : Adgc_serial.Net_codec.Read.t -> t
 (** Reads {!emit}'s bytes back.  Malformed: a negative process id or
-    oid, a reordered or extra field, a [Batch] or group wrapper nested
-    inside a [Batch] or group wrapper, and a [Batch] constituent that
-    carries references. *)
+    oid, an unknown case index, a field count or value of the wrong
+    kind, a [Batch] or group wrapper nested inside a [Batch] or group
+    wrapper, and a [Batch] constituent that carries references. *)
 
 val pp : Format.formatter -> t -> unit

@@ -84,58 +84,30 @@ let equal a b =
 (* ------------------------------------------------------------------ *)
 (* Wire format *)
 
-let n_summary = N.Name.v "summary"
-let n_proc = N.Name.v "proc"
-let n_taken_at = N.Name.v "taken_at"
-let n_scions = N.Name.v "scions"
-let n_stubs = N.Name.v "stubs"
-let n_scion = N.Name.v "scion"
-let n_key = N.Name.v "key"
-let n_ic = N.Name.v "ic"
-let n_stubs_from = N.Name.v "stubs_from"
-let n_root = N.Name.v "root"
-let n_last_invoked = N.Name.v "last_invoked"
-let n_stub = N.Name.v "stub"
-let n_target = N.Name.v "target"
-let n_scions_to = N.Name.v "scions_to"
-let n_local_reach = N.Name.v "local_reach"
 
 let emit_scion s si =
-  N.record s n_scion 5;
-  N.field s n_key;
+  N.record s 5;
   Ref_key.emit s si.key;
-  N.field s n_ic;
   N.int s si.scion_ic;
-  N.field s n_stubs_from;
   N.list s (Oid.Set.cardinal si.stubs_from);
   Oid.Set.iter (Oid.emit s) si.stubs_from;
-  N.field s n_root;
   N.bool s si.target_locally_reachable;
-  N.field s n_last_invoked;
   N.int s si.last_invoked
 
 let emit_stub s st =
-  N.record s n_stub 4;
-  N.field s n_target;
+  N.record s 4;
   Oid.emit s st.target;
-  N.field s n_ic;
   N.int s st.stub_ic;
-  N.field s n_scions_to;
   N.list s (Ref_key.Set.cardinal st.scions_to);
   Ref_key.Set.iter (Ref_key.emit s) st.scions_to;
-  N.field s n_local_reach;
   N.bool s st.local_reach
 
 let emit s t =
-  N.record s n_summary 4;
-  N.field s n_proc;
+  N.record s 4;
   N.int s (Proc_id.to_int t.proc);
-  N.field s n_taken_at;
   N.int s t.taken_at;
-  N.field s n_scions;
   N.list s (Array.length t.scions);
   Array.iter (emit_scion s) t.scions;
-  N.field s n_stubs;
   N.list s (Array.length t.stubs);
   Array.iter (emit_stub s) t.stubs
 
@@ -152,41 +124,28 @@ let read_many r f =
 let read_array r f = Array.init (R.list r) (fun _ -> f r)
 
 let read_scion r =
-  R.record r n_scion 5;
-  R.field r n_key;
+  R.record r 5;
   let key = Ref_key.read r in
-  R.field r n_ic;
   let scion_ic = R.int r in
-  R.field r n_stubs_from;
   let stubs_from = Oid.Set.of_list (read_many r Oid.read) in
-  R.field r n_root;
   let target_locally_reachable = R.bool r in
-  R.field r n_last_invoked;
   let last_invoked = R.int r in
   { key; scion_ic; stubs_from; target_locally_reachable; last_invoked }
 
 let read_stub r =
-  R.record r n_stub 4;
-  R.field r n_target;
+  R.record r 4;
   let target = Oid.read r in
-  R.field r n_ic;
   let stub_ic = R.int r in
-  R.field r n_scions_to;
   let scions_to = Ref_key.Set.of_list (read_many r Ref_key.read) in
-  R.field r n_local_reach;
   let local_reach = R.bool r in
   { target; stub_ic; scions_to; local_reach }
 
 let read r =
-  R.record r n_summary 4;
-  R.field r n_proc;
+  R.record r 4;
   let proc = R.int r in
   if proc < 0 then R.fail r "negative id";
-  R.field r n_taken_at;
   let taken_at = R.int r in
-  R.field r n_scions;
   let scions = read_array r read_scion in
-  R.field r n_stubs;
   let stubs = read_array r read_stub in
   of_arrays ~proc:(Proc_id.of_int proc) ~taken_at ~scions ~stubs
 

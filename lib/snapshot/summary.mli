@@ -78,6 +78,6 @@ val decode : string -> t option
 (** Read {!encode}'s bytes straight back, with no intermediate tree
     (repeated keys keep the last entry, as in {!make});
     [None] on any deviation from the format — a truncation, a wrong
-    tag, name or field count, a negative id or trailing bytes. *)
+    tag or field count, a negative id or trailing bytes. *)
 
 val pp : Format.formatter -> t -> unit

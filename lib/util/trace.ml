@@ -2,7 +2,7 @@ type event = { time : int; topic : string; text : string }
 
 type t = {
   capacity : int;
-  buf : event option array;
+  mutable buf : event option array;  (* allocated by the first [add] *)
   mutable head : int; (* next write slot *)
   mutable count : int;
   mutable dropped : int;
@@ -10,7 +10,7 @@ type t = {
 }
 
 let create ?(capacity = 65536) () =
-  { capacity; buf = Array.make capacity None; head = 0; count = 0; dropped = 0; enabled = true }
+  { capacity; buf = [||]; head = 0; count = 0; dropped = 0; enabled = true }
 
 let enabled t = t.enabled
 
@@ -18,6 +18,7 @@ let set_enabled t b = t.enabled <- b
 
 let add t ~time ~topic text =
   if t.enabled then begin
+    if Array.length t.buf = 0 then t.buf <- Array.make t.capacity None;
     if t.count = t.capacity then t.dropped <- t.dropped + 1
     else t.count <- t.count + 1;
     t.buf.(t.head) <- Some { time; topic; text };
@@ -46,7 +47,7 @@ let by_topic t topic = List.filter (fun e -> e.topic = topic) (events t)
 let dropped t = t.dropped
 
 let clear t =
-  Array.fill t.buf 0 t.capacity None;
+  Array.fill t.buf 0 (Array.length t.buf) None;
   t.head <- 0;
   t.count <- 0;
   t.dropped <- 0

@@ -12,7 +12,8 @@ type event = { time : int; topic : string; text : string }
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Default capacity: 65536 events. *)
+(** Default capacity: 65536 events; the ring is allocated when the
+    first event is recorded. *)
 
 val enabled : t -> bool
 

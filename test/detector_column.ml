@@ -20,13 +20,11 @@ let config t (c : Config.t) =
 let idle_threshold = 200
 
 (* [Sim.start], and for back-tracing its instances (none for the
-   DCDA). *)
+   DCDA), whose scan lane fires after the sim's duties on a shared
+   tick. *)
 let start t sim =
-  match t with
-  | Dcda ->
-      Sim.start sim;
-      [||]
-  | Backtrack -> Backtrack.install ~idle_threshold sim
+  Sim.start sim;
+  match t with Dcda -> [||] | Backtrack -> Backtrack.install ~idle_threshold sim
 
 (* One candidate scan on every process, in process order; detections
    or back-traces started. *)

@@ -14,6 +14,9 @@ module Runtime = Adgc_rt.Runtime
 module Scenario = Adgc_net.Scenario
 module Coordinator = Adgc_net.Coordinator
 module Gather = Adgc_net.Gather
+module Envelope = Adgc_net.Envelope
+module Frame = Adgc_net.Frame
+module Transport = Adgc_net.Transport
 
 let check = Alcotest.check
 
@@ -96,6 +99,59 @@ let conformance_case ?groups topology seed detector () =
       (Adgc_util.Stats.get r.Coordinator.stats "group.relays" > 0);
   check Alcotest.bool "socket run ok" true (Coordinator.ok r)
 
+(* Charged bytes are sent bytes: every message of an in-memory run,
+   sent through a real connection as the socket driver ships it, makes
+   a frame whose payload is the bytes the simulator charged the
+   message ([Net_codec.size Msg.emit], what [Network] accounts) plus the
+   envelope's three-byte case header — and reads back as the same
+   message. *)
+let test_charged_bytes_are_sent_bytes () =
+  let scenario = Scenario.make ~topology:Scenario.Ring ~procs:4 ~seed:11 ~detector:Config.Dcda () in
+  let sim, _built = Scenario.build scenario in
+  let sent = ref [] in
+  Adgc_rt.Network.set_transport (Sim.net sim) (fun m ->
+      sent := m :: !sent;
+      false);
+  Sim.start sim;
+  ignore (Sim.run_until_clean ~step:1_000 ~max_time:600_000 sim : bool);
+  Sim.teardown sim;
+  let sent = List.rev !sent in
+  let kinds = List.sort_uniq compare (List.map (fun (m : Adgc_rt.Msg.t) -> Adgc_rt.Msg.kind m.payload) sent) in
+  check Alcotest.bool "stub sets and CDMs among the messages" true
+    (List.mem "new_set_stubs" kinds && List.mem "cdm" kinds);
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let conn = Transport.of_fd a in
+  Unix.set_nonblock b;
+  let frames = Frame.decoder () in
+  let buf = Bytes.create 65536 in
+  (* Read until the one frame [conn] was given comes out. *)
+  let rec next_frame () =
+    Transport.flush conn;
+    match Frame.next frames with
+    | Some payload -> payload
+    | None ->
+        (match Unix.read b buf 0 (Bytes.length buf) with
+        | n -> Frame.feed_sub frames buf 0 n
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+        next_frame ()
+  in
+  List.iter
+    (fun (m : Adgc_rt.Msg.t) ->
+      Transport.send conn (Envelope.Net_msg m);
+      let payload = next_frame () in
+      let what = Adgc_rt.Msg.kind m.payload in
+      check Alcotest.int (what ^ ": frame = charged bytes + header")
+        (Adgc_serial.Net_codec.size Adgc_rt.Msg.emit m + 3)
+        (String.length payload);
+      match Adgc_serial.Net_codec.Read.run Envelope.read payload with
+      | Envelope.Net_msg m' ->
+          check Alcotest.bool (what ^ ": reads back") true
+            (Adgc_serial.Sval.equal (Wire_reference.msg_sval m) (Wire_reference.msg_sval m'))
+      | _ -> Alcotest.fail "not a net_msg")
+    sent;
+  Transport.close conn;
+  Unix.close b
+
 let matrix topology =
   List.map
     (fun seed ->
@@ -105,7 +161,8 @@ let matrix topology =
 
 let suite =
   ( "net_conformance",
-    matrix Scenario.Ring
+    Alcotest.test_case "charged bytes are sent bytes" `Quick test_charged_bytes_are_sent_bytes
+    :: matrix Scenario.Ring
     @ [
         (* One mixed live/garbage workload so Live_reclaimed has teeth
            (the ring is garbage wall-to-wall). *)

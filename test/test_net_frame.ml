@@ -1,5 +1,5 @@
 (* The socket wire format: 4-byte length-prefixed frames around
-   per-connection interned Net_codec payloads.  Everything the driver
+   positional Net_codec payloads, one envelope each.  Everything the driver
    ships must round-trip; damaged input may only ever surface as
    Wire.Malformed (or a poisoned decoder), never as a crash; and
    frames must reassemble identically however read() splits them. *)
@@ -123,17 +123,15 @@ let sample_envelopes : Envelope.t list =
       Envelope.Bye;
     ]
 
-(* Encode the whole conversation as one connection would: one Stream
-   writer across all frames. *)
+(* Encode the whole conversation as one connection would. *)
 let encoded_stream envelopes =
-  let w = Net_codec.Stream.writer () in
-  List.map (fun e -> Frame.encode (Net_codec.Stream.encode w Envelope.emit e)) envelopes
+  List.map (fun e -> Frame.encode (Net_codec.encode_shape Envelope.emit e)) envelopes
 
-let decode_all decoder reader =
+let decode_all decoder =
   let rec go acc =
     match Frame.next decoder with
     | None -> List.rev acc
-    | Some payload -> go (Net_codec.Stream.read reader Envelope.read payload :: acc)
+    | Some payload -> go (Net_codec.Read.run Envelope.read payload :: acc)
   in
   go []
 
@@ -149,23 +147,21 @@ let check_same_envelopes msg expected actual =
 let test_every_envelope_roundtrips () =
   let frames = encoded_stream sample_envelopes in
   let d = Frame.decoder () in
-  let r = Net_codec.Stream.reader () in
   List.iter (Frame.feed d) frames;
-  check_same_envelopes "roundtrip" sample_envelopes (decode_all d r)
+  check_same_envelopes "roundtrip" sample_envelopes (decode_all d)
 
 let test_partial_reads_reassemble () =
   let blob = String.concat "" (encoded_stream sample_envelopes) in
   List.iter
     (fun chunk ->
       let d = Frame.decoder () in
-      let r = Net_codec.Stream.reader () in
       let acc = ref [] in
       let i = ref 0 in
       while !i < String.length blob do
         let len = Int.min chunk (String.length blob - !i) in
         Frame.feed d (String.sub blob !i len);
         i := !i + len;
-        acc := !acc @ decode_all d r
+        acc := !acc @ decode_all d
       done;
       check_same_envelopes (Printf.sprintf "chunk=%d" chunk) sample_envelopes !acc)
     [ 1; 2; 3; 7; 64; 4096 ]
@@ -218,15 +214,13 @@ let test_corrupt_payload_only_malformed () =
   for pos = 0 to String.length payload - 1 do
     let mutated = Bytes.of_string payload in
     Bytes.set mutated pos (Char.chr (Char.code (Bytes.get mutated pos) lxor 0x55));
-    let r = Net_codec.Stream.reader () in
-    match Net_codec.Stream.read r Envelope.read (Bytes.to_string mutated) with
+    match Net_codec.Read.run Envelope.read (Bytes.to_string mutated) with
     | (_ : Envelope.t) -> ()
     | exception Wire.Malformed _ -> ()
   done
 
 (* One oid rule everywhere: a negative serial is malformed in a status
    report and in gathered state, as it is in a protocol message.  The
-   first frame on a connection is exactly a one-shot encoding, so the
    forged frame is a hand-built tree. *)
 let test_negative_serial_rejected () =
   let bad_oid = Sval.List [ Sval.Int 1; Sval.Int (-3) ] in
@@ -263,11 +257,9 @@ let test_negative_serial_rejected () =
   in
   List.iter
     (fun (what, frame) ->
-      expect_malformed what (fun () ->
-          Net_codec.Stream.read (Net_codec.Stream.reader ()) Envelope.read
-            (Net_codec.encode frame));
+      expect_malformed what (fun () -> Net_codec.Read.run Envelope.read (Ref.encode frame));
       check Alcotest.bool (what ^ ": reference rejects too") true
-        (Ref.tree_decode Ref.envelope_of_sval (Net_codec.encode frame) = None))
+        (Ref.tree_decode Ref.envelope_of_tree (Ref.encode frame) = None))
     [ ("status with a negative reclaimed serial", status); ("state with a negative reclaimed serial", state) ]
 
 let test_frame_encode_rejects_bad_sizes () =

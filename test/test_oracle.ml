@@ -38,6 +38,30 @@ let test_violation_at_window_edge () =
   check Alcotest.bool "first report captured" true (Oracle.first_report oracle <> None);
   Cluster.teardown cluster
 
+(* The event trace is off until a reader enables it; the oracle is one,
+   and its report still carries the trace's tail. *)
+let test_report_has_trace_tail () =
+  let cluster = Cluster.create ~n:2 () in
+  let oracle = Oracle.install ~window:100 cluster in
+  Cluster.crash cluster 1;
+  forge_dangling_scion cluster;
+  Cluster.run_for cluster 100;
+  let report = Option.value (Oracle.first_report oracle) ~default:"" in
+  let index_of needle =
+    let n = String.length needle in
+    let rec go i =
+      if i + n > String.length report then Alcotest.failf "%S not in the report" needle
+      else if String.sub report i n = needle then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let tail = index_of "-- trace tail --" in
+  let crash = index_of "crashed" in
+  check Alcotest.bool "the tail holds the crash event" true
+    (tail < crash && crash < index_of "-- detection lineage --");
+  Cluster.teardown cluster
+
 let test_teardown_mid_window () =
   let cluster = Cluster.create ~n:2 () in
   let oracle = Oracle.install ~window:1_000 cluster in
@@ -107,4 +131,5 @@ let suite =
       Alcotest.test_case "liveness converges on the final tick" `Quick
         test_liveness_converges_on_final_tick;
       Alcotest.test_case "liveness stuck one step short" `Quick test_liveness_stuck_one_step_short;
+      Alcotest.test_case "report carries the trace tail" `Quick test_report_has_trace_tail;
     ] )

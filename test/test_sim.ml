@@ -52,6 +52,26 @@ let test_stop_then_restart () =
   check Alcotest.bool "resumed" true
     (Adgc_util.Stats.get (Sim.stats sim) "snapshot.taken" > frozen)
 
+(* A lane another component registered first must not stand in for
+   the sim's own duty table. *)
+let test_foreign_lane_does_not_suppress_start () =
+  let sim = Sim.create ~config:(Config.quick ()) () in
+  Adgc.Kernel.start (Sim.cluster sim) [ { Adgc.Kernel.name = "foreign"; period = 100; run = ignore } ];
+  Sim.start sim;
+  Sim.run_for sim 5_000;
+  check Alcotest.bool "lgc ran" true (Stats.get (Sim.stats sim) "lgc.runs" > 0);
+  check Alcotest.bool "snapshots taken" true (Stats.get (Sim.stats sim) "snapshot.taken" > 0)
+
+(* Nothing reads a plain sim's event trace, so it records nothing. *)
+let test_plain_run_records_no_trace () =
+  let sim = Sim.create ~config:(Config.quick ()) () in
+  ignore (Topology.ring (Sim.cluster sim) ~procs:[ 0; 1; 2 ] : Topology.built);
+  Sim.start sim;
+  check Alcotest.bool "the ring is reclaimed" true (Sim.run_until_clean ~max_time:300_000 sim);
+  check Alcotest.bool "cycles were found" true (Sim.reports sim <> []);
+  check Alcotest.int "no trace events" 0 (List.length (Adgc_util.Trace.events (Sim.trace sim)));
+  Sim.teardown sim
+
 let test_scan_all_counts () =
   let sim = Sim.create ~config:(Config.quick ~n_procs:3 ()) () in
   let _r = Topology.ring (Sim.cluster sim) ~procs:[ 0; 1; 2 ] in
@@ -413,4 +433,8 @@ let suite =
         test_snapshot_all_publishes_each;
       Alcotest.test_case "manual gc cycles reclaim a ring" `Quick test_manual_gc_cycles_reclaim;
       Alcotest.test_case "one duty table: Sim.start = node installer" `Quick test_one_duty_table;
+      Alcotest.test_case "a foreign lane does not suppress Sim.start" `Quick
+        test_foreign_lane_does_not_suppress_start;
+      Alcotest.test_case "a plain run records no trace events" `Quick
+        test_plain_run_records_no_trace;
     ] )

@@ -422,6 +422,19 @@ let test_graph_image_stub_surcharge () =
   check Alcotest.bool "stubs add bytes" true
     (String.length with_stubs > String.length plain)
 
+(* E2 measures the self-describing document codec, which writes named
+   records whatever the wire types do: these images' bytes are pinned. *)
+let test_graph_image_bytes_pinned () =
+  let cluster, _, _, _ = build_p2_like () in
+  let p = Cluster.proc cluster 1 in
+  List.iter
+    (fun (include_stubs, len, md5) ->
+      let b = Adgc_serial.Net_codec.encode (Graph_image.of_process ~include_stubs p) in
+      let what = Printf.sprintf "stubs=%b" include_stubs in
+      check Alcotest.int (what ^ ": length") len (String.length b);
+      check Alcotest.string (what ^ ": digest") md5 (Digest.to_hex (Digest.string b)))
+    [ (false, 229, "616800bf8bc2d3f5735a76eda31d583b"); (true, 310, "e4a80d71766c46d13b39097d3ef23c00") ]
+
 let suite =
   ( "snapshot",
     [
@@ -448,5 +461,6 @@ let suite =
       Alcotest.test_case "store: counts decode failures" `Quick test_store_counts_decode_failures;
       Alcotest.test_case "graph image: object count" `Quick test_graph_image_counts;
       Alcotest.test_case "graph image: stub surcharge" `Quick test_graph_image_stub_surcharge;
+      Alcotest.test_case "graph image: bytes pinned" `Quick test_graph_image_bytes_pinned;
     ]
     @ topology_cases )

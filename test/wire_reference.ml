@@ -1,33 +1,171 @@
-(* Reference implementation of every wire type as a tree: the
-   hand-written Sval builders and tree matchers the shapes and direct
-   readers in lib/ replaced.  The wire-identity properties pin every
-   shape and reader against these — same bytes, same strictness.
+(* Reference implementation of every wire type, independent of the
+   shapes and direct readers in lib/.
 
-   One deliberate difference from the matchers as they stood in lib/:
-   every oid here requires a non-negative owner {e and} serial (the
-   envelope and gather matchers used to check only the owner), which
+   Each type has a named {!Sval} tree builder ([msg_sval], ...): the
+   value as a self-describing document, which the tests compare
+   values through.  [positional] drops the names, as the wire does —
+   a record becomes its fields in order, a sum type's constructor its
+   case index and fields — and [encode] writes that tree with the
+   same tags as [Net_codec].  [decode_tree] reads any such bytes back
+   into a tree, and the [*_of_tree] matchers say which trees are
+   valid values.  The wire-identity properties pin every shape and
+   reader against these: same bytes, same strictness.
+
+   Every oid here requires a non-negative owner {e and} serial, which
    is the single rule [Oid.read] enforces. *)
 
 open Adgc_algebra
 module Sval = Adgc_serial.Sval
+module Wire = Adgc_serial.Wire
 module Msg = Adgc_rt.Msg
 module Summary = Adgc_snapshot.Summary
 module Envelope = Adgc_net.Envelope
 module Gather = Adgc_net.Gather
+
+(* ------------------------------------------------------------------ *)
+(* The positional wire as a tree *)
+
+type tree =
+  | Unit
+  | Bool of bool
+  | Int of int
+  | Str of string
+  | List of tree list
+  | Packed of int list
+  | Rec of tree list  (** a record: its fields, in order *)
+  | Case of int * tree list  (** case [i] of a sum type, with its fields *)
+
+(* Every sum type's constructors, in constructor order.  A named
+   record whose name is one of these is that case on the wire; any
+   other record is a plain record.  No name is in two lists. *)
+let case_lists =
+  [
+    [
+      "rmi_request"; "rmi_reply"; "export_notice"; "export_ack"; "new_set_stubs"; "scion_probe";
+      "cdm"; "cdm_delete"; "ext"; "batch"; "group_fwd"; "group_relay";
+    ];
+    [
+      "hello"; "start"; "heartbeat"; "net_msg"; "status_req"; "status"; "state_req"; "state";
+      "drop_peer"; "shutdown"; "bye";
+    ];
+    [ "bt_query"; "bt_reply" ];
+    [ "h_stamp"; "h_report"; "h_threshold" ];
+  ]
+
+let case_index name = List.find_map (List.find_index (String.equal name)) case_lists
+
+let rec positional : Sval.t -> tree = function
+  | Sval.Unit -> Unit
+  | Sval.Bool b -> Bool b
+  | Sval.Int i -> Int i
+  | Sval.Float _ -> invalid_arg "Wire_reference.positional: no wire type carries a float"
+  | Sval.Str s -> Str s
+  | Sval.List l -> List (List.map positional l)
+  | Sval.Packed l -> Packed l
+  | Sval.Record (name, fields) -> (
+      let fields = List.map (fun (_, v) -> positional v) fields in
+      match case_index name with Some i -> Case (i, fields) | None -> Rec fields)
+
+let tag_unit = 0
+let tag_false = 1
+let tag_true = 2
+let tag_int = 3
+let tag_str = 5
+let tag_list = 6
+let tag_packed = 8
+let tag_record = 9
+let tag_case = 10
+
+let write_tree w t =
+  let rec go = function
+    | Unit -> Wire.Writer.byte w tag_unit
+    | Bool b -> Wire.Writer.byte w (if b then tag_true else tag_false)
+    | Int i ->
+        Wire.Writer.byte w tag_int;
+        Wire.Writer.varint w i
+    | Str s ->
+        Wire.Writer.byte w tag_str;
+        Wire.Writer.string w s
+    | List l -> items tag_list l
+    | Packed l ->
+        Wire.Writer.byte w tag_packed;
+        Wire.Writer.varint w (List.length l);
+        List.iter (Wire.Writer.varint w) l
+    | Rec l -> items tag_record l
+    | Case (i, l) ->
+        Wire.Writer.byte w tag_case;
+        Wire.Writer.varint w i;
+        Wire.Writer.varint w (List.length l);
+        List.iter go l
+  and items tag l =
+    Wire.Writer.byte w tag;
+    Wire.Writer.varint w (List.length l);
+    List.iter go l
+  in
+  go t
+
+let encode_tree t =
+  let w = Wire.Writer.create () in
+  write_tree w t;
+  Wire.Writer.contents w
+
+(* A named tree's wire bytes. *)
+let encode sval = encode_tree (positional sval)
+
+(* A record's fields without its header: how a CDM travels inside the
+   message case that carries it. *)
+let encode_fields = function
+  | Sval.Record (_, fields) -> String.concat "" (List.map (fun (_, v) -> encode v) fields)
+  | _ -> invalid_arg "Wire_reference.encode_fields: not a record"
+
+let decode_tree bytes =
+  let r = Wire.Reader.of_string bytes in
+  let malformed what = raise (Wire.Malformed { offset = Wire.Reader.pos r; what }) in
+  (* Every item takes at least a byte. *)
+  let length () =
+    let n = Wire.Reader.varint r in
+    if n < 0 || n > Wire.Reader.remaining r then malformed "implausible length";
+    n
+  in
+  let rec go () =
+    let tag = Wire.Reader.byte r in
+    if tag = tag_unit then Unit
+    else if tag = tag_false then Bool false
+    else if tag = tag_true then Bool true
+    else if tag = tag_int then Int (Wire.Reader.varint r)
+    else if tag = tag_str then Str (Wire.Reader.string r)
+    else if tag = tag_list then List (List.init (length ()) (fun _ -> go ()))
+    else if tag = tag_packed then Packed (List.init (length ()) (fun _ -> Wire.Reader.varint r))
+    else if tag = tag_record then Rec (List.init (length ()) (fun _ -> go ()))
+    else if tag = tag_case then begin
+      let i = Wire.Reader.varint r in
+      Case (i, List.init (length ()) (fun _ -> go ()))
+    end
+    else malformed "bad tag"
+  in
+  let t = go () in
+  if not (Wire.Reader.at_end r) then malformed "trailing bytes";
+  t
+
+(* Bytes to a value the reference way: tree decode, then the matcher. *)
+let tree_decode of_tree bytes =
+  match decode_tree bytes with
+  | tree -> of_tree tree
+  | exception Wire.Malformed _ -> None
 
 let oid_sval (o : Oid.t) = Sval.List [ Sval.Int (Proc_id.to_int (Oid.owner o)); Sval.Int o.Oid.serial ]
 
 let ref_sval (k : Ref_key.t) =
   Sval.List [ Sval.Int (Proc_id.to_int k.Ref_key.src); oid_sval k.Ref_key.target ]
 
-let oid_of_sval = function
-  | Sval.List [ Sval.Int owner; Sval.Int serial ] when owner >= 0 && serial >= 0 ->
+let oid_of_tree = function
+  | List [ Int owner; Int serial ] when owner >= 0 && serial >= 0 ->
       Some (Oid.make ~owner:(Proc_id.of_int owner) ~serial)
   | _ -> None
 
-let key_of_sval = function
-  | Sval.List [ Sval.Int src; target ] when src >= 0 ->
-      Option.map (fun target -> Ref_key.make ~src:(Proc_id.of_int src) ~target) (oid_of_sval target)
+let key_of_tree = function
+  | List [ Int src; target ] when src >= 0 ->
+      Option.map (fun target -> Ref_key.make ~src:(Proc_id.of_int src) ~target) (oid_of_tree target)
   | _ -> None
 
 let all_some l =
@@ -37,12 +175,6 @@ let all_some l =
   |> Option.map List.rev
 
 let all_of f l = all_some (List.map f l)
-
-(* Bytes to a value the old way: tree decode, then the tree matcher. *)
-let tree_decode of_sval bytes =
-  match Adgc_serial.Net_codec.decode bytes with
-  | sval -> of_sval sval
-  | exception Adgc_serial.Wire.Malformed _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Algebra and CDM *)
@@ -108,8 +240,8 @@ let cdm_sval (t : Cdm.t) =
 
 (* The compact form only: the plain form has no writer in lib/ any
    more, so [Cdm.read] accepts only this. *)
-let algebra_compact_of_sval = function
-  | Sval.Packed ints when List.length ints mod 5 = 0 ->
+let algebra_compact_of_tree = function
+  | Packed ints when List.length ints mod 5 = 0 ->
       let rec entries = function
         | src :: owner :: serial :: ic :: bits :: rest ->
             if src >= 0 && owner >= 0 && serial >= 0 && bits >= 1 && bits <= 3 then
@@ -135,19 +267,9 @@ let algebra_compact_of_sval = function
            (Some Algebra.empty))
   | _ -> None
 
-let cdm_of_sval = function
-  | Sval.Record
-      ( "cdm",
-        [
-          ("initiator", Sval.Int initiator);
-          ("seq", Sval.Int seq);
-          ("algebra", alg);
-          ("f_src", Sval.Int f_src);
-          ("f_owner", Sval.Int f_owner);
-          ("f_serial", Sval.Int f_serial);
-          ("hops", Sval.Int hops);
-          ("budget", Sval.Int budget);
-        ] )
+(* A CDM's fields, as the message case that carries it holds them. *)
+let cdm_of_fields = function
+  | [ Int initiator; Int seq; alg; Int f_src; Int f_owner; Int f_serial; Int hops; Int budget ]
     when initiator >= 0 && f_src >= 0 && f_owner >= 0 && f_serial >= 0 && hops >= 0 && budget >= 0
     ->
       Option.map
@@ -156,7 +278,7 @@ let cdm_of_sval = function
           let target = Oid.make ~owner:(Proc_id.of_int f_owner) ~serial:f_serial in
           let frontier = Ref_key.make ~src:(Proc_id.of_int f_src) ~target in
           Cdm.make ~id ~algebra ~frontier ~hops ~budget)
-        (algebra_compact_of_sval alg)
+        (algebra_compact_of_tree alg)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -193,39 +315,22 @@ let btmsg_sval = function
             ("verdict", Sval.Bool (match r.verdict with Btmsg.Rooted -> true | Btmsg.Cycle_back -> false));
           ] )
 
-let bt_ref_of_sval = function
-  | Sval.List [ Sval.Int src; Sval.Int owner; Sval.Int serial ]
-    when src >= 0 && owner >= 0 && serial >= 0 ->
+let bt_ref_of_tree = function
+  | List [ Int src; Int owner; Int serial ] when src >= 0 && owner >= 0 && serial >= 0 ->
       Some
         (Ref_key.make ~src:(Proc_id.of_int src)
            ~target:(Oid.make ~owner:(Proc_id.of_int owner) ~serial))
   | _ -> None
 
-let btmsg_of_sval = function
-  | Sval.Record
-      ( "bt_query",
-        [
-          ("initiator", Sval.Int initiator);
-          ("seq", Sval.Int seq);
-          ("subject", subject);
-          ("visited", Sval.List visited);
-        ] )
-    when initiator >= 0 -> (
-      match (bt_ref_of_sval subject, all_of bt_ref_of_sval visited) with
+let btmsg_of_tree = function
+  | Case (0, [ Int initiator; Int seq; subject; List visited ]) when initiator >= 0 -> (
+      match (bt_ref_of_tree subject, all_of bt_ref_of_tree visited) with
       | Some subject, Some visited ->
           Some
             (Btmsg.Query
                { trace = { Btmsg.initiator = Proc_id.of_int initiator; seq }; subject; visited })
       | _ -> None)
-  | Sval.Record
-      ( "bt_reply",
-        [
-          ("initiator", Sval.Int initiator);
-          ("seq", Sval.Int seq);
-          ("subject", subject);
-          ("verdict", Sval.Bool verdict);
-        ] )
-    when initiator >= 0 ->
+  | Case (1, [ Int initiator; Int seq; subject; Bool verdict ]) when initiator >= 0 ->
       Option.map
         (fun subject ->
           Btmsg.Reply
@@ -234,7 +339,7 @@ let btmsg_of_sval = function
               subject;
               verdict = (if verdict then Btmsg.Rooted else Btmsg.Cycle_back);
             })
-        (bt_ref_of_sval subject)
+        (bt_ref_of_tree subject)
   | _ -> None
 
 let hmsg_sval = function
@@ -246,18 +351,16 @@ let hmsg_sval = function
   | Hmsg.Report { round_time } -> Sval.Record ("h_report", [ ("round_time", Sval.Int round_time) ])
   | Hmsg.Threshold { value } -> Sval.Record ("h_threshold", [ ("value", Sval.Int value) ])
 
-let hmsg_of_sval = function
-  | Sval.Record ("h_stamp", [ ("stamps", Sval.List entries) ]) ->
+let hmsg_of_tree = function
+  | Case (0, [ List entries ]) ->
       let stamp = function
-        | Sval.List [ Sval.Int owner; Sval.Int serial; Sval.Int stamp ] when owner >= 0 && serial >= 0
-          ->
+        | List [ Int owner; Int serial; Int stamp ] when owner >= 0 && serial >= 0 ->
             Some (Oid.make ~owner:(Proc_id.of_int owner) ~serial, stamp)
         | _ -> None
       in
       Option.map (fun stamps -> Hmsg.Stamp stamps) (all_of stamp entries)
-  | Sval.Record ("h_report", [ ("round_time", Sval.Int round_time) ]) ->
-      Some (Hmsg.Report { round_time })
-  | Sval.Record ("h_threshold", [ ("value", Sval.Int value) ]) -> Some (Hmsg.Threshold { value })
+  | Case (1, [ Int round_time ]) -> Some (Hmsg.Report { round_time })
+  | Case (2, [ Int value ]) -> Some (Hmsg.Threshold { value })
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -340,46 +443,34 @@ let msg_sval (t : Msg.t) =
         ("payload", payload_sval t.Msg.payload);
       ] )
 
-(* Field order is part of the wire format: a reordered record is
-   malformed, not merely unusual. *)
-let rec payload_of_sval sval =
-  match sval with
-  | Sval.Record
-      ( "rmi_request",
-        [
-          ("req_id", Sval.Int req_id);
-          ("target", target);
-          ("args", Sval.List args);
-          ("stub_ic", Sval.Int stub_ic);
-        ] ) -> (
-      match (oid_of_sval target, all_of oid_of_sval args) with
+(* Field order is part of the wire format. *)
+let rec payload_of_tree tree =
+  let flat t =
+    match payload_of_tree t with
+    | Some (Msg.Batch _ | Msg.Group_fwd _ | Msg.Group_relay _) | None -> None
+    | Some p -> Some p
+  in
+  match tree with
+  | Case (0, [ Int req_id; target; List args; Int stub_ic ]) -> (
+      match (oid_of_tree target, all_of oid_of_tree args) with
       | Some target, Some args -> Some (Msg.Rmi_request { req_id; target; args; stub_ic })
       | _ -> None)
-  | Sval.Record
-      ("rmi_reply", [ ("req_id", Sval.Int req_id); ("target", target); ("results", Sval.List results) ])
-    -> (
-      match (oid_of_sval target, all_of oid_of_sval results) with
+  | Case (1, [ Int req_id; target; List results ]) -> (
+      match (oid_of_tree target, all_of oid_of_tree results) with
       | Some target, Some results -> Some (Msg.Rmi_reply { req_id; target; results })
       | _ -> None)
-  | Sval.Record
-      ( "export_notice",
-        [ ("notice_id", Sval.Int notice_id); ("target", target); ("new_holder", Sval.Int holder) ] )
-    when holder >= 0 ->
+  | Case (2, [ Int notice_id; target; Int holder ]) when holder >= 0 ->
       Option.map
         (fun target -> Msg.Export_notice { notice_id; target; new_holder = Proc_id.of_int holder })
-        (oid_of_sval target)
-  | Sval.Record
-      ( "export_ack",
-        [ ("notice_id", Sval.Int notice_id); ("target", target); ("new_holder", Sval.Int holder) ] )
-    when holder >= 0 ->
+        (oid_of_tree target)
+  | Case (3, [ Int notice_id; target; Int holder ]) when holder >= 0 ->
       Option.map
         (fun target -> Msg.Export_ack { notice_id; target; new_holder = Proc_id.of_int holder })
-        (oid_of_sval target)
-  | Sval.Record ("new_set_stubs", [ ("seqno", Sval.Int seqno); ("targets", Sval.Packed ints) ])
-    when List.length ints mod 3 = 0 ->
+        (oid_of_tree target)
+  | Case (4, [ Int seqno; Packed ints ]) when List.length ints mod 3 = 0 ->
       let rec entries = function
         | owner :: serial :: ic :: rest ->
-            Option.bind (oid_of_sval (Sval.List [ Sval.Int owner; Sval.Int serial ])) (fun o ->
+            Option.bind (oid_of_tree (List [ Int owner; Int serial ])) (fun o ->
                 Option.map (fun rest -> (o, ic) :: rest) (entries rest))
         | _ -> Some []
       in
@@ -391,61 +482,41 @@ let rec payload_of_sval sval =
               targets = List.fold_left (fun m (o, ic) -> Oid.Map.add o ic m) Oid.Map.empty entries;
             })
         (entries ints)
-  | Sval.Record ("scion_probe", []) -> Some Msg.Scion_probe
-  | Sval.Record ("cdm", _) -> Option.map (fun cdm -> Msg.Cdm cdm) (cdm_of_sval sval)
-  | Sval.Record
-      ( "cdm_delete",
-        [ ("initiator", Sval.Int initiator); ("seq", Sval.Int seq); ("scions", Sval.List scions) ]
-      )
-    when initiator >= 0 ->
+  | Case (5, []) -> Some Msg.Scion_probe
+  | Case (6, fields) -> Option.map (fun cdm -> Msg.Cdm cdm) (cdm_of_fields fields)
+  | Case (7, [ Int initiator; Int seq; List scions ]) when initiator >= 0 ->
       Option.map
         (fun scions ->
           Msg.Cdm_delete
             { id = Detection_id.make ~initiator:(Proc_id.of_int initiator) ~seq; scions })
-        (all_of key_of_sval scions)
-  | Sval.Record ("ext", [ ("body", Sval.Str body) ]) -> Some (Msg.Ext body)
-  | Sval.Record ("batch", [ ("msgs", Sval.List payloads) ]) ->
+        (all_of key_of_tree scions)
+  | Case (8, [ Str body ]) -> Some (Msg.Ext body)
+  | Case (9, [ List payloads ]) ->
       (* Batches are never nested and the group wrappers are flat; nor
          does a batch carry references. *)
-      let constituent sv =
-        match payload_of_sval sv with
-        | Some (Msg.Batch _ | Msg.Group_fwd _ | Msg.Group_relay _) -> None
-        | Some p when Msg.payload_refs p <> [] -> None
-        | (Some _ | None) as r -> r
+      let constituent t =
+        match flat t with Some p when Msg.payload_refs p <> [] -> None | r -> r
       in
       Option.map (fun payloads -> Msg.Batch payloads) (all_of constituent payloads)
-  | Sval.Record ("group_fwd", [ ("orig_src", Sval.Int orig_src); ("inner", inner) ])
-    when orig_src >= 0 -> (
-      match payload_of_sval inner with
-      | Some (Msg.Batch _ | Msg.Group_fwd _ | Msg.Group_relay _) | None -> None
-      | Some inner -> Some (Msg.Group_fwd { orig_src = Proc_id.of_int orig_src; inner }))
-  | Sval.Record ("group_relay", [ ("entries", Sval.List entries) ]) ->
+  | Case (10, [ Int orig_src; inner ]) when orig_src >= 0 ->
+      Option.map
+        (fun inner -> Msg.Group_fwd { orig_src = Proc_id.of_int orig_src; inner })
+        (flat inner)
+  | Case (11, [ List entries ]) ->
       let entry = function
-        | Sval.List [ Sval.Int orig_src; Sval.Int final_dst; p ] when orig_src >= 0 && final_dst >= 0
-          -> (
-            match payload_of_sval p with
-            | Some (Msg.Batch _ | Msg.Group_fwd _ | Msg.Group_relay _) | None -> None
-            | Some p -> Some (Proc_id.of_int orig_src, Proc_id.of_int final_dst, p))
+        | List [ Int orig_src; Int final_dst; p ] when orig_src >= 0 && final_dst >= 0 ->
+            Option.map (fun p -> (Proc_id.of_int orig_src, Proc_id.of_int final_dst, p)) (flat p)
         | _ -> None
       in
       Option.map (fun entries -> Msg.Group_relay { entries }) (all_of entry entries)
   | _ -> None
 
-let msg_of_sval = function
-  | Sval.Record
-      ( "msg",
-        [
-          ("src", Sval.Int src);
-          ("dst", Sval.Int dst);
-          ("seq", Sval.Int seq);
-          ("sent_at", Sval.Int sent_at);
-          ("payload", payload);
-        ] )
-    when src >= 0 && dst >= 0 ->
+let msg_of_tree = function
+  | Rec [ Int src; Int dst; Int seq; Int sent_at; payload ] when src >= 0 && dst >= 0 ->
       Option.map
         (fun payload ->
           Msg.make ~seq ~src:(Proc_id.of_int src) ~dst:(Proc_id.of_int dst) ~sent_at payload)
-        (payload_of_sval payload)
+        (payload_of_tree payload)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -482,17 +553,9 @@ let summary_sval (t : Summary.t) =
         ("stubs", Sval.List (List.map stub_sval (Summary.stub_list t)));
       ] )
 
-let scion_of_sval = function
-  | Sval.Record
-      ( "scion",
-        [
-          ("key", key);
-          ("ic", Sval.Int scion_ic);
-          ("stubs_from", Sval.List stubs_from);
-          ("root", Sval.Bool target_locally_reachable);
-          ("last_invoked", Sval.Int last_invoked);
-        ] ) ->
-      Option.bind (key_of_sval key) (fun key ->
+let scion_of_tree = function
+  | Rec [ key; Int scion_ic; List stubs_from; Bool target_locally_reachable; Int last_invoked ] ->
+      Option.bind (key_of_tree key) (fun key ->
           Option.map
             (fun stubs ->
               {
@@ -502,43 +565,28 @@ let scion_of_sval = function
                 target_locally_reachable;
                 last_invoked;
               })
-            (all_some (List.map oid_of_sval stubs_from)))
+            (all_of oid_of_tree stubs_from))
   | _ -> None
 
-let stub_of_sval = function
-  | Sval.Record
-      ( "stub",
-        [
-          ("target", target);
-          ("ic", Sval.Int stub_ic);
-          ("scions_to", Sval.List scions_to);
-          ("local_reach", Sval.Bool local_reach);
-        ] ) ->
-      Option.bind (oid_of_sval target) (fun target ->
+let stub_of_tree = function
+  | Rec [ target; Int stub_ic; List scions_to; Bool local_reach ] ->
+      Option.bind (oid_of_tree target) (fun target ->
           Option.map
             (fun keys ->
               { Summary.target; stub_ic; scions_to = Ref_key.Set.of_list keys; local_reach })
-            (all_some (List.map key_of_sval scions_to)))
+            (all_of key_of_tree scions_to))
   | _ -> None
 
-let summary_of_sval = function
-  | Sval.Record
-      ( "summary",
-        [
-          ("proc", Sval.Int proc);
-          ("taken_at", Sval.Int taken_at);
-          ("scions", Sval.List scions);
-          ("stubs", Sval.List stubs);
-        ] )
-    when proc >= 0 ->
-      Option.bind (all_some (List.map scion_of_sval scions)) (fun scions ->
+let summary_of_tree = function
+  | Rec [ Int proc; Int taken_at; List scions; List stubs ] when proc >= 0 ->
+      Option.bind (all_of scion_of_tree scions) (fun scions ->
           Option.map
             (fun stubs -> Summary.make ~proc:(Proc_id.of_int proc) ~taken_at ~scions ~stubs)
-            (all_some (List.map stub_of_sval stubs)))
+            (all_of stub_of_tree stubs))
   | _ -> None
 
-(* The old snapshot read-back. *)
-let summary_decode bytes = tree_decode summary_of_sval bytes
+(* The reference snapshot read-back. *)
+let summary_decode bytes = tree_decode summary_of_tree bytes
 
 (* ------------------------------------------------------------------ *)
 (* Socket envelopes and gathered node state *)
@@ -572,41 +620,34 @@ let node_state_sval (t : Gather.node_state) =
           Sval.List (List.map (fun (k, v) -> Sval.List [ Sval.Str k; Sval.Int v ]) t.Gather.counters) );
       ] )
 
-let node_state_of_sval = function
-  | Sval.Record
-      ( "node_state",
-        [
-          ("rank", Sval.Int rank);
-          ("tick", Sval.Int tick);
-          ("objects", Sval.List objects);
-          ("stubs", Sval.List stubs);
-          ("scions", Sval.List scions);
-          ("reclaimed", Sval.List reclaimed);
-          ("counters", Sval.List counters);
-        ] ) -> (
+let node_state_of_tree = function
+  | Rec
+      [
+        Int rank; Int tick; List objects; List stubs; List scions; List reclaimed; List counters;
+      ] -> (
       let obj = function
-        | Sval.List [ oid; Sval.List refs; Sval.Bool rooted ] -> (
-            match (oid_of_sval oid, all_of oid_of_sval refs) with
+        | List [ oid; List refs; Bool rooted ] -> (
+            match (oid_of_tree oid, all_of oid_of_tree refs) with
             | Some oid, Some refs -> Some { Gather.oid; refs; rooted }
             | _ -> None)
         | _ -> None
       in
       let stub = function
-        | Sval.List [ target; Sval.Int stub_ic ] ->
-            Option.map (fun target -> { Gather.target; stub_ic }) (oid_of_sval target)
+        | List [ target; Int stub_ic ] ->
+            Option.map (fun target -> { Gather.target; stub_ic }) (oid_of_tree target)
         | _ -> None
       in
       let scion = function
-        | Sval.List [ key; Sval.Int scion_ic; Sval.Bool confirmed ] ->
-            Option.map (fun key -> { Gather.key; scion_ic; confirmed }) (key_of_sval key)
+        | List [ key; Int scion_ic; Bool confirmed ] ->
+            Option.map (fun key -> { Gather.key; scion_ic; confirmed }) (key_of_tree key)
         | _ -> None
       in
-      let counter = function Sval.List [ Sval.Str k; Sval.Int v ] -> Some (k, v) | _ -> None in
+      let counter = function List [ Str k; Int v ] -> Some (k, v) | _ -> None in
       match
         ( all_of obj objects,
           all_of stub stubs,
           all_of scion scions,
-          all_of oid_of_sval reclaimed,
+          all_of oid_of_tree reclaimed,
           all_of counter counters )
       with
       | Some objects, Some stubs, Some scions, Some reclaimed, Some counters ->
@@ -640,24 +681,22 @@ let envelope_sval = function
   | Envelope.Shutdown -> Sval.Record ("shutdown", [])
   | Envelope.Bye -> Sval.Record ("bye", [])
 
-let envelope_of_sval = function
-  | Sval.Record ("hello", [ ("rank", Sval.Int rank); ("procs", Sval.Int procs); ("seed", Sval.Int seed) ])
-    ->
-      Some (Envelope.Hello { rank; procs; seed })
-  | Sval.Record ("start", []) -> Some Envelope.Start
-  | Sval.Record ("heartbeat", [ ("tick", Sval.Int tick) ]) -> Some (Envelope.Heartbeat { tick })
-  | Sval.Record ("net_msg", [ ("msg", m) ]) -> Option.map (fun m -> Envelope.Net_msg m) (msg_of_sval m)
-  | Sval.Record ("status_req", []) -> Some Envelope.Status_req
-  | Sval.Record
-      ( "status",
+let envelope_of_tree = function
+  | Case (0, [ Int rank; Int procs; Int seed ]) -> Some (Envelope.Hello { rank; procs; seed })
+  | Case (1, []) -> Some Envelope.Start
+  | Case (2, [ Int tick ]) -> Some (Envelope.Heartbeat { tick })
+  | Case (3, [ m ]) -> Option.map (fun m -> Envelope.Net_msg m) (msg_of_tree m)
+  | Case (4, []) -> Some Envelope.Status_req
+  | Case
+      ( 5,
         [
-          ("rank", Sval.Int st_rank);
-          ("tick", Sval.Int st_tick);
-          ("ready", Sval.Bool st_ready);
-          ("reclaimed", Sval.List reclaimed);
-          ("wire_sent", Sval.Int st_wire_sent);
-          ("wire_received", Sval.Int st_wire_received);
-          ("dup_ignored", Sval.Int st_dup_ignored);
+          Int st_rank;
+          Int st_tick;
+          Bool st_ready;
+          List reclaimed;
+          Int st_wire_sent;
+          Int st_wire_received;
+          Int st_dup_ignored;
         ] ) ->
       Option.map
         (fun st_reclaimed ->
@@ -671,11 +710,10 @@ let envelope_of_sval = function
               st_wire_received;
               st_dup_ignored;
             })
-        (all_of oid_of_sval reclaimed)
-  | Sval.Record ("state_req", []) -> Some Envelope.State_req
-  | Sval.Record ("state", [ ("node", ns) ]) ->
-      Option.map (fun ns -> Envelope.State ns) (node_state_of_sval ns)
-  | Sval.Record ("drop_peer", [ ("rank", Sval.Int rank) ]) -> Some (Envelope.Drop_peer rank)
-  | Sval.Record ("shutdown", []) -> Some Envelope.Shutdown
-  | Sval.Record ("bye", []) -> Some Envelope.Bye
+        (all_of oid_of_tree reclaimed)
+  | Case (6, []) -> Some Envelope.State_req
+  | Case (7, [ ns ]) -> Option.map (fun ns -> Envelope.State ns) (node_state_of_tree ns)
+  | Case (8, [ Int rank ]) -> Some (Envelope.Drop_peer rank)
+  | Case (9, []) -> Some Envelope.Shutdown
+  | Case (10, []) -> Some Envelope.Bye
   | _ -> None
