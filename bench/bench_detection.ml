@@ -288,142 +288,6 @@ let e12 ?recorder () =
   print_endline "collection everywhere, and stamp propagation is a permanent cost; the DCDA";
   print_endline "only ever involves the cycle's own processes (paper section 5)"
 
-(* ------------------------------------------------------------------ *)
-(* Incremental candidate maintenance: the detection.incremental series.
-
-   Two workload shapes from the paper experiments: E6 (one distributed
-   cycle around a ring — sparse, insert-only churn, the incremental
-   maintainer's best case) and E18 (a dense garbage clique — every
-   wire lands in an already-labelled region, the audit's stress
-   case).  The deterministic columns gate the maintainer's work
-   profile (events handled, eager BFS edges, deferred rebuilds, audit
-   agreement); the wall column is timing-class. *)
-
-let clique ~procs ~per_proc cluster =
-  let module Mutator = Adgc_rt.Mutator in
-  let module Heap = Adgc_rt.Heap in
-  let module Cluster = Adgc_rt.Cluster in
-  let objs =
-    Array.init procs (fun p -> Array.init per_proc (fun _ -> Mutator.alloc cluster ~proc:p ()))
-  in
-  Array.iteri
-    (fun p row ->
-      Array.iter
-        (fun o ->
-          Array.iteri
-            (fun q row' ->
-              Array.iter
-                (fun o' ->
-                  if o != o' then
-                    if p = q then
-                      ignore
-                        (Heap.add_ref (Cluster.proc cluster p).Adgc_rt.Process.heap o o'.Heap.oid
-                          : int)
-                    else Mutator.wire_remote cluster ~holder:o ~target:o')
-                row')
-            objs)
-        row)
-    objs
-
-type inc_scenario = { ilabel : string; iprocs : int; ibuild : Adgc_rt.Cluster.t -> unit }
-
-let inc_scenarios () =
-  let e6 =
-    {
-      ilabel = "e6_ring6";
-      iprocs = 6;
-      ibuild =
-        (fun cluster ->
-          ignore
-            (Topology.ring ~objs_per_proc:2 cluster ~procs:(List.init 6 (fun i -> i))
-              : Topology.built);
-          (* A rooted component besides the garbage ring: root and edge
-             inserts land inside the region, so the eager label path
-             (grow_from / flips) does measurable work instead of the
-             whole workload degenerating to an empty region. *)
-          ignore (Topology.rooted_ring cluster ~procs:[ 0; 1; 2 ] : Topology.built));
-    }
-  in
-  let e18 = { ilabel = "e18_k4"; iprocs = 2; ibuild = clique ~procs:2 ~per_proc:2 } in
-  if smoke () then [ e6 ] else [ e6; e18 ]
-
-let run_inc s =
-  let config = { (Config.quick ~seed:42 ~n_procs:s.iprocs ()) with Config.telemetry = true } in
-  let sim = Sim.create ~config () in
-  s.ibuild (Sim.cluster sim);
-  Sim.start sim;
-  let clean, wall = wall_ms (fun () -> Sim.run_until_clean ~step:500 ~max_time:600_000 sim) in
-  let stats = Sim.stats sim in
-  let get k = Stats.get stats ("dcda.candidates." ^ k) in
-  let counters =
-    ( get "events",
-      get "flips",
-      get "grow_edges",
-      get "rebuilds",
-      get "audits",
-      get "audit_mismatch" )
-  in
-  let ticks = Sim.now sim in
-  Sim.teardown sim;
-  (clean, ticks, counters, wall)
-
-let run_incremental recorder =
-  section "detection.incremental: candidate-label maintenance";
-  let rows =
-    List.map
-      (fun s ->
-        let clean, ticks, (events, flips, grow_edges, rebuilds, audits, mismatches), wall =
-          run_inc s
-        in
-        let config = [ "detection.incremental"; s.ilabel; string_of_int s.iprocs; "42" ] in
-        let d name v =
-          det recorder ~section:"detection"
-            ~name:(Printf.sprintf "detection.incremental.%s.%s" s.ilabel name)
-            ~unit_:"count" ~config (float_of_int v)
-        in
-        det recorder ~section:"detection"
-          ~name:(Printf.sprintf "detection.incremental.%s.time_to_clean_ticks" s.ilabel)
-          ~unit_:"ticks" ~config (float_of_int ticks);
-        d "events" events;
-        d "label_flips" flips;
-        d "grow_edges" grow_edges;
-        d "rebuilds" rebuilds;
-        d "audits" audits;
-        det recorder ~section:"detection"
-          ~name:(Printf.sprintf "detection.incremental.%s.audit_mismatch" s.ilabel)
-          ~unit_:"count" ~slo:0.0 ~config (float_of_int mismatches);
-        timing recorder ~section:"detection"
-          ~name:(Printf.sprintf "detection.incremental.%s.wall_ms" s.ilabel)
-          ~unit_:"ms" ~config [ wall ];
-        [
-          s.ilabel;
-          (if clean then Printf.sprintf "%d ticks" ticks else "NOT RECLAIMED");
-          string_of_int events;
-          string_of_int flips;
-          string_of_int grow_edges;
-          string_of_int rebuilds;
-          Printf.sprintf "%d/%d" mismatches audits;
-          Printf.sprintf "%.1f ms" wall;
-        ])
-      (inc_scenarios ())
-  in
-  Table.print
-    ~header:
-      [
-        "workload";
-        "time to clean";
-        "events";
-        "flips";
-        "BFS edges";
-        "rebuilds";
-        "mismatch/audits";
-        "host wall";
-      ]
-    ~rows ();
-  print_endline "the maintainer's work is deterministic (events, eager BFS edges, deferred";
-  print_endline "rebuilds) and the audit duty must agree with an independent full root trace";
-  print_endline "every time it fires (mismatch gate 0)"
-
 let run recorder =
   section "detection: end-to-end cycle-reclamation latency (obs histograms)";
   let rows =
@@ -473,5 +337,4 @@ let run recorder =
   print_endline "machine-independent; only the host-wall column is timing-class";
   run_e6 recorder;
   e7 ~recorder ();
-  e12 ~recorder ();
-  run_incremental recorder
+  e12 ~recorder ()

@@ -21,8 +21,7 @@ let run_duty ctx = function
   | Scan i -> with_detector ctx i (fun d -> ignore (Detector.scan d : int))
   | Lgc i -> ignore (Adgc_rt.Lgc.run ctx.rt (proc ctx i) : Adgc_rt.Lgc.report)
   | Send_sets i -> Reflist.send_new_sets ctx.rt (proc ctx i)
-  | Maintain_candidates i ->
-      with_detector ctx i (fun d -> ignore (Detector.audit_candidates d : bool))
+  | Maintain_candidates _ -> ()
 
 type row = { name : string; period : int; run : int -> unit }
 
@@ -51,7 +50,6 @@ let detector_rows ctx ~(policy : Adgc_dcda.Policy.t) =
   [
     row "snapshot" policy.Adgc_dcda.Policy.snapshot_period (fun i -> Snapshot i);
     row "scan" policy.Adgc_dcda.Policy.scan_period (fun i -> Scan i);
-    row "audit" policy.Adgc_dcda.Policy.candidate_audit_period (fun i -> Maintain_candidates i);
   ]
 
 let schedule ctx ~policy = gc_rows ctx.rt @ detector_rows ctx ~policy

@@ -2,7 +2,7 @@
 
     A {e duty} is one voluntary protocol action of one process — take
     a snapshot, scan for candidates, run the local collector, send
-    stub sets, audit the incremental candidate labels.  Together with
+    stub sets.  Together with
     message delivery ({!Adgc_rt.Dispatch}) these transitions are the
     complete per-process protocol kernel: everything else is
     scheduling.
@@ -24,8 +24,8 @@ type ctx = {
   store : Adgc_snapshot.Snapshot_store.t;
   detectors : Adgc_dcda.Detector.t array;
       (** the DCDA instance of each process, owned by the simulator;
-          empty when it runs no detector, and then [Scan] and
-          [Maintain_candidates] do nothing *)
+          empty when it runs no detector, and then [Scan] does
+          nothing *)
 }
 (** Everything a duty needs; build one with {!Sim.kernel_ctx}. *)
 
@@ -35,6 +35,9 @@ type duty =
   | Lgc of int
   | Send_sets of int
   | Maintain_candidates of int
+      (** does nothing, and {!schedule} has no row for it: kept only
+          for the benchmark's hand copy of the duty lanes
+          ([bench/e2e/rep.ml]), which ROADMAP items 5 and 7 delete *)
 (** The process index each duty acts on. *)
 
 val run_duty : ctx -> duty -> unit
@@ -46,7 +49,7 @@ val run_duty : ctx -> duty -> unit
 (** {1 The duty table} *)
 
 type row = {
-  name : string;  (** ["lgc"], ["sets"], ["snapshot"], ["scan"] or ["audit"] *)
+  name : string;  (** ["lgc"], ["sets"], ["snapshot"] or ["scan"] *)
   period : int;
   run : int -> unit;  (** perform the duty on process [i] *)
 }
@@ -58,8 +61,8 @@ val gc_rows : Adgc_rt.Runtime.t -> row list
     the runtime config. *)
 
 val schedule : ctx -> policy:Adgc_dcda.Policy.t -> row list
-(** The duty table: {!gc_rows} followed by [snapshot], [scan] and
-    [audit] ([Maintain_candidates]) with periods from the policy.
+(** The duty table: {!gc_rows} followed by [snapshot] and [scan]
+    with periods from the policy.
     Rows are installed in this order, which fixes how same-tick
     firings interleave. *)
 

@@ -9,7 +9,6 @@ type t = {
   rt : Runtime.t;
   proc : Process.t;
   policy : Policy.t;
-  candidates : Candidates.t;
   mutable summary : Summary.t option;
   mutable next_seq : int;
   mutable started : int;
@@ -28,18 +27,12 @@ let policy t = t.policy
 
 let set_summary t summary =
   (* Gauntlet mutant: freeze the first snapshot forever — guards then
-     reason about counters the mutator has since moved past.  The
-     candidate maintainer's publish snapshot is skipped too, so the
-     frozen scan source stays coherent with the frozen summary. *)
+     reason about counters the mutator has since moved past. *)
   match (t.summary, Adgc_util.Mc_mutate.enabled "stale_summaries") with
   | Some _, true -> ()
-  | (Some _ | None), _ ->
-      t.summary <- Some summary;
-      Candidates.note_publish t.candidates
+  | (Some _ | None), _ -> t.summary <- Some summary
 
 let summary t = t.summary
-
-let candidates t = t.candidates
 
 let reports t = List.rev t.reports
 
@@ -416,18 +409,12 @@ let arrange t candidates =
               candidates
           in
           after @ upto)
-  | Policy.Random_order ->
-      let arr = Array.of_list candidates in
-      Adgc_util.Rng.shuffle t.proc.Process.rng arr;
-      Array.to_list arr
 
 (* Pick this round's candidates and start a detection per pick.  The
-   source is the key set the candidate maintainer froze when the
-   current summary was published: exactly the summary's
-   not-locally-reachable scions, in ascending key order (the audit
-   duty asserts it against an independent full root trace).  The
-   policy filters, arrangement, pick and cursor update then run over
-   that list. *)
+   source is the published summary: its scions whose target is not
+   locally reachable, in ascending key order, so it is exactly as
+   stale as the summary.  The policy filters, arrangement, pick and
+   cursor update then run over that list. *)
 let scan t =
   match t.summary with
   | None -> 0
@@ -450,7 +437,7 @@ let scan t =
             match Ref_key.Tbl.find_opt t.last_initiated si.Summary.key with
             | Some last -> now - last >= effective_cooldown si.Summary.key
             | None -> true)
-          (List.filter_map (Summary.find_scion summary) (Candidates.published t.candidates))
+          (Summary.scion_list summary)
       in
       let candidates = arrange t candidates in
       let picked = List.filteri (fun i _ -> i < t.policy.Policy.max_per_scan) candidates in
@@ -461,27 +448,12 @@ let scan t =
         (fun acc (si : Summary.scion_info) -> if initiate t si.Summary.key then acc + 1 else acc)
         0 picked
 
-(* The audit duty: recompute the candidate set from an independent
-   full root trace and compare with the maintained one.  Cheap at its
-   low frequency; a mismatch is counted under
-   [dcda.candidates.audit_mismatch]. *)
-let audit_candidates t =
-  match Candidates.audit t.candidates with
-  | None -> true
-  | Some (only_inc, only_scan) ->
-      Runtime.log t.rt ~topic:"dcda" "%a: candidate audit MISMATCH (+%d incremental, +%d scan)"
-        Proc_id.pp (proc_id t)
-        (Ref_key.Set.cardinal only_inc)
-        (Ref_key.Set.cardinal only_scan);
-      false
-
 let attach rt proc ~policy =
   let t =
     {
       rt;
       proc;
       policy;
-      candidates = Candidates.attach ~stats:rt.Runtime.stats proc;
       summary = None;
       next_seq = 0;
       started = 0;

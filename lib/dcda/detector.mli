@@ -24,22 +24,12 @@ open Adgc_algebra
 type t
 
 val attach : Adgc_rt.Runtime.t -> Adgc_rt.Process.t -> policy:Policy.t -> t
-(** Create the instance, attach its {!Candidates} maintainer and
-    install its message hooks on the process.  Scans seed from the
-    maintainer's candidate set, frozen at each summary publish. *)
+(** Create the instance and install its message hooks on the
+    process.  Scans seed from the published summary. *)
 
 val proc_id : t -> Proc_id.t
 
 val policy : t -> Policy.t
-
-val candidates : t -> Candidates.t
-(** The attached incremental candidate maintainer. *)
-
-val audit_candidates : t -> bool
-(** Run the full-trace audit ({!Candidates.audit}); [false] — plus a
-    log line and the ["dcda.candidates.audit_mismatch"] counter — on
-    divergence.  Scheduled as the low-frequency
-    [Kernel.Maintain_candidates] duty. *)
 
 val set_summary : t -> Adgc_snapshot.Summary.t -> unit
 (** Publish a freshly taken summary (see {!Adgc_snapshot.Snapshot_store}). *)
@@ -49,10 +39,13 @@ val summary : t -> Adgc_snapshot.Summary.t option
 (** {1 Driving} *)
 
 val scan : t -> int
-(** Filter, arrange and pick this round's candidates from the
-    maintainer's set frozen at the last publish (advancing the
-    rotating cursor), and initiate a detection per pick; returns how
-    many were started. *)
+(** Filter, arrange and pick this round's candidates, and initiate a
+    detection per pick (advancing the rotating cursor); returns how
+    many were started.  The source is the published summary's scions
+    whose target is not locally reachable, in ascending key order: the
+    summarizer's root trace decides that bit at each snapshot, so the
+    source is exactly as stale as the summary and a root added since
+    the publish does not remove a candidate until the next one. *)
 
 val initiate : t -> Ref_key.t -> bool
 (** Force a detection from one scion (tests and the CLI use this);

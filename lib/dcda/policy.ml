@@ -5,12 +5,7 @@ let deletion_mode_name = function
   | All_local -> "all_local"
   | Broadcast -> "broadcast"
 
-type scan_order = Sorted | Rotating | Random_order
-
-let scan_order_name = function
-  | Sorted -> "sorted"
-  | Rotating -> "rotating"
-  | Random_order -> "random"
+type scan_order = Sorted | Rotating
 
 type t = {
   idle_threshold : int;

@@ -26,9 +26,6 @@ type scan_order =
       (** resume after the last initiated candidate, wrapping — under
           more eligible candidates than [max_per_scan] this guarantees
           every scion is eventually tried (no starvation) *)
-  | Random_order  (** shuffle candidates with the process's RNG *)
-
-val scan_order_name : scan_order -> string
 
 type t = {
   idle_threshold : int;
@@ -59,11 +56,9 @@ type t = {
           connected garbage, where unbounded fan-out is combinatorial
           (experiment E18) *)
   candidate_audit_period : int;
-      (** how often each process runs the full-scan audit of its
-          incremental candidate labels ({!Detector.audit_candidates})
-          — deliberately several snapshot periods, so the audit is a
-          low-frequency safety net rather than a recurring O(heap)
-          cost *)
+      (** period of [Kernel.Maintain_candidates], a duty that does
+          nothing: kept only for the benchmark's hand copy of the
+          duty lanes ([bench/e2e/rep.ml]) *)
 }
 
 val default : t

@@ -123,21 +123,6 @@ let all =
         ];
     };
     {
-      mutant = "drop_label_updates";
-      descr = "incremental candidate maintainer goes deaf to heap edge/root events";
-      scenario = "two_proc_cycle";
-      strategy = Safety;
-      caps = None;
-      (* With every heap event dropped, P0's root region never grows
-         past the (empty) heap it was attached to, so the scion
-         guarding the remotely-held cycle member is labelled a
-         candidate while a full root trace says it is reachable — the
-         per-step audit invariant catches the divergence on the very
-         first action.  Safety here means label exactness, the
-         property the incremental scan's correctness rests on. *)
-      witness = [ Action.Snapshot 0 ];
-    };
-    {
       mutant = "no_reinitiation";
       descr = "detector never retries a candidate after a fruitless attempt";
       scenario = "two_proc_cycle";

@@ -201,27 +201,6 @@ let perform t (a : Action.t) =
             t.drops_used <- t.drops_used + 1;
             Ok ())
 
-(* The candidate maintainer runs in every mode, so its audit is an
-   invariant of every explored state: the incrementally maintained
-   candidate set must equal one recomputed from an independent full
-   root trace.  The audit only refreshes internal labels (never the
-   frozen [published] list), so checking it after each action does
-   not perturb the explored behaviour or the fingerprint. *)
-let audit_violations t =
-  List.concat
-    (List.init t.n_procs (fun i ->
-         match Adgc_dcda.Candidates.audit (Adgc_dcda.Detector.candidates (Sim.detector t.sim i)) with
-         | None -> []
-         | Some (only_inc, only_scan) ->
-             [
-               Printf.sprintf
-                 "candidate_audit: P%d incremental labels diverge from full scan (%d \
-                  incremental-only, %d scan-only)"
-                 i
-                 (Ref_key.Set.cardinal only_inc)
-                 (Ref_key.Set.cardinal only_scan);
-             ]))
-
 let apply t a =
   match perform t a with
   | Error _ as e -> e
@@ -236,7 +215,7 @@ let apply t a =
               (Adgc_check.Invariant.describe v))
           (Adgc_check.Invariant.check ~live (Sim.cluster t.sim))
       in
-      Ok (swept @ inst @ audit_violations t)
+      Ok (swept @ inst)
 
 (* --------------------------------------------------------------- *)
 (* Canonical state digest.                                          *)

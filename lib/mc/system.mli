@@ -24,9 +24,7 @@ val enabled : t -> Action.t list
 val apply : t -> Action.t -> (string list, string) result
 (** Perform one action.  [Ok violations] carries every safety
     violation observed during or right after the step (pre-sweep
-    ground-truth hits, {!Adgc_check.Invariant.check} findings and
-    per-process candidate-label audits —
-    {!Adgc_dcda.Candidates.audit} against an independent root trace —
+    ground-truth hits and {!Adgc_check.Invariant.check} findings,
     rendered as stable strings); [Error reason] means the action was
     not applicable in this state and nothing happened. *)
 

@@ -45,10 +45,6 @@ let restart_proc rt i =
     let pruned = Process.prune_delivered p in
     if pruned > 0 then Stats.add rt.Runtime.stats "cluster.delivered_pruned" pruned;
     Stats.incr rt.Runtime.stats "cluster.restarts";
-    (* Components caching derived views of this heap (the incremental
-       candidate maintainer) rebuild from the revived state; the crash
-       may have interrupted them mid-update. *)
-    List.iter (fun hook -> hook ()) p.Process.on_revive;
     Runtime.log rt ~topic:"cluster" "%a restarted" Proc_id.pp p.Process.id
   end
 

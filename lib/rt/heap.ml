@@ -33,18 +33,6 @@ type tracer = {
          cluster's live-mark cache) keys its validity on this *)
 }
 
-(* Edge-level mutation events, fired synchronously after the heap
-   state is updated.  The incremental candidate maintainer
-   (Adgc_dcda.Candidates) subscribes to keep its root-region labels in
-   step with the graph; the events carry exactly the reachability
-   delta (edges, roots, sweeps) and nothing about payloads. *)
-type event =
-  | Edge_added of Oid.t * Oid.t (* holder, target *)
-  | Edge_removed of Oid.t * Oid.t
-  | Root_added of Oid.t
-  | Root_removed of Oid.t
-  | Removed of Oid.t
-
 type t = {
   owner : Proc_id.t;
   objs : obj Oid.Tbl.t;
@@ -57,7 +45,6 @@ type t = {
       (* bumped only by [remove]: the one mutation class that cannot
          {e grow} reachability, so the globally-live set is unchanged
          by it (unless the removal itself was the safety violation) *)
-  mutable hooks : (event -> unit) list;
   tracer : tracer;
 }
 
@@ -71,7 +58,6 @@ let create ~owner =
     mutations = 0;
     reclaim_mutations = 0;
     removals = 0;
-    hooks = [];
     tracer =
       {
         ids = Interner.create ();
@@ -85,10 +71,6 @@ let create ~owner =
         rebuilds = 0;
       };
   }
-
-let on_event t f = t.hooks <- t.hooks @ [ f ]
-
-let fire t ev = match t.hooks with [] -> () | hooks -> List.iter (fun f -> f ev) hooks
 
 (* ------------------------------------------------------------------ *)
 (* Incremental adjacency maintenance.  Dense ids are append-only
@@ -178,9 +160,7 @@ let set_field t obj i v =
   t.mutations <- t.mutations + 1;
   if v <> None then t.reclaim_mutations <- t.reclaim_mutations + 1;
   (match old with Some o -> adj_remove t obj.oid o | None -> ());
-  (match v with Some o -> adj_add t obj.oid o | None -> ());
-  (match old with Some o -> fire t (Edge_removed (obj.oid, o)) | None -> ());
-  match v with Some o -> fire t (Edge_added (obj.oid, o)) | None -> ()
+  match v with Some o -> adj_add t obj.oid o | None -> ()
 
 let add_ref t obj oid =
   t.mutations <- t.mutations + 1;
@@ -200,7 +180,6 @@ let add_ref t obj oid =
         n
   in
   adj_add t obj.oid oid;
-  fire t (Edge_added (obj.oid, oid));
   slot
 
 let remove_ref t obj oid =
@@ -216,10 +195,7 @@ let remove_ref t obj oid =
       | Some _ | None -> go (i + 1)
   in
   let found = go 0 in
-  if found then begin
-    adj_remove t obj.oid oid;
-    fire t (Edge_removed (obj.oid, oid))
-  end;
+  if found then adj_remove t obj.oid oid;
   found
 
 let remove t oid =
@@ -229,8 +205,7 @@ let remove t oid =
     t.generation <- t.generation + 1;
     t.mutations <- t.mutations + 1;
     t.reclaim_mutations <- t.reclaim_mutations + 1;
-    t.removals <- t.removals + 1;
-    fire t (Removed oid)
+    t.removals <- t.removals + 1
   end
 
 let add_root t oid =
@@ -238,13 +213,11 @@ let add_root t oid =
     invalid_arg (Format.asprintf "Heap.add_root: %a is not local to %a" Oid.pp oid Proc_id.pp t.owner);
   Oid.Tbl.replace t.root_set oid ();
   t.mutations <- t.mutations + 1;
-  t.reclaim_mutations <- t.reclaim_mutations + 1;
-  fire t (Root_added oid)
+  t.reclaim_mutations <- t.reclaim_mutations + 1
 
 let remove_root t oid =
   Oid.Tbl.remove t.root_set oid;
-  t.mutations <- t.mutations + 1;
-  fire t (Root_removed oid)
+  t.mutations <- t.mutations + 1
 
 let is_root t oid = Oid.Tbl.mem t.root_set oid
 

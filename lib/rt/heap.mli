@@ -116,30 +116,6 @@ val iter : t -> (obj -> unit) -> unit
 
 val fold : t -> init:'a -> f:('a -> obj -> 'a) -> 'a
 
-(** {1 Mutation events}
-
-    Edge-level change notifications: per-{e edge} deltas fanned out
-    to any number of observers.  The incremental candidate maintainer
-    subscribes to keep its root-region labels in step with the
-    graph. *)
-
-type event =
-  | Edge_added of Oid.t * Oid.t
-      (** [(holder, target)] — a slot of [holder] now references [target]
-          ({!add_ref}, or {!set_field} storing [Some]). *)
-  | Edge_removed of Oid.t * Oid.t
-      (** [(holder, target)] — a slot of [holder] dropped its reference
-          to [target] ({!remove_ref} when found, or {!set_field}
-          overwriting [Some]). *)
-  | Root_added of Oid.t
-  | Root_removed of Oid.t
-  | Removed of Oid.t  (** the object was swept ({!remove}). *)
-
-val on_event : t -> (event -> unit) -> unit
-(** Register an observer, fired synchronously {e after} the heap state
-    is updated, in registration order.  Observers must not mutate the
-    heap. *)
-
 type trace_result = {
   local : Oid.Set.t;  (** local objects reached (including the starts that exist) *)
   remote : Oid.Set.t;  (** remote objects referenced from reached objects *)

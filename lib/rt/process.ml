@@ -45,7 +45,6 @@ and t = {
   mutable on_cdm : (Cdm.t -> unit) option;
   mutable on_cdm_delete : (Detection_id.t -> Ref_key.t list -> unit) option;
   mutable on_ext : (src:Proc_id.t -> string -> unit) option;
-  mutable on_revive : (unit -> unit) list;
   mutable pstore : Pstore.t option;
 }
 
@@ -73,7 +72,6 @@ let create ~id ~rng =
     on_cdm = None;
     on_cdm_delete = None;
     on_ext = None;
-    on_revive = [];
     pstore = None;
   }
 

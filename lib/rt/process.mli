@@ -90,11 +90,6 @@ and t = {
   mutable on_ext : (src:Proc_id.t -> string -> unit) option;
       (** receives {!Msg.Ext} bodies: the hook a component outside the
           system (a comparison collector) attaches through *)
-  mutable on_revive : (unit -> unit) list;
-      (** fired (registration order) by {!Cluster.restart} when this
-          process comes back from a crash; components caching derived
-          views of the heap (the incremental candidate maintainer)
-          rebuild from the revived state here *)
   mutable pstore : Pstore.t option;
       (** optional paged persistent store; collector duties report
           their object traversals to it (experiment E17) *)

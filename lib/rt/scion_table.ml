@@ -8,8 +8,6 @@ type entry = {
   mutable last_invoked : int;
 }
 
-type change = Added of Ref_key.t | Deleted of Ref_key.t
-
 (* Everything the owner knows about one holder.  Stub-set processing,
    idle detection and crash reclamation each concern one holder, so
    grouping by holder makes them cost that holder's scions rather than
@@ -30,14 +28,9 @@ type t = {
   owner : Proc_id.t;
   mutable holders : holder option array; (* by holder rank *)
   mutable size : int;
-  mutable hooks : (change -> unit) list;
 }
 
-let create ~owner = { owner; holders = [||]; size = 0; hooks = [] }
-
-let on_change t f = t.hooks <- t.hooks @ [ f ]
-
-let fire t ch = match t.hooks with [] -> () | hooks -> List.iter (fun f -> f ch) hooks
+let create ~owner = { owner; holders = [||]; size = 0 }
 
 let owner t = t.owner
 
@@ -91,8 +84,8 @@ let insert_at h i entry =
   h.scions.(i) <- entry;
   h.count <- h.count + 1
 
-(* Keep the scions satisfying [keep], in order; fire [Deleted] for the
-   others once the table is updated and return their keys, ascending.
+(* Keep the scions satisfying [keep], in order, and return the keys of
+   the others, ascending.
    Vacated slots are overwritten so the array retains nothing removed. *)
 let filter_in_place t h keep =
   let removed = ref [] and kept = ref 0 in
@@ -109,9 +102,7 @@ let filter_in_place t h keep =
   else Array.fill h.scions !kept (h.count - !kept) h.scions.(0);
   t.size <- t.size - (h.count - !kept);
   h.count <- !kept;
-  let removed = List.rev !removed in
-  List.iter (fun key -> fire t (Deleted key)) removed;
-  removed
+  List.rev !removed
 
 let find t key =
   match holder_opt t key.Ref_key.src with Some h -> find_in h key.Ref_key.target | None -> None
@@ -131,7 +122,6 @@ let ensure t ~now key =
     let entry = { key; ic = 0; confirmed = false; created_at = now; last_invoked = now } in
     insert_at h (-i - 1) entry;
     t.size <- t.size + 1;
-    fire t (Added key);
     entry
   end
 

@@ -142,19 +142,3 @@ val drop_for_targets : t -> Oid.Set.t -> int
     returns how many were dropped. *)
 
 val size : t -> int
-
-(** {1 Change events}
-
-    Every scion creation funnels through {!ensure} and every removal —
-    stub-set exclusion, crash-stop reclamation, sweep cleanup, cycle
-    deletion — through {!delete}, so these two hooks see the complete
-    membership history of the table.  The incremental candidate
-    maintainer subscribes to track the scion population without
-    rescanning. *)
-
-type change = Added of Ref_key.t | Deleted of Ref_key.t
-
-val on_change : t -> (change -> unit) -> unit
-(** Register an observer, fired synchronously after the table is
-    updated, in registration order.  {!delete} fires only when the key
-    was present; tombstone-only deletes are silent. *)

@@ -16,15 +16,12 @@ type entry = {
   mutable last_invoked : int;
 }
 
-type change = Added of Ref_key.t | Deleted of Ref_key.t
-
 type t = {
   owner : Proc_id.t;
   entries : entry Ref_key.Tbl.t;
   seqnos : (int, int) Hashtbl.t; (* holder proc -> last accepted seqno *)
   set_times : (int, int) Hashtbl.t; (* holder proc -> last stub-set arrival time *)
   tombstones : unit Ref_key.Tbl.t; (* DCDA-deleted keys, see interface *)
-  mutable hooks : (change -> unit) list;
 }
 
 let create ~owner =
@@ -34,12 +31,7 @@ let create ~owner =
     seqnos = Hashtbl.create 8;
     set_times = Hashtbl.create 8;
     tombstones = Ref_key.Tbl.create 4;
-    hooks = [];
   }
-
-let on_change t f = t.hooks <- t.hooks @ [ f ]
-
-let fire t ch = match t.hooks with [] -> () | hooks -> List.iter (fun f -> f ch) hooks
 
 let owner t = t.owner
 
@@ -58,14 +50,12 @@ let ensure t ~now key =
   | None ->
       let entry = { key; ic = 0; confirmed = false; created_at = now; last_invoked = now } in
       Ref_key.Tbl.add t.entries key entry;
-      fire t (Added key);
       entry
 
 let delete ?(tombstone = false) t key =
   if tombstone then Ref_key.Tbl.replace t.tombstones key ();
   if mem t key then begin
     Ref_key.Tbl.remove t.entries key;
-    fire t (Deleted key);
     true
   end
   else false

@@ -749,6 +749,68 @@ let test_lineage_guard_recorded () =
            (Lineage.hops lineage id))
   | ids -> Alcotest.failf "expected one detection, got %d" (List.length ids)
 
+(* The scan-source contract: [Detector.scan] initiates from the
+   published summary's not-locally-reachable scions, in ascending key
+   order, and from nothing else.  Two processes share a garbage cycle
+   with two scions on each side; P0 also holds a scion whose target is
+   rooted, allocated between the two candidates so the filter must
+   drop it from the middle.  A root added to a candidate's target after
+   the publish does not remove it: the source is exactly as stale as
+   the summary, and only the next publish sees the root. *)
+let test_scan_source_is_the_summary () =
+  let policy = { Policy.aggressive with Policy.scan_order = Policy.Sorted } in
+  let h = mk_telemetry ~n:2 ~policy () in
+  let a0 = Mutator.alloc h.cluster ~proc:0 () in
+  let r = Mutator.alloc h.cluster ~proc:0 () in
+  let a1 = Mutator.alloc h.cluster ~proc:0 () in
+  let b0 = Mutator.alloc h.cluster ~proc:1 () in
+  let b1 = Mutator.alloc h.cluster ~proc:1 () in
+  let x = Mutator.alloc h.cluster ~proc:1 () in
+  Mutator.add_root h.cluster r;
+  Mutator.add_root h.cluster x;
+  List.iter
+    (fun (holder, target) -> Mutator.wire_remote h.cluster ~holder ~target)
+    [ (a0, b0); (b0, a1); (a1, b1); (b1, a0); (x, r) ];
+  Cluster.run_for h.cluster 1_000;
+  snapshot_all h;
+  let key (holder : Heap.obj) (target : Heap.obj) =
+    Ref_key.make ~src:(Oid.owner holder.Heap.oid) ~target:target.Heap.oid
+  in
+  let published i =
+    match Detector.summary h.detectors.(i) with
+    | Some s ->
+        List.filter_map
+          (fun (si : Adgc_snapshot.Summary.scion_info) ->
+            if si.Adgc_snapshot.Summary.target_locally_reachable then None
+            else Some si.Adgc_snapshot.Summary.key)
+          (Adgc_snapshot.Summary.scion_list s)
+    | None -> Alcotest.fail "no published summary"
+  in
+  let lineage = Cluster.lineage h.cluster in
+  let initiated_by i =
+    List.filter_map
+      (fun (id : Detection_id.t) ->
+        if not (Proc_id.equal id.Detection_id.initiator (Proc_id.of_int i)) then None
+        else
+          match Lineage.hops lineage id with
+          | Lineage.Initiated { candidate; _ } :: _ -> Some (id.Detection_id.seq, candidate)
+          | _ -> None)
+      (Lineage.detections lineage)
+    |> List.sort compare |> List.map snd
+  in
+  let keys = Alcotest.(list (of_pp Ref_key.pp)) in
+  check keys "P0's published candidates" [ key b1 a0; key b0 a1 ] (published 0);
+  check keys "P1's published candidates" [ key a0 b0; key a1 b1 ] (published 1);
+  check Alcotest.int "P1 scans its published candidates" 2 (Detector.scan h.detectors.(1));
+  check keys "P1 initiates from the summary's candidates" (published 1) (initiated_by 1);
+  (* A root after the publish: the live heap now reaches a1, the
+     published summary does not. *)
+  Mutator.add_root h.cluster a1;
+  check Alcotest.int "P0 scans its published candidates" 2 (Detector.scan h.detectors.(0));
+  check keys "P0 initiates from the summary's candidates" (published 0) (initiated_by 0);
+  snapshot_all h;
+  check keys "the next publish sees the root" [ key b1 a0 ] (published 0)
+
 let test_lineage_off_is_empty () =
   let h = mk ~n:4 () in
   let built = Topology.fig3 h.cluster in
@@ -788,6 +850,8 @@ let suite =
       Alcotest.test_case "scan: idle threshold" `Quick test_scan_respects_idle_threshold;
       Alcotest.test_case "scan: cooldown" `Quick test_scan_cooldown;
       Alcotest.test_case "scan: skips rooted targets" `Quick test_scan_skips_rooted_targets;
+      Alcotest.test_case "scan: the source is the published summary" `Quick
+        test_scan_source_is_the_summary;
       Alcotest.test_case "scan: rotation avoids starvation" `Quick
         test_scan_rotation_avoids_starvation;
       Alcotest.test_case "scan: backoff on fruitless candidates" `Quick

@@ -11,7 +11,6 @@ let () =
       Test_rt_gc.suite;
       Test_snapshot.suite;
       Test_detector.suite;
-      Test_candidates.suite;
       Test_baseline.suite;
       Test_workload.suite;
       Test_integration.suite;

@@ -25,6 +25,35 @@ let test_heap_alloc () =
   check Alcotest.bool "mem" true (Heap.mem h a.Heap.oid);
   check Alcotest.bool "owner" true (Proc_id.equal (Oid.owner a.Heap.oid) p0)
 
+(* Which mutation classes move [Heap.reclaim_mutations], the
+   staleness signature [Sim.run_until_clean] keys on.  Reclamation can
+   only happen after a class that might shrink the garbage set —
+   object removal, reference/root insertion, a stored field — never
+   after pure garbage creation (alloc, root/reference removal, field
+   clear). *)
+let test_heap_reclaim_mutation_classes () =
+  let heap = Heap.create ~owner:p0 in
+  let count () = Heap.reclaim_mutations heap in
+  let expect_bump label f =
+    let before = count () in
+    f ();
+    check Alcotest.bool (label ^ " counts as a reclaim mutation") true (count () > before)
+  in
+  let expect_still label f =
+    let before = count () in
+    f ();
+    check Alcotest.int (label ^ " is reclaim-neutral") before (count ())
+  in
+  let a = Heap.alloc heap and b = Heap.alloc heap in
+  expect_still "alloc" (fun () -> ignore (Heap.alloc heap : Heap.obj));
+  expect_bump "add_root" (fun () -> Heap.add_root heap a.Heap.oid);
+  expect_bump "add_ref" (fun () -> ignore (Heap.add_ref heap a b.Heap.oid : int));
+  expect_bump "set_field Some" (fun () -> Heap.set_field heap b 0 (Some a.Heap.oid));
+  expect_still "set_field None" (fun () -> Heap.set_field heap b 0 None);
+  expect_still "remove_ref" (fun () -> ignore (Heap.remove_ref heap a b.Heap.oid : bool));
+  expect_still "remove_root" (fun () -> Heap.remove_root heap a.Heap.oid);
+  expect_bump "remove" (fun () -> Heap.remove heap b.Heap.oid)
+
 let test_heap_fields () =
   let h = Heap.create ~owner:p0 in
   let a = Heap.alloc ~fields:2 h and b = Heap.alloc h in
@@ -572,13 +601,6 @@ let outcome f = match f () with v -> Ok v | exception Invalid_argument msg -> Er
 
 let same_scion_tables ops =
   let real = Scion_table.create ~owner:p0 and model = Ref_table.create ~owner:p0 in
-  let real_events = ref [] and model_events = ref [] in
-  Scion_table.on_change real (function
-    | Scion_table.Added k -> real_events := (true, k) :: !real_events
-    | Scion_table.Deleted k -> real_events := (false, k) :: !real_events);
-  Ref_table.on_change model (function
-    | Ref_table.Added k -> model_events := (true, k) :: !model_events
-    | Ref_table.Deleted k -> model_events := (false, k) :: !model_events);
   let view (e : Scion_table.entry) =
     (e.Scion_table.key, e.Scion_table.ic, e.Scion_table.confirmed, e.Scion_table.created_at,
      e.Scion_table.last_invoked)
@@ -659,10 +681,7 @@ let same_scion_tables ops =
           agree "entries_for_target"
             (List.map view (Scion_table.entries_for_target real (oid 0 t)))
             (List.map model_view (Ref_table.entries_for_target model (oid 0 t))))
-        [ 0; 1; 2; 3; 4; 5 ];
-      (* Hook events: the same multiset (the order of a multi-key
-         removal may differ). *)
-      agree "change events" (List.sort compare !real_events) (List.sort compare !model_events))
+        [ 0; 1; 2; 3; 4; 5 ])
     ops;
   true
 
@@ -699,6 +718,8 @@ let suite =
     [
       Alcotest.test_case "heap: alloc" `Quick test_heap_alloc;
       Alcotest.test_case "heap: fields" `Quick test_heap_fields;
+      Alcotest.test_case "heap: reclaim-mutation classes pinned" `Quick
+        test_heap_reclaim_mutation_classes;
       Alcotest.test_case "heap: add_ref grows" `Quick test_heap_add_ref_grows;
       Alcotest.test_case "heap: remove_ref" `Quick test_heap_remove_ref;
       Alcotest.test_case "heap: roots" `Quick test_heap_roots;

@@ -353,7 +353,7 @@ let isolated_counters ~rank install =
   install sim;
   Sim.run_for sim horizon;
   let stats = Sim.stats sim in
-  List.map (fun k -> (k, Stats.get stats k)) [ "lgc.runs"; "snapshot.taken"; "dcda.candidates.audits" ]
+  List.map (fun k -> (k, Stats.get stats k)) [ "lgc.runs"; "snapshot.taken" ]
 
 (* The shared installer, with every row counting its own firings. *)
 let row_counts install =
@@ -394,6 +394,9 @@ let test_one_duty_table () =
   check counts "per-rank installer fires like the lanes" lanes per_rank;
   let config = Config.quick () in
   let rows = Kernel.schedule (Sim.kernel_ctx (Sim.create ~config ())) ~policy:config.Config.policy in
+  check Alcotest.(list string) "the duty table's rows"
+    [ "lgc"; "sets"; "snapshot"; "scan" ]
+    (List.map (fun (row : Kernel.row) -> row.Kernel.name) rows);
   check counts "lanes fire as the table says"
     (List.concat_map
        (fun (row : Kernel.row) ->
