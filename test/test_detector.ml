@@ -749,6 +749,46 @@ let test_lineage_guard_recorded () =
            (Lineage.hops lineage id))
   | ids -> Alcotest.failf "expected one detection, got %d" (List.length ids)
 
+(* The scan-source helpers: a scion's key, the keys the published
+   summary of process [i] offers the scan (its not-locally-reachable
+   scions, ascending), and the candidates [i] initiated from, in
+   initiation order (read from the lineage, so telemetry must be on). *)
+let ref_key (holder : Heap.obj) (target : Heap.obj) =
+  Ref_key.make ~src:(Oid.owner holder.Heap.oid) ~target:target.Heap.oid
+
+let published h i =
+  match Detector.summary h.detectors.(i) with
+  | Some s ->
+      List.filter_map
+        (fun (si : Adgc_snapshot.Summary.scion_info) ->
+          if si.Adgc_snapshot.Summary.target_locally_reachable then None
+          else Some si.Adgc_snapshot.Summary.key)
+        (Adgc_snapshot.Summary.scion_list s)
+  | None -> Alcotest.fail "no published summary"
+
+let initiated_by h i =
+  let lineage = Cluster.lineage h.cluster in
+  List.filter_map
+    (fun (id : Detection_id.t) ->
+      if not (Proc_id.equal id.Detection_id.initiator (Proc_id.of_int i)) then None
+      else
+        match Lineage.hops lineage id with
+        | Lineage.Initiated { candidate; _ } :: _ -> Some (id.Detection_id.seq, candidate)
+        | _ -> None)
+    (Lineage.detections lineage)
+  |> List.sort compare |> List.map snd
+
+let keys = Alcotest.(list (of_pp Ref_key.pp))
+
+(* [k] independent two-cycles between P0 and P1, in allocation order. *)
+let two_cycles h k =
+  List.init k (fun _ ->
+      let a = Mutator.alloc h.cluster ~proc:0 () in
+      let b = Mutator.alloc h.cluster ~proc:1 () in
+      Mutator.wire_remote h.cluster ~holder:a ~target:b;
+      Mutator.wire_remote h.cluster ~holder:b ~target:a;
+      (a, b))
+
 (* The scan-source contract: [Detector.scan] initiates from the
    published summary's not-locally-reachable scions, in ascending key
    order, and from nothing else.  Two processes share a garbage cycle
@@ -773,43 +813,94 @@ let test_scan_source_is_the_summary () =
     [ (a0, b0); (b0, a1); (a1, b1); (b1, a0); (x, r) ];
   Cluster.run_for h.cluster 1_000;
   snapshot_all h;
-  let key (holder : Heap.obj) (target : Heap.obj) =
-    Ref_key.make ~src:(Oid.owner holder.Heap.oid) ~target:target.Heap.oid
-  in
-  let published i =
-    match Detector.summary h.detectors.(i) with
-    | Some s ->
-        List.filter_map
-          (fun (si : Adgc_snapshot.Summary.scion_info) ->
-            if si.Adgc_snapshot.Summary.target_locally_reachable then None
-            else Some si.Adgc_snapshot.Summary.key)
-          (Adgc_snapshot.Summary.scion_list s)
-    | None -> Alcotest.fail "no published summary"
-  in
-  let lineage = Cluster.lineage h.cluster in
-  let initiated_by i =
-    List.filter_map
-      (fun (id : Detection_id.t) ->
-        if not (Proc_id.equal id.Detection_id.initiator (Proc_id.of_int i)) then None
-        else
-          match Lineage.hops lineage id with
-          | Lineage.Initiated { candidate; _ } :: _ -> Some (id.Detection_id.seq, candidate)
-          | _ -> None)
-      (Lineage.detections lineage)
-    |> List.sort compare |> List.map snd
-  in
-  let keys = Alcotest.(list (of_pp Ref_key.pp)) in
-  check keys "P0's published candidates" [ key b1 a0; key b0 a1 ] (published 0);
-  check keys "P1's published candidates" [ key a0 b0; key a1 b1 ] (published 1);
+  check keys "P0's published candidates" [ ref_key b1 a0; ref_key b0 a1 ] (published h 0);
+  check keys "P1's published candidates" [ ref_key a0 b0; ref_key a1 b1 ] (published h 1);
   check Alcotest.int "P1 scans its published candidates" 2 (Detector.scan h.detectors.(1));
-  check keys "P1 initiates from the summary's candidates" (published 1) (initiated_by 1);
+  check keys "P1 initiates from the summary's candidates" (published h 1) (initiated_by h 1);
   (* A root after the publish: the live heap now reaches a1, the
      published summary does not. *)
   Mutator.add_root h.cluster a1;
   check Alcotest.int "P0 scans its published candidates" 2 (Detector.scan h.detectors.(0));
-  check keys "P0 initiates from the summary's candidates" (published 0) (initiated_by 0);
+  check keys "P0 initiates from the summary's candidates" (published h 0) (initiated_by h 0);
   snapshot_all h;
-  check keys "the next publish sees the root" [ key b1 a0 ] (published 0)
+  check keys "the next publish sees the root" [ ref_key b1 a0 ] (published h 0)
+
+(* Without a published summary there is no candidate, however long
+   the garbage has sat idle. *)
+let test_scan_needs_a_publish () =
+  let h = mk ~n:2 () in
+  let _ = two_cycles h 1 in
+  Cluster.run_for h.cluster 1_000;
+  check Alcotest.int "no summary, no scan" 0 (Detector.scan h.detectors.(0));
+  check Alcotest.int "nothing started" 0 (stat h "dcda.detections_started");
+  snapshot_all h;
+  check Alcotest.int "the publish makes it a candidate" 1 (Detector.scan h.detectors.(0))
+
+(* The other half of the staleness: a garbage scion created after the
+   publish is not a candidate until the next publish lists it. *)
+let test_scan_new_scion_waits_for_publish () =
+  let policy =
+    { Policy.aggressive with Policy.scan_order = Policy.Sorted; cooldown = 1_000_000 }
+  in
+  let h = mk_telemetry ~n:2 ~policy () in
+  let a0, b0 = List.hd (two_cycles h 1) in
+  Cluster.run_for h.cluster 1_000;
+  snapshot_all h;
+  let a1, b1 = List.hd (two_cycles h 1) in
+  Cluster.run_for h.cluster 1_000;
+  check keys "the publish predates the new scion" [ ref_key a0 b0 ] (published h 1);
+  check Alcotest.int "P1 scans the published scion only" 1 (Detector.scan h.detectors.(1));
+  check keys "P1 initiated from the old scion" [ ref_key a0 b0 ] (initiated_by h 1);
+  snapshot_all h;
+  check keys "the next publish lists both" [ ref_key a0 b0; ref_key a1 b1 ] (published h 1);
+  check Alcotest.int "P1 scans the new scion" 1 (Detector.scan h.detectors.(1));
+  check keys "P1 initiated from both, in turn" [ ref_key a0 b0; ref_key a1 b1 ] (initiated_by h 1)
+
+(* [Sorted] takes the lowest eligible keys at every scan: with no
+   cooldown, two scans pick the same [max_per_scan] keys. *)
+let test_scan_sorted_restarts_from_lowest () =
+  let policy =
+    {
+      Policy.aggressive with
+      Policy.scan_order = Policy.Sorted;
+      max_per_scan = 2;
+      cooldown = 0;
+      backoff = false;
+    }
+  in
+  let h = mk_telemetry ~n:2 ~policy () in
+  let _ = two_cycles h 4 in
+  Cluster.run_for h.cluster 1_000;
+  snapshot_all h;
+  let lowest = List.filteri (fun i _ -> i < 2) (published h 1) in
+  check Alcotest.int "four candidates" 4 (List.length (published h 1));
+  check Alcotest.int "first scan" 2 (Detector.scan h.detectors.(1));
+  check Alcotest.int "second scan" 2 (Detector.scan h.detectors.(1));
+  check keys "both scans took the two lowest keys" (lowest @ lowest) (initiated_by h 1)
+
+(* The idle filter reads the summary's [last_invoked] too: an
+   invocation after the publish leaves the scion a candidate until the
+   next publish records it. *)
+let test_scan_idle_filter_reads_the_summary () =
+  let policy = { Policy.aggressive with Policy.cooldown = 0; backoff = false } in
+  let h = mk ~n:2 ~policy () in
+  let a, b = List.hd (two_cycles h 1) in
+  Cluster.run_for h.cluster 1_000;
+  snapshot_all h;
+  (* Long enough to deliver the invocation, shorter than the idle
+     threshold; [settle] would also run the call's pin timeout, 5,000 ticks on. *)
+  Mutator.invoke h.cluster ~src:0 ~target:b.Heap.oid;
+  Cluster.run_for h.cluster 100;
+  let live =
+    match Scion_table.find (Cluster.proc h.cluster 1).Process.scions (ref_key a b) with
+    | Some e -> e.Scion_table.last_invoked
+    | None -> Alcotest.fail "the scion is gone"
+  in
+  check Alcotest.bool "the live scion was just invoked" true (live >= 1_000);
+  check Alcotest.int "the published summary still reads it idle" 1
+    (Detector.scan h.detectors.(1));
+  snapshot_all h;
+  check Alcotest.int "the next publish reads it busy" 0 (Detector.scan h.detectors.(1))
 
 let test_lineage_off_is_empty () =
   let h = mk ~n:4 () in
@@ -852,6 +943,13 @@ let suite =
       Alcotest.test_case "scan: skips rooted targets" `Quick test_scan_skips_rooted_targets;
       Alcotest.test_case "scan: the source is the published summary" `Quick
         test_scan_source_is_the_summary;
+      Alcotest.test_case "scan: nothing before the first publish" `Quick test_scan_needs_a_publish;
+      Alcotest.test_case "scan: a scion made after the publish waits for the next" `Quick
+        test_scan_new_scion_waits_for_publish;
+      Alcotest.test_case "scan: sorted order restarts from the lowest key" `Quick
+        test_scan_sorted_restarts_from_lowest;
+      Alcotest.test_case "scan: the idle filter reads the published summary" `Quick
+        test_scan_idle_filter_reads_the_summary;
       Alcotest.test_case "scan: rotation avoids starvation" `Quick
         test_scan_rotation_avoids_starvation;
       Alcotest.test_case "scan: backoff on fruitless candidates" `Quick

@@ -413,6 +413,49 @@ let test_one_duty_table () =
       (List.assoc "lgc.runs" sim_start)
   done
 
+(* [Maintain_candidates] stays only as a name; running it changes no
+   counter and starts nothing, where the [Scan] duty on the same state
+   starts one detection per process. *)
+let test_maintain_candidates_is_inert () =
+  let sim = Sim.create ~config:(Config.quick ~n_procs:3 ()) () in
+  let _r = Topology.ring (Sim.cluster sim) ~procs:[ 0; 1; 2 ] in
+  Sim.run_for sim 1_000;
+  Sim.snapshot_all sim;
+  let ctx = Sim.kernel_ctx sim in
+  let started () = Stats.get (Sim.stats sim) "dcda.detections_started" in
+  let before = Stats.counters (Sim.stats sim) in
+  for i = 0 to 2 do
+    Kernel.run_duty ctx (Kernel.Maintain_candidates i)
+  done;
+  check
+    Alcotest.(list (pair string int))
+    "no counter moved" before
+    (Stats.counters (Sim.stats sim));
+  for i = 0 to 2 do
+    Kernel.run_duty ctx (Kernel.Scan i)
+  done;
+  check Alcotest.int "the scan duty starts them" 3 (started ())
+
+(* The scan duty reads what the snapshot duty published for that
+   process, and nothing before it. *)
+let test_scan_duty_reads_the_snapshot_duty () =
+  let sim = Sim.create ~config:(Config.quick ~n_procs:3 ()) () in
+  let _r = Topology.ring (Sim.cluster sim) ~procs:[ 0; 1; 2 ] in
+  Sim.run_for sim 1_000;
+  let ctx = Sim.kernel_ctx sim in
+  let started i = Adgc_dcda.Detector.detections_started (Sim.detector sim i) in
+  Kernel.run_duty ctx (Kernel.Scan 0);
+  check Alcotest.int "no publish, no detection" 0 (started 0);
+  Kernel.run_duty ctx (Kernel.Snapshot 0);
+  check Alcotest.bool "the snapshot duty published P0's summary" true
+    (Option.is_some (Adgc_dcda.Detector.summary (Sim.detector sim 0)));
+  check Alcotest.bool "and no other process's" true
+    (Option.is_none (Adgc_dcda.Detector.summary (Sim.detector sim 1)));
+  Kernel.run_duty ctx (Kernel.Scan 0);
+  Kernel.run_duty ctx (Kernel.Scan 1);
+  check Alcotest.int "P0 scans its published candidate" 1 (started 0);
+  check Alcotest.int "P1 has none published" 0 (started 1)
+
 let suite =
   ( "sim",
     [
@@ -436,6 +479,9 @@ let suite =
         test_snapshot_all_publishes_each;
       Alcotest.test_case "manual gc cycles reclaim a ring" `Quick test_manual_gc_cycles_reclaim;
       Alcotest.test_case "one duty table: Sim.start = node installer" `Quick test_one_duty_table;
+      Alcotest.test_case "Maintain_candidates is inert" `Quick test_maintain_candidates_is_inert;
+      Alcotest.test_case "the scan duty reads the snapshot duty" `Quick
+        test_scan_duty_reads_the_snapshot_duty;
       Alcotest.test_case "a foreign lane does not suppress Sim.start" `Quick
         test_foreign_lane_does_not_suppress_start;
       Alcotest.test_case "a plain run records no trace events" `Quick
