@@ -33,15 +33,6 @@ let detector_conv =
   in
   Cmdliner.Arg.conv (parse, fun ppf d -> Format.pp_print_string ppf (Net_scenario.detector_to_string d))
 
-let groups_conv =
-  let parse s =
-    match Config.groups_of_string s with
-    | Some g -> Ok g
-    | None -> Error (`Msg (Printf.sprintf "bad group size %S (off, on or an integer)" s))
-  in
-  let print ppf g = Format.pp_print_string ppf (Config.groups_to_string g) in
-  Cmdliner.Arg.conv (parse, print)
-
 let faults_conv =
   let parse s =
     match Faults.profile_of_string s with
@@ -56,11 +47,10 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let run_cmd topology procs seed loss detector groups time churn_steps objects edges trace_topics crash_list faults_profile metrics_file spans_file inspect quiet =
+let run_cmd topology procs seed loss detector time churn_steps objects edges trace_topics crash_list faults_profile metrics_file spans_file inspect quiet =
   let scenario = Net_scenario.make ~topology ~procs ~seed ~objects ~edges () in
   let n_procs = Net_scenario.n_procs scenario in
   let config = Config.quick ~seed ~n_procs () in
-  let config = Config.with_groups config groups in
   config.Config.net.Network.drop_prob <- loss;
   (* Faults run over the middle of the run: armed at 1/5 of the time
      budget, quiescent at 3/5, leaving the last 2/5 for recovery. *)
@@ -127,7 +117,6 @@ let run_cmd topology procs seed loss detector groups time churn_steps objects ed
           ("time", Adgc_util.Json.Int time);
           ( "detector",
             Adgc_util.Json.Str (Net_scenario.detector_to_string detector) );
-          ("groups", Adgc_util.Json.Str (Config.groups_to_string groups));
         ]
       in
       write_file path
@@ -385,10 +374,10 @@ let trace_cmd topology seed format out =
 
 module Coordinator = Adgc_net.Coordinator
 
-let serve_cmd dir rank topology procs seed detector groups objects edges tick_us
+let serve_cmd dir rank topology procs seed detector objects edges tick_us
     max_ticks =
   let scenario =
-    Net_scenario.make ~topology ~procs ~seed ~detector ~groups ~objects ~edges ()
+    Net_scenario.make ~topology ~procs ~seed ~detector ~objects ~edges ()
   in
   match Adgc_net.Node.main { Adgc_net.Node.rank; scenario; dir; tick_us; max_ticks } with
   | () -> 0
@@ -396,10 +385,10 @@ let serve_cmd dir rank topology procs seed detector groups objects edges tick_us
       Printf.eprintf "serve: %s\n" msg;
       1
 
-let drive_cmd topology procs seed detector groups objects edges tick_us deadline dir
+let drive_cmd topology procs seed detector objects edges tick_us deadline dir
     keep_dir kill drop metrics_file spans_file quiet =
   let scenario =
-    Net_scenario.make ~topology ~procs ~seed ~detector ~groups ~objects ~edges ()
+    Net_scenario.make ~topology ~procs ~seed ~detector ~objects ~edges ()
   in
   let faults =
     (match kill with
@@ -428,7 +417,6 @@ let drive_cmd topology procs seed detector groups objects edges tick_us deadline
               ("procs", Adgc_util.Json.Int (Net_scenario.n_procs scenario));
               ("seed", Adgc_util.Json.Int seed);
               ("detector", Adgc_util.Json.Str (Net_scenario.detector_to_string detector));
-                  ("groups", Adgc_util.Json.Str (Config.groups_to_string groups));
               ("tick_us", Adgc_util.Json.Int tick_us);
               ("wall_s", Adgc_util.Json.Float result.Coordinator.wall_s);
               ("ok", Adgc_util.Json.Bool (Coordinator.ok result));
@@ -602,17 +590,6 @@ let objects_arg =
     & info [ "objects" ]
         ~doc:"Objects (random topology; default from ADGC_OBJECTS, then 100).")
 
-let groups_arg =
-  Arg.(
-    value
-    & opt groups_conv (Config.groups_of_env ())
-    & info [ "groups" ]
-        ~doc:
-          "Hierarchical process-group size: off (flat routing), on (groups of 8) or an \
-           integer size. DGC control traffic between groups is aggregated through per-group \
-           proxies. Defaults to the ADGC_GROUPS environment variable, then off."
-        ~docv:"SIZE")
-
 let edges_arg = Arg.(value & opt int 200 & info [ "edges" ] ~doc:"Edges (random topology).")
 
 let trace_arg =
@@ -671,7 +648,7 @@ let faults_arg =
 let run_term =
   Term.(
     const run_cmd $ topology_arg $ procs_arg $ seed_arg $ loss_arg $ detector_arg
-    $ groups_arg $ time_arg $ churn_arg $ objects_arg $ edges_arg
+    $ time_arg $ churn_arg $ objects_arg $ edges_arg
     $ trace_arg $ crash_arg $ faults_arg $ metrics_arg $ spans_arg $ inspect_arg $ quiet_arg)
 
 let run_cmd_info = Cmd.info "run" ~doc:"Run a scenario end to end and report."
@@ -771,8 +748,7 @@ let max_ticks_arg =
 let serve_term =
   Term.(
     const serve_cmd $ serve_dir_arg $ serve_rank_arg $ topology_arg $ procs_arg $ seed_arg
-    $ detector_arg $ groups_arg $ objects_arg $ edges_arg $ tick_us_arg
-    $ max_ticks_arg)
+    $ detector_arg $ objects_arg $ edges_arg $ tick_us_arg $ max_ticks_arg)
 
 let serve_cmd_info =
   Cmd.info "serve"
@@ -817,7 +793,7 @@ let drop_arg =
 let drive_term =
   Term.(
     const drive_cmd $ topology_arg $ procs_arg $ seed_arg $ detector_arg
-    $ groups_arg $ objects_arg $ edges_arg $ tick_us_arg $ deadline_arg
+    $ objects_arg $ edges_arg $ tick_us_arg $ deadline_arg
     $ drive_dir_arg $ keep_dir_arg $ kill_arg $ drop_arg $ metrics_arg $ spans_arg $ quiet_arg)
 
 let drive_cmd_info =

@@ -1,24 +1,5 @@
 type detector_kind = Dcda | No_detector
 
-(* Group size 0 means the flat clique; 1 would be a clique of
-   singleton groups — operationally identical — so it normalises to 0
-   and [> 1] is the single "grouping is on" test everywhere. *)
-let groups_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "" | "off" | "flat" | "none" -> Some 0
-  | "on" -> Some 8
-  | s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> Some (if n <= 1 then 0 else n)
-      | _ -> None)
-
-let groups_to_string = function 0 -> "off" | n -> string_of_int n
-
-let groups_of_env () =
-  match Sys.getenv_opt "ADGC_GROUPS" with
-  | Some s -> ( match groups_of_string s with Some g -> g | None -> 0)
-  | None -> 0
-
 type t = {
   seed : int;
   n_procs : int;
@@ -31,16 +12,10 @@ type t = {
 }
 
 let default ?(seed = 42) ?(n_procs = 4) () =
-  let groups = groups_of_env () in
   {
     seed;
     n_procs;
-    runtime =
-      {
-        (Adgc_rt.Runtime.default_config ()) with
-        Adgc_rt.Runtime.group_size = groups;
-        group_relay = groups > 1;
-      };
+    runtime = Adgc_rt.Runtime.default_config ();
     net = Adgc_rt.Network.default_config ();
     faults = Adgc_rt.Faults.none;
     policy = Adgc_dcda.Policy.default;
@@ -93,12 +68,3 @@ let mc ?(seed = 0) ?(n_procs = 2) () =
     }
   in
   { t with runtime; policy }
-
-let groups t = t.runtime.Adgc_rt.Runtime.group_size
-
-let with_groups t size =
-  let size = if size <= 1 then 0 else size in
-  {
-    t with
-    runtime = { t.runtime with Adgc_rt.Runtime.group_size = size; group_relay = size > 1 };
-  }

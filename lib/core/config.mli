@@ -6,21 +6,6 @@ type detector_kind =
       (** acyclic DGC only (distributed cycles leak); the comparison
           collectors attach to such a sim from outside *)
 
-val groups_of_string : string -> int option
-(** Group size for the hierarchical overlay: ["off"]/["flat"]/["none"]
-    (and the empty string) mean 0 = flat clique, ["on"] means 8, a
-    non-negative integer means that size (1 normalises to 0 — a
-    clique of singleton groups is the flat clique). *)
-
-val groups_to_string : int -> string
-
-val groups_of_env : unit -> int
-(** Group size selected by the [ADGC_GROUPS] environment variable (0 =
-    flat when unset or unrecognised).  {!default} folds this into
-    [runtime.group_size] (with [group_relay] on for sizes [> 1]), so
-    the CI groups job steers whole test binaries without touching
-    code. *)
-
 type t = {
   seed : int;
   n_procs : int;
@@ -48,14 +33,7 @@ val mc : ?seed:int -> ?n_procs:int -> unit -> t
     ({!Adgc_mc}): manual (explored) network delivery, no idle
     thresholds, cooldowns, backoff or early-IC pruning, sorted scan
     order, broadcast deletion, DGC control payloads sent synchronously
-    ([dgc_window = 0]: no batch or relay queue outlives its
-    transition).  With this config the whole system state is
-    a pure function of the choice sequence — the scheduler clock never
-    advances and the RNG is never drawn from. *)
-
-val groups : t -> int
-(** The configured group size ([runtime.group_size]; 0 = flat). *)
-
-val with_groups : t -> int -> t
-(** Set the group overlay size (and enable relaying for sizes [> 1]);
-    [<= 1] returns to the flat clique. *)
+    ([dgc_window = 0]: no batch queue outlives its transition).  With
+    this config the whole system state is a pure function of the
+    choice sequence — the scheduler clock never advances and the RNG
+    is never drawn from. *)

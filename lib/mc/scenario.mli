@@ -31,11 +31,6 @@ type t = {
   name : string;
   descr : string;
   n_procs : int;
-  groups : int option;
-      (** pin the hierarchical group size; [None] inherits the ambient
-          config ([ADGC_GROUPS]), so the CI groups dimension also
-          sweeps the unpinned scenarios.  The mc config always flushes
-          relays synchronously ([dgc_window = 0]). *)
   caps : caps;  (** default scope; explorations may override *)
   setup : Adgc.Sim.t -> instance;
       (** build the initial topology and return the mutation script

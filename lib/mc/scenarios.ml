@@ -10,7 +10,6 @@ let two_proc_cycle : Scenario.t =
     Scenario.name = "two_proc_cycle";
     descr = "root->A at P0, remote cycle A<->B with B at P1; unlink the root";
     n_procs = 2;
-    groups = None;
     (* The acceptance scope: one snapshot, scan and collection per
        process plus one possible message loss.  No listing rounds —
        none of this scenario's trails or witnesses need them, and each
@@ -41,7 +40,6 @@ let ic_race : Scenario.t =
     descr =
       "root->D at P0, remote cycle D<->F; invoke F through the stub, then unlink the root";
     n_procs = 2;
-    groups = None;
     caps = { Scenario.snapshots = 1; scans = 1; lgcs = 1; sends = 0; drops = 0 };
     setup =
       (fun sim ->
@@ -68,7 +66,6 @@ let external_holder : Scenario.t =
     Scenario.name = "external_holder";
     descr = "cycle A<->B between P1 and P2, rooted external reference to A from P0";
     n_procs = 3;
-    groups = None;
     caps = { Scenario.snapshots = 1; scans = 1; lgcs = 1; sends = 0; drops = 0 };
     setup =
       (fun sim ->
@@ -89,7 +86,6 @@ let export_handshake : Scenario.t =
     descr =
       "P1 exports X (owned by P0) to P2 as an RMI argument, then drops its own reference";
     n_procs = 3;
-    groups = None;
     (* Two listing rounds: the first primes [set_recipients] for the
        owner of X, so the post-drop round reaches it with an empty set. *)
     caps = { Scenario.snapshots = 0; scans = 0; lgcs = 1; sends = 2; drops = 0 };
@@ -118,48 +114,7 @@ let export_handshake : Scenario.t =
         });
   }
 
-(* [two_proc_cycle] stretched across a group boundary: four processes
-   in two groups of two, with the cycle spanning P0 (group 0) and P2
-   (group 1).  Every DGC control message of the detection now crosses
-   the boundary, so with relaying pinned on it travels as a
-   [Group_relay] through the group proxies (synchronously flushed —
-   the mc config forces [dgc_window = 0]).  Exhaustive exploration
-   of this scope proves the relay overlay preserves both safety and
-   the reclamation goal.  P1 and P3 are empty bystanders; their duties
-   are no-ops but still multiply the interleaving space, so the scope
-   keeps [drops = 0]. *)
-let grouped_cycle : Scenario.t =
-  {
-    Scenario.name = "grouped_cycle";
-    descr = "remote cycle A<->B spanning the group boundary of a 2x2 grouped clique";
-    n_procs = 4;
-    groups = Some 2;
-    caps = { Scenario.snapshots = 1; scans = 1; lgcs = 1; sends = 0; drops = 0 };
-    setup =
-      (fun sim ->
-        let c = Sim.cluster sim in
-        let r = Mutator.alloc c ~proc:0 () in
-        Mutator.add_root c r;
-        let a = Mutator.alloc c ~proc:0 () in
-        let b = Mutator.alloc c ~proc:2 () in
-        Mutator.link c ~from_:r ~to_:a;
-        Mutator.wire_remote c ~holder:a ~target:b;
-        Mutator.wire_remote c ~holder:b ~target:a;
-        {
-          Scenario.mutations =
-            [| ("unlink_root", fun () -> Mutator.unlink c ~from_:r ~to_:a) |];
-          goal = Some (fun () -> gone sim 0 a && gone sim 2 b);
-        });
-  }
-
-let all =
-  [
-    two_proc_cycle;
-    ic_race;
-    external_holder;
-    export_handshake;
-    grouped_cycle;
-  ]
+let all = [ two_proc_cycle; ic_race; external_holder; export_handshake ]
 
 let find name = List.find_opt (fun (s : Scenario.t) -> s.Scenario.name = name) all
 
@@ -230,26 +185,6 @@ let ic_race_reclaim_trail =
     deliver "cdm_delete" 1 0;
     Action.Lgc 0;
     Action.Lgc 1;
-  ]
-
-(* [reclaim_core] translated to the grouped clique: P0 and P2 are the
-   proxies of their own groups, so each cross-boundary CDM is exactly
-   one single-entry [Group_relay] envelope between them (member ->
-   own-proxy and proxy -> final-destination hops are identities
-   here). *)
-let grouped_reclaim_trail =
-  [
-    Action.Mutate 0;
-    Action.Snapshot 0;
-    Action.Snapshot 2;
-    Action.Scan 0;
-    deliver "group_relay" 0 2;
-    (* the CDM delivered out of the relay; P2's reply CDM and the
-       conclusion's deletion broadcast relay back the same way *)
-    deliver "group_relay" 2 0;
-    deliver "group_relay" 0 2;
-    Action.Lgc 0;
-    Action.Lgc 2;
   ]
 
 let ic_race_abort_trail =

@@ -35,14 +35,6 @@ val export_handshake : Scenario.t
     are capped to zero: the scope checks the reference-listing
     handshake alone. *)
 
-val grouped_cycle : Scenario.t
-(** {!two_proc_cycle} stretched across a group boundary: four
-    processes in two groups of two ([groups = Some 2]), the cycle
-    spanning P0 and P2.  Every DGC control message of the detection
-    crosses the boundary and travels as a [Group_relay] through the
-    group proxies; exhaustive exploration proves the relay overlay
-    preserves safety and the reclamation goal. *)
-
 val all : Scenario.t list
 
 val find : string -> Scenario.t option
@@ -79,12 +71,6 @@ val ic_race_reclaim_trail : Action.t list
     delivered), then detect and reclaim — the exact verdict is
     reclamation, since a settled invocation leaves the counters
     consistent. *)
-
-val grouped_reclaim_trail : Action.t list
-(** [grouped_cycle]: the {!reclaim_trail} schedule translated to the
-    grouped clique — every CDM leg is a single-entry [Group_relay]
-    envelope between the two proxies.  The exact verdict is
-    reclamation. *)
 
 val ic_race_abort_trail : Action.t list
 (** [ic_race]: detect while the invocation request is still in flight —

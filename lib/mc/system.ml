@@ -34,11 +34,6 @@ let create ?mutant ?caps (scenario : Scenario.t) =
   Adgc_util.Mc_mutate.set mutant;
   let caps = match caps with Some c -> c | None -> scenario.Scenario.caps in
   let config = Config.mc ~n_procs:scenario.Scenario.n_procs () in
-  let config =
-    match scenario.Scenario.groups with
-    | None -> config (* inherit ADGC_GROUPS via Config.default *)
-    | Some g -> Config.with_groups config g
-  in
   let sim = Sim.create ~config () in
   let inst = scenario.Scenario.setup sim in
   let n = scenario.Scenario.n_procs in

@@ -121,7 +121,6 @@ let spawn_exec opts ~dir argv rank =
         "--procs"; string_of_int (Scenario.n_procs sc);
         "--seed"; string_of_int sc.Scenario.seed;
         "--detector"; Scenario.detector_to_string sc.Scenario.detector;
-        "--groups"; string_of_int sc.Scenario.groups;
         "--objects"; string_of_int sc.Scenario.objects;
         "--edges"; string_of_int sc.Scenario.edges;
         "--tick-us"; string_of_int cfg.Node.tick_us;

@@ -58,15 +58,13 @@ type t = {
   procs : int;
   seed : int;
   detector : Config.detector_kind;
-  groups : int;
   objects : int;
   edges : int;
 }
 
 let make ?(topology = Ring) ?(procs = 4) ?(seed = 42) ?(detector = Config.Dcda)
-    ?groups ?(objects = 100) ?(edges = 200) () =
-  let groups = match groups with Some g -> g | None -> Config.groups_of_env () in
-  { topology; procs; seed; detector; groups; objects; edges }
+    ?(objects = 100) ?(edges = 200) () =
+  { topology; procs; seed; detector; objects; edges }
 
 let n_procs t = Int.max t.procs (min_procs t.topology)
 
@@ -102,7 +100,6 @@ let build_topology t cluster =
 let build ?(telemetry = false) t =
   let config = Config.quick ~seed:t.seed ~n_procs:(n_procs t) () in
   let config = { config with Config.detector = t.detector; telemetry } in
-  let config = Config.with_groups config t.groups in
   let sim = Sim.create ~config () in
   let built = build_topology t (Sim.cluster sim) in
   (sim, built)

@@ -33,10 +33,6 @@ type t = {
   procs : int;  (** raised to {!min_procs} at build time *)
   seed : int;
   detector : Adgc.Config.detector_kind;
-  groups : int;
-      (** hierarchical group size ([0] = flat); part of the spec so
-          the coordinator ships it to every node ([--groups]) and all
-          replicas route identically *)
   objects : int;  (** [Random] only *)
   edges : int;  (** [Random] only *)
 }
@@ -46,13 +42,12 @@ val make :
   ?procs:int ->
   ?seed:int ->
   ?detector:Adgc.Config.detector_kind ->
-  ?groups:int ->
   ?objects:int ->
   ?edges:int ->
   unit ->
   t
-(** Defaults: [Ring], 4 processes, seed 42, DCDA, groups from
-    [ADGC_GROUPS] (flat when unset), 100 objects / 200 edges. *)
+(** Defaults: [Ring], 4 processes, seed 42, DCDA, 100 objects / 200
+    edges. *)
 
 val n_procs : t -> int
 (** [max procs (min_procs topology)] — what [build] actually creates. *)

@@ -227,13 +227,9 @@ let garbage_count t =
    inputs, so their send/deliver/drop counters belong in every
    liveness staleness signature.  A [Batch] is ref-free by
    construction ([Runtime.send_dgc] refuses payloads with references,
-   the decoder refuses such constituents).  The group envelopes are
-   ref-free in practice too, only ref-free DGC control payloads are
-   relayed, but the message type permits refs inside them so they stay
-   in the conservative set.  [Sim.run_until_clean] shares this
-   list. *)
-let ref_carrying_kinds =
-  [ "rmi_request"; "rmi_reply"; "export_notice"; "export_ack"; "group_fwd"; "group_relay" ]
+   the decoder refuses such constituents).  [Sim.run_until_clean]
+   shares this list. *)
+let ref_carrying_kinds = [ "rmi_request"; "rmi_reply"; "export_notice"; "export_ack" ]
 
 (* Staleness signature for the live-mark cache: every component is a
    monotonic counter, so the sum strictly grows on any change and two

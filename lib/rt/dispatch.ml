@@ -53,29 +53,6 @@ let rec handle_payload rt (msg : Msg.t) (at : Process.t) payload =
       match at.Process.on_ext with
       | Some f -> f ~src:msg.Msg.src body
       | None -> Stats.incr rt.Runtime.stats "ext.unhandled")
-  | Msg.Group_fwd { orig_src; inner } ->
-      (* Last hop of a relayed payload: handle exactly as if the
-         original sender had sent it directly — every protocol handler
-         keys its state on the true holder, not the relay. *)
-      Stats.incr rt.Runtime.stats "group.fwds.delivered";
-      handle_payload rt { msg with Msg.src = orig_src } at inner
-  | Msg.Group_relay { entries } ->
-      List.iter
-        (fun (orig_src, final_dst, payload) ->
-          if Proc_id.equal final_dst at.Process.id then
-            handle_payload rt { msg with Msg.src = orig_src } at payload
-          else if Runtime.same_group rt at.Process.id final_dst then begin
-            (* Entry for a fellow group member: one intra-group hop. *)
-            Stats.incr rt.Runtime.stats "group.fwds";
-            Runtime.send rt ~src:at.Process.id ~dst:final_dst
-              (Msg.Group_fwd { orig_src; inner = payload })
-          end
-          else
-            (* Still short of the destination group (we are the
-               sender's group proxy, or routing went stale across a
-               crash): queue it onward toward that group. *)
-            Runtime.relay_enqueue rt ~src:at.Process.id ~orig_src ~final_dst payload)
-        entries
 
 let deliver rt (msg : Msg.t) =
   let at = Runtime.proc rt msg.Msg.dst in

@@ -13,8 +13,6 @@ type payload =
   | Cdm_delete of { id : Detection_id.t; scions : Ref_key.t list }
   | Ext of string
   | Batch of payload list
-  | Group_fwd of { orig_src : Proc_id.t; inner : payload }
-  | Group_relay of { entries : (Proc_id.t * Proc_id.t * payload) list }
 
 type t = { src : Proc_id.t; dst : Proc_id.t; seq : int; sent_at : int; payload : payload }
 
@@ -32,8 +30,6 @@ let kinds =
     "cdm_delete";
     "ext";
     "batch";
-    "group_fwd";
-    "group_relay";
   |]
 
 let kind_index = function
@@ -47,8 +43,6 @@ let kind_index = function
   | Cdm_delete _ -> 7
   | Ext _ -> 8
   | Batch _ -> 9
-  | Group_fwd _ -> 10
-  | Group_relay _ -> 11
 
 let kind p = kinds.(kind_index p)
 
@@ -61,8 +55,6 @@ let rec payload_refs = function
   | Cdm_delete _ -> []
   | Ext _ -> []
   | Batch payloads -> List.concat_map payload_refs payloads
-  | Group_fwd { inner; _ } -> payload_refs inner
-  | Group_relay { entries } -> List.concat_map (fun (_, _, p) -> payload_refs p) entries
 
 (* Ground-truth view: what a delivery can actually import.  A reply's
    [target] names the called object for bookkeeping but is never
@@ -73,14 +65,12 @@ let rec payload_refs = function
 let rec live_refs = function
   | Rmi_reply { results; _ } -> results
   | Batch payloads -> List.concat_map live_refs payloads
-  | Group_fwd { inner; _ } -> live_refs inner
-  | Group_relay { entries } -> List.concat_map (fun (_, _, p) -> live_refs p) entries
   | p -> payload_refs p
 
 (* The wire form is positional: a payload is case [kind_index] of a
    sum type, then its fields in declaration order. *)
 
-let arities = [| 4; 3; 3; 3; 2; 0; Cdm.arity; 3; 1; 1; 2; 1 |]
+let arities = [| 4; 3; 3; 3; 2; 0; Cdm.arity; 3; 1; 1 |]
 
 let stub_width = 3
 
@@ -126,18 +116,6 @@ let rec emit_payload s p =
   | Batch payloads ->
       N.list s (List.length payloads);
       List.iter (emit_payload s) payloads
-  | Group_fwd { orig_src; inner } ->
-      N.int s (Proc_id.to_int orig_src);
-      emit_payload s inner
-  | Group_relay { entries } ->
-      N.list s (List.length entries);
-      List.iter
-        (fun (orig_src, final_dst, p) ->
-          N.list s 3;
-          N.int s (Proc_id.to_int orig_src);
-          N.int s (Proc_id.to_int final_dst);
-          emit_payload s p)
-        entries
 
 let emit s t =
   N.record s 5;
@@ -201,35 +179,19 @@ let rec read_payload r =
       let scions = List.init (R.list r) (fun _ -> Ref_key.read r) in
       Cdm_delete { id = Detection_id.make ~initiator ~seq; scions }
   | 8 -> Ext (R.str r)
-  | 9 ->
+  | _ ->
       (* Batches are never nested, and a decoded batch must not smuggle
          one in.  Nor does a batch carry references: only ref-free
          control traffic is ever batched, so a constituent with
          references is forged. *)
       let constituent _ =
-        let p = read_flat r in
-        if payload_refs p <> [] then R.fail r "batched references";
-        p
+        match read_payload r with
+        | Batch _ -> R.fail r "nested batch"
+        | p ->
+            if payload_refs p <> [] then R.fail r "batched references";
+            p
       in
       Batch (List.init (R.list r) constituent)
-  | 10 ->
-      let orig_src = read_proc r in
-      Group_fwd { orig_src; inner = read_flat r }
-  | _ ->
-      let entry _ =
-        if R.list r <> 3 then R.fail r "bad relay entry";
-        let orig_src = read_proc r in
-        let final_dst = read_proc r in
-        (orig_src, final_dst, read_flat r)
-      in
-      Group_relay { entries = List.init (R.list r) entry }
-
-(* The group wrappers are flat like batches: a relayed or batched
-   payload is always a bare DGC control message. *)
-and read_flat r =
-  match read_payload r with
-  | Batch _ | Group_fwd _ | Group_relay _ -> R.fail r "nested wrapper"
-  | p -> p
 
 let read r =
   R.record r 5;

@@ -64,22 +64,6 @@ type payload =
           latency-charged envelope ({!Runtime.send_dgc}).  Delivery
           unpacks in queueing order.  Never nested, and never carries
           object references. *)
-  | Group_fwd of { orig_src : Proc_id.t; inner : payload }
-      (** Last hop of group-relayed DGC traffic: the destination
-          group's proxy hands the payload to its final recipient, who
-          handles [inner] exactly as if [orig_src] had sent it
-          directly (the protocol handlers see the true holder, not the
-          relay).  Never nested; [inner] is always a bare DGC control
-          payload. *)
-  | Group_relay of { entries : (Proc_id.t * Proc_id.t * payload) list }
-      (** Aggregated cross-group DGC traffic: each entry is
-          [(orig_src, final_dst, payload)].  Members hand their
-          cross-group control messages to their group's proxy, proxies
-          coalesce everything bound for the same destination group
-          into one of these per flush window, and the receiving proxy
-          unpacks — delivering local entries and {!Group_fwd}-ing the
-          rest.  The only envelope kind that crosses a group boundary
-          on the DGC control plane when grouping is on. *)
 
 type t = {
   src : Proc_id.t;
@@ -130,7 +114,7 @@ val emit_payload : payload Adgc_serial.Net_codec.shape
 val read : Adgc_serial.Net_codec.Read.t -> t
 (** Reads {!emit}'s bytes back.  Malformed: a negative process id or
     oid, an unknown case index, a field count or value of the wrong
-    kind, a [Batch] or group wrapper nested inside a [Batch] or group
-    wrapper, and a [Batch] constituent that carries references. *)
+    kind, a [Batch] nested inside a [Batch], and a [Batch] constituent
+    that carries references. *)
 
 val pp : Format.formatter -> t -> unit

@@ -12,11 +12,6 @@ and pending_notice = { notice_target : Oid.t; new_holder : Proc_id.t }
 
 and batch_queue = { mutable queued : Msg.payload list; opened_at : int }
 
-and relay_queue = {
-  mutable rel_queued : (Proc_id.t * Proc_id.t * Msg.payload) list;
-  rel_opened_at : int;
-}
-
 and t = {
   id : Proc_id.t;
   heap : Heap.t;
@@ -41,7 +36,6 @@ and t = {
   pending_calls : (int, pending_call) Hashtbl.t;
   pending_notices : (int, pending_notice) Hashtbl.t;
   pending_batches : (int, batch_queue) Hashtbl.t;
-  pending_relays : (int, relay_queue) Hashtbl.t;
   mutable on_cdm : (Cdm.t -> unit) option;
   mutable on_cdm_delete : (Detection_id.t -> Ref_key.t list -> unit) option;
   mutable on_ext : (src:Proc_id.t -> string -> unit) option;
@@ -68,7 +62,6 @@ let create ~id ~rng =
     pending_calls = Hashtbl.create 8;
     pending_notices = Hashtbl.create 8;
     pending_batches = Hashtbl.create 8;
-    pending_relays = Hashtbl.create 8;
     on_cdm = None;
     on_cdm_delete = None;
     on_ext = None;

@@ -34,14 +34,6 @@ and batch_queue = { mutable queued : Msg.payload list; opened_at : int }
 (** Payloads (newest first) plus the tick the queue opened, so the
     flush span covers the whole coalescing window. *)
 
-and relay_queue = {
-  mutable rel_queued : (Proc_id.t * Proc_id.t * Msg.payload) list;
-      (** [(orig_src, final_dst, payload)] entries, newest first *)
-  rel_opened_at : int;
-}
-(** Cross-group DGC traffic awaiting its {!Msg.Group_relay} flush,
-    queued per destination group (see {!Runtime.send_dgc}). *)
-
 and t = {
   id : Proc_id.t;
   heap : Heap.t;
@@ -80,10 +72,6 @@ and t = {
   pending_batches : (int, batch_queue) Hashtbl.t;
       (** DGC payloads queued per destination awaiting their batch
           flush *)
-  pending_relays : (int, relay_queue) Hashtbl.t;
-      (** cross-group DGC entries queued per destination {e group}
-          awaiting their relay flush (only populated when the runtime
-          config enables group relaying) *)
   (* Detector hooks *)
   mutable on_cdm : (Cdm.t -> unit) option;
   mutable on_cdm_delete : (Detection_id.t -> Ref_key.t list -> unit) option;

@@ -12,8 +12,6 @@ type config = {
   failure_detection : bool;
   holder_silence_limit : int;
   dgc_window : int;
-  group_size : int;
-  group_relay : bool;
 }
 
 let default_config () =
@@ -29,8 +27,6 @@ let default_config () =
     failure_detection = false;
     holder_silence_limit = 30_000;
     dgc_window = 10;
-    group_size = 0;
-    group_relay = false;
   }
 
 type t = {
@@ -74,42 +70,12 @@ let now t = Scheduler.now t.sched
 
 let log t ~topic fmt = Adgc_util.Trace.addf t.trace ~time:(now t) ~topic fmt
 
-(* ------------------------------------------------------------------ *)
-(* Group overlay.  [config.group_size > 1] partitions the rank space
-   into contiguous groups ({!Group}); crossing envelopes are counted
-   under [net.msg.xgroup] regardless of routing, so a flat-routing run
-   with the same [group_size] yields the honest baseline for the
-   cut-factor comparison. *)
-
-let same_group t a b =
-  Group.same ~size:t.config.group_size (Proc_id.to_int a) (Proc_id.to_int b)
-
-let group_of t p = Group.of_rank ~size:t.config.group_size (Proc_id.to_int p)
-
-let group_proxy t g =
-  Group.proxy ~size:t.config.group_size ~n:(Array.length t.procs)
-    ~alive:(fun r -> t.procs.(r).Process.alive)
-    g
-
-(* Application RMI traffic and the export handshake are point-to-point
-   by nature; everything else on a crossing envelope is DGC control
-   plane (stub sets, probes, CDMs, deletions, baselines and the group
-   envelopes themselves) — that is the population group relaying can
-   aggregate, and the one the cut-factor acceptance measures. *)
-let control_plane = function
-  | Msg.Rmi_request _ | Msg.Rmi_reply _ | Msg.Export_notice _ | Msg.Export_ack _ -> false
-  | _ -> true
-
 let send t ~src ~dst payload =
   (* Crash-stop: the dead neither speak nor listen.  Receive-side
      filtering happens again at dispatch so a crash mid-flight also
      silences delivery. *)
   let sender = proc t src in
   if sender.Process.alive && (proc t dst).Process.alive then begin
-    (if t.config.group_size > 1 && not (same_group t src dst) then begin
-       Adgc_util.Stats.incr t.stats "net.msg.xgroup";
-       if control_plane payload then Adgc_util.Stats.incr t.stats "net.msg.xgroup.dgc"
-     end);
     let seq = Process.next_msg_seq sender in
     Network.send t.net (Msg.make ~seq ~src ~dst ~sent_at:(now t) payload)
   end
@@ -163,88 +129,14 @@ let flush_all_batches t =
       List.iter (fun d -> flush_batch t ~src:p.Process.id ~dst:(Proc_id.of_int d)) dsts)
     t.procs
 
-(* ------------------------------------------------------------------ *)
-(* Group relaying.  With [group_relay] on, a DGC control payload bound
-   for another group does not cross the boundary on its own: the
-   holder queues an [(orig_src, final_dst, payload)] entry per
-   destination group, and one flush window later the whole queue
-   leaves as a single {!Msg.Group_relay} toward the next hop — my
-   group's proxy if that is someone else, the destination group's
-   proxy if I am my group's proxy.  The receiving side
-   ({!Dispatch.handle_payload}) delivers entries addressed to itself,
-   {!Msg.Group_fwd}s entries for its own group, and re-enqueues the
-   rest, so only [Group_relay] envelopes ever cross a group boundary
-   on this plane.  Proxies are elected per flush (lowest alive member,
-   {!Group.proxy}), which makes crash failover automatic; a relay
-   whose destination group is entirely dead is dropped with a counter
-   — indistinguishable from network loss, which every protocol above
-   already tolerates. *)
-
-let flush_relay t ~src ~group =
-  let sender = proc t src in
-  match Hashtbl.find_opt sender.Process.pending_relays group with
-  | None -> ()
-  | Some q -> (
-      Hashtbl.remove sender.Process.pending_relays group;
-      match List.rev q.Process.rel_queued with
-      | [] -> ()
-      | entries ->
-          if not sender.Process.alive then
-            Adgc_util.Stats.add t.stats "group.relay.sender_dead" (List.length entries)
-          else begin
-            let me = Proc_id.to_int src in
-            let my_group = Group.of_rank ~size:t.config.group_size me in
-            let next_hop =
-              match group_proxy t my_group with
-              | Some p when p <> me -> Some p
-              | _ -> group_proxy t group
-            in
-            match next_hop with
-            | None -> Adgc_util.Stats.add t.stats "group.relay.dead_group" (List.length entries)
-            | Some hop ->
-                (* Failover visibility: the elected proxy is not its
-                   group's nominal (lowest-rank) member, so a crash
-                   rerouted this relay. *)
-                let nominal =
-                  Group.of_rank ~size:t.config.group_size hop * t.config.group_size
-                in
-                if hop <> nominal then Adgc_util.Stats.incr t.stats "group.proxy_fallbacks";
-                Adgc_util.Stats.incr t.stats "group.relays";
-                Adgc_util.Stats.add t.stats "group.relay_entries" (List.length entries);
-                send t ~src ~dst:(Proc_id.of_int hop) (Msg.Group_relay { entries })
-          end)
-
-let flush_all_relays t =
-  Array.iter
-    (fun (p : Process.t) ->
-      let groups = Hashtbl.fold (fun g _ acc -> g :: acc) p.Process.pending_relays [] in
-      List.iter (fun g -> flush_relay t ~src:p.Process.id ~group:g) (List.sort Int.compare groups))
-    t.procs
-
-let relay_enqueue t ~src ~orig_src ~final_dst payload =
-  let sender = proc t src in
-  let key = group_of t final_dst in
-  match Hashtbl.find_opt sender.Process.pending_relays key with
-  | Some q -> q.Process.rel_queued <- (orig_src, final_dst, payload) :: q.Process.rel_queued
-  | None ->
-      Hashtbl.add sender.Process.pending_relays key
-        { Process.rel_queued = [ (orig_src, final_dst, payload) ]; rel_opened_at = now t };
-      after_window t (fun () -> flush_relay t ~src ~group:key)
-
-let relayed t ~src ~dst =
-  t.config.group_relay && t.config.group_size > 1 && not (same_group t src dst)
-
 let send_dgc t ~src ~dst payload =
   if Msg.payload_refs payload <> [] then
     invalid_arg ("Runtime.send_dgc: a " ^ Msg.kind payload ^ " payload carries references");
-  if relayed t ~src ~dst then relay_enqueue t ~src ~orig_src:src ~final_dst:dst payload
-  else begin
-    let sender = proc t src in
-    let key = Proc_id.to_int dst in
-    match Hashtbl.find_opt sender.Process.pending_batches key with
-    | Some q -> q.Process.queued <- payload :: q.Process.queued
-    | None ->
-        Hashtbl.add sender.Process.pending_batches key
-          { Process.queued = [ payload ]; opened_at = now t };
-        after_window t (fun () -> flush_batch t ~src ~dst)
-  end
+  let sender = proc t src in
+  let key = Proc_id.to_int dst in
+  match Hashtbl.find_opt sender.Process.pending_batches key with
+  | Some q -> q.Process.queued <- payload :: q.Process.queued
+  | None ->
+      Hashtbl.add sender.Process.pending_batches key
+        { Process.queued = [ payload ]; opened_at = now t };
+      after_window t (fun () -> flush_batch t ~src ~dst)

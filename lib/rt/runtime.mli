@@ -51,29 +51,13 @@ type config = {
   holder_silence_limit : int;
   dgc_window : int;
       (** how long a DGC control payload ({!send_dgc}) may wait in its
-          sender's queue before the queue is flushed — per destination
-          as one {!Msg.Batch}, per destination group as one
-          {!Msg.Group_relay}.  Bounds the latency the coalescing adds
-          to CDM propagation and stub-set timeliness; keep it well
-          under [new_set_period] and the detector's scan period.  [0]
-          puts every payload on the wire synchronously inside
-          {!send_dgc}, with no scheduler involvement, which the model
-          checker's frozen clock requires. *)
-  group_size : int;
-      (** hierarchical-group overlay: ranks are partitioned into
-          contiguous groups of this many processes ({!Group}).  [<= 1]
-          means the flat clique (the default).  Turning this on alone
-          only adds accounting — every envelope crossing a group
-          boundary bumps [net.msg.xgroup] (and [net.msg.xgroup.dgc]
-          for control-plane kinds) — which is what makes the flat
-          baseline of the cut-factor comparison honest. *)
-  group_relay : bool;
-      (** route cross-group DGC control traffic ({!send_dgc}) through
-          group proxies as aggregated {!Msg.Group_relay} envelopes
-          instead of point-to-point.  Requires [group_size > 1] to
-          have any effect.  Protocol outcomes are unaffected (the
-          handlers see the original sender); only message topology and
-          latency change. *)
+          sender's queue before the queue is flushed as one
+          {!Msg.Batch} per destination.  Bounds the latency the
+          coalescing adds to CDM propagation and stub-set timeliness;
+          keep it well under [new_set_period] and the detector's scan
+          period.  [0] puts every payload on the wire synchronously
+          inside {!send_dgc}, with no scheduler involvement, which the
+          model checker's frozen clock requires. *)
 }
 (** Immutable: fix the knobs before building the cluster (functional
     record update on {!default_config}).  Sharing one config value
@@ -145,9 +129,7 @@ val send_dgc : t -> src:Proc_id.t -> dst:Proc_id.t -> Msg.payload -> unit
     {!field:config.dgc_window} closes everything in it travels inside
     one {!Msg.Batch} ([net.msg.batched] / [net.msg.batch_flushes]
     count the coalescing); a queue holding a single payload sends it
-    as a plain message.  Cross-group traffic under
-    {!field:config.group_relay} takes the relay queue instead.
-    Crash-stop filtering applies at flush time.
+    as a plain message.  Crash-stop filtering applies at flush time.
 
     @raise Invalid_argument if the payload carries object references
     ({!Msg.payload_refs}): batches are reference-free by
@@ -156,30 +138,3 @@ val send_dgc : t -> src:Proc_id.t -> dst:Proc_id.t -> Msg.payload -> unit
 val flush_all_batches : t -> unit
 (** Flush every process's pending batches immediately (tests and
     shutdown). *)
-
-(** {2 Hierarchical groups} — see {!field:config.group_size}. *)
-
-val same_group : t -> Proc_id.t -> Proc_id.t -> bool
-(** Whether two processes share a group ([true] for everyone in flat
-    mode). *)
-
-val group_of : t -> Proc_id.t -> int
-
-val group_proxy : t -> int -> int option
-(** The group's current proxy rank — its lowest alive member — or
-    [None] when the whole group is down.  Recomputed from the live
-    aliveness view on every call (crash failover needs no handshake). *)
-
-val relay_enqueue : t -> src:Proc_id.t -> orig_src:Proc_id.t -> final_dst:Proc_id.t -> Msg.payload -> unit
-(** Queue one cross-group control payload at [src] for the group of
-    [final_dst]; flushed as part of one {!Msg.Group_relay} after
-    [config.dgc_window] ticks (synchronously when the window is 0).
-    {!Dispatch} uses this to forward relay entries that are still
-    short of their destination group. *)
-
-val flush_relay : t -> src:Proc_id.t -> group:int -> unit
-(** Flush [src]'s pending relay queue toward one destination group
-    (idempotent).  Elects next hop at flush time. *)
-
-val flush_all_relays : t -> unit
-(** Flush every process's pending relay queues (tests and shutdown). *)

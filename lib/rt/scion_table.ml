@@ -238,11 +238,6 @@ let entries t =
   done;
   !acc
 
-let entries_for_target t target =
-  let acc = ref [] in
-  iter_holders t (fun _ h -> match find_in h target with Some e -> acc := e :: !acc | None -> ());
-  List.rev !acc
-
 let delete_from t src =
   match holder_opt t src with None -> [] | Some h -> filter_in_place t h (fun _ -> false)
 

@@ -130,8 +130,6 @@ val protected_targets : t -> Oid.t list
 val entries : t -> entry list
 (** Ascending key order. *)
 
-val entries_for_target : t -> Oid.t -> entry list
-
 val delete_from : t -> Proc_id.t -> Ref_key.t list
 (** Remove every scion held by that process (crash-stop reclamation);
     returns the removed keys, in ascending order. *)

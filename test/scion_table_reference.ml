@@ -166,9 +166,6 @@ let entries t =
   Ref_key.Tbl.fold (fun _ e acc -> e :: acc) t.entries []
   |> List.sort (fun a b -> Ref_key.compare a.key b.key)
 
-let entries_for_target t target =
-  List.filter (fun e -> Oid.equal e.key.Ref_key.target target) (entries t)
-
 let delete_from t src =
   let doomed =
     Ref_key.Tbl.fold

@@ -20,7 +20,6 @@ let () =
       Test_matrix.suite;
       Test_faults_matrix.suite;
       Test_sim.suite;
-      Test_group.suite;
       Test_replay.suite;
       Test_schema.suite;
       Test_mc.suite;

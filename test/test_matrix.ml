@@ -1,11 +1,9 @@
 (* Configuration-matrix tests: the fig3 lifecycle must work under
-   every combination of byte accounting, group overlay and deletion
-   mode — the pieces are designed to be swappable, so prove it.
-   Snapshots always travel in the compact ("net") format; the "sized"
-   column also counts every message's compact size on the send path,
-   which must leave the protocol untouched; the "grouped" column routes
-   the DGC traffic through the process-group relays (groups of 2).
-   Plus decoder fuzzing: no input may crash a codec (only
+   every combination of byte accounting and deletion mode — the
+   pieces are designed to be swappable, so prove it.  Snapshots
+   always travel in the compact ("net") format; the "sized" column
+   also counts every message's compact size on the send path, which
+   must leave the protocol untouched.  Plus decoder fuzzing: no input may crash a codec (only
    Wire.Malformed). *)
 
 open Adgc_workload
@@ -22,13 +20,11 @@ let rotor = (module Adgc_serial.Rotor_codec : Adgc_serial.Codec.S)
 
 let net = (module Adgc_serial.Net_codec : Adgc_serial.Codec.S)
 
-let fig3_lifecycle ~account_bytes ~groups ~deletion_mode () =
+let fig3_lifecycle ~account_bytes ~deletion_mode () =
   let policy = { Policy.aggressive with Policy.deletion_mode } in
   let config = Config.quick ~n_procs:4 () in
   let config =
-    Config.with_groups
-      { config with Config.policy; net = { config.Config.net with Network.account_bytes } }
-      groups
+    { config with Config.policy; net = { config.Config.net with Network.account_bytes } }
   in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
@@ -56,19 +52,17 @@ let fig3_lifecycle ~account_bytes ~groups ~deletion_mode () =
     check Alcotest.int "aggregate = per-kind sum" (Stats.get stats "net.bytes")
       (Array.fold_left ( + ) 0 bytes)
   end
-  else check Alcotest.int "nothing sized" 0 (Stats.get stats "net.bytes");
-  if groups > 1 then
-    check Alcotest.bool "DGC traffic went through the relays" true (Stats.get stats "group.relays" > 0)
+  else check Alcotest.int "nothing sized" 0 (Stats.get stats "net.bytes")
 
 let matrix_cases =
   List.concat_map
-    (fun (col_name, account_bytes, groups) ->
+    (fun (col_name, account_bytes) ->
       List.map
         (fun mode ->
           let name = Printf.sprintf "fig3 via %s/%s" col_name (Policy.deletion_mode_name mode) in
-          Alcotest.test_case name `Quick (fig3_lifecycle ~account_bytes ~groups ~deletion_mode:mode))
+          Alcotest.test_case name `Quick (fig3_lifecycle ~account_bytes ~deletion_mode:mode))
         [ Policy.Arrival_only; Policy.All_local; Policy.Broadcast ])
-    [ ("net", false, 0); ("sized", true, 0); ("grouped", false, 2) ]
+    [ ("net", false); ("sized", true) ]
 
 (* ------------------------------------------------------------------ *)
 (* Decoder fuzzing *)

@@ -41,8 +41,6 @@ let test_exhaustive_export_handshake () =
     ~caps:{ Scenario.snapshots = 0; scans = 0; lgcs = 1; sends = 1; drops = 0 }
     Scenarios.export_handshake
 
-let test_exhaustive_grouped_cycle () = assert_clean ~states:24704 Scenarios.grouped_cycle
-
 (* ------------------------------------------------------------------ *)
 (* Conformance trails: exact verdicts for the paper's worked cases. *)
 
@@ -55,12 +53,6 @@ let test_reclaim_verdict () =
   let sys, viols = run_exn Scenarios.two_proc_cycle Scenarios.reclaim_trail in
   check Alcotest.int "no violations" 0 (List.length viols);
   check Alcotest.bool "cycle reclaimed" true (System.goal_reached sys)
-
-let test_grouped_reclaim_verdict () =
-  let sys, viols = run_exn Scenarios.grouped_cycle Scenarios.grouped_reclaim_trail in
-  check Alcotest.int "no violations" 0 (List.length viols);
-  check Alcotest.bool "cycle reclaimed through the group relays" true
-    (System.goal_reached sys)
 
 let test_lost_cdm_verdict () =
   let sys, viols =
@@ -99,13 +91,6 @@ let test_replay_deterministic () =
   in
   check Alcotest.string "same trail, same state" (fp Scenarios.reclaim_trail)
     (fp Scenarios.reclaim_trail)
-
-let test_grouped_replay_deterministic () =
-  let fp () =
-    let sys, _ = run_exn Scenarios.grouped_cycle Scenarios.grouped_reclaim_trail in
-    System.fingerprint sys
-  in
-  check Alcotest.string "same grouped trail, same state" (fp ()) (fp ())
 
 let test_fingerprint_sensitive () =
   let fp trail =
@@ -193,9 +178,7 @@ let suite =
         test_exhaustive_external_holder;
       Alcotest.test_case "exhaustive: export_handshake clean" `Slow
         test_exhaustive_export_handshake;
-      Alcotest.test_case "exhaustive: grouped_cycle clean" `Slow test_exhaustive_grouped_cycle;
       Alcotest.test_case "verdict: cycle reclaimed" `Quick test_reclaim_verdict;
-      Alcotest.test_case "verdict: grouped cycle reclaimed" `Quick test_grouped_reclaim_verdict;
       Alcotest.test_case "verdict: lost CDM retried" `Quick test_lost_cdm_verdict;
       Alcotest.test_case "verdict: stale snapshot superseded" `Quick
         test_stale_witness_unmutated_verdict;
@@ -204,8 +187,6 @@ let suite =
       Alcotest.test_case "verdict: in-flight IC race aborts" `Quick
         test_ic_race_in_flight_aborts;
       Alcotest.test_case "replay is deterministic" `Quick test_replay_deterministic;
-      Alcotest.test_case "replay is deterministic: grouped_cycle" `Quick
-        test_grouped_replay_deterministic;
       Alcotest.test_case "fingerprint distinguishes states" `Quick test_fingerprint_sensitive;
       Alcotest.test_case "mutation gauntlet" `Slow test_gauntlet;
       Alcotest.test_case "trace json roundtrip" `Quick test_trace_json_roundtrip;

@@ -13,14 +13,14 @@ open Adgc_workload
 
 let check = Alcotest.check
 
-let run_once ?(groups = 0) ~seed ~detector ~faulty () =
+let run_once ~seed ~detector ~faulty () =
   let n_procs = 6 in
   let config = Config.quick ~seed ~n_procs () in
   let faults =
     if faulty then Faults.plan_of_profile ~n_procs Faults.Loss_burst else Faults.none
   in
   let config = Detector_column.config detector config in
-  let config = Config.with_groups { config with Config.faults; telemetry = true } groups in
+  let config = { config with Config.faults; telemetry = true } in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let _garbage = Topology.ring cluster ~procs:[ 0; 1; 2 ] in
@@ -61,32 +61,9 @@ let test_seeds_actually_differ () =
   let m2, _ = run_once ~seed:17 ~detector:Detector_column.Dcda ~faulty:false () in
   check Alcotest.bool "seeds produce distinct metrics" false (String.equal m1 m2)
 
-(* The relay overlay (two groups of 3) reroutes and batches control
-   traffic through the proxies; that routing must be as deterministic
-   as the flat path.  The flat run of the same seed must differ, or
-   the overlay was never on. *)
-let test_grouped_replay_identical () =
-  List.iter
-    (fun faulty ->
-      List.iter
-        (fun seed ->
-          let label =
-            Printf.sprintf "grouped/%s/seed=%d" (if faulty then "bursty" else "no-faults") seed
-          in
-          let m1, d1 = run_once ~groups:3 ~seed ~detector:Detector_column.Dcda ~faulty () in
-          let m2, d2 = run_once ~groups:3 ~seed ~detector:Detector_column.Dcda ~faulty () in
-          check Alcotest.string (label ^ ": metrics JSON") m1 m2;
-          check Alcotest.string (label ^ ": span digest") d1 d2;
-          let flat, _ = run_once ~seed ~detector:Detector_column.Dcda ~faulty () in
-          check Alcotest.bool (label ^ ": differs from the flat run") false (String.equal m1 flat))
-        [ 3; 17; 42 ])
-    [ false; true ]
-
 let suite =
   ( "replay",
     [
       Alcotest.test_case "same seed, same bytes (12 scenarios)" `Quick test_replay_identical;
       Alcotest.test_case "different seeds, different runs" `Quick test_seeds_actually_differ;
-      Alcotest.test_case "grouped: same seed, same bytes (6 scenarios)" `Quick
-        test_grouped_replay_identical;
     ] )

@@ -603,6 +603,67 @@ let test_window_zero_is_synchronous () =
     (Hashtbl.length (Cluster.proc cluster 0).Process.pending_batches);
   check Alcotest.bool "nothing scheduled" true (Scheduler.is_idle (Cluster.sched cluster))
 
+(* One route: each destination has its own queue, so a sender's
+   payloads for two processes leave as two envelopes, each straight to
+   its final destination and handled there as sent by the true
+   sender. *)
+let test_batching_queues_per_destination () =
+  let cluster = mk ~n:3 ~config:(window_config 5) () in
+  let rt = Cluster.rt cluster in
+  let stats = Cluster.stats cluster in
+  let src = Proc_id.of_int 0 in
+  List.iter
+    (fun d ->
+      let dst = Proc_id.of_int d in
+      Runtime.send_dgc rt ~src ~dst (empty_set 1);
+      Runtime.send_dgc rt ~src ~dst (empty_set 2))
+    [ 1; 2 ];
+  check Alcotest.int "one queue per destination" 2
+    (Hashtbl.length (Cluster.proc cluster 0).Process.pending_batches);
+  settle cluster;
+  check Alcotest.int "one batch envelope per destination" 2 (Stats.get stats "net.msg.sent.batch");
+  check Alcotest.int "nothing else sent" 2 (Stats.get stats "net.msg.sent");
+  check Alcotest.int "every payload batched" 4 (Stats.get stats "net.msg.batched");
+  List.iter
+    (fun d ->
+      check Alcotest.int
+        (Printf.sprintf "P%d handled both sets from P0" d)
+        2
+        (Scion_table.last_seqno (Cluster.proc cluster d).Process.scions src))
+    [ 1; 2 ]
+
+(* Crash-stop applies when the window closes: a sender that dies with
+   a queue open puts nothing on the wire. *)
+let test_batching_dead_sender_sends_nothing () =
+  let cluster = mk ~n:2 ~config:(window_config 5) () in
+  let rt = Cluster.rt cluster in
+  let stats = Cluster.stats cluster in
+  let src = Proc_id.of_int 0 and dst = Proc_id.of_int 1 in
+  Runtime.send_dgc rt ~src ~dst (empty_set 1);
+  Runtime.send_dgc rt ~src ~dst Msg.Scion_probe;
+  Cluster.crash cluster 0;
+  settle cluster;
+  check Alcotest.int "nothing on the wire" 0 (Stats.get stats "net.msg.sent");
+  check Alcotest.int "the flush met a dead endpoint" 1 (Stats.get stats "net.msg.dead_endpoint");
+  check Alcotest.int "the queue is gone" 0
+    (Hashtbl.length (Cluster.proc cluster 0).Process.pending_batches)
+
+let test_flush_all_batches_drains_now () =
+  let cluster = mk ~n:3 ~config:(window_config 50) () in
+  let rt = Cluster.rt cluster in
+  let stats = Cluster.stats cluster in
+  List.iter
+    (fun (s, d) -> Runtime.send_dgc rt ~src:(Proc_id.of_int s) ~dst:(Proc_id.of_int d) (empty_set 1))
+    [ (0, 1); (1, 2); (2, 0) ];
+  Runtime.flush_all_batches rt;
+  check Alcotest.int "every queue left at once" 3 (Stats.get stats "net.msg.sent");
+  Array.iter
+    (fun (p : Process.t) ->
+      check Alcotest.int "no queue left" 0 (Hashtbl.length p.Process.pending_batches))
+    rt.Runtime.procs;
+  settle cluster;
+  check Alcotest.int "the window's own flushes find nothing" 3 (Stats.get stats "net.msg.sent")
+
 let test_batching_chain_reclaimed () =
   (* The acyclic end-to-end scenario converges when every stub set
      rides inside a batch. *)
@@ -805,6 +866,12 @@ let suite =
         test_batching_single_payload_travels_plain;
       Alcotest.test_case "batching: dgc_window = 0 sends synchronously" `Quick
         test_window_zero_is_synchronous;
+      Alcotest.test_case "batching: one queue per destination, true sender kept" `Quick
+        test_batching_queues_per_destination;
+      Alcotest.test_case "batching: a dead sender's queue sends nothing" `Quick
+        test_batching_dead_sender_sends_nothing;
+      Alcotest.test_case "batching: flush_all_batches drains every queue now" `Quick
+        test_flush_all_batches_drains_now;
       Alcotest.test_case "batching: acyclic chain still reclaimed" `Quick
         test_batching_chain_reclaimed;
       Alcotest.test_case "batching: clique round sends fewer msgs" `Quick

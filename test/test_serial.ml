@@ -667,33 +667,10 @@ let test_payload_decoder_rejects () =
          ] ));
   none "unknown record" (Sval.Record ("mystery", []));
   none "not a record" (Sval.Int 3);
-  (* Batches never nest, and the group wrappers never ride inside one. *)
+  (* Batches never nest. *)
   none "nested batch"
     (Sval.Record
        ("batch", [ ("msgs", Sval.List [ Sval.Record ("batch", [ ("msgs", Sval.List []) ]) ]) ]));
-  none "group_fwd inside a batch"
-    (Sval.Record
-       ( "batch",
-         [
-           ( "msgs",
-             Sval.List
-               [
-                 Sval.Record
-                   ( "group_fwd",
-                     [ ("orig_src", Sval.Int 1); ("inner", Sval.Record ("scion_probe", [])) ] );
-               ] );
-         ] ));
-  none "group_relay inside a batch"
-    (Sval.Record
-       ( "batch",
-         [
-           ("msgs", Sval.List [ Sval.Record ("group_relay", [ ("entries", Sval.List []) ]) ]);
-         ] ));
-  none "batch inside group_fwd"
-    (Sval.Record
-       ( "group_fwd",
-         [ ("orig_src", Sval.Int 1); ("inner", Sval.Record ("batch", [ ("msgs", Sval.List []) ])) ]
-       ));
   (* No name crosses the wire, so what a reader checks is the kind of
      value at each position: a payload moved ahead of [sent_at] is
      malformed. *)
@@ -710,6 +687,13 @@ let test_payload_decoder_rejects () =
   (* Case indices and arities. *)
   let with_payload p = Ref.Rec [ Ref.Int 0; Ref.Int 1; Ref.Int 2; Ref.Int 3; p ] in
   rejected_tree "case index past the last" (with_payload (Ref.Case (12, [])));
+  (* Cases 10 and 11 were the process-group relay wrappers, retired
+     with their overlay; frames in their old shapes are past the last
+     case too. *)
+  let probe = Ref.Case (5, []) in
+  rejected_tree "retired case 10 (group_fwd)" (with_payload (Ref.Case (10, [ Ref.Int 0; probe ])));
+  rejected_tree "retired case 11 (group_relay)"
+    (with_payload (Ref.Case (11, [ Ref.List [ Ref.List [ Ref.Int 0; Ref.Int 1; probe ] ] ])));
   rejected_tree "negative case index" (with_payload (Ref.Case (-1, [])));
   rejected_tree "a record where a case is due" (with_payload (Ref.Rec []));
   rejected_tree "a case where a record is due" (Ref.Case (0, [ Ref.Int 0 ]));
@@ -1088,9 +1072,41 @@ let test_golden_sizes () =
       (Msg.Cdm_delete { id; scions = [ key ] }, 29);
       (Msg.Ext "body", 19);
       (Msg.Batch [ Msg.Scion_probe; Msg.Scion_probe ], 21);
-      (Msg.Group_fwd { orig_src = p0; inner = Msg.Scion_probe }, 18);
-      (Msg.Group_relay { entries = [ (p0, p1, Msg.Scion_probe) ] }, 24);
     ]
+
+(* A payload's case index is its wire byte, and the sizes above cannot
+   see two kinds swap indices. *)
+let test_case_indices_pinned () =
+  let target = Oid.make ~owner:p0 ~serial:1 in
+  let id = Detection_id.make ~initiator:p0 ~seq:0 in
+  let algebra = Algebra.empty in
+  let payloads =
+    [
+      Msg.Rmi_request { req_id = 0; target; args = []; stub_ic = 0 };
+      Msg.Rmi_reply { req_id = 0; target; results = [] };
+      Msg.Export_notice { notice_id = 0; target; new_holder = p0 };
+      Msg.Export_ack { notice_id = 0; target; new_holder = p0 };
+      Msg.New_set_stubs { seqno = 0; targets = Oid.Map.empty };
+      Msg.Scion_probe;
+      Msg.Cdm (Cdm.make ~id ~algebra ~frontier:(Ref_key.make ~src:p0 ~target) ~hops:0 ~budget:1);
+      Msg.Cdm_delete { id; scions = [] };
+      Msg.Ext "";
+      Msg.Batch [];
+    ]
+  in
+  check
+    Alcotest.(array string)
+    "kinds, in case order"
+    [|
+      "rmi_request"; "rmi_reply"; "export_notice"; "export_ack"; "new_set_stubs"; "scion_probe";
+      "cdm"; "cdm_delete"; "ext"; "batch";
+    |]
+    Msg.kinds;
+  List.iteri
+    (fun i p ->
+      check Alcotest.int (Msg.kind p ^ " case index") i (Msg.kind_index p);
+      check Alcotest.string (Msg.kind p ^ " named by its index") Msg.kinds.(i) (Msg.kind p))
+    payloads
 
 let same_verdict equal a b =
   match (a, b) with
@@ -1183,5 +1199,6 @@ let suite =
         test_summary_decode_keeps_last;
       qcheck_envelope_wire_identity;
       Alcotest.test_case "golden message sizes, one per payload kind" `Quick test_golden_sizes;
+      Alcotest.test_case "msg: case indices of the kept kinds pinned" `Quick test_case_indices_pinned;
     ]
     @ msg_parity @ comparator_parity @ envelope_parity )

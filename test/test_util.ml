@@ -1,4 +1,5 @@
-(* Unit tests for adgc_util: RNG, priority queue, trace, stats, tables. *)
+(* Unit tests for adgc_util: RNG, priority queue, trace, stats, dense
+   marks, interners and CSR adjacency, tables. *)
 
 module Rng = Adgc_util.Rng
 module Heap_queue = Adgc_util.Heap_queue
@@ -510,6 +511,70 @@ let test_interner_key_unassigned () =
     (fun () -> ignore (Str_interner.key t 1 : string))
 
 (* ------------------------------------------------------------------ *)
+(* The CSR adjacency: multiset semantics against a reference model
+   under random add/remove churn, plus block recycling. *)
+
+module Csr = Adgc_util.Dense.Csr
+
+let csr_matches_model =
+  let gen =
+    QCheck2.Gen.(list_size (int_bound 400) (triple bool (int_bound 12) (int_bound 8)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"csr matches a reference multiset" ~count:200 gen (fun ops ->
+         let t = Csr.create ~capacity:4 () in
+         let model = Array.make 13 [] in
+         List.iter
+           (fun (add, row, v) ->
+             if add then begin
+               Csr.add t row v;
+               model.(row) <- v :: model.(row)
+             end
+             else begin
+               let present = List.mem v model.(row) in
+               let removed = Csr.remove t row v in
+               if present <> removed then QCheck2.Test.fail_report "remove disagrees";
+               if present then begin
+                 let rec drop_one = function
+                   | [] -> []
+                   | x :: rest -> if x = v then rest else x :: drop_one rest
+                 in
+                 model.(row) <- drop_one model.(row)
+               end
+             end)
+           ops;
+         Array.iteri
+           (fun row expected ->
+             if Csr.length t row <> List.length expected then
+               QCheck2.Test.fail_report "length disagrees";
+             let got = ref [] in
+             Csr.iter t row (fun v -> got := v :: !got);
+             if List.sort compare !got <> List.sort compare expected then
+               QCheck2.Test.fail_report "contents disagree")
+           model;
+         true))
+
+let test_csr_recycles_blocks () =
+  let t = Csr.create ~capacity:8 () in
+  for v = 0 to 99 do
+    Csr.add t 0 v
+  done;
+  let words_full = Csr.words t in
+  check Alcotest.int "nothing parked while in use" 0 (Csr.free_blocks t);
+  Csr.clear_row t 0;
+  Alcotest.(check bool) "cleared blocks are parked" true (Csr.free_blocks t > 0);
+  check Alcotest.int "row is empty" 0 (Csr.length t 0);
+  (* Refill a different row: the parked blocks are reused, so the
+     arena does not grow. *)
+  for v = 0 to 99 do
+    Csr.add t 1 v
+  done;
+  check Alcotest.int "recycling kept the arena flat" words_full (Csr.words t);
+  check Alcotest.int "refilled row complete" 100 (Csr.length t 1);
+  Csr.reset t;
+  check Alcotest.int "reset empties every row" 0 (Csr.length t 1)
+
+(* ------------------------------------------------------------------ *)
 (* Table *)
 
 let test_table_render () =
@@ -597,6 +662,8 @@ let suite =
       Alcotest.test_case "dense: interner bijection" `Quick test_interner_bijection;
       Alcotest.test_case "dense: interner iter order" `Quick test_interner_iter_order;
       Alcotest.test_case "dense: interner key bounds" `Quick test_interner_key_unassigned;
+      csr_matches_model;
+      Alcotest.test_case "csr recycles cleared blocks" `Quick test_csr_recycles_blocks;
       Alcotest.test_case "table: render alignment" `Quick test_table_render;
       Alcotest.test_case "table: row padding" `Quick test_table_pads_rows;
       Alcotest.test_case "sorted: last of each" `Quick test_sorted_last_of_each;

@@ -42,7 +42,7 @@ let case_lists =
   [
     [
       "rmi_request"; "rmi_reply"; "export_notice"; "export_ack"; "new_set_stubs"; "scion_probe";
-      "cdm"; "cdm_delete"; "ext"; "batch"; "group_fwd"; "group_relay";
+      "cdm"; "cdm_delete"; "ext"; "batch";
     ];
     [
       "hello"; "start"; "heartbeat"; "net_msg"; "status_req"; "status"; "state_req"; "state";
@@ -422,15 +422,6 @@ let rec payload_sval = function
   | Msg.Ext body -> Sval.Record ("ext", [ ("body", Sval.Str body) ])
   | Msg.Batch payloads ->
       Sval.Record ("batch", [ ("msgs", Sval.List (List.map payload_sval payloads)) ])
-  | Msg.Group_fwd { orig_src; inner } ->
-      Sval.Record
-        ("group_fwd", [ ("orig_src", Sval.Int (Proc_id.to_int orig_src)); ("inner", payload_sval inner) ])
-  | Msg.Group_relay { entries } ->
-      let entry (orig_src, final_dst, p) =
-        Sval.List
-          [ Sval.Int (Proc_id.to_int orig_src); Sval.Int (Proc_id.to_int final_dst); payload_sval p ]
-      in
-      Sval.Record ("group_relay", [ ("entries", Sval.List (List.map entry entries)) ])
 
 let msg_sval (t : Msg.t) =
   Sval.Record
@@ -445,11 +436,6 @@ let msg_sval (t : Msg.t) =
 
 (* Field order is part of the wire format. *)
 let rec payload_of_tree tree =
-  let flat t =
-    match payload_of_tree t with
-    | Some (Msg.Batch _ | Msg.Group_fwd _ | Msg.Group_relay _) | None -> None
-    | Some p -> Some p
-  in
   match tree with
   | Case (0, [ Int req_id; target; List args; Int stub_ic ]) -> (
       match (oid_of_tree target, all_of oid_of_tree args) with
@@ -492,23 +478,15 @@ let rec payload_of_tree tree =
         (all_of key_of_tree scions)
   | Case (8, [ Str body ]) -> Some (Msg.Ext body)
   | Case (9, [ List payloads ]) ->
-      (* Batches are never nested and the group wrappers are flat; nor
-         does a batch carry references. *)
+      (* Batches are never nested, nor does a batch carry
+         references. *)
       let constituent t =
-        match flat t with Some p when Msg.payload_refs p <> [] -> None | r -> r
+        match payload_of_tree t with
+        | Some (Msg.Batch _) | None -> None
+        | Some p when Msg.payload_refs p <> [] -> None
+        | r -> r
       in
       Option.map (fun payloads -> Msg.Batch payloads) (all_of constituent payloads)
-  | Case (10, [ Int orig_src; inner ]) when orig_src >= 0 ->
-      Option.map
-        (fun inner -> Msg.Group_fwd { orig_src = Proc_id.of_int orig_src; inner })
-        (flat inner)
-  | Case (11, [ List entries ]) ->
-      let entry = function
-        | List [ Int orig_src; Int final_dst; p ] when orig_src >= 0 && final_dst >= 0 ->
-            Option.map (fun p -> (Proc_id.of_int orig_src, Proc_id.of_int final_dst, p)) (flat p)
-        | _ -> None
-      in
-      Option.map (fun entries -> Msg.Group_relay { entries }) (all_of entry entries)
   | _ -> None
 
 let msg_of_tree = function
