@@ -17,6 +17,7 @@ open Adgc_workload
 module Sim = Adgc.Sim
 module Config = Adgc.Config
 module Cluster = Adgc_rt.Cluster
+module Runtime = Adgc_rt.Runtime
 module Faults = Adgc_rt.Faults
 module Heap = Adgc_rt.Heap
 module Oid = Adgc_algebra.Oid
@@ -41,11 +42,16 @@ let live_ring_intact cluster (built : Topology.built) =
       Heap.mem p.Adgc_rt.Process.heap obj.Heap.oid)
     built.Topology.objects
 
-let run_cell ~profile ~detector ~seed () =
+let with_window (config : Config.t) = function
+  | None -> config
+  | Some dgc_window ->
+      { config with Config.runtime = { config.Config.runtime with Runtime.dgc_window } }
+
+let run_cell ~profile ~detector ?dgc_window ~seed () =
   let n_procs = 4 in
   let faults = Faults.plan_of_profile ~start:fault_start ~stop:fault_stop ~n_procs profile in
   let config = Detector_column.config detector (Config.quick ~seed ~n_procs ()) in
-  let config = { config with Config.faults } in
+  let config = with_window { config with Config.faults } dgc_window in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let oracle = Oracle.install ~window:500 cluster in
@@ -77,7 +83,10 @@ let run_cell ~profile ~detector ~seed () =
       Alcotest.failf "liveness after %s/%s/seed%d: %a" (Faults.profile_name profile)
         (Detector_column.name detector) seed Oracle.pp_liveness l);
   Oracle.stop oracle;
-  Oracle.assert_safe oracle
+  Oracle.assert_safe oracle;
+  if dgc_window = Some 0 then
+    check Alcotest.int "every control payload left unbatched" 0
+      (Stats.get (Sim.stats sim) "net.msg.batch_flushes")
 
 (* The acceptance scenario spelled out: duplication and reordering at
    once, replayed envelopes visibly suppressed, zero reclamations of
@@ -132,20 +141,71 @@ let test_partition_stats () =
     "cut traffic was dropped" true
     (Stats.get stats "net.msg.dropped.partition" > 0)
 
+(* Crash with batch queues open: with a window wider than the gap
+   between duty rounds, process 0 is killed at the first tick after
+   [fault_start] at which its queues still hold stub sets or CDMs.
+   Those payloads die with it (crash-stop at the flush), safety must
+   hold throughout, and once it restarts everything garbage must
+   still be reclaimed.  The live ring runs through process 0, so it
+   keeps sending stub sets for as long as the run lasts. *)
+let test_crash_with_open_queues () =
+  let n_procs = 4 in
+  let config = with_window (Config.quick ~seed:13 ~n_procs ()) (Some 400) in
+  let sim = Sim.create ~config () in
+  let cluster = Sim.cluster sim in
+  let oracle = Oracle.install ~window:500 cluster in
+  let _garbage = Topology.ring cluster ~procs:[ 0; 1; 2; 3 ] in
+  let live = Topology.rooted_ring cluster ~procs:[ 0; 2 ] in
+  let sched = Cluster.sched cluster in
+  let crashed = ref false in
+  let rec crash_when_queued () =
+    if Hashtbl.length (Cluster.proc cluster 0).Adgc_rt.Process.pending_batches > 0 then begin
+      crashed := true;
+      Cluster.crash cluster 0
+    end
+    else if Adgc_rt.Scheduler.now sched < fault_stop then
+      Adgc_rt.Scheduler.schedule_after sched ~delay:1 crash_when_queued
+  in
+  Adgc_rt.Scheduler.schedule_after sched ~delay:fault_start crash_when_queued;
+  Adgc_rt.Scheduler.schedule_after sched ~delay:fault_stop (fun () -> Cluster.restart cluster 0);
+  Sim.start sim;
+  Sim.run_for sim (fault_stop + 2_000);
+  Oracle.assert_safe oracle;
+  Alcotest.(check bool) "the crash met open queues" true !crashed;
+  Alcotest.(check bool)
+    "their flushes met a dead endpoint" true
+    (Stats.get (Sim.stats sim) "net.msg.dead_endpoint" > 0);
+  (match Oracle.check_liveness ~step:2_000 ~max_ticks:900_000 oracle ~run:(Sim.run_for sim) with
+  | Oracle.Converged _ -> ()
+  | Oracle.Stuck _ as l -> Alcotest.failf "liveness after crash: %a" Oracle.pp_liveness l);
+  Oracle.stop oracle;
+  Oracle.assert_safe oracle;
+  check Alcotest.bool "live ring intact" true (live_ring_intact cluster live)
+
 let suite =
-  (* Two columns: the DCDA and the backtracking baseline. *)
-  let columns = [ ("dcda", Detector_column.Dcda); ("backtrack", Detector_column.Backtrack) ] in
+  (* Three columns: the DCDA with its control traffic batched (the
+     default window) and synchronous (window 0: every stub set and CDM
+     leaves as its own message, so each fault regime hits single
+     payloads rather than whole batches), and the backtracking
+     baseline. *)
+  let columns =
+    [
+      ("dcda", Detector_column.Dcda, None);
+      ("dcda+sync", Detector_column.Dcda, Some 0);
+      ("backtrack", Detector_column.Backtrack, None);
+    ]
+  in
   let cells =
     List.concat_map
       (fun (pname, profile) ->
         List.concat_map
-          (fun (cname, detector) ->
+          (fun (cname, detector, dgc_window) ->
             List.map
               (fun seed ->
                 Alcotest.test_case
                   (Printf.sprintf "%s via %s, seed %d" pname cname seed)
                   `Slow
-                  (run_cell ~profile ~detector ~seed))
+                  (run_cell ~profile ~detector ?dgc_window ~seed))
               seeds)
           columns)
       Faults.profiles
@@ -156,4 +216,6 @@ let suite =
         Alcotest.test_case "duplicate+reorder shows suppression" `Quick
           test_duplicate_reorder_combined;
         Alcotest.test_case "partition cut and heal accounted" `Quick test_partition_stats;
+        Alcotest.test_case "crash with batch queues open recovers" `Slow
+          test_crash_with_open_queues;
       ] )

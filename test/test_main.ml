@@ -19,6 +19,7 @@ let () =
       Test_model.suite;
       Test_matrix.suite;
       Test_faults_matrix.suite;
+      Test_route.suite;
       Test_sim.suite;
       Test_replay.suite;
       Test_schema.suite;

@@ -1,9 +1,11 @@
 (* Configuration-matrix tests: the fig3 lifecycle must work under
-   every combination of byte accounting and deletion mode — the
-   pieces are designed to be swappable, so prove it.  Snapshots
-   always travel in the compact ("net") format; the "sized" column
-   also counts every message's compact size on the send path, which
-   must leave the protocol untouched.  Plus decoder fuzzing: no input may crash a codec (only
+   every combination of byte accounting, DGC batching window and
+   deletion mode — the pieces are designed to be swappable, so prove
+   it.  Snapshots always travel in the compact ("net") format; the
+   "sized" column also counts every message's compact size on the
+   send path, which must leave the protocol untouched; the "sync"
+   column sets [dgc_window = 0], so every control payload leaves
+   inside [send_dgc] as its own message.  Plus decoder fuzzing: no input may crash a codec (only
    Wire.Malformed). *)
 
 open Adgc_workload
@@ -20,11 +22,21 @@ let rotor = (module Adgc_serial.Rotor_codec : Adgc_serial.Codec.S)
 
 let net = (module Adgc_serial.Net_codec : Adgc_serial.Codec.S)
 
-let fig3_lifecycle ~account_bytes ~deletion_mode () =
+let fig3_lifecycle ~account_bytes ~dgc_window ~deletion_mode () =
   let policy = { Policy.aggressive with Policy.deletion_mode } in
   let config = Config.quick ~n_procs:4 () in
+  let runtime =
+    match dgc_window with
+    | None -> config.Config.runtime
+    | Some dgc_window -> { config.Config.runtime with Adgc_rt.Runtime.dgc_window }
+  in
   let config =
-    { config with Config.policy; net = { config.Config.net with Network.account_bytes } }
+    {
+      config with
+      Config.policy;
+      runtime;
+      net = { config.Config.net with Network.account_bytes };
+    }
   in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
@@ -52,17 +64,19 @@ let fig3_lifecycle ~account_bytes ~deletion_mode () =
     check Alcotest.int "aggregate = per-kind sum" (Stats.get stats "net.bytes")
       (Array.fold_left ( + ) 0 bytes)
   end
-  else check Alcotest.int "nothing sized" 0 (Stats.get stats "net.bytes")
+  else check Alcotest.int "nothing sized" 0 (Stats.get stats "net.bytes");
+  if dgc_window = Some 0 then
+    check Alcotest.int "no batch envelope" 0 (Stats.get stats "net.msg.sent.batch")
 
 let matrix_cases =
   List.concat_map
-    (fun (col_name, account_bytes) ->
+    (fun (col_name, account_bytes, dgc_window) ->
       List.map
         (fun mode ->
           let name = Printf.sprintf "fig3 via %s/%s" col_name (Policy.deletion_mode_name mode) in
-          Alcotest.test_case name `Quick (fig3_lifecycle ~account_bytes ~deletion_mode:mode))
+          Alcotest.test_case name `Quick (fig3_lifecycle ~account_bytes ~dgc_window ~deletion_mode:mode))
         [ Policy.Arrival_only; Policy.All_local; Policy.Broadcast ])
-    [ ("net", false); ("sized", true) ]
+    [ ("net", false, None); ("sized", true, None); ("sync", false, Some 0) ]
 
 (* ------------------------------------------------------------------ *)
 (* Decoder fuzzing *)

@@ -92,6 +92,18 @@ let test_replay_deterministic () =
   check Alcotest.string "same trail, same state" (fp Scenarios.reclaim_trail)
     (fp Scenarios.reclaim_trail)
 
+let test_ic_race_replay_deterministic () =
+  let fp trail =
+    let sys, _ = run_exn Scenarios.ic_race trail in
+    System.fingerprint sys
+  in
+  check Alcotest.string "settled trail, same state" (fp Scenarios.ic_race_reclaim_trail)
+    (fp Scenarios.ic_race_reclaim_trail);
+  check Alcotest.string "in-flight trail, same state" (fp Scenarios.ic_race_abort_trail)
+    (fp Scenarios.ic_race_abort_trail);
+  check Alcotest.bool "the two races end in different states" true
+    (fp Scenarios.ic_race_reclaim_trail <> fp Scenarios.ic_race_abort_trail)
+
 let test_fingerprint_sensitive () =
   let fp trail =
     let sys, _ = run_exn Scenarios.two_proc_cycle trail in
@@ -153,6 +165,21 @@ let test_trace_file_roundtrip () =
       | Ok t' -> check Alcotest.bool "file roundtrip" true (t = t')
       | Error e -> Alcotest.failf "load failed: %s" e)
 
+(* A trace saved against a scope that no longer exists (the retired
+   grouped_cycle) is refused by name, not replayed against some other
+   scope; every kept scope still resolves. *)
+let test_trace_unknown_scope () =
+  List.iter
+    (fun (s : Scenario.t) ->
+      check Alcotest.bool (s.Scenario.name ^ " resolves") true
+        (Option.is_some (Scenarios.find s.Scenario.name)))
+    Scenarios.all;
+  check Alcotest.bool "grouped_cycle is retired" true (Scenarios.find "grouped_cycle" = None);
+  match Trace.replay { (sample_trace ()) with Trace.scenario = "grouped_cycle" } with
+  | Trace.Reproduced -> Alcotest.fail "replayed a trace of a retired scope"
+  | Trace.Failed reason ->
+      check Alcotest.string "refused by name" "unknown scenario \"grouped_cycle\"" reason
+
 let test_trace_rejects_junk () =
   match Trace.of_json (Adgc_util.Json.Str "nope") with
   | Ok _ -> Alcotest.fail "accepted junk"
@@ -168,6 +195,12 @@ let test_swarm_clean () =
   | None -> ()
   | Some (seed, _, viols) ->
       Alcotest.failf "swarm seed %d violated: %s" seed (String.concat "; " viols)
+
+let test_swarm_ic_race_clean () =
+  match Explore.swarm ~seeds:(List.init 16 (fun i -> 2000 + i)) ~steps:30 Scenarios.ic_race with
+  | None -> ()
+  | Some (seed, _, viols) ->
+      Alcotest.failf "ic_race swarm seed %d violated: %s" seed (String.concat "; " viols)
 
 let suite =
   ( "mc",
@@ -187,10 +220,14 @@ let suite =
       Alcotest.test_case "verdict: in-flight IC race aborts" `Quick
         test_ic_race_in_flight_aborts;
       Alcotest.test_case "replay is deterministic" `Quick test_replay_deterministic;
+      Alcotest.test_case "replay is deterministic: ic_race" `Quick
+        test_ic_race_replay_deterministic;
       Alcotest.test_case "fingerprint distinguishes states" `Quick test_fingerprint_sensitive;
       Alcotest.test_case "mutation gauntlet" `Slow test_gauntlet;
       Alcotest.test_case "trace json roundtrip" `Quick test_trace_json_roundtrip;
       Alcotest.test_case "trace file roundtrip" `Quick test_trace_file_roundtrip;
       Alcotest.test_case "trace rejects junk" `Quick test_trace_rejects_junk;
+      Alcotest.test_case "trace of a retired scope is refused" `Quick test_trace_unknown_scope;
       Alcotest.test_case "swarm finds nothing on the clean build" `Slow test_swarm_clean;
+      Alcotest.test_case "swarm finds nothing on ic_race" `Slow test_swarm_ic_race_clean;
     ] )

@@ -165,4 +165,12 @@ let suite =
            (the ring is garbage wall-to-wall). *)
         Alcotest.test_case "pairs seed=11 dcda" `Slow
           (conformance_case Scenario.Pairs 11 Config.Dcda);
+        (* The paper's Figure 3 (a cycle hanging off a dropped root)
+           and a seeded random graph, where live and garbage objects
+           interleave across all four ranks and the stub-set and CDM
+           traffic crosses every link. *)
+        Alcotest.test_case "fig3 seed=11 dcda" `Slow
+          (conformance_case Scenario.Fig3 11 Config.Dcda);
+        Alcotest.test_case "random seed=11 dcda" `Slow
+          (conformance_case Scenario.Random 11 Config.Dcda);
       ] )

@@ -13,7 +13,7 @@ open Adgc_workload
 
 let check = Alcotest.check
 
-let run_once ~seed ~detector ~faulty () =
+let run_once ?dgc_window ~seed ~detector ~faulty () =
   let n_procs = 6 in
   let config = Config.quick ~seed ~n_procs () in
   let faults =
@@ -21,6 +21,12 @@ let run_once ~seed ~detector ~faulty () =
   in
   let config = Detector_column.config detector config in
   let config = { config with Config.faults; telemetry = true } in
+  let config =
+    match dgc_window with
+    | None -> config
+    | Some dgc_window ->
+        { config with Config.runtime = { config.Config.runtime with Adgc_rt.Runtime.dgc_window } }
+  in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   let _garbage = Topology.ring cluster ~procs:[ 0; 1; 2 ] in
@@ -54,6 +60,28 @@ let test_replay_identical () =
         [ false; true ])
     Detector_column.all
 
+(* The synchronous send path ([dgc_window = 0]: every control payload
+   leaves inside [send_dgc], no flush is ever scheduled) must be as
+   deterministic as the batched one.  The batched run of the same seed
+   must differ, or the window was never in effect. *)
+let test_sync_replay_identical () =
+  List.iter
+    (fun faulty ->
+      List.iter
+        (fun seed ->
+          let label =
+            Printf.sprintf "sync/%s/seed=%d" (if faulty then "bursty" else "no-faults") seed
+          in
+          let m1, d1 = run_once ~dgc_window:0 ~seed ~detector:Detector_column.Dcda ~faulty () in
+          let m2, d2 = run_once ~dgc_window:0 ~seed ~detector:Detector_column.Dcda ~faulty () in
+          check Alcotest.string (label ^ ": metrics JSON") m1 m2;
+          check Alcotest.string (label ^ ": span digest") d1 d2;
+          let batched, _ = run_once ~seed ~detector:Detector_column.Dcda ~faulty () in
+          check Alcotest.bool (label ^ ": differs from the batched run") false
+            (String.equal m1 batched))
+        [ 3; 17; 42 ])
+    [ false; true ]
+
 let test_seeds_actually_differ () =
   (* Guard against a trivially-constant export: different seeds must
      produce different runs. *)
@@ -65,5 +93,7 @@ let suite =
   ( "replay",
     [
       Alcotest.test_case "same seed, same bytes (12 scenarios)" `Quick test_replay_identical;
+      Alcotest.test_case "sync: same seed, same bytes (6 scenarios)" `Quick
+        test_sync_replay_identical;
       Alcotest.test_case "different seeds, different runs" `Quick test_seeds_actually_differ;
     ] )
