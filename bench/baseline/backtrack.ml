@@ -109,12 +109,14 @@ let handle_query t ~src (q : Btmsg.query) =
       match Summary.find_stub summary subject.Ref_key.target with
       | None -> answer Btmsg.Rooted
       | Some stub ->
-          if stub.Summary.local_reach then answer Btmsg.Rooted
+          if Summary.local_reach summary stub then answer Btmsg.Rooted
           else begin
             let deps =
-              Ref_key.Set.filter
-                (fun dep -> not (List.exists (Ref_key.equal dep) q.Btmsg.visited))
-                stub.Summary.scions_to
+              Summary.fold_scions_to summary stub
+                (fun dep deps ->
+                  if List.exists (Ref_key.equal dep) q.Btmsg.visited then deps
+                  else Ref_key.Set.add dep deps)
+                Ref_key.Set.empty
             in
             if Ref_key.Set.is_empty deps then answer Btmsg.Cycle_back
             else begin
@@ -217,8 +219,8 @@ let suspect t key =
   | Some summary -> (
       match Summary.find_scion summary key with
       | None -> false
-      | Some si ->
-          if si.Summary.target_locally_reachable then false
+      | Some scion ->
+          if Summary.target_locally_reachable summary scion then false
           else begin
             let trace = { Btmsg.initiator = proc_id t; seq = t.next_seq } in
             t.next_seq <- t.next_seq + 1;
@@ -244,15 +246,15 @@ let scan t ~idle_threshold =
   | None -> 0
   | Some summary ->
       let now = Runtime.now t.rt in
-      List.fold_left
-        (fun acc (si : Summary.scion_info) ->
-          if
-            (not si.Summary.target_locally_reachable)
-            && now - si.Summary.last_invoked >= idle_threshold
-            && suspect t si.Summary.key
-          then acc + 1
-          else acc)
-        0 (Summary.scion_list summary)
+      let started = ref 0 in
+      for i = 0 to fst (Summary.counts summary) - 1 do
+        if
+          (not (Summary.target_locally_reachable summary i))
+          && now - Summary.last_invoked summary i >= idle_threshold
+          && suspect t (Summary.scion_key summary i)
+        then incr started
+      done;
+      !started
 
 let attach ?(timeout = 50_000) rt proc =
   let t =
@@ -276,7 +278,7 @@ let install ?timeout ~idle_threshold sim =
   let rt = Adgc.Sim.rt sim in
   let bts = Array.map (attach ?timeout rt) rt.Runtime.procs in
   Adgc_snapshot.Snapshot_store.subscribe (Adgc.Sim.store sim) (fun summary ->
-      set_summary bts.(Proc_id.to_int summary.Summary.proc) summary);
+      set_summary bts.(Proc_id.to_int (Summary.proc summary)) summary);
   let period = (Adgc.Sim.config sim).Adgc.Config.policy.Adgc_dcda.Policy.scan_period in
   let run i = ignore (scan bts.(i) ~idle_threshold : int) in
   Adgc.Kernel.start (Adgc.Sim.cluster sim) [ { Adgc.Kernel.name = "scan"; period; run } ];

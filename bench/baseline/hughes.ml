@@ -59,21 +59,22 @@ let round t (inst : instance) =
        from roots / from each scion). *)
     let summary = Summarize.run ~now p in
     let outgoing = ref Proc_id.Map.empty in
-    List.iter
-      (fun (st : Summary.stub_info) ->
-        let stamp = ref (if st.Summary.local_reach then now else -1) in
-        Ref_key.Set.iter
-          (fun dep ->
+    for j = 0 to snd (Summary.counts summary) - 1 do
+      let stamp =
+        Summary.fold_scions_to summary j
+          (fun dep stamp ->
             match Ref_key.Tbl.find_opt inst.stamps dep with
-            | Some s -> stamp := Int.max !stamp s
-            | None -> ())
-          st.Summary.scions_to;
-        if !stamp >= 0 then begin
-          let owner = Oid.owner st.Summary.target in
-          let prev = Option.value ~default:[] (Proc_id.Map.find_opt owner !outgoing) in
-          outgoing := Proc_id.Map.add owner ((st.Summary.target, !stamp) :: prev) !outgoing
-        end)
-      (Summary.stub_list summary);
+            | Some s -> Int.max stamp s
+            | None -> stamp)
+          (if Summary.local_reach summary j then now else -1)
+      in
+      if stamp >= 0 then begin
+        let target = Summary.stub_target summary j in
+        let owner = Oid.owner target in
+        let prev = Option.value ~default:[] (Proc_id.Map.find_opt owner !outgoing) in
+        outgoing := Proc_id.Map.add owner ((target, stamp) :: prev) !outgoing
+      end
+    done;
     Proc_id.Map.iter
       (fun owner stamps ->
         Stats.incr t.rt.Runtime.stats "hughes.stamp_msgs";

@@ -18,14 +18,31 @@ module Topology = Adgc_workload.Topology
 open Adgc_algebra
 open Bench_common
 
-let build_tracer_heap ~objects =
+let build_tracer_cluster ~objects =
   let cluster = Cluster.create ~n:2 () in
   let rng = Adgc_util.Rng.create 29 in
   let _built =
     Topology.random cluster ~rng ~objects ~edges:(2 * objects) ~remote_prob:0.05
       ~root_prob:0.02
   in
-  Cluster.proc cluster 0
+  cluster
+
+let build_tracer_heap ~objects = Cluster.proc (build_tracer_cluster ~objects) 0
+
+(* The allocation of one snapshot of the 2,000-object tracer heap: the
+   minor words of one [Snapshot_store.take], after a first take has
+   sized the summarizer's scratch and the store's counters, and the
+   words the published summary keeps reachable.  Both are functions
+   of the heap alone. *)
+let snapshot_words () =
+  let cluster = build_tracer_cluster ~objects:2_000 in
+  let store = Adgc_snapshot.Snapshot_store.create (Cluster.rt cluster) in
+  let p = Cluster.proc cluster 0 in
+  ignore (Adgc_snapshot.Snapshot_store.take store p : Adgc_snapshot.Summary.t);
+  let before = Gc.minor_words () in
+  let summary = Adgc_snapshot.Snapshot_store.take store p in
+  let minor = Gc.minor_words () -. before in
+  (minor, float_of_int (Obj.reachable_words (Obj.repr summary)))
 
 let tracer_case ~objects ~reps =
   let p = build_tracer_heap ~objects in
@@ -147,6 +164,14 @@ let run recorder =
       t "trace.dense_ms" dense;
       t "snapshot.dense_ms" snap_dense)
     cases;
+  let minor, retained = snapshot_words () in
+  Printf.printf "one snapshot of the 2000-object heap: %.0f minor words, %.0f words retained\n"
+    minor retained;
+  let sconfig = [ "tracer.snapshot"; "2000" ] in
+  det recorder ~section:"tracer" ~name:"tracer.snapshot.minor_words.2000" ~unit_:"words"
+    ~config:sconfig minor;
+  det recorder ~section:"tracer" ~name:"tracer.snapshot.retained_words.2000" ~unit_:"words"
+    ~config:sconfig retained;
   let holder_counts = [ 32; 256 ] in
   let stub_sets =
     List.map (fun holders -> (holders, stub_set_apply_us ~holders ~reps:(if smoke () then 5 else 9)))

@@ -27,7 +27,7 @@ let create ?config () =
           Array.map (fun p -> Detector.attach rt p ~policy:config.Config.policy) rt.Runtime.procs
         in
         Snapshot_store.subscribe store (fun summary ->
-            let i = Proc_id.to_int summary.Adgc_snapshot.Summary.proc in
+            let i = Proc_id.to_int (Adgc_snapshot.Summary.proc summary) in
             Detector.set_summary arr.(i) summary);
         arr
     | Config.No_detector -> [||]

@@ -126,13 +126,12 @@ let conclude t ~(id : Detection_id.t) ~algebra ~(arrival : Ref_key.t) ~hops =
    survive the filters, with the remainder handed out at a random
    rotation so repeated attempts explore different subtrees of a dense
    garbage graph. *)
-let proceed_from t ~id ~delivered ~(si : Summary.scion_info) ~hops ~budget =
-  let summary = match t.summary with Some s -> s | None -> assert false in
+let proceed_from t summary ~id ~delivered ~scion ~hops ~budget =
   let exception Stop of string in
   try
     (* First pass: build the forwardable derivations. *)
     let derivations =
-      Oid.Set.fold
+      Summary.fold_stubs_from summary scion
         (fun stub_target acc ->
           match Summary.find_stub summary stub_target with
           | None ->
@@ -142,7 +141,7 @@ let proceed_from t ~id ~delivered ~(si : Summary.scion_info) ~hops ~budget =
               acc
           | Some stub ->
               if
-                stub.Summary.local_reach
+                Summary.local_reach summary stub
                 (* The ignore_local_reach mutant forgets rule 2 both
                    here and at CDM arrival: locally reachable
                    continuations get followed and concluded over. *)
@@ -164,29 +163,25 @@ let proceed_from t ~id ~delivered ~(si : Summary.scion_info) ~hops ~budget =
                       else raise (Stop "ic_conflict")
                 in
                 let stub_key = Ref_key.make ~src:(proc_id t) ~target:stub_target in
-                (* Gauntlet mutant: lose one scion dependency from the
-                   source set — an external holder of the "cycle" goes
-                   unaccounted and matching can cancel to nothing. *)
-                let deps =
-                  if
-                    Adgc_util.Mc_mutate.enabled "drop_source_scion"
-                    && not (Ref_key.Set.is_empty stub.Summary.scions_to)
-                  then
-                    Ref_key.Set.remove
-                      (Ref_key.Set.min_elt stub.Summary.scions_to)
-                      stub.Summary.scions_to
-                  else stub.Summary.scions_to
-                in
+                (* Gauntlet mutant: lose one scion dependency (the
+                   lowest) from the source set — an external holder of
+                   the "cycle" goes unaccounted and matching can cancel
+                   to nothing. *)
+                let drop = ref (Adgc_util.Mc_mutate.enabled "drop_source_scion") in
                 let alg =
-                  delivered
-                  |> fun alg ->
-                  Ref_key.Set.fold
+                  Summary.fold_scions_to summary stub
                     (fun dep alg ->
-                      match Summary.find_scion summary dep with
-                      | Some dep_info -> add Algebra.Source dep ~ic:dep_info.Summary.scion_ic alg
-                      | None -> alg (* cannot happen for a coherent summary *))
-                    deps alg
-                  |> add Algebra.Target stub_key ~ic:stub.Summary.stub_ic
+                      if !drop then begin
+                        drop := false;
+                        alg
+                      end
+                      else
+                        match Summary.find_scion summary dep with
+                        | Some dep_scion ->
+                            add Algebra.Source dep ~ic:(Summary.scion_ic summary dep_scion) alg
+                        | None -> alg (* cannot happen for a coherent summary *))
+                    delivered
+                  |> add Algebra.Target stub_key ~ic:(Summary.stub_ic summary stub)
                 in
                 if Algebra.equal alg delivered then begin
                   (* No new information: the derivation would loop
@@ -210,7 +205,7 @@ let proceed_from t ~id ~delivered ~(si : Summary.scion_info) ~hops ~budget =
                 end
                 else (stub_key, alg) :: acc
               end)
-        si.Summary.stubs_from []
+        []
     in
     (* Second pass: split the budget and send.  [budget] is the number
        of CDMs this branch may still emit in total; each child send
@@ -282,20 +277,21 @@ let handle_cdm t (cdm : Cdm.t) =
           (* Safety rule 1: stub without corresponding scion in the
              published snapshot — ignore the CDM. *)
           abort t id "missing_scion"
-      | Some si -> (
+      | Some scion -> (
+          let scion_ic = Summary.scion_ic summary scion in
           (* Safety rule 3 (delivery-time form): the stub-side counter
              travelled in the CDM's target set; compare it with the
              scion-side counter in our snapshot. *)
           let stub_side_ic = Algebra.ic cdm.Cdm.algebra Algebra.Target arrival in
           match stub_side_ic with
           | Some ic
-            when ic <> si.Summary.scion_ic
+            when ic <> scion_ic
                  && not (Adgc_util.Mc_mutate.enabled "skip_ic_guards") ->
               abort t id "ic_mismatch_delivery"
           | None -> abort t id "malformed_cdm"
           | Some _ ->
               if
-                si.Summary.target_locally_reachable
+                Summary.target_locally_reachable summary scion
                 && not (Adgc_util.Mc_mutate.enabled "ignore_local_reach")
               then abort t id "locally_reachable"
               else begin
@@ -304,8 +300,8 @@ let handle_cdm t (cdm : Cdm.t) =
                    keeps whichever value arrived first on a conflict. *)
                 let arrival_ic =
                   if Adgc_util.Mc_mutate.enabled "skip_ic_guards" then
-                    match stub_side_ic with Some ic -> ic | None -> si.Summary.scion_ic
-                  else si.Summary.scion_ic
+                    match stub_side_ic with Some ic -> ic | None -> scion_ic
+                  else scion_ic
                 in
                 match
                   match Algebra.add cdm.Cdm.algebra Algebra.Source arrival ~ic:arrival_ic with
@@ -334,7 +330,7 @@ let handle_cdm t (cdm : Cdm.t) =
                         match t.policy.Policy.ttl with
                         | Some ttl when cdm.Cdm.hops >= ttl -> abort t id "ttl"
                         | Some _ | None ->
-                            proceed_from t ~id ~delivered:alg ~si ~hops:cdm.Cdm.hops
+                            proceed_from t summary ~id ~delivered:alg ~scion ~hops:cdm.Cdm.hops
                               ~budget:cdm.Cdm.budget))
               end))
 
@@ -348,73 +344,66 @@ let handle_cdm_delete t (_id : Detection_id.t) (scions : Ref_key.t list) =
         end)
     scions
 
+(* Start a detection from the published scion of rank [scion], whose
+   key is [key]. *)
+let initiate_from t summary ~scion key =
+  if Summary.target_locally_reachable summary scion then false
+  else if
+    (* Gauntlet mutant: never retry a candidate — a detection
+       whose CDM was lost then starves forever, breaking the
+       paper's resilience-to-message-loss claim. *)
+    Ref_key.Tbl.mem t.last_initiated key
+    && Adgc_util.Mc_mutate.enabled "no_reinitiation"
+  then false
+  else begin
+    let id = Detection_id.make ~initiator:(proc_id t) ~seq:t.next_seq in
+    t.next_seq <- t.next_seq + 1;
+    t.started <- t.started + 1;
+    Ref_key.Tbl.replace t.last_initiated key (Runtime.now t.rt);
+    (* Counted as fruitless until proven otherwise: a
+       conclusion deletes the scion, which resets the entry
+       (the key disappears from future summaries). *)
+    Ref_key.Tbl.replace t.attempts key
+      (1 + Option.value ~default:0 (Ref_key.Tbl.find_opt t.attempts key));
+    Stats.incr t.rt.Runtime.stats "dcda.detections_started";
+    let lineage = t.rt.Runtime.lineage in
+    if Lineage.enabled lineage then begin
+      let now = Runtime.now t.rt in
+      Lineage.record lineage id
+        (Lineage.Initiated { at = proc_id t; time = now; candidate = key });
+      let span =
+        Span.begin_span t.rt.Runtime.obs ~time:now ~parent:t.rt.Runtime.run_span
+          ~proc:(Proc_id.to_int (proc_id t))
+          ~kind:Span.Detection
+          (Printf.sprintf "detection %s" (Detection_id.to_string id))
+      in
+      Lineage.set_span lineage id span
+    end;
+    Runtime.log t.rt ~topic:"dcda" "%a: detection %a starts from candidate %a" Proc_id.pp
+      (proc_id t) Detection_id.pp id Ref_key.pp key;
+    let alg =
+      Algebra.add_exn Algebra.empty Algebra.Source key ~ic:(Summary.scion_ic summary scion)
+    in
+    proceed_from t summary ~id ~delivered:alg ~scion ~hops:0
+      ~budget:t.policy.Policy.cdm_budget;
+    true
+  end
+
 let initiate t key =
   match t.summary with
   | None -> false
   | Some summary -> (
       match Summary.find_scion summary key with
       | None -> false
-      | Some si ->
-          if si.Summary.target_locally_reachable then false
-          else if
-            (* Gauntlet mutant: never retry a candidate — a detection
-               whose CDM was lost then starves forever, breaking the
-               paper's resilience-to-message-loss claim. *)
-            Ref_key.Tbl.mem t.last_initiated key
-            && Adgc_util.Mc_mutate.enabled "no_reinitiation"
-          then false
-          else begin
-            let id = Detection_id.make ~initiator:(proc_id t) ~seq:t.next_seq in
-            t.next_seq <- t.next_seq + 1;
-            t.started <- t.started + 1;
-            Ref_key.Tbl.replace t.last_initiated key (Runtime.now t.rt);
-            (* Counted as fruitless until proven otherwise: a
-               conclusion deletes the scion, which resets the entry
-               (the key disappears from future summaries). *)
-            Ref_key.Tbl.replace t.attempts key
-              (1 + Option.value ~default:0 (Ref_key.Tbl.find_opt t.attempts key));
-            Stats.incr t.rt.Runtime.stats "dcda.detections_started";
-            let lineage = t.rt.Runtime.lineage in
-            if Lineage.enabled lineage then begin
-              let now = Runtime.now t.rt in
-              Lineage.record lineage id
-                (Lineage.Initiated { at = proc_id t; time = now; candidate = key });
-              let span =
-                Span.begin_span t.rt.Runtime.obs ~time:now ~parent:t.rt.Runtime.run_span
-                  ~proc:(Proc_id.to_int (proc_id t))
-                  ~kind:Span.Detection
-                  (Printf.sprintf "detection %s" (Detection_id.to_string id))
-              in
-              Lineage.set_span lineage id span
-            end;
-            Runtime.log t.rt ~topic:"dcda" "%a: detection %a starts from candidate %a" Proc_id.pp
-              (proc_id t) Detection_id.pp id Ref_key.pp key;
-            let alg = Algebra.add_exn Algebra.empty Algebra.Source key ~ic:si.Summary.scion_ic in
-            proceed_from t ~id ~delivered:alg ~si ~hops:0
-              ~budget:t.policy.Policy.cdm_budget;
-            true
-          end)
-
-(* Reorder the candidate list per the configured scan order. *)
-let arrange t candidates =
-  match t.policy.Policy.scan_order with
-  | Policy.Sorted -> candidates
-  | Policy.Rotating -> (
-      match t.scan_cursor with
-      | None -> candidates
-      | Some cursor ->
-          let after, upto =
-            List.partition
-              (fun (si : Summary.scion_info) -> Ref_key.compare si.Summary.key cursor > 0)
-              candidates
-          in
-          after @ upto)
+      | Some scion -> initiate_from t summary ~scion key)
 
 (* Pick this round's candidates and start a detection per pick.  The
    source is the published summary: its scions whose target is not
    locally reachable, in ascending key order, so it is exactly as
-   stale as the summary.  The policy filters, arrangement, pick and
-   cursor update then run over that list. *)
+   stale as the summary.  The walk starts at the lowest key, or, in
+   [Rotating] order, just past the cursor and wraps around; it keeps
+   the scions that pass the policy filters and stops at
+   [max_per_scan] picks.  The cursor moves to the last pick. *)
 let scan t =
   match t.summary with
   | None -> 0
@@ -428,25 +417,38 @@ let scan t =
           in
           t.policy.Policy.cooldown * (1 lsl attempts)
       in
-      let candidates =
-        List.filter
-          (fun (si : Summary.scion_info) ->
-            (not si.Summary.target_locally_reachable)
-            && now - si.Summary.last_invoked >= t.policy.Policy.idle_threshold
-            &&
-            match Ref_key.Tbl.find_opt t.last_initiated si.Summary.key with
-            | Some last -> now - last >= effective_cooldown si.Summary.key
-            | None -> true)
-          (Summary.scion_list summary)
+      let eligible i =
+        (not (Summary.target_locally_reachable summary i))
+        && now - Summary.last_invoked summary i >= t.policy.Policy.idle_threshold
+        &&
+        let key = Summary.scion_key summary i in
+        match Ref_key.Tbl.find_opt t.last_initiated key with
+        | Some last -> now - last >= effective_cooldown key
+        | None -> true
       in
-      let candidates = arrange t candidates in
-      let picked = List.filteri (fun i _ -> i < t.policy.Policy.max_per_scan) candidates in
-      (match List.rev picked with
-      | last :: _ -> t.scan_cursor <- Some last.Summary.key
+      let n = fst (Summary.counts summary) in
+      let start =
+        match (t.policy.Policy.scan_order, t.scan_cursor) with
+        | Policy.Rotating, Some cursor -> Summary.scion_after summary cursor
+        | Policy.Rotating, None | Policy.Sorted, _ -> 0
+      in
+      (* The picks, last first. *)
+      let rec walk step picked count =
+        if step = n || count >= t.policy.Policy.max_per_scan then picked
+        else
+          let i = (start + step) mod n in
+          if eligible i then walk (step + 1) (i :: picked) (count + 1)
+          else walk (step + 1) picked count
+      in
+      let picked = walk 0 [] 0 in
+      (match picked with
+      | last :: _ -> t.scan_cursor <- Some (Summary.scion_key summary last)
       | [] -> ());
       List.fold_left
-        (fun acc (si : Summary.scion_info) -> if initiate t si.Summary.key then acc + 1 else acc)
-        0 picked
+        (fun acc scion ->
+          let key = Summary.scion_key summary scion in
+          if initiate_from t summary ~scion key then acc + 1 else acc)
+        0 (List.rev picked)
 
 let attach rt proc ~policy =
   let t =

@@ -272,8 +272,7 @@ let fingerprint t =
            let summary =
              match Adgc_dcda.Detector.summary (Sim.detector t.sim (Proc_id.to_int p.Process.id)) with
              | None -> Json.Null
-             | Some s ->
-                 Json.Str (hex (Adgc_snapshot.Summary.encode s))
+             | Some s -> Json.Str (hex (Adgc_snapshot.Summary.bytes s))
            in
            Json.obj_sorted
              [

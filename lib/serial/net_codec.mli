@@ -78,6 +78,9 @@ module Read : sig
 
   val of_string : string -> t
 
+  val pos : t -> int
+  (** Offset of the next byte to read. *)
+
   val record : t -> int -> unit
   (** A record with exactly this many fields. *)
 
@@ -111,4 +114,23 @@ module Read : sig
 
   val fail : t -> string -> 'a
   (** Raise {!Wire.Malformed} at the current offset. *)
+end
+
+(** {1 Reading in place}
+
+    Values read straight out of bytes that {!Read} has already
+    checked, addressed by the offset of their tag: no bound, tag or
+    arity check and no allocation.  How a reader that kept the offsets
+    of a checked value (a published summary) reads it again. *)
+
+module Peek : sig
+  val int : string -> int -> int
+  (** The int whose tag is at the offset. *)
+
+  val bool : string -> int -> bool
+
+  val after : string -> int -> int
+  (** The offset just past the bool, int, or record, list or packed
+      header (tag and count) at the offset: a header's first item
+      starts there. *)
 end

@@ -5,7 +5,7 @@ module Stats = Adgc_util.Stats
 type t = {
   rt : Runtime.t;
   read_back : string -> string;
-  store : (int, Summary.t * string) Hashtbl.t; (* proc -> summary, encoded bytes *)
+  store : (int, Summary.t) Hashtbl.t; (* proc -> the published summary, over its bytes *)
   mutable subscribers : (Summary.t -> unit) list;
 }
 
@@ -14,13 +14,12 @@ let create ?(read_back = Fun.id) rt =
 
 let take t (p : Process.t) =
   let now = Runtime.now t.rt in
-  let summary = Summarize.run ~now p in
-  let encoded = Summary.encode summary in
-  (* Publish what survives the round-trip, not the in-memory value. *)
+  let encoded = Summarize.encode ~now p in
+  (* Publish what the disk gives back, not the bytes in memory. *)
   let published, decode_failed =
-    match Summary.decode (t.read_back encoded) with
+    match Summary.of_bytes (t.read_back encoded) with
     | Some s -> (s, false)
-    | None -> (summary, true)
+    | None -> (Option.get (Summary.of_bytes encoded), true)
   in
   Stats.incr t.rt.Runtime.stats "snapshot.taken";
   Stats.add t.rt.Runtime.stats "snapshot.bytes" (String.length encoded);
@@ -35,7 +34,7 @@ let take t (p : Process.t) =
          (Printf.sprintf "snapshot %s" (Proc_id.to_string p.Process.id))
         : int)
   end;
-  Hashtbl.replace t.store (Proc_id.to_int p.Process.id) (published, encoded);
+  Hashtbl.replace t.store (Proc_id.to_int p.Process.id) published;
   Runtime.log t.rt ~topic:"snapshot" "%a summarized: %d scions, %d stubs, %d bytes" Proc_id.pp
     p.Process.id
     (fst (Summary.counts published))
@@ -46,11 +45,9 @@ let take t (p : Process.t) =
 
 let take_all t = Array.iter (fun p -> ignore (take t p : Summary.t)) t.rt.Runtime.procs
 
-let latest t proc = Option.map fst (Hashtbl.find_opt t.store (Proc_id.to_int proc))
+let latest t proc = Hashtbl.find_opt t.store (Proc_id.to_int proc)
 
 let bytes_on_disk t proc =
-  match Hashtbl.find_opt t.store (Proc_id.to_int proc) with
-  | Some (_, bytes) -> String.length bytes
-  | None -> 0
+  match latest t proc with Some s -> String.length (Summary.bytes s) | None -> 0
 
 let subscribe t f = t.subscribers <- f :: t.subscribers

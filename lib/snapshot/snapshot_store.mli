@@ -2,11 +2,12 @@
 
     The paper's processes periodically store a snapshot "on disk" and
     the DCDA works on the summarized form.  This store performs the
-    honest equivalent: it summarizes the process, encodes the summary
-    in the compact wire format ({!Summary.encode}), keeps the bytes
-    (our "disk"), and publishes the {e decoded} summary — so the
-    detector always reads what survived a serialization round-trip,
-    never the live tables.  A summary whose bytes do not decode is
+    honest equivalent: it summarizes the process straight into the
+    compact wire format ({!Summarize.encode}), reads the bytes back
+    from its "disk" and publishes the {!Summary} view over what came
+    back — so the detector always reads serialized bytes, never the
+    live tables.  The store keeps that one copy per process.  Bytes
+    that come back malformed are not published: the summary is
     published as taken and counted in [snapshot.decode_failures].
 
     Sizes and durations are recorded in the cluster statistics. *)

@@ -1,52 +1,7 @@
 open Adgc_algebra
 open Adgc_rt
 module Mark = Adgc_util.Dense.Mark
-
-(* Given [stubs_from] per scion target and the root trace, assemble
-   the summary.  StubsFrom keeps only remote references that have a
-   stub ([Oid.Set.filter] returns its argument when it drops nothing),
-   and each stub's ScionsTo is built once, from the scions that list
-   it. *)
-let assemble ~now (p : Process.t) ~root_reached ~root_remote ~stubs_from_of_target =
-  let stub_table = p.Process.stubs in
-  let scions =
-    List.map
-      (fun (e : Scion_table.entry) ->
-        let target = e.Scion_table.key.Ref_key.target in
-        {
-          Summary.key = e.Scion_table.key;
-          scion_ic = e.Scion_table.ic;
-          stubs_from = Oid.Set.filter (Stub_table.mem stub_table) (stubs_from_of_target target);
-          target_locally_reachable = root_reached target;
-          last_invoked = e.Scion_table.last_invoked;
-        })
-      (Scion_table.entries p.Process.scions)
-  in
-  let scions_to = Oid.Tbl.create 16 in
-  List.iter
-    (fun (s : Summary.scion_info) ->
-      Oid.Set.iter
-        (fun stub_target ->
-          let prev = Option.value ~default:[] (Oid.Tbl.find_opt scions_to stub_target) in
-          Oid.Tbl.replace scions_to stub_target (s.Summary.key :: prev))
-        s.Summary.stubs_from)
-    scions;
-  let stubs =
-    List.map
-      (fun (e : Stub_table.entry) ->
-        let target = e.Stub_table.target in
-        {
-          Summary.target;
-          stub_ic = e.Stub_table.ic;
-          scions_to =
-            (match Oid.Tbl.find_opt scions_to target with
-            | Some keys -> Ref_key.Set.of_list keys
-            | None -> Ref_key.Set.empty);
-          local_reach = Oid.Set.mem target root_remote;
-        })
-      (Stub_table.entries stub_table)
-  in
-  Summary.make ~proc:p.Process.id ~taken_at:now ~scions ~stubs
+module N = Adgc_serial.Net_codec
 
 (* ------------------------------------------------------------------ *)
 (* Iterative Tarjan SCC + DAG dynamic program over the heap's dense
@@ -54,8 +9,9 @@ let assemble ~now (p : Process.t) ~root_reached ~root_remote ~stubs_from_of_targ
    array + offsets), every per-node attribute is a plain int array
    indexed by dense id, and the whole scratch is one module-level pool
    reused across runs (the arrays are fully re-initialized for [0, n)
-   each run), so steady-state summarization allocates only at the
-   Summary boundary. *)
+   each run).  What a run allocates is its data: each node's remote
+   references and each component's reachable-stub set, the two
+   tables' entries in key order, and the summary's bytes. *)
 
 type scratch = {
   mutable index : int array; (* Tarjan discovery index, -1 = unvisited *)
@@ -70,7 +26,17 @@ type scratch = {
   mutable work_child : int array; (* ...and its next-child cursor *)
   mutable scc_off : int array; (* scc -> start in member_flat *)
   mutable member_flat : int array; (* members bucketed by scc id *)
+  mutable cursor : int array; (* bucket fill cursors: scc_off's, then to_off's *)
+  mutable reach : Oid.Set.t array; (* scc -> remote references it reaches *)
   root_marks : Mark.t; (* objects reached from the roots *)
+  (* Assembly: the tables' entries in key order, each scion's StubsFrom
+     as stub ranks, each stub's ScionsTo as scion ranks. *)
+  mutable scions : Scion_table.entry array;
+  mutable stubs : Stub_table.entry array;
+  mutable from_off : int array; (* scion -> start in from_flat *)
+  mutable from_flat : int array;
+  mutable to_off : int array; (* stub -> start in to_flat *)
+  mutable to_flat : int array;
 }
 
 let scratch =
@@ -87,7 +53,15 @@ let scratch =
     work_child = [||];
     scc_off = [||];
     member_flat = [||];
+    cursor = [||];
+    reach = [||];
     root_marks = Mark.create ();
+    scions = [||];
+    stubs = [||];
+    from_off = [||];
+    from_flat = [||];
+    to_off = [||];
+    to_flat = [||];
   }
 
 let rec add_all set = function [] -> set | r :: rest -> add_all (Oid.Set.add r set) rest
@@ -95,7 +69,37 @@ let rec add_all set = function [] -> set | r :: rest -> add_all (Oid.Set.add r s
 let ensure_int_array get set n =
   if Array.length (get ()) < n then set (Array.make (Int.max 64 n) 0)
 
-let run ~now (p : Process.t) =
+(* [entries] copied to the front of the array [get ()], grown with
+   their first as the filler; returns how many. *)
+let fill_entries get set entries =
+  match entries with
+  | [] -> 0
+  | first :: _ ->
+      let n = List.length entries in
+      if Array.length (get ()) < n then set (Array.make (Int.max 64 n) first);
+      List.iteri (fun i e -> (get ()).(i) <- e) entries;
+      n
+
+(* [a] with room for index [i], keeping its contents. *)
+let grown a i fill =
+  if i < Array.length a then a
+  else begin
+    let bigger = Array.make (Int.max 256 (2 * Array.length a)) fill in
+    Array.blit a 0 bigger 0 (Array.length a);
+    bigger
+  end
+
+(* The rank of [o] among [stubs.(lo)] .. [stubs.(hi - 1)], or -1. *)
+let rec stub_rank (stubs : Stub_table.entry array) o lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = Oid.compare o stubs.(mid).Stub_table.target in
+    if c = 0 then mid
+    else if c < 0 then stub_rank stubs o lo mid
+    else stub_rank stubs o (mid + 1) hi
+
+let encode ~now (p : Process.t) =
   let heap = p.Process.heap in
   let me = p.Process.id in
   let n = Heap.dense_sync heap in
@@ -109,6 +113,7 @@ let run ~now (p : Process.t) =
   ensure_int_array (fun () -> s.work_child) (fun a -> s.work_child <- a) (n + 1);
   ensure_int_array (fun () -> s.scc_off) (fun a -> s.scc_off <- a) (n + 2);
   ensure_int_array (fun () -> s.member_flat) (fun a -> s.member_flat <- a) n;
+  ensure_int_array (fun () -> s.cursor) (fun a -> s.cursor <- a) (n + 1);
   if Bytes.length s.on_stack < n then s.on_stack <- Bytes.make (Int.max 64 n) '\000';
   if Array.length s.remote < n then s.remote <- Array.make (Int.max 64 n) [];
   Array.fill s.index 0 n (-1);
@@ -119,11 +124,7 @@ let run ~now (p : Process.t) =
      so successor runs land contiguously in [succ_flat]. *)
   let edge = ref 0 in
   let push_succ id =
-    if !edge >= Array.length s.succ_flat then begin
-      let bigger = Array.make (Int.max 256 (2 * Array.length s.succ_flat)) 0 in
-      Array.blit s.succ_flat 0 bigger 0 (Array.length s.succ_flat);
-      s.succ_flat <- bigger
-    end;
+    s.succ_flat <- grown s.succ_flat !edge 0;
     s.succ_flat.(!edge) <- id;
     incr edge
   in
@@ -222,14 +223,14 @@ let run ~now (p : Process.t) =
   for c = 1 to nscc do
     s.scc_off.(c) <- s.scc_off.(c) + s.scc_off.(c - 1)
   done;
-  (* scc_off now holds start offsets; fill and restore in one pass by
-     shifting a cursor copy. *)
-  let cursor = Array.sub s.scc_off 0 (nscc + 1) in
+  (* scc_off now holds start offsets; fill by shifting a cursor copy. *)
+  Array.blit s.scc_off 0 s.cursor 0 (nscc + 1);
   Heap.iter_dense heap (fun id _ ->
       let c = s.scc.(id) in
-      s.member_flat.(cursor.(c)) <- id;
-      cursor.(c) <- cursor.(c) + 1);
-  let reach = Array.make (Int.max nscc 1) Oid.Set.empty in
+      s.member_flat.(s.cursor.(c)) <- id;
+      s.cursor.(c) <- s.cursor.(c) + 1);
+  if Array.length s.reach < nscc then s.reach <- Array.make (Int.max 64 nscc) Oid.Set.empty;
+  let reach = s.reach in
   for c = 0 to nscc - 1 do
     let acc = ref Oid.Set.empty in
     for m = s.scc_off.(c) to s.scc_off.(c + 1) - 1 do
@@ -248,14 +249,102 @@ let run ~now (p : Process.t) =
   Heap.trace_dense heap ~from:(Heap.roots heap)
     ~visit_local:(fun id -> ignore (Mark.mark s.root_marks id : bool))
     ~visit_remote:(fun oid -> root_remote := Oid.Set.add oid !root_remote);
+  let root_remote = !root_remote in
   let root_reached target =
     match Heap.dense_id heap target with
     | Some id -> Mark.is_marked s.root_marks id
     | None -> false
   in
-  let stubs_from_of_target target =
-    match Heap.dense_id heap target with
-    | Some id -> reach.(s.scc.(id))
-    | None -> Oid.Set.empty
+  let nstubs =
+    fill_entries (fun () -> s.stubs) (fun a -> s.stubs <- a) (Stub_table.entries p.Process.stubs)
   in
-  assemble ~now p ~root_reached ~root_remote:!root_remote ~stubs_from_of_target
+  let nscions =
+    fill_entries (fun () -> s.scions) (fun a -> s.scions <- a)
+      (Scion_table.entries p.Process.scions)
+  in
+  let stubs = s.stubs and scions = s.scions in
+  ensure_int_array (fun () -> s.from_off) (fun a -> s.from_off <- a) (nscions + 1);
+  ensure_int_array (fun () -> s.to_off) (fun a -> s.to_off <- a) (nstubs + 1);
+  ensure_int_array (fun () -> s.cursor) (fun a -> s.cursor <- a) (nstubs + 1);
+  (* StubsFrom of each scion, as stub ranks in ascending target order:
+     the remote references its target's component reaches that have a
+     stub. *)
+  let len = ref 0 in
+  let add_stub o =
+    let j = stub_rank stubs o 0 nstubs in
+    if j >= 0 then begin
+      s.from_flat <- grown s.from_flat !len 0;
+      s.from_flat.(!len) <- j;
+      incr len
+    end
+  in
+  for i = 0 to nscions - 1 do
+    s.from_off.(i) <- !len;
+    match Heap.dense_id heap scions.(i).Scion_table.key.Ref_key.target with
+    | Some id -> Oid.Set.iter add_stub reach.(s.scc.(id))
+    | None -> ()
+  done;
+  s.from_off.(nscions) <- !len;
+  Array.fill reach 0 nscc Oid.Set.empty;
+  (* ScionsTo of each stub, as scion ranks: bucketed by stub in scion
+     order, so each bucket ascends. *)
+  Array.fill s.to_off 0 (nstubs + 1) 0;
+  for m = 0 to !len - 1 do
+    let j = s.from_flat.(m) in
+    s.to_off.(j + 1) <- s.to_off.(j + 1) + 1
+  done;
+  for j = 1 to nstubs do
+    s.to_off.(j) <- s.to_off.(j) + s.to_off.(j - 1)
+  done;
+  ensure_int_array (fun () -> s.to_flat) (fun a -> s.to_flat <- a) !len;
+  Array.blit s.to_off 0 s.cursor 0 (nstubs + 1);
+  for i = 0 to nscions - 1 do
+    for m = s.from_off.(i) to s.from_off.(i + 1) - 1 do
+      let j = s.from_flat.(m) in
+      s.to_flat.(s.cursor.(j)) <- i;
+      s.cursor.(j) <- s.cursor.(j) + 1
+    done
+  done;
+  (* The bytes, in {!Summary}'s layout. *)
+  let write_scion snk i =
+    let e = scions.(i) in
+    N.record snk 5;
+    Ref_key.emit snk e.Scion_table.key;
+    N.int snk e.Scion_table.ic;
+    N.list snk (s.from_off.(i + 1) - s.from_off.(i));
+    for m = s.from_off.(i) to s.from_off.(i + 1) - 1 do
+      Oid.emit snk stubs.(s.from_flat.(m)).Stub_table.target
+    done;
+    N.bool snk (root_reached e.Scion_table.key.Ref_key.target);
+    N.int snk e.Scion_table.last_invoked
+  in
+  let write_stub snk j =
+    let e = stubs.(j) in
+    N.record snk 4;
+    Oid.emit snk e.Stub_table.target;
+    N.int snk e.Stub_table.ic;
+    N.list snk (s.to_off.(j + 1) - s.to_off.(j));
+    for m = s.to_off.(j) to s.to_off.(j + 1) - 1 do
+      Ref_key.emit snk scions.(s.to_flat.(m)).Scion_table.key
+    done;
+    N.bool snk (Oid.Set.mem e.Stub_table.target root_remote)
+  in
+  N.encode_shape
+    (fun snk () ->
+      N.record snk 4;
+      N.int snk (Proc_id.to_int me);
+      N.int snk now;
+      N.list snk nscions;
+      for i = 0 to nscions - 1 do
+        write_scion snk i
+      done;
+      N.list snk nstubs;
+      for j = 0 to nstubs - 1 do
+        write_stub snk j
+      done)
+    ()
+
+let run ~now p =
+  match Summary.of_bytes (encode ~now p) with
+  | Some summary -> summary
+  | None -> invalid_arg "Summarize.run: the summary's bytes do not index"

@@ -8,8 +8,8 @@
     reachable from its component.  A separate root trace supplies
     [local_reach] and [target_locally_reachable].  Runs on the heap's
     persistent dense index: CSR adjacency, int-array Tarjan state and a
-    reused module-level scratch pool, so steady-state summarization
-    allocates only at the {!Summary} boundary.
+    reused module-level scratch pool.  The summary's bytes are written
+    straight from that scratch: no record form is built.
 
     The result equals one breadth-first trace per distinct scion target
     plus one from the roots — the direct transcription of the paper's
@@ -26,4 +26,8 @@
     pipeline: the snapshot reflects one instant of the process, while
     the rest of the system keeps running. *)
 
+val encode : now:int -> Adgc_rt.Process.t -> string
+(** The summary's bytes, in {!Summary}'s wire format. *)
+
 val run : now:int -> Adgc_rt.Process.t -> Summary.t
+(** The summary over {!encode}'s bytes. *)

@@ -1,171 +1,214 @@
 open Adgc_algebra
-module N = Adgc_serial.Net_codec
 module R = Adgc_serial.Net_codec.Read
-module Sorted = Adgc_util.Sorted
-
-type scion_info = {
-  key : Ref_key.t;
-  scion_ic : int;
-  stubs_from : Oid.Set.t;
-  target_locally_reachable : bool;
-  last_invoked : int;
-}
-
-type stub_info = {
-  target : Oid.t;
-  stub_ic : int;
-  scions_to : Ref_key.Set.t;
-  local_reach : bool;
-}
+module P = Adgc_serial.Net_codec.Peek
 
 type t = {
+  bytes : string;
   proc : Proc_id.t;
   taken_at : int;
-  scions : scion_info array; (* strictly ascending key *)
-  stubs : stub_info array; (* strictly ascending target *)
+  scion_at : int array; (* per scion, ascending key: offset of its key *)
+  scion_flag : int array; (* ...and of its target-locally-reachable bool *)
+  stub_at : int array; (* per stub, ascending target: offset of its target *)
+  stub_flag : int array; (* ...and of its Local.Reach bool *)
 }
 
-(* Sorted, keeping the last of equal keys as [Map.add] did; input that
-   already ascends (the summarizer's and every encoder's output) is
-   taken as it is. *)
-let of_arrays ~proc ~taken_at ~scions ~stubs =
-  {
-    proc;
-    taken_at;
-    scions = Sorted.last_of_each (fun a b -> Ref_key.compare a.key b.key) scions;
-    stubs = Sorted.last_of_each (fun a b -> Oid.compare a.target b.target) stubs;
-  }
+(* ------------------------------------------------------------------ *)
+(* The index pass: [Oid.read]/[Ref_key.read]'s checks, without building
+   the ids, plus strict ascent of entries and runs. *)
 
-let make ~proc ~taken_at ~scions ~stubs =
-  of_arrays ~proc ~taken_at ~scions:(Array.of_list scions) ~stubs:(Array.of_list stubs)
+(* The last id read in a sequence, as [(src, owner, serial)]; an id
+   pair reads as [(0, owner, serial)]. *)
+type last = { mutable src : int; mutable owner : int; mutable serial : int }
 
-(* Every argument is passed down, so a lookup builds no closure. *)
-let rec bsearch compare key a k lo hi =
-  if lo >= hi then None
-  else
-    let mid = (lo + hi) lsr 1 in
-    let c = compare k (key a.(mid)) in
-    if c = 0 then Some a.(mid)
-    else if c < 0 then bsearch compare key a k lo mid
-    else bsearch compare key a k (mid + 1) hi
+let restart last =
+  last.src <- -1;
+  last.owner <- -1;
+  last.serial <- -1
 
-let scion_key s = s.key
+let id r =
+  let v = R.int r in
+  if v < 0 then R.fail r "negative id";
+  v
 
-let stub_target s = s.target
+let pair r = if R.list r <> 2 then R.fail r "bad id pair"
 
-let find_scion t key = bsearch Ref_key.compare scion_key t.scions key 0 (Array.length t.scions)
+(* Read a key, or an id pair unless [key], above [last]. *)
+let read_ids r last ~key =
+  pair r;
+  let src =
+    if key then begin
+      let src = id r in
+      pair r;
+      src
+    end
+    else 0
+  in
+  let owner = id r in
+  let serial = id r in
+  if
+    not
+      (last.src < src
+      || (last.src = src && (last.owner < owner || (last.owner = owner && last.serial < serial))))
+  then R.fail r "out of order";
+  last.src <- src;
+  last.owner <- owner;
+  last.serial <- serial
 
-let find_stub t target = bsearch Oid.compare stub_target t.stubs target 0 (Array.length t.stubs)
+let of_bytes bytes =
+  let r = R.of_string bytes in
+  let entry = { src = -1; owner = -1; serial = -1 }
+  and item = { src = -1; owner = -1; serial = -1 } in
+  let index () =
+    R.record r 4;
+    let proc = id r in
+    let taken_at = R.int r in
+    let n = R.list r in
+    let scion_at = Array.make n 0 and scion_flag = Array.make n 0 in
+    for i = 0 to n - 1 do
+      R.record r 5;
+      scion_at.(i) <- R.pos r;
+      read_ids r entry ~key:true;
+      ignore (R.int r : int);
+      restart item;
+      for _ = 1 to R.list r do
+        read_ids r item ~key:false
+      done;
+      scion_flag.(i) <- R.pos r;
+      ignore (R.bool r : bool);
+      ignore (R.int r : int)
+    done;
+    let n = R.list r in
+    let stub_at = Array.make n 0 and stub_flag = Array.make n 0 in
+    restart entry;
+    for j = 0 to n - 1 do
+      R.record r 4;
+      stub_at.(j) <- R.pos r;
+      read_ids r entry ~key:false;
+      ignore (R.int r : int);
+      restart item;
+      for _ = 1 to R.list r do
+        read_ids r item ~key:true
+      done;
+      stub_flag.(j) <- R.pos r;
+      ignore (R.bool r : bool)
+    done;
+    R.finish r;
+    { bytes; proc = Proc_id.of_int proc; taken_at; scion_at; scion_flag; stub_at; stub_flag }
+  in
+  match index () with t -> Some t | exception Adgc_serial.Wire.Malformed _ -> None
 
-let scion_list t = Array.to_list t.scions
+let bytes t = t.bytes
 
-let stub_list t = Array.to_list t.stubs
+let proc t = t.proc
 
-let counts t = (Array.length t.scions, Array.length t.stubs)
+let taken_at t = t.taken_at
 
-let scion_equal a b =
-  Ref_key.equal a.key b.key && a.scion_ic = b.scion_ic
-  && Oid.Set.equal a.stubs_from b.stubs_from
-  && a.target_locally_reachable = b.target_locally_reachable
-  && a.last_invoked = b.last_invoked
-
-let stub_equal a b =
-  Oid.equal a.target b.target && a.stub_ic = b.stub_ic
-  && Ref_key.Set.equal a.scions_to b.scions_to
-  && a.local_reach = b.local_reach
-
-let array_equal eq a b = Array.length a = Array.length b && Array.for_all2 eq a b
-
-let equal a b =
-  Proc_id.equal a.proc b.proc
-  && array_equal scion_equal a.scions b.scions
-  && array_equal stub_equal a.stubs b.stubs
+let counts t = (Array.length t.scion_at, Array.length t.stub_at)
 
 (* ------------------------------------------------------------------ *)
-(* Wire format *)
+(* Reading in place.  An int, and a list's header, is a tag byte and a
+   varint: [next] steps past one and [int_at] reads one, inline when
+   the varint is one byte (an id or count below 64) and through
+   [Peek] otherwise.  An id pair is a list header followed by two ints;
+   a key is a list header, its [src] int and its target pair. *)
 
+let[@inline] next s p =
+  if Char.code (String.unsafe_get s (p + 1)) < 0x80 then p + 2 else P.after s p
 
-let emit_scion s si =
-  N.record s 5;
-  Ref_key.emit s si.key;
-  N.int s si.scion_ic;
-  N.list s (Oid.Set.cardinal si.stubs_from);
-  Oid.Set.iter (Oid.emit s) si.stubs_from;
-  N.bool s si.target_locally_reachable;
-  N.int s si.last_invoked
+let[@inline] int_at s p =
+  let z = Char.code (String.unsafe_get s (p + 1)) in
+  if z < 0x80 then (z lsr 1) lxor (-(z land 1)) else P.int s p
 
-let emit_stub s st =
-  N.record s 4;
-  Oid.emit s st.target;
-  N.int s st.stub_ic;
-  N.list s (Ref_key.Set.cardinal st.scions_to);
-  Ref_key.Set.iter (Ref_key.emit s) st.scions_to;
-  N.bool s st.local_reach
+let oid_at s p =
+  let owner = next s p in
+  Oid.make ~owner:(Proc_id.of_int (int_at s owner)) ~serial:(int_at s (next s owner))
 
-let emit s t =
-  N.record s 4;
-  N.int s (Proc_id.to_int t.proc);
-  N.int s t.taken_at;
-  N.list s (Array.length t.scions);
-  Array.iter (emit_scion s) t.scions;
-  N.list s (Array.length t.stubs);
-  Array.iter (emit_stub s) t.stubs
+let oid_end s p = next s (next s (next s p))
 
-let encode t = N.encode_shape emit t
+let key_at s p =
+  let src = next s p in
+  Ref_key.make ~src:(Proc_id.of_int (int_at s src)) ~target:(oid_at s (next s src))
 
-(* The direct reader: [emit] read back, with the guards the tree
-   decoder had (no negative process ids or serials). *)
-let read_many r f =
-  let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f r :: acc) in
-  go (R.list r) []
+let key_end s p = oid_end s (next s (next s p))
 
-(* [Array.init] applies [f] in index order, so items are read in wire
-   order; the count is bounded by the remaining input. *)
-let read_array r f = Array.init (R.list r) (fun _ -> f r)
+(* [compare o] against the id pair at [p]. *)
+let compare_oid s p (o : Oid.t) =
+  let owner = next s p in
+  let c = Int.compare (Proc_id.to_int o.Oid.owner) (int_at s owner) in
+  if c <> 0 then c else Int.compare o.Oid.serial (int_at s (next s owner))
 
-let read_scion r =
-  R.record r 5;
-  let key = Ref_key.read r in
-  let scion_ic = R.int r in
-  let stubs_from = Oid.Set.of_list (read_many r Oid.read) in
-  let target_locally_reachable = R.bool r in
-  let last_invoked = R.int r in
-  { key; scion_ic; stubs_from; target_locally_reachable; last_invoked }
+let compare_key s p (k : Ref_key.t) =
+  let src = next s p in
+  let c = Int.compare (Proc_id.to_int k.Ref_key.src) (int_at s src) in
+  if c <> 0 then c else compare_oid s (next s src) k.Ref_key.target
 
-let read_stub r =
-  R.record r 4;
-  let target = Oid.read r in
-  let stub_ic = R.int r in
-  let scions_to = Ref_key.Set.of_list (read_many r Ref_key.read) in
-  let local_reach = R.bool r in
-  { target; stub_ic; scions_to; local_reach }
+(* The rank of [k] in [offsets], or [-(insertion point) - 1].  Every
+   argument is passed down, so a search builds no closure. *)
+let rec search compare s offsets k lo hi =
+  if lo >= hi then -lo - 1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = compare s offsets.(mid) k in
+    if c = 0 then mid
+    else if c < 0 then search compare s offsets k lo mid
+    else search compare s offsets k (mid + 1) hi
 
-let read r =
-  R.record r 4;
-  let proc = R.int r in
-  if proc < 0 then R.fail r "negative id";
-  let taken_at = R.int r in
-  let scions = read_array r read_scion in
-  let stubs = read_array r read_stub in
-  of_arrays ~proc:(Proc_id.of_int proc) ~taken_at ~scions ~stubs
+let found i = if i >= 0 then Some i else None
 
-let decode bytes =
-  match R.run read bytes with t -> Some t | exception Adgc_serial.Wire.Malformed _ -> None
+let find_scion t k = found (search compare_key t.bytes t.scion_at k 0 (Array.length t.scion_at))
+
+let scion_after t k =
+  let i = search compare_key t.bytes t.scion_at k 0 (Array.length t.scion_at) in
+  if i >= 0 then i + 1 else -i - 1
+
+let scion_key t i = key_at t.bytes t.scion_at.(i)
+
+let scion_ic t i = int_at t.bytes (key_end t.bytes t.scion_at.(i))
+
+let target_locally_reachable t i = P.bool t.bytes t.scion_flag.(i)
+
+let last_invoked t i = int_at t.bytes (t.scion_flag.(i) + 1)
+
+(* A run's items lie between its list header and the entry's flag. *)
+let rec fold_oids s p stop f acc =
+  if p >= stop then acc else fold_oids s (oid_end s p) stop f (f (oid_at s p) acc)
+
+let rec fold_keys s p stop f acc =
+  if p >= stop then acc else fold_keys s (key_end s p) stop f (f (key_at s p) acc)
+
+let fold_stubs_from t i f acc =
+  let s = t.bytes in
+  let run = next s (key_end s t.scion_at.(i)) in
+  fold_oids s (next s run) t.scion_flag.(i) f acc
+
+let find_stub t o = found (search compare_oid t.bytes t.stub_at o 0 (Array.length t.stub_at))
+
+let stub_target t j = oid_at t.bytes t.stub_at.(j)
+
+let stub_ic t j = int_at t.bytes (oid_end t.bytes t.stub_at.(j))
+
+let local_reach t j = P.bool t.bytes t.stub_flag.(j)
+
+let fold_scions_to t j f acc =
+  let s = t.bytes in
+  let run = next s (oid_end s t.stub_at.(j)) in
+  fold_keys s (next s run) t.stub_flag.(j) f acc
 
 let pp ppf t =
+  let set pp_elt ppf elts =
+    Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_elt ppf (List.rev elts)
+  in
+  let cons x acc = x :: acc in
+  let scions, stubs = counts t in
   Format.fprintf ppf "@[<v>summary of %a at %d@," Proc_id.pp t.proc t.taken_at;
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "  scion %a ic=%d root=%b StubsFrom={%a}@," Ref_key.pp s.key s.scion_ic
-        s.target_locally_reachable
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Oid.pp)
-        (Oid.Set.elements s.stubs_from))
-    (scion_list t);
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "  stub  %a ic=%d local=%b ScionsTo={%a}@," Oid.pp s.target s.stub_ic
-        s.local_reach
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Ref_key.pp)
-        (Ref_key.Set.elements s.scions_to))
-    (stub_list t);
+  for i = 0 to scions - 1 do
+    Format.fprintf ppf "  scion %a ic=%d root=%b StubsFrom={%a}@," Ref_key.pp (scion_key t i)
+      (scion_ic t i) (target_locally_reachable t i) (set Oid.pp)
+      (fold_stubs_from t i cons [])
+  done;
+  for j = 0 to stubs - 1 do
+    Format.fprintf ppf "  stub  %a ic=%d local=%b ScionsTo={%a}@," Oid.pp (stub_target t j)
+      (stub_ic t j) (local_reach t j) (set Ref_key.pp)
+      (fold_scions_to t j cons [])
+  done;
   Format.fprintf ppf "@]"

@@ -760,10 +760,10 @@ let published h i =
   match Detector.summary h.detectors.(i) with
   | Some s ->
       List.filter_map
-        (fun (si : Adgc_snapshot.Summary.scion_info) ->
-          if si.Adgc_snapshot.Summary.target_locally_reachable then None
-          else Some si.Adgc_snapshot.Summary.key)
-        (Adgc_snapshot.Summary.scion_list s)
+        (fun i ->
+          if Adgc_snapshot.Summary.target_locally_reachable s i then None
+          else Some (Adgc_snapshot.Summary.scion_key s i))
+        (List.init (fst (Adgc_snapshot.Summary.counts s)) Fun.id)
   | None -> Alcotest.fail "no published summary"
 
 let initiated_by h i =
@@ -878,6 +878,32 @@ let test_scan_sorted_restarts_from_lowest () =
   check Alcotest.int "second scan" 2 (Detector.scan h.detectors.(1));
   check keys "both scans took the two lowest keys" (lowest @ lowest) (initiated_by h 1)
 
+(* [Rotating] resumes just past the cursor, the last key picked, and
+   wraps around to the lowest key: with no cooldown, three scans of
+   three picks over four candidates take k0 k1 k2, k3 k0 k1, k2 k3 k0. *)
+let test_scan_rotating_resumes_past_the_cursor () =
+  let policy =
+    {
+      Policy.aggressive with
+      Policy.scan_order = Policy.Rotating;
+      max_per_scan = 3;
+      cooldown = 0;
+      backoff = false;
+    }
+  in
+  let h = mk_telemetry ~n:2 ~policy () in
+  let _ = two_cycles h 4 in
+  Cluster.run_for h.cluster 1_000;
+  snapshot_all h;
+  let k = Array.of_list (published h 1) in
+  check Alcotest.int "four candidates" 4 (Array.length k);
+  for _ = 1 to 3 do
+    check Alcotest.int "three picks" 3 (Detector.scan h.detectors.(1))
+  done;
+  check keys "each scan resumes past the last pick"
+    [ k.(0); k.(1); k.(2); k.(3); k.(0); k.(1); k.(2); k.(3); k.(0) ]
+    (initiated_by h 1)
+
 (* The idle filter reads the summary's [last_invoked] too: an
    invocation after the publish leaves the scion a candidate until the
    next publish records it. *)
@@ -948,6 +974,8 @@ let suite =
         test_scan_new_scion_waits_for_publish;
       Alcotest.test_case "scan: sorted order restarts from the lowest key" `Quick
         test_scan_sorted_restarts_from_lowest;
+      Alcotest.test_case "scan: rotating order resumes past the cursor" `Quick
+        test_scan_rotating_resumes_past_the_cursor;
       Alcotest.test_case "scan: the idle filter reads the published summary" `Quick
         test_scan_idle_filter_reads_the_summary;
       Alcotest.test_case "scan: rotation avoids starvation" `Quick

@@ -792,70 +792,73 @@ let test_cdm_size_allocation_is_flat () =
   let small = cdm 2 and large = cdm 300 in
   check (Alcotest.float 0.0) "same allocation for 2 and 300 entries" (words small) (words large)
 
+module Sref = Summary_reference
+
 let gen_summary =
   let open QCheck2.Gen in
   let gen_scion =
     map2
       (fun (key, scion_ic, stubs) (target_locally_reachable, last_invoked) ->
-        { Summary.key; scion_ic; stubs_from = Oid.Set.of_list stubs; target_locally_reachable; last_invoked })
+        { Sref.key; scion_ic; stubs_from = Oid.Set.of_list stubs; target_locally_reachable; last_invoked })
       (triple gen_ref (int_range (-3) 300) (list_size (int_bound 5) gen_oid))
       (pair bool (int_range (-1) 100_000))
   in
   let gen_stub =
     map2
       (fun (target, stub_ic) (keys, local_reach) ->
-        { Summary.target; stub_ic; scions_to = Ref_key.Set.of_list keys; local_reach })
+        { Sref.target; stub_ic; scions_to = Ref_key.Set.of_list keys; local_reach })
       (pair gen_oid (int_range 0 300))
       (pair (list_size (int_bound 4) gen_ref) bool)
   in
   map2
-    (fun (proc, taken_at) (scions, stubs) -> Summary.make ~proc ~taken_at ~scions ~stubs)
+    (fun (proc, taken_at) (scions, stubs) -> Sref.make ~proc ~taken_at ~scions ~stubs)
     (pair gen_proc (int_bound 1_000_000))
     (pair (list_size (int_bound 8) gen_scion) (list_size (int_bound 8) gen_stub))
 
-let same_summary a b = Summary.equal a b && a.Summary.taken_at = b.Summary.taken_at
-
-let same_decode a b =
+let same_view a b =
   match (a, b) with
-  | Some a, Some b -> same_summary a b
+  | Some a, Some b -> Sref.equal (Sref.of_view a) b
   | None, None -> true
   | Some _, None | None, Some _ -> false
 
 let qcheck_summary_wire_identity =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"summary bytes = reference bytes, and decode inverts encode"
+    (QCheck2.Test.make ~name:"summary bytes = reference bytes, and the view reads them back"
        ~count:300 gen_summary (fun s ->
-         same_bytes Summary.emit (Ref.encode (Ref.summary_sval s)) s
-         && same_decode (Summary.decode (Summary.encode s)) (Some s)))
+         let bytes = Sref.encode s in
+         same_bytes Sref.emit (Ref.encode (Ref.summary_sval s)) s
+         && same_view (Summary.of_bytes bytes) (Some s)
+         && Option.map Summary.bytes (Summary.of_bytes bytes) = Some bytes))
 
 (* Every strict prefix of a snapshot is rejected (the reader raises
    nothing), and a single corrupted byte is read exactly as the tree
    path reads it — rejected, or accepted as the same summary. *)
 let qcheck_summary_truncation =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"summary decode rejects every truncation" ~count:100 gen_summary
+    (QCheck2.Test.make ~name:"summary index rejects every truncation" ~count:100 gen_summary
        (fun s ->
-         let bytes = Summary.encode s in
+         let bytes = Sref.encode s in
          List.for_all
-           (fun cut -> Summary.decode (String.sub bytes 0 cut) = None)
+           (fun cut -> Summary.of_bytes (String.sub bytes 0 cut) = None)
            (List.init (String.length bytes) Fun.id)))
 
 let qcheck_summary_corruption =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"summary decode of a corrupted byte = the tree path's" ~count:300
+    (QCheck2.Test.make ~name:"summary index of a corrupted byte = the tree path's" ~count:300
        QCheck2.Gen.(triple gen_summary (int_bound 10_000) (int_range 1 255))
        (fun (s, pos, delta) ->
-         let bytes = Summary.encode s in
+         let bytes = Sref.encode s in
          let pos = pos mod String.length bytes in
          let corrupted = Bytes.of_string bytes in
          Bytes.set corrupted pos (Char.chr ((Char.code bytes.[pos] + delta) land 0xff));
          let corrupted = Bytes.to_string corrupted in
-         same_decode (Summary.decode corrupted) (Ref.summary_decode corrupted)))
+         same_view (Summary.of_bytes corrupted) (Ref.summary_decode corrupted)))
 
 (* ------------------------------------------------------------------ *)
-(* Summary representation: the sorted arrays behave as the maps they
-   replaced.  The model folds [Map.add] over the same entries, so a
-   repeated key keeps its last entry in both. *)
+(* Summary view: lookups and accessors behave as the maps of a record
+   form.  The model folds [Map.add] over the same entries, so a
+   repeated key keeps its last entry, as [Summary_reference.make]
+   does. *)
 
 let gen_summary_parts =
   let open QCheck2.Gen in
@@ -865,119 +868,131 @@ let gen_summary_parts =
   let scion =
     map3
       (fun key (scion_ic, last_invoked) (stubs, root) ->
-        { Summary.key; scion_ic; stubs_from = Oid.Set.of_list stubs; target_locally_reachable = root; last_invoked })
+        { Sref.key; scion_ic; stubs_from = Oid.Set.of_list stubs; target_locally_reachable = root; last_invoked })
       small_ref (pair (int_bound 5) (int_bound 50)) (pair (list_size (int_bound 3) small_oid) bool)
   in
   let stub =
     map3
       (fun target stub_ic (keys, local_reach) ->
-        { Summary.target; stub_ic; scions_to = Ref_key.Set.of_list keys; local_reach })
+        { Sref.target; stub_ic; scions_to = Ref_key.Set.of_list keys; local_reach })
       small_oid (int_bound 5) (pair (list_size (int_bound 3) small_ref) bool)
   in
   pair (map Proc_id.of_int (int_bound 2)) (pair (list_size (int_bound 12) scion) (list_size (int_bound 12) stub))
 
-let print_summary_parts (proc, (scions, stubs)) =
-  Format.asprintf "%a" Summary.pp (Summary.make ~proc ~taken_at:0 ~scions ~stubs)
+let summary_of (proc, (scions, stubs)) =
+  Option.get (Summary.of_bytes (Sref.encode (Sref.make ~proc ~taken_at:0 ~scions ~stubs)))
+
+let print_summary_parts parts = Format.asprintf "%a" Summary.pp (summary_of parts)
 
 module Scion_model = Ref_key.Map
 module Stub_model = Oid.Map
 
-let model (proc, (scions, stubs)) =
-  ( proc,
-    List.fold_left (fun m (s : Summary.scion_info) -> Scion_model.add s.Summary.key s m) Scion_model.empty scions,
-    List.fold_left (fun m (s : Summary.stub_info) -> Stub_model.add s.Summary.target s m) Stub_model.empty stubs )
+let model (_, (scions, stubs)) =
+  ( List.fold_left (fun m (s : Sref.scion_info) -> Scion_model.add s.Sref.key s m) Scion_model.empty scions,
+    List.fold_left (fun m (s : Sref.stub_info) -> Stub_model.add s.Sref.target s m) Stub_model.empty stubs )
 
-let model_equal (pa, sa, ta) (pb, sb, tb) =
-  let scion_eq (a : Summary.scion_info) (b : Summary.scion_info) =
-    Ref_key.equal a.Summary.key b.Summary.key
-    && a.Summary.scion_ic = b.Summary.scion_ic
-    && Oid.Set.equal a.Summary.stubs_from b.Summary.stubs_from
-    && a.Summary.target_locally_reachable = b.Summary.target_locally_reachable
-    && a.Summary.last_invoked = b.Summary.last_invoked
-  in
-  let stub_eq (a : Summary.stub_info) (b : Summary.stub_info) =
-    Oid.equal a.Summary.target b.Summary.target
-    && a.Summary.stub_ic = b.Summary.stub_ic
-    && Ref_key.Set.equal a.Summary.scions_to b.Summary.scions_to
-    && a.Summary.local_reach = b.Summary.local_reach
-  in
-  Proc_id.equal pa pb && Scion_model.equal scion_eq sa sb && Stub_model.equal stub_eq ta tb
-
-let summary_of (proc, (scions, stubs)) = Summary.make ~proc ~taken_at:0 ~scions ~stubs
-
-let same_option a b = match (a, b) with Some a, Some b -> a == b | None, None -> true | _ -> false
+(* Every key of the narrow ranges, present or not. *)
+let small_keys =
+  List.concat_map
+    (fun src ->
+      List.concat_map
+        (fun o ->
+          List.init 4 (fun s ->
+              Ref_key.make ~src:(Proc_id.of_int src) ~target:(Oid.make ~owner:(Proc_id.of_int o) ~serial:s)))
+        [ 0; 1; 2 ])
+    [ 0; 1; 2 ]
 
 let qcheck_summary_lookup_model =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"summary lookups = map model" ~count:500 ~print:print_summary_parts
-       gen_summary_parts (fun parts ->
-         let t = summary_of parts and _, scions, stubs = model parts in
-         let keys =
-           List.concat_map
-             (fun src ->
-               List.concat_map
-                 (fun o -> List.init 4 (fun s -> Ref_key.make ~src:(Proc_id.of_int src) ~target:(Oid.make ~owner:(Proc_id.of_int o) ~serial:s)))
-                 [ 0; 1; 2 ])
-             [ 0; 1; 2 ]
+    (QCheck2.Test.make ~name:"summary lookups and accessors = map model" ~count:500
+       ~print:print_summary_parts gen_summary_parts (fun parts ->
+         let t = summary_of parts and scions, stubs = model parts in
+         let scion_agrees k =
+           match (Summary.find_scion t k, Scion_model.find_opt k scions) with
+           | Some i, Some (m : Sref.scion_info) ->
+               Ref_key.equal (Summary.scion_key t i) k
+               && Summary.scion_ic t i = m.Sref.scion_ic
+               && Summary.target_locally_reachable t i = m.Sref.target_locally_reachable
+               && Summary.last_invoked t i = m.Sref.last_invoked
+               && Oid.Set.equal (Sref.stubs_from t i) m.Sref.stubs_from
+           | None, None -> true
+           | Some _, None | None, Some _ -> false
          in
-         List.for_all (fun k -> same_option (Summary.find_scion t k) (Scion_model.find_opt k scions)) keys
-         && List.for_all
-              (fun k ->
-                let target = k.Ref_key.target in
-                same_option (Summary.find_stub t target) (Stub_model.find_opt target stubs))
-              keys
-         && List.equal ( == ) (Summary.scion_list t) (List.map snd (Scion_model.bindings scions))
-         && List.equal ( == ) (Summary.stub_list t) (List.map snd (Stub_model.bindings stubs))
+         let stub_agrees target =
+           match (Summary.find_stub t target, Stub_model.find_opt target stubs) with
+           | Some j, Some (m : Sref.stub_info) ->
+               Oid.equal (Summary.stub_target t j) target
+               && Summary.stub_ic t j = m.Sref.stub_ic
+               && Summary.local_reach t j = m.Sref.local_reach
+               && Ref_key.Set.equal (Sref.scions_to t j) m.Sref.scions_to
+           | None, None -> true
+           | Some _, None | None, Some _ -> false
+         in
+         let after_agrees k =
+           let upto = Scion_model.filter (fun k' _ -> Ref_key.compare k' k <= 0) scions in
+           Summary.scion_after t k = Scion_model.cardinal upto
+         in
+         List.for_all
+           (fun k -> scion_agrees k && stub_agrees k.Ref_key.target && after_agrees k)
+           small_keys
          && Summary.counts t = (Scion_model.cardinal scions, Stub_model.cardinal stubs)))
 
-let qcheck_summary_equal_model =
+(* The index pass accepts entries only in strictly ascending order:
+   the model's entries written in descending order, or with one entry
+   repeated, are rejected whenever that changes the bytes. *)
+let qcheck_summary_order_enforced =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"summary equal = map model equality" ~count:500
-       QCheck2.Gen.(pair gen_summary_parts gen_summary_parts)
-       (fun (a, b) ->
-         Summary.equal (summary_of a) (summary_of b) = model_equal (model a) (model b)
-         (* A permutation of the same entries makes the same summary. *)
-         &&
-         let proc, scions, stubs = model a in
-         Summary.equal (summary_of a)
-           (Summary.make ~proc ~taken_at:1
-              ~scions:(List.rev_map snd (Scion_model.bindings scions))
-              ~stubs:(List.rev_map snd (Stub_model.bindings stubs)))))
+    (QCheck2.Test.make ~name:"summary index rejects unsorted or repeated entries" ~count:500
+       ~print:print_summary_parts gen_summary_parts (fun ((proc, _) as parts) ->
+         let scions, stubs = model parts in
+         let scions = List.map snd (Scion_model.bindings scions)
+         and stubs = List.map snd (Stub_model.bindings stubs) in
+         let reads ~scions ~stubs =
+           Summary.of_bytes (Sref.encode_entries ~proc ~taken_at:0 scions stubs) <> None
+         in
+         let twice = function [] -> [] | x :: rest -> x :: x :: rest in
+         reads ~scions ~stubs
+         && reads ~scions:(List.rev scions) ~stubs = (List.length scions <= 1)
+         && reads ~scions ~stubs:(List.rev stubs) = (List.length stubs <= 1)
+         && reads ~scions:(twice scions) ~stubs = (scions = [])
+         && reads ~scions ~stubs:(twice stubs) = (stubs = [])))
 
 (* The wire can carry a repeated scion key or stub target (no encoder
-   in lib/ writes one, but the reader must say what it does with it):
-   the last entry wins, as [Map.add] folded over the entries did. *)
-let test_summary_decode_keeps_last () =
+   in lib/ writes one): the index pass rejects it, as the tree path
+   does, where the record decoder kept the last entry. *)
+let test_summary_rejects_repeated_key () =
   let key = Ref_key.make ~src:(Proc_id.of_int 1) ~target:(Oid.make ~owner:(Proc_id.of_int 2) ~serial:3) in
   let other = Ref_key.make ~src:(Proc_id.of_int 0) ~target:(Oid.make ~owner:(Proc_id.of_int 2) ~serial:9) in
   let target = Oid.make ~owner:(Proc_id.of_int 4) ~serial:5 in
   let scion k ic =
-    { Summary.key = k; scion_ic = ic; stubs_from = Oid.Set.singleton target; target_locally_reachable = false; last_invoked = ic }
+    { Sref.key = k; scion_ic = ic; stubs_from = Oid.Set.singleton target; target_locally_reachable = false; last_invoked = ic }
   in
-  let stub ic = { Summary.target; stub_ic = ic; scions_to = Ref_key.Set.singleton key; local_reach = ic = 2 } in
-  let bytes =
+  let stub ic = { Sref.target; stub_ic = ic; scions_to = Ref_key.Set.singleton key; local_reach = ic = 2 } in
+  let bytes scions stubs =
     Ref.encode
       (Sval.Record
          ( "summary",
            [
              ("proc", Sval.Int 2);
              ("taken_at", Sval.Int 40);
-             ("scions", Sval.List [ Ref.scion_sval (scion key 1); Ref.scion_sval (scion other 7); Ref.scion_sval (scion key 2) ]);
-             ("stubs", Sval.List [ Ref.stub_sval (stub 1); Ref.stub_sval (stub 2) ]);
+             ("scions", Sval.List (List.map Ref.scion_sval scions));
+             ("stubs", Sval.List (List.map Ref.stub_sval stubs));
            ] ))
   in
-  match Summary.decode bytes with
-  | None -> Alcotest.fail "a repeated key is not malformed"
+  let rejected what b =
+    check Alcotest.bool what true (Summary.of_bytes b = None);
+    check Alcotest.bool (what ^ ": the tree path agrees") true (Ref.summary_decode b = None)
+  in
+  rejected "repeated scion key" (bytes [ scion other 7; scion key 1; scion key 2 ] [ stub 1 ]);
+  rejected "repeated stub target" (bytes [ scion other 7; scion key 2 ] [ stub 1; stub 2 ]);
+  match Summary.of_bytes (bytes [ scion other 7; scion key 2 ] [ stub 2 ]) with
+  | None -> Alcotest.fail "the deduplicated summary is well formed"
   | Some t ->
       check Alcotest.(pair int int) "one entry per key" (2, 1) (Summary.counts t);
-      check Alcotest.(option int) "last scion kept" (Some 2)
-        (Option.map (fun s -> s.Summary.scion_ic) (Summary.find_scion t key));
-      check Alcotest.(option int) "last stub kept" (Some 2)
-        (Option.map (fun s -> s.Summary.stub_ic) (Summary.find_stub t target));
       check Alcotest.(list int) "scions ascend" [ 7; 2 ]
-        (List.map (fun s -> s.Summary.scion_ic) (Summary.scion_list t));
-      check Alcotest.bool "tree path agrees" true
-        (same_decode (Some t) (Ref.summary_decode bytes))
+        (List.init 2 (fun i -> Summary.scion_ic t i));
+      check Alcotest.(option int) "stub found" (Some 2)
+        (Option.map (Summary.stub_ic t) (Summary.find_stub t target))
 
 (* ------------------------------------------------------------------ *)
 (* Messages and socket envelopes: the direct readers accept exactly
@@ -1194,9 +1209,9 @@ let suite =
       qcheck_summary_truncation;
       qcheck_summary_corruption;
       qcheck_summary_lookup_model;
-      qcheck_summary_equal_model;
-      Alcotest.test_case "summary: decode keeps the last of a repeated key" `Quick
-        test_summary_decode_keeps_last;
+      qcheck_summary_order_enforced;
+      Alcotest.test_case "summary: a repeated key or target is rejected" `Quick
+        test_summary_rejects_repeated_key;
       qcheck_envelope_wire_identity;
       Alcotest.test_case "golden message sizes, one per payload kind" `Quick test_golden_sizes;
       Alcotest.test_case "msg: case indices of the kept kinds pinned" `Quick test_case_indices_pinned;

@@ -17,7 +17,13 @@ let key src target = Ref_key.make ~src:(Proc_id.of_int src) ~target
 
 (* The independent per-scion reference lives in summary_reference.ml
    (the integration suite checks published snapshots against it too). *)
-let reference_summary = Summary_reference.summary
+module Sref = Summary_reference
+
+let reference_summary = Sref.summary
+
+let stubs_from = Sref.stubs_from
+
+let scions_to = Sref.scions_to
 
 (* Build the paper's Fig. 3 situation restricted to P2: scion for F
    (from P1), local F -> G -> H -> J, F -> H, and J holds the remote
@@ -44,9 +50,10 @@ let test_stubs_from () =
   let summary = Summarize.run ~now:0 (Cluster.proc cluster 1) in
   match Summary.find_scion summary (key 0 f.Heap.oid) with
   | Some si ->
-      check Alcotest.int "one stub" 1 (Oid.Set.cardinal si.Summary.stubs_from);
-      check Alcotest.bool "it is Q" true (Oid.Set.mem q.Heap.oid si.Summary.stubs_from);
-      check Alcotest.bool "F not locally reachable" false si.Summary.target_locally_reachable
+      check Alcotest.int "one stub" 1 (Oid.Set.cardinal (stubs_from summary si));
+      check Alcotest.bool "it is Q" true (Oid.Set.mem q.Heap.oid (stubs_from summary si));
+      check Alcotest.bool "F not locally reachable" false
+        (Summary.target_locally_reachable summary si)
   | None -> Alcotest.fail "scion missing from summary"
 
 let test_scions_to () =
@@ -54,10 +61,10 @@ let test_scions_to () =
   let summary = Summarize.run ~now:0 (Cluster.proc cluster 1) in
   match Summary.find_stub summary q.Heap.oid with
   | Some st ->
-      check Alcotest.int "one scion leads here" 1 (Ref_key.Set.cardinal st.Summary.scions_to);
+      check Alcotest.int "one scion leads here" 1 (Ref_key.Set.cardinal (scions_to summary st));
       check Alcotest.bool "it is F's scion" true
-        (Ref_key.Set.mem (key 0 f.Heap.oid) st.Summary.scions_to);
-      check Alcotest.bool "not locally reachable" false st.Summary.local_reach
+        (Ref_key.Set.mem (key 0 f.Heap.oid) (scions_to summary st));
+      check Alcotest.bool "not locally reachable" false (Summary.local_reach summary st)
   | None -> Alcotest.fail "stub missing from summary"
 
 let test_local_reach_flag () =
@@ -69,7 +76,7 @@ let test_local_reach_flag () =
   Mutator.wire_remote cluster ~holder ~target;
   let summary = Summarize.run ~now:0 (Cluster.proc cluster 0) in
   match Summary.find_stub summary target.Heap.oid with
-  | Some st -> check Alcotest.bool "locally reachable" true st.Summary.local_reach
+  | Some st -> check Alcotest.bool "locally reachable" true (Summary.local_reach summary st)
   | None -> Alcotest.fail "stub missing"
 
 let test_scion_target_locally_reachable () =
@@ -81,7 +88,8 @@ let test_scion_target_locally_reachable () =
   Mutator.wire_remote cluster ~holder ~target:x;
   let summary = Summarize.run ~now:0 (Cluster.proc cluster 0) in
   match Summary.find_scion summary (key 1 x.Heap.oid) with
-  | Some si -> check Alcotest.bool "rooted target" true si.Summary.target_locally_reachable
+  | Some si ->
+      check Alcotest.bool "rooted target" true (Summary.target_locally_reachable summary si)
   | None -> Alcotest.fail "scion missing"
 
 let test_internal_refs_compiled_away () =
@@ -107,10 +115,12 @@ let test_shared_stub_multiple_scions () =
   ignore (Heap.add_ref (Cluster.proc cluster 4).Process.heap y t.Heap.oid : int);
   let summary = Summarize.run ~now:0 (Cluster.proc cluster 4) in
   (match Summary.find_stub summary t.Heap.oid with
-  | Some st -> check Alcotest.int "two scions converge" 2 (Ref_key.Set.cardinal st.Summary.scions_to)
+  | Some st ->
+      check Alcotest.int "two scions converge" 2 (Ref_key.Set.cardinal (scions_to summary st))
   | None -> Alcotest.fail "stub missing");
   match Summary.find_scion summary (key 5 y.Heap.oid) with
-  | Some si -> check Alcotest.bool "Y reaches the stub" true (Oid.Set.mem t.Heap.oid si.Summary.stubs_from)
+  | Some si ->
+      check Alcotest.bool "Y reaches the stub" true (Oid.Set.mem t.Heap.oid (stubs_from summary si))
   | None -> Alcotest.fail "Y scion missing"
 
 let test_diamond_and_cycle_local_structure () =
@@ -131,20 +141,28 @@ let test_diamond_and_cycle_local_structure () =
   Mutator.wire_remote cluster ~holder:bottom ~target:remote_obj;
   Mutator.wire_remote cluster ~holder ~target:top;
   let summary = Summarize.run ~now:0 (Cluster.proc cluster 0) in
-  check Alcotest.bool "matches the reference" true
-    (Summary.equal summary (reference_summary ~now:0 (Cluster.proc cluster 0)));
+  check Alcotest.string "matches the reference"
+    (Sref.encode (reference_summary ~now:0 (Cluster.proc cluster 0)))
+    (Summary.bytes summary);
   match Summary.find_scion summary (key 2 top.Heap.oid) with
-  | Some si -> check Alcotest.bool "reaches stub through diamond" true (Oid.Set.mem remote_obj.Heap.oid si.Summary.stubs_from)
+  | Some si ->
+      check Alcotest.bool "reaches stub through diamond" true
+        (Oid.Set.mem remote_obj.Heap.oid (stubs_from summary si))
   | None -> Alcotest.fail "scion missing"
 
-(* Property: the condensed summarizer equals the per-scion reference on
-   random graphs, on random graphs under churn (allocation, linking,
-   unlinking, RMIs), and on many scions sharing one large region — the
-   case the condensation exists for. *)
+(* Property: the condensed summarizer writes the bytes the reference
+   encoder writes for the per-scion reference, and the view reads them
+   back as that reference, on random graphs, on random graphs under
+   churn (allocation, linking, unlinking, RMIs), and on many scions
+   sharing one large region — the case the condensation exists for. *)
 let agree ~label ~now p =
   let summary = Summarize.run ~now p in
-  if not (Summary.equal summary (reference_summary ~now p)) then
-    Alcotest.failf "%s proc %a: summary differs from the reference" label Proc_id.pp
+  let reference = reference_summary ~now p in
+  if Summary.bytes summary <> Sref.encode reference then
+    Alcotest.failf "%s proc %a: summary bytes differ from the reference's" label Proc_id.pp
+      p.Process.id;
+  if not (Sref.equal (Sref.of_view summary) reference) then
+    Alcotest.failf "%s proc %a: the view reads back other than the reference" label Proc_id.pp
       p.Process.id;
   summary
 
@@ -187,11 +205,10 @@ let test_matches_reference () =
   agree ~label:"shared region" ~now:0 shared;
   let summary = Summarize.run ~now:0 shared in
   check Alcotest.int "shared region: every scion summarized" 100 (fst (Summary.counts summary));
-  List.iter
-    (fun (si : Summary.scion_info) ->
-      check Alcotest.int "shared region: each scion reaches the one stub" 1
-        (Oid.Set.cardinal si.Summary.stubs_from))
-    (Summary.scion_list summary)
+  for si = 0 to fst (Summary.counts summary) - 1 do
+    check Alcotest.int "shared region: each scion reaches the one stub" 1
+      (Oid.Set.cardinal (stubs_from summary si))
+  done
 
 (* Parity on the structured shapes the random graphs rarely produce:
    the paper's figures and the workload families, every process. *)
@@ -233,7 +250,7 @@ let topology_cases =
 
 let stubs_from_of summary k =
   match Summary.find_scion summary k with
-  | Some si -> si.Summary.stubs_from
+  | Some si -> stubs_from summary si
   | None -> Alcotest.fail "scion missing"
 
 let test_resummarize_link_unlink () =
@@ -255,7 +272,8 @@ let test_resummarize_link_unlink () =
   let s2 = agree ~label:"after unlink" ~now:2 p1 in
   check Alcotest.bool "R dropped from F" false (Oid.Set.mem r.Heap.oid (stubs_from_of s2 fk));
   (match Summary.find_stub s2 r.Heap.oid with
-  | Some st -> check Alcotest.int "R's stub has no scion" 0 (Ref_key.Set.cardinal st.Summary.scions_to)
+  | Some st ->
+      check Alcotest.int "R's stub has no scion" 0 (Ref_key.Set.cardinal (scions_to s2 st))
   | None -> Alcotest.fail "R's stub missing");
   check Alcotest.bool "F's stubs are back to Q alone" true
     (Oid.Set.equal (stubs_from_of s0 fk) (stubs_from_of s2 fk))
@@ -270,7 +288,8 @@ let test_resummarize_root_changes () =
       | None -> Alcotest.fail "scion missing"
     in
     match Summary.find_stub summary q.Heap.oid with
-    | Some st -> (si.Summary.target_locally_reachable, st.Summary.local_reach)
+    | Some st ->
+        (Summary.target_locally_reachable summary si, Summary.local_reach summary st)
     | None -> Alcotest.fail "stub missing"
   in
   let pair = Alcotest.(pair bool bool) in
@@ -295,7 +314,7 @@ let test_resummarize_after_sweep () =
   let s = agree ~label:"after sweep" ~now:1 p1 in
   check Alcotest.int "F reaches nothing" 0 (Oid.Set.cardinal (stubs_from_of s (key 0 f.Heap.oid)));
   match Summary.find_stub s q.Heap.oid with
-  | Some st -> check Alcotest.int "Q's stub has no scion" 0 (Ref_key.Set.cardinal st.Summary.scions_to)
+  | Some st -> check Alcotest.int "Q's stub has no scion" 0 (Ref_key.Set.cardinal (scions_to s st))
   | None -> Alcotest.fail "stub missing"
 
 (* Heavy sweeping makes the heap rebuild its dense interner, which
@@ -312,7 +331,8 @@ let test_resummarize_across_dense_rebuild () =
   List.iter (fun (o : Heap.obj) -> Heap.remove heap o.Heap.oid) doomed;
   let after = agree ~label:"after rebuild" ~now:1 p1 in
   check Alcotest.bool "dense ids were reassigned" true (Heap.dense_generation heap > gen);
-  check Alcotest.bool "same summary" true (Summary.equal before after)
+  check Alcotest.bool "same summary" true
+    (Sref.equal { (Sref.of_view before) with Sref.taken_at = 1 } (Sref.of_view after))
 
 let test_summary_captures_ics () =
   let cluster = mk ~n:2 () in
@@ -326,12 +346,12 @@ let test_summary_captures_ics () =
   let s0 = Summarize.run ~now:1 (Cluster.proc cluster 0) in
   let s1 = Summarize.run ~now:1 (Cluster.proc cluster 1) in
   (match Summary.find_stub s0 callee.Heap.oid with
-  | Some st -> check Alcotest.int "stub ic in summary" 1 st.Summary.stub_ic
+  | Some st -> check Alcotest.int "stub ic in summary" 1 (Summary.stub_ic s0 st)
   | None -> Alcotest.fail "stub missing");
   match Summary.find_scion s1 (key 0 callee.Heap.oid) with
   | Some si ->
-      check Alcotest.int "scion ic in summary" 1 si.Summary.scion_ic;
-      check Alcotest.bool "last_invoked recorded" true (si.Summary.last_invoked > 0)
+      check Alcotest.int "scion ic in summary" 1 (Summary.scion_ic s1 si);
+      check Alcotest.bool "last_invoked recorded" true (Summary.last_invoked s1 si > 0)
   | None -> Alcotest.fail "scion missing"
 
 let test_summary_is_immutable_snapshot () =
@@ -349,16 +369,84 @@ let test_summary_is_immutable_snapshot () =
 let test_summary_bytes_roundtrip () =
   let cluster, _, _, _ = build_p2_like () in
   let summary = Summarize.run ~now:7 (Cluster.proc cluster 1) in
-  match Summary.decode (Summary.encode summary) with
+  match Summary.of_bytes (Summary.bytes summary) with
   | Some s ->
-      check Alcotest.bool "roundtrip" true (Summary.equal summary s);
-      check Alcotest.int "taken_at preserved" 7 s.Summary.taken_at
-  | None -> Alcotest.fail "decode failed"
+      check Alcotest.bool "roundtrip" true (Sref.equal (Sref.of_view summary) (Sref.of_view s));
+      check Alcotest.int "taken_at preserved" 7 (Summary.taken_at s)
+  | None -> Alcotest.fail "the index pass failed"
 
-let test_summary_decode_rejects_junk () =
+let test_summary_index_rejects_junk () =
   List.iter
-    (fun junk -> check Alcotest.bool "junk" true (Summary.decode junk = None))
+    (fun junk -> check Alcotest.bool "junk" true (Summary.of_bytes junk = None))
     [ ""; "\x03\x02"; Adgc_serial.Net_codec.encode (Adgc_serial.Sval.Int 1) ]
+
+(* Summarizer byte identity: over churned random heaps at fixed seeds,
+   [Summarize.encode]'s bytes are the reference encoder's bytes of the
+   record-form reference, and the view over them answers every lookup
+   as the reference does — for every key that occurs anywhere in the
+   cluster, so keys absent from one process are asked too. *)
+let test_summarizer_bytes_under_churn () =
+  List.iter
+    (fun seed ->
+      let cluster = Cluster.create ~n:4 () in
+      let rng = Adgc_util.Rng.create seed in
+      let _built =
+        Adgc_workload.Topology.random cluster ~rng ~objects:60 ~edges:120 ~remote_prob:0.3
+          ~root_prob:0.15
+      in
+      let churn = Adgc_workload.Churn.create ~cluster ~rng:(Adgc_util.Rng.create (seed + 1)) () in
+      for round = 1 to 6 do
+        for _ = 1 to 20 do
+          Adgc_workload.Churn.step churn
+        done;
+        ignore (Cluster.drain cluster : int);
+        let references =
+          List.init 4 (fun i -> reference_summary ~now:round (Cluster.proc cluster i))
+        in
+        let keys =
+          List.concat_map
+            (fun (r : Sref.t) ->
+              List.map (fun (si : Sref.scion_info) -> si.Sref.key) r.Sref.scions
+              @ List.map
+                  (fun (st : Sref.stub_info) ->
+                    Ref_key.make ~src:r.Sref.proc ~target:st.Sref.target)
+                  r.Sref.stubs)
+            references
+        in
+        List.iteri
+          (fun i (reference : Sref.t) ->
+            let label = Printf.sprintf "seed %d round %d proc %d" seed round i in
+            let bytes = Summarize.encode ~now:round (Cluster.proc cluster i) in
+            check Alcotest.string (label ^ ": bytes") (Sref.encode reference) bytes;
+            let view = Option.get (Summary.of_bytes bytes) in
+            let read = Sref.of_view view in
+            let agrees find entries same k =
+              match (find k, List.find_opt (same k) entries) with
+              | None, None -> true
+              | Some rank, Some entry -> List.nth entries rank == entry
+              | Some _, None | None, Some _ -> false
+            in
+            check Alcotest.bool (label ^ ": the view reads as the reference") true
+              (Sref.equal read reference);
+            List.iter
+              (fun k ->
+                if
+                  not
+                    (agrees (Summary.find_scion view) reference.Sref.scions
+                       (fun k (si : Sref.scion_info) -> Ref_key.equal si.Sref.key k)
+                       k)
+                then Alcotest.failf "%s: find_scion %a disagrees" label Ref_key.pp k;
+                let target = k.Ref_key.target in
+                if
+                  not
+                    (agrees (Summary.find_stub view) reference.Sref.stubs
+                       (fun o (st : Sref.stub_info) -> Oid.equal st.Sref.target o)
+                       target)
+                then Alcotest.failf "%s: find_stub %a disagrees" label Oid.pp target)
+              keys)
+          references
+      done)
+    [ 5; 61; 977 ]
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot store *)
@@ -371,11 +459,14 @@ let test_store_roundtrips_through_codec () =
   Snapshot_store.subscribe store (fun s -> received := s :: !received);
   let s = Snapshot_store.take store (Cluster.proc cluster 1) in
   check Alcotest.int "subscriber called" 1 (List.length !received);
-  check Alcotest.bool "published = returned" true (Summary.equal s (List.hd !received));
-  check Alcotest.bool "bytes on disk" true
-    (Snapshot_store.bytes_on_disk store (Proc_id.of_int 1) > 0);
+  check Alcotest.bool "published = returned" true (s == List.hd !received);
+  check Alcotest.int "bytes on disk" (String.length (Summary.bytes s))
+    (Snapshot_store.bytes_on_disk store (Proc_id.of_int 1));
+  check Alcotest.string "the summarizer's bytes"
+    (Summarize.encode ~now:0 (Cluster.proc cluster 1))
+    (Summary.bytes s);
   match Snapshot_store.latest store (Proc_id.of_int 1) with
-  | Some latest -> check Alcotest.bool "latest matches" true (Summary.equal s latest)
+  | Some latest -> check Alcotest.bool "latest matches" true (s == latest)
   | None -> Alcotest.fail "no latest"
 
 let test_store_take_all () =
@@ -389,22 +480,38 @@ let test_store_take_all () =
       (Snapshot_store.latest store (Proc_id.of_int i) <> None)
   done
 
-(* Bytes that do not read back (here: the disk drops the last byte)
-   are counted, and the summary as taken is published instead. *)
-let test_store_counts_decode_failures () =
+(* Bytes that do not read back from the disk are counted, and the
+   summary as taken is published instead: the disk drops the last
+   byte, changes the first tag byte, or adds a trailing byte. *)
+let store_rejects ~label read_back () =
   let cluster, _, _, _ = build_p2_like () in
   let rt = Cluster.rt cluster in
-  let store =
-    Snapshot_store.create ~read_back:(fun b -> String.sub b 0 (String.length b - 1)) rt
-  in
+  let store = Snapshot_store.create ~read_back rt in
   let failures () = Adgc_util.Stats.get rt.Adgc_rt.Runtime.stats "snapshot.decode_failures" in
   check Alcotest.int "none yet" 0 (failures ());
   let s = Snapshot_store.take store (Cluster.proc cluster 1) in
-  check Alcotest.int "counted" 1 (failures ());
-  check Alcotest.bool "taken summary published" true
-    (Summary.equal s (Summarize.run ~now:0 (Cluster.proc cluster 1)));
+  check Alcotest.int (label ^ ": counted") 1 (failures ());
+  check Alcotest.string (label ^ ": taken summary published")
+    (Summarize.encode ~now:0 (Cluster.proc cluster 1))
+    (Summary.bytes s);
+  check Alcotest.bool (label ^ ": and it reads as taken") true
+    (Sref.equal (Sref.of_view s) (reference_summary ~now:0 (Cluster.proc cluster 1)));
   ignore (Snapshot_store.take store (Cluster.proc cluster 2) : Summary.t);
-  check Alcotest.int "counted again" 2 (failures ())
+  check Alcotest.int (label ^ ": counted again") 2 (failures ())
+
+let test_store_counts_decode_failures () =
+  store_rejects ~label:"truncated" (fun b -> String.sub b 0 (String.length b - 1)) ()
+
+let test_store_rejects_flipped_tag () =
+  store_rejects ~label:"flipped tag"
+    (fun b ->
+      let b = Bytes.of_string b in
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
+      Bytes.to_string b)
+    ()
+
+let test_store_rejects_trailing_byte () =
+  store_rejects ~label:"trailing byte" (fun b -> b ^ "\x00") ()
 
 (* ------------------------------------------------------------------ *)
 (* Graph image (E2) *)
@@ -455,10 +562,14 @@ let suite =
       Alcotest.test_case "summary captures ICs" `Quick test_summary_captures_ics;
       Alcotest.test_case "summary is immutable" `Quick test_summary_is_immutable_snapshot;
       Alcotest.test_case "summary bytes roundtrip" `Quick test_summary_bytes_roundtrip;
-      Alcotest.test_case "summary decode rejects junk" `Quick test_summary_decode_rejects_junk;
+      Alcotest.test_case "summary index rejects junk" `Quick test_summary_index_rejects_junk;
+      Alcotest.test_case "summarizer bytes = reference bytes under churn" `Quick
+        test_summarizer_bytes_under_churn;
       Alcotest.test_case "store: codec roundtrip publish" `Quick test_store_roundtrips_through_codec;
       Alcotest.test_case "store: take_all" `Quick test_store_take_all;
       Alcotest.test_case "store: counts decode failures" `Quick test_store_counts_decode_failures;
+      Alcotest.test_case "store: rejects a flipped tag byte" `Quick test_store_rejects_flipped_tag;
+      Alcotest.test_case "store: rejects a trailing byte" `Quick test_store_rejects_trailing_byte;
       Alcotest.test_case "graph image: object count" `Quick test_graph_image_counts;
       Alcotest.test_case "graph image: stub surcharge" `Quick test_graph_image_stub_surcharge;
       Alcotest.test_case "graph image: bytes pinned" `Quick test_graph_image_bytes_pinned;

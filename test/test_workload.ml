@@ -35,14 +35,16 @@ let test_fig3_summary_matches_paper () =
   (match Adgc_snapshot.Summary.find_scion summary f_key with
   | Some si ->
       check Alcotest.bool "StubsFrom = {Q}" true
-        (Oid.Set.equal si.Adgc_snapshot.Summary.stubs_from
+        (Oid.Set.equal
+           (Summary_reference.stubs_from summary si)
            (Oid.Set.singleton (Topology.oid built "Q")))
   | None -> Alcotest.fail "scion F missing");
   match Adgc_snapshot.Summary.find_stub summary (Topology.oid built "Q") with
   | Some st ->
       check Alcotest.bool "ScionsTo = {F}" true
-        (Ref_key.Set.equal st.Adgc_snapshot.Summary.scions_to (Ref_key.Set.singleton f_key));
-      check Alcotest.bool "Local.Reach = false" false st.Adgc_snapshot.Summary.local_reach
+        (Ref_key.Set.equal (Summary_reference.scions_to summary st) (Ref_key.Set.singleton f_key));
+      check Alcotest.bool "Local.Reach = false" false
+        (Adgc_snapshot.Summary.local_reach summary st)
   | None -> Alcotest.fail "stub Q missing"
 
 let test_fig4_shape () =

@@ -18,7 +18,6 @@ open Adgc_algebra
 module Sval = Adgc_serial.Sval
 module Wire = Adgc_serial.Wire
 module Msg = Adgc_rt.Msg
-module Summary = Adgc_snapshot.Summary
 module Envelope = Adgc_net.Envelope
 module Gather = Adgc_net.Gather
 
@@ -500,36 +499,47 @@ let msg_of_tree = function
 (* ------------------------------------------------------------------ *)
 (* Summary *)
 
-let scion_sval (s : Summary.scion_info) =
+module Sref = Summary_reference
+
+let scion_sval (s : Sref.scion_info) =
   Sval.Record
     ( "scion",
       [
-        ("key", ref_sval s.Summary.key);
-        ("ic", Sval.Int s.Summary.scion_ic);
-        ("stubs_from", Sval.List (List.map oid_sval (Oid.Set.elements s.Summary.stubs_from)));
-        ("root", Sval.Bool s.Summary.target_locally_reachable);
-        ("last_invoked", Sval.Int s.Summary.last_invoked);
+        ("key", ref_sval s.Sref.key);
+        ("ic", Sval.Int s.Sref.scion_ic);
+        ("stubs_from", Sval.List (List.map oid_sval (Oid.Set.elements s.Sref.stubs_from)));
+        ("root", Sval.Bool s.Sref.target_locally_reachable);
+        ("last_invoked", Sval.Int s.Sref.last_invoked);
       ] )
 
-let stub_sval (s : Summary.stub_info) =
+let stub_sval (s : Sref.stub_info) =
   Sval.Record
     ( "stub",
       [
-        ("target", oid_sval s.Summary.target);
-        ("ic", Sval.Int s.Summary.stub_ic);
-        ("scions_to", Sval.List (List.map ref_sval (Ref_key.Set.elements s.Summary.scions_to)));
-        ("local_reach", Sval.Bool s.Summary.local_reach);
+        ("target", oid_sval s.Sref.target);
+        ("ic", Sval.Int s.Sref.stub_ic);
+        ("scions_to", Sval.List (List.map ref_sval (Ref_key.Set.elements s.Sref.scions_to)));
+        ("local_reach", Sval.Bool s.Sref.local_reach);
       ] )
 
-let summary_sval (t : Summary.t) =
+let summary_sval (t : Sref.t) =
   Sval.Record
     ( "summary",
       [
-        ("proc", Sval.Int (Proc_id.to_int t.Summary.proc));
-        ("taken_at", Sval.Int t.Summary.taken_at);
-        ("scions", Sval.List (List.map scion_sval (Summary.scion_list t)));
-        ("stubs", Sval.List (List.map stub_sval (Summary.stub_list t)));
+        ("proc", Sval.Int (Proc_id.to_int t.Sref.proc));
+        ("taken_at", Sval.Int t.Sref.taken_at);
+        ("scions", Sval.List (List.map scion_sval t.Sref.scions));
+        ("stubs", Sval.List (List.map stub_sval t.Sref.stubs));
       ] )
+
+(* A summary's entries and runs must strictly ascend: a repeat or an
+   inversion is malformed. *)
+let rec ascending compare = function
+  | a :: (b :: _ as rest) -> compare a b < 0 && ascending compare rest
+  | [ _ ] | [] -> true
+
+let ascending_of compare of_tree items =
+  Option.bind (all_of of_tree items) (fun l -> if ascending compare l then Some l else None)
 
 let scion_of_tree = function
   | Rec [ key; Int scion_ic; List stubs_from; Bool target_locally_reachable; Int last_invoked ] ->
@@ -537,30 +547,33 @@ let scion_of_tree = function
           Option.map
             (fun stubs ->
               {
-                Summary.key;
+                Sref.key;
                 scion_ic;
                 stubs_from = Oid.Set.of_list stubs;
                 target_locally_reachable;
                 last_invoked;
               })
-            (all_of oid_of_tree stubs_from))
+            (ascending_of Oid.compare oid_of_tree stubs_from))
   | _ -> None
 
 let stub_of_tree = function
   | Rec [ target; Int stub_ic; List scions_to; Bool local_reach ] ->
       Option.bind (oid_of_tree target) (fun target ->
           Option.map
-            (fun keys ->
-              { Summary.target; stub_ic; scions_to = Ref_key.Set.of_list keys; local_reach })
-            (all_of key_of_tree scions_to))
+            (fun keys -> { Sref.target; stub_ic; scions_to = Ref_key.Set.of_list keys; local_reach })
+            (ascending_of Ref_key.compare key_of_tree scions_to))
   | _ -> None
+
+let by_key (a : Sref.scion_info) (b : Sref.scion_info) = Ref_key.compare a.Sref.key b.Sref.key
+
+let by_target (a : Sref.stub_info) (b : Sref.stub_info) = Oid.compare a.Sref.target b.Sref.target
 
 let summary_of_tree = function
   | Rec [ Int proc; Int taken_at; List scions; List stubs ] when proc >= 0 ->
-      Option.bind (all_of scion_of_tree scions) (fun scions ->
+      Option.bind (ascending_of by_key scion_of_tree scions) (fun scions ->
           Option.map
-            (fun stubs -> Summary.make ~proc:(Proc_id.of_int proc) ~taken_at ~scions ~stubs)
-            (all_of stub_of_tree stubs))
+            (fun stubs -> { Sref.proc = Proc_id.of_int proc; taken_at; scions; stubs })
+            (ascending_of by_target stub_of_tree stubs))
   | _ -> None
 
 (* The reference snapshot read-back. *)
