@@ -21,7 +21,10 @@ module Rmi = Adgc_rt.Rmi
 module Detector = Adgc_dcda.Detector
 module Policy = Adgc_dcda.Policy
 module Summarize = Adgc_snapshot.Summarize
-module Graph_image = Adgc_snapshot.Graph_image
+module Graph_image = Adgc_paper.Graph_image
+module Rotor_codec = Adgc_paper.Rotor_codec
+module Doc_codec = Adgc_paper.Doc_codec
+module Pstore = Adgc_paper.Pstore
 module Stats = Adgc_util.Stats
 module Table = Adgc_util.Table
 module Topology = Adgc_workload.Topology
@@ -122,25 +125,20 @@ let build_serialization_process ~objects ~with_stubs =
 let bench_serialization () =
   section "E2: snapshot (heap image) serialization";
   let objects = 10_000 in
-  let codecs =
-    [
-      ("rotor", (module Adgc_serial.Rotor_codec : Adgc_serial.Codec.S));
-      ("net", (module Adgc_serial.Net_codec : Adgc_serial.Codec.S));
-    ]
-  in
+  let codecs = [ ("rotor", Rotor_codec.encode); ("net", Doc_codec.encode) ] in
   let results = Hashtbl.create 8 in
   let rows =
     List.concat_map
-      (fun (cname, codec) ->
+      (fun (cname, encode) ->
         List.map
           (fun with_stubs ->
             let p = build_serialization_process ~objects ~with_stubs in
             let image = Graph_image.of_process ~include_stubs:with_stubs p in
-            ignore (Adgc_serial.Codec.encode codec image : string);
+            ignore (encode image : string);
             let samples =
               List.init 5 (fun _ ->
                   Gc.compact ();
-                  wall_ms (fun () -> Adgc_serial.Codec.encode codec image))
+                  wall_ms (fun () -> encode image))
             in
             let ms = median (List.map snd samples) in
             let encoded = fst (List.hd samples) in
@@ -319,7 +317,7 @@ let bench_garbage_cost () =
         in
         let image = Graph_image.of_process ~include_stubs:true p0 in
         let encoded, snap_ms =
-          wall_ms (fun () -> Adgc_serial.Net_codec.encode image)
+          wall_ms (fun () -> Doc_codec.encode image)
         in
         [
           string_of_int (garbage_rings * 100);
@@ -407,21 +405,20 @@ let bench_pstore () =
           ignore (Topology.ring ~objs_per_proc:25 cluster ~procs:[ 0; 1; 2; 3 ] : Topology.built)
         done;
         let p0 = Cluster.proc cluster 0 in
-        let store = Adgc_rt.Pstore.create ~capacity () in
-        p0.Adgc_rt.Process.pstore <- Some store;
+        let store = Pstore.create ~capacity () in
         let rt = Cluster.rt cluster in
         (* Warm, then measure 10 collections. *)
-        ignore (Adgc_rt.Lgc.run rt p0 : Adgc_rt.Lgc.report);
-        Adgc_rt.Pstore.reset_counters store;
+        ignore (Pstore.collect store rt p0 : Adgc_rt.Lgc.report);
+        Pstore.reset_counters store;
         for _ = 1 to 10 do
-          ignore (Adgc_rt.Lgc.run rt p0 : Adgc_rt.Lgc.report)
+          ignore (Pstore.collect store rt p0 : Adgc_rt.Lgc.report)
         done;
         let heap_size = Adgc_rt.Heap.size p0.Adgc_rt.Process.heap in
         [
           string_of_int (garbage_rings * 25);
           string_of_int heap_size;
-          string_of_int (Adgc_rt.Pstore.loads store / 10);
-          string_of_int (Adgc_rt.Pstore.hits store / 10);
+          string_of_int (Pstore.loads store / 10);
+          string_of_int (Pstore.hits store / 10);
         ])
       [ 0; 2; 8; 16 ]
   in
@@ -434,7 +431,7 @@ let bench_pstore () =
   print_endline "memory\" cost of incompleteness"
 
 (* ------------------------------------------------------------------ *)
-(* E18: dense-garbage worst case and the TTL mitigation.               *)
+(* E18: dense-garbage worst case and the budget mitigation.            *)
 
 let clique ~procs ~per_proc cluster =
   (* Fully-connected distributed garbage: every object references
@@ -561,9 +558,9 @@ let micro_tests () =
   let codec_tests =
     [
       Test.make ~name:"codec/net-encode-1k"
-        (Staged.stage (fun () -> ignore (Adgc_serial.Net_codec.encode image_1k : string)));
+        (Staged.stage (fun () -> ignore (Doc_codec.encode image_1k : string)));
       Test.make ~name:"codec/rotor-encode-1k"
-        (Staged.stage (fun () -> ignore (Adgc_serial.Rotor_codec.encode image_1k : string)));
+        (Staged.stage (fun () -> ignore (Rotor_codec.encode image_1k : string)));
     ]
   in
   let shared_tests =

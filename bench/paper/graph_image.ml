@@ -1,6 +1,5 @@
 open Adgc_algebra
 open Adgc_rt
-module Sval = Adgc_serial.Sval
 
 let oid_sval (o : Oid.t) =
   Sval.List [ Sval.Int (Proc_id.to_int (Oid.owner o)); Sval.Int o.Oid.serial ]

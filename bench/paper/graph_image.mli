@@ -8,11 +8,11 @@
 
 open Adgc_rt
 
-val of_process : ?include_stubs:bool -> Process.t -> Adgc_serial.Sval.t
+val of_process : ?include_stubs:bool -> Process.t -> Sval.t
 (** Lower the full heap: one record per object (owner, serial,
     payload, fields), and with [include_stubs] one record per stub
     table entry, mirroring the paper's "every object containing an
     additional remote reference (additional 10 000 stubs)" setup. *)
 
-val object_count : Adgc_serial.Sval.t -> int option
+val object_count : Sval.t -> int option
 (** Number of object records in an image (sanity checks in tests). *)

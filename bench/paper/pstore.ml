@@ -1,4 +1,5 @@
 open Adgc_algebra
+open Adgc_rt
 
 (* LRU via a generation counter per resident object: eviction scans
    for the minimum.  Capacities are small (that is the point of the
@@ -42,9 +43,17 @@ let touch t oid =
     Oid.Tbl.replace t.residents oid t.clock
   end
 
-let touch_many t oids = List.iter (touch t) oids
-
 let forget t oid = Oid.Tbl.remove t.residents oid
+
+let oids heap = Heap.fold heap ~init:[] ~f:(fun acc obj -> obj.Heap.oid :: acc)
+
+let collect t rt (p : Process.t) =
+  let heap = p.Process.heap in
+  let before = oids heap in
+  let report = Lgc.run rt p in
+  List.iter (touch t) (List.sort Oid.compare (oids heap));
+  List.iter (fun oid -> if not (Heap.mem heap oid) then forget t oid) before;
+  report
 
 let resident t oid = Oid.Tbl.mem t.residents oid
 

@@ -7,9 +7,9 @@
     load imposed by the increase of garbage."  This substrate makes
     that measurable: each object is either {e resident} or {e on
     disk}; touching a non-resident object costs a load, and residency
-    is bounded by a capacity with LRU eviction.  Every collector duty
-    that walks objects (LGC trace, summarization) touches them, so a
-    heap bloated with garbage thrashes the store — experiment E17.
+    is bounded by a capacity with LRU eviction.  A local collection
+    ({!collect}) touches every object it traces, so a heap bloated with
+    garbage thrashes the store — experiment E17.
 
     The store tracks residency and IO counts only; object contents
     stay in the heap (the simulator's single address space).  Loads
@@ -17,19 +17,22 @@
     standard proxy when the paper's platform gives no IO model. *)
 
 open Adgc_algebra
+open Adgc_rt
 
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] (default 256) — resident objects before eviction.
-    Install on a process with [p.Process.pstore <- Some store]; from
-    then on {!Lgc.run} reports its traversals here. *)
+(** [capacity] (default 256) — resident objects before eviction. *)
+
+val collect : t -> Runtime.t -> Process.t -> Lgc.report
+(** One {!Lgc.run} on a process whose objects live in this store,
+    reported as the trace's accesses: every survivor (after a sweep,
+    exactly the reached set) is touched once, in ascending oid order,
+    then the swept objects are forgotten. *)
 
 val touch : t -> Oid.t -> unit
 (** Access one object: a hit if resident, otherwise a load (evicting
     the least recently used resident if at capacity). *)
-
-val touch_many : t -> Oid.t list -> unit
 
 val forget : t -> Oid.t -> unit
 (** The object was reclaimed: drop it from the store. *)

@@ -1,4 +1,4 @@
-let name = "rotor"
+module Wire = Adgc_serial.Wire
 
 (* Long CLR-style type names, written on every node: a deliberate and
    honest source of volume and time, as in Rotor's self-describing

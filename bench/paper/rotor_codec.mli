@@ -10,6 +10,10 @@
     pass.  Decoding runs a real recursive-descent parser over the
     text.
 
-    The format round-trips every {!Sval.t} exactly. *)
+    The format round-trips every {!Sval.t} exactly, as {!Doc_codec}
+    does: E2 feeds both the same documents. *)
 
-include Codec.S
+val encode : Sval.t -> string
+
+val decode : string -> Sval.t
+(** @raise Adgc_serial.Wire.Malformed on any corrupted input. *)

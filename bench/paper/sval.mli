@@ -1,8 +1,8 @@
 (** Neutral serializable document model.
 
-    Heap snapshots, summarized graphs and benchmark payloads are
-    lowered to this self-contained tree before being encoded by one of
-    the codecs ({!Rotor_codec}, {!Net_codec}).  Keeping the model
+    Heap images ({!Graph_image}) and benchmark payloads are lowered to
+    this self-contained tree before being encoded by one of the codecs
+    ({!Rotor_codec}, {!Doc_codec}).  Keeping the model
     independent of the runtime lets the codecs be benchmarked and
     property-tested in isolation, and mirrors the paper's setup where
     the same object graph is fed to two very different serializers. *)

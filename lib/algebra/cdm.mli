@@ -12,7 +12,7 @@ type t = {
   id : Detection_id.t;
   algebra : Algebra.t;
   frontier : Ref_key.t;  (** the stub this CDM was forwarded along *)
-  hops : int;  (** processes visited so far, for statistics and TTL *)
+  hops : int;  (** processes visited so far, for statistics *)
   budget : int;
       (** remaining work allowance for this branch of the detection:
           each forward costs one and a fan-out splits what is left

@@ -326,12 +326,9 @@ let handle_cdm t (cdm : Cdm.t) =
                            external holder of the "cycle" (paper Fig. 1)
                            is exactly such a dependency. *)
                         conclude t ~id ~algebra:alg ~arrival ~hops:cdm.Cdm.hops
-                    | Algebra.Counts _ -> (
-                        match t.policy.Policy.ttl with
-                        | Some ttl when cdm.Cdm.hops >= ttl -> abort t id "ttl"
-                        | Some _ | None ->
-                            proceed_from t summary ~id ~delivered:alg ~scion ~hops:cdm.Cdm.hops
-                              ~budget:cdm.Cdm.budget))
+                    | Algebra.Counts _ ->
+                        proceed_from t summary ~id ~delivered:alg ~scion ~hops:cdm.Cdm.hops
+                          ~budget:cdm.Cdm.budget)
               end))
 
 let handle_cdm_delete t (_id : Detection_id.t) (scions : Ref_key.t list) =

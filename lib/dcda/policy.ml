@@ -13,7 +13,6 @@ type t = {
   snapshot_period : int;
   max_per_scan : int;
   cooldown : int;
-  ttl : int option;
   deletion_mode : deletion_mode;
   early_ic_check : bool;
   scan_order : scan_order;
@@ -29,7 +28,6 @@ let default =
     snapshot_period = 2_500;
     max_per_scan = 4;
     cooldown = 10_000;
-    ttl = None;
     deletion_mode = All_local;
     early_ic_check = false;
     scan_order = Rotating;
@@ -45,7 +43,6 @@ let aggressive =
     snapshot_period = 400;
     max_per_scan = 16;
     cooldown = 2_000;
-    ttl = None;
     deletion_mode = All_local;
     early_ic_check = false;
     scan_order = Rotating;

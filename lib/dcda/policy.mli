@@ -4,8 +4,9 @@
     the literature"; this policy implements the natural one its §2.1
     sketches — a scion whose target is not locally reachable and has
     not been invoked for a while is suspected of belonging to a
-    distributed garbage cycle — plus rate limiting, an optional hop
-    budget, and the scion-deletion mode ablated by experiment E11. *)
+    distributed garbage cycle — plus rate limiting, a per-detection
+    work budget, and the scion-deletion mode ablated by experiment
+    E11. *)
 
 type deletion_mode =
   | Arrival_only
@@ -35,7 +36,6 @@ type t = {
   snapshot_period : int;  (** how often each process re-summarizes *)
   max_per_scan : int;  (** candidate initiations per scan *)
   cooldown : int;  (** do not re-initiate from the same scion sooner *)
-  ttl : int option;  (** optional CDM hop budget *)
   deletion_mode : deletion_mode;
   early_ic_check : bool;
       (** the paper's §3.2 optimization: before forwarding a
@@ -63,7 +63,7 @@ type t = {
 
 val default : t
 (** idle 2000, scan 3000, snapshot 2500, 4 per scan, cooldown 10000,
-    no TTL, [All_local]. *)
+    [All_local]. *)
 
 val aggressive : t
 (** Short periods and thresholds — for tests that want detections to

@@ -27,15 +27,6 @@ let run rt (p : Process.t) =
   Heap.trace_dense heap ~from
     ~visit_local:(fun id -> ignore (Mark.mark reached id : bool))
     ~visit_remote:(Stub_table.mark_live p.Process.stubs);
-  (* Report the trace to the paged store, if any: a full collection
-     touches every live object (experiment E17), in ascending order. *)
-  (match p.Process.pstore with
-  | Some store ->
-      Heap.fold heap ~init:[] ~f:(fun acc obj ->
-          if is_reached heap obj then obj.Heap.oid :: acc else acc)
-      |> List.sort Oid.compare
-      |> List.iter (Pstore.touch store)
-  | None -> ());
   let stubs_dropped = List.length (Stub_table.sweep p.Process.stubs) in
   let doomed =
     Heap.fold heap ~init:[] ~f:(fun acc obj ->
@@ -51,7 +42,6 @@ let run rt (p : Process.t) =
   List.iter
     (fun oid ->
       Heap.remove heap oid;
-      (match p.Process.pstore with Some store -> Pstore.forget store oid | None -> ());
       Stats.incr rt.Runtime.stats "lgc.swept";
       (match rt.Runtime.on_reclaim with Some f -> f p.Process.id oid | None -> ());
       Runtime.log rt ~topic:"lgc" "%a swept %a" Proc_id.pp p.Process.id Oid.pp oid)

@@ -39,7 +39,6 @@ and t = {
   mutable on_cdm : (Cdm.t -> unit) option;
   mutable on_cdm_delete : (Detection_id.t -> Ref_key.t list -> unit) option;
   mutable on_ext : (src:Proc_id.t -> string -> unit) option;
-  mutable pstore : Pstore.t option;
 }
 
 let create ~id ~rng =
@@ -65,7 +64,6 @@ let create ~id ~rng =
     on_cdm = None;
     on_cdm_delete = None;
     on_ext = None;
-    pstore = None;
   }
 
 let next_msg_seq t =

@@ -78,9 +78,6 @@ and t = {
   mutable on_ext : (src:Proc_id.t -> string -> unit) option;
       (** receives {!Msg.Ext} bodies: the hook a component outside the
           system (a comparison collector) attaches through *)
-  mutable pstore : Pstore.t option;
-      (** optional paged persistent store; collector duties report
-          their object traversals to it (experiment E17) *)
 }
 
 val create : id:Proc_id.t -> rng:Adgc_util.Rng.t -> t

@@ -106,14 +106,7 @@ let handle_reply rt ~(at : Process.t) ~req_id ~target ~results =
     (Msg.make ~src:at.Process.id ~dst:at.Process.id ~sent_at:(Runtime.now rt)
        (Msg.Rmi_reply { req_id; target; results }));
   let pending = release_pins at req_id in
-  if rt.Runtime.config.dgc_enabled then begin
-    (* count_replies: the reply is an invocation through the same
-       reference in the other direction — bump the stub side here; the
-       owner learns the new value from the next request or stub set. *)
-    if rt.Runtime.config.count_replies && Stub_table.mem at.Process.stubs target then
-      ignore (Stub_table.bump_ic at.Process.stubs target : int);
-    List.iter (fun r -> Reflist.import_ref rt ~at r) results
-  end;
+  if rt.Runtime.config.dgc_enabled then List.iter (fun r -> Reflist.import_ref rt ~at r) results;
   match pending with
   | Some { Process.on_reply = Some k; _ } -> k results
   | Some { Process.on_reply = None; _ } | None -> ()

@@ -2,7 +2,6 @@ open Adgc_algebra
 
 type config = {
   dgc_enabled : bool;
-  count_replies : bool;
   export_retry_delay : int;
   rmi_pin_timeout : int;
   rmi_marshal : bool;
@@ -17,7 +16,6 @@ type config = {
 let default_config () =
   {
     dgc_enabled = true;
-    count_replies = false;
     export_retry_delay = 100;
     rmi_pin_timeout = 5_000;
     rmi_marshal = false;

@@ -22,9 +22,6 @@ type config = {
           baseline of the paper's Table 1.  Marshalling and message
           traffic are unaffected, so the comparison isolates the DGC
           overhead. *)
-  count_replies : bool;
-      (** bump the invocation counters on RMI replies too (the paper
-          allows either; default off) *)
   export_retry_delay : int;
       (** delay between retransmissions of an unacknowledged
           [Export_notice] *)

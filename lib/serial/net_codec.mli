@@ -1,31 +1,17 @@
-(** The fast, compact ".NET production" serializer.
+(** The fast, compact ".NET production" serializer: the system wire.
 
-    A tag byte per node and zigzag varints for integers.  Two formats
-    share these primitives:
-
-    - {e Positional shapes} carry every DGC message, snapshot summary
-      and socket envelope.  A wire type describes its shape once, as a
-      {!shape}: a sequence of
-      [record]/[variant]/[int]/[bool]/[str]/[list]/[packed]/[raw]
-      events.  A record writes its tag and arity, a case of a sum type
-      its tag, case index and arity; no record or field name ever
-      crosses the wire, because the reader already knows which field
-      comes next.  The same shape runs into a byte writer
-      ({!encode_shape}) or a pure byte counter ({!size}), so the bytes
-      a message is charged for and the bytes it is sent as can never
-      drift apart.  Next to each shape the type keeps a direct reader
-      over {!Read}, which checks every tag, arity and case index and
-      the absence of trailing bytes.
-    - {e The document codec} {!encode}/{!decode} writes any {!Sval.t}
-      self-describingly: named records, each distinct record or field
-      name written once per document and referred to by index after
-      that — the standard tricks of an efficient binary remoting
-      formatter.  It round-trips every {!Sval.t} exactly; in the E2
-      benchmark it reproduces the roughly two-orders-of-magnitude
-      speedup the paper reports for production .NET serialization
-      over Rotor's.  No wire type goes through a tree. *)
-
-include Codec.S
+    A tag byte per node and zigzag varints for integers, in positional
+    shapes.  They carry every DGC message, snapshot summary and socket
+    envelope.  A wire type describes its shape once, as a {!shape}: a
+    sequence of [record]/[variant]/[int]/[bool]/[str]/[list]/[packed]/[raw]
+    events.  A record writes its tag and arity, a case of a sum type
+    its tag, case index and arity; no record or field name ever crosses
+    the wire, because the reader already knows which field comes next.
+    The same shape runs into a byte writer ({!encode_shape}) or a pure
+    byte counter ({!size}), so the bytes a message is charged for and
+    the bytes it is sent as can never drift apart.  Next to each shape
+    the type keeps a direct reader over {!Read}, which checks every
+    tag, arity and case index and the absence of trailing bytes. *)
 
 (** {1 Streaming writer} *)
 
@@ -54,7 +40,7 @@ val list : sink -> int -> unit
 val packed : sink -> int -> unit
 (** [packed s k]: a run of [k] integers with no per-item tag — one tag
     and the count, then [k] zigzag varints.  How a wire type sends a
-    table of small integers, several per entry ({!Sval.Packed}). *)
+    table of small integers, several per entry. *)
 
 val raw : sink -> int -> unit
 (** One untagged integer of a {!packed} run. *)

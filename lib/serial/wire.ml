@@ -34,13 +34,6 @@ module Writer = struct
       end else byte t (low lor 0x80)
     done
 
-  let int64 t v =
-    for i = 0 to 7 do
-      byte t (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
-    done
-
-  let float t v = int64 t (Int64.bits_of_float v)
-
   let raw t s = Buffer.add_string t s
 
   let string t s =
@@ -77,15 +70,6 @@ module Reader = struct
 
   let varint t = unzigzag (varint_from t 0 0)
 
-  let int64 t =
-    let v = ref 0L in
-    for i = 0 to 7 do
-      v := Int64.logor !v (Int64.shift_left (Int64.of_int (byte t)) (8 * i))
-    done;
-    !v
-
-  let float t = Int64.float_of_bits (int64 t)
-
   let raw t n =
     if n < 0 || t.pos + n > String.length t.data then
       malformed t.pos "raw read past end of input";
@@ -96,9 +80,4 @@ module Reader = struct
   let string t =
     let n = varint t in
     raw t n
-
-  let expect t s =
-    let start = t.pos in
-    let got = try raw t (String.length s) with Malformed _ -> malformed start ("expected " ^ s) in
-    if not (String.equal got s) then malformed start ("expected " ^ s)
 end

@@ -1,5 +1,5 @@
-(** Low-level byte-oriented reader/writer primitives shared by the
-    codecs.
+(** Low-level byte-oriented reader/writer primitives under the wire's
+    shapes ({!Net_codec}).
 
     The writer wraps [Buffer]; the reader walks a [string] with an
     explicit cursor and raises {!Malformed} on any decoding error,
@@ -28,16 +28,8 @@ module Writer : sig
   val varint : t -> int -> unit
   (** LEB128, zigzag-encoded so negative ints stay small. *)
 
-  val int64 : t -> int64 -> unit
-  (** Fixed 8 bytes, little-endian. *)
-
-  val float : t -> float -> unit
-
   val string : t -> string -> unit
   (** Varint length prefix followed by the raw bytes. *)
-
-  val raw : t -> string -> unit
-  (** Bytes with no length prefix. *)
 end
 
 module Reader : sig
@@ -56,14 +48,5 @@ module Reader : sig
 
   val varint : t -> int
 
-  val int64 : t -> int64
-
-  val float : t -> float
-
   val string : t -> string
-
-  val raw : t -> int -> string
-
-  val expect : t -> string -> unit
-  (** [expect r s] consumes [s] or raises {!Malformed}. *)
 end

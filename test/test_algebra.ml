@@ -317,7 +317,7 @@ let test_compact_dedupes_shared_entries () =
      enough entries that per-message overheads do not dominate. *)
   let entries = List.init 16 (fun i -> (rkey (i mod 5) (oid ((i + 1) mod 5) i), 0)) in
   let alg = alg_of entries entries in
-  let plain = String.length (Net_codec.encode (Wire_reference.algebra_sval alg)) in
+  let plain = String.length (Adgc_paper.Doc_codec.encode (Wire_reference.algebra_sval alg)) in
   let compact = Net_codec.size Algebra.emit_compact alg in
   check Alcotest.bool "compact smaller" true (compact * 3 < plain * 2);
   (* Round-trips exactly. *)
@@ -335,7 +335,7 @@ let test_compact_keeps_ic_conflicts_apart () =
   | Algebra.Match _ -> Alcotest.fail "conflict lost in the encoding"
 
 let test_compact_rejects_junk () =
-  match Net_codec.Read.run Algebra.read_compact (Net_codec.encode (Adgc_serial.Sval.Int 3)) with
+  match Net_codec.Read.run Algebra.read_compact (Net_codec.encode_shape Net_codec.int 3) with
   | _ -> Alcotest.fail "junk accepted"
   | exception Adgc_serial.Wire.Malformed _ -> ()
 

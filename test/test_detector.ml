@@ -290,19 +290,6 @@ let test_no_summary_discards_cdm () =
   check Alcotest.int "no conclusion" 0 (List.length (all_reports h))
 
 (* ------------------------------------------------------------------ *)
-(* TTL *)
-
-let test_ttl_stops_detection () =
-  let policy = { Policy.aggressive with Policy.ttl = Some 2 } in
-  let h = mk ~n:4 ~policy () in
-  let built = Topology.ring h.cluster ~procs:[ 0; 1; 2; 3 ] in
-  snapshot_all h;
-  ignore (Detector.initiate h.detectors.(0) (Topology.scion_key built ~src:3 "n0_0") : bool);
-  settle h;
-  check Alcotest.int "no conclusion" 0 (List.length (all_reports h));
-  check Alcotest.bool "ttl abort" true (stat h "dcda.abort.ttl" >= 1)
-
-(* ------------------------------------------------------------------ *)
 (* Deletion modes *)
 
 let reclaim_fig4_with mode =
@@ -957,7 +944,6 @@ let suite =
         test_fig5_after_snapshot_refresh_detects;
       Alcotest.test_case "rule 1: missing scion" `Quick test_missing_scion_discards_cdm;
       Alcotest.test_case "no summary: CDM discarded" `Quick test_no_summary_discards_cdm;
-      Alcotest.test_case "ttl stops runaway detection" `Quick test_ttl_stops_detection;
       Alcotest.test_case "deletion: all_local" `Quick test_deletion_all_local;
       Alcotest.test_case "deletion: arrival_only" `Quick test_deletion_arrival_only;
       Alcotest.test_case "deletion: broadcast" `Quick test_deletion_broadcast;

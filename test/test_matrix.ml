@@ -15,12 +15,11 @@ module Cluster = Adgc_rt.Cluster
 module Network = Adgc_rt.Network
 module Stats = Adgc_util.Stats
 module Policy = Adgc_dcda.Policy
+module Sval = Adgc_paper.Sval
+module Doc_codec = Adgc_paper.Doc_codec
+module Rotor_codec = Adgc_paper.Rotor_codec
 
 let check = Alcotest.check
-
-let rotor = (module Adgc_serial.Rotor_codec : Adgc_serial.Codec.S)
-
-let net = (module Adgc_serial.Net_codec : Adgc_serial.Codec.S)
 
 let fig3_lifecycle ~account_bytes ~dgc_window ~deletion_mode () =
   let policy = { Policy.aggressive with Policy.deletion_mode } in
@@ -81,35 +80,35 @@ let matrix_cases =
 (* ------------------------------------------------------------------ *)
 (* Decoder fuzzing *)
 
-let never_crashes codec name =
+let never_crashes decode name =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count:500
        QCheck2.Gen.(string_size ~gen:char (int_bound 200))
        (fun input ->
-         match Adgc_serial.Codec.decode codec input with
+         match decode input with
          | _ -> true (* decoding random junk successfully is fine too *)
          | exception Adgc_serial.Wire.Malformed _ -> true))
 
 (* Mutated valid documents: corrupt one byte of a real encoding. *)
-let corrupted_roundtrip codec name =
+let corrupted_roundtrip encode decode name =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count:300
        QCheck2.Gen.(pair (int_bound 10_000) (int_bound 255))
        (fun (pos_seed, byte) ->
          let doc =
-           Adgc_serial.Sval.Record
+           Sval.Record
              ( "probe",
                [
-                 ("a", Adgc_serial.Sval.Int 42);
-                 ("b", Adgc_serial.Sval.Str "payload with <specials> & more");
-                 ("c", Adgc_serial.Sval.List [ Adgc_serial.Sval.Bool true ]);
+                 ("a", Sval.Int 42);
+                 ("b", Sval.Str "payload with <specials> & more");
+                 ("c", Sval.List [ Sval.Bool true ]);
                ] )
          in
-         let encoded = Adgc_serial.Codec.encode codec doc in
+         let encoded = encode doc in
          let pos = pos_seed mod String.length encoded in
          let corrupted = Bytes.of_string encoded in
          Bytes.set corrupted pos (Char.chr byte);
-         match Adgc_serial.Codec.decode codec (Bytes.to_string corrupted) with
+         match decode (Bytes.to_string corrupted) with
          | _ -> true (* same byte or a still-valid document *)
          | exception Adgc_serial.Wire.Malformed _ -> true))
 
@@ -117,8 +116,8 @@ let suite =
   ( "matrix",
     matrix_cases
     @ [
-        never_crashes net "net decoder never crashes on junk";
-        never_crashes rotor "rotor decoder never crashes on junk";
-        corrupted_roundtrip net "net decoder survives corruption";
-        corrupted_roundtrip rotor "rotor decoder survives corruption";
+        never_crashes Doc_codec.decode "doc decoder never crashes on junk";
+        never_crashes Rotor_codec.decode "rotor decoder never crashes on junk";
+        corrupted_roundtrip Doc_codec.encode Doc_codec.decode "doc decoder survives corruption";
+        corrupted_roundtrip Rotor_codec.encode Rotor_codec.decode "rotor decoder survives corruption";
       ] )

@@ -143,7 +143,7 @@ let test_charged_bytes_are_sent_bytes () =
       match Adgc_serial.Net_codec.Read.run Envelope.read payload with
       | Envelope.Net_msg m' ->
           check Alcotest.bool (what ^ ": reads back") true
-            (Adgc_serial.Sval.equal (Wire_reference.msg_sval m) (Wire_reference.msg_sval m'))
+            (Adgc_paper.Sval.equal (Wire_reference.msg_sval m) (Wire_reference.msg_sval m'))
       | _ -> Alcotest.fail "not a net_msg")
     sent;
   Transport.close conn;

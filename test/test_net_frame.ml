@@ -4,7 +4,7 @@
    Wire.Malformed (or a poisoned decoder), never as a crash; and
    frames must reassemble identically however read() splits them. *)
 
-module Sval = Adgc_serial.Sval
+module Sval = Adgc_paper.Sval
 module Ref = Wire_reference
 module Wire = Adgc_serial.Wire
 module Net_codec = Adgc_serial.Net_codec

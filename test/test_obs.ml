@@ -105,7 +105,7 @@ let test_lineage_chain () =
   Lineage.record t id (Lineage.Concluded { at = p 1; time = 4; proven = true; hops = 1; refs = 2 });
   (* A different detection does not leak in. *)
   Lineage.record t (det ~initiator:3 ~seq:9)
-    (Lineage.Guard { at = p 3; time = 2; reason = "ttl" });
+    (Lineage.Guard { at = p 3; time = 2; reason = "budget" });
   let hops = Lineage.hops t id in
   check Alcotest.int "4 hops" 4 (List.length hops);
   check Alcotest.bool "chronological" true

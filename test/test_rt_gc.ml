@@ -254,8 +254,8 @@ let test_owner_side_export () =
 (* ------------------------------------------------------------------ *)
 (* RMI *)
 
-let rmi_pair ?(drop = 0.0) ?config () =
-  let cluster = mk ~n:2 ~drop ?config () in
+let rmi_pair ?(drop = 0.0) () =
+  let cluster = mk ~n:2 ~drop () in
   let caller = Mutator.alloc cluster ~proc:0 () in
   let callee = Mutator.alloc cluster ~proc:1 () in
   Mutator.add_root cluster caller;
@@ -353,24 +353,6 @@ let test_rmi_pin_timeout_releases () =
   check Alcotest.int "timeout counted" 1
     (Adgc_util.Stats.get (Cluster.stats cluster) "rmi.pin_timeouts")
 
-let test_rmi_count_replies_mode () =
-  let config = { (Runtime.default_config ()) with Runtime.count_replies = true } in
-  let cluster, _, callee = rmi_pair ~config () in
-  Mutator.invoke cluster ~src:0 ~target:callee.Heap.oid;
-  settle cluster;
-  let p0 = Cluster.proc cluster 0 and p1 = Cluster.proc cluster 1 in
-  check (Alcotest.option Alcotest.int) "stub ic counts reply" (Some 2)
-    (Stub_table.ic p0.Process.stubs callee.Heap.oid);
-  let key = Ref_key.make ~src:(Proc_id.of_int 0) ~target:callee.Heap.oid in
-  (* The scion only adopts heard values: the reply bump reaches it with
-     the next request or stub set. *)
-  check (Alcotest.option Alcotest.int) "scion lags until next sync" (Some 1)
-    (Scion_table.ic p1.Process.scions key);
-  Reflist.send_new_sets (Cluster.rt cluster) p0;
-  settle cluster;
-  check (Alcotest.option Alcotest.int) "scion synced by the stub set" (Some 2)
-    (Scion_table.ic p1.Process.scions key)
-
 let test_rmi_nested_calls () =
   (* P0 calls x@P1 whose behaviour calls y@P2. *)
   let cluster = mk ~n:3 () in
@@ -415,6 +397,8 @@ let test_call_sync () =
 (* ------------------------------------------------------------------ *)
 (* Paged persistent store *)
 
+module Pstore = Adgc_paper.Pstore
+
 let owner0 = Proc_id.of_int 0
 
 let test_pstore_basics () =
@@ -449,8 +433,8 @@ let test_pstore_lgc_thrashing () =
      memory" cost. *)
   let cluster = mk ~n:1 () in
   let p = Cluster.proc cluster 0 in
+  let rt = Cluster.rt cluster in
   let store = Pstore.create ~capacity:8 () in
-  p.Process.pstore <- Some store;
   let root = Mutator.alloc cluster ~proc:0 () in
   Mutator.add_root cluster root;
   let prev = ref root in
@@ -459,19 +443,18 @@ let test_pstore_lgc_thrashing () =
     Mutator.link cluster ~from_:!prev ~to_:o;
     prev := o
   done;
-  ignore (Lgc.run (Cluster.rt cluster) p : Lgc.report);
+  ignore (Pstore.collect store rt p : Lgc.report);
   let first = Pstore.loads store in
   check Alcotest.int "21 loads on first trace" 21 first;
-  ignore (Lgc.run (Cluster.rt cluster) p : Lgc.report);
+  ignore (Pstore.collect store rt p : Lgc.report);
   (* Working set (21) exceeds capacity (8): the second trace reloads
      too — thrashing. *)
   check Alcotest.bool "thrashes" true (Pstore.loads store >= 2 * first - 8);
   (* With a big-enough store, the second trace is all hits. *)
   let big = Pstore.create ~capacity:64 () in
-  p.Process.pstore <- Some big;
-  ignore (Lgc.run (Cluster.rt cluster) p : Lgc.report);
+  ignore (Pstore.collect big rt p : Lgc.report);
   let after_warm = Pstore.loads big in
-  ignore (Lgc.run (Cluster.rt cluster) p : Lgc.report);
+  ignore (Pstore.collect big rt p : Lgc.report);
   check Alcotest.int "no further loads" after_warm (Pstore.loads big)
 
 (* ------------------------------------------------------------------ *)
@@ -852,7 +835,6 @@ let suite =
       Alcotest.test_case "rmi: requires stub" `Quick test_rmi_requires_stub;
       Alcotest.test_case "rmi: rejects local target" `Quick test_rmi_rejects_local_target;
       Alcotest.test_case "rmi: pin timeout releases" `Quick test_rmi_pin_timeout_releases;
-      Alcotest.test_case "rmi: count_replies mode" `Quick test_rmi_count_replies_mode;
       Alcotest.test_case "rmi: nested calls" `Quick test_rmi_nested_calls;
       Alcotest.test_case "rmi: call_sync" `Quick test_call_sync;
       Alcotest.test_case "pstore: LRU basics" `Quick test_pstore_basics;

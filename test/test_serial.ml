@@ -1,13 +1,15 @@
-(* Tests for the wire primitives and both codecs, including the
-   qcheck roundtrip property each codec must satisfy. *)
+(* Tests for the wire primitives, the wire's shapes, and E2's two
+   document codecs, including the qcheck roundtrip property each
+   document codec must satisfy. *)
 
-module Sval = Adgc_serial.Sval
+module Sval = Adgc_paper.Sval
 module Wire = Adgc_serial.Wire
-module Codec = Adgc_serial.Codec
+module Rotor_codec = Adgc_paper.Rotor_codec
+module Doc_codec = Adgc_paper.Doc_codec
 
-let rotor = (module Adgc_serial.Rotor_codec : Codec.S)
+let rotor_roundtrip v = Rotor_codec.decode (Rotor_codec.encode v)
 
-let net = (module Adgc_serial.Net_codec : Codec.S)
+let doc_roundtrip v = Doc_codec.decode (Doc_codec.encode v)
 
 let check = Alcotest.check
 
@@ -32,24 +34,24 @@ let test_wire_varint_small_is_one_byte () =
   Wire.Writer.varint w2 (-3);
   check Alcotest.int "negative small also 1 byte" 1 (Wire.Writer.length w2)
 
-let test_wire_int64_roundtrip () =
+let test_doc_int64_roundtrip () =
   let cases = [ 0L; 1L; -1L; Int64.max_int; Int64.min_int; 0xDEADBEEFL ] in
   let w = Wire.Writer.create () in
-  List.iter (Wire.Writer.int64 w) cases;
+  List.iter (Doc_codec.write_int64 w) cases;
   let r = Wire.Reader.of_string (Wire.Writer.contents w) in
-  List.iter (fun v -> check Alcotest.int64 (Int64.to_string v) v (Wire.Reader.int64 r)) cases
+  List.iter (fun v -> check Alcotest.int64 (Int64.to_string v) v (Doc_codec.read_int64 r)) cases
 
-let test_wire_float_roundtrip () =
+let test_doc_float_roundtrip () =
   let cases = [ 0.0; -0.0; 1.5; -3.25; Float.max_float; Float.min_float; infinity; neg_infinity ] in
   let w = Wire.Writer.create () in
-  List.iter (Wire.Writer.float w) cases;
+  List.iter (Doc_codec.write_float w) cases;
   let r = Wire.Reader.of_string (Wire.Writer.contents w) in
-  List.iter (fun v -> check (Alcotest.float 0.0) (string_of_float v) v (Wire.Reader.float r)) cases;
+  List.iter (fun v -> check (Alcotest.float 0.0) (string_of_float v) v (Doc_codec.read_float r)) cases;
   (* nan compares unequal; check bits instead *)
   let w2 = Wire.Writer.create () in
-  Wire.Writer.float w2 Float.nan;
+  Doc_codec.write_float w2 Float.nan;
   let r2 = Wire.Reader.of_string (Wire.Writer.contents w2) in
-  check Alcotest.bool "nan" true (Float.is_nan (Wire.Reader.float r2))
+  check Alcotest.bool "nan" true (Float.is_nan (Doc_codec.read_float r2))
 
 let test_wire_string_roundtrip () =
   let cases = [ ""; "a"; "hello world"; String.make 1000 '\x00'; "\xff\xfe" ] in
@@ -67,14 +69,6 @@ let test_wire_truncated_fails () =
   match Wire.Reader.string r with
   | _ -> Alcotest.fail "expected Malformed"
   | exception Wire.Malformed _ -> ()
-
-let test_wire_expect () =
-  let r = Wire.Reader.of_string "abcdef" in
-  Wire.Reader.expect r "abc";
-  check Alcotest.int "pos" 3 (Wire.Reader.pos r);
-  (match Wire.Reader.expect r "XYZ" with
-  | () -> Alcotest.fail "expected Malformed"
-  | exception Wire.Malformed _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Codecs: hand-picked documents *)
@@ -107,60 +101,60 @@ let samples =
         ] );
   ]
 
-let roundtrip_samples codec name () =
+let roundtrip_samples roundtrip name () =
   List.iter
-    (fun v -> check sval name v (Codec.roundtrip codec v))
+    (fun v -> check sval name v (roundtrip v))
     samples
 
 let test_nan_roundtrip () =
   List.iter
-    (fun codec ->
-      match Codec.roundtrip codec (Sval.Float Float.nan) with
+    (fun roundtrip ->
+      match roundtrip (Sval.Float Float.nan) with
       | Sval.Float f -> check Alcotest.bool "nan" true (Float.is_nan f)
       | _ -> Alcotest.fail "expected float")
-    [ rotor; net ]
+    [ rotor_roundtrip; doc_roundtrip ]
 
 let test_rotor_is_much_larger () =
   let doc = Sval.List (List.init 100 (fun i -> Sval.Record ("o", [ ("v", Sval.Int i) ]))) in
-  let r = String.length (Codec.encode rotor doc) in
-  let n = String.length (Codec.encode net doc) in
-  if r < 10 * n then Alcotest.failf "rotor %d bytes vs net %d bytes: expected >= 10x" r n
+  let r = String.length (Rotor_codec.encode doc) in
+  let n = String.length (Doc_codec.encode doc) in
+  if r < 10 * n then Alcotest.failf "rotor %d bytes vs doc %d bytes: expected >= 10x" r n
 
 let test_rotor_checksum_detects_corruption () =
   let doc = Sval.Record ("r", [ ("a", Sval.Int 7) ]) in
-  let enc = Codec.encode rotor doc in
+  let enc = Rotor_codec.encode doc in
   (* Flip a payload character (the digit 7). *)
   let i = String.index enc '7' in
   let corrupted = Bytes.of_string enc in
   Bytes.set corrupted i '8';
-  match Codec.decode rotor (Bytes.to_string corrupted) with
+  match Rotor_codec.decode (Bytes.to_string corrupted) with
   | _ -> Alcotest.fail "expected Malformed"
   | exception Wire.Malformed { what; _ } ->
       check Alcotest.string "checksum error" "checksum mismatch" what
 
-let test_net_rejects_garbage () =
+let test_doc_rejects_garbage () =
   List.iter
     (fun s ->
-      match Codec.decode net s with
+      match Doc_codec.decode s with
       | _ -> Alcotest.failf "accepted %S" s
       | exception Wire.Malformed _ -> ())
     [ ""; "\xff"; "\x06\x03\x00"; "\x05\x20abc" ]
 
-let test_net_rejects_trailing () =
-  let enc = Codec.encode net (Sval.Int 1) ^ "\x00" in
-  match Codec.decode net enc with
+let test_doc_rejects_trailing () =
+  let enc = Doc_codec.encode (Sval.Int 1) ^ "\x00" in
+  match Doc_codec.decode enc with
   | _ -> Alcotest.fail "expected Malformed"
   | exception Wire.Malformed { what; _ } -> check Alcotest.string "trailing" "trailing bytes" what
 
 let test_rotor_rejects_missing_checksum () =
-  match Codec.decode rotor "<soap:Envelope>..." with
+  match Rotor_codec.decode "<soap:Envelope>..." with
   | _ -> Alcotest.fail "expected Malformed"
   | exception Wire.Malformed _ -> ()
 
-let test_net_interning_shares_names () =
+let test_doc_interning_shares_names () =
   (* 100 records of the same type: the name should be written once. *)
   let doc = Sval.List (List.init 100 (fun i -> Sval.Record ("very_long_record_type_name", [ ("field_name_also_long", Sval.Int i) ]))) in
-  let bytes = String.length (Codec.encode net doc) in
+  let bytes = String.length (Doc_codec.encode doc) in
   (* Non-interned lower bound would be 100 * (26+20) name bytes alone. *)
   check Alcotest.bool "interned" true (bytes < 1000)
 
@@ -197,10 +191,9 @@ let gen_sval =
               ])
         (Int.min n 6))
 
-let qcheck_roundtrip codec name =
+let qcheck_roundtrip roundtrip name =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count:300 gen_sval (fun v ->
-         Sval.equal v (Codec.roundtrip codec v)))
+    (QCheck2.Test.make ~name ~count:300 gen_sval (fun v -> Sval.equal v (roundtrip v)))
 
 let test_size_nodes () =
   check Alcotest.int "leaf" 1 (Sval.size_nodes Sval.Unit);
@@ -388,11 +381,11 @@ let payload_equal a b = Sval.equal (Ref.payload_sval a) (Ref.payload_sval b)
 
 let msg_equal a b = Sval.equal (Ref.msg_sval a) (Ref.msg_sval b)
 
-let qcheck_payload_roundtrip codec name =
+let qcheck_payload_roundtrip encode decode name =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count:300 gen_payload (fun p ->
-         let bytes = Codec.encode codec (Ref.payload_sval p) in
-         match Ref.payload_of_tree (Ref.positional (Codec.decode codec bytes)) with
+         let bytes = encode (Ref.payload_sval p) in
+         match Ref.payload_of_tree (Ref.positional (decode bytes)) with
          | Some p' -> payload_equal p p'
          | None -> false))
 
@@ -409,31 +402,31 @@ let qcheck_envelope_roundtrip =
 
 (* Damaged bytes: decoding may fail (with Malformed) or still yield a
    structurally valid sval — but it may raise nothing else. *)
-let survives_damage codec bytes =
-  match Codec.decode codec bytes with
+let survives_damage decode bytes =
+  match decode bytes with
   | (_ : Sval.t) -> ()
   | exception Wire.Malformed _ -> ()
 
-let qcheck_truncation codec name =
+let qcheck_truncation encode decode name =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count:100
        QCheck2.Gen.(pair gen_payload (int_bound 1000))
        (fun (p, cut) ->
-         let bytes = Codec.encode codec (Ref.payload_sval p) in
+         let bytes = encode (Ref.payload_sval p) in
          let cut = cut mod max 1 (String.length bytes) in
-         survives_damage codec (String.sub bytes 0 cut);
+         survives_damage decode (String.sub bytes 0 cut);
          true))
 
-let qcheck_corruption codec name =
+let qcheck_corruption encode decode name =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count:100
        QCheck2.Gen.(triple gen_payload (int_bound 10_000) (int_range 1 255))
        (fun (p, pos, delta) ->
-         let bytes = Codec.encode codec (Ref.payload_sval p) in
+         let bytes = encode (Ref.payload_sval p) in
          let pos = pos mod String.length bytes in
          let corrupted = Bytes.of_string bytes in
          Bytes.set corrupted pos (Char.chr ((Char.code bytes.[pos] + delta) land 0xff));
-         survives_damage codec (Bytes.to_string corrupted);
+         survives_damage decode (Bytes.to_string corrupted);
          true))
 
 (* Strictness, on the real path: each payload tree is wrapped in a
@@ -1170,36 +1163,41 @@ let suite =
     [
       Alcotest.test_case "wire: varint roundtrip" `Quick test_wire_varint_roundtrip;
       Alcotest.test_case "wire: small varints are 1 byte" `Quick test_wire_varint_small_is_one_byte;
-      Alcotest.test_case "wire: int64 roundtrip" `Quick test_wire_int64_roundtrip;
-      Alcotest.test_case "wire: float roundtrip" `Quick test_wire_float_roundtrip;
+      Alcotest.test_case "doc: int64 roundtrip" `Quick test_doc_int64_roundtrip;
+      Alcotest.test_case "doc: float roundtrip" `Quick test_doc_float_roundtrip;
       Alcotest.test_case "wire: string roundtrip" `Quick test_wire_string_roundtrip;
       Alcotest.test_case "wire: truncated input fails" `Quick test_wire_truncated_fails;
-      Alcotest.test_case "wire: expect" `Quick test_wire_expect;
-      Alcotest.test_case "rotor: sample roundtrips" `Quick (roundtrip_samples rotor "rotor");
-      Alcotest.test_case "net: sample roundtrips" `Quick (roundtrip_samples net "net");
+      Alcotest.test_case "rotor: sample roundtrips" `Quick (roundtrip_samples rotor_roundtrip "rotor");
+      Alcotest.test_case "doc: sample roundtrips" `Quick (roundtrip_samples doc_roundtrip "doc");
       Alcotest.test_case "codecs: nan" `Quick test_nan_roundtrip;
-      Alcotest.test_case "rotor is >= 10x larger than net" `Quick test_rotor_is_much_larger;
+      Alcotest.test_case "rotor is >= 10x larger than doc" `Quick test_rotor_is_much_larger;
       Alcotest.test_case "rotor: checksum detects corruption" `Quick test_rotor_checksum_detects_corruption;
-      Alcotest.test_case "net: rejects garbage" `Quick test_net_rejects_garbage;
-      Alcotest.test_case "net: rejects trailing bytes" `Quick test_net_rejects_trailing;
+      Alcotest.test_case "doc: rejects garbage" `Quick test_doc_rejects_garbage;
+      Alcotest.test_case "doc: rejects trailing bytes" `Quick test_doc_rejects_trailing;
       Alcotest.test_case "rotor: rejects missing checksum" `Quick test_rotor_rejects_missing_checksum;
-      Alcotest.test_case "net: name interning" `Quick test_net_interning_shares_names;
+      Alcotest.test_case "doc: name interning" `Quick test_doc_interning_shares_names;
       Alcotest.test_case "sval: size_nodes" `Quick test_size_nodes;
-      qcheck_roundtrip rotor "qcheck rotor roundtrip";
-      qcheck_roundtrip net "qcheck net roundtrip";
+      qcheck_roundtrip rotor_roundtrip "qcheck rotor roundtrip";
+      qcheck_roundtrip doc_roundtrip "qcheck doc roundtrip";
       Alcotest.test_case "msg: decoder rejects malformed payloads" `Quick
         test_payload_decoder_rejects;
       Alcotest.test_case "msg: decoder rejects a batch carrying references" `Quick
         test_batch_with_references_rejected;
       Alcotest.test_case "payload generator makes conflicting CDMs and stub sets" `Quick
         test_payload_generator_coverage;
-      qcheck_payload_roundtrip net "qcheck msg payload roundtrip (net)";
-      qcheck_payload_roundtrip rotor "qcheck msg payload roundtrip (rotor)";
+      qcheck_payload_roundtrip Doc_codec.encode Doc_codec.decode
+        "qcheck msg payload roundtrip (doc)";
+      qcheck_payload_roundtrip Rotor_codec.encode Rotor_codec.decode
+        "qcheck msg payload roundtrip (rotor)";
       qcheck_envelope_roundtrip;
-      qcheck_truncation net "qcheck truncated payload only Malformed (net)";
-      qcheck_truncation rotor "qcheck truncated payload only Malformed (rotor)";
-      qcheck_corruption net "qcheck corrupted payload only Malformed (net)";
-      qcheck_corruption rotor "qcheck corrupted payload only Malformed (rotor)";
+      qcheck_truncation Doc_codec.encode Doc_codec.decode
+        "qcheck truncated payload only Malformed (doc)";
+      qcheck_truncation Rotor_codec.encode Rotor_codec.decode
+        "qcheck truncated payload only Malformed (rotor)";
+      qcheck_corruption Doc_codec.encode Doc_codec.decode
+        "qcheck corrupted payload only Malformed (doc)";
+      qcheck_corruption Rotor_codec.encode Rotor_codec.decode
+        "qcheck corrupted payload only Malformed (rotor)";
       qcheck_msg_wire_identity;
       qcheck_cdm_wire_identity;
       qcheck_comparator_wire_identity;

@@ -6,7 +6,8 @@ open Adgc_algebra
 open Adgc_rt
 module Summary = Adgc_snapshot.Summary
 module Summarize = Adgc_snapshot.Summarize
-module Graph_image = Adgc_snapshot.Graph_image
+module Graph_image = Adgc_paper.Graph_image
+module Doc_codec = Adgc_paper.Doc_codec
 module Snapshot_store = Adgc_snapshot.Snapshot_store
 
 let check = Alcotest.check
@@ -378,7 +379,7 @@ let test_summary_bytes_roundtrip () =
 let test_summary_index_rejects_junk () =
   List.iter
     (fun junk -> check Alcotest.bool "junk" true (Summary.of_bytes junk = None))
-    [ ""; "\x03\x02"; Adgc_serial.Net_codec.encode (Adgc_serial.Sval.Int 1) ]
+    [ ""; "\x03\x02" ]
 
 (* Summarizer byte identity: over churned random heaps at fixed seeds,
    [Summarize.encode]'s bytes are the reference encoder's bytes of the
@@ -524,8 +525,8 @@ let test_graph_image_counts () =
 let test_graph_image_stub_surcharge () =
   let cluster, _, _, _ = build_p2_like () in
   let p = Cluster.proc cluster 1 in
-  let plain = Adgc_serial.Net_codec.encode (Graph_image.of_process p) in
-  let with_stubs = Adgc_serial.Net_codec.encode (Graph_image.of_process ~include_stubs:true p) in
+  let plain = Doc_codec.encode (Graph_image.of_process p) in
+  let with_stubs = Doc_codec.encode (Graph_image.of_process ~include_stubs:true p) in
   check Alcotest.bool "stubs add bytes" true
     (String.length with_stubs > String.length plain)
 
@@ -536,7 +537,7 @@ let test_graph_image_bytes_pinned () =
   let p = Cluster.proc cluster 1 in
   List.iter
     (fun (include_stubs, len, md5) ->
-      let b = Adgc_serial.Net_codec.encode (Graph_image.of_process ~include_stubs p) in
+      let b = Doc_codec.encode (Graph_image.of_process ~include_stubs p) in
       let what = Printf.sprintf "stubs=%b" include_stubs in
       check Alcotest.int (what ^ ": length") len (String.length b);
       check Alcotest.string (what ^ ": digest") md5 (Digest.to_hex (Digest.string b)))

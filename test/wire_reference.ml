@@ -15,7 +15,7 @@
    is the single rule [Oid.read] enforces. *)
 
 open Adgc_algebra
-module Sval = Adgc_serial.Sval
+module Sval = Adgc_paper.Sval
 module Wire = Adgc_serial.Wire
 module Msg = Adgc_rt.Msg
 module Envelope = Adgc_net.Envelope
