@@ -290,6 +290,25 @@ let test_no_summary_discards_cdm () =
   check Alcotest.int "no conclusion" 0 (List.length (all_reports h))
 
 (* ------------------------------------------------------------------ *)
+(* Work budget *)
+
+let test_budget_stops_runaway_detection () =
+  (* The garbage ring needs four CDMs to close; a budget of two funds
+     the first two hops and the third holder stops at the guard. *)
+  let policy = { Policy.aggressive with Policy.cdm_budget = 2 } in
+  let h = mk ~n:4 ~policy () in
+  let built = Topology.ring h.cluster ~procs:[ 0; 1; 2; 3 ] in
+  let objects = Cluster.total_objects h.cluster in
+  snapshot_all h;
+  check Alcotest.bool "initiated" true
+    (Detector.initiate h.detectors.(0) (Topology.scion_key built ~src:3 "n0_0"));
+  settle h;
+  check Alcotest.int "no conclusion" 0 (List.length (all_reports h));
+  check Alcotest.int "two CDMs sent" 2 (stat h "dcda.cdm_sent");
+  check Alcotest.bool "budget branch counted" true (stat h "dcda.branch.budget" >= 1);
+  check Alcotest.int "nothing deleted" objects (Cluster.total_objects h.cluster)
+
+(* ------------------------------------------------------------------ *)
 (* Deletion modes *)
 
 let reclaim_fig4_with mode =
@@ -944,6 +963,8 @@ let suite =
         test_fig5_after_snapshot_refresh_detects;
       Alcotest.test_case "rule 1: missing scion" `Quick test_missing_scion_discards_cdm;
       Alcotest.test_case "no summary: CDM discarded" `Quick test_no_summary_discards_cdm;
+      Alcotest.test_case "budget stops runaway detection" `Quick
+        test_budget_stops_runaway_detection;
       Alcotest.test_case "deletion: all_local" `Quick test_deletion_all_local;
       Alcotest.test_case "deletion: arrival_only" `Quick test_deletion_arrival_only;
       Alcotest.test_case "deletion: broadcast" `Quick test_deletion_broadcast;

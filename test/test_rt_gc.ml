@@ -353,6 +353,29 @@ let test_rmi_pin_timeout_releases () =
   check Alcotest.int "timeout counted" 1
     (Adgc_util.Stats.get (Cluster.stats cluster) "rmi.pin_timeouts")
 
+let test_rmi_replies_keep_counters_in_step () =
+  (* Only requests bump the stub counter; replies leave it alone, so
+     after each answered call the scion already holds the stub's value
+     and a stub set changes nothing. *)
+  let cluster, _, callee = rmi_pair () in
+  let replies = ref 0 in
+  for _ = 1 to 3 do
+    Mutator.call cluster ~src:0 ~target:callee.Heap.oid
+      ~on_reply:(fun _ -> incr replies)
+      ();
+    settle cluster
+  done;
+  check Alcotest.int "three replies" 3 !replies;
+  let p0 = Cluster.proc cluster 0 and p1 = Cluster.proc cluster 1 in
+  let key = Ref_key.make ~src:(Proc_id.of_int 0) ~target:callee.Heap.oid in
+  check (Alcotest.option Alcotest.int) "stub ic" (Some 3)
+    (Stub_table.ic p0.Process.stubs callee.Heap.oid);
+  check (Alcotest.option Alcotest.int) "scion ic" (Some 3) (Scion_table.ic p1.Process.scions key);
+  Reflist.send_new_sets (Cluster.rt cluster) p0;
+  settle cluster;
+  check (Alcotest.option Alcotest.int) "scion unchanged by the stub set" (Some 3)
+    (Scion_table.ic p1.Process.scions key)
+
 let test_rmi_nested_calls () =
   (* P0 calls x@P1 whose behaviour calls y@P2. *)
   let cluster = mk ~n:3 () in
@@ -426,6 +449,33 @@ let test_pstore_forget () =
   check Alcotest.bool "gone" false (Pstore.resident store o);
   Pstore.touch store o;
   check Alcotest.int "reload counted" 2 (Pstore.loads store)
+
+let test_pstore_collect_forgets_swept () =
+  (* Three live objects and one garbage object, all resident.  The
+     collection sweeps the garbage and forgets it; it then touches the
+     survivors in ascending oid order, so with room for two the lowest
+     survivor is the one evicted. *)
+  let cluster = mk ~n:1 () in
+  let p = Cluster.proc cluster 0 in
+  let root = Mutator.alloc cluster ~proc:0 () in
+  Mutator.add_root cluster root;
+  let a = Mutator.alloc cluster ~proc:0 () in
+  let b = Mutator.alloc cluster ~proc:0 () in
+  Mutator.link cluster ~from_:root ~to_:a;
+  Mutator.link cluster ~from_:a ~to_:b;
+  let garbage = Mutator.alloc cluster ~proc:0 () in
+  let store = Pstore.create ~capacity:4 () in
+  List.iter (fun (o : Heap.obj) -> Pstore.touch store o.Heap.oid) [ root; a; b; garbage ];
+  Pstore.reset_counters store;
+  ignore (Pstore.collect store (Cluster.rt cluster) p : Lgc.report);
+  check Alcotest.bool "garbage forgotten" false (Pstore.resident store garbage.Heap.oid);
+  check Alcotest.int "survivors resident" 3 (Pstore.resident_count store);
+  check Alcotest.int "all hits" 3 (Pstore.hits store);
+  let small = Pstore.create ~capacity:2 () in
+  ignore (Pstore.collect small (Cluster.rt cluster) p : Lgc.report);
+  let lowest = List.hd (List.sort Oid.compare [ root.Heap.oid; a.Heap.oid; b.Heap.oid ]) in
+  check Alcotest.int "three loads" 3 (Pstore.loads small);
+  check Alcotest.bool "lowest survivor evicted" false (Pstore.resident small lowest)
 
 let test_pstore_lgc_thrashing () =
   (* A store smaller than the live set: every LGC reloads; garbage
@@ -835,10 +885,14 @@ let suite =
       Alcotest.test_case "rmi: requires stub" `Quick test_rmi_requires_stub;
       Alcotest.test_case "rmi: rejects local target" `Quick test_rmi_rejects_local_target;
       Alcotest.test_case "rmi: pin timeout releases" `Quick test_rmi_pin_timeout_releases;
+      Alcotest.test_case "rmi: replies keep counters in step" `Quick
+        test_rmi_replies_keep_counters_in_step;
       Alcotest.test_case "rmi: nested calls" `Quick test_rmi_nested_calls;
       Alcotest.test_case "rmi: call_sync" `Quick test_call_sync;
       Alcotest.test_case "pstore: LRU basics" `Quick test_pstore_basics;
       Alcotest.test_case "pstore: forget" `Quick test_pstore_forget;
+      Alcotest.test_case "pstore: collect forgets swept objects" `Quick
+        test_pstore_collect_forgets_swept;
       Alcotest.test_case "pstore: LGC thrashing" `Quick test_pstore_lgc_thrashing;
       Alcotest.test_case "replicate: copies references" `Quick test_replicate_copies_references;
       Alcotest.test_case "replicate: keeps targets alive" `Quick test_replica_keeps_targets_alive;
