@@ -11,6 +11,7 @@ let perf : (string * (Adgc_perf.Recorder.t -> unit)) list =
     ("net", Bench_net.run);
     ("detection", Bench_detection.run);
     ("scale", Bench_scale.run);
+    ("wire", Bench_wire.run);
   ]
 
 let paper : (string * (unit -> unit)) list = Bench_paper.sections

@@ -169,13 +169,16 @@ let cycle_found t =
 (* ------------------------------------------------------------------ *)
 (* Wire format *)
 
-(* One packed run of [src; owner; serial; ic; bits] per entry, in key
-   order, with two presence bits (1 = source, 2 = target, 3 = both).  A
-   key on both sides with different ICs cannot share an entry: it is
-   written twice, bits 1 then 2. *)
+(* Five ints per entry, [src; owner; serial; ic; bits], in key order,
+   with two presence bits (1 = source, 2 = target, 3 = both).  A key on
+   both sides with different ICs cannot share an entry: it is written
+   twice, bits 1 then 2. *)
 let entry_width = 5
 
-let emit_compact s t =
+(* A [Both] with different ICs takes two entries. *)
+let compact_length t = entry_width * (t.unresolved + t.frontier + t.both + t.conflicts)
+
+let emit_entries s t =
   let emit_ce (key : Ref_key.t) ic bits =
     N.raw s (Proc_id.to_int key.Ref_key.src);
     N.raw s (Proc_id.to_int (Oid.owner key.Ref_key.target));
@@ -183,8 +186,6 @@ let emit_compact s t =
     N.raw s ic;
     N.raw s bits
   in
-  (* A [Both] with different ICs takes two entries. *)
-  N.packed s (entry_width * (t.unresolved + t.frontier + t.both + t.conflicts));
   Ref_key.Map.iter
     (fun key -> function
       | Src ic -> emit_ce key ic 1
@@ -195,11 +196,10 @@ let emit_compact s t =
           emit_ce key t_ic 2)
     t.map
 
-(* The run must hold whole entries; ids must not be negative, bits
+(* The items must be whole entries; ids must not be negative, bits
    must name a side, and an entry must not contradict one already
    read. *)
-let read_compact r =
-  let n = R.packed r in
+let read_entries r n =
   if n mod entry_width <> 0 then R.fail r "ragged algebra run";
   let read_ce t =
     let src = R.raw r in

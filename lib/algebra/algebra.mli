@@ -28,7 +28,7 @@
     reference to its source IC, its target IC, or both — the two
     presence bits.  Beside it the algebra keeps how many entries are
     source-only, target-only, on both sides and in conflict, so
-    {!verdict} and {!cardinal} cost O(1), and {!emit_compact} writes
+    {!verdict} and {!cardinal} cost O(1), and {!emit_entries} writes
     the map in one in-order pass. *)
 
 type t
@@ -110,21 +110,24 @@ val cycle_found : t -> bool
 
 (** {1 Wire format and printing} *)
 
-val emit_compact : t Adgc_serial.Net_codec.shape
-(** The paper's optimized representation (§4) on the wire: one packed
-    run ({!Adgc_serial.Net_codec.packed}) of
-    [[src; owner; serial; ic; bits]] per entry, in key order, with two
-    presence bits (1 = source, 2 = target, 3 = both).  A reference in
-    both sets with equal ICs is written once, so a concluding CDM
-    (every entry in both sets) halves the entry count; one with
-    {e different} ICs cannot be shared and is written twice, bits 1
-    then 2.  Sizing it allocates nothing per entry. *)
+val compact_length : t -> int
+(** The number of ints {!emit_entries} writes: five per entry. *)
 
-val read_compact : Adgc_serial.Net_codec.Read.t -> t
-(** Reads {!emit_compact}'s bytes back to an equal algebra.  A run whose
-    length is not a whole number of entries, a negative id, presence
-    bits outside 1–3 or a second IC for an entry already read on the
-    same side is malformed. *)
+val emit_entries : t Adgc_serial.Net_codec.shape
+(** The paper's optimized representation (§4) on the wire, as the
+    items of a packed run ({!Adgc_serial.Net_codec.raw}) that the
+    carrier opens: [[src; owner; serial; ic; bits]] per entry, in key
+    order, with two presence bits (1 = source, 2 = target, 3 = both).
+    A reference in both sets with equal ICs is written once, so a
+    concluding CDM (every entry in both sets) halves the entry count;
+    one with {e different} ICs cannot be shared and is written twice,
+    bits 1 then 2.  Sizing it allocates nothing per entry. *)
+
+val read_entries : Adgc_serial.Net_codec.Read.t -> int -> t
+(** [read_entries r n] reads [n] items of {!emit_entries} back to an
+    equal algebra.  An [n] that is not a whole number of entries, a
+    negative id, presence bits outside 1–3 or a second IC for an
+    entry already read on the same side is malformed. *)
 
 val pp : Format.formatter -> t -> unit
 (** Paper style: [{{P1->#0@P2:3} -> {P2->#1@P4:0}}] where the integer

@@ -7,32 +7,34 @@ let make ~id ~algebra ~frontier ~hops ~budget = { id; algebra; frontier; hops; b
 
 let dest t = Ref_key.owner t.frontier
 
-(* The fields only: whoever carries a CDM writes the header, so a
-   message payload spends one case header on it, not two. *)
-let arity = 8
+(* One packed run: the header's ints, then the algebra's entries. *)
+let header = 7
 
 let emit s t =
-  N.int s (Proc_id.to_int t.id.Detection_id.initiator);
-  N.int s t.id.Detection_id.seq;
+  N.packed s (header + Algebra.compact_length t.algebra);
+  N.raw s (Proc_id.to_int t.id.Detection_id.initiator);
+  N.raw s t.id.Detection_id.seq;
+  N.raw s (Proc_id.to_int t.frontier.Ref_key.src);
+  N.raw s (Proc_id.to_int (Oid.owner t.frontier.Ref_key.target));
+  N.raw s t.frontier.Ref_key.target.Oid.serial;
+  N.raw s t.hops;
+  N.raw s t.budget;
   (* The paper's optimized two-presence-bit representation. *)
-  Algebra.emit_compact s t.algebra;
-  N.int s (Proc_id.to_int t.frontier.Ref_key.src);
-  N.int s (Proc_id.to_int (Oid.owner t.frontier.Ref_key.target));
-  N.int s t.frontier.Ref_key.target.Oid.serial;
-  N.int s t.hops;
-  N.int s t.budget
+  Algebra.emit_entries s t.algebra
 
 let read r =
-  let initiator = R.int r in
-  let seq = R.int r in
-  let algebra = Algebra.read_compact r in
-  let f_src = R.int r in
-  let f_owner = R.int r in
-  let f_serial = R.int r in
-  let hops = R.int r in
-  let budget = R.int r in
+  let n = R.packed r in
+  if n < header then R.fail r "short cdm run";
+  let initiator = R.raw r in
+  let seq = R.raw r in
+  let f_src = R.raw r in
+  let f_owner = R.raw r in
+  let f_serial = R.raw r in
+  let hops = R.raw r in
+  let budget = R.raw r in
   if initiator < 0 || f_src < 0 || f_owner < 0 || f_serial < 0 || hops < 0 || budget < 0 then
     R.fail r "negative field";
+  let algebra = Algebra.read_entries r (n - header) in
   let id = Detection_id.make ~initiator:(Proc_id.of_int initiator) ~seq in
   let target = Oid.make ~owner:(Proc_id.of_int f_owner) ~serial:f_serial in
   let frontier = Ref_key.make ~src:(Proc_id.of_int f_src) ~target in

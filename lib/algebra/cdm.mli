@@ -27,17 +27,16 @@ val make :
 val dest : t -> Proc_id.t
 (** The owner of the frontier's target object. *)
 
-val arity : int
-(** The number of values {!emit} writes.  They are a record's fields:
-    the record or case header is the carrier's to write, so a message
-    payload spends one header on a CDM. *)
-
 val emit : t Adgc_serial.Net_codec.shape
-(** Wire representation, without a header; its encoded size is what
+(** Wire representation: one packed run of
+    [[initiator; seq; f_src; f_owner; f_serial; hops; budget]] (the
+    frontier is [f_src]'s reference to [f_serial] at [f_owner]), then
+    the algebra's {!Algebra.emit_entries}.  Its encoded size is what
     the message-size statistics report. *)
 
 val read : Adgc_serial.Net_codec.Read.t -> t
-(** Reads {!emit}'s bytes back; a negative id, hop count or budget is
-    malformed. *)
+(** Reads {!emit}'s bytes back.  A run shorter than the header, a
+    negative id, hop count or budget, or a malformed algebra
+    ({!Algebra.read_entries}) is malformed. *)
 
 val pp : Format.formatter -> t -> unit

@@ -39,9 +39,9 @@ let restart_proc rt i =
        [alive]) resume by themselves. *)
     Scion_table.touch_all_sources p.Process.scions ~now:(Scheduler.now rt.Runtime.sched);
     (* Restart is a quiescence point for this process's inbound links
-       (nothing was accepted while down), so the duplicate-suppression
-       table can be truncated to per-sender floors here; unbounded
-       crash/restart runs otherwise grow it forever. *)
+       (nothing was accepted while down), so the gaps the downtime
+       left in the duplicate-suppression state can be given up here;
+       unbounded crash/restart runs otherwise keep every one. *)
     let pruned = Process.prune_delivered p in
     if pruned > 0 then Stats.add rt.Runtime.stats "cluster.delivered_pruned" pruned;
     Stats.incr rt.Runtime.stats "cluster.restarts";

@@ -68,88 +68,122 @@ let rec live_refs = function
   | p -> payload_refs p
 
 (* The wire form is positional: a payload is case [kind_index] of a
-   sum type, then its fields in declaration order. *)
+   sum type, then its fields in declaration order.  A payload of ints
+   and oids sends them as one packed run, its fixed fields first and
+   then its repeated entries; an oid is its two ints. *)
 
-let arities = [| 4; 3; 3; 3; 2; 0; Cdm.arity; 3; 1; 1 |]
+let arities = [| 1; 1; 1; 1; 1; 0; 1; 1; 1; 1 |]
 
-let stub_width = 3
-
-let emit_oids s l =
-  N.list s (List.length l);
-  List.iter (Oid.emit s) l
+let raw_oid s (o : Oid.t) =
+  N.raw s (Proc_id.to_int (Oid.owner o));
+  N.raw s o.Oid.serial
 
 let rec emit_payload s p =
   let i = kind_index p in
   N.variant s i arities.(i);
   match p with
   | Rmi_request { req_id; target; args; stub_ic } ->
-      N.int s req_id;
-      Oid.emit s target;
-      emit_oids s args;
-      N.int s stub_ic
+      N.packed s (4 + (2 * List.length args));
+      N.raw s req_id;
+      raw_oid s target;
+      N.raw s stub_ic;
+      List.iter (raw_oid s) args
   | Rmi_reply { req_id; target; results } ->
-      N.int s req_id;
-      Oid.emit s target;
-      emit_oids s results
+      N.packed s (3 + (2 * List.length results));
+      N.raw s req_id;
+      raw_oid s target;
+      List.iter (raw_oid s) results
   | Export_notice { notice_id; target; new_holder } | Export_ack { notice_id; target; new_holder } ->
-      N.int s notice_id;
-      Oid.emit s target;
-      N.int s (Proc_id.to_int new_holder)
-  | New_set_stubs { seqno; targets } ->
-      N.int s seqno;
-      (* One packed run of [owner; serial; ic] per stub. *)
-      N.packed s (stub_width * Oid.Map.cardinal targets);
-      Oid.Map.iter
-        (fun (o : Oid.t) ic ->
-          N.raw s (Proc_id.to_int (Oid.owner o));
-          N.raw s o.Oid.serial;
-          N.raw s ic)
-        targets
+      N.packed s 4;
+      N.raw s notice_id;
+      raw_oid s target;
+      N.raw s (Proc_id.to_int new_holder)
+  | New_set_stubs { seqno; targets } -> (
+      (* A stub set goes to its targets' owner, so the run names the
+         owner once: [seqno; owner; serial; ic; serial; ic; ...], or
+         [seqno] alone when the set is empty. *)
+      match Oid.Map.min_binding_opt targets with
+      | None ->
+          N.packed s 1;
+          N.raw s seqno
+      | Some (first, _) ->
+          let owner = Oid.owner first in
+          N.packed s (2 + (2 * Oid.Map.cardinal targets));
+          N.raw s seqno;
+          N.raw s (Proc_id.to_int owner);
+          Oid.Map.iter
+            (fun (o : Oid.t) ic ->
+              if not (Proc_id.equal (Oid.owner o) owner) then
+                invalid_arg "Msg.emit: a stub set's targets have different owners";
+              N.raw s o.Oid.serial;
+              N.raw s ic)
+            targets)
   | Scion_probe -> ()
   | Cdm cdm -> Cdm.emit s cdm
   | Cdm_delete { id; scions } ->
-      N.int s (Proc_id.to_int id.Detection_id.initiator);
-      N.int s id.Detection_id.seq;
-      N.list s (List.length scions);
-      List.iter (Ref_key.emit s) scions
+      N.packed s (2 + (3 * List.length scions));
+      N.raw s (Proc_id.to_int id.Detection_id.initiator);
+      N.raw s id.Detection_id.seq;
+      List.iter
+        (fun (k : Ref_key.t) ->
+          N.raw s (Proc_id.to_int k.Ref_key.src);
+          raw_oid s k.Ref_key.target)
+        scions
   | Ext body -> N.str s body
   | Batch payloads ->
       N.list s (List.length payloads);
       List.iter (emit_payload s) payloads
 
+(* The envelope: a record of its header run [src; dst; seq; sent_at]
+   and the payload. *)
 let emit s t =
-  N.record s 5;
-  N.int s (Proc_id.to_int t.src);
-  N.int s (Proc_id.to_int t.dst);
-  N.int s t.seq;
-  N.int s t.sent_at;
+  N.record s 2;
+  N.packed s 4;
+  N.raw s (Proc_id.to_int t.src);
+  N.raw s (Proc_id.to_int t.dst);
+  N.raw s t.seq;
+  N.raw s t.sent_at;
   emit_payload s t.payload
 
 (* The reader.  Field order is part of the wire format. *)
 
-let read_proc r =
-  let p = R.int r in
+let raw_id r =
+  let p = R.raw r in
   if p < 0 then R.fail r "negative id";
-  Proc_id.of_int p
+  p
 
-let read_oids r = List.init (R.list r) (fun _ -> Oid.read r)
+let read_proc r = Proc_id.of_int (raw_id r)
+
+let read_oid r =
+  let owner = raw_id r in
+  Oid.make ~owner:(Proc_id.of_int owner) ~serial:(raw_id r)
+
+(* A run of [fixed] ints, then whole entries of [width] ints: the
+   number of entries. *)
+let run r ~fixed ~width what =
+  let n = R.packed r in
+  if n < fixed || (n - fixed) mod width <> 0 then R.fail r ("ragged " ^ what ^ " run");
+  (n - fixed) / width
 
 let read_export r =
-  let notice_id = R.int r in
-  let target = Oid.read r in
+  if R.packed r <> 4 then R.fail r "ragged export run";
+  let notice_id = R.raw r in
+  let target = read_oid r in
   (notice_id, target, read_proc r)
 
 let rec read_payload r =
   match R.variant r arities with
   | 0 ->
-      let req_id = R.int r in
-      let target = Oid.read r in
-      let args = read_oids r in
-      Rmi_request { req_id; target; args; stub_ic = R.int r }
+      let k = run r ~fixed:4 ~width:2 "rmi request" in
+      let req_id = R.raw r in
+      let target = read_oid r in
+      let stub_ic = R.raw r in
+      Rmi_request { req_id; target; args = List.init k (fun _ -> read_oid r); stub_ic }
   | 1 ->
-      let req_id = R.int r in
-      let target = Oid.read r in
-      Rmi_reply { req_id; target; results = read_oids r }
+      let k = run r ~fixed:3 ~width:2 "rmi reply" in
+      let req_id = R.raw r in
+      let target = read_oid r in
+      Rmi_reply { req_id; target; results = List.init k (fun _ -> read_oid r) }
   | 2 ->
       let notice_id, target, new_holder = read_export r in
       Export_notice { notice_id; target; new_holder }
@@ -157,27 +191,34 @@ let rec read_payload r =
       let notice_id, target, new_holder = read_export r in
       Export_ack { notice_id; target; new_holder }
   | 4 ->
-      let seqno = R.int r in
       let n = R.packed r in
-      if n mod stub_width <> 0 then R.fail r "ragged stub set run";
-      let rec go k m =
-        if k = 0 then m
-        else begin
-          let owner = R.raw r in
-          let serial = R.raw r in
-          let ic = R.raw r in
-          if owner < 0 || serial < 0 then R.fail r "negative id";
-          go (k - 1) (Oid.Map.add (Oid.make ~owner:(Proc_id.of_int owner) ~serial) ic m)
-        end
-      in
-      New_set_stubs { seqno; targets = go (n / stub_width) Oid.Map.empty }
+      (* [seqno] alone, or [seqno; owner] and at least one entry. *)
+      if not (n = 1 || (n >= 4 && n mod 2 = 0)) then R.fail r "ragged stub set run";
+      let seqno = R.raw r in
+      if n = 1 then New_set_stubs { seqno; targets = Oid.Map.empty }
+      else begin
+        let owner = read_proc r in
+        let rec go k m =
+          if k = 0 then m
+          else begin
+            let serial = raw_id r in
+            let ic = R.raw r in
+            go (k - 1) (Oid.Map.add (Oid.make ~owner ~serial) ic m)
+          end
+        in
+        New_set_stubs { seqno; targets = go ((n - 2) / 2) Oid.Map.empty }
+      end
   | 5 -> Scion_probe
   | 6 -> Cdm (Cdm.read r)
   | 7 ->
+      let k = run r ~fixed:2 ~width:3 "cdm delete" in
       let initiator = read_proc r in
-      let seq = R.int r in
-      let scions = List.init (R.list r) (fun _ -> Ref_key.read r) in
-      Cdm_delete { id = Detection_id.make ~initiator ~seq; scions }
+      let seq = R.raw r in
+      let read_key _ =
+        let src = read_proc r in
+        Ref_key.make ~src ~target:(read_oid r)
+      in
+      Cdm_delete { id = Detection_id.make ~initiator ~seq; scions = List.init k read_key }
   | 8 -> Ext (R.str r)
   | _ ->
       (* Batches are never nested, and a decoded batch must not smuggle
@@ -194,11 +235,12 @@ let rec read_payload r =
       Batch (List.init (R.list r) constituent)
 
 let read r =
-  R.record r 5;
+  R.record r 2;
+  if R.packed r <> 4 then R.fail r "ragged envelope run";
   let src = read_proc r in
   let dst = read_proc r in
-  let seq = R.int r in
-  let sent_at = R.int r in
+  let seq = R.raw r in
+  let sent_at = R.raw r in
   make ~seq ~src ~dst ~sent_at (read_payload r)
 
 let pp ppf t =

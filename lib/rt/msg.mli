@@ -69,7 +69,8 @@ type t = {
   src : Proc_id.t;
   dst : Proc_id.t;
   seq : int;
-      (** per-sender envelope sequence number; the receiver ignores a
+      (** per-link envelope sequence number: [src] numbers its
+          envelopes to [dst] 0, 1, 2, ...  The receiver ignores a
           (src, seq) pair it has already processed, which makes every
           delivery idempotent under network duplication.  Negative
           means unsequenced (never deduplicated) — hand-built test
@@ -103,18 +104,32 @@ val live_refs : payload -> Oid.t list
     the safety oracle and the model checker. *)
 
 val emit : t Adgc_serial.Net_codec.shape
-(** Wire representation: a record of [src], [dst], [seq], [sent_at]
-    and the payload, which is case {!kind_index} of a sum type followed
-    by its fields in declaration order.  {!Network} charges each
-    envelope its [Net_codec.size], and the socket driver sends these
-    bytes. *)
+(** Wire representation: a record of the header — one packed run
+    [[src; dst; seq; sent_at]] — and the payload.  The payload is case
+    {!kind_index} of a sum type.  Every payload but [Scion_probe],
+    [Ext] and [Batch] is one packed run of ints, its fixed fields
+    first and then its entries, an oid as [owner; serial]:
+    - [Rmi_request]: [[req_id; target; stub_ic; args...]];
+    - [Rmi_reply]: [[req_id; target; results...]];
+    - [Export_notice], [Export_ack]: [[notice_id; target; new_holder]];
+    - [New_set_stubs]: [[seqno; owner; (serial; ic)...]], the owner
+      written once, or [[seqno]] alone for an empty set;
+    - [Cdm]: {!Cdm.emit};
+    - [Cdm_delete]: [[initiator; seq; (src; owner; serial)...]].
+
+    [Ext] is its string, [Batch] a list of payloads.  {!Network}
+    charges each envelope its [Net_codec.size], and the socket driver
+    sends these bytes.
+    @raise Invalid_argument on a stub set whose targets do not share
+    one owner. *)
 
 val emit_payload : payload Adgc_serial.Net_codec.shape
 
 val read : Adgc_serial.Net_codec.Read.t -> t
 (** Reads {!emit}'s bytes back.  Malformed: a negative process id or
-    oid, an unknown case index, a field count or value of the wrong
-    kind, a [Batch] nested inside a [Batch], and a [Batch] constituent
-    that carries references. *)
+    oid, a run that is not its fixed fields plus whole entries (or a
+    stub set run with an owner and no entry), an unknown case index, a
+    field count or value of the wrong kind, a [Batch] nested inside a
+    [Batch], and a [Batch] constituent that carries references. *)
 
 val pp : Format.formatter -> t -> unit

@@ -32,8 +32,6 @@ type t = {
   mutable deliver : (Msg.t -> unit) option;
   mutable transport : (Msg.t -> bool) option;
   in_flight : (int, Msg.t) Hashtbl.t;  (** keyed by injection id *)
-  link_counts : (int * int, int ref) Hashtbl.t;
-      (** in-flight envelopes per (src, dst) link — O(1) view of the registry *)
   live_refs : int Oid.Tbl.t;
       (** multiset of the live references carried by in-flight envelopes *)
   mutable next_id : int;
@@ -58,7 +56,6 @@ let create ?(faults = Faults.none) ~sched ~rng ~stats ~config () =
       deliver = None;
       transport = None;
       in_flight = Hashtbl.create 64;
-      link_counts = Hashtbl.create 64;
       live_refs = Oid.Tbl.create 64;
       next_id = 0;
       cut = Hashtbl.create 4;
@@ -126,20 +123,22 @@ let account t (msg : Msg.t) =
 
 (* The link regime for this send: the plan's link while faults are
    active, the inherited default afterwards (fault quiescence). *)
-let active_link t key =
+let active_link t (msg : Msg.t) =
   let quiescent =
     match t.faults.Faults.link_faults_until with
     | None -> false
     | Some until_ -> Scheduler.now t.sched >= until_
   in
   if quiescent then Faults.default_link
-  else Faults.link_for t.faults ~src:(fst key) ~dst:(snd key)
+  else
+    Faults.link_for t.faults ~src:(Proc_id.to_int msg.Msg.src) ~dst:(Proc_id.to_int msg.Msg.dst)
 
-let draw_loss t key (lk : Faults.link) =
+let draw_loss t (msg : Msg.t) (lk : Faults.link) =
   match lk.Faults.loss with
   | Faults.Inherit_loss -> Rng.bernoulli t.rng t.config.drop_prob
   | Faults.Bernoulli p -> Rng.bernoulli t.rng p
   | Faults.Gilbert_elliott { p_enter; p_exit; loss_good; loss_burst } ->
+      let key = link_key msg.Msg.src msg.Msg.dst in
       let state =
         match Hashtbl.find_opt t.burst key with
         | Some r -> r
@@ -177,16 +176,12 @@ let draw_latency t (lk : Faults.link) =
 
 (* O(1) shadow bookkeeping for the registry.  The [in_flight] table
    stays the ground truth, but neither the oracle's reachability seeds
-   nor any per-tick stat may scan it: alongside it we keep a per-link
-   envelope counter and a multiset of the live references the parked
-   and travelling envelopes carry, maintained at the four points where
-   an envelope enters or leaves the registry (timed injection, timed
-   delivery, manual park, manual take). *)
+   nor any per-tick stat may scan it: alongside it we keep a multiset
+   of the live references the parked and travelling envelopes carry,
+   maintained at the four points where an envelope enters or leaves
+   the registry (timed injection, timed delivery, manual park, manual
+   take). *)
 let register t (msg : Msg.t) =
-  (let key = link_key msg.Msg.src msg.Msg.dst in
-   match Hashtbl.find_opt t.link_counts key with
-   | Some r -> incr r
-   | None -> Hashtbl.add t.link_counts key (ref 1));
   List.iter
     (fun o ->
       let n = match Oid.Tbl.find_opt t.live_refs o with Some n -> n | None -> 0 in
@@ -194,12 +189,6 @@ let register t (msg : Msg.t) =
     (Msg.live_refs msg.Msg.payload)
 
 let unregister t (msg : Msg.t) =
-  (let key = link_key msg.Msg.src msg.Msg.dst in
-   match Hashtbl.find_opt t.link_counts key with
-   | Some r ->
-       decr r;
-       if !r = 0 then Hashtbl.remove t.link_counts key
-   | None -> assert false);
   List.iter
     (fun o ->
       match Oid.Tbl.find_opt t.live_refs o with
@@ -245,13 +234,13 @@ let send t (msg : Msg.t) =
   in
   if consumed then ()
   else
-  let key = link_key msg.src msg.dst in
   let drop reason =
     Stats.incr t.stats "net.msg.dropped";
     Stats.incr t.stats dropped_keys.(Msg.kind_index msg.payload);
     match reason with Some r -> Stats.incr t.stats r | None -> ()
   in
-  if Hashtbl.mem t.cut key then drop (Some "net.msg.dropped.partition")
+  if Hashtbl.length t.cut > 0 && Hashtbl.mem t.cut (link_key msg.src msg.dst) then
+    drop (Some "net.msg.dropped.partition")
   else
     match t.config.delivery with
     | Manual ->
@@ -265,8 +254,8 @@ let send t (msg : Msg.t) =
         Hashtbl.replace t.in_flight id msg;
         register t msg
     | Timed ->
-        let lk = active_link t key in
-        if draw_loss t key lk then drop None
+        let lk = active_link t msg in
+        if draw_loss t msg lk then drop None
         else begin
           account t msg;
           inject t deliver msg ~latency:(draw_latency t lk);
@@ -284,12 +273,7 @@ let in_flight t =
 
 let in_flight_count t = Hashtbl.length t.in_flight
 
-let in_flight_on t ~src ~dst =
-  match Hashtbl.find_opt t.link_counts (link_key src dst) with Some r -> !r | None -> 0
-
 let iter_in_flight_live_refs t f = Oid.Tbl.iter (fun o _ -> f o) t.live_refs
-
-let in_flight_live_ref_count t = Oid.Tbl.length t.live_refs
 
 let pending t =
   Hashtbl.fold (fun id m acc -> (id, m) :: acc) t.in_flight []

@@ -92,16 +92,12 @@ val in_flight : t -> Msg.t list
     checker only}: this materialises and sorts the whole registry
     (O(n log n) per call), so nothing on a runtime, oracle or stats
     hot path may use it — those go through the O(1) views below
-    ({!in_flight_count}, {!in_flight_on}, {!iter_in_flight_live_refs}),
+    ({!in_flight_count}, {!iter_in_flight_live_refs}),
     which are maintained incrementally as envelopes enter and leave
     the wire. *)
 
 val in_flight_count : t -> int
 (** O(1). *)
-
-val in_flight_on : t -> src:Proc_id.t -> dst:Proc_id.t -> int
-(** In-flight envelopes currently on one directed link.  O(1), backed
-    by per-link counters. *)
 
 val iter_in_flight_live_refs : t -> (Oid.t -> unit) -> unit
 (** Iterate the distinct object references kept reachable by in-flight
@@ -109,9 +105,6 @@ val iter_in_flight_live_refs : t -> (Oid.t -> unit) -> unit
     oracle's message-seed set, without scanning the registry.  Each
     distinct reference is presented once regardless of how many
     envelopes carry it. *)
-
-val in_flight_live_ref_count : t -> int
-(** Number of distinct in-flight live references.  O(1). *)
 
 (** {2 Manual delivery} — only meaningful in {!Manual} mode. *)
 

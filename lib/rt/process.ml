@@ -1,4 +1,5 @@
 open Adgc_algebra
+module Seqs = Set.Make (Int)
 
 type behavior = t -> target:Oid.t -> args:Oid.t list -> Oid.t list
 
@@ -12,6 +13,8 @@ and pending_notice = { notice_target : Oid.t; new_holder : Proc_id.t }
 
 and batch_queue = { mutable queued : Msg.payload list; opened_at : int }
 
+and inbound = { mutable floor : int; mutable above : Seqs.t }
+
 and t = {
   id : Proc_id.t;
   heap : Heap.t;
@@ -19,10 +22,8 @@ and t = {
   scions : Scion_table.t;
   rng : Adgc_util.Rng.t;
   mutable alive : bool;
-  mutable next_msg_seq : int;
-  delivered : (int, unit) Hashtbl.t;
-  delivered_high : (int, int) Hashtbl.t;
-  delivered_floor : (int, int) Hashtbl.t;
+  out_seqs : (int, int ref) Hashtbl.t;
+  inbound : (int, inbound) Hashtbl.t;
   out_seqnos : (int, int) Hashtbl.t;
   mutable set_recipients : Proc_id.Set.t;
   (* Per-process protocol kernel state: every id this process mints
@@ -49,10 +50,8 @@ let create ~id ~rng =
     scions = Scion_table.create ~owner:id;
     rng;
     alive = true;
-    next_msg_seq = 0;
-    delivered = Hashtbl.create 64;
-    delivered_high = Hashtbl.create 8;
-    delivered_floor = Hashtbl.create 8;
+    out_seqs = Hashtbl.create 8;
+    inbound = Hashtbl.create 8;
     out_seqnos = Hashtbl.create 8;
     set_recipients = Proc_id.Set.empty;
     next_req_id = 0;
@@ -66,10 +65,15 @@ let create ~id ~rng =
     on_ext = None;
   }
 
-let next_msg_seq t =
-  let s = t.next_msg_seq in
-  t.next_msg_seq <- s + 1;
-  s
+let next_link_seq t ~dst =
+  match Hashtbl.find_opt t.out_seqs (Proc_id.to_int dst) with
+  | Some r ->
+      let s = !r in
+      r := s + 1;
+      s
+  | None ->
+      Hashtbl.add t.out_seqs (Proc_id.to_int dst) (ref 1);
+      0
 
 let fresh_req_id t =
   let id = t.next_req_id in
@@ -81,66 +85,62 @@ let fresh_notice_id t =
   t.next_notice_id <- id + 1;
   id
 
-(* (sender, seq) packed into one int; seqs stay far below 2^44. *)
-let delivery_key ~src ~seq = (Proc_id.to_int src lsl 44) lor seq
+(* Every seq below [floor] was delivered (or given up by
+   [prune_delivered]); [above] holds the delivered seqs past it.
+   Moving the floor over the delivered seqs it meets keeps [above]
+   empty on a link that delivers in order. *)
+let rec collapse l =
+  if Seqs.mem l.floor l.above then begin
+    l.above <- Seqs.remove l.floor l.above;
+    l.floor <- l.floor + 1;
+    collapse l
+  end
 
 let note_delivery t ~src ~seq =
   if seq < 0 then true
-  else begin
+  else
     let s = Proc_id.to_int src in
-    let below_floor =
-      match Hashtbl.find_opt t.delivered_floor s with Some f -> seq < f | None -> false
+    let l =
+      match Hashtbl.find_opt t.inbound s with
+      | Some l -> l
+      | None ->
+          let l = { floor = 0; above = Seqs.empty } in
+          Hashtbl.add t.inbound s l;
+          l
     in
-    if below_floor then false
+    if seq < l.floor || Seqs.mem seq l.above then false
     else begin
-      let key = delivery_key ~src ~seq in
-      if Hashtbl.mem t.delivered key then false
-      else begin
-        Hashtbl.add t.delivered key ();
-        (match Hashtbl.find_opt t.delivered_high s with
-        | Some hi when hi >= seq -> ()
-        | Some _ | None -> Hashtbl.replace t.delivered_high s seq);
-        true
+      if seq = l.floor then begin
+        l.floor <- seq + 1;
+        collapse l
       end
+      else l.above <- Seqs.add seq l.above;
+      true
     end
-  end
 
-let delivered_count t = Hashtbl.length t.delivered
+let delivered_count t = Hashtbl.fold (fun _ l n -> n + Seqs.cardinal l.above) t.inbound 0
 
-(* The duplicate-suppression table only needs individual entries for
-   envelopes a stale copy of which could still arrive.  At a
-   quiescence point (restart) everything more than [slack] sequence
-   numbers behind a sender's high-water mark is summarised by a
-   per-sender floor instead: [note_delivery] refuses any sub-floor
-   sequence outright, which is sound because a never-delivered
-   envelope that old is indistinguishable from a network loss — and
-   every protocol already tolerates loss. *)
+(* A gap below a delivered seq is an envelope that was lost, is still
+   in flight, or was refused while this process was down.  At a
+   quiescence point (restart) a gap more than [slack] seqs behind the
+   link's highest delivery is given up: the floor moves to
+   [hi - slack] and [note_delivery] refuses anything below it, which
+   is sound because a never-delivered envelope that old is
+   indistinguishable from a network loss — and every protocol already
+   tolerates loss. *)
 let prune_delivered ?(slack = 64) t =
-  let removed = ref 0 in
-  Hashtbl.iter
-    (fun src hi ->
-      let floor = hi - slack in
-      if floor > 0 then
-        match Hashtbl.find_opt t.delivered_floor src with
-        | Some f when f >= floor -> ()
-        | Some _ | None -> Hashtbl.replace t.delivered_floor src floor)
-    t.delivered_high;
-  let stale =
-    Hashtbl.fold
-      (fun key () acc ->
-        let src = key lsr 44 in
-        let seq = key land ((1 lsl 44) - 1) in
-        match Hashtbl.find_opt t.delivered_floor src with
-        | Some floor when seq < floor -> key :: acc
-        | Some _ | None -> acc)
-      t.delivered []
-  in
-  List.iter
-    (fun key ->
-      Hashtbl.remove t.delivered key;
-      incr removed)
-    stale;
-  !removed
+  Hashtbl.fold
+    (fun _ l removed ->
+      match Seqs.max_elt_opt l.above with
+      | Some hi when hi - slack > l.floor ->
+          let floor = hi - slack in
+          let below, at, rest = Seqs.split floor l.above in
+          l.above <- rest;
+          l.floor <- (if at then floor + 1 else floor);
+          collapse l;
+          removed + Seqs.cardinal below
+      | Some _ | None -> removed)
+    t.inbound 0
 
 let next_out_seqno t ~dst =
   let key = Proc_id.to_int dst in

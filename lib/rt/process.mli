@@ -15,6 +15,9 @@
 
 open Adgc_algebra
 
+module Seqs : Set.S with type elt = int
+(** Sets of envelope sequence numbers. *)
+
 type behavior = t -> target:Oid.t -> args:Oid.t list -> Oid.t list
 (** The body run at the callee: receives the callee process and the
     imported argument references; returns the references to ship back
@@ -34,6 +37,13 @@ and batch_queue = { mutable queued : Msg.payload list; opened_at : int }
 (** Payloads (newest first) plus the tick the queue opened, so the
     flush span covers the whole coalescing window. *)
 
+and inbound = { mutable floor : int; mutable above : Seqs.t }
+(** What one sender's link has delivered here: every seq below
+    [floor], and the seqs in [above].  A delivery at the floor moves
+    it past every contiguous seq in [above], so a link that delivers
+    in order keeps [above] empty; only gaps (a loss, a reordering, a
+    refusal while down) leave entries. *)
+
 and t = {
   id : Proc_id.t;
   heap : Heap.t;
@@ -44,15 +54,12 @@ and t = {
       (** crash-stop flag: a dead process sends and receives nothing
           and performs no duties; its state is unreachable wreckage
           (until a scheduled {!Faults.Restart} revives it) *)
-  mutable next_msg_seq : int;  (** next envelope sequence number (all outgoing traffic) *)
-  delivered : (int, unit) Hashtbl.t;
-      (** packed (sender, seq) pairs already processed — the receiver
+  out_seqs : (int, int ref) Hashtbl.t;
+      (** next envelope sequence number per destination: each link
+          numbers its envelopes 0, 1, 2, ... *)
+  inbound : (int, inbound) Hashtbl.t;
+      (** per sender, the seqs delivered on its link — the receiver
           side of envelope-level duplicate suppression *)
-  delivered_high : (int, int) Hashtbl.t;
-      (** per-sender highest sequence number delivered so far *)
-  delivered_floor : (int, int) Hashtbl.t;
-      (** per-sender floor left by {!prune_delivered}: sequence
-          numbers below it are refused without a table lookup *)
   (* Reference-listing state *)
   out_seqnos : (int, int) Hashtbl.t;  (** next NewSetStubs seqno per destination *)
   mutable set_recipients : Proc_id.Set.t;
@@ -86,9 +93,10 @@ val next_out_seqno : t -> dst:Proc_id.t -> int
 (** Increment and return the NewSetStubs sequence number for that
     destination. *)
 
-val next_msg_seq : t -> int
-(** Allocate the envelope sequence number for an outgoing message
-    ({!Runtime.send} stamps it on every envelope). *)
+val next_link_seq : t -> dst:Proc_id.t -> int
+(** Allocate the envelope sequence number for an outgoing message to
+    that destination ({!Runtime.send} stamps it on every envelope).
+    Each destination's numbers start at 0 and have no gaps. *)
 
 val fresh_req_id : t -> int
 (** Mint the next RMI request id.  Ids are unique per caller; the
@@ -99,22 +107,23 @@ val fresh_notice_id : t -> int
 
 val note_delivery : t -> src:Proc_id.t -> seq:int -> bool
 (** [true] on first delivery of that (sender, seq) envelope; [false]
-    for a replay, which the dispatcher must ignore.  Unsequenced
-    envelopes ([seq < 0]) are always fresh.  Sequences below a floor
-    left by {!prune_delivered} are refused as stale. *)
+    for a replay, which the dispatcher must ignore: a seq below the
+    link's floor, or one already in its [above] set.  Unsequenced
+    envelopes ([seq < 0]) are always fresh. *)
 
 val delivered_count : t -> int
-(** Number of individual (sender, seq) entries currently retained. *)
+(** Number of delivered seqs held above their link's floor, over all
+    senders: 0 when every link has delivered without a gap. *)
 
 val prune_delivered : ?slack:int -> t -> int
-(** Truncate the duplicate-suppression table: for each sender, replace
-    every entry more than [slack] (default 64) sequence numbers behind
-    that sender's high-water mark with a per-sender floor.  Sub-floor
-    envelopes are subsequently refused outright — sound, because such
-    an envelope is indistinguishable from a loss, which every protocol
+(** Give up old gaps: on each link whose highest delivered seq [hi]
+    is more than [slack] (default 64) above its floor, move the floor
+    to [hi - slack], dropping the entries below it.  Envelopes below
+    the floor are refused from then on — sound, because such an
+    envelope is indistinguishable from a loss, which every protocol
     tolerates.  Returns the number of entries removed.  Called at
     quiescence points ({!Cluster.restart}); long crash/restart runs
-    would otherwise grow the table without bound. *)
+    would otherwise keep every gap a crash left. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary: heap size, stub/scion counts. *)

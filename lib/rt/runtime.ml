@@ -74,7 +74,7 @@ let send t ~src ~dst payload =
      silences delivery. *)
   let sender = proc t src in
   if sender.Process.alive && (proc t dst).Process.alive then begin
-    let seq = Process.next_msg_seq sender in
+    let seq = Process.next_link_seq sender ~dst in
     Network.send t.net (Msg.make ~seq ~src ~dst ~sent_at:(now t) payload)
   end
   else Adgc_util.Stats.incr t.stats "net.msg.dead_endpoint"

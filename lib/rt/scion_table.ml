@@ -224,6 +224,16 @@ let protected_targets t =
       done);
   Array.to_list (Adgc_util.Sorted.last_of_each Oid.compare (Array.of_list !all))
 
+let iter t f =
+  Array.iter
+    (function
+      | Some h ->
+          for i = 0 to h.count - 1 do
+            f h.scions.(i)
+          done
+      | None -> ())
+    t.holders
+
 let entries t =
   (* Holders by rank, each by target: [Ref_key] order, built back to
      front so no sort or reversal is needed. *)

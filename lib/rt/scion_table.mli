@@ -130,6 +130,10 @@ val protected_targets : t -> Oid.t list
 val entries : t -> entry list
 (** Ascending key order. *)
 
+val iter : t -> (entry -> unit) -> unit
+(** Every entry in ascending key order, as {!entries} lists them,
+    without building the list.  [f] must not change the table. *)
+
 val delete_from : t -> Proc_id.t -> Ref_key.t list
 (** Remove every scion held by that process (crash-stop reclamation);
     returns the removed keys, in ascending order. *)

@@ -258,10 +258,13 @@ let encode ~now (p : Process.t) =
   let nstubs =
     fill_entries (fun () -> s.stubs) (fun a -> s.stubs <- a) (Stub_table.entries p.Process.stubs)
   in
-  let nscions =
-    fill_entries (fun () -> s.scions) (fun a -> s.scions <- a)
-      (Scion_table.entries p.Process.scions)
-  in
+  (* The scion table is walked in place, into the reused array. *)
+  let nscions = ref 0 in
+  Scion_table.iter p.Process.scions (fun e ->
+      s.scions <- grown s.scions !nscions e;
+      s.scions.(!nscions) <- e;
+      incr nscions);
+  let nscions = !nscions in
   let stubs = s.stubs and scions = s.scions in
   ensure_int_array (fun () -> s.from_off) (fun a -> s.from_off <- a) (nscions + 1);
   ensure_int_array (fun () -> s.to_off) (fun a -> s.to_off <- a) (nstubs + 1);

@@ -304,7 +304,15 @@ module Net_codec = Adgc_serial.Net_codec
 (* Through the bytes and back, by the direct reader. *)
 let wire_roundtrip emit read v = Net_codec.Read.run read (Net_codec.encode_shape emit v)
 
-let compact_roundtrip alg = wire_roundtrip Algebra.emit_compact Algebra.read_compact alg
+(* An algebra's entries as a run of their own, as a CDM carries them
+   after its header. *)
+let emit_compact s alg =
+  Net_codec.packed s (Algebra.compact_length alg);
+  Algebra.emit_entries s alg
+
+let read_compact r = Algebra.read_entries r (Net_codec.Read.packed r)
+
+let compact_roundtrip alg = wire_roundtrip emit_compact read_compact alg
 
 let test_compact_wire_roundtrip () =
   let alg = alg_of [ (ref_f, 3); (ref_y, 1); (ref_q, 2) ] [ (ref_q, 2); (ref_o, 0) ] in
@@ -318,7 +326,7 @@ let test_compact_dedupes_shared_entries () =
   let entries = List.init 16 (fun i -> (rkey (i mod 5) (oid ((i + 1) mod 5) i), 0)) in
   let alg = alg_of entries entries in
   let plain = String.length (Adgc_paper.Doc_codec.encode (Wire_reference.algebra_sval alg)) in
-  let compact = Net_codec.size Algebra.emit_compact alg in
+  let compact = Net_codec.size emit_compact alg in
   check Alcotest.bool "compact smaller" true (compact * 3 < plain * 2);
   (* Round-trips exactly. *)
   check Alcotest.bool "equal" true (Algebra.equal alg (compact_roundtrip alg))
@@ -335,7 +343,7 @@ let test_compact_keeps_ic_conflicts_apart () =
   | Algebra.Match _ -> Alcotest.fail "conflict lost in the encoding"
 
 let test_compact_rejects_junk () =
-  match Net_codec.Read.run Algebra.read_compact (Net_codec.encode_shape Net_codec.int 3) with
+  match Net_codec.Read.run read_compact (Net_codec.encode_shape Net_codec.int 3) with
   | _ -> Alcotest.fail "junk accepted"
   | exception Adgc_serial.Wire.Malformed _ -> ()
 

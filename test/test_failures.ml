@@ -207,28 +207,79 @@ let prop_random_crash_schedules_safe =
          clean))
 
 (* --------------------------------------------------------------- *)
-(* Duplicate-suppression truncation at restart quiescence.          *)
+(* Duplicate suppression: per-link seqs, a floor and the gaps above
+   it, and the gaps given up at restart quiescence.                 *)
 
 let test_prune_delivered_semantics () =
-  let p = Process.create ~id:(Proc_id.of_int 0) ~rng:(Adgc_util.Rng.create 7) in
-  let src = Proc_id.of_int 1 in
+  (* Each destination's seqs start at 0: [Runtime.send] stamps them
+     from a per-destination counter. *)
+  let net_config = Network.default_config () in
+  net_config.Network.delivery <- Network.Manual;
+  let cluster = Cluster.create ~net_config ~n:3 () in
+  let pid = Proc_id.of_int in
+  let send dst = Runtime.send (Cluster.rt cluster) ~src:(pid 0) ~dst:(pid dst) Msg.Scion_probe in
+  send 1;
+  send 2;
+  send 1;
+  send 1;
+  send 2;
+  let seqs dst =
+    List.filter_map
+      (fun (m : Msg.t) -> if Proc_id.to_int m.Msg.dst = dst then Some m.Msg.seq else None)
+      (Network.in_flight (Cluster.net cluster))
+  in
+  check Alcotest.(list int) "seqs to P1" [ 0; 1; 2 ] (seqs 1);
+  check Alcotest.(list int) "seqs to P2" [ 0; 1 ] (seqs 2);
+  let p = Process.create ~id:(pid 0) ~rng:(Adgc_util.Rng.create 7) in
+  let deliver src seq = Process.note_delivery p ~src:(pid src) ~seq in
+  let accepted what src seq = check Alcotest.bool what true (deliver src seq) in
+  let refused what src seq = check Alcotest.bool what false (deliver src seq) in
+  (* In order: nothing is held. *)
   for seq = 0 to 199 do
-    check Alcotest.bool "first delivery accepted" true (Process.note_delivery p ~src ~seq)
+    accepted "in-order delivery accepted" 1 seq
   done;
-  check Alcotest.int "table holds every entry" 200 (Process.delivered_count p);
-  let removed = Process.prune_delivered p in
-  (* floor = 199 - 64: everything below is summarised away. *)
-  check Alcotest.int "entries below the floor removed" 135 removed;
-  check Alcotest.int "slack window retained" 65 (Process.delivered_count p);
-  check Alcotest.bool "sub-floor replay refused" false (Process.note_delivery p ~src ~seq:10);
-  check Alcotest.bool "retained entry still suppresses" false
-    (Process.note_delivery p ~src ~seq:150);
-  check Alcotest.bool "fresh sequence accepted" true (Process.note_delivery p ~src ~seq:200);
-  (* Pruning again moves the floor with the high-water mark but never
-     above it. *)
-  ignore (Process.prune_delivered p : int);
-  check Alcotest.bool "post-prune fresh sequence accepted" true
-    (Process.note_delivery p ~src ~seq:201)
+  check Alcotest.int "in-order link holds no entry" 0 (Process.delivered_count p);
+  refused "replay below the floor refused" 1 10;
+  refused "replay of the last delivery refused" 1 199;
+  accepted "next seq accepted" 1 200;
+  (* A gap holds exactly the deliveries above it... *)
+  for seq = 0 to 9 do
+    if seq <> 5 then accepted "delivery around the gap accepted" 2 seq
+  done;
+  check Alcotest.int "the gap holds the entries above it" 4 (Process.delivered_count p);
+  refused "replay above the floor refused" 2 7;
+  refused "replay below the floor refused" 2 3;
+  check Alcotest.int "refusals hold nothing more" 4 (Process.delivered_count p);
+  (* ... which collapse into the floor when it fills. *)
+  accepted "the gap fills" 2 5;
+  check Alcotest.int "filled gap holds nothing" 0 (Process.delivered_count p);
+  refused "replay of the collapsed entries refused" 2 8;
+  accepted "next seq after the collapse accepted" 2 10;
+  (* Unsequenced envelopes are never deduplicated. *)
+  accepted "unsequenced accepted" 2 (-1);
+  accepted "unsequenced accepted again" 2 (-1);
+  (* Restart prune works per link: on link 3 a gap at seq 1 sits
+     under 198 deliveries, on link 4 a gap at seq 1 under 49. *)
+  accepted "link 3 seq 0" 3 0;
+  for seq = 2 to 199 do
+    accepted "link 3 above the gap" 3 seq
+  done;
+  accepted "link 4 seq 0" 4 0;
+  for seq = 2 to 50 do
+    accepted "link 4 above the gap" 4 seq
+  done;
+  check Alcotest.int "both gaps hold their entries" (198 + 49) (Process.delivered_count p);
+  (* Link 3: the floor moves to 199 - 64 = 135, giving up seq 1 and
+     dropping 2..134; 135..199 then collapse into it.  Link 4's
+     highest delivery is within the slack of its floor: untouched. *)
+  check Alcotest.int "entries below the new floor removed" 133 (Process.prune_delivered p);
+  check Alcotest.int "only link 4's gap remains" 49 (Process.delivered_count p);
+  refused "given-up gap refused" 3 1;
+  refused "replay below the moved floor refused" 3 150;
+  accepted "link 3 next seq accepted" 3 200;
+  accepted "link 4's gap still open" 4 1;
+  check Alcotest.int "link 4's gap collapsed" 0 (Process.delivered_count p);
+  check Alcotest.int "pruning again removes nothing" 0 (Process.prune_delivered p)
 
 let test_restart_bounds_delivered_table () =
   let sim, cluster = mk () in
@@ -246,9 +297,29 @@ let test_restart_bounds_delivered_table () =
   Mutator.wire_remote cluster ~holder:c ~target:a;
   Sim.start sim;
   let p0 = Cluster.proc cluster 0 in
-  (* Without truncation this grows with every round; each restart is a
-     quiescence point that must cap it at the per-sender slack
-     window. *)
+  let stat = Adgc_util.Stats.get (Sim.stats sim) in
+  let probe () =
+    Runtime.send (Cluster.rt cluster) ~src:(Proc_id.of_int 1) ~dst:p0.Process.id Msg.Scion_probe
+  in
+  (* A real gap on the link P1 -> P0: an envelope that arrives while
+     P0 is down is never delivered. *)
+  Sim.run_for sim 20_000;
+  let dead_before = stat "net.msg.dead_endpoint" in
+  probe ();
+  Cluster.crash cluster 0;
+  Sim.run_for sim 100;
+  check Alcotest.bool "the envelope died at the crashed receiver" true
+    (stat "net.msg.dead_endpoint" > dead_before);
+  Cluster.restart cluster 0;
+  (* Every later delivery on that link sits above the gap. *)
+  for _ = 1 to 70 do
+    probe ()
+  done;
+  Sim.run_for sim 200;
+  check Alcotest.bool "the gap holds the deliveries above it" true
+    (Process.delivered_count p0 >= 70);
+  (* Each restart is a quiescence point that must cap every link at
+     the slack window. *)
   let bound = 3 * 65 in
   for _round = 1 to 5 do
     Sim.run_for sim 20_000;
@@ -257,13 +328,14 @@ let test_restart_bounds_delivered_table () =
     check Alcotest.bool "delivered table bounded after restart" true
       (Process.delivered_count p0 <= bound)
   done;
-  check Alcotest.bool "truncation actually fired" true
-    (Adgc_util.Stats.get (Sim.stats sim) "cluster.delivered_pruned" > 0);
+  check Alcotest.bool "truncation actually fired" true (stat "cluster.delivered_pruned" > 0);
+  let link = Hashtbl.find p0.Process.inbound 1 in
+  check Alcotest.bool "the given-up gap left nothing on its link" true
+    (Process.Seqs.is_empty link.Process.above);
   (* The run stays healthy after repeated truncation: the listing
      exchange keeps flowing and nothing was reclaimed unsafely. *)
   Sim.run_for sim 2_000;
-  check Alcotest.bool "reference listing still flowing" true
-    (Adgc_util.Stats.get (Sim.stats sim) "reflist.sets_sent" > 0);
+  check Alcotest.bool "reference listing still flowing" true (stat "reflist.sets_sent" > 0);
   List.iter
     (fun (o : Heap.obj) ->
       let owner = Proc_id.to_int (Oid.owner o.Heap.oid) in

@@ -153,6 +153,33 @@ let test_sim_stop_stops () =
   Sim.run_for sim 20_000;
   check Alcotest.int "no more LGC runs" before (Stats.get (Sim.stats sim) "lgc.runs")
 
+(* A fault-free run leaves no duplicate-suppression state behind: each
+   link's seqs run 0, 1, 2, ... and every one is delivered, so every
+   floor moves past all of them and no gap is left to hold. *)
+let test_no_fault_run_holds_no_delivered_entries () =
+  let sim, checker = mk_sim ~n:16 ~seed:5 () in
+  let cluster = Sim.cluster sim in
+  let rng = Adgc_util.Rng.create 31 in
+  let _built =
+    Topology.random cluster ~rng ~objects:400 ~edges:800 ~remote_prob:0.35 ~root_prob:0.15
+  in
+  let _rings = Topology.ring cluster ~procs:[ 0; 5; 10; 15 ] in
+  Sim.start sim;
+  check Alcotest.bool "cleaned" true (Sim.run_until_clean ~step:5_000 ~max_time:1_000_000 sim);
+  Metrics.assert_safe checker;
+  (* Envelopes still in flight may have overtaken one another; let
+     them land. *)
+  Sim.stop sim;
+  ignore (Cluster.drain cluster : int);
+  check Alcotest.bool "envelopes were deduplicated" true
+    (Stats.get (Sim.stats sim) "net.msg.delivered" > 1_000);
+  for i = 0 to Cluster.n_procs cluster - 1 do
+    check Alcotest.int
+      (Printf.sprintf "P%d holds no delivered entry" i)
+      0
+      (Adgc_rt.Process.delivered_count (Cluster.proc cluster i))
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Randomized end-to-end properties *)
 
@@ -297,6 +324,8 @@ let suite =
       Alcotest.test_case "detector stats flow" `Quick test_sim_detector_stats_flow;
       Alcotest.test_case "manual gc cycle" `Quick test_sim_run_gc_cycle_manual;
       Alcotest.test_case "stop stops the timers" `Quick test_sim_stop_stops;
+      Alcotest.test_case "no-fault run holds no delivered entry" `Quick
+        test_no_fault_run_holds_no_delivered_entries;
       Alcotest.test_case "extreme jitter and reordering" `Quick test_extreme_jitter_reordering;
       Alcotest.test_case "web workload: site decommission" `Quick
         test_web_workload_site_decommission;

@@ -310,16 +310,19 @@ let gen_flat_payload =
           (fun (notice_id, target) new_holder -> Msg.Export_ack { notice_id; target; new_holder })
           (pair (int_bound 1000) gen_oid)
           gen_proc;
-        map2
-          (fun seqno entries ->
+        (* A stub set goes to one owner: every target is its. *)
+        map3
+          (fun seqno owner entries ->
             Msg.New_set_stubs
               {
                 seqno;
                 targets =
-                  List.fold_left (fun m (o, ic) -> Oid.Map.add o ic m) Oid.Map.empty entries;
+                  List.fold_left
+                    (fun m (serial, ic) -> Oid.Map.add (Oid.make ~owner ~serial) ic m)
+                    Oid.Map.empty entries;
               })
-          (int_bound 1000)
-          (list_size (int_bound 5) (pair gen_oid (int_bound 9)));
+          (int_bound 1000) gen_proc
+          (list_size (int_bound 5) (pair (int_bound 100) (int_bound 9)));
         return Msg.Scion_probe;
         map (fun cdm -> Msg.Cdm cdm) gen_cdm;
         map2
@@ -433,15 +436,7 @@ let qcheck_corruption encode decode name =
    message, encoded, and read by [Msg.read] — which must agree with
    the reference tree matcher. *)
 let msg_with payload =
-  Sval.Record
-    ( "msg",
-      [
-        ("src", Sval.Int 0);
-        ("dst", Sval.Int 1);
-        ("seq", Sval.Int 2);
-        ("sent_at", Sval.Int 3);
-        ("payload", payload);
-      ] )
+  Sval.Record ("msg", [ ("header", Sval.Packed [ 0; 1; 2; 3 ]); ("payload", payload) ])
 
 let msg_verdicts msg_sval =
   let bytes = Ref.encode msg_sval in
@@ -480,24 +475,14 @@ let p1 = Proc_id.of_int 1
 
 let msg payload = Msg.make ~seq:2 ~src:p0 ~dst:p1 ~sent_at:3 payload
 
-(* Malformed packed runs: the CDM algebra's [src; owner; serial; ic;
-   bits] entries and the stub set's [owner; serial; ic] entries. *)
-let cdm_with algebra =
-  Sval.Record
-    ( "cdm",
-      [
-        ("initiator", Sval.Int 1);
-        ("seq", Sval.Int 2);
-        ("algebra", algebra);
-        ("f_src", Sval.Int 0);
-        ("f_owner", Sval.Int 1);
-        ("f_serial", Sval.Int 2);
-        ("hops", Sval.Int 3);
-        ("budget", Sval.Int 4);
-      ] )
+(* Malformed packed runs: the CDM's header and its algebra's
+   [src; owner; serial; ic; bits] entries, the stub set's
+   [seqno; owner; serial; ic; ...], and the other payloads' runs. *)
+let cdm_header = [ 1; 2; 0; 1; 2; 3; 4 ]
 
-let stubs_with targets =
-  Sval.Record ("new_set_stubs", [ ("seqno", Sval.Int 5); ("targets", targets) ])
+let cdm_with ints = Ref.run "cdm" ints
+
+let stubs_with ints = Ref.run "new_set_stubs" ints
 
 (* The bytes of [Packed ints] (the tag, the count, the items) are its
    encoding as a document of its own. *)
@@ -524,46 +509,61 @@ let recount ints count bytes =
 let cut_inside ints bytes =
   String.sub bytes 0 (find_run bytes (run_bytes ints) + String.length (run_bytes ints) - 1)
 
+(* The payload, then a probe: what a miscounted run would eat into. *)
+let then_probe payload =
+  msg_with
+    (Sval.Record ("batch", [ ("msgs", Sval.List [ payload; Sval.Record ("scion_probe", []) ]) ]))
+
 let packed_runs_rejected () =
-  let cdm ?patch what ints =
-    rejected ?patch ("cdm: " ^ what) (msg_with (cdm_with (Sval.Packed ints)))
+  let cdm ?patch what entries =
+    rejected ?patch ("cdm: " ^ what) (msg_with (cdm_with (cdm_header @ entries)))
   in
   let stubs ?patch what ints =
-    rejected ?patch ("stub set: " ^ what) (msg_with (stubs_with (Sval.Packed ints)))
+    rejected ?patch ("stub set: " ^ what) (msg_with (stubs_with ints))
   in
   let entry = [ 1; 2; 3; 4; 3 ] in
   (* Not whole entries. *)
-  cdm "run of 6" [ 1; 2; 3; 4; 3; 1 ];
-  cdm "run of 4" [ 1; 2; 3; 4 ];
-  stubs "run of 4" [ 1; 2; 3; 4 ];
-  stubs "run of 2" [ 1; 2 ];
+  cdm "run of 7 + 6" [ 1; 2; 3; 4; 3; 1 ];
+  cdm "run of 7 + 4" [ 1; 2; 3; 4 ];
+  rejected "cdm: a run shorter than its header" (msg_with (cdm_with [ 1; 2; 0; 1; 2; 3 ]));
+  rejected "cdm: an empty run" (msg_with (cdm_with []));
+  stubs "an owner and no entry" [ 5; 1 ];
+  stubs "half an entry" [ 5; 1; 2 ];
+  stubs "an entry and a half" [ 5; 1; 2; 3; 4 ];
+  stubs "an empty run" [];
   (* The count claims more items than bytes remain. *)
-  cdm ~patch:(recount entry 60) "count beyond the input" entry;
-  stubs ~patch:(recount [ 5; 6; 7 ] 60) "count beyond the input" [ 5; 6; 7 ];
-  (* The count overstates the run, which then eats the next fields. *)
-  cdm ~patch:(recount entry 10) "count overruns into the next field" entry;
-  (* One item too many: whole entries would read, and the rest of the
-     message after them is intact. *)
-  cdm ~patch:(recount entry 6) "count one item past the run" entry;
-  rejected ~patch:(recount [ 5; 6; 7 ] 4) "stub set: count one item past the run"
-    (msg_with
-       (Sval.Record
-          ( "batch",
-            [
-              ( "msgs",
-                Sval.List [ stubs_with (Sval.Packed [ 5; 6; 7 ]); Sval.Record ("scion_probe", []) ] );
-            ] )));
+  cdm ~patch:(recount (cdm_header @ entry) 60) "count beyond the input" entry;
+  stubs ~patch:(recount [ 5; 1; 6; 7 ] 60) "count beyond the input" [ 5; 1; 6; 7 ];
+  (* The count overstates the run, which then eats the next
+     constituent's bytes. *)
+  rejected
+    ~patch:(recount (cdm_header @ entry) 15)
+    "cdm: count overruns into the next payload"
+    (then_probe (cdm_with (cdm_header @ entry)));
+  (* One item too many. *)
+  rejected
+    ~patch:(recount (cdm_header @ entry) 13)
+    "cdm: count one item past the run"
+    (then_probe (cdm_with (cdm_header @ entry)));
+  rejected ~patch:(recount [ 5; 1; 6; 7 ] 5) "stub set: count one item past the run"
+    (then_probe (stubs_with [ 5; 1; 6; 7 ]));
   (* The input ends inside the run's last item (two-byte items, so
      the count still fits in what is left). *)
-  let wide = [ 1000; 1000; 1000 ] in
+  let wide = [ 1000; 1000; 1000; 1000 ] in
   stubs ~patch:(cut_inside wide) "truncated run" wide;
-  cdm ~patch:(cut_inside (wide @ [ 1000; 1000 ])) "truncated run" (wide @ [ 1000; 1000 ]);
-  (* Negative ids. *)
+  cdm ~patch:(cut_inside (cdm_header @ wide @ [ 1000 ])) "truncated run" (wide @ [ 1000 ]);
+  (* Negative ids, in the entries and in the header. *)
   cdm "negative src" [ -1; 2; 3; 4; 3 ];
   cdm "negative owner" [ 1; -2; 3; 4; 3 ];
   cdm "negative serial" [ 1; 2; -3; 4; 3 ];
-  stubs "negative owner" [ -1; 2; 3 ];
-  stubs "negative serial" [ 1; -2; 3 ];
+  List.iteri
+    (fun i field ->
+      let header = List.mapi (fun j v -> if i = j then -1 else v) cdm_header in
+      if field <> "" then
+        rejected ("cdm: negative " ^ field) (msg_with (cdm_with (header @ entry))))
+    [ "initiator"; ""; "frontier src"; "frontier owner"; "frontier serial"; "hops"; "budget" ];
+  stubs "negative owner" [ 5; -1; 2; 3 ];
+  stubs "negative serial" [ 5; 1; -2; 3 ];
   (* Presence bits must name a side. *)
   cdm "presence bits 0" [ 1; 2; 3; 4; 0 ];
   cdm "presence bits 4" [ 1; 2; 3; 4; 4 ];
@@ -571,30 +571,40 @@ let packed_runs_rejected () =
   cdm "two source ICs" [ 1; 2; 3; 4; 1; 1; 2; 3; 5; 1 ];
   cdm "two target ICs" [ 1; 2; 3; 4; 2; 1; 2; 3; 5; 2 ];
   cdm "a shared entry, then a second target IC" [ 1; 2; 3; 4; 3; 1; 2; 3; 5; 2 ];
-  (* The old framing: a record of entries, a list of pairs. *)
-  rejected "cdm: the old entry records"
+  (* The old framings: tagged header ints beside the algebra's run; a
+     seqno field beside an owner-per-entry run. *)
+  rejected "cdm: the old tagged fields"
     (msg_with
-       (cdm_with
-          (Sval.Record
-             ( "algebra_c",
-               [
-                 ( "entries",
-                   Sval.List
-                     [
-                       Sval.Record
-                         ( "ce",
-                           [
-                             ("src", Sval.Int 1);
-                             ("owner", Sval.Int 2);
-                             ("serial", Sval.Int 3);
-                             ("ic", Sval.Int 4);
-                             ("bits", Sval.Int 3);
-                           ] );
-                     ] );
-               ] ))));
-  rejected "stub set: the old list of pairs"
+       (Sval.Record
+          ( "cdm",
+            [
+              ("initiator", Sval.Int 1);
+              ("seq", Sval.Int 2);
+              ("algebra", Sval.Packed entry);
+              ("f_src", Sval.Int 0);
+              ("f_owner", Sval.Int 1);
+              ("f_serial", Sval.Int 2);
+              ("hops", Sval.Int 3);
+              ("budget", Sval.Int 4);
+            ] )));
+  rejected "stub set: the old seqno field and entry run"
     (msg_with
-       (stubs_with (Sval.List [ Sval.List [ Sval.List [ Sval.Int 1; Sval.Int 2 ]; Sval.Int 3 ] ])));
+       (Sval.Record ("new_set_stubs", [ ("seqno", Sval.Int 5); ("targets", Sval.Packed [ 1; 2; 3 ]) ])));
+  (* The other payloads' runs: fixed fields, then whole entries. *)
+  let other what name ints = rejected (name ^ ": " ^ what) (msg_with (Ref.run name ints)) in
+  other "run of 3" "rmi_request" [ 1; 0; 2 ];
+  other "half an argument" "rmi_request" [ 1; 0; 2; 5; 1 ];
+  other "negative argument serial" "rmi_request" [ 1; 0; 2; 5; 1; -3 ];
+  other "negative target owner" "rmi_request" [ 1; -1; 2; 5 ];
+  other "run of 2" "rmi_reply" [ 1; 0 ];
+  other "half a result" "rmi_reply" [ 1; 0; 2; 1 ];
+  other "negative result owner" "rmi_reply" [ 1; 0; 2; -1; 4 ];
+  other "run of 3" "export_notice" [ 1; 0; 2 ];
+  other "run of 5" "export_ack" [ 1; 0; 2; 0; 0 ];
+  other "run of 1" "cdm_delete" [ 0 ];
+  other "two thirds of a scion" "cdm_delete" [ 0; 4; 1; 1 ];
+  other "negative initiator" "cdm_delete" [ -1; 4 ];
+  other "negative scion src" "cdm_delete" [ 0; 4; -1; 1; 2 ];
   (* Well-formed runs read back, a conflicting entry pair included. *)
   let key = Ref_key.make ~src:p1 ~target:(Oid.make ~owner:p0 ~serial:3) in
   let algebra =
@@ -604,9 +614,15 @@ let packed_runs_rejected () =
   accepted "a conflicting entry pair"
     (msg (Msg.Cdm (Cdm.make ~id ~algebra ~frontier:key ~hops:3 ~budget:4)));
   let targets =
-    Oid.Map.add (Oid.make ~owner:p0 ~serial:1) 2 (Oid.Map.singleton (Oid.make ~owner:p1 ~serial:3) 4)
+    Oid.Map.add (Oid.make ~owner:p1 ~serial:1) 2 (Oid.Map.singleton (Oid.make ~owner:p1 ~serial:3) 4)
   in
-  accepted "a stub set" (msg (Msg.New_set_stubs { seqno = 5; targets }))
+  accepted "a stub set" (msg (Msg.New_set_stubs { seqno = 5; targets }));
+  accepted "an empty stub set" (msg (Msg.New_set_stubs { seqno = 6; targets = Oid.Map.empty }));
+  (* The owner is written once, so a set of two owners has no bytes. *)
+  let two_owners = Oid.Map.add (Oid.make ~owner:p0 ~serial:1) 2 targets in
+  match Net_codec.size Msg.emit (msg (Msg.New_set_stubs { seqno = 5; targets = two_owners })) with
+  | _ -> Alcotest.fail "a stub set of two owners was sized"
+  | exception Invalid_argument _ -> ()
 
 (* An [Ext] body is a string field: opaque, but still length-checked
    against the input like any other. *)
@@ -641,23 +657,18 @@ let ext_rejected () =
 
 let test_payload_decoder_rejects () =
   let none what payload = rejected what (msg_with payload) in
-  let oid0 = Sval.List [ Sval.Int 0; Sval.Int 0 ] in
   (* Field order is part of the format. *)
   none "extra field" (Sval.Record ("scion_probe", [ ("extra", Sval.Unit) ]));
-  none "reordered export_ack"
-    (Sval.Record
-       ("export_ack", [ ("target", oid0); ("notice_id", Sval.Int 1); ("new_holder", Sval.Int 1) ]));
-  none "negative proc id"
-    (Sval.Record
-       ("export_ack", [ ("notice_id", Sval.Int 1); ("target", oid0); ("new_holder", Sval.Int (-1)) ]));
-  none "negative serial"
+  none "export_ack as the old tagged fields"
     (Sval.Record
        ( "export_ack",
          [
            ("notice_id", Sval.Int 1);
-           ("target", Sval.List [ Sval.Int 0; Sval.Int (-1) ]);
+           ("target", Sval.List [ Sval.Int 0; Sval.Int 0 ]);
            ("new_holder", Sval.Int 1);
          ] ));
+  none "negative proc id" (Ref.run "export_ack" [ 1; 0; 0; -1 ]);
+  none "negative serial" (Ref.run "export_ack" [ 1; 0; -1; 1 ]);
   none "unknown record" (Sval.Record ("mystery", []));
   none "not a record" (Sval.Int 3);
   (* Batches never nest. *)
@@ -665,20 +676,16 @@ let test_payload_decoder_rejects () =
     (Sval.Record
        ("batch", [ ("msgs", Sval.List [ Sval.Record ("batch", [ ("msgs", Sval.List []) ]) ]) ]));
   (* No name crosses the wire, so what a reader checks is the kind of
-     value at each position: a payload moved ahead of [sent_at] is
+     value at each position: a payload moved ahead of the header is
      malformed. *)
   rejected "reordered envelope fields"
     (Sval.Record
        ( "msg",
-         [
-           ("src", Sval.Int 0);
-           ("dst", Sval.Int 1);
-           ("seq", Sval.Int 2);
-           ("payload", Sval.Record ("scion_probe", []));
-           ("sent_at", Sval.Int 3);
-         ] ));
+         [ ("payload", Sval.Record ("scion_probe", [])); ("header", Sval.Packed [ 0; 1; 2; 3 ]) ]
+       ));
   (* Case indices and arities. *)
-  let with_payload p = Ref.Rec [ Ref.Int 0; Ref.Int 1; Ref.Int 2; Ref.Int 3; p ] in
+  let header = Ref.Packed [ 0; 1; 2; 3 ] in
+  let with_payload p = Ref.Rec [ header; p ] in
   rejected_tree "case index past the last" (with_payload (Ref.Case (12, [])));
   (* Cases 10 and 11 were the process-group relay wrappers, retired
      with their overlay; frames in their old shapes are past the last
@@ -689,20 +696,18 @@ let test_payload_decoder_rejects () =
     (with_payload (Ref.Case (11, [ Ref.List [ Ref.List [ Ref.Int 0; Ref.Int 1; probe ] ] ])));
   rejected_tree "negative case index" (with_payload (Ref.Case (-1, [])));
   rejected_tree "a record where a case is due" (with_payload (Ref.Rec []));
-  rejected_tree "a case where a record is due" (Ref.Case (0, [ Ref.Int 0 ]));
-  rejected_tree "a list where a record is due" (Ref.List [ Ref.Int 0; Ref.Int 1; Ref.Int 2; Ref.Int 3; Ref.Case (5, []) ]);
+  rejected_tree "a case where a record is due" (Ref.Case (0, [ header ]));
+  rejected_tree "a list where a record is due" (Ref.List [ header; probe ]);
   rejected_tree "missing field" (with_payload (Ref.Case (8, [])));
-  rejected_tree "envelope one field short" (Ref.Rec [ Ref.Int 0; Ref.Int 1; Ref.Int 2; Ref.Case (5, []) ]);
-  rejected "negative envelope source"
-    (Sval.Record
-       ( "msg",
-         [
-           ("src", Sval.Int (-1));
-           ("dst", Sval.Int 1);
-           ("seq", Sval.Int 2);
-           ("sent_at", Sval.Int 3);
-           ("payload", Sval.Record ("scion_probe", []));
-         ] ));
+  rejected_tree "envelope one field short" (Ref.Rec [ header ]);
+  (* The header is one run of exactly four ints. *)
+  rejected_tree "envelope header run of 3" (Ref.Rec [ Ref.Packed [ 0; 1; 2 ]; probe ]);
+  rejected_tree "envelope header run of 5" (Ref.Rec [ Ref.Packed [ 0; 1; 2; 3; 4 ]; probe ]);
+  rejected_tree "the old tagged envelope header"
+    (Ref.Rec [ Ref.Int 0; Ref.Int 1; Ref.Int 2; Ref.Int 3; probe ]);
+  rejected_tree "negative envelope source" (Ref.Rec [ Ref.Packed [ -1; 1; 2; 3 ]; probe ]);
+  rejected_tree "negative envelope destination" (Ref.Rec [ Ref.Packed [ 0; -1; 2; 3 ]; probe ]);
+  accepted "an unsequenced envelope" (Msg.make ~src:p0 ~dst:p1 ~sent_at:3 Msg.Scion_probe);
   packed_runs_rejected ();
   ext_rejected ();
   (* A valid batch of two control payloads decodes. *)
@@ -750,9 +755,12 @@ let qcheck_cdm_wire_identity =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"cdm and algebra shapes = reference bytes" ~count:500 gen_cdm
        (fun cdm ->
-         same_bytes Cdm.emit (Ref.encode_fields (Ref.cdm_sval cdm)) cdm
-         && same_bytes Algebra.emit_compact
-              (Ref.encode (Ref.algebra_compact_sval cdm.Cdm.algebra))
+         same_bytes Cdm.emit (Ref.encode (Ref.cdm_run cdm)) cdm
+         && same_bytes
+              (fun s alg ->
+                Net_codec.packed s (Algebra.compact_length alg);
+                Algebra.emit_entries s alg)
+              (Ref.encode (Sval.Packed (Ref.algebra_entries cdm.Cdm.algebra)))
               cdm.Cdm.algebra))
 
 (* Sizing a CDM allocates the same few words whatever its algebra's
@@ -1054,33 +1062,20 @@ let qcheck_envelope_wire_identity =
 (* The bytes one message of each payload kind costs, pinned: what the
    simulator charges it and, behind a three-byte case header, what a
    socket frame carries.  A one-target stub set took 88 bytes when
-   every record and field name travelled as text. *)
+   every record and field name travelled as text, and 20 while every
+   header int carried its own tag.  The messages are the wire bench
+   section's samples, in case order. *)
 let test_golden_sizes () =
-  let oid o s = Oid.make ~owner:(Proc_id.of_int o) ~serial:s in
-  let key = Ref_key.make ~src:p0 ~target:(oid 1 2) in
-  let id = Detection_id.make ~initiator:p0 ~seq:4 in
-  let algebra =
-    Algebra.add_exn (Algebra.add_exn Algebra.empty Algebra.Source key ~ic:1) Algebra.Target key ~ic:1
-  in
-  List.iter
-    (fun (payload, bytes) ->
-      let m = msg payload in
-      let what = Msg.kind payload in
+  let pinned = [ 19; 18; 17; 17; 17; 11; 25; 18; 17; 19 ] in
+  check Alcotest.int "one sample per kind" (Array.length Msg.kinds)
+    (List.length Adgc_bench.Bench_wire.samples);
+  List.iter2
+    (fun (m : Msg.t) bytes ->
+      let what = Msg.kind m.Msg.payload in
       check Alcotest.int what bytes (Net_codec.size Msg.emit m);
       check Alcotest.int (what ^ " in a socket frame") (bytes + 3)
         (String.length (Net_codec.encode_shape Envelope.emit (Envelope.Net_msg m))))
-    [
-      (Msg.Rmi_request { req_id = 1; target = oid 1 2; args = [ oid 0 3 ]; stub_ic = 1 }, 31);
-      (Msg.Rmi_reply { req_id = 1; target = oid 1 2; results = [ oid 1 4 ] }, 29);
-      (Msg.Export_notice { notice_id = 1; target = oid 1 2; new_holder = p0 }, 23);
-      (Msg.Export_ack { notice_id = 1; target = oid 1 2; new_holder = p0 }, 23);
-      (Msg.New_set_stubs { seqno = 5; targets = Oid.Map.singleton (oid 1 2) 3 }, 20);
-      (Msg.Scion_probe, 13);
-      (Msg.Cdm (Cdm.make ~id ~algebra ~frontier:key ~hops:1 ~budget:16), 34);
-      (Msg.Cdm_delete { id; scions = [ key ] }, 29);
-      (Msg.Ext "body", 19);
-      (Msg.Batch [ Msg.Scion_probe; Msg.Scion_probe ], 21);
-    ]
+    Adgc_bench.Bench_wire.samples pinned
 
 (* A payload's case index is its wire byte, and the sizes above cannot
    see two kinds swap indices. *)

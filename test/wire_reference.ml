@@ -111,12 +111,6 @@ let encode_tree t =
 (* A named tree's wire bytes. *)
 let encode sval = encode_tree (positional sval)
 
-(* A record's fields without its header: how a CDM travels inside the
-   message case that carries it. *)
-let encode_fields = function
-  | Sval.Record (_, fields) -> String.concat "" (List.map (fun (_, v) -> encode v) fields)
-  | _ -> invalid_arg "Wire_reference.encode_fields: not a record"
-
 let decode_tree bytes =
   let r = Wire.Reader.of_string bytes in
   let malformed what = raise (Wire.Malformed { offset = Wire.Reader.pos r; what }) in
@@ -195,11 +189,10 @@ let algebra_sval t =
         ("target", Sval.List (List.map entry_sval (Algebra.target t)));
       ] )
 
-(* The paper's compact form as one packed run of
-   [src; owner; serial; ic; bits], in key order: a key on both sides
-   with equal ICs is one entry with bits 3; with different ICs it is
-   two, bits 1 then 2. *)
-let algebra_compact_sval t =
+(* The paper's compact form as [src; owner; serial; ic; bits] per
+   entry, in key order: a key on both sides with equal ICs is one entry
+   with bits 3; with different ICs it is two, bits 1 then 2. *)
+let algebra_entries t =
   let ce (key : Ref_key.t) ic bits =
     [
       Proc_id.to_int key.Ref_key.src;
@@ -212,63 +205,64 @@ let algebra_compact_sval t =
   let keys =
     List.sort_uniq Ref_key.compare (List.map fst (Algebra.source t @ Algebra.target t))
   in
-  Sval.Packed
-    (List.concat_map
-       (fun key ->
-         match (Algebra.ic t Algebra.Source key, Algebra.ic t Algebra.Target key) with
-         | Some s, Some tg when s = tg -> ce key s 3
-         | Some s, Some tg -> ce key s 1 @ ce key tg 2
-         | Some s, None -> ce key s 1
-         | None, Some tg -> ce key tg 2
-         | None, None -> [])
-       keys)
+  List.concat_map
+    (fun key ->
+      match (Algebra.ic t Algebra.Source key, Algebra.ic t Algebra.Target key) with
+      | Some s, Some tg when s = tg -> ce key s 3
+      | Some s, Some tg -> ce key s 1 @ ce key tg 2
+      | Some s, None -> ce key s 1
+      | None, Some tg -> ce key tg 2
+      | None, None -> [])
+    keys
 
-let cdm_sval (t : Cdm.t) =
-  Sval.Record
-    ( "cdm",
-      [
-        ("initiator", Sval.Int (Proc_id.to_int t.Cdm.id.Detection_id.initiator));
-        ("seq", Sval.Int t.Cdm.id.Detection_id.seq);
-        ("algebra", algebra_compact_sval t.Cdm.algebra);
-        ("f_src", Sval.Int (Proc_id.to_int t.Cdm.frontier.Ref_key.src));
-        ("f_owner", Sval.Int (Proc_id.to_int (Oid.owner t.Cdm.frontier.Ref_key.target)));
-        ("f_serial", Sval.Int t.Cdm.frontier.Ref_key.target.Oid.serial);
-        ("hops", Sval.Int t.Cdm.hops);
-        ("budget", Sval.Int t.Cdm.budget);
-      ] )
+(* A CDM is one packed run: its header, then its algebra's entries. *)
+let cdm_run (t : Cdm.t) =
+  Sval.Packed
+    ([
+       Proc_id.to_int t.Cdm.id.Detection_id.initiator;
+       t.Cdm.id.Detection_id.seq;
+       Proc_id.to_int t.Cdm.frontier.Ref_key.src;
+       Proc_id.to_int (Oid.owner t.Cdm.frontier.Ref_key.target);
+       t.Cdm.frontier.Ref_key.target.Oid.serial;
+       t.Cdm.hops;
+       t.Cdm.budget;
+     ]
+    @ algebra_entries t.Cdm.algebra)
+
+let cdm_sval t = Sval.Record ("cdm", [ ("run", cdm_run t) ])
 
 (* The compact form only: the plain form has no writer in lib/ any
    more, so [Cdm.read] accepts only this. *)
-let algebra_compact_of_tree = function
-  | Packed ints when List.length ints mod 5 = 0 ->
-      let rec entries = function
-        | src :: owner :: serial :: ic :: bits :: rest ->
-            if src >= 0 && owner >= 0 && serial >= 0 && bits >= 1 && bits <= 3 then
-              let target = Oid.make ~owner:(Proc_id.of_int owner) ~serial in
-              Option.map
-                (fun rest -> (Ref_key.make ~src:(Proc_id.of_int src) ~target, ic, bits) :: rest)
-                (entries rest)
-            else None
-        | _ -> Some []
-      in
-      Option.bind (entries ints)
-        (List.fold_left
-           (fun acc (key, ic, bits) ->
-             let add_side side t =
-               match Algebra.add t side key ~ic with
-               | Algebra.Added t -> Some t
-               | Algebra.Ic_conflict _ -> None
-             in
-             Option.bind acc (fun t ->
-                 let t = if bits land 1 <> 0 then add_side Algebra.Source t else Some t in
-                 Option.bind t (fun t ->
-                     if bits land 2 <> 0 then add_side Algebra.Target t else Some t)))
-           (Some Algebra.empty))
-  | _ -> None
+let algebra_of_entries ints =
+  if List.length ints mod 5 <> 0 then None
+  else
+    let rec entries = function
+      | src :: owner :: serial :: ic :: bits :: rest ->
+          if src >= 0 && owner >= 0 && serial >= 0 && bits >= 1 && bits <= 3 then
+            let target = Oid.make ~owner:(Proc_id.of_int owner) ~serial in
+            Option.map
+              (fun rest -> (Ref_key.make ~src:(Proc_id.of_int src) ~target, ic, bits) :: rest)
+              (entries rest)
+          else None
+      | _ -> Some []
+    in
+    Option.bind (entries ints)
+      (List.fold_left
+         (fun acc (key, ic, bits) ->
+           let add_side side t =
+             match Algebra.add t side key ~ic with
+             | Algebra.Added t -> Some t
+             | Algebra.Ic_conflict _ -> None
+           in
+           Option.bind acc (fun t ->
+               let t = if bits land 1 <> 0 then add_side Algebra.Source t else Some t in
+               Option.bind t (fun t ->
+                   if bits land 2 <> 0 then add_side Algebra.Target t else Some t)))
+         (Some Algebra.empty))
 
-(* A CDM's fields, as the message case that carries it holds them. *)
-let cdm_of_fields = function
-  | [ Int initiator; Int seq; alg; Int f_src; Int f_owner; Int f_serial; Int hops; Int budget ]
+(* A CDM's run, as the message case that carries it holds it. *)
+let cdm_of_run = function
+  | initiator :: seq :: f_src :: f_owner :: f_serial :: hops :: budget :: entries
     when initiator >= 0 && f_src >= 0 && f_owner >= 0 && f_serial >= 0 && hops >= 0 && budget >= 0
     ->
       Option.map
@@ -277,7 +271,7 @@ let cdm_of_fields = function
           let target = Oid.make ~owner:(Proc_id.of_int f_owner) ~serial:f_serial in
           let frontier = Ref_key.make ~src:(Proc_id.of_int f_src) ~target in
           Cdm.make ~id ~algebra ~frontier ~hops ~budget)
-        (algebra_compact_of_tree alg)
+        (algebra_of_entries entries)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -365,59 +359,41 @@ let hmsg_of_tree = function
 (* ------------------------------------------------------------------ *)
 (* Messages *)
 
+(* An oid in a run is its two ints. *)
+let oid_ints (o : Oid.t) = [ Proc_id.to_int (Oid.owner o); o.Oid.serial ]
+
+let run name ints = Sval.Record (name, [ ("run", Sval.Packed ints) ])
+
 let rec payload_sval = function
   | Msg.Rmi_request { req_id; target; args; stub_ic } ->
-      Sval.Record
-        ( "rmi_request",
-          [
-            ("req_id", Sval.Int req_id);
-            ("target", oid_sval target);
-            ("args", Sval.List (List.map oid_sval args));
-            ("stub_ic", Sval.Int stub_ic);
-          ] )
+      run "rmi_request" ((req_id :: oid_ints target) @ (stub_ic :: List.concat_map oid_ints args))
   | Msg.Rmi_reply { req_id; target; results } ->
-      Sval.Record
-        ( "rmi_reply",
-          [
-            ("req_id", Sval.Int req_id);
-            ("target", oid_sval target);
-            ("results", Sval.List (List.map oid_sval results));
-          ] )
+      run "rmi_reply" ((req_id :: oid_ints target) @ List.concat_map oid_ints results)
   | Msg.Export_notice { notice_id; target; new_holder } ->
-      Sval.Record
-        ( "export_notice",
-          [
-            ("notice_id", Sval.Int notice_id);
-            ("target", oid_sval target);
-            ("new_holder", Sval.Int (Proc_id.to_int new_holder));
-          ] )
+      run "export_notice" ((notice_id :: oid_ints target) @ [ Proc_id.to_int new_holder ])
   | Msg.Export_ack { notice_id; target; new_holder } ->
-      Sval.Record
-        ( "export_ack",
-          [
-            ("notice_id", Sval.Int notice_id);
-            ("target", oid_sval target);
-            ("new_holder", Sval.Int (Proc_id.to_int new_holder));
-          ] )
-  | Msg.New_set_stubs { seqno; targets } ->
-      (* One packed run of [owner; serial; ic] per stub. *)
-      let entry ((o : Oid.t), ic) = [ Proc_id.to_int (Oid.owner o); o.Oid.serial; ic ] in
-      Sval.Record
-        ( "new_set_stubs",
-          [
-            ("seqno", Sval.Int seqno);
-            ("targets", Sval.Packed (List.concat_map entry (Oid.Map.bindings targets)));
-          ] )
+      run "export_ack" ((notice_id :: oid_ints target) @ [ Proc_id.to_int new_holder ])
+  | Msg.New_set_stubs { seqno; targets } -> (
+      (* The owner once, then [serial; ic] per stub; an empty set is
+         its seqno alone. *)
+      match Oid.Map.bindings targets with
+      | [] -> run "new_set_stubs" [ seqno ]
+      | (first, _) :: _ as entries ->
+          let owner = Oid.owner first in
+          if List.exists (fun ((o : Oid.t), _) -> not (Proc_id.equal (Oid.owner o) owner)) entries
+          then invalid_arg "Wire_reference.payload_sval: a stub set with two owners";
+          run "new_set_stubs"
+            (seqno :: Proc_id.to_int owner
+            :: List.concat_map (fun ((o : Oid.t), ic) -> [ o.Oid.serial; ic ]) entries))
   | Msg.Scion_probe -> Sval.Record ("scion_probe", [])
   | Msg.Cdm cdm -> cdm_sval cdm
   | Msg.Cdm_delete { id; scions } ->
-      Sval.Record
-        ( "cdm_delete",
-          [
-            ("initiator", Sval.Int (Proc_id.to_int id.Detection_id.initiator));
-            ("seq", Sval.Int id.Detection_id.seq);
-            ("scions", Sval.List (List.map ref_sval scions));
-          ] )
+      run "cdm_delete"
+        (Proc_id.to_int id.Detection_id.initiator
+        :: id.Detection_id.seq
+        :: List.concat_map
+             (fun (k : Ref_key.t) -> Proc_id.to_int k.Ref_key.src :: oid_ints k.Ref_key.target)
+             scions)
   | Msg.Ext body -> Sval.Record ("ext", [ ("body", Sval.Str body) ])
   | Msg.Batch payloads ->
       Sval.Record ("batch", [ ("msgs", Sval.List (List.map payload_sval payloads)) ])
@@ -426,55 +402,64 @@ let msg_sval (t : Msg.t) =
   Sval.Record
     ( "msg",
       [
-        ("src", Sval.Int (Proc_id.to_int t.Msg.src));
-        ("dst", Sval.Int (Proc_id.to_int t.Msg.dst));
-        ("seq", Sval.Int t.Msg.seq);
-        ("sent_at", Sval.Int t.Msg.sent_at);
+        ( "header",
+          Sval.Packed
+            [ Proc_id.to_int t.Msg.src; Proc_id.to_int t.Msg.dst; t.Msg.seq; t.Msg.sent_at ] );
         ("payload", payload_sval t.Msg.payload);
       ] )
+
+(* Oids of a run's entries: pairs of non-negative ints. *)
+let rec oids_of_ints = function
+  | [] -> Some []
+  | owner :: serial :: rest ->
+      Option.bind (oid_of_tree (List [ Int owner; Int serial ])) (fun o ->
+          Option.map (fun rest -> o :: rest) (oids_of_ints rest))
+  | [ _ ] -> None
 
 (* Field order is part of the wire format. *)
 let rec payload_of_tree tree =
   match tree with
-  | Case (0, [ Int req_id; target; List args; Int stub_ic ]) -> (
-      match (oid_of_tree target, all_of oid_of_tree args) with
-      | Some target, Some args -> Some (Msg.Rmi_request { req_id; target; args; stub_ic })
+  | Case (0, [ Packed (req_id :: owner :: serial :: stub_ic :: args) ]) -> (
+      match (oids_of_ints [ owner; serial ], oids_of_ints args) with
+      | Some [ target ], Some args -> Some (Msg.Rmi_request { req_id; target; args; stub_ic })
       | _ -> None)
-  | Case (1, [ Int req_id; target; List results ]) -> (
-      match (oid_of_tree target, all_of oid_of_tree results) with
-      | Some target, Some results -> Some (Msg.Rmi_reply { req_id; target; results })
+  | Case (1, [ Packed (req_id :: owner :: serial :: results) ]) -> (
+      match (oids_of_ints [ owner; serial ], oids_of_ints results) with
+      | Some [ target ], Some results -> Some (Msg.Rmi_reply { req_id; target; results })
       | _ -> None)
-  | Case (2, [ Int notice_id; target; Int holder ]) when holder >= 0 ->
+  | Case (2, [ Packed [ notice_id; owner; serial; holder ] ]) when holder >= 0 ->
       Option.map
         (fun target -> Msg.Export_notice { notice_id; target; new_holder = Proc_id.of_int holder })
-        (oid_of_tree target)
-  | Case (3, [ Int notice_id; target; Int holder ]) when holder >= 0 ->
+        (oid_of_tree (List [ Int owner; Int serial ]))
+  | Case (3, [ Packed [ notice_id; owner; serial; holder ] ]) when holder >= 0 ->
       Option.map
         (fun target -> Msg.Export_ack { notice_id; target; new_holder = Proc_id.of_int holder })
-        (oid_of_tree target)
-  | Case (4, [ Int seqno; Packed ints ]) when List.length ints mod 3 = 0 ->
-      let rec entries = function
-        | owner :: serial :: ic :: rest ->
+        (oid_of_tree (List [ Int owner; Int serial ]))
+  | Case (4, [ Packed [ seqno ] ]) -> Some (Msg.New_set_stubs { seqno; targets = Oid.Map.empty })
+  | Case (4, [ Packed (seqno :: owner :: (_ :: _ :: _ as entries)) ]) when owner >= 0 ->
+      let rec go m = function
+        | [] -> Some m
+        | serial :: ic :: rest ->
             Option.bind (oid_of_tree (List [ Int owner; Int serial ])) (fun o ->
-                Option.map (fun rest -> (o, ic) :: rest) (entries rest))
-        | _ -> Some []
+                go (Oid.Map.add o ic m) rest)
+        | [ _ ] -> None
       in
-      Option.map
-        (fun entries ->
-          Msg.New_set_stubs
-            {
-              seqno;
-              targets = List.fold_left (fun m (o, ic) -> Oid.Map.add o ic m) Oid.Map.empty entries;
-            })
-        (entries ints)
+      Option.map (fun targets -> Msg.New_set_stubs { seqno; targets }) (go Oid.Map.empty entries)
   | Case (5, []) -> Some Msg.Scion_probe
-  | Case (6, fields) -> Option.map (fun cdm -> Msg.Cdm cdm) (cdm_of_fields fields)
-  | Case (7, [ Int initiator; Int seq; List scions ]) when initiator >= 0 ->
+  | Case (6, [ Packed ints ]) -> Option.map (fun cdm -> Msg.Cdm cdm) (cdm_of_run ints)
+  | Case (7, [ Packed (initiator :: seq :: keys) ]) when initiator >= 0 ->
+      let rec go = function
+        | [] -> Some []
+        | src :: owner :: serial :: rest ->
+            Option.bind (key_of_tree (List [ Int src; List [ Int owner; Int serial ] ])) (fun k ->
+                Option.map (fun rest -> k :: rest) (go rest))
+        | _ -> None
+      in
       Option.map
         (fun scions ->
           Msg.Cdm_delete
             { id = Detection_id.make ~initiator:(Proc_id.of_int initiator) ~seq; scions })
-        (all_of key_of_tree scions)
+        (go keys)
   | Case (8, [ Str body ]) -> Some (Msg.Ext body)
   | Case (9, [ List payloads ]) ->
       (* Batches are never nested, nor does a batch carry
@@ -489,7 +474,7 @@ let rec payload_of_tree tree =
   | _ -> None
 
 let msg_of_tree = function
-  | Rec [ Int src; Int dst; Int seq; Int sent_at; payload ] when src >= 0 && dst >= 0 ->
+  | Rec [ Packed [ src; dst; seq; sent_at ]; payload ] when src >= 0 && dst >= 0 ->
       Option.map
         (fun payload ->
           Msg.make ~seq ~src:(Proc_id.of_int src) ~dst:(Proc_id.of_int dst) ~sent_at payload)
