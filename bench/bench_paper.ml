@@ -235,7 +235,7 @@ let bench_deletion_modes () =
           string_of_int (Stats.get stats "dcda.scions_deleted");
           string_of_int (Stats.get stats "net.msg.sent.cdm_delete");
         ])
-      [ Policy.Arrival_only; Policy.All_local; Policy.Broadcast ]
+      [ Policy.All_local; Policy.Broadcast ]
   in
   Table.print
     ~header:[ "mode"; "time to reclamation"; "detections"; "scions deleted"; "delete msgs" ]
@@ -248,8 +248,8 @@ let bench_heuristics () =
   section "E13: candidate heuristics (2 garbage rings + live churn)";
   let rows =
     List.map
-      (fun (idle, backoff) ->
-        let policy = { Policy.aggressive with Policy.idle_threshold = idle; backoff } in
+      (fun idle ->
+        let policy = { Policy.aggressive with Policy.idle_threshold = idle } in
         let config = Config.quick ~seed:5 ~n_procs:6 () in
         let config = { config with Config.policy } in
         let sim = Sim.create ~config () in
@@ -271,18 +271,16 @@ let bench_heuristics () =
         in
         [
           string_of_int idle;
-          (if backoff then "yes" else "no");
           string_of_int (Stats.get stats "dcda.detections_started");
           string_of_int (Stats.get stats "dcda.cdm_sent");
           string_of_int aborts;
           string_of_int (Stats.get stats "dcda.cycles_found");
           string_of_int garbage;
         ])
-      [ (100, false); (100, true); (2_000, false); (2_000, true) ]
+      [ 100; 2_000 ]
   in
   Table.print
-    ~header:
-      [ "idle"; "backoff"; "detections"; "CDMs"; "wasted (aborts)"; "cycles found"; "garbage left" ]
+    ~header:[ "idle"; "detections"; "CDMs"; "wasted (aborts)"; "cycles found"; "garbage left" ]
     ~rows ();
   print_endline "eager candidates find cycles sooner but waste CDMs on live suspects that";
   print_endline "abort downstream; patient ones trade reclamation latency for quiet wires"

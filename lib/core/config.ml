@@ -61,10 +61,7 @@ let mc ?(seed = 0) ?(n_procs = 2) () =
       scan_period = 1;
       snapshot_period = 1;
       cooldown = 0;
-      backoff = false;
-      scan_order = Adgc_dcda.Policy.Sorted;
       deletion_mode = Adgc_dcda.Policy.Broadcast;
-      early_ic_check = false;
     }
   in
   { t with runtime; policy }

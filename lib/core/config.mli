@@ -30,10 +30,15 @@ val quick : ?seed:int -> ?n_procs:int -> unit -> t
 
 val mc : ?seed:int -> ?n_procs:int -> unit -> t
 (** Time-frozen configuration for the bounded model checker
-    ({!Adgc_mc}): manual (explored) network delivery, no idle
-    thresholds, cooldowns, backoff or early-IC pruning, sorted scan
-    order, broadcast deletion, DGC control payloads sent synchronously
-    ([dgc_window = 0]: no batch queue outlives its transition).  With
-    this config the whole system state is a pure function of the
-    choice sequence — the scheduler clock never advances and the RNG
-    is never drawn from. *)
+    ({!Adgc_mc}).  It runs the shipped detector — scans resume past
+    the rotating cursor, and the backoff doubles a cooldown of 0, so it
+    is inert — and differs from {!default} only in:
+    - periods and thresholds: manual (explored) network delivery,
+      snapshot and scan periods of 1, no idle threshold, cooldown or
+      scion grace, no failure detection;
+    - [dgc_window = 0]: DGC control payloads are sent synchronously,
+      so no batch queue outlives its transition;
+    - [Broadcast] deletion.
+
+    With this config the whole system state is a pure function of the
+    choice sequence: the scheduler clock never advances. *)

@@ -17,7 +17,7 @@ type t = {
       (* fruitless initiations per candidate: the cooldown backs off
          exponentially so cycles blocked by long-lived external
          dependencies (paper Fig. 1) stop burning CDMs every scan *)
-  mutable scan_cursor : Ref_key.t option; (* rotation point, see Policy.scan_order *)
+  mutable scan_cursor : Ref_key.t option; (* the last pick: a scan resumes just past it *)
   mutable reports : Report.t list;
 }
 
@@ -45,20 +45,15 @@ let abort t id reason =
   Runtime.log t.rt ~topic:"dcda" "%a: %a aborted (%s)" Proc_id.pp (proc_id t) Detection_id.pp id
     reason
 
-(* Delete proven scions at the concluding process per policy, and
-   broadcast the remaining ones when configured. *)
-let conclude t ~(id : Detection_id.t) ~algebra ~(arrival : Ref_key.t) ~hops =
+(* Delete the proven scions this process owns, and broadcast the
+   remaining ones when configured. *)
+let conclude t ~(id : Detection_id.t) ~algebra ~hops =
   let proven = List.map fst (Algebra.source algebra) in
   let mine, others =
     List.partition (fun key -> Proc_id.equal (Ref_key.owner key) (proc_id t)) proven
   in
-  let to_delete =
-    match t.policy.Policy.deletion_mode with
-    | Policy.Arrival_only -> [ arrival ]
-    | Policy.All_local | Policy.Broadcast -> mine
-  in
   let deleted_here =
-    List.filter (fun key -> Scion_table.delete ~tombstone:true t.proc.Process.scions key) to_delete
+    List.filter (fun key -> Scion_table.delete ~tombstone:true t.proc.Process.scions key) mine
   in
   List.iter
     (fun key ->
@@ -80,7 +75,7 @@ let conclude t ~(id : Detection_id.t) ~algebra ~(arrival : Ref_key.t) ~hops =
         (fun owner scions ->
           Runtime.send_dgc t.rt ~src:(proc_id t) ~dst:owner (Msg.Cdm_delete { id; scions }))
         by_owner
-  | Policy.Arrival_only | Policy.All_local -> ());
+  | Policy.All_local -> ());
   Stats.incr t.rt.Runtime.stats "dcda.cycles_found";
   let now = Runtime.now t.rt in
   let lineage = t.rt.Runtime.lineage in
@@ -187,20 +182,6 @@ let proceed_from t summary ~id ~delivered ~scion ~hops ~budget =
                   (* No new information: the derivation would loop
                      forever re-announcing the same dependency. *)
                   Stats.incr t.rt.Runtime.stats "dcda.branch.no_new_info";
-                  acc
-                end
-                else if
-                  (* §3.2 optimization: analyse the unmatched counters
-                     of the algebra about to leave; a conflict here
-                     means the next hop would only abort it anyway. *)
-                  t.policy.Policy.early_ic_check
-                  &&
-                  match Algebra.verdict alg with
-                  | Algebra.Conflict -> true
-                  | Algebra.Counts _ -> false
-                then begin
-                  Stats.incr t.rt.Runtime.stats "dcda.abort.ic_mismatch_early";
-                  Stats.incr t.rt.Runtime.stats "dcda.cdm_saved";
                   acc
                 end
                 else (stub_key, alg) :: acc
@@ -318,14 +299,14 @@ let handle_cdm t (cdm : Cdm.t) =
                     match Algebra.verdict alg with
                     | Algebra.Conflict -> abort t id "ic_mismatch_matching"
                     | Algebra.Counts { unresolved = 0; frontier = 0 } ->
-                        conclude t ~id ~algebra:alg ~arrival ~hops:cdm.Cdm.hops
+                        conclude t ~id ~algebra:alg ~hops:cdm.Cdm.hops
                     | Algebra.Counts { unresolved = _; frontier = 0 }
                       when Adgc_util.Mc_mutate.enabled "conclude_ignores_unresolved" ->
                         (* Gauntlet mutant: declare victory while scion
                            dependencies are still untraversed — an
                            external holder of the "cycle" (paper Fig. 1)
                            is exactly such a dependency. *)
-                        conclude t ~id ~algebra:alg ~arrival ~hops:cdm.Cdm.hops
+                        conclude t ~id ~algebra:alg ~hops:cdm.Cdm.hops
                     | Algebra.Counts _ ->
                         proceed_from t summary ~id ~delivered:alg ~scion ~hops:cdm.Cdm.hops
                           ~budget:cdm.Cdm.budget)
@@ -397,22 +378,21 @@ let initiate t key =
 (* Pick this round's candidates and start a detection per pick.  The
    source is the published summary: its scions whose target is not
    locally reachable, in ascending key order, so it is exactly as
-   stale as the summary.  The walk starts at the lowest key, or, in
-   [Rotating] order, just past the cursor and wraps around; it keeps
-   the scions that pass the policy filters and stops at
-   [max_per_scan] picks.  The cursor moves to the last pick. *)
+   stale as the summary.  The walk starts just past the cursor (at the
+   lowest key before the first pick) and wraps around; it keeps the
+   scions that pass the policy filters and stops at [max_per_scan]
+   picks.  The cursor moves to the last pick.  A candidate's cooldown
+   doubles per fruitless initiation, up to 32x. *)
 let scan t =
   match t.summary with
   | None -> 0
   | Some summary ->
       let now = Runtime.now t.rt in
       let effective_cooldown key =
-        if not t.policy.Policy.backoff then t.policy.Policy.cooldown
-        else
-          let attempts =
-            Int.min 5 (Option.value ~default:0 (Ref_key.Tbl.find_opt t.attempts key))
-          in
-          t.policy.Policy.cooldown * (1 lsl attempts)
+        let attempts =
+          Int.min 5 (Option.value ~default:0 (Ref_key.Tbl.find_opt t.attempts key))
+        in
+        t.policy.Policy.cooldown * (1 lsl attempts)
       in
       let eligible i =
         (not (Summary.target_locally_reachable summary i))
@@ -425,9 +405,7 @@ let scan t =
       in
       let n = fst (Summary.counts summary) in
       let start =
-        match (t.policy.Policy.scan_order, t.scan_cursor) with
-        | Policy.Rotating, Some cursor -> Summary.scion_after summary cursor
-        | Policy.Rotating, None | Policy.Sorted, _ -> 0
+        match t.scan_cursor with Some cursor -> Summary.scion_after summary cursor | None -> 0
       in
       (* The picks, last first. *)
       let rec walk step picked count =
@@ -446,6 +424,8 @@ let scan t =
           let key = Summary.scion_key summary scion in
           if initiate_from t summary ~scion key then acc + 1 else acc)
         0 (List.rev picked)
+
+let scan_cursor t = t.scan_cursor
 
 let attach rt proc ~policy =
   let t =

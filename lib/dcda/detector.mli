@@ -16,8 +16,9 @@
       target is locally reachable terminates the detection (negative).
 
     Matching with both sets empty proves a distributed garbage cycle;
-    the detector then deletes scions according to the
-    {!Policy.deletion_mode} and lets the acyclic collector cascade. *)
+    the detector then deletes the proven scions its process owns (and
+    under [Broadcast] tells the other owners to delete theirs) and lets
+    the acyclic collector cascade. *)
 
 open Adgc_algebra
 
@@ -47,13 +48,15 @@ val scan : t -> int
     source is exactly as stale as the summary and a root added since
     the publish does not remove a candidate until the next one. *)
 
+val scan_cursor : t -> Ref_key.t option
+(** The last candidate a scan picked; the next scan resumes just past
+    it.  The model checker keeps it in its state fingerprint, since two
+    states that differ only here scan differently. *)
+
 val initiate : t -> Ref_key.t -> bool
 (** Force a detection from one scion (tests and the CLI use this);
     [false] when the summary rejects it (missing, or locally
     reachable target). *)
-
-val handle_cdm : t -> Cdm.t -> unit
-(** Normally invoked through the process hook. *)
 
 (** {1 Results} *)
 

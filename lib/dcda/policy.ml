@@ -1,11 +1,6 @@
-type deletion_mode = Arrival_only | All_local | Broadcast
+type deletion_mode = All_local | Broadcast
 
-let deletion_mode_name = function
-  | Arrival_only -> "arrival_only"
-  | All_local -> "all_local"
-  | Broadcast -> "broadcast"
-
-type scan_order = Sorted | Rotating
+let deletion_mode_name = function All_local -> "all_local" | Broadcast -> "broadcast"
 
 type t = {
   idle_threshold : int;
@@ -14,9 +9,6 @@ type t = {
   max_per_scan : int;
   cooldown : int;
   deletion_mode : deletion_mode;
-  early_ic_check : bool;
-  scan_order : scan_order;
-  backoff : bool;
   cdm_budget : int;
   candidate_audit_period : int;
 }
@@ -29,9 +21,6 @@ let default =
     max_per_scan = 4;
     cooldown = 10_000;
     deletion_mode = All_local;
-    early_ic_check = false;
-    scan_order = Rotating;
-    backoff = true;
     cdm_budget = 256;
     candidate_audit_period = 12_500;
   }
@@ -44,9 +33,6 @@ let aggressive =
     max_per_scan = 16;
     cooldown = 2_000;
     deletion_mode = All_local;
-    early_ic_check = false;
-    scan_order = Rotating;
-    backoff = true;
     cdm_budget = 256;
     candidate_audit_period = 2_000;
   }

@@ -72,37 +72,6 @@ let explore ?mutant ?caps ?(max_depth = 64) scenario =
     violation = !violation;
   }
 
-let find_goal ?mutant ?caps ~max_depth scenario =
-  let exception Got of Action.t list in
-  try
-    for bound = 0 to max_depth do
-      let seen : (string, int) Hashtbl.t = Hashtbl.create 1024 in
-      let rec dfs trail sys depth =
-        if System.goal_reached sys then raise (Got trail);
-        if depth < bound then begin
-          let fp = System.fingerprint sys in
-          let remaining = bound - depth in
-          let expand =
-            match Hashtbl.find_opt seen fp with Some r when r >= remaining -> false | _ -> true
-          in
-          if expand then begin
-            Hashtbl.replace seen fp remaining;
-            List.iter
-              (fun a ->
-                match run ?mutant ?caps scenario (trail @ [ a ]) with
-                | Error _ -> ()
-                | Ok (sys', _) -> dfs (trail @ [ a ]) sys' (depth + 1))
-              (System.enabled sys)
-          end
-        end
-      in
-      match run ?mutant ?caps scenario [] with
-      | Error _ -> ()
-      | Ok (sys0, _) -> dfs [] sys0 0
-    done;
-    None
-  with Got trail -> Some trail
-
 (* --------------------------------------------------------------- *)
 (* Delta debugging (Zeller's ddmin) over the action trail.          *)
 

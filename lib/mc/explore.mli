@@ -34,11 +34,6 @@ val explore :
     effectively "until the caps close the space").  Stops at the first
     violation. *)
 
-val find_goal :
-  ?mutant:string -> ?caps:Scenario.caps -> max_depth:int -> Scenario.t -> Action.t list option
-(** Shortest trail reaching the scenario goal, by iterative
-    deepening; [None] if the goal is unreachable within the bound. *)
-
 val ddmin : test:(Action.t list -> bool) -> Action.t list -> Action.t list
 (** Classic delta debugging over a trail known to satisfy [test]
     (1-minimal result: removing any single remaining action breaks

@@ -269,10 +269,18 @@ let fingerprint t =
              |> List.sort compare
              |> List.map (fun (k, v) -> Json.Obj [ ("s", Json.Str k); ("e", v) ])
            in
+           let detector = Sim.detector t.sim (Proc_id.to_int p.Process.id) in
            let summary =
-             match Adgc_dcda.Detector.summary (Sim.detector t.sim (Proc_id.to_int p.Process.id)) with
+             match Adgc_dcda.Detector.summary detector with
              | None -> Json.Null
              | Some s -> Json.Str (hex (Adgc_snapshot.Summary.bytes s))
+           in
+           (* Where the next scan resumes: two states that differ only
+              here pick different candidates. *)
+           let cursor =
+             match Adgc_dcda.Detector.scan_cursor detector with
+             | None -> Json.Null
+             | Some key -> Json.Str (key_str key)
            in
            Json.obj_sorted
              [
@@ -282,6 +290,7 @@ let fingerprint t =
                ("stubs", Json.Arr stubs);
                ("scions", Json.Arr scions);
                ("summary", summary);
+               ("cursor", cursor);
              ])
   in
   (* Parked envelopes, order-independent: identical payloads between

@@ -30,8 +30,9 @@ val apply : t -> Action.t -> (string list, string) result
 
 val fingerprint : t -> string
 (** Canonical digest of the reachable system state: heaps, roots,
-    stub and scion tables, published detector summaries, parked
-    envelopes (send-order independent) and the scope counters.
+    stub and scion tables, published detector summaries and scan
+    cursors, parked envelopes (send-order independent) and the scope
+    counters.
     Internal identity counters (envelope sequence numbers, RMI request
     ids, detection sequence numbers) and scion tombstones are
     deliberately excluded — states identical up to such renaming
@@ -41,12 +42,5 @@ val fingerprint : t -> string
 
 val goal_reached : t -> bool
 (** The scenario's liveness goal, [false] when it has none. *)
-
-val live_refined : t -> Adgc_algebra.Oid.Set.t
-(** Ground truth used for violation checking — exactly
-    {!Adgc_rt.Cluster.globally_live}, which already refines in-flight
-    RMI replies down to their result references (the target field is
-    routing metadata that confers no reference on delivery).  The
-    checker keeps no private tracer. *)
 
 val sim : t -> Adgc.Sim.t

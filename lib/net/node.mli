@@ -24,13 +24,8 @@
     [Process.note_delivery], which is precisely what the fault tests
     assert. *)
 
-val sock_path : dir:string -> int -> string
-(** The Unix-domain socket rank [i] listens on. *)
-
 val coord_path : dir:string -> string
 (** Where the coordinator listens; every node dials it. *)
-
-val log_path : dir:string -> int -> string
 
 val ring : int
 (** Outbound replay window per peer (envelopes). *)

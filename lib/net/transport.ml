@@ -3,15 +3,6 @@ module Wire = Adgc_serial.Wire
 
 type addr = Unix_sock of string | Tcp of string * int
 
-let addr_of_string s =
-  match String.rindex_opt s ':' with
-  | Some i -> (
-      let host = String.sub s 0 i and port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      | Some p when host <> "" -> Tcp (host, p)
-      | _ -> Unix_sock s)
-  | None -> Unix_sock s
-
 let pp_addr ppf = function
   | Unix_sock path -> Format.fprintf ppf "unix:%s" path
   | Tcp (host, port) -> Format.fprintf ppf "tcp:%s:%d" host port
@@ -30,8 +21,6 @@ type conn = {
   frames : Frame.decoder;
   backlog : Buffer.t;  (* bytes accepted by [send] but not yet by the kernel *)
   mutable backlog_off : int;
-  mutable sent_frames : int;
-  mutable received_frames : int;
   mutable alive : bool;
   readbuf : Bytes.t;
 }
@@ -44,8 +33,6 @@ let of_fd sock =
     frames = Frame.decoder ();
     backlog = Buffer.create 4096;
     backlog_off = 0;
-    sent_frames = 0;
-    received_frames = 0;
     alive = true;
     readbuf = Bytes.create 65536;
   }
@@ -61,10 +48,6 @@ let close t =
   end
 
 let kill t = close t
-
-let sent_frames t = t.sent_frames
-
-let received_frames t = t.received_frames
 
 let compact t =
   if t.backlog_off > 0 && t.backlog_off = Buffer.length t.backlog then begin
@@ -100,7 +83,6 @@ let send t env =
   if t.alive then begin
     let payload = Net_codec.encode_shape Envelope.emit env in
     Buffer.add_string t.backlog (Frame.encode payload);
-    t.sent_frames <- t.sent_frames + 1;
     flush t
   end
 
@@ -125,7 +107,6 @@ let recv t =
          | None -> ()
          | Some payload ->
              let env = Net_codec.Read.run Envelope.read payload in
-             t.received_frames <- t.received_frames + 1;
              out := env :: !out;
              drain ()
        in

@@ -15,11 +15,6 @@
 
 type addr = Unix_sock of string | Tcp of string * int
 
-val addr_of_string : string -> addr
-(** ["host:port"] is TCP, anything else a Unix-domain socket path. *)
-
-val pp_addr : Format.formatter -> addr -> unit
-
 (** {1 Connections} *)
 
 type conn
@@ -51,10 +46,6 @@ val recv : conn -> Envelope.t list
     Returns [[]] when nothing is pending.  EOF, a malformed frame or
     an undecodable envelope kills the connection: a peer that sent
     one is not trusted with the next. *)
-
-val sent_frames : conn -> int
-
-val received_frames : conn -> int
 
 (** {1 Endpoints} *)
 

@@ -13,8 +13,6 @@ val chrome_trace : Span.t -> Json.t
     ticks; each simulated process is one [tid] under [pid] 0; span
     ids and parent links ride in [args]. *)
 
-val jsonl_line : Span.span -> string
-
 val jsonl : Span.t -> string
 (** One JSON object per line, oldest span first. *)
 

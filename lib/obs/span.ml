@@ -116,13 +116,3 @@ let clear t =
   t.dropped <- 0;
   t.next_id <- 0;
   Hashtbl.reset t.open_spans
-
-let pp_span ppf s =
-  Format.fprintf ppf "[%6d..%s] #%d%s %-10s %s%s" s.start_time
-    (match s.end_time with Some e -> string_of_int e | None -> "open")
-    s.id
-    (match s.parent with Some p -> Printf.sprintf "<#%d" p | None -> "")
-    (kind_name s.kind) s.name
-    (match s.args with
-    | [] -> ""
-    | args -> " " ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) args))

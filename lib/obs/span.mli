@@ -60,5 +60,3 @@ val dropped : t -> int
 (** Spans evicted from the ring since creation/{!clear}. *)
 
 val clear : t -> unit
-
-val pp_span : Format.formatter -> span -> unit

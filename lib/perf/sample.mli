@@ -38,11 +38,7 @@ type t = {
 
 val direction_to_string : direction -> string
 
-val direction_of_string : string -> direction option
-
 val klass_to_string : klass -> string
-
-val klass_of_string : string -> klass option
 
 val of_values :
   name:string ->

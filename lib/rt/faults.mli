@@ -68,10 +68,6 @@ val none : plan
 
 val link_for : plan -> src:int -> dst:int -> link
 
-val split_halves : n_procs:int -> (int * int) list
-(** The links crossing a cut of [0 .. n/2-1] from the rest (one
-    direction each; partitions cut both). *)
-
 (** {1 Named profiles (the fault-matrix regimes)} *)
 
 type profile = Loss_burst | Duplicate | Reorder | Partition_heal | Crash_restart

@@ -302,10 +302,6 @@ let dense_oid t id =
   let tr = sync_tracer t in
   Interner.key tr.ids id
 
-let dense_obj t id =
-  let tr = sync_tracer t in
-  if id < 0 || id >= Interner.size tr.ids then None else tr.slots.(id)
-
 let iter_dense t f =
   let tr = sync_tracer t in
   for id = 0 to Interner.size tr.ids - 1 do
@@ -365,5 +361,3 @@ let trace t ~from =
     ~visit_local:(fun id -> local := Oid.Set.add (Interner.key tr.ids id) !local)
     ~visit_remote:(fun oid -> remote := Oid.Set.add oid !remote);
   { local = !local; remote = !remote }
-
-let trace_all_remote t ~from = (trace t ~from).remote

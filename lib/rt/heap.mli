@@ -127,9 +127,6 @@ val trace : t -> from:Oid.t list -> trace_result
     starting points contribute nothing.  References to local oids that
     are absent from the heap (dangling, e.g. mid-sweep) are ignored. *)
 
-val trace_all_remote : t -> from:Oid.t list -> Oid.Set.t
-(** [ (trace t ~from).remote ] — convenience. *)
-
 (** {1 Dense view}
 
     Low-level access to the persistent dense index for hot loops that
@@ -157,9 +154,6 @@ val dense_generation : t -> int
 val dense_oid : t -> int -> Oid.t
 (** Oid owning a dense id.
     @raise Invalid_argument when the id was never assigned. *)
-
-val dense_obj : t -> int -> obj option
-(** Live object behind a dense id; [None] for dead slots. *)
 
 val iter_dense : t -> (int -> obj -> unit) -> unit
 (** Every live object with its dense id, in id order. *)

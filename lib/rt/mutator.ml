@@ -84,8 +84,3 @@ let return_field_refs _rt (p : Process.t) ~target ~args:_ =
   | Some obj ->
       Array.to_list obj.Heap.fields |> List.filter_map (fun slot -> slot)
   | None -> []
-
-let on_target body rt (p : Process.t) ~target ~args =
-  match Heap.get p.Process.heap target with
-  | Some obj -> body rt p obj args
-  | None -> []

@@ -89,8 +89,3 @@ val return_field_refs : Runtime.behavior
 (** The callee replies with every reference currently held by the
     invoked object (a "read" that leaks references back to the
     caller). *)
-
-val on_target : (Runtime.t -> Process.t -> Heap.obj -> Oid.t list -> Oid.t list) -> Runtime.behavior
-(** Adapter: look the invoked object up at the callee and hand it to
-    the body together with the argument references.  Replies empty if
-    the object vanished. *)

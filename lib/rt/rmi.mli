@@ -14,9 +14,6 @@
 
 open Adgc_algebra
 
-val noop_behavior : Runtime.behavior
-(** Runs nothing, returns nothing — a pure "touch". *)
-
 val call :
   Runtime.t ->
   src:Proc_id.t ->

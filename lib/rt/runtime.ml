@@ -62,8 +62,6 @@ let create ~sched ~net ~procs ~rng ~stats ~trace ?obs ?lineage ~config () =
 
 let proc t id = t.procs.(Proc_id.to_int id)
 
-let proc_count t = Array.length t.procs
-
 let now t = Scheduler.now t.sched
 
 let log t ~topic fmt = Adgc_util.Trace.addf t.trace ~time:(now t) ~topic fmt

@@ -110,8 +110,6 @@ val create :
 
 val proc : t -> Proc_id.t -> Process.t
 
-val proc_count : t -> int
-
 val now : t -> int
 
 val log : t -> topic:string -> ('a, Format.formatter, unit, unit) format4 -> 'a

@@ -21,9 +21,6 @@ val pending : t -> int
 
 val is_idle : t -> bool
 
-val run_next : t -> bool
-(** Execute the earliest event; [false] when the queue is empty. *)
-
 val run_until : t -> time:int -> unit
 (** Execute every event with timestamp [<= time], then advance the
     clock to [time] even if idle earlier. *)

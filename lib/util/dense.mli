@@ -61,14 +61,11 @@ module Csr : sig
   (** [capacity] is a row-count hint; rows and edge storage both grow
       on demand. *)
 
-  val ensure_row : t -> int -> unit
-  (** Make row [r] addressable (rows are dense external ids, e.g. from
-      an {!Interner}).  Implied by {!add}.
-      @raise Invalid_argument on a negative row. *)
-
   val add : t -> int -> int -> unit
   (** Append a value to a row (multiset semantics — duplicates are
-      kept). *)
+      kept), making the row addressable first (rows are dense external
+      ids, e.g. from an {!Interner}).
+      @raise Invalid_argument on a negative row. *)
 
   val remove : t -> int -> int -> bool
   (** Remove one occurrence of the value from the row; [false] when

@@ -25,8 +25,6 @@ type rates = {
   unlink : float;  (** clear a random local reference *)
 }
 
-val default_rates : rates
-
 type t
 
 val create :

@@ -3,10 +3,6 @@
     Omniscient, read-only; used by the CLI's [inspect] mode, examples
     and debugging sessions. *)
 
-val pp_process : ?names:Names.t -> Format.formatter -> Adgc_rt.Process.t -> unit
-(** Heap objects with their references, roots, stub and scion tables
-    (ICs, flags). *)
-
 val pp_cluster : ?names:Names.t -> Format.formatter -> Adgc_rt.Cluster.t -> unit
 (** Every process, then ground truth (live/garbage counts) and
     in-flight message count. *)

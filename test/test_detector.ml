@@ -220,30 +220,6 @@ let test_fig5_race_aborts () =
   check Alcotest.bool "cycle survives (alive via M)" true
     (Heap.mem (Cluster.proc h.cluster 1).Process.heap f.Heap.oid)
 
-let test_fig5_race_early_ic_check_saves_message () =
-  (* Same race, with the paper's §3.2 optimization on: the process
-     about to forward the conflicting algebra aborts locally instead
-     of sending a doomed CDM. *)
-  let policy = { Policy.aggressive with Policy.early_ic_check = true } in
-  let h = mk ~n:5 ~policy () in
-  let built = Topology.fig5 h.cluster in
-  let f = Topology.obj built "F" in
-  let now = Cluster.now h.cluster in
-  List.iter
-    (fun i ->
-      Detector.set_summary h.detectors.(i) (Summarize.run ~now (Cluster.proc h.cluster i)))
-    [ 1; 3; 4 ];
-  Adgc_rt.Mutator.call h.cluster ~src:0 ~target:f.Heap.oid ();
-  settle h;
-  Adgc_rt.Mutator.remove_root h.cluster (Topology.obj built "A");
-  let now = Cluster.now h.cluster in
-  Detector.set_summary h.detectors.(0) (Summarize.run ~now (Cluster.proc h.cluster 0));
-  ignore (Detector.initiate h.detectors.(1) (Topology.scion_key built ~src:0 "F") : bool);
-  settle h;
-  check Alcotest.int "no cycle concluded" 0 (List.length (all_reports h));
-  check Alcotest.bool "early abort fired" true (stat h "dcda.abort.ic_mismatch_early" >= 1);
-  check Alcotest.bool "a CDM was saved" true (stat h "dcda.cdm_saved" >= 1)
-
 let test_fig5_after_snapshot_refresh_detects () =
   (* Control experiment: same topology, but when the cycle is truly
      garbage and all snapshots are current, the detection succeeds. *)
@@ -334,11 +310,6 @@ let test_deletion_all_local () =
   check Alcotest.int "reclaimed" 0 remaining;
   check Alcotest.int "no broadcast traffic" 0 (stat h "net.msg.sent.cdm_delete")
 
-let test_deletion_arrival_only () =
-  let h, remaining = reclaim_fig4_with Policy.Arrival_only in
-  check Alcotest.int "reclaimed (may take more rounds)" 0 remaining;
-  ignore h
-
 let test_deletion_broadcast () =
   let h, remaining = reclaim_fig4_with Policy.Broadcast in
   check Alcotest.int "reclaimed" 0 remaining;
@@ -418,12 +389,7 @@ let test_scan_skips_rooted_targets () =
    below 8). *)
 let test_scan_rotation_avoids_starvation () =
   let policy =
-    {
-      Policy.aggressive with
-      Policy.max_per_scan = 3;
-      cooldown = 1_000_000;
-      scan_order = Policy.Rotating;
-    }
+    { Policy.aggressive with Policy.max_per_scan = 3; cooldown = 1_000_000 }
   in
   let h = mk ~n:2 ~policy () in
   for _ = 1 to 8 do
@@ -465,6 +431,36 @@ let test_scan_backoff_on_fruitless_candidates () =
   let late = count_initiations 8 in
   check Alcotest.bool "retries back off" true (late < early);
   check Alcotest.bool "still retried occasionally" true (early > 0)
+
+(* The cooldown doubles per fruitless initiation and stops at 32x.  P1's
+   only scion is held from a rooted object on P0, so every detection
+   from it dead-ends: with a cooldown of 100 the retries come 200, 400,
+   800, 1,600 and 3,200 ticks apart, and then stay 3,200 apart. *)
+let test_scan_backoff_stops_at_32x () =
+  let cooldown = 100 in
+  let policy = { Policy.aggressive with Policy.idle_threshold = 0; cooldown } in
+  let h = mk ~n:2 ~policy () in
+  let a = Adgc_rt.Mutator.alloc h.cluster ~proc:0 () in
+  let b = Adgc_rt.Mutator.alloc h.cluster ~proc:1 () in
+  Adgc_rt.Mutator.add_root h.cluster a;
+  Adgc_rt.Mutator.wire_remote h.cluster ~holder:a ~target:b;
+  Cluster.run_for h.cluster 1_000;
+  snapshot_all h;
+  check Alcotest.int "first initiation" 1 (Detector.scan h.detectors.(1));
+  List.iteri
+    (fun i factor ->
+      Cluster.run_for h.cluster ((factor * cooldown) - 1);
+      check Alcotest.int
+        (Printf.sprintf "retry %d still cooling at %dx - 1" (i + 1) factor)
+        0
+        (Detector.scan h.detectors.(1));
+      Cluster.run_for h.cluster 1;
+      check Alcotest.int
+        (Printf.sprintf "retry %d at %dx" (i + 1) factor)
+        1
+        (Detector.scan h.detectors.(1)))
+    [ 2; 4; 8; 16; 32; 32; 32 ];
+  check Alcotest.int "every retry dead-ended" 0 (List.length (all_reports h))
 
 let test_initiate_unknown_scion () =
   let h = mk ~n:3 () in
@@ -804,8 +800,7 @@ let two_cycles h k =
    the publish does not remove it: the source is exactly as stale as
    the summary, and only the next publish sees the root. *)
 let test_scan_source_is_the_summary () =
-  let policy = { Policy.aggressive with Policy.scan_order = Policy.Sorted } in
-  let h = mk_telemetry ~n:2 ~policy () in
+  let h = mk_telemetry ~n:2 () in
   let a0 = Mutator.alloc h.cluster ~proc:0 () in
   let r = Mutator.alloc h.cluster ~proc:0 () in
   let a1 = Mutator.alloc h.cluster ~proc:0 () in
@@ -845,9 +840,7 @@ let test_scan_needs_a_publish () =
 (* The other half of the staleness: a garbage scion created after the
    publish is not a candidate until the next publish lists it. *)
 let test_scan_new_scion_waits_for_publish () =
-  let policy =
-    { Policy.aggressive with Policy.scan_order = Policy.Sorted; cooldown = 1_000_000 }
-  in
+  let policy = { Policy.aggressive with Policy.cooldown = 1_000_000 } in
   let h = mk_telemetry ~n:2 ~policy () in
   let a0, b0 = List.hd (two_cycles h 1) in
   Cluster.run_for h.cluster 1_000;
@@ -862,41 +855,11 @@ let test_scan_new_scion_waits_for_publish () =
   check Alcotest.int "P1 scans the new scion" 1 (Detector.scan h.detectors.(1));
   check keys "P1 initiated from both, in turn" [ ref_key a0 b0; ref_key a1 b1 ] (initiated_by h 1)
 
-(* [Sorted] takes the lowest eligible keys at every scan: with no
-   cooldown, two scans pick the same [max_per_scan] keys. *)
-let test_scan_sorted_restarts_from_lowest () =
-  let policy =
-    {
-      Policy.aggressive with
-      Policy.scan_order = Policy.Sorted;
-      max_per_scan = 2;
-      cooldown = 0;
-      backoff = false;
-    }
-  in
-  let h = mk_telemetry ~n:2 ~policy () in
-  let _ = two_cycles h 4 in
-  Cluster.run_for h.cluster 1_000;
-  snapshot_all h;
-  let lowest = List.filteri (fun i _ -> i < 2) (published h 1) in
-  check Alcotest.int "four candidates" 4 (List.length (published h 1));
-  check Alcotest.int "first scan" 2 (Detector.scan h.detectors.(1));
-  check Alcotest.int "second scan" 2 (Detector.scan h.detectors.(1));
-  check keys "both scans took the two lowest keys" (lowest @ lowest) (initiated_by h 1)
-
-(* [Rotating] resumes just past the cursor, the last key picked, and
+(* A scan resumes just past the cursor, the last key picked, and
    wraps around to the lowest key: with no cooldown, three scans of
    three picks over four candidates take k0 k1 k2, k3 k0 k1, k2 k3 k0. *)
 let test_scan_rotating_resumes_past_the_cursor () =
-  let policy =
-    {
-      Policy.aggressive with
-      Policy.scan_order = Policy.Rotating;
-      max_per_scan = 3;
-      cooldown = 0;
-      backoff = false;
-    }
-  in
+  let policy = { Policy.aggressive with Policy.max_per_scan = 3; cooldown = 0 } in
   let h = mk_telemetry ~n:2 ~policy () in
   let _ = two_cycles h 4 in
   Cluster.run_for h.cluster 1_000;
@@ -910,11 +873,78 @@ let test_scan_rotating_resumes_past_the_cursor () =
     [ k.(0); k.(1); k.(2); k.(3); k.(0); k.(1); k.(2); k.(3); k.(0) ]
     (initiated_by h 1)
 
+(* [k] two-cycles as {!two_cycles}, each held from a root on P0: a
+   detection from P1's scion dead-ends at P0 and reclaims nothing. *)
+let rooted_two_cycles h k =
+  let cycles = two_cycles h k in
+  List.iter (fun (a, _) -> Mutator.add_root h.cluster a) cycles;
+  cycles
+
+let cursor = Alcotest.(option (of_pp Ref_key.pp))
+
+(* A scan that picks nothing leaves the cursor where it was.  The first
+   scan picks k0 and k1; k2 and k3 are then initiated directly, which
+   does not move the cursor, so every candidate cools down and the
+   second scan picks nothing.  Once the cooldowns pass, the third scan
+   resumes past k1, not from the lowest key. *)
+let test_scan_without_picks_keeps_the_cursor () =
+  let policy =
+    { Policy.aggressive with Policy.idle_threshold = 0; max_per_scan = 2; cooldown = 100 }
+  in
+  let h = mk_telemetry ~n:2 ~policy () in
+  let _ = rooted_two_cycles h 4 in
+  Cluster.run_for h.cluster 1_000;
+  snapshot_all h;
+  let k = Array.of_list (published h 1) in
+  check Alcotest.int "four candidates" 4 (Array.length k);
+  check cursor "no cursor before the first scan" None (Detector.scan_cursor h.detectors.(1));
+  check Alcotest.int "first scan" 2 (Detector.scan h.detectors.(1));
+  check Alcotest.bool "k2 initiated directly" true (Detector.initiate h.detectors.(1) k.(2));
+  check Alcotest.bool "k3 initiated directly" true (Detector.initiate h.detectors.(1) k.(3));
+  check cursor "direct initiations leave the cursor" (Some k.(1))
+    (Detector.scan_cursor h.detectors.(1));
+  check Alcotest.int "everything cools down" 0 (Detector.scan h.detectors.(1));
+  check cursor "an empty scan leaves the cursor" (Some k.(1))
+    (Detector.scan_cursor h.detectors.(1));
+  (* One fruitless initiation each: the cooldown is 2 x 100. *)
+  Cluster.run_for h.cluster 200;
+  check Alcotest.int "third scan" 2 (Detector.scan h.detectors.(1));
+  check keys "the third scan resumed past k1"
+    [ k.(0); k.(1); k.(2); k.(3); k.(2); k.(3) ]
+    (initiated_by h 1);
+  check Alcotest.int "every detection dead-ended" 0 (List.length (all_reports h))
+
+(* The cursor's scion can leave the summary between scans (here the
+   reference behind it is dropped and the acyclic DGC deletes it).  The
+   next scan then resumes at the first key above the cursor: k2 and k3,
+   not k0 and k2. *)
+let test_scan_resumes_past_a_vanished_cursor () =
+  let policy =
+    { Policy.aggressive with Policy.idle_threshold = 0; max_per_scan = 2; cooldown = 0 }
+  in
+  let h = mk_telemetry ~n:2 ~policy () in
+  let cycles = Array.of_list (rooted_two_cycles h 4) in
+  Cluster.run_for h.cluster 1_000;
+  snapshot_all h;
+  let k = Array.of_list (published h 1) in
+  check Alcotest.int "first scan" 2 (Detector.scan h.detectors.(1));
+  check cursor "the cursor is k1" (Some k.(1)) (Detector.scan_cursor h.detectors.(1));
+  let a1, b1 = cycles.(1) in
+  Mutator.unwire_remote h.cluster ~holder:a1 ~target:b1;
+  gc_rounds h 6;
+  check Alcotest.bool "k1's scion is gone" true
+    (Option.is_none (Scion_table.find (Cluster.proc h.cluster 1).Process.scions k.(1)));
+  snapshot_all h;
+  check keys "k1 left the summary" [ k.(0); k.(2); k.(3) ] (published h 1);
+  check Alcotest.int "second scan" 2 (Detector.scan h.detectors.(1));
+  check keys "the second scan resumed at k2" [ k.(0); k.(1); k.(2); k.(3) ] (initiated_by h 1);
+  check cursor "the cursor is k3" (Some k.(3)) (Detector.scan_cursor h.detectors.(1))
+
 (* The idle filter reads the summary's [last_invoked] too: an
    invocation after the publish leaves the scion a candidate until the
    next publish records it. *)
 let test_scan_idle_filter_reads_the_summary () =
-  let policy = { Policy.aggressive with Policy.cooldown = 0; backoff = false } in
+  let policy = { Policy.aggressive with Policy.cooldown = 0 } in
   let h = mk ~n:2 ~policy () in
   let a, b = List.hd (two_cycles h 1) in
   Cluster.run_for h.cluster 1_000;
@@ -957,8 +987,6 @@ let suite =
       Alcotest.test_case "fig4: Y dependency blocks early conclusion" `Quick
         test_fig4_extra_dependency_blocks_first_pass;
       Alcotest.test_case "fig5: mutator race aborts" `Quick test_fig5_race_aborts;
-      Alcotest.test_case "fig5: early IC check saves the doomed CDM" `Quick
-        test_fig5_race_early_ic_check_saves_message;
       Alcotest.test_case "fig5: control (garbage detected)" `Quick
         test_fig5_after_snapshot_refresh_detects;
       Alcotest.test_case "rule 1: missing scion" `Quick test_missing_scion_discards_cdm;
@@ -966,7 +994,6 @@ let suite =
       Alcotest.test_case "budget stops runaway detection" `Quick
         test_budget_stops_runaway_detection;
       Alcotest.test_case "deletion: all_local" `Quick test_deletion_all_local;
-      Alcotest.test_case "deletion: arrival_only" `Quick test_deletion_arrival_only;
       Alcotest.test_case "deletion: broadcast" `Quick test_deletion_broadcast;
       Alcotest.test_case "parallel disjoint detections" `Quick test_two_disjoint_cycles_in_parallel;
       Alcotest.test_case "duplicate detections idempotent" `Quick
@@ -979,16 +1006,19 @@ let suite =
       Alcotest.test_case "scan: nothing before the first publish" `Quick test_scan_needs_a_publish;
       Alcotest.test_case "scan: a scion made after the publish waits for the next" `Quick
         test_scan_new_scion_waits_for_publish;
-      Alcotest.test_case "scan: sorted order restarts from the lowest key" `Quick
-        test_scan_sorted_restarts_from_lowest;
       Alcotest.test_case "scan: rotating order resumes past the cursor" `Quick
         test_scan_rotating_resumes_past_the_cursor;
+      Alcotest.test_case "scan: a scan that picks nothing keeps the cursor" `Quick
+        test_scan_without_picks_keeps_the_cursor;
+      Alcotest.test_case "scan: a vanished cursor resumes at the next key" `Quick
+        test_scan_resumes_past_a_vanished_cursor;
       Alcotest.test_case "scan: the idle filter reads the published summary" `Quick
         test_scan_idle_filter_reads_the_summary;
       Alcotest.test_case "scan: rotation avoids starvation" `Quick
         test_scan_rotation_avoids_starvation;
       Alcotest.test_case "scan: backoff on fruitless candidates" `Quick
         test_scan_backoff_on_fruitless_candidates;
+      Alcotest.test_case "scan: backoff stops at 32x" `Quick test_scan_backoff_stops_at_32x;
       Alcotest.test_case "initiate: unknown scion refused" `Quick test_initiate_unknown_scion;
       Alcotest.test_case "loss: CDM drop is safe, retry succeeds" `Quick
         test_detection_with_lost_cdm_retries;

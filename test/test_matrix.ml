@@ -74,7 +74,7 @@ let matrix_cases =
         (fun mode ->
           let name = Printf.sprintf "fig3 via %s/%s" col_name (Policy.deletion_mode_name mode) in
           Alcotest.test_case name `Quick (fig3_lifecycle ~account_bytes ~dgc_window ~deletion_mode:mode))
-        [ Policy.Arrival_only; Policy.All_local; Policy.Broadcast ])
+        [ Policy.All_local; Policy.Broadcast ])
     [ ("net", false, None); ("sized", true, None); ("sync", false, Some 0) ]
 
 (* ------------------------------------------------------------------ *)

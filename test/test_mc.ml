@@ -27,11 +27,11 @@ let assert_clean ?caps ~states (s : Scenario.t) =
         (String.concat ", "
            (List.map (fun a -> Format.asprintf "%a" Action.pp a) trail))
 
-let test_exhaustive_two_proc_cycle () = assert_clean ~states:541 Scenarios.two_proc_cycle
+let test_exhaustive_two_proc_cycle () = assert_clean ~states:663 Scenarios.two_proc_cycle
 
-let test_exhaustive_ic_race () = assert_clean ~states:1708 Scenarios.ic_race
+let test_exhaustive_ic_race () = assert_clean ~states:2208 Scenarios.ic_race
 
-let test_exhaustive_external_holder () = assert_clean ~states:1920 Scenarios.external_holder
+let test_exhaustive_external_holder () = assert_clean ~states:2528 Scenarios.external_holder
 
 let test_exhaustive_export_handshake () =
   (* One listing round exhaustively; the two-round scope (needed by the
@@ -111,6 +111,61 @@ let test_fingerprint_sensitive () =
   in
   check Alcotest.bool "prefix differs from full trail" true
     (fp [ Action.Mutate 0 ] <> fp Scenarios.reclaim_trail)
+
+(* Two states that differ only in a detector's scan cursor scan
+   differently, so the fingerprint must tell them apart.  P0's one
+   scion (X, held from P1) is a candidate whose detection dead-ends at
+   once: scanning it moves the cursor and nothing else the fingerprint
+   reads — no envelope, table, summary or scope counter. *)
+let test_fingerprint_reads_the_scan_cursor () =
+  let caps = { Scenario.snapshots = 1; scans = 0; lgcs = 0; sends = 0; drops = 0 } in
+  let sys, _ = run_exn ~caps Scenarios.export_handshake [ Action.Snapshot 0 ] in
+  let before = System.fingerprint sys in
+  let parked () = List.length (Adgc_rt.Network.pending (Adgc.Sim.net (System.sim sys))) in
+  let parked_before = parked () in
+  let detector = Adgc.Sim.detector (System.sim sys) 0 in
+  check Alcotest.int "one detection" 1 (Adgc_dcda.Detector.scan detector);
+  check Alcotest.int "it sent nothing" parked_before (parked ());
+  check Alcotest.bool "the cursor moved" true
+    (Option.is_some (Adgc_dcda.Detector.scan_cursor detector));
+  check Alcotest.bool "the cursor alone tells the states apart" true
+    (before <> System.fingerprint sys)
+
+(* [Config.mc] runs the shipped detector: its policy, runtime and
+   network differ from [Config.default]'s only in the fields its
+   documentation lists. *)
+let test_mc_config_differs_only_where_documented () =
+  let module Config = Adgc.Config in
+  let module Policy = Adgc_dcda.Policy in
+  let module Runtime = Adgc_rt.Runtime in
+  let shipped = Config.default ~seed:0 ~n_procs:2 () in
+  let mc = Config.mc () in
+  let p = shipped.Config.policy and r = shipped.Config.runtime in
+  check Alcotest.bool "policy: only periods, thresholds and deletion mode" true
+    ({
+       mc.Config.policy with
+       Policy.idle_threshold = p.Policy.idle_threshold;
+       scan_period = p.Policy.scan_period;
+       snapshot_period = p.Policy.snapshot_period;
+       cooldown = p.Policy.cooldown;
+       deletion_mode = p.Policy.deletion_mode;
+     }
+    = p);
+  check Alcotest.bool "runtime: only scion grace, failure detection and dgc_window" true
+    ({
+       mc.Config.runtime with
+       Runtime.scion_grace = r.Runtime.scion_grace;
+       failure_detection = r.Runtime.failure_detection;
+       dgc_window = r.Runtime.dgc_window;
+     }
+    = r);
+  check Alcotest.bool "network: only the delivery mode" true
+    ({ mc.Config.net with Adgc_rt.Network.delivery = shipped.Config.net.Adgc_rt.Network.delivery }
+    = shipped.Config.net);
+  check Alcotest.bool "mc deletes by broadcast" true
+    (mc.Config.policy.Policy.deletion_mode = Policy.Broadcast);
+  check Alcotest.bool "mc delivers by hand" true
+    (mc.Config.net.Adgc_rt.Network.delivery = Adgc_rt.Network.Manual)
 
 (* ------------------------------------------------------------------ *)
 (* The mutation gauntlet. *)
@@ -223,6 +278,10 @@ let suite =
       Alcotest.test_case "replay is deterministic: ic_race" `Quick
         test_ic_race_replay_deterministic;
       Alcotest.test_case "fingerprint distinguishes states" `Quick test_fingerprint_sensitive;
+      Alcotest.test_case "fingerprint distinguishes scan cursors" `Quick
+        test_fingerprint_reads_the_scan_cursor;
+      Alcotest.test_case "config: mc differs from the shipped config only where documented"
+        `Quick test_mc_config_differs_only_where_documented;
       Alcotest.test_case "mutation gauntlet" `Slow test_gauntlet;
       Alcotest.test_case "trace json roundtrip" `Quick test_trace_json_roundtrip;
       Alcotest.test_case "trace file roundtrip" `Quick test_trace_file_roundtrip;
