@@ -1,8 +1,8 @@
 (* Scale section (E26): the flat clique's scale curve, small enough
    to gate in CI but shaped exactly like the 256→1024-proc runs the
    scale job drives through the CLI.  Deterministic series (ticks,
-   messages per process, live words) gate tightly; the wall-clock one
-   is timing-class. *)
+   messages per process, live words, minor words allocated by the run)
+   gate tightly; the wall-clock one is timing-class. *)
 
 module Sim = Adgc.Sim
 module Config = Adgc.Config
@@ -21,6 +21,7 @@ type outcome = {
   ticks : int;
   msgs_per_proc : float;
   dense_words : int;
+  minor_words : float;  (* allocated while running until clean *)
   wall_ms : float;
 }
 
@@ -43,7 +44,9 @@ let run_flat ~seed ~procs ~objects =
       dense_words := !dense_words + Heap.dense_words p.Process.heap)
     rt.Runtime.procs;
   Sim.start sim;
+  let before = Gc.minor_words () in
   let clean, wall_ms = wall_ms (fun () -> Sim.run_until_clean ~step:1_000 ~max_time:600_000 sim) in
+  let minor_words = Gc.minor_words () -. before in
   let stats = Sim.stats sim in
   let ticks = Sim.now sim in
   let msgs = Stats.get stats "net.msg.sent" in
@@ -53,6 +56,7 @@ let run_flat ~seed ~procs ~objects =
     ticks;
     msgs_per_proc = float_of_int msgs /. float_of_int procs;
     dense_words = !dense_words;
+    minor_words;
     wall_ms;
   }
 
@@ -72,6 +76,11 @@ let run recorder =
     else (env_int "ADGC_SCALE_PROCS" 64, env_int "ADGC_SCALE_OBJECTS" 50_000)
   in
   let o = run_flat ~seed ~procs ~objects in
+  (* The allocation is read from a second, identical run: the first
+     sizes the process-global scratch (the summarizer's buffers and
+     the like), so the second allocates the same words however far
+     earlier sections in this process already grew it. *)
+  let again = run_flat ~seed ~procs ~objects in
   let config_digest =
     [ "scale"; string_of_int procs; string_of_int objects; string_of_bool (smoke ()) ]
   in
@@ -82,6 +91,8 @@ let run recorder =
     o.msgs_per_proc;
   det recorder ~section:"scale" ~name:(name "dense_words") ~unit_:"words" ~config:config_digest
     (float_of_int o.dense_words);
+  det recorder ~section:"scale" ~name:(name "minor_words") ~unit_:"words" ~config:config_digest
+    again.minor_words;
   timing recorder ~section:"scale" ~name:(name "wall_ms") ~unit_:"ms" ~config:config_digest
     [ o.wall_ms ];
   Table.print

@@ -1,5 +1,5 @@
-(* Telemetry section: what the observability layer (spans + lineage +
-   per-link byte accounting) costs when on, and that it costs nothing
+(* Telemetry section: what the observability layer (spans + lineage)
+   costs when on, and that it costs nothing
    when off (PR 3's ~15% claim). *)
 
 module Sim = Adgc.Sim

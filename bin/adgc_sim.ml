@@ -64,7 +64,6 @@ let run_cmd topology procs seed loss detector time churn_steps objects edges tra
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
   if trace_topics <> [] then Trace.set_enabled (Sim.trace sim) true;
-  let checker = Metrics.install_safety_checker cluster in
   let oracle = Oracle.install cluster in
   let _built = Net_scenario.build_topology scenario cluster in
   if churn_steps > 0 then begin
@@ -127,8 +126,15 @@ let run_cmd topology procs seed loss detector time churn_steps objects edges tra
   | Some path ->
       write_file path (Adgc_util.Json.to_string (Adgc_obs.Export.chrome_trace (Sim.obs sim)));
       if not quiet then Printf.printf "spans written to %s\n" path);
-  match (Metrics.violations checker, Oracle.first_report oracle) with
-  | [], None ->
+  let live_reclaimed =
+    List.length
+      (List.filter
+         (fun (e : Oracle.event) ->
+           match e.Oracle.violation with Adgc_check.Invariant.Live_reclaimed _ -> true | _ -> false)
+         (Oracle.events oracle))
+  in
+  match Oracle.first_report oracle with
+  | None ->
       if final.Metrics.garbage = 0 then begin
         if not quiet then print_endline "OK: no garbage left, no safety violations";
         0
@@ -138,10 +144,10 @@ let run_cmd topology procs seed loss detector time churn_steps objects edges tra
           final.Metrics.garbage;
         0
       end
-  | violations, oracle_report ->
-      if violations <> [] then
-        Printf.eprintf "SAFETY VIOLATIONS: %d live objects reclaimed!\n" (List.length violations);
-      Option.iter (fun r -> Printf.eprintf "ORACLE:\n%s\n" r) oracle_report;
+  | Some report ->
+      if live_reclaimed > 0 then
+        Printf.eprintf "SAFETY VIOLATIONS: %d live objects reclaimed!\n" live_reclaimed;
+      Printf.eprintf "ORACLE:\n%s\n" report;
       1
 
 (* ----------------------------------------------------------------- *)

@@ -21,8 +21,6 @@ let empty = { map = Ref_key.Map.empty; unresolved = 0; frontier = 0; both = 0; c
 
 type side = Source | Target
 
-let side_name = function Source -> "source" | Target -> "target"
-
 type add_result =
   | Added of t
   | Ic_conflict of { key : Ref_key.t; existing : int; incoming : int }
@@ -103,19 +101,13 @@ let union a b =
   try Ok (of_map (Ref_key.Map.merge merge a.map b.map))
   with Union_conflict (side, key) -> Error (side, key)
 
-let side_bindings side t =
+let bindings t side =
   Ref_key.Map.fold
     (fun key e acc -> match ic_on side e with Some ic -> (key, ic) :: acc | None -> acc)
     t.map []
   |> List.rev
 
-let source t = side_bindings Source t
-
-let target t = side_bindings Target t
-
 let ic t side key = Option.bind (Ref_key.Map.find_opt key t.map) (ic_on side)
-
-let mem t side key = Option.is_some (ic t side key)
 
 let cardinal t = (t.unresolved + t.both, t.frontier + t.both)
 
@@ -162,9 +154,6 @@ let verdict t =
      conflicting entries instead of aborting. *)
   if t.conflicts > 0 && not (Adgc_util.Mc_mutate.enabled "skip_ic_guards") then Conflict
   else Counts { unresolved = t.unresolved; frontier = t.frontier }
-
-let cycle_found t =
-  match verdict t with Counts { unresolved = 0; frontier = 0 } -> true | Counts _ | Conflict -> false
 
 (* ------------------------------------------------------------------ *)
 (* Wire format *)
@@ -220,14 +209,3 @@ let read_entries r n =
   in
   let rec go k t = if k = 0 then t else go (k - 1) (read_ce t) in
   go (n / entry_width) empty
-
-let pp_entry ppf (key, ic) = Format.fprintf ppf "%a:%d" Ref_key.pp key ic
-
-let pp_entries ppf l =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_entry)
-    l
-
-let pp ppf t = Format.fprintf ppf "{%a -> %a}" pp_entries (source t) pp_entries (target t)
-
-let to_string t = Format.asprintf "%a" pp t

@@ -37,8 +37,6 @@ val empty : t
 
 type side = Source | Target
 
-val side_name : side -> string
-
 (** {1 Construction} *)
 
 type add_result =
@@ -60,17 +58,14 @@ val union : t -> t -> (t, side * Ref_key.t) result
     compiled.  [Error (side, key)] when the same key carries divergent
     counters on one side (the same mutation signal as
     {!add}'s [Ic_conflict]).  Where defined, union is commutative,
-    associative and idempotent — pinned by the algebra-law property
-    suite. *)
+    associative and idempotent — pinned by [test_algebra]'s law
+    properties.  No detection merges CDMs yet; it is kept for the
+    closure-covering detection that ROADMAP item 4 plans. *)
 
 (** {1 Observation} *)
 
-val source : t -> (Ref_key.t * int) list
-(** Ascending key order. *)
-
-val target : t -> (Ref_key.t * int) list
-
-val mem : t -> side -> Ref_key.t -> bool
+val bindings : t -> side -> (Ref_key.t * int) list
+(** One side's entries, ascending key order. *)
 
 val ic : t -> side -> Ref_key.t -> int option
 
@@ -105,9 +100,6 @@ val verdict : t -> verdict
     unresolved, frontier and conflict counts current as entries are
     added.  Honours the same [skip_ic_guards] mutant guard. *)
 
-val cycle_found : t -> bool
-(** [matching t = Match {unresolved = []; frontier = []}]. *)
-
 (** {1 Wire format and printing} *)
 
 val compact_length : t -> int
@@ -128,9 +120,3 @@ val read_entries : Adgc_serial.Net_codec.Read.t -> int -> t
     equal algebra.  An [n] that is not a whole number of entries, a
     negative id, presence bits outside 1–3 or a second IC for an
     entry already read on the same side is malformed. *)
-
-val pp : Format.formatter -> t -> unit
-(** Paper style: [{{P1->#0@P2:3} -> {P2->#1@P4:0}}] where the integer
-    after [:] is the IC. *)
-
-val to_string : t -> string

@@ -5,8 +5,6 @@ type t = { id : Detection_id.t; algebra : Algebra.t; frontier : Ref_key.t; hops 
 
 let make ~id ~algebra ~frontier ~hops ~budget = { id; algebra; frontier; hops; budget }
 
-let dest t = Ref_key.owner t.frontier
-
 (* One packed run: the header's ints, then the algebra's entries. *)
 let header = 7
 
@@ -39,7 +37,3 @@ let read r =
   let target = Oid.make ~owner:(Proc_id.of_int f_owner) ~serial:f_serial in
   let frontier = Ref_key.make ~src:(Proc_id.of_int f_src) ~target in
   make ~id ~algebra ~frontier ~hops ~budget
-
-let pp ppf t =
-  Format.fprintf ppf "CDM[%a hops=%d budget=%d frontier=%a] %a" Detection_id.pp t.id t.hops
-    t.budget Ref_key.pp t.frontier Algebra.pp t.algebra

@@ -24,9 +24,6 @@ type t = {
 val make :
   id:Detection_id.t -> algebra:Algebra.t -> frontier:Ref_key.t -> hops:int -> budget:int -> t
 
-val dest : t -> Proc_id.t
-(** The owner of the frontier's target object. *)
-
 val emit : t Adgc_serial.Net_codec.shape
 (** Wire representation: one packed run of
     [[initiator; seq; f_src; f_owner; f_serial; hops; budget]] (the
@@ -38,5 +35,3 @@ val read : Adgc_serial.Net_codec.Read.t -> t
 (** Reads {!emit}'s bytes back.  A run shorter than the header, a
     negative id, hop count or budget, or a malformed algebra
     ({!Algebra.read_entries}) is malformed. *)
-
-val pp : Format.formatter -> t -> unit

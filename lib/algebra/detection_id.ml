@@ -6,10 +6,6 @@ let compare a b =
   let c = Proc_id.compare a.initiator b.initiator in
   if c <> 0 then c else Int.compare a.seq b.seq
 
-let equal a b = compare a b = 0
-
-let hash t = Hashtbl.hash (Proc_id.to_int t.initiator, t.seq)
-
 let pp ppf t = Format.fprintf ppf "D%d@@%a" t.seq Proc_id.pp t.initiator
 
 let to_string t = Format.asprintf "%a" pp t

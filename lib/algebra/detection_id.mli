@@ -10,14 +10,7 @@ type t = { initiator : Proc_id.t; seq : int }
 
 val make : initiator:Proc_id.t -> seq:int -> t
 
-val equal : t -> t -> bool
-
 val compare : t -> t -> int
-
-val hash : t -> int
-(** Consistent with {!equal} (hence with the {!compare} total order):
-    ids that compare equal hash equal — required by the hashed
-    duplicate-suppression and lineage tables. *)
 
 val pp : Format.formatter -> t -> unit
 

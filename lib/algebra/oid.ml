@@ -16,8 +16,6 @@ let hash t = (Proc_id.hash t.owner * 1000003) + t.serial
 
 let pp ppf t = Format.fprintf ppf "#%d@@%a" t.serial Proc_id.pp t.owner
 
-let to_string t = Format.asprintf "%a" pp t
-
 module N = Adgc_serial.Net_codec
 
 let emit s t =

@@ -22,8 +22,6 @@ val pp : Format.formatter -> t -> unit
 (** Prints as [#12@P3]. Workloads that name objects after the paper's
     figures (A, B, F, ...) print through their own name table. *)
 
-val to_string : t -> string
-
 val emit : t Adgc_serial.Net_codec.shape
 (** Wire shape: the list [[owner; serial]]. *)
 

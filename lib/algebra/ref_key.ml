@@ -14,8 +14,6 @@ let hash t = (Proc_id.hash t.src * 1000003) + Oid.hash t.target
 
 let pp ppf t = Format.fprintf ppf "%a->%a" Proc_id.pp t.src Oid.pp t.target
 
-let to_string t = Format.asprintf "%a" pp t
-
 module N = Adgc_serial.Net_codec
 
 let emit s t =

@@ -21,12 +21,8 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
-val hash : t -> int
-
 val pp : Format.formatter -> t -> unit
 (** Prints as [P1->#3@P2]. *)
-
-val to_string : t -> string
 
 val emit : t Adgc_serial.Net_codec.shape
 (** Wire shape: the list [[src; target]], the target as {!Oid.emit}. *)

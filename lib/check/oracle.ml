@@ -1,4 +1,3 @@
-open Adgc_algebra
 open Adgc_rt
 module Trace = Adgc_util.Trace
 
@@ -84,48 +83,6 @@ let install ?(window = 500) cluster =
   Cluster.at_teardown cluster (fun () -> stop t);
   t
 
-let stopped t = t.stopped
-
 let events t = List.rev t.events
 
-let safe t = t.events = []
-
 let first_report t = t.first_report
-
-let assert_safe t =
-  match t.first_report with None -> () | Some r -> failwith r
-
-type liveness =
-  | Converged of { ticks : int; reclaimed : int }
-  | Stuck of { remaining : Oid.Set.t; after : int }
-
-let residual t baseline =
-  let rt = Cluster.rt t.cluster in
-  Oid.Set.filter
-    (fun oid ->
-      let p = Runtime.proc rt (Oid.owner oid) in
-      p.Process.alive && Heap.mem p.Process.heap oid)
-    baseline
-
-let check_liveness ?(step = 2_000) ?(max_ticks = 600_000) t ~run =
-  let baseline = Cluster.garbage t.cluster in
-  let total = Oid.Set.cardinal baseline in
-  let rec go spent =
-    let remaining = residual t baseline in
-    if Oid.Set.is_empty remaining then Converged { ticks = spent; reclaimed = total }
-    else if spent >= max_ticks then Stuck { remaining; after = spent }
-    else begin
-      run step;
-      go (spent + step)
-    end
-  in
-  go 0
-
-let pp_liveness ppf = function
-  | Converged { ticks; reclaimed } ->
-      Format.fprintf ppf "converged: %d garbage objects reclaimed within %d ticks" reclaimed ticks
-  | Stuck { remaining; after } ->
-      Format.fprintf ppf "stuck: %d garbage objects still allocated after %d ticks (%a)"
-        (Oid.Set.cardinal remaining) after
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ") Oid.pp)
-        (Oid.Set.elements remaining)

@@ -13,13 +13,7 @@
     The first violation captures a full report — the violated
     invariant, the {!Adgc_workload.Inspect} cluster dump and the tail
     of the event trace — so a failing (seed, fault plan) pair is
-    immediately replayable and diagnosable.
-
-    After fault quiescence, {!check_liveness} asserts the complement:
-    everything that is garbage once faults stop is actually reclaimed
-    within a bounded amount of further simulated time. *)
-
-open Adgc_algebra
+    immediately replayable and diagnosable. *)
 
 type t
 
@@ -38,33 +32,9 @@ val stop : t -> unit
     the final check runs exactly once however many times [stop] fires
     (explicitly, or via cluster teardown). *)
 
-val stopped : t -> bool
-
 val events : t -> event list
 (** Every recorded violation, oldest first.  A persistent broken
     invariant is re-reported every window. *)
 
-val safe : t -> bool
-
 val first_report : t -> string option
 (** The full diagnostic captured at the first violation. *)
-
-val assert_safe : t -> unit
-(** @raise Failure with {!first_report} when a violation was seen. *)
-
-(** {1 Liveness} *)
-
-type liveness =
-  | Converged of { ticks : int; reclaimed : int }
-      (** all fault-quiescence garbage gone within [ticks] further simulated time *)
-  | Stuck of { remaining : Oid.Set.t; after : int }
-
-val check_liveness : ?step:int -> ?max_ticks:int -> t -> run:(int -> unit) -> liveness
-(** Capture the current garbage set (call this at fault quiescence),
-    then repeatedly advance the simulation by [step] (default 2_000)
-    ticks through [run] until every captured object is reclaimed or
-    [max_ticks] (default 600_000) of additional time elapsed.  Objects
-    on dead processes count as reclaimed (wreckage is outside the
-    protocol's obligations unless the process restarts). *)
-
-val pp_liveness : Format.formatter -> liveness -> unit

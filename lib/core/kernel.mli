@@ -54,7 +54,8 @@ type row = {
   run : int -> unit;  (** perform the duty on process [i] *)
 }
 (** One timed duty.  Process [i] of [n] first fires at
-    {!phase}[ ~n row i] and every [period] ticks after. *)
+    [1 + i * period / max 1 n], a stagger that keeps processes from
+    collecting in lockstep, and every [period] ticks after. *)
 
 val gc_rows : Adgc_rt.Runtime.t -> row list
 (** The acyclic collector's rows, [lgc] then [sets], with periods from
@@ -65,10 +66,6 @@ val schedule : ctx -> policy:Adgc_dcda.Policy.t -> row list
     with periods from the policy.
     Rows are installed in this order, which fixes how same-tick
     firings interleave. *)
-
-val phase : n:int -> row -> int -> int
-(** [1 + i * period / max 1 n]: the per-process stagger that keeps
-    processes from collecting in lockstep. *)
 
 val start : ?rank:int -> Adgc_rt.Cluster.t -> row list -> unit
 (** Install each row as one scheduler lane over every rank, or over

@@ -80,12 +80,6 @@ let obs t = Cluster.obs t.cluster
 
 let lineage t = Cluster.lineage t.cluster
 
-let run_gc_cycle t =
-  snapshot_all t;
-  let rt = rt t in
-  ignore (Lgc.collect_all rt : Lgc.report list);
-  Array.iter (fun p -> Reflist.send_new_sets rt p) rt.Runtime.procs
-
 let reports t =
   Array.to_list t.detectors
   |> List.concat_map Detector.reports
@@ -93,8 +87,6 @@ let reports t =
          Int.compare a.Adgc_dcda.Report.concluded_time b.Adgc_dcda.Report.concluded_time)
 
 let garbage_count t = Cluster.garbage_count t.cluster
-
-let live_oids t = Cluster.globally_live t.cluster
 
 (* Staleness signature for [run_until_clean].  The poll only waits for
    one transition — the garbage count reaching zero — so the signature

@@ -5,8 +5,6 @@
     per process); then drive simulated time with [run_for] /
     [run_until_quiescent] and inspect the results. *)
 
-open Adgc_algebra
-
 type t
 
 val create : ?config:Config.t -> unit -> t
@@ -68,11 +66,6 @@ val scan_all : t -> int
 (** Run one candidate scan on every detector, in process order;
     returns detections started. *)
 
-val run_gc_cycle : t -> unit
-(** One manual synchronous round: snapshot everywhere, LGC everywhere,
-    stub sets everywhere — useful in deterministic tests that do not
-    want the periodic timers.  Each phase runs in process order. *)
-
 (** {1 Results} *)
 
 val reports : t -> Adgc_dcda.Report.t list
@@ -93,5 +86,3 @@ val run_until_clean :
     answer could have changed; quiet polls are counted under the
     ["sim.clean_checks.skipped"] stat, recomputations under
     ["sim.clean_checks"]. *)
-
-val live_oids : t -> Oid.Set.t

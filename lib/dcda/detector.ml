@@ -11,7 +11,6 @@ type t = {
   policy : Policy.t;
   mutable summary : Summary.t option;
   mutable next_seq : int;
-  mutable started : int;
   last_initiated : int Ref_key.Tbl.t; (* candidate cooldown *)
   attempts : int Ref_key.Tbl.t;
       (* fruitless initiations per candidate: the cooldown backs off
@@ -22,8 +21,6 @@ type t = {
 }
 
 let proc_id t = t.proc.Process.id
-
-let policy t = t.policy
 
 let set_summary t summary =
   (* Gauntlet mutant: freeze the first snapshot forever — guards then
@@ -36,8 +33,6 @@ let summary t = t.summary
 
 let reports t = List.rev t.reports
 
-let detections_started t = t.started
-
 let abort t id reason =
   Stats.incr t.rt.Runtime.stats ("dcda.abort." ^ reason);
   Lineage.record t.rt.Runtime.lineage id
@@ -48,7 +43,7 @@ let abort t id reason =
 (* Delete the proven scions this process owns, and broadcast the
    remaining ones when configured. *)
 let conclude t ~(id : Detection_id.t) ~algebra ~hops =
-  let proven = List.map fst (Algebra.source algebra) in
+  let proven = List.map fst (Algebra.bindings algebra Algebra.Source) in
   let mine, others =
     List.partition (fun key -> Proc_id.equal (Ref_key.owner key) (proc_id t)) proven
   in
@@ -336,7 +331,6 @@ let initiate_from t summary ~scion key =
   else begin
     let id = Detection_id.make ~initiator:(proc_id t) ~seq:t.next_seq in
     t.next_seq <- t.next_seq + 1;
-    t.started <- t.started + 1;
     Ref_key.Tbl.replace t.last_initiated key (Runtime.now t.rt);
     (* Counted as fruitless until proven otherwise: a
        conclusion deletes the scion, which resets the entry
@@ -435,7 +429,6 @@ let attach rt proc ~policy =
       policy;
       summary = None;
       next_seq = 0;
-      started = 0;
       last_initiated = Ref_key.Tbl.create 16;
       attempts = Ref_key.Tbl.create 16;
       scan_cursor = None;

@@ -28,10 +28,6 @@ val attach : Adgc_rt.Runtime.t -> Adgc_rt.Process.t -> policy:Policy.t -> t
 (** Create the instance and install its message hooks on the
     process.  Scans seed from the published summary. *)
 
-val proc_id : t -> Proc_id.t
-
-val policy : t -> Policy.t
-
 val set_summary : t -> Adgc_snapshot.Summary.t -> unit
 (** Publish a freshly taken summary (see {!Adgc_snapshot.Snapshot_store}). *)
 
@@ -62,5 +58,3 @@ val initiate : t -> Ref_key.t -> bool
 
 val reports : t -> Report.t list
 (** Cycles proven at this process, oldest first. *)
-
-val detections_started : t -> int

@@ -9,10 +9,6 @@ type t =
   | Send_sets of int
   | Mutate of int
 
-let compare = Stdlib.compare
-
-let equal a b = compare a b = 0
-
 let pp ppf = function
   | Deliver { kind; src; dst; nth } ->
       Format.fprintf ppf "deliver %s p%d->p%d #%d" kind src dst nth

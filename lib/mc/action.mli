@@ -25,10 +25,6 @@ type t =
       (** fire scripted mutation [i] — only applicable when [i] is the
           next unfired mutation, so scripts stay well-formed *)
 
-val equal : t -> t -> bool
-
-val compare : t -> t -> int
-
 val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Adgc_util.Json.t

@@ -141,8 +141,6 @@ let reclaim_core =
     Action.Lgc 1;
   ]
 
-let reclaim_trail = Action.Mutate 0 :: reclaim_core
-
 let lost_cdm_trail =
   [
     Action.Mutate 0;
@@ -167,38 +165,3 @@ let stale_witness_trail = Action.Snapshot 0 :: Action.Mutate 0 :: reclaim_core
 
 (* The pre-mutation snapshot of P0 is a second one. *)
 let stale_witness_caps = { Scenario.snapshots = 2; scans = 1; lgcs = 1; sends = 0; drops = 0 }
-
-let ic_race_reclaim_trail =
-  [
-    Action.Mutate 0;
-    (* invoke F: request parked P0->P1 *)
-    deliver "rmi_request" 0 1;
-    (* scion-side counter adopts the bump; reply parked P1->P0 *)
-    deliver "rmi_reply" 1 0;
-    Action.Mutate 1;
-    (* unlink the root: the cycle is now garbage with settled counters *)
-    Action.Snapshot 0;
-    Action.Snapshot 1;
-    Action.Scan 1;
-    deliver "cdm" 1 0;
-    deliver "cdm" 0 1;
-    deliver "cdm_delete" 1 0;
-    Action.Lgc 0;
-    Action.Lgc 1;
-  ]
-
-let ic_race_abort_trail =
-  [
-    Action.Mutate 0;
-    (* invoke F, but never deliver the request: the stub-side counter
-       is ahead of every scion-side snapshot *)
-    Action.Mutate 1;
-    Action.Snapshot 0;
-    Action.Snapshot 1;
-    Action.Scan 0;
-    (* the CDM carries the bumped stub counter; delivery at P1 compares
-       it with the stale scion counter and must abort (safety rule 3) *)
-    deliver "cdm" 0 1;
-    Action.Lgc 0;
-    Action.Lgc 1;
-  ]

@@ -44,3 +44,6 @@ val goal_reached : t -> bool
 (** The scenario's liveness goal, [false] when it has none. *)
 
 val sim : t -> Adgc.Sim.t
+(** The simulation underneath.  Kept for [test_mc]'s fingerprint case,
+    which scans one detector directly, outside the scope's counters,
+    to show that the scan cursor alone changes the fingerprint. *)

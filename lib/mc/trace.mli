@@ -23,10 +23,6 @@ type t = {
   trail : Action.t list;
 }
 
-val to_json : t -> Adgc_util.Json.t
-
-val of_json : Adgc_util.Json.t -> (t, string) result
-
 val save : string -> t -> unit
 (** Write as pretty-printed JSON. *)
 

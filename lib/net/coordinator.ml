@@ -480,8 +480,8 @@ let run opts =
       Stats.add stats "net.wire.sent" s.Envelope.st_wire_sent;
       Stats.add stats "net.wire.received" s.Envelope.st_wire_received;
       Stats.add stats "net.wire.dup_ignored" s.Envelope.st_dup_ignored;
-      Stats.add_l stats "net.wire.sent.rank"
-        ~labels:[ ("rank", string_of_int s.Envelope.st_rank) ]
+      Stats.add stats
+        (Printf.sprintf "net.wire.sent.rank{rank=\"%d\"}" s.Envelope.st_rank)
         s.Envelope.st_wire_sent)
     statuses;
   Stats.add stats "net.nodes" n;

@@ -1,5 +1,7 @@
 module Wire = Adgc_serial.Wire
 
+(* Largest accepted payload: far beyond any protocol envelope, so a
+   prefix claiming more is malformed framing, not a big message. *)
 let max_frame = 16 * 1024 * 1024
 
 let header_len = 4
@@ -28,8 +30,6 @@ type decoder = {
 let decoder () =
   { buf = Bytes.create 4096; start = 0; len = 0; poisoned = None; consumed = 0 }
 
-let buffered d = d.len
-
 let grow d need =
   let live = d.len in
   if d.start > 0 && Bytes.length d.buf - d.start < need + live then begin
@@ -53,8 +53,6 @@ let feed_sub d src off len =
   grow d len;
   Bytes.blit src off d.buf (d.start + d.len) len;
   d.len <- d.len + len
-
-let feed d s = feed_sub d (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let poison d what =
   d.poisoned <- Some what;

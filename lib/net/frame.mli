@@ -7,37 +7,27 @@
     across two reads — and pull complete frames out as they become
     available.
 
-    Corrupt input (a length of zero, or one beyond {!max_frame})
+    Corrupt input (a length of zero, or one beyond the 16 MiB bound)
     raises {!Adgc_serial.Wire.Malformed} and nothing else: a framing
     error is always distinguishable from a crash, and the transport
     answers it by resetting the connection. *)
 
-val max_frame : int
-(** Largest accepted payload (16 MiB) — far beyond any protocol
-    envelope; a prefix claiming more is malformed framing, not a big
-    message. *)
-
 val encode : string -> string
 (** The payload with its 4-byte length prefix.
     @raise Adgc_serial.Wire.Malformed when the payload is empty or
-    exceeds {!max_frame} (a frame that could never be decoded must not
+    exceeds 16 MiB (a frame that could never be decoded must not
     be sent). *)
 
 type decoder
 
 val decoder : unit -> decoder
 
-val feed : decoder -> string -> unit
-(** Append raw bytes as they arrived from the socket. *)
-
 val feed_sub : decoder -> Bytes.t -> int -> int -> unit
-(** [feed_sub d buf off len] — the [read()]-buffer form of {!feed}. *)
+(** [feed_sub d buf off len]: append [len] raw bytes of [buf] from
+    [off], as they arrived from the socket. *)
 
 val next : decoder -> string option
 (** The next complete frame payload, or [None] until more bytes
-    arrive.  Call repeatedly — one [feed] can complete several frames.
+    arrive.  Call repeatedly — one [feed_sub] can complete several frames.
     @raise Adgc_serial.Wire.Malformed on a corrupt length prefix; the
     decoder is then poisoned and every later call re-raises. *)
-
-val buffered : decoder -> int
-(** Bytes held waiting for a complete frame (diagnostics). *)

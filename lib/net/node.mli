@@ -27,9 +27,6 @@
 val coord_path : dir:string -> string
 (** Where the coordinator listens; every node dials it. *)
 
-val ring : int
-(** Outbound replay window per peer (envelopes). *)
-
 type config = {
   rank : int;
   scenario : Scenario.t;

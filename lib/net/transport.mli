@@ -19,9 +19,6 @@ type addr = Unix_sock of string | Tcp of string * int
 
 type conn
 
-val of_fd : Unix.file_descr -> conn
-(** Adopt an accepted or connected socket and set it nonblocking. *)
-
 val fd : conn -> Unix.file_descr
 
 val alive : conn -> bool

@@ -18,7 +18,9 @@ val jsonl : Span.t -> string
 
 val span_digest : Span.t -> string
 (** Hex digest of {!jsonl}: a compact fingerprint of the whole span
-    timeline for replay comparisons. *)
+    timeline.  Kept for [test_replay], which pins the digests of its
+    scenarios so an ordering change cannot pass unseen, and for the
+    sim and obs suites' same-seed comparisons. *)
 
 val percentiles :
   ?ps:float list -> Adgc_util.Stats.t -> string -> (float * float) list option
@@ -28,8 +30,6 @@ val percentiles :
     histogram was never observed.  This is the API the perf harness
     draws its latency-percentile series (e.g. p99
     [dcda.detection_latency]) from. *)
-
-val schema_version : int
 
 val metrics_document : ?meta:(string * Json.t) list -> Adgc_util.Stats.t -> Json.t
 (** [{schema_version; meta; stats}] with all keys sorted.  Validated

@@ -82,8 +82,6 @@ let hops t id =
 let detections t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.entries [] |> List.sort Detection_id.compare
 
-let clear t = Hashtbl.reset t.entries
-
 let pp_hop ppf = function
   | Initiated h ->
       Format.fprintf ppf "[%6d] %a initiated on %a" h.time Proc_id.pp h.at Ref_key.pp h.candidate

@@ -29,8 +29,6 @@ type hop =
       (** chain killed: IC mismatch, missing scion, local reachability, ... *)
   | Concluded of { at : Proc_id.t; time : int; proven : bool; hops : int; refs : int }
 
-val hop_time : hop -> int
-
 type t
 
 val create : ?max_entries:int -> ?max_hops:int -> unit -> t
@@ -55,8 +53,6 @@ val hops : t -> Detection_id.t -> hop list
 
 val detections : t -> Detection_id.t list
 (** Sorted; includes abandoned detections. *)
-
-val clear : t -> unit
 
 val pp_hop : Format.formatter -> hop -> unit
 

@@ -32,7 +32,6 @@ type t = {
   buf : span option array;
   mutable head : int; (* next write slot *)
   mutable count : int;
-  mutable dropped : int;
   mutable enabled : bool;
   mutable next_id : int;
   (* Spans still open, by id.  Entries share the record stored in the
@@ -48,7 +47,6 @@ let create ?(capacity = 65536) () =
     buf = Array.make capacity None;
     head = 0;
     count = 0;
-    dropped = 0;
     enabled = false;
     next_id = 0;
     open_spans = Hashtbl.create 64;
@@ -58,10 +56,8 @@ let enabled t = t.enabled
 
 let set_enabled t b = t.enabled <- b
 
-let dropped t = t.dropped
-
 let push t span =
-  if t.count = t.capacity then t.dropped <- t.dropped + 1 else t.count <- t.count + 1;
+  if t.count < t.capacity then t.count <- t.count + 1;
   t.buf.(t.head) <- Some span;
   t.head <- (t.head + 1) mod t.capacity
 
@@ -108,11 +104,3 @@ let spans t =
       collect ((i + 1) mod t.capacity) (n - 1) acc
   in
   collect start t.count []
-
-let clear t =
-  Array.fill t.buf 0 t.capacity None;
-  t.head <- 0;
-  t.count <- 0;
-  t.dropped <- 0;
-  t.next_id <- 0;
-  Hashtbl.reset t.open_spans

@@ -55,8 +55,3 @@ val event : t -> time:int -> ?parent:int -> ?proc:int -> ?args:(string * string)
 
 val spans : t -> span list
 (** Oldest first; at most [capacity], oldest evicted first. *)
-
-val dropped : t -> int
-(** Spans evicted from the ring since creation/{!clear}. *)
-
-val clear : t -> unit

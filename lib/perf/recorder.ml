@@ -2,8 +2,6 @@ type t = { mutable sections : (string * Sample.t list) list; smoke : bool }
 
 let create ~smoke () = { sections = []; smoke }
 
-let smoke t = t.smoke
-
 let add t ~section sample =
   match List.assoc_opt section t.sections with
   | Some _ ->

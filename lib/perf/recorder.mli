@@ -5,8 +5,6 @@ type t
 
 val create : smoke:bool -> unit -> t
 
-val smoke : t -> bool
-
 val add : t -> section:string -> Sample.t -> unit
 
 val config_digest : string list -> string

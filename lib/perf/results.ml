@@ -22,9 +22,6 @@ let normalize t =
 
 let samples t = List.concat_map snd t.sections
 
-let find t name =
-  List.find_opt (fun (s : Sample.t) -> s.Sample.name = name) (samples t)
-
 let to_json t =
   let t = normalize t in
   Json.Obj
@@ -91,31 +88,6 @@ let of_json j =
 let of_string s = Result.bind (Json.of_string s) of_json
 
 let to_string t = Json.to_string_pretty (to_json t)
-
-(* The non-timing identity of a document: every structural field plus
-   the values of Deterministic samples, with Timing values blanked.
-   Two same-seed runs must agree on this byte string however noisy
-   the host clock was. *)
-let fingerprint t =
-  let t = normalize t in
-  let sample (s : Sample.t) =
-    let v f = match s.klass with Sample.Deterministic -> Json.of_float f | Timing -> Json.Null in
-    Json.obj_sorted
-      [
-        ("name", Json.Str s.name);
-        ("unit", Json.Str s.unit_);
-        ("reps", Json.Int s.reps);
-        ("median", v s.median);
-        ("min", v s.min);
-        ("direction", Json.Str (Sample.direction_to_string s.direction));
-        ("class", Json.Str (Sample.klass_to_string s.klass));
-        ("slo", match s.slo with Some x -> Json.of_float x | None -> Json.Null);
-        ("config_digest", Json.Str s.config_digest);
-      ]
-  in
-  Json.to_string
-    (Json.obj_sorted
-       (List.map (fun (name, ss) -> (name, Json.Arr (List.map sample ss))) t.sections))
 
 let read_file path =
   let ic = open_in_bin path in

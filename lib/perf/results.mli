@@ -5,12 +5,9 @@
 
     The JSON rendering is deterministic — sections and samples are
     sorted by name, floats print canonically — so two same-seed runs
-    produce byte-comparable documents and {!fingerprint} can pin the
-    non-timing fields in a regression test. *)
+    produce byte-comparable documents. *)
 
 module Json = Adgc_util.Json
-
-val schema_version : int
 
 type host = { cores : int }
 
@@ -25,24 +22,6 @@ val normalize : t -> t
 (** Sections and samples sorted by name. *)
 
 val samples : t -> Sample.t list
-
-val find : t -> string -> Sample.t option
-(** Lookup a sample by name across all sections. *)
-
-val to_json : t -> Json.t
-
-val of_json : Json.t -> (t, string) result
-
-val to_string : t -> string
-(** Pretty, deterministic; what [save] writes. *)
-
-val of_string : string -> (t, string) result
-
-val fingerprint : t -> string
-(** Deterministic digest-input string of the non-timing content:
-    section/sample names, units, reps, directions, classes, SLOs,
-    config digests, and the values of [Deterministic]-class samples.
-    [Timing]-class values are blanked. *)
 
 val load : string -> (t, string) result
 

@@ -36,10 +36,6 @@ type t = {
   config_digest : string;
 }
 
-val direction_to_string : direction -> string
-
-val klass_to_string : klass -> string
-
 val of_values :
   name:string ->
   unit_:string ->

@@ -53,7 +53,6 @@ let create ?(seed = 42) ?config ?net_config ?(faults = Faults.none) ?trace_capac
   if n <= 0 then invalid_arg "Cluster.create: need at least one process";
   let config = match config with Some c -> c | None -> Runtime.default_config () in
   let net_config = match net_config with Some c -> c | None -> Network.default_config () in
-  if telemetry then net_config.Network.per_link_bytes <- true;
   let rng = Rng.create seed in
   let sched = Scheduler.create () in
   let stats = Stats.create () in
@@ -103,8 +102,6 @@ let lineage t = t.rt.Runtime.lineage
 
 let proc t i = t.rt.Runtime.procs.(i)
 
-let proc_id _t i = Proc_id.of_int i
-
 let n_procs t = Array.length t.rt.Runtime.procs
 
 let now t = Scheduler.now (sched t)
@@ -122,8 +119,6 @@ let stop_gc t =
   t.gc_lanes <- []
 
 let at_teardown t hook = t.teardown_hooks <- hook :: t.teardown_hooks
-
-let torn_down t = t.torn_down
 
 let teardown t =
   if not t.torn_down then begin
@@ -143,8 +138,6 @@ let teardown t =
 let crash t i = crash_proc t.rt i
 
 let restart t i = restart_proc t.rt i
-
-let alive t i = (proc t i).Process.alive
 
 (* Dead processes contribute nothing to ground truth: their objects
    are wreckage, their roots gone. *)

@@ -45,8 +45,6 @@ val lineage : t -> Adgc_obs.Lineage.t
 
 val proc : t -> int -> Process.t
 
-val proc_id : t -> int -> Proc_id.t
-
 val n_procs : t -> int
 
 val now : t -> int
@@ -80,8 +78,6 @@ val teardown : t -> unit
     teardown hook, and close the root [run] span.  Idempotent; the
     cluster's state remains readable afterwards. *)
 
-val torn_down : t -> bool
-
 (** {1 Failures} *)
 
 val crash : t -> int -> unit
@@ -96,8 +92,6 @@ val restart : t -> int -> unit
     all survive).  Holder-silence clocks are refreshed so failure
     detection does not instantly suspect every holder; installed
     periodic duties resume on their own.  No-op on a live process. *)
-
-val alive : t -> int -> bool
 
 (** {1 Whole-system queries (omniscient; used by tests and metrics)} *)
 

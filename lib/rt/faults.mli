@@ -72,8 +72,6 @@ val link_for : plan -> src:int -> dst:int -> link
 
 type profile = Loss_burst | Duplicate | Reorder | Partition_heal | Crash_restart
 
-val profiles : (string * profile) list
-
 val profile_of_string : string -> profile option
 
 val profile_name : profile -> string

@@ -118,11 +118,7 @@ let adj_clear t oid =
   let tr = t.tracer in
   match Interner.find tr.ids oid with None -> () | Some id -> Csr.clear_row tr.adj id
 
-let owner t = t.owner
-
 let size t = Oid.Tbl.length t.objs
-
-let generation t = t.generation
 
 let mutations t = t.mutations
 
@@ -145,22 +141,7 @@ let alloc ?(fields = 2) ?(payload = 16) t =
 
 let get t oid = Oid.Tbl.find_opt t.objs oid
 
-let get_exn t oid =
-  match get t oid with
-  | Some obj -> obj
-  | None -> invalid_arg (Format.asprintf "Heap.get_exn: %a not in heap of %a" Oid.pp oid Proc_id.pp t.owner)
-
 let mem t oid = Oid.Tbl.mem t.objs oid
-
-let set_field t obj i v =
-  if i < 0 || i >= Array.length obj.fields then
-    invalid_arg (Format.asprintf "Heap.set_field: slot %d out of range for %a" i Oid.pp obj.oid);
-  let old = obj.fields.(i) in
-  obj.fields.(i) <- v;
-  t.mutations <- t.mutations + 1;
-  if v <> None then t.reclaim_mutations <- t.reclaim_mutations + 1;
-  (match old with Some o -> adj_remove t obj.oid o | None -> ());
-  match v with Some o -> adj_add t obj.oid o | None -> ()
 
 let add_ref t obj oid =
   t.mutations <- t.mutations + 1;

@@ -17,8 +17,9 @@
     visited set is an epoch-marked bitset cleared in O(1), and the BFS
     queue is a reused int array.  The index survives across traces —
     consecutive snapshots of a quiet heap allocate nothing — and is
-    resynchronized lazily when the {!generation} counter shows the
-    object population changed. *)
+    resynchronized lazily when the heap's generation counter (bumped
+    by every allocation and removal) shows the object population
+    changed. *)
 
 open Adgc_algebra
 
@@ -32,17 +33,8 @@ type t
 
 val create : owner:Proc_id.t -> t
 
-val owner : t -> Proc_id.t
-
 val size : t -> int
 (** Number of objects currently allocated. *)
-
-val generation : t -> int
-(** Bumped whenever the object population changes (allocation or
-    removal).  The dense tracer — and anything else caching per-object
-    state — checks it to decide whether a resync is due.  Reference
-    mutations do not bump it: the mutators patch the packed adjacency
-    in place (see {!trace_dense}). *)
 
 val mutations : t -> int
 (** Monotonic counter bumped by {e every} reachability-relevant change
@@ -53,9 +45,9 @@ val mutations : t -> int
 val reclaim_mutations : t -> int
 (** Monotonic counter bumped only by the mutation classes after which
     the set of garbage objects can {e shrink}: sweeps ({!remove}) and
-    reattachments ({!add_ref}, {!add_root}, {!set_field} storing a
-    reference).  Allocation, reference clears and root drops can only
-    create garbage, never reclaim it, so they are excluded.
+    reattachments ({!add_ref}, {!add_root}).  Allocation, reference
+    clears and root drops can only create garbage, never reclaim it,
+    so they are excluded.
     {!Adgc.Sim.run_until_clean} folds this counter — not {!mutations}
     — into its staleness signature: an unchanged signature proves a
     cached nonzero garbage count cannot have dropped to zero, which is
@@ -80,13 +72,7 @@ val alloc : ?fields:int -> ?payload:int -> t -> obj
 
 val get : t -> Oid.t -> obj option
 
-val get_exn : t -> Oid.t -> obj
-(** @raise Invalid_argument when absent. *)
-
 val mem : t -> Oid.t -> bool
-
-val set_field : t -> obj -> int -> Oid.t option -> unit
-(** @raise Invalid_argument on an out-of-range slot. *)
 
 val add_ref : t -> obj -> Oid.t -> int
 (** Store a reference in the first empty slot, growing the object if

@@ -66,5 +66,3 @@ let run rt (p : Process.t) =
          (Printf.sprintf "lgc %s" (Proc_id.to_string p.Process.id))
         : int);
   report
-
-let collect_all rt = Array.to_list (Array.map (run rt) rt.Runtime.procs)

@@ -22,6 +22,3 @@ val run : Runtime.t -> Process.t -> report
 (** Runs synchronously inside the current event.  Each swept object is
     reported through [rt.on_reclaim] (the test safety hook), after
     [rt.on_pre_sweep] has seen the whole doomed list. *)
-
-val collect_all : Runtime.t -> report list
-(** Run the LGC once on every process, in process order. *)

@@ -242,6 +242,3 @@ let read r =
   let seq = R.raw r in
   let sent_at = R.raw r in
   make ~seq ~src ~dst ~sent_at (read_payload r)
-
-let pp ppf t =
-  Format.fprintf ppf "%a->%a@%d %s" Proc_id.pp t.src Proc_id.pp t.dst t.sent_at (kind t.payload)

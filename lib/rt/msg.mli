@@ -131,5 +131,3 @@ val read : Adgc_serial.Net_codec.Read.t -> t
     stub set run with an owner and no entry), an unknown case index, a
     field count or value of the wrong kind, a [Batch] nested inside a
     [Batch], and a [Batch] constituent that carries references. *)
-
-val pp : Format.formatter -> t -> unit

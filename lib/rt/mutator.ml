@@ -50,29 +50,6 @@ let call cluster ~src ~target ?args ?behavior ?on_reply () =
 
 let invoke cluster ~src ~target = call cluster ~src ~target ()
 
-let call_sync cluster ~src ~target ?args ?behavior () =
-  let result = ref None in
-  call cluster ~src ~target ?args ?behavior ~on_reply:(fun results -> result := Some results) ();
-  ignore (Cluster.drain cluster : int);
-  !result
-
-let replicate cluster ~src ~target ~on_replica =
-  let rt = Cluster.rt cluster in
-  (* The owner's side: read the object's current references and ship
-     them back (the reply path runs the export handshake for each). *)
-  let read_fields _rt (p : Process.t) ~target ~args:_ =
-    match Heap.get p.Process.heap target with
-    | Some obj -> Array.to_list obj.Heap.fields |> List.filter_map (fun slot -> slot)
-    | None -> []
-  in
-  let on_reply refs =
-    let p = Runtime.proc rt (Proc_id.of_int src) in
-    let replica = Heap.alloc ~fields:(Int.max 2 (List.length refs)) p.Process.heap in
-    List.iter (fun r -> ignore (Heap.add_ref p.Process.heap replica r : int)) refs;
-    on_replica replica.Heap.oid
-  in
-  Rmi.call rt ~src:(Proc_id.of_int src) ~target ~behavior:read_fields ~on_reply ()
-
 let store_args _rt (p : Process.t) ~target ~args =
   (match Heap.get p.Process.heap target with
   | Some obj -> List.iter (fun a -> ignore (Heap.add_ref p.Process.heap obj a : int)) args

@@ -52,32 +52,6 @@ val call :
   unit
 (** Full {!Rmi.call}. *)
 
-val call_sync :
-  Cluster.t ->
-  src:int ->
-  target:Oid.t ->
-  ?args:Oid.t list ->
-  ?behavior:Runtime.behavior ->
-  unit ->
-  Oid.t list option
-(** {!call} followed by draining the scheduler until the reply lands;
-    returns the results, or [None] if the call was lost (dropped
-    request or reply).  Test and script convenience — it runs {e all}
-    pending simulator work, so only use it where that is the
-    intention. *)
-
-val replicate :
-  Cluster.t -> src:int -> target:Oid.t -> on_replica:(Oid.t -> unit) -> unit
-(** OBIWAN-style replication: fetch a copy of the remote object
-    [target] into process [src].  The owner ships the object's fields
-    through a real RMI, exporting every reference they contain (each
-    gets a stub at the replica's process and a scion at its own
-    owner), and the replica is allocated at [src] holding the same
-    references.  [on_replica] receives the replica's oid once the
-    reply lands.  The replica is an independent object afterwards
-    (OBIWAN's incoherent-replica mode); it is not registered as a
-    root — link or root it from [on_replica]. *)
-
 (** {1 Ready-made behaviors} *)
 
 val store_args : Runtime.behavior

@@ -9,7 +9,6 @@ type config = {
   mutable latency_max : int;
   mutable drop_prob : float;
   mutable account_bytes : bool;
-  mutable per_link_bytes : bool;
   mutable delivery : delivery_mode;
 }
 
@@ -19,7 +18,6 @@ let default_config () =
     latency_max = 25;
     drop_prob = 0.0;
     account_bytes = false;
-    per_link_bytes = false;
     delivery = Timed;
   }
 
@@ -110,15 +108,7 @@ let account t (msg : Msg.t) =
   if t.config.account_bytes then begin
     let bytes = Adgc_serial.Net_codec.size Msg.emit msg in
     Stats.add t.stats "net.bytes" bytes;
-    Stats.add t.stats bytes_keys.(Msg.kind_index msg.payload) bytes;
-    if t.config.per_link_bytes then
-      Stats.add_l t.stats "net.bytes.link"
-        ~labels:
-          [
-            ("src", Proc_id.to_string msg.src);
-            ("dst", Proc_id.to_string msg.dst);
-          ]
-        bytes
+    Stats.add t.stats bytes_keys.(Msg.kind_index msg.payload) bytes
   end
 
 (* The link regime for this send: the plan's link while faults are

@@ -34,10 +34,6 @@ type config = {
   mutable account_bytes : bool;
       (** when set, every sent message's compact-codec size is counted
           and recorded (slower; benches that report bytes enable it) *)
-  mutable per_link_bytes : bool;
-      (** additionally record bytes per (src, dst) link under the
-          labelled counter [net.bytes.link{dst,src}]; implied by
-          cluster telemetry, off otherwise *)
   mutable delivery : delivery_mode;
 }
 
@@ -88,13 +84,14 @@ val block_link : t -> Proc_id.t -> Proc_id.t -> unit
 val unblock_link : t -> Proc_id.t -> Proc_id.t -> unit
 
 val in_flight : t -> Msg.t list
-(** Sorted by injection id (send order).  {b Tests and the model
-    checker only}: this materialises and sorts the whole registry
-    (O(n log n) per call), so nothing on a runtime, oracle or stats
-    hot path may use it — those go through the O(1) views below
-    ({!in_flight_count}, {!iter_in_flight_live_refs}),
-    which are maintained incrementally as envelopes enter and leave
-    the wire. *)
+(** Sorted by injection id (send order).  Kept for the suites that
+    inspect the messages on the wire: [test_failures] (what a crashed
+    sender left in flight, per-link seqs) and [test_detector] (a CDM
+    snatched before it lands).  It materialises and sorts the whole
+    registry (O(n log n) per call), so nothing on a runtime, oracle or
+    stats hot path may use it — those go through the O(1) views below
+    ({!in_flight_count}, {!iter_in_flight_live_refs}), which are
+    maintained incrementally as envelopes enter and leave the wire. *)
 
 val in_flight_count : t -> int
 (** O(1). *)

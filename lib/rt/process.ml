@@ -147,7 +147,3 @@ let next_out_seqno t ~dst =
   let next = match Hashtbl.find_opt t.out_seqnos key with Some s -> s + 1 | None -> 0 in
   Hashtbl.replace t.out_seqnos key next;
   next
-
-let pp ppf t =
-  Format.fprintf ppf "%a[heap=%d stubs=%d scions=%d]" Proc_id.pp t.id (Heap.size t.heap)
-    (Stub_table.size t.stubs) (Scion_table.size t.scions)

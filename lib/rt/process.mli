@@ -113,7 +113,9 @@ val note_delivery : t -> src:Proc_id.t -> seq:int -> bool
 
 val delivered_count : t -> int
 (** Number of delivered seqs held above their link's floor, over all
-    senders: 0 when every link has delivered without a gap. *)
+    senders: 0 when every link has delivered without a gap.  Kept for
+    [test_failures], which watches the duplicate-suppression state
+    fill behind a gap and drain when it closes. *)
 
 val prune_delivered : ?slack:int -> t -> int
 (** Give up old gaps: on each link whose highest delivered seq [hi]
@@ -124,6 +126,3 @@ val prune_delivered : ?slack:int -> t -> int
     tolerates.  Returns the number of entries removed.  Called at
     quiescence points ({!Cluster.restart}); long crash/restart runs
     would otherwise keep every gap a crash left. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary: heap size, stub/scion counts. *)

@@ -118,13 +118,6 @@ let flush_batch t ~src ~dst =
           end;
           send t ~src ~dst (Msg.Batch payloads))
 
-let flush_all_batches t =
-  Array.iter
-    (fun (p : Process.t) ->
-      let dsts = Hashtbl.fold (fun d _ acc -> d :: acc) p.Process.pending_batches [] in
-      List.iter (fun d -> flush_batch t ~src:p.Process.id ~dst:(Proc_id.of_int d)) dsts)
-    t.procs
-
 let send_dgc t ~src ~dst payload =
   if Msg.payload_refs payload <> [] then
     invalid_arg ("Runtime.send_dgc: a " ^ Msg.kind payload ^ " payload carries references");

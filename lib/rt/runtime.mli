@@ -129,7 +129,3 @@ val send_dgc : t -> src:Proc_id.t -> dst:Proc_id.t -> Msg.payload -> unit
     @raise Invalid_argument if the payload carries object references
     ({!Msg.payload_refs}): batches are reference-free by
     construction. *)
-
-val flush_all_batches : t -> unit
-(** Flush every process's pending batches immediately (tests and
-    shutdown). *)

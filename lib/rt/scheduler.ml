@@ -14,10 +14,6 @@ let schedule_after t ~delay f =
   if delay < 0 then invalid_arg "Scheduler.schedule_after: negative delay";
   Heap_queue.push t.queue (t.now + delay) f
 
-let pending t = Heap_queue.length t.queue
-
-let is_idle t = Heap_queue.is_empty t.queue
-
 let run_next t =
   match Heap_queue.pop t.queue with
   | None -> false

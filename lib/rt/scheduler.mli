@@ -17,10 +17,6 @@ val schedule_at : t -> time:int -> (unit -> unit) -> unit
 val schedule_after : t -> delay:int -> (unit -> unit) -> unit
 (** Non-negative delay. *)
 
-val pending : t -> int
-
-val is_idle : t -> bool
-
 val run_until : t -> time:int -> unit
 (** Execute every event with timestamp [<= time], then advance the
     clock to [time] even if idle earlier. *)

@@ -32,8 +32,6 @@ type t = {
 
 let create ~owner = { owner; holders = [||]; size = 0 }
 
-let owner t = t.owner
-
 let holder_opt t src =
   let i = Proc_id.to_int src in
   if i < Array.length t.holders then t.holders.(i) else None
@@ -250,12 +248,5 @@ let entries t =
 
 let delete_from t src =
   match holder_opt t src with None -> [] | Some h -> filter_in_place t h (fun _ -> false)
-
-let drop_for_targets t targets =
-  let dropped = ref 0 in
-  iter_holders t (fun _ h ->
-      let removed = filter_in_place t h (fun e -> not (Oid.Set.mem e.key.Ref_key.target targets)) in
-      dropped := !dropped + List.length removed);
-  !dropped
 
 let size t = t.size

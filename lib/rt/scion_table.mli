@@ -32,14 +32,10 @@ type t
 
 val create : owner:Proc_id.t -> t
 
-val owner : t -> Proc_id.t
-
 val ensure : t -> now:int -> Ref_key.t -> entry
 (** Find or create.
     @raise Invalid_argument if the target is not owned by this
     process, or if the holder is this process itself. *)
-
-val find : t -> Ref_key.t -> entry option
 
 val mem : t -> Ref_key.t -> bool
 
@@ -52,6 +48,10 @@ val delete : ?tombstone:bool -> t -> Ref_key.t -> bool
     stub set from that holder that no longer lists the target. *)
 
 val tombstoned : t -> Ref_key.t -> bool
+(** Kept for the suites that observe tombstones as protocol state:
+    [test_model] checks them against its abstract model, [test_rt_core]
+    against [Scion_table_reference], and [test_detector] after a
+    cycle deletion. *)
 
 val confirm : entry -> unit
 (** Mark the entry as acknowledged by its holder (healing and
@@ -107,7 +107,9 @@ val apply_new_set :
 
 val last_seqno : t -> Proc_id.t -> int
 (** Highest stub-set sequence number accepted from that holder; -1
-    initially. *)
+    initially.  Kept for the suites that observe which stub sets a
+    table accepted: [test_rt_gc]'s batching cases and [test_rt_core]'s
+    parity property. *)
 
 val idle_sources : t -> now:int -> threshold:int -> Proc_id.t list
 (** Holders we have scions from but no stub set (nor scion creation)
@@ -137,10 +139,5 @@ val iter : t -> (entry -> unit) -> unit
 val delete_from : t -> Proc_id.t -> Ref_key.t list
 (** Remove every scion held by that process (crash-stop reclamation);
     returns the removed keys, in ascending order. *)
-
-val drop_for_targets : t -> Oid.Set.t -> int
-(** Remove every scion whose target is in the set (used when the LGC
-    has swept the objects themselves, e.g. after cycle deletion);
-    returns how many were dropped. *)
 
 val size : t -> int

@@ -23,8 +23,6 @@ type t = {
 
 let create ~owner = { owner; entries = Oid.Tbl.create 32; retired_ics = Oid.Tbl.create 8 }
 
-let owner t = t.owner
-
 let find t target = Oid.Tbl.find_opt t.entries target
 
 let mem t target = Oid.Tbl.mem t.entries target

@@ -28,8 +28,6 @@ type t
 
 val create : owner:Proc_id.t -> t
 
-val owner : t -> Proc_id.t
-
 val ensure : t -> now:int -> Oid.t -> entry
 (** Find or create (created entries start [live] and [fresh]).  A
     re-created entry resumes the invocation counter where the swept

@@ -14,8 +14,6 @@ module Writer = struct
 
   let create ?(initial = 256) () = Buffer.create initial
 
-  let length = Buffer.length
-
   let contents = Buffer.contents
 
   let clear = Buffer.clear

@@ -15,8 +15,6 @@ module Writer : sig
 
   val create : ?initial:int -> unit -> t
 
-  val length : t -> int
-
   val contents : t -> string
 
   val clear : t -> unit

@@ -5,12 +5,11 @@ module Stats = Adgc_util.Stats
 type t = {
   rt : Runtime.t;
   read_back : string -> string;
-  store : (int, Summary.t) Hashtbl.t; (* proc -> the published summary, over its bytes *)
   mutable subscribers : (Summary.t -> unit) list;
 }
 
 let create ?(read_back = Fun.id) rt =
-  { rt; read_back; store = Hashtbl.create 16; subscribers = [] }
+  { rt; read_back; subscribers = [] }
 
 let take t (p : Process.t) =
   let now = Runtime.now t.rt in
@@ -34,7 +33,6 @@ let take t (p : Process.t) =
          (Printf.sprintf "snapshot %s" (Proc_id.to_string p.Process.id))
         : int)
   end;
-  Hashtbl.replace t.store (Proc_id.to_int p.Process.id) published;
   Runtime.log t.rt ~topic:"snapshot" "%a summarized: %d scions, %d stubs, %d bytes" Proc_id.pp
     p.Process.id
     (fst (Summary.counts published))
@@ -44,10 +42,5 @@ let take t (p : Process.t) =
   published
 
 let take_all t = Array.iter (fun p -> ignore (take t p : Summary.t)) t.rt.Runtime.procs
-
-let latest t proc = Hashtbl.find_opt t.store (Proc_id.to_int proc)
-
-let bytes_on_disk t proc =
-  match latest t proc with Some s -> String.length (Summary.bytes s) | None -> 0
 
 let subscribe t f = t.subscribers <- f :: t.subscribers

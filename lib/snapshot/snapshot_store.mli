@@ -6,13 +6,11 @@
     compact wire format ({!Summarize.encode}), reads the bytes back
     from its "disk" and publishes the {!Summary} view over what came
     back — so the detector always reads serialized bytes, never the
-    live tables.  The store keeps that one copy per process.  Bytes
+    live tables.  The subscribers keep what they are given.  Bytes
     that come back malformed are not published: the summary is
     published as taken and counted in [snapshot.decode_failures].
 
     Sizes and durations are recorded in the cluster statistics. *)
-
-open Adgc_algebra
 
 type t
 
@@ -24,11 +22,6 @@ val take : t -> Adgc_rt.Process.t -> Summary.t
 (** Snapshot one process now; returns (and publishes) the summary. *)
 
 val take_all : t -> unit
-
-val latest : t -> Proc_id.t -> Summary.t option
-
-val bytes_on_disk : t -> Proc_id.t -> int
-(** Size of the stored encoded summary (0 when none). *)
 
 val subscribe : t -> (Summary.t -> unit) -> unit
 (** Called with every newly published summary (the detector hooks in

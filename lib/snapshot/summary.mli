@@ -44,6 +44,9 @@ val bytes : t -> string
 val proc : t -> Proc_id.t
 
 val taken_at : t -> int
+(** Simulated time of the snapshot.  Kept for [Summary_reference],
+    which reads a published view back to the record form so the
+    snapshot and serial suites can compare it field by field. *)
 
 val counts : t -> int * int
 (** [(scions, stubs)], in constant time. *)

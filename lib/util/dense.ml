@@ -110,8 +110,6 @@ module Csr = struct
     t.store.(b * block_size) <- t.free_block;
     t.free_block <- b
 
-  let length t r = if r < 0 || r >= Array.length t.len then 0 else t.len.(r)
-
   let add t r v =
     ensure_row t r;
     (if t.head.(r) < 0 then begin
@@ -218,15 +216,6 @@ module Csr = struct
     t.free_block <- -1;
     t.rows <- 0
 
-  let free_blocks t =
-    let n = ref 0 in
-    let b = ref t.free_block in
-    while !b >= 0 do
-      incr n;
-      b := t.store.(!b * block_size)
-    done;
-    !n
-
   let words t = Array.length t.store + (4 * Array.length t.head)
 end
 
@@ -262,14 +251,7 @@ module Interner (H : Hashtbl.HashedType) = struct
 
   let find t k = Tbl.find_opt t.ids k
 
-  let mem t k = Tbl.mem t.ids k
-
   let key t i =
     if i < 0 || i >= t.n then invalid_arg (Printf.sprintf "Dense.Interner.key: id %d unassigned" i);
     t.keys.(i)
-
-  let iter t f =
-    for i = 0 to t.n - 1 do
-      f i t.keys.(i)
-    done
 end

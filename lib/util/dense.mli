@@ -75,19 +75,12 @@ module Csr : sig
   val clear_row : t -> int -> unit
   (** Empty the row, recycling all its blocks. *)
 
-  val length : t -> int -> int
-  (** Number of values in the row (0 for never-touched rows). *)
-
   val iter : t -> int -> (int -> unit) -> unit
   (** All values of the row, blocks in chain order. *)
 
   val reset : t -> unit
   (** Empty every row and return all blocks to the allocator (row
       arrays keep their capacity). *)
-
-  val free_blocks : t -> int
-  (** Blocks currently parked on the free list (recycling telemetry
-      for tests and benches). *)
 
   val words : t -> int
   (** Words held by the backing arrays — the live-memory proxy the
@@ -110,12 +103,8 @@ module Interner (H : Hashtbl.HashedType) : sig
   val find : t -> H.t -> int option
   (** Id of an already-interned key. *)
 
-  val mem : t -> H.t -> bool
-
   val key : t -> int -> H.t
   (** Inverse of {!intern}.
       @raise Invalid_argument when the id was never assigned. *)
 
-  val iter : t -> (int -> H.t -> unit) -> unit
-  (** All (id, key) pairs in id order. *)
 end

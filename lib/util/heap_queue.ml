@@ -9,10 +9,6 @@ type ('k, 'v) t = {
 
 let create ~compare = { compare; data = [||]; size = 0; next_seq = 0 }
 
-let length t = t.size
-
-let is_empty t = t.size = 0
-
 (* Order by key, then by insertion sequence so equal keys are FIFO. *)
 let lt t a b =
   let c = t.compare a.key b.key in
@@ -79,16 +75,3 @@ let pop t =
     end;
     Some (top.key, top.value)
   end
-
-let clear t =
-  t.size <- 0;
-  t.data <- [||]
-
-let to_list t =
-  let entries = Array.sub t.data 0 t.size in
-  let cmp a b =
-    let c = t.compare a.key b.key in
-    if c <> 0 then c else Int.compare a.seq b.seq
-  in
-  Array.sort cmp entries;
-  Array.to_list (Array.map (fun e -> (e.key, e.value)) entries)

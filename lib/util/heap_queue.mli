@@ -9,10 +9,6 @@ type ('k, 'v) t
 
 val create : compare:('k -> 'k -> int) -> ('k, 'v) t
 
-val length : ('k, 'v) t -> int
-
-val is_empty : ('k, 'v) t -> bool
-
 val push : ('k, 'v) t -> 'k -> 'v -> unit
 
 val peek : ('k, 'v) t -> ('k * 'v) option
@@ -21,9 +17,3 @@ val peek : ('k, 'v) t -> ('k * 'v) option
 val pop : ('k, 'v) t -> ('k * 'v) option
 (** Remove and return the smallest key. Among equal keys, the one
     pushed first is returned first. *)
-
-val clear : ('k, 'v) t -> unit
-
-val to_list : ('k, 'v) t -> ('k * 'v) list
-(** Snapshot of the contents in ascending key order (non-destructive;
-    O(n log n)). *)

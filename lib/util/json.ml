@@ -107,8 +107,6 @@ let to_string_pretty v =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let pp ppf v = Format.pp_print_string ppf (to_string v)
-
 (* ------------------------------------------------------------------ *)
 (* Parsing (recursive descent; enough for our own dumps and schemas).  *)
 
@@ -269,88 +267,3 @@ let of_string s =
       if p.pos < String.length s then Error (Printf.sprintf "trailing input at offset %d" p.pos)
       else Ok v
   | exception Parse_error (pos, what) -> Error (Printf.sprintf "at offset %d: %s" pos what)
-
-(* ------------------------------------------------------------------ *)
-(* A small JSON-Schema subset: type / required / properties /
-   additionalProperties / items / enum — all the dialect the metrics
-   schema needs, validated without external dependencies. *)
-
-let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
-
-let type_matches v name =
-  match (name, v) with
-  | "object", Obj _ -> true
-  | "array", Arr _ -> true
-  | "string", Str _ -> true
-  | "integer", Int _ -> true
-  | "number", (Int _ | Float _) -> true
-  | "boolean", Bool _ -> true
-  | "null", Null -> true
-  | _ -> false
-
-let rec validate ~schema v ~path =
-  let fail fmt = Printf.ksprintf (fun msg -> Error (path ^ ": " ^ msg)) fmt in
-  let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
-  let* () =
-    match member "type" schema with
-    | Some (Str name) -> if type_matches v name then Ok () else fail "expected type %s" name
-    | Some (Arr names) ->
-        if List.exists (function Str n -> type_matches v n | _ -> false) names then Ok ()
-        else fail "no member of the type union matches"
-    | Some _ | None -> Ok ()
-  in
-  let* () =
-    match member "enum" schema with
-    | Some (Arr allowed) ->
-        if List.exists (fun a -> a = v) allowed then Ok () else fail "value not in enum"
-    | Some _ | None -> Ok ()
-  in
-  let* () =
-    match (member "required" schema, v) with
-    | Some (Arr names), Obj fields ->
-        List.fold_left
-          (fun acc name ->
-            match (acc, name) with
-            | Error _, _ -> acc
-            | Ok (), Str n ->
-                if List.mem_assoc n fields then Ok () else fail "missing required member %S" n
-            | Ok (), _ -> acc)
-          (Ok ()) names
-    | _ -> Ok ()
-  in
-  let* () =
-    match v with
-    | Obj fields ->
-        let props =
-          match member "properties" schema with Some (Obj props) -> props | _ -> []
-        in
-        let additional = member "additionalProperties" schema in
-        List.fold_left
-          (fun acc (k, fv) ->
-            match acc with
-            | Error _ -> acc
-            | Ok () -> (
-                let sub_path = path ^ "." ^ k in
-                match List.assoc_opt k props with
-                | Some sub -> validate ~schema:sub fv ~path:sub_path
-                | None -> (
-                    match additional with
-                    | Some (Bool false) -> Error (sub_path ^ ": unexpected member")
-                    | Some (Obj _ as sub) -> validate ~schema:sub fv ~path:sub_path
-                    | Some _ | None -> Ok ())))
-          (Ok ()) fields
-    | _ -> Ok ()
-  in
-  match (v, member "items" schema) with
-  | Arr items, Some (Obj _ as sub) ->
-      let rec go i = function
-        | [] -> Ok ()
-        | item :: rest -> (
-            match validate ~schema:sub item ~path:(Printf.sprintf "%s[%d]" path i) with
-            | Ok () -> go (i + 1) rest
-            | Error _ as e -> e)
-      in
-      go 0 items
-  | _ -> Ok ()
-
-let validate ~schema v = validate ~schema v ~path:"$"

@@ -1,5 +1,4 @@
-(** Minimal JSON: AST, deterministic printer, parser and a small
-    JSON-Schema-subset validator.
+(** Minimal JSON: AST, deterministic printer and parser.
 
     The printer is byte-stable: the same document always renders the
     same string, which the deterministic-replay tests rely on.  Use
@@ -28,12 +27,4 @@ val to_string : t -> string
 val to_string_pretty : t -> string
 (** Indented rendering (trailing newline); same escaping rules. *)
 
-val pp : Format.formatter -> t -> unit
-
 val of_string : string -> (t, string) result
-
-val validate : schema:t -> t -> (unit, string) result
-(** Validate a value against a JSON-Schema subset: [type] (string or
-    union array), [enum], [required], [properties],
-    [additionalProperties] (bool or schema), [items] (single schema).
-    Errors carry a [$.path.to.member] location. *)

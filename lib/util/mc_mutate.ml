@@ -11,11 +11,4 @@ let current : string option ref = ref None
 
 let set name = current := name
 
-let active () = !current
-
 let enabled name = match !current with Some m -> String.equal m name | None -> false
-
-let with_mutant name f =
-  let saved = !current in
-  current := Some name;
-  Fun.protect ~finally:(fun () -> current := saved) f

@@ -14,11 +14,5 @@
 val set : string option -> unit
 (** Activate the named mutant, or deactivate with [None]. *)
 
-val active : unit -> string option
-
 val enabled : string -> bool
 (** [true] iff that mutant is the active one. *)
-
-val with_mutant : string -> (unit -> 'a) -> 'a
-(** Run [f] with the mutant active, restoring the previous switch
-    state afterwards (also on exceptions). *)

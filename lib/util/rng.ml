@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 output function: mix the advanced state through two
    xor-shift-multiply rounds. *)
 let mix64 z =
@@ -36,26 +34,12 @@ let float t bound =
   (* 53 significant bits, as in the reference implementation. *)
   raw *. (1.0 /. 9007199254740992.0) *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let bernoulli t p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
   else float t 1.0 < p
 
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
-
 let pick_list t l =
   match l with
   | [] -> invalid_arg "Rng.pick_list: empty list"
   | _ :: _ -> List.nth l (int t (List.length l))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

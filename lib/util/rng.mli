@@ -13,16 +13,9 @@ val create : int -> t
 (** [create seed] returns a fresh generator. Equal seeds give equal
     streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state; the copy evolves
-    independently. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of [t]'s subsequent output. *)
-
-val bits64 : t -> int64
-(** Next raw 64-bit value. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be
@@ -35,16 +28,8 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val pick_list : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. O(n). *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)

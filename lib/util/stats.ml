@@ -36,34 +36,6 @@ let counters t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* Labelled counters live in the same table under a canonical
-   rendered key, name{k1="v1",k2="v2"} with labels sorted by key, so
-   they merge, clear and dump through the existing machinery. *)
-let labelled_key name labels =
-  match labels with
-  | [] -> name
-  | _ ->
-      let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
-      let buf = Buffer.create 32 in
-      Buffer.add_string buf name;
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf k;
-          Buffer.add_string buf "=\"";
-          Buffer.add_string buf v;
-          Buffer.add_char buf '"')
-        labels;
-      Buffer.add_char buf '}';
-      Buffer.contents buf
-
-let incr_l t name ~labels = incr t (labelled_key name labels)
-
-let add_l t name ~labels v = add t (labelled_key name labels) v
-
-let get_l t name ~labels = get t (labelled_key name labels)
-
 let series_ref t name =
   match Hashtbl.find_opt t.series name with
   | Some s -> s
@@ -112,21 +84,17 @@ let percentile t name p =
 let default_buckets =
   Array.init 20 (fun i -> Float.of_int (1 lsl i))
 
-let histogram t name ~buckets =
-  match Hashtbl.find_opt t.histograms name with
-  | Some h -> h
-  | None ->
-      let h =
-        { buckets; counts = Array.make (Array.length buckets + 1) 0; sum = 0.0; samples = 0 }
-      in
-      Hashtbl.add t.histograms name h;
-      h
-
 let observe t name v =
   let h =
     match Hashtbl.find_opt t.histograms name with
     | Some h -> h
-    | None -> histogram t name ~buckets:default_buckets
+    | None ->
+        let buckets = default_buckets in
+        let h =
+          { buckets; counts = Array.make (Array.length buckets + 1) 0; sum = 0.0; samples = 0 }
+        in
+        Hashtbl.add t.histograms name h;
+        h
   in
   let n = Array.length h.buckets in
   let i = ref 0 in
@@ -162,39 +130,9 @@ let histogram_percentile h p =
 
 let histogram_opt t name = Hashtbl.find_opt t.histograms name
 
-let observed_percentile t name p = Option.map (fun h -> histogram_percentile h p) (histogram_opt t name)
-
 let histograms t =
   Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.histograms []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let merge_into ~src ~dst =
-  Hashtbl.iter (fun k r -> add dst k !r) src.counters;
-  Hashtbl.iter
-    (fun k s -> List.iter (fun v -> record dst k v) (List.rev s.values))
-    src.series;
-  Hashtbl.iter
-    (fun k h ->
-      let d = histogram dst k ~buckets:(Array.copy h.buckets) in
-      if Array.length d.counts = Array.length h.counts then begin
-        Array.iteri (fun i c -> d.counts.(i) <- d.counts.(i) + c) h.counts;
-        d.sum <- d.sum +. h.sum;
-        d.samples <- d.samples + h.samples
-      end
-      else
-        (* Conflicting bucket layouts: fold the source in sample-blind
-           via the overflow-safe observe path on bucket midpoints is
-           not meaningful, so just accumulate totals. *)
-        begin
-          d.sum <- d.sum +. h.sum;
-          d.samples <- d.samples + h.samples
-        end)
-    src.histograms
-
-let clear t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.series;
-  Hashtbl.reset t.histograms
 
 let series_names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.series [] |> List.sort String.compare
@@ -236,14 +174,3 @@ let to_json t =
   in
   Json.Obj
     [ ("counters", counters_json); ("histograms", histograms_json); ("series", series_json) ]
-
-let pp ppf t =
-  List.iter (fun (k, v) -> Format.fprintf ppf "%-40s %d@." k v) (counters t);
-  let pp_series name =
-    Format.fprintf ppf "%-40s n=%d mean=%.2f@." name (count t name) (mean t name)
-  in
-  List.iter pp_series (series_names t);
-  List.iter
-    (fun (name, h) ->
-      Format.fprintf ppf "%-40s n=%d sum=%.0f@." name h.samples h.sum)
-    (histograms t)

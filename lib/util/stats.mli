@@ -22,39 +22,9 @@ val get : t -> string -> int
 val counters : t -> (string * int) list
 (** Sorted by name. *)
 
-(** {1 Labelled counters}
-
-    Stored in the same table under the canonical rendered key
-    [name{k1="v1",k2="v2"}] (labels sorted by key), so they merge,
-    clear and dump exactly like plain counters. *)
-
-val labelled_key : string -> (string * string) list -> string
-
-val incr_l : t -> string -> labels:(string * string) list -> unit
-
-val add_l : t -> string -> labels:(string * string) list -> int -> unit
-
-val get_l : t -> string -> labels:(string * string) list -> int
-
 (** {1 Sample series} *)
 
 val record : t -> string -> float -> unit
-
-val samples : t -> string -> float list
-(** In recording order; empty if never recorded. *)
-
-val count : t -> string -> int
-
-val mean : t -> string -> float
-(** [nan] on an empty series. *)
-
-val min_max : t -> string -> (float * float) option
-
-val percentile : t -> string -> float -> float
-(** [percentile t name p] with [p] in [\[0,100\]]; nearest-rank on the
-    sorted series. [nan] on an empty series. *)
-
-val total : t -> string -> float
 
 (** {1 Histograms}
 
@@ -68,16 +38,9 @@ type histogram = private {
   mutable samples : int;
 }
 
-val default_buckets : float array
-(** Powers of two from 1 to 2{^19}. *)
-
-val histogram : t -> string -> buckets:float array -> histogram
-(** Register (or fetch) a histogram with the given upper bounds.  The
-    first registration wins; later [buckets] are ignored. *)
-
 val observe : t -> string -> float -> unit
-(** Record one sample, auto-registering with {!default_buckets} when
-    the name is unknown.  A value [v] lands in the first bucket with
+(** Record one sample, registering the histogram with buckets at the
+    powers of two from 1 to 2{^19} when the name is unknown.  A value [v] lands in the first bucket with
     [v <= bound], or in the overflow slot. *)
 
 val histogram_percentile : histogram -> float -> float
@@ -89,21 +52,7 @@ val histogram_percentile : histogram -> float -> float
 
 val histogram_opt : t -> string -> histogram option
 
-val observed_percentile : t -> string -> float -> float option
-(** [histogram_percentile] of the named histogram, or [None] when no
-    such histogram was ever observed. *)
-
-val histograms : t -> (string * histogram) list
-(** Sorted by name. *)
-
 (** {1 Reporting} *)
-
-val merge_into : src:t -> dst:t -> unit
-(** Add all of [src]'s counters into [dst] and append its series. *)
-
-val clear : t -> unit
-
-val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Json.t
 (** Deterministic document: [{counters; histograms; series}] with all

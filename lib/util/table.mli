@@ -6,18 +6,6 @@
 
 type align = Left | Right
 
-val render :
-  ?align:align list ->
-  header:string list ->
-  rows:string list list ->
-  unit ->
-  string
-(** [render ~header ~rows ()] lays the table out with one column per
-    header entry.  Rows shorter than the header are padded with empty
-    cells; longer rows are truncated.  [align] defaults to [Left] for
-    the first column and [Right] for the rest (the common numeric
-    layout). *)
-
 val print :
   ?align:align list -> header:string list -> rows:string list list -> unit -> unit
-(** [render] followed by [print_string]. *)
+(** Render the aligned, boxed table and print it on stdout. *)

@@ -5,22 +5,18 @@ type t = {
   mutable buf : event option array;  (* allocated by the first [add] *)
   mutable head : int; (* next write slot *)
   mutable count : int;
-  mutable dropped : int;
   mutable enabled : bool;
 }
 
 let create ?(capacity = 65536) () =
-  { capacity; buf = [||]; head = 0; count = 0; dropped = 0; enabled = true }
-
-let enabled t = t.enabled
+  { capacity; buf = [||]; head = 0; count = 0; enabled = true }
 
 let set_enabled t b = t.enabled <- b
 
 let add t ~time ~topic text =
   if t.enabled then begin
     if Array.length t.buf = 0 then t.buf <- Array.make t.capacity None;
-    if t.count = t.capacity then t.dropped <- t.dropped + 1
-    else t.count <- t.count + 1;
+    if t.count < t.capacity then t.count <- t.count + 1;
     t.buf.(t.head) <- Some { time; topic; text };
     t.head <- (t.head + 1) mod t.capacity
   end
@@ -44,15 +40,4 @@ let events t =
 
 let by_topic t topic = List.filter (fun e -> e.topic = topic) (events t)
 
-let dropped t = t.dropped
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
-  t.head <- 0;
-  t.count <- 0;
-  t.dropped <- 0
-
 let pp_event ppf e = Format.fprintf ppf "[%6d] %-10s %s" e.time e.topic e.text
-
-let dump ppf t =
-  List.iter (fun e -> Format.fprintf ppf "%a@." pp_event e) (events t)

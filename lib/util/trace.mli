@@ -5,7 +5,7 @@
     examples replay it to print paper-style step traces (e.g. the
     algebra steps of the paper's Section 3).  The buffer is bounded so
     long benchmark runs cannot exhaust memory; when full, the oldest
-    events are dropped and [dropped] counts them. *)
+    events are dropped. *)
 
 type event = { time : int; topic : string; text : string }
 
@@ -15,12 +15,8 @@ val create : ?capacity:int -> unit -> t
 (** Default capacity: 65536 events; the ring is allocated when the
     first event is recorded. *)
 
-val enabled : t -> bool
-
 val set_enabled : t -> bool -> unit
-(** Disabling makes {!add} a no-op (used by benchmarks). *)
-
-val add : t -> time:int -> topic:string -> string -> unit
+(** Disabling makes {!addf} a no-op (used by benchmarks). *)
 
 val addf :
   t -> time:int -> topic:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
@@ -32,10 +28,4 @@ val events : t -> event list
 
 val by_topic : t -> string -> event list
 
-val dropped : t -> int
-
-val clear : t -> unit
-
 val pp_event : Format.formatter -> event -> unit
-
-val dump : Format.formatter -> t -> unit

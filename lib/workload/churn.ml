@@ -14,11 +14,9 @@ type rates = {
 let default_rates =
   { alloc = 3.0; invoke = 4.0; export = 2.0; drop_root = 0.5; add_root = 1.0; unlink = 1.5 }
 
-type t = { rates : rates; cluster : Cluster.t; rng : Rng.t; mutable actions : int }
+type t = { rates : rates; cluster : Cluster.t; rng : Rng.t }
 
-let create ?(rates = default_rates) ~cluster ~rng () = { rates; cluster; rng; actions = 0 }
-
-let actions t = t.actions
+let create ?(rates = default_rates) ~cluster ~rng () = { rates; cluster; rng }
 
 (* A real program can only act on what it can reach from its roots:
    picking arbitrary heap objects would "resurrect" garbage, violating
@@ -100,7 +98,6 @@ let do_unlink t (p : Process.t) =
       | _ :: _ -> ignore (Heap.remove_ref p.Process.heap o (Rng.pick_list t.rng refs) : bool))
 
 let step t =
-  t.actions <- t.actions + 1;
   let p = Cluster.proc t.cluster (Rng.int t.rng (Cluster.n_procs t.cluster)) in
   if not p.Process.alive then ()
   else

@@ -37,6 +37,3 @@ val step : t -> unit
 val run : t -> steps:int -> every:int -> unit
 (** Schedule [steps] actions, one every [every] ticks starting now
     (does not advance time itself). *)
-
-val actions : t -> int
-(** Actions performed so far. *)

@@ -6,6 +6,3 @@
 val pp_cluster : ?names:Names.t -> Format.formatter -> Adgc_rt.Cluster.t -> unit
 (** Every process, then ground truth (live/garbage counts) and
     in-flight message count. *)
-
-val summary_line : Adgc_rt.Cluster.t -> string
-(** One line: objects, live, garbage, stubs, scions, in-flight. *)

@@ -20,8 +20,6 @@ let stop_sampling t =
       t.handle <- None
   | None -> ()
 
-let sampling t = t.handle <> None
-
 let sample_every cluster ~period =
   let t = { acc = []; handle = None } in
   let handle =
@@ -52,15 +50,3 @@ let install_safety_checker cluster =
   checker
 
 let violations t = List.rev t.violations
-
-let assert_safe t =
-  match violations t with
-  | [] -> ()
-  | vs ->
-      let msg =
-        String.concat ", "
-          (List.map
-             (fun (p, o) -> Format.asprintf "%a swept live %a" Proc_id.pp p Oid.pp o)
-             vs)
-      in
-      failwith ("GC safety violated: " ^ msg)

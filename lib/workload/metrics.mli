@@ -23,8 +23,6 @@ val samples : sampler -> sample list
 val stop_sampling : sampler -> unit
 (** Idempotent. *)
 
-val sampling : sampler -> bool
-
 (** {1 Safety checking} *)
 
 type safety_checker
@@ -35,6 +33,3 @@ val install_safety_checker : Adgc_rt.Cluster.t -> safety_checker
     moment of reclamation).  Violations are recorded, not raised. *)
 
 val violations : safety_checker -> (Adgc_algebra.Proc_id.t * Adgc_algebra.Oid.t) list
-
-val assert_safe : safety_checker -> unit
-(** @raise Failure listing the violations, if any. *)

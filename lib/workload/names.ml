@@ -17,5 +17,3 @@ let pp_oid t ppf oid =
 
 let pp_ref t ppf (key : Ref_key.t) =
   Format.fprintf ppf "%a->%a" Proc_id.pp key.Ref_key.src (pp_oid t) key.Ref_key.target
-
-let find t n = Hashtbl.find_opt t.by_name n

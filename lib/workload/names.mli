@@ -10,13 +10,8 @@ val create : unit -> t
 
 val register : t -> Adgc_rt.Heap.obj -> string -> unit
 
-val name : t -> Oid.t -> string option
-
 val pp_oid : t -> Format.formatter -> Oid.t -> unit
 (** Prints [F@P2] when registered, the raw oid otherwise. *)
 
 val pp_ref : t -> Format.formatter -> Ref_key.t -> unit
 (** Prints [P1->F@P2]. *)
-
-val find : t -> string -> Oid.t option
-(** Reverse lookup. *)

@@ -19,8 +19,6 @@ type built = {
 val obj : built -> string -> Heap.obj
 (** @raise Not_found for an unknown name. *)
 
-val oid : built -> string -> Oid.t
-
 val scion_key : built -> src:int -> string -> Ref_key.t
 (** Key of the reference from process [src] to the named object. *)
 

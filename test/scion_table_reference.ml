@@ -175,13 +175,4 @@ let delete_from t src =
   List.iter (fun key -> ignore (delete t key)) doomed;
   List.sort Ref_key.compare doomed
 
-let drop_for_targets t targets =
-  let doomed =
-    Ref_key.Tbl.fold
-      (fun key _ acc -> if Oid.Set.mem key.Ref_key.target targets then key :: acc else acc)
-      t.entries []
-  in
-  List.iter (fun key -> ignore (delete t key)) doomed;
-  List.length doomed
-
 let size t = Ref_key.Tbl.length t.entries

@@ -62,7 +62,7 @@ let test_sections_cover_the_contract () =
   check Alcotest.bool "document is marked smoke" true doc.Results.smoke;
   (* The acceptance series: p99 end-to-end detection latency, gated
      by an SLO ceiling, deterministic in simulated ticks. *)
-  match Results.find doc "detection.ring4.dcda.detection_latency.p99" with
+  match Scaffold.find_sample doc "detection.ring4.dcda.detection_latency.p99" with
   | None -> Alcotest.fail "detection latency p99 series missing"
   | Some s ->
       check Alcotest.bool "p99 latency carries an SLO" true (s.Sample.slo <> None);
@@ -73,14 +73,11 @@ let test_sections_cover_the_contract () =
 let test_document_validates () =
   let doc, _ = run_smoke () in
   let schema = results_schema () in
-  (match Json.validate ~schema (Results.to_json doc) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "results document rejected by schema: %s" e);
-  (* ... and through the serialized form a consumer reads back. *)
-  match Json.of_string (Results.to_string doc) with
+  (* Through the serialized form a consumer reads back. *)
+  match Json.of_string (Scaffold.results_to_string doc) with
   | Error e -> Alcotest.failf "results document does not reparse: %s" e
   | Ok reparsed -> (
-      match Json.validate ~schema reparsed with
+      match Json_schema.validate ~schema reparsed with
       | Ok () -> ()
       | Error e -> Alcotest.failf "reparsed results document rejected: %s" e)
 
@@ -89,10 +86,10 @@ let test_checked_in_baseline_validates () =
   (match Json.of_string raw with
   | Error e -> Alcotest.failf "baseline.json is not valid JSON: %s" e
   | Ok j -> (
-      match Json.validate ~schema:(results_schema ()) j with
+      match Json_schema.validate ~schema:(results_schema ()) j with
       | Ok () -> ()
       | Error e -> Alcotest.failf "baseline.json rejected by schema: %s" e));
-  match Results.of_string raw with
+  match Results.load (repo_file "baseline.json") with
   | Error e -> Alcotest.failf "baseline.json does not load: %s" e
   | Ok baseline ->
       (* The checked-in baseline must gate itself clean — otherwise a
@@ -103,7 +100,7 @@ let test_checked_in_baseline_validates () =
 let test_rerun_is_deterministic () =
   let doc1, doc2 = run_smoke () in
   check Alcotest.string "same-seed re-run reproduces every non-timing field"
-    (Results.fingerprint doc1) (Results.fingerprint doc2)
+    (Scaffold.fingerprint doc1) (Scaffold.fingerprint doc2)
 
 (* --- the CLI gate, end to end ------------------------------------ *)
 

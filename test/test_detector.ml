@@ -334,7 +334,7 @@ let test_two_disjoint_cycles_in_parallel () =
   check Alcotest.int "both concluded" 2 (List.length reports);
   let ids = List.map (fun r -> r.Report.id) reports in
   check Alcotest.bool "distinct detections" true
-    (match ids with [ a; b ] -> not (Detection_id.equal a b) | _ -> false);
+    (match ids with [ a; b ] -> not (Detection_id.compare a b = 0) | _ -> false);
   gc_rounds h 6;
   check Alcotest.int "all reclaimed" 0 (Cluster.total_objects h.cluster)
 
@@ -482,7 +482,7 @@ let reclaim_via_sim ~n ~max_time build =
   ignore (built : Topology.built);
   Adgc.Sim.start sim;
   let clean = Adgc.Sim.run_until_clean ~step:1_000 ~max_time sim in
-  Adgc_workload.Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   (clean, Cluster.total_objects cluster)
 
 let test_star_cycles_reclaimed () =
@@ -548,7 +548,7 @@ let test_rooted_lattice_safe () =
   Adgc_rt.Mutator.add_root cluster (Topology.obj built "g0_0");
   Adgc.Sim.start sim;
   Adgc.Sim.run_for sim 60_000;
-  Adgc_workload.Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   (* From g0_0 the whole first row and everything below it is
      reachable (rows are rings, columns chain down): all 8 nodes. *)
   check Alcotest.int "rooted lattice intact" 8 (Cluster.total_objects cluster)
@@ -619,8 +619,9 @@ let test_duplicate_cdm_ignored () =
   Mutator.remove_root h.cluster (Topology.obj built "A");
   snapshot_all h;
   ignore (Detector.initiate h.detectors.(1) (Topology.scion_key built ~src:0 "F") : bool);
-  (* Put the queued CDM on the wire, then snatch it before it lands. *)
-  Runtime.flush_all_batches (Cluster.rt h.cluster);
+  (* Let the batch window put the queued CDM on the wire, then snatch
+     it before it lands. *)
+  Cluster.run_for h.cluster (Cluster.rt h.cluster).Runtime.config.Runtime.dgc_window;
   let cdm_msg =
     match
       List.find_opt
@@ -696,7 +697,7 @@ let assert_full_chain (r : Report.t) =
         (List.exists (function Lineage.Sent _ -> true | _ -> false) hops);
       check Alcotest.bool "has a receive" true
         (List.exists (function Lineage.Received _ -> true | _ -> false) hops);
-      let times = List.map Lineage.hop_time hops in
+      let times = List.map Scaffold.hop_time hops in
       check Alcotest.bool "chronological" true (List.sort Int.compare times = times)
 
 let test_lineage_fig3_full_chain () =
@@ -933,7 +934,7 @@ let test_scan_resumes_past_a_vanished_cursor () =
   Mutator.unwire_remote h.cluster ~holder:a1 ~target:b1;
   gc_rounds h 6;
   check Alcotest.bool "k1's scion is gone" true
-    (Option.is_none (Scion_table.find (Cluster.proc h.cluster 1).Process.scions k.(1)));
+    (Option.is_none (Scaffold.find_scion (Cluster.proc h.cluster 1).Process.scions k.(1)));
   snapshot_all h;
   check keys "k1 left the summary" [ k.(0); k.(2); k.(3) ] (published h 1);
   check Alcotest.int "second scan" 2 (Detector.scan h.detectors.(1));
@@ -954,7 +955,7 @@ let test_scan_idle_filter_reads_the_summary () =
   Mutator.invoke h.cluster ~src:0 ~target:b.Heap.oid;
   Cluster.run_for h.cluster 100;
   let live =
-    match Scion_table.find (Cluster.proc h.cluster 1).Process.scions (ref_key a b) with
+    match Scaffold.find_scion (Cluster.proc h.cluster 1).Process.scions (ref_key a b) with
     | Some e -> e.Scion_table.last_invoked
     | None -> Alcotest.fail "the scion is gone"
   in

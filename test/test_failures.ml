@@ -55,7 +55,7 @@ let test_dead_process_is_silent () =
     Msg.Scion_probe;
   check Alcotest.int "dead source never hits the wire" sent
     (Adgc_util.Stats.get (Sim.stats sim) "net.msg.sent");
-  check Alcotest.bool "p0 reported dead" false (Cluster.alive cluster 0)
+  check Alcotest.bool "p0 reported dead" false (Cluster.proc cluster 0).Process.alive
 
 let test_crash_without_detection_leaks () =
   let sim, cluster = mk () in

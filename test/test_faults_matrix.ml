@@ -69,7 +69,7 @@ let run_cell ~profile ~detector ?dgc_window ~seed () =
   Churn.run churn ~steps:150 ~every:47;
   ignore (Detector_column.start detector sim);
   Sim.run_for sim (fault_stop + 2_000);
-  Oracle.assert_safe oracle;
+  Scaffold.oracle_safe oracle;
   (match profile with
   | Faults.Duplicate ->
       Alcotest.(check bool)
@@ -77,13 +77,13 @@ let run_cell ~profile ~detector ?dgc_window ~seed () =
         (Stats.get (Sim.stats sim) "net.msg.duplicate_ignored" > 0)
   | Faults.Loss_burst | Faults.Reorder | Faults.Partition_heal | Faults.Crash_restart -> ());
   (* Fault quiescence: everything garbage now must go away. *)
-  (match Oracle.check_liveness ~step:2_000 ~max_ticks:900_000 oracle ~run:(Sim.run_for sim) with
-  | Oracle.Converged _ -> ()
-  | Oracle.Stuck _ as l ->
+  (match Scaffold.check_liveness ~step:2_000 ~max_ticks:900_000 cluster ~run:(Sim.run_for sim) with
+  | Scaffold.Converged _ -> ()
+  | Scaffold.Stuck _ as l ->
       Alcotest.failf "liveness after %s/%s/seed%d: %a" (Faults.profile_name profile)
-        (Detector_column.name detector) seed Oracle.pp_liveness l);
+        (Detector_column.name detector) seed Scaffold.pp_liveness l);
   Oracle.stop oracle;
-  Oracle.assert_safe oracle;
+  Scaffold.oracle_safe oracle;
   if dgc_window = Some 0 then
     check Alcotest.int "every control payload left unbatched" 0
       (Stats.get (Sim.stats sim) "net.msg.batch_flushes")
@@ -116,11 +116,11 @@ let test_duplicate_reorder_combined () =
     "replays suppressed" true
     (Stats.get stats "net.msg.duplicate_ignored" > 0);
   Alcotest.(check bool) "reordering happened" true (Stats.get stats "net.msg.reordered" > 0);
-  (match Oracle.check_liveness ~max_ticks:600_000 oracle ~run:(Sim.run_for sim) with
-  | Oracle.Converged _ -> ()
-  | Oracle.Stuck _ as l -> Alcotest.failf "liveness: %a" Oracle.pp_liveness l);
+  (match Scaffold.check_liveness ~max_ticks:600_000 cluster ~run:(Sim.run_for sim) with
+  | Scaffold.Converged _ -> ()
+  | Scaffold.Stuck _ as l -> Alcotest.failf "liveness: %a" Scaffold.pp_liveness l);
   Oracle.stop oracle;
-  Oracle.assert_safe oracle;
+  Scaffold.oracle_safe oracle;
   check Alcotest.bool "live ring intact" true (live_ring_intact cluster live)
 
 (* Partition bookkeeping: the scheduled cut drops cross-half traffic
@@ -170,16 +170,16 @@ let test_crash_with_open_queues () =
   Adgc_rt.Scheduler.schedule_after sched ~delay:fault_stop (fun () -> Cluster.restart cluster 0);
   Sim.start sim;
   Sim.run_for sim (fault_stop + 2_000);
-  Oracle.assert_safe oracle;
+  Scaffold.oracle_safe oracle;
   Alcotest.(check bool) "the crash met open queues" true !crashed;
   Alcotest.(check bool)
     "their flushes met a dead endpoint" true
     (Stats.get (Sim.stats sim) "net.msg.dead_endpoint" > 0);
-  (match Oracle.check_liveness ~step:2_000 ~max_ticks:900_000 oracle ~run:(Sim.run_for sim) with
-  | Oracle.Converged _ -> ()
-  | Oracle.Stuck _ as l -> Alcotest.failf "liveness after crash: %a" Oracle.pp_liveness l);
+  (match Scaffold.check_liveness ~step:2_000 ~max_ticks:900_000 cluster ~run:(Sim.run_for sim) with
+  | Scaffold.Converged _ -> ()
+  | Scaffold.Stuck _ as l -> Alcotest.failf "liveness after crash: %a" Scaffold.pp_liveness l);
   Oracle.stop oracle;
-  Oracle.assert_safe oracle;
+  Scaffold.oracle_safe oracle;
   check Alcotest.bool "live ring intact" true (live_ring_intact cluster live)
 
 let suite =
@@ -208,7 +208,9 @@ let suite =
                   (run_cell ~profile ~detector ?dgc_window ~seed))
               seeds)
           columns)
-      Faults.profiles
+      (List.map
+         (fun p -> (Faults.profile_name p, p))
+         Faults.[ Loss_burst; Duplicate; Reorder; Partition_heal; Crash_restart ])
   in
   ( "faults-matrix",
     cells

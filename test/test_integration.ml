@@ -29,7 +29,7 @@ let test_sim_fig3_full_lifecycle () =
   check Alcotest.int "all objects alive" 14 (Cluster.total_objects (Sim.cluster sim));
   Adgc_rt.Mutator.remove_root (Sim.cluster sim) (Topology.obj built "A");
   check Alcotest.bool "cleaned" true (Sim.run_until_clean ~max_time:300_000 sim);
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   check Alcotest.bool "cycle was reported" true (Sim.reports sim <> [])
 
 let test_sim_no_detector_leaks () =
@@ -39,14 +39,14 @@ let test_sim_no_detector_leaks () =
   Sim.run_for sim 60_000;
   check Alcotest.int "cycle leaks without a detector" 3
     (Cluster.total_objects (Sim.cluster sim));
-  Metrics.assert_safe checker
+  Scaffold.assert_safe checker
 
 let test_sim_backtrack_detector_cleans () =
   let sim, checker = mk_sim ~detector:Config.No_detector () in
   let _built = Topology.ring (Sim.cluster sim) ~procs:[ 0; 1; 2 ] in
   ignore (Detector_column.start Detector_column.Backtrack sim);
   check Alcotest.bool "cleaned by baseline" true (Sim.run_until_clean ~max_time:300_000 sim);
-  Metrics.assert_safe checker
+  Scaffold.assert_safe checker
 
 let test_sim_mixed_garbage () =
   (* Hybrid + plain ring + rooted ring, all at once. *)
@@ -57,10 +57,10 @@ let test_sim_mixed_garbage () =
   let live = Topology.rooted_ring cluster ~procs:[ 1; 3; 5 ] in
   Sim.start sim;
   Sim.run_for sim 100_000;
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   check Alcotest.int "only the rooted ring remains" 3 (Cluster.total_objects cluster);
   check Alcotest.bool "the rooted ring is intact" true
-    (Adgc_rt.Heap.mem (Cluster.proc cluster 1).Adgc_rt.Process.heap (Topology.oid live "n1_0"))
+    (Adgc_rt.Heap.mem (Cluster.proc cluster 1).Adgc_rt.Process.heap (Scaffold.oid live "n1_0"))
 
 let test_sim_loss_resilience () =
   let sim, checker = mk_sim ~n:5 ~drop:0.15 ~seed:11 () in
@@ -69,7 +69,7 @@ let test_sim_loss_resilience () =
   Sim.start sim;
   check Alcotest.bool "cleaned despite 15% loss" true
     (Sim.run_until_clean ~max_time:1_500_000 sim);
-  Metrics.assert_safe checker
+  Scaffold.assert_safe checker
 
 let test_sim_partition_heals () =
   let sim, checker = mk_sim ~n:3 () in
@@ -84,7 +84,7 @@ let test_sim_partition_heals () =
   Network.unblock_link (Cluster.net cluster) (Adgc_algebra.Proc_id.of_int 1)
     (Adgc_algebra.Proc_id.of_int 2);
   check Alcotest.bool "cleans after heal" true (Sim.run_until_clean ~max_time:600_000 sim);
-  Metrics.assert_safe checker
+  Scaffold.assert_safe checker
 
 (* The whole snapshot pipeline in a running system: every summary the
    store publishes (after its trip through the bytes on "disk") equals
@@ -107,9 +107,9 @@ let test_snapshot_pipeline_matches_reference () =
   Churn.run churn ~steps:400 ~every:23;
   Sim.start sim;
   Sim.run_for sim 40_000;
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   check Alcotest.bool "cleans up" true (Sim.run_until_clean ~max_time:1_000_000 sim);
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   check Alcotest.bool "snapshots were published" true (!published > 0)
 
 let test_sim_live_churn_is_never_hurt () =
@@ -120,10 +120,10 @@ let test_sim_live_churn_is_never_hurt () =
   Churn.run churn ~steps:1_500 ~every:31;
   Sim.start sim;
   Sim.run_for sim 80_000;
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   (* After quiescence everything unreferenced goes away; live stays. *)
   check Alcotest.bool "cleaned" true (Sim.run_until_clean ~max_time:2_000_000 sim);
-  Metrics.assert_safe checker
+  Scaffold.assert_safe checker
 
 let test_sim_detector_stats_flow () =
   let sim, _ = mk_sim () in
@@ -140,7 +140,7 @@ let test_sim_run_gc_cycle_manual () =
   let cluster = Sim.cluster sim in
   let a = Adgc_rt.Mutator.alloc cluster ~proc:0 () in
   ignore a;
-  Sim.run_gc_cycle sim;
+  Scaffold.run_gc_cycle sim;
   ignore (Cluster.drain cluster : int);
   check Alcotest.int "acyclic garbage gone" 0 (Cluster.total_objects cluster)
 
@@ -166,7 +166,7 @@ let test_no_fault_run_holds_no_delivered_entries () =
   let _rings = Topology.ring cluster ~procs:[ 0; 5; 10; 15 ] in
   Sim.start sim;
   check Alcotest.bool "cleaned" true (Sim.run_until_clean ~step:5_000 ~max_time:1_000_000 sim);
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   (* Envelopes still in flight may have overtaken one another; let
      them land. *)
   Sim.stop sim;
@@ -198,9 +198,9 @@ let random_scenario ~seed =
   Churn.run churn ~steps:300 ~every:17;
   Sim.start sim;
   Sim.run_for sim 30_000;
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   let clean = Sim.run_until_clean ~step:5_000 ~max_time:2_000_000 sim in
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   if not clean then
     Alcotest.failf "seed %d: garbage remained (%d objects, %d garbage)" seed
       (Cluster.total_objects cluster) (Sim.garbage_count sim)
@@ -221,14 +221,14 @@ let test_extreme_jitter_reordering () =
   Churn.run churn ~steps:500 ~every:29;
   Sim.start sim;
   Sim.run_for sim 50_000;
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   check Alcotest.bool "cleans under jitter" true
     (Sim.run_until_clean ~step:5_000 ~max_time:3_000_000 sim);
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   (* The churn population is live by construction; the seeded rooted
      ring must have survived within it. *)
   check Alcotest.bool "live ring intact" true
-    (Adgc_rt.Heap.mem (Cluster.proc cluster 1).Adgc_rt.Process.heap (Topology.oid live_ring "n1_0"))
+    (Adgc_rt.Heap.mem (Cluster.proc cluster 1).Adgc_rt.Process.heap (Scaffold.oid live_ring "n1_0"))
 
 let test_web_workload_site_decommission () =
   (* The motivating WWW scenario: sites link each other, reciprocal
@@ -242,14 +242,14 @@ let test_web_workload_site_decommission () =
   in
   Sim.start sim;
   Sim.run_for sim 20_000;
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   check Alcotest.int "all 30 pages alive" 30 (Cluster.total_objects cluster);
   (* Decommission sites 1 and 3. *)
   Adgc_rt.Mutator.remove_root cluster (Topology.obj built "s1_p0");
   Adgc_rt.Mutator.remove_root cluster (Topology.obj built "s3_p0");
   check Alcotest.bool "their garbage reclaimed" true
     (Sim.run_until_clean ~step:2_000 ~max_time:1_000_000 sim);
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   (* Everything still reachable from the surviving sites is intact. *)
   let live = Cluster.globally_live cluster in
   check Alcotest.int "survivors consistent" (Adgc_algebra.Oid.Set.cardinal live)
@@ -259,7 +259,7 @@ let test_web_workload_site_decommission () =
       check Alcotest.bool
         (Printf.sprintf "site %d index alive" s)
         true
-        (Adgc_algebra.Oid.Set.mem (Topology.oid built (Printf.sprintf "s%d_p0" s)) live))
+        (Adgc_algebra.Oid.Set.mem (Scaffold.oid built (Printf.sprintf "s%d_p0" s)) live))
     [ 0; 2; 4 ]
 
 let test_random_scenarios () =
@@ -304,9 +304,9 @@ let test_stress_large_system () =
      the other way around: safety holds throughout (note: the false
      suspicion window is avoided because crashed processes really are
      dead here). *)
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   let clean = Sim.run_until_clean ~step:5_000 ~max_time:3_000_000 sim in
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   check Alcotest.bool "stress run converges" true clean
 
 let suite =

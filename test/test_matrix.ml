@@ -45,7 +45,7 @@ let fig3_lifecycle ~account_bytes ~dgc_window ~deletion_mode () =
   Sim.run_for sim 3_000;
   Adgc_rt.Mutator.remove_root cluster (Topology.obj built "A");
   let clean = Sim.run_until_clean ~max_time:300_000 sim in
-  Metrics.assert_safe checker;
+  Scaffold.assert_safe checker;
   check Alcotest.bool "clean" true clean;
   check Alcotest.int "empty" 0 (Cluster.total_objects cluster);
   let stats = (Cluster.rt cluster).Adgc_rt.Runtime.stats in

@@ -7,6 +7,71 @@ open Adgc_mc
 
 let check = Alcotest.check
 
+let scenario name = Option.get (Scenarios.find name)
+
+(* Scripted trails with exact verdicts.  [deliver] names the first
+   parked envelope of a kind on a link. *)
+let deliver kind src dst = Action.Deliver { kind; src; dst; nth = 0 }
+
+(* [two_proc_cycle]: unlink, snapshot both, scan P0, deliver the CDM
+   chain and the deletion broadcast, collect both — the cycle is
+   reclaimed (goal reached). *)
+let reclaim_trail =
+  [
+    Action.Mutate 0;
+    Action.Snapshot 0;
+    Action.Snapshot 1;
+    Action.Scan 0;
+    deliver "cdm" 0 1;
+    deliver "cdm" 1 0;
+    deliver "cdm_delete" 0 1;
+    Action.Lgc 0;
+    Action.Lgc 1;
+  ]
+
+(* [ic_race]: run the invocation to completion (request and reply
+   delivered), then detect and reclaim — the exact verdict is
+   reclamation, since a settled invocation leaves the counters
+   consistent. *)
+let ic_race_reclaim_trail =
+  [
+    Action.Mutate 0;
+    (* invoke F: request parked P0->P1 *)
+    deliver "rmi_request" 0 1;
+    (* scion-side counter adopts the bump; reply parked P1->P0 *)
+    deliver "rmi_reply" 1 0;
+    Action.Mutate 1;
+    (* unlink the root: the cycle is now garbage with settled counters *)
+    Action.Snapshot 0;
+    Action.Snapshot 1;
+    Action.Scan 1;
+    deliver "cdm" 1 0;
+    deliver "cdm" 0 1;
+    deliver "cdm_delete" 1 0;
+    Action.Lgc 0;
+    Action.Lgc 1;
+  ]
+
+(* [ic_race]: detect while the invocation request is still in flight —
+   the exact verdict is no reclamation: the CDM aborts on the counter
+   mismatch at delivery (safety rule 3) and both cycle members survive
+   their local collections. *)
+let ic_race_abort_trail =
+  [
+    Action.Mutate 0;
+    (* invoke F, but never deliver the request: the stub-side counter
+       is ahead of every scion-side snapshot *)
+    Action.Mutate 1;
+    Action.Snapshot 0;
+    Action.Snapshot 1;
+    Action.Scan 0;
+    (* the CDM carries the bumped stub counter; delivery at P1 compares
+       it with the stale scion counter and must abort (safety rule 3) *)
+    deliver "cdm" 0 1;
+    Action.Lgc 0;
+    Action.Lgc 1;
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Exhaustive unmutated scopes: every interleaving within the caps is
    violation-free.  This is the acceptance bar for the harness — a
@@ -27,11 +92,11 @@ let assert_clean ?caps ~states (s : Scenario.t) =
         (String.concat ", "
            (List.map (fun a -> Format.asprintf "%a" Action.pp a) trail))
 
-let test_exhaustive_two_proc_cycle () = assert_clean ~states:663 Scenarios.two_proc_cycle
+let test_exhaustive_two_proc_cycle () = assert_clean ~states:663 (scenario "two_proc_cycle")
 
-let test_exhaustive_ic_race () = assert_clean ~states:2208 Scenarios.ic_race
+let test_exhaustive_ic_race () = assert_clean ~states:2208 (scenario "ic_race")
 
-let test_exhaustive_external_holder () = assert_clean ~states:2528 Scenarios.external_holder
+let test_exhaustive_external_holder () = assert_clean ~states:2528 (scenario "external_holder")
 
 let test_exhaustive_export_handshake () =
   (* One listing round exhaustively; the two-round scope (needed by the
@@ -39,7 +104,7 @@ let test_exhaustive_export_handshake () =
      the full CI sweep. *)
   assert_clean ~states:3172
     ~caps:{ Scenario.snapshots = 0; scans = 0; lgcs = 1; sends = 1; drops = 0 }
-    Scenarios.export_handshake
+    (scenario "export_handshake")
 
 (* ------------------------------------------------------------------ *)
 (* Conformance trails: exact verdicts for the paper's worked cases. *)
@@ -50,32 +115,32 @@ let run_exn ?mutant ?caps scenario trail =
   | Error reason -> Alcotest.failf "trail inapplicable: %s" reason
 
 let test_reclaim_verdict () =
-  let sys, viols = run_exn Scenarios.two_proc_cycle Scenarios.reclaim_trail in
+  let sys, viols = run_exn (scenario "two_proc_cycle") reclaim_trail in
   check Alcotest.int "no violations" 0 (List.length viols);
   check Alcotest.bool "cycle reclaimed" true (System.goal_reached sys)
 
 let test_lost_cdm_verdict () =
   let sys, viols =
-    run_exn ~caps:Scenarios.lost_cdm_caps Scenarios.two_proc_cycle Scenarios.lost_cdm_trail
+    run_exn ~caps:Scenarios.lost_cdm_caps (scenario "two_proc_cycle") Scenarios.lost_cdm_trail
   in
   check Alcotest.int "no violations" 0 (List.length viols);
   check Alcotest.bool "reclaimed despite the lost CDM" true (System.goal_reached sys)
 
 let test_stale_witness_unmutated_verdict () =
   let sys, viols =
-    run_exn ~caps:Scenarios.stale_witness_caps Scenarios.two_proc_cycle
+    run_exn ~caps:Scenarios.stale_witness_caps (scenario "two_proc_cycle")
       Scenarios.stale_witness_trail
   in
   check Alcotest.int "no violations" 0 (List.length viols);
   check Alcotest.bool "later snapshot supersedes the stale one" true (System.goal_reached sys)
 
 let test_ic_race_settled_reclaims () =
-  let sys, viols = run_exn Scenarios.ic_race Scenarios.ic_race_reclaim_trail in
+  let sys, viols = run_exn (scenario "ic_race") ic_race_reclaim_trail in
   check Alcotest.int "no violations" 0 (List.length viols);
   check Alcotest.bool "settled counters allow the reclaim" true (System.goal_reached sys)
 
 let test_ic_race_in_flight_aborts () =
-  let sys, viols = run_exn Scenarios.ic_race Scenarios.ic_race_abort_trail in
+  let sys, viols = run_exn (scenario "ic_race") ic_race_abort_trail in
   check Alcotest.int "no violations" 0 (List.length viols);
   (* Safety rule 3: the CDM carrying the bumped stub counter aborts at
      delivery, so the (live) cycle survives both local collections. *)
@@ -86,31 +151,31 @@ let test_ic_race_in_flight_aborts () =
 
 let test_replay_deterministic () =
   let fp trail =
-    let sys, _ = run_exn Scenarios.two_proc_cycle trail in
+    let sys, _ = run_exn (scenario "two_proc_cycle") trail in
     System.fingerprint sys
   in
-  check Alcotest.string "same trail, same state" (fp Scenarios.reclaim_trail)
-    (fp Scenarios.reclaim_trail)
+  check Alcotest.string "same trail, same state" (fp reclaim_trail)
+    (fp reclaim_trail)
 
 let test_ic_race_replay_deterministic () =
   let fp trail =
-    let sys, _ = run_exn Scenarios.ic_race trail in
+    let sys, _ = run_exn (scenario "ic_race") trail in
     System.fingerprint sys
   in
-  check Alcotest.string "settled trail, same state" (fp Scenarios.ic_race_reclaim_trail)
-    (fp Scenarios.ic_race_reclaim_trail);
-  check Alcotest.string "in-flight trail, same state" (fp Scenarios.ic_race_abort_trail)
-    (fp Scenarios.ic_race_abort_trail);
+  check Alcotest.string "settled trail, same state" (fp ic_race_reclaim_trail)
+    (fp ic_race_reclaim_trail);
+  check Alcotest.string "in-flight trail, same state" (fp ic_race_abort_trail)
+    (fp ic_race_abort_trail);
   check Alcotest.bool "the two races end in different states" true
-    (fp Scenarios.ic_race_reclaim_trail <> fp Scenarios.ic_race_abort_trail)
+    (fp ic_race_reclaim_trail <> fp ic_race_abort_trail)
 
 let test_fingerprint_sensitive () =
   let fp trail =
-    let sys, _ = run_exn Scenarios.two_proc_cycle trail in
+    let sys, _ = run_exn (scenario "two_proc_cycle") trail in
     System.fingerprint sys
   in
   check Alcotest.bool "prefix differs from full trail" true
-    (fp [ Action.Mutate 0 ] <> fp Scenarios.reclaim_trail)
+    (fp [ Action.Mutate 0 ] <> fp reclaim_trail)
 
 (* Two states that differ only in a detector's scan cursor scan
    differently, so the fingerprint must tell them apart.  P0's one
@@ -119,7 +184,7 @@ let test_fingerprint_sensitive () =
    reads — no envelope, table, summary or scope counter. *)
 let test_fingerprint_reads_the_scan_cursor () =
   let caps = { Scenario.snapshots = 1; scans = 0; lgcs = 0; sends = 0; drops = 0 } in
-  let sys, _ = run_exn ~caps Scenarios.export_handshake [ Action.Snapshot 0 ] in
+  let sys, _ = run_exn ~caps (scenario "export_handshake") [ Action.Snapshot 0 ] in
   let before = System.fingerprint sys in
   let parked () = List.length (Adgc_rt.Network.pending (Adgc.Sim.net (System.sim sys))) in
   let parked_before = parked () in
@@ -200,14 +265,23 @@ let sample_trace () =
     expect = Trace.Violation;
     caps = Some Scenarios.lost_cdm_caps;
     violations = [ "live_reclaimed: ..." ];
-    trail = Scenarios.reclaim_trail;
+    trail = reclaim_trail;
   }
 
+(* A mutant trace with no scope override round-trips too: the
+   optional fields come back as they were written. *)
 let test_trace_json_roundtrip () =
-  let t = sample_trace () in
-  match Trace.of_json (Trace.to_json t) with
-  | Ok t' -> check Alcotest.bool "roundtrip" true (t = t')
-  | Error e -> Alcotest.failf "decode failed: %s" e
+  let t =
+    { (sample_trace ()) with Trace.mutant = Some "skip_ic_guards"; caps = None; violations = [] }
+  in
+  let path = Filename.temp_file "adgc_mc_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace.save path t;
+      match Trace.load path with
+      | Ok t' -> check Alcotest.bool "roundtrip" true (t = t')
+      | Error e -> Alcotest.failf "decode failed: %s" e)
 
 let test_trace_file_roundtrip () =
   let t = sample_trace () in
@@ -236,23 +310,28 @@ let test_trace_unknown_scope () =
       check Alcotest.string "refused by name" "unknown scenario \"grouped_cycle\"" reason
 
 let test_trace_rejects_junk () =
-  match Trace.of_json (Adgc_util.Json.Str "nope") with
-  | Ok _ -> Alcotest.fail "accepted junk"
-  | Error _ -> ()
+  let path = Filename.temp_file "adgc_mc_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc "\"nope\"");
+      match Trace.load path with
+      | Ok _ -> Alcotest.fail "accepted junk"
+      | Error _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Swarm smoke: randomized walks over the clean build find nothing. *)
 
 let test_swarm_clean () =
   match
-    Explore.swarm ~seeds:(List.init 16 (fun i -> 1000 + i)) ~steps:30 Scenarios.two_proc_cycle
+    Explore.swarm ~seeds:(List.init 16 (fun i -> 1000 + i)) ~steps:30 (scenario "two_proc_cycle")
   with
   | None -> ()
   | Some (seed, _, viols) ->
       Alcotest.failf "swarm seed %d violated: %s" seed (String.concat "; " viols)
 
 let test_swarm_ic_race_clean () =
-  match Explore.swarm ~seeds:(List.init 16 (fun i -> 2000 + i)) ~steps:30 Scenarios.ic_race with
+  match Explore.swarm ~seeds:(List.init 16 (fun i -> 2000 + i)) ~steps:30 (scenario "ic_race") with
   | None -> ()
   | Some (seed, _, viols) ->
       Alcotest.failf "ic_race swarm seed %d violated: %s" seed (String.concat "; " viols)

@@ -27,7 +27,7 @@ let seeds = if smoke then [ 11 ] else [ 11; 23; 47 ]
 let oid_set =
   Alcotest.testable
     (fun ppf s ->
-      Format.fprintf ppf "{%s}" (String.concat "," (List.map Oid.to_string (Oid.Set.elements s))))
+      Format.fprintf ppf "{%s}" (String.concat "," (List.map (Format.asprintf "%a" Oid.pp) (Oid.Set.elements s))))
     Oid.Set.equal
 
 let violations = Alcotest.list (Alcotest.testable Adgc_check.Invariant.pp ( = ))
@@ -116,8 +116,12 @@ let test_charged_bytes_are_sent_bytes () =
   let kinds = List.sort_uniq compare (List.map (fun (m : Adgc_rt.Msg.t) -> Adgc_rt.Msg.kind m.payload) sent) in
   check Alcotest.bool "stub sets and CDMs among the messages" true
     (List.mem "new_set_stubs" kinds && List.mem "cdm" kinds);
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let conn = Transport.of_fd a in
+  let path = Filename.temp_file "adgc_conn" ".sock" in
+  let lsock = Transport.listen (Transport.Unix_sock path) in
+  let conn = Transport.dial (Transport.Unix_sock path) in
+  let b, _ = Unix.accept lsock in
+  Unix.close lsock;
+  Sys.remove path;
   Unix.set_nonblock b;
   let frames = Frame.decoder () in
   let buf = Bytes.create 65536 in

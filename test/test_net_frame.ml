@@ -16,6 +16,8 @@ open Adgc_algebra
 
 let check = Alcotest.check
 
+let feed d s = Frame.feed_sub d (Bytes.of_string s) 0 (String.length s)
+
 let sval = Alcotest.testable Sval.pp Sval.equal
 
 let oid owner serial = Oid.make ~owner:(Proc_id.of_int owner) ~serial
@@ -147,7 +149,7 @@ let check_same_envelopes msg expected actual =
 let test_every_envelope_roundtrips () =
   let frames = encoded_stream sample_envelopes in
   let d = Frame.decoder () in
-  List.iter (Frame.feed d) frames;
+  List.iter (feed d) frames;
   check_same_envelopes "roundtrip" sample_envelopes (decode_all d)
 
 let test_partial_reads_reassemble () =
@@ -159,7 +161,7 @@ let test_partial_reads_reassemble () =
       let i = ref 0 in
       while !i < String.length blob do
         let len = Int.min chunk (String.length blob - !i) in
-        Frame.feed d (String.sub blob !i len);
+        feed d (String.sub blob !i len);
         i := !i + len;
         acc := !acc @ decode_all d
       done;
@@ -173,7 +175,7 @@ let test_truncation_waits_never_crashes () =
      buffered, nothing raises. *)
   for cut = 0 to String.length blob - 1 do
     let d = Frame.decoder () in
-    Frame.feed d (String.sub blob 0 cut);
+    feed d (String.sub blob 0 cut);
     let n = ref 0 in
     let continue = ref true in
     while !continue do
@@ -198,11 +200,11 @@ let test_bad_length_poisons () =
   List.iter
     (fun (name, header) ->
       let d = Frame.decoder () in
-      Frame.feed d header;
+      feed d header;
       expect_malformed (name ^ ": first next") (fun () -> Frame.next d);
       (* Poisoned for good: the stream position is unrecoverable, so
          even valid bytes afterwards keep raising. *)
-      Frame.feed d (Frame.encode "hello");
+      feed d (Frame.encode "hello");
       expect_malformed (name ^ ": stays poisoned") (fun () -> Frame.next d))
     bads
 
@@ -266,16 +268,22 @@ let test_frame_encode_rejects_bad_sizes () =
   (match Frame.encode "" with
   | exception Wire.Malformed _ -> ()
   | _ -> Alcotest.fail "empty frame accepted");
-  check Alcotest.bool "max_frame is sane" true (Frame.max_frame >= 1 lsl 20)
+  let d = Frame.decoder () in
+  let header = Bytes.create 4 in
+  Bytes.set_int32_be header 0 (Int32.of_int ((16 * 1024 * 1024) + 1));
+  feed d (Bytes.to_string header);
+  match Frame.next d with
+  | exception Wire.Malformed _ -> ()
+  | _ -> Alcotest.fail "a prefix beyond 16 MiB accepted"
 
 let test_decoder_buffered_accounting () =
   let d = Frame.decoder () in
   let frame = Frame.encode "abcdef" in
-  Frame.feed d (String.sub frame 0 3);
-  check Alcotest.int "partial bytes buffered" 3 (Frame.buffered d);
-  Frame.feed d (String.sub frame 3 (String.length frame - 3));
+  feed d (String.sub frame 0 3);
+  check Alcotest.bool "partial frame waits" true (Frame.next d = None);
+  feed d (String.sub frame 3 (String.length frame - 3));
   check Alcotest.bool "frame completes" true (Frame.next d = Some "abcdef");
-  check Alcotest.int "drained" 0 (Frame.buffered d)
+  check Alcotest.bool "drained" true (Frame.next d = None)
 
 let suite =
   ( "net_frame",

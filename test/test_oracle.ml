@@ -14,8 +14,8 @@ let check = Alcotest.check
    [Scion_dangles] the instantaneous sweep reports every window. *)
 let forge_dangling_scion cluster =
   let p0 = Cluster.proc cluster 0 in
-  let ghost = Oid.make ~owner:(Cluster.proc_id cluster 0) ~serial:777 in
-  let key = Ref_key.make ~src:(Cluster.proc_id cluster 1) ~target:ghost in
+  let ghost = Oid.make ~owner:(Proc_id.of_int 0) ~serial:777 in
+  let key = Ref_key.make ~src:(Proc_id.of_int 1) ~target:ghost in
   ignore (Scion_table.ensure p0.Process.scions ~now:(Cluster.now cluster) key : Scion_table.entry)
 
 let test_violation_at_window_edge () =
@@ -25,7 +25,7 @@ let test_violation_at_window_edge () =
   (* One tick short of the window: the violation exists but the sweep
      has not run. *)
   Cluster.run_for cluster 99;
-  check Alcotest.bool "silent one tick before the edge" true (Oracle.safe oracle);
+  check Alcotest.bool "silent one tick before the edge" true (Oracle.events oracle = []);
   Cluster.run_for cluster 1;
   (match Oracle.events oracle with
   | [ e ] ->
@@ -69,9 +69,8 @@ let test_teardown_mid_window () =
   (* Tear down mid-window: the recurring sweep never fired, so only
      [stop]'s final sweep can catch the violation. *)
   Cluster.run_for cluster 300;
-  check Alcotest.bool "sweep has not fired yet" true (Oracle.safe oracle);
+  check Alcotest.bool "sweep has not fired yet" true (Oracle.events oracle = []);
   Cluster.teardown cluster;
-  check Alcotest.bool "stopped by teardown" true (Oracle.stopped oracle);
   (match Oracle.events oracle with
   | [ e ] -> check Alcotest.int "final sweep at teardown time" 300 e.Oracle.time
   | es -> Alcotest.failf "expected the one final-sweep event, got %d" (List.length es));
@@ -86,7 +85,6 @@ let test_teardown_mid_window () =
    lands exactly on [max_ticks]. *)
 let quiescent_garbage () =
   let cluster = Cluster.create ~n:1 () in
-  let oracle = Oracle.install cluster in
   let p0 = Cluster.proc cluster 0 in
   let obj = Heap.alloc p0.Process.heap in
   check Alcotest.bool "unrooted object is ground-truth garbage" true
@@ -96,29 +94,29 @@ let quiescent_garbage () =
     incr calls;
     if !calls = 2 then Heap.remove p0.Process.heap obj.Heap.oid
   in
-  (cluster, oracle, run)
+  (cluster, run)
 
 let test_liveness_converges_on_final_tick () =
-  let cluster, oracle, run = quiescent_garbage () in
+  let cluster, run = quiescent_garbage () in
   (* Reclamation completes at spent = 200 = max_ticks; the residual
      emptiness check precedes the bound check, so this is Converged,
      not Stuck. *)
-  (match Oracle.check_liveness ~step:100 ~max_ticks:200 oracle ~run with
-  | Oracle.Converged { ticks; reclaimed } ->
+  (match Scaffold.check_liveness ~step:100 ~max_ticks:200 cluster ~run with
+  | Scaffold.Converged { ticks; reclaimed } ->
       check Alcotest.int "converged exactly at the bound" 200 ticks;
       check Alcotest.int "everything captured was reclaimed" 1 reclaimed
-  | Oracle.Stuck _ as l -> Alcotest.failf "final-tick convergence misread as %a" Oracle.pp_liveness l);
+  | Scaffold.Stuck _ as l -> Alcotest.failf "final-tick convergence misread as %a" Scaffold.pp_liveness l);
   Cluster.teardown cluster
 
 let test_liveness_stuck_one_step_short () =
-  let cluster, oracle, run = quiescent_garbage () in
+  let cluster, run = quiescent_garbage () in
   (* Same run schedule, bound one step smaller: the second step never
      executes and the object survives. *)
-  (match Oracle.check_liveness ~step:100 ~max_ticks:100 oracle ~run with
-  | Oracle.Stuck { remaining; after } ->
+  (match Scaffold.check_liveness ~step:100 ~max_ticks:100 cluster ~run with
+  | Scaffold.Stuck { remaining; after } ->
       check Alcotest.int "gave up at the bound" 100 after;
       check Alcotest.int "the object remains" 1 (Oid.Set.cardinal remaining)
-  | Oracle.Converged _ -> Alcotest.fail "converged without the reclaiming step");
+  | Scaffold.Converged _ -> Alcotest.fail "converged without the reclaiming step");
   Cluster.teardown cluster
 
 let suite =

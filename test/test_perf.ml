@@ -149,22 +149,22 @@ let test_doc_roundtrip_and_determinism () =
         sample ~name:"c" ~slo:10.0 3.0;
       ]
   in
-  match Results.of_string (Results.to_string d) with
+  match Scaffold.results_of_string (Scaffold.results_to_string d) with
   | Error e -> Alcotest.failf "document does not roundtrip: %s" e
   | Ok d' ->
       check Alcotest.bool "roundtrip normalizes to the same document" true
         (Results.normalize d = d');
-      check Alcotest.string "rendering is canonical" (Results.to_string d)
-        (Results.to_string d')
+      check Alcotest.string "rendering is canonical" (Scaffold.results_to_string d)
+        (Scaffold.results_to_string d')
 
 let test_fingerprint_blanks_timing () =
   let d1 = doc [ sample ~name:"t" 10.0; sample ~name:"d" ~klass:Sample.Deterministic 5.0 ] in
   let d2 = doc [ sample ~name:"t" 99.0; sample ~name:"d" ~klass:Sample.Deterministic 5.0 ] in
   let d3 = doc [ sample ~name:"t" 10.0; sample ~name:"d" ~klass:Sample.Deterministic 6.0 ] in
   check Alcotest.bool "timing values are blanked" true
-    (Results.fingerprint d1 = Results.fingerprint d2);
+    (Scaffold.fingerprint d1 = Scaffold.fingerprint d2);
   check Alcotest.bool "deterministic values are pinned" false
-    (Results.fingerprint d1 = Results.fingerprint d3)
+    (Scaffold.fingerprint d1 = Scaffold.fingerprint d3)
 
 (* --- QCheck properties ------------------------------------------- *)
 
@@ -244,30 +244,28 @@ let prop_promote_then_check_clean =
 
 (* --- histogram percentiles --------------------------------------- *)
 
+(* Histograms are registered by their first observation, with the
+   power-of-two buckets from 1 to 2^19. *)
 let test_histogram_empty () =
   let stats = Stats.create () in
-  let h = Stats.histogram stats "h" ~buckets:[| 1.0; 2.0 |] in
-  check Alcotest.bool "empty histogram is nan" true
-    (Float.is_nan (Stats.histogram_percentile h 50.0));
-  check Alcotest.bool "unknown name is None" true
-    (Stats.observed_percentile stats "nope" 50.0 = None)
+  check Alcotest.bool "unobserved name has no histogram" true
+    (Stats.histogram_opt stats "nope" = None);
+  check Alcotest.bool "and no percentiles" true (Adgc_obs.Export.percentiles stats "nope" = None)
 
 let test_histogram_single_bucket () =
   let stats = Stats.create () in
-  ignore (Stats.histogram stats "h" ~buckets:[| 10.0 |] : Stats.histogram);
-  List.iter (fun v -> Stats.observe stats "h" v) [ 1.0; 2.0; 3.0; 4.0 ];
+  List.iter (fun v -> Stats.observe stats "h" v) [ 5.0; 6.0; 7.0; 8.0 ];
   let h = Option.get (Stats.histogram_opt stats "h") in
   List.iter
     (fun p ->
       check (Alcotest.float 0.0)
         (Printf.sprintf "p%g is the bucket bound" p)
-        10.0
+        8.0
         (Stats.histogram_percentile h p))
     [ 1.0; 50.0; 99.0; 100.0 ]
 
 let test_histogram_exact_ranks () =
   let stats = Stats.create () in
-  ignore (Stats.histogram stats "h" ~buckets:[| 1.0; 2.0; 4.0 |] : Stats.histogram);
   (* One sample in bucket 1, two in bucket 2, one in bucket 4:
      nearest-rank percentiles land on known bucket bounds. *)
   List.iter (fun v -> Stats.observe stats "h" v) [ 0.5; 1.5; 2.0; 3.0 ];
@@ -280,7 +278,6 @@ let test_histogram_exact_ranks () =
 
 let test_histogram_overflow_saturates () =
   let stats = Stats.create () in
-  ignore (Stats.histogram stats "h" ~buckets:[| 1.0; 2.0 |] : Stats.histogram);
   Stats.observe stats "h" 0.5;
   Stats.observe stats "h" 1e9;
   Stats.observe stats "h" 1e9;
@@ -290,8 +287,7 @@ let test_histogram_overflow_saturates () =
     (Stats.histogram_percentile h 99.0 = Float.infinity);
   (* All-overflow: every percentile saturates. *)
   let stats2 = Stats.create () in
-  ignore (Stats.histogram stats2 "h" ~buckets:[| 1.0 |] : Stats.histogram);
-  Stats.observe stats2 "h" 100.0;
+  Stats.observe stats2 "h" 1e9;
   let h2 = Option.get (Stats.histogram_opt stats2 "h") in
   check Alcotest.bool "saturated histogram pins to infinity" true
     (Stats.histogram_percentile h2 1.0 = Float.infinity)

@@ -48,22 +48,43 @@ let test_heap_reclaim_mutation_classes () =
   expect_still "alloc" (fun () -> ignore (Heap.alloc heap : Heap.obj));
   expect_bump "add_root" (fun () -> Heap.add_root heap a.Heap.oid);
   expect_bump "add_ref" (fun () -> ignore (Heap.add_ref heap a b.Heap.oid : int));
-  expect_bump "set_field Some" (fun () -> Heap.set_field heap b 0 (Some a.Heap.oid));
-  expect_still "set_field None" (fun () -> Heap.set_field heap b 0 None);
   expect_still "remove_ref" (fun () -> ignore (Heap.remove_ref heap a b.Heap.oid : bool));
   expect_still "remove_root" (fun () -> Heap.remove_root heap a.Heap.oid);
   expect_bump "remove" (fun () -> Heap.remove heap b.Heap.oid)
 
+(* [add_ref] stores into the first free slot and returns its index, so
+   a slot cleared by [remove_ref] is the next one filled. *)
 let test_heap_fields () =
   let h = Heap.create ~owner:p0 in
-  let a = Heap.alloc ~fields:2 h and b = Heap.alloc h in
-  Heap.set_field h a 0 (Some b.Heap.oid);
-  check (Alcotest.option Alcotest.bool) "slot set" (Some true)
-    (Option.map (fun o -> Oid.equal o b.Heap.oid) a.Heap.fields.(0));
-  Alcotest.check_raises "out of range"
-    (Invalid_argument
-       (Format.asprintf "Heap.set_field: slot 9 out of range for %a" Oid.pp a.Heap.oid))
-    (fun () -> Heap.set_field h a 9 None)
+  let a = Heap.alloc ~fields:2 h in
+  let b = Heap.alloc h and c = Heap.alloc h and d = Heap.alloc h in
+  check Alcotest.int "two empty slots" 2 (Array.length a.Heap.fields);
+  check Alcotest.bool "all empty" true (Array.for_all Option.is_none a.Heap.fields);
+  check Alcotest.int "first free slot" 0 (Heap.add_ref h a b.Heap.oid);
+  check Alcotest.int "next free slot" 1 (Heap.add_ref h a c.Heap.oid);
+  check Alcotest.bool "cleared" true (Heap.remove_ref h a b.Heap.oid);
+  check Alcotest.bool "slot 0 empty" true (a.Heap.fields.(0) = None);
+  check Alcotest.int "the cleared slot is reused" 0 (Heap.add_ref h a d.Heap.oid);
+  check Alcotest.int "no growth while a slot was free" 2 (Array.length a.Heap.fields);
+  check (Alcotest.option Alcotest.bool) "slot 1 untouched" (Some true)
+    (Option.map (fun o -> Oid.equal o c.Heap.oid) a.Heap.fields.(1))
+
+(* [get] hands back the stored object; [remove] takes it out of every
+   view of the heap. *)
+let test_heap_get_after_remove () =
+  let h = Heap.create ~owner:p0 in
+  let a = Heap.alloc h and b = Heap.alloc h in
+  (match Heap.get h a.Heap.oid with
+  | Some o -> check Alcotest.bool "the same object" true (o == a)
+  | None -> Alcotest.fail "allocated object not found");
+  Heap.remove h a.Heap.oid;
+  check Alcotest.bool "get after remove" true (Heap.get h a.Heap.oid = None);
+  check Alcotest.bool "not a member" false (Heap.mem h a.Heap.oid);
+  check Alcotest.int "size" 1 (Heap.size h);
+  check (Alcotest.list Alcotest.bool) "fold sees the survivor only" [ true ]
+    (Heap.fold h ~init:[] ~f:(fun acc o -> Oid.equal o.Heap.oid b.Heap.oid :: acc));
+  Heap.remove h a.Heap.oid;
+  check Alcotest.int "removing twice is a no-op" 1 (Heap.size h)
 
 let test_heap_add_ref_grows () =
   let h = Heap.create ~owner:p0 in
@@ -263,6 +284,16 @@ let test_net_delivers () =
   check Alcotest.int "delivered" 1 !got;
   check Alcotest.int "no longer in flight" 0 (Network.in_flight_count net)
 
+(* Telemetry is the cluster's own setting: the network config a
+   caller hands in is read, never written, so later clusters built
+   from the same record start from what the caller wrote. *)
+let test_cluster_leaves_net_config () =
+  let net_config = Network.default_config () in
+  let before = { net_config with Network.latency_min = net_config.Network.latency_min } in
+  let cluster = Cluster.create ~telemetry:true ~net_config ~n:2 () in
+  Cluster.teardown cluster;
+  check Alcotest.bool "net config unchanged" true (net_config = before)
+
 let test_net_latency_bounds () =
   let sched, _, net = mk_net ~lat_min:7 ~lat_max:9 () in
   let times = ref [] in
@@ -423,7 +454,7 @@ let test_scion_ic_and_last_invoked () =
   let k = key 1 (oid 0 0) in
   ignore (Scion_table.ensure t ~now:0 k);
   Scion_table.observe_invocation t ~now:42 k ~stub_ic:1;
-  (match Scion_table.find t k with
+  (match Scaffold.find_scion t k with
   | Some e ->
       check Alcotest.int "adopted counter" 1 e.Scion_table.ic;
       check Alcotest.int "last_invoked" 42 e.Scion_table.last_invoked
@@ -532,14 +563,6 @@ let test_scion_protected_targets () =
   ignore (Scion_table.ensure t ~now:0 (key 1 (oid 0 1)));
   check Alcotest.int "distinct targets" 2 (List.length (Scion_table.protected_targets t))
 
-let test_scion_drop_for_targets () =
-  let t = Scion_table.create ~owner:p0 in
-  ignore (Scion_table.ensure t ~now:0 (key 1 (oid 0 0)));
-  ignore (Scion_table.ensure t ~now:0 (key 2 (oid 0 0)));
-  ignore (Scion_table.ensure t ~now:0 (key 1 (oid 0 1)));
-  check Alcotest.int "dropped both" 2 (Scion_table.drop_for_targets t (Oid.Set.singleton (oid 0 0)));
-  check Alcotest.int "one left" 1 (Scion_table.size t)
-
 (* ------------------------------------------------------------------ *)
 (* Scion table against its owner-wide reference *)
 
@@ -556,7 +579,6 @@ type scion_op =
   | Idle of int
   | Touch
   | Delete_from of int
-  | Drop of int list
 
 let pp_scion_op = function
   | Ensure (h, t) -> Printf.sprintf "ensure P%d->#%d" h t
@@ -570,7 +592,6 @@ let pp_scion_op = function
   | Idle th -> Printf.sprintf "idle %d" th
   | Touch -> "touch"
   | Delete_from h -> Printf.sprintf "delete_from P%d" h
-  | Drop l -> Printf.sprintf "drop [%s]" (String.concat ";" (List.map string_of_int l))
 
 let gen_scion_ops =
   let open QCheck2.Gen in
@@ -589,7 +610,6 @@ let gen_scion_ops =
         (1, map (fun th -> Idle th) (int_range 0 30));
         (1, pure Touch);
         (1, map (fun h -> Delete_from h) holder);
-        (1, map (fun l -> Drop l) (list_size (int_bound 3) target));
       ]
   in
   list_size (int_range 1 40) (pair (int_range 0 10) op)
@@ -654,12 +674,7 @@ let same_scion_tables ops =
       | Delete_from h ->
           agree "delete_from"
             (Scion_table.delete_from real (Proc_id.of_int h))
-            (Ref_table.delete_from model (Proc_id.of_int h))
-      | Drop serials ->
-          let targets = Oid.Set.of_list (List.map (oid 0) serials) in
-          agree "drop_for_targets"
-            (Scion_table.drop_for_targets real targets)
-            (Ref_table.drop_for_targets model targets));
+            (Ref_table.delete_from model (Proc_id.of_int h)));
       agree "entries"
         (List.map view (Scion_table.entries real))
         (List.map model_view (Ref_table.entries model));
@@ -711,9 +726,10 @@ let suite =
   ( "rt-core",
     [
       Alcotest.test_case "heap: alloc" `Quick test_heap_alloc;
-      Alcotest.test_case "heap: fields" `Quick test_heap_fields;
       Alcotest.test_case "heap: reclaim-mutation classes pinned" `Quick
         test_heap_reclaim_mutation_classes;
+      Alcotest.test_case "heap: fields" `Quick test_heap_fields;
+      Alcotest.test_case "heap: get after remove" `Quick test_heap_get_after_remove;
       Alcotest.test_case "heap: add_ref grows" `Quick test_heap_add_ref_grows;
       Alcotest.test_case "heap: remove_ref" `Quick test_heap_remove_ref;
       Alcotest.test_case "heap: roots" `Quick test_heap_roots;
@@ -733,6 +749,8 @@ let suite =
       Alcotest.test_case "sched: drain limit" `Quick test_sched_drain_limit;
       Alcotest.test_case "net: delivers" `Quick test_net_delivers;
       Alcotest.test_case "net: latency bounds" `Quick test_net_latency_bounds;
+      Alcotest.test_case "cluster: telemetry leaves the net config alone" `Quick
+        test_cluster_leaves_net_config;
       Alcotest.test_case "net: drop all" `Quick test_net_drop_all;
       Alcotest.test_case "net: drop rate" `Quick test_net_drop_rate;
       Alcotest.test_case "net: block link" `Quick test_net_block_link;
@@ -755,7 +773,6 @@ let suite =
         test_scion_grace_expires_lost_export;
       Alcotest.test_case "scion: idle sources" `Quick test_scion_idle_sources;
       Alcotest.test_case "scion: protected targets" `Quick test_scion_protected_targets;
-      Alcotest.test_case "scion: drop_for_targets" `Quick test_scion_drop_for_targets;
       Alcotest.test_case "scion: deleted in ascending key order" `Quick test_scion_deleted_ascending;
       prop_scion_table_matches_reference;
     ] )

@@ -312,7 +312,11 @@ let test_rmi_to_collected_object () =
   (* Kill the callee object bypassing the protocol, then call. *)
   let p1 = Cluster.proc cluster 1 in
   Heap.remove_root p1.Process.heap callee.Heap.oid;
-  ignore (Scion_table.drop_for_targets p1.Process.scions (Oid.Set.singleton callee.Heap.oid) : int);
+  List.iter
+    (fun (e : Scion_table.entry) ->
+      if Oid.equal e.Scion_table.key.Ref_key.target callee.Heap.oid then
+        ignore (Scion_table.delete p1.Process.scions e.Scion_table.key : bool))
+    (Scion_table.entries p1.Process.scions);
   ignore (Lgc.run (Cluster.rt cluster) p1 : Lgc.report);
   Mutator.invoke cluster ~src:0 ~target:callee.Heap.oid;
   settle cluster;
@@ -406,7 +410,7 @@ let test_rmi_nested_calls () =
 let test_call_sync () =
   let cluster, _, callee = rmi_pair () in
   (match
-     Mutator.call_sync cluster ~src:0 ~target:callee.Heap.oid
+     Scaffold.call_sync cluster ~src:0 ~target:callee.Heap.oid
        ~behavior:Mutator.return_field_refs ()
    with
   | Some [] -> ()
@@ -415,7 +419,7 @@ let test_call_sync () =
   (* Under total loss the call reports failure. *)
   let cluster, _, callee = rmi_pair ~drop:1.0 () in
   check Alcotest.bool "lost call" true
-    (Mutator.call_sync cluster ~src:0 ~target:callee.Heap.oid () = None)
+    (Scaffold.call_sync cluster ~src:0 ~target:callee.Heap.oid () = None)
 
 (* ------------------------------------------------------------------ *)
 (* Paged persistent store *)
@@ -523,7 +527,7 @@ let test_replicate_copies_references () =
   Mutator.wire_remote cluster ~holder:orig ~target:shared;
   Mutator.wire_remote cluster ~holder:requester ~target:orig;
   let replica = ref None in
-  Mutator.replicate cluster ~src:0 ~target:orig.Heap.oid ~on_replica:(fun oid ->
+  Scaffold.replicate cluster ~src:0 ~target:orig.Heap.oid ~on_replica:(fun oid ->
       replica := Some oid);
   settle cluster;
   match !replica with
@@ -547,7 +551,7 @@ let test_replica_keeps_targets_alive () =
   Mutator.add_root cluster orig;
   Mutator.wire_remote cluster ~holder:orig ~target:shared;
   Mutator.wire_remote cluster ~holder:requester ~target:orig;
-  Mutator.replicate cluster ~src:0 ~target:orig.Heap.oid ~on_replica:(fun oid ->
+  Scaffold.replicate cluster ~src:0 ~target:orig.Heap.oid ~on_replica:(fun oid ->
       let p0 = Cluster.proc cluster 0 in
       (* Root the replica and let go of the original. *)
       Heap.add_root p0.Process.heap oid;
@@ -572,11 +576,11 @@ let test_replicate_under_loss () =
   Mutator.add_root cluster orig;
   Mutator.wire_remote cluster ~holder:requester ~target:orig;
   let got = ref 0 in
-  Mutator.replicate cluster ~src:0 ~target:orig.Heap.oid ~on_replica:(fun _ -> incr got);
+  Scaffold.replicate cluster ~src:0 ~target:orig.Heap.oid ~on_replica:(fun _ -> incr got);
   Cluster.run_for cluster 20_000;
   check Alcotest.int "no replica under total loss" 0 !got;
   (Network.config (Cluster.net cluster)).Network.drop_prob <- 0.0;
-  Mutator.replicate cluster ~src:0 ~target:orig.Heap.oid ~on_replica:(fun _ -> incr got);
+  Scaffold.replicate cluster ~src:0 ~target:orig.Heap.oid ~on_replica:(fun _ -> incr got);
   settle cluster;
   check Alcotest.int "replica after heal" 1 !got
 
@@ -634,7 +638,7 @@ let test_window_zero_is_synchronous () =
   check Alcotest.int "each as a plain message" 0 (Stats.get stats "net.msg.sent.batch");
   check Alcotest.int "no queue left behind" 0
     (Hashtbl.length (Cluster.proc cluster 0).Process.pending_batches);
-  check Alcotest.bool "nothing scheduled" true (Scheduler.is_idle (Cluster.sched cluster))
+  check Alcotest.int "nothing scheduled" 0 (Scheduler.drain (Cluster.sched cluster))
 
 (* One route: each destination has its own queue, so a sender's
    payloads for two processes leave as two envelopes, each straight to
@@ -681,21 +685,51 @@ let test_batching_dead_sender_sends_nothing () =
   check Alcotest.int "the queue is gone" 0
     (Hashtbl.length (Cluster.proc cluster 0).Process.pending_batches)
 
-let test_flush_all_batches_drains_now () =
+(* The window opens with a queue's first payload and closes
+   [dgc_window] ticks later: a payload that joins an open queue does
+   not push the close back, and one sent after the close opens a new
+   queue. *)
+let test_batching_window_closes_on_time () =
+  let cluster = mk ~n:2 ~config:(window_config 50) () in
+  let rt = Cluster.rt cluster in
+  let stats = Cluster.stats cluster in
+  let sched = Cluster.sched cluster in
+  let src = Proc_id.of_int 0 and dst = Proc_id.of_int 1 in
+  let queues () = Hashtbl.length (Cluster.proc cluster 0).Process.pending_batches in
+  let t0 = Scheduler.now sched in
+  Runtime.send_dgc rt ~src ~dst (empty_set 1);
+  Scheduler.run_until sched ~time:(t0 + 30);
+  Runtime.send_dgc rt ~src ~dst (empty_set 2);
+  Scheduler.run_until sched ~time:(t0 + 49);
+  check Alcotest.int "still queued one tick before the close" 1 (queues ());
+  check Alcotest.int "no flush yet" 0 (Stats.get stats "net.msg.batch_flushes");
+  Scheduler.run_until sched ~time:(t0 + 50);
+  check Alcotest.int "closed on time" 0 (queues ());
+  check Alcotest.int "one flush" 1 (Stats.get stats "net.msg.batch_flushes");
+  check Alcotest.int "carrying both payloads" 2 (Stats.get stats "net.msg.batched");
+  Runtime.send_dgc rt ~src ~dst (empty_set 3);
+  check Alcotest.int "a later payload opens a new queue" 1 (queues ());
+  settle cluster;
+  check Alcotest.int "which leaves on its own" 0 (queues ());
+  check Alcotest.int "all three sets handled" 3
+    (Scion_table.last_seqno (Cluster.proc cluster 1).Process.scions src)
+
+(* Every sender's queue closes on its own window; none is left behind
+   and no window sends twice. *)
+let test_batching_every_queue_drains () =
   let cluster = mk ~n:3 ~config:(window_config 50) () in
   let rt = Cluster.rt cluster in
   let stats = Cluster.stats cluster in
   List.iter
     (fun (s, d) -> Runtime.send_dgc rt ~src:(Proc_id.of_int s) ~dst:(Proc_id.of_int d) (empty_set 1))
     [ (0, 1); (1, 2); (2, 0) ];
-  Runtime.flush_all_batches rt;
-  check Alcotest.int "every queue left at once" 3 (Stats.get stats "net.msg.sent");
+  check Alcotest.int "nothing sent inside the windows" 0 (Stats.get stats "net.msg.sent");
+  settle cluster;
+  check Alcotest.int "one message per queue" 3 (Stats.get stats "net.msg.sent");
   Array.iter
     (fun (p : Process.t) ->
       check Alcotest.int "no queue left" 0 (Hashtbl.length p.Process.pending_batches))
-    rt.Runtime.procs;
-  settle cluster;
-  check Alcotest.int "the window's own flushes find nothing" 3 (Stats.get stats "net.msg.sent")
+    rt.Runtime.procs
 
 let test_batching_chain_reclaimed () =
   (* The acyclic end-to-end scenario converges when every stub set
@@ -906,8 +940,10 @@ let suite =
         test_batching_queues_per_destination;
       Alcotest.test_case "batching: a dead sender's queue sends nothing" `Quick
         test_batching_dead_sender_sends_nothing;
-      Alcotest.test_case "batching: flush_all_batches drains every queue now" `Quick
-        test_flush_all_batches_drains_now;
+      Alcotest.test_case "batching: the window closes dgc_window after it opens" `Quick
+        test_batching_window_closes_on_time;
+      Alcotest.test_case "batching: every sender's queue drains" `Quick
+        test_batching_every_queue_drains;
       Alcotest.test_case "batching: acyclic chain still reclaimed" `Quick
         test_batching_chain_reclaimed;
       Alcotest.test_case "batching: clique round sends fewer msgs" `Quick

@@ -6,6 +6,7 @@ module Heap_queue = Adgc_util.Heap_queue
 module Trace = Adgc_util.Trace
 module Stats = Adgc_util.Stats
 module Table = Adgc_util.Table
+module Json = Adgc_util.Json
 
 let check = Alcotest.check
 
@@ -15,14 +16,14 @@ let check = Alcotest.check
 let test_rng_deterministic () =
   let a = Rng.create 123 and b = Rng.create 123 in
   for _ = 1 to 100 do
-    check Alcotest.int64 "same stream" (Rng.bits64 a) (Rng.bits64 b)
+    check Alcotest.int "same stream" (Rng.int a max_int) (Rng.int b max_int)
   done
 
 let test_rng_seed_sensitivity () =
   let a = Rng.create 1 and b = Rng.create 2 in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Int64.equal (Rng.bits64 a) (Rng.bits64 b) then incr same
+    if Rng.int a max_int = Rng.int b max_int then incr same
   done;
   check Alcotest.bool "streams differ" true (!same < 4)
 
@@ -77,23 +78,20 @@ let test_rng_split_independent () =
   let child = Rng.split parent in
   let same = ref 0 in
   for _ = 1 to 64 do
-    if Int64.equal (Rng.bits64 parent) (Rng.bits64 child) then incr same
+    if Rng.int parent max_int = Rng.int child max_int then incr same
   done;
   check Alcotest.bool "split streams differ" true (!same < 4)
 
-let test_rng_copy () =
-  let a = Rng.create 5 in
-  ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  check Alcotest.int64 "copy continues identically" (Rng.bits64 a) (Rng.bits64 b)
-
-let test_rng_shuffle_permutation () =
-  let t = Rng.create 13 in
-  let arr = Array.init 50 (fun i -> i) in
-  Rng.shuffle t arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  check (Alcotest.array Alcotest.int) "permutation" (Array.init 50 (fun i -> i)) sorted
+(* Replay rests on [split] being a function of the parent's state:
+   two parents seeded alike hand out the same children, and stay in
+   step with each other after the split. *)
+let test_rng_split_reproducible () =
+  let a = Rng.create 21 and b = Rng.create 21 in
+  let ca = Rng.split a and cb = Rng.split b in
+  for _ = 1 to 100 do
+    check Alcotest.int "children in step" (Rng.int ca max_int) (Rng.int cb max_int);
+    check Alcotest.int "parents in step" (Rng.int a max_int) (Rng.int b max_int)
+  done
 
 let test_rng_pick_list () =
   let t = Rng.create 14 in
@@ -141,7 +139,8 @@ let test_pq_peek () =
   (match Heap_queue.peek q with
   | Some (2, "y") -> ()
   | Some _ | None -> Alcotest.fail "wrong peek");
-  check Alcotest.int "peek does not remove" 2 (Heap_queue.length q)
+  check Alcotest.bool "peek does not remove" true (Heap_queue.pop q = Some (2, "y"));
+  check Alcotest.bool "the other stays" true (Heap_queue.pop q = Some (4, "x"))
 
 let test_pq_interleaved () =
   let q = Heap_queue.create ~compare:Int.compare in
@@ -153,26 +152,19 @@ let test_pq_interleaved () =
   (match Heap_queue.pop q with Some (0, _) -> () | _ -> Alcotest.fail "expected 0");
   (match Heap_queue.pop q with Some (5, _) -> () | _ -> Alcotest.fail "expected 5");
   (match Heap_queue.pop q with Some (10, _) -> () | _ -> Alcotest.fail "expected 10");
-  check Alcotest.bool "empty" true (Heap_queue.is_empty q)
+  check Alcotest.bool "empty" true (Heap_queue.peek q = None)
 
 let test_pq_grows () =
   let q = Heap_queue.create ~compare:Int.compare in
   for i = 999 downto 0 do
     Heap_queue.push q i i
   done;
-  check Alcotest.int "length" 1000 (Heap_queue.length q);
   for i = 0 to 999 do
     match Heap_queue.pop q with
     | Some (k, _) -> check Alcotest.int "ascending" i k
     | None -> Alcotest.fail "ran out"
-  done
-
-let test_pq_to_list () =
-  let q = Heap_queue.create ~compare:Int.compare in
-  List.iter (fun k -> Heap_queue.push q k (string_of_int k)) [ 3; 1; 2 ];
-  let l = Heap_queue.to_list q in
-  check (Alcotest.list Alcotest.int) "ordered snapshot" [ 1; 2; 3 ] (List.map fst l);
-  check Alcotest.int "non destructive" 3 (Heap_queue.length q)
+  done;
+  check Alcotest.bool "exactly 1000" true (Heap_queue.pop q = None)
 
 let test_pq_random_against_sort () =
   let rng = Rng.create 77 in
@@ -190,40 +182,33 @@ let test_pq_random_against_sort () =
 
 let test_trace_order () =
   let t = Trace.create () in
-  Trace.add t ~time:1 ~topic:"a" "one";
-  Trace.add t ~time:2 ~topic:"b" "two";
-  Trace.add t ~time:3 ~topic:"a" "three";
+  Trace.addf t ~time:1 ~topic:"a" "one";
+  Trace.addf t ~time:2 ~topic:"b" "two";
+  Trace.addf t ~time:3 ~topic:"a" "three";
   check (Alcotest.list Alcotest.string) "order" [ "one"; "two"; "three" ]
     (List.map (fun (e : Trace.event) -> e.Trace.text) (Trace.events t))
 
 let test_trace_by_topic () =
   let t = Trace.create () in
-  Trace.add t ~time:1 ~topic:"a" "one";
-  Trace.add t ~time:2 ~topic:"b" "two";
-  Trace.add t ~time:3 ~topic:"a" "three";
+  Trace.addf t ~time:1 ~topic:"a" "one";
+  Trace.addf t ~time:2 ~topic:"b" "two";
+  Trace.addf t ~time:3 ~topic:"a" "three";
   check Alcotest.int "topic filter" 2 (List.length (Trace.by_topic t "a"))
 
 let test_trace_bounded () =
   let t = Trace.create ~capacity:4 () in
   for i = 1 to 10 do
-    Trace.add t ~time:i ~topic:"t" (string_of_int i)
+    Trace.addf t ~time:i ~topic:"t" "%d" i
   done;
   let texts = List.map (fun (e : Trace.event) -> e.Trace.text) (Trace.events t) in
-  check (Alcotest.list Alcotest.string) "keeps newest" [ "7"; "8"; "9"; "10" ] texts;
-  check Alcotest.int "dropped count" 6 (Trace.dropped t)
+  check (Alcotest.list Alcotest.string) "keeps newest" [ "7"; "8"; "9"; "10" ] texts
 
 let test_trace_disable () =
   let t = Trace.create () in
   Trace.set_enabled t false;
-  Trace.add t ~time:1 ~topic:"x" "hidden";
+  Trace.addf t ~time:1 ~topic:"x" "hidden";
   Trace.addf t ~time:2 ~topic:"x" "also %s" "hidden";
   check Alcotest.int "nothing recorded" 0 (List.length (Trace.events t))
-
-let test_trace_clear () =
-  let t = Trace.create () in
-  Trace.add t ~time:1 ~topic:"x" "a";
-  Trace.clear t;
-  check Alcotest.int "cleared" 0 (List.length (Trace.events t))
 
 let test_trace_addf () =
   let t = Trace.create () in
@@ -232,6 +217,15 @@ let test_trace_addf () =
   | [ e ] ->
       check Alcotest.string "formatted" "12-ab" e.Trace.text;
       check Alcotest.int "time" 5 e.Trace.time
+  | _ -> Alcotest.fail "expected one event"
+
+let test_trace_pp_event () =
+  let t = Trace.create () in
+  Trace.addf t ~time:42 ~topic:"dcda" "cdm %d" 3;
+  match Trace.events t with
+  | [ e ] ->
+      check Alcotest.string "time, padded topic, text" "[    42] dcda       cdm 3"
+        (Format.asprintf "%a" Trace.pp_event e)
   | _ -> Alcotest.fail "expected one event"
 
 (* ------------------------------------------------------------------ *)
@@ -252,41 +246,64 @@ let test_stats_counters_sorted () =
   check (Alcotest.list Alcotest.string) "sorted names" [ "alpha"; "zebra" ]
     (List.map fst (Stats.counters s))
 
+(* A series as its only reader in the system sees it: the summary
+   [Stats.to_json] writes, or [None] when the series is absent. *)
+let series_summary s name =
+  let num = function
+    | Json.Int i -> float_of_int i
+    | Json.Float f -> f
+    | Json.Null -> Float.nan
+    | _ -> Alcotest.fail "series field is not a number"
+  in
+  match Stats.to_json s with
+  | Json.Obj top -> (
+      match List.assoc_opt "series" top with
+      | Some (Json.Obj series) -> (
+          match List.assoc_opt name series with
+          | Some (Json.Obj fields) -> Some (fun field -> num (List.assoc field fields))
+          | _ -> None)
+      | _ -> Alcotest.fail "no series object")
+  | _ -> Alcotest.fail "stats document is not an object"
+
+let series_field s name field =
+  match series_summary s name with
+  | Some f -> f field
+  | None -> Alcotest.failf "series %s absent" name
+
+let test_stats_counters_json () =
+  let s = Stats.create () in
+  Stats.add s "net.msg.sent" 4;
+  Stats.incr s "cluster.restarts";
+  match Stats.to_json s with
+  | Json.Obj top ->
+      check (Alcotest.list Alcotest.string) "sections" [ "counters"; "histograms"; "series" ]
+        (List.map fst top);
+      check Alcotest.string "counters sorted, as ints"
+        {|{"cluster.restarts":1,"net.msg.sent":4}|}
+        (Json.to_string (List.assoc "counters" top))
+  | _ -> Alcotest.fail "stats document is not an object"
+
 let test_stats_series () =
   let s = Stats.create () in
   List.iter (Stats.record s "lat") [ 1.0; 2.0; 3.0; 4.0 ];
-  check Alcotest.int "count" 4 (Stats.count s "lat");
-  check (Alcotest.float 1e-9) "mean" 2.5 (Stats.mean s "lat");
-  check (Alcotest.float 1e-9) "total" 10.0 (Stats.total s "lat");
-  (match Stats.min_max s "lat" with
-  | Some (lo, hi) ->
-      check (Alcotest.float 1e-9) "min" 1.0 lo;
-      check (Alcotest.float 1e-9) "max" 4.0 hi
-  | None -> Alcotest.fail "expected min/max")
+  let field = series_field s "lat" in
+  check (Alcotest.float 0.0) "count" 4.0 (field "count");
+  check (Alcotest.float 1e-9) "mean" 2.5 (field "mean");
+  check (Alcotest.float 1e-9) "total" 10.0 (field "total");
+  check (Alcotest.float 1e-9) "min" 1.0 (field "min");
+  check (Alcotest.float 1e-9) "max" 4.0 (field "max")
 
 let test_stats_percentile () =
   let s = Stats.create () in
   for i = 1 to 100 do
     Stats.record s "p" (float_of_int i)
   done;
-  check (Alcotest.float 1e-9) "p50" 50.0 (Stats.percentile s "p" 50.0);
-  check (Alcotest.float 1e-9) "p100" 100.0 (Stats.percentile s "p" 100.0);
-  check (Alcotest.float 1e-9) "p1" 1.0 (Stats.percentile s "p" 1.0)
+  check (Alcotest.float 1e-9) "p50" 50.0 (series_field s "p" "p50");
+  check (Alcotest.float 1e-9) "p99" 99.0 (series_field s "p" "p99")
 
 let test_stats_empty_series () =
   let s = Stats.create () in
-  check Alcotest.bool "mean nan" true (Float.is_nan (Stats.mean s "none"));
-  check Alcotest.bool "no min/max" true (Stats.min_max s "none" = None)
-
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () in
-  Stats.incr a "c";
-  Stats.add b "c" 2;
-  Stats.record a "s" 1.0;
-  Stats.record b "s" 3.0;
-  Stats.merge_into ~src:a ~dst:b;
-  check Alcotest.int "merged counter" 3 (Stats.get b "c");
-  check Alcotest.int "merged series" 2 (Stats.count b "s")
+  check Alcotest.bool "a series never recorded is absent" true (series_summary s "none" = None)
 
 let test_trace_disabled_addf_lazy () =
   (* A disabled trace must not even render the message: %t would call
@@ -298,55 +315,42 @@ let test_trace_disabled_addf_lazy () =
 
 let test_stats_percentile_edges () =
   let s = Stats.create () in
-  check Alcotest.bool "empty is nan" true (Float.is_nan (Stats.percentile s "none" 50.0));
+  check Alcotest.bool "empty is absent" true (series_summary s "none" = None);
   Stats.record s "one" 7.0;
   List.iter
-    (fun p -> check (Alcotest.float 1e-9) (Printf.sprintf "single p%g" p) 7.0 (Stats.percentile s "one" p))
-    [ 0.0; 50.0; 100.0 ];
+    (fun f -> check (Alcotest.float 1e-9) ("single " ^ f) 7.0 (series_field s "one" f))
+    [ "min"; "p50"; "p99"; "max" ];
   for i = 1 to 10 do
     Stats.record s "ten" (float_of_int i)
   done;
-  check (Alcotest.float 1e-9) "p0 is the minimum" 1.0 (Stats.percentile s "ten" 0.0);
-  check (Alcotest.float 1e-9) "p100 is the maximum" 10.0 (Stats.percentile s "ten" 100.0)
-
-let test_stats_labelled () =
-  let s = Stats.create () in
-  check Alcotest.string "canonical key, labels sorted" "net.bytes{dst=\"1\",src=\"0\"}"
-    (Stats.labelled_key "net.bytes" [ ("src", "0"); ("dst", "1") ]);
-  Stats.incr_l s "hits" ~labels:[ ("b", "2"); ("a", "1") ];
-  Stats.add_l s "hits" ~labels:[ ("a", "1"); ("b", "2") ] 4;
-  check Alcotest.int "label order is canonicalised" 5
-    (Stats.get_l s "hits" ~labels:[ ("b", "2"); ("a", "1") ]);
-  check Alcotest.int "different labels are distinct" 0
-    (Stats.get_l s "hits" ~labels:[ ("a", "9") ]);
-  (* Labelled counters live in the plain table and merge like any other. *)
-  check Alcotest.int "visible as plain counter" 5 (Stats.get s "hits{a=\"1\",b=\"2\"}");
-  let dst = Stats.create () in
-  Stats.merge_into ~src:s ~dst;
-  check Alcotest.int "merged" 5 (Stats.get_l dst "hits" ~labels:[ ("a", "1"); ("b", "2") ])
+  check (Alcotest.float 1e-9) "p50 is the nearest rank" 5.0 (series_field s "ten" "p50");
+  check (Alcotest.float 1e-9) "p99 is the maximum" 10.0 (series_field s "ten" "p99")
 
 let test_stats_histogram () =
   let s = Stats.create () in
-  let h = Stats.histogram s "lat" ~buckets:[| 1.0; 2.0; 4.0 |] in
-  List.iter (Stats.observe s "lat") [ 0.5; 1.0; 1.5; 4.0; 100.0 ];
-  (* v lands in the first bucket with v <= bound; beyond the last
-     bound it overflows. *)
-  check (Alcotest.array Alcotest.int) "bucket counts" [| 2; 1; 1; 1 |] h.Stats.counts;
+  List.iter (Stats.observe s "lat") [ 0.5; 1.0; 1.5; 4.0; 1e7 ];
+  let h =
+    match Stats.histogram_opt s "lat" with
+    | Some h -> h
+    | None -> Alcotest.fail "observe did not register"
+  in
+  (* Observing registers the powers of two from 1 to 2^19; v lands in
+     the first bucket with v <= bound, and beyond the last bound it
+     overflows. *)
+  check Alcotest.int "default buckets" 20 (Array.length h.Stats.buckets);
+  check (Alcotest.list Alcotest.int) "bucket counts" [ 2; 1; 1; 1 ]
+    [ h.Stats.counts.(0); h.Stats.counts.(1); h.Stats.counts.(2); h.Stats.counts.(20) ];
   check Alcotest.int "samples" 5 h.Stats.samples;
-  check (Alcotest.float 1e-9) "sum" 107.0 h.Stats.sum;
-  (* First registration wins. *)
-  let h' = Stats.histogram s "lat" ~buckets:[| 9.0 |] in
-  check Alcotest.int "re-registration keeps buckets" 3 (Array.length h'.Stats.buckets);
-  (* Auto-registration uses the default buckets. *)
+  check (Alcotest.float 1e-9) "sum" 10000007.0 h.Stats.sum;
   Stats.observe s "fresh" 3.0;
-  (match Stats.histogram_opt s "fresh" with
-  | Some h -> check Alcotest.int "default buckets" (Array.length Stats.default_buckets) (Array.length h.Stats.buckets)
-  | None -> Alcotest.fail "observe did not register");
   check Alcotest.bool "unknown is None" true (Stats.histogram_opt s "nope" = None);
-  check (Alcotest.list Alcotest.string) "sorted names" [ "fresh"; "lat" ]
-    (List.map fst (Stats.histograms s))
-
-module Json = Adgc_util.Json
+  match Stats.to_json s with
+  | Json.Obj top -> (
+      match List.assoc "histograms" top with
+      | Json.Obj hs ->
+          check (Alcotest.list Alcotest.string) "sorted names" [ "fresh"; "lat" ] (List.map fst hs)
+      | _ -> Alcotest.fail "no histograms object")
+  | _ -> Alcotest.fail "stats document is not an object"
 
 let test_json_roundtrip () =
   let doc =
@@ -383,12 +387,33 @@ let test_json_float_repr () =
       | Ok _ | Error _ -> Alcotest.failf "bad float repr %s" (str f))
     [ 0.1; 1.0 /. 3.0; 1e-300; 6.02e23 ]
 
+let test_json_obj_sorted () =
+  check Alcotest.string "fields by name" {|{"a":1,"b":{"z":null,"y":true}}|}
+    (Json.to_string
+       (Json.obj_sorted
+          [ ("b", Json.Obj [ ("z", Json.Null); ("y", Json.Bool true) ]); ("a", Json.Int 1) ]))
+
+let test_json_pretty_roundtrip () =
+  let doc =
+    Json.Obj
+      [
+        ("list", Json.Arr [ Json.Int 1; Json.Arr []; Json.Obj [] ]);
+        ("s", Json.Str "two\nlines \"q\"");
+        ("f", Json.of_float 0.25);
+      ]
+  in
+  let pretty = Json.to_string_pretty doc in
+  check Alcotest.bool "ends with a newline" true (String.ends_with ~suffix:"\n" pretty);
+  match Json.of_string pretty with
+  | Ok doc' -> check Alcotest.string "same document" (Json.to_string doc) (Json.to_string doc')
+  | Error e -> Alcotest.failf "parse error: %s" e
+
 let test_stats_to_json_stable () =
   let populate () =
     let s = Stats.create () in
     Stats.incr s "z";
     Stats.add s "a" 3;
-    Stats.incr_l s "l" ~labels:[ ("k", "v") ];
+    Stats.incr s "l";
     List.iter (Stats.record s "series") [ 3.0; 1.0; 2.0 ];
     List.iter (Stats.observe s "hist") [ 1.0; 5.0 ];
     s
@@ -399,7 +424,7 @@ let test_stats_to_json_stable () =
   (* Insertion order must not leak into the document. *)
   let s = Stats.create () in
   Stats.add s "a" 3;
-  Stats.incr_l s "l" ~labels:[ ("k", "v") ];
+  Stats.incr s "l";
   Stats.incr s "z";
   List.iter (Stats.observe s "hist") [ 5.0; 1.0 ];
   List.iter (Stats.record s "series") [ 3.0; 1.0; 2.0 ];
@@ -419,13 +444,13 @@ let test_json_validate () =
             ] );
       ]
   in
-  (match Json.validate ~schema (Json.Obj [ ("n", Json.Int 1); ("tag", Json.Str "a") ]) with
+  (match Json_schema.validate ~schema (Json.Obj [ ("n", Json.Int 1); ("tag", Json.Str "a") ]) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "unexpected: %s" e);
-  (match Json.validate ~schema (Json.Obj [ ("tag", Json.Str "a") ]) with
+  (match Json_schema.validate ~schema (Json.Obj [ ("tag", Json.Str "a") ]) with
   | Ok () -> Alcotest.fail "missing required accepted"
   | Error _ -> ());
-  match Json.validate ~schema (Json.Obj [ ("n", Json.Int 1); ("tag", Json.Str "z") ]) with
+  match Json_schema.validate ~schema (Json.Obj [ ("n", Json.Int 1); ("tag", Json.Str "z") ]) with
   | Ok () -> Alcotest.fail "enum violation accepted"
   | Error _ -> ()
 
@@ -491,24 +516,27 @@ let test_interner_bijection () =
   check Alcotest.string "key 1" "b" (Str_interner.key t 1);
   check (Alcotest.option Alcotest.int) "find known" (Some 1) (Str_interner.find t "b");
   check (Alcotest.option Alcotest.int) "find unknown" None (Str_interner.find t "zz");
-  check Alcotest.bool "mem" true (Str_interner.mem t "a");
-  check Alcotest.bool "not mem" false (Str_interner.mem t "zz")
-
-let test_interner_iter_order () =
-  let t = Str_interner.create ~capacity:1 () in
-  let names = List.init 100 string_of_int in
-  List.iter (fun s -> ignore (Str_interner.intern t s : int)) names;
-  let out = ref [] in
-  Str_interner.iter t (fun id key ->
-      check Alcotest.int "id matches position" (List.length !out) id;
-      out := key :: !out);
-  check (Alcotest.list Alcotest.string) "id order = intern order" names (List.rev !out)
+  check Alcotest.bool "found" true (Str_interner.find t "a" <> None);
+  check Alcotest.bool "not found" false (Str_interner.find t "zz" <> None)
 
 let test_interner_key_unassigned () =
   let t = Str_interner.create () in
   ignore (Str_interner.intern t "only" : int);
   Alcotest.check_raises "unassigned id" (Invalid_argument "Dense.Interner.key: id 1 unassigned")
     (fun () -> ignore (Str_interner.key t 1 : string))
+
+let test_interner_intern_order () =
+  let t = Str_interner.create ~capacity:1 () in
+  let names = List.init 100 string_of_int in
+  List.iteri
+    (fun i s -> check Alcotest.int "id is the interning position" i (Str_interner.intern t s))
+    names;
+  check Alcotest.int "size" 100 (Str_interner.size t);
+  List.iteri
+    (fun i s ->
+      check Alcotest.string "key survives growth" s (Str_interner.key t i);
+      check (Alcotest.option Alcotest.int) "find survives growth" (Some i) (Str_interner.find t s))
+    names
 
 (* ------------------------------------------------------------------ *)
 (* The CSR adjacency: multiset semantics against a reference model
@@ -545,8 +573,6 @@ let csr_matches_model =
            ops;
          Array.iteri
            (fun row expected ->
-             if Csr.length t row <> List.length expected then
-               QCheck2.Test.fail_report "length disagrees";
              let got = ref [] in
              Csr.iter t row (fun v -> got := v :: !got);
              if List.sort compare !got <> List.sort compare expected then
@@ -560,26 +586,63 @@ let test_csr_recycles_blocks () =
     Csr.add t 0 v
   done;
   let words_full = Csr.words t in
-  check Alcotest.int "nothing parked while in use" 0 (Csr.free_blocks t);
+  let length row =
+    let n = ref 0 in
+    Csr.iter t row (fun _ -> incr n);
+    !n
+  in
   Csr.clear_row t 0;
-  Alcotest.(check bool) "cleared blocks are parked" true (Csr.free_blocks t > 0);
-  check Alcotest.int "row is empty" 0 (Csr.length t 0);
+  check Alcotest.int "row is empty" 0 (length 0);
   (* Refill a different row: the parked blocks are reused, so the
      arena does not grow. *)
   for v = 0 to 99 do
     Csr.add t 1 v
   done;
   check Alcotest.int "recycling kept the arena flat" words_full (Csr.words t);
-  check Alcotest.int "refilled row complete" 100 (Csr.length t 1);
+  check Alcotest.int "refilled row complete" 100 (length 1);
   Csr.reset t;
-  check Alcotest.int "reset empties every row" 0 (Csr.length t 1)
+  check Alcotest.int "reset empties every row" 0 (length 1)
+
+(* The heap tracer packs remote ids as negative values, and an edge
+   stored twice is two entries: [remove] takes out one. *)
+let test_csr_negative_and_duplicates () =
+  let t = Csr.create () in
+  List.iter (Csr.add t 3) [ -1; 5; -1; -42 ];
+  let row r =
+    let got = ref [] in
+    Csr.iter t r (fun v -> got := v :: !got);
+    List.sort compare !got
+  in
+  check (Alcotest.list Alcotest.int) "negatives kept" [ -42; -1; -1; 5 ] (row 3);
+  check Alcotest.bool "remove one copy" true (Csr.remove t 3 (-1));
+  check (Alcotest.list Alcotest.int) "the other copy stays" [ -42; -1; 5 ] (row 3);
+  check Alcotest.bool "absent value" false (Csr.remove t 3 7);
+  check (Alcotest.list Alcotest.int) "untouched row" [] (row 2)
 
 (* ------------------------------------------------------------------ *)
 (* Table *)
 
+(* What [f] prints on stdout. *)
+let capture_stdout f =
+  let path = Filename.temp_file "adgc_table" ".txt" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    f;
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  s
+
 let test_table_render () =
   let s =
-    Table.render ~header:[ "name"; "value" ] ~rows:[ [ "a"; "1" ]; [ "bc"; "23" ] ] ()
+    capture_stdout (Table.print ~header:[ "name"; "value" ] ~rows:[ [ "a"; "1" ]; [ "bc"; "23" ] ])
   in
   check Alcotest.bool "contains header" true
     (String.length s > 0 && String.index_opt s 'n' <> None);
@@ -590,8 +653,22 @@ let test_table_render () =
   | w :: rest -> List.iter (fun w' -> check Alcotest.int "aligned" w w') rest
   | [] -> Alcotest.fail "no output")
 
+let test_table_alignment () =
+  let lines rows ?align () =
+    capture_stdout (Table.print ?align ~header:[ "k"; "value" ] ~rows)
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  check (Alcotest.list Alcotest.string) "first column left, the rest right"
+    [ "+----+-------+"; "| k  | value |"; "+====+=======+"; "| ab |     1 |"; "+----+-------+" ]
+    (lines [ [ "ab"; "1" ] ] ());
+  check (Alcotest.list Alcotest.string) "explicit alignment"
+    [ "+----+-------+"; "|  k | value |"; "+====+=======+"; "| ab | 1     |"; "|  c | 22    |";
+      "+----+-------+" ]
+    (lines [ [ "ab"; "1" ]; [ "c"; "22" ] ] ~align:[ Table.Right; Table.Left ] ())
+
 let test_table_pads_rows () =
-  let s = Table.render ~header:[ "a"; "b"; "c" ] ~rows:[ [ "x" ]; [ "1"; "2"; "3"; "4" ] ] () in
+  let s = capture_stdout (Table.print ~header:[ "a"; "b"; "c" ] ~rows:[ [ "x" ]; [ "1"; "2"; "3"; "4" ] ]) in
   let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
   check Alcotest.int "lines" 6 (List.length lines)
 
@@ -624,47 +701,50 @@ let suite =
       Alcotest.test_case "rng: bernoulli extremes" `Quick test_rng_bernoulli_extremes;
       Alcotest.test_case "rng: bernoulli rate" `Quick test_rng_bernoulli_rate;
       Alcotest.test_case "rng: split independence" `Quick test_rng_split_independent;
-      Alcotest.test_case "rng: copy" `Quick test_rng_copy;
-      Alcotest.test_case "rng: shuffle is a permutation" `Quick test_rng_shuffle_permutation;
+      Alcotest.test_case "rng: split is reproducible" `Quick test_rng_split_reproducible;
       Alcotest.test_case "rng: pick_list" `Quick test_rng_pick_list;
       Alcotest.test_case "pq: ordering" `Quick test_pq_ordering;
       Alcotest.test_case "pq: FIFO among ties" `Quick test_pq_fifo_ties;
       Alcotest.test_case "pq: peek" `Quick test_pq_peek;
       Alcotest.test_case "pq: interleaved ops" `Quick test_pq_interleaved;
       Alcotest.test_case "pq: growth" `Quick test_pq_grows;
-      Alcotest.test_case "pq: to_list" `Quick test_pq_to_list;
       Alcotest.test_case "pq: random vs sort" `Quick test_pq_random_against_sort;
       Alcotest.test_case "trace: order" `Quick test_trace_order;
       Alcotest.test_case "trace: by topic" `Quick test_trace_by_topic;
       Alcotest.test_case "trace: bounded ring" `Quick test_trace_bounded;
       Alcotest.test_case "trace: disabled" `Quick test_trace_disable;
-      Alcotest.test_case "trace: clear" `Quick test_trace_clear;
       Alcotest.test_case "trace: addf" `Quick test_trace_addf;
+      Alcotest.test_case "trace: pp_event layout" `Quick test_trace_pp_event;
       Alcotest.test_case "stats: counters" `Quick test_stats_counters;
       Alcotest.test_case "stats: sorted names" `Quick test_stats_counters_sorted;
+      Alcotest.test_case "stats: counters in to_json" `Quick test_stats_counters_json;
       Alcotest.test_case "stats: series" `Quick test_stats_series;
       Alcotest.test_case "stats: percentile" `Quick test_stats_percentile;
       Alcotest.test_case "stats: empty series" `Quick test_stats_empty_series;
-      Alcotest.test_case "stats: merge" `Quick test_stats_merge;
       Alcotest.test_case "trace: disabled addf never renders" `Quick test_trace_disabled_addf_lazy;
       Alcotest.test_case "stats: percentile edges" `Quick test_stats_percentile_edges;
-      Alcotest.test_case "stats: labelled counters" `Quick test_stats_labelled;
       Alcotest.test_case "stats: histograms" `Quick test_stats_histogram;
       Alcotest.test_case "stats: to_json is stable" `Quick test_stats_to_json_stable;
       Alcotest.test_case "json: roundtrip" `Quick test_json_roundtrip;
       Alcotest.test_case "json: rejects malformed" `Quick test_json_rejects;
       Alcotest.test_case "json: float representation" `Quick test_json_float_repr;
+      Alcotest.test_case "json: obj_sorted" `Quick test_json_obj_sorted;
+      Alcotest.test_case "json: pretty rendering parses back" `Quick test_json_pretty_roundtrip;
       Alcotest.test_case "json: schema validation" `Quick test_json_validate;
       Alcotest.test_case "dense: mark basics" `Quick test_mark_basics;
       Alcotest.test_case "dense: O(1) clear via epochs" `Quick test_mark_epoch_clear;
       Alcotest.test_case "dense: mark growth" `Quick test_mark_growth;
       Alcotest.test_case "dense: negative ids" `Quick test_mark_negative;
       Alcotest.test_case "dense: interner bijection" `Quick test_interner_bijection;
-      Alcotest.test_case "dense: interner iter order" `Quick test_interner_iter_order;
       Alcotest.test_case "dense: interner key bounds" `Quick test_interner_key_unassigned;
+      Alcotest.test_case "dense: interner ids follow intern order" `Quick
+        test_interner_intern_order;
       csr_matches_model;
       Alcotest.test_case "csr recycles cleared blocks" `Quick test_csr_recycles_blocks;
+      Alcotest.test_case "csr: negative values and duplicates" `Quick
+        test_csr_negative_and_duplicates;
       Alcotest.test_case "table: render alignment" `Quick test_table_render;
       Alcotest.test_case "table: row padding" `Quick test_table_pads_rows;
+      Alcotest.test_case "table: column alignment" `Quick test_table_alignment;
       Alcotest.test_case "sorted: last of each" `Quick test_sorted_last_of_each;
     ] )

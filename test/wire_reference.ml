@@ -185,8 +185,8 @@ let algebra_sval t =
   Sval.Record
     ( "algebra",
       [
-        ("source", Sval.List (List.map entry_sval (Algebra.source t)));
-        ("target", Sval.List (List.map entry_sval (Algebra.target t)));
+        ("source", Sval.List (List.map entry_sval (Algebra.bindings t Algebra.Source)));
+        ("target", Sval.List (List.map entry_sval (Algebra.bindings t Algebra.Target)));
       ] )
 
 (* The paper's compact form as [src; owner; serial; ic; bits] per
@@ -203,7 +203,7 @@ let algebra_entries t =
     ]
   in
   let keys =
-    List.sort_uniq Ref_key.compare (List.map fst (Algebra.source t @ Algebra.target t))
+    List.sort_uniq Ref_key.compare (List.map fst (Algebra.bindings t Algebra.Source @ Algebra.bindings t Algebra.Target))
   in
   List.concat_map
     (fun key ->
