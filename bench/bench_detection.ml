@@ -90,7 +90,7 @@ let detect_ring ~span =
   let cluster = Cluster.create ~net_config ~n:span () in
   let rt = Cluster.rt cluster in
   let detectors =
-    Array.map (fun p -> Detector.attach rt p ~policy:Policy.aggressive) rt.Runtime.procs
+    Array.map (fun p -> Detector.attach rt p ~policy:Policy.default) rt.Runtime.procs
   in
   let built = Topology.ring cluster ~procs:(List.init span (fun i -> i)) in
   let now = Cluster.now cluster in

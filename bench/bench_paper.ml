@@ -220,7 +220,7 @@ let bench_deletion_modes () =
   let rows =
     List.map
       (fun mode ->
-        let policy = { Policy.aggressive with Policy.deletion_mode = mode } in
+        let policy = { Policy.default with Policy.deletion_mode = mode } in
         let config = Config.quick ~n_procs:6 () in
         let config = { config with Config.policy } in
         let sim = Sim.create ~config () in
@@ -249,7 +249,7 @@ let bench_heuristics () =
   let rows =
     List.map
       (fun idle ->
-        let policy = { Policy.aggressive with Policy.idle_threshold = idle } in
+        let policy = { Policy.default with Policy.idle_threshold = idle } in
         let config = Config.quick ~seed:5 ~n_procs:6 () in
         let config = { config with Config.policy } in
         let sim = Sim.create ~config () in
@@ -347,11 +347,10 @@ let bench_leases () =
       { (Runtime.default_config ()) with Runtime.lgc_period = 300; new_set_period = 350 }
     in
     let config =
-      if lease then { config with Runtime.failure_detection = true; holder_silence_limit = 5_000 }
-      else config
+      if lease then { config with Runtime.holder_silence_limit = Some 5_000 } else config
     in
     let cluster = Cluster.create ~config ~n:2 () in
-    let checker = Adgc_workload.Metrics.install_safety_checker cluster in
+    let oracle = Adgc_check.Oracle.install cluster in
     let holder = Mutator.alloc cluster ~proc:0 () in
     let target = Mutator.alloc cluster ~proc:1 () in
     Mutator.add_root cluster holder;
@@ -365,7 +364,15 @@ let bench_leases () =
     Network.unblock_link (Cluster.net cluster) (Proc_id.of_int 1) (Proc_id.of_int 0);
     Cluster.run_for cluster 10_000;
     let object_alive = Adgc_rt.Heap.mem (Cluster.proc cluster 1).Adgc_rt.Process.heap target.Heap.oid in
-    (object_alive, List.length (Adgc_workload.Metrics.violations checker))
+    let live_reclaimed =
+      List.filter
+        (fun (e : Adgc_check.Oracle.event) ->
+          match e.Adgc_check.Oracle.violation with
+          | Adgc_check.Invariant.Live_reclaimed _ -> true
+          | _ -> false)
+        (Adgc_check.Oracle.events oracle)
+    in
+    (object_alive, List.length live_reclaimed)
   in
   let rows =
     List.concat_map
@@ -458,7 +465,7 @@ let clique ~procs ~per_proc cluster =
 let bench_dense () =
   section "E18: dense garbage (cliques) — the single-walk coverage limit";
   let run ~label ~procs ~per_proc ~budget ~deadline =
-    let policy = { Policy.aggressive with Policy.cdm_budget = budget } in
+    let policy = { Policy.default with Policy.cdm_budget = budget } in
     let config = Config.quick ~n_procs:procs () in
     let config = { config with Config.policy } in
     let sim = Sim.create ~config () in

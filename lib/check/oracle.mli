@@ -22,10 +22,9 @@ type event = { time : int; violation : Invariant.violation }
 val install : ?window:int -> Adgc_rt.Cluster.t -> t
 (** Start watching.  [window] (default 500 ticks) is the period of the
     instantaneous-invariant sweep.  The pre-sweep hook chains: a
-    previously installed hook (e.g. {!Adgc_workload.Metrics}'s
-    checker) keeps running.  The oracle registers itself with
-    {!Adgc_rt.Cluster.at_teardown}, so tearing the cluster down
-    detaches it automatically. *)
+    previously installed hook keeps running.  The oracle registers
+    itself with {!Adgc_rt.Cluster.at_teardown}, so tearing the cluster
+    down detaches it automatically. *)
 
 val stop : t -> unit
 (** Cancel the recurring sweep and run one final check.  Idempotent:

@@ -11,11 +11,17 @@ type t = {
   telemetry : bool;
 }
 
-let default ?(seed = 42) ?(n_procs = 4) () =
+let quick ?(seed = 42) ?(n_procs = 4) () =
   {
     seed;
     n_procs;
-    runtime = Adgc_rt.Runtime.default_config ();
+    runtime =
+      {
+        (Adgc_rt.Runtime.default_config ()) with
+        Adgc_rt.Runtime.lgc_period = 300;
+        new_set_period = 350;
+        scion_grace = 3_000;
+      };
     net = Adgc_rt.Network.default_config ();
     faults = Adgc_rt.Faults.none;
     policy = Adgc_dcda.Policy.default;
@@ -23,40 +29,22 @@ let default ?(seed = 42) ?(n_procs = 4) () =
     telemetry = false;
   }
 
-let quick ?(seed = 42) ?(n_procs = 4) () =
-  let t = default ~seed ~n_procs () in
-  let runtime =
-    {
-      t.runtime with
-      Adgc_rt.Runtime.lgc_period = 300;
-      new_set_period = 350;
-      scion_grace = 3_000;
-    }
-  in
-  { t with runtime; policy = Adgc_dcda.Policy.aggressive }
-
 (* The model checker runs the system time-frozen: nothing periodic
    ever fires (the checker calls the duties explicitly), the network
    parks every envelope for explored delivery, and every time-based
    policy filter is neutralised so a state is a pure function of the
    choice sequence that produced it. *)
 let mc ?(seed = 0) ?(n_procs = 2) () =
-  let t = default ~seed ~n_procs () in
+  let t = quick ~seed ~n_procs () in
   let runtime =
     (* dgc_window 0: DGC control payloads reach the wire synchronously
        inside send_dgc, never through the (frozen) scheduler. *)
-    {
-      t.runtime with
-      Adgc_rt.Runtime.scion_grace = 0;
-      failure_detection = false;
-      dgc_window = 0;
-    }
+    { t.runtime with Adgc_rt.Runtime.scion_grace = 0; dgc_window = 0 }
   in
-  let net = t.net in
-  net.Adgc_rt.Network.delivery <- Adgc_rt.Network.Manual;
+  t.net.Adgc_rt.Network.delivery <- Adgc_rt.Network.Manual;
   let policy =
     {
-      Adgc_dcda.Policy.default with
+      t.policy with
       Adgc_dcda.Policy.idle_threshold = 0;
       scan_period = 1;
       snapshot_period = 1;

@@ -21,21 +21,21 @@ type t = {
           {!Adgc_obs}); default off — every hook is then one branch *)
 }
 
-val default : ?seed:int -> ?n_procs:int -> unit -> t
-(** DCDA with the default policy, 4 processes, seed 42. *)
-
 val quick : ?seed:int -> ?n_procs:int -> unit -> t
-(** Aggressive periods everywhere — detections conclude within a few
-    thousand ticks; what most tests use. *)
+(** The shipped configuration, which every driver runs: DCDA under
+    {!Adgc_dcda.Policy.default}, the default runtime with short GC
+    periods (LGC 300, stub sets 350, scion grace 3000) — detections
+    conclude within a few thousand ticks.  4 processes, seed 42 by
+    default. *)
 
 val mc : ?seed:int -> ?n_procs:int -> unit -> t
 (** Time-frozen configuration for the bounded model checker
     ({!Adgc_mc}).  It runs the shipped detector — scans resume past
-    the rotating cursor, and the backoff doubles a cooldown of 0, so it
-    is inert — and differs from {!default} only in:
+    the rotating cursor, up to 16 per scan, and the backoff doubles a
+    cooldown of 0, so it is inert — and differs from {!quick} only in:
     - periods and thresholds: manual (explored) network delivery,
       snapshot and scan periods of 1, no idle threshold, cooldown or
-      scion grace, no failure detection;
+      scion grace;
     - [dgc_window = 0]: DGC control payloads are sent synchronously,
       so no batch queue outlives its transition;
     - [Broadcast] deletion.

@@ -10,7 +10,7 @@
     The timed drivers fire duties on a clock and the bounded model
     checker ({!Adgc_mc.System}) fires them as explored actions.  The
     timed drivers share one duty table, {!schedule}: {!Sim.start}
-    installs it over every rank, [Adgc_net.Node.install_duties] over
+    installs it over every rank, a socket node ([Adgc_net.Node]) over
     its own rank, and a cluster without a detector runs its first two
     rows ({!gc_rows}).  The timed [sets] row follows
     {!Adgc_rt.Reflist.send_new_sets} with

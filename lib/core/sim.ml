@@ -11,8 +11,7 @@ type t = {
   mutable duties : bool;  (* [start] installed the duty table and no [stop] followed *)
 }
 
-let create ?config () =
-  let config = match config with Some c -> c | None -> Config.default () in
+let create ~config () =
   let cluster =
     Cluster.create ~seed:config.Config.seed ~config:config.Config.runtime
       ~net_config:config.Config.net ~faults:config.Config.faults
@@ -93,7 +92,7 @@ let garbage_count t = Cluster.garbage_count t.cluster
    need only move when garbage can have been {e reclaimed}, not on
    every reachability-relevant change.  Per-heap we therefore fold
    [Heap.reclaim_mutations] (sweeps and reattachments), not
-   [Heap.mutations]: local-only churn that can merely {e create}
+   [Heap.live_mutations]: local-only churn that can merely {e create}
    garbage (allocation, reference clears, root drops) leaves a cached
    nonzero count conservatively stale, which is sound because a
    nonzero answer keeps the poll running either way.  Aliveness still

@@ -7,7 +7,7 @@
 
 type t
 
-val create : ?config:Config.t -> unit -> t
+val create : config:Config.t -> unit -> t
 
 val config : t -> Config.t
 

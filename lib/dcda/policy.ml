@@ -15,18 +15,6 @@ type t = {
 
 let default =
   {
-    idle_threshold = 2_000;
-    scan_period = 3_000;
-    snapshot_period = 2_500;
-    max_per_scan = 4;
-    cooldown = 10_000;
-    deletion_mode = All_local;
-    cdm_budget = 256;
-    candidate_audit_period = 12_500;
-  }
-
-let aggressive =
-  {
     idle_threshold = 200;
     scan_period = 500;
     snapshot_period = 400;

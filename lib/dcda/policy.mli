@@ -46,9 +46,7 @@ type t = {
 }
 
 val default : t
-(** idle 2000, scan 3000, snapshot 2500, 4 per scan, cooldown 10000,
-    [All_local]. *)
-
-val aggressive : t
-(** Short periods and thresholds — for tests that want detections to
-    happen quickly. *)
+(** The one shipped policy, which every driver runs through
+    [Adgc.Config.quick]: idle 200, scan 500, snapshot 400, 16 per
+    scan, cooldown 2000, [All_local], budget 256 — detections
+    conclude within a few thousand ticks. *)

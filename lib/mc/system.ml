@@ -220,8 +220,8 @@ let oid_str o = Format.asprintf "%a" Oid.pp o
 let key_str k = Format.asprintf "%a" Ref_key.pp k
 
 (* Wire bytes as text: the canonical rendering of a summary or a
-   payload — injective, and it keeps every field ([Summary.pp] drops
-   [last_invoked], which would merge distinct states). *)
+   payload — injective, and it keeps every field (a rendering that
+   dropped [last_invoked] would merge distinct states). *)
 let hex bytes =
   let b = Buffer.create (2 * String.length bytes) in
   String.iter (fun c -> Printf.bprintf b "%02x" (Char.code c)) bytes;

@@ -479,10 +479,7 @@ let run opts =
     (fun (s : Envelope.status) ->
       Stats.add stats "net.wire.sent" s.Envelope.st_wire_sent;
       Stats.add stats "net.wire.received" s.Envelope.st_wire_received;
-      Stats.add stats "net.wire.dup_ignored" s.Envelope.st_dup_ignored;
-      Stats.add stats
-        (Printf.sprintf "net.wire.sent.rank{rank=\"%d\"}" s.Envelope.st_rank)
-        s.Envelope.st_wire_sent)
+      Stats.add stats "net.wire.dup_ignored" s.Envelope.st_dup_ignored)
     statuses;
   Stats.add stats "net.nodes" n;
   Stats.add stats "net.dead" (List.length dead);

@@ -35,10 +35,6 @@ type config = {
   max_ticks : int;  (** refuse to simulate past this, [Start]-relative *)
 }
 
-val install_duties : Adgc.Sim.t -> int -> unit
-(** Install the duty table ({!Adgc.Kernel.schedule}) for one rank
-    only — what {!main} does for its own rank. *)
-
 val main : config -> unit
 (** Run until the coordinator's [Shutdown] (or [max_ticks]).  Returns
     normally; forked callers are expected to [Unix._exit] right

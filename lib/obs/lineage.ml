@@ -28,12 +28,13 @@ type entry = { mutable hops_rev : hop list; mutable span : int; mutable n : int 
 type t = {
   entries : (Detection_id.t, entry) Hashtbl.t;
   mutable enabled : bool;
-  max_entries : int;
   max_hops : int;  (* per detection; protects unbounded chains *)
 }
 
-let create ?(max_entries = 4096) ?(max_hops = 1024) () =
-  { entries = Hashtbl.create 64; enabled = false; max_entries; max_hops }
+(* Detections retained; later ones are not recorded. *)
+let detections_kept = 4096
+
+let create ?(max_hops = 1024) () = { entries = Hashtbl.create 64; enabled = false; max_hops }
 
 let enabled t = t.enabled
 
@@ -43,7 +44,7 @@ let entry t id =
   match Hashtbl.find_opt t.entries id with
   | Some e -> Some e
   | None ->
-      if Hashtbl.length t.entries >= t.max_entries then None
+      if Hashtbl.length t.entries >= detections_kept then None
       else begin
         let e = { hops_rev = []; span = -1; n = 0 } in
         Hashtbl.add t.entries id e;

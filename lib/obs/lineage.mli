@@ -31,9 +31,9 @@ type hop =
 
 type t
 
-val create : ?max_entries:int -> ?max_hops:int -> unit -> t
-(** Disabled until {!set_enabled}; at most [max_entries] detections
-    and [max_hops] hops per detection are retained. *)
+val create : ?max_hops:int -> unit -> t
+(** Disabled until {!set_enabled}; at most 4096 detections and
+    [max_hops] (default 1024) hops per detection are retained. *)
 
 val enabled : t -> bool
 

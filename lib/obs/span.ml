@@ -27,8 +27,9 @@ type span = {
   mutable args : (string * string) list;
 }
 
+let capacity = 65536
+
 type t = {
-  capacity : int;
   buf : span option array;
   mutable head : int; (* next write slot *)
   mutable count : int;
@@ -41,9 +42,8 @@ type t = {
   open_spans : (int, span) Hashtbl.t;
 }
 
-let create ?(capacity = 65536) () =
+let create () =
   {
-    capacity;
     buf = Array.make capacity None;
     head = 0;
     count = 0;
@@ -57,9 +57,9 @@ let enabled t = t.enabled
 let set_enabled t b = t.enabled <- b
 
 let push t span =
-  if t.count < t.capacity then t.count <- t.count + 1;
+  if t.count < capacity then t.count <- t.count + 1;
   t.buf.(t.head) <- Some span;
-  t.head <- (t.head + 1) mod t.capacity
+  t.head <- (t.head + 1) mod capacity
 
 (* -1 is the "disabled" span id: every later operation on it is a
    no-op, so call sites don't need their own guard. *)
@@ -96,11 +96,11 @@ let event t ~time ?parent ?proc ?(args = []) ~kind name =
   else none
 
 let spans t =
-  let start = (t.head - t.count + (t.capacity * 2)) mod t.capacity in
+  let start = (t.head - t.count + (capacity * 2)) mod capacity in
   let rec collect i n acc =
     if n = 0 then List.rev acc
     else
       let acc = match t.buf.(i) with None -> acc | Some s -> s :: acc in
-      collect ((i + 1) mod t.capacity) (n - 1) acc
+      collect ((i + 1) mod capacity) (n - 1) acc
   in
   collect start t.count []

@@ -32,8 +32,9 @@ type span = private {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Disabled until {!set_enabled}. *)
+val create : unit -> t
+(** Disabled until {!set_enabled}.  The ring keeps the newest 65536
+    spans. *)
 
 val enabled : t -> bool
 
@@ -54,4 +55,4 @@ val event : t -> time:int -> ?parent:int -> ?proc:int -> ?args:(string * string)
 (** A zero-duration span. *)
 
 val spans : t -> span list
-(** Oldest first; at most [capacity], oldest evicted first. *)
+(** Oldest first; at most 65536, oldest evicted first. *)

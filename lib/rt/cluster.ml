@@ -48,17 +48,16 @@ let restart_proc rt i =
     Runtime.log rt ~topic:"cluster" "%a restarted" Proc_id.pp p.Process.id
   end
 
-let create ?(seed = 42) ?config ?net_config ?(faults = Faults.none) ?trace_capacity
-    ?(telemetry = false) ?span_capacity ~n () =
+let create ?(seed = 42) ?config ?net_config ?(faults = Faults.none) ?(telemetry = false) ~n () =
   if n <= 0 then invalid_arg "Cluster.create: need at least one process";
   let config = match config with Some c -> c | None -> Runtime.default_config () in
   let net_config = match net_config with Some c -> c | None -> Network.default_config () in
   let rng = Rng.create seed in
   let sched = Scheduler.create () in
   let stats = Stats.create () in
-  let trace = Trace.create ?capacity:trace_capacity () in
+  let trace = Trace.create () in
   Trace.set_enabled trace false;
-  let obs = Span.create ?capacity:span_capacity () in
+  let obs = Span.create () in
   let lineage = Lineage.create () in
   Span.set_enabled obs telemetry;
   Lineage.set_enabled lineage telemetry;
@@ -66,7 +65,7 @@ let create ?(seed = 42) ?config ?net_config ?(faults = Faults.none) ?trace_capac
   let procs =
     Array.init n (fun i -> Process.create ~id:(Proc_id.of_int i) ~rng:(Rng.split rng))
   in
-  let rt = Runtime.create ~sched ~net ~procs ~rng ~stats ~trace ~obs ~lineage ~config () in
+  let rt = Runtime.create ~sched ~net ~procs ~rng ~stats ~trace ~obs ~lineage ~config in
   rt.Runtime.run_span <- Span.begin_span obs ~time:0 ~kind:Span.Run "run";
   Network.set_deliver net (Dispatch.deliver rt);
   List.iter
@@ -228,11 +227,11 @@ let ref_carrying_kinds = [ "rmi_request"; "rmi_reply"; "export_notice"; "export_
    monotonic counter, so the sum strictly grows on any change and two
    equal readings prove every input to global reachability — roots,
    edges, allocations, in-flight references, crash state — is
-   untouched.  Crucially it folds [Heap.live_mutations], {e not}
-   [Heap.mutations]: removals are excluded, because a (safe) sweep
-   deletes only garbage and therefore cannot move the globally-live
-   set.  That is what lets hundreds of staggered per-process sweeps
-   validate against one trace instead of one trace each. *)
+   untouched.  Crucially [Heap.live_mutations] excludes removals,
+   because a (safe) sweep deletes only garbage and therefore cannot
+   move the globally-live set.  That is what lets hundreds of
+   staggered per-process sweeps validate against one trace instead of
+   one trace each. *)
 let live_signature t =
   let stats = t.rt.Runtime.stats in
   let acc = ref 0 in

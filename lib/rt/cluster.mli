@@ -13,9 +13,7 @@ val create :
   ?config:Runtime.config ->
   ?net_config:Network.config ->
   ?faults:Faults.plan ->
-  ?trace_capacity:int ->
   ?telemetry:bool ->
-  ?span_capacity:int ->
   n:int ->
   unit ->
   t
@@ -84,7 +82,7 @@ val crash : t -> int -> unit
 (** Crash-stop the process: it stops sending, receiving and performing
     duties; its heap becomes unreachable wreckage excluded from ground
     truth.  Scions it held at other owners are reclaimed only when
-    [failure_detection] is configured (see {!Runtime.config}). *)
+    [holder_silence_limit] is set (see {!Runtime.config}). *)
 
 val restart : t -> int -> unit
 (** Revive a crashed process with its state intact (crash-recovery

@@ -39,12 +39,12 @@ type t = {
   root_set : unit Oid.Tbl.t;
   mutable next_serial : int;
   mutable generation : int; (* bumped whenever the object population changes *)
-  mutable mutations : int; (* bumped on every reachability-relevant change *)
+  mutable live_mutations : int;
+      (* bumped on every reachability-relevant change except [remove]:
+         the one mutation class that cannot {e grow} reachability, so
+         the globally-live set is unchanged by it (unless the removal
+         itself was the safety violation) *)
   mutable reclaim_mutations : int; (* bumped only by classes after which garbage can shrink *)
-  mutable removals : int;
-      (* bumped only by [remove]: the one mutation class that cannot
-         {e grow} reachability, so the globally-live set is unchanged
-         by it (unless the removal itself was the safety violation) *)
   tracer : tracer;
 }
 
@@ -55,9 +55,8 @@ let create ~owner =
     root_set = Oid.Tbl.create 8;
     next_serial = 0;
     generation = 0;
-    mutations = 0;
+    live_mutations = 0;
     reclaim_mutations = 0;
-    removals = 0;
     tracer =
       {
         ids = Interner.create ();
@@ -120,15 +119,13 @@ let adj_clear t oid =
 
 let size t = Oid.Tbl.length t.objs
 
-let mutations t = t.mutations
-
 let reclaim_mutations t = t.reclaim_mutations
 
 (* Mutations that can change the globally-live set: everything except
    removals.  A (safe) sweep only deletes garbage, which by definition
    is outside the live set — so while this counter stands still the
    cluster's cached live marks remain exact, sweeps or not. *)
-let live_mutations t = t.mutations - t.removals
+let live_mutations t = t.live_mutations
 
 let alloc ?(fields = 2) ?(payload = 16) t =
   let oid = Oid.make ~owner:t.owner ~serial:t.next_serial in
@@ -136,7 +133,7 @@ let alloc ?(fields = 2) ?(payload = 16) t =
   let obj = { oid; fields = Array.make fields None; payload } in
   Oid.Tbl.add t.objs oid obj;
   t.generation <- t.generation + 1;
-  t.mutations <- t.mutations + 1;
+  t.live_mutations <- t.live_mutations + 1;
   obj
 
 let get t oid = Oid.Tbl.find_opt t.objs oid
@@ -144,7 +141,7 @@ let get t oid = Oid.Tbl.find_opt t.objs oid
 let mem t oid = Oid.Tbl.mem t.objs oid
 
 let add_ref t obj oid =
-  t.mutations <- t.mutations + 1;
+  t.live_mutations <- t.live_mutations + 1;
   t.reclaim_mutations <- t.reclaim_mutations + 1;
   let n = Array.length obj.fields in
   let rec find_empty i = if i >= n then None else if obj.fields.(i) = None then Some i else find_empty (i + 1) in
@@ -164,7 +161,7 @@ let add_ref t obj oid =
   slot
 
 let remove_ref t obj oid =
-  t.mutations <- t.mutations + 1;
+  t.live_mutations <- t.live_mutations + 1;
   let n = Array.length obj.fields in
   let rec go i =
     if i >= n then false
@@ -184,21 +181,19 @@ let remove t oid =
     Oid.Tbl.remove t.objs oid;
     adj_clear t oid;
     t.generation <- t.generation + 1;
-    t.mutations <- t.mutations + 1;
-    t.reclaim_mutations <- t.reclaim_mutations + 1;
-    t.removals <- t.removals + 1
+    t.reclaim_mutations <- t.reclaim_mutations + 1
   end
 
 let add_root t oid =
   if not (Proc_id.equal (Oid.owner oid) t.owner) then
     invalid_arg (Format.asprintf "Heap.add_root: %a is not local to %a" Oid.pp oid Proc_id.pp t.owner);
   Oid.Tbl.replace t.root_set oid ();
-  t.mutations <- t.mutations + 1;
+  t.live_mutations <- t.live_mutations + 1;
   t.reclaim_mutations <- t.reclaim_mutations + 1
 
 let remove_root t oid =
   Oid.Tbl.remove t.root_set oid;
-  t.mutations <- t.mutations + 1
+  t.live_mutations <- t.live_mutations + 1
 
 let is_root t oid = Oid.Tbl.mem t.root_set oid
 

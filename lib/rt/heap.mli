@@ -36,28 +36,24 @@ val create : owner:Proc_id.t -> t
 val size : t -> int
 (** Number of objects currently allocated. *)
 
-val mutations : t -> int
-(** Monotonic counter bumped by {e every} reachability-relevant change
-    to this heap: allocation, removal, field writes, reference edits
-    and root set changes.  An unchanged counter guarantees this heap
-    contributes the same reachability as last time. *)
-
 val reclaim_mutations : t -> int
 (** Monotonic counter bumped only by the mutation classes after which
     the set of garbage objects can {e shrink}: sweeps ({!remove}) and
     reattachments ({!add_ref}, {!add_root}).  Allocation, reference
     clears and root drops can only create garbage, never reclaim it,
     so they are excluded.
-    {!Adgc.Sim.run_until_clean} folds this counter — not {!mutations}
-    — into its staleness signature: an unchanged signature proves a
-    cached nonzero garbage count cannot have dropped to zero, which is
-    the only transition the clean-poll waits for. *)
+    {!Adgc.Sim.run_until_clean} folds this counter — not
+    {!live_mutations} — into its staleness signature: an unchanged
+    signature proves a cached nonzero garbage count cannot have
+    dropped to zero, which is the only transition the clean-poll waits
+    for. *)
 
 val live_mutations : t -> int
 (** Monotonic counter bumped by every mutation class that can change
-    the {e globally-live} set: everything {!mutations} counts except
-    removals ({!remove}).  A (safe) sweep only deletes garbage, which
-    is by definition outside the live set, so while this counter (and
+    the {e globally-live} set: allocation, reference edits and root
+    set changes, but not removals ({!remove}).  A (safe) sweep only
+    deletes garbage, which is by definition outside the live set, so
+    while this counter (and
     its peers across the cluster, plus the in-flight message counters)
     stands still, a cached live-set answer remains exact — sweeps or
     not.  {!Adgc_rt.Cluster.live_among} keys its mark cache on this,

@@ -122,18 +122,20 @@ let delivered_count t = Hashtbl.fold (fun _ l n -> n + Seqs.cardinal l.above) t.
 
 (* A gap below a delivered seq is an envelope that was lost, is still
    in flight, or was refused while this process was down.  At a
-   quiescence point (restart) a gap more than [slack] seqs behind the
-   link's highest delivery is given up: the floor moves to
-   [hi - slack] and [note_delivery] refuses anything below it, which
-   is sound because a never-delivered envelope that old is
+   quiescence point (restart) a gap more than [prune_slack] seqs behind
+   the link's highest delivery is given up: the floor moves to
+   [hi - prune_slack] and [note_delivery] refuses anything below it,
+   which is sound because a never-delivered envelope that old is
    indistinguishable from a network loss — and every protocol already
    tolerates loss. *)
-let prune_delivered ?(slack = 64) t =
+let prune_slack = 64
+
+let prune_delivered t =
   Hashtbl.fold
     (fun _ l removed ->
       match Seqs.max_elt_opt l.above with
-      | Some hi when hi - slack > l.floor ->
-          let floor = hi - slack in
+      | Some hi when hi - prune_slack > l.floor ->
+          let floor = hi - prune_slack in
           let below, at, rest = Seqs.split floor l.above in
           l.above <- rest;
           l.floor <- (if at then floor + 1 else floor);

@@ -117,12 +117,12 @@ val delivered_count : t -> int
     [test_failures], which watches the duplicate-suppression state
     fill behind a gap and drain when it closes. *)
 
-val prune_delivered : ?slack:int -> t -> int
+val prune_delivered : t -> int
 (** Give up old gaps: on each link whose highest delivered seq [hi]
-    is more than [slack] (default 64) above its floor, move the floor
-    to [hi - slack], dropping the entries below it.  Envelopes below
-    the floor are refused from then on — sound, because such an
-    envelope is indistinguishable from a loss, which every protocol
-    tolerates.  Returns the number of entries removed.  Called at
+    is more than 64 above its floor, move the floor to [hi - 64],
+    dropping the entries below it.  Envelopes below the floor are
+    refused from then on — sound, because such an envelope is
+    indistinguishable from a loss, which every protocol tolerates.
+    Returns the number of entries removed.  Called at
     quiescence points ({!Cluster.restart}); long crash/restart runs
     would otherwise keep every gap a crash left. *)

@@ -8,6 +8,9 @@ let import_ref rt ~at oid =
     if not existed then Stats.incr rt.Runtime.stats "dgc.stubs.created"
   end
 
+(* Delay between retransmissions of an unacknowledged [Export_notice]. *)
+let notice_retry_delay = 100
+
 let rec retry_notice rt ~(exporter : Process.t) ~notice_id =
   match Hashtbl.find_opt exporter.Process.pending_notices notice_id with
   | None -> ()
@@ -21,7 +24,7 @@ let rec retry_notice rt ~(exporter : Process.t) ~notice_id =
              target = pending.Process.notice_target;
              new_holder = pending.Process.new_holder;
            });
-      Scheduler.schedule_after rt.Runtime.sched ~delay:rt.Runtime.config.export_retry_delay
+      Scheduler.schedule_after rt.Runtime.sched ~delay:notice_retry_delay
         (fun () -> retry_notice rt ~exporter ~notice_id)
 
 let export_ref rt ~(from_ : Process.t) ~to_ oid =
@@ -51,7 +54,7 @@ let export_ref rt ~(from_ : Process.t) ~to_ oid =
     Stats.incr rt.Runtime.stats "reflist.notices_sent";
     Runtime.send rt ~src:from_.Process.id ~dst:owner
       (Msg.Export_notice { notice_id; target = oid; new_holder = to_ });
-    Scheduler.schedule_after rt.Runtime.sched ~delay:rt.Runtime.config.export_retry_delay
+    Scheduler.schedule_after rt.Runtime.sched ~delay:notice_retry_delay
       (fun () -> retry_notice rt ~exporter:from_ ~notice_id)
   end
 
@@ -121,17 +124,18 @@ let probe_idle_scions rt (p : Process.t) ~threshold =
     (Scion_table.idle_sources p.Process.scions ~now:(Runtime.now rt) ~threshold)
 
 let reap_dead_holders rt (p : Process.t) =
-  if rt.Runtime.config.failure_detection then
-    List.iter
-      (fun holder ->
-        let deleted = Scion_table.delete_from p.Process.scions holder in
-        if deleted <> [] then begin
-          Stats.add rt.Runtime.stats "reflist.scions_reaped" (List.length deleted);
-          Runtime.log rt ~topic:"reflist" "%a declared %a dead, %d scions reaped" Proc_id.pp
-            p.Process.id Proc_id.pp holder (List.length deleted)
-        end)
-      (Scion_table.idle_sources p.Process.scions ~now:(Runtime.now rt)
-         ~threshold:rt.Runtime.config.holder_silence_limit)
+  match rt.Runtime.config.holder_silence_limit with
+  | None -> ()
+  | Some threshold ->
+      List.iter
+        (fun holder ->
+          let deleted = Scion_table.delete_from p.Process.scions holder in
+          if deleted <> [] then begin
+            Stats.add rt.Runtime.stats "reflist.scions_reaped" (List.length deleted);
+            Runtime.log rt ~topic:"reflist" "%a declared %a dead, %d scions reaped" Proc_id.pp
+              p.Process.id Proc_id.pp holder (List.length deleted)
+          end)
+        (Scion_table.idle_sources p.Process.scions ~now:(Runtime.now rt) ~threshold)
 
 let handle_probe rt ~(at : Process.t) ~src =
   (* Answer with a fresh stub set for the prober, listing whatever we

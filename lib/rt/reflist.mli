@@ -64,6 +64,6 @@ val handle_probe : Runtime.t -> at:Process.t -> src:Proc_id.t -> unit
 (** Holder side: answer with a fresh stub set for the prober. *)
 
 val reap_dead_holders : Runtime.t -> Process.t -> unit
-(** When [failure_detection] is configured: drop every scion whose
-    holder has been silent past [holder_silence_limit] (see the config
+(** When [holder_silence_limit] is [Some limit]: drop every scion
+    whose holder has been silent past [limit] (see the config
     documentation for the safety trade-off).  No-op otherwise. *)

@@ -12,6 +12,10 @@ let marshal_work rt (msg : Msg.t) =
     ignore
       (Adgc_serial.Net_codec.(Read.run Msg.read (encode_shape Msg.emit msg)) : Msg.t)
 
+(* After this long, pins taken for an RMI whose reply never arrived
+   are dropped (limits floating garbage under loss). *)
+let pin_timeout = 5_000
+
 (* Caller-side transition: the pending-call table and the pins are the
    caller's own state. *)
 let release_pins (p : Process.t) req_id =
@@ -51,7 +55,7 @@ let call rt ~src ~target ?(args = []) ?(behavior = noop_behavior) ?on_reply () =
   marshal_work rt
     (Msg.make ~src ~dst:(Oid.owner target) ~sent_at:now
        (Msg.Rmi_request { req_id; target; args; stub_ic }));
-  Scheduler.schedule_after rt.Runtime.sched ~delay:rt.Runtime.config.rmi_pin_timeout (fun () ->
+  Scheduler.schedule_after rt.Runtime.sched ~delay:pin_timeout (fun () ->
       match release_pins p req_id with
       | Some _ -> Stats.incr rt.Runtime.stats "rmi.pin_timeouts"
       | None -> ());

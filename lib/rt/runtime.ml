@@ -2,28 +2,22 @@ open Adgc_algebra
 
 type config = {
   dgc_enabled : bool;
-  export_retry_delay : int;
-  rmi_pin_timeout : int;
   rmi_marshal : bool;
   lgc_period : int;
   new_set_period : int;
   scion_grace : int;
-  failure_detection : bool;
-  holder_silence_limit : int;
+  holder_silence_limit : int option;
   dgc_window : int;
 }
 
 let default_config () =
   {
     dgc_enabled = true;
-    export_retry_delay = 100;
-    rmi_pin_timeout = 5_000;
     rmi_marshal = false;
     lgc_period = 1_000;
     new_set_period = 1_500;
     scion_grace = 10_000;
-    failure_detection = false;
-    holder_silence_limit = 30_000;
+    holder_silence_limit = None;
     dgc_window = 10;
   }
 
@@ -44,7 +38,7 @@ type t = {
 
 type behavior = t -> Process.t -> target:Oid.t -> args:Oid.t list -> Oid.t list
 
-let create ~sched ~net ~procs ~rng ~stats ~trace ?obs ?lineage ~config () =
+let create ~sched ~net ~procs ~rng ~stats ~trace ~obs ~lineage ~config =
   {
     sched;
     net;
@@ -52,8 +46,8 @@ let create ~sched ~net ~procs ~rng ~stats ~trace ?obs ?lineage ~config () =
     rng;
     stats;
     trace;
-    obs = (match obs with Some o -> o | None -> Adgc_obs.Span.create ~capacity:1 ());
-    lineage = (match lineage with Some l -> l | None -> Adgc_obs.Lineage.create ());
+    obs;
+    lineage;
     run_span = Adgc_obs.Span.none;
     config;
     on_reclaim = None;

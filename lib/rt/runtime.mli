@@ -22,12 +22,6 @@ type config = {
           baseline of the paper's Table 1.  Marshalling and message
           traffic are unaffected, so the comparison isolates the DGC
           overhead. *)
-  export_retry_delay : int;
-      (** delay between retransmissions of an unacknowledged
-          [Export_notice] *)
-  rmi_pin_timeout : int;
-      (** after this long, pins taken for an RMI whose reply never
-          arrived are dropped (limits floating garbage under loss) *)
   rmi_marshal : bool;
       (** marshal RMI argument descriptors through the compact codec
           on the caller (the real work Table 1's base cost measures) *)
@@ -38,14 +32,14 @@ type config = {
           that do not list it; must exceed the maximum message
           lifetime plus one advertisement period (see
           {!Scion_table.apply_new_set}) *)
-  failure_detection : bool;
-      (** reclaim scions whose holder has been silent (no stub set,
-          despite probes) for {!field:holder_silence_limit} ticks —
-          lease-like semantics for crash-stop failures.  UNSAFE under
-          false suspicion: a partition outlasting the limit reclaims
-          objects a live-but-unreachable holder still references; the
-          tests demonstrate both directions of the trade-off. *)
-  holder_silence_limit : int;
+  holder_silence_limit : int option;
+      (** failure detection: [Some limit] reclaims scions whose holder
+          has been silent (no stub set, despite probes) for [limit]
+          ticks — lease-like semantics for crash-stop failures.
+          UNSAFE under false suspicion: a partition outlasting the
+          limit reclaims objects a live-but-unreachable holder still
+          references; the tests demonstrate both directions of the
+          trade-off.  [None] (the default) never reaps. *)
   dgc_window : int;
       (** how long a DGC control payload ({!send_dgc}) may wait in its
           sender's queue before the queue is flushed as one
@@ -56,12 +50,19 @@ type config = {
           inside {!send_dgc}, with no scheduler involvement, which the
           model checker's frozen clock requires. *)
 }
-(** Immutable: fix the knobs before building the cluster (functional
-    record update on {!default_config}).  Sharing one config value
-    between clusters is now harmless — nothing can mutate it under a
-    reader's feet. *)
+(** Immutable: fix the settings before building the cluster
+    (functional record update on {!default_config}).  Sharing one
+    config value between clusters is harmless — nothing can mutate it
+    under a reader's feet.  The export-notice retry delay (100 ticks)
+    and the RMI pin timeout (5000 ticks) are constants of {!Reflist}
+    and {!Rmi}. *)
 
 val default_config : unit -> config
+(** DGC on, no RMI marshalling, LGC every 1000 ticks, stub sets every
+    1500, scion grace 10000, no failure detection, a 10-tick DGC
+    window: what tests and benches that build a bare cluster run.
+    The shipped preset, [Adgc.Config.quick], shortens the GC periods
+    and the grace. *)
 
 type t = {
   sched : Scheduler.t;
@@ -99,14 +100,10 @@ val create :
   rng:Adgc_util.Rng.t ->
   stats:Adgc_util.Stats.t ->
   trace:Adgc_util.Trace.t ->
-  ?obs:Adgc_obs.Span.t ->
-  ?lineage:Adgc_obs.Lineage.t ->
+  obs:Adgc_obs.Span.t ->
+  lineage:Adgc_obs.Lineage.t ->
   config:config ->
-  unit ->
   t
-(** When [obs]/[lineage] are omitted, disabled instances are used (a
-    1-slot span ring), so instrumented code never needs a null
-    check. *)
 
 val proc : t -> Proc_id.t -> Process.t
 

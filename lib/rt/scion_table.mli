@@ -121,7 +121,7 @@ val touch_all_sources : t -> now:int -> unit
 (** Pretend every holder just spoke: reset the silence clock of every
     source to [now].  A restarting owner calls this so its own
     downtime is not mistaken for every holder's crash by
-    [failure_detection] the moment it rejoins. *)
+    failure detection the moment it rejoins. *)
 
 (** {1 Queries used by the collector and the summarizer} *)
 

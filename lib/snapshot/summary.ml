@@ -193,22 +193,3 @@ let fold_scions_to t j f acc =
   let s = t.bytes in
   let run = next s (oid_end s t.stub_at.(j)) in
   fold_keys s (next s run) t.stub_flag.(j) f acc
-
-let pp ppf t =
-  let set pp_elt ppf elts =
-    Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_elt ppf (List.rev elts)
-  in
-  let cons x acc = x :: acc in
-  let scions, stubs = counts t in
-  Format.fprintf ppf "@[<v>summary of %a at %d@," Proc_id.pp t.proc t.taken_at;
-  for i = 0 to scions - 1 do
-    Format.fprintf ppf "  scion %a ic=%d root=%b StubsFrom={%a}@," Ref_key.pp (scion_key t i)
-      (scion_ic t i) (target_locally_reachable t i) (set Oid.pp)
-      (fold_stubs_from t i cons [])
-  done;
-  for j = 0 to stubs - 1 do
-    Format.fprintf ppf "  stub  %a ic=%d local=%b ScionsTo={%a}@," Oid.pp (stub_target t j)
-      (stub_ic t j) (local_reach t j) (set Ref_key.pp)
-      (fold_scions_to t j cons [])
-  done;
-  Format.fprintf ppf "@]"

@@ -51,8 +51,6 @@ val taken_at : t -> int
 val counts : t -> int * int
 (** [(scions, stubs)], in constant time. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Scions}
 
     A scion entry is named by its rank: [0 <= i < fst (counts t)], in

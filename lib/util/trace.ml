@@ -1,24 +1,25 @@
 type event = { time : int; topic : string; text : string }
 
+let capacity = 65536
+
 type t = {
-  capacity : int;
   mutable buf : event option array;  (* allocated by the first [add] *)
   mutable head : int; (* next write slot *)
   mutable count : int;
   mutable enabled : bool;
 }
 
-let create ?(capacity = 65536) () =
-  { capacity; buf = [||]; head = 0; count = 0; enabled = true }
+let create () =
+  { buf = [||]; head = 0; count = 0; enabled = true }
 
 let set_enabled t b = t.enabled <- b
 
 let add t ~time ~topic text =
   if t.enabled then begin
-    if Array.length t.buf = 0 then t.buf <- Array.make t.capacity None;
-    if t.count < t.capacity then t.count <- t.count + 1;
+    if Array.length t.buf = 0 then t.buf <- Array.make capacity None;
+    if t.count < capacity then t.count <- t.count + 1;
     t.buf.(t.head) <- Some { time; topic; text };
-    t.head <- (t.head + 1) mod t.capacity
+    t.head <- (t.head + 1) mod capacity
   end
 
 let addf t ~time ~topic fmt =
@@ -27,14 +28,14 @@ let addf t ~time ~topic fmt =
   else Format.ikfprintf (fun _ -> ()) Format.err_formatter fmt
 
 let events t =
-  let start = (t.head - t.count + t.capacity * 2) mod t.capacity in
+  let start = (t.head - t.count + capacity * 2) mod capacity in
   let rec collect i n acc =
     if n = 0 then List.rev acc
     else
       let acc =
         match t.buf.(i) with None -> acc | Some e -> e :: acc
       in
-      collect ((i + 1) mod t.capacity) (n - 1) acc
+      collect ((i + 1) mod capacity) (n - 1) acc
   in
   collect start t.count []
 

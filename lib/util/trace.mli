@@ -11,9 +11,9 @@ type event = { time : int; topic : string; text : string }
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Default capacity: 65536 events; the ring is allocated when the
-    first event is recorded. *)
+val create : unit -> t
+(** Capacity: 65536 events; the ring is allocated when the first event
+    is recorded. *)
 
 val set_enabled : t -> bool -> unit
 (** Disabling makes {!addf} a no-op (used by benchmarks). *)

@@ -2,21 +2,9 @@ open Adgc_algebra
 open Adgc_rt
 module Rng = Adgc_util.Rng
 
-type rates = {
-  alloc : float;
-  invoke : float;
-  export : float;
-  drop_root : float;
-  add_root : float;
-  unlink : float;
-}
+type t = { cluster : Cluster.t; rng : Rng.t }
 
-let default_rates =
-  { alloc = 3.0; invoke = 4.0; export = 2.0; drop_root = 0.5; add_root = 1.0; unlink = 1.5 }
-
-type t = { rates : rates; cluster : Cluster.t; rng : Rng.t }
-
-let create ?(rates = default_rates) ~cluster ~rng () = { rates; cluster; rng }
+let create ~cluster ~rng () = { cluster; rng }
 
 (* A real program can only act on what it can reach from its roots:
    picking arbitrary heap objects would "resurrect" garbage, violating
@@ -101,14 +89,13 @@ let step t =
   let p = Cluster.proc t.cluster (Rng.int t.rng (Cluster.n_procs t.cluster)) in
   if not p.Process.alive then ()
   else
-  let r = t.rates in
-  let total = r.alloc +. r.invoke +. r.export +. r.drop_root +. r.add_root +. r.unlink in
-  let x = Rng.float t.rng total in
-  if x < r.alloc then do_alloc t p
-  else if x < r.alloc +. r.invoke then do_invoke t p
-  else if x < r.alloc +. r.invoke +. r.export then do_export t p
-  else if x < r.alloc +. r.invoke +. r.export +. r.drop_root then do_drop_root t p
-  else if x < r.alloc +. r.invoke +. r.export +. r.drop_root +. r.add_root then do_add_root t p
+  (* Cumulative thresholds of the odds [create] documents. *)
+  let x = Rng.float t.rng 12.0 in
+  if x < 3.0 then do_alloc t p
+  else if x < 7.0 then do_invoke t p
+  else if x < 9.0 then do_export t p
+  else if x < 9.5 then do_drop_root t p
+  else if x < 10.5 then do_add_root t p
   else do_unlink t p
 
 let run t ~steps ~every =

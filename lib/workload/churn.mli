@@ -16,19 +16,13 @@
     remote activity would die permanently the first time the last
     remote reference is dropped. *)
 
-type rates = {
-  alloc : float;  (** allocate + link locally *)
-  invoke : float;  (** remote call through a random held stub *)
-  export : float;  (** remote call passing a random local object *)
-  drop_root : float;
-  add_root : float;
-  unlink : float;  (** clear a random local reference *)
-}
-
 type t
 
-val create :
-  ?rates:rates -> cluster:Adgc_rt.Cluster.t -> rng:Adgc_util.Rng.t -> unit -> t
+val create : cluster:Adgc_rt.Cluster.t -> rng:Adgc_util.Rng.t -> unit -> t
+(** Each step picks one action with fixed odds out of 12: allocate and
+    link locally 3, remote call through a random held stub 4, remote
+    call passing a random local object 2, drop a root 0.5, add a root
+    1, clear a random local reference 1.5. *)
 
 val step : t -> unit
 (** Perform one random action somewhere in the cluster.  An action

@@ -1,4 +1,3 @@
-open Adgc_algebra
 open Adgc_rt
 
 type sample = { time : int; objects : int; live : int; garbage : int }
@@ -33,20 +32,3 @@ let sample_every cluster ~period =
   t
 
 let samples t = List.rev t.acc
-
-type safety_checker = { mutable violations : (Proc_id.t * Oid.t) list }
-
-let install_safety_checker cluster =
-  let checker = { violations = [] } in
-  let rt = Cluster.rt cluster in
-  (* The pre-sweep hook fires with every heap still intact, so ground
-     truth computed here is exact for the objects about to go. *)
-  rt.Runtime.on_pre_sweep <-
-    Some
-      (fun proc doomed ->
-        List.iter
-          (fun oid -> checker.violations <- (proc, oid) :: checker.violations)
-          (Cluster.live_among cluster doomed));
-  checker
-
-let violations t = List.rev t.violations

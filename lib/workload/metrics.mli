@@ -1,4 +1,4 @@
-(** Ground-truth measurement and safety checking.
+(** Ground-truth measurement.
 
     Everything here is omniscient (it inspects all heaps and in-flight
     messages directly) and is used by tests, examples and benches —
@@ -22,14 +22,3 @@ val samples : sampler -> sample list
 
 val stop_sampling : sampler -> unit
 (** Idempotent. *)
-
-(** {1 Safety checking} *)
-
-type safety_checker
-
-val install_safety_checker : Adgc_rt.Cluster.t -> safety_checker
-(** Hook every LGC sweep: before an object is reclaimed it must be
-    globally unreachable (checked against ground truth computed at the
-    moment of reclamation).  Violations are recorded, not raised. *)
-
-val violations : safety_checker -> (Adgc_algebra.Proc_id.t * Adgc_algebra.Oid.t) list

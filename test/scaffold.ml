@@ -48,9 +48,19 @@ let replicate cluster ~src ~target ~on_replica =
 let oracle_safe oracle =
   match Adgc_check.Oracle.first_report oracle with None -> () | Some r -> failwith r
 
-(* Raise if [Metrics]' checker saw a live object swept. *)
-let assert_safe checker =
-  match Adgc_workload.Metrics.violations checker with
+(* The globally-live objects the oracle saw an LGC about to sweep,
+   oldest first. *)
+let live_reclaimed oracle =
+  List.filter_map
+    (fun (e : Adgc_check.Oracle.event) ->
+      match e.Adgc_check.Oracle.violation with
+      | Adgc_check.Invariant.Live_reclaimed { proc; oid } -> Some (proc, oid)
+      | _ -> None)
+    (Adgc_check.Oracle.events oracle)
+
+(* Raise if the oracle saw a live object swept. *)
+let assert_safe oracle =
+  match live_reclaimed oracle with
   | [] -> ()
   | vs ->
       let msg =

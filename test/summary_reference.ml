@@ -113,6 +113,28 @@ let of_view v =
           });
   }
 
+(* A view, one line per scion and per stub (the property printers'
+   rendering). *)
+let pp ppf v =
+  let set pp_elt ppf elts =
+    Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_elt ppf (List.rev elts)
+  in
+  let scions, stubs = Summary.counts v in
+  Format.fprintf ppf "@[<v>summary of %a at %d@," Proc_id.pp (Summary.proc v) (Summary.taken_at v);
+  for i = 0 to scions - 1 do
+    Format.fprintf ppf "  scion %a ic=%d root=%b StubsFrom={%a}@," Ref_key.pp
+      (Summary.scion_key v i) (Summary.scion_ic v i)
+      (Summary.target_locally_reachable v i)
+      (set Oid.pp)
+      (Summary.fold_stubs_from v i List.cons [])
+  done;
+  for j = 0 to stubs - 1 do
+    Format.fprintf ppf "  stub  %a ic=%d local=%b ScionsTo={%a}@," Oid.pp (Summary.stub_target v j)
+      (Summary.stub_ic v j) (Summary.local_reach v j) (set Ref_key.pp)
+      (Summary.fold_scions_to v j List.cons [])
+  done;
+  Format.fprintf ppf "@]"
+
 let scion_equal a b =
   Ref_key.equal a.key b.key && a.scion_ic = b.scion_ic
   && Oid.Set.equal a.stubs_from b.stubs_from

@@ -16,7 +16,7 @@ let check = Alcotest.check
 
 type harness = { cluster : Cluster.t; detectors : Detector.t array }
 
-let mk ?(n = 6) ?(policy = Policy.aggressive) () =
+let mk ?(n = 6) ?(policy = Policy.default) () =
   let cluster = Cluster.create ~n () in
   let rt = Cluster.rt cluster in
   let detectors = Array.map (fun p -> Detector.attach rt p ~policy) rt.Runtime.procs in
@@ -271,7 +271,7 @@ let test_no_summary_discards_cdm () =
 let test_budget_stops_runaway_detection () =
   (* The garbage ring needs four CDMs to close; a budget of two funds
      the first two hops and the third holder stops at the guard. *)
-  let policy = { Policy.aggressive with Policy.cdm_budget = 2 } in
+  let policy = { Policy.default with Policy.cdm_budget = 2 } in
   let h = mk ~n:4 ~policy () in
   let built = Topology.ring h.cluster ~procs:[ 0; 1; 2; 3 ] in
   let objects = Cluster.total_objects h.cluster in
@@ -288,7 +288,7 @@ let test_budget_stops_runaway_detection () =
 (* Deletion modes *)
 
 let reclaim_fig4_with mode =
-  let policy = { Policy.aggressive with Policy.deletion_mode = mode } in
+  let policy = { Policy.default with Policy.deletion_mode = mode } in
   let h = mk ~policy () in
   let built = Topology.fig4 h.cluster in
   let rec converge rounds =
@@ -356,7 +356,7 @@ let test_duplicate_detections_idempotent () =
 (* Candidate scanning *)
 
 let test_scan_respects_idle_threshold () =
-  let policy = { Policy.aggressive with Policy.idle_threshold = 1_000_000 } in
+  let policy = { Policy.default with Policy.idle_threshold = 1_000_000 } in
   let h = mk ~n:3 ~policy () in
   let _built = Topology.ring h.cluster ~procs:[ 0; 1; 2 ] in
   snapshot_all h;
@@ -367,7 +367,7 @@ let test_scan_cooldown () =
   let h = mk ~n:3 () in
   let _built = Topology.ring h.cluster ~procs:[ 0; 1; 2 ] in
   Cluster.run_for h.cluster 1_000;
-  (* idle_threshold is 200 in the aggressive policy *)
+  (* idle_threshold is 200 in the default policy *)
   snapshot_all h;
   let s1 = Detector.scan h.detectors.(0) in
   check Alcotest.bool "initiated" true (s1 >= 1);
@@ -389,7 +389,7 @@ let test_scan_skips_rooted_targets () =
    below 8). *)
 let test_scan_rotation_avoids_starvation () =
   let policy =
-    { Policy.aggressive with Policy.max_per_scan = 3; cooldown = 1_000_000 }
+    { Policy.default with Policy.max_per_scan = 3; cooldown = 1_000_000 }
   in
   let h = mk ~n:2 ~policy () in
   for _ = 1 to 8 do
@@ -420,7 +420,7 @@ let test_scan_backoff_on_fruitless_candidates () =
     let before = stat h "dcda.detections_started" in
     for _ = 1 to window do
       Cluster.run_for h.cluster 2_000;
-      (* cooldown in the aggressive policy *)
+      (* cooldown in the default policy *)
       snapshot_all h;
       Array.iter (fun d -> ignore (Detector.scan d : int)) h.detectors;
       settle h
@@ -438,7 +438,7 @@ let test_scan_backoff_on_fruitless_candidates () =
    800, 1,600 and 3,200 ticks apart, and then stay 3,200 apart. *)
 let test_scan_backoff_stops_at_32x () =
   let cooldown = 100 in
-  let policy = { Policy.aggressive with Policy.idle_threshold = 0; cooldown } in
+  let policy = { Policy.default with Policy.idle_threshold = 0; cooldown } in
   let h = mk ~n:2 ~policy () in
   let a = Adgc_rt.Mutator.alloc h.cluster ~proc:0 () in
   let b = Adgc_rt.Mutator.alloc h.cluster ~proc:1 () in
@@ -477,7 +477,7 @@ let reclaim_via_sim ~n ~max_time build =
   let config = Adgc.Config.quick ~n_procs:n () in
   let sim = Adgc.Sim.create ~config () in
   let cluster = Adgc.Sim.cluster sim in
-  let checker = Adgc_workload.Metrics.install_safety_checker cluster in
+  let checker = Adgc_check.Oracle.install cluster in
   let built = build cluster in
   ignore (built : Topology.built);
   Adgc.Sim.start sim;
@@ -543,7 +543,7 @@ let test_rooted_lattice_safe () =
   let config = Adgc.Config.quick ~n_procs:4 () in
   let sim = Adgc.Sim.create ~config () in
   let cluster = Adgc.Sim.cluster sim in
-  let checker = Adgc_workload.Metrics.install_safety_checker cluster in
+  let checker = Adgc_check.Oracle.install cluster in
   let built = Topology.lattice cluster ~rows:2 ~cols:4 in
   Adgc_rt.Mutator.add_root cluster (Topology.obj built "g0_0");
   Adgc.Sim.start sim;
@@ -675,7 +675,7 @@ let test_duplicate_cdm_delete_idempotent () =
 
 module Lineage = Adgc_obs.Lineage
 
-let mk_telemetry ?(n = 6) ?(policy = Policy.aggressive) () =
+let mk_telemetry ?(n = 6) ?(policy = Policy.default) () =
   let cluster = Cluster.create ~telemetry:true ~n () in
   let rt = Cluster.rt cluster in
   let detectors = Array.map (fun p -> Detector.attach rt p ~policy) rt.Runtime.procs in
@@ -841,7 +841,7 @@ let test_scan_needs_a_publish () =
 (* The other half of the staleness: a garbage scion created after the
    publish is not a candidate until the next publish lists it. *)
 let test_scan_new_scion_waits_for_publish () =
-  let policy = { Policy.aggressive with Policy.cooldown = 1_000_000 } in
+  let policy = { Policy.default with Policy.cooldown = 1_000_000 } in
   let h = mk_telemetry ~n:2 ~policy () in
   let a0, b0 = List.hd (two_cycles h 1) in
   Cluster.run_for h.cluster 1_000;
@@ -860,7 +860,7 @@ let test_scan_new_scion_waits_for_publish () =
    wraps around to the lowest key: with no cooldown, three scans of
    three picks over four candidates take k0 k1 k2, k3 k0 k1, k2 k3 k0. *)
 let test_scan_rotating_resumes_past_the_cursor () =
-  let policy = { Policy.aggressive with Policy.max_per_scan = 3; cooldown = 0 } in
+  let policy = { Policy.default with Policy.max_per_scan = 3; cooldown = 0 } in
   let h = mk_telemetry ~n:2 ~policy () in
   let _ = two_cycles h 4 in
   Cluster.run_for h.cluster 1_000;
@@ -890,7 +890,7 @@ let cursor = Alcotest.(option (of_pp Ref_key.pp))
    resumes past k1, not from the lowest key. *)
 let test_scan_without_picks_keeps_the_cursor () =
   let policy =
-    { Policy.aggressive with Policy.idle_threshold = 0; max_per_scan = 2; cooldown = 100 }
+    { Policy.default with Policy.idle_threshold = 0; max_per_scan = 2; cooldown = 100 }
   in
   let h = mk_telemetry ~n:2 ~policy () in
   let _ = rooted_two_cycles h 4 in
@@ -921,7 +921,7 @@ let test_scan_without_picks_keeps_the_cursor () =
    not k0 and k2. *)
 let test_scan_resumes_past_a_vanished_cursor () =
   let policy =
-    { Policy.aggressive with Policy.idle_threshold = 0; max_per_scan = 2; cooldown = 0 }
+    { Policy.default with Policy.idle_threshold = 0; max_per_scan = 2; cooldown = 0 }
   in
   let h = mk_telemetry ~n:2 ~policy () in
   let cycles = Array.of_list (rooted_two_cycles h 4) in
@@ -945,7 +945,7 @@ let test_scan_resumes_past_a_vanished_cursor () =
    invocation after the publish leaves the scion a candidate until the
    next publish records it. *)
 let test_scan_idle_filter_reads_the_summary () =
-  let policy = { Policy.aggressive with Policy.cooldown = 0 } in
+  let policy = { Policy.default with Policy.cooldown = 0 } in
   let h = mk ~n:2 ~policy () in
   let a, b = List.hd (two_cycles h 1) in
   Cluster.run_for h.cluster 1_000;

@@ -14,7 +14,10 @@ let check = Alcotest.check
 let mk ?(n = 4) ?(failure_detection = false) () =
   let config = Config.quick ~n_procs:n () in
   let runtime =
-    { config.Config.runtime with Runtime.failure_detection; holder_silence_limit = 5_000 }
+    {
+      config.Config.runtime with
+      Runtime.holder_silence_limit = (if failure_detection then Some 5_000 else None);
+    }
   in
   let config = { config with Config.runtime = runtime } in
   let sim = Sim.create ~config () in
@@ -122,7 +125,7 @@ let test_false_suspicion_is_unsafe () =
      asserts the unsafety actually manifests — the reason
      failure_detection defaults to off. *)
   let sim, cluster = mk ~failure_detection:true () in
-  let checker = Metrics.install_safety_checker cluster in
+  let checker = Adgc_check.Oracle.install cluster in
   let holder = Mutator.alloc cluster ~proc:0 () in
   let target = Mutator.alloc cluster ~proc:1 () in
   Mutator.add_root cluster holder;
@@ -134,7 +137,7 @@ let test_false_suspicion_is_unsafe () =
   Network.block_link (Cluster.net cluster) (Proc_id.of_int 1) (Proc_id.of_int 0);
   Sim.run_for sim 60_000;
   check Alcotest.bool "live object was reclaimed (documented unsafety)" true
-    (List.length (Metrics.violations checker) >= 1)
+    (List.length (Scaffold.live_reclaimed checker) >= 1)
 
 let test_detection_dies_at_crashed_process () =
   (* A CDM addressed to a dead process vanishes; the detection never
@@ -190,12 +193,12 @@ let verdict_name = function
 let crash_schedule_verdict (seed, victim, crash_time) =
   let config = Config.quick ~seed ~n_procs:4 () in
   let runtime =
-    { config.Config.runtime with Runtime.failure_detection = true; holder_silence_limit = 5_000 }
+    { config.Config.runtime with Runtime.holder_silence_limit = Some 5_000 }
   in
   let config = { config with Config.runtime = runtime } in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
-  let checker = Metrics.install_safety_checker cluster in
+  let checker = Adgc_check.Oracle.install cluster in
   let rng = Adgc_util.Rng.create (seed + 1) in
   let _built =
     Topology.random cluster ~rng ~objects:40 ~edges:80 ~remote_prob:0.3 ~root_prob:0.2
@@ -207,7 +210,7 @@ let crash_schedule_verdict (seed, victim, crash_time) =
   Sim.start sim;
   Sim.run_for sim 40_000;
   let clean = Sim.run_until_clean ~step:5_000 ~max_time:2_000_000 sim in
-  if Metrics.violations checker <> [] then Unsafe else if clean then Clean else Stuck
+  if Scaffold.live_reclaimed checker <> [] then Unsafe else if clean then Clean else Stuck
 
 (* The generator's first 100 draws. *)
 let crash_schedules_clean =

@@ -17,7 +17,7 @@ let mk_sim ?(n = 4) ?(seed = 42) ?(drop = 0.0) ?(detector = Config.Dcda) () =
   config.Config.net.Network.drop_prob <- drop;
   let config = { config with Config.detector } in
   let sim = Sim.create ~config () in
-  let checker = Metrics.install_safety_checker (Sim.cluster sim) in
+  let checker = Adgc_check.Oracle.install (Sim.cluster sim) in
   (sim, checker)
 
 let test_sim_fig3_full_lifecycle () =
@@ -141,6 +141,8 @@ let test_sim_run_gc_cycle_manual () =
   let a = Adgc_rt.Mutator.alloc cluster ~proc:0 () in
   ignore a;
   Scaffold.run_gc_cycle sim;
+  (* The oracle's recurring sweep would keep the queue from emptying. *)
+  Sim.teardown sim;
   ignore (Cluster.drain cluster : int);
   check Alcotest.int "acyclic garbage gone" 0 (Cluster.total_objects cluster)
 
@@ -168,8 +170,8 @@ let test_no_fault_run_holds_no_delivered_entries () =
   check Alcotest.bool "cleaned" true (Sim.run_until_clean ~step:5_000 ~max_time:1_000_000 sim);
   Scaffold.assert_safe checker;
   (* Envelopes still in flight may have overtaken one another; let
-     them land. *)
-  Sim.stop sim;
+     them land once the duties and the oracle's sweep are gone. *)
+  Sim.teardown sim;
   ignore (Cluster.drain cluster : int);
   check Alcotest.bool "envelopes were deduplicated" true
     (Stats.get (Sim.stats sim) "net.msg.delivered" > 1_000);
@@ -276,17 +278,11 @@ let test_stress_large_system () =
      still complete among the survivors. *)
   let config = Config.quick ~seed:99 ~n_procs:12 () in
   config.Config.net.Network.drop_prob <- 0.05;
-  let runtime =
-    {
-      config.Config.runtime with
-      Adgc_rt.Runtime.failure_detection = true;
-      holder_silence_limit = 15_000;
-    }
-  in
+  let runtime = { config.Config.runtime with Adgc_rt.Runtime.holder_silence_limit = Some 15_000 } in
   let config = { config with Config.runtime } in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
-  let checker = Metrics.install_safety_checker cluster in
+  let checker = Adgc_check.Oracle.install cluster in
   let rng = Adgc_util.Rng.create 1234 in
   let _big =
     Topology.random cluster ~rng ~objects:300 ~edges:700 ~remote_prob:0.3 ~root_prob:0.1

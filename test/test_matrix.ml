@@ -22,7 +22,7 @@ module Rotor_codec = Adgc_paper.Rotor_codec
 let check = Alcotest.check
 
 let fig3_lifecycle ~account_bytes ~dgc_window ~deletion_mode () =
-  let policy = { Policy.aggressive with Policy.deletion_mode } in
+  let policy = { Policy.default with Policy.deletion_mode } in
   let config = Config.quick ~n_procs:4 () in
   let runtime =
     match dgc_window with
@@ -39,7 +39,7 @@ let fig3_lifecycle ~account_bytes ~dgc_window ~deletion_mode () =
   in
   let sim = Sim.create ~config () in
   let cluster = Sim.cluster sim in
-  let checker = Metrics.install_safety_checker cluster in
+  let checker = Adgc_check.Oracle.install cluster in
   let built = Topology.fig3 cluster in
   Sim.start sim;
   Sim.run_for sim 3_000;

@@ -54,14 +54,18 @@ let test_span_end_unknown_ignored () =
       check Alcotest.bool "no late args" false (List.mem_assoc "late" s.Span.args)
   | _ -> Alcotest.fail "expected one span"
 
+(* The ring holds 65536 spans. *)
 let test_span_eviction () =
-  let t = Span.create ~capacity:4 () in
+  let t = Span.create () in
   Span.set_enabled t true;
-  for i = 1 to 10 do
+  let n = 65536 + 6 in
+  for i = 1 to n do
     ignore (Span.event t ~time:i ~kind:Span.Snapshot (string_of_int i) : int)
   done;
   let names = List.map (fun (s : Span.span) -> s.Span.name) (Span.spans t) in
-  check (Alcotest.list Alcotest.string) "keeps newest" [ "7"; "8"; "9"; "10" ] names
+  check Alcotest.int "full" 65536 (List.length names);
+  check Alcotest.string "oldest evicted first" "7" (List.hd names);
+  check Alcotest.string "keeps newest" (string_of_int n) (List.nth names 65535)
 
 let test_span_event_zero_duration () =
   let t = Span.create () in

@@ -884,7 +884,7 @@ let gen_summary_parts =
 let summary_of (proc, (scions, stubs)) =
   Option.get (Summary.of_bytes (Sref.encode (Sref.make ~proc ~taken_at:0 ~scions ~stubs)))
 
-let print_summary_parts parts = Format.asprintf "%a" Summary.pp (summary_of parts)
+let print_summary_parts parts = Format.asprintf "%a" Sref.pp (summary_of parts)
 
 module Scion_model = Ref_key.Map
 module Stub_model = Oid.Map

@@ -19,6 +19,56 @@ module Stats = Adgc_util.Stats
 
 let check = Alcotest.check
 
+(* [Config.quick] is the one timed preset every driver runs; its
+   values, written out field by field, are the ones the drivers have
+   always run, so folding the presets into it moved nothing. *)
+let test_quick_is_the_shipped_preset () =
+  let module Policy = Adgc_dcda.Policy in
+  let c = Config.quick () in
+  check Alcotest.int "seed" 42 c.Config.seed;
+  check Alcotest.int "procs" 4 c.Config.n_procs;
+  check Alcotest.bool "runtime" true
+    (c.Config.runtime
+    = {
+        Runtime.dgc_enabled = true;
+        rmi_marshal = false;
+        lgc_period = 300;
+        new_set_period = 350;
+        scion_grace = 3_000;
+        holder_silence_limit = None;
+        dgc_window = 10;
+      });
+  check Alcotest.bool "runtime default: the same, with slower GC periods" true
+    (Runtime.default_config ()
+    = { c.Config.runtime with Runtime.lgc_period = 1_000; new_set_period = 1_500; scion_grace = 10_000 });
+  check Alcotest.bool "policy" true
+    (c.Config.policy
+    = {
+        Policy.idle_threshold = 200;
+        scan_period = 500;
+        snapshot_period = 400;
+        max_per_scan = 16;
+        cooldown = 2_000;
+        deletion_mode = Policy.All_local;
+        cdm_budget = 256;
+        candidate_audit_period = 2_000;
+      });
+  check Alcotest.bool "policy is the one preset" true (c.Config.policy = Policy.default);
+  check Alcotest.bool "network" true
+    (c.Config.net
+    = {
+        Network.latency_min = 5;
+        latency_max = 25;
+        drop_prob = 0.0;
+        account_bytes = false;
+        delivery = Network.Timed;
+      });
+  check Alcotest.bool "no faults" true (c.Config.faults = Faults.none);
+  check Alcotest.bool "DCDA" true (c.Config.detector = Config.Dcda);
+  check Alcotest.bool "telemetry off" false c.Config.telemetry;
+  check Alcotest.bool "a fresh network config per call" true
+    (c.Config.net != (Config.quick ()).Config.net)
+
 let test_accessor_mismatch_raises () =
   let sim = Sim.create ~config:(Config.quick ()) () in
   ignore (Sim.detector sim 0 : Adgc_dcda.Detector.t);
@@ -394,7 +444,12 @@ let test_one_duty_table () =
     lanes;
   for rank = 0 to 3 do
     let sim_start = isolated_counters ~rank Sim.start in
-    let node = isolated_counters ~rank (fun sim -> Adgc_net.Node.install_duties sim rank) in
+    (* What a socket node installs for its own rank. *)
+    let node =
+      isolated_counters ~rank (fun sim ->
+          Kernel.start ~rank (Sim.cluster sim)
+            (Kernel.schedule (Sim.kernel_ctx sim) ~policy:(Sim.config sim).Config.policy))
+    in
     check Alcotest.(list (pair string int)) (Printf.sprintf "rank %d: Sim.start = node" rank)
       sim_start node;
     let lgc = List.find (fun (r : Kernel.row) -> r.Kernel.name = "lgc") rows in
@@ -448,6 +503,8 @@ let test_scan_duty_reads_the_snapshot_duty () =
 let suite =
   ( "sim",
     [
+      Alcotest.test_case "config: quick is the shipped preset, field by field" `Quick
+        test_quick_is_the_shipped_preset;
       Alcotest.test_case "accessor mismatch raises" `Quick test_accessor_mismatch_raises;
       Alcotest.test_case "start is idempotent" `Quick test_start_is_idempotent;
       Alcotest.test_case "stop then restart" `Quick test_stop_then_restart;

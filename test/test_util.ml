@@ -195,13 +195,17 @@ let test_trace_by_topic () =
   Trace.addf t ~time:3 ~topic:"a" "three";
   check Alcotest.int "topic filter" 2 (List.length (Trace.by_topic t "a"))
 
+(* The ring holds 65536 events. *)
 let test_trace_bounded () =
-  let t = Trace.create ~capacity:4 () in
-  for i = 1 to 10 do
+  let t = Trace.create () in
+  let n = 65536 + 6 in
+  for i = 1 to n do
     Trace.addf t ~time:i ~topic:"t" "%d" i
   done;
   let texts = List.map (fun (e : Trace.event) -> e.Trace.text) (Trace.events t) in
-  check (Alcotest.list Alcotest.string) "keeps newest" [ "7"; "8"; "9"; "10" ] texts
+  check Alcotest.int "full" 65536 (List.length texts);
+  check Alcotest.string "oldest evicted first" "7" (List.hd texts);
+  check Alcotest.string "keeps newest" (string_of_int n) (List.nth texts 65535)
 
 let test_trace_disable () =
   let t = Trace.create () in

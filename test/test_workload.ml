@@ -172,7 +172,7 @@ let test_safety_checker_catches_violation () =
   (* Deliberately delete a scion protecting a live object; the checker
      must record the violation when the LGC sweeps it. *)
   let cluster = Cluster.create ~n:2 () in
-  let checker = Metrics.install_safety_checker cluster in
+  let checker = Adgc_check.Oracle.install cluster in
   let holder = Mutator.alloc cluster ~proc:0 () in
   let target = Mutator.alloc cluster ~proc:1 () in
   Mutator.add_root cluster holder;
@@ -183,7 +183,7 @@ let test_safety_checker_catches_violation () =
        (Ref_key.make ~src:(Proc_id.of_int 0) ~target:target.Heap.oid)
       : bool);
   ignore (Lgc.run (Cluster.rt cluster) p1 : Lgc.report);
-  check Alcotest.int "violation recorded" 1 (List.length (Metrics.violations checker));
+  check Alcotest.int "violation recorded" 1 (List.length (Scaffold.live_reclaimed checker));
   match Scaffold.assert_safe checker with
   | () -> Alcotest.fail "assert_safe should raise"
   | exception Failure _ -> ()
