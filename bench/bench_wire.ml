@@ -1,5 +1,5 @@
-(* Wire section (E31, E36): the bytes one message of each payload kind
-   costs — what the simulator charges it ([Net_codec.size Msg.emit])
+(* Wire section (E31, E36, E40): the bytes one message of each payload
+   kind costs, and a stub set's and a CDM's of eight entries — what the simulator charges it ([Net_codec.size Msg.emit])
    and, behind a three-byte case header, what a socket frame carries.
    Deterministic: a change to any header or payload shape moves one of
    these series. *)
@@ -35,16 +35,36 @@ let samples =
       Msg.Batch [ Msg.Scion_probe; Msg.Scion_probe ];
     ]
 
+(* A stub set and a CDM of eight entries each, to P1 as above: what
+   one more stub or algebra entry costs. *)
+let wide_samples =
+  let p0 = Proc_id.of_int 0 and p1 = Proc_id.of_int 1 in
+  let key i = Ref_key.make ~src:p0 ~target:(Oid.make ~owner:p1 ~serial:(2 + (3 * i))) in
+  let algebra =
+    List.fold_left
+      (fun alg i -> Algebra.add_exn (Algebra.add_exn alg Algebra.Source (key i) ~ic:i) Algebra.Target (key i) ~ic:i)
+      Algebra.empty (List.init 8 Fun.id)
+  in
+  let targets =
+    List.fold_left (fun m i -> Oid.Map.add (key i).Ref_key.target i m) Oid.Map.empty (List.init 8 Fun.id)
+  in
+  List.map
+    (Msg.make ~seq:2 ~src:p0 ~dst:p1 ~sent_at:3)
+    [
+      Msg.New_set_stubs { seqno = 5; targets };
+      Msg.Cdm
+        (Cdm.make ~id:(Detection_id.make ~initiator:p0 ~seq:4) ~algebra ~frontier:(key 0) ~hops:1
+           ~budget:16);
+    ]
+
 let run recorder =
   section "E36: wire bytes of one message per payload kind";
-  let rows =
-    List.map
-      (fun (m : Msg.t) ->
-        let kind = Msg.kind m.Msg.payload in
-        let bytes = Net_codec.size Msg.emit m in
-        det recorder ~section:"wire" ~name:("wire.size." ^ kind) ~unit_:"bytes"
-          ~config:[ "wire"; kind ] (float_of_int bytes);
-        [ kind; string_of_int bytes; string_of_int (bytes + 3) ])
-      samples
+  let row suffix (m : Msg.t) =
+    let kind = Msg.kind m.Msg.payload ^ suffix in
+    let bytes = Net_codec.size Msg.emit m in
+    det recorder ~section:"wire" ~name:("wire.size." ^ kind) ~unit_:"bytes"
+      ~config:[ "wire"; kind ] (float_of_int bytes);
+    [ kind; string_of_int bytes; string_of_int (bytes + 3) ]
   in
+  let rows = List.map (row "") samples @ List.map (row ".8") wide_samples in
   Table.print ~header:[ "payload"; "charged bytes"; "socket frame bytes" ] ~rows ()

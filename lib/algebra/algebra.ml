@@ -158,11 +158,11 @@ let verdict t =
 (* ------------------------------------------------------------------ *)
 (* Wire format *)
 
-(* Five ints per entry, [src; owner; serial; ic; bits], in key order,
-   with two presence bits (1 = source, 2 = target, 3 = both).  A key on
-   both sides with different ICs cannot share an entry: it is written
-   twice, bits 1 then 2. *)
-let entry_width = 5
+(* Four ints per entry, [src; owner; serial; ic * 4 + bits], in key
+   order, with two presence bits (1 = source, 2 = target, 3 = both)
+   under the IC.  A key on both sides with different ICs cannot share
+   an entry: it is written twice, bits 1 then 2. *)
+let entry_width = 4
 
 (* A [Both] with different ICs takes two entries. *)
 let compact_length t = entry_width * (t.unresolved + t.frontier + t.both + t.conflicts)
@@ -172,8 +172,9 @@ let emit_entries s t =
     N.raw s (Proc_id.to_int key.Ref_key.src);
     N.raw s (Proc_id.to_int (Oid.owner key.Ref_key.target));
     N.raw s key.Ref_key.target.Oid.serial;
-    N.raw s ic;
-    N.raw s bits
+    (* An IC past 60 bits would lose its top bits under the shift. *)
+    if ic lsr 60 <> 0 then invalid_arg "Algebra.emit_entries: IC out of range";
+    N.raw s ((ic lsl 2) lor bits)
   in
   Ref_key.Map.iter
     (fun key -> function
@@ -185,19 +186,18 @@ let emit_entries s t =
           emit_ce key t_ic 2)
     t.map
 
-(* The items must be whole entries; ids must not be negative, bits
-   must name a side, and an entry must not contradict one already
-   read. *)
+(* The items must be whole entries, bits must name a side, and an
+   entry must not contradict one already read.  A run holds no
+   negative int, so neither does an id or an IC. *)
 let read_entries r n =
   if n mod entry_width <> 0 then R.fail r "ragged algebra run";
   let read_ce t =
     let src = R.raw r in
     let owner = R.raw r in
     let serial = R.raw r in
-    let ic = R.raw r in
-    let bits = R.raw r in
-    if src < 0 || owner < 0 || serial < 0 then R.fail r "negative id";
-    if bits < 1 || bits > 3 then R.fail r "bad presence bits";
+    let ic_bits = R.raw r in
+    let ic = ic_bits lsr 2 and bits = ic_bits land 3 in
+    if bits = 0 then R.fail r "bad presence bits";
     let key =
       Ref_key.make ~src:(Proc_id.of_int src) ~target:(Oid.make ~owner:(Proc_id.of_int owner) ~serial)
     in

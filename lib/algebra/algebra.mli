@@ -103,20 +103,23 @@ val verdict : t -> verdict
 (** {1 Wire format and printing} *)
 
 val compact_length : t -> int
-(** The number of ints {!emit_entries} writes: five per entry. *)
+(** The number of ints {!emit_entries} writes: four per entry. *)
 
 val emit_entries : t Adgc_serial.Net_codec.shape
 (** The paper's optimized representation (§4) on the wire, as the
     items of a packed run ({!Adgc_serial.Net_codec.raw}) that the
-    carrier opens: [[src; owner; serial; ic; bits]] per entry, in key
-    order, with two presence bits (1 = source, 2 = target, 3 = both).
-    A reference in both sets with equal ICs is written once, so a
-    concluding CDM (every entry in both sets) halves the entry count;
-    one with {e different} ICs cannot be shared and is written twice,
-    bits 1 then 2.  Sizing it allocates nothing per entry. *)
+    carrier opens: [[src; owner; serial; ic * 4 + bits]] per entry, in
+    key order, with two presence bits (1 = source, 2 = target, 3 =
+    both) under the IC.  A reference in both sets with equal ICs is
+    written once, so a concluding CDM (every entry in both sets)
+    halves the entry count; one with {e different} ICs cannot be
+    shared and is written twice, bits 1 then 2.  Sizing it allocates
+    nothing per entry.
+    @raise Invalid_argument on a negative id, or an IC that is negative
+    or does not fit in 60 bits. *)
 
 val read_entries : Adgc_serial.Net_codec.Read.t -> int -> t
 (** [read_entries r n] reads [n] items of {!emit_entries} back to an
-    equal algebra.  An [n] that is not a whole number of entries, a
-    negative id, presence bits outside 1–3 or a second IC for an
-    entry already read on the same side is malformed. *)
+    equal algebra.  An [n] that is not a whole number of entries,
+    presence bits 0 or a second IC for an entry already read on the
+    same side is malformed. *)

@@ -5,11 +5,13 @@ type t = { id : Detection_id.t; algebra : Algebra.t; frontier : Ref_key.t; hops 
 
 let make ~id ~algebra ~frontier ~hops ~budget = { id; algebra; frontier; hops; budget }
 
-(* One packed run: the header's ints, then the algebra's entries. *)
+(* The header's ints, then the algebra's entries, as items of the run
+   the carrier opens. *)
 let header = 7
 
-let emit s t =
-  N.packed s (header + Algebra.compact_length t.algebra);
+let items t = header + Algebra.compact_length t.algebra
+
+let emit_items s t =
   N.raw s (Proc_id.to_int t.id.Detection_id.initiator);
   N.raw s t.id.Detection_id.seq;
   N.raw s (Proc_id.to_int t.frontier.Ref_key.src);
@@ -20,8 +22,7 @@ let emit s t =
   (* The paper's optimized two-presence-bit representation. *)
   Algebra.emit_entries s t.algebra
 
-let read r =
-  let n = R.packed r in
+let read_items r n =
   if n < header then R.fail r "short cdm run";
   let initiator = R.raw r in
   let seq = R.raw r in
@@ -30,8 +31,6 @@ let read r =
   let f_serial = R.raw r in
   let hops = R.raw r in
   let budget = R.raw r in
-  if initiator < 0 || f_src < 0 || f_owner < 0 || f_serial < 0 || hops < 0 || budget < 0 then
-    R.fail r "negative field";
   let algebra = Algebra.read_entries r (n - header) in
   let id = Detection_id.make ~initiator:(Proc_id.of_int initiator) ~seq in
   let target = Oid.make ~owner:(Proc_id.of_int f_owner) ~serial:f_serial in

@@ -24,14 +24,17 @@ type t = {
 val make :
   id:Detection_id.t -> algebra:Algebra.t -> frontier:Ref_key.t -> hops:int -> budget:int -> t
 
-val emit : t Adgc_serial.Net_codec.shape
-(** Wire representation: one packed run of
+val items : t -> int
+(** The number of ints {!emit_items} writes: the header's seven, then
+    the algebra's {!Algebra.compact_length}. *)
+
+val emit_items : t Adgc_serial.Net_codec.shape
+(** Wire representation, as items of the packed run its carrier opens:
     [[initiator; seq; f_src; f_owner; f_serial; hops; budget]] (the
     frontier is [f_src]'s reference to [f_serial] at [f_owner]), then
-    the algebra's {!Algebra.emit_entries}.  Its encoded size is what
-    the message-size statistics report. *)
+    the algebra's {!Algebra.emit_entries}. *)
 
-val read : Adgc_serial.Net_codec.Read.t -> t
-(** Reads {!emit}'s bytes back.  A run shorter than the header, a
-    negative id, hop count or budget, or a malformed algebra
-    ({!Algebra.read_entries}) is malformed. *)
+val read_items : Adgc_serial.Net_codec.Read.t -> int -> t
+(** [read_items r n] reads [n] items of {!emit_items} back.  Fewer
+    items than the header, or a malformed algebra
+    ({!Algebra.read_entries}), is malformed. *)

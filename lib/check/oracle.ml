@@ -79,7 +79,7 @@ let install ?(window = 500) cluster =
             (fun oid -> record t (Invariant.Live_reclaimed { proc; oid }))
             (Cluster.live_among cluster doomed));
   t.handle <-
-    Some (Scheduler.every (Cluster.sched cluster) ~period:window (fun () -> sweep_instantaneous t));
+    Some (Scheduler.daemon (Cluster.sched cluster) ~period:window (fun () -> sweep_instantaneous t));
   Cluster.at_teardown cluster (fun () -> stop t);
   t
 

@@ -8,7 +8,9 @@
       reclaimed (the temporal half of safety);
     - a recurring tick-window sweep of the instantaneous
       {!Invariant}s (dangling references, dangling scions, invocation
-      counter conservation).
+      counter conservation), scheduled as a
+      {!Adgc_rt.Scheduler.daemon} so it never keeps a drain from
+      ending.
 
     The first violation captures a full report — the violated
     invariant, the {!Adgc_workload.Inspect} cluster dump and the tail

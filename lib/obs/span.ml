@@ -30,7 +30,7 @@ type span = {
 let capacity = 65536
 
 type t = {
-  buf : span option array;
+  mutable buf : span option array;  (* allocated by the first [push] *)
   mutable head : int; (* next write slot *)
   mutable count : int;
   mutable enabled : bool;
@@ -44,7 +44,7 @@ type t = {
 
 let create () =
   {
-    buf = Array.make capacity None;
+    buf = [||];
     head = 0;
     count = 0;
     enabled = false;
@@ -57,6 +57,7 @@ let enabled t = t.enabled
 let set_enabled t b = t.enabled <- b
 
 let push t span =
+  if Array.length t.buf = 0 then t.buf <- Array.make capacity None;
   if t.count < capacity then t.count <- t.count + 1;
   t.buf.(t.head) <- Some span;
   t.head <- (t.head + 1) mod capacity

@@ -34,7 +34,8 @@ type t
 
 val create : unit -> t
 (** Disabled until {!set_enabled}.  The ring keeps the newest 65536
-    spans. *)
+    spans; its storage is allocated by the first span, so a run with
+    telemetry off never pays for it. *)
 
 val enabled : t -> bool
 

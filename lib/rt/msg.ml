@@ -16,7 +16,7 @@ type payload =
 
 type t = { src : Proc_id.t; dst : Proc_id.t; seq : int; sent_at : int; payload : payload }
 
-let make ?(seq = -1) ~src ~dst ~sent_at payload = { src; dst; seq; sent_at; payload }
+let make ~seq ~src ~dst ~sent_at payload = { src; dst; seq; sent_at; payload }
 
 let kinds =
   [|
@@ -67,61 +67,61 @@ let rec live_refs = function
   | Batch payloads -> List.concat_map live_refs payloads
   | p -> payload_refs p
 
-(* The wire form is positional: a payload is case [kind_index] of a
-   sum type, then its fields in declaration order.  A payload of ints
-   and oids sends them as one packed run, its fixed fields first and
-   then its repeated entries; an oid is its two ints. *)
+(* The wire form is one packed run of unsigned ints per envelope: the
+   header [src; dst; seq; sent_at], the payload's kind, then its
+   fields, an oid as [owner; serial].  An [Ext]'s body follows the run
+   as a string; a [Batch]'s run ends with its count, and each
+   constituent follows as a run of its own, [kind; fields...]. *)
 
-let arities = [| 1; 1; 1; 1; 1; 0; 1; 1; 1; 1 |]
+let header = 4
+
+(* How many ints a payload writes after its kind. *)
+let fields = function
+  | Rmi_request { args; _ } -> 4 + (2 * List.length args)
+  | Rmi_reply { results; _ } -> 3 + (2 * List.length results)
+  | Export_notice _ | Export_ack _ -> 4
+  | New_set_stubs { targets; _ } -> 1 + (2 * Oid.Map.cardinal targets)
+  | Scion_probe | Ext _ -> 0
+  | Cdm cdm -> Cdm.items cdm
+  | Cdm_delete { scions; _ } -> 2 + (3 * List.length scions)
+  | Batch _ -> 1
 
 let raw_oid s (o : Oid.t) =
   N.raw s (Proc_id.to_int (Oid.owner o));
   N.raw s o.Oid.serial
 
-let rec emit_payload s p =
-  let i = kind_index p in
-  N.variant s i arities.(i);
-  match p with
+let emit_fields s ~dst = function
   | Rmi_request { req_id; target; args; stub_ic } ->
-      N.packed s (4 + (2 * List.length args));
       N.raw s req_id;
       raw_oid s target;
       N.raw s stub_ic;
       List.iter (raw_oid s) args
   | Rmi_reply { req_id; target; results } ->
-      N.packed s (3 + (2 * List.length results));
       N.raw s req_id;
       raw_oid s target;
       List.iter (raw_oid s) results
   | Export_notice { notice_id; target; new_holder } | Export_ack { notice_id; target; new_holder } ->
-      N.packed s 4;
       N.raw s notice_id;
       raw_oid s target;
       N.raw s (Proc_id.to_int new_holder)
-  | New_set_stubs { seqno; targets } -> (
-      (* A stub set goes to its targets' owner, so the run names the
-         owner once: [seqno; owner; serial; ic; serial; ic; ...], or
-         [seqno] alone when the set is empty. *)
-      match Oid.Map.min_binding_opt targets with
-      | None ->
-          N.packed s 1;
-          N.raw s seqno
-      | Some (first, _) ->
-          let owner = Oid.owner first in
-          N.packed s (2 + (2 * Oid.Map.cardinal targets));
-          N.raw s seqno;
-          N.raw s (Proc_id.to_int owner);
-          Oid.Map.iter
-            (fun (o : Oid.t) ic ->
-              if not (Proc_id.equal (Oid.owner o) owner) then
-                invalid_arg "Msg.emit: a stub set's targets have different owners";
-              N.raw s o.Oid.serial;
-              N.raw s ic)
-            targets)
-  | Scion_probe -> ()
-  | Cdm cdm -> Cdm.emit s cdm
+  | New_set_stubs { seqno; targets } ->
+      (* A stub set goes to its targets' owner, so the owner is the
+         envelope's [dst].  Serials ascend, and each is sent as its
+         gap to the one before: [seqno; serial; ic; gap; ic; ...]. *)
+      N.raw s seqno;
+      ignore
+        (Oid.Map.fold
+           (fun (o : Oid.t) ic prev ->
+             if not (Proc_id.equal (Oid.owner o) dst) then
+               invalid_arg "Msg.emit: a stub set target the destination does not own";
+             N.raw s (o.Oid.serial - prev - 1);
+             N.raw s ic;
+             o.Oid.serial)
+           targets (-1)
+          : int)
+  | Scion_probe | Ext _ -> ()
+  | Cdm cdm -> Cdm.emit_items s cdm
   | Cdm_delete { id; scions } ->
-      N.packed s (2 + (3 * List.length scions));
       N.raw s (Proc_id.to_int id.Detection_id.initiator);
       N.raw s id.Detection_id.seq;
       List.iter
@@ -129,116 +129,126 @@ let rec emit_payload s p =
           N.raw s (Proc_id.to_int k.Ref_key.src);
           raw_oid s k.Ref_key.target)
         scions
-  | Ext body -> N.str s body
-  | Batch payloads ->
-      N.list s (List.length payloads);
-      List.iter (emit_payload s) payloads
+  | Batch payloads -> N.raw s (List.length payloads)
 
-(* The envelope: a record of its header run [src; dst; seq; sent_at]
-   and the payload. *)
+(* The payload's kind and fields, closing the run its caller opened,
+   then what follows the run: an [Ext]'s body, a [Batch]'s
+   constituents. *)
+let rec emit_body s ~dst p =
+  N.raw s (kind_index p);
+  emit_fields s ~dst p;
+  match p with
+  | Ext body -> N.str s body
+  | Batch payloads -> List.iter (emit_payload ~dst s) payloads
+  | _ -> ()
+
+and emit_payload ~dst s p =
+  N.packed s (1 + fields p);
+  emit_body s ~dst p
+
 let emit s t =
-  N.record s 2;
-  N.packed s 4;
+  N.packed s (header + 1 + fields t.payload);
   N.raw s (Proc_id.to_int t.src);
   N.raw s (Proc_id.to_int t.dst);
   N.raw s t.seq;
   N.raw s t.sent_at;
-  emit_payload s t.payload
+  emit_body s ~dst:t.dst t.payload
 
-(* The reader.  Field order is part of the wire format. *)
+(* The reader.  Field order is part of the wire format; a run holds no
+   negative int, so no id is negative. *)
 
-let raw_id r =
-  let p = R.raw r in
-  if p < 0 then R.fail r "negative id";
-  p
-
-let read_proc r = Proc_id.of_int (raw_id r)
+let read_proc r = Proc_id.of_int (R.raw r)
 
 let read_oid r =
-  let owner = raw_id r in
-  Oid.make ~owner:(Proc_id.of_int owner) ~serial:(raw_id r)
+  let owner = read_proc r in
+  Oid.make ~owner ~serial:(R.raw r)
 
-(* A run of [fixed] ints, then whole entries of [width] ints: the
-   number of entries. *)
-let run r ~fixed ~width what =
-  let n = R.packed r in
-  if n < fixed || (n - fixed) mod width <> 0 then R.fail r ("ragged " ^ what ^ " run");
-  (n - fixed) / width
+(* [k] fields: [fixed] of them, then whole entries of [width] ints.
+   The number of entries. *)
+let entries r k ~fixed ~width what =
+  if k < fixed || (k - fixed) mod width <> 0 then R.fail r ("ragged " ^ what ^ " run");
+  (k - fixed) / width
 
-let read_export r =
-  if R.packed r <> 4 then R.fail r "ragged export run";
+let read_export r k =
+  if k <> 4 then R.fail r "ragged export run";
   let notice_id = R.raw r in
   let target = read_oid r in
   (notice_id, target, read_proc r)
 
-let rec read_payload r =
-  match R.variant r arities with
+(* A payload whose run has [k] ints left after its kind. *)
+let rec read_payload r ~dst ~batched k =
+  match R.raw r with
   | 0 ->
-      let k = run r ~fixed:4 ~width:2 "rmi request" in
+      let n = entries r k ~fixed:4 ~width:2 "rmi request" in
       let req_id = R.raw r in
       let target = read_oid r in
       let stub_ic = R.raw r in
-      Rmi_request { req_id; target; args = List.init k (fun _ -> read_oid r); stub_ic }
+      Rmi_request { req_id; target; args = List.init n (fun _ -> read_oid r); stub_ic }
   | 1 ->
-      let k = run r ~fixed:3 ~width:2 "rmi reply" in
+      let n = entries r k ~fixed:3 ~width:2 "rmi reply" in
       let req_id = R.raw r in
       let target = read_oid r in
-      Rmi_reply { req_id; target; results = List.init k (fun _ -> read_oid r) }
+      Rmi_reply { req_id; target; results = List.init n (fun _ -> read_oid r) }
   | 2 ->
-      let notice_id, target, new_holder = read_export r in
+      let notice_id, target, new_holder = read_export r k in
       Export_notice { notice_id; target; new_holder }
   | 3 ->
-      let notice_id, target, new_holder = read_export r in
+      let notice_id, target, new_holder = read_export r k in
       Export_ack { notice_id; target; new_holder }
   | 4 ->
-      let n = R.packed r in
-      (* [seqno] alone, or [seqno; owner] and at least one entry. *)
-      if not (n = 1 || (n >= 4 && n mod 2 = 0)) then R.fail r "ragged stub set run";
+      let n = entries r k ~fixed:1 ~width:2 "stub set" in
       let seqno = R.raw r in
-      if n = 1 then New_set_stubs { seqno; targets = Oid.Map.empty }
-      else begin
-        let owner = read_proc r in
-        let rec go k m =
-          if k = 0 then m
-          else begin
-            let serial = raw_id r in
-            let ic = R.raw r in
-            go (k - 1) (Oid.Map.add (Oid.make ~owner ~serial) ic m)
-          end
-        in
-        New_set_stubs { seqno; targets = go ((n - 2) / 2) Oid.Map.empty }
-      end
-  | 5 -> Scion_probe
-  | 6 -> Cdm (Cdm.read r)
+      let rec go n prev m =
+        if n = 0 then m
+        else begin
+          let serial = prev + 1 + R.raw r in
+          (* Past [max_int], the sum wraps negative. *)
+          if serial < 0 then R.fail r "stub set serial out of range";
+          let ic = R.raw r in
+          go (n - 1) serial (Oid.Map.add (Oid.make ~owner:dst ~serial) ic m)
+        end
+      in
+      New_set_stubs { seqno; targets = go n (-1) Oid.Map.empty }
+  | 5 ->
+      if k <> 0 then R.fail r "ragged scion probe run";
+      Scion_probe
+  | 6 -> Cdm (Cdm.read_items r k)
   | 7 ->
-      let k = run r ~fixed:2 ~width:3 "cdm delete" in
+      let n = entries r k ~fixed:2 ~width:3 "cdm delete" in
       let initiator = read_proc r in
       let seq = R.raw r in
       let read_key _ =
         let src = read_proc r in
         Ref_key.make ~src ~target:(read_oid r)
       in
-      Cdm_delete { id = Detection_id.make ~initiator ~seq; scions = List.init k read_key }
-  | 8 -> Ext (R.str r)
-  | _ ->
-      (* Batches are never nested, and a decoded batch must not smuggle
-         one in.  Nor does a batch carry references: only ref-free
-         control traffic is ever batched, so a constituent with
-         references is forged. *)
-      let constituent _ =
-        match read_payload r with
-        | Batch _ -> R.fail r "nested batch"
-        | p ->
-            if payload_refs p <> [] then R.fail r "batched references";
-            p
+      Cdm_delete { id = Detection_id.make ~initiator ~seq; scions = List.init n read_key }
+  | 8 ->
+      if k <> 0 then R.fail r "ragged ext run";
+      Ext (R.str r)
+  | 9 ->
+      (* Batches are never nested.  Nor does a batch carry references:
+         only ref-free control traffic is ever batched, so a
+         constituent with references is forged. *)
+      if batched then R.fail r "nested batch";
+      if k <> 1 then R.fail r "ragged batch run";
+      let rec go n acc =
+        if n = 0 then List.rev acc
+        else begin
+          let k = R.packed r in
+          if k < 1 then R.fail r "empty batched run";
+          let p = read_payload r ~dst ~batched:true (k - 1) in
+          if payload_refs p <> [] then R.fail r "batched references";
+          go (n - 1) (p :: acc)
+        end
       in
-      Batch (List.init (R.list r) constituent)
+      Batch (go (R.raw r) [])
+  | _ -> R.fail r "unknown payload kind"
 
 let read r =
-  R.record r 2;
-  if R.packed r <> 4 then R.fail r "ragged envelope run";
+  let n = R.packed r in
+  if n < header + 1 then R.fail r "short envelope run";
   let src = read_proc r in
   let dst = read_proc r in
   let seq = R.raw r in
   let sent_at = R.raw r in
-  make ~seq ~src ~dst ~sent_at (read_payload r)
+  make ~seq ~src ~dst ~sent_at (read_payload r ~dst ~batched:false (n - header - 1))

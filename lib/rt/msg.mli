@@ -73,14 +73,13 @@ type t = {
           envelopes to [dst] 0, 1, 2, ...  The receiver ignores a
           (src, seq) pair it has already processed, which makes every
           delivery idempotent under network duplication.  Negative
-          means unsequenced (never deduplicated) — hand-built test
-          messages that bypass {!Runtime.send} use that. *)
+          means unsequenced (never deduplicated); such an envelope
+          cannot be written ({!emit}). *)
   sent_at : int;
   payload : payload;
 }
 
-val make : ?seq:int -> src:Proc_id.t -> dst:Proc_id.t -> sent_at:int -> payload -> t
-(** [seq] defaults to [-1] (unsequenced). *)
+val make : seq:int -> src:Proc_id.t -> dst:Proc_id.t -> sent_at:int -> payload -> t
 
 val kind : payload -> string
 (** Short tag for statistics counters ("rmi_request", "cdm", ...). *)
@@ -104,30 +103,37 @@ val live_refs : payload -> Oid.t list
     the safety oracle and the model checker. *)
 
 val emit : t Adgc_serial.Net_codec.shape
-(** Wire representation: a record of the header — one packed run
-    [[src; dst; seq; sent_at]] — and the payload.  The payload is case
-    {!kind_index} of a sum type.  Every payload but [Scion_probe],
-    [Ext] and [Batch] is one packed run of ints, its fixed fields
-    first and then its entries, an oid as [owner; serial]:
+(** Wire representation: one packed run of unsigned ints, the header
+    [[src; dst; seq; sent_at]], then the payload's {!kind_index}, then
+    its fields, an oid as [owner; serial]:
     - [Rmi_request]: [[req_id; target; stub_ic; args...]];
     - [Rmi_reply]: [[req_id; target; results...]];
     - [Export_notice], [Export_ack]: [[notice_id; target; new_holder]];
-    - [New_set_stubs]: [[seqno; owner; (serial; ic)...]], the owner
-      written once, or [[seqno]] alone for an empty set;
-    - [Cdm]: {!Cdm.emit};
-    - [Cdm_delete]: [[initiator; seq; (src; owner; serial)...]].
+    - [New_set_stubs]: [[seqno; serial; ic; gap; ic; ...]]: the owner
+      is [dst], and each serial after the first is sent as its gap to
+      the one before ([serial - previous - 1]); [[seqno]] alone for an
+      empty set;
+    - [Scion_probe]: nothing;
+    - [Cdm]: {!Cdm.emit_items};
+    - [Cdm_delete]: [[initiator; seq; (src; owner; serial)...]];
+    - [Ext]: nothing in the run; its body follows it as a string;
+    - [Batch]: [[n]], and its [n] constituents follow the run, each as
+      a run of its own ({!emit_payload}).
 
-    [Ext] is its string, [Batch] a list of payloads.  {!Network}
-    charges each envelope its [Net_codec.size], and the socket driver
-    sends these bytes.
-    @raise Invalid_argument on a stub set whose targets do not share
-    one owner. *)
+    {!Network} charges each envelope its [Net_codec.size], and the
+    socket driver sends these bytes.
+    @raise Invalid_argument on a negative int in the run (an
+    unsequenced envelope among them) or a stub set target that [dst]
+    does not own. *)
 
-val emit_payload : payload Adgc_serial.Net_codec.shape
+val emit_payload : dst:Proc_id.t -> payload Adgc_serial.Net_codec.shape
+(** A payload as a run of its own, [[kind; fields...]], followed by
+    what follows {!emit}'s run: how a [Batch] to [dst] sends each
+    constituent. *)
 
 val read : Adgc_serial.Net_codec.Read.t -> t
-(** Reads {!emit}'s bytes back.  Malformed: a negative process id or
-    oid, a run that is not its fixed fields plus whole entries (or a
-    stub set run with an owner and no entry), an unknown case index, a
-    field count or value of the wrong kind, a [Batch] nested inside a
-    [Batch], and a [Batch] constituent that carries references. *)
+(** Reads {!emit}'s bytes back.  Malformed: a run shorter than the
+    header and kind, an unknown kind, a run that is not the kind's
+    fixed fields plus whole entries, a stub set serial past [max_int],
+    a [Batch] nested inside a [Batch], and a [Batch] constituent that
+    carries references. *)

@@ -7,10 +7,10 @@ let noop_behavior _rt _p ~target:_ ~args:_ = []
    implies at each end: encode the descriptor and read it back
    (marshal at the sender, unmarshal at the receiver), as the socket
    driver does. *)
-let marshal_work rt (msg : Msg.t) =
+let marshal_work rt ~src ~dst payload =
   if rt.Runtime.config.rmi_marshal then
-    ignore
-      (Adgc_serial.Net_codec.(Read.run Msg.read (encode_shape Msg.emit msg)) : Msg.t)
+    let msg = Msg.make ~seq:0 ~src ~dst ~sent_at:(Runtime.now rt) payload in
+    ignore (Adgc_serial.Net_codec.(Read.run Msg.read (encode_shape Msg.emit msg)) : Msg.t)
 
 (* After this long, pins taken for an RMI whose reply never arrived
    are dropped (limits floating garbage under loss). *)
@@ -52,9 +52,7 @@ let call rt ~src ~target ?(args = []) ?(behavior = noop_behavior) ?on_reply () =
   Hashtbl.replace p.Process.pending_calls req_id
     { Process.call_target = target; pinned; on_reply };
   (* The marshalling work Table 1's base cost consists of. *)
-  marshal_work rt
-    (Msg.make ~src ~dst:(Oid.owner target) ~sent_at:now
-       (Msg.Rmi_request { req_id; target; args; stub_ic }));
+  marshal_work rt ~src ~dst:(Oid.owner target) (Msg.Rmi_request { req_id; target; args; stub_ic });
   Scheduler.schedule_after rt.Runtime.sched ~delay:pin_timeout (fun () ->
       match release_pins p req_id with
       | Some _ -> Stats.incr rt.Runtime.stats "rmi.pin_timeouts"
@@ -63,9 +61,7 @@ let call rt ~src ~target ?(args = []) ?(behavior = noop_behavior) ?on_reply () =
 
 let handle_request rt ~(at : Process.t) ~src ~req_id ~target ~args ~stub_ic =
   (* Unmarshal the incoming request. *)
-  marshal_work rt
-    (Msg.make ~src ~dst:at.Process.id ~sent_at:(Runtime.now rt)
-       (Msg.Rmi_request { req_id; target; args; stub_ic }));
+  marshal_work rt ~src ~dst:at.Process.id (Msg.Rmi_request { req_id; target; args; stub_ic });
   (* The body travels with the request in a real platform; the
      simulator's stand-in fetches it from the caller's table. *)
   let caller = Runtime.proc rt src in
@@ -98,17 +94,13 @@ let handle_request rt ~(at : Process.t) ~src ~req_id ~target ~args ~stub_ic =
     let results = behavior at ~target ~args in
     if dgc then List.iter (fun r -> Reflist.export_ref rt ~from_:at ~to_:src r) results;
     (* Marshal the outgoing reply. *)
-    marshal_work rt
-      (Msg.make ~src:at.Process.id ~dst:src ~sent_at:(Runtime.now rt)
-         (Msg.Rmi_reply { req_id; target; results }));
+    marshal_work rt ~src:at.Process.id ~dst:src (Msg.Rmi_reply { req_id; target; results });
     Runtime.send rt ~src:at.Process.id ~dst:src (Msg.Rmi_reply { req_id; target; results })
   end
 
 let handle_reply rt ~(at : Process.t) ~req_id ~target ~results =
   Stats.incr rt.Runtime.stats "rmi.replies";
-  marshal_work rt
-    (Msg.make ~src:at.Process.id ~dst:at.Process.id ~sent_at:(Runtime.now rt)
-       (Msg.Rmi_reply { req_id; target; results }));
+  marshal_work rt ~src:at.Process.id ~dst:at.Process.id (Msg.Rmi_reply { req_id; target; results });
   let pending = release_pins at req_id in
   if rt.Runtime.config.dgc_enabled then List.iter (fun r -> Reflist.import_ref rt ~at r) results;
   match pending with

@@ -1,8 +1,10 @@
 module Heap_queue = Adgc_util.Heap_queue
 
-type t = { mutable now : int; queue : (int, unit -> unit) Heap_queue.t }
+(* [daemons] counts the queued events that {!drain} does not wait
+   for: each is wrapped to count itself out when it runs. *)
+type t = { mutable now : int; queue : (int, unit -> unit) Heap_queue.t; mutable daemons : int }
 
-let create () = { now = 0; queue = Heap_queue.create ~compare:Int.compare }
+let create () = { now = 0; queue = Heap_queue.create ~compare:Int.compare; daemons = 0 }
 
 let now t = t.now
 
@@ -35,25 +37,38 @@ let run_for t ~delay = run_until t ~time:(t.now + delay)
 
 let drain ?(limit = 10_000_000) t =
   let executed = ref 0 in
-  while !executed < limit && run_next t do
+  while !executed < limit && Heap_queue.length t.queue > t.daemons && run_next t do
     incr executed
   done;
   !executed
 
 type recurring = { mutable active : bool }
 
-let every t ?phase ~period f =
-  if period <= 0 then invalid_arg "Scheduler.every: period must be positive";
+let recurring ~schedule ~phase ~period f =
   let handle = { active = true } in
   let rec fire () =
     if handle.active then begin
       f ();
-      schedule_after t ~delay:period fire
+      schedule period fire
     end
   in
-  let phase = match phase with Some p -> p | None -> period in
-  schedule_after t ~delay:phase fire;
+  schedule phase fire;
   handle
+
+let every t ?phase ~period f =
+  if period <= 0 then invalid_arg "Scheduler.every: period must be positive";
+  let phase = match phase with Some p -> p | None -> period in
+  recurring ~schedule:(fun delay g -> schedule_after t ~delay g) ~phase ~period f
+
+let daemon t ~period f =
+  if period <= 0 then invalid_arg "Scheduler.daemon: period must be positive";
+  let schedule delay g =
+    t.daemons <- t.daemons + 1;
+    Heap_queue.push t.queue (t.now + delay) (fun () ->
+        t.daemons <- t.daemons - 1;
+        g ())
+  in
+  recurring ~schedule ~phase:period ~period f
 
 let cancel handle = handle.active <- false
 

@@ -24,9 +24,9 @@ val run_until : t -> time:int -> unit
 val run_for : t -> delay:int -> unit
 
 val drain : ?limit:int -> t -> int
-(** Run events until the queue is empty or [limit] events have run
-    (default 10 million, a runaway guard); returns the number
-    executed. *)
+(** Run events until the queue holds nothing but {!daemon} events or
+    [limit] events have run (default 10 million, a runaway guard);
+    returns the number executed. *)
 
 type recurring
 
@@ -34,6 +34,12 @@ val every :
   t -> ?phase:int -> period:int -> (unit -> unit) -> recurring
 (** Install a recurring event: first firing at [now + phase] (default:
     one full period), then every [period] ticks until cancelled. *)
+
+val daemon : t -> period:int -> (unit -> unit) -> recurring
+(** {!every} with its first firing one period out, as a daemon: it
+    runs in time order with every other event, but {!drain} does not
+    wait for it, so an observer that sweeps forever still lets an idle
+    system drain. *)
 
 val cancel : recurring -> unit
 

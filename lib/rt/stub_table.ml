@@ -90,4 +90,6 @@ let entries t =
   Oid.Tbl.fold (fun _ e acc -> e :: acc) t.entries []
   |> Adgc_util.Sorted.list (fun a b -> Oid.compare a.target b.target)
 
+let iter t f = Oid.Tbl.iter (fun _ e -> f e) t.entries
+
 let size t = Oid.Tbl.length t.entries

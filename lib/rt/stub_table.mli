@@ -80,4 +80,7 @@ val clear_fresh : t -> unit
 val entries : t -> entry list
 (** Ascending target order. *)
 
+val iter : t -> (entry -> unit) -> unit
+(** Every entry, in no particular order, with no list built. *)
+
 val size : t -> int

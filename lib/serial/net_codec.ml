@@ -42,12 +42,16 @@ let list s k =
   raw_byte s tag_list;
   raw_varint s k
 
-(* A packed run: the tag and item count once, then bare varints. *)
+let raw s v =
+  match s.mode with
+  | Count -> s.bytes <- s.bytes + Wire.uvarint_size v
+  | Write -> Wire.Writer.uvarint s.buf v
+
+(* A packed run: the tag and item count once, then bare unsigned
+   varints. *)
 let packed s k =
   raw_byte s tag_packed;
-  raw_varint s k
-
-let raw = raw_varint
+  raw s k
 
 let int s v =
   match s.mode with
@@ -89,11 +93,12 @@ let size shape v =
 (* Each element costs at least one byte, so a length beyond the
    remaining input is malformed — checked up front rather than letting
    a huge claimed length allocate unboundedly. *)
-let checked_length r =
-  let n = Wire.Reader.varint r in
+let plausible r n =
   if n < 0 || n > Wire.Reader.remaining r then
     raise (Wire.Malformed { offset = Wire.Reader.pos r; what = "implausible length" });
   n
+
+let checked_length r = plausible r (Wire.Reader.varint r)
 
 module Read = struct
   type t = Wire.Reader.t
@@ -137,9 +142,9 @@ module Read = struct
 
   let packed t =
     tag t tag_packed;
-    checked_length t
+    plausible t (Wire.Reader.uvarint t)
 
-  let raw = Wire.Reader.varint
+  let raw = Wire.Reader.uvarint
 
   let finish t = if not (Wire.Reader.at_end t) then fail t "trailing bytes"
 

@@ -38,12 +38,14 @@ val list : sink -> int -> unit
 (** [list s k]: a list of [k] items. *)
 
 val packed : sink -> int -> unit
-(** [packed s k]: a run of [k] integers with no per-item tag — one tag
-    and the count, then [k] zigzag varints.  How a wire type sends a
-    table of small integers, several per entry. *)
+(** [packed s k]: a run of [k] non-negative integers with no per-item
+    tag — one tag and the count, then [k] unsigned LEB128 varints.
+    How a wire type sends a table of ids, counters and ticks, several
+    per entry: none of them has a sign to spend a bit on. *)
 
 val raw : sink -> int -> unit
-(** One untagged integer of a {!packed} run. *)
+(** One untagged item of a {!packed} run.
+    @raise Invalid_argument on a negative int. *)
 
 val encode_shape : 'a shape -> 'a -> string
 (** The value's bytes, written into one reused module-level buffer.  A
@@ -89,7 +91,7 @@ module Read : sig
       left (every item takes one). *)
 
   val raw : t -> int
-  (** One item of a packed run. *)
+  (** One item of a packed run: never negative. *)
 
   val finish : t -> unit
   (** No trailing bytes. *)

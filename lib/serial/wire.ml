@@ -5,9 +5,16 @@ let malformed offset what = raise (Malformed { offset; what })
 (* Zigzag so that small negative values encode in one byte. *)
 let zigzag v = (v lsl 1) lxor (v asr (Sys.int_size - 1))
 
-let varint_size v =
+(* LEB128 length of a 63-bit pattern, read as unsigned. *)
+let bits_size z =
   let rec go z n = if z lsr 7 = 0 then n else go (z lsr 7) (n + 1) in
-  go (zigzag v) 1
+  go z 1
+
+let varint_size v = bits_size (zigzag v)
+
+let uvarint_size v =
+  if v < 0 then invalid_arg "Wire.uvarint_size: negative";
+  bits_size v
 
 module Writer = struct
   type t = Buffer.t
@@ -20,17 +27,18 @@ module Writer = struct
 
   let byte t v = Buffer.add_char t (Char.chr (v land 0xFF))
 
-  let varint t v =
-    let v = ref (zigzag v) in
-    let continue = ref true in
-    while !continue do
-      let low = !v land 0x7F in
-      v := !v lsr 7;
-      if !v = 0 then begin
-        byte t low;
-        continue := false
-      end else byte t (low lor 0x80)
-    done
+  let rec bits t z =
+    if z lsr 7 = 0 then byte t z
+    else begin
+      byte t ((z land 0x7F) lor 0x80);
+      bits t (z lsr 7)
+    end
+
+  let varint t v = bits t (zigzag v)
+
+  let uvarint t v =
+    if v < 0 then invalid_arg "Wire.Writer.uvarint: negative";
+    bits t v
 
   let raw t s = Buffer.add_string t s
 
@@ -67,6 +75,20 @@ module Reader = struct
     if b land 0x80 = 0 then acc else varint_from t (shift + 7) acc
 
   let varint t = unzigzag (varint_from t 0 0)
+
+  (* At most nine bytes, and no bit past the 62 a non-negative int
+     holds: the ninth byte carries six. *)
+  let rec uvarint_from t shift acc =
+    let b = byte t in
+    let acc = acc lor ((b land 0x7F) lsl shift) in
+    if b land 0x80 = 0 then begin
+      if acc < 0 then malformed t.pos "unsigned varint out of range";
+      acc
+    end
+    else if shift >= 56 then malformed t.pos "varint too long"
+    else uvarint_from t (shift + 7) acc
+
+  let uvarint t = uvarint_from t 0 0
 
   let raw t n =
     if n < 0 || t.pos + n > String.length t.data then

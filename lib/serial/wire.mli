@@ -10,6 +10,10 @@ exception Malformed of { offset : int; what : string }
 val varint_size : int -> int
 (** Bytes {!Writer.varint} spends on the value. *)
 
+val uvarint_size : int -> int
+(** Bytes {!Writer.uvarint} spends on the value.
+    @raise Invalid_argument on a negative int. *)
+
 module Writer : sig
   type t
 
@@ -25,6 +29,10 @@ module Writer : sig
 
   val varint : t -> int -> unit
   (** LEB128, zigzag-encoded so negative ints stay small. *)
+
+  val uvarint : t -> int -> unit
+  (** Plain LEB128 of a non-negative int: no sign bit, so 64–127 still
+      take one byte.  @raise Invalid_argument on a negative int. *)
 
   val string : t -> string -> unit
   (** Varint length prefix followed by the raw bytes. *)
@@ -45,6 +53,10 @@ module Reader : sig
   val byte : t -> int
 
   val varint : t -> int
+
+  val uvarint : t -> int
+  (** {!Writer.uvarint}'s bytes back: at most nine, and never a value
+      past [max_int]. *)
 
   val string : t -> string
 end

@@ -69,17 +69,6 @@ let rec add_all set = function [] -> set | r :: rest -> add_all (Oid.Set.add r s
 let ensure_int_array get set n =
   if Array.length (get ()) < n then set (Array.make (Int.max 64 n) 0)
 
-(* [entries] copied to the front of the array [get ()], grown with
-   their first as the filler; returns how many. *)
-let fill_entries get set entries =
-  match entries with
-  | [] -> 0
-  | first :: _ ->
-      let n = List.length entries in
-      if Array.length (get ()) < n then set (Array.make (Int.max 64 n) first);
-      List.iteri (fun i e -> (get ()).(i) <- e) entries;
-      n
-
 (* [a] with room for index [i], keeping its contents. *)
 let grown a i fill =
   if i < Array.length a then a
@@ -88,6 +77,9 @@ let grown a i fill =
     Array.blit a 0 bigger 0 (Array.length a);
     bigger
   end
+
+let by_target (a : Stub_table.entry) (b : Stub_table.entry) =
+  Oid.compare a.Stub_table.target b.Stub_table.target
 
 (* The rank of [o] among [stubs.(lo)] .. [stubs.(hi - 1)], or -1. *)
 let rec stub_rank (stubs : Stub_table.entry array) o lo hi =
@@ -255,9 +247,15 @@ let encode ~now (p : Process.t) =
     | Some id -> Mark.is_marked s.root_marks id
     | None -> false
   in
-  let nstubs =
-    fill_entries (fun () -> s.stubs) (fun a -> s.stubs <- a) (Stub_table.entries p.Process.stubs)
-  in
+  (* The stub table is walked in place, into the reused array, and
+     only its used prefix is sorted by target. *)
+  let nstubs = ref 0 in
+  Stub_table.iter p.Process.stubs (fun e ->
+      s.stubs <- grown s.stubs !nstubs e;
+      s.stubs.(!nstubs) <- e;
+      incr nstubs);
+  let nstubs = !nstubs in
+  Adgc_util.Sorted.prefix by_target s.stubs nstubs;
   (* The scion table is walked in place, into the reused array. *)
   let nscions = ref 0 in
   Scion_table.iter p.Process.scions (fun e ->

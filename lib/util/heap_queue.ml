@@ -25,6 +25,8 @@ let grow t fill =
     t.data <- data
   end
 
+let length t = t.size
+
 let push t key value =
   let entry = { key; seq = t.next_seq; value } in
   grow t entry;

@@ -11,6 +11,9 @@ val create : compare:('k -> 'k -> int) -> ('k, 'v) t
 
 val push : ('k, 'v) t -> 'k -> 'v -> unit
 
+val length : ('k, 'v) t -> int
+(** Entries queued. *)
+
 val peek : ('k, 'v) t -> ('k * 'v) option
 (** Smallest key, without removing it. *)
 

@@ -17,3 +17,8 @@ val last_of_each : ('a -> 'a -> int) -> 'a array -> 'a array
 val list : ('a -> 'a -> int) -> 'a list -> 'a list
 (** {!last_of_each} on a list: [List.sort] where no two elements
     compare equal. *)
+
+val prefix : ('a -> 'a -> int) -> 'a array -> int -> unit
+(** [prefix compare a n] sorts [a.(0)] .. [a.(n - 1)] in place and
+    leaves the rest of [a] alone, allocating no copy: how a reused
+    scratch array is sorted up to its used length.  Not stable. *)

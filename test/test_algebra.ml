@@ -355,7 +355,11 @@ let test_cdm_wire_roundtrip () =
   let alg = alg_of [ (ref_f, 3) ] [ (ref_q, 2) ] in
   let id = Detection_id.make ~initiator:(Proc_id.of_int 2) ~seq:9 in
   let cdm = Cdm.make ~id ~algebra:alg ~frontier:ref_q ~hops:4 ~budget:9 in
-  let cdm' = wire_roundtrip Cdm.emit Cdm.read cdm in
+  let emit s c =
+    Net_codec.packed s (Cdm.items c);
+    Cdm.emit_items s c
+  in
+  let cdm' = wire_roundtrip emit (fun r -> Cdm.read_items r (Net_codec.Read.packed r)) cdm in
   check Alcotest.bool "id" true (Detection_id.compare cdm.Cdm.id cdm'.Cdm.id = 0);
   check refkey "frontier" cdm.Cdm.frontier cdm'.Cdm.frontier;
   check Alcotest.int "hops" 4 cdm'.Cdm.hops;

@@ -141,10 +141,28 @@ let test_sim_run_gc_cycle_manual () =
   let a = Adgc_rt.Mutator.alloc cluster ~proc:0 () in
   ignore a;
   Scaffold.run_gc_cycle sim;
-  (* The oracle's recurring sweep would keep the queue from emptying. *)
-  Sim.teardown sim;
+  (* No duty is installed, and the oracle's sweep is a daemon: the
+     drain ends when the stub sets have landed. *)
   ignore (Cluster.drain cluster : int);
   check Alcotest.int "acyclic garbage gone" 0 (Cluster.total_objects cluster)
+
+(* An oracle watching an idle cluster does not keep a drain going: its
+   sweep still runs in time order with the rest, but once nothing else
+   is queued the drain returns, having run nothing. *)
+let test_oracle_lets_idle_cluster_drain () =
+  let cluster = Cluster.create ~n:2 () in
+  let checker = Adgc_check.Oracle.install cluster in
+  check Alcotest.int "an idle drain runs nothing" 0 (Cluster.drain ~limit:1_000 cluster);
+  (* A message in flight is waited for, with the sweeps that fall
+     before it. *)
+  Adgc_rt.Runtime.send (Cluster.rt cluster) ~src:(Adgc_algebra.Proc_id.of_int 0)
+    ~dst:(Adgc_algebra.Proc_id.of_int 1)
+    Adgc_rt.Msg.Scion_probe;
+  let ran = Cluster.drain ~limit:1_000 cluster in
+  check Alcotest.bool "the delivery ran, and the drain ended before its limit" true
+    (ran > 0 && ran < 1_000);
+  Scaffold.assert_safe checker;
+  Cluster.teardown cluster
 
 let test_sim_stop_stops () =
   let sim, _ = mk_sim () in
@@ -319,6 +337,8 @@ let suite =
         test_snapshot_pipeline_matches_reference;
       Alcotest.test_case "detector stats flow" `Quick test_sim_detector_stats_flow;
       Alcotest.test_case "manual gc cycle" `Quick test_sim_run_gc_cycle_manual;
+      Alcotest.test_case "an oracle lets an idle cluster drain" `Quick
+        test_oracle_lets_idle_cluster_drain;
       Alcotest.test_case "stop stops the timers" `Quick test_sim_stop_stops;
       Alcotest.test_case "no-fault run holds no delivered entry" `Quick
         test_no_fault_run_holds_no_delivered_entries;

@@ -272,7 +272,7 @@ let mk_net ?(drop = 0.0) ?(lat_min = 5) ?(lat_max = 25) () =
   let net = Network.create ~sched ~rng:(Rng.create 1) ~stats ~config () in
   (sched, stats, net)
 
-let probe_msg () = Msg.make ~src:p0 ~dst:p1 ~sent_at:0 Msg.Scion_probe
+let probe_msg () = Msg.make ~seq:0 ~src:p0 ~dst:p1 ~sent_at:0 Msg.Scion_probe
 
 let test_net_delivers () =
   let sched, _, net = mk_net () in
@@ -334,7 +334,7 @@ let test_net_block_link () =
   Network.block_link net p0 p1;
   Network.send net (probe_msg ());
   (* Reverse direction unaffected. *)
-  Network.send net (Msg.make ~src:p1 ~dst:p0 ~sent_at:0 Msg.Scion_probe);
+  Network.send net (Msg.make ~seq:0 ~src:p1 ~dst:p0 ~sent_at:0 Msg.Scion_probe);
   ignore (Scheduler.drain sched : int);
   check Alcotest.int "one through" 1 !got;
   check Alcotest.int "one dropped" 1 (Stats.get stats "net.msg.dropped");

@@ -290,7 +290,13 @@ let gen_ext_body =
         string_size (int_bound 12);
       ])
 
-let gen_flat_payload =
+(* Ints of a packed run: mostly small, now and then near [max_int],
+   where an unsigned varint takes its full nine bytes. *)
+let gen_wide =
+  QCheck2.Gen.(frequency [ (9, int_bound 100_000); (1, int_range (max_int - 1000) max_int) ])
+
+(* A payload for an envelope to [dst]. *)
+let gen_flat_payload dst =
   QCheck2.Gen.(
     oneof
       [
@@ -310,19 +316,20 @@ let gen_flat_payload =
           (fun (notice_id, target) new_holder -> Msg.Export_ack { notice_id; target; new_holder })
           (pair (int_bound 1000) gen_oid)
           gen_proc;
-        (* A stub set goes to one owner: every target is its. *)
-        map3
-          (fun seqno owner entries ->
+        (* A stub set goes to its targets' owner: every target is the
+           destination's. *)
+        map2
+          (fun seqno entries ->
             Msg.New_set_stubs
               {
                 seqno;
                 targets =
                   List.fold_left
-                    (fun m (serial, ic) -> Oid.Map.add (Oid.make ~owner ~serial) ic m)
+                    (fun m (serial, ic) -> Oid.Map.add (Oid.make ~owner:dst ~serial) ic m)
                     Oid.Map.empty entries;
               })
-          (int_bound 1000) gen_proc
-          (list_size (int_bound 5) (pair (int_bound 100) (int_bound 9)));
+          (int_bound 1000)
+          (list_size (int_bound 5) (pair (frequency [ (4, int_bound 100); (1, gen_wide) ]) (int_bound 9)));
         return Msg.Scion_probe;
         map (fun cdm -> Msg.Cdm cdm) gen_cdm;
         map2
@@ -332,24 +339,27 @@ let gen_flat_payload =
         map (fun body -> Msg.Ext body) gen_ext_body;
       ])
 
-let gen_payload =
+let gen_payload dst =
   QCheck2.Gen.(
     frequency
       [
-        (4, gen_flat_payload);
+        (4, gen_flat_payload dst);
         (* Batches hold only reference-free payloads, as on the wire. *)
         ( 1,
           map
             (fun l -> Msg.Batch (List.filter (fun p -> Msg.payload_refs p = []) l))
-            (list_size (int_bound 4) gen_flat_payload) );
+            (list_size (int_bound 4) (gen_flat_payload dst)) );
       ])
+
+let gen_any_payload = QCheck2.Gen.bind gen_proc gen_payload
 
 let gen_msg =
   QCheck2.Gen.(
-    map2
-      (fun (src, dst, seq) (sent_at, payload) -> Msg.make ~seq ~src ~dst ~sent_at payload)
-      (triple gen_proc gen_proc (int_range (-1) 1000))
-      (pair (int_bound 100_000) gen_payload))
+    bind gen_proc (fun dst ->
+        map2
+          (fun (src, seq) (sent_at, payload) -> Msg.make ~seq ~src ~dst ~sent_at payload)
+          (pair gen_proc (int_bound 1000))
+          (pair gen_wide (gen_payload dst))))
 
 (* The damage properties below (truncation, corruption and the
    readers' parity) reach the packed runs' corner cases only if the
@@ -358,7 +368,7 @@ let gen_msg =
 let test_payload_generator_coverage () =
   let rand = Random.State.make [| 21 |] in
   let rec flat = function Msg.Batch l -> List.concat_map flat l | p -> [ p ] in
-  let payloads = List.concat_map flat (QCheck2.Gen.generate ~rand ~n:2000 gen_payload) in
+  let payloads = List.concat_map flat (QCheck2.Gen.generate ~rand ~n:2000 gen_any_payload) in
   let count p = List.length (List.filter p payloads) in
   let both_sides alg = List.exists (fun (k, _) -> (Algebra.ic alg Algebra.Target k <> None)) (Algebra.bindings alg Algebra.Source) in
   let conflict alg = Algebra.verdict alg = Algebra.Conflict in
@@ -380,17 +390,13 @@ let test_payload_generator_coverage () =
   at_least "non-empty stub sets" stub_sets;
   at_least "ext payloads" ext
 
-let payload_equal a b = Sval.equal (Ref.payload_sval a) (Ref.payload_sval b)
-
 let msg_equal a b = Sval.equal (Ref.msg_sval a) (Ref.msg_sval b)
 
+(* A payload's document survives either document codec. *)
 let qcheck_payload_roundtrip encode decode name =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count:300 gen_payload (fun p ->
-         let bytes = encode (Ref.payload_sval p) in
-         match Ref.payload_of_tree (Ref.positional (decode bytes)) with
-         | Some p' -> payload_equal p p'
-         | None -> false))
+    (QCheck2.Test.make ~name ~count:300 gen_any_payload (fun p ->
+         Sval.equal (Ref.payload_sval p) (decode (encode (Ref.payload_sval p)))))
 
 (* The real path: the shape's bytes, read back by the direct reader. *)
 let direct read bytes =
@@ -398,10 +404,25 @@ let direct read bytes =
 
 let qcheck_envelope_roundtrip =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"qcheck msg envelope roundtrip (net)" ~count:200 gen_msg (fun m ->
-         match direct Msg.read (Net_codec.encode_shape Msg.emit m) with
-         | Some m' -> msg_equal m m'
-         | None -> false))
+    (QCheck2.Test.make ~name:"qcheck msg envelope roundtrip (net), sized as written" ~count:300
+       gen_msg (fun m ->
+         let bytes = Net_codec.encode_shape Msg.emit m in
+         Net_codec.size Msg.emit m = String.length bytes
+         && match direct Msg.read bytes with Some m' -> msg_equal m m' | None -> false))
+
+(* A message's bytes say where it ends, so every proper prefix is
+   malformed — and reading one raises nothing else. *)
+let qcheck_msg_truncation =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"msg read of every truncation is Malformed" ~count:200 gen_msg
+       (fun m ->
+         let bytes = Net_codec.encode_shape Msg.emit m in
+         List.for_all
+           (fun cut ->
+             match Net_codec.Read.run Msg.read (String.sub bytes 0 cut) with
+             | (_ : Msg.t) -> false
+             | exception Wire.Malformed _ -> true)
+           (List.init (String.length bytes) Fun.id)))
 
 (* Damaged bytes: decoding may fail (with Malformed) or still yield a
    structurally valid sval — but it may raise nothing else. *)
@@ -413,7 +434,7 @@ let survives_damage decode bytes =
 let qcheck_truncation encode decode name =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count:100
-       QCheck2.Gen.(pair gen_payload (int_bound 1000))
+       QCheck2.Gen.(pair gen_any_payload (int_bound 1000))
        (fun (p, cut) ->
          let bytes = encode (Ref.payload_sval p) in
          let cut = cut mod max 1 (String.length bytes) in
@@ -423,7 +444,7 @@ let qcheck_truncation encode decode name =
 let qcheck_corruption encode decode name =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count:100
-       QCheck2.Gen.(triple gen_payload (int_bound 10_000) (int_range 1 255))
+       QCheck2.Gen.(triple gen_any_payload (int_bound 10_000) (int_range 1 255))
        (fun (p, pos, delta) ->
          let bytes = encode (Ref.payload_sval p) in
          let pos = pos mod String.length bytes in
@@ -432,15 +453,9 @@ let qcheck_corruption encode decode name =
          survives_damage decode (Bytes.to_string corrupted);
          true))
 
-(* Strictness, on the real path: each payload tree is wrapped in a
-   message, encoded, and read by [Msg.read] — which must agree with
-   the reference tree matcher. *)
-let msg_with payload =
-  Sval.Record ("msg", [ ("header", Sval.Packed [ 0; 1; 2; 3 ]); ("payload", payload) ])
-
-let msg_verdicts msg_sval =
-  let bytes = Ref.encode msg_sval in
-  (direct Msg.read bytes, Ref.tree_decode Ref.msg_of_tree bytes)
+(* Strictness, on the real path: hand-laid message bytes, read by
+   [Msg.read] — which must agree with the reference reader — and, in a
+   [net_msg] envelope, by the socket path. *)
 
 (* The socket path: the message inside a [net_msg] envelope, framed,
    reassembled and read as the transport reads a frame. *)
@@ -450,21 +465,26 @@ let socket_read bytes =
   Adgc_net.Frame.feed_sub frames (Bytes.of_string framed) 0 (String.length framed);
   match Adgc_net.Frame.next frames with None -> None | Some frame -> direct Envelope.read frame
 
-(* [patch] damages the bytes of a tree that [Sval] cannot express
-   wrongly on its own: a miscounted or cut-off packed run. *)
-let rejected_tree ?(patch = Fun.id) what msg_tree =
-  let bytes = patch (Ref.encode_tree msg_tree) in
+let rejected_bytes what bytes =
   check Alcotest.bool (what ^ ": Msg.read rejects") false (Option.is_some (direct Msg.read bytes));
-  check Alcotest.bool (what ^ ": reference rejects") false
-    (Option.is_some (Ref.tree_decode Ref.msg_of_tree bytes));
-  let envelope = patch (Ref.encode_tree (Ref.Case (3, [ msg_tree ]))) in
+  check Alcotest.bool (what ^ ": reference rejects") false (Option.is_some (Ref.msg_decode bytes));
   check Alcotest.bool (what ^ ": socket reader rejects") false
-    (Option.is_some (socket_read envelope))
+    (Option.is_some (socket_read (Ref.net_msg_header ^ bytes)))
 
-let rejected ?patch what msg_sval = rejected_tree ?patch what (Ref.positional msg_sval)
+(* [patch] damages bytes that no tree can express wrongly on its own:
+   a miscounted or cut-off packed run. *)
+let rejected_trees ?(patch = Fun.id) what trees = rejected_bytes what (patch (Ref.encode_trees trees))
+
+(* The envelope's header run: from P0 to P1, seq 2, sent at tick 3. *)
+let hdr = [ 0; 1; 2; 3 ]
+
+let run ints = Ref.Packed (hdr @ ints)
+
+let rejected ?patch what ints = rejected_trees ?patch what [ run ints ]
 
 let accepted what (m : Msg.t) =
-  match msg_verdicts (Ref.msg_sval m) with
+  let bytes = Ref.msg_bytes m in
+  match (direct Msg.read bytes, Ref.msg_decode bytes) with
   | Some d, Some r ->
       check Alcotest.bool (what ^ ": Msg.read reads it back") true (msg_equal m d);
       check Alcotest.bool (what ^ ": reference reads it back") true (msg_equal m r)
@@ -476,18 +496,9 @@ let p1 = Proc_id.of_int 1
 
 let msg payload = Msg.make ~seq:2 ~src:p0 ~dst:p1 ~sent_at:3 payload
 
-(* Malformed packed runs: the CDM's header and its algebra's
-   [src; owner; serial; ic; bits] entries, the stub set's
-   [seqno; owner; serial; ic; ...], and the other payloads' runs. *)
-let cdm_header = [ 1; 2; 0; 1; 2; 3; 4 ]
-
-let cdm_with ints = Ref.run "cdm" ints
-
-let stubs_with ints = Ref.run "new_set_stubs" ints
-
 (* The bytes of [Packed ints] (the tag, the count, the items) are its
-   encoding as a document of its own. *)
-let run_bytes ints = Ref.encode (Sval.Packed ints)
+   encoding as a tree of its own. *)
+let run_bytes ints = Ref.encode_tree (Ref.Packed ints)
 
 let find_run bytes run =
   let n = String.length run in
@@ -498,114 +509,83 @@ let find_run bytes run =
   in
   go 0
 
-(* Replace the run's one-byte count (a zigzag varint); end the input
+(* Replace the run's one-byte count (an unsigned varint); end the input
    one byte before the run does, inside its last item. *)
 let recount ints count bytes =
   let at = find_run bytes (run_bytes ints) in
-  assert (List.length ints < 64 && count < 64);
+  assert (List.length ints < 128 && count < 128);
   String.sub bytes 0 (at + 1)
-  ^ String.make 1 (Char.chr (2 * count))
+  ^ String.make 1 (Char.chr count)
   ^ String.sub bytes (at + 2) (String.length bytes - at - 2)
 
 let cut_inside ints bytes =
   String.sub bytes 0 (find_run bytes (run_bytes ints) + String.length (run_bytes ints) - 1)
 
-(* The payload, then a probe: what a miscounted run would eat into. *)
-let then_probe payload =
-  msg_with
-    (Sval.Record ("batch", [ ("msgs", Sval.List [ payload; Sval.Record ("scion_probe", []) ]) ]))
+(* A batch of the payload's run, then a probe's: what a miscounted run
+   would eat into. *)
+let then_probe kind_fields = [ run [ 9; 2 ]; Ref.Packed kind_fields; Ref.Packed [ 5 ] ]
+
+let cdm_header = [ 1; 2; 0; 1; 2; 3; 4 ]
 
 let packed_runs_rejected () =
-  let cdm ?patch what entries =
-    rejected ?patch ("cdm: " ^ what) (msg_with (cdm_with (cdm_header @ entries)))
-  in
-  let stubs ?patch what ints =
-    rejected ?patch ("stub set: " ^ what) (msg_with (stubs_with ints))
-  in
-  let entry = [ 1; 2; 3; 4; 3 ] in
-  (* Not whole entries. *)
-  cdm "run of 7 + 6" [ 1; 2; 3; 4; 3; 1 ];
-  cdm "run of 7 + 4" [ 1; 2; 3; 4 ];
-  rejected "cdm: a run shorter than its header" (msg_with (cdm_with [ 1; 2; 0; 1; 2; 3 ]));
-  rejected "cdm: an empty run" (msg_with (cdm_with []));
-  stubs "an owner and no entry" [ 5; 1 ];
-  stubs "half an entry" [ 5; 1; 2 ];
-  stubs "an entry and a half" [ 5; 1; 2; 3; 4 ];
-  stubs "an empty run" [];
+  let cdm ?patch what entries = rejected ?patch ("cdm: " ^ what) ((6 :: cdm_header) @ entries) in
+  let stubs ?patch what ints = rejected ?patch ("stub set: " ^ what) (4 :: ints) in
+  (* [src; owner; serial; ic * 4 + bits]: IC 4, on both sides. *)
+  let entry = [ 1; 2; 3; 19 ] in
+  (* Not whole entries: an algebra entry is four ints. *)
+  cdm "run of 7 + 5" (entry @ [ 1 ]);
+  cdm "run of 7 + 3" [ 1; 2; 3 ];
+  cdm "the old five-int entry" [ 1; 2; 3; 4; 3 ];
+  cdm "run of 7 + 6" [ 1; 2; 3; 19; 1; 2 ];
+  rejected "cdm: a run shorter than its header" [ 6; 1; 2; 0; 1; 2; 3 ];
+  rejected "cdm: no field at all" [ 6 ];
+  stubs "half an entry" [ 5; 2 ];
+  stubs "an entry and a half" [ 5; 2; 3; 4 ];
+  stubs "no seqno" [];
   (* The count claims more items than bytes remain. *)
-  cdm ~patch:(recount (cdm_header @ entry) 60) "count beyond the input" entry;
-  stubs ~patch:(recount [ 5; 1; 6; 7 ] 60) "count beyond the input" [ 5; 1; 6; 7 ];
-  (* The count overstates the run, which then eats the next
+  let whole = hdr @ (6 :: cdm_header) @ entry in
+  cdm ~patch:(recount whole 60) "count beyond the input" entry;
+  stubs ~patch:(recount (hdr @ [ 4; 5; 6; 7 ]) 60) "count beyond the input" [ 5; 6; 7 ];
+  (* The count overstates a batched run, which then eats the next
      constituent's bytes. *)
-  rejected
-    ~patch:(recount (cdm_header @ entry) 15)
-    "cdm: count overruns into the next payload"
-    (then_probe (cdm_with (cdm_header @ entry)));
+  let batched = (6 :: cdm_header) @ entry in
+  rejected_trees
+    ~patch:(recount batched (List.length batched + 3))
+    "cdm: count overruns into the next payload" (then_probe batched);
   (* One item too many. *)
-  rejected
-    ~patch:(recount (cdm_header @ entry) 13)
-    "cdm: count one item past the run"
-    (then_probe (cdm_with (cdm_header @ entry)));
-  rejected ~patch:(recount [ 5; 1; 6; 7 ] 5) "stub set: count one item past the run"
-    (then_probe (stubs_with [ 5; 1; 6; 7 ]));
+  rejected_trees
+    ~patch:(recount batched (List.length batched + 1))
+    "cdm: count one item past the run" (then_probe batched);
+  rejected_trees ~patch:(recount [ 4; 5; 6; 7 ] 5) "stub set: count one item past the run"
+    (then_probe [ 4; 5; 6; 7 ]);
   (* The input ends inside the run's last item (two-byte items, so
      the count still fits in what is left). *)
-  let wide = [ 1000; 1000; 1000; 1000 ] in
-  stubs ~patch:(cut_inside wide) "truncated run" wide;
-  cdm ~patch:(cut_inside (cdm_header @ wide @ [ 1000 ])) "truncated run" (wide @ [ 1000 ]);
-  (* Negative ids, in the entries and in the header. *)
-  cdm "negative src" [ -1; 2; 3; 4; 3 ];
-  cdm "negative owner" [ 1; -2; 3; 4; 3 ];
-  cdm "negative serial" [ 1; 2; -3; 4; 3 ];
-  List.iteri
-    (fun i field ->
-      let header = List.mapi (fun j v -> if i = j then -1 else v) cdm_header in
-      if field <> "" then
-        rejected ("cdm: negative " ^ field) (msg_with (cdm_with (header @ entry))))
-    [ "initiator"; ""; "frontier src"; "frontier owner"; "frontier serial"; "hops"; "budget" ];
-  stubs "negative owner" [ 5; -1; 2; 3 ];
-  stubs "negative serial" [ 5; 1; -2; 3 ];
+  let wide = [ 1000; 1000; 1000 ] in
+  stubs ~patch:(cut_inside (hdr @ (4 :: wide))) "truncated run" wide;
+  cdm ~patch:(cut_inside (hdr @ (6 :: cdm_header) @ wide @ [ 1000 ])) "truncated run" (wide @ [ 1000 ]);
   (* Presence bits must name a side. *)
-  cdm "presence bits 0" [ 1; 2; 3; 4; 0 ];
-  cdm "presence bits 4" [ 1; 2; 3; 4; 4 ];
+  cdm "presence bits 0" [ 1; 2; 3; 16 ];
   (* One key, two ICs on the same side. *)
-  cdm "two source ICs" [ 1; 2; 3; 4; 1; 1; 2; 3; 5; 1 ];
-  cdm "two target ICs" [ 1; 2; 3; 4; 2; 1; 2; 3; 5; 2 ];
-  cdm "a shared entry, then a second target IC" [ 1; 2; 3; 4; 3; 1; 2; 3; 5; 2 ];
-  (* The old framings: tagged header ints beside the algebra's run; a
-     seqno field beside an owner-per-entry run. *)
-  rejected "cdm: the old tagged fields"
-    (msg_with
-       (Sval.Record
-          ( "cdm",
-            [
-              ("initiator", Sval.Int 1);
-              ("seq", Sval.Int 2);
-              ("algebra", Sval.Packed entry);
-              ("f_src", Sval.Int 0);
-              ("f_owner", Sval.Int 1);
-              ("f_serial", Sval.Int 2);
-              ("hops", Sval.Int 3);
-              ("budget", Sval.Int 4);
-            ] )));
-  rejected "stub set: the old seqno field and entry run"
-    (msg_with
-       (Sval.Record ("new_set_stubs", [ ("seqno", Sval.Int 5); ("targets", Sval.Packed [ 1; 2; 3 ]) ])));
+  cdm "two source ICs" [ 1; 2; 3; 17; 1; 2; 3; 21 ];
+  cdm "two target ICs" [ 1; 2; 3; 18; 1; 2; 3; 22 ];
+  cdm "a shared entry, then a second target IC" [ 1; 2; 3; 19; 1; 2; 3; 22 ];
+  (* A serial past [max_int]: the first at [max_int], the next one
+     past it. *)
+  stubs "a serial past max_int" [ 5; max_int; 0; 0; 0 ];
   (* The other payloads' runs: fixed fields, then whole entries. *)
-  let other what name ints = rejected (name ^ ": " ^ what) (msg_with (Ref.run name ints)) in
-  other "run of 3" "rmi_request" [ 1; 0; 2 ];
-  other "half an argument" "rmi_request" [ 1; 0; 2; 5; 1 ];
-  other "negative argument serial" "rmi_request" [ 1; 0; 2; 5; 1; -3 ];
-  other "negative target owner" "rmi_request" [ 1; -1; 2; 5 ];
-  other "run of 2" "rmi_reply" [ 1; 0 ];
-  other "half a result" "rmi_reply" [ 1; 0; 2; 1 ];
-  other "negative result owner" "rmi_reply" [ 1; 0; 2; -1; 4 ];
-  other "run of 3" "export_notice" [ 1; 0; 2 ];
-  other "run of 5" "export_ack" [ 1; 0; 2; 0; 0 ];
-  other "run of 1" "cdm_delete" [ 0 ];
-  other "two thirds of a scion" "cdm_delete" [ 0; 4; 1; 1 ];
-  other "negative initiator" "cdm_delete" [ -1; 4 ];
-  other "negative scion src" "cdm_delete" [ 0; 4; -1; 1; 2 ];
+  let other what name ints = rejected (name ^ ": " ^ what) ints in
+  other "run of 3" "rmi_request" [ 0; 1; 0; 2 ];
+  other "half an argument" "rmi_request" [ 0; 1; 0; 2; 5; 1 ];
+  other "run of 2" "rmi_reply" [ 1; 1; 0 ];
+  other "half a result" "rmi_reply" [ 1; 1; 0; 2; 1 ];
+  other "run of 3" "export_notice" [ 2; 1; 0; 2 ];
+  other "run of 5" "export_ack" [ 3; 1; 0; 2; 0; 0 ];
+  other "run of 1" "cdm_delete" [ 7; 0 ];
+  other "two thirds of a scion" "cdm_delete" [ 7; 0; 4; 1; 1 ];
+  other "a field" "scion_probe" [ 5; 0 ];
+  other "no count" "batch" [ 9 ];
+  other "two counts" "batch" [ 9; 1; 1 ];
+  rejected_trees "ext: a field in its run" [ run [ 8; 0 ]; Ref.Str "x" ];
   (* Well-formed runs read back, a conflicting entry pair included. *)
   let key = Ref_key.make ~src:p1 ~target:(Oid.make ~owner:p0 ~serial:3) in
   let algebra =
@@ -614,23 +594,22 @@ let packed_runs_rejected () =
   let id = Detection_id.make ~initiator:p1 ~seq:2 in
   accepted "a conflicting entry pair"
     (msg (Msg.Cdm (Cdm.make ~id ~algebra ~frontier:key ~hops:3 ~budget:4)));
-  let targets =
-    Oid.Map.add (Oid.make ~owner:p1 ~serial:1) 2 (Oid.Map.singleton (Oid.make ~owner:p1 ~serial:3) 4)
+  let targets serials =
+    List.fold_left (fun m (serial, ic) -> Oid.Map.add (Oid.make ~owner:p1 ~serial) ic m) Oid.Map.empty serials
   in
-  accepted "a stub set" (msg (Msg.New_set_stubs { seqno = 5; targets }));
-  accepted "an empty stub set" (msg (Msg.New_set_stubs { seqno = 6; targets = Oid.Map.empty }));
-  (* The owner is written once, so a set of two owners has no bytes. *)
-  let two_owners = Oid.Map.add (Oid.make ~owner:p0 ~serial:1) 2 targets in
-  match Net_codec.size Msg.emit (msg (Msg.New_set_stubs { seqno = 5; targets = two_owners })) with
-  | _ -> Alcotest.fail "a stub set of two owners was sized"
-  | exception Invalid_argument _ -> ()
+  accepted "a stub set" (msg (Msg.New_set_stubs { seqno = 5; targets = targets [ (1, 2); (3, 4) ] }));
+  accepted "a stub set of wide gaps"
+    (msg
+       (Msg.New_set_stubs
+          { seqno = 5; targets = targets [ (0, 0); (1, 1); (1000, 2); (max_int - 1, 3); (max_int, 4) ] }));
+  accepted "an empty stub set" (msg (Msg.New_set_stubs { seqno = 6; targets = Oid.Map.empty }))
 
-(* An [Ext] body is a string field: opaque, but still length-checked
-   against the input like any other. *)
+(* An [Ext] body is a string after the run: opaque, but still
+   length-checked against the input like any other. *)
 let ext_rejected () =
   let body = "opaque body" in
-  let ext = Sval.Record ("ext", [ ("body", Sval.Str body) ]) in
   let str_bytes = Ref.encode (Sval.Str body) in
+  let trees = [ run [ 8 ]; Ref.Str body ] in
   let cut bytes = String.sub bytes 0 (find_run bytes str_bytes + String.length str_bytes - 1) in
   (* The body's one-byte length (a zigzag varint) claims 60 bytes. *)
   let overlong bytes =
@@ -639,11 +618,11 @@ let ext_rejected () =
     ^ String.make 1 (Char.chr (2 * 60))
     ^ String.sub bytes (at + 2) (String.length bytes - at - 2)
   in
-  rejected ~patch:cut "ext: truncated body" (msg_with ext);
-  rejected ~patch:overlong "ext: body length past the input" (msg_with ext);
-  rejected "ext: extra field"
-    (msg_with (Sval.Record ("ext", [ ("body", Sval.Str body); ("extra", Sval.Unit) ])));
-  rejected "ext: body not a string" (msg_with (Sval.Record ("ext", [ ("body", Sval.Int 3) ])));
+  rejected_trees ~patch:cut "ext: truncated body" trees;
+  rejected_trees ~patch:overlong "ext: body length past the input" trees;
+  rejected_trees "ext: no body" [ run [ 8 ] ];
+  rejected_trees "ext: body not a string" [ run [ 8 ]; Ref.Int 3 ];
+  rejected_trees "ext: a second body" [ run [ 8 ]; Ref.Str body; Ref.Str body ];
   accepted "ext" (msg (Msg.Ext body));
   accepted "ext carrying a back-tracing reply"
     (msg
@@ -657,58 +636,33 @@ let ext_rejected () =
                 }))))
 
 let test_payload_decoder_rejects () =
-  let none what payload = rejected what (msg_with payload) in
-  (* Field order is part of the format. *)
-  none "extra field" (Sval.Record ("scion_probe", [ ("extra", Sval.Unit) ]));
-  none "export_ack as the old tagged fields"
-    (Sval.Record
-       ( "export_ack",
-         [
-           ("notice_id", Sval.Int 1);
-           ("target", Sval.List [ Sval.Int 0; Sval.Int 0 ]);
-           ("new_holder", Sval.Int 1);
-         ] ));
-  none "negative proc id" (Ref.run "export_ack" [ 1; 0; 0; -1 ]);
-  none "negative serial" (Ref.run "export_ack" [ 1; 0; -1; 1 ]);
-  none "unknown record" (Sval.Record ("mystery", []));
-  none "not a record" (Sval.Int 3);
-  (* Batches never nest. *)
-  none "nested batch"
-    (Sval.Record
-       ("batch", [ ("msgs", Sval.List [ Sval.Record ("batch", [ ("msgs", Sval.List []) ]) ]) ]));
-  (* No name crosses the wire, so what a reader checks is the kind of
-     value at each position: a payload moved ahead of the header is
-     malformed. *)
-  rejected "reordered envelope fields"
-    (Sval.Record
-       ( "msg",
-         [ ("payload", Sval.Record ("scion_probe", [])); ("header", Sval.Packed [ 0; 1; 2; 3 ]) ]
-       ));
-  (* Case indices and arities. *)
-  let header = Ref.Packed [ 0; 1; 2; 3 ] in
-  let with_payload p = Ref.Rec [ header; p ] in
-  rejected_tree "case index past the last" (with_payload (Ref.Case (12, [])));
-  (* Cases 10 and 11 were the process-group relay wrappers, retired
-     with their overlay; frames in their old shapes are past the last
-     case too. *)
-  let probe = Ref.Case (5, []) in
-  rejected_tree "retired case 10 (group_fwd)" (with_payload (Ref.Case (10, [ Ref.Int 0; probe ])));
-  rejected_tree "retired case 11 (group_relay)"
-    (with_payload (Ref.Case (11, [ Ref.List [ Ref.List [ Ref.Int 0; Ref.Int 1; probe ] ] ])));
-  rejected_tree "negative case index" (with_payload (Ref.Case (-1, [])));
-  rejected_tree "a record where a case is due" (with_payload (Ref.Rec []));
-  rejected_tree "a case where a record is due" (Ref.Case (0, [ header ]));
-  rejected_tree "a list where a record is due" (Ref.List [ header; probe ]);
-  rejected_tree "missing field" (with_payload (Ref.Case (8, [])));
-  rejected_tree "envelope one field short" (Ref.Rec [ header ]);
-  (* The header is one run of exactly four ints. *)
-  rejected_tree "envelope header run of 3" (Ref.Rec [ Ref.Packed [ 0; 1; 2 ]; probe ]);
-  rejected_tree "envelope header run of 5" (Ref.Rec [ Ref.Packed [ 0; 1; 2; 3; 4 ]; probe ]);
-  rejected_tree "the old tagged envelope header"
-    (Ref.Rec [ Ref.Int 0; Ref.Int 1; Ref.Int 2; Ref.Int 3; probe ]);
-  rejected_tree "negative envelope source" (Ref.Rec [ Ref.Packed [ -1; 1; 2; 3 ]; probe ]);
-  rejected_tree "negative envelope destination" (Ref.Rec [ Ref.Packed [ 0; -1; 2; 3 ]; probe ]);
-  accepted "an unsequenced envelope" (Msg.make ~src:p0 ~dst:p1 ~sent_at:3 Msg.Scion_probe);
+  (* Kinds past the last. *)
+  List.iter (fun k -> rejected (Printf.sprintf "kind %d" k) [ k ]) [ 10; 11; 127; 128; 1 lsl 40 ];
+  (* The envelope run: the header and a kind at least. *)
+  rejected_trees "a header and no kind" [ Ref.Packed hdr ];
+  rejected_trees "a run of 3" [ Ref.Packed [ 0; 1; 2 ] ];
+  rejected_trees "an empty run" [ Ref.Packed [] ];
+  rejected_trees "no run at all" [];
+  (* The tagged framings the run replaced. *)
+  rejected_trees "the old envelope record"
+    [ Ref.Rec [ Ref.Packed hdr; Ref.Case (5, []) ] ];
+  rejected_trees "the old header run, then a tagged payload" [ Ref.Packed hdr; Ref.Case (5, []) ];
+  rejected_trees "the old tagged envelope header"
+    [ Ref.Rec [ Ref.Int 0; Ref.Int 1; Ref.Int 2; Ref.Int 3; Ref.Case (5, []) ] ];
+  (* Batches never nest, nor does a constituent run go empty. *)
+  rejected_trees "nested batch" [ run [ 9; 1 ]; Ref.Packed [ 9; 0 ] ];
+  rejected_trees "an empty batched run" [ run [ 9; 1 ]; Ref.Packed [] ];
+  rejected_trees "a batch one constituent short" [ run [ 9; 2 ]; Ref.Packed [ 5 ] ];
+  rejected_trees "a batched constituent that is not a run" [ run [ 9; 1 ]; Ref.Case (5, []) ];
+  (* Nothing after the message. *)
+  rejected_trees "a trailing run" [ run [ 5 ]; Ref.Packed [ 5 ] ];
+  rejected_bytes "a trailing byte" (Ref.encode_trees [ run [ 5 ] ] ^ "\x00");
+  (* An unsigned varint is at most nine bytes and never past
+     [max_int]. *)
+  let header_bytes = String.sub (Ref.encode_trees [ run [ 5 ] ]) 0 6 in
+  rejected_bytes "a kind past max_int" (header_bytes ^ "\xff\xff\xff\xff\xff\xff\xff\xff\x40");
+  rejected_bytes "a ten-byte kind" (header_bytes ^ "\x85\x80\x80\x80\x80\x80\x80\x80\x80\x00");
+  accepted "a nine-byte seq" (Msg.make ~seq:max_int ~src:p0 ~dst:p1 ~sent_at:3 Msg.Scion_probe);
   packed_runs_rejected ();
   ext_rejected ();
   (* A valid batch of two control payloads decodes. *)
@@ -717,6 +671,7 @@ let test_payload_decoder_rejects () =
        (Msg.Batch
           [
             Msg.Scion_probe;
+            Msg.Ext "x";
             Msg.New_set_stubs
               { seqno = 3; targets = Oid.Map.singleton (Oid.make ~owner:p1 ~serial:2) 0 };
           ]))
@@ -726,12 +681,52 @@ let test_payload_decoder_rejects () =
 let test_batch_with_references_rejected () =
   let reply = Msg.Rmi_reply { req_id = 3; target = Oid.make ~owner:p1 ~serial:2; results = [] } in
   accepted "the reply alone" (msg reply);
-  rejected "a batch holding it" (Ref.msg_sval (msg (Msg.Batch [ Msg.Scion_probe; reply ])))
+  rejected_trees "a batch holding it" (Ref.msg_trees (msg (Msg.Batch [ Msg.Scion_probe; reply ])))
+
+(* The writer refuses what the run cannot hold: a negative int, and a
+   stub set target its destination does not own. *)
+let test_writer_rejects () =
+  let refused what (m : Msg.t) =
+    (match Net_codec.size Msg.emit m with
+    | _ -> Alcotest.failf "%s: sized" what
+    | exception Invalid_argument _ -> ());
+    match Net_codec.encode_shape Msg.emit m with
+    | _ -> Alcotest.failf "%s: written" what
+    | exception Invalid_argument _ -> ()
+  in
+  let key = Ref_key.make ~src:p0 ~target:(Oid.make ~owner:p1 ~serial:2) in
+  let id = Detection_id.make ~initiator:p0 ~seq:1 in
+  refused "an unsequenced envelope" (Msg.make ~seq:(-1) ~src:p0 ~dst:p1 ~sent_at:3 Msg.Scion_probe);
+  refused "a negative stub IC"
+    (msg (Msg.New_set_stubs { seqno = 1; targets = Oid.Map.singleton (Oid.make ~owner:p1 ~serial:2) (-1) }));
+  refused "a negative algebra IC"
+    (msg
+       (Msg.Cdm
+          (Cdm.make ~id ~frontier:key ~hops:0 ~budget:1
+             ~algebra:(Algebra.add_exn Algebra.empty Algebra.Source key ~ic:(-1)))));
+  refused "an algebra IC past 60 bits"
+    (msg
+       (Msg.Cdm
+          (Cdm.make ~id ~frontier:key ~hops:0 ~budget:1
+             ~algebra:(Algebra.add_exn Algebra.empty Algebra.Source key ~ic:(1 lsl 61)))));
+  refused "a negative request id"
+    (msg (Msg.Rmi_reply { req_id = -1; target = Oid.make ~owner:p1 ~serial:2; results = [] }));
+  let foreign = Msg.New_set_stubs { seqno = 1; targets = Oid.Map.singleton (Oid.make ~owner:p0 ~serial:2) 0 } in
+  refused "a stub set target dst does not own" (msg foreign);
+  refused "a batched stub set target dst does not own" (msg (Msg.Batch [ Msg.Scion_probe; foreign ]));
+  let two_owners =
+    Msg.New_set_stubs
+      {
+        seqno = 1;
+        targets = Oid.Map.add (Oid.make ~owner:p0 ~serial:1) 0 (Oid.Map.singleton (Oid.make ~owner:p1 ~serial:2) 0);
+      }
+  in
+  refused "a stub set of two owners" (msg two_owners)
 
 (* ------------------------------------------------------------------ *)
 (* Wire identity: the shapes in lib/ against the reference builders in
    [Wire_reference] — the same bytes and the same byte counts — and
-   the direct readers exactly as strict as the tree path. *)
+   the direct readers exactly as strict as the reference. *)
 
 module Summary = Adgc_snapshot.Summary
 
@@ -741,8 +736,9 @@ let same_bytes shape bytes v =
 let qcheck_msg_wire_identity =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"msg shape = reference bytes and size" ~count:500 gen_msg (fun m ->
-         same_bytes Msg.emit (Ref.encode (Ref.msg_sval m)) m
-         && same_bytes Msg.emit_payload (Ref.encode (Ref.payload_sval m.Msg.payload)) m.Msg.payload))
+         let dst = m.Msg.dst in
+         same_bytes Msg.emit (Ref.msg_bytes m) m
+         && same_bytes (Msg.emit_payload ~dst) (Ref.payload_bytes ~dst m.Msg.payload) m.Msg.payload))
 
 let qcheck_comparator_wire_identity =
   QCheck_alcotest.to_alcotest
@@ -754,18 +750,24 @@ let qcheck_comparator_wire_identity =
 
 let qcheck_cdm_wire_identity =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"cdm and algebra shapes = reference bytes" ~count:500 gen_cdm
+    (QCheck2.Test.make ~name:"cdm and algebra items = reference ints" ~count:500 gen_cdm
        (fun cdm ->
-         same_bytes Cdm.emit (Ref.encode (Ref.cdm_run cdm)) cdm
+         same_bytes
+           (fun s c ->
+             Net_codec.packed s (Cdm.items c);
+             Cdm.emit_items s c)
+           (Ref.encode_tree (Ref.Packed (Ref.cdm_ints cdm)))
+           cdm
          && same_bytes
               (fun s alg ->
                 Net_codec.packed s (Algebra.compact_length alg);
                 Algebra.emit_entries s alg)
-              (Ref.encode (Sval.Packed (Ref.algebra_entries cdm.Cdm.algebra)))
+              (Ref.encode_tree (Ref.Packed (Ref.algebra_entries cdm.Cdm.algebra)))
               cdm.Cdm.algebra))
 
-(* Sizing a CDM allocates the same few words whatever its algebra's
-   size: no tree, no buffer, no per-entry interning. *)
+(* Sizing a message allocates the same few words whatever the size of
+   a CDM's algebra or of a stub set: no tree, no buffer, no per-entry
+   interning. *)
 let test_cdm_size_allocation_is_flat () =
   let cdm entries =
     let algebra =
@@ -779,20 +781,35 @@ let test_cdm_size_allocation_is_flat () =
             ~ic:(i + (i mod 2)))
         Algebra.empty (List.init entries Fun.id)
     in
-    Cdm.make
-      ~id:(Detection_id.make ~initiator:(Proc_id.of_int 1) ~seq:3)
-      ~algebra
-      ~frontier:(Ref_key.make ~src:(Proc_id.of_int 2) ~target:(Oid.make ~owner:(Proc_id.of_int 3) ~serial:4))
-      ~hops:5 ~budget:6
+    msg
+      (Msg.Cdm
+         (Cdm.make
+            ~id:(Detection_id.make ~initiator:(Proc_id.of_int 1) ~seq:3)
+            ~algebra
+            ~frontier:(Ref_key.make ~src:(Proc_id.of_int 2) ~target:(Oid.make ~owner:(Proc_id.of_int 3) ~serial:4))
+            ~hops:5 ~budget:6))
   in
-  let words c =
-    ignore (Net_codec.size Cdm.emit c : int);
+  let stubs n =
+    msg
+      (Msg.New_set_stubs
+         {
+           seqno = 9;
+           targets =
+             List.fold_left
+               (fun m i -> Oid.Map.add (Oid.make ~owner:p1 ~serial:(3 * i)) i m)
+               Oid.Map.empty (List.init n Fun.id);
+         })
+  in
+  let words m =
+    ignore (Net_codec.size Msg.emit m : int);
     let before = Gc.minor_words () in
-    ignore (Sys.opaque_identity (Net_codec.size Cdm.emit c) : int);
+    ignore (Sys.opaque_identity (Net_codec.size Msg.emit m) : int);
     Gc.minor_words () -. before
   in
-  let small = cdm 2 and large = cdm 300 in
-  check (Alcotest.float 0.0) "same allocation for 2 and 300 entries" (words small) (words large)
+  check (Alcotest.float 0.0) "same allocation for 2 and 300 algebra entries" (words (cdm 2))
+    (words (cdm 300));
+  check (Alcotest.float 0.0) "same allocation for 2 and 300 stub set targets" (words (stubs 2))
+    (words (stubs 300))
 
 module Sref = Summary_reference
 
@@ -1054,7 +1071,7 @@ let qcheck_envelope_wire_identity =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"envelope shape = reference bytes, and read inverts emit" ~count:300
        gen_envelope (fun e ->
-         same_bytes Envelope.emit (Ref.encode (Ref.envelope_sval e)) e
+         same_bytes Envelope.emit (Ref.envelope_bytes e) e
          &&
          match direct Envelope.read (Net_codec.encode_shape Envelope.emit e) with
          | Some e' -> envelope_equal e e'
@@ -1063,20 +1080,26 @@ let qcheck_envelope_wire_identity =
 (* The bytes one message of each payload kind costs, pinned: what the
    simulator charges it and, behind a three-byte case header, what a
    socket frame carries.  A one-target stub set took 88 bytes when
-   every record and field name travelled as text, and 20 while every
-   header int carried its own tag.  The messages are the wire bench
-   section's samples, in case order. *)
+   every record and field name travelled as text, 20 while every
+   header int carried its own tag, and 17 while the header, the
+   payload's case and its fields were three tagged parts.  The
+   messages are the wire bench section's samples, in case order. *)
 let test_golden_sizes () =
-  let pinned = [ 19; 18; 17; 17; 17; 11; 25; 18; 17; 19 ] in
+  let pinned = [ 13; 12; 11; 11; 10; 7; 18; 12; 13; 14 ] in
   check Alcotest.int "one sample per kind" (Array.length Msg.kinds)
     (List.length Adgc_bench.Bench_wire.samples);
+  let framed what bytes (m : Msg.t) =
+    check Alcotest.int what bytes (Net_codec.size Msg.emit m);
+    check Alcotest.int (what ^ " in a socket frame") (bytes + 3)
+      (String.length (Net_codec.encode_shape Envelope.emit (Envelope.Net_msg m)))
+  in
   List.iter2
-    (fun (m : Msg.t) bytes ->
-      let what = Msg.kind m.Msg.payload in
-      check Alcotest.int what bytes (Net_codec.size Msg.emit m);
-      check Alcotest.int (what ^ " in a socket frame") (bytes + 3)
-        (String.length (Net_codec.encode_shape Envelope.emit (Envelope.Net_msg m))))
-    Adgc_bench.Bench_wire.samples pinned
+    (fun (m : Msg.t) bytes -> framed (Msg.kind m.Msg.payload) bytes m)
+    Adgc_bench.Bench_wire.samples pinned;
+  (* Eight entries each: what one more stub or algebra entry costs. *)
+  List.iter2
+    (fun (m : Msg.t) bytes -> framed (Msg.kind m.Msg.payload ^ " of eight") bytes m)
+    Adgc_bench.Bench_wire.wide_samples [ 24; 46 ]
 
 (* A payload's case index is its wire byte, and the sizes above cannot
    see two kinds swap indices. *)
@@ -1124,34 +1147,34 @@ let corrupt bytes pos delta =
   Bytes.set b pos (Char.chr ((Char.code bytes.[pos] + delta) land 0xff));
   Bytes.to_string b
 
-let parity ~name gen emit read of_tree equal =
-  let agree bytes = same_verdict equal (direct read bytes) (Ref.tree_decode of_tree bytes) in
+let parity ~name gen emit read decode equal =
+  let agree bytes = same_verdict equal (direct read bytes) (decode bytes) in
   [
     QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:(name ^ " read of every truncation = the tree path's") ~count:100 gen
+      (QCheck2.Test.make ~name:(name ^ " read of every truncation = the reference's") ~count:100 gen
          (fun v ->
            let bytes = Net_codec.encode_shape emit v in
            List.for_all
              (fun cut -> agree (String.sub bytes 0 cut))
              (List.init (String.length bytes) Fun.id)));
     QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~name:(name ^ " read of a corrupted byte = the tree path's") ~count:500
+      (QCheck2.Test.make ~name:(name ^ " read of a corrupted byte = the reference's") ~count:500
          QCheck2.Gen.(triple gen (int_bound 10_000) (int_range 1 255))
          (fun (v, pos, delta) -> agree (corrupt (Net_codec.encode_shape emit v) pos delta)));
   ]
 
-let msg_parity = parity ~name:"msg" gen_msg Msg.emit Msg.read Ref.msg_of_tree msg_equal
+let msg_parity = parity ~name:"msg" gen_msg Msg.emit Msg.read Ref.msg_decode msg_equal
 
 (* Each comparator's body reader, on its own bytes: every truncation
    and corrupted byte is read as the tree path reads it. *)
 let comparator_parity =
-  parity ~name:"back-tracing body" gen_bt Btmsg.emit Btmsg.read Ref.btmsg_of_tree (fun a b ->
-      Sval.equal (Ref.btmsg_sval a) (Ref.btmsg_sval b))
-  @ parity ~name:"hughes body" gen_hughes Hmsg.emit Hmsg.read Ref.hmsg_of_tree (fun a b ->
-        Sval.equal (Ref.hmsg_sval a) (Ref.hmsg_sval b))
+  parity ~name:"back-tracing body" gen_bt Btmsg.emit Btmsg.read (Ref.tree_decode Ref.btmsg_of_tree)
+    (fun a b -> Sval.equal (Ref.btmsg_sval a) (Ref.btmsg_sval b))
+  @ parity ~name:"hughes body" gen_hughes Hmsg.emit Hmsg.read (Ref.tree_decode Ref.hmsg_of_tree)
+      (fun a b -> Sval.equal (Ref.hmsg_sval a) (Ref.hmsg_sval b))
 
 let envelope_parity =
-  parity ~name:"envelope" gen_envelope Envelope.emit Envelope.read Ref.envelope_of_tree
+  parity ~name:"envelope" gen_envelope Envelope.emit Envelope.read Ref.envelope_decode
     envelope_equal
 
 let suite =
@@ -1186,6 +1209,9 @@ let suite =
       qcheck_payload_roundtrip Rotor_codec.encode Rotor_codec.decode
         "qcheck msg payload roundtrip (rotor)";
       qcheck_envelope_roundtrip;
+      qcheck_msg_truncation;
+      Alcotest.test_case "msg: writer rejects negative ints and foreign stub targets" `Quick
+        test_writer_rejects;
       qcheck_truncation Doc_codec.encode Doc_codec.decode
         "qcheck truncated payload only Malformed (doc)";
       qcheck_truncation Rotor_codec.encode Rotor_codec.decode

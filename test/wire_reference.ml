@@ -3,16 +3,20 @@
 
    Each type has a named {!Sval} tree builder ([msg_sval], ...): the
    value as a self-describing document, which the tests compare
-   values through.  [positional] drops the names, as the wire does —
-   a record becomes its fields in order, a sum type's constructor its
-   case index and fields — and [encode] writes that tree with the
-   same tags as [Net_codec].  [decode_tree] reads any such bytes back
-   into a tree, and the [*_of_tree] matchers say which trees are
-   valid values.  The wire-identity properties pin every shape and
-   reader against these: same bytes, same strictness.
+   values through.  For the tagged types, [positional] drops the
+   names, as the wire does — a record becomes its fields in order, a
+   sum type's constructor its case index and fields — and [encode]
+   writes that tree with the same tags as [Net_codec].  [decode_tree]
+   reads any such bytes back into a tree, and the [*_of_tree] matchers
+   say which trees are valid values.  A protocol message is not one
+   tree but one packed run and what follows it: [msg_trees] lays it
+   out and [msg_decode] reads it back, with no code shared with
+   [Msg].  The wire-identity properties pin every shape and reader
+   against these: same bytes, same strictness.
 
    Every oid here requires a non-negative owner {e and} serial, which
-   is the single rule [Oid.read] enforces. *)
+   is the single rule [Oid.read] enforces; a packed run holds no
+   negative int at all. *)
 
 open Adgc_algebra
 module Sval = Adgc_paper.Sval
@@ -30,7 +34,7 @@ type tree =
   | Int of int
   | Str of string
   | List of tree list
-  | Packed of int list
+  | Packed of int list  (** unsigned items, counted unsigned *)
   | Rec of tree list  (** a record: its fields, in order *)
   | Case of int * tree list  (** case [i] of a sum type, with its fields *)
 
@@ -39,10 +43,6 @@ type tree =
    other record is a plain record.  No name is in two lists. *)
 let case_lists =
   [
-    [
-      "rmi_request"; "rmi_reply"; "export_notice"; "export_ack"; "new_set_stubs"; "scion_probe";
-      "cdm"; "cdm_delete"; "ext"; "batch";
-    ];
     [
       "hello"; "start"; "heartbeat"; "net_msg"; "status_req"; "status"; "state_req"; "state";
       "drop_peer"; "shutdown"; "bye";
@@ -75,6 +75,31 @@ let tag_packed = 8
 let tag_record = 9
 let tag_case = 10
 
+(* Plain LEB128: seven bits a byte, low first, no sign. *)
+let write_uvarint w v =
+  if v < 0 then invalid_arg "Wire_reference: a negative int in a packed run";
+  let rec go v =
+    if v < 0x80 then Wire.Writer.byte w v
+    else begin
+      Wire.Writer.byte w (0x80 lor (v land 0x7F));
+      go (v lsr 7)
+    end
+  in
+  go v
+
+(* At most nine bytes, the ninth carrying six bits: no value past
+   [max_int] reads. *)
+let read_uvarint r =
+  let malformed what = raise (Wire.Malformed { offset = Wire.Reader.pos r; what }) in
+  let rec go i acc =
+    let b = Wire.Reader.byte r in
+    let bits = b land 0x7F in
+    if i = 8 && (b >= 0x80 || bits >= 0x40) then malformed "unsigned varint out of range";
+    let acc = acc + (bits lsl (7 * i)) in
+    if b < 0x80 then acc else go (i + 1) acc
+  in
+  go 0 0
+
 let write_tree w t =
   let rec go = function
     | Unit -> Wire.Writer.byte w tag_unit
@@ -88,8 +113,8 @@ let write_tree w t =
     | List l -> items tag_list l
     | Packed l ->
         Wire.Writer.byte w tag_packed;
-        Wire.Writer.varint w (List.length l);
-        List.iter (Wire.Writer.varint w) l
+        write_uvarint w (List.length l);
+        List.iter (write_uvarint w) l
     | Rec l -> items tag_record l
     | Case (i, l) ->
         Wire.Writer.byte w tag_case;
@@ -103,23 +128,25 @@ let write_tree w t =
   in
   go t
 
-let encode_tree t =
+let encode_trees ts =
   let w = Wire.Writer.create () in
-  write_tree w t;
+  List.iter (write_tree w) ts;
   Wire.Writer.contents w
+
+let encode_tree t = encode_trees [ t ]
 
 (* A named tree's wire bytes. *)
 let encode sval = encode_tree (positional sval)
 
-let decode_tree bytes =
-  let r = Wire.Reader.of_string bytes in
+(* One tree off the reader. *)
+let read_tree r =
   let malformed what = raise (Wire.Malformed { offset = Wire.Reader.pos r; what }) in
   (* Every item takes at least a byte. *)
-  let length () =
-    let n = Wire.Reader.varint r in
+  let plausible n =
     if n < 0 || n > Wire.Reader.remaining r then malformed "implausible length";
     n
   in
+  let length () = plausible (Wire.Reader.varint r) in
   let rec go () =
     let tag = Wire.Reader.byte r in
     if tag = tag_unit then Unit
@@ -128,7 +155,8 @@ let decode_tree bytes =
     else if tag = tag_int then Int (Wire.Reader.varint r)
     else if tag = tag_str then Str (Wire.Reader.string r)
     else if tag = tag_list then List (List.init (length ()) (fun _ -> go ()))
-    else if tag = tag_packed then Packed (List.init (length ()) (fun _ -> Wire.Reader.varint r))
+    else if tag = tag_packed then
+      Packed (List.init (plausible (read_uvarint r)) (fun _ -> read_uvarint r))
     else if tag = tag_record then Rec (List.init (length ()) (fun _ -> go ()))
     else if tag = tag_case then begin
       let i = Wire.Reader.varint r in
@@ -136,8 +164,16 @@ let decode_tree bytes =
     end
     else malformed "bad tag"
   in
-  let t = go () in
-  if not (Wire.Reader.at_end r) then malformed "trailing bytes";
+  go ()
+
+let finish r =
+  if not (Wire.Reader.at_end r) then
+    raise (Wire.Malformed { offset = Wire.Reader.pos r; what = "trailing bytes" })
+
+let decode_tree bytes =
+  let r = Wire.Reader.of_string bytes in
+  let t = read_tree r in
+  finish r;
   t
 
 (* Bytes to a value the reference way: tree decode, then the matcher. *)
@@ -189,7 +225,7 @@ let algebra_sval t =
         ("target", Sval.List (List.map entry_sval (Algebra.bindings t Algebra.Target)));
       ] )
 
-(* The paper's compact form as [src; owner; serial; ic; bits] per
+(* The paper's compact form as [src; owner; serial; ic * 4 + bits] per
    entry, in key order: a key on both sides with equal ICs is one entry
    with bits 3; with different ICs it is two, bits 1 then 2. *)
 let algebra_entries t =
@@ -198,8 +234,7 @@ let algebra_entries t =
       Proc_id.to_int key.Ref_key.src;
       Proc_id.to_int (Oid.owner key.Ref_key.target);
       key.Ref_key.target.Oid.serial;
-      ic;
-      bits;
+      (4 * ic) + bits;
     ]
   in
   let keys =
@@ -215,33 +250,43 @@ let algebra_entries t =
       | None, None -> [])
     keys
 
-(* A CDM is one packed run: its header, then its algebra's entries. *)
-let cdm_run (t : Cdm.t) =
-  Sval.Packed
-    ([
-       Proc_id.to_int t.Cdm.id.Detection_id.initiator;
-       t.Cdm.id.Detection_id.seq;
-       Proc_id.to_int t.Cdm.frontier.Ref_key.src;
-       Proc_id.to_int (Oid.owner t.Cdm.frontier.Ref_key.target);
-       t.Cdm.frontier.Ref_key.target.Oid.serial;
-       t.Cdm.hops;
-       t.Cdm.budget;
-     ]
-    @ algebra_entries t.Cdm.algebra)
+(* A CDM's ints in its carrier's run: its header, then its algebra's
+   entries. *)
+let cdm_ints (t : Cdm.t) =
+  [
+    Proc_id.to_int t.Cdm.id.Detection_id.initiator;
+    t.Cdm.id.Detection_id.seq;
+    Proc_id.to_int t.Cdm.frontier.Ref_key.src;
+    Proc_id.to_int (Oid.owner t.Cdm.frontier.Ref_key.target);
+    t.Cdm.frontier.Ref_key.target.Oid.serial;
+    t.Cdm.hops;
+    t.Cdm.budget;
+  ]
+  @ algebra_entries t.Cdm.algebra
 
-let cdm_sval t = Sval.Record ("cdm", [ ("run", cdm_run t) ])
+let cdm_sval (t : Cdm.t) =
+  Sval.Record
+    ( "cdm",
+      [
+        ("initiator", Sval.Int (Proc_id.to_int t.Cdm.id.Detection_id.initiator));
+        ("seq", Sval.Int t.Cdm.id.Detection_id.seq);
+        ("frontier", ref_sval t.Cdm.frontier);
+        ("hops", Sval.Int t.Cdm.hops);
+        ("budget", Sval.Int t.Cdm.budget);
+        ("algebra", algebra_sval t.Cdm.algebra);
+      ] )
 
-(* The compact form only: the plain form has no writer in lib/ any
-   more, so [Cdm.read] accepts only this. *)
+(* Entries must be whole, name a side, and agree with one another. *)
 let algebra_of_entries ints =
-  if List.length ints mod 5 <> 0 then None
+  if List.length ints mod 4 <> 0 then None
   else
     let rec entries = function
-      | src :: owner :: serial :: ic :: bits :: rest ->
-          if src >= 0 && owner >= 0 && serial >= 0 && bits >= 1 && bits <= 3 then
+      | src :: owner :: serial :: ic_bits :: rest ->
+          if ic_bits mod 4 <> 0 then
             let target = Oid.make ~owner:(Proc_id.of_int owner) ~serial in
             Option.map
-              (fun rest -> (Ref_key.make ~src:(Proc_id.of_int src) ~target, ic, bits) :: rest)
+              (fun rest ->
+                (Ref_key.make ~src:(Proc_id.of_int src) ~target, ic_bits / 4, ic_bits mod 4) :: rest)
               (entries rest)
           else None
       | _ -> Some []
@@ -260,11 +305,8 @@ let algebra_of_entries ints =
                    if bits land 2 <> 0 then add_side Algebra.Target t else Some t)))
          (Some Algebra.empty))
 
-(* A CDM's run, as the message case that carries it holds it. *)
-let cdm_of_run = function
-  | initiator :: seq :: f_src :: f_owner :: f_serial :: hops :: budget :: entries
-    when initiator >= 0 && f_src >= 0 && f_owner >= 0 && f_serial >= 0 && hops >= 0 && budget >= 0
-    ->
+let cdm_of_ints = function
+  | initiator :: seq :: f_src :: f_owner :: f_serial :: hops :: budget :: entries ->
       Option.map
         (fun algebra ->
           let id = Detection_id.make ~initiator:(Proc_id.of_int initiator) ~seq in
@@ -359,41 +401,61 @@ let hmsg_of_tree = function
 (* ------------------------------------------------------------------ *)
 (* Messages *)
 
-(* An oid in a run is its two ints. *)
-let oid_ints (o : Oid.t) = [ Proc_id.to_int (Oid.owner o); o.Oid.serial ]
-
-let run name ints = Sval.Record (name, [ ("run", Sval.Packed ints) ])
-
 let rec payload_sval = function
   | Msg.Rmi_request { req_id; target; args; stub_ic } ->
-      run "rmi_request" ((req_id :: oid_ints target) @ (stub_ic :: List.concat_map oid_ints args))
+      Sval.Record
+        ( "rmi_request",
+          [
+            ("req_id", Sval.Int req_id);
+            ("target", oid_sval target);
+            ("args", Sval.List (List.map oid_sval args));
+            ("stub_ic", Sval.Int stub_ic);
+          ] )
   | Msg.Rmi_reply { req_id; target; results } ->
-      run "rmi_reply" ((req_id :: oid_ints target) @ List.concat_map oid_ints results)
+      Sval.Record
+        ( "rmi_reply",
+          [
+            ("req_id", Sval.Int req_id);
+            ("target", oid_sval target);
+            ("results", Sval.List (List.map oid_sval results));
+          ] )
   | Msg.Export_notice { notice_id; target; new_holder } ->
-      run "export_notice" ((notice_id :: oid_ints target) @ [ Proc_id.to_int new_holder ])
+      Sval.Record
+        ( "export_notice",
+          [
+            ("notice_id", Sval.Int notice_id);
+            ("target", oid_sval target);
+            ("new_holder", Sval.Int (Proc_id.to_int new_holder));
+          ] )
   | Msg.Export_ack { notice_id; target; new_holder } ->
-      run "export_ack" ((notice_id :: oid_ints target) @ [ Proc_id.to_int new_holder ])
-  | Msg.New_set_stubs { seqno; targets } -> (
-      (* The owner once, then [serial; ic] per stub; an empty set is
-         its seqno alone. *)
-      match Oid.Map.bindings targets with
-      | [] -> run "new_set_stubs" [ seqno ]
-      | (first, _) :: _ as entries ->
-          let owner = Oid.owner first in
-          if List.exists (fun ((o : Oid.t), _) -> not (Proc_id.equal (Oid.owner o) owner)) entries
-          then invalid_arg "Wire_reference.payload_sval: a stub set with two owners";
-          run "new_set_stubs"
-            (seqno :: Proc_id.to_int owner
-            :: List.concat_map (fun ((o : Oid.t), ic) -> [ o.Oid.serial; ic ]) entries))
+      Sval.Record
+        ( "export_ack",
+          [
+            ("notice_id", Sval.Int notice_id);
+            ("target", oid_sval target);
+            ("new_holder", Sval.Int (Proc_id.to_int new_holder));
+          ] )
+  | Msg.New_set_stubs { seqno; targets } ->
+      Sval.Record
+        ( "new_set_stubs",
+          [
+            ("seqno", Sval.Int seqno);
+            ( "targets",
+              Sval.List
+                (List.map
+                   (fun (o, ic) -> Sval.List [ oid_sval o; Sval.Int ic ])
+                   (Oid.Map.bindings targets)) );
+          ] )
   | Msg.Scion_probe -> Sval.Record ("scion_probe", [])
   | Msg.Cdm cdm -> cdm_sval cdm
   | Msg.Cdm_delete { id; scions } ->
-      run "cdm_delete"
-        (Proc_id.to_int id.Detection_id.initiator
-        :: id.Detection_id.seq
-        :: List.concat_map
-             (fun (k : Ref_key.t) -> Proc_id.to_int k.Ref_key.src :: oid_ints k.Ref_key.target)
-             scions)
+      Sval.Record
+        ( "cdm_delete",
+          [
+            ("initiator", Sval.Int (Proc_id.to_int id.Detection_id.initiator));
+            ("seq", Sval.Int id.Detection_id.seq);
+            ("scions", Sval.List (List.map ref_sval scions));
+          ] )
   | Msg.Ext body -> Sval.Record ("ext", [ ("body", Sval.Str body) ])
   | Msg.Batch payloads ->
       Sval.Record ("batch", [ ("msgs", Sval.List (List.map payload_sval payloads)) ])
@@ -402,84 +464,165 @@ let msg_sval (t : Msg.t) =
   Sval.Record
     ( "msg",
       [
-        ( "header",
-          Sval.Packed
-            [ Proc_id.to_int t.Msg.src; Proc_id.to_int t.Msg.dst; t.Msg.seq; t.Msg.sent_at ] );
+        ("src", Sval.Int (Proc_id.to_int t.Msg.src));
+        ("dst", Sval.Int (Proc_id.to_int t.Msg.dst));
+        ("seq", Sval.Int t.Msg.seq);
+        ("sent_at", Sval.Int t.Msg.sent_at);
         ("payload", payload_sval t.Msg.payload);
       ] )
 
-(* Oids of a run's entries: pairs of non-negative ints. *)
-let rec oids_of_ints = function
-  | [] -> Some []
-  | owner :: serial :: rest ->
-      Option.bind (oid_of_tree (List [ Int owner; Int serial ])) (fun o ->
-          Option.map (fun rest -> o :: rest) (oids_of_ints rest))
-  | [ _ ] -> None
+(* On the wire a message is one packed run, [src; dst; seq; sent_at;
+   kind; fields...], an oid as [owner; serial], and what follows it:
+   an [Ext]'s body as a string, a [Batch]'s constituents as runs of
+   their own, [kind; fields...] and what follows each. *)
 
-(* Field order is part of the wire format. *)
-let rec payload_of_tree tree =
-  match tree with
-  | Case (0, [ Packed (req_id :: owner :: serial :: stub_ic :: args) ]) -> (
-      match (oids_of_ints [ owner; serial ], oids_of_ints args) with
-      | Some [ target ], Some args -> Some (Msg.Rmi_request { req_id; target; args; stub_ic })
-      | _ -> None)
-  | Case (1, [ Packed (req_id :: owner :: serial :: results) ]) -> (
-      match (oids_of_ints [ owner; serial ], oids_of_ints results) with
-      | Some [ target ], Some results -> Some (Msg.Rmi_reply { req_id; target; results })
-      | _ -> None)
-  | Case (2, [ Packed [ notice_id; owner; serial; holder ] ]) when holder >= 0 ->
-      Option.map
-        (fun target -> Msg.Export_notice { notice_id; target; new_holder = Proc_id.of_int holder })
-        (oid_of_tree (List [ Int owner; Int serial ]))
-  | Case (3, [ Packed [ notice_id; owner; serial; holder ] ]) when holder >= 0 ->
-      Option.map
-        (fun target -> Msg.Export_ack { notice_id; target; new_holder = Proc_id.of_int holder })
-        (oid_of_tree (List [ Int owner; Int serial ]))
-  | Case (4, [ Packed [ seqno ] ]) -> Some (Msg.New_set_stubs { seqno; targets = Oid.Map.empty })
-  | Case (4, [ Packed (seqno :: owner :: (_ :: _ :: _ as entries)) ]) when owner >= 0 ->
-      let rec go m = function
-        | [] -> Some m
-        | serial :: ic :: rest ->
-            Option.bind (oid_of_tree (List [ Int owner; Int serial ])) (fun o ->
-                go (Oid.Map.add o ic m) rest)
-        | [ _ ] -> None
+let oid_ints (o : Oid.t) = [ Proc_id.to_int (Oid.owner o); o.Oid.serial ]
+
+(* A payload's [kind :: fields], and the trees after its run.  A stub
+   set's owner is the destination: the run holds the first serial and
+   then each serial's gap to the one before. *)
+let rec payload_layout ~dst = function
+  | Msg.Rmi_request { req_id; target; args; stub_ic } ->
+      ((0 :: req_id :: oid_ints target) @ (stub_ic :: List.concat_map oid_ints args), [])
+  | Msg.Rmi_reply { req_id; target; results } ->
+      ((1 :: req_id :: oid_ints target) @ List.concat_map oid_ints results, [])
+  | Msg.Export_notice { notice_id; target; new_holder } ->
+      ((2 :: notice_id :: oid_ints target) @ [ Proc_id.to_int new_holder ], [])
+  | Msg.Export_ack { notice_id; target; new_holder } ->
+      ((3 :: notice_id :: oid_ints target) @ [ Proc_id.to_int new_holder ], [])
+  | Msg.New_set_stubs { seqno; targets } ->
+      let rec gaps prev = function
+        | [] -> []
+        | ((o : Oid.t), ic) :: rest ->
+            if Oid.owner o <> dst then
+              invalid_arg "Wire_reference.payload_layout: a stub set target dst does not own";
+            (o.Oid.serial - prev - 1) :: ic :: gaps o.Oid.serial rest
       in
-      Option.map (fun targets -> Msg.New_set_stubs { seqno; targets }) (go Oid.Map.empty entries)
-  | Case (5, []) -> Some Msg.Scion_probe
-  | Case (6, [ Packed ints ]) -> Option.map (fun cdm -> Msg.Cdm cdm) (cdm_of_run ints)
-  | Case (7, [ Packed (initiator :: seq :: keys) ]) when initiator >= 0 ->
-      let rec go = function
-        | [] -> Some []
-        | src :: owner :: serial :: rest ->
-            Option.bind (key_of_tree (List [ Int src; List [ Int owner; Int serial ] ])) (fun k ->
-                Option.map (fun rest -> k :: rest) (go rest))
+      (4 :: seqno :: gaps (-1) (Oid.Map.bindings targets), [])
+  | Msg.Scion_probe -> ([ 5 ], [])
+  | Msg.Cdm cdm -> (6 :: cdm_ints cdm, [])
+  | Msg.Cdm_delete { id; scions } ->
+      ( 7 :: Proc_id.to_int id.Detection_id.initiator :: id.Detection_id.seq
+        :: List.concat_map
+             (fun (k : Ref_key.t) -> Proc_id.to_int k.Ref_key.src :: oid_ints k.Ref_key.target)
+             scions,
+        [] )
+  | Msg.Ext body -> ([ 8 ], [ Str body ])
+  | Msg.Batch payloads -> ([ 9; List.length payloads ], List.concat_map (payload_trees ~dst) payloads)
+
+and payload_trees ~dst p =
+  let ints, after = payload_layout ~dst p in
+  Packed ints :: after
+
+let msg_trees (t : Msg.t) =
+  let ints, after = payload_layout ~dst:t.Msg.dst t.Msg.payload in
+  Packed ([ Proc_id.to_int t.Msg.src; Proc_id.to_int t.Msg.dst; t.Msg.seq; t.Msg.sent_at ] @ ints)
+  :: after
+
+let msg_bytes t = encode_trees (msg_trees t)
+
+let payload_bytes ~dst p = encode_trees (payload_trees ~dst p)
+
+(* [width]-int entries, after the fixed fields. *)
+let rec chunks width = function
+  | [] -> Some []
+  | l when List.length l < width -> None
+  | l ->
+      Option.map
+        (fun rest -> List.filteri (fun i _ -> i < width) l :: rest)
+        (chunks width (List.filteri (fun i _ -> i >= width) l))
+
+let oid_of_ints = function
+  | [ owner; serial ] -> Oid.make ~owner:(Proc_id.of_int owner) ~serial
+  | _ -> invalid_arg "oid_of_ints"
+
+(* The payload of run [kind :: fields], pulling what follows the run
+   off [next]. *)
+let rec payload_of ~dst ~batched next kind fields =
+  match (kind, fields) with
+  | 0, req_id :: owner :: serial :: stub_ic :: args ->
+      Option.map
+        (fun args ->
+          Msg.Rmi_request
+            { req_id; target = oid_of_ints [ owner; serial ]; args = List.map oid_of_ints args; stub_ic })
+        (chunks 2 args)
+  | 1, req_id :: owner :: serial :: results ->
+      Option.map
+        (fun results ->
+          Msg.Rmi_reply
+            { req_id; target = oid_of_ints [ owner; serial ]; results = List.map oid_of_ints results })
+        (chunks 2 results)
+  | 2, [ notice_id; owner; serial; holder ] ->
+      Some
+        (Msg.Export_notice
+           { notice_id; target = oid_of_ints [ owner; serial ]; new_holder = Proc_id.of_int holder })
+  | 3, [ notice_id; owner; serial; holder ] ->
+      Some
+        (Msg.Export_ack
+           { notice_id; target = oid_of_ints [ owner; serial ]; new_holder = Proc_id.of_int holder })
+  | 4, seqno :: entries ->
+      Option.bind (chunks 2 entries) (fun entries ->
+          let rec go prev m = function
+            | [] -> Some m
+            | [ gap; ic ] :: rest ->
+                (* A serial past [max_int] has no int. *)
+                if gap > max_int - prev - 1 then None
+                else
+                  let serial = prev + 1 + gap in
+                  go serial (Oid.Map.add (Oid.make ~owner:dst ~serial) ic m) rest
+            | _ -> None
+          in
+          Option.map (fun targets -> Msg.New_set_stubs { seqno; targets }) (go (-1) Oid.Map.empty entries))
+  | 5, [] -> Some Msg.Scion_probe
+  | 6, ints -> Option.map (fun cdm -> Msg.Cdm cdm) (cdm_of_ints ints)
+  | 7, initiator :: seq :: keys ->
+      Option.map
+        (fun keys ->
+          Msg.Cdm_delete
+            {
+              id = Detection_id.make ~initiator:(Proc_id.of_int initiator) ~seq;
+              scions =
+                List.map
+                  (function
+                    | [ src; owner; serial ] ->
+                        Ref_key.make ~src:(Proc_id.of_int src) ~target:(oid_of_ints [ owner; serial ])
+                    | _ -> assert false)
+                  keys;
+            })
+        (chunks 3 keys)
+  | 8, [] -> ( match next () with Str body -> Some (Msg.Ext body) | _ -> None)
+  | 9, [ n ] when not batched ->
+      (* Batches are never nested, nor does a batch carry
+         references: kinds 0-3 name at least their target. *)
+      let constituent () =
+        match next () with
+        | Packed (kind :: fields) when kind > 3 -> payload_of ~dst ~batched:true next kind fields
         | _ -> None
       in
-      Option.map
-        (fun scions ->
-          Msg.Cdm_delete
-            { id = Detection_id.make ~initiator:(Proc_id.of_int initiator) ~seq; scions })
-        (go keys)
-  | Case (8, [ Str body ]) -> Some (Msg.Ext body)
-  | Case (9, [ List payloads ]) ->
-      (* Batches are never nested, nor does a batch carry
-         references. *)
-      let constituent t =
-        match payload_of_tree t with
-        | Some (Msg.Batch _) | None -> None
-        | Some p when Msg.payload_refs p <> [] -> None
-        | r -> r
+      let rec go k acc =
+        if k = 0 then Some (Msg.Batch (List.rev acc))
+        else match constituent () with Some p -> go (k - 1) (p :: acc) | None -> None
       in
-      Option.map (fun payloads -> Msg.Batch payloads) (all_of constituent payloads)
+      go n []
   | _ -> None
 
-let msg_of_tree = function
-  | Rec [ Packed [ src; dst; seq; sent_at ]; payload ] when src >= 0 && dst >= 0 ->
+(* The message off the reader, or [None]; the caller checks the end. *)
+let read_msg r =
+  let next () = read_tree r in
+  match next () with
+  | Packed (src :: dst :: seq :: sent_at :: kind :: fields) ->
+      let dst = Proc_id.of_int dst in
       Option.map
-        (fun payload ->
-          Msg.make ~seq ~src:(Proc_id.of_int src) ~dst:(Proc_id.of_int dst) ~sent_at payload)
-        (payload_of_tree payload)
+        (fun payload -> Msg.make ~seq ~src:(Proc_id.of_int src) ~dst ~sent_at payload)
+        (payload_of ~dst ~batched:false next kind fields)
   | _ -> None
+
+let msg_decode bytes =
+  let r = Wire.Reader.of_string bytes in
+  match read_msg r with
+  | Some m when Wire.Reader.at_end r -> Some m
+  | Some _ | None -> None
+  | exception Wire.Malformed _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Summary *)
@@ -661,7 +804,6 @@ let envelope_of_tree = function
   | Case (0, [ Int rank; Int procs; Int seed ]) -> Some (Envelope.Hello { rank; procs; seed })
   | Case (1, []) -> Some Envelope.Start
   | Case (2, [ Int tick ]) -> Some (Envelope.Heartbeat { tick })
-  | Case (3, [ m ]) -> Option.map (fun m -> Envelope.Net_msg m) (msg_of_tree m)
   | Case (4, []) -> Some Envelope.Status_req
   | Case
       ( 5,
@@ -693,3 +835,29 @@ let envelope_of_tree = function
   | Case (9, []) -> Some Envelope.Shutdown
   | Case (10, []) -> Some Envelope.Bye
   | _ -> None
+
+(* A [net_msg] envelope is its case header — case 3 of one field —
+   and then the message's own bytes. *)
+let net_msg_header =
+  let w = Wire.Writer.create () in
+  Wire.Writer.byte w tag_case;
+  Wire.Writer.varint w 3;
+  Wire.Writer.varint w 1;
+  Wire.Writer.contents w
+
+let envelope_bytes = function
+  | Envelope.Net_msg m -> net_msg_header ^ msg_bytes m
+  | e -> encode (envelope_sval e)
+
+let envelope_decode bytes =
+  let r = Wire.Reader.of_string bytes in
+  match
+    Wire.Reader.byte r = tag_case && Wire.Reader.varint r = 3 && Wire.Reader.varint r = 1
+  with
+  | true -> (
+      match read_msg r with
+      | Some m when Wire.Reader.at_end r -> Some (Envelope.Net_msg m)
+      | Some _ | None -> None
+      | exception Wire.Malformed _ -> None)
+  | false -> tree_decode envelope_of_tree bytes
+  | exception Wire.Malformed _ -> None
