@@ -23,7 +23,10 @@ let run_once ?dgc_window ~seed ~detector ~faulty () =
     if faulty then Faults.plan_of_profile ~n_procs Faults.Loss_burst else Faults.none
   in
   let config = Detector_column.config detector config in
-  let config = { config with Config.faults; telemetry = true } in
+  (* Byte accounting on: every document carries the [net.bytes*] keys,
+     so a change to what goes on the wire moves a pin. *)
+  let net = { config.Config.net with Adgc_rt.Network.account_bytes = true } in
+  let config = { config with Config.faults; telemetry = true; net } in
   let config =
     match dgc_window with
     | None -> config
@@ -48,24 +51,24 @@ let run_once ?dgc_window ~seed ~detector ~faulty () =
    the reason in CHANGES.md. *)
 let pinned =
   [
-    ("dcda/no-faults/seed=3", "db53cf3cfafedf3d12984eb36532ab41", "5659d1787b251ae5b0dc8cc55b51bcd5");
-    ("dcda/no-faults/seed=17", "86c3ef65be31f3d5d3ebdbb29a665b23", "f9de4dee901b026a8a6a6d7870336718");
-    ("dcda/no-faults/seed=42", "0a1aea588ca645aa1f6aec83cd5699bf", "95390425cfeb2b64f3b2175516f9c79d");
-    ("dcda/bursty/seed=3", "6a8ff0eef37c7160ca1b21f132d1f604", "1c6bb0a216ce3775a14cbace1b259afd");
-    ("dcda/bursty/seed=17", "b3a303beb8085865dc76398bcd85abd9", "afd6ccf126d0f1d82faf20bde7509b1e");
-    ("dcda/bursty/seed=42", "5c12e2085fd7d127d51b1c65f2232745", "13716ad660b89b7eb03f4799277ead9a");
-    ("backtrack/no-faults/seed=3", "bfb26d5ab93bd2befb6af657bc937286", "2da737e98be6d4cc11e19651ece1cb44");
-    ("backtrack/no-faults/seed=17", "eaeb5b27591f1c17d55039d1f6a4b332", "cf2cfbc6ada13e2bffb1fca5d6f2f816");
-    ("backtrack/no-faults/seed=42", "c912807803505318570cf55fcdbbfea5", "9a27ecdf7fad01dc265e217dcf6e2c27");
-    ("backtrack/bursty/seed=3", "109a5e4146a38ed9a8a9df60ad17017f", "49a46f2ddc780aead42861d5a0bf1d60");
-    ("backtrack/bursty/seed=17", "cae2e44921fe2eeacc550fd77bcc402e", "d0f590b376e6bc85b51429e597520778");
-    ("backtrack/bursty/seed=42", "5bda7abd0206d28bbcf56e00b61ff6f6", "e1620479be41d013bf5ef0b60aae1e27");
-    ("sync/no-faults/seed=3", "1c8e82c71f9bcfc195d7f965993eff97", "381f3960be1333ff6ee4aeefae23e5fe");
-    ("sync/no-faults/seed=17", "3ee549fffb404b374a04e4a3deef3a63", "0a2fca57589475e12e9e41bc9b50298a");
-    ("sync/no-faults/seed=42", "18bb7272c193595bd7f415d4aaff2bdb", "4191987ce1640530dc9d8776824b45b8");
-    ("sync/bursty/seed=3", "78e957df06512a0d21195d6c7196d8c2", "bb2cced86bbd6fd962504104a4b00d7f");
-    ("sync/bursty/seed=17", "225fe8d71979df89fd91506bebd75d88", "711e06a2f62421b43c8231f207ce6ab3");
-    ("sync/bursty/seed=42", "b55f25b96e69e2393c32ad9ced9c9345", "e8f9d7cb00d6f45e5b87ec38893e3a54");
+    ("dcda/no-faults/seed=3", "76dfe7da68842b000bae2a0e9a5baa6f", "5659d1787b251ae5b0dc8cc55b51bcd5");
+    ("dcda/no-faults/seed=17", "e06864e3f503c06594d4d8751c4f4ccb", "f9de4dee901b026a8a6a6d7870336718");
+    ("dcda/no-faults/seed=42", "2178df2c61da74c9d685829bc934009e", "95390425cfeb2b64f3b2175516f9c79d");
+    ("dcda/bursty/seed=3", "4da1c8df0bc7ce4e31c02229052b8f09", "1c6bb0a216ce3775a14cbace1b259afd");
+    ("dcda/bursty/seed=17", "62ad520418b1b32e49c577ee4e959e61", "afd6ccf126d0f1d82faf20bde7509b1e");
+    ("dcda/bursty/seed=42", "39c7cdb6fa9cbb0a469754adee09b841", "13716ad660b89b7eb03f4799277ead9a");
+    ("backtrack/no-faults/seed=3", "ba6b7febb095b69ae58be783e0c1803b", "2da737e98be6d4cc11e19651ece1cb44");
+    ("backtrack/no-faults/seed=17", "96d92a3eb2831a6e1226a4ccd21f54bf", "cf2cfbc6ada13e2bffb1fca5d6f2f816");
+    ("backtrack/no-faults/seed=42", "964095068df3fba5b5157bda2ea92c53", "9a27ecdf7fad01dc265e217dcf6e2c27");
+    ("backtrack/bursty/seed=3", "2f792ea9fb13e55e96e4cdaf9defcf25", "49a46f2ddc780aead42861d5a0bf1d60");
+    ("backtrack/bursty/seed=17", "464ef4a61de9654ad77bab36501a9f06", "d0f590b376e6bc85b51429e597520778");
+    ("backtrack/bursty/seed=42", "8bf681acd5c9a1accdfa2e5e50c9d79c", "e1620479be41d013bf5ef0b60aae1e27");
+    ("sync/no-faults/seed=3", "77fd847777bbf5e649953dc8ed4cd62e", "381f3960be1333ff6ee4aeefae23e5fe");
+    ("sync/no-faults/seed=17", "996aa1129fcb1d529cc58f58b7efd1f4", "0a2fca57589475e12e9e41bc9b50298a");
+    ("sync/no-faults/seed=42", "4bf4ed155cfa7e542bf43b6a20e39f3e", "4191987ce1640530dc9d8776824b45b8");
+    ("sync/bursty/seed=3", "1577f6a7b1e522fc96d34f65cc290642", "bb2cced86bbd6fd962504104a4b00d7f");
+    ("sync/bursty/seed=17", "358cf8e16093ec2cdf8cd0eb2d4ed929", "711e06a2f62421b43c8231f207ce6ab3");
+    ("sync/bursty/seed=42", "2e2e7bd85ad01dbefdf51ef23a1d11ac", "e8f9d7cb00d6f45e5b87ec38893e3a54");
   ]
 
 let check_pinned label metrics digest =
