@@ -65,29 +65,52 @@ let stub_set_apply_us ~holders ~reps =
   let per_holder = 30 and batch = 1_000 in
   let owner = Proc_id.of_int 0 in
   let scions = Scion_table.create ~owner in
-  let listing h =
-    List.init per_holder (fun k -> Oid.make ~owner ~serial:((h * per_holder) + k))
-    |> List.fold_left (fun m target -> Oid.Map.add target 0 m) Oid.Map.empty
-  in
+  let listing h = Array.init per_holder (fun k -> (h * per_holder) + k) in
+  let ics = Array.make per_holder 0 in
   for h = 1 to holders do
     let src = Proc_id.of_int h in
-    let targets = listing h in
-    Oid.Map.iter
-      (fun target _ ->
+    let serials = listing h in
+    Array.iter
+      (fun serial ->
+        let target = Oid.make ~owner ~serial in
         ignore (Scion_table.ensure scions ~now:0 (Ref_key.make ~src ~target) : Scion_table.entry))
-      targets;
-    ignore (Scion_table.apply_new_set scions ~now:0 ~src ~seqno:0 ~targets : Scion_table.apply_result)
+      serials;
+    ignore
+      (Scion_table.apply_new_set scions ~now:0 ~src ~seqno:0 ~serials ~ics : Scion_table.apply_result)
   done;
-  let src = Proc_id.of_int 1 and targets = listing 1 in
+  let src = Proc_id.of_int 1 and serials = listing 1 in
   let seqno = ref 0 in
   times ~reps (fun () ->
       for _ = 1 to batch do
         incr seqno;
         ignore
-          (Scion_table.apply_new_set scions ~now:0 ~src ~seqno:!seqno ~targets
+          (Scion_table.apply_new_set scions ~now:0 ~src ~seqno:!seqno ~serials ~ics
             : Scion_table.apply_result)
       done)
   |> List.map (fun ms -> ms *. 1000.0 /. float_of_int batch)
+
+(* The allocation of one stub-set round on a forest-shaped process:
+   P0 holds [per_owner] stubs into each of [owners] processes.  The
+   minor words of one [Reflist.send_new_sets], after a first round has
+   cleared the fresh marks and the network has drained: what building
+   and sending [owners] sets costs, a function of the table alone. *)
+let stub_set_round_words ~owners =
+  let per_owner = 20 in
+  let cluster = Cluster.create ~n:(owners + 1) () in
+  let p = Cluster.proc cluster 0 in
+  for owner = 1 to owners do
+    for _ = 1 to per_owner do
+      let target = Mutator.alloc cluster ~proc:owner () in
+      ignore (Adgc_rt.Stub_table.ensure p.Adgc_rt.Process.stubs ~now:0 target.Heap.oid
+               : Adgc_rt.Stub_table.entry)
+    done
+  done;
+  let rt = Cluster.rt cluster in
+  Reflist.send_new_sets rt p;
+  ignore (Cluster.drain cluster : int);
+  let before = Gc.minor_words () in
+  Reflist.send_new_sets rt p;
+  Gc.minor_words () -. before
 
 (* One advertisement round on a fully-wired clique: every process holds
    a reference into every other, so each (src, dst) pair carries one
@@ -172,6 +195,14 @@ let run recorder =
     ~config:sconfig minor;
   det recorder ~section:"tracer" ~name:"tracer.snapshot.retained_words.2000" ~unit_:"words"
     ~config:sconfig retained;
+  let owners = 32 in
+  let round_words = stub_set_round_words ~owners in
+  Printf.printf "one stub-set round of %d owners x 20 stubs: %.0f minor words\n" owners round_words;
+  det recorder ~section:"tracer"
+    ~name:(Printf.sprintf "tracer.stub_set.round_minor_words.%d" owners)
+    ~unit_:"words"
+    ~config:[ "tracer.stub_set.round"; string_of_int owners; "20" ]
+    round_words;
   let holder_counts = [ 32; 256 ] in
   let stub_sets =
     List.map (fun holders -> (holders, stub_set_apply_us ~holders ~reps:(if smoke () then 5 else 9)))

@@ -27,7 +27,7 @@ let samples =
       Msg.Rmi_reply { req_id = 1; target = oid 1 2; results = [ oid 1 4 ] };
       Msg.Export_notice { notice_id = 1; target = oid 1 2; new_holder = p0 };
       Msg.Export_ack { notice_id = 1; target = oid 1 2; new_holder = p0 };
-      Msg.New_set_stubs { seqno = 5; targets = Oid.Map.singleton (oid 1 2) 3 };
+      Msg.New_set_stubs { seqno = 5; serials = [| 2 |]; ics = [| 3 |] };
       Msg.Scion_probe;
       Msg.Cdm (Cdm.make ~id ~algebra ~frontier:key ~hops:1 ~budget:16);
       Msg.Cdm_delete { id; scions = [ key ] };
@@ -45,13 +45,15 @@ let wide_samples =
       (fun alg i -> Algebra.add_exn (Algebra.add_exn alg Algebra.Source (key i) ~ic:i) Algebra.Target (key i) ~ic:i)
       Algebra.empty (List.init 8 Fun.id)
   in
-  let targets =
-    List.fold_left (fun m i -> Oid.Map.add (key i).Ref_key.target i m) Oid.Map.empty (List.init 8 Fun.id)
-  in
   List.map
     (Msg.make ~seq:2 ~src:p0 ~dst:p1 ~sent_at:3)
     [
-      Msg.New_set_stubs { seqno = 5; targets };
+      Msg.New_set_stubs
+        {
+          seqno = 5;
+          serials = Array.init 8 (fun i -> (key i).Ref_key.target.Oid.serial);
+          ics = Array.init 8 Fun.id;
+        };
       Msg.Cdm
         (Cdm.make ~id:(Detection_id.make ~initiator:p0 ~seq:4) ~algebra ~frontier:(key 0) ~hops:1
            ~budget:16);

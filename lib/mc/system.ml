@@ -303,7 +303,7 @@ let fingerprint t =
            Printf.sprintf "%d>%d:%s"
              (Proc_id.to_int m.Msg.src)
              (Proc_id.to_int m.Msg.dst)
-             (hex (Adgc_serial.Net_codec.encode_shape (Msg.emit_payload ~dst:m.Msg.dst) m.Msg.payload)))
+             (hex (Adgc_serial.Net_codec.encode_shape Msg.emit_payload m.Msg.payload)))
     |> List.sort compare
     |> List.map (fun s -> Json.Str s)
   in

@@ -20,8 +20,8 @@ let rec handle_payload rt (msg : Msg.t) (at : Process.t) payload =
   | Msg.Export_notice { notice_id; target; new_holder } ->
       Reflist.handle_export_notice rt ~at ~src:msg.Msg.src ~notice_id ~target ~new_holder
   | Msg.Export_ack { notice_id; _ } -> Reflist.handle_export_ack rt ~at ~notice_id
-  | Msg.New_set_stubs { seqno; targets } ->
-      Reflist.handle_new_set rt ~at ~src:msg.Msg.src ~seqno ~targets
+  | Msg.New_set_stubs { seqno; serials; ics } ->
+      Reflist.handle_new_set rt ~at ~src:msg.Msg.src ~seqno ~serials ~ics
   | Msg.Scion_probe -> Reflist.handle_probe rt ~at ~src:msg.Msg.src
   | Msg.Cdm cdm ->
       (* One network hop of the detection: spans the transit time and

@@ -7,7 +7,7 @@ type payload =
   | Rmi_reply of { req_id : int; target : Oid.t; results : Oid.t list }
   | Export_notice of { notice_id : int; target : Oid.t; new_holder : Proc_id.t }
   | Export_ack of { notice_id : int; target : Oid.t; new_holder : Proc_id.t }
-  | New_set_stubs of { seqno : int; targets : int Oid.Map.t }
+  | New_set_stubs of { seqno : int; serials : int array; ics : int array }
   | Scion_probe
   | Cdm of Cdm.t
   | Cdm_delete of { id : Detection_id.t; scions : Ref_key.t list }
@@ -80,7 +80,7 @@ let fields = function
   | Rmi_request { args; _ } -> 4 + (2 * List.length args)
   | Rmi_reply { results; _ } -> 3 + (2 * List.length results)
   | Export_notice _ | Export_ack _ -> 4
-  | New_set_stubs { targets; _ } -> 1 + (2 * Oid.Map.cardinal targets)
+  | New_set_stubs { serials; _ } -> 1 + (2 * Array.length serials)
   | Scion_probe | Ext _ -> 0
   | Cdm cdm -> Cdm.items cdm
   | Cdm_delete { scions; _ } -> 2 + (3 * List.length scions)
@@ -90,7 +90,7 @@ let raw_oid s (o : Oid.t) =
   N.raw s (Proc_id.to_int (Oid.owner o));
   N.raw s o.Oid.serial
 
-let emit_fields s ~dst = function
+let emit_fields s = function
   | Rmi_request { req_id; target; args; stub_ic } ->
       N.raw s req_id;
       raw_oid s target;
@@ -104,21 +104,19 @@ let emit_fields s ~dst = function
       N.raw s notice_id;
       raw_oid s target;
       N.raw s (Proc_id.to_int new_holder)
-  | New_set_stubs { seqno; targets } ->
+  | New_set_stubs { seqno; serials; ics } ->
       (* A stub set goes to its targets' owner, so the owner is the
          envelope's [dst].  Serials ascend, and each is sent as its
-         gap to the one before: [seqno; serial; ic; gap; ic; ...]. *)
+         gap to the one before: [seqno; serial; ic; gap; ic; ...].  A
+         serial that does not ascend leaves a negative gap, which
+         [N.raw] refuses. *)
+      if Array.length ics <> Array.length serials then
+        invalid_arg "Msg.emit: a stub set with more serials than ICs or fewer";
       N.raw s seqno;
-      ignore
-        (Oid.Map.fold
-           (fun (o : Oid.t) ic prev ->
-             if not (Proc_id.equal (Oid.owner o) dst) then
-               invalid_arg "Msg.emit: a stub set target the destination does not own";
-             N.raw s (o.Oid.serial - prev - 1);
-             N.raw s ic;
-             o.Oid.serial)
-           targets (-1)
-          : int)
+      for i = 0 to Array.length serials - 1 do
+        N.raw s (serials.(i) - (if i = 0 then -1 else serials.(i - 1)) - 1);
+        N.raw s ics.(i)
+      done
   | Scion_probe | Ext _ -> ()
   | Cdm cdm -> Cdm.emit_items s cdm
   | Cdm_delete { id; scions } ->
@@ -134,17 +132,17 @@ let emit_fields s ~dst = function
 (* The payload's kind and fields, closing the run its caller opened,
    then what follows the run: an [Ext]'s body, a [Batch]'s
    constituents. *)
-let rec emit_body s ~dst p =
+let rec emit_body s p =
   N.raw s (kind_index p);
-  emit_fields s ~dst p;
+  emit_fields s p;
   match p with
   | Ext body -> N.str s body
-  | Batch payloads -> List.iter (emit_payload ~dst s) payloads
+  | Batch payloads -> List.iter (emit_payload s) payloads
   | _ -> ()
 
-and emit_payload ~dst s p =
+and emit_payload s p =
   N.packed s (1 + fields p);
-  emit_body s ~dst p
+  emit_body s p
 
 let emit s t =
   N.packed s (header + 1 + fields t.payload);
@@ -152,7 +150,7 @@ let emit s t =
   N.raw s (Proc_id.to_int t.dst);
   N.raw s t.seq;
   N.raw s t.sent_at;
-  emit_body s ~dst:t.dst t.payload
+  emit_body s t.payload
 
 (* The reader.  Field order is part of the wire format; a run holds no
    negative int, so no id is negative. *)
@@ -176,7 +174,7 @@ let read_export r k =
   (notice_id, target, read_proc r)
 
 (* A payload whose run has [k] ints left after its kind. *)
-let rec read_payload r ~dst ~batched k =
+let rec read_payload r ~batched k =
   match R.raw r with
   | 0 ->
       let n = entries r k ~fixed:4 ~width:2 "rmi request" in
@@ -198,17 +196,15 @@ let rec read_payload r ~dst ~batched k =
   | 4 ->
       let n = entries r k ~fixed:1 ~width:2 "stub set" in
       let seqno = R.raw r in
-      let rec go n prev m =
-        if n = 0 then m
-        else begin
-          let serial = prev + 1 + R.raw r in
-          (* Past [max_int], the sum wraps negative. *)
-          if serial < 0 then R.fail r "stub set serial out of range";
-          let ic = R.raw r in
-          go (n - 1) serial (Oid.Map.add (Oid.make ~owner:dst ~serial) ic m)
-        end
-      in
-      New_set_stubs { seqno; targets = go n (-1) Oid.Map.empty }
+      let serials = Array.make n 0 and ics = Array.make n 0 in
+      for i = 0 to n - 1 do
+        let serial = (if i = 0 then -1 else serials.(i - 1)) + 1 + R.raw r in
+        (* Past [max_int], the sum wraps negative. *)
+        if serial < 0 then R.fail r "stub set serial out of range";
+        serials.(i) <- serial;
+        ics.(i) <- R.raw r
+      done;
+      New_set_stubs { seqno; serials; ics }
   | 5 ->
       if k <> 0 then R.fail r "ragged scion probe run";
       Scion_probe
@@ -236,7 +232,7 @@ let rec read_payload r ~dst ~batched k =
         else begin
           let k = R.packed r in
           if k < 1 then R.fail r "empty batched run";
-          let p = read_payload r ~dst ~batched:true (k - 1) in
+          let p = read_payload r ~batched:true (k - 1) in
           if payload_refs p <> [] then R.fail r "batched references";
           go (n - 1) (p :: acc)
         end
@@ -251,4 +247,4 @@ let read r =
   let dst = read_proc r in
   let seq = R.raw r in
   let sent_at = R.raw r in
-  make ~seq ~src ~dst ~sent_at (read_payload r ~dst ~batched:false (n - header - 1))
+  make ~seq ~src ~dst ~sent_at (read_payload r ~batched:false (n - header - 1))

@@ -36,14 +36,19 @@ type payload =
   | Export_ack of { notice_id : int; target : Oid.t; new_holder : Proc_id.t }
   | New_set_stubs of {
       seqno : int;  (** per (sender, destination) sequence number *)
-      targets : int Oid.Map.t;
-          (** objects of the destination the sender still references,
-              with the stub-side invocation counter of each — the
-              counter lets the owner re-synchronize a scion whose
-              invocations were lost in transit (a lost request bumps
-              only the stub side and would otherwise wedge the IC
-              safety check forever) *)
+      serials : int array;
+          (** serials of the destination's objects the sender still
+              references, strictly ascending: the destination owns
+              every target, so the serial names it *)
+      ics : int array;
+          (** the stub-side invocation counter of each, beside its
+              serial — the counter lets the owner re-synchronize a
+              scion whose invocations were lost in transit (a lost
+              request bumps only the stub side and would otherwise
+              wedge the IC safety check forever) *)
     }
+      (** One owner's slice of the sender's stub table
+          ({!Stub_table.iter_advertised}), as the table keeps it. *)
   | Scion_probe
       (** Owner-driven keepalive: "I still hold scions for you but have
           not heard a stub set in a while — send one."  Makes the
@@ -123,12 +128,13 @@ val emit : t Adgc_serial.Net_codec.shape
     {!Network} charges each envelope its [Net_codec.size], and the
     socket driver sends these bytes.
     @raise Invalid_argument on a negative int in the run (an
-    unsequenced envelope among them) or a stub set target that [dst]
-    does not own. *)
+    unsequenced envelope among them, a stub set whose serials do not
+    strictly ascend) or a stub set with unequal serial and IC
+    counts. *)
 
-val emit_payload : dst:Proc_id.t -> payload Adgc_serial.Net_codec.shape
+val emit_payload : payload Adgc_serial.Net_codec.shape
 (** A payload as a run of its own, [[kind; fields...]], followed by
-    what follows {!emit}'s run: how a [Batch] to [dst] sends each
+    what follows {!emit}'s run: how a [Batch] sends each
     constituent. *)
 
 val read : Adgc_serial.Net_codec.Read.t -> t

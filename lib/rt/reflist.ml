@@ -86,34 +86,36 @@ let handle_export_ack _rt ~(at : Process.t) ~notice_id =
       Hashtbl.remove at.Process.pending_notices notice_id;
       Stub_table.unpin at.Process.stubs pending.Process.notice_target
 
-let stub_groups (p : Process.t) =
-  List.fold_left
-    (fun acc (target, ic) ->
-      let owner = Oid.owner target in
-      let prev = Option.value ~default:Oid.Map.empty (Proc_id.Map.find_opt owner acc) in
-      Proc_id.Map.add owner (Oid.Map.add target ic prev) acc)
-    Proc_id.Map.empty
-    (Stub_table.advertised p.Process.stubs)
-
-let send_set_to rt (p : Process.t) ~dst ~targets =
+let send_set_to rt (p : Process.t) ~dst (serials, ics) =
   let seqno = Process.next_out_seqno p ~dst in
   Stats.incr rt.Runtime.stats "reflist.sets_sent";
-  Runtime.send_dgc rt ~src:p.Process.id ~dst (Msg.New_set_stubs { seqno; targets })
+  Runtime.send_dgc rt ~src:p.Process.id ~dst (Msg.New_set_stubs { seqno; serials; ics })
 
 let would_advertise (p : Process.t) =
-  Stub_table.advertised p.Process.stubs <> []
-  || not (Proc_id.Set.is_empty p.Process.set_recipients)
+  Stub_table.advertises p.Process.stubs || not (Proc_id.Set.is_empty p.Process.set_recipients)
+
+let retraction = ([||], [||])
 
 let send_new_sets rt (p : Process.t) =
-  let groups = stub_groups p in
-  let current = Proc_id.Map.fold (fun owner _ acc -> Proc_id.Set.add owner acc) groups Proc_id.Set.empty in
-  let all = Proc_id.Set.union current p.Process.set_recipients in
-  Proc_id.Set.iter
-    (fun dst ->
-      let targets = Option.value ~default:Oid.Map.empty (Proc_id.Map.find_opt dst groups) in
-      send_set_to rt p ~dst ~targets)
-    all;
-  p.Process.set_recipients <- current;
+  (* Owners in ascending rank: each one listed now gets its slice, and
+     each of last round's recipients that nothing lists now gets an
+     empty set, in turn. *)
+  let owed = ref p.Process.set_recipients and current = ref Proc_id.Set.empty in
+  let rec retract_below owner =
+    match Proc_id.Set.min_elt_opt !owed with
+    | Some r when Proc_id.compare r owner < 0 ->
+        owed := Proc_id.Set.remove r !owed;
+        send_set_to rt p ~dst:r retraction;
+        retract_below owner
+    | Some _ | None -> ()
+  in
+  Stub_table.iter_advertised p.Process.stubs (fun owner slice ->
+      retract_below owner;
+      owed := Proc_id.Set.remove owner !owed;
+      current := Proc_id.Set.add owner !current;
+      send_set_to rt p ~dst:owner slice);
+  Proc_id.Set.iter (fun r -> send_set_to rt p ~dst:r retraction) !owed;
+  p.Process.set_recipients <- !current;
   Stub_table.clear_fresh p.Process.stubs
 
 let probe_idle_scions rt (p : Process.t) ~threshold =
@@ -140,12 +142,12 @@ let reap_dead_holders rt (p : Process.t) =
 let handle_probe rt ~(at : Process.t) ~src =
   (* Answer with a fresh stub set for the prober, listing whatever we
      still reference there (possibly nothing). *)
-  send_set_to rt at ~dst:src ~targets:(Stub_table.advertised_to at.Process.stubs src)
+  send_set_to rt at ~dst:src (Stub_table.advertised_to at.Process.stubs src)
 
-let handle_new_set rt ~(at : Process.t) ~src ~seqno ~targets =
+let handle_new_set rt ~(at : Process.t) ~src ~seqno ~serials ~ics =
   let result =
     Scion_table.apply_new_set ~grace:rt.Runtime.config.scion_grace at.Process.scions
-      ~now:(Runtime.now rt) ~src ~seqno ~targets
+      ~now:(Runtime.now rt) ~src ~seqno ~serials ~ics
   in
   if result.Scion_table.stale then Stats.incr rt.Runtime.stats "reflist.sets_stale"
   else begin

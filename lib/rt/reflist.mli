@@ -52,7 +52,7 @@ val send_new_sets : Runtime.t -> Process.t -> unit
     advertised last round), then clear the freshness marks. *)
 
 val handle_new_set :
-  Runtime.t -> at:Process.t -> src:Proc_id.t -> seqno:int -> targets:int Oid.Map.t -> unit
+  Runtime.t -> at:Process.t -> src:Proc_id.t -> seqno:int -> serials:int array -> ics:int array -> unit
 
 val probe_idle_scions : Runtime.t -> Process.t -> threshold:int -> unit
 (** Owner side of the keepalive: probe every holder from which no stub

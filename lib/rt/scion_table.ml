@@ -156,46 +156,85 @@ let ic t key = Option.map (fun e -> e.ic) (find t key)
 
 let last_seqno t src = match holder_opt t src with Some h -> h.seqno | None -> -1
 
+(* The tombstones from the first one of [owner]'s with at least
+   [serial] on: the ones skipped are not listed by a set that lists
+   [serial] next. *)
+let rec drop_tombs_below owner serial = function
+  | (o : Oid.t) :: rest when o.Oid.serial < serial || not (Proc_id.equal o.Oid.owner owner) ->
+      drop_tombs_below owner serial rest
+  | rest -> rest
+
 type apply_result = { deleted : Ref_key.t list; unknown : (Oid.t * int) list; stale : bool }
 
-let apply_new_set ?(grace = max_int) t ~now ~src ~seqno ~targets =
+let apply_new_set ?(grace = max_int) t ~now ~src ~seqno ~serials ~ics =
   let h = holder t src in
   (* Even a stale set proves the holder is talking to us. *)
   h.set_time <- now;
   if seqno <= h.seqno then { deleted = []; unknown = []; stale = true }
   else begin
     h.seqno <- seqno;
-    (* Confirm listed scions (re-synchronizing their counters) and
-       delete confirmed-but-unlisted ones. *)
-    let deleted =
-      filter_in_place t h (fun entry ->
-          match Oid.Map.find_opt entry.key.Ref_key.target targets with
-          | Some stub_ic ->
-              entry.confirmed <- true;
-              sync_ic entry stub_ic;
-              true
-          | None ->
-              (* An unconfirmed scion stays while the holder may not yet
-                 have seen the reference (export in flight) — unless it
-                 is older than [grace], when the exported reference was
-                 lost in transit (see the interface). *)
-              (not entry.confirmed) && (grace = max_int || now - entry.created_at <= grace))
+    (* One merge walk of the listed serials against the holder's
+       scions and tombstones, all ascending (every target is ours, so
+       the serial orders them).  A listed scion is confirmed and its
+       counter re-synchronized; an unlisted one is deleted once
+       confirmed.  A listed tombstone stays, so its target stays dead;
+       an unlisted one dissolves.  A listed target with neither is
+       reported back for healing. *)
+    let scions = h.scions in
+    let kept = ref 0 and i = ref 0 in
+    let deleted = ref [] and unknown = ref [] in
+    let keep e =
+      (* skip the write (and its barrier) while nothing has moved *)
+      if !kept < !i then scions.(!kept) <- e;
+      incr kept
     in
-    (* Tombstone maintenance: a listed tombstoned key stays dead; an
-       unlisted one dissolves. *)
-    if not (Oid.Set.is_empty h.tombs) then
-      h.tombs <- Oid.Set.filter (fun target -> Oid.Map.mem target targets) h.tombs;
-    (* Listed targets with neither a scion nor a tombstone are
-       reported back for healing.  No listed scion was deleted above,
-       so membership now is membership before. *)
-    let unknown =
-      Oid.Map.fold
-        (fun target ic acc ->
-          if search h target >= 0 || Oid.Set.mem target h.tombs then acc else (target, ic) :: acc)
-        targets []
-      |> List.rev
+    let unlisted e =
+      (* An unconfirmed scion stays while the holder may not yet have
+         seen the reference (export in flight) — unless it is older
+         than [grace], when the exported reference was lost in transit
+         (see the interface). *)
+      if (not e.confirmed) && (grace = max_int || now - e.created_at <= grace) then keep e
+      else deleted := e.key :: !deleted
     in
-    { deleted; unknown; stale = false }
+    let serial_at i = scions.(i).key.Ref_key.target.Oid.serial in
+    let tombs = ref (Oid.Set.elements h.tombs) and listed_tombs = ref [] in
+    for j = 0 to Array.length serials - 1 do
+      let serial = serials.(j) in
+      while !i < h.count && serial_at !i < serial do
+        unlisted scions.(!i);
+        incr i
+      done;
+      let tombed =
+        match drop_tombs_below t.owner serial !tombs with
+        | o :: rest when o.Oid.serial = serial ->
+            listed_tombs := o :: !listed_tombs;
+            tombs := rest;
+            true
+        | rest ->
+            tombs := rest;
+            false
+      in
+      if !i < h.count && serial_at !i = serial then begin
+        let e = scions.(!i) in
+        e.confirmed <- true;
+        sync_ic e ics.(j);
+        keep e;
+        incr i
+      end
+      else if not tombed then unknown := (Oid.make ~owner:t.owner ~serial, ics.(j)) :: !unknown
+    done;
+    while !i < h.count do
+      unlisted scions.(!i);
+      incr i
+    done;
+    (* Vacated slots are overwritten so the array retains nothing
+       removed. *)
+    if !kept = 0 then h.scions <- [||]
+    else Array.fill scions !kept (h.count - !kept) scions.(0);
+    t.size <- t.size - (h.count - !kept);
+    h.count <- !kept;
+    if not (Oid.Set.is_empty h.tombs) then h.tombs <- Oid.Set.of_list !listed_tombs;
+    { deleted = List.rev !deleted; unknown = List.rev !unknown; stale = false }
   end
 
 let idle_sources t ~now ~threshold =

@@ -88,8 +88,20 @@ type apply_result = {
 }
 
 val apply_new_set :
-  ?grace:int -> t -> now:int -> src:Proc_id.t -> seqno:int -> targets:int Oid.Map.t -> apply_result
-(** Listed scions are confirmed and their invocation counter raised to
+  ?grace:int ->
+  t ->
+  now:int ->
+  src:Proc_id.t ->
+  seqno:int ->
+  serials:int array ->
+  ics:int array ->
+  apply_result
+(** Apply a stub set from [src] listing this process's objects with
+    the given serials, strictly ascending, each with the stub-side
+    counter beside it in [ics] ({!Msg.New_set_stubs}).  It costs one
+    merge walk over the set and the holder's scions.
+
+    Listed scions are confirmed and their invocation counter raised to
     the advertised stub-side value when it is ahead (the two drift
     apart when an invocation request is lost: the stub was bumped at
     the send, the scion never saw the delivery; without

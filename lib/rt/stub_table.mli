@@ -11,7 +11,16 @@
     - [fresh] — the entry was created after the last [NewSetStubs]
       round, so it must be advertised at least once even if the local
       reference was dropped meanwhile (this is what lets the owner
-      unpin and subsequently delete the scion instead of leaking it). *)
+      unpin and subsequently delete the scion instead of leaking it).
+
+    The table is grouped by owner, as {!Scion_table} is grouped by
+    holder: one group per owner this process holds a stub for, kept as
+    an array of serials in ascending order with the entries beside it.
+    A lookup costs a bounds check plus a binary search of that owner's
+    group; an insertion in allocation order is an append.  So every
+    walk ({!iter}, {!entries}, {!iter_advertised}) comes out in
+    [(owner, serial)] order with no sort, and one owner's share of a
+    [NewSetStubs] round is a walk of one group. *)
 
 open Adgc_algebra
 
@@ -60,18 +69,23 @@ val mark_live : t -> Oid.t -> unit
 
 val sweep : t -> Oid.t list
 (** Remove entries that are neither live, fresh nor pinned; returns
-    the removed targets. *)
+    the removed targets, ascending. *)
 
-val advertised : t -> (Oid.t * int) list
-(** Targets to include in the next [NewSetStubs] round — live, fresh
-    or pinned entries — each with its current invocation counter (the
-    sets piggyback the counters so owners can re-synchronize scions
-    whose invocations were lost in transit). *)
+val iter_advertised : t -> (Proc_id.t -> int array * int array -> unit) -> unit
+(** The next [NewSetStubs] round: each owner with at least one live,
+    fresh or pinned stub, by ascending rank, with the serials and the
+    invocation counters of those stubs, both in ascending serial order
+    (the sets piggyback the counters so owners can re-synchronize
+    scions whose invocations were lost in transit).  The arrays are
+    fresh. *)
 
-val advertised_to : t -> Proc_id.t -> int Oid.Map.t
-(** The {!advertised} targets owned by that process, with their
-    counters: one owner's share of the next round, without grouping
-    the others. *)
+val advertised_to : t -> Proc_id.t -> int array * int array
+(** That owner's share of the next round, as {!iter_advertised} gives
+    it; two empty arrays when it has none. *)
+
+val advertises : t -> bool
+(** Some stub is live, fresh or pinned, so the next round lists at
+    least one target.  Stops at the first such stub. *)
 
 val clear_fresh : t -> unit
 (** Call after a [NewSetStubs] round has been computed: every entry
@@ -81,6 +95,7 @@ val entries : t -> entry list
 (** Ascending target order. *)
 
 val iter : t -> (entry -> unit) -> unit
-(** Every entry, in no particular order, with no list built. *)
+(** Every entry in ascending target order, as {!entries} lists them,
+    without building the list.  [f] must not add or remove stubs. *)
 
 val size : t -> int

@@ -78,9 +78,6 @@ let grown a i fill =
     bigger
   end
 
-let by_target (a : Stub_table.entry) (b : Stub_table.entry) =
-  Oid.compare a.Stub_table.target b.Stub_table.target
-
 (* The rank of [o] among [stubs.(lo)] .. [stubs.(hi - 1)], or -1. *)
 let rec stub_rank (stubs : Stub_table.entry array) o lo hi =
   if lo >= hi then -1
@@ -247,16 +244,14 @@ let encode ~now (p : Process.t) =
     | Some id -> Mark.is_marked s.root_marks id
     | None -> false
   in
-  (* The stub table is walked in place, into the reused array, and
-     only its used prefix is sorted by target. *)
+  (* Both tables are walked in place, in key order, into the reused
+     arrays. *)
   let nstubs = ref 0 in
   Stub_table.iter p.Process.stubs (fun e ->
       s.stubs <- grown s.stubs !nstubs e;
       s.stubs.(!nstubs) <- e;
       incr nstubs);
   let nstubs = !nstubs in
-  Adgc_util.Sorted.prefix by_target s.stubs nstubs;
-  (* The scion table is walked in place, into the reused array. *)
   let nscions = ref 0 in
   Scion_table.iter p.Process.scions (fun e ->
       s.scions <- grown s.scions !nscions e;

@@ -27,30 +27,3 @@ let last_of_each compare a =
       out
     end
   end
-
-let list compare l = Array.to_list (last_of_each compare (Array.of_list l))
-
-(* Heapsort: in place, and nothing allocated beyond its two helpers. *)
-let prefix compare a n =
-  let swap i j =
-    let x = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- x
-  in
-  let rec sift i len =
-    let l = (2 * i) + 1 in
-    if l < len then begin
-      let c = if l + 1 < len && compare a.(l + 1) a.(l) > 0 then l + 1 else l in
-      if compare a.(c) a.(i) > 0 then begin
-        swap i c;
-        sift c len
-      end
-    end
-  in
-  for i = (n / 2) - 1 downto 0 do
-    sift i n
-  done;
-  for last = n - 1 downto 1 do
-    swap 0 last;
-    sift 0 last
-  done

@@ -121,6 +121,23 @@ let find_scion table key =
     (Scion_table.entries table)
 
 (* When a detection hop happened. *)
+(* A stub set as [Msg.New_set_stubs] carries it, from the map of its
+   targets (all owned by the set's destination) to their ICs: the
+   serials and the ICs, both ascending. *)
+let stub_set targets =
+  let listed = Oid.Map.bindings targets in
+  ( Array.of_list (List.map (fun ((o : Oid.t), _) -> o.Oid.serial) listed),
+    Array.of_list (List.map snd listed) )
+
+let new_set_stubs ~seqno targets =
+  let serials, ics = stub_set targets in
+  Msg.New_set_stubs { seqno; serials; ics }
+
+(* [Scion_table.apply_new_set] of the stub set [stub_set targets]. *)
+let apply_set ?grace table ~now ~src ~seqno ~targets =
+  let serials, ics = stub_set targets in
+  Scion_table.apply_new_set ?grace table ~now ~src ~seqno ~serials ~ics
+
 let hop_time = function
   | Adgc_obs.Lineage.Initiated h -> h.time
   | Sent h -> h.time

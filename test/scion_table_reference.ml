@@ -4,7 +4,10 @@
    hash table, so stub-set processing, idle detection and crash
    reclamation scan the whole table; the property test in
    [Test_rt_core] drives both with the same operations and compares
-   everything observable.  Shares no code with the runtime table. *)
+   everything observable.  A stub set reaches [apply_new_set] as the
+   map from target to IC it once travelled as, and is applied by
+   lookups in that map, not by the runtime's merge walk over sorted
+   arrays.  Shares no code with the runtime table. *)
 
 open Adgc_algebra
 

@@ -12,8 +12,16 @@ let owner = Proc_id.of_int 0
 
 let oid p serial = Oid.make ~owner:(Proc_id.of_int p) ~serial
 
-(* Small key spaces so operations collide often. *)
-let stub_targets = Array.init 6 (fun i -> oid ((i mod 3) + 1) i)
+(* Small key spaces so operations collide often.  The stub targets
+   belong to five owners, two of them ranked far past where the
+   table's group array starts, and each owner's serials are first
+   met out of order, so groups are created, grown at either end and
+   in the middle, and emptied. *)
+let stub_owners = [| 1; 2; 3; 9; 40 |]
+
+let stub_targets = Array.init 12 (fun i -> oid stub_owners.(i mod 5) (7 * i mod 11))
+
+let last_stub = Array.length stub_targets - 1
 
 let scion_keys =
   Array.init 6 (fun i -> Ref_key.make ~src:(Proc_id.of_int ((i mod 3) + 1)) ~target:(oid 0 i))
@@ -35,12 +43,12 @@ let stub_op_gen =
   QCheck2.Gen.(
     oneof
       [
-        map (fun i -> S_ensure i) (int_bound 5);
-        map (fun i -> S_pin i) (int_bound 5);
-        map (fun i -> S_unpin i) (int_bound 5);
-        map (fun i -> S_bump i) (int_bound 5);
+        map (fun i -> S_ensure i) (int_bound last_stub);
+        map (fun i -> S_pin i) (int_bound last_stub);
+        map (fun i -> S_unpin i) (int_bound last_stub);
+        map (fun i -> S_bump i) (int_bound last_stub);
         return S_mark_all_dead;
-        map (fun i -> S_mark_live i) (int_bound 5);
+        map (fun i -> S_mark_live i) (int_bound last_stub);
         return S_sweep;
         return S_clear_fresh;
       ])
@@ -110,17 +118,58 @@ let stub_apply table op =
   | S_sweep -> ignore (Stub_table.sweep table : Oid.t list)
   | S_clear_fresh -> Stub_table.clear_fresh table
 
+let rec strictly_ascending = function
+  | a :: (b :: _ as rest) -> Oid.compare a b < 0 && strictly_ascending rest
+  | [ _ ] | [] -> true
+
+let stub_kept m = m.m_live || m.m_fresh || m.m_pins > 0
+
+(* One owner's share of the next stub-set round, from the model. *)
+let model_slice model owner =
+  let listed =
+    Oid.Map.bindings
+      (Oid.Map.filter (fun o m -> Proc_id.equal (Oid.owner o) owner && stub_kept m) model)
+  in
+  ( Array.of_list (List.map (fun ((o : Oid.t), _) -> o.Oid.serial) listed),
+    Array.of_list (List.map (fun (_, m) -> m.m_ic) listed) )
+
 let stub_agrees table { live_entries = model; retired = _ } =
+  let same (e : Stub_table.entry) m =
+    e.Stub_table.ic = m.m_ic && e.Stub_table.pins = m.m_pins && e.Stub_table.live = m.m_live
+    && e.Stub_table.fresh = m.m_fresh
+  in
   let entries = Stub_table.entries table in
+  let iterated = ref [] in
+  Stub_table.iter table (fun e -> iterated := e :: !iterated);
+  let targets = List.map (fun (e : Stub_table.entry) -> e.Stub_table.target) in
+  let owners = Array.to_list (Array.map Proc_id.of_int stub_owners) in
+  let advertised = ref [] in
+  Stub_table.iter_advertised table (fun owner slice -> advertised := (owner, slice) :: !advertised);
   List.length entries = Oid.Map.cardinal model
+  && Stub_table.size table = Oid.Map.cardinal model
+  && strictly_ascending (targets entries)
+  && targets (List.rev !iterated) = targets entries
   && List.for_all
        (fun (e : Stub_table.entry) ->
-         match Oid.Map.find_opt e.Stub_table.target model with
-         | Some m ->
-             e.Stub_table.ic = m.m_ic && e.Stub_table.pins = m.m_pins
-             && e.Stub_table.live = m.m_live && e.Stub_table.fresh = m.m_fresh
-         | None -> false)
+         match Oid.Map.find_opt e.Stub_table.target model with Some m -> same e m | None -> false)
        entries
+  && Array.for_all
+       (fun target ->
+         Stub_table.mem table target = Oid.Map.mem target model
+         &&
+         match (Stub_table.find table target, Oid.Map.find_opt target model) with
+         | Some e, Some m -> Oid.equal e.Stub_table.target target && same e m
+         | None, None -> true
+         | Some _, None | None, Some _ -> false)
+       stub_targets
+  && List.for_all (fun owner -> Stub_table.advertised_to table owner = model_slice model owner) owners
+  && List.rev !advertised
+     = List.filter_map
+         (fun owner ->
+           let slice = model_slice model owner in
+           if Array.length (fst slice) > 0 then Some (owner, slice) else None)
+         owners
+  && Stub_table.advertises table = Oid.Map.exists (fun _ m -> stub_kept m) model
 
 let prop_stub_table_model =
   QCheck_alcotest.to_alcotest
@@ -128,15 +177,28 @@ let prop_stub_table_model =
        QCheck2.Gen.(list_size (int_bound 120) stub_op_gen)
        (fun ops ->
          let table = Stub_table.create ~owner in
-         let model =
-           List.fold_left
-             (fun model op ->
-               stub_apply table op;
-               stub_model_apply model op)
-             { live_entries = Oid.Map.empty; retired = Oid.Map.empty }
-             ops
-         in
-         stub_agrees table model))
+         List.fold_left
+           (fun (ok, model) op ->
+             (* A sweep returns what the model drops, ascending. *)
+             let swept =
+               match op with
+               | S_sweep -> Some (Stub_table.sweep table)
+               | _ ->
+                   stub_apply table op;
+                   None
+             in
+             let model' = stub_model_apply model op in
+             let dropped =
+               Oid.Map.fold
+                 (fun o _ acc -> if Oid.Map.mem o model'.live_entries then acc else o :: acc)
+                 model.live_entries []
+               |> List.rev
+             in
+             let swept_ok = match swept with Some l -> l = dropped | None -> true in
+             (ok && swept_ok && stub_agrees table model', model'))
+           (true, { live_entries = Oid.Map.empty; retired = Oid.Map.empty })
+           ops
+         |> fst))
 
 (* ------------------------------------------------------------------ *)
 (* Scion table *)
@@ -238,7 +300,7 @@ let scion_apply table (op, seqno) =
             if Proc_id.equal k.Ref_key.src src then Oid.Map.add k.Ref_key.target 0 m else m)
           Oid.Map.empty listed
       in
-      ignore (Scion_table.apply_new_set table ~now:0 ~src ~seqno ~targets : Scion_table.apply_result)
+      ignore (Scaffold.apply_set table ~now:0 ~src ~seqno ~targets : Scion_table.apply_result)
 
 let scion_agrees table model =
   let entries = Scion_table.entries table in
@@ -295,12 +357,15 @@ let test_apply_syncs_ic () =
   let table = Scion_table.create ~owner in
   let key = scion_keys.(0) in
   ignore (Scion_table.ensure table ~now:0 key);
-  let targets = Oid.Map.singleton key.Ref_key.target 7 in
-  ignore (Scion_table.apply_new_set table ~now:0 ~src:key.Ref_key.src ~seqno:0 ~targets);
+  let serial = key.Ref_key.target.Oid.serial in
+  ignore
+    (Scion_table.apply_new_set table ~now:0 ~src:key.Ref_key.src ~seqno:0 ~serials:[| serial |]
+       ~ics:[| 7 |]);
   check (Alcotest.option Alcotest.int) "raised to stub ic" (Some 7) (Scion_table.ic table key);
   (* Never lowered. *)
-  let targets = Oid.Map.singleton key.Ref_key.target 3 in
-  ignore (Scion_table.apply_new_set table ~now:0 ~src:key.Ref_key.src ~seqno:1 ~targets);
+  ignore
+    (Scion_table.apply_new_set table ~now:0 ~src:key.Ref_key.src ~seqno:1 ~serials:[| serial |]
+       ~ics:[| 3 |]);
   check (Alcotest.option Alcotest.int) "not lowered" (Some 7) (Scion_table.ic table key)
 
 let suite =

@@ -46,11 +46,7 @@ let sample_payloads : Msg.payload list =
       Msg.Rmi_reply { req_id = 7; target = oid 1 2; results = [ oid 1 4 ] };
       Msg.Export_notice { notice_id = 11; target = oid 2 1; new_holder = Proc_id.of_int 3 };
       Msg.Export_ack { notice_id = 11; target = oid 2 1; new_holder = Proc_id.of_int 3 };
-      Msg.New_set_stubs
-        {
-          seqno = 4;
-          targets = Oid.Map.add (oid 3 1) 2 (Oid.Map.add (oid 3 2) 0 Oid.Map.empty);
-        };
+      Msg.New_set_stubs { seqno = 4; serials = [| 1; 2 |]; ics = [| 2; 0 |] };
       Msg.Scion_probe;
       Msg.Cdm
         (Cdm.make

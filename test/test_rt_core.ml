@@ -394,7 +394,7 @@ let test_stub_sweep_lifecycle () =
   Stub_table.mark_all_dead t;
   check Alcotest.int "fresh survives" 0 (List.length (Stub_table.sweep t));
   (* ...and are advertised once. *)
-  check Alcotest.int "advertised" 1 (List.length (Stub_table.advertised t));
+  check Alcotest.int "advertised" 1 (Array.length (fst (Stub_table.advertised_to t p1)));
   Stub_table.clear_fresh t;
   (* Now dead and not fresh: swept. *)
   Stub_table.mark_all_dead t;
@@ -472,14 +472,14 @@ let test_scion_new_set_confirm_then_delete () =
   let k = key 1 (oid 0 0) in
   ignore (Scion_table.ensure t ~now:0 k);
   (* A set that excludes the target cannot kill an unconfirmed scion. *)
-  let r1 = Scion_table.apply_new_set t ~now:1 ~src:p1 ~seqno:0 ~targets:Oid.Map.empty in
+  let r1 = Scaffold.apply_set t ~now:1 ~src:p1 ~seqno:0 ~targets:Oid.Map.empty in
   check Alcotest.int "unconfirmed protected" 0 (List.length r1.Scion_table.deleted);
   check Alcotest.bool "still there" true (Scion_table.mem t k);
   (* A set that includes it confirms. *)
-  let r2 = Scion_table.apply_new_set t ~now:2 ~src:p1 ~seqno:1 ~targets:(set_of [ oid 0 0 ]) in
+  let r2 = Scaffold.apply_set t ~now:2 ~src:p1 ~seqno:1 ~targets:(set_of [ oid 0 0 ]) in
   check Alcotest.int "nothing deleted" 0 (List.length r2.Scion_table.deleted);
   (* Now exclusion deletes. *)
-  let r3 = Scion_table.apply_new_set t ~now:3 ~src:p1 ~seqno:2 ~targets:Oid.Map.empty in
+  let r3 = Scaffold.apply_set t ~now:3 ~src:p1 ~seqno:2 ~targets:Oid.Map.empty in
   check Alcotest.int "deleted" 1 (List.length r3.Scion_table.deleted);
   check Alcotest.bool "gone" false (Scion_table.mem t k)
 
@@ -487,15 +487,15 @@ let test_scion_stale_seqno_ignored () =
   let t = Scion_table.create ~owner:p0 in
   let k = key 1 (oid 0 0) in
   ignore (Scion_table.ensure t ~now:0 k);
-  ignore (Scion_table.apply_new_set t ~now:1 ~src:p1 ~seqno:5 ~targets:(set_of [ oid 0 0 ]));
+  ignore (Scaffold.apply_set t ~now:1 ~src:p1 ~seqno:5 ~targets:(set_of [ oid 0 0 ]));
   (* An old (reordered) empty set must not delete. *)
-  let r = Scion_table.apply_new_set t ~now:2 ~src:p1 ~seqno:3 ~targets:Oid.Map.empty in
+  let r = Scaffold.apply_set t ~now:2 ~src:p1 ~seqno:3 ~targets:Oid.Map.empty in
   check Alcotest.bool "stale" true r.Scion_table.stale;
   check Alcotest.bool "survives reorder" true (Scion_table.mem t k)
 
 let test_scion_unknown_reported () =
   let t = Scion_table.create ~owner:p0 in
-  let r = Scion_table.apply_new_set t ~now:0 ~src:p1 ~seqno:0 ~targets:(set_of [ oid 0 7 ]) in
+  let r = Scaffold.apply_set t ~now:0 ~src:p1 ~seqno:0 ~targets:(set_of [ oid 0 7 ]) in
   check Alcotest.int "unknown" 1 (List.length r.Scion_table.unknown)
 
 let test_scion_other_src_untouched () =
@@ -503,9 +503,9 @@ let test_scion_other_src_untouched () =
   let k1 = key 1 (oid 0 0) and k2 = key 2 (oid 0 0) in
   ignore (Scion_table.ensure t ~now:0 k1);
   ignore (Scion_table.ensure t ~now:0 k2);
-  ignore (Scion_table.apply_new_set t ~now:1 ~src:p1 ~seqno:0 ~targets:(set_of [ oid 0 0 ]));
+  ignore (Scaffold.apply_set t ~now:1 ~src:p1 ~seqno:0 ~targets:(set_of [ oid 0 0 ]));
   (* Deleting via P1's sets never touches P2's scion. *)
-  ignore (Scion_table.apply_new_set t ~now:2 ~src:p1 ~seqno:1 ~targets:Oid.Map.empty);
+  ignore (Scaffold.apply_set t ~now:2 ~src:p1 ~seqno:1 ~targets:Oid.Map.empty);
   check Alcotest.bool "P1 scion gone" false (Scion_table.mem t k1);
   check Alcotest.bool "P2 scion intact" true (Scion_table.mem t k2)
 
@@ -517,15 +517,15 @@ let test_scion_tombstone_blocks_heal () =
   check Alcotest.bool "tombstoned" true (Scion_table.tombstoned t k);
   (* Holder still advertises the target: not reported unknown (no
      heal), tombstone stays. *)
-  let r = Scion_table.apply_new_set t ~now:1 ~src:p1 ~seqno:0 ~targets:(set_of [ oid 0 0 ]) in
+  let r = Scaffold.apply_set t ~now:1 ~src:p1 ~seqno:0 ~targets:(set_of [ oid 0 0 ]) in
   check Alcotest.int "no unknown" 0 (List.length r.Scion_table.unknown);
   check Alcotest.bool "still tombstoned" true (Scion_table.tombstoned t k);
   (* Holder stops advertising: tombstone dissolves. *)
-  ignore (Scion_table.apply_new_set t ~now:2 ~src:p1 ~seqno:1 ~targets:Oid.Map.empty);
+  ignore (Scaffold.apply_set t ~now:2 ~src:p1 ~seqno:1 ~targets:Oid.Map.empty);
   check Alcotest.bool "dissolved" false (Scion_table.tombstoned t k);
   (* A later re-export may legitimately recreate the scion. *)
   let r =
-    Scion_table.apply_new_set t ~now:3 ~src:p1 ~seqno:2 ~targets:(set_of [ oid 0 0 ])
+    Scaffold.apply_set t ~now:3 ~src:p1 ~seqno:2 ~targets:(set_of [ oid 0 0 ])
   in
   check Alcotest.int "heal allowed again" 1 (List.length r.Scion_table.unknown)
 
@@ -534,11 +534,11 @@ let test_scion_grace_expires_lost_export () =
   let k = key 1 (oid 0 0) in
   ignore (Scion_table.ensure t ~now:0 k);
   (* Within the grace period an excluding set keeps the scion. *)
-  let r = Scion_table.apply_new_set ~grace:100 t ~now:50 ~src:p1 ~seqno:0 ~targets:Oid.Map.empty in
+  let r = Scaffold.apply_set ~grace:100 t ~now:50 ~src:p1 ~seqno:0 ~targets:Oid.Map.empty in
   check Alcotest.int "protected within grace" 0 (List.length r.Scion_table.deleted);
   (* Past the grace period it is reclaimed. *)
   let r =
-    Scion_table.apply_new_set ~grace:100 t ~now:200 ~src:p1 ~seqno:1 ~targets:Oid.Map.empty
+    Scaffold.apply_set ~grace:100 t ~now:200 ~src:p1 ~seqno:1 ~targets:Oid.Map.empty
   in
   check Alcotest.int "expired" 1 (List.length r.Scion_table.deleted);
   check Alcotest.bool "gone" false (Scion_table.mem t k)
@@ -552,7 +552,7 @@ let test_scion_idle_sources () =
   check Alcotest.int "only P1 idle" 1 (List.length idle);
   check Alcotest.bool "it is P1" true (Proc_id.equal (List.hd idle) p1);
   (* A set arrival resets the clock. *)
-  ignore (Scion_table.apply_new_set t ~now:100 ~src:p1 ~seqno:0 ~targets:(set_of [ oid 0 0 ]));
+  ignore (Scaffold.apply_set t ~now:100 ~src:p1 ~seqno:0 ~targets:(set_of [ oid 0 0 ]));
   check Alcotest.int "none idle" 0
     (List.length (Scion_table.idle_sources t ~now:120 ~threshold:50))
 
@@ -653,7 +653,8 @@ let same_scion_tables ops =
           let targets =
             List.fold_left (fun m (t, ic) -> Oid.Map.add (oid 0 t) ic m) Oid.Map.empty listed
           in
-          let r = Scion_table.apply_new_set ?grace real ~now ~src ~seqno ~targets in
+          let serials, ics = Scaffold.stub_set targets in
+          let r = Scion_table.apply_new_set ?grace real ~now ~src ~seqno ~serials ~ics in
           let m = Ref_table.apply_new_set ?grace model ~now ~src ~seqno ~targets in
           agree "stale" r.Scion_table.stale m.Ref_table.stale;
           agree "unknown" r.Scion_table.unknown m.Ref_table.unknown;
@@ -699,6 +700,95 @@ let prop_scion_table_matches_reference =
     (QCheck2.Test.make ~name:"scion: per-holder table = owner-wide reference" ~count:500
        ~print:print_scion_ops gen_scion_ops same_scion_tables)
 
+(* The stub-set merge walk against the reference's map-based pass, on
+   wider tables than the operation sequences above reach: up to 30
+   serials per holder, scions in every state, tombstones with and
+   without a scion beside them, and a few sets in a row (stale ones
+   too).  Each set must give the same result and leave the same
+   scions, counters, confirmations, tombstones and seqnos. *)
+type merge_case = {
+  scions : (int * int * bool * int * int) list; (* holder, serial, confirmed, ic, created_at *)
+  tombs : (int * int * bool) list; (* holder, serial, scion re-created beside it *)
+  sets : (int * int * int option * (int * int) list) list;
+      (* holder, seqno offset, grace, listed (serial, ic) *)
+}
+
+let gen_merge_case =
+  let open QCheck2.Gen in
+  let holder = int_range 1 3 and serial = int_bound 30 in
+  let scion = tup5 holder serial bool (int_bound 5) (int_bound 20) in
+  let tomb = triple holder serial bool in
+  let set = tup4 holder (int_range (-1) 2) (opt (int_bound 30)) (list_size (int_bound 12) (pair serial (int_bound 6))) in
+  map3
+    (fun scions tombs sets -> { scions; tombs; sets })
+    (list_size (int_bound 40) scion) (list_size (int_bound 6) tomb) (list_size (int_range 1 4) set)
+
+let print_merge_case c =
+  let entry (h, s, conf, ic, at) = Printf.sprintf "P%d->#%d%s ic=%d at=%d" h s (if conf then "!" else "") ic at in
+  let tomb (h, s, again) = Printf.sprintf "tomb P%d->#%d%s" h s (if again then " (re-created)" else "") in
+  let set (h, d, g, l) =
+    Printf.sprintf "set P%d seqno+%d%s [%s]" h d
+      (match g with Some g -> Printf.sprintf " grace=%d" g | None -> "")
+      (String.concat ";" (List.map (fun (s, ic) -> Printf.sprintf "#%d:%d" s ic) l))
+  in
+  String.concat "\n" (List.map entry c.scions @ List.map tomb c.tombs @ List.map set c.sets)
+
+let merge_walk_matches_reference c =
+  let real = Scion_table.create ~owner:p0 and model = Ref_table.create ~owner:p0 in
+  let k h s = key h (oid 0 s) in
+  List.iter
+    (fun (h, s, confirmed, ic, created_at) ->
+      let e = Scion_table.ensure real ~now:created_at (k h s) in
+      let m = Ref_table.ensure model ~now:created_at (k h s) in
+      Scion_table.observe_invocation real ~now:created_at (k h s) ~stub_ic:ic;
+      Ref_table.observe_invocation model ~now:created_at (k h s) ~stub_ic:ic;
+      if confirmed then begin
+        Scion_table.confirm e;
+        Ref_table.confirm m
+      end)
+    c.scions;
+  List.iter
+    (fun (h, s, again) ->
+      ignore (Scion_table.delete ~tombstone:true real (k h s) : bool);
+      ignore (Ref_table.delete ~tombstone:true model (k h s) : bool);
+      if again then begin
+        ignore (Scion_table.ensure real ~now:0 (k h s) : Scion_table.entry);
+        ignore (Ref_table.ensure model ~now:0 (k h s) : Ref_table.entry)
+      end)
+    c.tombs;
+  let view (e : Scion_table.entry) =
+    (e.Scion_table.key, e.Scion_table.ic, e.Scion_table.confirmed, e.Scion_table.created_at,
+     e.Scion_table.last_invoked)
+  and model_view (e : Ref_table.entry) =
+    (e.Ref_table.key, e.Ref_table.ic, e.Ref_table.confirmed, e.Ref_table.created_at,
+     e.Ref_table.last_invoked)
+  in
+  List.for_all
+    (fun (h, d, grace, listed) ->
+      let src = Proc_id.of_int h in
+      let seqno = Ref_table.last_seqno model src + d in
+      let targets = List.fold_left (fun m (s, ic) -> Oid.Map.add (oid 0 s) ic m) Oid.Map.empty listed in
+      let serials, ics = Scaffold.stub_set targets in
+      let r = Scion_table.apply_new_set ?grace real ~now:25 ~src ~seqno ~serials ~ics in
+      let m = Ref_table.apply_new_set ?grace model ~now:25 ~src ~seqno ~targets in
+      r.Scion_table.stale = m.Ref_table.stale
+      && r.Scion_table.unknown = m.Ref_table.unknown
+      && r.Scion_table.deleted = List.sort Ref_key.compare m.Ref_table.deleted
+      && List.map view (Scion_table.entries real) = List.map model_view (Ref_table.entries model)
+      && List.for_all
+           (fun h ->
+             Scion_table.last_seqno real (Proc_id.of_int h) = Ref_table.last_seqno model (Proc_id.of_int h)
+             && List.for_all
+                  (fun s -> Scion_table.tombstoned real (k h s) = Ref_table.tombstoned model (k h s))
+                  (List.init 31 Fun.id))
+           [ 1; 2; 3 ])
+    c.sets
+
+let prop_merge_walk_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"scion: merge-walk stub set = map-based reference" ~count:500
+       ~print:print_merge_case gen_merge_case merge_walk_matches_reference)
+
 let test_scion_deleted_ascending () =
   (* Several holders, scions created in descending order: a stub set
      that drops them all reports them in ascending key order, and
@@ -712,7 +802,7 @@ let test_scion_deleted_ascending () =
       done)
     [ 3; 1; 2 ];
   let r =
-    Scion_table.apply_new_set t ~now:1 ~src:(Proc_id.of_int 2) ~seqno:0 ~targets:Oid.Map.empty
+    Scion_table.apply_new_set t ~now:1 ~src:(Proc_id.of_int 2) ~seqno:0 ~serials:[||] ~ics:[||]
   in
   let expected = List.init 10 (fun s -> key 2 (oid 0 s)) in
   check Alcotest.bool "stub set: ascending" true (r.Scion_table.deleted = expected);
@@ -775,4 +865,5 @@ let suite =
       Alcotest.test_case "scion: protected targets" `Quick test_scion_protected_targets;
       Alcotest.test_case "scion: deleted in ascending key order" `Quick test_scion_deleted_ascending;
       prop_scion_table_matches_reference;
+      prop_merge_walk_matches_reference;
     ] )

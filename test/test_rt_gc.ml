@@ -591,7 +591,7 @@ module Stats = Adgc_util.Stats
 
 let window_config window = { (Runtime.default_config ()) with Runtime.dgc_window = window }
 
-let empty_set seqno = Msg.New_set_stubs { seqno; targets = Oid.Map.empty }
+let empty_set seqno = Msg.New_set_stubs { seqno; serials = [||]; ics = [||] }
 
 let test_batching_coalesces () =
   let cluster = mk ~n:2 ~config:(window_config 5) () in
@@ -823,7 +823,7 @@ let test_duplicate_new_set_idempotent () =
      a duplicating network manufactures. *)
   let msg =
     Msg.make ~seq:900 ~src:p1.Process.id ~dst:p0.Process.id ~sent_at:0
-      (Msg.New_set_stubs { seqno = 0; targets })
+      (Scaffold.new_set_stubs ~seqno:0 targets)
   in
   Network.send (Cluster.net cluster) msg;
   settle cluster;
@@ -837,7 +837,7 @@ let test_duplicate_new_set_idempotent () =
      per-(sender, destination) stub-set seqno makes it just as inert. *)
   let msg' =
     Msg.make ~seq:901 ~src:p1.Process.id ~dst:p0.Process.id ~sent_at:0
-      (Msg.New_set_stubs { seqno = 0; targets })
+      (Scaffold.new_set_stubs ~seqno:0 targets)
   in
   Network.send (Cluster.net cluster) msg';
   settle cluster;
@@ -851,7 +851,7 @@ let test_duplicate_batch_idempotent () =
   let cluster, targets = mk_wired () in
   let stats = Cluster.stats cluster in
   let p0 = Cluster.proc cluster 0 and p1 = Cluster.proc cluster 1 in
-  let set seqno = Msg.New_set_stubs { seqno; targets } in
+  let set seqno = Scaffold.new_set_stubs ~seqno targets in
   let msg =
     Msg.make ~seq:77 ~src:p1.Process.id ~dst:p0.Process.id ~sent_at:0 (Msg.Batch [ set 0; set 1 ])
   in

@@ -320,14 +320,10 @@ let gen_flat_payload dst =
            destination's. *)
         map2
           (fun seqno entries ->
-            Msg.New_set_stubs
-              {
-                seqno;
-                targets =
-                  List.fold_left
-                    (fun m (serial, ic) -> Oid.Map.add (Oid.make ~owner:dst ~serial) ic m)
-                    Oid.Map.empty entries;
-              })
+            Scaffold.new_set_stubs ~seqno
+              (List.fold_left
+                 (fun m (serial, ic) -> Oid.Map.add (Oid.make ~owner:dst ~serial) ic m)
+                 Oid.Map.empty entries))
           (int_bound 1000)
           (list_size (int_bound 5) (pair (frequency [ (4, int_bound 100); (1, gen_wide) ]) (int_bound 9)));
         return Msg.Scion_probe;
@@ -379,7 +375,7 @@ let test_payload_generator_coverage () =
       | _ -> false)
   in
   let stub_sets =
-    count (function Msg.New_set_stubs { targets; _ } -> not (Oid.Map.is_empty targets) | _ -> false)
+    count (function Msg.New_set_stubs { serials; _ } -> Array.length serials > 0 | _ -> false)
   in
   let ext = count (function Msg.Ext _ -> true | _ -> false) in
   let at_least what n =
@@ -597,12 +593,12 @@ let packed_runs_rejected () =
   let targets serials =
     List.fold_left (fun m (serial, ic) -> Oid.Map.add (Oid.make ~owner:p1 ~serial) ic m) Oid.Map.empty serials
   in
-  accepted "a stub set" (msg (Msg.New_set_stubs { seqno = 5; targets = targets [ (1, 2); (3, 4) ] }));
+  accepted "a stub set" (msg (Scaffold.new_set_stubs ~seqno:5 (targets [ (1, 2); (3, 4) ])));
   accepted "a stub set of wide gaps"
     (msg
-       (Msg.New_set_stubs
-          { seqno = 5; targets = targets [ (0, 0); (1, 1); (1000, 2); (max_int - 1, 3); (max_int, 4) ] }));
-  accepted "an empty stub set" (msg (Msg.New_set_stubs { seqno = 6; targets = Oid.Map.empty }))
+       (Scaffold.new_set_stubs ~seqno:5
+          (targets [ (0, 0); (1, 1); (1000, 2); (max_int - 1, 3); (max_int, 4) ])));
+  accepted "an empty stub set" (msg (Msg.New_set_stubs { seqno = 6; serials = [||]; ics = [||] }))
 
 (* An [Ext] body is a string after the run: opaque, but still
    length-checked against the input like any other. *)
@@ -672,8 +668,7 @@ let test_payload_decoder_rejects () =
           [
             Msg.Scion_probe;
             Msg.Ext "x";
-            Msg.New_set_stubs
-              { seqno = 3; targets = Oid.Map.singleton (Oid.make ~owner:p1 ~serial:2) 0 };
+            Msg.New_set_stubs { seqno = 3; serials = [| 2 |]; ics = [| 0 |] };
           ]))
 
 (* Only reference-free control traffic is ever batched, so a batch
@@ -683,8 +678,9 @@ let test_batch_with_references_rejected () =
   accepted "the reply alone" (msg reply);
   rejected_trees "a batch holding it" (Ref.msg_trees (msg (Msg.Batch [ Msg.Scion_probe; reply ])))
 
-(* The writer refuses what the run cannot hold: a negative int, and a
-   stub set target its destination does not own. *)
+(* The writer refuses what the run cannot hold: a negative int, a stub
+   set whose serials do not strictly ascend (a negative gap), and one
+   with more serials than ICs or fewer. *)
 let test_writer_rejects () =
   let refused what (m : Msg.t) =
     (match Net_codec.size Msg.emit m with
@@ -698,7 +694,7 @@ let test_writer_rejects () =
   let id = Detection_id.make ~initiator:p0 ~seq:1 in
   refused "an unsequenced envelope" (Msg.make ~seq:(-1) ~src:p0 ~dst:p1 ~sent_at:3 Msg.Scion_probe);
   refused "a negative stub IC"
-    (msg (Msg.New_set_stubs { seqno = 1; targets = Oid.Map.singleton (Oid.make ~owner:p1 ~serial:2) (-1) }));
+    (msg (Msg.New_set_stubs { seqno = 1; serials = [| 2 |]; ics = [| -1 |] }));
   refused "a negative algebra IC"
     (msg
        (Msg.Cdm
@@ -711,17 +707,13 @@ let test_writer_rejects () =
              ~algebra:(Algebra.add_exn Algebra.empty Algebra.Source key ~ic:(1 lsl 61)))));
   refused "a negative request id"
     (msg (Msg.Rmi_reply { req_id = -1; target = Oid.make ~owner:p1 ~serial:2; results = [] }));
-  let foreign = Msg.New_set_stubs { seqno = 1; targets = Oid.Map.singleton (Oid.make ~owner:p0 ~serial:2) 0 } in
-  refused "a stub set target dst does not own" (msg foreign);
-  refused "a batched stub set target dst does not own" (msg (Msg.Batch [ Msg.Scion_probe; foreign ]));
-  let two_owners =
-    Msg.New_set_stubs
-      {
-        seqno = 1;
-        targets = Oid.Map.add (Oid.make ~owner:p0 ~serial:1) 0 (Oid.Map.singleton (Oid.make ~owner:p1 ~serial:2) 0);
-      }
-  in
-  refused "a stub set of two owners" (msg two_owners)
+  let descending = Msg.New_set_stubs { seqno = 1; serials = [| 2; 1 |]; ics = [| 0; 0 |] } in
+  refused "a stub set whose serials descend" (msg descending);
+  refused "a batched stub set whose serials descend" (msg (Msg.Batch [ Msg.Scion_probe; descending ]));
+  refused "a stub set listing a serial twice"
+    (msg (Msg.New_set_stubs { seqno = 1; serials = [| 2; 2 |]; ics = [| 0; 0 |] }));
+  refused "a stub set with an IC short"
+    (msg (Msg.New_set_stubs { seqno = 1; serials = [| 1; 2 |]; ics = [| 0 |] }))
 
 (* ------------------------------------------------------------------ *)
 (* Wire identity: the shapes in lib/ against the reference builders in
@@ -736,9 +728,8 @@ let same_bytes shape bytes v =
 let qcheck_msg_wire_identity =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"msg shape = reference bytes and size" ~count:500 gen_msg (fun m ->
-         let dst = m.Msg.dst in
          same_bytes Msg.emit (Ref.msg_bytes m) m
-         && same_bytes (Msg.emit_payload ~dst) (Ref.payload_bytes ~dst m.Msg.payload) m.Msg.payload))
+         && same_bytes Msg.emit_payload (Ref.payload_bytes m.Msg.payload) m.Msg.payload))
 
 let qcheck_comparator_wire_identity =
   QCheck_alcotest.to_alcotest
@@ -791,14 +782,7 @@ let test_cdm_size_allocation_is_flat () =
   in
   let stubs n =
     msg
-      (Msg.New_set_stubs
-         {
-           seqno = 9;
-           targets =
-             List.fold_left
-               (fun m i -> Oid.Map.add (Oid.make ~owner:p1 ~serial:(3 * i)) i m)
-               Oid.Map.empty (List.init n Fun.id);
-         })
+      (Msg.New_set_stubs { seqno = 9; serials = Array.init n (fun i -> 3 * i); ics = Array.init n Fun.id })
   in
   let words m =
     ignore (Net_codec.size Msg.emit m : int);
@@ -1113,7 +1097,7 @@ let test_case_indices_pinned () =
       Msg.Rmi_reply { req_id = 0; target; results = [] };
       Msg.Export_notice { notice_id = 0; target; new_holder = p0 };
       Msg.Export_ack { notice_id = 0; target; new_holder = p0 };
-      Msg.New_set_stubs { seqno = 0; targets = Oid.Map.empty };
+      Msg.New_set_stubs { seqno = 0; serials = [||]; ics = [||] };
       Msg.Scion_probe;
       Msg.Cdm (Cdm.make ~id ~algebra ~frontier:(Ref_key.make ~src:p0 ~target) ~hops:0 ~budget:1);
       Msg.Cdm_delete { id; scions = [] };

@@ -689,25 +689,7 @@ let test_sorted_last_of_each () =
   check Alcotest.(list (pair int string)) "last of equal keys kept"
     [ (0, "b"); (1, "d"); (2, "e") ]
     (Array.to_list
-       (Sorted.last_of_each by_key [| (1, "a"); (0, "b"); (1, "c"); (2, "e"); (1, "d") |]));
-  check Alcotest.(list int) "list" [ 1; 2; 3 ] (Sorted.list Int.compare [ 3; 1; 2 ]);
-  check Alcotest.(list int) "empty" [] (Sorted.list Int.compare [])
-
-(* A prefix sorts in place, equal to sorting a copy of it, and the
-   rest of the array is left as it was. *)
-let qcheck_sorted_prefix =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"sorted: prefix sorts in place" ~count:300
-       QCheck2.Gen.(pair (list_size (int_bound 40) (int_bound 50)) (int_bound 40))
-       (fun (l, n) ->
-         let a = Array.of_list l in
-         let n = Int.min n (Array.length a) in
-         let expected = Array.copy a in
-         let head = Array.sub a 0 n in
-         Array.sort Int.compare head;
-         Array.blit head 0 expected 0 n;
-         Adgc_util.Sorted.prefix Int.compare a n;
-         a = expected))
+       (Sorted.last_of_each by_key [| (1, "a"); (0, "b"); (1, "c"); (2, "e"); (1, "d") |]))
 
 let suite =
   ( "util",
@@ -767,5 +749,4 @@ let suite =
       Alcotest.test_case "table: row padding" `Quick test_table_pads_rows;
       Alcotest.test_case "table: column alignment" `Quick test_table_alignment;
       Alcotest.test_case "sorted: last of each" `Quick test_sorted_last_of_each;
-      qcheck_sorted_prefix;
     ] )

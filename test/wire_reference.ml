@@ -435,17 +435,9 @@ let rec payload_sval = function
             ("target", oid_sval target);
             ("new_holder", Sval.Int (Proc_id.to_int new_holder));
           ] )
-  | Msg.New_set_stubs { seqno; targets } ->
-      Sval.Record
-        ( "new_set_stubs",
-          [
-            ("seqno", Sval.Int seqno);
-            ( "targets",
-              Sval.List
-                (List.map
-                   (fun (o, ic) -> Sval.List [ oid_sval o; Sval.Int ic ])
-                   (Oid.Map.bindings targets)) );
-          ] )
+  | Msg.New_set_stubs { seqno; serials; ics } ->
+      let ints a = Sval.List (Array.to_list (Array.map (fun i -> Sval.Int i) a)) in
+      Sval.Record ("new_set_stubs", [ ("seqno", Sval.Int seqno); ("serials", ints serials); ("ics", ints ics) ])
   | Msg.Scion_probe -> Sval.Record ("scion_probe", [])
   | Msg.Cdm cdm -> cdm_sval cdm
   | Msg.Cdm_delete { id; scions } ->
@@ -481,7 +473,7 @@ let oid_ints (o : Oid.t) = [ Proc_id.to_int (Oid.owner o); o.Oid.serial ]
 (* A payload's [kind :: fields], and the trees after its run.  A stub
    set's owner is the destination: the run holds the first serial and
    then each serial's gap to the one before. *)
-let rec payload_layout ~dst = function
+let rec payload_layout = function
   | Msg.Rmi_request { req_id; target; args; stub_ic } ->
       ((0 :: req_id :: oid_ints target) @ (stub_ic :: List.concat_map oid_ints args), [])
   | Msg.Rmi_reply { req_id; target; results } ->
@@ -490,15 +482,14 @@ let rec payload_layout ~dst = function
       ((2 :: notice_id :: oid_ints target) @ [ Proc_id.to_int new_holder ], [])
   | Msg.Export_ack { notice_id; target; new_holder } ->
       ((3 :: notice_id :: oid_ints target) @ [ Proc_id.to_int new_holder ], [])
-  | Msg.New_set_stubs { seqno; targets } ->
+  | Msg.New_set_stubs { seqno; serials; ics } ->
+      if Array.length serials <> Array.length ics then
+        invalid_arg "Wire_reference.payload_layout: unequal serial and IC counts";
       let rec gaps prev = function
         | [] -> []
-        | ((o : Oid.t), ic) :: rest ->
-            if Oid.owner o <> dst then
-              invalid_arg "Wire_reference.payload_layout: a stub set target dst does not own";
-            (o.Oid.serial - prev - 1) :: ic :: gaps o.Oid.serial rest
+        | (serial, ic) :: rest -> (serial - prev - 1) :: ic :: gaps serial rest
       in
-      (4 :: seqno :: gaps (-1) (Oid.Map.bindings targets), [])
+      (4 :: seqno :: gaps (-1) (List.combine (Array.to_list serials) (Array.to_list ics)), [])
   | Msg.Scion_probe -> ([ 5 ], [])
   | Msg.Cdm cdm -> (6 :: cdm_ints cdm, [])
   | Msg.Cdm_delete { id; scions } ->
@@ -508,20 +499,20 @@ let rec payload_layout ~dst = function
              scions,
         [] )
   | Msg.Ext body -> ([ 8 ], [ Str body ])
-  | Msg.Batch payloads -> ([ 9; List.length payloads ], List.concat_map (payload_trees ~dst) payloads)
+  | Msg.Batch payloads -> ([ 9; List.length payloads ], List.concat_map payload_trees payloads)
 
-and payload_trees ~dst p =
-  let ints, after = payload_layout ~dst p in
+and payload_trees p =
+  let ints, after = payload_layout p in
   Packed ints :: after
 
 let msg_trees (t : Msg.t) =
-  let ints, after = payload_layout ~dst:t.Msg.dst t.Msg.payload in
+  let ints, after = payload_layout t.Msg.payload in
   Packed ([ Proc_id.to_int t.Msg.src; Proc_id.to_int t.Msg.dst; t.Msg.seq; t.Msg.sent_at ] @ ints)
   :: after
 
 let msg_bytes t = encode_trees (msg_trees t)
 
-let payload_bytes ~dst p = encode_trees (payload_trees ~dst p)
+let payload_bytes p = encode_trees (payload_trees p)
 
 (* [width]-int entries, after the fixed fields. *)
 let rec chunks width = function
@@ -538,7 +529,7 @@ let oid_of_ints = function
 
 (* The payload of run [kind :: fields], pulling what follows the run
    off [next]. *)
-let rec payload_of ~dst ~batched next kind fields =
+let rec payload_of ~batched next kind fields =
   match (kind, fields) with
   | 0, req_id :: owner :: serial :: stub_ic :: args ->
       Option.map
@@ -562,17 +553,25 @@ let rec payload_of ~dst ~batched next kind fields =
            { notice_id; target = oid_of_ints [ owner; serial ]; new_holder = Proc_id.of_int holder })
   | 4, seqno :: entries ->
       Option.bind (chunks 2 entries) (fun entries ->
-          let rec go prev m = function
-            | [] -> Some m
+          let rec go prev = function
+            | [] -> Some []
             | [ gap; ic ] :: rest ->
                 (* A serial past [max_int] has no int. *)
                 if gap > max_int - prev - 1 then None
                 else
                   let serial = prev + 1 + gap in
-                  go serial (Oid.Map.add (Oid.make ~owner:dst ~serial) ic m) rest
+                  Option.map (fun l -> (serial, ic) :: l) (go serial rest)
             | _ -> None
           in
-          Option.map (fun targets -> Msg.New_set_stubs { seqno; targets }) (go (-1) Oid.Map.empty entries))
+          Option.map
+            (fun listed ->
+              Msg.New_set_stubs
+                {
+                  seqno;
+                  serials = Array.of_list (List.map fst listed);
+                  ics = Array.of_list (List.map snd listed);
+                })
+            (go (-1) entries))
   | 5, [] -> Some Msg.Scion_probe
   | 6, ints -> Option.map (fun cdm -> Msg.Cdm cdm) (cdm_of_ints ints)
   | 7, initiator :: seq :: keys ->
@@ -596,7 +595,7 @@ let rec payload_of ~dst ~batched next kind fields =
          references: kinds 0-3 name at least their target. *)
       let constituent () =
         match next () with
-        | Packed (kind :: fields) when kind > 3 -> payload_of ~dst ~batched:true next kind fields
+        | Packed (kind :: fields) when kind > 3 -> payload_of ~batched:true next kind fields
         | _ -> None
       in
       let rec go k acc =
@@ -614,7 +613,7 @@ let read_msg r =
       let dst = Proc_id.of_int dst in
       Option.map
         (fun payload -> Msg.make ~seq ~src:(Proc_id.of_int src) ~dst ~sent_at payload)
-        (payload_of ~dst ~batched:false next kind fields)
+        (payload_of ~batched:false next kind fields)
   | _ -> None
 
 let msg_decode bytes =
