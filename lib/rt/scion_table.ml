@@ -179,53 +179,55 @@ let apply_new_set ?(grace = max_int) t ~now ~src ~seqno ~serials ~ics =
        counter re-synchronized; an unlisted one is deleted once
        confirmed.  A listed tombstone stays, so its target stays dead;
        an unlisted one dissolves.  A listed target with neither is
-       reported back for healing. *)
-    let scions = h.scions in
-    let kept = ref 0 and i = ref 0 in
+       reported back for healing.  No closure captures the cursors, so
+       they stay out of the heap. *)
+    let scions = h.scions and n = Array.length serials in
+    let kept = ref 0 and i = ref 0 and j = ref 0 in
     let deleted = ref [] and unknown = ref [] in
-    let keep e =
-      (* skip the write (and its barrier) while nothing has moved *)
-      if !kept < !i then scions.(!kept) <- e;
-      incr kept
-    in
-    let unlisted e =
-      (* An unconfirmed scion stays while the holder may not yet have
-         seen the reference (export in flight) — unless it is older
-         than [grace], when the exported reference was lost in transit
-         (see the interface). *)
-      if (not e.confirmed) && (grace = max_int || now - e.created_at <= grace) then keep e
-      else deleted := e.key :: !deleted
-    in
-    let serial_at i = scions.(i).key.Ref_key.target.Oid.serial in
     let tombs = ref (Oid.Set.elements h.tombs) and listed_tombs = ref [] in
-    for j = 0 to Array.length serials - 1 do
-      let serial = serials.(j) in
-      while !i < h.count && serial_at !i < serial do
-        unlisted scions.(!i);
-        incr i
-      done;
-      let tombed =
-        match drop_tombs_below t.owner serial !tombs with
-        | o :: rest when o.Oid.serial = serial ->
-            listed_tombs := o :: !listed_tombs;
-            tombs := rest;
-            true
-        | rest ->
-            tombs := rest;
-            false
+    while !i < h.count || !j < n do
+      let c =
+        if !i = h.count then 1
+        else if !j = n then -1
+        else Int.compare scions.(!i).key.Ref_key.target.Oid.serial serials.(!j)
       in
-      if !i < h.count && serial_at !i = serial then begin
+      if c < 0 then begin
         let e = scions.(!i) in
-        e.confirmed <- true;
-        sync_ic e ics.(j);
-        keep e;
+        (* An unconfirmed scion stays while the holder may not yet have
+           seen the reference (export in flight) — unless it is older
+           than [grace], when the exported reference was lost in
+           transit (see the interface). *)
+        if (not e.confirmed) && (grace = max_int || now - e.created_at <= grace) then begin
+          (* skip the write (and its barrier) while nothing has moved *)
+          if !kept < !i then scions.(!kept) <- e;
+          incr kept
+        end
+        else deleted := e.key :: !deleted;
         incr i
       end
-      else if not tombed then unknown := (Oid.make ~owner:t.owner ~serial, ics.(j)) :: !unknown
-    done;
-    while !i < h.count do
-      unlisted scions.(!i);
-      incr i
+      else begin
+        let serial = serials.(!j) in
+        let tombed =
+          match drop_tombs_below t.owner serial !tombs with
+          | o :: rest when o.Oid.serial = serial ->
+              listed_tombs := o :: !listed_tombs;
+              tombs := rest;
+              true
+          | rest ->
+              tombs := rest;
+              false
+        in
+        if c = 0 then begin
+          let e = scions.(!i) in
+          e.confirmed <- true;
+          sync_ic e ics.(!j);
+          if !kept < !i then scions.(!kept) <- e;
+          incr kept;
+          incr i
+        end
+        else if not tombed then unknown := (Oid.make ~owner:t.owner ~serial, ics.(!j)) :: !unknown;
+        incr j
+      end
     done;
     (* Vacated slots are overwritten so the array retains nothing
        removed. *)
