@@ -17,7 +17,10 @@
     holder: one group per owner this process holds a stub for, kept as
     an array of serials in ascending order with the entries beside it.
     A lookup costs a bounds check plus a binary search of that owner's
-    group; an insertion in allocation order is an append.  So every
+    group; an insertion in allocation order is an append.  An owner
+    with no stubs has no group, and a small group grows one slot at a
+    time, so a table spread over many owners with a stub or two each
+    stays small.  Every
     walk ({!iter}, {!entries}, {!iter_advertised}) comes out in
     [(owner, serial)] order with no sort, and one owner's share of a
     [NewSetStubs] round is a walk of one group. *)
@@ -76,8 +79,8 @@ val iter_advertised : t -> (Proc_id.t -> int array * int array -> unit) -> unit
     fresh or pinned stub, by ascending rank, with the serials and the
     invocation counters of those stubs, both in ascending serial order
     (the sets piggyback the counters so owners can re-synchronize
-    scions whose invocations were lost in transit).  The arrays are
-    fresh. *)
+    scions whose invocations were lost in transit).  Each call builds
+    new arrays. *)
 
 val advertised_to : t -> Proc_id.t -> int array * int array
 (** That owner's share of the next round, as {!iter_advertised} gives
