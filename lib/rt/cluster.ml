@@ -259,7 +259,7 @@ let live_marks t =
   let procs = t.rt.Runtime.procs in
   let n = Array.length procs in
   let s = live_signature t in
-  (* Sync before judging validity: a pending resync may rebuild the
+  (* Sync before judging validity: a pending compaction may rebuild the
      interner, and generations must be read post-sync. *)
   let gens = Array.make n (-1) in
   Array.iteri

@@ -7,17 +7,19 @@ type obj = { oid : Oid.t; mutable fields : Oid.t option array; mutable payload :
 
 (* Persistent dense-trace state.  The interner assigns each local
    object a dense id; [slots] maps ids back to the live object (or
-   [None] once swept).  The whole record survives across traces so
-   consecutive snapshots pay no allocation: the visited set is an
-   epoch-marked bitset and the BFS queue a reused int array.  It is
-   resynchronized lazily when the heap's generation counter says the
-   object population changed. *)
+   [None] once swept).  Both are kept current by the mutators: [alloc]
+   interns the new object and fills its slot, [remove] empties it.
+   The whole record survives across traces so consecutive snapshots
+   pay no allocation: the visited set is an epoch-marked bitset and
+   the BFS queue a reused int array.  Only compaction ([sync_tracer])
+   rebuilds it wholesale. *)
 type tracer = {
   mutable ids : Interner.t; (* local oid -> dense id *)
   mutable slots : obj option array; (* dense id -> live object *)
   mark : Mark.t; (* visited set over dense ids *)
   mutable queue : int array; (* BFS scratch, reused *)
-  remote_ids : Interner.t; (* remote oid -> dense id (dedup only) *)
+  mutable remote_ids : Interner.t; (* remote oid -> dense id (dedup only) *)
+  mutable remote_edges : int; (* remote targets held by [adj] *)
   remote_mark : Mark.t;
   adj : Csr.t;
       (* int-packed adjacency mirror of the field arrays, by dense id:
@@ -26,7 +28,7 @@ type tracer = {
          so the BFS walks flat int blocks instead of boxed option
          arrays — at millions of objects that is the difference
          between an allocation-free walk and a cache-missing one. *)
-  mutable synced_gen : int; (* heap generation at last sync; -1 = never *)
+  mutable synced_gen : int; (* heap generation at the last compaction check *)
   mutable rebuilds : int;
       (* bumped each time the interner is rebuilt: every dense id is
          reassigned then, so anything caching per-id state (the
@@ -64,6 +66,7 @@ let create ~owner =
         mark = Mark.create ();
         queue = Array.make 64 0;
         remote_ids = Interner.create ();
+        remote_edges = 0;
         remote_mark = Mark.create ();
         adj = Csr.create ();
         synced_gen = -1;
@@ -72,14 +75,13 @@ let create ~owner =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Incremental adjacency maintenance.  Dense ids are append-only
-   between interner rebuilds, so the mutators can intern on demand and
-   update the packed mirror in place; [sync_tracer] rebuilds the
-   mirror wholesale only when it replaces the interner (compaction). *)
+(* Incremental index maintenance.  Dense ids are append-only between
+   interner rebuilds, so the mutators intern on demand and update the
+   slots and the packed mirror in place; [sync_tracer] rebuilds them
+   wholesale only when it replaces an interner (compaction). *)
 
-(* Ids interned outside a sync can outrun [slots]/[queue]; grow them
-   here so the trace path may index unconditionally.  Stale content is
-   harmless — the next sync rewrites [0, n). *)
+(* Interning can outrun [slots]/[queue]; grow them here, keeping their
+   contents, so the trace path may index unconditionally. *)
 let ensure_dense_capacity tr =
   let n = Interner.size tr.ids in
   if Array.length tr.slots < n then begin
@@ -105,17 +107,21 @@ let pack_target t tr oid =
 
 let adj_add t holder target =
   let tr = t.tracer in
-  Csr.add tr.adj (intern_local tr holder) (pack_target t tr target)
+  let v = pack_target t tr target in
+  if v < 0 then tr.remote_edges <- tr.remote_edges + 1;
+  Csr.add tr.adj (intern_local tr holder) v
 
 let adj_remove t holder target =
   let tr = t.tracer in
   match Interner.find tr.ids holder with
   | None -> ()
-  | Some hid -> ignore (Csr.remove tr.adj hid (pack_target t tr target) : bool)
+  | Some hid ->
+      let v = pack_target t tr target in
+      if Csr.remove tr.adj hid v && v < 0 then tr.remote_edges <- tr.remote_edges - 1
 
-let adj_clear t oid =
-  let tr = t.tracer in
-  match Interner.find tr.ids oid with None -> () | Some id -> Csr.clear_row tr.adj id
+let adj_clear tr id =
+  Csr.iter tr.adj id (fun v -> if v < 0 then tr.remote_edges <- tr.remote_edges - 1);
+  Csr.clear_row tr.adj id
 
 let size t = Oid.Tbl.length t.objs
 
@@ -132,6 +138,7 @@ let alloc ?(fields = 2) ?(payload = 16) t =
   t.next_serial <- t.next_serial + 1;
   let obj = { oid; fields = Array.make fields None; payload } in
   Oid.Tbl.add t.objs oid obj;
+  t.tracer.slots.(intern_local t.tracer oid) <- Some obj;
   t.generation <- t.generation + 1;
   t.live_mutations <- t.live_mutations + 1;
   obj
@@ -179,7 +186,12 @@ let remove_ref t obj oid =
 let remove t oid =
   if Oid.Tbl.mem t.objs oid then begin
     Oid.Tbl.remove t.objs oid;
-    adj_clear t oid;
+    let tr = t.tracer in
+    (match Interner.find tr.ids oid with
+    | Some id ->
+        tr.slots.(id) <- None;
+        adj_clear tr id
+    | None -> ());
     t.generation <- t.generation + 1;
     t.reclaim_mutations <- t.reclaim_mutations + 1
   end
@@ -206,51 +218,52 @@ let fold t ~init ~f = Oid.Tbl.fold (fun _ obj acc -> f acc obj) t.objs init
 (* ------------------------------------------------------------------ *)
 (* Dense tracing *)
 
-(* Bring the tracer in line with the current object population.  Noop
-   (one int comparison) while the generation is unchanged, so back-to-
-   back snapshots of a quiet heap reuse everything.  After mutation it
-   re-interns the population and refreshes the id -> object slots; the
-   interner is rebuilt from scratch only when sweeps have left it
-   mostly dead weight (ids are append-only, so without compaction a
-   churning heap would grow its arrays forever). *)
+(* Compaction.  The mutators keep the index current, so this is one
+   int comparison per call until sweeps have left an interner mostly
+   dead weight: ids are append-only, so without compaction a churning
+   heap would grow its arrays forever.  The local interner is checked
+   only when the object population changed since the last check; a
+   rebuild reassigns every dense id, re-interns the population,
+   refreshes the id -> object slots and rebuilds both interners'
+   share of the packed mirror from the authoritative field arrays.
+   The remote interner, which reference edits alone can grow, is
+   rebuilt with it, and on its own when it holds more than twice the
+   mirror's remote edges; local ids are kept then. *)
+let rebuild_adj t tr =
+  Csr.reset tr.adj;
+  tr.remote_edges <- 0;
+  Oid.Tbl.iter
+    (fun oid obj ->
+      match Interner.find tr.ids oid with
+      | None -> ()
+      | Some hid ->
+          Array.iter
+            (function
+              | None -> ()
+              | Some target ->
+                  let v = pack_target t tr target in
+                  if v < 0 then tr.remote_edges <- tr.remote_edges + 1;
+                  Csr.add tr.adj hid v)
+            obj.fields)
+    t.objs
+
 let sync_tracer t =
   let tr = t.tracer in
   if tr.synced_gen <> t.generation then begin
     let live = Oid.Tbl.length t.objs in
-    let rebuilt = Interner.size tr.ids > (2 * live) + 64 in
-    if rebuilt then begin
+    if Interner.size tr.ids > (2 * live) + 64 then begin
       tr.ids <- Interner.create ~capacity:(2 * live) ();
-      tr.rebuilds <- tr.rebuilds + 1
-    end;
-    Oid.Tbl.iter (fun oid _ -> ignore (Interner.intern tr.ids oid : int)) t.objs;
-    let n = Interner.size tr.ids in
-    if Array.length tr.slots < n then begin
-      let cap = ref (Int.max 64 (Array.length tr.slots)) in
-      while n > !cap do
-        cap := 2 * !cap
-      done;
-      tr.slots <- Array.make !cap None
-    end;
-    for i = 0 to n - 1 do
-      tr.slots.(i) <- Oid.Tbl.find_opt t.objs (Interner.key tr.ids i)
-    done;
-    if Array.length tr.queue < n then tr.queue <- Array.make (Array.length tr.slots) 0;
-    if rebuilt then begin
-      (* The interner was replaced, so every dense id changed and the
-         adjacency mirror keyed by the old ids is meaningless —
-         rebuild it from the authoritative field arrays. *)
-      Csr.reset tr.adj;
-      Oid.Tbl.iter
-        (fun oid obj ->
-          match Interner.find tr.ids oid with
-          | None -> ()
-          | Some hid ->
-              Array.iter
-                (function None -> () | Some target -> Csr.add tr.adj hid (pack_target t tr target))
-                obj.fields)
-        t.objs
+      tr.rebuilds <- tr.rebuilds + 1;
+      Array.fill tr.slots 0 (Array.length tr.slots) None;
+      Oid.Tbl.iter (fun oid obj -> tr.slots.(intern_local tr oid) <- Some obj) t.objs;
+      tr.remote_ids <- Interner.create ~capacity:(2 * tr.remote_edges) ();
+      rebuild_adj t tr
     end;
     tr.synced_gen <- t.generation
+  end;
+  if Interner.size tr.remote_ids > (2 * tr.remote_edges) + 64 then begin
+    tr.remote_ids <- Interner.create ~capacity:(2 * tr.remote_edges) ();
+    rebuild_adj t tr
   end;
   tr
 

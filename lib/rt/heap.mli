@@ -15,11 +15,13 @@
     Tracing runs on a persistent dense index ({!Adgc_util.Dense}):
     every local object is interned once into a dense integer id, the
     visited set is an epoch-marked bitset cleared in O(1), and the BFS
-    queue is a reused int array.  The index survives across traces —
-    consecutive snapshots of a quiet heap allocate nothing — and is
-    resynchronized lazily when the heap's generation counter (bumped
-    by every allocation and removal) shows the object population
-    changed. *)
+    queue is a reused int array.  The index is kept current by the
+    mutators themselves: {!alloc} interns the new object and fills its
+    slot, {!remove} empties it, and the reference edits update the
+    packed adjacency in place.  It survives across traces — consecutive
+    snapshots of a quiet heap allocate nothing — and is rebuilt
+    wholesale only at compaction, when sweeps have left an interner
+    mostly dead weight. *)
 
 open Adgc_algebra
 
@@ -113,12 +115,13 @@ val trace : t -> from:Oid.t list -> trace_result
 
     Low-level access to the persistent dense index for hot loops that
     want to replace [Oid.Tbl] lookups with array indexing (the
-    condensed summarizer).  All accessors resynchronize lazily, so
-    they are always coherent with the heap; dense ids are stable while
-    the heap is unmutated, which is the lifetime such loops need. *)
+    condensed summarizer).  The index is always coherent with the
+    heap; every accessor first gives compaction its chance, so dense
+    ids are stable while the heap is unmutated, which is the lifetime
+    such loops need. *)
 
 val dense_sync : t -> int
-(** Force a resync and return the dense capacity [n]: every live
+(** Compact if due and return the dense capacity [n]: every live
     object has an id in [0, n) (some ids in that range may be dead —
     recently swept — slots). *)
 
@@ -169,4 +172,4 @@ val trace_dense :
 val dense_words : t -> int
 (** Approximate words held by the dense-trace machinery (slot/queue
     arrays, packed adjacency, mark bitsets) — the benchmarks' peak
-    memory proxy.  Does not force a resync. *)
+    memory proxy.  Does not compact. *)

@@ -160,15 +160,35 @@ let test_heap_trace_from_absent () =
    heap that allocates, links and sweeps 1,000 objects per round holds
    no more words after 50 rounds than after 5.  A per-write log that
    sweeps never trim fails this by an order of magnitude. *)
+(* Interned ids, slots, packed adjacency and marks stay bounded under
+   churn: swept objects, and remote references that were dropped or
+   whose holders were swept.  Each round allocates a chain of objects,
+   each holding a reference to a remote object never seen before,
+   sweeps them all, then has one long-lived object take and drop
+   references to further new remote objects — edits alone, which
+   change no object population. *)
 let test_heap_metadata_bounded () =
   let h = Heap.create ~owner:p0 in
+  let keeper = Heap.alloc h in
+  let remote = ref 0 in
+  let fresh_remote () =
+    incr remote;
+    oid 1 !remote
+  in
   let round () =
     let objs = Array.init 1_000 (fun _ -> Heap.alloc h) in
     for i = 0 to Array.length objs - 2 do
       ignore (Heap.add_ref h objs.(i) objs.(i + 1).Heap.oid : int)
     done;
+    Array.iter (fun (o : Heap.obj) -> ignore (Heap.add_ref h o (fresh_remote ()) : int)) objs;
     Array.iter (fun (o : Heap.obj) -> Heap.remove h o.Heap.oid) objs;
-    ignore (Heap.dense_sync h : int)
+    ignore (Heap.dense_sync h : int);
+    for _ = 1 to 1_000 do
+      let target = fresh_remote () in
+      ignore (Heap.add_ref h keeper target : int);
+      check Alcotest.bool "the reference is dropped" true (Heap.remove_ref h keeper target);
+      ignore (Heap.dense_sync h : int)
+    done
   in
   let words_after rounds =
     for _ = 1 to rounds do
