@@ -297,6 +297,12 @@ let iter_dense t f =
     match tr.slots.(id) with None -> () | Some obj -> f id obj
   done
 
+let iter_edges t id f = Csr.iter t.tracer.adj id f
+
+let remote_ids t = Interner.size t.tracer.remote_ids
+
+let remote_id t oid = Interner.find t.tracer.remote_ids oid
+
 type trace_result = { local : Oid.Set.t; remote : Oid.Set.t }
 
 let trace_dense ?(reset = true) t ~from ~visit_local ~visit_remote =

@@ -143,6 +143,19 @@ val dense_oid : t -> int -> Oid.t
 val iter_dense : t -> (int -> obj -> unit) -> unit
 (** Every live object with its dense id, in id order. *)
 
+val iter_edges : t -> int -> (int -> unit) -> unit
+(** The dense id's row of the packed adjacency the tracer walks, one
+    value per non-empty field, in no particular order: a local target
+    as its dense id ([>= 0]; a dead id for a dangling reference), a
+    remote one as [-(remote id) - 1].  Valid after a {!dense_sync}
+    while the heap is unmutated. *)
+
+val remote_ids : t -> int
+(** Every remote id in the packed adjacency is in [0, remote_ids t). *)
+
+val remote_id : t -> Oid.t -> int option
+(** Remote id of a remote oid, if one was interned. *)
+
 val trace_dense :
   ?reset:bool ->
   t ->

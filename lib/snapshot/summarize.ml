@@ -5,34 +5,47 @@ module N = Adgc_serial.Net_codec
 
 (* ------------------------------------------------------------------ *)
 (* Iterative Tarjan SCC + DAG dynamic program over the heap's dense
-   index.  The local graph is laid out in CSR form (one flat successor
-   array + offsets), every per-node attribute is a plain int array
-   indexed by dense id, and the whole scratch is one module-level pool
-   reused across runs (the arrays are fully re-initialized for [0, n)
-   each run).  What a run allocates is its data: each node's remote
-   references and each component's reachable-stub set, the two
-   tables' entries in key order, and the summary's bytes. *)
+   index.  The heap's packed adjacency is read once into two flat runs
+   per node: its live local successors (dense ids) and the stubs its
+   remote targets have (stub ranks, through a per-snapshot array
+   indexed by remote id and filled from the key-ordered stub table).
+   Every per-node attribute is a plain int array indexed by dense id,
+   and the whole scratch is one module-level pool reused across runs
+   (the arrays are fully re-initialized for [0, n) each run).  What a
+   run allocates is its data: each component's reachable-stub ranks,
+   and the summary's bytes. *)
 
 type scratch = {
-  mutable index : int array; (* Tarjan discovery index, -1 = unvisited *)
+  mutable index : int array; (* Tarjan discovery index; -1 = unvisited, -2 = dead id *)
   mutable lowlink : int array;
   mutable on_stack : Bytes.t;
-  mutable scc : int array; (* node -> scc id, -1 = unassigned *)
-  mutable off : int array; (* CSR: node -> start in succ_flat, length n+1 *)
-  mutable succ_flat : int array; (* CSR: concatenated local successor ids *)
-  mutable remote : Oid.t list array; (* node -> direct remote refs *)
-  mutable stack : int array; (* Tarjan SCC stack *)
+  mutable scc : int array; (* node -> scc id, -1 = dead id *)
+  mutable off : int array; (* node -> start in succ_flat, length n+1 *)
+  mutable succ_flat : int array; (* live local successors, by node *)
+  mutable edges : int; (* used prefix of succ_flat *)
+  mutable rank_off : int array; (* node -> start in rank_flat, length n+1 *)
+  mutable rank_flat : int array; (* stub ranks of its remote targets, by node *)
+  mutable ranked : int; (* used prefix of rank_flat *)
+  mutable rank : int array; (* remote id -> stub rank, -1 = no stub *)
+  mutable stack : int array; (* Tarjan SCC stack; then the root walk's queue *)
   mutable work_id : int array; (* explicit DFS stack: node... *)
   mutable work_child : int array; (* ...and its next-child cursor *)
   mutable scc_off : int array; (* scc -> start in member_flat *)
   mutable member_flat : int array; (* members bucketed by scc id *)
   mutable cursor : int array; (* bucket fill cursors: scc_off's, then to_off's *)
-  mutable reach : Oid.Set.t array; (* scc -> remote references it reaches *)
+  mutable reach : int array array; (* scc -> stub ranks it reaches, ascending *)
+  mutable own : int array; (* one component's own stub ranks *)
+  mutable merged : int array; (* a union being built *)
   root_marks : Mark.t; (* objects reached from the roots *)
-  (* Assembly: the tables' entries in key order, each scion's StubsFrom
-     as stub ranks, each stub's ScionsTo as scion ranks. *)
+  stub_marks : Mark.t; (* stub ranks reached from the roots *)
+  (* Assembly: the tables' entries in key order, each scion's target
+     node, StubsFrom as stub ranks, each stub's ScionsTo as scion
+     ranks. *)
   mutable scions : Scion_table.entry array;
+  mutable nscions : int;
   mutable stubs : Stub_table.entry array;
+  mutable nstubs : int;
+  mutable target : int array; (* scion -> dense id of its target, -1 = dead *)
   mutable from_off : int array; (* scion -> start in from_flat *)
   mutable from_flat : int array;
   mutable to_off : int array; (* stub -> start in to_flat *)
@@ -47,7 +60,11 @@ let scratch =
     scc = [||];
     off = [||];
     succ_flat = [||];
-    remote = [||];
+    edges = 0;
+    rank_off = [||];
+    rank_flat = [||];
+    ranked = 0;
+    rank = [||];
     stack = [||];
     work_id = [||];
     work_child = [||];
@@ -55,16 +72,20 @@ let scratch =
     member_flat = [||];
     cursor = [||];
     reach = [||];
+    own = [||];
+    merged = [||];
     root_marks = Mark.create ();
+    stub_marks = Mark.create ();
     scions = [||];
+    nscions = 0;
     stubs = [||];
+    nstubs = 0;
+    target = [||];
     from_off = [||];
     from_flat = [||];
     to_off = [||];
     to_flat = [||];
   }
-
-let rec add_all set = function [] -> set | r :: rest -> add_all (Oid.Set.add r set) rest
 
 let ensure_int_array get set n =
   if Array.length (get ()) < n then set (Array.make (Int.max 64 n) 0)
@@ -78,25 +99,129 @@ let grown a i fill =
     bigger
   end
 
-(* The rank of [o] among [stubs.(lo)] .. [stubs.(hi - 1)], or -1. *)
-let rec stub_rank (stubs : Stub_table.entry array) o lo hi =
-  if lo >= hi then -1
-  else
-    let mid = (lo + hi) lsr 1 in
-    let c = Oid.compare o stubs.(mid).Stub_table.target in
-    if c = 0 then mid
-    else if c < 0 then stub_rank stubs o lo mid
-    else stub_rank stubs o (mid + 1) hi
+(* The table walks and the adjacency read are top-level functions over
+   the one scratch, so a run builds no closure for them. *)
+let add_stub e =
+  let s = scratch in
+  s.stubs <- grown s.stubs s.nstubs e;
+  s.stubs.(s.nstubs) <- e;
+  s.nstubs <- s.nstubs + 1
+
+let add_scion e =
+  let s = scratch in
+  s.scions <- grown s.scions s.nscions e;
+  s.scions.(s.nscions) <- e;
+  s.nscions <- s.nscions + 1
+
+(* One packed adjacency value of the node being read: a live local
+   target joins its successors, a remote target with a stub its
+   ranks; a dangling local reference and a stubless remote one are
+   dropped. *)
+let add_edge v =
+  let s = scratch in
+  if v >= 0 then begin
+    if s.index.(v) = -1 then begin
+      s.succ_flat <- grown s.succ_flat s.edges 0;
+      s.succ_flat.(s.edges) <- v;
+      s.edges <- s.edges + 1
+    end
+  end
+  else begin
+    let r = s.rank.(-v - 1) in
+    if r >= 0 then begin
+      s.rank_flat <- grown s.rank_flat s.ranked 0;
+      s.rank_flat.(s.ranked) <- r;
+      s.ranked <- s.ranked + 1
+    end
+  end
+
+(* The union of the ascending arrays [a] and the first [bn] items of
+   [b], ascending without repeats: [a] itself when it already holds
+   them all, and [b] when [shared] and it holds [a].  Only a union
+   that adds to both is a new array, so a chain of nodes that reach
+   the same stubs shares one. *)
+let union a b bn ~shared =
+  let an = Array.length a in
+  if bn = 0 then a
+  else if an = 0 && shared then b
+  else begin
+    let s = scratch in
+    if Array.length s.merged < an + bn then s.merged <- Array.make (2 * (an + bn)) 0;
+    let m = s.merged in
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !i < an || !j < bn do
+      let v =
+        if !j >= bn || (!i < an && a.(!i) < b.(!j)) then begin
+          let v = a.(!i) in
+          incr i;
+          v
+        end
+        else begin
+          let v = b.(!j) in
+          if !i < an && a.(!i) = v then incr i;
+          incr j;
+          v
+        end
+      in
+      m.(!k) <- v;
+      incr k
+    done;
+    if !k = an then a else if shared && !k = bn then b else Array.sub m 0 !k
+  end
+
+(* Sort the first [n] items of [a] ascending and drop repeats; the
+   count kept. *)
+let sort_unique a n =
+  if n <= 32 then
+    for i = 1 to n - 1 do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done
+  else begin
+    let sorted = Array.sub a 0 n in
+    Array.sort Int.compare sorted;
+    Array.blit sorted 0 a 0 n
+  end;
+  let k = ref (Int.min n 1) in
+  for i = 1 to n - 1 do
+    if a.(i) <> a.(!k - 1) then begin
+      a.(!k) <- a.(i);
+      incr k
+    end
+  done;
+  !k
 
 let encode ~now (p : Process.t) =
   let heap = p.Process.heap in
   let me = p.Process.id in
   let n = Heap.dense_sync heap in
   let s = scratch in
+  (* Both tables are walked in place, in key order, into the reused
+     arrays; each stub's remote id then names its rank. *)
+  s.nstubs <- 0;
+  Stub_table.iter p.Process.stubs add_stub;
+  s.nscions <- 0;
+  Scion_table.iter p.Process.scions add_scion;
+  let nstubs = s.nstubs and nscions = s.nscions in
+  let stubs = s.stubs and scions = s.scions in
+  let nremote = Heap.remote_ids heap in
+  ensure_int_array (fun () -> s.rank) (fun a -> s.rank <- a) nremote;
+  Array.fill s.rank 0 nremote (-1);
+  for j = 0 to nstubs - 1 do
+    match Heap.remote_id heap stubs.(j).Stub_table.target with
+    | Some rid -> s.rank.(rid) <- j
+    | None -> ()
+  done;
   ensure_int_array (fun () -> s.index) (fun a -> s.index <- a) n;
   ensure_int_array (fun () -> s.lowlink) (fun a -> s.lowlink <- a) n;
   ensure_int_array (fun () -> s.scc) (fun a -> s.scc <- a) n;
   ensure_int_array (fun () -> s.off) (fun a -> s.off <- a) (n + 1);
+  ensure_int_array (fun () -> s.rank_off) (fun a -> s.rank_off <- a) (n + 1);
   ensure_int_array (fun () -> s.stack) (fun a -> s.stack <- a) n;
   ensure_int_array (fun () -> s.work_id) (fun a -> s.work_id <- a) (n + 1);
   ensure_int_array (fun () -> s.work_child) (fun a -> s.work_child <- a) (n + 1);
@@ -104,40 +229,20 @@ let encode ~now (p : Process.t) =
   ensure_int_array (fun () -> s.member_flat) (fun a -> s.member_flat <- a) n;
   ensure_int_array (fun () -> s.cursor) (fun a -> s.cursor <- a) (n + 1);
   if Bytes.length s.on_stack < n then s.on_stack <- Bytes.make (Int.max 64 n) '\000';
-  if Array.length s.remote < n then s.remote <- Array.make (Int.max 64 n) [];
-  Array.fill s.index 0 n (-1);
+  Array.fill s.index 0 n (-2);
+  Heap.iter_dense heap (fun id _ -> s.index.(id) <- -1);
   Array.fill s.scc 0 n (-1);
   Bytes.fill s.on_stack 0 n '\000';
-  Array.fill s.remote 0 n [];
-  (* CSR layout in one pass: iter_dense walks ids in ascending order,
-     so successor runs land contiguously in [succ_flat]. *)
-  let edge = ref 0 in
-  let push_succ id =
-    s.succ_flat <- grown s.succ_flat !edge 0;
-    s.succ_flat.(!edge) <- id;
-    incr edge
-  in
-  let last = ref 0 in
-  Heap.iter_dense heap (fun id obj ->
-      (* Dead ids between [last] and [id] keep empty successor runs. *)
-      for i = !last to id do
-        s.off.(i) <- !edge
-      done;
-      last := id + 1;
-      Array.iter
-        (function
-          | None -> ()
-          | Some target ->
-              if Proc_id.equal (Oid.owner target) me then begin
-                match Heap.dense_id heap target with
-                | Some sid -> push_succ sid
-                | None -> () (* dangling local reference *)
-              end
-              else s.remote.(id) <- target :: s.remote.(id))
-        obj.Heap.fields);
-  for i = !last to n do
-    s.off.(i) <- !edge
+  (* The two runs of every node, in id order. *)
+  s.edges <- 0;
+  s.ranked <- 0;
+  for id = 0 to n - 1 do
+    s.off.(id) <- s.edges;
+    s.rank_off.(id) <- s.ranked;
+    if s.index.(id) = -1 then Heap.iter_edges heap id add_edge
   done;
+  s.off.(n) <- s.edges;
+  s.rank_off.(n) <- s.ranked;
   (* Iterative Tarjan: an explicit work stack of (node, next-child).
      SCCs are numbered in emission order, i.e. reverse topological
      order of the condensation (every successor SCC of [c] has a
@@ -163,125 +268,134 @@ let encode ~now (p : Process.t) =
     incr sp
   in
   let visit start =
-    if s.index.(start) = -1 then begin
-      wp := 0;
-      discover start;
-      push_work start 0;
-      while !wp > 0 do
-        decr wp;
-        let id = s.work_id.(!wp) and child = s.work_child.(!wp) in
-        if s.off.(id) + child < s.off.(id + 1) then begin
-          push_work id (child + 1);
-          let succ = s.succ_flat.(s.off.(id) + child) in
-          if s.index.(succ) = -1 then begin
-            discover succ;
-            push_work succ 0
-          end
-          else if Bytes.unsafe_get s.on_stack succ = '\001' then
-            s.lowlink.(id) <- Int.min s.lowlink.(id) s.index.(succ)
+    wp := 0;
+    discover start;
+    push_work start 0;
+    while !wp > 0 do
+      decr wp;
+      let id = s.work_id.(!wp) and child = s.work_child.(!wp) in
+      if s.off.(id) + child < s.off.(id + 1) then begin
+        push_work id (child + 1);
+        let succ = s.succ_flat.(s.off.(id) + child) in
+        if s.index.(succ) = -1 then begin
+          discover succ;
+          push_work succ 0
         end
-        else begin
-          (* All children done: propagate lowlink to the parent and
-             emit an SCC when this node is its root. *)
-          (if !wp > 0 then
-             let parent = s.work_id.(!wp - 1) in
-             s.lowlink.(parent) <- Int.min s.lowlink.(parent) s.lowlink.(id));
-          if s.lowlink.(id) = s.index.(id) then begin
-            let cid = !scc_count in
-            incr scc_count;
-            let continue = ref true in
-            while !continue do
-              decr sp;
-              let member = s.stack.(!sp) in
-              Bytes.unsafe_set s.on_stack member '\000';
-              s.scc.(member) <- cid;
-              if member = id then continue := false
-            done
-          end
+        else if Bytes.unsafe_get s.on_stack succ = '\001' then
+          s.lowlink.(id) <- Int.min s.lowlink.(id) s.index.(succ)
+      end
+      else begin
+        (* All children done: propagate lowlink to the parent and
+           emit an SCC when this node is its root. *)
+        (if !wp > 0 then
+           let parent = s.work_id.(!wp - 1) in
+           s.lowlink.(parent) <- Int.min s.lowlink.(parent) s.lowlink.(id));
+        if s.lowlink.(id) = s.index.(id) then begin
+          let cid = !scc_count in
+          incr scc_count;
+          let continue = ref true in
+          while !continue do
+            decr sp;
+            let member = s.stack.(!sp) in
+            Bytes.unsafe_set s.on_stack member '\000';
+            s.scc.(member) <- cid;
+            if member = id then continue := false
+          done
         end
-      done
-    end
+      end
+    done
   in
-  Heap.iter_dense heap (fun id _ -> visit id);
+  for id = 0 to n - 1 do
+    if s.index.(id) = -1 then visit id
+  done;
   let nscc = !scc_count in
   (* Bucket members by SCC id (counting sort), then run the DP over
-     the condensation: reachable remote references per SCC.  Successor
-     SCCs always carry smaller ids, so ascending order works. *)
+     the condensation: reachable stub ranks per SCC.  Successor SCCs
+     always carry smaller ids, so ascending order works. *)
   Array.fill s.scc_off 0 (nscc + 1) 0;
-  Heap.iter_dense heap (fun id _ -> s.scc_off.(s.scc.(id) + 1) <- s.scc_off.(s.scc.(id) + 1) + 1);
+  for id = 0 to n - 1 do
+    let c = s.scc.(id) in
+    if c >= 0 then s.scc_off.(c + 1) <- s.scc_off.(c + 1) + 1
+  done;
   for c = 1 to nscc do
     s.scc_off.(c) <- s.scc_off.(c) + s.scc_off.(c - 1)
   done;
   (* scc_off now holds start offsets; fill by shifting a cursor copy. *)
   Array.blit s.scc_off 0 s.cursor 0 (nscc + 1);
-  Heap.iter_dense heap (fun id _ ->
-      let c = s.scc.(id) in
+  for id = 0 to n - 1 do
+    let c = s.scc.(id) in
+    if c >= 0 then begin
       s.member_flat.(s.cursor.(c)) <- id;
-      s.cursor.(c) <- s.cursor.(c) + 1);
-  if Array.length s.reach < nscc then s.reach <- Array.make (Int.max 64 nscc) Oid.Set.empty;
+      s.cursor.(c) <- s.cursor.(c) + 1
+    end
+  done;
+  if Array.length s.reach < nscc then s.reach <- Array.make (Int.max 64 nscc) [||];
   let reach = s.reach in
   for c = 0 to nscc - 1 do
-    let acc = ref Oid.Set.empty in
+    let acc = ref [||] and own = ref 0 in
     for m = s.scc_off.(c) to s.scc_off.(c + 1) - 1 do
       let id = s.member_flat.(m) in
-      acc := add_all !acc s.remote.(id);
+      for e = s.rank_off.(id) to s.rank_off.(id + 1) - 1 do
+        s.own <- grown s.own !own 0;
+        s.own.(!own) <- s.rank_flat.(e);
+        incr own
+      done;
       for e = s.off.(id) to s.off.(id + 1) - 1 do
         let succ_scc = s.scc.(s.succ_flat.(e)) in
-        if succ_scc <> c then acc := Oid.Set.union !acc reach.(succ_scc)
+        if succ_scc <> c && reach.(succ_scc) != !acc then
+          acc := union !acc reach.(succ_scc) (Array.length reach.(succ_scc)) ~shared:true
       done
     done;
-    reach.(c) <- !acc
+    reach.(c) <- union !acc s.own (sort_unique s.own !own) ~shared:false
   done;
-  (* The root trace, kept as marks over dense ids. *)
-  Mark.clear s.root_marks;
-  let root_remote = ref Oid.Set.empty in
-  Heap.trace_dense heap ~from:(Heap.roots heap)
-    ~visit_local:(fun id -> ignore (Mark.mark s.root_marks id : bool))
-    ~visit_remote:(fun oid -> root_remote := Oid.Set.add oid !root_remote);
-  let root_remote = !root_remote in
-  let root_reached target =
-    match Heap.dense_id heap target with
-    | Some id -> Mark.is_marked s.root_marks id
-    | None -> false
-  in
-  (* Both tables are walked in place, in key order, into the reused
-     arrays. *)
-  let nstubs = ref 0 in
-  Stub_table.iter p.Process.stubs (fun e ->
-      s.stubs <- grown s.stubs !nstubs e;
-      s.stubs.(!nstubs) <- e;
-      incr nstubs);
-  let nstubs = !nstubs in
-  let nscions = ref 0 in
-  Scion_table.iter p.Process.scions (fun e ->
-      s.scions <- grown s.scions !nscions e;
-      s.scions.(!nscions) <- e;
-      incr nscions);
-  let nscions = !nscions in
-  let stubs = s.stubs and scions = s.scions in
+  (* StubsFrom of each scion, as stub ranks in ascending target order:
+     the stubs its target's component reaches. *)
+  ensure_int_array (fun () -> s.target) (fun a -> s.target <- a) nscions;
   ensure_int_array (fun () -> s.from_off) (fun a -> s.from_off <- a) (nscions + 1);
   ensure_int_array (fun () -> s.to_off) (fun a -> s.to_off <- a) (nstubs + 1);
   ensure_int_array (fun () -> s.cursor) (fun a -> s.cursor <- a) (nstubs + 1);
-  (* StubsFrom of each scion, as stub ranks in ascending target order:
-     the remote references its target's component reaches that have a
-     stub. *)
   let len = ref 0 in
-  let add_stub o =
-    let j = stub_rank stubs o 0 nstubs in
-    if j >= 0 then begin
-      s.from_flat <- grown s.from_flat !len 0;
-      s.from_flat.(!len) <- j;
-      incr len
-    end
-  in
   for i = 0 to nscions - 1 do
     s.from_off.(i) <- !len;
     match Heap.dense_id heap scions.(i).Scion_table.key.Ref_key.target with
-    | Some id -> Oid.Set.iter add_stub reach.(s.scc.(id))
-    | None -> ()
+    | Some id ->
+        s.target.(i) <- id;
+        let ranks = reach.(s.scc.(id)) in
+        for k = 0 to Array.length ranks - 1 do
+          s.from_flat <- grown s.from_flat !len 0;
+          s.from_flat.(!len) <- ranks.(k);
+          incr len
+        done
+    | None -> s.target.(i) <- -1
   done;
   s.from_off.(nscions) <- !len;
-  Array.fill reach 0 nscc Oid.Set.empty;
+  Array.fill reach 0 nscc [||];
+  (* The root trace, over the same runs, kept as marks: objects by
+     dense id, stubs by rank. *)
+  Mark.clear s.root_marks;
+  Mark.clear s.stub_marks;
+  let tail = ref 0 in
+  let reached id =
+    if Mark.mark s.root_marks id then begin
+      s.stack.(!tail) <- id;
+      incr tail
+    end
+  in
+  List.iter
+    (fun oid -> match Heap.dense_id heap oid with Some id -> reached id | None -> ())
+    (Heap.roots heap);
+  let head = ref 0 in
+  while !head < !tail do
+    let id = s.stack.(!head) in
+    incr head;
+    for e = s.rank_off.(id) to s.rank_off.(id + 1) - 1 do
+      ignore (Mark.mark s.stub_marks s.rank_flat.(e) : bool)
+    done;
+    for e = s.off.(id) to s.off.(id + 1) - 1 do
+      reached s.succ_flat.(e)
+    done
+  done;
+  let root_reached i = s.target.(i) >= 0 && Mark.is_marked s.root_marks s.target.(i) in
   (* ScionsTo of each stub, as scion ranks: bucketed by stub in scion
      order, so each bucket ascends. *)
   Array.fill s.to_off 0 (nstubs + 1) 0;
@@ -311,7 +425,7 @@ let encode ~now (p : Process.t) =
     for m = s.from_off.(i) to s.from_off.(i + 1) - 1 do
       Oid.emit snk stubs.(s.from_flat.(m)).Stub_table.target
     done;
-    N.bool snk (root_reached e.Scion_table.key.Ref_key.target);
+    N.bool snk (root_reached i);
     N.int snk e.Scion_table.last_invoked
   in
   let write_stub snk j =
@@ -323,7 +437,7 @@ let encode ~now (p : Process.t) =
     for m = s.to_off.(j) to s.to_off.(j + 1) - 1 do
       Ref_key.emit snk scions.(s.to_flat.(m)).Scion_table.key
     done;
-    N.bool snk (Oid.Set.mem e.Stub_table.target root_remote)
+    N.bool snk (Mark.is_marked s.stub_marks j)
   in
   N.encode_shape
     (fun snk () ->
