@@ -82,6 +82,8 @@ let encode_shape shape v =
   shape writer v;
   Wire.Writer.contents writer.buf
 
+let offset s = match s.mode with Count -> s.bytes | Write -> Wire.Writer.length s.buf
+
 let size shape v =
   counter.bytes <- 0;
   shape counter v;
@@ -153,25 +155,4 @@ module Read = struct
     let v = read t in
     finish t;
     v
-end
-
-module Peek = struct
-  (* Unchecked zigzag varints: [Read] has bounded every one of them. *)
-  let rec varint_end s p =
-    if Char.code (String.unsafe_get s p) < 0x80 then p + 1 else varint_end s (p + 1)
-
-  let rec varint_from s p shift acc =
-    let b = Char.code (String.unsafe_get s p) in
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b < 0x80 then acc else varint_from s (p + 1) (shift + 7) acc
-
-  let int s p =
-    let z = varint_from s (p + 1) 0 0 in
-    (z lsr 1) lxor (-(z land 1))
-
-  let bool s p = Char.code (String.unsafe_get s p) = tag_bool_true
-
-  let after s p =
-    let tag = Char.code (String.unsafe_get s p) in
-    if tag = tag_bool_true || tag = tag_bool_false then p + 1 else varint_end s (p + 1)
 end

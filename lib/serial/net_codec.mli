@@ -51,6 +51,11 @@ val encode_shape : 'a shape -> 'a -> string
 (** The value's bytes, written into one reused module-level buffer.  A
     shape must not itself call [encode_shape] or {!size}. *)
 
+val offset : sink -> int
+(** Bytes the sink has taken so far in the value being written: where
+    the next event's bytes start, for a writer that indexes its own
+    output. *)
+
 val size : 'a shape -> 'a -> int
 (** [String.length (encode_shape shape v)], counted without writing a
     byte, building a tree or allocating. *)
@@ -102,23 +107,4 @@ module Read : sig
 
   val fail : t -> string -> 'a
   (** Raise {!Wire.Malformed} at the current offset. *)
-end
-
-(** {1 Reading in place}
-
-    Values read straight out of bytes that {!Read} has already
-    checked, addressed by the offset of their tag: no bound, tag or
-    arity check and no allocation.  How a reader that kept the offsets
-    of a checked value (a published summary) reads it again. *)
-
-module Peek : sig
-  val int : string -> int -> int
-  (** The int whose tag is at the offset. *)
-
-  val bool : string -> int -> bool
-
-  val after : string -> int -> int
-  (** The offset just past the bool, int, or record, list or packed
-      header (tag and count) at the offset: a header's first item
-      starts there. *)
 end

@@ -25,6 +25,8 @@ module Writer = struct
 
   let clear = Buffer.clear
 
+  let length = Buffer.length
+
   let byte t v = Buffer.add_char t (Char.chr (v land 0xFF))
 
   let rec bits t z =

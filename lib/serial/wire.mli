@@ -24,6 +24,9 @@ module Writer : sig
   val clear : t -> unit
   (** Forget the contents, keeping the storage for the next value. *)
 
+  val length : t -> int
+  (** Bytes written since the last {!clear}. *)
+
   val byte : t -> int -> unit
   (** Low 8 bits. *)
 

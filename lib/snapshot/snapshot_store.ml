@@ -13,12 +13,15 @@ let create ?(read_back = Fun.id) rt =
 
 let take t (p : Process.t) =
   let now = Runtime.now t.rt in
-  let encoded = Summarize.encode ~now p in
-  (* Publish what the disk gives back, not the bytes in memory. *)
+  let taken = Summarize.run ~now p in
+  let encoded = Summary.bytes taken in
+  (* Publish what the disk gives back, not the bytes in memory.  Bytes
+     that come back as the very string written are what the writer
+     indexed; anything else is read afresh. *)
   let published, decode_failed =
-    match Summary.of_bytes (t.read_back encoded) with
-    | Some s -> (s, false)
-    | None -> (Option.get (Summary.of_bytes encoded), true)
+    let back = t.read_back encoded in
+    if back == encoded then (taken, false)
+    else match Summary.of_bytes back with Some s -> (s, false) | None -> (taken, true)
   in
   Stats.incr t.rt.Runtime.stats "snapshot.taken";
   Stats.add t.rt.Runtime.stats "snapshot.bytes" (String.length encoded);

@@ -3,10 +3,12 @@
     The paper's processes periodically store a snapshot "on disk" and
     the DCDA works on the summarized form.  This store performs the
     honest equivalent: it summarizes the process straight into the
-    compact wire format ({!Summarize.encode}), reads the bytes back
+    compact wire format ({!Summarize.run}), reads the bytes back
     from its "disk" and publishes the {!Summary} view over what came
     back — so the detector always reads serialized bytes, never the
-    live tables.  The subscribers keep what they are given.  Bytes
+    live tables.  Bytes that come back as the very string written keep
+    the index the summarizer made as it wrote them; any other bytes
+    are indexed afresh by {!Summary.of_bytes}.  The subscribers keep what they are given.  Bytes
     that come back malformed are not published: the summary is
     published as taken and counted in [snapshot.decode_failures].
 

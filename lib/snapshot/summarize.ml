@@ -196,7 +196,7 @@ let sort_unique a n =
   done;
   !k
 
-let encode ~now (p : Process.t) =
+let run ~now (p : Process.t) =
   let heap = p.Process.heap in
   let me = p.Process.id in
   let n = Heap.dense_sync heap in
@@ -415,46 +415,48 @@ let encode ~now (p : Process.t) =
       s.cursor.(j) <- s.cursor.(j) + 1
     done
   done;
-  (* The bytes, in {!Summary}'s layout. *)
-  let write_scion snk i =
-    let e = scions.(i) in
-    N.record snk 5;
-    Ref_key.emit snk e.Scion_table.key;
-    N.int snk e.Scion_table.ic;
-    N.list snk (s.from_off.(i + 1) - s.from_off.(i));
-    for m = s.from_off.(i) to s.from_off.(i + 1) - 1 do
-      Oid.emit snk stubs.(s.from_flat.(m)).Stub_table.target
-    done;
-    N.bool snk (root_reached i);
-    N.int snk e.Scion_table.last_invoked
+  (* The bytes, in {!Summary}'s layout, indexed as they are written. *)
+  let scion_at = Array.make nscions 0 and scion_flag = Array.make nscions 0 in
+  let stub_at = Array.make nstubs 0 in
+  let items = 4 + (6 * nscions) + (4 * nstubs) + (5 * !len) in
+  let raw_oid snk (o : Oid.t) =
+    N.raw snk (Proc_id.to_int o.Oid.owner);
+    N.raw snk o.Oid.serial
   in
-  let write_stub snk j =
-    let e = stubs.(j) in
-    N.record snk 4;
-    Oid.emit snk e.Stub_table.target;
-    N.int snk e.Stub_table.ic;
-    N.list snk (s.to_off.(j + 1) - s.to_off.(j));
-    for m = s.to_off.(j) to s.to_off.(j + 1) - 1 do
-      Ref_key.emit snk scions.(s.to_flat.(m)).Scion_table.key
-    done;
-    N.bool snk (Mark.is_marked s.stub_marks j)
+  let raw_key snk (k : Ref_key.t) =
+    N.raw snk (Proc_id.to_int k.Ref_key.src);
+    raw_oid snk k.Ref_key.target
   in
-  N.encode_shape
-    (fun snk () ->
-      N.record snk 4;
-      N.int snk (Proc_id.to_int me);
-      N.int snk now;
-      N.list snk nscions;
-      for i = 0 to nscions - 1 do
-        write_scion snk i
-      done;
-      N.list snk nstubs;
-      for j = 0 to nstubs - 1 do
-        write_stub snk j
-      done)
-    ()
-
-let run ~now p =
-  match Summary.of_bytes (encode ~now p) with
-  | Some summary -> summary
-  | None -> invalid_arg "Summarize.run: the summary's bytes do not index"
+  let bytes =
+    N.encode_shape
+      (fun snk () ->
+        N.packed snk items;
+        N.raw snk (Proc_id.to_int me);
+        N.raw snk now;
+        N.raw snk nscions;
+        for i = 0 to nscions - 1 do
+          let e = scions.(i) in
+          scion_at.(i) <- N.offset snk;
+          raw_key snk e.Scion_table.key;
+          N.raw snk e.Scion_table.ic;
+          N.raw snk (s.from_off.(i + 1) - s.from_off.(i));
+          for m = s.from_off.(i) to s.from_off.(i + 1) - 1 do
+            raw_oid snk stubs.(s.from_flat.(m)).Stub_table.target
+          done;
+          scion_flag.(i) <- N.offset snk;
+          N.raw snk ((2 * e.Scion_table.last_invoked) + Bool.to_int (root_reached i))
+        done;
+        N.raw snk nstubs;
+        for j = 0 to nstubs - 1 do
+          let e = stubs.(j) in
+          stub_at.(j) <- N.offset snk;
+          raw_oid snk e.Stub_table.target;
+          N.raw snk ((2 * e.Stub_table.ic) + Bool.to_int (Mark.is_marked s.stub_marks j));
+          N.raw snk (s.to_off.(j + 1) - s.to_off.(j));
+          for m = s.to_off.(j) to s.to_off.(j + 1) - 1 do
+            raw_key snk scions.(s.to_flat.(m)).Scion_table.key
+          done
+        done)
+      ()
+  in
+  Summary.indexed ~proc:me ~taken_at:now ~scion_at ~scion_flag ~stub_at bytes

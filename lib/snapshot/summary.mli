@@ -19,14 +19,17 @@
     publishes; staleness is handled by the paper's safety rules, not
     by freshness guarantees.
 
-    {b Wire format} (positional {!Adgc_serial.Net_codec} shapes): a
-    record of [proc], [taken_at], the scions and the stubs.  A scion
-    is a record of its {!Ref_key.emit} key, its counter, its StubsFrom
-    list of {!Oid.emit} targets, the target-locally-reachable bool and
-    [last_invoked]; a stub a record of its {!Oid.emit} target, its
-    counter, its ScionsTo list of keys and its [Local.Reach] bool.
-    Scions ascend strictly by key, stubs by target, and so does every
-    StubsFrom and ScionsTo run. *)
+    {b Wire format}: one {!Adgc_serial.Net_codec.packed} run of
+    unsigned varints, as a protocol message is, with no tag inside it:
+    [[proc; taken_at; scions; scion...; stubs; stub...]].  A scion is
+    [[src; owner; serial; ic; n; (owner, serial)...; last_invoked·2 +
+    flag]]: its key, its counter, its StubsFrom run of [n] target ids,
+    and [last_invoked] with the target-locally-reachable bit.  A stub
+    is [[owner; serial; ic·2 + flag; n; (src, owner, serial)...]]: its
+    target, its counter with the [Local.Reach] bit, and its ScionsTo
+    run of [n] keys.  Scions ascend strictly by key, stubs by target,
+    and so does every StubsFrom and ScionsTo run.  Serials are written
+    whole, not as gaps, so every entry's key reads in place. *)
 
 open Adgc_algebra
 
@@ -34,9 +37,23 @@ type t
 
 val of_bytes : string -> t option
 (** One validating pass that indexes the bytes.  [None] on any
-    deviation from the format: a truncation, a wrong tag or field
-    count, a negative id, entries or runs that do not strictly ascend,
-    or trailing bytes. *)
+    deviation from the format: a wrong tag, a truncation, a varint past
+    [max_int], a count the run cannot hold, entries or runs that do not
+    strictly ascend, a run longer or shorter than its items, or
+    trailing bytes. *)
+
+val indexed :
+  proc:Proc_id.t ->
+  taken_at:int ->
+  scion_at:int array ->
+  scion_flag:int array ->
+  stub_at:int array ->
+  string ->
+  t
+(** The view a writer of these bytes indexed as it wrote them, with no
+    second pass: per scion the offsets of its key and of its
+    [last_invoked·2 + flag] item, per stub the offset of its target.
+    Nothing is checked; {!of_bytes} is the checked way in. *)
 
 val bytes : t -> string
 (** The bytes the summary was read from. *)

@@ -1,14 +1,15 @@
 (* Reference summaries: a record form of a summary with its own
-   encoder, and the paper's description transcribed directly, as an
-   independent check on the condensed summarizer in lib/snapshot —
-   one breadth-first trace from the roots and one per scion,
-   assembled straight into records.  StubsFrom keeps only remote
-   references that have a stub; ScionsTo is read back off the scions.
-   Shares no code with [Summarize]; [Summary] only reads its bytes. *)
+   encoder and reader of the wire format, and the paper's description
+   transcribed directly, as an independent check on the condensed
+   summarizer in lib/snapshot — one breadth-first trace from the roots
+   and one per scion, assembled straight into records.  StubsFrom
+   keeps only remote references that have a stub; ScionsTo is read
+   back off the scions.  Shares no code with [Summarize], [Summary]
+   or the codec: the run's tag, its varints and every structural rule
+   are written out again here. *)
 
 open Adgc_algebra
 open Adgc_rt
-module N = Adgc_serial.Net_codec
 module Summary = Adgc_snapshot.Summary
 
 type scion_info = {
@@ -46,42 +47,170 @@ let make ~proc ~taken_at ~scions ~stubs =
     stubs = List.map snd (Oid.Map.bindings stubs);
   }
 
-(* The wire format of the record form, as [Summary] documents it; the
-   entries go out in the order given, so an unsorted list makes bytes
-   the index pass must reject. *)
-let emit_entries s ~proc ~taken_at scions stubs =
-  N.record s 4;
-  N.int s (Proc_id.to_int proc);
-  N.int s taken_at;
-  N.list s (List.length scions);
-  List.iter
-    (fun si ->
-      N.record s 5;
-      Ref_key.emit s si.key;
-      N.int s si.scion_ic;
-      N.list s (Oid.Set.cardinal si.stubs_from);
-      Oid.Set.iter (Oid.emit s) si.stubs_from;
-      N.bool s si.target_locally_reachable;
-      N.int s si.last_invoked)
-    scions;
-  N.list s (List.length stubs);
-  List.iter
-    (fun st ->
-      N.record s 4;
-      Oid.emit s st.target;
-      N.int s st.stub_ic;
-      N.list s (Ref_key.Set.cardinal st.scions_to);
-      Ref_key.Set.iter (Ref_key.emit s) st.scions_to;
-      N.bool s st.local_reach)
-    stubs
+(* ------------------------------------------------------------------ *)
+(* The wire format, as [Summary] documents it: one packed run (tag 8,
+   the item count, then the items as plain LEB128 varints), [[proc;
+   taken_at; scions; scion...; stubs; stub...]].  A scion is [[src;
+   owner; serial; ic; n; (owner, serial)...; last_invoked·2 + flag]],
+   a stub [[owner; serial; ic·2 + flag; n; (src, owner, serial)...]]. *)
 
-let emit s t = emit_entries s ~proc:t.proc ~taken_at:t.taken_at t.scions t.stubs
+let tag_packed = 8
 
-let encode t = N.encode_shape emit t
+let oid_items (o : Oid.t) = [ Proc_id.to_int (Oid.owner o); o.Oid.serial ]
 
-(* Bytes of entries in the order given, repeats included. *)
+let key_items (k : Ref_key.t) = Proc_id.to_int k.Ref_key.src :: oid_items k.Ref_key.target
+
+let flagged v flag = (2 * v) + if flag then 1 else 0
+
+let scion_items si =
+  key_items si.key
+  @ [ si.scion_ic; Oid.Set.cardinal si.stubs_from ]
+  @ List.concat_map oid_items (Oid.Set.elements si.stubs_from)
+  @ [ flagged si.last_invoked si.target_locally_reachable ]
+
+let stub_items st =
+  oid_items st.target
+  @ [ flagged st.stub_ic st.local_reach; Ref_key.Set.cardinal st.scions_to ]
+  @ List.concat_map key_items (Ref_key.Set.elements st.scions_to)
+
+let items ~proc ~taken_at scions stubs =
+  [ Proc_id.to_int proc; taken_at; List.length scions ]
+  @ List.concat_map scion_items scions
+  @ (List.length stubs :: List.concat_map stub_items stubs)
+
+(* Seven bits a byte, low first, the high bit set on every byte but
+   the last. *)
+let rec add_uvarint b v =
+  if v < 0 then invalid_arg "Summary_reference: a negative int in a summary"
+  else if v < 0x80 then Buffer.add_char b (Char.chr v)
+  else begin
+    Buffer.add_char b (Char.chr (0x80 lor (v land 0x7F)));
+    add_uvarint b (v lsr 7)
+  end
+
+(* Bytes of entries in the order given, repeats included, so an
+   unsorted list makes bytes the index pass must reject. *)
 let encode_entries ~proc ~taken_at scions stubs =
-  N.encode_shape (fun s () -> emit_entries s ~proc ~taken_at scions stubs) ()
+  let run = items ~proc ~taken_at scions stubs in
+  let b = Buffer.create 64 in
+  Buffer.add_char b (Char.chr tag_packed);
+  add_uvarint b (List.length run);
+  List.iter (add_uvarint b) run;
+  Buffer.contents b
+
+let encode t = encode_entries ~proc:t.proc ~taken_at:t.taken_at t.scions t.stubs
+
+exception Malformed
+
+(* The run's items, or [Malformed]: the tag, then a count and that
+   many varints of at most nine bytes, none past [max_int] (the ninth
+   byte carries six bits), a count no larger than the bytes left, and
+   nothing after the last. *)
+let read_run bytes =
+  let len = String.length bytes in
+  let pos = ref 0 in
+  let byte () =
+    if !pos >= len then raise Malformed;
+    let c = Char.code bytes.[!pos] in
+    incr pos;
+    c
+  in
+  let uvarint () =
+    let rec go i acc =
+      let c = byte () in
+      let bits = c land 0x7F in
+      if i = 8 && (c >= 0x80 || bits >= 0x40) then raise Malformed;
+      let acc = acc + (bits lsl (7 * i)) in
+      if c < 0x80 then acc else go (i + 1) acc
+    in
+    go 0 0
+  in
+  if byte () <> tag_packed then raise Malformed;
+  let n = uvarint () in
+  if n > len - !pos then raise Malformed;
+  let run = List.init n (fun _ -> uvarint ()) in
+  if !pos <> len then raise Malformed;
+  run
+
+let rec ascending compare = function
+  | a :: (b :: _ as rest) -> compare a b < 0 && ascending compare rest
+  | [ _ ] | [] -> true
+
+(* [k] things off the front of the items, each read by [one]. *)
+let rec take k one items =
+  if k = 0 then ([], items)
+  else
+    let x, items = one items in
+    let xs, items = take (k - 1) one items in
+    (x :: xs, items)
+
+let read_oid = function
+  | owner :: serial :: items -> (Oid.make ~owner:(Proc_id.of_int owner) ~serial, items)
+  | _ -> raise Malformed
+
+let read_key = function
+  | src :: items ->
+      let target, items = read_oid items in
+      (Ref_key.make ~src:(Proc_id.of_int src) ~target, items)
+  | [] -> raise Malformed
+
+let read_scion items =
+  let key, items = read_key items in
+  match items with
+  | scion_ic :: n :: items -> (
+      let stubs, items = take n read_oid items in
+      if not (ascending Oid.compare stubs) then raise Malformed;
+      match items with
+      | flag :: items ->
+          ( {
+              key;
+              scion_ic;
+              stubs_from = Oid.Set.of_list stubs;
+              target_locally_reachable = flag land 1 = 1;
+              last_invoked = flag lsr 1;
+            },
+            items )
+      | [] -> raise Malformed)
+  | _ -> raise Malformed
+
+let read_stub items =
+  let target, items = read_oid items in
+  match items with
+  | flag :: n :: items ->
+      let keys, items = take n read_key items in
+      if not (ascending Ref_key.compare keys) then raise Malformed;
+      ( {
+          target;
+          stub_ic = flag lsr 1;
+          scions_to = Ref_key.Set.of_list keys;
+          local_reach = flag land 1 = 1;
+        },
+        items )
+  | _ -> raise Malformed
+
+(* The reference read-back: the record form of well-formed bytes, whose
+   entries strictly ascend, or [None]. *)
+let decode bytes =
+  match read_run bytes with
+  | exception Malformed -> None
+  | run -> (
+      let read () =
+        match run with
+        | proc :: taken_at :: n :: items -> (
+            let scions, items = take n read_scion items in
+            match items with
+            | n :: items ->
+                let stubs, items = take n read_stub items in
+                if
+                  items <> []
+                  || (not (ascending (fun a b -> Ref_key.compare a.key b.key) scions))
+                  || not (ascending (fun a b -> Oid.compare a.target b.target) stubs)
+                then raise Malformed;
+                { proc = Proc_id.of_int proc; taken_at; scions; stubs }
+            | [] -> raise Malformed)
+        | _ -> raise Malformed
+      in
+      match read () with t -> Some t | exception Malformed -> None)
 
 (* A view's runs as sets, and the whole view read back through every
    accessor. *)

@@ -803,8 +803,8 @@ let gen_summary =
     map2
       (fun (key, scion_ic, stubs) (target_locally_reachable, last_invoked) ->
         { Sref.key; scion_ic; stubs_from = Oid.Set.of_list stubs; target_locally_reachable; last_invoked })
-      (triple gen_ref (int_range (-3) 300) (list_size (int_bound 5) gen_oid))
-      (pair bool (int_range (-1) 100_000))
+      (triple gen_ref (int_bound 300) (list_size (int_bound 5) gen_oid))
+      (pair bool (int_bound 100_000))
   in
   let gen_stub =
     map2
@@ -826,16 +826,17 @@ let same_view a b =
 
 let qcheck_summary_wire_identity =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"summary bytes = reference bytes, and the view reads them back"
+    (QCheck2.Test.make ~name:"summary bytes read back: the view and the reference reader agree"
        ~count:300 gen_summary (fun s ->
          let bytes = Sref.encode s in
-         same_bytes Sref.emit (Ref.encode (Ref.summary_sval s)) s
+         Option.equal Sref.equal (Sref.decode bytes) (Some s)
          && same_view (Summary.of_bytes bytes) (Some s)
          && Option.map Summary.bytes (Summary.of_bytes bytes) = Some bytes))
 
 (* Every strict prefix of a snapshot is rejected (the reader raises
-   nothing), and a single corrupted byte is read exactly as the tree
-   path reads it — rejected, or accepted as the same summary. *)
+   nothing), and a single corrupted byte is read exactly as the
+   reference reader reads it — rejected, or accepted as the same
+   summary. *)
 let qcheck_summary_truncation =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"summary index rejects every truncation" ~count:100 gen_summary
@@ -847,7 +848,7 @@ let qcheck_summary_truncation =
 
 let qcheck_summary_corruption =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"summary index of a corrupted byte = the tree path's" ~count:300
+    (QCheck2.Test.make ~name:"summary index of a corrupted byte = the reference reader's" ~count:300
        QCheck2.Gen.(triple gen_summary (int_bound 10_000) (int_range 1 255))
        (fun (s, pos, delta) ->
          let bytes = Sref.encode s in
@@ -855,7 +856,7 @@ let qcheck_summary_corruption =
          let corrupted = Bytes.of_string bytes in
          Bytes.set corrupted pos (Char.chr ((Char.code bytes.[pos] + delta) land 0xff));
          let corrupted = Bytes.to_string corrupted in
-         same_view (Summary.of_bytes corrupted) (Ref.summary_decode corrupted)))
+         same_view (Summary.of_bytes corrupted) (Sref.decode corrupted)))
 
 (* ------------------------------------------------------------------ *)
 (* Summary view: lookups and accessors behave as the maps of a record
@@ -961,8 +962,8 @@ let qcheck_summary_order_enforced =
          && reads ~scions ~stubs:(twice stubs) = (stubs = [])))
 
 (* The wire can carry a repeated scion key or stub target (no encoder
-   in lib/ writes one): the index pass rejects it, as the tree path
-   does, where the record decoder kept the last entry. *)
+   in lib/ writes one): the index pass rejects it, as the reference
+   reader does. *)
 let test_summary_rejects_repeated_key () =
   let key = Ref_key.make ~src:(Proc_id.of_int 1) ~target:(Oid.make ~owner:(Proc_id.of_int 2) ~serial:3) in
   let other = Ref_key.make ~src:(Proc_id.of_int 0) ~target:(Oid.make ~owner:(Proc_id.of_int 2) ~serial:9) in
@@ -971,20 +972,10 @@ let test_summary_rejects_repeated_key () =
     { Sref.key = k; scion_ic = ic; stubs_from = Oid.Set.singleton target; target_locally_reachable = false; last_invoked = ic }
   in
   let stub ic = { Sref.target; stub_ic = ic; scions_to = Ref_key.Set.singleton key; local_reach = ic = 2 } in
-  let bytes scions stubs =
-    Ref.encode
-      (Sval.Record
-         ( "summary",
-           [
-             ("proc", Sval.Int 2);
-             ("taken_at", Sval.Int 40);
-             ("scions", Sval.List (List.map Ref.scion_sval scions));
-             ("stubs", Sval.List (List.map Ref.stub_sval stubs));
-           ] ))
-  in
+  let bytes scions stubs = Sref.encode_entries ~proc:(Proc_id.of_int 2) ~taken_at:40 scions stubs in
   let rejected what b =
     check Alcotest.bool what true (Summary.of_bytes b = None);
-    check Alcotest.bool (what ^ ": the tree path agrees") true (Ref.summary_decode b = None)
+    check Alcotest.bool (what ^ ": the reference reader agrees") true (Sref.decode b = None)
   in
   rejected "repeated scion key" (bytes [ scion other 7; scion key 1; scion key 2 ] [ stub 1 ]);
   rejected "repeated stub target" (bytes [ scion other 7; scion key 2 ] [ stub 1; stub 2 ]);

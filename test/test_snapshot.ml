@@ -382,7 +382,7 @@ let test_summary_index_rejects_junk () =
     [ ""; "\x03\x02" ]
 
 (* Summarizer byte identity: over churned random heaps at fixed seeds,
-   [Summarize.encode]'s bytes are the reference encoder's bytes of the
+   the summarizer's bytes are the reference encoder's bytes of the
    record-form reference, and the view over them answers every lookup
    as the reference does — for every key that occurs anywhere in the
    cluster, so keys absent from one process are asked too. *)
@@ -417,8 +417,11 @@ let test_summarizer_bytes_under_churn () =
         List.iteri
           (fun i (reference : Sref.t) ->
             let label = Printf.sprintf "seed %d round %d proc %d" seed round i in
-            let bytes = Summarize.encode ~now:round (Cluster.proc cluster i) in
+            let written = Summarize.run ~now:round (Cluster.proc cluster i) in
+            let bytes = Summary.bytes written in
             check Alcotest.string (label ^ ": bytes") (Sref.encode reference) bytes;
+            check Alcotest.bool (label ^ ": the writer's index reads as the reference") true
+              (Sref.equal (Sref.of_view written) reference);
             let view = Option.get (Summary.of_bytes bytes) in
             let read = Sref.of_view view in
             let agrees find entries same k =
@@ -462,7 +465,7 @@ let test_store_roundtrips_through_codec () =
   check Alcotest.int "subscriber called" 1 (List.length !received);
   check Alcotest.bool "published = returned" true (s == List.hd !received);
   check Alcotest.string "the summarizer's bytes"
-    (Summarize.encode ~now:0 (Cluster.proc cluster 1))
+    (Summary.bytes (Summarize.run ~now:0 (Cluster.proc cluster 1)))
     (Summary.bytes s)
 
 let test_store_take_all () =
@@ -486,7 +489,7 @@ let store_rejects ~label read_back () =
   let s = Snapshot_store.take store (Cluster.proc cluster 1) in
   check Alcotest.int (label ^ ": counted") 1 (failures ());
   check Alcotest.string (label ^ ": taken summary published")
-    (Summarize.encode ~now:0 (Cluster.proc cluster 1))
+    (Summary.bytes (Summarize.run ~now:0 (Cluster.proc cluster 1)))
     (Summary.bytes s);
   check Alcotest.bool (label ^ ": and it reads as taken") true
     (Sref.equal (Sref.of_view s) (reference_summary ~now:0 (Cluster.proc cluster 1)));

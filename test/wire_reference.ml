@@ -11,8 +11,9 @@
    say which trees are valid values.  A protocol message is not one
    tree but one packed run and what follows it: [msg_trees] lays it
    out and [msg_decode] reads it back, with no code shared with
-   [Msg].  The wire-identity properties pin every shape and reader
-   against these: same bytes, same strictness.
+   [Msg].  A snapshot summary's reference lives in
+   summary_reference.ml.  The wire-identity properties pin every shape
+   and reader against these: same bytes, same strictness.
 
    Every oid here requires a non-negative owner {e and} serial, which
    is the single rule [Oid.read] enforces; a packed run holds no
@@ -622,89 +623,6 @@ let msg_decode bytes =
   | Some m when Wire.Reader.at_end r -> Some m
   | Some _ | None -> None
   | exception Wire.Malformed _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Summary *)
-
-module Sref = Summary_reference
-
-let scion_sval (s : Sref.scion_info) =
-  Sval.Record
-    ( "scion",
-      [
-        ("key", ref_sval s.Sref.key);
-        ("ic", Sval.Int s.Sref.scion_ic);
-        ("stubs_from", Sval.List (List.map oid_sval (Oid.Set.elements s.Sref.stubs_from)));
-        ("root", Sval.Bool s.Sref.target_locally_reachable);
-        ("last_invoked", Sval.Int s.Sref.last_invoked);
-      ] )
-
-let stub_sval (s : Sref.stub_info) =
-  Sval.Record
-    ( "stub",
-      [
-        ("target", oid_sval s.Sref.target);
-        ("ic", Sval.Int s.Sref.stub_ic);
-        ("scions_to", Sval.List (List.map ref_sval (Ref_key.Set.elements s.Sref.scions_to)));
-        ("local_reach", Sval.Bool s.Sref.local_reach);
-      ] )
-
-let summary_sval (t : Sref.t) =
-  Sval.Record
-    ( "summary",
-      [
-        ("proc", Sval.Int (Proc_id.to_int t.Sref.proc));
-        ("taken_at", Sval.Int t.Sref.taken_at);
-        ("scions", Sval.List (List.map scion_sval t.Sref.scions));
-        ("stubs", Sval.List (List.map stub_sval t.Sref.stubs));
-      ] )
-
-(* A summary's entries and runs must strictly ascend: a repeat or an
-   inversion is malformed. *)
-let rec ascending compare = function
-  | a :: (b :: _ as rest) -> compare a b < 0 && ascending compare rest
-  | [ _ ] | [] -> true
-
-let ascending_of compare of_tree items =
-  Option.bind (all_of of_tree items) (fun l -> if ascending compare l then Some l else None)
-
-let scion_of_tree = function
-  | Rec [ key; Int scion_ic; List stubs_from; Bool target_locally_reachable; Int last_invoked ] ->
-      Option.bind (key_of_tree key) (fun key ->
-          Option.map
-            (fun stubs ->
-              {
-                Sref.key;
-                scion_ic;
-                stubs_from = Oid.Set.of_list stubs;
-                target_locally_reachable;
-                last_invoked;
-              })
-            (ascending_of Oid.compare oid_of_tree stubs_from))
-  | _ -> None
-
-let stub_of_tree = function
-  | Rec [ target; Int stub_ic; List scions_to; Bool local_reach ] ->
-      Option.bind (oid_of_tree target) (fun target ->
-          Option.map
-            (fun keys -> { Sref.target; stub_ic; scions_to = Ref_key.Set.of_list keys; local_reach })
-            (ascending_of Ref_key.compare key_of_tree scions_to))
-  | _ -> None
-
-let by_key (a : Sref.scion_info) (b : Sref.scion_info) = Ref_key.compare a.Sref.key b.Sref.key
-
-let by_target (a : Sref.stub_info) (b : Sref.stub_info) = Oid.compare a.Sref.target b.Sref.target
-
-let summary_of_tree = function
-  | Rec [ Int proc; Int taken_at; List scions; List stubs ] when proc >= 0 ->
-      Option.bind (ascending_of by_key scion_of_tree scions) (fun scions ->
-          Option.map
-            (fun stubs -> { Sref.proc = Proc_id.of_int proc; taken_at; scions; stubs })
-            (ascending_of by_target stub_of_tree stubs))
-  | _ -> None
-
-(* The reference snapshot read-back. *)
-let summary_decode bytes = tree_decode summary_of_tree bytes
 
 (* ------------------------------------------------------------------ *)
 (* Socket envelopes and gathered node state *)
