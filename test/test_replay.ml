@@ -51,24 +51,24 @@ let run_once ?dgc_window ~seed ~detector ~faulty () =
    the reason in CHANGES.md. *)
 let pinned =
   [
-    ("dcda/no-faults/seed=3", "76dfe7da68842b000bae2a0e9a5baa6f", "5659d1787b251ae5b0dc8cc55b51bcd5");
-    ("dcda/no-faults/seed=17", "e06864e3f503c06594d4d8751c4f4ccb", "f9de4dee901b026a8a6a6d7870336718");
-    ("dcda/no-faults/seed=42", "2178df2c61da74c9d685829bc934009e", "95390425cfeb2b64f3b2175516f9c79d");
-    ("dcda/bursty/seed=3", "4da1c8df0bc7ce4e31c02229052b8f09", "1c6bb0a216ce3775a14cbace1b259afd");
-    ("dcda/bursty/seed=17", "62ad520418b1b32e49c577ee4e959e61", "afd6ccf126d0f1d82faf20bde7509b1e");
-    ("dcda/bursty/seed=42", "39c7cdb6fa9cbb0a469754adee09b841", "13716ad660b89b7eb03f4799277ead9a");
-    ("backtrack/no-faults/seed=3", "ba6b7febb095b69ae58be783e0c1803b", "2da737e98be6d4cc11e19651ece1cb44");
-    ("backtrack/no-faults/seed=17", "96d92a3eb2831a6e1226a4ccd21f54bf", "cf2cfbc6ada13e2bffb1fca5d6f2f816");
-    ("backtrack/no-faults/seed=42", "964095068df3fba5b5157bda2ea92c53", "9a27ecdf7fad01dc265e217dcf6e2c27");
-    ("backtrack/bursty/seed=3", "2f792ea9fb13e55e96e4cdaf9defcf25", "49a46f2ddc780aead42861d5a0bf1d60");
-    ("backtrack/bursty/seed=17", "464ef4a61de9654ad77bab36501a9f06", "d0f590b376e6bc85b51429e597520778");
-    ("backtrack/bursty/seed=42", "8bf681acd5c9a1accdfa2e5e50c9d79c", "e1620479be41d013bf5ef0b60aae1e27");
-    ("sync/no-faults/seed=3", "77fd847777bbf5e649953dc8ed4cd62e", "381f3960be1333ff6ee4aeefae23e5fe");
-    ("sync/no-faults/seed=17", "996aa1129fcb1d529cc58f58b7efd1f4", "0a2fca57589475e12e9e41bc9b50298a");
-    ("sync/no-faults/seed=42", "4bf4ed155cfa7e542bf43b6a20e39f3e", "4191987ce1640530dc9d8776824b45b8");
-    ("sync/bursty/seed=3", "1577f6a7b1e522fc96d34f65cc290642", "bb2cced86bbd6fd962504104a4b00d7f");
-    ("sync/bursty/seed=17", "358cf8e16093ec2cdf8cd0eb2d4ed929", "711e06a2f62421b43c8231f207ce6ab3");
-    ("sync/bursty/seed=42", "2e2e7bd85ad01dbefdf51ef23a1d11ac", "e8f9d7cb00d6f45e5b87ec38893e3a54");
+    ("dcda/no-faults/seed=3", "6704f0ea5d83a711a4e1e1c3580d7d1a", "0fd1c3631dc36af9cc4a8015cb4f7047");
+    ("dcda/no-faults/seed=17", "93ddb60656c28a7f06f0bac97d209f57", "853991daeb316f44319381767812296b");
+    ("dcda/no-faults/seed=42", "e8b9d9102bca92e6d11027324cc4644e", "f60dc93bf73962b5b0ff9b6a8247cd53");
+    ("dcda/bursty/seed=3", "613e08b027c202c55e0cbb2cb14a96c2", "784cb98cb8f20202c60fa10a3da6db8a");
+    ("dcda/bursty/seed=17", "adc8d3d90e2982206e6a2437871e7c48", "2200eff84b316a337a367fa28fe2a8fd");
+    ("dcda/bursty/seed=42", "66fc5ad514b81ed1f7984cf30fa57c75", "0ac196278b80773b335db92f79339296");
+    ("backtrack/no-faults/seed=3", "8bb62e5b8e8db863dda86a098ea2094d", "64ef6573b4496013f61c72714e2e23bb");
+    ("backtrack/no-faults/seed=17", "b97cd2747161f6d497f08864edda4ce3", "060f5eba0cc1889b5f45420b57e6475d");
+    ("backtrack/no-faults/seed=42", "43e0793a579289138494317d9da69acb", "4aef9317e11f44d1fba95ed87c09c881");
+    ("backtrack/bursty/seed=3", "da3eb87ee27043530d0f74d8450d50bd", "29551ce1c7cb03cb8827bba172005f36");
+    ("backtrack/bursty/seed=17", "67c0abc5b3c6a7b787cb96879b1eae81", "9fac98d6c4f776b90ab92fabd4079384");
+    ("backtrack/bursty/seed=42", "f6967dd585f344c83d99f2dcf9ce3753", "64dcd389d18cdb7d464a0b93a3354459");
+    ("sync/no-faults/seed=3", "f4b370d701a333ac3c5802893fbd2e46", "a566893d6dd740dcbbe25aeb170d1606");
+    ("sync/no-faults/seed=17", "011fb7800918ff426030d2cb5ab380f0", "395c9a46a13efe25ac6be852dd45edb4");
+    ("sync/no-faults/seed=42", "ae5ee35e5c89964828afbf5c56c68bda", "e2bfb35a356a366e0a870dac5d80d2e3");
+    ("sync/bursty/seed=3", "b180d4b86e30d7b96a815586393d9992", "4766da6b13b0ebf34266050e7ce9d01d");
+    ("sync/bursty/seed=17", "3443651095907dd1e7f0c85deca21e24", "50f6660f2c838de839e97aa1e69cb97b");
+    ("sync/bursty/seed=42", "11a86dad8c2754945c96fd842ebf236b", "58c6bebfda9db073bb798e0846e04adc");
   ]
 
 let check_pinned label metrics digest =
