@@ -351,6 +351,184 @@ let prop_scion_table_model =
            ops;
          scion_agrees table !model))
 
+(* ------------------------------------------------------------------ *)
+(* The heap's dense index *)
+
+(* Random heap edits with collisions and sweeps; [H_churn k] allocates
+   [k] objects and sweeps them again, and [H_flip (i, k)] has one
+   object take and drop [k] references to remote objects never seen
+   before, so both interners fill with dead weight and both kinds of
+   compaction run.  Indices pick among the live objects (or the swept
+   ones, for a dangling reference) modulo their count.  Remote targets
+   belong to process 1; one in three has a stub. *)
+type heap_op =
+  | H_alloc
+  | H_ref_local of int * int
+  | H_ref_dangling of int * int
+  | H_ref_remote of int * int
+  | H_unref of int * int
+  | H_remove of int
+  | H_root of int
+  | H_unroot of int
+  | H_scion of int
+  | H_churn of int
+  | H_flip of int * int
+
+let heap_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, return H_alloc);
+        (6, map2 (fun i j -> H_ref_local (i, j)) nat nat);
+        (1, map2 (fun i j -> H_ref_dangling (i, j)) nat nat);
+        (4, map2 (fun i k -> H_ref_remote (i, k)) nat (int_bound 199));
+        (4, map2 (fun i j -> H_unref (i, j)) nat nat);
+        (4, map (fun i -> H_remove i) nat);
+        (2, map (fun i -> H_root i) nat);
+        (1, map (fun i -> H_unroot i) nat);
+        (2, map (fun i -> H_scion i) nat);
+        (1, map (fun k -> H_churn k) (int_range 1 80));
+        (1, map2 (fun i k -> H_flip (i, k)) nat (int_range 1 80));
+      ])
+
+let pick l i = match l with [] -> None | _ -> Some (List.nth l (i mod List.length l))
+
+let heap_apply (p : Process.t) swept fresh op =
+  let heap = p.Process.heap in
+  let live () = List.rev (Heap.fold heap ~init:[] ~f:(fun acc o -> o :: acc)) in
+  let with_live i f = Option.iter f (pick (live ()) i) in
+  match op with
+  | H_alloc -> ignore (Heap.alloc heap : Heap.obj)
+  | H_ref_local (i, j) ->
+      with_live i (fun o -> with_live j (fun t -> ignore (Heap.add_ref heap o t.Heap.oid : int)))
+  | H_ref_dangling (i, j) ->
+      with_live i (fun o -> Option.iter (fun t -> ignore (Heap.add_ref heap o t : int)) (pick !swept j))
+  | H_ref_remote (i, k) ->
+      with_live i (fun o ->
+          let target = oid 1 k in
+          if k mod 3 = 0 then ignore (Stub_table.ensure p.Process.stubs ~now:0 target : Stub_table.entry);
+          ignore (Heap.add_ref heap o target : int))
+  | H_unref (i, j) ->
+      with_live i (fun o ->
+          let held = List.filter_map Fun.id (Array.to_list o.Heap.fields) in
+          Option.iter (fun t -> ignore (Heap.remove_ref heap o t : bool)) (pick held j))
+  | H_remove i ->
+      with_live i (fun o ->
+          Heap.remove heap o.Heap.oid;
+          swept := o.Heap.oid :: !swept)
+  | H_root i -> with_live i (fun o -> Heap.add_root heap o.Heap.oid)
+  | H_unroot i -> Option.iter (Heap.remove_root heap) (pick (Heap.roots heap) i)
+  | H_scion i ->
+      with_live i (fun o ->
+          ignore
+            (Scion_table.ensure p.Process.scions ~now:0
+               (Ref_key.make ~src:(Proc_id.of_int 1) ~target:o.Heap.oid)
+              : Scion_table.entry))
+  | H_churn k ->
+      let objs = List.init k (fun _ -> Heap.alloc heap) in
+      List.iter
+        (fun (o : Heap.obj) ->
+          Heap.remove heap o.Heap.oid;
+          swept := o.Heap.oid :: !swept)
+        objs
+  | H_flip (i, k) ->
+      with_live i (fun o ->
+          for _ = 1 to k do
+            incr fresh;
+            let target = oid 1 !fresh in
+            ignore (Heap.add_ref heap o target : int);
+            ignore (Heap.remove_ref heap o target : bool)
+          done)
+
+(* The index as a rebuild from the objects would give it: every live
+   object has its own id and reads back through [dense_oid] and
+   [iter_dense], no swept object has one, each adjacency row is the
+   object's fields (live local targets by id, remote ones by remote
+   id, dangling ones at ids no live object has), and a trace from the
+   roots reaches what a plain walk of the fields reaches.  Then the
+   summary over this index is the reference's, bytes and view. *)
+let index_agrees (p : Process.t) swept =
+  let heap = p.Process.heap in
+  let n = Heap.dense_sync heap in
+  let live = Heap.fold heap ~init:Oid.Map.empty ~f:(fun m o -> Oid.Map.add o.Heap.oid o m) in
+  let id_of = Oid.Map.map (fun (o : Heap.obj) -> Heap.dense_id heap o.Heap.oid) live in
+  let oid_at = Hashtbl.create 16 in
+  let ids_ok =
+    Oid.Map.for_all
+      (fun o id ->
+        match id with
+        | Some id when id >= 0 && id < n && not (Hashtbl.mem oid_at id) ->
+            Hashtbl.add oid_at id o;
+            Oid.equal (Heap.dense_oid heap id) o
+        | Some _ | None -> false)
+      id_of
+  in
+  let swept_ok = List.for_all (fun o -> Heap.dense_id heap o = None) swept in
+  let listed = ref [] in
+  Heap.iter_dense heap (fun id o -> listed := (id, o.Heap.oid) :: !listed);
+  let expected =
+    List.sort compare (Oid.Map.fold (fun o id acc -> (Option.get id, o) :: acc) id_of [])
+  in
+  let iter_ok = List.rev !listed = expected in
+  let field_key = function
+    | t when not (Proc_id.equal (Oid.owner t) owner) -> `Remote (Heap.remote_id heap t)
+    | t when Oid.Map.mem t live -> `Local (Some t)
+    | _ -> `Local None
+  in
+  let edge_key v =
+    if v >= 0 then `Local (Hashtbl.find_opt oid_at v)
+    else if -v - 1 < Heap.remote_ids heap then `Remote (Some (-v - 1))
+    else `Remote None
+  in
+  let edges_ok =
+    Oid.Map.for_all
+      (fun o (obj : Heap.obj) ->
+        let row = ref [] in
+        Heap.iter_edges heap (Option.get (Oid.Map.find o id_of)) (fun v -> row := edge_key v :: !row);
+        let fields = List.filter_map (Option.map field_key) (Array.to_list obj.Heap.fields) in
+        List.for_all (function `Remote None -> false | _ -> true) fields
+        && List.sort compare !row = List.sort compare fields)
+      live
+  in
+  let rec walk seen remote = function
+    | [] -> (seen, remote)
+    | t :: rest when not (Proc_id.equal (Oid.owner t) owner) -> walk seen (Oid.Set.add t remote) rest
+    | t :: rest -> (
+        match Oid.Map.find_opt t live with
+        | Some obj when not (Oid.Set.mem t seen) ->
+            walk (Oid.Set.add t seen) remote
+              (List.filter_map Fun.id (Array.to_list obj.Heap.fields) @ rest)
+        | Some _ | None -> walk seen remote rest)
+  in
+  let want_local, want_remote = walk Oid.Set.empty Oid.Set.empty (Heap.roots heap) in
+  let got_local = ref Oid.Set.empty and got_remote = ref Oid.Set.empty in
+  Heap.trace_dense heap ~from:(Heap.roots heap)
+    ~visit_local:(fun id -> got_local := Oid.Set.add (Heap.dense_oid heap id) !got_local)
+    ~visit_remote:(fun o -> got_remote := Oid.Set.add o !got_remote);
+  let trace_ok = Oid.Set.equal !got_local want_local && Oid.Set.equal !got_remote want_remote in
+  let reference = Summary_reference.summary ~now:3 p in
+  let written = Adgc_snapshot.Summarize.run ~now:3 p in
+  ids_ok && swept_ok && iter_ok && edges_ok && trace_ok
+  && String.equal (Adgc_snapshot.Summary.bytes written) (Summary_reference.encode reference)
+  && Summary_reference.equal (Summary_reference.of_view written) reference
+
+let prop_heap_index_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"heap dense index = a rebuild, and its summary = the reference's"
+       ~count:60
+       QCheck2.Gen.(list_size (int_range 20 150) heap_op_gen)
+       (fun ops ->
+         let cluster = Cluster.create ~n:2 () in
+         let p = Cluster.proc cluster 0 in
+         let swept = ref [] and fresh = ref 1_000 in
+         (* A first churn, so every sequence compacts at least once. *)
+         List.for_all
+           (fun op ->
+             heap_apply p swept fresh op;
+             index_agrees p !swept)
+           (H_alloc :: H_alloc :: H_churn 100 :: ops)
+         && Heap.dense_generation p.Process.heap > 0))
+
 (* IC sync through C_apply: focused unit check complementing the model
    (the model fixes advertised ICs at 0). *)
 let test_apply_syncs_ic () =
@@ -373,5 +551,6 @@ let suite =
     [
       prop_stub_table_model;
       prop_scion_table_model;
+      prop_heap_index_model;
       Alcotest.test_case "apply_new_set syncs ICs" `Quick test_apply_syncs_ic;
     ] )
