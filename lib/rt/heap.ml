@@ -93,8 +93,7 @@ let ensure_dense_capacity tr =
     Array.blit tr.slots 0 bigger 0 (Array.length tr.slots);
     tr.slots <- bigger
   end;
-  if Array.length tr.queue < Array.length tr.slots then
-    tr.queue <- Array.make (Array.length tr.slots) 0
+  if Array.length tr.queue < n then tr.queue <- Array.make (Array.length tr.slots) 0
 
 let intern_local tr oid =
   let id = Interner.intern tr.ids oid in
