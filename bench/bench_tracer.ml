@@ -29,11 +29,11 @@ let build_tracer_cluster ~objects =
 
 let build_tracer_heap ~objects = Cluster.proc (build_tracer_cluster ~objects) 0
 
-(* The allocation of one snapshot of the 2,000-object tracer heap: the
-   minor words of one [Snapshot_store.take], after a first take has
-   sized the summarizer's scratch and the store's counters, and the
-   words the published summary keeps reachable.  Both are functions
-   of the heap alone. *)
+(* One snapshot of the 2,000-object tracer heap: the minor words of
+   one [Snapshot_store.take], after a first take has sized the
+   summarizer's scratch and the store's counters, the words the
+   published summary keeps reachable, and its bytes.  All three are
+   functions of the heap alone. *)
 let snapshot_words () =
   let cluster = build_tracer_cluster ~objects:2_000 in
   let store = Adgc_snapshot.Snapshot_store.create (Cluster.rt cluster) in
@@ -42,7 +42,9 @@ let snapshot_words () =
   let before = Gc.minor_words () in
   let summary = Adgc_snapshot.Snapshot_store.take store p in
   let minor = Gc.minor_words () -. before in
-  (minor, float_of_int (Obj.reachable_words (Obj.repr summary)))
+  ( minor,
+    float_of_int (Obj.reachable_words (Obj.repr summary)),
+    float_of_int (String.length (Adgc_snapshot.Summary.bytes summary)) )
 
 let tracer_case ~objects ~reps =
   let p = build_tracer_heap ~objects in
@@ -187,14 +189,17 @@ let run recorder =
       t "trace.dense_ms" dense;
       t "snapshot.dense_ms" snap_dense)
     cases;
-  let minor, retained = snapshot_words () in
-  Printf.printf "one snapshot of the 2000-object heap: %.0f minor words, %.0f words retained\n"
-    minor retained;
+  let minor, retained, bytes = snapshot_words () in
+  Printf.printf
+    "one snapshot of the 2000-object heap: %.0f minor words, %.0f words retained, %.0f bytes\n"
+    minor retained bytes;
   let sconfig = [ "tracer.snapshot"; "2000" ] in
   det recorder ~section:"tracer" ~name:"tracer.snapshot.minor_words.2000" ~unit_:"words"
     ~config:sconfig minor;
   det recorder ~section:"tracer" ~name:"tracer.snapshot.retained_words.2000" ~unit_:"words"
     ~config:sconfig retained;
+  det recorder ~section:"tracer" ~name:"tracer.snapshot.bytes.2000" ~unit_:"bytes"
+    ~config:sconfig bytes;
   let owners = 32 in
   let round_words = stub_set_round_words ~owners in
   Printf.printf "one stub-set round of %d owners x 20 stubs: %.0f minor words\n" owners round_words;
