@@ -13,7 +13,7 @@ module N = Adgc_serial.Net_codec
    and the whole scratch is one module-level pool reused across runs
    (the arrays are fully re-initialized for [0, n) each run).  What a
    run allocates is its data: each component's reachable-stub ranks,
-   and the summary's bytes. *)
+   the summary's bytes and its entry offsets. *)
 
 type scratch = {
   mutable index : int array; (* Tarjan discovery index; -1 = unvisited, -2 = dead id *)
