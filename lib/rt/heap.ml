@@ -118,8 +118,16 @@ let adj_remove t holder target =
       let v = pack_target t tr target in
       if Csr.remove tr.adj hid v && v < 0 then tr.remote_edges <- tr.remote_edges - 1
 
+(* Remote values met by [count_remote]: a module-level counter, so
+   clearing a swept object's row builds no closure. *)
+let remote_seen = ref 0
+
+let count_remote v = if v < 0 then incr remote_seen
+
 let adj_clear tr id =
-  Csr.iter tr.adj id (fun v -> if v < 0 then tr.remote_edges <- tr.remote_edges - 1);
+  remote_seen := 0;
+  Csr.iter tr.adj id count_remote;
+  tr.remote_edges <- tr.remote_edges - !remote_seen;
   Csr.clear_row tr.adj id
 
 let size t = Oid.Tbl.length t.objs
