@@ -104,11 +104,14 @@ let pack_target t tr oid =
   if Proc_id.equal (Oid.owner oid) t.owner then intern_local tr oid
   else -(Interner.intern tr.remote_ids oid) - 1
 
+let adj_push tr hid v =
+  if v < 0 then tr.remote_edges <- tr.remote_edges + 1;
+  Csr.add tr.adj hid v
+
 let adj_add t holder target =
   let tr = t.tracer in
   let v = pack_target t tr target in
-  if v < 0 then tr.remote_edges <- tr.remote_edges + 1;
-  Csr.add tr.adj (intern_local tr holder) v
+  adj_push tr (intern_local tr holder) v
 
 let adj_remove t holder target =
   let tr = t.tracer in
@@ -247,28 +250,22 @@ let rebuild_adj t tr =
           Array.iter
             (function
               | None -> ()
-              | Some target ->
-                  let v = pack_target t tr target in
-                  if v < 0 then tr.remote_edges <- tr.remote_edges + 1;
-                  Csr.add tr.adj hid v)
+              | Some target -> adj_push tr hid (pack_target t tr target))
             obj.fields)
     t.objs
 
 let sync_tracer t =
   let tr = t.tracer in
-  if tr.synced_gen <> t.generation then begin
-    let live = Oid.Tbl.length t.objs in
-    if Interner.size tr.ids > (2 * live) + 64 then begin
-      tr.ids <- Interner.create ~capacity:(2 * live) ();
-      tr.rebuilds <- tr.rebuilds + 1;
-      Array.fill tr.slots 0 (Array.length tr.slots) None;
-      Oid.Tbl.iter (fun oid obj -> tr.slots.(intern_local tr oid) <- Some obj) t.objs;
-      tr.remote_ids <- Interner.create ~capacity:(2 * tr.remote_edges) ();
-      rebuild_adj t tr
-    end;
-    tr.synced_gen <- t.generation
+  let live = Oid.Tbl.length t.objs in
+  let local = tr.synced_gen <> t.generation && Interner.size tr.ids > (2 * live) + 64 in
+  tr.synced_gen <- t.generation;
+  if local then begin
+    tr.ids <- Interner.create ~capacity:(2 * live) ();
+    tr.rebuilds <- tr.rebuilds + 1;
+    Array.fill tr.slots 0 (Array.length tr.slots) None;
+    Oid.Tbl.iter (fun oid obj -> tr.slots.(intern_local tr oid) <- Some obj) t.objs
   end;
-  if Interner.size tr.remote_ids > (2 * tr.remote_edges) + 64 then begin
+  if local || Interner.size tr.remote_ids > (2 * tr.remote_edges) + 64 then begin
     tr.remote_ids <- Interner.create ~capacity:(2 * tr.remote_edges) ();
     rebuild_adj t tr
   end;
