@@ -156,17 +156,15 @@ let test_heap_trace_from_absent () =
   let { Heap.local; _ } = Heap.trace h ~from:[ oid 0 99 ] in
   check Alcotest.int "nothing" 0 (Oid.Set.cardinal local)
 
-(* Steady alloc/sweep churn must not grow the heap's own metadata: a
-   heap that allocates, links and sweeps 1,000 objects per round holds
-   no more words after 50 rounds than after 5.  A per-write log that
-   sweeps never trim fails this by an order of magnitude. *)
-(* Interned ids, slots, packed adjacency and marks stay bounded under
-   churn: swept objects, and remote references that were dropped or
-   whose holders were swept.  Each round allocates a chain of objects,
-   each holding a reference to a remote object never seen before,
-   sweeps them all, then has one long-lived object take and drop
-   references to further new remote objects — edits alone, which
-   change no object population. *)
+(* Steady churn must not grow the heap's own metadata (interned ids,
+   slots, packed adjacency, marks): a heap holds no more words after
+   50 rounds than after 5.  Each round allocates, links and sweeps
+   1,000 objects, each holding a reference to a remote object never
+   seen before, then has one long-lived object take and drop
+   references to 1,000 further new remote objects — edits alone,
+   which change no object population.  A per-write log that sweeps
+   never trim fails this by an order of magnitude; an append-only
+   remote interner, eightfold. *)
 let test_heap_metadata_bounded () =
   let h = Heap.create ~owner:p0 in
   let keeper = Heap.alloc h in
