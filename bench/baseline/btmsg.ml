@@ -16,52 +16,40 @@ type reply = { trace : trace_id; subject : Ref_key.t; verdict : verdict }
 
 type t = Query of query | Reply of reply
 
-(* A reference travels flat, as [src; owner; serial]. *)
-let emit_ref s (k : Ref_key.t) =
-  N.list s 3;
-  N.int s (Proc_id.to_int k.src);
-  N.int s (Proc_id.to_int (Oid.owner k.target));
-  N.int s k.target.Oid.serial
-
-(* Both cases are four fields: the trace, the subject, then the
-   visited list or the verdict. *)
-let arities = [| 4; 4 |]
-
-let emit_head s i (trace : trace_id) subject =
-  N.variant s i arities.(i);
-  N.int s (Proc_id.to_int trace.initiator);
-  N.int s trace.seq;
-  emit_ref s subject
-
-let emit s = function
-  | Query q ->
-      emit_head s 0 q.trace q.subject;
-      N.list s (List.length q.visited);
-      List.iter (emit_ref s) q.visited
-  | Reply r ->
-      emit_head s 1 r.trace r.subject;
-      N.bool s (match r.verdict with Rooted -> true | Cycle_back -> false)
-
-let read_ref r =
-  if R.list r <> 3 then R.fail r "bad reference";
-  let src = R.int r in
-  let owner = R.int r in
-  let serial = R.int r in
-  if src < 0 || owner < 0 || serial < 0 then R.fail r "negative id";
-  Ref_key.make ~src:(Proc_id.of_int src) ~target:(Oid.make ~owner:(Proc_id.of_int owner) ~serial)
+(* One packed run, [kind; initiator; seq; subject; ...] with each
+   reference as Ref_key.emit writes it: a query's visited references
+   follow, a reply's verdict is 1 for rooted and 0 for a cycle. *)
+let emit s t =
+  let kind, (trace : trace_id), subject, fields =
+    match t with
+    | Query q -> (0, q.trace, q.subject, 3 * List.length q.visited)
+    | Reply r -> (1, r.trace, r.subject, 1)
+  in
+  N.packed s (6 + fields);
+  N.raw s kind;
+  N.raw s (Proc_id.to_int trace.initiator);
+  N.raw s trace.seq;
+  Ref_key.emit s subject;
+  match t with
+  | Query q -> List.iter (Ref_key.emit s) q.visited
+  | Reply r -> N.raw s (match r.verdict with Rooted -> 1 | Cycle_back -> 0)
 
 let read r =
-  let i = R.variant r arities in
-  let initiator = R.int r in
-  let seq = R.int r in
-  let subject = read_ref r in
-  if initiator < 0 then R.fail r "negative id";
+  let k = R.packed r in
+  if k < 6 then R.fail r "short back-tracing run";
+  let kind = R.raw r in
+  let initiator = R.raw r in
+  let seq = R.raw r in
+  let subject = Ref_key.read r in
   let trace = { initiator = Proc_id.of_int initiator; seq } in
-  if i = 0 then begin
-    let visited = List.init (R.list r) (fun _ -> read_ref r) in
-    Query { trace; subject; visited }
-  end
-  else begin
-    let verdict = if R.bool r then Rooted else Cycle_back in
-    Reply { trace; subject; verdict }
-  end
+  match kind with
+  | 0 ->
+      let n = R.entries r k ~fixed:6 ~width:3 "query" in
+      Query { trace; subject; visited = List.init n (fun _ -> Ref_key.read r) }
+  | 1 ->
+      if k <> 7 then R.fail r "ragged reply run";
+      let verdict =
+        match R.raw r with 1 -> Rooted | 0 -> Cycle_back | _ -> R.fail r "bad verdict"
+      in
+      Reply { trace; subject; verdict }
+  | _ -> R.fail r "unknown back-tracing kind"

@@ -28,9 +28,13 @@ type reply = { trace : trace_id; subject : Ref_key.t; verdict : verdict }
 type t = Query of query | Reply of reply
 
 val emit : t Adgc_serial.Net_codec.shape
-(** Wire representation: the body of an {!Adgc_rt.Msg.Ext}. *)
+(** Wire representation, the body of an {!Adgc_rt.Msg.Ext}: one packed
+    run, [[kind; initiator; seq; subject]] and then a query's visited
+    references or a reply's verdict (1 rooted, 0 cycle back), each
+    reference as {!Adgc_algebra.Ref_key.emit} writes it. *)
 
 val read : Adgc_serial.Net_codec.Read.t -> t
 (** Reads {!emit}'s bytes back.  Anything else — another
-    comparator's body (whose cases have another arity), a negative id,
-    a missing or extra field — is malformed. *)
+    comparator's body (whose runs have other lengths), an unknown
+    kind or verdict, a part reference, a missing or extra field — is
+    malformed. *)

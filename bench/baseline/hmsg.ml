@@ -7,37 +7,37 @@ type t =
   | Report of { round_time : int }
   | Threshold of { value : int }
 
-let arities = [| 1; 1; 1 |]
-
-(* A stamp travels flat, as [owner; serial; stamp]. *)
+(* One packed run, [kind; fields...]: a stamp entry is
+   [owner; serial; stamp], the id as Oid.emit writes it. *)
 let emit s = function
   | Stamp stamps ->
-      N.variant s 0 1;
-      N.list s (List.length stamps);
+      N.packed s (1 + (3 * List.length stamps));
+      N.raw s 0;
       List.iter
-        (fun ((o : Oid.t), stamp) ->
-          N.list s 3;
-          N.int s (Proc_id.to_int (Oid.owner o));
-          N.int s o.Oid.serial;
-          N.int s stamp)
+        (fun (o, stamp) ->
+          Oid.emit s o;
+          N.raw s stamp)
         stamps
   | Report { round_time } ->
-      N.variant s 1 1;
-      N.int s round_time
+      N.packed s 2;
+      N.raw s 1;
+      N.raw s round_time
   | Threshold { value } ->
-      N.variant s 2 1;
-      N.int s value
-
-let read_stamp r =
-  if R.list r <> 3 then R.fail r "bad stamp";
-  let owner = R.int r in
-  let serial = R.int r in
-  let stamp = R.int r in
-  if owner < 0 || serial < 0 then R.fail r "negative id";
-  (Oid.make ~owner:(Proc_id.of_int owner) ~serial, stamp)
+      N.packed s 2;
+      N.raw s 2;
+      N.raw s value
 
 let read r =
-  match R.variant r arities with
-  | 0 -> Stamp (List.init (R.list r) (fun _ -> read_stamp r))
-  | 1 -> Report { round_time = R.int r }
-  | _ -> Threshold { value = R.int r }
+  let k = R.packed r - 1 in
+  if k < 0 then R.fail r "empty hughes run";
+  match R.raw r with
+  | 0 ->
+      let n = R.entries r k ~fixed:0 ~width:3 "stamp" in
+      Stamp
+        (List.init n (fun _ ->
+             let o = Oid.read r in
+             (o, R.raw r)))
+  | 1 when k = 1 -> Report { round_time = R.raw r }
+  | 2 when k = 1 -> Threshold { value = R.raw r }
+  | 1 | 2 -> R.fail r "ragged hughes run"
+  | _ -> R.fail r "unknown hughes kind"

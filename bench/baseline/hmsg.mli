@@ -18,7 +18,12 @@ type t =
       (** the coordinator's new global minimum *)
 
 val emit : t Adgc_serial.Net_codec.shape
-(** Wire representation: the body of an {!Adgc_rt.Msg.Ext}. *)
+(** Wire representation, the body of an {!Adgc_rt.Msg.Ext}: one packed
+    run, [[kind; fields...]], a stamp entry as [[owner; serial; stamp]].
+    Stamps, round times and thresholds are never negative: a round
+    stamps with a tick, and the coordinator only raises its threshold
+    from [-1].
+    @raise Invalid_argument on a negative one. *)
 
 val read : Adgc_serial.Net_codec.Read.t -> t
 (** Reads {!emit}'s bytes back, as {!Btmsg.read}. *)

@@ -1,6 +1,7 @@
 (* Wire section (E31, E36, E40): the bytes one message of each payload
    kind costs, and a stub set's and a CDM's of eight entries — what the simulator charges it ([Net_codec.size Msg.emit])
-   and, behind a three-byte case header, what a socket frame carries.
+   and, behind the envelope's three-byte run [3], what a socket frame
+   carries.
    Deterministic: a change to any header or payload shape moves one of
    these series. *)
 

@@ -9,9 +9,9 @@
     the paper reports for production .NET serialization over Rotor's
     ({!Rotor_codec}).
 
-    Its tag bytes are the system wire's ({!Adgc_serial.Net_codec}),
-    which has no unit, float or named record: those three take the
-    tags the wire leaves free (0, 4 and 7). *)
+    Its string and packed-run tags (5 and 8) are the system wire's
+    ({!Adgc_serial.Net_codec}), which has only those two; the other
+    node kinds take tags of their own. *)
 
 module Wire = Adgc_serial.Wire
 

@@ -158,20 +158,19 @@ let verdict t =
 (* ------------------------------------------------------------------ *)
 (* Wire format *)
 
-(* Four ints per entry, [src; owner; serial; ic * 4 + bits], in key
-   order, with two presence bits (1 = source, 2 = target, 3 = both)
-   under the IC.  A key on both sides with different ICs cannot share
-   an entry: it is written twice, bits 1 then 2. *)
+(* Four ints per entry, [src; owner; serial; ic * 4 + bits] (the key
+   as {!Ref_key.emit} writes it), in key order, with two presence bits
+   (1 = source, 2 = target, 3 = both) under the IC.  A key on both
+   sides with different ICs cannot share an entry: it is written
+   twice, bits 1 then 2. *)
 let entry_width = 4
 
 (* A [Both] with different ICs takes two entries. *)
 let compact_length t = entry_width * (t.unresolved + t.frontier + t.both + t.conflicts)
 
 let emit_entries s t =
-  let emit_ce (key : Ref_key.t) ic bits =
-    N.raw s (Proc_id.to_int key.Ref_key.src);
-    N.raw s (Proc_id.to_int (Oid.owner key.Ref_key.target));
-    N.raw s key.Ref_key.target.Oid.serial;
+  let emit_ce key ic bits =
+    Ref_key.emit s key;
     (* An IC past 60 bits would lose its top bits under the shift. *)
     if ic lsr 60 <> 0 then invalid_arg "Algebra.emit_entries: IC out of range";
     N.raw s ((ic lsl 2) lor bits)
@@ -190,17 +189,12 @@ let emit_entries s t =
    entry must not contradict one already read.  A run holds no
    negative int, so neither does an id or an IC. *)
 let read_entries r n =
-  if n mod entry_width <> 0 then R.fail r "ragged algebra run";
+  let n = R.entries r n ~fixed:0 ~width:entry_width "algebra" in
   let read_ce t =
-    let src = R.raw r in
-    let owner = R.raw r in
-    let serial = R.raw r in
+    let key = Ref_key.read r in
     let ic_bits = R.raw r in
     let ic = ic_bits lsr 2 and bits = ic_bits land 3 in
     if bits = 0 then R.fail r "bad presence bits";
-    let key =
-      Ref_key.make ~src:(Proc_id.of_int src) ~target:(Oid.make ~owner:(Proc_id.of_int owner) ~serial)
-    in
     let add_side side t =
       match add t side key ~ic with Added t -> t | Ic_conflict _ -> R.fail r "ic conflict"
     in
@@ -208,4 +202,4 @@ let read_entries r n =
     if bits land 2 <> 0 then add_side Target t else t
   in
   let rec go k t = if k = 0 then t else go (k - 1) (read_ce t) in
-  go (n / entry_width) empty
+  go n empty

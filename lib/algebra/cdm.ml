@@ -14,9 +14,7 @@ let items t = header + Algebra.compact_length t.algebra
 let emit_items s t =
   N.raw s (Proc_id.to_int t.id.Detection_id.initiator);
   N.raw s t.id.Detection_id.seq;
-  N.raw s (Proc_id.to_int t.frontier.Ref_key.src);
-  N.raw s (Proc_id.to_int (Oid.owner t.frontier.Ref_key.target));
-  N.raw s t.frontier.Ref_key.target.Oid.serial;
+  Ref_key.emit s t.frontier;
   N.raw s t.hops;
   N.raw s t.budget;
   (* The paper's optimized two-presence-bit representation. *)
@@ -26,13 +24,9 @@ let read_items r n =
   if n < header then R.fail r "short cdm run";
   let initiator = R.raw r in
   let seq = R.raw r in
-  let f_src = R.raw r in
-  let f_owner = R.raw r in
-  let f_serial = R.raw r in
+  let frontier = Ref_key.read r in
   let hops = R.raw r in
   let budget = R.raw r in
   let algebra = Algebra.read_entries r (n - header) in
   let id = Detection_id.make ~initiator:(Proc_id.of_int initiator) ~seq in
-  let target = Oid.make ~owner:(Proc_id.of_int f_owner) ~serial:f_serial in
-  let frontier = Ref_key.make ~src:(Proc_id.of_int f_src) ~target in
   make ~id ~algebra ~frontier ~hops ~budget

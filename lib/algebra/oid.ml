@@ -19,16 +19,12 @@ let pp ppf t = Format.fprintf ppf "#%d@@%a" t.serial Proc_id.pp t.owner
 module N = Adgc_serial.Net_codec
 
 let emit s t =
-  N.list s 2;
-  N.int s (Proc_id.to_int t.owner);
-  N.int s t.serial
+  N.raw s (Proc_id.to_int t.owner);
+  N.raw s t.serial
 
 let read r =
-  if N.Read.list r <> 2 then N.Read.fail r "bad oid";
-  let owner = N.Read.int r in
-  let serial = N.Read.int r in
-  if owner < 0 || serial < 0 then N.Read.fail r "negative id";
-  make ~owner:(Proc_id.of_int owner) ~serial
+  let owner = N.Read.raw r in
+  { owner = Proc_id.of_int owner; serial = N.Read.raw r }
 
 module Ord = struct
   type nonrec t = t

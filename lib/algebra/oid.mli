@@ -23,11 +23,11 @@ val pp : Format.formatter -> t -> unit
     figures (A, B, F, ...) print through their own name table. *)
 
 val emit : t Adgc_serial.Net_codec.shape
-(** Wire shape: the list [[owner; serial]]. *)
+(** The one wire form of an id: two items, [[owner; serial]], of the
+    packed run its carrier opened. *)
 
 val read : Adgc_serial.Net_codec.Read.t -> t
-(** Reads {!emit}'s bytes back; a negative owner or serial is
-    malformed. *)
+(** Reads {!emit}'s two items back; a run item is never negative. *)
 
 module Set : Set.S with type elt = t
 

@@ -17,16 +17,12 @@ let pp ppf t = Format.fprintf ppf "%a->%a" Proc_id.pp t.src Oid.pp t.target
 module N = Adgc_serial.Net_codec
 
 let emit s t =
-  N.list s 2;
-  N.int s (Proc_id.to_int t.src);
+  N.raw s (Proc_id.to_int t.src);
   Oid.emit s t.target
 
 let read r =
-  if N.Read.list r <> 2 then N.Read.fail r "bad reference key";
-  let src = N.Read.int r in
-  if src < 0 then N.Read.fail r "negative id";
-  let target = Oid.read r in
-  make ~src:(Proc_id.of_int src) ~target
+  let src = N.Read.raw r in
+  { src = Proc_id.of_int src; target = Oid.read r }
 
 module Ord = struct
   type nonrec t = t

@@ -25,10 +25,12 @@ val pp : Format.formatter -> t -> unit
 (** Prints as [P1->#3@P2]. *)
 
 val emit : t Adgc_serial.Net_codec.shape
-(** Wire shape: the list [[src; target]], the target as {!Oid.emit}. *)
+(** The one wire form of a reference key: three items,
+    [[src; owner; serial]], of the packed run its carrier opened, the
+    target as {!Oid.emit}. *)
 
 val read : Adgc_serial.Net_codec.Read.t -> t
-(** Reads {!emit}'s bytes back; a negative id is malformed. *)
+(** Reads {!emit}'s three items back. *)
 
 module Set : Set.S with type elt = t
 

@@ -26,7 +26,7 @@ type t =
   | Shutdown
   | Bye
 
-(* Constructor order, which [headers] and {!read} follow. *)
+(* Constructor order: the kind {!emit} writes and {!read} matches. *)
 let index = function
   | Hello _ -> 0
   | Start -> 1
@@ -40,62 +40,93 @@ let index = function
   | Shutdown -> 9
   | Bye -> 10
 
-(* Each constructor's kind and its field count, in constructor
-   order: the case header {!emit} writes. *)
-let headers =
-  [| ("hello", 3); ("start", 0); ("heartbeat", 1); ("net_msg", 1); ("status_req", 0); ("status", 7);
-     ("state_req", 0); ("state", 1); ("drop_peer", 1); ("shutdown", 0); ("bye", 0) |]
+let kinds =
+  [| "hello"; "start"; "heartbeat"; "net_msg"; "status_req"; "status"; "state_req"; "state";
+     "drop_peer"; "shutdown"; "bye" |]
 
-let kind t = fst headers.(index t)
+let kind t = kinds.(index t)
 
-let arities = Array.map snd headers
+(* The wire form is one packed run, [kind; fields...].  A [Net_msg]'s
+   message and a [State]'s gathered state follow the run as their own
+   runs.  Only [Hello]'s [seed] can be negative, so it travels as its
+   zigzag's two halves, the sign and then [seed] or [lnot seed]: a
+   whole zigzag would need the 63rd bit a run item does not hold. *)
+
+(* How many items a kind writes after its kind. *)
+let fields = function
+  | Hello _ -> 4
+  | Heartbeat _ | Drop_peer _ -> 1
+  | Status st -> 6 + (2 * List.length st.st_reclaimed)
+  | Start | Net_msg _ | Status_req | State_req | State _ | Shutdown | Bye -> 0
 
 let emit s t =
-  let i = index t in
-  N.variant s i arities.(i);
+  N.packed s (1 + fields t);
+  N.raw s (index t);
   match t with
   | Hello { rank; procs; seed } ->
-      N.int s rank;
-      N.int s procs;
-      N.int s seed
-  | Heartbeat { tick } -> N.int s tick
+      N.raw s rank;
+      N.raw s procs;
+      N.raw s (Bool.to_int (seed < 0));
+      N.raw s (seed lxor (seed asr (Sys.int_size - 1)))
+  | Heartbeat { tick } -> N.raw s tick
   | Net_msg m -> Msg.emit s m
   | Status st ->
-      N.int s st.st_rank;
-      N.int s st.st_tick;
-      N.bool s st.st_ready;
-      N.list s (List.length st.st_reclaimed);
-      List.iter (Oid.emit s) st.st_reclaimed;
-      N.int s st.st_wire_sent;
-      N.int s st.st_wire_received;
-      N.int s st.st_dup_ignored
+      N.raw s st.st_rank;
+      N.raw s st.st_tick;
+      N.raw s (Bool.to_int st.st_ready);
+      N.raw s st.st_wire_sent;
+      N.raw s st.st_wire_received;
+      N.raw s st.st_dup_ignored;
+      List.iter (Oid.emit s) st.st_reclaimed
   | State ns -> Gather.emit s ns
-  | Drop_peer rank -> N.int s rank
+  | Drop_peer rank -> N.raw s rank
   | Start | Status_req | State_req | Shutdown | Bye -> ()
 
+let read_bool r = match R.raw r with 0 -> false | 1 -> true | _ -> R.fail r "bad bool"
+
 let read r =
-  match R.variant r arities with
+  let k = R.packed r - 1 in
+  if k < 0 then R.fail r "empty envelope run";
+  let kind = R.raw r in
+  if kind >= Array.length kinds then R.fail r "unknown envelope kind";
+  let exactly n = if k <> n then R.fail r ("ragged " ^ kinds.(kind) ^ " run") in
+  let bare v =
+    exactly 0;
+    v
+  in
+  match kind with
   | 0 ->
-      let rank = R.int r in
-      let procs = R.int r in
-      let seed = R.int r in
-      Hello { rank; procs; seed }
-  | 1 -> Start
-  | 2 -> Heartbeat { tick = R.int r }
-  | 3 -> Net_msg (Msg.read r)
-  | 4 -> Status_req
+      exactly 4;
+      let rank = R.raw r in
+      let procs = R.raw r in
+      let negative = read_bool r in
+      let half = R.raw r in
+      Hello { rank; procs; seed = (if negative then lnot half else half) }
+  | 1 -> bare Start
+  | 2 ->
+      exactly 1;
+      Heartbeat { tick = R.raw r }
+  | 3 ->
+      exactly 0;
+      Net_msg (Msg.read r)
+  | 4 -> bare Status_req
   | 5 ->
-      let st_rank = R.int r in
-      let st_tick = R.int r in
-      let st_ready = R.bool r in
-      let st_reclaimed = List.init (R.list r) (fun _ -> Oid.read r) in
-      let st_wire_sent = R.int r in
-      let st_wire_received = R.int r in
-      let st_dup_ignored = R.int r in
+      let n = R.entries r k ~fixed:6 ~width:2 "status" in
+      let st_rank = R.raw r in
+      let st_tick = R.raw r in
+      let st_ready = read_bool r in
+      let st_wire_sent = R.raw r in
+      let st_wire_received = R.raw r in
+      let st_dup_ignored = R.raw r in
+      let st_reclaimed = List.init n (fun _ -> Oid.read r) in
       Status
         { st_rank; st_tick; st_ready; st_reclaimed; st_wire_sent; st_wire_received; st_dup_ignored }
-  | 6 -> State_req
-  | 7 -> State (Gather.read r)
-  | 8 -> Drop_peer (R.int r)
-  | 9 -> Shutdown
-  | _ -> Bye
+  | 6 -> bare State_req
+  | 7 ->
+      exactly 0;
+      State (Gather.read r)
+  | 8 ->
+      exactly 1;
+      Drop_peer (R.raw r)
+  | 9 -> bare Shutdown
+  | _ -> bare Bye

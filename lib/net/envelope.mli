@@ -8,10 +8,11 @@
     and state gathering.
 
     The wire form is one shape, {!emit}, and its direct reader,
-    {!read}, both over {!Adgc_serial.Net_codec}: case {!kind}'s index
-    and arity, then its fields.  A [Net_msg] frame is that three-byte
-    header followed by exactly the {!Adgc_rt.Msg.emit} bytes the
-    simulator charges the message. *)
+    {!read}, both over {!Adgc_serial.Net_codec}: one packed run,
+    [[kind; fields...]], the kind being the constructor's index.  A
+    [Net_msg] frame is the three-byte run [[3]] followed by exactly the
+    {!Adgc_rt.Msg.emit} bytes the simulator charges the message; a
+    [State] frame is [[7]] followed by {!Gather.emit}'s runs. *)
 
 type status = {
   st_rank : int;
@@ -25,9 +26,11 @@ type status = {
 
 type t =
   | Hello of { rank : int; procs : int; seed : int }
-      (** First frame on every connection, dialer first.  Rank [-1] is
-          the coordinator.  [procs]/[seed] double as a configuration
-          cross-check: a mismatched node must not join. *)
+      (** First frame on every connection, dialer first; only nodes
+          dial, so [rank] is never negative.  [procs]/[seed] double as
+          a configuration cross-check: a mismatched node must not
+          join.  [seed] is the one field that may be negative: it
+          travels as its sign and then [seed] or [lnot seed]. *)
   | Start  (** coordinator -> node: begin duties; tick 0 is now *)
   | Heartbeat of { tick : int }
   | Net_msg of Adgc_rt.Msg.t  (** one protocol envelope, node -> node *)
@@ -43,11 +46,15 @@ type t =
   | Bye
 
 val emit : t Adgc_serial.Net_codec.shape
+(** Fields in constructor order, a [Status]'s [st_reclaimed] last;
+    [st_ready] is 0 or 1.
+    @raise Invalid_argument on any other negative field. *)
 
 val read : Adgc_serial.Net_codec.Read.t -> t
-(** Reads {!emit}'s bytes back; every oid follows
-    {!Adgc_algebra.Oid.read} (no negative owner or serial), and a
-    [Net_msg] is as strict as {!Adgc_rt.Msg.read}. *)
+(** Reads {!emit}'s bytes back.  Malformed: a kind out of range, a
+    run that is not exactly the kind's fields ([Status]: whole
+    reclaimed ids after the fixed six), a flag other than 0 or 1, and
+    anything {!Adgc_rt.Msg.read} or {!Gather.read} refuses. *)
 
 val kind : t -> string
 (** Stable tag for stats counters ("hello", "net_msg", ...). *)

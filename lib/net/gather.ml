@@ -52,82 +52,84 @@ let capture ~rt ~rank ~tick ~reclaimed =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Wire representation.  Same id conventions as Msg's: an oid is
-   [owner; serial], a ref key is [src; oid]. *)
-
-
-let emit_list s f l =
-  N.list s (List.length l);
-  List.iter (f s) l
+(* Wire representation: five packed runs, ids as Oid.emit and
+   Ref_key.emit write them, flags as 0 or 1.  The first is [rank; tick]
+   and then each object as [owner; serial; rooted; n; n refs...]; then
+   the stubs [owner; serial; ic], the scions [src; owner; serial; ic;
+   confirmed] and the reclaimed [owner; serial], whole entries each;
+   then the counters' values, each counter's name following the run as
+   a string. *)
 
 let emit s t =
-  N.record s 7;
-  N.int s t.rank;
-  N.int s t.tick;
-  emit_list s
-    (fun s o ->
-      N.list s 3;
+  N.packed s (List.fold_left (fun n o -> n + 4 + (2 * List.length o.refs)) 2 t.objects);
+  N.raw s t.rank;
+  N.raw s t.tick;
+  List.iter
+    (fun o ->
       Oid.emit s o.oid;
-      emit_list s Oid.emit o.refs;
-      N.bool s o.rooted)
+      N.raw s (Bool.to_int o.rooted);
+      N.raw s (List.length o.refs);
+      List.iter (Oid.emit s) o.refs)
     t.objects;
-  emit_list s
-    (fun s st ->
-      N.list s 2;
+  N.packed s (3 * List.length t.stubs);
+  List.iter
+    (fun st ->
       Oid.emit s st.target;
-      N.int s st.stub_ic)
+      N.raw s st.stub_ic)
     t.stubs;
-  emit_list s
-    (fun s sc ->
-      N.list s 3;
+  N.packed s (5 * List.length t.scions);
+  List.iter
+    (fun sc ->
       Ref_key.emit s sc.key;
-      N.int s sc.scion_ic;
-      N.bool s sc.confirmed)
+      N.raw s sc.scion_ic;
+      N.raw s (Bool.to_int sc.confirmed))
     t.scions;
-  emit_list s Oid.emit t.reclaimed;
-  emit_list s
-    (fun s (k, v) ->
-      N.list s 2;
-      N.str s k;
-      N.int s v)
-    t.counters
+  N.packed s (2 * List.length t.reclaimed);
+  List.iter (Oid.emit s) t.reclaimed;
+  N.packed s (List.length t.counters);
+  List.iter (fun (_, v) -> N.raw s v) t.counters;
+  List.iter (fun (k, _) -> N.str s k) t.counters
 
-let read_list r f = List.init (R.list r) (fun _ -> f r)
+let read_bool r = match R.raw r with 0 -> false | 1 -> true | _ -> R.fail r "bad bool"
 
-(* A fixed-length list: a tuple on the wire. *)
-let tuple r k = if R.list r <> k then R.fail r "bad tuple"
+(* A run of whole [width]-item entries. *)
+let read_table r ~width what read_entry =
+  List.init (R.entries r (R.packed r) ~fixed:0 ~width what) (fun _ -> read_entry r)
 
 let read r =
-  R.record r 7;
-  let rank = R.int r in
-  let tick = R.int r in
-  let objects =
-    read_list r (fun r ->
-        tuple r 3;
-        let oid = Oid.read r in
-        let refs = read_list r Oid.read in
-        { oid; refs; rooted = R.bool r })
+  let k = R.packed r in
+  if k < 2 then R.fail r "short node state run";
+  let rank = R.raw r in
+  let tick = R.raw r in
+  (* [left] items of the run are unread; an object's count of refs
+     must fit in them. *)
+  let rec objects left acc =
+    if left = 0 then List.rev acc
+    else begin
+      if left < 4 then R.fail r "ragged object";
+      let oid = Oid.read r in
+      let rooted = read_bool r in
+      let n = R.raw r in
+      if n > (left - 4) / 2 then R.fail r "ragged object";
+      let refs = List.init n (fun _ -> Oid.read r) in
+      objects (left - 4 - (2 * n)) ({ oid; refs; rooted } :: acc)
+    end
   in
+  let objects = objects (k - 2) [] in
   let stubs =
-    read_list r (fun r ->
-        tuple r 2;
+    read_table r ~width:3 "stub" (fun r ->
         let target = Oid.read r in
-        { target; stub_ic = R.int r })
+        { target; stub_ic = R.raw r })
   in
   let scions =
-    read_list r (fun r ->
-        tuple r 3;
+    read_table r ~width:5 "scion" (fun r ->
         let key = Ref_key.read r in
-        let scion_ic = R.int r in
-        { key; scion_ic; confirmed = R.bool r })
+        let scion_ic = R.raw r in
+        { key; scion_ic; confirmed = read_bool r })
   in
-  let reclaimed = read_list r Oid.read in
-  let counters =
-    read_list r (fun r ->
-        tuple r 2;
-        let k = R.str r in
-        (k, R.int r))
-  in
+  let reclaimed = read_table r ~width:2 "reclaimed" Oid.read in
+  let values = Array.of_list (read_table r ~width:1 "counter" R.raw) in
+  let counters = List.init (Array.length values) (fun i -> (R.str r, values.(i))) in
   { rank; tick; objects; stubs; scions; reclaimed; counters }
 
 (* ------------------------------------------------------------------ *)

@@ -42,11 +42,19 @@ val capture :
     [rank]'s heap, tables and stats. *)
 
 val emit : node_state Adgc_serial.Net_codec.shape
-(** Wire representation, inside {!Envelope.emit}. *)
+(** Wire representation, after {!Envelope.emit}'s run: five packed
+    runs.  [[rank; tick]] and then each object as
+    [[owner; serial; rooted; n; n refs...]]; the stubs as
+    [[owner; serial; stub_ic]]; the scions as
+    [[src; owner; serial; scion_ic; confirmed]]; the reclaimed ids;
+    and the counters' values, each counter's name following that run
+    as a string.  Flags are 0 or 1.
+    @raise Invalid_argument on a negative field. *)
 
 val read : Adgc_serial.Net_codec.Read.t -> node_state
-(** Reads {!emit}'s bytes back; a negative id in an oid or reference
-    key is malformed ({!Adgc_algebra.Oid.read}). *)
+(** Reads {!emit}'s bytes back.  Malformed: a run that is not whole
+    entries, an object whose count of refs overruns its run, a flag
+    other than 0 or 1, and a counter without its name. *)
 
 (** {1 The gathered-state oracle} *)
 

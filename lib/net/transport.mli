@@ -6,7 +6,8 @@
     own ({!Adgc_serial.Net_codec.encode_shape}) and read back with
     {!Adgc_serial.Net_codec.Read.run}: no codec state outlives a
     frame, so the bytes a protocol message costs on a socket are the
-    bytes the simulator charges it, plus the envelope's case header.  Everything here is
+    bytes the simulator charges it, plus the envelope's three-byte
+    run [[3]].  Everything here is
     single-threaded and [Unix.select]-driven — calls never block.
 
     Failure model: any read/write error, EOF, or malformed frame marks

@@ -69,7 +69,7 @@ let rec live_refs = function
 
 (* The wire form is one packed run of unsigned ints per envelope: the
    header [src; dst; seq; sent_at], the payload's kind, then its
-   fields, an oid as [owner; serial].  An [Ext]'s body follows the run
+   fields, an oid as {!Oid.emit} writes it.  An [Ext]'s body follows the run
    as a string; a [Batch]'s run ends with its count, and each
    constituent follows as a run of its own, [kind; fields...]. *)
 
@@ -86,23 +86,19 @@ let fields = function
   | Cdm_delete { scions; _ } -> 2 + (3 * List.length scions)
   | Batch _ -> 1
 
-let raw_oid s (o : Oid.t) =
-  N.raw s (Proc_id.to_int (Oid.owner o));
-  N.raw s o.Oid.serial
-
 let emit_fields s = function
   | Rmi_request { req_id; target; args; stub_ic } ->
       N.raw s req_id;
-      raw_oid s target;
+      Oid.emit s target;
       N.raw s stub_ic;
-      List.iter (raw_oid s) args
+      List.iter (Oid.emit s) args
   | Rmi_reply { req_id; target; results } ->
       N.raw s req_id;
-      raw_oid s target;
-      List.iter (raw_oid s) results
+      Oid.emit s target;
+      List.iter (Oid.emit s) results
   | Export_notice { notice_id; target; new_holder } | Export_ack { notice_id; target; new_holder } ->
       N.raw s notice_id;
-      raw_oid s target;
+      Oid.emit s target;
       N.raw s (Proc_id.to_int new_holder)
   | New_set_stubs { seqno; serials; ics } ->
       (* A stub set goes to its targets' owner, so the owner is the
@@ -122,11 +118,7 @@ let emit_fields s = function
   | Cdm_delete { id; scions } ->
       N.raw s (Proc_id.to_int id.Detection_id.initiator);
       N.raw s id.Detection_id.seq;
-      List.iter
-        (fun (k : Ref_key.t) ->
-          N.raw s (Proc_id.to_int k.Ref_key.src);
-          raw_oid s k.Ref_key.target)
-        scions
+      List.iter (Ref_key.emit s) scions
   | Batch payloads -> N.raw s (List.length payloads)
 
 (* The payload's kind and fields, closing the run its caller opened,
@@ -157,36 +149,26 @@ let emit s t =
 
 let read_proc r = Proc_id.of_int (R.raw r)
 
-let read_oid r =
-  let owner = read_proc r in
-  Oid.make ~owner ~serial:(R.raw r)
-
-(* [k] fields: [fixed] of them, then whole entries of [width] ints.
-   The number of entries. *)
-let entries r k ~fixed ~width what =
-  if k < fixed || (k - fixed) mod width <> 0 then R.fail r ("ragged " ^ what ^ " run");
-  (k - fixed) / width
-
 let read_export r k =
   if k <> 4 then R.fail r "ragged export run";
   let notice_id = R.raw r in
-  let target = read_oid r in
+  let target = Oid.read r in
   (notice_id, target, read_proc r)
 
 (* A payload whose run has [k] ints left after its kind. *)
 let rec read_payload r ~batched k =
   match R.raw r with
   | 0 ->
-      let n = entries r k ~fixed:4 ~width:2 "rmi request" in
+      let n = R.entries r k ~fixed:4 ~width:2 "rmi request" in
       let req_id = R.raw r in
-      let target = read_oid r in
+      let target = Oid.read r in
       let stub_ic = R.raw r in
-      Rmi_request { req_id; target; args = List.init n (fun _ -> read_oid r); stub_ic }
+      Rmi_request { req_id; target; args = List.init n (fun _ -> Oid.read r); stub_ic }
   | 1 ->
-      let n = entries r k ~fixed:3 ~width:2 "rmi reply" in
+      let n = R.entries r k ~fixed:3 ~width:2 "rmi reply" in
       let req_id = R.raw r in
-      let target = read_oid r in
-      Rmi_reply { req_id; target; results = List.init n (fun _ -> read_oid r) }
+      let target = Oid.read r in
+      Rmi_reply { req_id; target; results = List.init n (fun _ -> Oid.read r) }
   | 2 ->
       let notice_id, target, new_holder = read_export r k in
       Export_notice { notice_id; target; new_holder }
@@ -194,7 +176,7 @@ let rec read_payload r ~batched k =
       let notice_id, target, new_holder = read_export r k in
       Export_ack { notice_id; target; new_holder }
   | 4 ->
-      let n = entries r k ~fixed:1 ~width:2 "stub set" in
+      let n = R.entries r k ~fixed:1 ~width:2 "stub set" in
       let seqno = R.raw r in
       let serials = Array.make n 0 and ics = Array.make n 0 in
       for i = 0 to n - 1 do
@@ -210,14 +192,11 @@ let rec read_payload r ~batched k =
       Scion_probe
   | 6 -> Cdm (Cdm.read_items r k)
   | 7 ->
-      let n = entries r k ~fixed:2 ~width:3 "cdm delete" in
+      let n = R.entries r k ~fixed:2 ~width:3 "cdm delete" in
       let initiator = read_proc r in
       let seq = R.raw r in
-      let read_key _ =
-        let src = read_proc r in
-        Ref_key.make ~src ~target:(read_oid r)
-      in
-      Cdm_delete { id = Detection_id.make ~initiator ~seq; scions = List.init n read_key }
+      let scions = List.init n (fun _ -> Ref_key.read r) in
+      Cdm_delete { id = Detection_id.make ~initiator ~seq; scions }
   | 8 ->
       if k <> 0 then R.fail r "ragged ext run";
       Ext (R.str r)

@@ -110,7 +110,8 @@ val live_refs : payload -> Oid.t list
 val emit : t Adgc_serial.Net_codec.shape
 (** Wire representation: one packed run of unsigned ints, the header
     [[src; dst; seq; sent_at]], then the payload's {!kind_index}, then
-    its fields, an oid as [owner; serial]:
+    its fields, an oid as {!Adgc_algebra.Oid.emit} and a reference
+    key as {!Adgc_algebra.Ref_key.emit} write it:
     - [Rmi_request]: [[req_id; target; stub_ic; args...]];
     - [Rmi_reply]: [[req_id; target; results...]];
     - [Export_notice], [Export_ack]: [[notice_id; target; new_holder]];

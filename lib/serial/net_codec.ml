@@ -1,13 +1,7 @@
-(* Tags 0, 4 and 7 are free: the wire carries no unit, float or named
-   record. *)
-let tag_bool_false = 1
-let tag_bool_true = 2
-let tag_int = 3
+(* A run and a string are the only two tags.  Their values are in
+   every message and summary byte already pinned, so they stay. *)
 let tag_str = 5
-let tag_list = 6
 let tag_packed = 8
-let tag_tuple = 9
-let tag_variant = 10
 
 (* ------------------------------------------------------------------ *)
 (* The streaming writer *)
@@ -21,27 +15,6 @@ type 'a shape = sink -> 'a -> unit
 let make mode =
   { mode; buf = Wire.Writer.create ~initial:(if mode = Write then 1024 else 1) (); bytes = 0 }
 
-let raw_byte s b =
-  match s.mode with Count -> s.bytes <- s.bytes + 1 | Write -> Wire.Writer.byte s.buf b
-
-let raw_varint s v =
-  match s.mode with
-  | Count -> s.bytes <- s.bytes + Wire.varint_size v
-  | Write -> Wire.Writer.varint s.buf v
-
-let record s k =
-  raw_byte s tag_tuple;
-  raw_varint s k
-
-let variant s i k =
-  raw_byte s tag_variant;
-  raw_varint s i;
-  raw_varint s k
-
-let list s k =
-  raw_byte s tag_list;
-  raw_varint s k
-
 let raw s v =
   match s.mode with
   | Count -> s.bytes <- s.bytes + Wire.uvarint_size v
@@ -50,17 +23,8 @@ let raw s v =
 (* A packed run: the tag and item count once, then bare unsigned
    varints. *)
 let packed s k =
-  raw_byte s tag_packed;
+  (match s.mode with Count -> s.bytes <- s.bytes + 1 | Write -> Wire.Writer.byte s.buf tag_packed);
   raw s k
-
-let int s v =
-  match s.mode with
-  | Count -> s.bytes <- s.bytes + 1 + Wire.varint_size v
-  | Write ->
-      Wire.Writer.byte s.buf tag_int;
-      Wire.Writer.varint s.buf v
-
-let bool s b = raw_byte s (if b then tag_bool_true else tag_bool_false)
 
 let str s v =
   match s.mode with
@@ -92,16 +56,6 @@ let size shape v =
 (* ------------------------------------------------------------------ *)
 (* The direct reader *)
 
-(* Each element costs at least one byte, so a length beyond the
-   remaining input is malformed — checked up front rather than letting
-   a huge claimed length allocate unboundedly. *)
-let plausible r n =
-  if n < 0 || n > Wire.Reader.remaining r then
-    raise (Wire.Malformed { offset = Wire.Reader.pos r; what = "implausible length" });
-  n
-
-let checked_length r = plausible r (Wire.Reader.varint r)
-
 module Read = struct
   type t = Wire.Reader.t
 
@@ -113,40 +67,24 @@ module Read = struct
 
   let tag t expected = if Wire.Reader.byte t <> expected then fail t "unexpected tag"
 
-  let arity t k = if Wire.Reader.varint t <> k then fail t "unexpected field count"
-
-  let record t k =
-    tag t tag_tuple;
-    arity t k
-
-  let variant t arities =
-    tag t tag_variant;
-    let i = Wire.Reader.varint t in
-    if i < 0 || i >= Array.length arities then fail t "bad case index";
-    arity t arities.(i);
-    i
-
-  let int t =
-    tag t tag_int;
-    Wire.Reader.varint t
-
-  let bool t =
-    let b = Wire.Reader.byte t in
-    if b = tag_bool_true then true else if b = tag_bool_false then false else fail t "unexpected tag"
-
   let str t =
     tag t tag_str;
     Wire.Reader.string t
 
-  let list t =
-    tag t tag_list;
-    checked_length t
-
+  (* Each item costs at least one byte, so a count beyond the
+     remaining input is malformed — checked up front rather than
+     letting a huge claimed count allocate unboundedly. *)
   let packed t =
     tag t tag_packed;
-    plausible t (Wire.Reader.uvarint t)
+    let n = Wire.Reader.uvarint t in
+    if n > Wire.Reader.remaining t then fail t "implausible length";
+    n
 
   let raw = Wire.Reader.uvarint
+
+  let entries t k ~fixed ~width what =
+    if k < fixed || (k - fixed) mod width <> 0 then fail t ("ragged " ^ what ^ " run");
+    (k - fixed) / width
 
   let finish t = if not (Wire.Reader.at_end t) then fail t "trailing bytes"
 

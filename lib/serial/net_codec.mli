@@ -1,51 +1,42 @@
 (** The fast, compact ".NET production" serializer: the system wire.
 
-    A tag byte per node and zigzag varints for integers, in positional
-    shapes.  They carry every DGC message, snapshot summary and socket
-    envelope.  A wire type describes its shape once, as a {!shape}: a
-    sequence of [record]/[variant]/[int]/[bool]/[str]/[list]/[packed]/[raw]
-    events.  A record writes its tag and arity, a case of a sum type
-    its tag, case index and arity; no record or field name ever crosses
-    the wire, because the reader already knows which field comes next.
-    The same shape runs into a byte writer ({!encode_shape}) or a pure
-    byte counter ({!size}), so the bytes a message is charged for and
-    the bytes it is sent as can never drift apart.  Next to each shape
-    the type keeps a direct reader over {!Read}, which checks every
-    tag, arity and case index and the absence of trailing bytes. *)
+    One encoding carries every DGC message, snapshot summary, socket
+    envelope and comparator body: packed runs of unsigned LEB128
+    varints, plus a length-prefixed string where a run cannot hold the
+    data (an opaque body, a counter's name).  A run is one tag and its
+    item count, then the items with no tag of their own; no record or
+    field name and no case header crosses the wire, because the reader
+    already knows which item comes next.  A wire type describes its
+    layout once, as a {!shape}: a sequence of {!packed}/{!raw}/{!str}
+    events.  An id is [[owner; serial]] and a reference key
+    [[src; owner; serial]], written by [Oid.emit] and [Ref_key.emit]
+    everywhere one travels.  The same shape runs into a byte writer
+    ({!encode_shape}) or a pure byte counter ({!size}), so the bytes a
+    message is charged for and the bytes it is sent as can never drift
+    apart.  Next to each shape the type keeps a direct reader over
+    {!Read}, which checks every tag, count and kind and the absence of
+    trailing bytes. *)
 
 (** {1 Streaming writer} *)
 
 type sink
-(** Where a shape's events go: bytes or a byte count.  Events are
-    prefix-ordered: [record s k] and [variant s i k] are followed by
-    [k] values; [list s k] by [k] values. *)
+(** Where a shape's events go: bytes or a byte count.  [packed s k]
+    is followed by [k] {!raw} items. *)
 
 type 'a shape = sink -> 'a -> unit
-
-val record : sink -> int -> unit
-(** [record s k]: a record of [k] fields. *)
-
-val variant : sink -> int -> int -> unit
-(** [variant s i k]: case [i] of a sum type, with [k] fields. *)
-
-val int : sink -> int -> unit
-
-val bool : sink -> bool -> unit
-
-val str : sink -> string -> unit
-
-val list : sink -> int -> unit
-(** [list s k]: a list of [k] items. *)
 
 val packed : sink -> int -> unit
 (** [packed s k]: a run of [k] non-negative integers with no per-item
     tag — one tag and the count, then [k] unsigned LEB128 varints.
-    How a wire type sends a table of ids, counters and ticks, several
-    per entry: none of them has a sign to spend a bit on. *)
+    How a wire type sends its ids, counters and ticks, several per
+    entry: none of them has a sign to spend a bit on. *)
 
 val raw : sink -> int -> unit
 (** One untagged item of a {!packed} run.
     @raise Invalid_argument on a negative int. *)
+
+val str : sink -> string -> unit
+(** A tagged, length-prefixed string, outside any run. *)
 
 val encode_shape : 'a shape -> 'a -> string
 (** The value's bytes, written into one reused module-level buffer.  A
@@ -62,9 +53,9 @@ val size : 'a shape -> 'a -> int
 
 (** {1 Direct reader}
 
-    The inverse of a shape, read straight off the bytes: every tag,
-    arity and case index and the absence of trailing bytes is checked,
-    and any deviation raises {!Wire.Malformed}. *)
+    The inverse of a shape, read straight off the bytes: every tag and
+    count and the absence of trailing bytes is checked, and any
+    deviation raises {!Wire.Malformed}. *)
 
 module Read : sig
   type t
@@ -74,22 +65,7 @@ module Read : sig
   val pos : t -> int
   (** Offset of the next byte to read. *)
 
-  val record : t -> int -> unit
-  (** A record with exactly this many fields. *)
-
-  val variant : t -> int array -> int
-  (** A case of a sum type whose arities are [arities], indexed by
-      case: returns the case index, which must be in range and whose
-      field count must match. *)
-
-  val int : t -> int
-
-  val bool : t -> bool
-
   val str : t -> string
-
-  val list : t -> int
-  (** A list; returns its length. *)
 
   val packed : t -> int
   (** A packed run; returns its item count, which is at most the bytes
@@ -97,6 +73,12 @@ module Read : sig
 
   val raw : t -> int
   (** One item of a packed run: never negative. *)
+
+  val entries : t -> int -> fixed:int -> width:int -> string -> int
+  (** [entries t k ~fixed ~width what]: the number of [width]-item
+      entries in [k] items that start with [fixed] others.  Fewer than
+      [fixed] items, or a part entry, is a ragged [what] run:
+      malformed. *)
 
   val finish : t -> unit
   (** No trailing bytes. *)

@@ -419,14 +419,6 @@ let run ~now (p : Process.t) =
   let scion_at = Array.make nscions 0 and scion_flag = Array.make nscions 0 in
   let stub_at = Array.make nstubs 0 in
   let items = 4 + (6 * nscions) + (4 * nstubs) + (5 * !len) in
-  let raw_oid snk (o : Oid.t) =
-    N.raw snk (Proc_id.to_int o.Oid.owner);
-    N.raw snk o.Oid.serial
-  in
-  let raw_key snk (k : Ref_key.t) =
-    N.raw snk (Proc_id.to_int k.Ref_key.src);
-    raw_oid snk k.Ref_key.target
-  in
   let bytes =
     N.encode_shape
       (fun snk () ->
@@ -437,11 +429,11 @@ let run ~now (p : Process.t) =
         for i = 0 to nscions - 1 do
           let e = scions.(i) in
           scion_at.(i) <- N.offset snk;
-          raw_key snk e.Scion_table.key;
+          Ref_key.emit snk e.Scion_table.key;
           N.raw snk e.Scion_table.ic;
           N.raw snk (s.from_off.(i + 1) - s.from_off.(i));
           for m = s.from_off.(i) to s.from_off.(i + 1) - 1 do
-            raw_oid snk stubs.(s.from_flat.(m)).Stub_table.target
+            Oid.emit snk stubs.(s.from_flat.(m)).Stub_table.target
           done;
           scion_flag.(i) <- N.offset snk;
           N.raw snk ((2 * e.Scion_table.last_invoked) + Bool.to_int (root_reached i))
@@ -450,11 +442,11 @@ let run ~now (p : Process.t) =
         for j = 0 to nstubs - 1 do
           let e = stubs.(j) in
           stub_at.(j) <- N.offset snk;
-          raw_oid snk e.Stub_table.target;
+          Oid.emit snk e.Stub_table.target;
           N.raw snk ((2 * e.Stub_table.ic) + Bool.to_int (Mark.is_marked s.stub_marks j));
           N.raw snk (s.to_off.(j + 1) - s.to_off.(j));
           for m = s.to_off.(j) to s.to_off.(j + 1) - 1 do
-            raw_key snk scions.(s.to_flat.(m)).Scion_table.key
+            Ref_key.emit snk scions.(s.to_flat.(m)).Scion_table.key
           done
         done)
       ()

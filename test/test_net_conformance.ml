@@ -100,7 +100,7 @@ let conformance_case topology seed detector () =
    sent through a real connection as the socket driver ships it, makes
    a frame whose payload is the bytes the simulator charged the
    message ([Net_codec.size Msg.emit], what [Network] accounts) plus the
-   envelope's three-byte case header — and reads back as the same
+   envelope's three-byte run [3] — and reads back as the same
    message. *)
 let test_charged_bytes_are_sent_bytes () =
   let scenario = Scenario.make ~topology:Scenario.Ring ~procs:4 ~seed:11 ~detector:Config.Dcda () in

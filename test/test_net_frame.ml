@@ -217,47 +217,50 @@ let test_corrupt_payload_only_malformed () =
     | exception Wire.Malformed _ -> ()
   done
 
-(* One oid rule everywhere: a negative serial is malformed in a status
-   report and in gathered state, as it is in a protocol message.  The
-   forged frame is a hand-built tree. *)
+(* One oid rule everywhere: a serial past [max_int] — the unsigned
+   bits a negative serial would leave in a run — is malformed in a
+   status report and in gathered state, as it is in a protocol
+   message.  The forged frame is the reference's bytes with serial 77
+   (byte 0x4d, once in each frame) swapped for -3's nine bytes. *)
 let test_negative_serial_rejected () =
-  let bad_oid = Sval.List [ Sval.Int 1; Sval.Int (-3) ] in
+  let rec leb v =
+    if v lsr 7 = 0 then String.make 1 (Char.chr v)
+    else String.make 1 (Char.chr (v land 0x7f lor 0x80)) ^ leb (v lsr 7)
+  in
+  let forge e =
+    let bytes = Ref.envelope_bytes e in
+    let at = String.index bytes '\x4d' in
+    String.sub bytes 0 at ^ leb (-3) ^ String.sub bytes (at + 1) (String.length bytes - at - 1)
+  in
   let status =
-    Sval.Record
-      ( "status",
-        [
-          ("rank", Sval.Int 1);
-          ("tick", Sval.Int 9);
-          ("ready", Sval.Bool true);
-          ("reclaimed", Sval.List [ bad_oid ]);
-          ("wire_sent", Sval.Int 0);
-          ("wire_received", Sval.Int 0);
-          ("dup_ignored", Sval.Int 0);
-        ] )
+    Envelope.Status
+      {
+        st_rank = 1;
+        st_tick = 9;
+        st_ready = true;
+        st_reclaimed = [ oid 1 77 ];
+        st_wire_sent = 0;
+        st_wire_received = 0;
+        st_dup_ignored = 0;
+      }
   in
   let state =
-    Sval.Record
-      ( "state",
-        [
-          ( "node",
-            Sval.Record
-              ( "node_state",
-                [
-                  ("rank", Sval.Int 1);
-                  ("tick", Sval.Int 9);
-                  ("objects", Sval.List []);
-                  ("stubs", Sval.List []);
-                  ("scions", Sval.List []);
-                  ("reclaimed", Sval.List [ bad_oid ]);
-                  ("counters", Sval.List []);
-                ] ) );
-        ] )
+    Envelope.State
+      {
+        Gather.rank = 1;
+        tick = 9;
+        objects = [];
+        stubs = [];
+        scions = [];
+        reclaimed = [ oid 1 77 ];
+        counters = [];
+      }
   in
   List.iter
-    (fun (what, frame) ->
-      expect_malformed what (fun () -> Net_codec.Read.run Envelope.read (Ref.encode frame));
-      check Alcotest.bool (what ^ ": reference rejects too") true
-        (Ref.tree_decode Ref.envelope_of_tree (Ref.encode frame) = None))
+    (fun (what, e) ->
+      let frame = forge e in
+      expect_malformed what (fun () -> Net_codec.Read.run Envelope.read frame);
+      check Alcotest.bool (what ^ ": reference rejects too") true (Ref.envelope_decode frame = None))
     [ ("status with a negative reclaimed serial", status); ("state with a negative reclaimed serial", state) ]
 
 let test_frame_encode_rejects_bad_sizes () =

@@ -57,12 +57,12 @@ let pinned =
     ("dcda/bursty/seed=3", "613e08b027c202c55e0cbb2cb14a96c2", "784cb98cb8f20202c60fa10a3da6db8a");
     ("dcda/bursty/seed=17", "adc8d3d90e2982206e6a2437871e7c48", "2200eff84b316a337a367fa28fe2a8fd");
     ("dcda/bursty/seed=42", "66fc5ad514b81ed1f7984cf30fa57c75", "0ac196278b80773b335db92f79339296");
-    ("backtrack/no-faults/seed=3", "8bb62e5b8e8db863dda86a098ea2094d", "64ef6573b4496013f61c72714e2e23bb");
-    ("backtrack/no-faults/seed=17", "b97cd2747161f6d497f08864edda4ce3", "060f5eba0cc1889b5f45420b57e6475d");
-    ("backtrack/no-faults/seed=42", "43e0793a579289138494317d9da69acb", "4aef9317e11f44d1fba95ed87c09c881");
-    ("backtrack/bursty/seed=3", "da3eb87ee27043530d0f74d8450d50bd", "29551ce1c7cb03cb8827bba172005f36");
-    ("backtrack/bursty/seed=17", "67c0abc5b3c6a7b787cb96879b1eae81", "9fac98d6c4f776b90ab92fabd4079384");
-    ("backtrack/bursty/seed=42", "f6967dd585f344c83d99f2dcf9ce3753", "64dcd389d18cdb7d464a0b93a3354459");
+    ("backtrack/no-faults/seed=3", "34ff100cff94e851edd2c62d7bd946ff", "64ef6573b4496013f61c72714e2e23bb");
+    ("backtrack/no-faults/seed=17", "94cde16574bb3046c315d64c054181de", "060f5eba0cc1889b5f45420b57e6475d");
+    ("backtrack/no-faults/seed=42", "55c1c2fff0222804a8b745557ae85a1b", "4aef9317e11f44d1fba95ed87c09c881");
+    ("backtrack/bursty/seed=3", "b76f65a789356e6f7402da63676047b6", "29551ce1c7cb03cb8827bba172005f36");
+    ("backtrack/bursty/seed=17", "34a03094d070d03e8f90fbde4b72945b", "9fac98d6c4f776b90ab92fabd4079384");
+    ("backtrack/bursty/seed=42", "8cd95e27061bc0796d208f0560063153", "64dcd389d18cdb7d464a0b93a3354459");
     ("sync/no-faults/seed=3", "f4b370d701a333ac3c5802893fbd2e46", "a566893d6dd740dcbbe25aeb170d1606");
     ("sync/no-faults/seed=17", "011fb7800918ff426030d2cb5ab380f0", "395c9a46a13efe25ac6be852dd45edb4");
     ("sync/no-faults/seed=42", "ae5ee35e5c89964828afbf5c56c68bda", "e2bfb35a356a366e0a870dac5d80d2e3");

@@ -604,7 +604,7 @@ let packed_runs_rejected () =
    length-checked against the input like any other. *)
 let ext_rejected () =
   let body = "opaque body" in
-  let str_bytes = Ref.encode (Sval.Str body) in
+  let str_bytes = Ref.encode_tree (Ref.Str body) in
   let trees = [ run [ 8 ]; Ref.Str body ] in
   let cut bytes = String.sub bytes 0 (find_run bytes str_bytes + String.length str_bytes - 1) in
   (* The body's one-byte length (a zigzag varint) claims 60 bytes. *)
@@ -736,8 +736,7 @@ let qcheck_comparator_wire_identity =
     (QCheck2.Test.make ~name:"comparator body shapes = reference bytes" ~count:500
        QCheck2.Gen.(pair gen_bt gen_hughes)
        (fun (bt, h) ->
-         same_bytes Btmsg.emit (Ref.encode (Ref.btmsg_sval bt)) bt
-         && same_bytes Hmsg.emit (Ref.encode (Ref.hmsg_sval h)) h))
+         same_bytes Btmsg.emit (Ref.btmsg_bytes bt) bt && same_bytes Hmsg.emit (Ref.hmsg_bytes h) h))
 
 let qcheck_cdm_wire_identity =
   QCheck_alcotest.to_alcotest
@@ -1024,14 +1023,15 @@ let gen_node_state =
                (fun key (scion_ic, confirmed) -> { Gather.key; scion_ic; confirmed })
                gen_ref (pair (int_bound 9) bool)))
          (pair gen_oids
-            (list_size (int_bound 3) (pair (string_size ~gen:(char_range 'a' 'z') (int_range 1 12)) int)))))
+            (list_size (int_bound 3)
+               (pair (string_size ~gen:(char_range 'a' 'z') (int_range 1 12)) gen_wide)))))
 
 let gen_envelope =
   QCheck2.Gen.(
     oneof
       [
         map (fun m -> Envelope.Net_msg m) gen_msg;
-        map3 (fun rank procs seed -> Envelope.Hello { rank; procs; seed }) (int_range (-1) 7) (int_bound 8) int;
+        map3 (fun rank procs seed -> Envelope.Hello { rank; procs; seed }) (int_bound 7) (int_bound 8) int;
         map (fun tick -> Envelope.Heartbeat { tick }) (int_bound 100_000);
         map (fun st -> Envelope.Status st) gen_status;
         map (fun ns -> Envelope.State ns) gen_node_state;
@@ -1053,9 +1053,9 @@ let qcheck_envelope_wire_identity =
          | None -> false))
 
 (* The bytes one message of each payload kind costs, pinned: what the
-   simulator charges it and, behind a three-byte case header, what a
-   socket frame carries.  A one-target stub set took 88 bytes when
-   every record and field name travelled as text, 20 while every
+   simulator charges it and, behind the envelope's three-byte run [3],
+   what a socket frame carries.  A one-target stub set took 88 bytes
+   when every record and field name travelled as text, 20 while every
    header int carried its own tag, and 17 while the header, the
    payload's case and its fields were three tagged parts.  The
    messages are the wire bench section's samples, in case order. *)
@@ -1075,6 +1075,138 @@ let test_golden_sizes () =
   List.iter2
     (fun (m : Msg.t) bytes -> framed (Msg.kind m.Msg.payload ^ " of eight") bytes m)
     Adgc_bench.Bench_wire.wide_samples [ 24; 46 ]
+
+(* The bytes of one envelope of each kind, pinned: one packed run,
+   [kind; fields...] (tag 8, the count, the items), then a [Net_msg]'s
+   message or a [State]'s five runs and counter names. *)
+let test_envelope_golden_bytes () =
+  let hex s =
+    String.concat " " (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+  in
+  let oid owner serial = Oid.make ~owner:(Proc_id.of_int owner) ~serial in
+  let pinned =
+    [
+      (Envelope.Hello { rank = 2; procs = 4; seed = -42 }, "08 05 00 02 04 01 29");
+      (Envelope.Start, "08 01 01");
+      (Envelope.Heartbeat { tick = 300 }, "08 02 02 ac 02");
+      (Envelope.Net_msg (msg Msg.Scion_probe), "08 01 03 08 05 00 01 02 03 05");
+      (Envelope.Status_req, "08 01 04");
+      ( Envelope.Status
+          {
+            st_rank = 1;
+            st_tick = 999;
+            st_ready = true;
+            st_reclaimed = [ oid 1 3 ];
+            st_wire_sent = 40;
+            st_wire_received = 38;
+            st_dup_ignored = 2;
+          },
+        "08 09 05 01 e7 07 01 28 26 02 01 03" );
+      (Envelope.State_req, "08 01 06");
+      ( Envelope.State
+          {
+            Gather.rank = 1;
+            tick = 9;
+            objects = [ { Gather.oid = oid 1 0; refs = [ oid 0 1 ]; rooted = true } ];
+            stubs = [ { Gather.target = oid 0 1; stub_ic = 2 } ];
+            scions =
+              [ { Gather.key = Ref_key.make ~src:p0 ~target:(oid 1 0); scion_ic = 1; confirmed = true } ];
+            reclaimed = [ oid 1 9 ];
+            counters = [ ("lgc.runs", 3) ];
+          },
+        "08 01 07 08 08 01 09 01 00 01 01 00 01 08 03 00 01 02 08 05 00 01 00 01 01 08 02 01 09 08 01 03 \
+         05 10 6c 67 63 2e 72 75 6e 73" );
+      (Envelope.Drop_peer 2, "08 02 08 02");
+      (Envelope.Shutdown, "08 01 09");
+      (Envelope.Bye, "08 01 0a");
+    ]
+  in
+  check Alcotest.int "one envelope per kind" 11
+    (List.length (List.sort_uniq compare (List.map (fun (e, _) -> Envelope.kind e) pinned)));
+  List.iter
+    (fun (e, bytes) ->
+      let written = Net_codec.encode_shape Envelope.emit e in
+      check Alcotest.string (Envelope.kind e) bytes (hex written);
+      check Alcotest.int (Envelope.kind e ^ " sized as written") (String.length written)
+        (Net_codec.size Envelope.emit e);
+      check Alcotest.bool (Envelope.kind e ^ " read back") true
+        (match direct Envelope.read written with Some e' -> envelope_equal e e' | None -> false))
+    pinned
+
+(* A run holds no negative int: the envelope writer refuses one where
+   it would stand (only [Hello]'s seed may be negative), in the
+   counter as in the sizer. *)
+let test_envelope_writer_rejects () =
+  let refused what e =
+    (match Net_codec.size Envelope.emit e with
+    | _ -> Alcotest.failf "%s: sized" what
+    | exception Invalid_argument _ -> ());
+    match Net_codec.encode_shape Envelope.emit e with
+    | _ -> Alcotest.failf "%s: written" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "a negative rank" (Envelope.Hello { rank = -1; procs = 4; seed = 42 });
+  refused "a negative tick" (Envelope.Heartbeat { tick = -1 });
+  refused "a negative counter"
+    (Envelope.State
+       {
+         Gather.rank = 0;
+         tick = 0;
+         objects = [];
+         stubs = [];
+         scions = [];
+         reclaimed = [];
+         counters = [ ("x", -1) ];
+       });
+  List.iter
+    (fun seed ->
+      let e = Envelope.Hello { rank = 0; procs = 1; seed } in
+      check Alcotest.bool (Printf.sprintf "seed %d reads back" seed) true
+        (match direct Envelope.read (Net_codec.encode_shape Envelope.emit e) with
+        | Some e' -> envelope_equal e e'
+        | None -> false))
+    [ 0; -1; 1; min_int; max_int ]
+
+(* Strictness of the socket reader on hand-laid runs, which the
+   reference must refuse too: a kind out of range, a run that is not
+   exactly the kind's fields, a flag other than 0 or 1, a ragged or
+   miscounted gathered state, and the tagged case header the run
+   replaced. *)
+let test_envelope_reader_rejects () =
+  let refused what trees =
+    let bytes = Ref.encode_trees trees in
+    check Alcotest.bool (what ^ ": Envelope.read rejects") false (Option.is_some (direct Envelope.read bytes));
+    check Alcotest.bool (what ^ ": reference rejects") false (Option.is_some (Ref.envelope_decode bytes))
+  in
+  let run l = Ref.Packed l in
+  let state_runs = [ run [ 1; 9 ]; run []; run []; run []; run [] ] in
+  refused "an empty run" [ run [] ];
+  refused "kind 11" [ run [ 11 ] ];
+  refused "kind 2^40" [ run [ 1 lsl 40 ] ];
+  refused "start with a field" [ run [ 1; 0 ] ];
+  refused "heartbeat with no tick" [ run [ 2 ] ];
+  refused "hello one field short" [ run [ 0; 1; 4; 0 ] ];
+  refused "hello with a sign of 2" [ run [ 0; 1; 4; 2; 5 ] ];
+  refused "status with ready 2" [ run [ 5; 1; 9; 2; 0; 0; 0 ] ];
+  refused "status with half an id" [ run [ 5; 1; 9; 1; 0; 0; 0; 3 ] ];
+  refused "status one field short" [ run [ 5; 1; 9; 1; 0; 0 ] ];
+  refused "net_msg with no message" [ run [ 3 ] ];
+  refused "net_msg with a field in its run" (run [ 3; 0 ] :: Ref.msg_trees (msg Msg.Scion_probe));
+  refused "state with no runs" [ run [ 7 ] ];
+  refused "state one run short" (run [ 7 ] :: List.tl state_runs);
+  refused "state with a field in its run" (run [ 7; 0 ] :: state_runs);
+  refused "state: an object whose refs overrun"
+    (run [ 7 ] :: run [ 1; 9; 1; 0; 1; 2; 0; 1 ] :: List.tl state_runs);
+  refused "state: an object cut short" (run [ 7 ] :: run [ 1; 9; 1; 0; 1 ] :: List.tl state_runs);
+  refused "state: rooted 2" (run [ 7 ] :: run [ 1; 9; 1; 0; 2; 0 ] :: List.tl state_runs);
+  refused "state: a ragged stub run" [ run [ 7 ]; run [ 1; 9 ]; run [ 0; 1 ]; run []; run []; run [] ];
+  refused "state: a ragged scion run" [ run [ 7 ]; run [ 1; 9 ]; run []; run [ 0; 1; 0; 1 ]; run []; run [] ];
+  refused "state: confirmed 2" [ run [ 7 ]; run [ 1; 9 ]; run []; run [ 0; 1; 0; 1; 2 ]; run []; run [] ];
+  refused "state: a counter without its name" [ run [ 7 ]; run [ 1; 9 ]; run []; run []; run []; run [ 3 ] ];
+  refused "state: a name without its counter" ((run [ 7 ] :: state_runs) @ [ Ref.Str "x" ]);
+  refused "a trailing run" [ run [ 9 ]; run [ 9 ] ];
+  refused "the old tagged case header" [ Ref.Case (9, []) ];
+  refused "the old tagged hello" [ Ref.Case (0, [ Ref.Int 1; Ref.Int 4; Ref.Int 42 ]) ]
 
 (* A payload's case index is its wire byte, and the sizes above cannot
    see two kinds swap indices. *)
@@ -1141,11 +1273,11 @@ let parity ~name gen emit read decode equal =
 let msg_parity = parity ~name:"msg" gen_msg Msg.emit Msg.read Ref.msg_decode msg_equal
 
 (* Each comparator's body reader, on its own bytes: every truncation
-   and corrupted byte is read as the tree path reads it. *)
+   and corrupted byte is read as the reference reads it. *)
 let comparator_parity =
-  parity ~name:"back-tracing body" gen_bt Btmsg.emit Btmsg.read (Ref.tree_decode Ref.btmsg_of_tree)
+  parity ~name:"back-tracing body" gen_bt Btmsg.emit Btmsg.read Ref.btmsg_decode
     (fun a b -> Sval.equal (Ref.btmsg_sval a) (Ref.btmsg_sval b))
-  @ parity ~name:"hughes body" gen_hughes Hmsg.emit Hmsg.read (Ref.tree_decode Ref.hmsg_of_tree)
+  @ parity ~name:"hughes body" gen_hughes Hmsg.emit Hmsg.read Ref.hmsg_decode
       (fun a b -> Sval.equal (Ref.hmsg_sval a) (Ref.hmsg_sval b))
 
 let envelope_parity =
@@ -1209,6 +1341,9 @@ let suite =
         test_summary_rejects_repeated_key;
       qcheck_envelope_wire_identity;
       Alcotest.test_case "golden message sizes, one per payload kind" `Quick test_golden_sizes;
+      Alcotest.test_case "golden envelope bytes, one per kind" `Quick test_envelope_golden_bytes;
+      Alcotest.test_case "envelope: writer refuses a negative rank" `Quick test_envelope_writer_rejects;
+      Alcotest.test_case "envelope: decoder rejects malformed runs" `Quick test_envelope_reader_rejects;
       Alcotest.test_case "msg: case indices of the kept kinds pinned" `Quick test_case_indices_pinned;
     ]
     @ msg_parity @ comparator_parity @ envelope_parity )

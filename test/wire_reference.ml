@@ -3,21 +3,17 @@
 
    Each type has a named {!Sval} tree builder ([msg_sval], ...): the
    value as a self-describing document, which the tests compare
-   values through.  For the tagged types, [positional] drops the
-   names, as the wire does — a record becomes its fields in order, a
-   sum type's constructor its case index and fields — and [encode]
-   writes that tree with the same tags as [Net_codec].  [decode_tree]
-   reads any such bytes back into a tree, and the [*_of_tree] matchers
-   say which trees are valid values.  A protocol message is not one
-   tree but one packed run and what follows it: [msg_trees] lays it
-   out and [msg_decode] reads it back, with no code shared with
-   [Msg].  A snapshot summary's reference lives in
-   summary_reference.ml.  The wire-identity properties pin every shape
-   and reader against these: same bytes, same strictness.
+   values through.  On the wire every type is packed runs of unsigned
+   ints and, where a run cannot hold the data, strings: the
+   [*_trees]/[*_bytes] builders lay a value out as those, with the
+   ints as plain lists, and the [*_decode] readers read such bytes
+   back, with no code shared with lib/.  A snapshot summary's
+   reference lives in summary_reference.ml.  The wire-identity
+   properties pin every shape and reader against these: same bytes,
+   same strictness.
 
-   Every oid here requires a non-negative owner {e and} serial, which
-   is the single rule [Oid.read] enforces; a packed run holds no
-   negative int at all. *)
+   A packed run holds no negative int, so no id, counter or tick
+   read here is negative. *)
 
 open Adgc_algebra
 module Sval = Adgc_paper.Sval
@@ -27,51 +23,19 @@ module Envelope = Adgc_net.Envelope
 module Gather = Adgc_net.Gather
 
 (* ------------------------------------------------------------------ *)
-(* The positional wire as a tree *)
+(* The wire as trees *)
 
 type tree =
-  | Unit
-  | Bool of bool
-  | Int of int
+  | Packed of int list  (** a run: unsigned items, counted unsigned *)
   | Str of string
-  | List of tree list
-  | Packed of int list  (** unsigned items, counted unsigned *)
-  | Rec of tree list  (** a record: its fields, in order *)
-  | Case of int * tree list  (** case [i] of a sum type, with its fields *)
+  | Int of int  (** a tagged zigzag int, as the wire once carried *)
+  | Rec of tree list  (** a tagged record, as the wire once carried *)
+  | Case of int * tree list  (** a tagged case of a sum type, as the wire once carried *)
 
-(* Every sum type's constructors, in constructor order.  A named
-   record whose name is one of these is that case on the wire; any
-   other record is a plain record.  No name is in two lists. *)
-let case_lists =
-  [
-    [
-      "hello"; "start"; "heartbeat"; "net_msg"; "status_req"; "status"; "state_req"; "state";
-      "drop_peer"; "shutdown"; "bye";
-    ];
-    [ "bt_query"; "bt_reply" ];
-    [ "h_stamp"; "h_report"; "h_threshold" ];
-  ]
-
-let case_index name = List.find_map (List.find_index (String.equal name)) case_lists
-
-let rec positional : Sval.t -> tree = function
-  | Sval.Unit -> Unit
-  | Sval.Bool b -> Bool b
-  | Sval.Int i -> Int i
-  | Sval.Float _ -> invalid_arg "Wire_reference.positional: no wire type carries a float"
-  | Sval.Str s -> Str s
-  | Sval.List l -> List (List.map positional l)
-  | Sval.Packed l -> Packed l
-  | Sval.Record (name, fields) -> (
-      let fields = List.map (fun (_, v) -> positional v) fields in
-      match case_index name with Some i -> Case (i, fields) | None -> Rec fields)
-
-let tag_unit = 0
-let tag_false = 1
-let tag_true = 2
+(* The last three trees are forms the wire no longer has: tests write
+   them to check that every reader refuses them. *)
 let tag_int = 3
 let tag_str = 5
-let tag_list = 6
 let tag_packed = 8
 let tag_record = 9
 let tag_case = 10
@@ -103,29 +67,25 @@ let read_uvarint r =
 
 let write_tree w t =
   let rec go = function
-    | Unit -> Wire.Writer.byte w tag_unit
-    | Bool b -> Wire.Writer.byte w (if b then tag_true else tag_false)
-    | Int i ->
-        Wire.Writer.byte w tag_int;
-        Wire.Writer.varint w i
-    | Str s ->
-        Wire.Writer.byte w tag_str;
-        Wire.Writer.string w s
-    | List l -> items tag_list l
     | Packed l ->
         Wire.Writer.byte w tag_packed;
         write_uvarint w (List.length l);
         List.iter (write_uvarint w) l
-    | Rec l -> items tag_record l
+    | Str s ->
+        Wire.Writer.byte w tag_str;
+        Wire.Writer.string w s
+    | Int i ->
+        Wire.Writer.byte w tag_int;
+        Wire.Writer.varint w i
+    | Rec l ->
+        Wire.Writer.byte w tag_record;
+        Wire.Writer.varint w (List.length l);
+        List.iter go l
     | Case (i, l) ->
         Wire.Writer.byte w tag_case;
         Wire.Writer.varint w i;
         Wire.Writer.varint w (List.length l);
         List.iter go l
-  and items tag l =
-    Wire.Writer.byte w tag;
-    Wire.Writer.varint w (List.length l);
-    List.iter go l
   in
   go t
 
@@ -136,75 +96,63 @@ let encode_trees ts =
 
 let encode_tree t = encode_trees [ t ]
 
-(* A named tree's wire bytes. *)
-let encode sval = encode_tree (positional sval)
-
-(* One tree off the reader. *)
+(* One run or string off the reader: nothing else is on the wire. *)
 let read_tree r =
   let malformed what = raise (Wire.Malformed { offset = Wire.Reader.pos r; what }) in
-  (* Every item takes at least a byte. *)
-  let plausible n =
-    if n < 0 || n > Wire.Reader.remaining r then malformed "implausible length";
-    n
-  in
-  let length () = plausible (Wire.Reader.varint r) in
-  let rec go () =
-    let tag = Wire.Reader.byte r in
-    if tag = tag_unit then Unit
-    else if tag = tag_false then Bool false
-    else if tag = tag_true then Bool true
-    else if tag = tag_int then Int (Wire.Reader.varint r)
-    else if tag = tag_str then Str (Wire.Reader.string r)
-    else if tag = tag_list then List (List.init (length ()) (fun _ -> go ()))
-    else if tag = tag_packed then
-      Packed (List.init (plausible (read_uvarint r)) (fun _ -> read_uvarint r))
-    else if tag = tag_record then Rec (List.init (length ()) (fun _ -> go ()))
-    else if tag = tag_case then begin
-      let i = Wire.Reader.varint r in
-      Case (i, List.init (length ()) (fun _ -> go ()))
-    end
-    else malformed "bad tag"
-  in
-  go ()
+  let tag = Wire.Reader.byte r in
+  if tag = tag_packed then begin
+    (* Every item takes at least a byte. *)
+    let n = read_uvarint r in
+    if n > Wire.Reader.remaining r then malformed "implausible length";
+    Packed (List.init n (fun _ -> read_uvarint r))
+  end
+  else if tag = tag_str then Str (Wire.Reader.string r)
+  else malformed "bad tag"
 
-let finish r =
-  if not (Wire.Reader.at_end r) then
-    raise (Wire.Malformed { offset = Wire.Reader.pos r; what = "trailing bytes" })
-
-let decode_tree bytes =
+(* Trees off the bytes through [read], which pulls each with the
+   function it is given; [None] unless [read] accepts them and they
+   are the whole input. *)
+let decode_with read bytes =
   let r = Wire.Reader.of_string bytes in
-  let t = read_tree r in
-  finish r;
-  t
-
-(* Bytes to a value the reference way: tree decode, then the matcher. *)
-let tree_decode of_tree bytes =
-  match decode_tree bytes with
-  | tree -> of_tree tree
+  match read (fun () -> read_tree r) with
+  | Some v when Wire.Reader.at_end r -> Some v
+  | Some _ | None -> None
   | exception Wire.Malformed _ -> None
+
+(* A value that is one run and nothing after it. *)
+let run_decode of_ints =
+  decode_with (fun next ->
+      match next () with Packed l -> of_ints l | Str _ | Int _ | Rec _ | Case _ -> None)
 
 let oid_sval (o : Oid.t) = Sval.List [ Sval.Int (Proc_id.to_int (Oid.owner o)); Sval.Int o.Oid.serial ]
 
 let ref_sval (k : Ref_key.t) =
   Sval.List [ Sval.Int (Proc_id.to_int k.Ref_key.src); oid_sval k.Ref_key.target ]
 
-let oid_of_tree = function
-  | List [ Int owner; Int serial ] when owner >= 0 && serial >= 0 ->
-      Some (Oid.make ~owner:(Proc_id.of_int owner) ~serial)
-  | _ -> None
+(* An id is [owner; serial] in a run, a reference key [src; owner;
+   serial]. *)
+let oid_ints (o : Oid.t) = [ Proc_id.to_int (Oid.owner o); o.Oid.serial ]
 
-let key_of_tree = function
-  | List [ Int src; target ] when src >= 0 ->
-      Option.map (fun target -> Ref_key.make ~src:(Proc_id.of_int src) ~target) (oid_of_tree target)
-  | _ -> None
+let key_ints (k : Ref_key.t) = Proc_id.to_int k.Ref_key.src :: oid_ints k.Ref_key.target
 
-let all_some l =
-  List.fold_left
-    (fun acc v -> match (acc, v) with Some acc, Some v -> Some (v :: acc) | _, _ -> None)
-    (Some []) l
-  |> Option.map List.rev
+let oid_of_ints = function
+  | [ owner; serial ] -> Oid.make ~owner:(Proc_id.of_int owner) ~serial
+  | _ -> invalid_arg "oid_of_ints"
 
-let all_of f l = all_some (List.map f l)
+let key_of_ints = function
+  | src :: oid -> Ref_key.make ~src:(Proc_id.of_int src) ~target:(oid_of_ints oid)
+  | [] -> invalid_arg "key_of_ints"
+
+(* [width]-int entries, or [None] if the last is short. *)
+let rec chunks width = function
+  | [] -> Some []
+  | l when List.length l < width -> None
+  | l ->
+      Option.map
+        (fun rest -> List.filteri (fun i _ -> i < width) l :: rest)
+        (chunks width (List.filteri (fun i _ -> i >= width) l))
+
+let flag_of_int = function 0 -> Some false | 1 -> Some true | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Algebra and CDM *)
@@ -230,14 +178,7 @@ let algebra_sval t =
    entry, in key order: a key on both sides with equal ICs is one entry
    with bits 3; with different ICs it is two, bits 1 then 2. *)
 let algebra_entries t =
-  let ce (key : Ref_key.t) ic bits =
-    [
-      Proc_id.to_int key.Ref_key.src;
-      Proc_id.to_int (Oid.owner key.Ref_key.target);
-      key.Ref_key.target.Oid.serial;
-      (4 * ic) + bits;
-    ]
-  in
+  let ce key ic bits = key_ints key @ [ (4 * ic) + bits ] in
   let keys =
     List.sort_uniq Ref_key.compare (List.map fst (Algebra.bindings t Algebra.Source @ Algebra.bindings t Algebra.Target))
   in
@@ -254,16 +195,8 @@ let algebra_entries t =
 (* A CDM's ints in its carrier's run: its header, then its algebra's
    entries. *)
 let cdm_ints (t : Cdm.t) =
-  [
-    Proc_id.to_int t.Cdm.id.Detection_id.initiator;
-    t.Cdm.id.Detection_id.seq;
-    Proc_id.to_int t.Cdm.frontier.Ref_key.src;
-    Proc_id.to_int (Oid.owner t.Cdm.frontier.Ref_key.target);
-    t.Cdm.frontier.Ref_key.target.Oid.serial;
-    t.Cdm.hops;
-    t.Cdm.budget;
-  ]
-  @ algebra_entries t.Cdm.algebra
+  (Proc_id.to_int t.Cdm.id.Detection_id.initiator :: t.Cdm.id.Detection_id.seq :: key_ints t.Cdm.frontier)
+  @ (t.Cdm.hops :: t.Cdm.budget :: algebra_entries t.Cdm.algebra)
 
 let cdm_sval (t : Cdm.t) =
   Sval.Record
@@ -284,10 +217,8 @@ let algebra_of_entries ints =
     let rec entries = function
       | src :: owner :: serial :: ic_bits :: rest ->
           if ic_bits mod 4 <> 0 then
-            let target = Oid.make ~owner:(Proc_id.of_int owner) ~serial in
             Option.map
-              (fun rest ->
-                (Ref_key.make ~src:(Proc_id.of_int src) ~target, ic_bits / 4, ic_bits mod 4) :: rest)
+              (fun rest -> (key_of_ints [ src; owner; serial ], ic_bits / 4, ic_bits mod 4) :: rest)
               (entries rest)
           else None
       | _ -> Some []
@@ -311,8 +242,7 @@ let cdm_of_ints = function
       Option.map
         (fun algebra ->
           let id = Detection_id.make ~initiator:(Proc_id.of_int initiator) ~seq in
-          let target = Oid.make ~owner:(Proc_id.of_int f_owner) ~serial:f_serial in
-          let frontier = Ref_key.make ~src:(Proc_id.of_int f_src) ~target in
+          let frontier = key_of_ints [ f_src; f_owner; f_serial ] in
           Cdm.make ~id ~algebra ~frontier ~hops ~budget)
         (algebra_of_entries entries)
   | _ -> None
@@ -351,32 +281,33 @@ let btmsg_sval = function
             ("verdict", Sval.Bool (match r.verdict with Btmsg.Rooted -> true | Btmsg.Cycle_back -> false));
           ] )
 
-let bt_ref_of_tree = function
-  | List [ Int src; Int owner; Int serial ] when src >= 0 && owner >= 0 && serial >= 0 ->
-      Some
-        (Ref_key.make ~src:(Proc_id.of_int src)
-           ~target:(Oid.make ~owner:(Proc_id.of_int owner) ~serial))
-  | _ -> None
+(* One run: [kind; initiator; seq; subject], then a query's visited
+   keys or a reply's verdict, 1 for rooted. *)
+let btmsg_bytes t =
+  let head kind (trace : Btmsg.trace_id) subject =
+    kind :: Proc_id.to_int trace.initiator :: trace.seq :: key_ints subject
+  in
+  encode_tree
+    (Packed
+       (match t with
+       | Btmsg.Query q -> head 0 q.trace q.subject @ List.concat_map key_ints q.visited
+       | Btmsg.Reply r ->
+           head 1 r.trace r.subject @ [ (match r.verdict with Btmsg.Rooted -> 1 | Btmsg.Cycle_back -> 0) ]))
 
-let btmsg_of_tree = function
-  | Case (0, [ Int initiator; Int seq; subject; List visited ]) when initiator >= 0 -> (
-      match (bt_ref_of_tree subject, all_of bt_ref_of_tree visited) with
-      | Some subject, Some visited ->
-          Some
-            (Btmsg.Query
-               { trace = { Btmsg.initiator = Proc_id.of_int initiator; seq }; subject; visited })
-      | _ -> None)
-  | Case (1, [ Int initiator; Int seq; subject; Bool verdict ]) when initiator >= 0 ->
-      Option.map
-        (fun subject ->
-          Btmsg.Reply
-            {
-              trace = { Btmsg.initiator = Proc_id.of_int initiator; seq };
-              subject;
-              verdict = (if verdict then Btmsg.Rooted else Btmsg.Cycle_back);
-            })
-        (bt_ref_of_tree subject)
-  | _ -> None
+let btmsg_decode =
+  run_decode (function
+    | kind :: initiator :: seq :: src :: owner :: serial :: rest -> (
+        let trace = { Btmsg.initiator = Proc_id.of_int initiator; seq } in
+        let subject = key_of_ints [ src; owner; serial ] in
+        match (kind, rest) with
+        | 0, visited ->
+            Option.map
+              (fun visited -> Btmsg.Query { trace; subject; visited = List.map key_of_ints visited })
+              (chunks 3 visited)
+        | 1, [ 1 ] -> Some (Btmsg.Reply { trace; subject; verdict = Btmsg.Rooted })
+        | 1, [ 0 ] -> Some (Btmsg.Reply { trace; subject; verdict = Btmsg.Cycle_back })
+        | _ -> None)
+    | _ -> None)
 
 let hmsg_sval = function
   | Hmsg.Stamp stamps ->
@@ -387,17 +318,31 @@ let hmsg_sval = function
   | Hmsg.Report { round_time } -> Sval.Record ("h_report", [ ("round_time", Sval.Int round_time) ])
   | Hmsg.Threshold { value } -> Sval.Record ("h_threshold", [ ("value", Sval.Int value) ])
 
-let hmsg_of_tree = function
-  | Case (0, [ List entries ]) ->
-      let stamp = function
-        | List [ Int owner; Int serial; Int stamp ] when owner >= 0 && serial >= 0 ->
-            Some (Oid.make ~owner:(Proc_id.of_int owner) ~serial, stamp)
-        | _ -> None
-      in
-      Option.map (fun stamps -> Hmsg.Stamp stamps) (all_of stamp entries)
-  | Case (1, [ Int round_time ]) -> Some (Hmsg.Report { round_time })
-  | Case (2, [ Int value ]) -> Some (Hmsg.Threshold { value })
-  | _ -> None
+(* One run, [kind; fields...]: a stamp entry is [owner; serial;
+   stamp]. *)
+let hmsg_bytes t =
+  encode_tree
+    (Packed
+       (match t with
+       | Hmsg.Stamp stamps -> 0 :: List.concat_map (fun (o, stamp) -> oid_ints o @ [ stamp ]) stamps
+       | Hmsg.Report { round_time } -> [ 1; round_time ]
+       | Hmsg.Threshold { value } -> [ 2; value ]))
+
+let hmsg_decode =
+  run_decode (function
+    | 0 :: entries ->
+        Option.map
+          (fun entries ->
+            Hmsg.Stamp
+              (List.map
+                 (function
+                   | [ owner; serial; stamp ] -> (oid_of_ints [ owner; serial ], stamp)
+                   | _ -> assert false)
+                 entries))
+          (chunks 3 entries)
+    | [ 1; round_time ] -> Some (Hmsg.Report { round_time })
+    | [ 2; value ] -> Some (Hmsg.Threshold { value })
+    | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Messages *)
@@ -469,8 +414,6 @@ let msg_sval (t : Msg.t) =
    an [Ext]'s body as a string, a [Batch]'s constituents as runs of
    their own, [kind; fields...] and what follows each. *)
 
-let oid_ints (o : Oid.t) = [ Proc_id.to_int (Oid.owner o); o.Oid.serial ]
-
 (* A payload's [kind :: fields], and the trees after its run.  A stub
    set's owner is the destination: the run holds the first serial and
    then each serial's gap to the one before. *)
@@ -495,9 +438,7 @@ let rec payload_layout = function
   | Msg.Cdm cdm -> (6 :: cdm_ints cdm, [])
   | Msg.Cdm_delete { id; scions } ->
       ( 7 :: Proc_id.to_int id.Detection_id.initiator :: id.Detection_id.seq
-        :: List.concat_map
-             (fun (k : Ref_key.t) -> Proc_id.to_int k.Ref_key.src :: oid_ints k.Ref_key.target)
-             scions,
+        :: List.concat_map key_ints scions,
         [] )
   | Msg.Ext body -> ([ 8 ], [ Str body ])
   | Msg.Batch payloads -> ([ 9; List.length payloads ], List.concat_map payload_trees payloads)
@@ -514,19 +455,6 @@ let msg_trees (t : Msg.t) =
 let msg_bytes t = encode_trees (msg_trees t)
 
 let payload_bytes p = encode_trees (payload_trees p)
-
-(* [width]-int entries, after the fixed fields. *)
-let rec chunks width = function
-  | [] -> Some []
-  | l when List.length l < width -> None
-  | l ->
-      Option.map
-        (fun rest -> List.filteri (fun i _ -> i < width) l :: rest)
-        (chunks width (List.filteri (fun i _ -> i >= width) l))
-
-let oid_of_ints = function
-  | [ owner; serial ] -> Oid.make ~owner:(Proc_id.of_int owner) ~serial
-  | _ -> invalid_arg "oid_of_ints"
 
 (* The payload of run [kind :: fields], pulling what follows the run
    off [next]. *)
@@ -581,13 +509,7 @@ let rec payload_of ~batched next kind fields =
           Msg.Cdm_delete
             {
               id = Detection_id.make ~initiator:(Proc_id.of_int initiator) ~seq;
-              scions =
-                List.map
-                  (function
-                    | [ src; owner; serial ] ->
-                        Ref_key.make ~src:(Proc_id.of_int src) ~target:(oid_of_ints [ owner; serial ])
-                    | _ -> assert false)
-                  keys;
+              scions = List.map key_of_ints keys;
             })
         (chunks 3 keys)
   | 8, [] -> ( match next () with Str body -> Some (Msg.Ext body) | _ -> None)
@@ -606,9 +528,8 @@ let rec payload_of ~batched next kind fields =
       go n []
   | _ -> None
 
-(* The message off the reader, or [None]; the caller checks the end. *)
-let read_msg r =
-  let next () = read_tree r in
+(* The message off [next], or [None]; the caller checks the end. *)
+let read_msg next =
   match next () with
   | Packed (src :: dst :: seq :: sent_at :: kind :: fields) ->
       let dst = Proc_id.of_int dst in
@@ -617,12 +538,7 @@ let read_msg r =
         (payload_of ~batched:false next kind fields)
   | _ -> None
 
-let msg_decode bytes =
-  let r = Wire.Reader.of_string bytes in
-  match read_msg r with
-  | Some m when Wire.Reader.at_end r -> Some m
-  | Some _ | None -> None
-  | exception Wire.Malformed _ -> None
+let msg_decode = decode_with read_msg
 
 (* ------------------------------------------------------------------ *)
 (* Socket envelopes and gathered node state *)
@@ -656,37 +572,86 @@ let node_state_sval (t : Gather.node_state) =
           Sval.List (List.map (fun (k, v) -> Sval.List [ Sval.Str k; Sval.Int v ]) t.Gather.counters) );
       ] )
 
-let node_state_of_tree = function
-  | Rec
-      [
-        Int rank; Int tick; List objects; List stubs; List scions; List reclaimed; List counters;
-      ] -> (
-      let obj = function
-        | List [ oid; List refs; Bool rooted ] -> (
-            match (oid_of_tree oid, all_of oid_of_tree refs) with
-            | Some oid, Some refs -> Some { Gather.oid; refs; rooted }
-            | _ -> None)
-        | _ -> None
+(* Five runs: [rank; tick] and each object as [owner; serial; rooted;
+   n; n refs...]; the stubs, the scions and the reclaimed ids as whole
+   entries; the counters' values.  Then each counter's name as a
+   string. *)
+let node_state_trees (t : Gather.node_state) =
+  let obj (o : Gather.object_state) =
+    oid_ints o.Gather.oid @ [ Bool.to_int o.Gather.rooted; List.length o.Gather.refs ]
+    @ List.concat_map oid_ints o.Gather.refs
+  in
+  [
+    Packed (t.Gather.rank :: t.Gather.tick :: List.concat_map obj t.Gather.objects);
+    Packed
+      (List.concat_map
+         (fun (s : Gather.stub_state) -> oid_ints s.Gather.target @ [ s.Gather.stub_ic ])
+         t.Gather.stubs);
+    Packed
+      (List.concat_map
+         (fun (s : Gather.scion_state) ->
+           key_ints s.Gather.key @ [ s.Gather.scion_ic; Bool.to_int s.Gather.confirmed ])
+         t.Gather.scions);
+    Packed (List.concat_map oid_ints t.Gather.reclaimed);
+    Packed (List.map snd t.Gather.counters);
+  ]
+  @ List.map (fun (k, _) -> Str k) t.Gather.counters
+
+let read_node_state next =
+  let rec objects = function
+    | [] -> Some []
+    | owner :: serial :: rooted :: n :: rest when n <= List.length rest / 2 -> (
+        let refs = List.filteri (fun i _ -> i < 2 * n) rest in
+        let rest = List.filteri (fun i _ -> i >= 2 * n) rest in
+        match (flag_of_int rooted, chunks 2 refs, objects rest) with
+        | Some rooted, Some refs, Some more ->
+            Some
+              ({ Gather.oid = oid_of_ints [ owner; serial ]; refs = List.map oid_of_ints refs; rooted }
+              :: more)
+        | _ -> None)
+    | _ -> None
+  in
+  let table width entry = function
+    | Packed ints -> (
+        match chunks width ints with
+        | Some entries ->
+            List.fold_right
+              (fun e acc -> match (entry e, acc) with Some v, Some l -> Some (v :: l) | _ -> None)
+              entries (Some [])
+        | None -> None)
+    | Str _ | Int _ | Rec _ | Case _ -> None
+  in
+  let head = next () in
+  let stubs =
+    table 3
+      (function
+        | [ owner; serial; stub_ic ] -> Some { Gather.target = oid_of_ints [ owner; serial ]; stub_ic }
+        | _ -> None)
+      (next ())
+  in
+  let scions =
+    table 5
+      (function
+        | [ src; owner; serial; scion_ic; confirmed ] ->
+            Option.map
+              (fun confirmed -> { Gather.key = key_of_ints [ src; owner; serial ]; scion_ic; confirmed })
+              (flag_of_int confirmed)
+        | _ -> None)
+      (next ())
+  in
+  let reclaimed = table 2 (fun oid -> Some (oid_of_ints oid)) (next ()) in
+  let values = table 1 (function [ v ] -> Some v | _ -> None) (next ()) in
+  match (head, stubs, scions, reclaimed, values) with
+  | Packed (rank :: tick :: objs), Some stubs, Some scions, Some reclaimed, Some values -> (
+      let names = List.map (fun _ -> next ()) values in
+      let counters =
+        List.fold_right2
+          (fun name v acc ->
+            match (name, acc) with Str k, Some l -> Some ((k, v) :: l) | _ -> None)
+          names values (Some [])
       in
-      let stub = function
-        | List [ target; Int stub_ic ] ->
-            Option.map (fun target -> { Gather.target; stub_ic }) (oid_of_tree target)
-        | _ -> None
-      in
-      let scion = function
-        | List [ key; Int scion_ic; Bool confirmed ] ->
-            Option.map (fun key -> { Gather.key; scion_ic; confirmed }) (key_of_tree key)
-        | _ -> None
-      in
-      let counter = function List [ Str k; Int v ] -> Some (k, v) | _ -> None in
-      match
-        ( all_of obj objects,
-          all_of stub stubs,
-          all_of scion scions,
-          all_of oid_of_tree reclaimed,
-          all_of counter counters )
-      with
-      | Some objects, Some stubs, Some scions, Some reclaimed, Some counters ->
+      match (objects objs, counters) with
+      | Some objects, Some counters ->
           Some { Gather.rank; tick; objects; stubs; scions; reclaimed; counters }
       | _ -> None)
   | _ -> None
@@ -717,64 +682,73 @@ let envelope_sval = function
   | Envelope.Shutdown -> Sval.Record ("shutdown", [])
   | Envelope.Bye -> Sval.Record ("bye", [])
 
-let envelope_of_tree = function
-  | Case (0, [ Int rank; Int procs; Int seed ]) -> Some (Envelope.Hello { rank; procs; seed })
-  | Case (1, []) -> Some Envelope.Start
-  | Case (2, [ Int tick ]) -> Some (Envelope.Heartbeat { tick })
-  | Case (4, []) -> Some Envelope.Status_req
-  | Case
-      ( 5,
-        [
-          Int st_rank;
-          Int st_tick;
-          Bool st_ready;
-          List reclaimed;
-          Int st_wire_sent;
-          Int st_wire_received;
-          Int st_dup_ignored;
-        ] ) ->
-      Option.map
-        (fun st_reclaimed ->
-          Envelope.Status
-            {
-              Envelope.st_rank;
-              st_tick;
-              st_ready;
-              st_reclaimed;
-              st_wire_sent;
-              st_wire_received;
-              st_dup_ignored;
-            })
-        (all_of oid_of_tree reclaimed)
-  | Case (6, []) -> Some Envelope.State_req
-  | Case (7, [ ns ]) -> Option.map (fun ns -> Envelope.State ns) (node_state_of_tree ns)
-  | Case (8, [ Int rank ]) -> Some (Envelope.Drop_peer rank)
-  | Case (9, []) -> Some Envelope.Shutdown
-  | Case (10, []) -> Some Envelope.Bye
-  | _ -> None
+(* One run, [kind; fields...]; a [Net_msg]'s message and a [State]'s
+   runs follow it.  [Hello]'s seed, which alone may be negative, is
+   its sign and then its magnitude less one if negative, so every
+   seed fits. *)
+let envelope_trees = function
+  | Envelope.Hello { rank; procs; seed } ->
+      let sign, half = if seed < 0 then (1, -(seed + 1)) else (0, seed) in
+      [ Packed [ 0; rank; procs; sign; half ] ]
+  | Envelope.Start -> [ Packed [ 1 ] ]
+  | Envelope.Heartbeat { tick } -> [ Packed [ 2; tick ] ]
+  | Envelope.Net_msg m -> Packed [ 3 ] :: msg_trees m
+  | Envelope.Status_req -> [ Packed [ 4 ] ]
+  | Envelope.Status s ->
+      [
+        Packed
+          ([
+             5;
+             s.Envelope.st_rank;
+             s.Envelope.st_tick;
+             Bool.to_int s.Envelope.st_ready;
+             s.Envelope.st_wire_sent;
+             s.Envelope.st_wire_received;
+             s.Envelope.st_dup_ignored;
+           ]
+          @ List.concat_map oid_ints s.Envelope.st_reclaimed);
+      ]
+  | Envelope.State_req -> [ Packed [ 6 ] ]
+  | Envelope.State ns -> Packed [ 7 ] :: node_state_trees ns
+  | Envelope.Drop_peer rank -> [ Packed [ 8; rank ] ]
+  | Envelope.Shutdown -> [ Packed [ 9 ] ]
+  | Envelope.Bye -> [ Packed [ 10 ] ]
 
-(* A [net_msg] envelope is its case header — case 3 of one field —
-   and then the message's own bytes. *)
-let net_msg_header =
-  let w = Wire.Writer.create () in
-  Wire.Writer.byte w tag_case;
-  Wire.Writer.varint w 3;
-  Wire.Writer.varint w 1;
-  Wire.Writer.contents w
+let envelope_bytes e = encode_trees (envelope_trees e)
 
-let envelope_bytes = function
-  | Envelope.Net_msg m -> net_msg_header ^ msg_bytes m
-  | e -> encode (envelope_sval e)
+(* A [net_msg] envelope is the run [3], then the message's own
+   bytes. *)
+let net_msg_header = encode_tree (Packed [ 3 ])
 
-let envelope_decode bytes =
-  let r = Wire.Reader.of_string bytes in
-  match
-    Wire.Reader.byte r = tag_case && Wire.Reader.varint r = 3 && Wire.Reader.varint r = 1
-  with
-  | true -> (
-      match read_msg r with
-      | Some m when Wire.Reader.at_end r -> Some (Envelope.Net_msg m)
-      | Some _ | None -> None
-      | exception Wire.Malformed _ -> None)
-  | false -> tree_decode envelope_of_tree bytes
-  | exception Wire.Malformed _ -> None
+let envelope_decode =
+  decode_with (fun next ->
+      match next () with
+      | Packed [ 0; rank; procs; sign; half ] when sign <= 1 ->
+          Some (Envelope.Hello { rank; procs; seed = (if sign = 1 then -half - 1 else half) })
+      | Packed [ 1 ] -> Some Envelope.Start
+      | Packed [ 2; tick ] -> Some (Envelope.Heartbeat { tick })
+      | Packed [ 3 ] -> Option.map (fun m -> Envelope.Net_msg m) (read_msg next)
+      | Packed [ 4 ] -> Some Envelope.Status_req
+      | Packed
+          (5 :: st_rank :: st_tick :: ready :: st_wire_sent :: st_wire_received :: st_dup_ignored :: ids)
+        -> (
+          match (flag_of_int ready, chunks 2 ids) with
+          | Some st_ready, Some ids ->
+              Some
+                (Envelope.Status
+                   {
+                     Envelope.st_rank;
+                     st_tick;
+                     st_ready;
+                     st_reclaimed = List.map oid_of_ints ids;
+                     st_wire_sent;
+                     st_wire_received;
+                     st_dup_ignored;
+                   })
+          | _ -> None)
+      | Packed [ 6 ] -> Some Envelope.State_req
+      | Packed [ 7 ] -> Option.map (fun ns -> Envelope.State ns) (read_node_state next)
+      | Packed [ 8; rank ] -> Some (Envelope.Drop_peer rank)
+      | Packed [ 9 ] -> Some Envelope.Shutdown
+      | Packed [ 10 ] -> Some Envelope.Bye
+      | _ -> None)
