@@ -5,17 +5,22 @@ module Stats = Adgc_util.Stats
 module Span = Adgc_obs.Span
 module Lineage = Adgc_obs.Lineage
 
+(* A scion that detections started from: when the last one started,
+   and how many have started.  Each counts as fruitless until proven
+   otherwise: a conclusion deletes the scion, and the key disappears
+   from later summaries. *)
+type candidate = { mutable last : int; mutable attempts : int }
+
 type t = {
   rt : Runtime.t;
   proc : Process.t;
   policy : Policy.t;
   mutable summary : Summary.t option;
   mutable next_seq : int;
-  last_initiated : int Ref_key.Tbl.t; (* candidate cooldown *)
-  attempts : int Ref_key.Tbl.t;
-      (* fruitless initiations per candidate: the cooldown backs off
-         exponentially so cycles blocked by long-lived external
-         dependencies (paper Fig. 1) stop burning CDMs every scan *)
+  candidates : candidate Ref_key.Tbl.t;
+      (* the cooldown backs off exponentially in [attempts], so cycles
+         blocked by long-lived external dependencies (paper Fig. 1)
+         stop burning CDMs every scan *)
   mutable scan_cursor : Ref_key.t option; (* the last pick: a scan resumes just past it *)
   mutable reports : Report.t list;
 }
@@ -325,22 +330,21 @@ let initiate_from t summary ~scion key =
     (* Gauntlet mutant: never retry a candidate — a detection
        whose CDM was lost then starves forever, breaking the
        paper's resilience-to-message-loss claim. *)
-    Ref_key.Tbl.mem t.last_initiated key
+    Ref_key.Tbl.mem t.candidates key
     && Adgc_util.Mc_mutate.enabled "no_reinitiation"
   then false
   else begin
     let id = Detection_id.make ~initiator:(proc_id t) ~seq:t.next_seq in
     t.next_seq <- t.next_seq + 1;
-    Ref_key.Tbl.replace t.last_initiated key (Runtime.now t.rt);
-    (* Counted as fruitless until proven otherwise: a
-       conclusion deletes the scion, which resets the entry
-       (the key disappears from future summaries). *)
-    Ref_key.Tbl.replace t.attempts key
-      (1 + Option.value ~default:0 (Ref_key.Tbl.find_opt t.attempts key));
+    let now = Runtime.now t.rt in
+    (match Ref_key.Tbl.find_opt t.candidates key with
+    | Some c ->
+        c.last <- now;
+        c.attempts <- c.attempts + 1
+    | None -> Ref_key.Tbl.add t.candidates key { last = now; attempts = 1 });
     Stats.incr t.rt.Runtime.stats "dcda.detections_started";
     let lineage = t.rt.Runtime.lineage in
     if Lineage.enabled lineage then begin
-      let now = Runtime.now t.rt in
       Lineage.record lineage id
         (Lineage.Initiated { at = proc_id t; time = now; candidate = key });
       let span =
@@ -382,19 +386,12 @@ let scan t =
   | None -> 0
   | Some summary ->
       let now = Runtime.now t.rt in
-      let effective_cooldown key =
-        let attempts =
-          Int.min 5 (Option.value ~default:0 (Ref_key.Tbl.find_opt t.attempts key))
-        in
-        t.policy.Policy.cooldown * (1 lsl attempts)
-      in
       let eligible i =
         (not (Summary.target_locally_reachable summary i))
         && now - Summary.last_invoked summary i >= t.policy.Policy.idle_threshold
         &&
-        let key = Summary.scion_key summary i in
-        match Ref_key.Tbl.find_opt t.last_initiated key with
-        | Some last -> now - last >= effective_cooldown key
+        match Ref_key.Tbl.find_opt t.candidates (Summary.scion_key summary i) with
+        | Some c -> now - c.last >= t.policy.Policy.cooldown * (1 lsl Int.min 5 c.attempts)
         | None -> true
       in
       let n = fst (Summary.counts summary) in
@@ -429,8 +426,7 @@ let attach rt proc ~policy =
       policy;
       summary = None;
       next_seq = 0;
-      last_initiated = Ref_key.Tbl.create 16;
-      attempts = Ref_key.Tbl.create 16;
+      candidates = Ref_key.Tbl.create 16;
       scan_cursor = None;
       reports = [];
     }
