@@ -97,27 +97,12 @@ let garbage_count t = Cluster.garbage_count t.cluster
    nonzero count conservatively stale, which is sound because a
    nonzero answer keeps the poll running either way.  Aliveness still
    matters both ways (a crash orphans a dead process's objects out of
-   the ground truth), so crash/restart counts stay in, as do the
-   sent+delivered+dropped counts for every ref-carrying message kind
-   (each in-flight message bumps "sent" on entering the window and
-   exactly one of the other two on leaving it, so any change to the
-   in-flight set changes the sum). *)
-let ref_carrying_kinds = Cluster.ref_carrying_kinds
-
+   the ground truth), and so do the references in flight: both are
+   {!Cluster.traffic_signature}. *)
 let reach_signature t =
-  let rt = rt t in
-  let stats = Cluster.stats t.cluster in
-  let acc = ref 0 in
-  Array.iter (fun p -> acc := !acc + Heap.reclaim_mutations p.Process.heap) rt.Runtime.procs;
-  acc := !acc + Adgc_util.Stats.get stats "cluster.crashes";
-  acc := !acc + Adgc_util.Stats.get stats "cluster.restarts";
-  List.iter
-    (fun kind ->
-      List.iter
-        (fun ev -> acc := !acc + Adgc_util.Stats.get stats ("net.msg." ^ ev ^ "." ^ kind))
-        [ "sent"; "delivered"; "dropped" ])
-    ref_carrying_kinds;
-  !acc
+  Array.fold_left
+    (fun acc p -> acc + Heap.reclaim_mutations p.Process.heap)
+    (Cluster.traffic_signature t.cluster) (rt t).Runtime.procs
 
 let run_until_clean ?(step = 1_000) ?(max_time = 2_000_000) t =
   let stats = Cluster.stats t.cluster in

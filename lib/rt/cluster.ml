@@ -223,6 +223,21 @@ let garbage_count t =
    shares this list. *)
 let ref_carrying_kinds = [ "rmi_request"; "rmi_reply"; "export_notice"; "export_ack" ]
 
+(* The traffic signature's counters, built once: crashes, restarts,
+   and each ref-carrying kind's sent, delivered and dropped messages.
+   An in-flight message bumps "sent" on entering the window and
+   exactly one of the other two on leaving it, so any change to the
+   in-flight set changes the sum. *)
+let traffic_keys =
+  Array.of_list
+    ("cluster.crashes" :: "cluster.restarts"
+    :: List.concat_map
+         (fun kind -> List.map (fun ev -> "net.msg." ^ ev ^ "." ^ kind) [ "sent"; "delivered"; "dropped" ])
+         ref_carrying_kinds)
+
+let traffic_signature t =
+  Array.fold_left (fun acc key -> acc + Stats.get t.rt.Runtime.stats key) 0 traffic_keys
+
 (* Staleness signature for the live-mark cache: every component is a
    monotonic counter, so the sum strictly grows on any change and two
    equal readings prove every input to global reachability — roots,
@@ -233,17 +248,9 @@ let ref_carrying_kinds = [ "rmi_request"; "rmi_reply"; "export_notice"; "export_
    staggered per-process sweeps validate against one trace instead of
    one trace each. *)
 let live_signature t =
-  let stats = t.rt.Runtime.stats in
-  let acc = ref 0 in
-  Array.iter (fun p -> acc := !acc + Heap.live_mutations p.Process.heap) t.rt.Runtime.procs;
-  acc := !acc + Stats.get stats "cluster.crashes" + Stats.get stats "cluster.restarts";
-  List.iter
-    (fun kind ->
-      List.iter
-        (fun ev -> acc := !acc + Stats.get stats ("net.msg." ^ ev ^ "." ^ kind))
-        [ "sent"; "delivered"; "dropped" ])
-    ref_carrying_kinds;
-  !acc
+  Array.fold_left
+    (fun acc p -> acc + Heap.live_mutations p.Process.heap)
+    (traffic_signature t) t.rt.Runtime.procs
 
 (* Cached globally-live marks: per-process byte arrays indexed by
    dense id, recomputed only when [live_signature] moved or an

@@ -111,6 +111,14 @@ val ref_carrying_kinds : string list
     these kinds belong in every liveness staleness signature
     ({!live_among}'s cache, {!Adgc.Sim.run_until_clean}). *)
 
+val traffic_signature : t -> int
+(** The sum of the crash and restart counts and of the
+    [net.msg.{sent,delivered,dropped}.<kind>] counters of
+    {!ref_carrying_kinds}: the part of a liveness staleness signature
+    that is not in the heaps.  It grows whenever a process crashes or
+    restarts or a reference-carrying message enters or leaves the
+    network. *)
+
 val live_among : t -> Oid.t list -> Oid.t list
 (** Subset of the given oids that {!globally_live} would contain,
     computed without materializing the set: membership is judged
