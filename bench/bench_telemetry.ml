@@ -38,7 +38,17 @@ let run recorder =
   let off = median (List.map fst pairs) in
   let on = median (List.map snd pairs) in
   let overhead = median (List.map (fun (o, n) -> pct o n) pairs) in
-  let sim, _ = telemetry_run ~telemetry:true ~seed:5 in
+  (* Allocation, read from runs identical to the warm ones above: the
+     same words however far earlier sections in this process grew the
+     shared scratch, so a deterministic gate beside the noisy wall
+     times. *)
+  let minor_words ~telemetry =
+    let before = Gc.minor_words () in
+    let sim, _ = telemetry_run ~telemetry ~seed:5 in
+    (sim, Gc.minor_words () -. before)
+  in
+  let _, off_words = minor_words ~telemetry:false in
+  let sim, on_words = minor_words ~telemetry:true in
   let spans = List.length (Adgc_obs.Span.spans (Sim.obs sim)) in
   let detections = List.length (Adgc_obs.Lineage.detections (Sim.lineage sim)) in
   Table.print
@@ -64,6 +74,8 @@ let run recorder =
     (List.map snd pairs);
   timing recorder ~section:"telemetry" ~name:"telemetry.overhead_pct" ~unit_:"%" ~config
     (List.map (fun (o, n) -> pct o n) pairs);
+  det recorder ~section:"telemetry" ~name:"telemetry.off.minor_words" ~unit_:"words" ~config off_words;
+  det recorder ~section:"telemetry" ~name:"telemetry.on.minor_words" ~unit_:"words" ~config on_words;
   det recorder ~section:"telemetry" ~name:"telemetry.spans" ~unit_:"spans"
     ~direction:Sample.Higher_better ~config (float_of_int spans);
   det recorder ~section:"telemetry" ~name:"telemetry.detections_traced" ~unit_:"detections"
