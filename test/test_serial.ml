@@ -1283,6 +1283,8 @@ let comparator_parity =
 let envelope_parity =
   parity ~name:"envelope" gen_envelope Envelope.emit Envelope.read Ref.envelope_decode
     envelope_equal
+  @ parity ~name:"gathered state" gen_node_state Gather.emit Gather.read Ref.node_state_decode
+      (fun a b -> Sval.equal (Ref.node_state_sval a) (Ref.node_state_sval b))
 
 let suite =
   ( "serial",

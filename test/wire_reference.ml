@@ -682,6 +682,8 @@ let envelope_sval = function
   | Envelope.Shutdown -> Sval.Record ("shutdown", [])
   | Envelope.Bye -> Sval.Record ("bye", [])
 
+let node_state_decode = decode_with read_node_state
+
 (* One run, [kind; fields...]; a [Net_msg]'s message and a [State]'s
    runs follow it.  [Hello]'s seed, which alone may be negative, is
    its sign and then its magnitude less one if negative, so every
