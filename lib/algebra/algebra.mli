@@ -24,12 +24,16 @@
     (paper step 25-26: [{{} -> {}}]).
 
     {b Representation.}  The paper's optimized form (§4) is both the
-    wire form and the in-memory one: a single key-ordered map from each
-    reference to its source IC, its target IC, or both — the two
-    presence bits.  Beside it the algebra keeps how many entries are
+    wire form and the in-memory one: an algebra {e is} its run of
+    entries, the bytes {!emit_entries} writes — per reference, in key
+    order, its source IC, its target IC or both under two presence
+    bits.  The run is canonical (one run per set of entries), so two
+    algebras are equal exactly when their runs are, and writing a CDM's
+    algebra is one blit.  Beside it the algebra keeps how many entries are
     source-only, target-only, on both sides and in conflict, so
-    {!verdict} and {!cardinal} cost O(1), and {!emit_entries} writes
-    the map in one in-order pass. *)
+    {!verdict} and {!cardinal} cost O(1).  Building one merges new
+    entries into a run in one pass ({!add}, {!union}, {!derive}); no
+    map is ever built. *)
 
 type t
 
@@ -47,7 +51,9 @@ type add_result =
 
 val add : t -> side -> Ref_key.t -> ic:int -> add_result
 (** Adding an entry that is already present with the same IC returns
-    the algebra unchanged (sets, not multisets). *)
+    the algebra unchanged (sets, not multisets).
+    @raise Invalid_argument on a negative id, or an IC that is negative
+    or does not fit in 60 bits: the run could not hold it. *)
 
 val add_exn : t -> side -> Ref_key.t -> ic:int -> t
 (** Test helper. @raise Invalid_argument on conflict. *)
@@ -62,6 +68,26 @@ val union : t -> t -> (t, side * Ref_key.t) result
     properties.  No detection merges CDMs yet; it is kept for the
     closure-covering detection that ROADMAP item 4 plans. *)
 
+type derivation =
+  | Derived of t
+  | No_new_info  (** every entry was already there: the paper's step 15 *)
+  | Conflicting  (** an entry is already on its side with another IC *)
+
+val derive :
+  t -> sources:((Ref_key.t -> ic:int -> unit) -> unit) -> target:Ref_key.t -> ic:int -> derivation
+(** One hop's derivation, in one merge pass over the run: [sources]
+    calls its argument once per source entry, in strictly ascending
+    key order, and the [target] entry joins them at its place.  The
+    result is what adding them one by one with {!add} gives:
+    [Conflicting] where an add would report [Ic_conflict], and
+    [No_new_info] where every add returns the algebra unchanged.  Two
+    gauntlet mutants act here: [drop_source_scion] drops the first
+    source, and [skip_ic_guards] keeps the counter already there
+    instead of reporting a conflict.  [sources] must not itself build
+    an algebra.
+    @raise Invalid_argument as {!add} does, or on sources out of key
+    order. *)
+
 (** {1 Observation} *)
 
 val bindings : t -> side -> (Ref_key.t * int) list
@@ -71,11 +97,6 @@ val ic : t -> side -> Ref_key.t -> int option
 
 val cardinal : t -> int * int
 (** [(|source|, |target|)], in O(1). *)
-
-val equal : t -> t -> bool
-(** Keys {e and} ICs on both sides. Used for the paper's
-    no-new-information termination rule (step 15); algebras of
-    different cardinals are told apart in O(1). *)
 
 (** {1 Matching} *)
 
@@ -107,19 +128,18 @@ val compact_length : t -> int
 
 val emit_entries : t Adgc_serial.Net_codec.shape
 (** The paper's optimized representation (§4) on the wire, as the
-    items of a packed run ({!Adgc_serial.Net_codec.raw}) that the
+    items of a packed run ({!Adgc_serial.Net_codec.items}) that the
     carrier opens: [[src; owner; serial; ic * 4 + bits]] per entry, in
     key order, with two presence bits (1 = source, 2 = target, 3 =
     both) under the IC.  A reference in both sets with equal ICs is
     written once, so a concluding CDM (every entry in both sets)
     halves the entry count; one with {e different} ICs cannot be
-    shared and is written twice, bits 1 then 2.  Sizing it allocates
-    nothing per entry.
-    @raise Invalid_argument on a negative id, or an IC that is negative
-    or does not fit in 60 bits. *)
+    shared and is written twice, bits 1 then 2.  The items are the
+    algebra's own bytes: writing them is a blit and sizing them O(1). *)
 
 val read_entries : Adgc_serial.Net_codec.Read.t -> int -> t
 (** [read_entries r n] reads [n] items of {!emit_entries} back to an
-    equal algebra.  An [n] that is not a whole number of entries,
-    presence bits 0 or a second IC for an entry already read on the
-    same side is malformed. *)
+    equal algebra, keeping the bytes as read.  An [n] that is not a
+    whole number of entries, presence bits 0, or keys that do not
+    strictly ascend is malformed; the one repeat allowed is a
+    conflict's, bits 1 then bits 2 with different ICs. *)

@@ -38,12 +38,26 @@ let summary t = t.summary
 
 let reports t = List.rev t.reports
 
-let abort t id reason =
-  Stats.incr t.rt.Runtime.stats ("dcda.abort." ^ reason);
+(* Why a detection stops at a guard: the closed set of reasons, each
+   with its counter's name built once. *)
+type reason = { name : string; counter : string }
+
+let reason name = { name; counter = "dcda.abort." ^ name }
+
+let no_summary = reason "no_summary"
+and missing_scion = reason "missing_scion"
+and ic_mismatch_delivery = reason "ic_mismatch_delivery"
+and malformed_cdm = reason "malformed_cdm"
+and locally_reachable = reason "locally_reachable"
+and ic_conflict = reason "ic_conflict"
+and ic_mismatch_matching = reason "ic_mismatch_matching"
+
+let abort t id { name; counter } =
+  Stats.incr t.rt.Runtime.stats counter;
   Lineage.record t.rt.Runtime.lineage id
-    (Lineage.Guard { at = proc_id t; time = Runtime.now t.rt; reason });
+    (Lineage.Guard { at = proc_id t; time = Runtime.now t.rt; reason = name });
   Runtime.log t.rt ~topic:"dcda" "%a: %a aborted (%s)" Proc_id.pp (proc_id t) Detection_id.pp id
-    reason
+    name
 
 (* Delete the proven scions this process owns, and broadcast the
    remaining ones when configured. *)
@@ -122,7 +136,7 @@ let conclude t ~(id : Detection_id.t) ~algebra ~hops =
    rotation so repeated attempts explore different subtrees of a dense
    garbage graph. *)
 let proceed_from t summary ~id ~delivered ~scion ~hops ~budget =
-  let exception Stop of string in
+  let exception Stop of reason in
   try
     (* First pass: build the forwardable derivations. *)
     let derivations =
@@ -147,44 +161,29 @@ let proceed_from t summary ~id ~delivered ~scion ~hops ~budget =
                 acc
               end
               else begin
-                let add side key ~ic alg =
-                  match Algebra.add alg side key ~ic with
-                  | Algebra.Added alg -> alg
-                  | Algebra.Ic_conflict _ ->
-                      (* The skip_ic_guards mutant keeps the first
-                         counter it saw instead of aborting — rule 3 in
-                         its add-time form is the same guard. *)
-                      if Adgc_util.Mc_mutate.enabled "skip_ic_guards" then alg
-                      else raise (Stop "ic_conflict")
-                in
                 let stub_key = Ref_key.make ~src:(proc_id t) ~target:stub_target in
-                (* Gauntlet mutant: lose one scion dependency (the
-                   lowest) from the source set — an external holder of
-                   the "cycle" goes unaccounted and matching can cancel
-                   to nothing. *)
-                let drop = ref (Adgc_util.Mc_mutate.enabled "drop_source_scion") in
-                let alg =
+                (* One merge of the delivered run with the stub's
+                   ScionsTo dependencies, ascending as the summary keeps
+                   them, and the stub itself. *)
+                let sources push =
                   Summary.fold_scions_to summary stub
-                    (fun dep alg ->
-                      if !drop then begin
-                        drop := false;
-                        alg
-                      end
-                      else
-                        match Summary.find_scion summary dep with
-                        | Some dep_scion ->
-                            add Algebra.Source dep ~ic:(Summary.scion_ic summary dep_scion) alg
-                        | None -> alg (* cannot happen for a coherent summary *))
-                    delivered
-                  |> add Algebra.Target stub_key ~ic:(Summary.stub_ic summary stub)
+                    (fun dep () ->
+                      match Summary.find_scion summary dep with
+                      | Some dep_scion -> push dep ~ic:(Summary.scion_ic summary dep_scion)
+                      | None -> () (* cannot happen for a coherent summary *))
+                    ()
                 in
-                if Algebra.equal alg delivered then begin
-                  (* No new information: the derivation would loop
-                     forever re-announcing the same dependency. *)
-                  Stats.incr t.rt.Runtime.stats "dcda.branch.no_new_info";
-                  acc
-                end
-                else (stub_key, alg) :: acc
+                match
+                  Algebra.derive delivered ~sources ~target:stub_key
+                    ~ic:(Summary.stub_ic summary stub)
+                with
+                | Algebra.Derived alg -> (stub_key, alg) :: acc
+                | Algebra.No_new_info ->
+                    (* No new information: the derivation would loop
+                       forever re-announcing the same dependency. *)
+                    Stats.incr t.rt.Runtime.stats "dcda.branch.no_new_info";
+                    acc
+                | Algebra.Conflicting -> raise (Stop ic_conflict)
               end)
         []
     in
@@ -250,14 +249,14 @@ let handle_cdm t (cdm : Cdm.t) =
       (Lineage.Received { at = proc_id t; time = Runtime.now t.rt; sources; targets; hops = cdm.Cdm.hops })
   end;
   match t.summary with
-  | None -> abort t id "no_summary"
+  | None -> abort t id no_summary
   | Some summary -> (
       let arrival = cdm.Cdm.frontier in
       match Summary.find_scion summary arrival with
       | None ->
           (* Safety rule 1: stub without corresponding scion in the
              published snapshot — ignore the CDM. *)
-          abort t id "missing_scion"
+          abort t id missing_scion
       | Some scion -> (
           let scion_ic = Summary.scion_ic summary scion in
           (* Safety rule 3 (delivery-time form): the stub-side counter
@@ -268,13 +267,13 @@ let handle_cdm t (cdm : Cdm.t) =
           | Some ic
             when ic <> scion_ic
                  && not (Adgc_util.Mc_mutate.enabled "skip_ic_guards") ->
-              abort t id "ic_mismatch_delivery"
-          | None -> abort t id "malformed_cdm"
+              abort t id ic_mismatch_delivery
+          | None -> abort t id malformed_cdm
           | Some _ ->
               if
                 Summary.target_locally_reachable summary scion
                 && not (Adgc_util.Mc_mutate.enabled "ignore_local_reach")
-              then abort t id "locally_reachable"
+              then abort t id locally_reachable
               else begin
                 (* The skip_ic_guards mutant trusts the counter that
                    travelled in the CDM over the snapshot's own — and
@@ -294,10 +293,10 @@ let handle_cdm t (cdm : Cdm.t) =
                       Algebra.Added cdm.Cdm.algebra
                   | r -> r
                 with
-                | Algebra.Ic_conflict _ -> abort t id "ic_conflict"
+                | Algebra.Ic_conflict _ -> abort t id ic_conflict
                 | Algebra.Added alg -> (
                     match Algebra.verdict alg with
-                    | Algebra.Conflict -> abort t id "ic_mismatch_matching"
+                    | Algebra.Conflict -> abort t id ic_mismatch_matching
                     | Algebra.Counts { unresolved = 0; frontier = 0 } ->
                         conclude t ~id ~algebra:alg ~hops:cdm.Cdm.hops
                     | Algebra.Counts { unresolved = _; frontier = 0 }

@@ -26,6 +26,12 @@ let packed s k =
   (match s.mode with Count -> s.bytes <- s.bytes + 1 | Write -> Wire.Writer.byte s.buf tag_packed);
   raw s k
 
+(* Pre-encoded items: their bytes as they are, counted by length. *)
+let items s bytes =
+  match s.mode with
+  | Count -> s.bytes <- s.bytes + String.length bytes
+  | Write -> Wire.Writer.substring s.buf bytes 0 (String.length bytes)
+
 let str s v =
   match s.mode with
   | Count ->
@@ -81,6 +87,8 @@ module Read = struct
     n
 
   let raw = Wire.Reader.uvarint
+
+  let since = Wire.Reader.since
 
   let entries t k ~fixed ~width what =
     if k < fixed || (k - fixed) mod width <> 0 then fail t ("ragged " ^ what ^ " run");

@@ -35,6 +35,12 @@ val raw : sink -> int -> unit
 (** One untagged item of a {!packed} run.
     @raise Invalid_argument on a negative int. *)
 
+val items : sink -> string -> unit
+(** Items of a {!packed} run already in their wire form: unsigned
+    LEB128 varints back to back, as a reader's {!Read.since} returns
+    them.  Their bytes go out as they are, and a counting sink adds
+    their length: sizing them costs O(1). *)
+
 val str : sink -> string -> unit
 (** A tagged, length-prefixed string, outside any run. *)
 
@@ -73,6 +79,10 @@ module Read : sig
 
   val raw : t -> int
   (** One item of a packed run: never negative. *)
+
+  val since : t -> int -> string
+  (** [since t from]: the bytes read from offset [from] ({!pos} then)
+      up to now — items read with {!raw}, for {!items} to write back. *)
 
   val entries : t -> int -> fixed:int -> width:int -> string -> int
   (** [entries t k ~fixed ~width what]: the number of [width]-item

@@ -44,6 +44,8 @@ module Writer = struct
 
   let raw t s = Buffer.add_string t s
 
+  let substring t s pos len = Buffer.add_substring t s pos len
+
   let string t s =
     varint t (String.length s);
     raw t s
@@ -102,4 +104,6 @@ module Reader = struct
   let string t =
     let n = varint t in
     raw t n
+
+  let since t from = String.sub t.data from (t.pos - from)
 end

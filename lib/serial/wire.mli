@@ -39,6 +39,9 @@ module Writer : sig
 
   val string : t -> string -> unit
   (** Varint length prefix followed by the raw bytes. *)
+
+  val substring : t -> string -> int -> int -> unit
+  (** [substring t s pos len]: those bytes of [s], as they are. *)
 end
 
 module Reader : sig
@@ -62,4 +65,7 @@ module Reader : sig
       past [max_int]. *)
 
   val string : t -> string
+
+  val since : t -> int -> string
+  (** [since t from]: the bytes read from offset [from] up to {!pos}. *)
 end

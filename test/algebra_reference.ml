@@ -159,3 +159,36 @@ let verdict t =
 
 let cycle_found t =
   match verdict t with Counts { unresolved = 0; frontier = 0 } -> true | Counts _ | Conflict -> false
+
+(* The run the library holds an algebra as, written from the two maps
+   by an encoder of its own: per key in ascending order, [src; owner;
+   serial; ic * 4 + bits] as unsigned LEB128 varints — one entry with
+   bits 3 where the key has equal ICs on both sides, two (bits 1, then
+   bits 2) where they differ. *)
+let encode t =
+  let b = Buffer.create 64 in
+  let rec uvarint v =
+    if v < 0x80 then Buffer.add_char b (Char.chr v)
+    else begin
+      Buffer.add_char b (Char.chr (v land 0x7F lor 0x80));
+      uvarint (v lsr 7)
+    end
+  in
+  let entry (key : Ref_key.t) ic bits =
+    List.iter uvarint
+      [
+        Proc_id.to_int key.Ref_key.src;
+        Proc_id.to_int (Oid.owner key.Ref_key.target);
+        key.Ref_key.target.Oid.serial;
+        (ic * 4) + bits;
+      ]
+  in
+  Ref_key.Map.iter
+    (fun key (s, tg) ->
+      match (s, tg) with
+      | Some s, Some tg when s = tg -> entry key s 3
+      | s, tg ->
+          Option.iter (fun ic -> entry key ic 1) s;
+          Option.iter (fun ic -> entry key ic 2) tg)
+    (Ref_key.Map.merge (fun _ s tg -> Some (s, tg)) t.source t.target);
+  Buffer.contents b

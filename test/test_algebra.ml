@@ -45,6 +45,12 @@ let alg_of srcs tgts =
 
 let keys l = List.map fst l
 
+(* An algebra is its run, written canonically, so two are equal when
+   their runs are. *)
+let run = Adgc_serial.Net_codec.encode_shape Algebra.emit_entries
+
+let equal a b = String.equal (run a) (run b)
+
 let refkey = Alcotest.testable Ref_key.pp Ref_key.equal
 
 type match_parts = { unresolved : (Ref_key.t * int) list; frontier : (Ref_key.t * int) list }
@@ -112,8 +118,8 @@ let test_equal () =
   let a = alg_of [ (ref_f, 0) ] [ (ref_q, 0) ] in
   let b = alg_of [ (ref_f, 0) ] [ (ref_q, 0) ] in
   let c = alg_of [ (ref_f, 1) ] [ (ref_q, 0) ] in
-  check Alcotest.bool "equal" true (Algebra.equal a b);
-  check Alcotest.bool "ic matters" false (Algebra.equal a c)
+  check Alcotest.bool "equal" true (equal a b);
+  check Alcotest.bool "ic matters" false (equal a c)
 
 (* ------------------------------------------------------------------ *)
 (* Matching semantics *)
@@ -240,10 +246,10 @@ let test_paper_fig4_steps () =
   (* Steps 12-15 at P2: derivation along V again equals the delivered
      algebra -> terminate that branch (no new information). *)
   let alg5ab = add Algebra.Target alg4a (ref_v, 0) in
-  check Alcotest.bool "step15 no new info" true (Algebra.equal alg5ab alg4a);
+  check Alcotest.bool "step15 no new info" true (equal alg5ab alg4a);
   (* Derivation along K is new. *)
   let alg5aa = add Algebra.Target alg4a (ref_k, 0) in
-  check Alcotest.bool "step13 is new" false (Algebra.equal alg5aa alg4a);
+  check Alcotest.bool "step13 is new" false (equal alg5aa alg4a);
   (* Step 17 at P3: matching of the delivered algebra (the arrival
      scion K joins the source set only when the next derivation is
      prepared, step 20) -> {{Y} -> {K}}. *)
@@ -320,7 +326,7 @@ let compact_roundtrip alg = wire_roundtrip emit_compact read_compact alg
 
 let test_compact_wire_roundtrip () =
   let alg = alg_of [ (ref_f, 3); (ref_y, 1); (ref_q, 2) ] [ (ref_q, 2); (ref_o, 0) ] in
-  check Alcotest.bool "roundtrip" true (Algebra.equal alg (compact_roundtrip alg))
+  check Alcotest.bool "roundtrip" true (equal alg (compact_roundtrip alg))
 
 let test_compact_dedupes_shared_entries () =
   (* A fully-cancelled algebra (every key on both sides, equal ICs)
@@ -333,7 +339,7 @@ let test_compact_dedupes_shared_entries () =
   let compact = Net_codec.size emit_compact alg in
   check Alcotest.bool "compact smaller" true (compact * 3 < plain * 2);
   (* Round-trips exactly. *)
-  check Alcotest.bool "equal" true (Algebra.equal alg (compact_roundtrip alg))
+  check Alcotest.bool "equal" true (equal alg (compact_roundtrip alg))
 
 let test_compact_keeps_ic_conflicts_apart () =
   (* Same key on both sides with different ICs: must be written twice
@@ -341,7 +347,7 @@ let test_compact_keeps_ic_conflicts_apart () =
      aborts on). *)
   let alg = alg_of [ (ref_f, 3) ] [ (ref_f, 4) ] in
   let alg' = compact_roundtrip alg in
-  check Alcotest.bool "equal" true (Algebra.equal alg alg');
+  check Alcotest.bool "equal" true (equal alg alg');
   match Algebra.matching alg' with
   | Algebra.Ic_abort _ -> ()
   | Algebra.Match _ -> Alcotest.fail "conflict lost in the encoding"
@@ -352,6 +358,41 @@ let test_compact_rejects_junk () =
   match Net_codec.Read.run read_compact "\x03\x06" with
   | _ -> Alcotest.fail "junk accepted"
   | exception Adgc_serial.Wire.Malformed _ -> ()
+
+(* A run is canonical: keys strictly ascend, and the one repeat is a
+   conflict's two entries, bits 1 then 2 with different ICs.  Anything
+   else the reader refuses, rather than hold a second run for the same
+   entries.  A varint written longer than it needs is read as its
+   value, and the run kept is the canonical one. *)
+let test_compact_reader_wants_canonical_runs () =
+  let run s ints =
+    Net_codec.packed s (List.length ints);
+    List.iter (Net_codec.raw s) ints
+  in
+  let read ints = Net_codec.Read.run read_compact (Net_codec.encode_shape run ints) in
+  let refused what ints =
+    match read ints with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Adgc_serial.Wire.Malformed _ -> ()
+  in
+  let e src owner serial ic bits = [ src; owner; serial; (ic * 4) + bits ] in
+  refused "a key twice on one side" (e 1 2 3 0 1 @ e 1 2 3 0 1);
+  refused "a key twice on one side, ICs apart" (e 1 2 3 0 1 @ e 1 2 3 5 1);
+  refused "keys descending" (e 1 2 4 0 1 @ e 1 2 3 0 1);
+  refused "a conflict's entries in the wrong order" (e 1 2 3 0 2 @ e 1 2 3 5 1);
+  refused "a shared entry split in two" (e 1 2 3 7 1 @ e 1 2 3 7 2);
+  refused "a shared entry, then the key again" (e 1 2 3 7 3 @ e 1 2 3 8 2);
+  refused "a conflict, then the key a third time" (e 1 2 3 7 1 @ e 1 2 3 8 2 @ e 1 2 3 8 2);
+  let conflict = read (e 1 2 3 7 1 @ e 1 2 3 8 2) in
+  check Alcotest.bool "a conflict is read" true
+    (equal conflict (alg_of [ (rkey 1 (oid 2 3), 7) ] [ (rkey 1 (oid 2 3), 8) ]));
+  (* [0; 1; 2; ic 5, bits 1] with the 0 written in two bytes. *)
+  let overlong = Net_codec.Read.run read_compact "\x08\x04\x80\x00\x01\x02\x15" in
+  let plain = alg_of [ (rkey 0 (oid 1 2), 5) ] [] in
+  check Alcotest.bool "an overlong varint reads as its value" true (equal plain overlong);
+  check Alcotest.string "and is written back in one byte"
+    (Net_codec.encode_shape emit_compact plain)
+    (Net_codec.encode_shape emit_compact overlong)
 
 let test_cdm_wire_roundtrip () =
   let alg = alg_of [ (ref_f, 3) ] [ (ref_q, 2) ] in
@@ -366,7 +407,7 @@ let test_cdm_wire_roundtrip () =
   check refkey "frontier" cdm.Cdm.frontier cdm'.Cdm.frontier;
   check Alcotest.int "hops" 4 cdm'.Cdm.hops;
   check Alcotest.int "budget" 9 cdm'.Cdm.budget;
-  check Alcotest.bool "algebra" true (Algebra.equal cdm.Cdm.algebra cdm'.Cdm.algebra)
+  check Alcotest.bool "algebra" true (equal cdm.Cdm.algebra cdm'.Cdm.algebra)
 
 (* ------------------------------------------------------------------ *)
 (* qcheck properties *)
@@ -433,7 +474,7 @@ let prop_compact_roundtrip =
              [] l
          in
          let alg = alg_of (dedup src) (dedup tgt) in
-         Algebra.equal alg (compact_roundtrip alg)))
+         equal alg (compact_roundtrip alg)))
 
 (* ------------------------------------------------------------------ *)
 (* Algebra laws (pinned as properties, not examples) *)
@@ -453,7 +494,7 @@ let gen_alg =
    between evaluation orders). *)
 let union_agrees l r =
   match (l, r) with
-  | Ok a, Ok b -> Algebra.equal a b
+  | Ok a, Ok b -> equal a b
   | Error _, Error _ -> true
   | Ok _, Error _ | Error _, Ok _ -> false
 
@@ -475,7 +516,7 @@ let prop_union_associative =
 let prop_union_idempotent =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"union is idempotent" ~count:500 gen_alg (fun a ->
-         match Algebra.union a a with Ok a' -> Algebra.equal a a' | Error _ -> false))
+         match Algebra.union a a with Ok a' -> equal a a' | Error _ -> false))
 
 let prop_union_absorbs_add =
   QCheck_alcotest.to_alcotest
@@ -611,7 +652,9 @@ let prop_verdict_agrees_with_matching =
 
 (* Parity with the two-map reference ([Algebra_reference]): random
    [add] and [union] sequences, IC conflicts included, drive both, and
-   after every step everything observable must agree.  Where the
+   after every step everything observable must agree — the run the
+   library holds first, byte for byte against the reference's own
+   encoder of the same entries.  Where the
    library leaves a choice open — which of several conflicting keys
    [union] or [matching] names, and the order of [matching]'s lists —
    each must name a genuine conflict and the lists the same entries. *)
@@ -621,10 +664,25 @@ type parity_op =
   | P_add of Algebra.side * Ref_key.t * int
   | P_union of (Algebra.side * Ref_key.t * int) list
 
+(* Keys and ICs past one byte, mixed in with the colliding small ones,
+   so the runs hold multi-byte varints too. *)
+let gen_wide_ref =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (3, gen_ref);
+      ( 1,
+        map3
+          (fun src owner serial -> rkey src (oid owner serial))
+          (int_range 0 300) (int_range 0 300) (int_range 0 100_000) );
+    ]
+
+let gen_wide_ic = QCheck2.Gen.(frequency [ (4, int_range 0 3); (1, int_range 0 (1 lsl 40)) ])
+
 let gen_parity_ops =
   let open QCheck2.Gen in
   let side = map (fun b -> if b then Algebra.Source else Algebra.Target) bool in
-  let entry = triple side gen_ref (int_range 0 3) in
+  let entry = triple side gen_wide_ref gen_wide_ic in
   list_size (int_bound 30)
     (frequency
        [
@@ -667,7 +725,8 @@ let observables_agree a r keys =
         && Algebra.ic a Algebra.Target y.key = Some y.target_ic
     | Algebra.Match _, Ref_alg.Ic_abort _ | Algebra.Ic_abort _, Ref_alg.Match _ -> false
   in
-  same_bindings (Algebra.bindings a Algebra.Source) (Ref_alg.source r)
+  String.equal (run a) (Ref_alg.encode r)
+  && same_bindings (Algebra.bindings a Algebra.Source) (Ref_alg.source r)
   && same_bindings (Algebra.bindings a Algebra.Target) (Ref_alg.target r)
   && Algebra.cardinal a = Ref_alg.cardinal r
   && List.for_all
@@ -730,12 +789,87 @@ let prop_parity_with_reference =
            ( a',
              r',
              ok && same_result
-             && Algebra.equal a' a = Ref_alg.equal r' r
+             && equal a' a = Ref_alg.equal r' r
              && observables_agree a' r' keys )
          in
          let start = (Algebra.empty, Ref_alg.empty, observables_agree Algebra.empty Ref_alg.empty keys) in
          let _, _, ok = List.fold_left step start ops in
          ok))
+
+(* A derivation is one merge pass; it must be what adding the same
+   entries one by one to the reference gives: the sources in key order,
+   then the target.  A same-side IC disagreement is [Conflicting], and
+   a result equal to the base is [No_new_info].  Under the
+   drop_source_scion mutant the lowest source is not added; under
+   skip_ic_guards a disagreement keeps the counter already there. *)
+let gen_derivation =
+  let open QCheck2.Gen in
+  let side = map (fun b -> if b then Algebra.Source else Algebra.Target) bool in
+  let sources =
+    map
+      (List.sort_uniq (fun (k, _) (k', _) -> Ref_key.compare k k'))
+      (list_size (int_bound 6) (pair gen_wide_ref gen_wide_ic))
+  in
+  triple
+    (list_size (int_bound 12) (triple side gen_wide_ref gen_wide_ic))
+    sources (pair gen_wide_ref gen_wide_ic)
+
+let derivation_agrees (base, sources, (target, t_ic)) =
+  let a, r = build_both base in
+  let added =
+    if Adgc_util.Mc_mutate.enabled "drop_source_scion" then
+      match sources with _ :: rest -> rest | [] -> []
+    else sources
+  in
+  let keep_first = Adgc_util.Mc_mutate.enabled "skip_ic_guards" in
+  let expected =
+    List.fold_left
+      (fun acc (side, key, ic) ->
+        Option.bind acc (fun r ->
+            match Ref_alg.add r side key ~ic with
+            | Ref_alg.Added r -> Some r
+            | Ref_alg.Ic_conflict _ -> if keep_first then Some r else None))
+      (Some r)
+      (List.map (fun (k, ic) -> (Algebra.Source, k, ic)) added @ [ (Algebra.Target, target, t_ic) ])
+  in
+  let derived =
+    Algebra.derive a
+      ~sources:(fun push -> List.iter (fun (k, ic) -> push k ~ic) sources)
+      ~target ~ic:t_ic
+  in
+  match (derived, expected) with
+  | Algebra.Conflicting, None -> true
+  | Algebra.No_new_info, Some r' -> Ref_alg.equal r' r
+  | Algebra.Derived a', Some r' ->
+      (not (Ref_alg.equal r' r))
+      && String.equal (run a') (Ref_alg.encode r')
+      && Algebra.cardinal a' = Ref_alg.cardinal r'
+      && (match (Algebra.verdict a', Ref_alg.verdict r') with
+         | Algebra.Conflict, Ref_alg.Conflict -> true
+         | Algebra.Counts c, Ref_alg.Counts c' ->
+             c.unresolved = c'.unresolved && c.frontier = c'.frontier
+         | Algebra.Conflict, Ref_alg.Counts _ | Algebra.Counts _, Ref_alg.Conflict -> false)
+  | (Algebra.Conflicting | Algebra.No_new_info | Algebra.Derived _), _ -> false
+
+let print_derivation (base, sources, target) =
+  let entry (key, ic) = Printf.sprintf "%s:%d" (Format.asprintf "%a" Ref_key.pp key) ic in
+  Printf.sprintf "base [%s]; sources [%s]; target %s"
+    (String.concat ", "
+       (List.map
+          (fun (side, key, ic) ->
+            (match side with Algebra.Source -> "source " | Algebra.Target -> "target ")
+            ^ entry (key, ic))
+          base))
+    (String.concat ", " (List.map entry sources))
+    (entry target)
+
+let prop_derive_is_adds =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"a derivation = its entries added one by one, mutants too" ~count:500
+       ~print:print_derivation gen_derivation (fun case ->
+         derivation_agrees case
+         && Scaffold.with_mutant "drop_source_scion" (fun () -> derivation_agrees case)
+         && Scaffold.with_mutant "skip_ic_guards" (fun () -> derivation_agrees case)))
 
 let gen_detection_id =
   QCheck2.Gen.map
@@ -779,6 +913,8 @@ let suite =
       Alcotest.test_case "compact encoding dedupes" `Quick test_compact_dedupes_shared_entries;
       Alcotest.test_case "compact keeps IC conflicts" `Quick test_compact_keeps_ic_conflicts_apart;
       Alcotest.test_case "compact reader rejects junk" `Quick test_compact_rejects_junk;
+      Alcotest.test_case "compact reader wants canonical runs" `Quick
+        test_compact_reader_wants_canonical_runs;
       Alcotest.test_case "cdm wire roundtrip" `Quick test_cdm_wire_roundtrip;
       prop_cycle_iff_equal_sets;
       prop_matching_partitions;
@@ -791,5 +927,6 @@ let suite =
       prop_matching_aborts_on_bumped_pair;
       prop_verdict_agrees_with_matching;
       prop_parity_with_reference;
+      prop_derive_is_adds;
       prop_detection_id_order;
     ] )

@@ -680,7 +680,9 @@ let test_batch_with_references_rejected () =
 
 (* The writer refuses what the run cannot hold: a negative int, a stub
    set whose serials do not strictly ascend (a negative gap), and one
-   with more serials than ICs or fewer. *)
+   with more serials than ICs or fewer.  An algebra is its run, so what
+   its run cannot hold (a negative id or IC, an IC past 60 bits) is
+   refused where it would enter, by [Algebra.add]. *)
 let test_writer_rejects () =
   let refused what (m : Msg.t) =
     (match Net_codec.size Msg.emit m with
@@ -691,20 +693,20 @@ let test_writer_rejects () =
     | exception Invalid_argument _ -> ()
   in
   let key = Ref_key.make ~src:p0 ~target:(Oid.make ~owner:p1 ~serial:2) in
-  let id = Detection_id.make ~initiator:p0 ~seq:1 in
+  let add_refused what side key ic =
+    match Algebra.add Algebra.empty side key ~ic with
+    | _ -> Alcotest.failf "%s: added" what
+    | exception Invalid_argument _ -> ()
+  in
   refused "an unsequenced envelope" (Msg.make ~seq:(-1) ~src:p0 ~dst:p1 ~sent_at:3 Msg.Scion_probe);
   refused "a negative stub IC"
     (msg (Msg.New_set_stubs { seqno = 1; serials = [| 2 |]; ics = [| -1 |] }));
-  refused "a negative algebra IC"
-    (msg
-       (Msg.Cdm
-          (Cdm.make ~id ~frontier:key ~hops:0 ~budget:1
-             ~algebra:(Algebra.add_exn Algebra.empty Algebra.Source key ~ic:(-1)))));
-  refused "an algebra IC past 60 bits"
-    (msg
-       (Msg.Cdm
-          (Cdm.make ~id ~frontier:key ~hops:0 ~budget:1
-             ~algebra:(Algebra.add_exn Algebra.empty Algebra.Source key ~ic:(1 lsl 61)))));
+  add_refused "a negative algebra IC" Algebra.Source key (-1);
+  add_refused "an algebra IC past 60 bits" Algebra.Source key (1 lsl 61);
+  add_refused "a target IC of 2^60" Algebra.Target key (1 lsl 60);
+  add_refused "a negative serial in an algebra key" Algebra.Source
+    { key with Ref_key.target = { key.Ref_key.target with Oid.serial = -1 } }
+    0;
   refused "a negative request id"
     (msg (Msg.Rmi_reply { req_id = -1; target = Oid.make ~owner:p1 ~serial:2; results = [] }));
   let descending = Msg.New_set_stubs { seqno = 1; serials = [| 2; 1 |]; ics = [| 0; 0 |] } in

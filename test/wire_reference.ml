@@ -210,7 +210,8 @@ let cdm_sval (t : Cdm.t) =
         ("algebra", algebra_sval t.Cdm.algebra);
       ] )
 
-(* Entries must be whole, name a side, and agree with one another. *)
+(* Entries must be whole, name a side, and ascend strictly by key; the
+   one repeat is a conflict's, bits 1 then bits 2 with different ICs. *)
 let algebra_of_entries ints =
   if List.length ints mod 4 <> 0 then None
   else
@@ -223,7 +224,14 @@ let algebra_of_entries ints =
           else None
       | _ -> Some []
     in
-    Option.bind (entries ints)
+    let rec canonical = function
+      | (k, ic, bits) :: ((k', ic', bits') :: _ as rest) ->
+          let c = Ref_key.compare k k' in
+          (c < 0 || (c = 0 && bits = 1 && bits' = 2 && ic <> ic')) && canonical rest
+      | [ _ ] | [] -> true
+    in
+    Option.bind
+      (Option.bind (entries ints) (fun l -> if canonical l then Some l else None))
       (List.fold_left
          (fun acc (key, ic, bits) ->
            let add_side side t =
