@@ -82,7 +82,8 @@ let run_scenario s =
 (* E6's one-ring detection: a single CDM detection around an unrooted
    ring of [span] processes, initiated by hand on freshly summarized
    processes and drained.  Returns the detection latency in ticks, the
-   CDMs sent, their bytes and the host wall. *)
+   CDMs sent, their bytes, the minor words the drain allocated and the
+   host wall. *)
 
 let detect_ring ~span =
   let net_config = Network.default_config () in
@@ -99,35 +100,46 @@ let detect_ring ~span =
     detectors;
   let start = Cluster.now cluster in
   ignore (Detector.initiate detectors.(0) (Topology.scion_key built ~src:(span - 1) "n0_0") : bool);
+  let before = Gc.minor_words () in
   let (), wall = wall_ms (fun () -> ignore (Cluster.drain cluster : int)) in
+  let words = Gc.minor_words () -. before in
   let stats = Cluster.stats cluster in
   let reports = Array.to_list detectors |> List.concat_map Detector.reports in
   let latency = match reports with r :: _ -> r.Report.concluded_time - start | [] -> -1 in
-  (latency, Stats.get stats "net.msg.sent.cdm", Stats.get stats "net.bytes.cdm", wall)
+  (latency, Stats.get stats "net.msg.sent.cdm", Stats.get stats "net.bytes.cdm", words, wall)
 
 (* The CDM bytes of E6's 8- and 32-process spans, as gated series: a
    pure function of the wire format, so any change to a CDM's size
-   shows here. *)
+   shows here.  Beside them, the minor words the detection's hops
+   allocate, read from a second, identical run: the first sizes the
+   process-global scratch (the codec's and the algebra's buffers), so
+   the second allocates the same words whatever ran before it. *)
 let run_e6 recorder =
   section "detection.e6: CDM bytes of one ring detection";
   let rows =
     List.map
       (fun span ->
-        let latency, msgs, bytes, _ = detect_ring ~span in
+        let latency, msgs, bytes, _, _ = detect_ring ~span in
+        let _, _, _, words, _ = detect_ring ~span in
+        let config = [ "detection.e6"; string_of_int span ] in
         det recorder ~section:"detection"
           ~name:(Printf.sprintf "detection.e6.cdm_bytes.span%d" span)
-          ~unit_:"bytes"
-          ~config:[ "detection.e6"; string_of_int span ]
-          (float_of_int bytes);
+          ~unit_:"bytes" ~config (float_of_int bytes);
+        det recorder ~section:"detection"
+          ~name:(Printf.sprintf "detection.e6.cdm_minor_words.span%d" span)
+          ~unit_:"words" ~config words;
         [
           string_of_int span;
           Printf.sprintf "%d ticks" latency;
           string_of_int msgs;
           Printf.sprintf "%d B" bytes;
+          Printf.sprintf "%.0f" words;
         ])
       [ 8; 32 ]
   in
-  Table.print ~header:[ "processes"; "detection latency"; "CDM msgs"; "CDM bytes" ] ~rows ()
+  Table.print
+    ~header:[ "processes"; "detection latency"; "CDM msgs"; "CDM bytes"; "minor words" ]
+    ~rows ()
 
 (* ------------------------------------------------------------------ *)
 (* E7: the same ring detection by distributed back-tracing, the
@@ -158,7 +170,7 @@ let e7 ?recorder () =
   let rows =
     List.map
       (fun span ->
-        let _, cdm_msgs, cdm_bytes, _ = detect_ring ~span in
+        let _, cdm_msgs, cdm_bytes, _, _ = detect_ring ~span in
         let bt_msgs, bt_bytes, bt_state, _ = backtrack_ring ~span in
         Option.iter
           (fun r ->

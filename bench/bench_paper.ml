@@ -168,7 +168,7 @@ let bench_detection_scaling () =
   let rows =
     List.map
       (fun span ->
-        let latency, msgs, bytes, wall = Bench_detection.detect_ring ~span in
+        let latency, msgs, bytes, _, wall = Bench_detection.detect_ring ~span in
         [
           string_of_int span;
           Printf.sprintf "%d ticks" latency;
