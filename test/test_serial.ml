@@ -228,12 +228,24 @@ let gen_oids = QCheck2.Gen.(list_size (int_bound 4) gen_oid)
 let gen_detection_id =
   QCheck2.Gen.(map2 (fun initiator seq -> Detection_id.make ~initiator ~seq) gen_proc (int_bound 100))
 
-(* Entries draw their keys mostly from a small per-algebra pool, so a
+(* A key or IC past one byte now and then, so the algebra's items are
+   multi-byte varints too. *)
+let gen_wide_ref =
+  QCheck2.Gen.(
+    map3
+      (fun src owner serial ->
+        Ref_key.make ~src:(Proc_id.of_int src) ~target:(Oid.make ~owner:(Proc_id.of_int owner) ~serial))
+      (int_bound 300) (int_bound 300) (int_bound 100_000))
+
+(* Entries draw their keys mostly from a small per-algebra pool, and
+   their ICs from a few small ones and one wide one per algebra, so a
    key often lands on both sides: with equal ICs (one shared entry) or
    different ones (a conflict, written as two entries). *)
 let gen_algebra =
   QCheck2.Gen.(
-    bind (list_size (int_range 1 3) gen_ref) (fun pool ->
+    bind
+      (pair (list_size (int_range 1 3) (frequency [ (4, gen_ref); (1, gen_wide_ref) ])) (int_bound (1 lsl 40)))
+      (fun (pool, wide_ic) ->
         map
           (List.fold_left
              (fun alg (is_src, key, ic) ->
@@ -242,7 +254,9 @@ let gen_algebra =
                | Algebra.Ic_conflict _ -> alg)
              Algebra.empty)
           (list_size (int_bound 6)
-             (triple bool (frequency [ (3, oneofl pool); (1, gen_ref) ]) (int_bound 2)))))
+             (triple bool
+                (frequency [ (3, oneofl pool); (1, gen_ref) ])
+                (frequency [ (4, int_bound 2); (1, return wide_ic) ])))))
 
 let gen_cdm =
   QCheck2.Gen.(
