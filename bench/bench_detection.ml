@@ -1,14 +1,15 @@
 (* Detection section (new in the perf harness): end-to-end
    cycle-reclamation latency, in simulated ticks, with percentiles
-   drawn from the lib/obs histograms the detector feeds under
-   telemetry (dcda.detection_latency: initiation tick to conclusion
-   tick, per proven cycle).
+   drawn from the histograms the detector feeds under telemetry
+   (dcda.detection_latency: initiation tick to conclusion tick, per
+   proven cycle).
 
    Everything but the host wall column is a pure function of the
    seed, so these are the tightest gates in the document — and the
    p99 latency carries a hard SLO ceiling: blowing past it fails
-   `adgc_sim perf check` even if someone also regresses the checked-in
-   baseline to match. *)
+   `bench/main.exe check` even if someone also regresses the
+   checked-in baseline to match.  A scenario where no detection
+   concluded records nan, which breaches the ceiling too. *)
 
 module Sim = Adgc.Sim
 module Config = Adgc.Config
@@ -60,6 +61,39 @@ let scenarios () =
   in
   if smoke () then base else base @ [ ring ~label:"ring8" ~span:8 ~slo_p99:4096.0 ]
 
+(* Nearest-rank percentile, [p] in [0, 100], to bucket granularity:
+   the upper bound of the bucket holding the rank (the conservative
+   answer for a latency gate).  [nan] when the histogram is empty;
+   [infinity] when the rank lands in the overflow bucket, which the
+   results document writes as null and the gate judges as a lost
+   value. *)
+let histogram_percentile (h : Stats.histogram) p =
+  if h.Stats.samples = 0 then Float.nan
+  else begin
+    let rank =
+      Int.max 1
+        (Int.min h.Stats.samples (int_of_float (ceil (p /. 100.0 *. float_of_int h.Stats.samples))))
+    in
+    let n = Array.length h.Stats.counts in
+    let rec go i cum =
+      if i >= n then Float.infinity
+      else
+        let cum = cum + h.Stats.counts.(i) in
+        if cum >= rank then
+          if i < Array.length h.Stats.buckets then h.Stats.buckets.(i) else Float.infinity
+        else go (i + 1) cum
+    in
+    go 0 0
+  end
+
+(* [(p, value)] per requested [p] from the named observed histogram;
+   [None] when it was never observed.  Every latency percentile the
+   detection series gate on comes through here. *)
+let percentiles ~ps stats name =
+  Option.map
+    (fun h -> List.map (fun p -> (p, histogram_percentile h p)) ps)
+    (Stats.histogram_opt stats name)
+
 let run_scenario s =
   let config = { (Config.quick ~seed:s.seed ~n_procs:s.procs ()) with Config.telemetry = true } in
   let sim = Sim.create ~config () in
@@ -68,7 +102,7 @@ let run_scenario s =
   let clean, wall = wall_ms (fun () -> Sim.run_until_clean ~step:500 ~max_time:600_000 sim) in
   let stats = Sim.stats sim in
   let pcts =
-    match Adgc_obs.Export.percentiles ~ps:[ 50.0; 99.0 ] stats "dcda.detection_latency" with
+    match percentiles ~ps:[ 50.0; 99.0 ] stats "dcda.detection_latency" with
     | Some [ (_, p50); (_, p99) ] -> Some (p50, p99)
     | Some _ | None -> None
   in

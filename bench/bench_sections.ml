@@ -1,7 +1,7 @@
 (* The section registry, shared by the CLI runner and the smoke test.
 
    Perf sections feed samples into the recorder and are what
-   `adgc_sim perf check` gates; paper sections print the paper's
+   `bench/main.exe check` gates; paper sections print the paper's
    tables for humans and record nothing. *)
 
 let perf : (string * (Adgc_perf.Recorder.t -> unit)) list =

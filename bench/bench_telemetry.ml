@@ -50,7 +50,8 @@ let run recorder =
   let _, off_words = minor_words ~telemetry:false in
   let sim, on_words = minor_words ~telemetry:true in
   let spans = List.length (Adgc_obs.Span.spans (Sim.obs sim)) in
-  let detections = List.length (Adgc_obs.Lineage.detections (Sim.lineage sim)) in
+  let lineage = Adgc_rt.Cluster.lineage (Sim.cluster sim) in
+  let detections = List.length (Adgc_obs.Lineage.detections lineage) in
   Table.print
     ~header:[ "telemetry"; "60k ticks"; "overhead"; "spans"; "detections traced" ]
     ~rows:

@@ -7,18 +7,15 @@ let verdict_to_string = function
   | Missing -> "missing"
   | New -> "new"
 
-type tolerance = {
-  rel : float;
-  stddev_mult : float;
-  min_effect : float;
-  relax : float;
-}
-
-(* 10% relative, three sigmas of the noisier side, and a one-unit
-   absolute floor so sub-unit wobble on tiny values never flags.
-   [relax] widens the Timing-class band only: deterministic series
-   (ticks, messages, bytes) mean the same thing on every host. *)
-let default_tolerance = { rel = 0.10; stddev_mult = 3.0; min_effect = 1.0; relax = 1.0 }
+(* The noise band is the widest of 10% of the baseline median, three
+   sigmas of the noisier side, and a one-unit absolute floor so
+   sub-unit wobble on tiny values never flags.  Only the relax factor
+   varies between callers: it widens the Timing-class band, while
+   deterministic series (ticks, messages, bytes) mean the same thing on
+   every host. *)
+let rel = 0.10
+let stddev_mult = 3.0
+let min_effect = 1.0
 
 type finding = {
   name : string;
@@ -32,11 +29,11 @@ type finding = {
 
 let finite f = Float.is_finite f
 
-let band tol (base : Sample.t) (cur : Sample.t) =
-  let noise = tol.stddev_mult *. Float.max base.Sample.stddev cur.Sample.stddev in
-  let raw = Float.max (tol.rel *. Float.abs base.Sample.median) (Float.max noise tol.min_effect) in
+let band ~relax (base : Sample.t) (cur : Sample.t) =
+  let noise = stddev_mult *. Float.max base.Sample.stddev cur.Sample.stddev in
+  let raw = Float.max (rel *. Float.abs base.Sample.median) (Float.max noise min_effect) in
   match cur.Sample.klass with
-  | Sample.Timing -> raw *. Float.max 1.0 tol.relax
+  | Sample.Timing -> raw *. Float.max 1.0 relax
   | Sample.Deterministic -> raw
 
 (* Positive effect = worse, whatever the sample's direction. *)
@@ -52,14 +49,16 @@ let slo_of (cur : Sample.t) (base : Sample.t option) =
   | None -> Option.bind base (fun (b : Sample.t) -> b.Sample.slo)
 
 (* An SLO is an absolute ceiling in [Lower_better] terms: the sample
-   breaches it on its own, baseline or not. *)
+   breaches it on its own, baseline or not.  A non-finite median (a
+   latency histogram ranked into its overflow bucket, or a detector
+   that never concluded) is past every ceiling. *)
 let slo_breach (cur : Sample.t) (base : Sample.t option) =
   match slo_of cur base with
-  | Some ceiling when finite cur.Sample.median && cur.Sample.median > ceiling ->
+  | Some ceiling when (not (finite cur.Sample.median)) || cur.Sample.median > ceiling ->
       Some (Printf.sprintf "SLO breach: %g %s > ceiling %g" cur.Sample.median cur.Sample.unit_ ceiling)
   | Some _ | None -> None
 
-let judge_pair tol (base : Sample.t) (cur : Sample.t) =
+let judge_pair ~relax (base : Sample.t) (cur : Sample.t) =
   let slo = slo_breach cur (Some base) in
   let ratio =
     if finite base.Sample.median && Float.abs base.Sample.median > 0.0 then
@@ -67,18 +66,27 @@ let judge_pair tol (base : Sample.t) (cur : Sample.t) =
     else None
   in
   if not (finite base.Sample.median && finite cur.Sample.median) then
+    (* A series that lost its value is broken, not noisy; one that
+       never had one is left for the SLO alone to judge. *)
+    let verdict, detail =
+      match slo with
+      | Some msg -> (Regressed, msg)
+      | None when finite base.Sample.median ->
+          (Regressed, "non-finite median against a finite baseline")
+      | None -> (Unchanged, "non-finite baseline median; not compared")
+    in
     {
       name = cur.Sample.name;
-      verdict = (if slo = None then Unchanged else Regressed);
+      verdict;
       base = Some base;
       current = Some cur;
       ratio = None;
       slo_violated = slo <> None;
-      detail = Option.value slo ~default:"non-finite median; not compared";
+      detail;
     }
   else
     let eff = effect_of base cur in
-    let tol_band = band tol base cur in
+    let tol_band = band ~relax base cur in
     let verdict =
       if slo <> None then Regressed
       else if eff > tol_band then Regressed
@@ -101,7 +109,7 @@ let judge_pair tol (base : Sample.t) (cur : Sample.t) =
       detail;
     }
 
-let compare_docs ?(tol = default_tolerance) ~(baseline : Results.t) ~(current : Results.t) () =
+let compare_docs ?(relax = 1.0) ~(baseline : Results.t) ~(current : Results.t) () =
   let base_samples = Results.samples baseline in
   let cur_samples = Results.samples current in
   let base_by_name = List.map (fun (s : Sample.t) -> (s.Sample.name, s)) base_samples in
@@ -110,7 +118,7 @@ let compare_docs ?(tol = default_tolerance) ~(baseline : Results.t) ~(current : 
     List.map
       (fun (cur : Sample.t) ->
         match List.assoc_opt cur.Sample.name base_by_name with
-        | Some base -> judge_pair tol base cur
+        | Some base -> judge_pair ~relax base cur
         | None ->
             let slo = slo_breach cur None in
             {

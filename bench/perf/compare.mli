@@ -1,10 +1,12 @@
 (** The statistics-hardened baseline comparator.
 
     Series are paired by sample name across the whole document; each
-    pair gets a verdict from a noise model with three widening terms
-    — a relative threshold, a stddev-scaled tolerance, a min-effect
-    floor — plus hard SLO ceilings for latency series that must never
-    drift past an absolute bound regardless of the baseline. *)
+    pair gets a verdict from a noise band, the widest of 10% of the
+    baseline median, three stddevs of the noisier side and a one-unit
+    floor, plus hard SLO ceilings for latency series that must never
+    drift past an absolute bound regardless of the baseline.  A
+    non-finite median is a broken series: it regresses against a
+    finite baseline and breaches any SLO. *)
 
 type verdict =
   | Improved  (** better than baseline beyond the noise band *)
@@ -14,18 +16,6 @@ type verdict =
   | New  (** in the current run, absent from the baseline *)
 
 val verdict_to_string : verdict -> string
-
-type tolerance = {
-  rel : float;  (** relative threshold as a fraction of the baseline median *)
-  stddev_mult : float;  (** multiples of the noisier side's stddev *)
-  min_effect : float;  (** absolute floor (in the sample's unit) below which nothing flags *)
-  relax : float;
-      (** extra multiplier on [Timing]-class tolerances for slow or
-          1-core runners; [Deterministic] series are never relaxed *)
-}
-
-val default_tolerance : tolerance
-(** [{rel = 0.10; stddev_mult = 3.0; min_effect = 1.0; relax = 1.0}] *)
 
 type finding = {
   name : string;
@@ -38,8 +28,11 @@ type finding = {
 }
 
 val compare_docs :
-  ?tol:tolerance -> baseline:Results.t -> current:Results.t -> unit -> finding list
+  ?relax:float -> baseline:Results.t -> current:Results.t -> unit -> finding list
 (** One finding per sample name seen on either side, sorted by name.
+    [relax] (default 1) multiplies the band of [Timing] series only,
+    for slow or 1-core runners; [Deterministic] series are never
+    relaxed.
     [Missing]/[New] are informational (exit-clean); an SLO breach is
     [Regressed] even when the sample is [New]. *)
 

@@ -448,113 +448,6 @@ let drive_cmd topology procs seed detector objects edges tick_us deadline dir
       Printf.eprintf "drive: %s\n" msg;
       1
 
-(* ----------------------------------------------------------------- *)
-(* perf: gate benchmark results against the checked-in baseline.      *)
-
-module Perf_results = Adgc_perf.Results
-module Perf_compare = Adgc_perf.Compare
-
-let fmt_value v = if Float.is_integer v && Float.abs v < 1e9 then Printf.sprintf "%.0f" v else Printf.sprintf "%.3f" v
-
-let fmt_sample = function
-  | None -> "-"
-  | Some (s : Adgc_perf.Sample.t) -> Printf.sprintf "%s %s" (fmt_value s.Adgc_perf.Sample.median) s.Adgc_perf.Sample.unit_
-
-let pp_findings ?(all = false) findings =
-  let shown =
-    if all then findings
-    else
-      List.filter
-        (fun f -> f.Perf_compare.verdict <> Perf_compare.Unchanged || f.Perf_compare.slo_violated)
-        findings
-  in
-  if shown <> [] then
-    Adgc_util.Table.print
-      ~header:[ "series"; "verdict"; "baseline"; "current"; "detail" ]
-      ~rows:
-        (List.map
-           (fun (f : Perf_compare.finding) ->
-             [
-               f.Perf_compare.name;
-               Perf_compare.verdict_to_string f.Perf_compare.verdict
-               ^ (if f.Perf_compare.slo_violated then " +SLO" else "");
-               fmt_sample f.Perf_compare.base;
-               fmt_sample f.Perf_compare.current;
-               f.Perf_compare.detail;
-             ])
-           shown)
-      ();
-  let tally = Perf_compare.tally findings in
-  print_endline
-    (String.concat "  "
-       (List.map
-          (fun (v, n) -> Printf.sprintf "%s: %d" (Perf_compare.verdict_to_string v) n)
-          tally))
-
-let perf_load what path =
-  match Perf_results.load path with
-  | Ok doc -> Ok doc
-  | Error e -> Error (Printf.sprintf "%s (%s): %s" what path e)
-
-let perf_tolerance rel stddev_mult min_effect relax =
-  { Perf_compare.rel; stddev_mult; min_effect; relax }
-
-let perf_check_cmd baseline current rel stddev_mult min_effect relax quiet =
-  let tol = perf_tolerance rel stddev_mult min_effect relax in
-  match perf_load "baseline" baseline with
-  | Error e ->
-      Printf.eprintf "perf check: %s\n" e;
-      2
-  | Ok base_doc -> (
-      let current_doc =
-        if Sys.file_exists current then perf_load "current results" current
-        else begin
-          (* No fresh run to judge: self-check the baseline so a clean
-             checkout (bench not yet run) gates trivially green while
-             still validating the document and any SLO ceilings. *)
-          if not quiet then
-            Printf.printf "no current results at %s; self-checking the baseline\n" current;
-          Ok base_doc
-        end
-      in
-      match current_doc with
-      | Error e ->
-          Printf.eprintf "perf check: %s\n" e;
-          2
-      | Ok cur_doc ->
-          let findings = Perf_compare.compare_docs ~tol ~baseline:base_doc ~current:cur_doc () in
-          if not quiet then pp_findings findings;
-          let code = Perf_compare.exit_code findings in
-          (if code = 0 then (if not quiet then print_endline "perf check: PASS")
-           else
-             Printf.eprintf "perf check: FAIL (%d gating regression%s)\n"
-               (List.length (Perf_compare.regressions findings))
-               (if List.length (Perf_compare.regressions findings) = 1 then "" else "s"));
-          code)
-
-let perf_promote_cmd baseline current quiet =
-  match perf_load "current results" current with
-  | Error e ->
-      Printf.eprintf "perf promote: %s\n" e;
-      2
-  | Ok doc ->
-      Perf_compare.promote ~baseline_path:baseline doc;
-      if not quiet then Printf.printf "promoted %s -> %s\n" current baseline;
-      0
-
-let perf_report_cmd baseline current rel stddev_mult min_effect relax =
-  let tol = perf_tolerance rel stddev_mult min_effect relax in
-  match (perf_load "baseline" baseline, perf_load "current results" current) with
-  | Error e, _ | _, Error e ->
-      Printf.eprintf "perf report: %s\n" e;
-      2
-  | Ok base_doc, Ok cur_doc ->
-      Printf.printf "baseline: rev %s (smoke=%b)  current: rev %s (smoke=%b, %d cores)\n"
-        base_doc.Perf_results.rev base_doc.Perf_results.smoke cur_doc.Perf_results.rev
-        cur_doc.Perf_results.smoke cur_doc.Perf_results.host.Perf_results.cores;
-      pp_findings ~all:true (Perf_compare.compare_docs ~tol ~baseline:base_doc ~current:cur_doc ());
-      0
-
 open Cmdliner
 
 let topology_arg =
@@ -809,89 +702,6 @@ let drive_cmd_info =
        rank, wait for the peer mesh, collect until every expected-garbage object is \
        reclaimed, then gather state and run the oracle invariants over the union."
 
-(* perf *)
-
-let baseline_arg =
-  Arg.(
-    value
-    & opt string "bench/baseline.json"
-    & info [ "baseline" ] ~doc:"The checked-in baseline document." ~docv:"FILE")
-
-let current_arg =
-  Arg.(
-    value
-    & opt string "bench/results/latest.json"
-    & info [ "current" ] ~doc:"The results document to judge (written by bench/main.exe)."
-        ~docv:"FILE")
-
-let rel_arg =
-  Arg.(
-    value
-    & opt float Adgc_perf.Compare.default_tolerance.Adgc_perf.Compare.rel
-    & info [ "rel" ] ~doc:"Relative threshold as a fraction of the baseline median.")
-
-let stddev_mult_arg =
-  Arg.(
-    value
-    & opt float Adgc_perf.Compare.default_tolerance.Adgc_perf.Compare.stddev_mult
-    & info [ "stddev-mult" ] ~doc:"Multiples of the noisier side's stddev added to the band.")
-
-let min_effect_arg =
-  Arg.(
-    value
-    & opt float Adgc_perf.Compare.default_tolerance.Adgc_perf.Compare.min_effect
-    & info [ "min-effect" ]
-        ~doc:"Absolute floor (in the sample's unit) below which nothing flags.")
-
-let relax_arg =
-  Arg.(
-    value
-    & opt float 1.0
-    & info [ "relax" ]
-        ~doc:
-          "Extra tolerance multiplier applied to timing-class series only (use on slow or \
-           1-core CI runners); deterministic series are never relaxed.")
-
-let perf_check_term =
-  Term.(
-    const perf_check_cmd $ baseline_arg $ current_arg $ rel_arg $ stddev_mult_arg
-    $ min_effect_arg $ relax_arg $ quiet_arg)
-
-let perf_check_info =
-  Cmd.info "check"
-    ~doc:
-      "Compare the latest bench results against the checked-in baseline; exit 1 on a gating \
-       regression (noise-model verdict or SLO breach), 2 on a usage/IO error.  Without a \
-       current results file the baseline self-checks (clean checkouts gate green)."
-
-let perf_promote_term = Term.(const perf_promote_cmd $ baseline_arg $ current_arg $ quiet_arg)
-
-let perf_promote_info =
-  Cmd.info "promote"
-    ~doc:
-      "Overwrite the checked-in baseline with the latest results (canonical rendering, so a \
-       promote followed by a check is always clean)."
-
-let perf_report_term =
-  Term.(
-    const perf_report_cmd $ baseline_arg $ current_arg $ rel_arg $ stddev_mult_arg
-    $ min_effect_arg $ relax_arg)
-
-let perf_report_info =
-  Cmd.info "report" ~doc:"Print every series verdict (informational; always exits 0 or 2)."
-
-let perf_cmd =
-  Cmd.group
-    (Cmd.info "perf"
-       ~doc:
-         "The continuous perf harness: gate, promote or report bench results against \
-          bench/baseline.json (see docs/BENCHMARKING.md).")
-    [
-      Cmd.v perf_check_info perf_check_term;
-      Cmd.v perf_promote_info perf_promote_term;
-      Cmd.v perf_report_info perf_report_term;
-    ]
-
 let main =
   Cmd.group
     (Cmd.info "adgc_sim" ~version:"1.0.0"
@@ -902,7 +712,6 @@ let main =
       Cmd.v mc_cmd_info mc_term;
       Cmd.v serve_cmd_info serve_term;
       Cmd.v drive_cmd_info drive_term;
-      perf_cmd;
     ]
 
 let () = exit (Cmd.eval' main)

@@ -77,8 +77,6 @@ let teardown t =
 
 let obs t = Cluster.obs t.cluster
 
-let lineage t = Cluster.lineage t.cluster
-
 let reports t =
   Array.to_list t.detectors
   |> List.concat_map Detector.reports

@@ -35,8 +35,6 @@ val trace : t -> Adgc_util.Trace.t
 
 val obs : t -> Adgc_obs.Span.t
 
-val lineage : t -> Adgc_obs.Lineage.t
-
 (** {1 Driving} *)
 
 val start : t -> unit

@@ -48,15 +48,6 @@ let jsonl t = String.concat "" (List.map (fun s -> jsonl_line s ^ "\n") (Span.sp
 
 let span_digest t = Digest.to_hex (Digest.string (jsonl t))
 
-(* The histogram → percentile extraction the perf harness gates on:
-   every percentile the bench reports for an observed latency comes
-   through here, so the semantics are pinned in one place (and in
-   Stats.histogram_percentile's tests), not re-derived per caller. *)
-let percentiles ?(ps = [ 50.0; 90.0; 99.0 ]) stats name =
-  Option.map
-    (fun h -> List.map (fun p -> (p, Stats.histogram_percentile h p)) ps)
-    (Stats.histogram_opt stats name)
-
 let schema_version = 1
 
 let metrics_document ?(meta = []) stats =

@@ -22,15 +22,6 @@ val span_digest : Span.t -> string
     scenarios so an ordering change cannot pass unseen, and for the
     sim and obs suites' same-seed comparisons. *)
 
-val percentiles :
-  ?ps:float list -> Adgc_util.Stats.t -> string -> (float * float) list option
-(** [(p, value)] pairs (default ps = [\[50; 90; 99\]]) extracted from
-    the named observed histogram via
-    {!Adgc_util.Stats.histogram_percentile}; [None] when the
-    histogram was never observed.  This is the API the perf harness
-    draws its latency-percentile series (e.g. p99
-    [dcda.detection_latency]) from. *)
-
 val metrics_document : ?meta:(string * Json.t) list -> Adgc_util.Stats.t -> Json.t
 (** [{schema_version; meta; stats}] with all keys sorted.  Validated
     against [test/metrics_schema.json]. *)

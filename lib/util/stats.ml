@@ -110,24 +110,6 @@ let observe t name v =
    upper bound (the histogram only knows samples to bucket
    granularity, and an upper bound is the conservative answer for a
    latency gate).  The overflow bucket has no bound: infinity. *)
-let histogram_percentile h p =
-  if h.samples = 0 then Float.nan
-  else begin
-    let rank =
-      Int.max 1 (Int.min h.samples (int_of_float (ceil (p /. 100.0 *. float_of_int h.samples))))
-    in
-    let n = Array.length h.counts in
-    let rec go i cum =
-      if i >= n then Float.infinity
-      else
-        let cum = cum + h.counts.(i) in
-        if cum >= rank then
-          if i < Array.length h.buckets then h.buckets.(i) else Float.infinity
-        else go (i + 1) cum
-    in
-    go 0 0
-  end
-
 let histogram_opt t name = Hashtbl.find_opt t.histograms name
 
 let histograms t =

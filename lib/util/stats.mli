@@ -43,13 +43,6 @@ val observe : t -> string -> float -> unit
     powers of two from 1 to 2{^19} when the name is unknown.  A value [v] lands in the first bucket with
     [v <= bound], or in the overflow slot. *)
 
-val histogram_percentile : histogram -> float -> float
-(** Nearest-rank percentile, [p] in [\[0,100\]], to bucket
-    granularity: the upper bound of the bucket holding the rank (the
-    conservative answer for a latency gate).  [nan] when the
-    histogram is empty; [infinity] when the rank lands in the
-    overflow bucket. *)
-
 val histogram_opt : t -> string -> histogram option
 
 (** {1 Reporting} *)

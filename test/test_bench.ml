@@ -1,8 +1,9 @@
 (* The bench harness itself, in smoke mode: every perf section runs,
    the results document validates against the checked-in schema, a
-   same-seed re-run reproduces every non-timing field, and the
-   `adgc_sim perf` CLI gates the way the acceptance contract says
-   (0 on a clean baseline, 1 on a synthetic regression).
+   same-seed re-run reproduces every non-timing field, and the gate
+   subcommands of bench/main.exe exit the way docs/BENCHMARKING.md
+   says (0 on a clean baseline, 1 on a synthetic regression, 2 on an
+   IO error).
 
    Paper sections (table1, serialization, ...) are print-only with no
    smoke sizing and feed nothing into the gated document, so they are
@@ -104,14 +105,20 @@ let test_rerun_is_deterministic () =
 
 (* --- the CLI gate, end to end ------------------------------------ *)
 
-let adgc_sim_exe () =
-  match Bench_common.adgc_sim_exe () with
-  | Some exe -> exe
-  | None -> Alcotest.fail "adgc_sim.exe not built; set ADGC_SIM_EXE"
+let bench_exe () =
+  match
+    List.find_opt Sys.file_exists
+      [
+        Filename.concat (Filename.dirname Sys.executable_name) "../bench/main.exe";
+        "_build/default/bench/main.exe";
+      ]
+  with
+  | Some p -> if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
+  | None -> Alcotest.fail "bench/main.exe not built"
 
 let run_cli args =
   let cmd =
-    String.concat " " (List.map Filename.quote (adgc_sim_exe () :: args)) ^ " >/dev/null 2>&1"
+    String.concat " " (List.map Filename.quote (bench_exe () :: args)) ^ " >/dev/null 2>&1"
   in
   match Unix.system cmd with
   | Unix.WEXITED code -> code
@@ -153,29 +160,34 @@ let test_cli_gates () =
       with_temp (fun current ->
           Results.save current doc;
           check Alcotest.int "promote exits 0" 0
-            (run_cli [ "perf"; "promote"; "--baseline"; baseline; "--current"; current ]);
+            (run_cli [ "promote"; "--baseline"; baseline; "--current"; current ]);
           check Alcotest.int "check against the promoted baseline exits 0" 0
-            (run_cli [ "perf"; "check"; "--baseline"; baseline; "--current"; current ]);
+            (run_cli [ "check"; "--baseline"; baseline; "--current"; current ]);
           check Alcotest.int "report exits 0" 0
-            (run_cli [ "perf"; "report"; "--baseline"; baseline; "--current"; current ]);
+            (run_cli [ "report"; "--baseline"; baseline; "--current"; current ]);
           Results.save current (regress doc);
           check Alcotest.int "synthetic regression exits 1" 1
-            (run_cli [ "perf"; "check"; "--baseline"; baseline; "--current"; current ]);
+            (run_cli [ "check"; "--baseline"; baseline; "--current"; current ]);
           check Alcotest.int "relax does not forgive deterministic regressions" 1
-            (run_cli
-               [
-                 "perf"; "check"; "--baseline"; baseline; "--current"; current; "--relax"; "100";
-               ]);
+            (run_cli [ "check"; "--baseline"; baseline; "--current"; current; "--relax"; "100" ]);
           (* No current results: the baseline self-checks green. *)
           Sys.remove current;
           check Alcotest.int "missing current self-checks the baseline" 0
-            (run_cli [ "perf"; "check"; "--baseline"; baseline; "--current"; current ])))
+            (run_cli [ "check"; "--baseline"; baseline; "--current"; current ])))
 
 let test_cli_io_errors () =
   check Alcotest.int "missing baseline exits 2" 2
-    (run_cli [ "perf"; "check"; "--baseline"; "/nonexistent/baseline.json" ]);
+    (run_cli [ "check"; "--baseline"; "/nonexistent/baseline.json" ]);
   check Alcotest.int "promote without results exits 2" 2
-    (run_cli [ "perf"; "promote"; "--current"; "/nonexistent/latest.json" ])
+    (run_cli [ "promote"; "--current"; "/nonexistent/latest.json" ])
+
+(* bench/main.exe reads its first argument as a gate subcommand before
+   it reads it as a section name. *)
+let test_sections_leave_gate_names () =
+  check
+    Alcotest.(list string)
+    "no section is named like a gate subcommand" []
+    (List.filter (fun n -> List.mem n [ "check"; "promote"; "report" ]) Bench_sections.names)
 
 let suite =
   ( "bench-smoke",
@@ -187,4 +199,6 @@ let suite =
       Alcotest.test_case "same-seed re-run is deterministic" `Slow test_rerun_is_deterministic;
       Alcotest.test_case "perf CLI gates end to end" `Slow test_cli_gates;
       Alcotest.test_case "perf CLI distinguishes IO errors" `Quick test_cli_io_errors;
+      Alcotest.test_case "no section shadows a gate subcommand" `Quick
+        test_sections_leave_gate_names;
     ] )

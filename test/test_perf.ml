@@ -6,6 +6,7 @@
 module Sample = Adgc_perf.Sample
 module Results = Adgc_perf.Results
 module Compare = Adgc_perf.Compare
+module Bench_detection = Adgc_bench.Bench_detection
 module Stats = Adgc_util.Stats
 module Json = Adgc_util.Json
 
@@ -38,13 +39,13 @@ let doc ?(rev = "test") ?(smoke = true) samples =
 
 let verdict_t = Alcotest.testable (Fmt.of_to_string Compare.verdict_to_string) ( = )
 
-let one_verdict ?tol ~baseline ~current () =
-  match Compare.compare_docs ?tol ~baseline ~current () with
+let one_verdict ?relax ~baseline ~current () =
+  match Compare.compare_docs ?relax ~baseline ~current () with
   | [ f ] -> f
   | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs)
 
-let judge ?tol base cur =
-  (one_verdict ?tol ~baseline:(doc [ base ]) ~current:(doc [ cur ]) ()).Compare.verdict
+let judge ?relax base cur =
+  (one_verdict ?relax ~baseline:(doc [ base ]) ~current:(doc [ cur ]) ()).Compare.verdict
 
 (* --- pinned verdict classes ------------------------------------- *)
 
@@ -81,11 +82,10 @@ let test_stddev_widens_band () =
     (judge (sample 100.0) (sample ~stddev:10.0 120.0))
 
 let test_relax_timing_only () =
-  let tol = { Compare.default_tolerance with Compare.relax = 3.0 } in
   check verdict_t "relax widens a timing series" Compare.Unchanged
-    (judge ~tol (sample 100.0) (sample 125.0));
+    (judge ~relax:3.0 (sample 100.0) (sample 125.0));
   check verdict_t "deterministic series are never relaxed" Compare.Regressed
-    (judge ~tol
+    (judge ~relax:3.0
        (sample ~klass:Sample.Deterministic 100.0)
        (sample ~klass:Sample.Deterministic 125.0))
 
@@ -116,6 +116,39 @@ let test_slo_ceiling () =
   check Alcotest.bool "baseline slo inherited" true f.Compare.slo_violated;
   check verdict_t "under the ceiling is judged normally" Compare.Unchanged
     (judge (sample ~slo:50.0 40.0) (sample ~slo:50.0 42.0))
+
+(* A latency percentile ranked into the histogram's overflow bucket is
+   infinite, which the document writes as null and reads back as nan;
+   a detection scenario that never concluded records nan directly.
+   Either way the series lost its value, and the gate must say so. *)
+let test_non_finite_median () =
+  let det = sample ~klass:Sample.Deterministic ~unit_:"ticks" in
+  check verdict_t "nan against a finite baseline regresses" Compare.Regressed
+    (judge (det 64.0) (det Float.nan));
+  check verdict_t "infinity against a finite baseline regresses" Compare.Regressed
+    (judge (det 64.0) (det Float.infinity));
+  check verdict_t "relax does not forgive a lost timing value" Compare.Regressed
+    (judge ~relax:100.0 (sample 10.0) (sample Float.nan));
+  check verdict_t "a baseline without a value is not compared" Compare.Unchanged
+    (judge (det Float.nan) (det 64.0));
+  match Scaffold.results_of_string (Scaffold.results_to_string (doc [ det Float.infinity ])) with
+  | Error e -> Alcotest.failf "document does not roundtrip: %s" e
+  | Ok current ->
+      check verdict_t "an overflowed percentile regresses after the document roundtrip"
+        Compare.Regressed
+        (one_verdict ~baseline:(doc [ det 64.0 ]) ~current ()).Compare.verdict
+
+let test_non_finite_breaches_slo () =
+  let p99 = sample ~klass:Sample.Deterministic ~unit_:"ticks" ~slo:2048.0 in
+  let f = one_verdict ~baseline:(doc [ p99 64.0 ]) ~current:(doc [ p99 Float.nan ]) () in
+  check Alcotest.bool "a paired nan breaches the ceiling" true f.Compare.slo_violated;
+  let f = one_verdict ~baseline:(doc []) ~current:(doc [ p99 Float.nan ]) () in
+  check verdict_t "a new nan series regresses" Compare.Regressed f.Compare.verdict;
+  check Alcotest.bool "on its ceiling" true f.Compare.slo_violated;
+  (* A baseline that lost its own value fails its self-check. *)
+  let lost = doc [ p99 Float.nan ] in
+  check Alcotest.int "nan baseline self-check exits 1" 1
+    (Compare.exit_code (Compare.compare_docs ~baseline:lost ~current:lost ()))
 
 let test_exit_codes () =
   let clean =
@@ -250,7 +283,8 @@ let test_histogram_empty () =
   let stats = Stats.create () in
   check Alcotest.bool "unobserved name has no histogram" true
     (Stats.histogram_opt stats "nope" = None);
-  check Alcotest.bool "and no percentiles" true (Adgc_obs.Export.percentiles stats "nope" = None)
+  check Alcotest.bool "and no percentiles" true
+    (Bench_detection.percentiles ~ps:[ 50.0 ] stats "nope" = None)
 
 let test_histogram_single_bucket () =
   let stats = Stats.create () in
@@ -261,7 +295,7 @@ let test_histogram_single_bucket () =
       check (Alcotest.float 0.0)
         (Printf.sprintf "p%g is the bucket bound" p)
         8.0
-        (Stats.histogram_percentile h p))
+        (Bench_detection.histogram_percentile h p))
     [ 1.0; 50.0; 99.0; 100.0 ]
 
 let test_histogram_exact_ranks () =
@@ -270,7 +304,7 @@ let test_histogram_exact_ranks () =
      nearest-rank percentiles land on known bucket bounds. *)
   List.iter (fun v -> Stats.observe stats "h" v) [ 0.5; 1.5; 2.0; 3.0 ];
   let h = Option.get (Stats.histogram_opt stats "h") in
-  let p v = Stats.histogram_percentile h v in
+  let p v = Bench_detection.histogram_percentile h v in
   check (Alcotest.float 0.0) "p25 -> first bucket" 1.0 (p 25.0);
   check (Alcotest.float 0.0) "p50 -> second bucket" 2.0 (p 50.0);
   check (Alcotest.float 0.0) "p75 -> second bucket" 2.0 (p 75.0);
@@ -282,29 +316,30 @@ let test_histogram_overflow_saturates () =
   Stats.observe stats "h" 1e9;
   Stats.observe stats "h" 1e9;
   let h = Option.get (Stats.histogram_opt stats "h") in
-  check (Alcotest.float 0.0) "low rank still binned" 1.0 (Stats.histogram_percentile h 25.0);
+  check (Alcotest.float 0.0) "low rank still binned" 1.0
+    (Bench_detection.histogram_percentile h 25.0);
   check Alcotest.bool "overflow rank is infinite" true
-    (Stats.histogram_percentile h 99.0 = Float.infinity);
+    (Bench_detection.histogram_percentile h 99.0 = Float.infinity);
   (* All-overflow: every percentile saturates. *)
   let stats2 = Stats.create () in
   Stats.observe stats2 "h" 1e9;
   let h2 = Option.get (Stats.histogram_opt stats2 "h") in
   check Alcotest.bool "saturated histogram pins to infinity" true
-    (Stats.histogram_percentile h2 1.0 = Float.infinity)
+    (Bench_detection.histogram_percentile h2 1.0 = Float.infinity)
 
 let test_export_percentiles () =
   let stats = Stats.create () in
   (* default power-of-two buckets: 3 -> bound 4, 100 -> bound 128 *)
   Stats.observe stats "dcda.detection_latency" 3.0;
   Stats.observe stats "dcda.detection_latency" 100.0;
-  (match Adgc_obs.Export.percentiles ~ps:[ 50.0; 99.0 ] stats "dcda.detection_latency" with
+  (match Bench_detection.percentiles ~ps:[ 50.0; 99.0 ] stats "dcda.detection_latency" with
   | Some [ (50.0, p50); (99.0, p99) ] ->
       check (Alcotest.float 0.0) "p50 snaps to a power of two" 4.0 p50;
       check (Alcotest.float 0.0) "p99 snaps to a power of two" 128.0 p99
   | Some l -> Alcotest.failf "unexpected percentile list of length %d" (List.length l)
   | None -> Alcotest.fail "histogram not found");
   check Alcotest.bool "unknown histogram is None" true
-    (Adgc_obs.Export.percentiles stats "nope" = None)
+    (Bench_detection.percentiles ~ps:[ 50.0 ] stats "nope" = None)
 
 let suite =
   ( "perf",
@@ -315,6 +350,9 @@ let suite =
       Alcotest.test_case "relax is timing-only" `Quick test_relax_timing_only;
       Alcotest.test_case "missing and new are informational" `Quick test_missing_and_new;
       Alcotest.test_case "slo ceilings gate" `Quick test_slo_ceiling;
+      Alcotest.test_case "non-finite median regresses" `Quick test_non_finite_median;
+      Alcotest.test_case "non-finite median breaches the slo" `Quick
+        test_non_finite_breaches_slo;
       Alcotest.test_case "exit codes" `Quick test_exit_codes;
       Alcotest.test_case "sample json roundtrip" `Quick test_sample_roundtrip;
       Alcotest.test_case "document roundtrip is canonical" `Quick
