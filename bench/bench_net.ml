@@ -35,7 +35,7 @@ let run recorder =
             Sim.teardown sim;
             let r =
               Coordinator.run
-                (Coordinator.options ~spawn:(Coordinator.Exec [ exe; "serve" ]) scenario)
+                (Coordinator.options ~serve:[ exe; "serve" ] scenario)
             in
             let frames = Stats.get r.Coordinator.stats "net.wire.sent" in
             let wall = Float.max 1e-6 r.Coordinator.wall_s in

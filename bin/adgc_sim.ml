@@ -407,7 +407,7 @@ let drive_cmd topology procs seed detector objects edges tick_us deadline dir
   in
   let opts =
     Coordinator.options ?dir ~tick_us ~deadline_s:deadline ~faults
-      ~spawn:(Coordinator.Exec [ Sys.executable_name; "serve" ])
+      ~serve:[ Sys.executable_name; "serve" ]
       ~keep_dir scenario
   in
   match Coordinator.run opts with
@@ -457,19 +457,11 @@ let topology_arg =
     & info [ "topology"; "t" ]
         ~doc:"Topology: fig3, fig4, fig5, ring, hybrid, random, star, pairs, lattice, web or chain.")
 
-(* Scale knobs default from the environment so CI matrix legs and the
-   scale smoke job can sweep process/object counts without rewriting
-   every command line. *)
-let int_env var default =
-  match Sys.getenv_opt var with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n > 0 -> n | _ -> default)
-  | None -> default
-
 let procs_arg =
   Arg.(
     value
-    & opt int (int_env "ADGC_PROCS" 4)
-    & info [ "procs"; "p" ] ~doc:"Number of processes (default from ADGC_PROCS, then 4).")
+    & opt int 4
+    & info [ "procs"; "p" ] ~doc:"Number of processes.")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed.")
 
@@ -485,9 +477,8 @@ let churn_arg = Arg.(value & opt int 0 & info [ "churn" ] ~doc:"Random mutator a
 let objects_arg =
   Arg.(
     value
-    & opt int (int_env "ADGC_OBJECTS" 100)
-    & info [ "objects" ]
-        ~doc:"Objects (random topology; default from ADGC_OBJECTS, then 100).")
+    & opt int 100
+    & info [ "objects" ] ~doc:"Objects (random topology).")
 
 let edges_arg = Arg.(value & opt int 200 & info [ "edges" ] ~doc:"Edges (random topology).")
 

@@ -27,53 +27,81 @@ let kind = function
 
 let describe v = Format.asprintf "%a" pp v
 
-let check ?live cluster =
-  let rt = Cluster.rt cluster in
-  (* Membership in the globally-live set: an explicit [?live] set is
-     honoured as-is (tests pin baselines that way); the default path
-     uses the set-free mark-byte predicate — at millions of objects
-     the windowed oracle sweep cannot afford to build the Oid.Set. *)
-  let is_live =
-    match live with
-    | Some l -> fun oid -> Oid.Set.mem oid l
-    | None -> Cluster.live_predicate cluster
-  in
+type view = {
+  procs : Proc_id.t list;
+  alive : Proc_id.t -> bool;
+  is_live : Oid.t -> bool;
+  mem : Oid.t -> bool;
+  iter_refs : Proc_id.t -> (Oid.t -> Oid.t -> unit) -> unit;
+  iter_scions : Proc_id.t -> (Ref_key.t -> int -> unit) -> unit;
+  stub_ic : Proc_id.t -> Oid.t -> int option;
+}
+
+let structural v =
   let acc = ref [] in
-  let push v = acc := v :: !acc in
-  Array.iter
-    (fun (p : Process.t) ->
-      if p.Process.alive then begin
-        (* Live references never dangle into freed memory.  Only
-           globally-live holders are judged: a garbage object may
-           legitimately outlive what it points at (sweeps are not
-           atomic across processes), but nothing reachable may. *)
-        Heap.iter p.Process.heap (fun obj ->
-            if is_live obj.Heap.oid then
-              Array.iter
-                (function
-                  | None -> ()
-                  | Some target ->
-                      let owner = Runtime.proc rt (Oid.owner target) in
-                      if owner.Process.alive && not (Heap.mem owner.Process.heap target) then
-                        push (Dangling_ref { proc = p.Process.id; holder = obj.Heap.oid; target }))
-                obj.Heap.fields);
-        (* Every scion guards an existing object, and its counter
-           never overtakes the stub counter it is a copy of. *)
-        List.iter
-          (fun (e : Scion_table.entry) ->
-            let key = e.Scion_table.key in
-            if not (Heap.mem p.Process.heap key.Ref_key.target) then push (Scion_dangles { key })
-            else begin
-              let holder = Runtime.proc rt key.Ref_key.src in
-              if holder.Process.alive then
-                match Stub_table.find holder.Process.stubs key.Ref_key.target with
-                | Some se when se.Stub_table.ic < e.Scion_table.ic ->
-                    push
-                      (Ic_regression
-                         { key; stub_ic = se.Stub_table.ic; scion_ic = e.Scion_table.ic })
-                | Some _ | None -> ()
-            end)
-          (Scion_table.entries p.Process.scions)
-      end)
-    rt.Runtime.procs;
+  let push x = acc := x :: !acc in
+  List.iter
+    (fun proc ->
+      (* Live references never dangle into freed memory.  Only
+         globally-live holders are judged: a garbage object may
+         legitimately outlive what it points at (sweeps are not
+         atomic across processes), but nothing reachable may.  The
+         rare dangling target is tested before the holder's
+         liveness. *)
+      v.iter_refs proc (fun holder target ->
+          if v.alive (Oid.owner target) && (not (v.mem target)) && v.is_live holder then
+            push (Dangling_ref { proc; holder; target }));
+      (* Every scion guards an existing object, and its counter never
+         overtakes the stub counter it is a copy of. *)
+      v.iter_scions proc (fun key scion_ic ->
+          if not (v.mem key.Ref_key.target) then push (Scion_dangles { key })
+          else if v.alive key.Ref_key.src then
+            match v.stub_ic key.Ref_key.src key.Ref_key.target with
+            | Some stub_ic when stub_ic < scion_ic ->
+                push (Ic_regression { key; stub_ic; scion_ic })
+            | Some _ | None -> ()))
+    v.procs;
   List.rev !acc
+
+let check cluster =
+  let rt = Cluster.rt cluster in
+  let proc pid = Runtime.proc rt pid in
+  structural
+    {
+      procs =
+        Array.fold_right
+          (fun (p : Process.t) acc -> if p.Process.alive then p.Process.id :: acc else acc)
+          rt.Runtime.procs [];
+      alive = (fun pid -> (proc pid).Process.alive);
+      (* The set-free mark-byte predicate: at millions of objects the
+         windowed oracle sweep cannot afford to build the live set. *)
+      is_live = Cluster.live_predicate cluster;
+      mem = (fun oid -> Heap.mem (proc (Oid.owner oid)).Process.heap oid);
+      iter_refs =
+        (fun pid f ->
+          Heap.iter (proc pid).Process.heap (fun obj ->
+              Array.iter
+                (function None -> () | Some target -> f obj.Heap.oid target)
+                obj.Heap.fields));
+      iter_scions =
+        (fun pid f ->
+          List.iter
+            (fun (e : Scion_table.entry) -> f e.Scion_table.key e.Scion_table.ic)
+            (Scion_table.entries (proc pid).Process.scions));
+      stub_ic =
+        (fun holder target ->
+          Option.map
+            (fun (se : Stub_table.entry) -> se.Stub_table.ic)
+            (Stub_table.find (proc holder).Process.stubs target));
+    }
+
+let watch_sweeps cluster f =
+  let rt = Cluster.rt cluster in
+  let previous = rt.Runtime.on_pre_sweep in
+  rt.Runtime.on_pre_sweep <-
+    Some
+      (fun proc doomed ->
+        (match previous with Some g -> g proc doomed | None -> ());
+        (* Every heap is still intact here, so ground truth is exact
+           for the objects about to go. *)
+        List.iter (fun oid -> f (Live_reclaimed { proc; oid })) (Cluster.live_among cluster doomed))

@@ -66,18 +66,7 @@ let stop t =
 let install ?(window = 500) cluster =
   Trace.set_enabled (Cluster.trace cluster) true;
   let t = { cluster; events = []; first_report = None; handle = None; stopped = false } in
-  let rt = Cluster.rt cluster in
-  let previous = rt.Runtime.on_pre_sweep in
-  rt.Runtime.on_pre_sweep <-
-    Some
-      (fun proc doomed ->
-        (match previous with Some f -> f proc doomed | None -> ());
-        (* Every heap is still intact here, so ground truth is exact
-           for the objects about to go. *)
-        if not t.stopped then
-          List.iter
-            (fun oid -> record t (Invariant.Live_reclaimed { proc; oid }))
-            (Cluster.live_among cluster doomed));
+  Invariant.watch_sweeps cluster (fun v -> if not t.stopped then record t v);
   t.handle <-
     Some (Scheduler.daemon (Cluster.sched cluster) ~period:window (fun () -> sweep_instantaneous t));
   Cluster.at_teardown cluster (fun () -> stop t);

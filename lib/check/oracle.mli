@@ -3,11 +3,12 @@
     Installed over a {!Adgc_rt.Cluster.t}, the oracle watches two
     channels:
 
-    - the pre-sweep hook, where it computes ground truth with every
-      heap still intact and flags any globally-live object about to be
-      reclaimed (the temporal half of safety);
+    - the pre-sweep hook ({!Invariant.watch_sweeps}), where ground
+      truth is judged with every heap still intact and any
+      globally-live object about to be reclaimed is flagged (the
+      temporal half of safety);
     - a recurring tick-window sweep of the instantaneous
-      {!Invariant}s (dangling references, dangling scions, invocation
+      {!Invariant.check} (dangling references, dangling scions, invocation
       counter conservation), scheduled as a
       {!Adgc_rt.Scheduler.daemon} so it never keeps a drain from
       ending.

@@ -4,6 +4,7 @@ module Sim = Adgc.Sim
 module Config = Adgc.Config
 module Kernel = Adgc.Kernel
 module Json = Adgc_util.Json
+module Invariant = Adgc_check.Invariant
 
 type t = {
   sim : Sim.t;
@@ -17,18 +18,8 @@ type t = {
   scans : int array;
   lgcs : int array;
   sends : int array;
-  mutable sweep_violations : string list;
+  mutable swept : Invariant.violation list;  (** newest first *)
 }
-
-(* Ground truth for the checker is the cluster's own tracer,
-   [Cluster.globally_live] — including its in-flight refinement (an
-   RMI reply's [target] is never imported on delivery, only its
-   [results] are, so a sweep racing the reply envelope is
-   legitimate).  The checker keeps no private copy: the simulator's
-   oracle, the metrics sampler and this checker all judge liveness
-   with the same function, so a refinement bug cannot hide in one
-   driver. *)
-let live_refined t = Cluster.globally_live (Sim.cluster t.sim)
 
 let create ?mutant ?caps (scenario : Scenario.t) =
   Adgc_util.Mc_mutate.set mutant;
@@ -50,22 +41,12 @@ let create ?mutant ?caps (scenario : Scenario.t) =
       scans = Array.make n 0;
       lgcs = Array.make n 0;
       sends = Array.make n 0;
-      sweep_violations = [];
+      swept = [];
     }
   in
-  let rt = Sim.rt sim in
-  rt.Runtime.on_pre_sweep <-
-    Some
-      (fun proc doomed ->
-        let live = live_refined t in
-        List.iter
-          (fun oid ->
-            if Oid.Set.mem oid live then
-              t.sweep_violations <-
-                Format.asprintf "live_reclaimed: globally-live %a swept by %a's LGC" Oid.pp oid
-                  Proc_id.pp proc
-                :: t.sweep_violations)
-          doomed);
+  (* The pre-sweep check every driver installs; [apply] renders what
+     it records. *)
+  Invariant.watch_sweeps (Sim.cluster sim) (fun v -> t.swept <- v :: t.swept);
   t
 
 let sim t = t.sim
@@ -200,17 +181,12 @@ let apply t a =
   match perform t a with
   | Error _ as e -> e
   | Ok () ->
-      let swept = List.rev t.sweep_violations in
-      t.sweep_violations <- [];
-      let live = live_refined t in
-      let inst =
-        List.map
-          (fun v ->
-            Printf.sprintf "%s: %s" (Adgc_check.Invariant.kind v)
-              (Adgc_check.Invariant.describe v))
-          (Adgc_check.Invariant.check ~live (Sim.cluster t.sim))
-      in
-      Ok (swept @ inst)
+      let swept = List.rev t.swept in
+      t.swept <- [];
+      Ok
+        (List.map
+           (fun v -> Printf.sprintf "%s: %s" (Invariant.kind v) (Invariant.describe v))
+           (swept @ Invariant.check (Sim.cluster t.sim)))
 
 (* --------------------------------------------------------------- *)
 (* Canonical state digest.                                          *)

@@ -23,10 +23,11 @@ val enabled : t -> Action.t list
 
 val apply : t -> Action.t -> (string list, string) result
 (** Perform one action.  [Ok violations] carries every safety
-    violation observed during or right after the step (pre-sweep
-    ground-truth hits and {!Adgc_check.Invariant.check} findings,
-    rendered as stable strings); [Error reason] means the action was
-    not applicable in this state and nothing happened. *)
+    violation observed during or right after the step: what
+    {!Adgc_check.Invariant.watch_sweeps} recorded, then the
+    {!Adgc_check.Invariant.check} findings, each rendered as
+    ["kind: description"]; [Error reason] means the action was not
+    applicable in this state and nothing happened. *)
 
 val fingerprint : t -> string
 (** Canonical digest of the reachable system state: heaps, roots,

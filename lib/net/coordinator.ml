@@ -3,8 +3,6 @@ module Stats = Adgc_util.Stats
 module Span = Adgc_obs.Span
 open Adgc_algebra
 
-type spawn = Fork | Exec of string list
-
 type fault =
   | Kill of { rank : int; after_s : float }
   | Drop of { rank : int; peer : int; after_s : float }
@@ -15,13 +13,13 @@ type options = {
   tick_us : int;
   deadline_s : float;
   faults : fault list;
-  spawn : spawn;
+  serve : string list;
   keep_dir : bool;
 }
 
-let options ?dir ?(tick_us = 100) ?(deadline_s = 60.0) ?(faults = []) ?(spawn = Fork)
-    ?(keep_dir = false) scenario =
-  { scenario; dir; tick_us; deadline_s; faults; spawn; keep_dir }
+let options ?dir ?(tick_us = 100) ?(deadline_s = 60.0) ?(faults = []) ?(keep_dir = false) ~serve
+    scenario =
+  { scenario; dir; tick_us; deadline_s; faults; serve; keep_dir }
 
 type result = {
   verdict : Gather.verdict;
@@ -89,31 +87,11 @@ let node_config opts ~dir rank =
   in
   { Node.rank; scenario = opts.scenario; dir; tick_us = opts.tick_us; max_ticks }
 
-let spawn_fork opts ~dir ~listener rank =
-  let err = Filename.concat dir (Printf.sprintf "node-%d.err" rank) in
-  match Unix.fork () with
-  | 0 ->
-      let code =
-        try
-          let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-          Unix.dup2 fd Unix.stdout;
-          Unix.dup2 fd Unix.stderr;
-          Unix.close fd;
-          (try Unix.close listener with Unix.Unix_error _ -> ());
-          Node.main (node_config opts ~dir rank);
-          0
-        with exn ->
-          Printf.eprintf "node %d: %s\n%!" rank (Printexc.to_string exn);
-          1
-      in
-      Unix._exit code
-  | pid -> pid
-
-let spawn_exec opts ~dir argv rank =
+let spawn opts ~dir rank =
   let sc = opts.scenario in
   let cfg = node_config opts ~dir rank in
   let args =
-    argv
+    opts.serve
     @ [
         "--dir"; dir;
         "--rank"; string_of_int rank;
@@ -134,7 +112,7 @@ let spawn_exec opts ~dir argv rank =
       0o644
   in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let pid = Unix.create_process (List.hd argv) (Array.of_list args) devnull err err in
+  let pid = Unix.create_process (List.hd opts.serve) (Array.of_list args) devnull err err in
   Unix.close err;
   Unix.close devnull;
   pid
@@ -305,11 +283,7 @@ let run opts =
   let nodes =
     phase "net.spawn" (fun () ->
         Array.init n (fun rank ->
-            let pid =
-              match opts.spawn with
-              | Fork -> spawn_fork opts ~dir ~listener rank
-              | Exec argv -> spawn_exec opts ~dir argv rank
-            in
+            let pid = spawn opts ~dir rank in
             {
               rank;
               pid;

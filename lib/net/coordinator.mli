@@ -15,13 +15,6 @@
     garbage stops being required (see {!Scenario.garbage_excluding})
     and the run continues with the survivors. *)
 
-type spawn =
-  | Fork  (** [Unix.fork] + {!Node.main} in the child — any binary (tests, bench) *)
-  | Exec of string list
-      (** spawn [argv @ per-node flags] via [Unix.create_process]; the
-          command must implement the [serve] contract
-          ([adgc_sim serve] does) *)
-
 type fault =
   | Kill of { rank : int; after_s : float }  (** SIGKILL that node mid-run *)
   | Drop of { rank : int; peer : int; after_s : float }
@@ -34,7 +27,10 @@ type options = {
   tick_us : int;
   deadline_s : float;  (** wall-clock budget after [Start] *)
   faults : fault list;
-  spawn : spawn;
+  serve : string list;
+      (** each node is [serve @ per-node flags], spawned via
+          [Unix.create_process]; the command must implement the
+          [serve] contract ([adgc_sim serve] does) *)
   keep_dir : bool;  (** keep the temp dir (logs) after a clean run *)
 }
 
@@ -43,12 +39,11 @@ val options :
   ?tick_us:int ->
   ?deadline_s:float ->
   ?faults:fault list ->
-  ?spawn:spawn ->
   ?keep_dir:bool ->
+  serve:string list ->
   Scenario.t ->
   options
-(** Defaults: temp dir, 100 us/tick, 60 s deadline, no faults,
-    [Fork]. *)
+(** Defaults: temp dir, 100 us/tick, 60 s deadline, no faults. *)
 
 type result = {
   verdict : Gather.verdict;

@@ -145,12 +145,17 @@ type verdict = {
 let clean v = v.violations = []
 
 let check ~expected_live ~expected_garbage ?(dead = []) states =
-  let dead_ranks = List.fold_left (fun s r -> Proc_id.Set.add (Proc_id.of_int r) s) Proc_id.Set.empty dead in
-  let is_dead pid = Proc_id.Set.mem pid dead_ranks in
-  (* Index every surviving object. *)
+  let is_dead pid = List.mem (Proc_id.to_int pid) dead in
+  (* Index every surviving object and node. *)
   let objects : object_state Oid.Tbl.t = Oid.Tbl.create 1024 in
+  let nodes = Hashtbl.create 16 in
+  let stub_ics : (Proc_id.t * Oid.t, int) Hashtbl.t = Hashtbl.create 256 in
   List.iter
-    (fun (ns : node_state) -> List.iter (fun o -> Oid.Tbl.replace objects o.oid o) ns.objects)
+    (fun (ns : node_state) ->
+      let pid = Proc_id.of_int ns.rank in
+      Hashtbl.replace nodes pid ns;
+      List.iter (fun o -> Oid.Tbl.replace objects o.oid o) ns.objects;
+      List.iter (fun s -> Hashtbl.replace stub_ics (pid, s.target) s.stub_ic) ns.stubs)
     states;
   let reclaimed =
     List.fold_left
@@ -159,9 +164,8 @@ let check ~expected_live ~expected_garbage ?(dead = []) states =
       Oid.Set.empty states
   in
   (* Reachability closure from every surviving root, crossing remote
-     references — the distributed-state mirror of
-     [Cluster.globally_live] (no in-flight messages: the coordinator
-     only judges quiescent gathers). *)
+     references — the gathered-state ground truth (no in-flight
+     messages: the coordinator only judges quiescent gathers). *)
   let live = ref Oid.Set.empty in
   let queue = Queue.create () in
   List.iter
@@ -176,63 +180,38 @@ let check ~expected_live ~expected_garbage ?(dead = []) states =
     end
   done;
   let live = !live in
-  let violations = ref [] in
-  let report v = violations := v :: !violations in
   (* Safety half of Live_reclaimed: the workload is static, so the
      pre-run expected live set is exact — anything reclaimed from it
      was reclaimed while globally reachable. *)
-  List.iter
-    (fun (ns : node_state) ->
-      List.iter
-        (fun oid ->
-          if Oid.Set.mem oid expected_live then
-            report (Invariant.Live_reclaimed { proc = Proc_id.of_int ns.rank; oid }))
-        ns.reclaimed)
-    states;
-  (* Dangling_ref: a live object's field points at memory absent from
-     every surviving heap.  References into dead processes are
-     wreckage, not judged. *)
-  List.iter
-    (fun (ns : node_state) ->
-      List.iter
-        (fun o ->
-          if Oid.Set.mem o.oid live then
-            List.iter
-              (fun r ->
-                if (not (is_dead (Oid.owner r))) && not (Oid.Tbl.mem objects r) then
-                  report
-                    (Invariant.Dangling_ref
-                       { proc = Proc_id.of_int ns.rank; holder = o.oid; target = r }))
-              o.refs)
-        ns.objects)
-    states;
-  (* Scion_dangles / Ic_regression over the gathered tables. *)
-  let stub_ics : (Proc_id.t * Oid.t, int) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun (ns : node_state) ->
-      List.iter
-        (fun s -> Hashtbl.replace stub_ics (Proc_id.of_int ns.rank, s.target) s.stub_ic)
-        ns.stubs)
-    states;
-  List.iter
-    (fun (ns : node_state) ->
-      List.iter
-        (fun s ->
-          let target = s.key.Ref_key.target in
-          let holder = s.key.Ref_key.src in
-          if not (Oid.Tbl.mem objects target) then report (Invariant.Scion_dangles { key = s.key });
-          if not (is_dead holder) then
-            match Hashtbl.find_opt stub_ics (holder, target) with
-            | Some stub_ic when s.scion_ic > stub_ic ->
-                report (Invariant.Ic_regression { key = s.key; stub_ic; scion_ic = s.scion_ic })
-            | Some _ | None -> ())
-        ns.scions)
-    states;
-  let owned_by_dead oid = is_dead (Oid.owner oid) in
-  let unreclaimed =
-    Oid.Set.filter (fun o -> not (owned_by_dead o)) (Oid.Set.diff expected_garbage reclaimed)
+  let live_reclaimed =
+    List.concat_map
+      (fun (ns : node_state) ->
+        List.filter_map
+          (fun oid ->
+            if Oid.Set.mem oid expected_live then
+              Some (Invariant.Live_reclaimed { proc = Proc_id.of_int ns.rank; oid })
+            else None)
+          ns.reclaimed)
+      states
   in
-  { violations = List.rev !violations; live; reclaimed; unreclaimed }
+  let node pid = Hashtbl.find nodes pid in
+  let structural =
+    Invariant.structural
+      {
+        procs = List.map (fun (ns : node_state) -> Proc_id.of_int ns.rank) states;
+        alive = (fun pid -> not (is_dead pid));
+        is_live = (fun oid -> Oid.Set.mem oid live);
+        mem = Oid.Tbl.mem objects;
+        iter_refs =
+          (fun pid f -> List.iter (fun o -> List.iter (f o.oid) o.refs) (node pid).objects);
+        iter_scions = (fun pid f -> List.iter (fun s -> f s.key s.scion_ic) (node pid).scions);
+        stub_ic = (fun holder target -> Hashtbl.find_opt stub_ics (holder, target));
+      }
+  in
+  let unreclaimed =
+    Oid.Set.filter (fun o -> not (is_dead (Oid.owner o))) (Oid.Set.diff expected_garbage reclaimed)
+  in
+  { violations = live_reclaimed @ structural; live; reclaimed; unreclaimed }
 
 let pp_verdict ppf v =
   Format.fprintf ppf "@[<v>reclaimed %d, live %d, unreclaimed garbage %d, violations %d"

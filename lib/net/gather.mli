@@ -5,8 +5,8 @@
     node serializes its {e authoritative} state — its own process's
     heap, stub and scion tables plus the objects it reclaimed — and
     the coordinator reassembles the cluster-wide ground truth and runs
-    the same invariants {!Adgc_check.Invariant} checks in-memory,
-    producing the same {!Adgc_check.Invariant.violation} values.
+    {!Adgc_check.Invariant.structural} over it, the same function the
+    in-memory drivers run.
 
     The workload is frozen once the run starts (topologies are built
     deterministically before [Start]; the mutator never runs under the
@@ -60,8 +60,7 @@ val read : Adgc_serial.Net_codec.Read.t -> node_state
 
 type verdict = {
   violations : Adgc_check.Invariant.violation list;
-      (** structural invariant breaks, same constructors the in-memory
-          oracle reports *)
+      (** every [Live_reclaimed], then the structural violations *)
   live : Oid.Set.t;  (** reachability closure over the gathered heaps *)
   reclaimed : Oid.Set.t;  (** union of every node's reclaimed set *)
   unreclaimed : Oid.Set.t;
@@ -80,12 +79,11 @@ val check :
     wreckage — absent from the gather, excluded from roots, references
     into them unjudged, their garbage owed by nobody.
 
-    Checked: [Live_reclaimed] (a reclaimed object is in
-    [expected_live]), [Dangling_ref] (a gathered-live object's field
-    points at memory absent from every surviving heap),
-    [Scion_dangles] (a scion's target is gone from its owner's heap)
-    and [Ic_regression] (a scion counter ahead of the surviving stub
-    it mirrors). *)
+    Checked here: [Live_reclaimed] (a reclaimed object is in
+    [expected_live]).  The structural invariants come from
+    {!Adgc_check.Invariant.structural} over a view of the states, in
+    which an object is live when the closure over the gathered heaps
+    reaches it. *)
 
 val clean : verdict -> bool
 (** No violations — the safety half only; liveness is [unreclaimed]. *)

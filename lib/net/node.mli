@@ -36,7 +36,5 @@ type config = {
 }
 
 val main : config -> unit
-(** Run until the coordinator's [Shutdown] (or [max_ticks]).  Returns
-    normally; forked callers are expected to [Unix._exit] right
-    after.  Raises on setup failure (bad scenario, unreachable
-    coordinator). *)
+(** Run until the coordinator's [Shutdown] (or [max_ticks]).  Raises on
+    setup failure (bad scenario, unreachable coordinator). *)

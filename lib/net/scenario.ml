@@ -109,8 +109,14 @@ type expected = { live : Oid.Set.t; garbage : Oid.Set.t }
 let expected t =
   let sim, _built = build t in
   let cluster = Sim.cluster sim in
-  let live = Cluster.globally_live cluster in
   let garbage = Cluster.garbage cluster in
+  let live =
+    Array.fold_left
+      (fun acc (p : Adgc_rt.Process.t) ->
+        Adgc_rt.Heap.fold p.Adgc_rt.Process.heap ~init:acc ~f:(fun acc (o : Adgc_rt.Heap.obj) ->
+            if Oid.Set.mem o.oid garbage then acc else Oid.Set.add o.oid acc))
+      Oid.Set.empty (Sim.rt sim).Adgc_rt.Runtime.procs
+  in
   Sim.teardown sim;
   { live; garbage }
 

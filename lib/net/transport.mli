@@ -57,5 +57,5 @@ val accept : Unix.file_descr -> conn option
 val dial : ?attempts:int -> ?delay:float -> addr -> conn
 (** Connect with retry: [attempts] tries (default 40) spaced by
     [delay] seconds (default 0.05) growing 1.5x up to 0.5s — enough
-    patience for a coordinator that is still forking its nodes.
+    patience for a coordinator that is still spawning its nodes.
     Raises [Failure] once exhausted. *)

@@ -193,12 +193,6 @@ let trace_globally_live t ~visit =
     done
   done
 
-let globally_live t =
-  let live = ref Oid.Set.empty in
-  trace_globally_live t ~visit:(fun i id ->
-      live := Oid.Set.add (Heap.dense_oid t.rt.Runtime.procs.(i).Process.heap id) !live);
-  !live
-
 let garbage_count t =
   (* Same fixpoint, but only counting: garbage on each alive heap is
      its population minus the objects the global trace reached there.
@@ -318,7 +312,10 @@ let live_predicate t =
   fun oid -> live_mem t marks oid
 
 let garbage t =
-  let live = globally_live t in
+  let live = ref Oid.Set.empty in
+  trace_globally_live t ~visit:(fun i id ->
+      live := Oid.Set.add (Heap.dense_oid t.rt.Runtime.procs.(i).Process.heap id) !live);
+  let live = !live in
   Array.fold_left
     (fun acc p ->
       if not p.Process.alive then acc

@@ -95,15 +95,6 @@ val restart : t -> int -> unit
 
 val total_objects : t -> int
 
-val globally_live : t -> Oid.Set.t
-(** Objects reachable from the union of all local roots, crossing
-    remote references, plus everything reachable from references
-    sitting inside in-flight messages (the network's incrementally
-    maintained live-ref multiset).  This is ground truth — no protocol
-    state is consulted.  The fixpoint enters each heap with persistent
-    visited marks, so every object is traced exactly once per call
-    regardless of how many rounds the cross-process frontier takes. *)
-
 val ref_carrying_kinds : string list
 (** The message kinds whose payloads can carry importable references.
     Their in-flight population is a reachability input, so the
@@ -120,10 +111,14 @@ val traffic_signature : t -> int
     network. *)
 
 val live_among : t -> Oid.t list -> Oid.t list
-(** Subset of the given oids that {!globally_live} would contain,
-    computed without materializing the set: membership is judged
-    against cached per-process mark bytes indexed by dense id.  The
-    cache revalidates against a monotonic staleness signature that
+(** Subset of the given oids that are globally live, judged against
+    ground truth: objects reachable from the union of all local roots,
+    crossing remote references, plus everything reachable from
+    references sitting inside in-flight messages (the network's
+    incrementally maintained live-ref multiset, {!Msg.live_refs}).  No
+    protocol state is consulted.  The set is never materialized:
+    membership is judged against cached per-process mark bytes indexed
+    by dense id.  The cache revalidates against a monotonic staleness signature that
     folds every reachability input {e except removals}
     ({!Heap.live_mutations}, crash/restart counts, the in-flight
     counters of {!ref_carrying_kinds}) plus each heap's
@@ -135,13 +130,13 @@ val live_among : t -> Oid.t list -> Oid.t list
     judged against exact ground truth. *)
 
 val live_predicate : t -> Oid.t -> bool
-(** [live_predicate t] returns an O(1) membership test for
-    {!globally_live} backed by the same cached marks as
-    {!live_among}.  The returned predicate is only valid until the
+(** [live_predicate t] returns an O(1) globally-live membership test
+    backed by the same cached marks as {!live_among}.  The returned predicate is only valid until the
     next heap mutation, delivery or crash. *)
 
 val garbage : t -> Oid.Set.t
-(** All objects minus {!globally_live}. *)
+(** Every object on a live process that is not globally live (see
+    {!live_among}). *)
 
 val garbage_count : t -> int
 (** [Oid.Set.cardinal (garbage t)], computed without materializing

@@ -1,20 +1,13 @@
-type latency = Inherit_latency | Fixed of int | Uniform of { min : int; max : int }
-
-type loss =
-  | Inherit_loss
-  | Bernoulli of float
-  | Gilbert_elliott of { p_enter : float; p_exit : float; loss_good : float; loss_burst : float }
+type gilbert_elliott = { p_enter : float; p_exit : float; loss_good : float; loss_burst : float }
 
 type link = {
-  latency : latency;
-  loss : loss;
+  burst_loss : gilbert_elliott option;
   duplicate_prob : float;
   reorder_prob : float;
   reorder_skew : int;
 }
 
-let default_link =
-  { latency = Inherit_latency; loss = Inherit_loss; duplicate_prob = 0.0; reorder_prob = 0.0; reorder_skew = 0 }
+let default_link = { burst_loss = None; duplicate_prob = 0.0; reorder_prob = 0.0; reorder_skew = 0 }
 
 type event =
   | Partition of { links : (int * int) list; at : int; heal : int option }
@@ -23,17 +16,11 @@ type event =
 
 type plan = {
   default_link : link;
-  overrides : ((int * int) * link) list;
   link_faults_until : int option;
   events : event list;
 }
 
-let none = { default_link; overrides = []; link_faults_until = None; events = [] }
-
-let link_for plan ~src ~dst =
-  match List.assoc_opt (src, dst) plan.overrides with
-  | Some l -> l
-  | None -> plan.default_link
+let none = { default_link; link_faults_until = None; events = [] }
 
 let split_halves ~n_procs =
   let half = n_procs / 2 in
@@ -68,7 +55,8 @@ let plan_of_profile ?(start = 4_000) ?(stop = 18_000) ~n_procs profile =
         default_link =
           {
             default_link with
-            loss = Gilbert_elliott { p_enter = 0.08; p_exit = 0.30; loss_good = 0.02; loss_burst = 0.75 };
+            burst_loss =
+              Some { p_enter = 0.08; p_exit = 0.30; loss_good = 0.02; loss_burst = 0.75 };
           };
         link_faults_until = Some stop;
       }

@@ -1,7 +1,7 @@
 (** Deterministic fault-injection plans for the network.
 
-    A plan is pure data: per-link latency and loss models, duplication
-    and reordering probabilities, and a schedule of timed partition /
+    A plan is pure data: one link regime (loss model, duplication and
+    reordering probabilities) that every link follows, and a schedule of timed partition /
     heal and crash / restart events.  The network draws every fate
     from its own seeded RNG, so a (seed, plan) pair replays the exact
     same fault sequence — a failing oracle run names the seed and is
@@ -18,24 +18,16 @@
     assumes loss and finite reordering, not arbitrarily old
     messages). *)
 
-type latency =
-  | Inherit_latency  (** use the network config's uniform range *)
-  | Fixed of int
-  | Uniform of { min : int; max : int }  (** inclusive *)
-
-type loss =
-  | Inherit_loss  (** use the network config's [drop_prob] *)
-  | Bernoulli of float
-  | Gilbert_elliott of {
-      p_enter : float;  (** good → burst transition probability per send *)
-      p_exit : float;  (** burst → good transition probability per send *)
-      loss_good : float;
-      loss_burst : float;
-    }
+type gilbert_elliott = {
+  p_enter : float;  (** good → burst transition probability per send *)
+  p_exit : float;  (** burst → good transition probability per send *)
+  loss_good : float;
+  loss_burst : float;
+}
 
 type link = {
-  latency : latency;
-  loss : loss;
+  burst_loss : gilbert_elliott option;
+      (** [None]: the network config's [drop_prob] decides each loss *)
   duplicate_prob : float;  (** probability a delivered message also arrives a second time *)
   reorder_prob : float;
   reorder_skew : int;  (** extra delay (1..skew ticks) given to a reordered message *)
@@ -54,8 +46,7 @@ type event =
           (crash-recovery model: heap, stubs and scions survive) *)
 
 type plan = {
-  default_link : link;
-  overrides : ((int * int) * link) list;  (** per-(src, dst) exceptions *)
+  default_link : link;  (** every link's regime *)
   link_faults_until : int option;
       (** after this tick the link model reverts to {!default_link}'s
           inherited behaviour — the fault-quiescence point the
@@ -65,8 +56,6 @@ type plan = {
 
 val none : plan
 (** The seed behaviour: config latency/drop only, no events. *)
-
-val link_for : plan -> src:int -> dst:int -> link
 
 (** {1 Named profiles (the fault-matrix regimes)} *)
 

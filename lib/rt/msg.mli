@@ -104,8 +104,8 @@ val live_refs : payload -> Oid.t list
     {!payload_refs} in one place: an [Rmi_reply]'s [target] field is
     never imported on delivery (only [results] are), so a reply racing
     the collector does not pin the called object.  This is the single
-    ground-truth tracer seed set shared by {!Cluster.globally_live},
-    the safety oracle and the model checker. *)
+    ground-truth tracer seed set behind {!Cluster.live_among}, which
+    every driver's safety check reads. *)
 
 val emit : t Adgc_serial.Net_codec.shape
 (** Wire representation: one packed run of unsigned ints, the header

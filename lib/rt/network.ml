@@ -113,21 +113,15 @@ let account t (msg : Msg.t) =
 
 (* The link regime for this send: the plan's link while faults are
    active, the inherited default afterwards (fault quiescence). *)
-let active_link t (msg : Msg.t) =
-  let quiescent =
-    match t.faults.Faults.link_faults_until with
-    | None -> false
-    | Some until_ -> Scheduler.now t.sched >= until_
-  in
-  if quiescent then Faults.default_link
-  else
-    Faults.link_for t.faults ~src:(Proc_id.to_int msg.Msg.src) ~dst:(Proc_id.to_int msg.Msg.dst)
+let active_link t =
+  match t.faults.Faults.link_faults_until with
+  | Some until_ when Scheduler.now t.sched >= until_ -> Faults.default_link
+  | Some _ | None -> t.faults.Faults.default_link
 
 let draw_loss t (msg : Msg.t) (lk : Faults.link) =
-  match lk.Faults.loss with
-  | Faults.Inherit_loss -> Rng.bernoulli t.rng t.config.drop_prob
-  | Faults.Bernoulli p -> Rng.bernoulli t.rng p
-  | Faults.Gilbert_elliott { p_enter; p_exit; loss_good; loss_burst } ->
+  match lk.Faults.burst_loss with
+  | None -> Rng.bernoulli t.rng t.config.drop_prob
+  | Some { Faults.p_enter; p_exit; loss_good; loss_burst } ->
       let key = link_key msg.Msg.src msg.Msg.dst in
       let state =
         match Hashtbl.find_opt t.burst key with
@@ -149,14 +143,10 @@ let draw_loss t (msg : Msg.t) (lk : Faults.link) =
       lost
 
 let draw_latency t (lk : Faults.link) =
+  let cfg = t.config in
   let base =
-    match lk.Faults.latency with
-    | Faults.Inherit_latency ->
-        let cfg = t.config in
-        if cfg.latency_max <= cfg.latency_min then cfg.latency_min
-        else Rng.int_in t.rng cfg.latency_min cfg.latency_max
-    | Faults.Fixed d -> d
-    | Faults.Uniform { min; max } -> if max <= min then min else Rng.int_in t.rng min max
+    if cfg.latency_max <= cfg.latency_min then cfg.latency_min
+    else Rng.int_in t.rng cfg.latency_min cfg.latency_max
   in
   if lk.Faults.reorder_prob > 0.0 && Rng.bernoulli t.rng lk.Faults.reorder_prob then begin
     Stats.incr t.stats "net.msg.reordered";
@@ -244,7 +234,7 @@ let send t (msg : Msg.t) =
         Hashtbl.replace t.in_flight id msg;
         register t msg
     | Timed ->
-        let lk = active_link t msg in
+        let lk = active_link t in
         if draw_loss t msg lk then drop None
         else begin
           account t msg;

@@ -7,10 +7,11 @@
     aggressively.
 
     Beyond the config's uniform latency / Bernoulli drop baseline, a
-    {!Faults.plan} turns on adversarial delivery per link: correlated
-    loss bursts (Gilbert–Elliott), message duplication (each copy gets
-    its own latency, so a duplicate can overtake the original),
-    bounded reordering, and scheduled partition / heal windows.  Every
+    {!Faults.plan} turns on one adversarial regime that every link
+    follows: correlated loss bursts (Gilbert–Elliott, each link in its
+    own burst state), message duplication (each copy gets its own
+    latency, so a duplicate can overtake the original), bounded
+    reordering, and scheduled partition / heal windows.  Every
     fate is drawn from the network's seeded RNG — same seed, same
     plan, same fault sequence.
 

@@ -49,11 +49,11 @@ let totals cluster =
   (!stubs, !scions)
 
 let summary_line cluster =
-  let live = Oid.Set.cardinal (Cluster.globally_live cluster) in
   let objects = Cluster.total_objects cluster in
+  let garbage = Cluster.garbage_count cluster in
   let stubs, scions = totals cluster in
   Printf.sprintf "t=%d objects=%d live=%d garbage=%d stubs=%d scions=%d in-flight=%d"
-    (Cluster.now cluster) objects live (objects - live) stubs scions
+    (Cluster.now cluster) objects (objects - garbage) garbage stubs scions
     (Network.in_flight_count (Cluster.net cluster))
 
 let pp_cluster ?names ppf cluster =

@@ -78,6 +78,19 @@ type liveness =
   | Converged of { ticks : int; reclaimed : int }
   | Stuck of { remaining : Oid.Set.t; after : int }
 
+(* Ground truth as a set: every object on a live process that
+   [Cluster.live_predicate] judges globally live. *)
+let globally_live cluster =
+  let is_live = Cluster.live_predicate cluster in
+  let live = ref Oid.Set.empty in
+  for i = 0 to Cluster.n_procs cluster - 1 do
+    let p = Cluster.proc cluster i in
+    if p.Process.alive then
+      Heap.iter p.Process.heap (fun o ->
+          if is_live o.Heap.oid then live := Oid.Set.add o.Heap.oid !live)
+  done;
+  !live
+
 let check_liveness ?(step = 2_000) ?(max_ticks = 600_000) cluster ~run =
   let baseline = Cluster.garbage cluster in
   let total = Oid.Set.cardinal baseline in

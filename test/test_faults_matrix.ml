@@ -9,8 +9,7 @@
    invariants every window — and once faults stop, everything that is
    garbage at that instant must actually be reclaimed (liveness).
 
-   `ADGC_FAULT_SMOKE=1` trims the sweep to one seed per cell for CI;
-   a failing cell prints its (profile, detector, seed) triple, which
+   A failing cell prints its (profile, detector, seed) triple, which
    together with the plan replays the identical run. *)
 
 open Adgc_workload
@@ -27,9 +26,7 @@ module Rng = Adgc_util.Rng
 
 let check = Alcotest.check
 
-let smoke = Sys.getenv_opt "ADGC_FAULT_SMOKE" <> None
-
-let seeds = if smoke then [ 11 ] else [ 11; 23; 47 ]
+let seeds = [ 11; 23; 47 ]
 
 let fault_start = 4_000
 

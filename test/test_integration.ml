@@ -271,7 +271,7 @@ let test_web_workload_site_decommission () =
     (Sim.run_until_clean ~step:2_000 ~max_time:1_000_000 sim);
   Scaffold.assert_safe checker;
   (* Everything still reachable from the surviving sites is intact. *)
-  let live = Cluster.globally_live cluster in
+  let live = Scaffold.globally_live cluster in
   check Alcotest.int "survivors consistent" (Adgc_algebra.Oid.Set.cardinal live)
     (Cluster.total_objects cluster);
   List.iter

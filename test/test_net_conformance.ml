@@ -2,10 +2,7 @@
    simulator and to the socket-backed multi-process driver must end in
    the same place — identical reclamation sets and clean verdicts from
    the {e same} gathered-state oracle ({!Gather.check}) applied to
-   both drivers' final state.
-
-   Set ADGC_NET_SMOKE to trim to one seed (the CI smoke
-   configuration); the full matrix is 3 seeds of the DCDA. *)
+   both drivers' final state.  The matrix is 3 seeds of the DCDA. *)
 
 open Adgc_algebra
 module Sim = Adgc.Sim
@@ -20,9 +17,7 @@ module Transport = Adgc_net.Transport
 
 let check = Alcotest.check
 
-let smoke = Sys.getenv_opt "ADGC_NET_SMOKE" <> None
-
-let seeds = if smoke then [ 11 ] else [ 11; 23; 47 ]
+let seeds = [ 11; 23; 47 ]
 
 let oid_set =
   Alcotest.testable
@@ -34,7 +29,7 @@ let violations = Alcotest.list (Alcotest.testable Adgc_check.Invariant.pp ( = ))
 
 (* Node processes are spawned by exec'ing the real [adgc_sim serve]
    binary, the way [adgc_sim drive] spawns them. *)
-let spawn () =
+let serve () =
   let exe =
     match Sys.getenv_opt "ADGC_SIM_EXE" with
     | Some p -> p
@@ -50,7 +45,7 @@ let spawn () =
         | Some p -> if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
         | None -> Alcotest.fail "adgc_sim.exe not built; set ADGC_SIM_EXE")
   in
-  Coordinator.Exec [ exe; "serve" ]
+  [ exe; "serve" ]
 
 (* Drive the scenario wholly in-memory, then put its final state
    through the very same oracle the coordinator uses: capture each
@@ -88,7 +83,7 @@ let conformance_case topology seed detector () =
   check oid_set "in-memory reclaimed exactly the garbage" expected.Scenario.garbage
     mem_verdict.Gather.reclaimed;
   (* Socket driver: one OS process per rank, same spec. *)
-  let r = Coordinator.run (Coordinator.options ~deadline_s:30. ~spawn:(spawn ()) scenario) in
+  let r = Coordinator.run (Coordinator.options ~deadline_s:30. ~serve:(serve ()) scenario) in
   check Alcotest.bool "socket run completed in budget" false r.Coordinator.timed_out;
   check Alcotest.(list int) "no node died" [] r.Coordinator.dead;
   check violations "socket oracle clean" [] r.Coordinator.verdict.Gather.violations;

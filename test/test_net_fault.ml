@@ -21,7 +21,7 @@ let run_kill_node () =
   let scenario = Scenario.make ~topology:Scenario.Pairs ~procs:6 ~seed:7 () in
   let opts =
     Coordinator.options ~tick_us:400 ~deadline_s:30.
-      ~spawn:(Test_net_conformance.spawn ())
+      ~serve:(Test_net_conformance.serve ())
       ~faults:[ Coordinator.Kill { rank = 2; after_s = 0.2 } ]
       scenario
   in
@@ -43,7 +43,7 @@ let test_drop_link_reconnects () =
   let scenario = Scenario.make ~topology:Scenario.Star ~procs:5 ~seed:7 () in
   let opts =
     Coordinator.options ~deadline_s:30.
-      ~spawn:(Test_net_conformance.spawn ())
+      ~serve:(Test_net_conformance.serve ())
       ~faults:[ Coordinator.Drop { rank = 1; peer = 0; after_s = 0.1 } ]
       scenario
   in

@@ -119,6 +119,86 @@ let test_liveness_stuck_one_step_short () =
   | Scaffold.Converged _ -> Alcotest.fail "converged without the reclaiming step");
   Cluster.teardown cluster
 
+(* One checker across drivers (a): the socket driver's gathered-state
+   oracle reports exactly the in-memory structural violations.  Each
+   structural fault is injected by hand — a freed object a live object
+   holds, a freed scion target, a scion counter synced past its stub —
+   and a crashed rank's wreckage, which neither may judge. *)
+let test_gathered_matches_in_memory () =
+  let cluster = Cluster.create ~n:4 () in
+  let rt = Cluster.rt cluster in
+  let a = Mutator.alloc cluster ~proc:0 () in
+  Mutator.add_root cluster a;
+  let b = Mutator.alloc cluster ~proc:0 () in
+  Mutator.link cluster ~from_:a ~to_:b;
+  let c = Mutator.alloc cluster ~proc:1 () in
+  Mutator.wire_remote cluster ~holder:a ~target:c;
+  let d = Mutator.alloc cluster ~proc:2 () in
+  Mutator.add_root cluster d;
+  let e = Mutator.alloc cluster ~proc:1 () in
+  Mutator.wire_remote cluster ~holder:d ~target:e;
+  let wreck = Mutator.alloc cluster ~proc:3 () in
+  Mutator.wire_remote cluster ~holder:d ~target:wreck;
+  Cluster.crash cluster 3;
+  let p1 = Cluster.proc cluster 1 in
+  Heap.remove (Cluster.proc cluster 0).Process.heap b.Heap.oid;
+  Heap.remove p1.Process.heap c.Heap.oid;
+  let key = Ref_key.make ~src:(Proc_id.of_int 2) ~target:e.Heap.oid in
+  (match Scaffold.find_scion p1.Process.scions key with
+  | Some scion ->
+      let stub = Option.get (Stub_table.find (Cluster.proc cluster 2).Process.stubs e.Heap.oid) in
+      Scion_table.sync_ic scion (stub.Stub_table.ic + 3)
+  | None -> Alcotest.fail "no scion for d -> e");
+  let in_memory = Invariant.check cluster in
+  let states =
+    List.init 3 (fun rank -> Adgc_net.Gather.capture ~rt ~rank ~tick:0 ~reclaimed:[])
+  in
+  let gathered =
+    Adgc_net.Gather.check ~expected_live:Oid.Set.empty ~expected_garbage:Oid.Set.empty ~dead:[ 3 ]
+      states
+  in
+  check
+    Alcotest.(list string)
+    "every fault, in report order"
+    [ "dangling_ref"; "dangling_ref"; "scion_dangles"; "ic_regression" ]
+    (List.map Invariant.kind in_memory);
+  check
+    (Alcotest.list (Alcotest.testable Invariant.pp ( = )))
+    "the gathered oracle reports the same violations" in_memory
+    gathered.Adgc_net.Gather.violations;
+  Cluster.teardown cluster
+
+(* One checker across drivers (b): the model checker and the
+   simulator's oracle install the same pre-sweep check, so on the
+   [lgc_ignores_scions] witness both record the same live object
+   reclaimed. *)
+let test_mc_and_oracle_agree () =
+  let open Adgc_mc in
+  let entry = List.find (fun e -> e.Mutants.mutant = "lgc_ignores_scions") Mutants.all in
+  Fun.protect
+    ~finally:(fun () -> Adgc_util.Mc_mutate.set None)
+    (fun () ->
+      let system =
+        System.create ~mutant:entry.Mutants.mutant
+          (Option.get (Scenarios.find entry.Mutants.scenario))
+      in
+      let oracle = Oracle.install (Adgc.Sim.cluster (System.sim system)) in
+      let reported =
+        List.concat_map
+          (fun a -> match System.apply system a with Ok vs -> vs | Error e -> Alcotest.fail e)
+          entry.Mutants.witness
+      in
+      let from_mc = List.filter (String.starts_with ~prefix:"live_reclaimed:") reported in
+      let from_oracle =
+        List.map
+          (fun (proc, oid) ->
+            let v = Invariant.Live_reclaimed { proc; oid } in
+            Invariant.kind v ^ ": " ^ Invariant.describe v)
+          (Scaffold.live_reclaimed oracle)
+      in
+      check Alcotest.bool "the mutant reclaims a live object" true (from_mc <> []);
+      check Alcotest.(list string) "the same live objects reclaimed" from_oracle from_mc)
+
 let suite =
   ( "oracle",
     [
@@ -130,4 +210,8 @@ let suite =
         test_liveness_converges_on_final_tick;
       Alcotest.test_case "liveness stuck one step short" `Quick test_liveness_stuck_one_step_short;
       Alcotest.test_case "report carries the trace tail" `Quick test_report_has_trace_tail;
+      Alcotest.test_case "gathered and in-memory structural checks agree" `Quick
+        test_gathered_matches_in_memory;
+      Alcotest.test_case "model checker and oracle catch the same sweep" `Quick
+        test_mc_and_oracle_agree;
     ] )

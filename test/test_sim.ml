@@ -142,13 +142,17 @@ let test_reports_sorted_by_time () =
   check Alcotest.bool "some reports" true (times <> []);
   check Alcotest.bool "sorted" true (List.sort compare times = times)
 
-let test_globally_live_matches_ground_truth () =
+let test_live_predicate_matches_ground_truth () =
   let sim = Sim.create ~config:(Config.quick ~n_procs:3 ()) () in
   let built = Topology.rooted_ring (Sim.cluster sim) ~procs:[ 0; 1; 2 ] in
-  let live = Cluster.globally_live (Sim.cluster sim) in
-  check Alcotest.int "three live" 3 (Oid.Set.cardinal live);
-  check Alcotest.bool "contains the root" true
-    (Oid.Set.mem (Scaffold.oid built "n0_0") live)
+  let cluster = Sim.cluster sim in
+  let root = Scaffold.oid built "n0_0" in
+  check Alcotest.int "three objects" 3 (Cluster.total_objects cluster);
+  check Alcotest.int "none of them garbage" 0 (Cluster.garbage_count cluster);
+  check Alcotest.bool "the root is live" true (Cluster.live_predicate cluster root);
+  Mutator.remove_root cluster (Topology.obj built "n0_0");
+  check Alcotest.int "unrooted, all three are garbage" 3 (Cluster.garbage_count cluster);
+  check Alcotest.bool "the root is not live" false (Cluster.live_predicate cluster root)
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printer coverage for public value types *)
@@ -228,7 +232,7 @@ let test_inflight_reply_target_not_pinned () =
   in
   Runtime.send (Sim.rt sim) ~src:(Proc_id.of_int 1) ~dst:(Proc_id.of_int 0) payload;
   check Alcotest.int "reply parked in flight" 1 (Network.in_flight_count (Sim.net sim));
-  let live = Cluster.globally_live cluster in
+  let live = Scaffold.globally_live cluster in
   check Alcotest.bool "in-flight results are live" true (Oid.Set.mem result.Heap.oid live);
   check Alcotest.bool "in-flight reply target is not" false
     (Oid.Set.mem target.Heap.oid live);
@@ -510,7 +514,7 @@ let suite =
       Alcotest.test_case "stop then restart" `Quick test_stop_then_restart;
       Alcotest.test_case "scan_all counts" `Quick test_scan_all_counts;
       Alcotest.test_case "reports sorted by time" `Quick test_reports_sorted_by_time;
-      Alcotest.test_case "globally live ground truth" `Quick test_globally_live_matches_ground_truth;
+      Alcotest.test_case "globally live ground truth" `Quick test_live_predicate_matches_ground_truth;
       Alcotest.test_case "pretty-printer coverage" `Quick test_pp_coverage;
       Alcotest.test_case "report span" `Quick test_report_span;
       Alcotest.test_case "inspect summary line" `Quick test_inspect_summary_line;

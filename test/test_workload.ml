@@ -17,7 +17,7 @@ let test_fig3_shape () =
   (* With the root in place, only A and C are live... plus everything
      reachable: A -> C -> B -> F -> ... -> D -> C: actually the whole
      cycle is reachable through B.  Verify via ground truth. *)
-  let live = Cluster.globally_live cluster in
+  let live = Scaffold.globally_live cluster in
   check Alcotest.bool "A live" true (Oid.Set.mem (Scaffold.oid built "A") live);
   check Alcotest.bool "cycle live through B" true (Oid.Set.mem (Scaffold.oid built "F") live);
   (* Remove the root: everything dies. *)
@@ -57,7 +57,7 @@ let test_fig4_shape () =
 let test_fig5_shape () =
   let cluster = Cluster.create ~n:5 () in
   let built = Topology.fig5 cluster in
-  let live = Cluster.globally_live cluster in
+  let live = Scaffold.globally_live cluster in
   check Alcotest.bool "cycle live via A" true (Oid.Set.mem (Scaffold.oid built "F") live);
   check Alcotest.int "no garbage initially" 0 (Oid.Set.cardinal (Cluster.garbage cluster))
 
@@ -148,7 +148,7 @@ let test_in_flight_refs_are_live () =
   (* Ship [precious] (kept alive only by the in-flight message). *)
   Mutator.call cluster ~src:0 ~target:callee.Heap.oid ~args:[ precious.Heap.oid ]
     ~behavior:Mutator.store_args ();
-  let live = Cluster.globally_live cluster in
+  let live = Scaffold.globally_live cluster in
   check Alcotest.bool "in-flight arg live" true (Oid.Set.mem precious.Heap.oid live);
   ignore (Cluster.drain cluster : int)
 
